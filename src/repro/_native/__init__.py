@@ -69,11 +69,14 @@ class NativeKernels:
         self._lib = lib
         self.provider = provider
 
+    # ``from_buffer`` takes the array's buffer directly (no per-call ctypes
+    # helper object) and refuses a non-contiguous array instead of reading
+    # past its strides.
     def _dp(self, arr: np.ndarray):
-        return self._ffi.cast("double *", arr.ctypes.data)
+        return self._ffi.from_buffer("double[]", arr)
 
     def _ip(self, arr: np.ndarray):
-        return self._ffi.cast("int64_t *", arr.ctypes.data)
+        return self._ffi.from_buffer("int64_t[]", arr)
 
     def eval_chunk(
         self,

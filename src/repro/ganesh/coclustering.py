@@ -8,7 +8,8 @@ paper: same PRNG, same stream positions, on every implementation and rank).
 
 Every Gibbs iteration optionally reports its per-candidate cost vector to a
 trace recorder (see :mod:`repro.parallel.trace`); the parallel engine uses
-those vectors to account per-rank work for Algorithms 1-3.
+those vectors to account per-rank work for Algorithms 1-3.  The vectors are
+built only when a recorder is attached.
 """
 
 from __future__ import annotations
@@ -62,10 +63,9 @@ def reassign_var_sweep(
     for _ in range(n):
         var = rng.randint(n)
         scores = state.move_var_scores(var)
-        costs = np.array(
-            [m + c.obs.n_clusters for c in state.clusters] + [m], dtype=np.float64
-        )
-        hooks.emit("ganesh.var_reassign", costs)
+        if hooks.record is not None:
+            costs = [m + c.obs.n_clusters for c in state.clusters] + [m]
+            hooks.emit("ganesh.var_reassign", np.array(costs, dtype=np.float64))
         choice = rng.weighted_choice_logs(scores)
         state.move_var(var, choice)
 
@@ -83,10 +83,9 @@ def merge_var_sweep(
     cid = 0
     while cid < state.n_clusters:
         scores = state.merge_var_scores(cid)
-        costs = np.array(
-            [m + c.obs.n_clusters for c in state.clusters], dtype=np.float64
-        )
-        hooks.emit("ganesh.var_merge", costs)
+        if hooks.record is not None:
+            costs = [m + c.obs.n_clusters for c in state.clusters]
+            hooks.emit("ganesh.var_merge", np.array(costs, dtype=np.float64))
         choice = rng.weighted_choice_logs(scores)
         if choice == cid:
             cid += 1
@@ -107,8 +106,8 @@ def reassign_obs_sweep(
         obs = rng.randint(m)
         column = block[:, obs]
         scores = oc.move_obs_scores(obs, column)
-        costs = np.full(oc.n_clusters + 1, float(n_members + 1))
-        hooks.emit(phase, costs)
+        if hooks.record is not None:
+            hooks.emit(phase, np.full(oc.n_clusters + 1, float(n_members + 1)))
         choice = rng.weighted_choice_logs(scores)
         oc.move_obs(obs, choice, column)
 
@@ -123,8 +122,8 @@ def merge_obs_sweep(
     cid = 0
     while cid < oc.n_clusters:
         scores = oc.merge_obs_scores(cid)
-        costs = np.ones(oc.n_clusters, dtype=np.float64)
-        hooks.emit(phase, costs)
+        if hooks.record is not None:
+            hooks.emit(phase, np.ones(oc.n_clusters, dtype=np.float64))
         choice = rng.weighted_choice_logs(scores)
         if choice == cid:
             cid += 1

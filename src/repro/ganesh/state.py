@@ -35,6 +35,9 @@ class ObsClustering:
     ``labels[j]`` is the observation cluster of observation ``j``; block
     statistics pool *all* member variables' values at the block's
     observations (the GaneSH model shares one Gaussian per block).
+    ``lm[c]`` is block ``c``'s log marginal likelihood, maintained with the
+    statistics: a move rewrites only the blocks it touches, with the values
+    the preceding ``*_scores`` call already computed when it covered them.
     """
 
     def __init__(self, labels: np.ndarray, prior: NormalGammaPrior = DEFAULT_PRIOR) -> None:
@@ -45,6 +48,10 @@ class ObsClustering:
         self.n_clusters = int(self.labels.max()) + 1 if labels.size else 0
         self.prior = prior
         self.stats = StatsArrays(self.n_clusters)
+        self.lm = np.zeros(self.n_clusters)
+        #: the last scoring call: (move key, lo, n_cands, new marginals,
+        #: column stats or None), dropped by every mutation
+        self._scored: tuple | None = None
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -57,6 +64,7 @@ class ObsClustering:
         """Build a clustering over ``block`` (rows = member variables)."""
         oc = cls(labels, prior)
         oc.stats = StatsArrays.grouped(block, oc.labels, oc.n_clusters)
+        oc.lm = oc.stats.log_marginals(prior)
         return oc
 
     def copy(self) -> "ObsClustering":
@@ -65,38 +73,46 @@ class ObsClustering:
         out.n_clusters = self.n_clusters
         out.prior = self.prior
         out.stats = self.stats.copy()
+        out.lm = self.lm.copy()
+        out._scored = None
         return out
 
     # -- scoring ---------------------------------------------------------
-    def log_marginals(self) -> np.ndarray:
-        return self.stats.log_marginals(self.prior)
-
     def score(self) -> float:
-        return float(self.log_marginals().sum())
+        return float(self.lm.sum())
+
+    def _pop_scored(self, key: tuple) -> tuple:
+        """The last scoring call's values if it was for move ``key`` (the
+        state cannot have changed since: every mutation clears them)."""
+        scored, self._scored = self._scored, None
+        return scored if scored is not None and scored[0] == key else (key, 0, 0, None, None)
+
+    def _block_lm(self, blocks: list[int]) -> np.ndarray:
+        stats = self.stats
+        return log_marginal(
+            stats.count[blocks], stats.total[blocks], stats.sumsq[blocks], self.prior
+        )
 
     # -- variable membership updates --------------------------------------
-    def add_rows(self, rows: np.ndarray) -> None:
-        """Account for new member variables (rows of the data block)."""
+    def add_rows(self, rows: np.ndarray, rows_id: object = None) -> None:
+        """Account for new member variables (rows of the data block).
+        ``rows_id`` names the rows' content; when the last scoring call
+        scored this very addition its marginals are adopted, not recomputed."""
         rows = np.atleast_2d(rows)
         self.stats.add_arrays(StatsArrays.grouped(rows, self.labels, self.n_clusters))
+        self._rescored(("add", rows_id))
 
-    def remove_rows(self, rows: np.ndarray) -> None:
+    def remove_rows(self, rows: np.ndarray, rows_id: object = None) -> None:
         rows = np.atleast_2d(rows)
         grouped = StatsArrays.grouped(rows, self.labels, self.n_clusters)
         self.stats.count -= grouped.count
         self.stats.total -= grouped.total
         self.stats.sumsq -= grouped.sumsq
+        self._rescored(("remove", rows_id))
 
-    def row_delta(self, row: np.ndarray) -> np.ndarray:
-        """Score change of adding one row to this clustering's block."""
-        grouped = StatsArrays.grouped(row, self.labels, self.n_clusters)
-        new = log_marginal(
-            self.stats.count + grouped.count,
-            self.stats.total + grouped.total,
-            self.stats.sumsq + grouped.sumsq,
-            self.prior,
-        )
-        return np.asarray(new) - self.log_marginals()
+    def _rescored(self, key: tuple) -> None:
+        new = self._pop_scored(key)[3]
+        self.lm = self.stats.log_marginals(self.prior) if new is None else new.copy()
 
     def rows_delta(self, rows: np.ndarray) -> float:
         """Score change of adding a block of rows (used for cluster merges)."""
@@ -108,7 +124,7 @@ class ObsClustering:
             self.stats.sumsq + grouped.sumsq,
             self.prior,
         )
-        return float((np.asarray(new) - self.log_marginals()).sum())
+        return float((np.asarray(new) - self.lm).sum())
 
     # -- observation moves -------------------------------------------------
     def column_stats(self, column: np.ndarray) -> SuffStats:
@@ -131,31 +147,37 @@ class ObsClustering:
         ``obs``.  With ``candidate_range=(lo, hi)`` only that slice of the
         candidate list is computed — the block a rank owns in the parallel
         algorithm (Algorithm 2, lines 6-8).
+
+        One scoring call covers the candidate blocks with the column added,
+        the source block with it removed and the column alone (the fresh
+        singleton); the unchanged blocks' marginals come from ``lm``.
         """
-        lo, hi = candidate_range if candidate_range is not None else (0, self.n_clusters + 1)
+        k = self.n_clusters
+        lo, hi = candidate_range if candidate_range is not None else (0, k + 1)
+        hi_clusters = min(hi, k)
+        n_cands = max(hi_clusters - lo, 0)
         src = int(self.labels[obs])
         cs = self.column_stats(column)
-        src_lm = float(log_marginal(*_block_tuple(self.stats, src), self.prior))
-        removed = self.stats.block(src).remove(cs)
-        rem_delta = removed.log_marginal(self.prior) - src_lm
+        stats = self.stats
+        n, s, q = np.empty((3, n_cands + 2))
+        for out, have, add in (
+            (n, stats.count, cs.count), (s, stats.total, cs.total), (q, stats.sumsq, cs.sumsq)
+        ):
+            np.add(have[lo:hi_clusters], add, out=out[:n_cands])
+            out[n_cands] = have[src] - add
+            out[n_cands + 1] = add
+        new = log_marginal(n, s, q, self.prior)
+        self._scored = (("move", obs), lo, n_cands, new, cs)
 
-        hi_clusters = min(hi, self.n_clusters)
-        idx = np.arange(lo, hi_clusters)
-        lm = log_marginal(
-            self.stats.count[idx], self.stats.total[idx], self.stats.sumsq[idx], self.prior
-        )
-        new = log_marginal(
-            self.stats.count[idx] + cs.count,
-            self.stats.total[idx] + cs.total,
-            self.stats.sumsq[idx] + cs.sumsq,
-            self.prior,
-        )
-        scores = rem_delta + (np.asarray(new) - np.asarray(lm))
+        rem_delta = float(new[n_cands]) - float(self.lm[src])
+        fresh = lo <= k < hi
+        scores = np.empty(n_cands + fresh)
+        np.subtract(new[:n_cands], self.lm[lo:hi_clusters], out=scores[:n_cands])
+        scores[:n_cands] += rem_delta
         if lo <= src < hi_clusters:
             scores[src - lo] = 0.0
-        if lo <= self.n_clusters < hi:
-            fresh = rem_delta + cs.log_marginal(self.prior)
-            scores = np.append(scores, fresh)
+        if fresh:
+            scores[n_cands] = rem_delta + float(new[n_cands + 1])
         return scores
 
     def move_obs(self, obs: int, target: int, column: np.ndarray) -> None:
@@ -163,15 +185,26 @@ class ObsClustering:
         src = int(self.labels[obs])
         if target == src:
             return
-        cs = self.column_stats(column)
+        _key, lo, n_cands, new, cs = self._pop_scored(("move", obs))
+        if cs is None:
+            cs = self.column_stats(column)
+        fresh = target == self.n_clusters
         self.stats.remove_at(src, cs)
-        if target == self.n_clusters:
+        if fresh:
             self.stats.append(cs)
-            self.labels[obs] = self.n_clusters
             self.n_clusters += 1
         else:
             self.stats.add_at(target, cs)
-            self.labels[obs] = target
+        self.labels[obs] = target
+        if new is not None and (fresh or lo <= target < lo + n_cands):
+            src_lm, tgt_lm = new[n_cands], new[n_cands + 1 if fresh else target - lo]
+        else:
+            src_lm, tgt_lm = self._block_lm([src, target])
+        if fresh:
+            self.lm = np.append(self.lm, tgt_lm)
+        else:
+            self.lm[target] = tgt_lm
+        self.lm[src] = src_lm
         if self.stats.count[src] <= 0:
             self._drop_cluster(src)
 
@@ -181,39 +214,40 @@ class ObsClustering:
     ) -> np.ndarray:
         """Candidate log-weights for merging ``cluster`` into each other
         cluster; entry ``cluster`` is the "keep" baseline (0).  O(1) per
-        candidate because block statistics are additive.  ``candidate_range``
-        restricts computation to one rank's block of candidates."""
+        candidate because block statistics are additive: one scoring call
+        over the merged blocks, the unmerged marginals come from ``lm``.
+        ``candidate_range`` restricts computation to one rank's block of
+        candidates."""
         lo, hi = candidate_range if candidate_range is not None else (0, self.n_clusters)
-        idx = np.arange(lo, min(hi, self.n_clusters))
-        lm = np.asarray(
-            log_marginal(
-                self.stats.count[idx],
-                self.stats.total[idx],
-                self.stats.sumsq[idx],
-                self.prior,
-            )
-        )
-        own_lm = float(log_marginal(*_block_tuple(self.stats, cluster), self.prior))
+        hi = min(hi, self.n_clusters)
+        stats = self.stats
         merged = log_marginal(
-            self.stats.count[idx] + self.stats.count[cluster],
-            self.stats.total[idx] + self.stats.total[cluster],
-            self.stats.sumsq[idx] + self.stats.sumsq[cluster],
+            stats.count[lo:hi] + stats.count[cluster],
+            stats.total[lo:hi] + stats.total[cluster],
+            stats.sumsq[lo:hi] + stats.sumsq[cluster],
             self.prior,
         )
-        scores = np.asarray(merged) - lm - own_lm
-        if lo <= cluster < min(hi, self.n_clusters):
+        self._scored = (("merge", cluster), lo, max(hi - lo, 0), merged, None)
+        scores = merged - self.lm[lo:hi] - float(self.lm[cluster])
+        if lo <= cluster < hi:
             scores[cluster - lo] = 0.0
         return scores
 
     def merge_obs(self, cluster: int, target: int) -> None:
         if target == cluster:
             return
+        _key, lo, n_cands, merged, _cs = self._pop_scored(("merge", cluster))
         self.stats.add_at(target, self.stats.block(cluster))
+        if merged is not None and lo <= target < lo + n_cands:
+            self.lm[target] = merged[target - lo]
+        else:
+            self.lm[target] = self._block_lm([target])[0]
         self.labels[self.labels == cluster] = target
         self._drop_cluster(cluster)
 
     def _drop_cluster(self, cluster: int) -> None:
         self.stats.drop(cluster)
+        self.lm = np.delete(self.lm, cluster)
         self.labels[self.labels > cluster] -= 1
         self.n_clusters -= 1
 
@@ -221,7 +255,8 @@ class ObsClustering:
         return np.bincount(self.labels, minlength=self.n_clusters)
 
     def check_invariants(self, block: np.ndarray) -> None:
-        """Verify stats match a fresh recomputation (testing hook)."""
+        """Verify stats match a fresh recomputation, and the maintained
+        marginals a fresh scoring of them bit for bit (testing hook)."""
         fresh = StatsArrays.grouped(np.atleast_2d(block), self.labels, self.n_clusters)
         if not (
             np.allclose(fresh.count, self.stats.count)
@@ -229,6 +264,8 @@ class ObsClustering:
             and np.allclose(fresh.sumsq, self.stats.sumsq)
         ):
             raise AssertionError("observation clustering stats drifted")
+        if not np.array_equal(self.lm, self.stats.log_marginals(self.prior)):
+            raise AssertionError("maintained block marginals are stale")
 
 
 class VarCluster:
@@ -301,75 +338,82 @@ class CoClusterState:
         rank's block of candidates (Algorithm 1, lines 6-8); the removal
         delta (a shared term) is computed by every rank.
         """
-        lo, hi = candidate_range if candidate_range is not None else (0, self.n_clusters + 1)
+        k = self.n_clusters
+        lo, hi = candidate_range if candidate_range is not None else (0, k + 1)
+        hi_clusters = min(hi, k)
+        n_cands = max(hi_clusters - lo, 0)
         row = self.data[var]
         src = int(self.var_labels[var])
-        src_cluster = self.clusters[src]
+        delta, bounds, fresh_lm = self._stacked_lm(
+            lo, hi_clusters, row, row * row, var, src
+        )
 
         # Score change of removing the row from its current cluster.
-        src_oc = src_cluster.obs
-        grouped = StatsArrays.grouped(row, src_oc.labels, src_oc.n_clusters)
-        removed = log_marginal(
-            src_oc.stats.count - grouped.count,
-            src_oc.stats.total - grouped.total,
-            src_oc.stats.sumsq - grouped.sumsq,
-            self.prior,
+        rem_delta = float(delta[bounds[n_cands] :].sum())
+        fresh = lo <= k < hi
+        scores = np.empty(n_cands + fresh)
+        scores[:n_cands] = rem_delta + np.add.reduceat(
+            delta[: bounds[n_cands]], bounds[:n_cands]
         )
-        rem_delta = float((np.asarray(removed) - src_oc.log_marginals()).sum())
-
-        hi_clusters = min(hi, self.n_clusters)
-        scores = rem_delta + self._stacked_row_deltas(row, lo, hi_clusters)
         if lo <= src < hi_clusters:
             scores[src - lo] = 0.0
-        if lo <= self.n_clusters < hi:
+        if fresh:
             # Fresh cluster: one observation cluster holding the whole row.
-            fresh_lm = float(
-                log_marginal(row.size, row.sum(), (row * row).sum(), self.prior)
-            )
-            scores = np.append(scores, rem_delta + fresh_lm)
+            scores[n_cands] = rem_delta + fresh_lm
         return scores
 
-    def _stacked_row_deltas(self, row: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Score change of adding ``row`` to each cluster in ``[lo, hi)``.
+    def _stacked_lm(
+        self,
+        lo: int,
+        hi: int,
+        col_total: np.ndarray,
+        col_sumsq: np.ndarray,
+        rows_id: object,
+        src: int | None = None,
+        n_rows: int = 1,
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Every block marginal one Gibbs iteration changes, in one call.
 
-        All clusters' blocks are scored with one stacked ``bincount`` and
-        one vectorized marginal-likelihood call instead of a Python loop
-        over clusters — the same arithmetic per block, so results are
-        element-for-element identical to the per-cluster path.
+        The blocks of clusters ``[lo, hi)`` with ``n_rows`` rows (column
+        sums ``col_total`` / ``col_sumsq``) added, then — for a move out of
+        cluster ``src`` — ``src``'s blocks with the rows removed, then the
+        block of the rows alone (a move's fresh singleton).  One stacked
+        ``bincount`` and one vectorized marginal-likelihood call instead of
+        a Python loop over clusters: the same arithmetic per block, so
+        results are element-for-element identical to the per-cluster path.  Each
+        clustering keeps its new marginals for the move that may follow;
+        returns their change against the maintained ones, the clusters'
+        block offsets and the fresh block's marginal.
         """
-        n_cands = hi - lo
-        if n_cands <= 0:
-            return np.zeros(0, dtype=np.float64)
-        label_parts = []
-        offset = 0
-        bounds = np.empty(n_cands, dtype=np.int64)
-        for pos, cid in enumerate(range(lo, hi)):
-            oc = self.clusters[cid].obs
-            label_parts.append(oc.labels + offset)
-            bounds[pos] = offset
-            offset += oc.n_clusters
-        glabels = np.concatenate(label_parts)
-        tiled = np.tile(row, n_cands)
-        add_count = np.bincount(glabels, minlength=offset).astype(np.float64)
-        add_total = np.bincount(glabels, weights=tiled, minlength=offset)
-        add_sumsq = np.bincount(glabels, weights=tiled * tiled, minlength=offset)
-
-        counts = np.concatenate(
-            [self.clusters[cid].obs.stats.count for cid in range(lo, hi)]
-        )
-        totals = np.concatenate(
-            [self.clusters[cid].obs.stats.total for cid in range(lo, hi)]
-        )
-        sumsqs = np.concatenate(
-            [self.clusters[cid].obs.stats.sumsq for cid in range(lo, hi)]
-        )
-        new_lm = np.asarray(
-            log_marginal(
-                counts + add_count, totals + add_total, sumsqs + add_sumsq, self.prior
+        ocs = [self.clusters[cid].obs for cid in range(lo, hi)]
+        if src is not None:
+            ocs.append(self.clusters[src].obs)
+        bounds = np.zeros(len(ocs) + 1, dtype=np.int64)
+        np.cumsum([oc.n_clusters for oc in ocs], out=bounds[1:])
+        n_blocks = int(bounds[-1])
+        n, s, q = np.zeros((3, n_blocks + 1))
+        n[-1], s[-1], q[-1] = n_rows * col_total.size, col_total.sum(), col_sumsq.sum()
+        if ocs:
+            glabels = np.concatenate([oc.labels + off for oc, off in zip(ocs, bounds)])
+            sign = np.ones(n_blocks)
+            if src is not None:
+                sign[bounds[-2] :] = -1.0
+            adds = (
+                n_rows * np.bincount(glabels, minlength=n_blocks).astype(np.float64),
+                np.bincount(glabels, weights=np.tile(col_total, len(ocs)), minlength=n_blocks),
+                np.bincount(glabels, weights=np.tile(col_sumsq, len(ocs)), minlength=n_blocks),
             )
-        )
-        old_lm = np.asarray(log_marginal(counts, totals, sumsqs, self.prior))
-        return np.add.reduceat(new_lm - old_lm, bounds)
+            for out, add, name in zip((n, s, q), adds, ("count", "total", "sumsq")):
+                have = np.concatenate([getattr(oc.stats, name) for oc in ocs])
+                out[:n_blocks] = have + sign * add
+        new = log_marginal(n, s, q, self.prior)
+        delta = new[:n_blocks].copy()
+        for pos, oc in enumerate(ocs):
+            part = slice(bounds[pos], bounds[pos + 1])
+            delta[part] -= oc.lm
+            removing = src is not None and pos == len(ocs) - 1
+            oc._scored = (("remove" if removing else "add", rows_id), 0, 0, new[part], None)
+        return delta, bounds, float(new[-1])
 
     def move_var(self, var: int, target: int) -> None:
         """Move ``var`` to cluster ``target`` (``n_clusters`` = fresh)."""
@@ -378,7 +422,7 @@ class CoClusterState:
             return
         row = self.data[var]
         src_cluster = self.clusters[src]
-        src_cluster.obs.remove_rows(row)
+        src_cluster.obs.remove_rows(row, var)
         src_cluster.members.remove(var)
 
         if target == self.n_clusters:
@@ -386,12 +430,11 @@ class CoClusterState:
                 row[None, :], np.zeros(self.n_obs, dtype=np.int64), self.prior
             )
             self.clusters.append(VarCluster([var], oc))
-            self.var_labels[var] = target
         else:
             tgt_cluster = self.clusters[target]
-            tgt_cluster.obs.add_rows(row)
+            tgt_cluster.obs.add_rows(row, var)
             tgt_cluster.members.append(var)
-            self.var_labels[var] = target
+        self.var_labels[var] = target
 
         if not src_cluster.members:
             self._drop_cluster(src)
@@ -405,57 +448,17 @@ class CoClusterState:
         partition); entry ``cluster`` is the "keep" baseline.
         ``candidate_range`` restricts computation to one rank's block."""
         lo, hi = candidate_range if candidate_range is not None else (0, self.n_clusters)
-        block = self.data[self.clusters[cluster].members]
-        own_score = self.clusters[cluster].obs.score()
         hi = min(hi, self.n_clusters)
-        scores = self._stacked_block_deltas(block, lo, hi) - own_score
+        members = self.clusters[cluster].members
+        block = self.data[members]
+        delta, bounds, _fresh = self._stacked_lm(
+            lo, hi, block.sum(axis=0), (block * block).sum(axis=0), tuple(members),
+            n_rows=len(members),
+        )
+        scores = np.add.reduceat(delta, bounds[:-1]) - self.clusters[cluster].obs.score()
         if lo <= cluster < hi:
             scores[cluster - lo] = 0.0
         return scores
-
-    def _stacked_block_deltas(self, block: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Score change of adding ``block``'s rows to each cluster in
-        ``[lo, hi)``, via one stacked bincount (see _stacked_row_deltas)."""
-        n_cands = hi - lo
-        if n_cands <= 0:
-            return np.zeros(0, dtype=np.float64)
-        block = np.atleast_2d(block)
-        n_rows = block.shape[0]
-        col_total = block.sum(axis=0)
-        col_sumsq = (block * block).sum(axis=0)
-
-        label_parts = []
-        offset = 0
-        bounds = np.empty(n_cands, dtype=np.int64)
-        for pos, cid in enumerate(range(lo, hi)):
-            oc = self.clusters[cid].obs
-            label_parts.append(oc.labels + offset)
-            bounds[pos] = offset
-            offset += oc.n_clusters
-        glabels = np.concatenate(label_parts)
-        add_count = n_rows * np.bincount(glabels, minlength=offset).astype(np.float64)
-        add_total = np.bincount(
-            glabels, weights=np.tile(col_total, n_cands), minlength=offset
-        )
-        add_sumsq = np.bincount(
-            glabels, weights=np.tile(col_sumsq, n_cands), minlength=offset
-        )
-        counts = np.concatenate(
-            [self.clusters[cid].obs.stats.count for cid in range(lo, hi)]
-        )
-        totals = np.concatenate(
-            [self.clusters[cid].obs.stats.total for cid in range(lo, hi)]
-        )
-        sumsqs = np.concatenate(
-            [self.clusters[cid].obs.stats.sumsq for cid in range(lo, hi)]
-        )
-        new_lm = np.asarray(
-            log_marginal(
-                counts + add_count, totals + add_total, sumsqs + add_sumsq, self.prior
-            )
-        )
-        old_lm = np.asarray(log_marginal(counts, totals, sumsqs, self.prior))
-        return np.add.reduceat(new_lm - old_lm, bounds)
 
     def merge_var(self, cluster: int, target: int) -> None:
         if target == cluster:
@@ -463,7 +466,7 @@ class CoClusterState:
         src_cluster = self.clusters[cluster]
         tgt_cluster = self.clusters[target]
         block = self.data[src_cluster.members]
-        tgt_cluster.obs.add_rows(block)
+        tgt_cluster.obs.add_rows(block, tuple(src_cluster.members))
         tgt_cluster.members.extend(src_cluster.members)
         for var in src_cluster.members:
             self.var_labels[var] = target
@@ -490,14 +493,6 @@ class CoClusterState:
             cluster.obs.check_invariants(self.data[cluster.members])
         if len(seen) != self.n_vars:
             raise AssertionError("not all variables assigned")
-
-
-def _block_tuple(stats: StatsArrays, index: int) -> tuple[float, float, float]:
-    return (
-        float(stats.count[index]),
-        float(stats.total[index]),
-        float(stats.sumsq[index]),
-    )
 
 
 def _compact(labels: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ the paper):
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -49,10 +50,8 @@ def make_stream(seed: int, *path: object, backend: str = "philox") -> Stream:
 def quantize_logs(log_weights: Sequence[float]) -> np.ndarray:
     """Snap log-weights to the shared decision grid (see SCORE_QUANTUM)."""
     arr = np.asarray(log_weights, dtype=np.float64)
-    out = np.round(arr / SCORE_QUANTUM) * SCORE_QUANTUM
-    # Preserve -inf sentinels (zero-probability choices).
-    out[np.isneginf(arr)] = -np.inf
-    return out
+    # -inf sentinels (zero-probability choices) survive the round trip.
+    return np.round(arr / SCORE_QUANTUM) * SCORE_QUANTUM
 
 
 class GibbsRandom:
@@ -107,13 +106,18 @@ class GibbsRandom:
         logs = quantize_logs(log_weights)
         if logs.size == 0:
             raise ValueError("weighted choice over an empty list")
-        finite = np.isfinite(logs)
-        if not finite.any():
-            # All options impossible: fall back to uniform (still one draw).
-            return self.randint(logs.size)
-        peak = logs[finite].max()
-        weights = np.exp(np.where(finite, logs - peak, -np.inf))
-        weights[~finite] = 0.0
+        peak = logs.max()
+        if math.isfinite(peak) and math.isfinite(logs.min()):
+            # All finite (every Gibbs score vector): no masking needed.
+            weights = np.exp(logs - peak)
+        else:
+            finite = np.isfinite(logs)
+            if not finite.any():
+                # All options impossible: fall back to uniform (still one draw).
+                return self.randint(logs.size)
+            peak = logs[finite].max()
+            weights = np.exp(np.where(finite, logs - peak, -np.inf))
+            weights[~finite] = 0.0
         total = weights.sum()
         u = self.stream.next_uniform() * total
         cum = np.cumsum(weights)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ganesh.state as state_module
 from repro.ganesh.state import (
     CoClusterState,
     ObsClustering,
     _compact,
     init_sqrt_obs_labels,
 )
+from repro.parallel.costmodel import block_range
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring.normal_gamma import log_marginal
 from repro.scoring.suffstats import StatsArrays
@@ -291,3 +293,183 @@ class TestCoClusterState:
             state.check_invariants()
         # Incremental score still matches a from-scratch recomputation.
         assert state.score() == pytest.approx(_brute_score(state), abs=1e-6)
+
+
+def _scored_walk_step(state, data, rng, ranged):
+    """One random Gibbs-style step: score, then apply a random candidate.
+
+    With ``ranged`` the scoring call covers only a random slice of the
+    candidates (what one SPMD rank computes), so the applied target may lie
+    outside it and the move must fall back to scoring its own blocks."""
+
+    def pick(n_candidates):
+        rng_range = None
+        if ranged:
+            lo = int(rng.integers(0, n_candidates + 1))
+            rng_range = (lo, int(rng.integers(lo, n_candidates + 1)))
+        return rng_range, int(rng.integers(0, n_candidates))
+
+    op = int(rng.integers(0, 4))
+    cluster = state.clusters[int(rng.integers(0, state.n_clusters))]
+    oc = cluster.obs
+    if op == 0:
+        var = int(rng.integers(0, state.n_vars))
+        rng_range, target = pick(state.n_clusters + 1)
+        state.move_var_scores(var, rng_range)
+        state.move_var(var, target)
+    elif op == 1 and state.n_clusters >= 2:
+        cid = int(rng.integers(0, state.n_clusters))
+        rng_range, target = pick(state.n_clusters)
+        state.merge_var_scores(cid, rng_range)
+        state.merge_var(cid, target)
+    elif op == 2:
+        obs = int(rng.integers(0, state.n_obs))
+        column = data[cluster.members][:, obs]
+        rng_range, target = pick(oc.n_clusters + 1)
+        oc.move_obs_scores(obs, column, rng_range)
+        oc.move_obs(obs, target, column)
+    elif op == 3 and oc.n_clusters >= 2:
+        cid = int(rng.integers(0, oc.n_clusters))
+        rng_range, target = pick(oc.n_clusters)
+        oc.merge_obs_scores(cid, rng_range)
+        oc.merge_obs(cid, target)
+
+
+class TestMaintainedMarginals:
+    """``ObsClustering.lm`` is state, not a cache of convenience: after any
+    sequence of moves it must equal a fresh scoring of the statistics bit
+    for bit (``check_invariants`` asserts exactly that)."""
+
+    @given(seed=st.integers(0, 200), ranged=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_scored_moves_keep_marginals_exact(self, seed, ranged):
+        state, data = _random_state(n=14, m=9, k=4, seed=seed)
+        rng = np.random.default_rng(seed + 5000)
+        for _ in range(25):
+            _scored_walk_step(state, data, rng, ranged)
+            state.check_invariants()
+            for cluster in state.clusters:
+                np.testing.assert_array_equal(
+                    cluster.obs.lm, cluster.obs.stats.log_marginals(state.prior)
+                )
+
+    def test_scores_do_not_change_the_state(self):
+        state, data = _random_state(seed=11)
+        before = [c.obs.lm.copy() for c in state.clusters]
+        state.move_var_scores(3)
+        state.merge_var_scores(0)
+        oc = state.clusters[1].obs
+        oc.move_obs_scores(2, data[state.clusters[1].members][:, 2])
+        oc.merge_obs_scores(0)
+        for cluster, lm in zip(state.clusters, before):
+            np.testing.assert_array_equal(cluster.obs.lm, lm)
+        state.check_invariants()
+
+    def test_move_after_unrelated_scoring_ignores_it(self):
+        """Scored values are keyed by the move: applying a different move
+        must not adopt them."""
+        state, data = _random_state(seed=12)
+        state.move_var_scores(3)
+        state.move_var(5, (int(state.var_labels[5]) + 1) % state.n_clusters)
+        state.check_invariants()
+        cluster = state.clusters[0]
+        block = data[cluster.members]
+        cluster.obs.move_obs_scores(1, block[:, 1])
+        cluster.obs.move_obs(4, cluster.obs.n_clusters, block[:, 4])
+        state.check_invariants()
+
+    def test_obs_move_between_var_scoring_and_var_move(self):
+        """An observation move invalidates the variable-level values that
+        were scored for that cluster before it."""
+        state, data = _random_state(seed=13)
+        var = 2
+        target = (int(state.var_labels[var]) + 1) % state.n_clusters
+        state.move_var_scores(var)
+        cluster = state.clusters[target]
+        block = data[cluster.members]
+        cluster.obs.move_obs(0, cluster.obs.n_clusters, block[:, 0])
+        state.move_var(var, target)
+        state.check_invariants()
+
+
+class TestRankSlices:
+    """Every ``block_range`` partition of the candidates — including the
+    empty slices ranks get when p exceeds the candidate count — must
+    concatenate to the unsliced score vector bit for bit."""
+
+    @staticmethod
+    def _assert_slices(score, n_candidates, k):
+        full = score(None)
+        assert full.shape == (n_candidates,)
+        for p in (1, 2, 3, 4, k + 2):
+            parts = [score(block_range(n_candidates, p, r)) for r in range(p)]
+            np.testing.assert_array_equal(np.concatenate(parts), full)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_obs_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(5, 16))
+        oc = ObsClustering.from_block(block, rng.integers(0, 5, size=16))
+        k = oc.n_clusters
+        for obs in (0, 7):
+            self._assert_slices(
+                lambda r: oc.move_obs_scores(obs, block[:, obs], r), k + 1, k
+            )
+        for cid in (0, k - 1):
+            self._assert_slices(lambda r: oc.merge_obs_scores(cid, r), k, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_var_scores(self, seed):
+        state, _ = _random_state(n=18, m=10, k=5, seed=seed)
+        k = state.n_clusters
+        for var in (0, 9):
+            self._assert_slices(lambda r: state.move_var_scores(var, r), k + 1, k)
+        for cid in (0, k - 1):
+            self._assert_slices(lambda r: state.merge_var_scores(cid, r), k, k)
+
+
+class TestOneScoringCallPerMove:
+    """The dispatch-bound cost model: each ``*_scores`` method issues
+    exactly one ``log_marginal`` call, sliced or not, and the move that
+    follows it none when the scoring covered its blocks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(count, total, sumsq, prior=state_module.DEFAULT_PRIOR):
+            counted.append(np.size(count))
+            return log_marginal(count, total, sumsq, prior)
+
+        monkeypatch.setattr(state_module, "log_marginal", counting)
+        return counted
+
+    @pytest.mark.parametrize("rng_range", [None, (1, 3), (2, 2)])
+    def test_scores_and_covered_moves(self, calls, rng_range):
+        state, data = _random_state(n=16, m=10, k=5, seed=21)
+        oc = state.clusters[0].obs
+        block = data[state.clusters[0].members]
+        src = int(oc.labels[4])
+        steps = [
+            lambda: oc.move_obs_scores(4, block[:, 4], rng_range),
+            lambda: oc.merge_obs_scores(0, rng_range),
+            lambda: state.move_var_scores(6, rng_range),
+            lambda: state.merge_var_scores(1, rng_range),
+        ]
+        for step in steps:
+            del calls[:]
+            step()
+            assert len(calls) == 1
+        if rng_range is None:
+            del calls[:]
+            oc.move_obs_scores(4, block[:, 4])
+            oc.move_obs(4, (src + 1) % oc.n_clusters, block[:, 4])
+            oc.merge_obs_scores(0)
+            oc.merge_obs(0, 1)
+            var_src = int(state.var_labels[6])
+            state.move_var_scores(6)
+            state.move_var(6, (var_src + 1) % state.n_clusters)
+            state.merge_var_scores(1)
+            state.merge_var(1, 0)
+            assert len(calls) == 4
+            state.check_invariants()

@@ -63,6 +63,60 @@ class TestSweeps:
         assert len(records) == state.n_vars
         assert all(phase == "ganesh.var_reassign" for phase, _ in records)
 
+    def test_recorder_does_not_perturb_the_chain(self):
+        """Cost vectors are built only for a recorder; attaching one must
+        leave state, labels and stream position exactly as without."""
+        outcomes = []
+        for record in (None, lambda phase, costs, nc: None):
+            state, data = _state(seed=5)
+            rng = _rng(7)
+            hooks = SweepHooks(record=record)
+            reassign_var_sweep(state, rng, hooks)
+            merge_var_sweep(state, rng, hooks)
+            for cluster in list(state.clusters):
+                block = data[cluster.members]
+                reassign_obs_sweep(cluster.obs, block, rng, hooks)
+                merge_obs_sweep(cluster.obs, rng, hooks)
+            state.check_invariants()
+            outcomes.append(
+                (
+                    rng.offset,
+                    state.var_labels.tolist(),
+                    [c.obs.labels.tolist() for c in state.clusters],
+                    [c.obs.lm.tolist() for c in state.clusters],
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_recorded_cost_vectors(self):
+        """One vector per Gibbs iteration, one entry per candidate, in the
+        analytic units the trace projection uses."""
+        state, data = _state(seed=6)
+        n, m = data.shape
+        records = []
+        hooks = SweepHooks(record=lambda phase, costs, nc: records.append((phase, costs)))
+        sizes = [c.obs.n_clusters for c in state.clusters]
+        reassign_var_sweep(state, _rng(8), hooks)
+        phase, first = records[0]
+        assert phase == "ganesh.var_reassign"
+        np.testing.assert_array_equal(first, [m + k for k in sizes] + [m])
+        del records[:]
+        merge_var_sweep(state, _rng(9), hooks)
+        assert all(p == "ganesh.var_merge" for p, _ in records)
+        cluster = state.clusters[0]
+        block = data[cluster.members]
+        del records[:]
+        k = cluster.obs.n_clusters
+        reassign_obs_sweep(cluster.obs, block, _rng(10), hooks)
+        assert len(records) == m
+        np.testing.assert_array_equal(
+            records[0][1], np.full(k + 1, float(len(cluster.members) + 1))
+        )
+        del records[:]
+        k = cluster.obs.n_clusters
+        merge_obs_sweep(cluster.obs, _rng(11), hooks)
+        np.testing.assert_array_equal(records[0][1], np.ones(k))
+
 
 class TestRunGanesh:
     def test_output_shape(self, tiny_matrix):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng.philox import PhiloxStream, derive_key
+from repro.rng.mrg import MRGStream
+from repro.rng.philox import _REFILL, PhiloxStream, derive_key
 
 
 class TestDeriveKey:
@@ -91,6 +92,95 @@ class TestBlockAccess:
         for start in range(9):
             got = PhiloxStream(8).block(start, 5)
             np.testing.assert_array_equal(got, ref[start : start + 5])
+
+
+#: one step of a stream program: (operation, argument); arguments straddle
+#: the refill size so programs cross buffer boundaries in both directions
+_OPS = st.one_of(
+    st.tuples(st.just("uniform"), st.integers(1, _REFILL + 40)),
+    st.tuples(st.just("uniforms"), st.integers(0, 2 * _REFILL)),
+    st.tuples(st.just("block"), st.integers(0, 3 * _REFILL)),
+    st.tuples(st.just("jump"), st.integers(0, 3 * _REFILL)),
+    st.tuples(st.just("clone"), st.integers(0, 5)),
+    st.tuples(st.just("split"), st.integers(0, 3)),
+)
+
+
+def _check_program(make, ops):
+    """Run ``ops`` on a stream; every draw it hands out must be
+    ``block(i, 1)[0]`` for the index ``i`` it consumed, and ``offset`` must
+    count consumed draws only — however the draws are produced inside."""
+    stream, oracle = make(), make()
+    expected = 0
+    for op, arg in ops:
+        if op == "uniform":
+            for _ in range(arg):
+                assert stream.next_uniform() == oracle.block(expected, 1)[0]
+                expected += 1
+        elif op == "uniforms":
+            np.testing.assert_array_equal(
+                stream.next_uniforms(arg), oracle.block(expected, arg)
+            )
+            expected += arg
+        elif op == "block":  # random access never moves the position
+            np.testing.assert_array_equal(stream.block(arg, 3), oracle.block(arg, 3))
+        elif op == "jump":
+            stream.jump_to(arg)
+            expected = arg
+        elif op == "clone":  # clone and parent advance independently
+            clone = stream.clone()
+            assert clone.offset == expected
+            for i in range(arg):
+                assert clone.next_uniform() == oracle.block(expected + i, 1)[0]
+            assert clone.offset == expected + arg
+        elif op == "split":  # a child starts at 0 on its own key
+            child = stream.split("child", arg)
+            assert child.offset == 0
+            assert child.next_uniform() == make().split("child", arg).block(0, 1)[0]
+        assert stream.offset == expected
+
+
+class TestBufferedDraws:
+    """``next_uniform`` serves draws from a block generated ahead; nothing
+    observable may depend on where that block starts or ends."""
+
+    @given(ops=st.lists(_OPS, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_any_interleaving_matches_random_access(self, ops):
+        _check_program(lambda: PhiloxStream(21, "buffered"), ops)
+
+    def test_refill_boundary(self):
+        stream = PhiloxStream(3, "edge")
+        ref = PhiloxStream(3, "edge").block(0, 2 * _REFILL + 2)
+        got = [stream.next_uniform() for _ in range(2 * _REFILL + 2)]
+        np.testing.assert_array_equal(got, ref)
+        assert stream.offset == 2 * _REFILL + 2
+
+    def test_backward_jump_inside_and_before_buffer(self):
+        stream = PhiloxStream(3, "back")
+        ref = stream.block(0, _REFILL + 10)
+        stream.jump_to(_REFILL - 2)
+        [stream.next_uniform() for _ in range(6)]  # buffer now starts mid-stream
+        for target in (_REFILL, 5):  # inside the buffer, then before it
+            stream.jump_to(target)
+            assert stream.next_uniform() == ref[target]
+            assert stream.offset == target + 1
+
+    def test_mid_buffer_clone_is_independent(self):
+        parent = PhiloxStream(4, "clone")
+        ref = parent.block(0, 40)
+        [parent.next_uniform() for _ in range(10)]
+        clone = parent.clone()
+        assert [clone.next_uniform() for _ in range(20)] == list(ref[10:30])
+        assert parent.offset == 10
+        assert parent.next_uniform() == ref[10]
+
+    def test_mrg_honours_the_same_contract(self):
+        _check_program(
+            lambda: MRGStream(21, "buffered"),
+            [("uniform", 5), ("uniforms", 7), ("block", 30), ("clone", 3),
+             ("jump", 4), ("uniform", 9), ("split", 1), ("jump", 0), ("uniforms", 3)],
+        )
 
 
 class TestSplitting:
