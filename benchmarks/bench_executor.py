@@ -1,19 +1,21 @@
-"""Persistent executor vs the seed per-call pool: measured Task 3 speedup.
+"""The executor's dispatch sweeps on Task 3: schedule, topology, stealing.
 
-The seed's only multiprocessing backend (``score_splits_pool``) constructs
-a fresh ``mp.Pool`` — and ships the expression matrix — on every scoring
-call.  This benchmark drives the whole of Task 3 both ways on a synthetic
-workload of many small modules and measures the wall-clock win of the
-persistent shared-memory executor, whose pool and matrix transfer are paid
-once per task.  Outputs are verified bit-identical to the sequential
-learner in every configuration — including a flat-vs-probed machine
-topology sweep and a **domain-affine steal sweep** on two simulated NUMA
-domains (``ParallelConfig.steal`` on vs off), whose steal counts and
-per-domain locality hit rates land in the record.  The bit-identity
-assertions are unconditional: the CI bench-smoke job runs this file with
-``REPRO_BENCH_SMOKE=1`` (shrunk workload, timing gate dropped) on every
-PR, so a steal path that changed any output would fail CI even on a flat
-runner.
+Drives the whole of Task 3 through ``learn_from_modules`` — i.e. through
+``open_executor``, the one dispatch seam — on a synthetic workload of many
+small modules, once in-process (one worker: the sequential reference) and
+then on the 4-worker pool under every dispatch knob that remains:
+
+* the **schedule** sweep (``static`` blocks vs ``dynamic`` LPT pulling —
+  the paper's Section 3.2.3 / Section 6 ablation);
+* the **flat-vs-probed machine topology** sweep;
+* the **domain-affine steal sweep** on two simulated NUMA domains
+  (``ParallelConfig.steal`` on vs off), whose steal counts and per-domain
+  locality hit rates land in the record.
+
+Every configuration's network is asserted bit-identical to the one-worker
+reference, unconditionally: the CI bench-smoke and steal-smoke jobs run
+this file on every PR (``REPRO_BENCH_SMOKE=1`` only shrinks the workload),
+so a dispatch path that changed any output fails CI even on a flat runner.
 
 A fake-clock scheduling check rides along: on the skewed workload model,
 the domain-affine steal schedule's makespan must be no worse than the
@@ -21,9 +23,9 @@ pre-change shared-queue dynamic dispatch under the same remote-penalty
 accounting.
 
 The workload is deliberately module-rich and per-module-light: that is the
-regime where per-call pool construction dominates, and it is also the
-common real regime (the paper's consensus clustering yields tens to
-hundreds of modules).  The record is persisted as
+regime where dispatch overhead is visible, and it is also the common real
+regime (the paper's consensus clustering yields tens to hundreds of
+modules).  The record is persisted as
 ``benchmarks/results/BENCH_executor.json``.
 """
 
@@ -40,8 +42,6 @@ from repro.bench import render_table, save_results
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.data.synthetic import make_module_dataset
-from repro.datatypes import ModuleNetwork
-from repro.parallel.executor import learn_modules_percall_pool
 from repro.parallel.scheduler import placement_steal_schedule
 from repro.parallel.topology import (
     MachineTopology,
@@ -59,8 +59,8 @@ def _workload():
     config = LearnerConfig(
         max_sampling_steps=5,
         # A capped candidate-parent list keeps per-module compute small so
-        # the backends' fixed costs (pool construction, matrix shipping)
-        # are what the measurement exposes.
+        # the executor's fixed costs (pool construction, matrix shipping,
+        # dispatch) are what the measurement exposes.
         candidate_parents=tuple(range(16)),
     )
     n_vars, n_obs = (32, 20) if SMOKE else (64, 28)
@@ -135,12 +135,8 @@ def _shared_dynamic_makespan(costs, sizes, placement, remote_penalty=1.3):
     return float(per_rank.max())
 
 
-def test_executor_speedup_over_percall_pool(capsys):
+def test_executor_dispatch_sweeps(capsys):
     matrix, members, config = _workload()
-    data = matrix.values
-    parents = np.asarray(
-        config.resolve_candidate_parents(matrix.n_vars), dtype=np.int64
-    )
 
     t0 = time.perf_counter()
     reference = LemonTreeLearner(config).learn_from_modules(
@@ -148,19 +144,10 @@ def test_executor_speedup_over_percall_pool(capsys):
     ).network
     t_seq = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    percall = learn_modules_percall_pool(
-        data, parents, members, config, BENCH_SEED, N_WORKERS
-    )
-    t_percall = time.perf_counter() - t0
-    assert ModuleNetwork(percall, matrix.var_names, matrix.n_obs) == reference
-
     times = {}
     for schedule in ("dynamic", "static"):
         cfg = config.with_updates(
-            parallel=ParallelConfig(
-                n_workers=N_WORKERS, mode="module", schedule=schedule
-            )
+            parallel=ParallelConfig(n_workers=N_WORKERS, schedule=schedule)
         )
         t0 = time.perf_counter()
         result = LemonTreeLearner(cfg).learn_from_modules(
@@ -179,9 +166,7 @@ def test_executor_speedup_over_percall_pool(capsys):
     topo_traces: dict[str, WorkTrace] = {}
     for topology in ("flat", "auto"):
         cfg = config.with_updates(
-            parallel=ParallelConfig(
-                n_workers=N_WORKERS, mode="module", topology=topology
-            )
+            parallel=ParallelConfig(n_workers=N_WORKERS, topology=topology)
         )
         trace = WorkTrace()
         t0 = time.perf_counter()
@@ -203,7 +188,7 @@ def test_executor_speedup_over_percall_pool(capsys):
     for label, steal in (("steal", True), ("no-steal", False)):
         cfg = config.with_updates(
             parallel=ParallelConfig(
-                n_workers=N_WORKERS, mode="module", schedule="dynamic",
+                n_workers=N_WORKERS, schedule="dynamic",
                 topology=steal_topology, steal=steal,
             )
         )
@@ -240,31 +225,28 @@ def test_executor_speedup_over_percall_pool(capsys):
         model_steal += steal_makespan
         model_shared += shared_makespan
 
-    t_executor = min(times.values())
-    speedup = t_percall / t_executor
+    def row(label, workers, seconds):
+        return [label, workers, f"{seconds:.2f}", f"{t_seq / seconds:.2f}x"]
+
     rows = [
-        ["sequential learner", 1, f"{t_seq:.2f}", "-"],
-        ["per-call pool (seed)", N_WORKERS, f"{t_percall:.2f}", "1.00x"],
-        ["executor (dynamic LPT)", N_WORKERS, f"{times['dynamic']:.2f}",
-         f"{t_percall / times['dynamic']:.2f}x"],
-        ["executor (static)", N_WORKERS, f"{times['static']:.2f}",
-         f"{t_percall / times['static']:.2f}x"],
-        ["executor (topology flat)", N_WORKERS, f"{topo_times['flat']:.2f}",
-         f"{t_percall / topo_times['flat']:.2f}x"],
-        ["executor (topology auto)", N_WORKERS, f"{topo_times['auto']:.2f}",
-         f"{t_percall / topo_times['auto']:.2f}x"],
-        [f"executor (2-domain steal, {n_steals} steals, "
-         f"locality {locality:.2f})", N_WORKERS,
-         f"{steal_times['steal']:.2f}",
-         f"{t_percall / steal_times['steal']:.2f}x"],
-        ["executor (2-domain shared queue)", N_WORKERS,
-         f"{steal_times['no-steal']:.2f}",
-         f"{t_percall / steal_times['no-steal']:.2f}x"],
+        row("in-process (1 worker)", 1, t_seq),
+        row("executor (dynamic LPT)", N_WORKERS, times["dynamic"]),
+        row("executor (static)", N_WORKERS, times["static"]),
+        row("executor (topology flat)", N_WORKERS, topo_times["flat"]),
+        row("executor (topology auto)", N_WORKERS, topo_times["auto"]),
+        row(
+            f"executor (2-domain steal, {n_steals} steals, "
+            f"locality {locality:.2f})",
+            N_WORKERS,
+            steal_times["steal"],
+        ),
+        row("executor (2-domain shared queue)", N_WORKERS,
+            steal_times["no-steal"]),
     ]
     table = render_table(
-        f"Task 3 backends on {N_MODULES} modules "
+        f"Task 3 dispatch sweeps on {N_MODULES} modules "
         f"({matrix.n_vars} x {matrix.n_obs}, bit-identical outputs)",
-        ["backend", "workers", "time (s)", "speedup vs per-call"],
+        ["dispatch", "workers", "time (s)", "speedup vs 1 worker"],
         rows,
     )
     with capsys.disabled():
@@ -278,7 +260,6 @@ def test_executor_speedup_over_percall_pool(capsys):
             "shape": list(matrix.shape),
             "smoke": SMOKE,
             "sequential_s": t_seq,
-            "percall_pool_s": t_percall,
             "executor_dynamic_s": times["dynamic"],
             "executor_static_s": times["static"],
             "topology_flat_s": topo_times["flat"],
@@ -297,11 +278,7 @@ def test_executor_speedup_over_percall_pool(capsys):
             "domain_locality": steal_traces["steal"].domain_locality(),
             "model_steal_makespan": model_steal,
             "model_shared_queue_makespan": model_shared,
-            "speedup": speedup,
+            "speedup_vs_one_worker": t_seq / min(times.values()),
             "bit_identical": True,
         },
     )
-    if not SMOKE:
-        assert speedup >= 2.0, (
-            f"persistent executor must be >= 2x the per-call pool, got {speedup:.2f}x"
-        )

@@ -4,10 +4,10 @@
 Runs the SPMD parallel learner (thread ranks + simulated MPI collectives)
 at several processor counts and verifies the paper's central property: the
 learned network is bit-identical to the sequential result for every p
-(Section 3).  Then fans the dominant split-scoring phase out over *real*
-local processes and reports the measured wall-clock speedup, again with
-identical results under both the static (Algorithm 5) and dynamic
-(Section 6) schedules.
+(Section 3).  Then scores the dominant split-scoring phase through the
+executor — in-process at one worker, on *real* local processes above —
+and reports the measured wall-clock time, again with identical results
+under both the static (Algorithm 5) and dynamic (Section 6) schedules.
 
 Run:  python examples/parallel_consistency.py
 """
@@ -19,12 +19,10 @@ import time
 
 import numpy as np
 
-from repro import LearnerConfig, LemonTreeLearner, ParallelLearner
+from repro import LearnerConfig, LemonTreeLearner, ParallelConfig, ParallelLearner
 from repro.data import make_module_dataset
-from repro.ganesh.coclustering import run_obs_only_ganesh
-from repro.parallel.pool import score_splits_pool
-from repro.rng.streams import GibbsRandom, make_stream
-from repro.trees.hierarchy import build_tree_structure
+from repro.parallel.executor import open_executor
+from repro.parallel.tasks import tree_phase
 
 SEED = 17
 
@@ -52,32 +50,22 @@ def main() -> None:
     print("\nprocess-pool split scoring (real cores):")
     data = matrix.values
     learner = LemonTreeLearner(config)
-    samples = learner._task_ganesh(data, SEED, None)
-    members = learner._task_consensus(samples)
+    members = learner.consensus(learner.sample_clusterings(matrix, SEED))
+    # The flat candidate-split list of every module's tree nodes.
     records = []
     for module_id, mem in enumerate(members):
-        block = data[mem]
-        mrng = GibbsRandom(make_stream(SEED, "modules", module_id))
-        for labels in run_obs_only_ganesh(
-            block, mrng, config.tree_update_steps, config.tree_burn_in, config.prior
-        ):
-            tree = build_tree_structure(block, labels, module_id, config.prior)
-            obs_base = 0
-            for node in tree.internal_nodes():
-                records.append(
-                    (module_id, node.observations, node.left.observations, obs_base)
-                )
-                obs_base += int(node.observations.size)
-    parents = np.arange(data.shape[0])
+        _trees, _nodes, recs, _mrng = tree_phase(data, module_id, mem, config, SEED)
+        records.extend(recs)
 
     reference = None
-    for workers in (1, 2, os.cpu_count() or 2):
+    for workers in sorted({1, 2, os.cpu_count() or 2}):
         for schedule in ("static", "dynamic"):
             t0 = time.perf_counter()
-            out = score_splits_pool(
-                data, records, parents, config, seed=SEED,
-                n_workers=workers, schedule=schedule,
+            cfg = config.with_updates(
+                parallel=ParallelConfig(n_workers=workers, schedule=schedule)
             )
+            with open_executor(data, cfg, SEED) as executor:
+                out = executor.score_splits(records)
             elapsed = time.perf_counter() - t0
             if reference is None:
                 reference = out

@@ -18,12 +18,12 @@ Quickstart::
     result = LemonTreeLearner(config).learn(dataset.matrix, seed=1)
     print(result.network)
 
-``ParallelConfig`` gathers every execution-backend knob (workers, task
-decomposition, schedule, checkpoint directory, machine topology); it is
+``ParallelConfig`` gathers every execution-backend knob (workers,
+schedule, checkpoint directory, machine topology, shard nodes); it is
 embedded in both ``LearnerConfig`` and ``GenomicaConfig`` as
 ``config.parallel``.  Worker placement and chunk sizing follow the probed
 machine topology (``MachineTopology``) but can never change the learned
-network — every backend is bit-identical to the sequential learner.
+network — every backend is bit-identical to the one-worker run.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.

@@ -17,8 +17,8 @@ GENOMICA-style two-step learner, and ``generate`` writes synthetic
 module-structured expression data.
 
 Every learning subcommand takes the same parallel knobs: ``--workers W``
-(0 = all cores the affinity mask allows) runs the persistent shared-memory
-task-pool executor, ``--topology {auto,flat}`` selects the machine
+(0 = all cores the affinity mask allows; 1 runs in-process) sizes the
+shared-memory task-pool executor, ``--topology {auto,flat}`` selects the machine
 model — ``auto`` probes NUMA domains and cache sizes from sysfs and pins
 workers accordingly, ``flat`` forces the single-domain fallback — and
 ``--no-steal`` disables the domain-affine work queues (idle workers
@@ -253,10 +253,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the parallel tasks (0 = all "
                              "cores; >1 runs the persistent shared-memory "
                              "task-pool executor)")
-    parser.add_argument("--parallel-mode", choices=["auto", "module", "split"],
-                        default="auto",
-                        help="executor decomposition: whole modules per worker, "
-                             "fine-grained split tasks, or cost-based auto")
     parser.add_argument("--schedule", choices=["static", "dynamic"],
                         default="dynamic",
                         help="executor dispatch: static blocks or dynamic "
@@ -308,7 +304,6 @@ def _parallel_config(args: argparse.Namespace) -> ParallelConfig:
     """The unified executor knobs shared by every learning subcommand."""
     return ParallelConfig(
         n_workers=getattr(args, "workers", 1),
-        mode=getattr(args, "parallel_mode", "auto"),
         schedule=getattr(args, "schedule", "dynamic"),
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         topology=getattr(args, "topology", "auto"),

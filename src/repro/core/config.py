@@ -13,22 +13,24 @@ from repro.scoring.split_score import DEFAULT_BETA_GRID
 class ParallelConfig:
     """The execution-backend knobs shared by every learner.
 
-    Consolidates what used to be flat fields duplicated across
-    :class:`LearnerConfig` (``n_workers``/``parallel_mode``/``schedule``)
-    and :class:`repro.genomica.learner.GenomicaConfig` (``n_workers``)
-    into one composable value embedded in both as ``config.parallel``.
+    One composable value embedded in :class:`LearnerConfig` and
+    :class:`repro.genomica.learner.GenomicaConfig` as ``config.parallel``;
+    :func:`repro.parallel.executor.open_executor` is the one reader that
+    turns it into an executor, and the executors take every knob from here
+    (no constructor overrides).  Nothing in it can change a learned
+    network.  Whether Task 3 is decomposed into whole modules or
+    fine-grained split tasks is not a knob: the executor decides from the
+    module costs (``choose_mode``).
     """
 
-    #: worker processes (1 = in-process sequential, 0 = every core the
-    #: process affinity mask allows); >1 runs on one persistent
-    #: :class:`repro.parallel.executor.TaskPoolExecutor` — a single pool
-    #: and a single shared-memory matrix transfer per ``learn`` call
+    #: worker processes (0 = every core the process affinity mask allows).
+    #: 1 runs every task in-process — the sequential learner; >1 runs on
+    #: one persistent pool with a single shared-memory matrix transfer per
+    #: ``learn`` call (:class:`repro.parallel.executor.TaskPoolExecutor`)
     n_workers: int = 1
-    #: decomposition: "module" (whole modules per worker), "split"
-    #: (fine-grained candidate-split tasks) or "auto" (cost heuristic)
-    mode: str = "auto"
     #: dispatch: "static" contiguous blocks or "dynamic" queue pulling
-    #: (largest-module-first in module mode)
+    #: (largest-module-first for whole modules) — the paper's
+    #: Section 3.2.3 / Section 6 static-vs-dynamic ablation
     schedule: str = "dynamic"
     #: dynamic dispatch locality: with multiple NUMA domains, feed each
     #: domain its own affine work queue and let idle workers steal from
@@ -65,7 +67,8 @@ class ParallelConfig:
     #: byte budget of the process-shared split-score cache
     #: (:class:`repro.scoring.score_cache.SharedScoreCache`): 0 (default)
     #: keeps the per-kernel-instance memo only, >0 installs one bounded
-    #: LRU store per scoring process (driver and each pool worker) so
+    #: LRU store per scoring process (each pool worker, or the driver
+    #: when it runs in-process) so
     #: identical nodes across jobs share grouping tables and score memos.
     #: Cached scores are deterministic functions of the node content, so
     #: this is purely a speed knob — results are bit-identical either way.
@@ -80,8 +83,6 @@ class ParallelConfig:
             raise ValueError("n_nodes must be at least 1")
         if self.node_backend not in ("socket", "thread"):
             raise ValueError("node_backend must be 'socket' or 'thread'")
-        if self.mode not in ("auto", "module", "split"):
-            raise ValueError("mode must be 'auto', 'module' or 'split'")
         if self.schedule not in ("static", "dynamic"):
             raise ValueError("schedule must be 'static' or 'dynamic'")
         if not isinstance(self.steal, bool):

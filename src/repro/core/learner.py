@@ -1,10 +1,11 @@
-"""The optimized sequential module-network learner.
+"""The optimized module-network learner.
 
 This is the reproduction's counterpart of the paper's optimized C++
 implementation (Section 4.1): the full three-task Lemon-Tree pipeline with
-NumPy-vectorised scoring.  It serves as ``T_1`` — the best sequential
-implementation — in every scaling metric, and as the source of the work
-traces the parallel projections replay.
+NumPy-vectorised scoring.  Run on the default one-worker executor it
+serves as ``T_1`` — the best sequential implementation — in every scaling
+metric, and as the source of the work traces the parallel projections
+replay.
 
 Randomness is drawn from named streams so that execution order between
 independent units (GaneSH runs, modules) carries no hidden coupling:
@@ -31,11 +32,7 @@ import numpy as np
 from repro.consensus import consensus_clusters
 from repro.core.config import LearnerConfig
 from repro.datatypes import ExpressionMatrix, Module, ModuleNetwork, TaskTimes
-from repro.ganesh.coclustering import (
-    SweepHooks,
-    run_obs_only_ganesh,
-    run_replicated_ganesh,
-)
+from repro.ganesh.coclustering import SweepHooks, run_obs_only_ganesh
 from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
 from repro.scoring.kernel import consume_kernel_totals
 from repro.scoring.split_score import SplitScorer
@@ -71,10 +68,25 @@ class LearnResult:
 
 
 class LemonTreeLearner:
-    """Sequential, vectorised Lemon-Tree learner."""
+    """The Lemon-Tree pipeline: Task 1 and Task 3 dispatched on an executor,
+    Task 2 in between.
+
+    How the tasks execute — in this process, on a worker pool, across shard
+    nodes — is decided in exactly one place,
+    :func:`repro.parallel.executor.open_executor`, from ``config.parallel``;
+    at the default ``n_workers == 1, n_nodes == 1`` that executor runs every
+    task in-process and this is the sequential learner.
+    """
 
     def __init__(self, config: LearnerConfig | None = None) -> None:
         self.config = config or LearnerConfig()
+
+    def _open_executor(self, matrix: ExpressionMatrix, seed: int, checkpoint_dir):
+        # Imported here: the executor module imports this one (checkpoint
+        # stores, learn_single_module).
+        from repro.parallel.executor import open_executor
+
+        return open_executor(matrix.values, self.config, seed, checkpoint_dir)
 
     # -- pipeline ---------------------------------------------------------
     def learn(
@@ -97,11 +109,10 @@ class LemonTreeLearner:
         disk and produces the identical network.  It defaults to
         ``config.parallel.checkpoint_dir`` when not given.
 
-        With ``config.parallel.n_workers > 1`` a single persistent worker
-        pool (:class:`repro.parallel.executor.TaskPoolExecutor`) serves
-        both Task 1 (the G independent GaneSH runs) and Task 3 (module
-        learning): one pool construction, one shared-memory matrix
-        transfer, per ``learn`` call.
+        One executor serves both Task 1 (the G independent GaneSH runs)
+        and Task 3 (module learning): with ``config.parallel.n_workers >
+        1`` that is one pool construction and one shared-memory matrix
+        transfer per ``learn`` call.
 
         ``executor`` lends an externally owned executor (the service
         daemon's warm pool) for this invocation: the learner dispatches on
@@ -112,103 +123,29 @@ class LemonTreeLearner:
         """
         _require_complete(matrix)
         config = self.config
-        if checkpoint_dir is None:
-            checkpoint_dir = config.parallel.checkpoint_dir
-        data = matrix.values
-        self._ensure_score_cache()
+        owns_executor = executor is None
+        if owns_executor:
+            executor = self._open_executor(matrix, seed, checkpoint_dir)
         if trace is not None:
             # Discard counters accumulated by earlier un-traced runs in this
             # process so the trace covers exactly this invocation.
             consume_kernel_totals()
-        owns_executor = executor is None
-        if owns_executor:
-            executor = self._make_executor(data, seed, checkpoint_dir)
         try:
             t0 = time.perf_counter()
-            samples = self._task_ganesh(
-                data, seed, trace, executor=executor, checkpoint_dir=checkpoint_dir
-            )
+            samples = executor.sample_ganesh_runs(config.n_ganesh_runs, trace=trace)
             t1 = time.perf_counter()
-            modules_members = self._task_consensus(samples)
+            modules_members = self.consensus(samples)
             t2 = time.perf_counter()
-            modules = self._task_modules(
-                data, modules_members, seed, trace, checkpoint_dir, executor=executor
-            )
+            modules = executor.learn_modules(modules_members, trace=trace)
             t3 = time.perf_counter()
         finally:
-            if owns_executor and executor is not None:
+            if owns_executor:
                 executor.close()
 
-        if trace is not None:
-            trace.mark_time("ganesh", t1 - t0)
-            trace.mark_time("consensus", t2 - t1)
-            trace.mark_time("modules", t3 - t2)
-            trace.n_ganesh_runs = config.n_ganesh_runs
-            # Kernels scored in *this* process (serial path, or driver-side
-            # work) accumulate in the process-global counters; pool workers
-            # ship their deltas with each task result.
-            trace.mark_kernel(consume_kernel_totals())
-
-        network = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
         times = TaskTimes(ganesh=t1 - t0, consensus=t2 - t1, modules=t3 - t2)
-        stats = {
-            "n_modules": len(modules),
-            "module_sizes": [m.size for m in modules],
-            "n_trees": sum(len(m.trees) for m in modules),
-            "n_internal_nodes": sum(
-                len(t.internal_nodes()) for m in modules for t in m.trees
-            ),
-        }
-        if executor is not None:
-            stats["executor"] = {
-                "n_workers": executor.n_workers,
-                "worker_inits": executor.worker_inits(),
-                "pools_constructed": executor.stats.pools_constructed,
-                "matrix_transfers": executor.stats.matrix_transfers,
-            }
-        return LearnResult(network=network, task_times=times, trace=trace, stats=stats)
-
-    def _ensure_score_cache(self) -> None:
-        """Install the driver-process shared score cache when configured.
-
-        Pool workers install their own in ``_executor_init``; this covers
-        the serial path and driver-side scoring, where kernels are built
-        in this process.  The store persists across ``learn`` calls by
-        design — that cross-job reuse is the service's warm path.
-        """
-        bytes_ = getattr(self.config.parallel, "score_cache_bytes", 0)
-        if bytes_ > 0:
-            from repro.scoring.kernel import ensure_shared_score_cache
-
-            ensure_shared_score_cache(bytes_)
-
-    def _make_executor(self, data: np.ndarray, seed: int, checkpoint_dir=None):
-        """One persistent executor for the whole invocation, or ``None``
-        for the sequential in-process path.
-
-        ``config.parallel.n_nodes > 1`` routes through the process-node
-        shard tier (:class:`repro.parallel.sharding.ShardedExecutor`),
-        each node running its own ``n_workers``-worker pool; otherwise a
-        single-host :class:`~repro.parallel.executor.TaskPoolExecutor`
-        when more than one worker is configured.
-        """
-        config = self.config
-        parents = np.asarray(
-            config.resolve_candidate_parents(data.shape[0]), dtype=np.int64
-        )
-        if config.parallel.n_nodes > 1:
-            from repro.parallel.sharding import ShardedExecutor
-
-            return ShardedExecutor(
-                data, parents, config, seed, checkpoint_dir=checkpoint_dir
-            )
-        if config.resolve_n_workers() <= 1:
-            return None
-        from repro.parallel.executor import TaskPoolExecutor
-
-        return TaskPoolExecutor(
-            data, parents, config, seed, checkpoint_dir=checkpoint_dir
-        )
+        if trace is not None:
+            trace.n_ganesh_runs = config.n_ganesh_runs
+        return _learn_result(matrix, modules, times, trace, executor)
 
     # -- task-level public API ---------------------------------------------
     # Lemon-Tree is driven task by task in practice (separate invocations
@@ -220,32 +157,26 @@ class LemonTreeLearner:
     ) -> list[np.ndarray]:
         """Task 1 only: the ensemble of GaneSH variable-cluster samples.
 
-        With ``config.parallel.n_workers > 1`` the G runs execute concurrently on
-        the persistent pool executor; because every run draws only its own
-        ``("ganesh", g)`` stream the ensemble is bit-identical to a
-        sequential pass.  ``checkpoint_dir`` persists each completed run to
+        With ``config.parallel.n_workers > 1`` the G runs execute
+        concurrently; because every run draws only its own ``("ganesh",
+        g)`` stream the ensemble is bit-identical to a one-worker pass.
+        ``checkpoint_dir`` persists each completed run to
         ``ganesh_<g>.npz`` so an interrupted task re-executes only the
         missing runs.
         """
         _require_complete(matrix)
-        if checkpoint_dir is None:
-            checkpoint_dir = self.config.parallel.checkpoint_dir
-        executor = self._make_executor(matrix.values, seed, checkpoint_dir)
-        try:
-            return self._task_ganesh(
-                matrix.values,
-                seed,
-                trace,
-                executor=executor,
-                checkpoint_dir=checkpoint_dir,
+        with self._open_executor(matrix, seed, checkpoint_dir) as executor:
+            return executor.sample_ganesh_runs(
+                self.config.n_ganesh_runs, trace=trace
             )
-        finally:
-            if executor is not None:
-                executor.close()
 
     def consensus(self, samples: list[np.ndarray]) -> list[list[int]]:
         """Task 2 only: consensus modules from a clustering ensemble."""
-        return self._task_consensus([np.asarray(s) for s in samples])
+        return consensus_clusters(
+            [np.asarray(s) for s in samples],
+            threshold=self.config.consensus_threshold,
+            max_clusters=self.config.max_modules,
+        )
 
     def learn_from_modules(
         self,
@@ -267,17 +198,10 @@ class LemonTreeLearner:
         module is written to ``module_<id>.json`` and an interrupted run
         restarted with the same directory skips finished modules.  Because
         every module consumes its own named random streams, a resumed run
-        produces exactly the network an uninterrupted run would.
-
-        With ``config.parallel.n_workers > 1`` the modules are learned on the
-        persistent shared-memory executor
-        (:class:`repro.parallel.executor.ModuleExecutor`) — same named
-        streams, so the network is bit-identical to a sequential run.
+        produces exactly the network an uninterrupted run would — for any
+        worker or node count.
         """
         _require_complete(matrix)
-        if checkpoint_dir is None:
-            checkpoint_dir = self.config.parallel.checkpoint_dir
-        self._ensure_score_cache()
         seen: set[int] = set()
         for members in modules_members:
             for var in members:
@@ -286,127 +210,40 @@ class LemonTreeLearner:
                 if var in seen:
                     raise ValueError(f"variable {var} appears in two modules")
                 seen.add(var)
-        t0 = time.perf_counter()
-        if trace is not None:
-            consume_kernel_totals()  # discard earlier runs' counters
-        modules = self._task_modules(
-            matrix.values, modules_members, seed, trace, checkpoint_dir
-        )
-        elapsed = time.perf_counter() - t0
-        if trace is not None:
-            trace.mark_time("modules", elapsed)
-            trace.mark_kernel(consume_kernel_totals())
-        network = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
-        return LearnResult(
-            network=network,
-            task_times=TaskTimes(ganesh=0.0, consensus=0.0, modules=elapsed),
-            trace=trace,
-            stats={"n_modules": len(modules)},
-        )
+        with self._open_executor(matrix, seed, checkpoint_dir) as executor:
+            if trace is not None:
+                consume_kernel_totals()  # discard earlier runs' counters
+            t0 = time.perf_counter()
+            modules = executor.learn_modules(modules_members, trace=trace)
+            elapsed = time.perf_counter() - t0
+        times = TaskTimes(ganesh=0.0, consensus=0.0, modules=elapsed)
+        return _learn_result(matrix, modules, times, trace, executor)
 
-    # -- task 1: GaneSH co-clustering --------------------------------------
-    def _task_ganesh(
-        self,
-        data: np.ndarray,
-        seed: int,
-        trace,
-        executor=None,
-        checkpoint_dir=None,
-    ) -> list[np.ndarray]:
-        config = self.config
-        if executor is not None and config.n_ganesh_runs > 1:
-            return executor.sample_ganesh_runs(config.n_ganesh_runs, trace=trace)
-        checkpoints = _GaneshCheckpoints(
-            checkpoint_dir, seed, config, data.shape[0]
-        )
-        samples: list[np.ndarray] = []
-        for g in range(config.n_ganesh_runs):
-            labels = checkpoints.load(g)
-            if labels is None:
-                labels = run_replicated_ganesh(
-                    data,
-                    seed,
-                    g,
-                    n_update_steps=config.n_update_steps,
-                    init_var_clusters=config.resolve_init_clusters(data.shape[0]),
-                    prior=config.prior,
-                    rng_backend=config.rng_backend,
-                    hooks=_hooks_for(trace, run=g),
-                )
-                checkpoints.store(g, labels)
-            samples.append(labels)
-        return samples
 
-    # -- task 2: consensus clustering ---------------------------------------
-    def _task_consensus(self, samples: list[np.ndarray]) -> list[list[int]]:
-        return consensus_clusters(
-            samples,
-            threshold=self.config.consensus_threshold,
-            max_clusters=self.config.max_modules,
-        )
-
-    # -- task 3: learning the modules ----------------------------------------
-    def _task_modules(
-        self,
-        data: np.ndarray,
-        modules_members: list[list[int]],
-        seed: int,
-        trace,
-        checkpoint_dir=None,
-        executor=None,
-    ) -> list[Module]:
-        config = self.config
-        n_vars = data.shape[0]
-        parents = np.asarray(config.resolve_candidate_parents(n_vars), dtype=np.int64)
-
-        if executor is not None and modules_members:
-            return executor.learn_modules(modules_members, trace=trace)
-        if config.parallel.n_nodes > 1 and modules_members:
-            from repro.parallel.sharding import ShardedExecutor
-
-            with ShardedExecutor(
-                data, parents, config, seed, checkpoint_dir=checkpoint_dir
-            ) as executor:
-                return executor.learn_modules(modules_members, trace=trace)
-        if config.resolve_n_workers() > 1 and modules_members:
-            from repro.parallel.executor import TaskPoolExecutor
-
-            with TaskPoolExecutor(
-                data, parents, config, seed, checkpoint_dir=checkpoint_dir
-            ) as executor:
-                return executor.learn_modules(modules_members, trace=trace)
-
-        scorer = SplitScorer(
-            beta_grid=config.beta_grid,
-            max_steps=config.max_sampling_steps,
-            stop_repeats=config.sampling_stop_repeats,
-        )
-        checkpoints = _ModuleCheckpoints(checkpoint_dir, seed, config)
-
-        modules: list[Module] = []
-        for module_id, members in enumerate(modules_members):
-            module = checkpoints.load(module_id, members)
-            if module is None:
-                module = learn_single_module(
-                    data, module_id, members, parents, scorer, config, seed, trace
-                )
-                checkpoints.store(module)
-            modules.append(module)
-        return modules
-
-    def _learn_one_module(
-        self,
-        data: np.ndarray,
-        module_id: int,
-        members: list[int],
-        parents: np.ndarray,
-        scorer: SplitScorer,
-        seed: int,
-        trace,
-    ) -> Module:
-        return learn_single_module(
-            data, module_id, members, parents, scorer, self.config, seed, trace
-        )
+def _learn_result(matrix, modules, times: TaskTimes, trace, executor) -> LearnResult:
+    """Assemble the result (and close out the trace) of a finished run."""
+    if trace is not None:
+        for task in ("ganesh", "consensus", "modules"):
+            trace.mark_time(task, getattr(times, task))
+        # Kernels scored in *this* process accumulate in the process-global
+        # counters; pool workers ship their deltas with each task result.
+        trace.mark_kernel(consume_kernel_totals())
+    stats = {
+        "n_modules": len(modules),
+        "module_sizes": [m.size for m in modules],
+        "n_trees": sum(len(m.trees) for m in modules),
+        "n_internal_nodes": sum(
+            len(t.internal_nodes()) for m in modules for t in m.trees
+        ),
+        "executor": {
+            "n_workers": executor.n_workers,
+            "worker_inits": executor.worker_inits(),
+            "pools_constructed": executor.stats.pools_constructed,
+            "matrix_transfers": executor.stats.matrix_transfers,
+        },
+    }
+    network = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
+    return LearnResult(network=network, task_times=times, trace=trace, stats=stats)
 
 
 def learn_single_module(
@@ -422,9 +259,9 @@ def learn_single_module(
     """Learn one module end to end (obs clustering, trees, splits, parents).
 
     A module consumes only its own named streams (``("modules", id)`` and
-    ``("splits", id)``), so this function is self-contained: the executor's
-    workers call it on whole modules concurrently and obtain bit-identical
-    results to the sequential loop above.
+    ``("splits", id)``), so this function is self-contained: executors run
+    it on whole modules in any order, concurrently or not, and obtain
+    bit-identical results.
     """
     block = data[members]
     mrng = GibbsRandom(

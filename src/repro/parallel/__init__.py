@@ -16,14 +16,18 @@ MPI implementation is reproduced with three cooperating layers:
   run-times ``T_p`` for arbitrary ``p`` (up to the paper's 4096) under a
   calibrated compute rate and a ``(tau + mu * words) * log2(p)`` collective
   model.  This is what regenerates the strong-scaling figures.
-* :mod:`repro.parallel.pool` — a multiprocessing backend that fans the
-  dominant split-scoring phase out across local cores for real wall-clock
-  speedups (a fresh pool per scoring call).
-* :mod:`repro.parallel.executor` — the persistent task-pool executor for
-  Tasks 1 and 3: the expression matrix lives in shared memory, one pool
-  survives the whole ``learn`` invocation, the G GaneSH chains run
-  concurrently, and whole modules are learned concurrently
-  (largest-first) with a fine-grained split-task fallback.
+* :mod:`repro.parallel.executor` — the one dispatch seam of Tasks 1 and
+  3: ``open_executor`` picks the executor from ``config.parallel``.  The
+  single-host ``TaskPoolExecutor`` runs in-process at one worker (the
+  sequential learner) and above that keeps the expression matrix in
+  shared memory and one pool alive for the whole ``learn`` invocation:
+  the G GaneSH chains run concurrently, and whole modules are learned
+  concurrently (largest-first) with a fine-grained split-task fallback.
+* :mod:`repro.parallel.tasks` — what an executor runs: the task context,
+  the named runners (GaneSH chain, whole module, split chunk) and the
+  construction of split tasks from the flat candidate-split list.
+* :mod:`repro.parallel.sharding` — the multi-node executor: shard nodes,
+  each with its own local ``TaskPoolExecutor``, behind the same interface.
 * :mod:`repro.parallel.topology` — the machine model behind the executor's
   placement: NUMA domains and cache sizes probed from sysfs (flat
   single-domain fallback), worker pinning, first-touch page placement and
@@ -55,16 +59,16 @@ __all__ = [
     "WorkTrace",
     "project_time",
     "ParallelLearner",
-    "ModuleExecutor",
     "TaskPoolExecutor",
     "WorkerCrashedError",
+    "open_executor",
 ]
 
 
 def __getattr__(name: str):
     # Imported lazily: executor pulls in core.learner, which would make
     # ``import repro.parallel`` eagerly import most of the package.
-    if name in ("ModuleExecutor", "TaskPoolExecutor", "WorkerCrashedError"):
+    if name in ("TaskPoolExecutor", "WorkerCrashedError", "open_executor"):
         from repro.parallel import executor
 
         return getattr(executor, name)

@@ -1,11 +1,15 @@
-"""Persistent shared-memory task-pool executor (Tasks 1 and 3).
+"""The single-host executor (Tasks 1 and 3) and the executor factory.
 
-The per-call pool in :mod:`repro.parallel.pool` parallelizes only the inner
-level of Section 3.2 — the candidate-split scoring of nodes the driver has
-already built — and pays for a fresh ``mp.Pool`` (plus a full expression-
-matrix transfer) on every scoring call.  This module is the persistent
-replacement: **one** pool and **one** shared-memory copy of the expression
-matrix serve every parallel phase of a ``learn`` invocation.
+Every Task 1 / Task 3 run — ``learn``, ``sample_clusterings``,
+``learn_from_modules``, the service's lease — obtains its executor from
+:func:`open_executor`, the one place that picks the implementation from
+``config.parallel``: :class:`TaskPoolExecutor` on one host,
+:class:`repro.parallel.sharding.ShardedExecutor` when ``n_nodes > 1``.
+
+:class:`TaskPoolExecutor` runs the tasks of :mod:`repro.parallel.tasks`
+in-process when ``n_workers == 1`` (this *is* the sequential learner) and
+on **one** persistent pool with **one** shared-memory copy of the
+expression matrix above that, for every parallel phase of an invocation:
 
 * the expression matrix is placed in :mod:`multiprocessing.shared_memory`
   once and workers attach to it zero-copy;
@@ -51,30 +55,28 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core.config import LearnerConfig
-from repro.core.learner import (
-    _GaneshCheckpoints,
-    _hooks_for,
-    _ModuleCheckpoints,
-    learn_single_module,
-)
+from repro.core.learner import _GaneshCheckpoints, _ModuleCheckpoints
 from repro.datatypes import Module
-from repro.ganesh.coclustering import run_obs_only_ganesh, run_replicated_ganesh
-from repro.parallel import pool as pool_mod
 from repro.parallel import poolutil
 from repro.parallel.checkpoint_writer import AsyncCheckpointWriter
-from repro.parallel.pool import _subdivide, build_split_tasks
+from repro.parallel.tasks import (
+    _WORKER,
+    _ganesh_run,
+    _module_run,
+    _score_chunk_run,
+    _subdivide,
+    build_ctx,
+    build_split_tasks,
+    select_phase,
+    tree_phase,
+)
 from repro.parallel.topology import (
     Placement,
     chunk_elements_for,
     pin_to,
     plan_placement,
 )
-from repro.parallel.trace import WorkTrace
 from repro.scoring import kernel as kernel_mod
-from repro.rng.streams import GibbsRandom, make_stream
-from repro.scoring.split_score import SplitScorer
-from repro.trees.hierarchy import build_tree_structure
-from repro.trees.splits import NodeSplitScores, select_node_splits
 
 
 class WorkerCrashedError(RuntimeError):
@@ -86,14 +88,6 @@ class WorkerCrashedError(RuntimeError):
     worker's lost task.  Checkpoints written before the crash remain valid;
     re-running the same call executes only the missing units.
     """
-
-
-def _make_scorer(config: LearnerConfig) -> SplitScorer:
-    return SplitScorer(
-        beta_grid=config.beta_grid,
-        max_steps=config.max_sampling_steps,
-        stop_repeats=config.sampling_stop_repeats,
-    )
 
 
 # -- shared-memory expression matrix --------------------------------------
@@ -174,9 +168,24 @@ def _attach_shared(spec) -> tuple[shared_memory.SharedMemory, np.ndarray]:
 
 # -- worker side -----------------------------------------------------------
 
-# Executor-only worker state; the scoring state lives in pool._WORKER so the
-# fine-grained split path reuses pool._score_task unchanged.
-_STATE: dict = {}
+
+def _install_kernel_settings(parallel, chunk_elements) -> tuple:
+    """Point this process's split kernels at the configured backend, chunk
+    size and shared score cache — the same call in a pool worker and in an
+    in-process executor, so no tier can drift from ``config.parallel``.
+
+    Returns the displaced ``(chunk_elements, backend)`` for restoring.  The
+    score cache is one bounded store per process and is never uninstalled:
+    it outlives jobs for as long as the process does, so a service reusing
+    a pool (or running in-process) serves repeat nodes from memory.
+    """
+    previous = (
+        kernel_mod.set_chunk_elements(chunk_elements),
+        kernel_mod.set_kernel_backend(parallel.kernel_backend),
+    )
+    if parallel.score_cache_bytes > 0:
+        kernel_mod.ensure_shared_score_cache(parallel.score_cache_bytes)
+    return previous
 
 
 def _executor_init(
@@ -191,7 +200,8 @@ def _executor_init(
     kernel_chunk_elements=None,
     steal_shared=None,
 ):
-    """Pool initializer: attach the matrix once, install worker state.
+    """Pool initializer: attach the matrix once, install the worker's task
+    context (:data:`repro.parallel.tasks._WORKER`).
 
     ``counter`` is a shared ``mp.Value`` bumped once per initialized worker;
     tests read it to assert the matrix was shipped exactly once per worker
@@ -232,46 +242,17 @@ def _executor_init(
     if placement is not None:
         domain = placement.domain_of(worker_index)
         pin_to(placement.worker_cpus(worker_index))
-        kernel_mod.set_chunk_elements(placement.chunk_elements(worker_index))
-    elif kernel_chunk_elements is not None:
-        kernel_mod.set_chunk_elements(kernel_chunk_elements)
-    parallel = getattr(config, "parallel", None)
-    if parallel is not None:
-        kernel_mod.set_kernel_backend(parallel.kernel_backend)
-        if getattr(parallel, "score_cache_bytes", 0) > 0:
-            # One bounded store per worker process; it outlives individual
-            # jobs for as long as the pool does, so a service reusing the
-            # pool serves repeat nodes from memory.
-            kernel_mod.ensure_shared_score_cache(parallel.score_cache_bytes)
-    _STATE["domain"] = domain
-    _STATE["steal"] = steal_shared
+        kernel_chunk_elements = placement.chunk_elements(worker_index)
+    _install_kernel_settings(config.parallel, kernel_chunk_elements)
     shm, data = _attach_shared(matrix_spec)
-    pool_mod._init_worker(data, parents, config, seed)
-    _STATE["shm"] = shm  # keep the mapping alive for the worker's lifetime
-    _STATE["checkpoint_dir"] = checkpoint_dir
     writer = AsyncCheckpointWriter() if checkpoint_dir is not None else None
-    _STATE["writer"] = writer
-    _STATE["flush_barrier"] = flush_barrier
-    _STATE["checkpoints"] = (
-        _ModuleCheckpoints(checkpoint_dir, seed, config, writer=writer)
-        if checkpoint_dir is not None
-        else None
+    _WORKER.update(
+        build_ctx(data, parents, config, seed, checkpoint_dir, writer),
+        domain=domain,
+        steal=steal_shared,
+        shm=shm,  # keep the mapping alive for the worker's lifetime
+        flush_barrier=flush_barrier,
     )
-
-
-def _worker_ctx() -> dict:
-    """The context handed to generic run functions inside a pool worker."""
-    worker = pool_mod._WORKER
-    return {
-        "data": worker["data"],
-        "parents": worker["parents"],
-        "config": worker["config"],
-        "seed": worker["seed"],
-        "scorer": worker["scorer"],
-        "checkpoint_dir": _STATE.get("checkpoint_dir"),
-        "checkpoint_writer": _STATE.get("writer"),
-        "module_checkpoints": _STATE.get("checkpoints"),
-    }
 
 
 def _checkpoint_flush_run(barrier_timeout: float):
@@ -285,10 +266,10 @@ def _checkpoint_flush_run(barrier_timeout: float):
     barrier (dead sibling) aborts the wait rather than hanging — that
     worker's own queue is already drained, which is all it can guarantee.
     """
-    writer = _STATE.get("writer")
+    writer = _WORKER.get("checkpoint_writer")
     if writer is not None:
         writer.flush()
-    barrier = _STATE.get("flush_barrier")
+    barrier = _WORKER.get("flush_barrier")
     if barrier is not None:
         try:
             barrier.wait(timeout=barrier_timeout)
@@ -308,12 +289,12 @@ def _generic_run(payload):
     """
     fn, index, item = payload
     t0 = time.perf_counter()
-    result = fn(_worker_ctx(), item)
+    result = fn(_WORKER, item)
     return (
         index,
         result,
         os.getpid(),
-        _STATE.get("domain", 0),
+        _WORKER["domain"],
         time.perf_counter() - t0,
         kernel_mod.consume_kernel_totals(),
     )
@@ -338,8 +319,8 @@ def _steal_run(queue_timeout):
     in which case the driver's crash polling raises
     :class:`WorkerCrashedError` anyway.
     """
-    queues, pending, lock = _STATE["steal"]
-    my_domain = _STATE.get("domain", 0)
+    queues, pending, lock = _WORKER["steal"]
+    my_domain = _WORKER["domain"]
     with lock:
         if pending[my_domain] > 0:
             domain = my_domain
@@ -353,7 +334,7 @@ def _steal_run(queue_timeout):
         pending[domain] -= 1
     fn, index, item, home = queues[domain].get(timeout=queue_timeout)
     t0 = time.perf_counter()
-    result = fn(_worker_ctx(), item)
+    result = fn(_WORKER, item)
     return (
         index,
         result,
@@ -364,218 +345,6 @@ def _steal_run(queue_timeout):
         time.perf_counter() - t0,
         kernel_mod.consume_kernel_totals(),
     )
-
-
-def _ganesh_run(ctx, item):
-    """One Task 1 GaneSH chain on its replicated ``("ganesh", g)`` stream."""
-    g, want_trace = item
-    config = ctx["config"]
-    # Recording (and shipping back) per-superstep work vectors is pure
-    # overhead unless the driver was handed a trace.
-    trace = WorkTrace() if want_trace else None
-    labels = run_replicated_ganesh(
-        ctx["data"],
-        ctx["seed"],
-        g,
-        n_update_steps=config.n_update_steps,
-        init_var_clusters=config.resolve_init_clusters(ctx["data"].shape[0]),
-        prior=config.prior,
-        rng_backend=config.rng_backend,
-        hooks=_hooks_for(trace, run=g),
-    )
-    if ctx["checkpoint_dir"] is not None:
-        _GaneshCheckpoints(
-            ctx["checkpoint_dir"], ctx["seed"], config, ctx["data"].shape[0],
-            writer=ctx.get("checkpoint_writer"),
-        ).store(g, labels)
-    return g, labels, (trace.steps if trace is not None else [])
-
-
-def _module_run(ctx, item):
-    """Learn one whole module (Task 3 module-level parallelism)."""
-    module_id, members, want_trace = item
-    trace = WorkTrace() if want_trace else None
-    module = learn_single_module(
-        ctx["data"],
-        module_id,
-        members,
-        ctx["parents"],
-        ctx["scorer"],
-        ctx["config"],
-        ctx["seed"],
-        trace,
-    )
-    checkpoints = ctx["module_checkpoints"]
-    if checkpoints is not None:
-        checkpoints.store(module)
-    return module_id, module, (trace.steps if trace is not None else [])
-
-
-def _score_chunk_run(ctx, task):
-    """Fine-grained candidate-split scoring (Task 3 split-level path)."""
-    return pool_mod._score_task(task)
-
-
-#: the generic run functions a shard node may be asked to execute, by wire
-#: name — the socket protocol of :mod:`repro.parallel.sharding` ships the
-#: *name* rather than a pickled callable so a node never unpickles code
-TASK_RUNNERS = {
-    "ganesh": _ganesh_run,
-    "module": _module_run,
-}
-
-
-# -- driver-side phases of split mode --------------------------------------
-
-
-def tree_phase(data, module_id, members, config, seed, trace=None):
-    """Step 1 of one module: observation clusterings agglomerated to trees.
-
-    Returns ``(trees, nodes, records, mrng)`` where ``nodes`` lists
-    ``(tree_index, node)`` in enumeration order, ``records`` are the node
-    records :func:`repro.parallel.pool.build_split_tasks` consumes, and
-    ``mrng`` is the module stream, positioned for split selection.
-    """
-    block = data[members]
-    mrng = GibbsRandom(
-        make_stream(seed, "modules", module_id, backend=config.rng_backend)
-    )
-    hooks = _hooks_for(trace)
-    obs_samples = run_obs_only_ganesh(
-        block,
-        mrng,
-        n_update_steps=config.tree_update_steps,
-        burn_in=config.tree_burn_in,
-        prior=config.prior,
-        hooks=hooks,
-    )
-    trees = [
-        build_tree_structure(block, labels, module_id, config.prior, hooks)
-        for labels in obs_samples
-    ]
-    nodes = []
-    records = []
-    obs_base = 0
-    for tree_index, tree in enumerate(trees):
-        for node in tree.internal_nodes():
-            nodes.append((tree_index, node))
-            records.append(
-                (module_id, node.observations, node.left.observations, obs_base)
-            )
-            obs_base += int(node.observations.size)
-    return trees, nodes, records, mrng
-
-
-def select_phase(
-    data,
-    module_id,
-    members,
-    trees,
-    nodes,
-    parents,
-    mrng,
-    config,
-    log_scores,
-    steps,
-    accepted,
-    offset,
-    trace=None,
-) -> tuple[Module, int]:
-    """Steps 2-3 of one module from pre-computed flat score arrays.
-
-    ``offset`` is the module's first row in the flat arrays; the new offset
-    (one past the module's last split) is returned.  Consumes exactly the
-    same ``mrng`` draws as the sequential learner, in the same order.
-    """
-    module = Module(module_id=module_id, members=list(members), trees=trees)
-    split_base = 0
-    all_weighted = []
-    all_uniform = []
-    for tree_index, node in nodes:
-        n_splits = int(parents.size * node.observations.size)
-        scores = NodeSplitScores(
-            module_id=module_id,
-            tree_index=tree_index,
-            node=node,
-            parents=parents,
-            base_index=split_base,
-            log_scores=log_scores[offset : offset + n_splits],
-            steps=steps[offset : offset + n_splits],
-            accepted=accepted[offset : offset + n_splits],
-        )
-        offset += n_splits
-        split_base += n_splits
-        if trace is not None:
-            trace.record(
-                "modules.split_scoring",
-                scores.work_units(),
-                n_collectives=1,
-                words=2 * config.n_splits_per_node,
-            )
-        weighted, uniform = select_node_splits(
-            data, scores, mrng, config.n_splits_per_node
-        )
-        node.weighted_splits = weighted
-        node.uniform_splits = uniform
-        all_weighted.extend(weighted)
-        all_uniform.extend(uniform)
-
-    from repro.trees.parents import accumulate_parent_scores
-
-    module.weighted_parents = accumulate_parent_scores(all_weighted)
-    module.uniform_parents = accumulate_parent_scores(all_uniform)
-    if trace is not None and split_base:
-        trace.record(
-            "modules.parents",
-            np.array([len(all_weighted) + len(all_uniform)], dtype=np.float64),
-            n_collectives=2,
-            words=len(all_weighted) + len(all_uniform),
-        )
-    return module, offset
-
-
-def learn_modules_percall_pool(
-    data,
-    parents,
-    modules_members,
-    config: LearnerConfig,
-    seed: int,
-    n_workers: int,
-    schedule: str = "dynamic",
-) -> list[Module]:
-    """Task 3 with the seed backend: a fresh ``mp.Pool`` per scoring call.
-
-    Functionally identical to the executor (bit-identical networks), but
-    one pool is constructed — and the expression matrix shipped — per
-    module rather than once per task.  Kept as the measured baseline for
-    the executor's speedup contract (``benchmarks/bench_executor.py``) and
-    the CI pool-construction smoke test.
-    """
-    parents = np.asarray(parents, dtype=np.int64)
-    modules: list[Module] = []
-    for module_id, members in enumerate(modules_members):
-        trees, nodes, records, mrng = tree_phase(
-            data, module_id, list(members), config, seed
-        )
-        log_scores, steps, accepted = pool_mod.score_splits_pool(
-            data, records, parents, config, seed, n_workers, schedule
-        )
-        module, _ = select_phase(
-            data,
-            module_id,
-            members,
-            trees,
-            nodes,
-            parents,
-            mrng,
-            config,
-            log_scores,
-            steps,
-            accepted,
-            0,
-        )
-        modules.append(module)
-    return modules
 
 
 # -- mode heuristic ---------------------------------------------------------
@@ -603,6 +372,8 @@ def choose_mode(costs, n_workers: int) -> str:
     fine-grained flat split list is the only decomposition that balances.
     """
     costs = list(costs)
+    if n_workers <= 1:
+        return "module"
     if len(costs) < n_workers:
         return "split"
     total = sum(costs)
@@ -634,19 +405,21 @@ class ExecutorStats:
 
 
 class TaskPoolExecutor:
-    """Persistent worker pool running the pipeline's parallel phases.
+    """Runs the pipeline's tasks on this host: in-process at one worker, on
+    a persistent worker pool above.
 
-    Usage::
+    Usage (normally through :func:`open_executor`)::
 
-        with TaskPoolExecutor(data, parents, config, seed) as executor:
+        with open_executor(data, config, seed) as executor:
             samples = executor.sample_ganesh_runs(n_runs, trace=trace)
             modules = executor.learn_modules(modules_members, trace=trace)
 
-    The pool and the shared expression matrix are created lazily on the
-    first parallel dispatch and live until :meth:`close` (or context exit),
-    however many task phases or scoring calls ride them — one ``learn``
-    invocation pays for one pool construction and one matrix transfer
-    total, across Tasks 1 and 3.
+    Worker count, schedule, steal policy and topology all come from
+    ``config.parallel``.  The pool and the shared expression matrix are
+    created lazily on the first parallel dispatch and live until
+    :meth:`close` (or context exit), however many task phases or scoring
+    calls ride them — one ``learn`` invocation pays for one pool
+    construction and one matrix transfer total, across Tasks 1 and 3.
 
     :meth:`submit_runs` is the generic dispatch primitive the task-specific
     entry points are built on; external callers (e.g. the pooled GENOMICA
@@ -667,41 +440,33 @@ class TaskPoolExecutor:
         config: LearnerConfig,
         seed: int,
         *,
-        n_workers: int | None = None,
-        parallel_mode: str | None = None,
-        schedule: str | None = None,
         checkpoint_dir=None,
         mp_context: str | None = None,
-        crash_poll_seconds: float = 5.0,
-        steal: bool | None = None,
+        crash_poll_seconds: float | None = None,
     ) -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.parents = np.asarray(parents, dtype=np.int64)
         self.config = config
         self.seed = seed
-        self.n_workers = (
-            config.resolve_n_workers() if n_workers is None else int(n_workers)
-        )
-        self.parallel_mode = parallel_mode or config.parallel.mode
-        self.schedule = schedule or config.parallel.schedule
-        self.steal = config.parallel.steal if steal is None else bool(steal)
-        if self.schedule not in ("static", "dynamic"):
-            raise ValueError("schedule must be 'static' or 'dynamic'")
-        if self.parallel_mode not in ("auto", "module", "split"):
-            raise ValueError("parallel_mode must be 'auto', 'module' or 'split'")
+        self.n_workers = config.resolve_n_workers()
+        self.schedule = config.parallel.schedule
+        self.steal = config.parallel.steal
         self.checkpoint_dir = (
             checkpoint_dir
             if checkpoint_dir is not None
             else config.parallel.checkpoint_dir
         )
-        self.crash_poll_seconds = float(crash_poll_seconds)
+        #: how often a blocked dispatch checks for dead workers
+        self.crash_poll_seconds = (
+            5.0 if crash_poll_seconds is None else float(crash_poll_seconds)
+        )
         #: the machine model and worker->domain plan this executor runs
         #: under; placement decides where work executes, never its results
         self.topology = config.parallel.resolve_topology()
         self.placement = plan_placement(self.topology, max(1, self.n_workers))
         #: topology-derived kernel evaluation chunk size, installed in
-        #: every worker (and on the serial path) via the scoring kernel's
-        #: process-wide default
+        #: every worker (or in this process when running in-process) via
+        #: the scoring kernel's process-wide default
         self.kernel_chunk_elements = chunk_elements_for(self.topology)
         self.stats = ExecutorStats(n_workers=self.n_workers)
         self._mp_context = mp_context
@@ -709,9 +474,10 @@ class TaskPoolExecutor:
         self._shared: SharedMatrix | None = None
         self._init_counter = None
         self._expected_inits = 0
-        self._serial_ready = False
-        self._prev_chunk_elements: int | None | bool = False  # False = unset
-        self._prev_kernel_backend: str | bool = False  # False = unset
+        #: in-process task context (``n_workers == 1``) and the process-wide
+        #: kernel settings (chunk size, backend) it displaced
+        self._ctx: dict | None = None
+        self._prev_kernel: tuple = ()
         self._flush_barrier = None
         self._flush_timeout = 30.0
         #: (queues, pending, lock) domain-affine steal scaffolding; created
@@ -731,8 +497,10 @@ class TaskPoolExecutor:
 
         Ordered so the segment is always unlinked: a failure while
         terminating the pool (or a pool poisoned by a crashed worker) must
-        not leak the matrix into ``/dev/shm`` — the context-manager exit of
-        ``learn_from_modules`` runs through here on every exception path.
+        not leak the matrix into ``/dev/shm`` — every learner entry point
+        runs through here on every exception path.  An in-process executor
+        drops its matrix reference and restores the process-wide kernel
+        settings it displaced.
         """
         pool, self._pool = self._pool, None
         shared, self._shared = self._shared, None
@@ -751,18 +519,11 @@ class TaskPoolExecutor:
                     queue.close()
             if shared is not None:
                 shared.close()
-            if self._serial_ready:
-                # Drop the in-process scoring state so the driver does not
-                # retain the matrix past the executor's lifetime.
-                pool_mod._clear_worker()
-                self._serial_ready = False
-            if self._prev_chunk_elements is not False:
-                # Restore whatever kernel chunk default the driver had.
-                kernel_mod.set_chunk_elements(self._prev_chunk_elements)
-                self._prev_chunk_elements = False
-            if self._prev_kernel_backend is not False:
-                kernel_mod.set_kernel_backend(self._prev_kernel_backend)
-                self._prev_kernel_backend = False
+            if self._ctx is not None:
+                self._ctx = None
+                chunk_elements, backend = self._prev_kernel
+                kernel_mod.set_chunk_elements(chunk_elements)
+                kernel_mod.set_kernel_backend(backend)
 
     def _drain_checkpoint_writers(self, pool) -> None:
         """Flush every worker's async checkpoint writer before teardown.
@@ -796,7 +557,7 @@ class TaskPoolExecutor:
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live pool worker processes (empty before the pool
-        is built or on the serial path).  Exposed so the service can
+        is built, always when running in-process).  Exposed so the service can
         report — and failure-injection tests can target — the processes
         actually executing a job."""
         pool = self._pool
@@ -857,55 +618,21 @@ class TaskPoolExecutor:
             and self.placement.topology.n_domains > 1
         )
 
-    def _apply_kernel_chunk(self) -> None:
-        """Install the topology-derived kernel chunk size in this process.
+    def _local_ctx(self) -> dict:
+        """The task context for in-process execution (``n_workers == 1``).
 
-        The previous process-wide default is remembered and restored on
-        :meth:`close`, so nesting executors (or running one inside a test
-        that configured its own size) round-trips cleanly.
+        Built on first use, together with the kernel settings a pool worker
+        gets from :func:`_executor_init`; the displaced backend and chunk
+        size are restored by :meth:`close`.
         """
-        if self._prev_chunk_elements is False:
-            self._prev_chunk_elements = kernel_mod.set_chunk_elements(
-                self.kernel_chunk_elements
+        if self._ctx is None:
+            self._prev_kernel = _install_kernel_settings(
+                self.config.parallel, self.kernel_chunk_elements
             )
-        if self._prev_kernel_backend is False:
-            parallel = getattr(self.config, "parallel", None)
-            if parallel is not None:
-                self._prev_kernel_backend = kernel_mod.set_kernel_backend(
-                    parallel.kernel_backend
-                )
-        parallel = getattr(self.config, "parallel", None)
-        if parallel is not None and getattr(parallel, "score_cache_bytes", 0) > 0:
-            # Serial path: in-process kernels share the driver's store.  The
-            # store deliberately survives close() — cross-job reuse in a
-            # long-lived process is the point — so no restore bookkeeping.
-            kernel_mod.ensure_shared_score_cache(parallel.score_cache_bytes)
-
-    def _ensure_serial(self) -> None:
-        """Install the in-process scoring state (n_workers == 1 path)."""
-        if not self._serial_ready:
-            self._apply_kernel_chunk()
-            pool_mod._init_worker(self.data, self.parents, self.config, self.seed)
-            self._serial_ready = True
-
-    def _serial_ctx(self) -> dict:
-        """The run context for in-process execution of generic tasks."""
-        self._ensure_serial()
-        worker = pool_mod._WORKER
-        return {
-            "data": worker["data"],
-            "parents": worker["parents"],
-            "config": worker["config"],
-            "seed": worker["seed"],
-            "scorer": worker["scorer"],
-            "checkpoint_dir": self.checkpoint_dir,
-            "checkpoint_writer": None,  # in-process stores write synchronously
-            "module_checkpoints": (
-                _ModuleCheckpoints(self.checkpoint_dir, self.seed, self.config)
-                if self.checkpoint_dir is not None
-                else None
-            ),
-        }
+            self._ctx = build_ctx(
+                self.data, self.parents, self.config, self.seed, self.checkpoint_dir
+            )
+        return self._ctx
 
     # -- generic dispatch ---------------------------------------------------
     def submit_runs(
@@ -955,7 +682,7 @@ class TaskPoolExecutor:
         results: list = [None] * len(items)
 
         if self.n_workers <= 1:
-            ctx = self._serial_ctx()
+            ctx = self._local_ctx()
             for index in order:
                 results[index] = fn(ctx, items[index])
             if trace is not None:
@@ -1135,13 +862,13 @@ class TaskPoolExecutor:
 
     # -- task 1: the G GaneSH co-clustering runs ---------------------------
     def sample_ganesh_runs(self, n_runs: int, trace=None) -> list[np.ndarray]:
-        """Task 1 on the pool: the G chains concurrently, resumable.
+        """Task 1: the G chains, concurrently above one worker, resumable.
 
         Runs already checkpointed as ``ganesh_<g>.npz`` are loaded instead
         of re-executed; the rest dispatch through :meth:`submit_runs`
         (dynamic pulling — chain run-times vary stochastically).  The
-        returned ensemble is bit-identical to the sequential loop because
-        run ``g`` consumes only its replicated ``("ganesh", g)`` stream.
+        returned ensemble is the same for any worker count because run
+        ``g`` consumes only its replicated ``("ganesh", g)`` stream.
         """
         checkpoints = _GaneshCheckpoints(
             self.checkpoint_dir, self.seed, self.config, self.data.shape[0]
@@ -1171,12 +898,15 @@ class TaskPoolExecutor:
 
     # -- fine-grained scoring (the inner level) ----------------------------
     def score_splits(self, node_records, trace=None):
-        """Score a flat candidate-split list on the persistent pool.
+        """Score a flat candidate-split list (Algorithm 5's decomposition).
 
-        The persistent counterpart of :func:`repro.parallel.pool.
-        score_splits_pool`: same task construction, same schedules, same
-        bit-identical outputs — but the pool and the matrix transfer are
-        amortized over every call of the executor's lifetime.
+        ``node_records`` are ``(module_id, obs, left_obs, module_obs_base)``
+        in enumeration order (see :func:`repro.parallel.tasks.tree_phase`).
+        ``schedule="static"`` cuts the list into one contiguous block per
+        worker, ``"dynamic"`` into ~4 per worker pulled from a queue — the
+        paper's Section 6 ablation.  Returns flat ``(log_scores, steps,
+        accepted)`` arrays, bit-identical to in-process scoring however the
+        list is cut: each split's draws are addressed by its index.
         """
         tasks, total = build_split_tasks(node_records, len(self.parents))
         log_scores = np.zeros(total, dtype=np.float64)
@@ -1282,50 +1012,25 @@ class TaskPoolExecutor:
             else:
                 modules[module_id] = module
 
-        mode = self._resolve_mode(pending)
-        self.stats.mode = mode
+        n_obs = self.data.shape[1]
+        self.stats.mode = choose_mode(
+            [estimate_module_cost(m, n_obs, self.config) for _, m in pending],
+            self.n_workers,
+        )
         if not pending:
             pass
-        elif self.n_workers <= 1:
-            self._apply_kernel_chunk()
-            scorer = _make_scorer(self.config)
-            for module_id, members in pending:
-                module = learn_single_module(
-                    self.data,
-                    module_id,
-                    members,
-                    self.parents,
-                    scorer,
-                    self.config,
-                    self.seed,
-                    trace,
-                )
-                checkpoints.store(module)
-                modules[module_id] = module
-        elif mode == "module":
+        elif self.stats.mode == "module":
             self._learn_modules_coarse(pending, modules, trace)
         else:
             self._learn_modules_fine(pending, modules, checkpoints, trace)
         return [modules[module_id] for module_id in range(len(modules_members))]
 
-    def _resolve_mode(self, pending) -> str:
-        if self.parallel_mode != "auto":
-            return self.parallel_mode
-        if self.n_workers <= 1:
-            return "module"
-        n_obs = self.data.shape[1]
-        costs = [
-            estimate_module_cost(members, n_obs, self.config)
-            for _, members in pending
-        ]
-        return choose_mode(costs, self.n_workers)
-
     def _learn_modules_coarse(self, pending, modules, trace) -> None:
-        """Module-level parallelism: whole modules on the pool.
+        """Module-level parallelism: whole modules as tasks.
 
-        Workers write their own checkpoints (the initializer carries the
-        checkpoint directory), so an interruption loses at most the modules
-        currently in flight — the same guarantee as the sequential loop.
+        Whoever runs a module checkpoints it (the task context carries the
+        store), so an interruption loses at most the modules currently in
+        flight, on one worker or many.
         """
         n_obs = self.data.shape[1]
         items = [
@@ -1403,6 +1108,44 @@ class TaskPoolExecutor:
             modules[module_id] = module
 
 
-#: Backward-compatible name from when the executor only learned modules
-#: (Task 3); new code should say :class:`TaskPoolExecutor`.
-ModuleExecutor = TaskPoolExecutor
+
+# -- the factory ---------------------------------------------------------------
+
+
+def open_executor(
+    data: np.ndarray,
+    config: LearnerConfig,
+    seed: int,
+    checkpoint_dir=None,
+    *,
+    mp_context: str | None = None,
+    crash_poll_seconds: float | None = None,
+):
+    """The executor ``config.parallel`` asks for — the one dispatch seam.
+
+    ``n_nodes > 1`` gives the shard tier (each node running its own
+    :class:`TaskPoolExecutor`), otherwise a single-host
+    :class:`TaskPoolExecutor` — in-process at one worker, pooled above.
+    Both offer ``sample_ganesh_runs`` / ``learn_modules`` / ``stats`` /
+    ``worker_inits`` and are context managers; the caller closes what it
+    opens.  ``mp_context`` and ``crash_poll_seconds`` reach the local pool
+    only (callers living in a multi-threaded process pass ``"spawn"``).
+    """
+    parents = np.asarray(
+        config.resolve_candidate_parents(data.shape[0]), dtype=np.int64
+    )
+    if config.parallel.n_nodes > 1:
+        from repro.parallel.sharding import ShardedExecutor
+
+        return ShardedExecutor(
+            data, parents, config, seed, checkpoint_dir=checkpoint_dir
+        )
+    return TaskPoolExecutor(
+        data,
+        parents,
+        config,
+        seed,
+        checkpoint_dir=checkpoint_dir,
+        mp_context=mp_context,
+        crash_poll_seconds=crash_poll_seconds,
+    )

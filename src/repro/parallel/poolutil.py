@@ -1,17 +1,15 @@
-"""Shared process-pool plumbing and instrumentation.
+"""Process-pool plumbing and instrumentation.
 
-Both multiprocessing backends — the per-call :func:`repro.parallel.pool.
-score_splits_pool` and the persistent :class:`repro.parallel.executor.
-ModuleExecutor` — construct pools through this module so that
+:class:`repro.parallel.executor.TaskPoolExecutor` constructs its pool
+through this module so that
 
 * the start method degrades gracefully: ``fork`` where available (Linux),
   ``spawn`` otherwise (macOS/Windows), with worker state always shipped
   explicitly through pool initargs so both methods behave identically;
-* pool constructions and expression-matrix transfers are counted.  The
-  counters let tests assert the executor's central contract — one pool and
-  one matrix transfer per Task 3 — without timing, and let the CI smoke
-  test show the persistent executor beating the per-call pool on
-  construction count deterministically.
+* pool constructions and expression-matrix transfers are counted
+  process-wide.  The counters let tests assert the executor's central
+  contract — one pool and one matrix transfer per ``learn`` call, however
+  many executors a code path might have built — without timing.
 """
 
 from __future__ import annotations

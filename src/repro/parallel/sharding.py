@@ -220,12 +220,12 @@ def _node_serve(channel, node_id: int) -> None:
 
     * ``("init", spec)`` — build this node's local
       :class:`~repro.parallel.executor.TaskPoolExecutor` (its own pool,
-      its own shared-memory matrix; the serial in-process path when the
+      its own shared-memory matrix; in-process execution when the
       node runs one worker) -> ``("ok", {"pid": ...})``;
     * ``("echo", payload)`` — calibration round-trip, payload bounced
       back verbatim -> ``("echo", payload)``;
     * ``("run", task_kind, items)`` — execute the items through the
-      named runner from :data:`repro.parallel.executor.TASK_RUNNERS`
+      named runner from :data:`repro.parallel.tasks.TASK_RUNNERS`
       (the wire carries runner *names*, never pickled code) ->
       ``("result", {...})``, or ``("error", {...})`` on a task
       exception — the node keeps serving;
@@ -234,7 +234,8 @@ def _node_serve(channel, node_id: int) -> None:
     A torn channel (the driver died) exits the loop; the ``finally``
     still closes the local executor so no pool or shared segment leaks.
     """
-    from repro.parallel.executor import TASK_RUNNERS, TaskPoolExecutor
+    from repro.parallel.executor import TaskPoolExecutor
+    from repro.parallel.tasks import TASK_RUNNERS
 
     executor = None
     try:
@@ -251,7 +252,6 @@ def _node_serve(channel, node_id: int) -> None:
                     spec["parents"],
                     spec["config"],
                     spec["seed"],
-                    n_workers=spec["n_workers"],
                     checkpoint_dir=spec["checkpoint_dir"],
                     mp_context=spec.get("mp_context"),
                 )
@@ -382,28 +382,15 @@ class ShardedExecutor:
         config: LearnerConfig,
         seed: int,
         *,
-        n_nodes: int | None = None,
-        node_backend: str | None = None,
-        n_workers: int | None = None,
         checkpoint_dir=None,
     ) -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.parents = np.asarray(parents, dtype=np.int64)
         self.config = config
         self.seed = seed
-        self.n_nodes = (
-            config.parallel.n_nodes if n_nodes is None else int(n_nodes)
-        )
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be at least 1")
-        self.node_backend = node_backend or config.parallel.node_backend
-        if self.node_backend not in ("socket", "thread"):
-            raise ValueError("node_backend must be 'socket' or 'thread'")
-        self.workers_per_node = (
-            config.parallel.resolve_n_workers()
-            if n_workers is None
-            else max(1, int(n_workers))
-        )
+        self.n_nodes = config.parallel.n_nodes
+        self.node_backend = config.parallel.node_backend
+        self.workers_per_node = config.parallel.resolve_n_workers()
         self.checkpoint_dir = (
             checkpoint_dir
             if checkpoint_dir is not None
@@ -457,7 +444,6 @@ class ShardedExecutor:
                     "config": self.config,
                     "seed": self.seed,
                     "checkpoint_dir": checkpoint_dir,
-                    "n_workers": self.workers_per_node,
                     "node_id": node_id,
                     # Thread-backend nodes live inside the (multi-threaded)
                     # driver process: forking a pool there can capture a

@@ -194,45 +194,30 @@ class ExecutorLease:
 
     def acquire(self, data, config: LearnerConfig, seed: int, checkpoint_dir, binding):
         """The executor for ``binding`` — warm when it matches the live
-        one, else freshly built.  Returns ``(executor_or_None, reused)``;
-        ``None`` means the serial in-process path (the learner then runs
-        without a pool, exactly as one-shot ``learn`` would)."""
+        one, else freshly built through the same
+        :func:`~repro.parallel.executor.open_executor` a one-shot ``learn``
+        uses.  Returns ``(executor, reused)``."""
         if self._executor is not None and self._binding == binding:
             self.reuses += 1
             return self._executor, True
         self.release()
-        executor = self._build(data, config, seed, checkpoint_dir)
-        if executor is not None:
-            self._executor = executor
-            self._binding = binding
-            self.builds += 1
-        return executor, False
+        from repro.parallel.executor import open_executor
 
-    def _build(self, data, config: LearnerConfig, seed: int, checkpoint_dir):
-        parents = np.asarray(
-            config.resolve_candidate_parents(data.shape[0]), dtype=np.int64
-        )
-        if config.parallel.n_nodes > 1:
-            from repro.parallel.sharding import ShardedExecutor
-
-            return ShardedExecutor(
-                data, parents, config, seed, checkpoint_dir=checkpoint_dir
-            )
-        if config.resolve_n_workers() <= 1:
-            return None
-        from repro.parallel.executor import TaskPoolExecutor
-
-        kwargs = {}
-        if self.crash_poll_seconds is not None:
-            kwargs["crash_poll_seconds"] = self.crash_poll_seconds
         # The service process is inherently multi-threaded (runner thread,
         # daemon request handlers); forking a pool here can capture a lock
         # mid-held and deadlock the child, so lease pools always spawn.
         # The lease amortizes the slower startup across every job it serves.
-        return TaskPoolExecutor(
-            data, parents, config, seed, checkpoint_dir=checkpoint_dir,
-            mp_context="spawn", **kwargs
+        self._executor = open_executor(
+            data,
+            config,
+            seed,
+            checkpoint_dir,
+            mp_context="spawn",
+            crash_poll_seconds=self.crash_poll_seconds,
         )
+        self._binding = binding
+        self.builds += 1
+        return self._executor, False
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live pool's workers ([] without a multi-worker

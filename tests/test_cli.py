@@ -33,6 +33,18 @@ class TestParser:
                 ["learn", "--input", "x.tsv", "--preset", "yeast"]
             )
 
+    @pytest.mark.parametrize("command", ["learn", "modules"])
+    def test_parallel_mode_flag_is_gone(self, command):
+        """The module/split decomposition is chosen from the input; the
+        flag that forced it is rejected, the remaining knobs still parse."""
+        args = [command, "--input", "x.tsv", "--workers", "2",
+                "--schedule", "static"]
+        if command == "modules":
+            args += ["--modules-file", "m.json"]
+        build_parser().parse_args(args)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(args + ["--parallel-mode", "split"])
+
 
 class TestGenerate:
     def test_writes_readable_matrix(self, matrix_file):

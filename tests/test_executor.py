@@ -1,9 +1,10 @@
-"""Tests for the persistent shared-memory executor (Task 3).
+"""Tests for the single-host executor and the ``open_executor`` seam.
 
 The central contracts:
 
-* pooled module-level and split-level runs produce networks bit-identical
-  to the sequential learner for every worker count and schedule;
+* module-level and split-level runs (picked by ``choose_mode`` from the
+  input, never by the caller) produce networks bit-identical to the
+  one-worker run for every worker count and schedule;
 * resuming from a partially written checkpoint directory reproduces the
   uninterrupted network, with workers writing their own checkpoints;
 * the expression matrix is transferred to workers exactly once per
@@ -17,16 +18,14 @@ import pytest
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.datatypes import ModuleNetwork
-from repro.parallel import pool as pool_mod
 from repro.parallel import poolutil
 from repro.parallel.executor import (
-    ModuleExecutor,
     TaskPoolExecutor,
     choose_mode,
     estimate_module_cost,
-    learn_modules_percall_pool,
-    tree_phase,
+    open_executor,
 )
+from repro.parallel.tasks import tree_phase
 from repro.parallel.trace import WorkTrace
 
 
@@ -46,49 +45,90 @@ def _parents(matrix, config):
     return np.asarray(config.resolve_candidate_parents(matrix.n_vars), np.int64)
 
 
+def _with_workers(config, n_workers, **knobs):
+    return config.with_updates(
+        parallel=ParallelConfig(n_workers=n_workers, **knobs)
+    )
+
+
+#: inputs on each side of ``choose_mode`` for 2 and 4 workers: many even
+#: modules keep every worker busy with whole modules; one module on several
+#: workers can only be balanced by the flat split list
+MODE_INPUTS = {
+    "module": [list(range(lo, lo + 3)) for lo in range(0, 24, 3)],
+    "split": [list(range(24))],
+}
+
+
+@pytest.fixture(scope="module")
+def mode_references(setup):
+    matrix, config, _members, _reference = setup
+    return {
+        mode: LemonTreeLearner(config).learn_from_modules(
+            matrix, members, seed=5
+        ).network
+        for mode, members in MODE_INPUTS.items()
+    }
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     @pytest.mark.parametrize("mode", ["module", "split"])
-    def test_network_bit_identical(self, setup, mode, n_workers, schedule):
-        matrix, config, members, reference = setup
-        cfg = config.with_updates(
-            parallel=ParallelConfig(
-                n_workers=n_workers, mode=mode, schedule=schedule
-            )
-        )
-        net = LemonTreeLearner(cfg).learn_from_modules(
-            matrix, members, seed=5
-        ).network
-        assert net == reference
+    def test_network_bit_identical(
+        self, setup, mode_references, mode, n_workers, schedule
+    ):
+        """``mode`` names the decomposition the *input* makes the executor
+        pick; the network never depends on it."""
+        matrix, config, _members, _reference = setup
+        cfg = _with_workers(config, n_workers, schedule=schedule)
+        with open_executor(matrix.values, cfg, 5) as executor:
+            modules = executor.learn_modules(MODE_INPUTS[mode])
+            # One worker always learns whole modules, in-process.
+            assert executor.stats.mode == (mode if n_workers > 1 else "module")
+        net = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
+        assert net == mode_references[mode]
 
     def test_auto_mode_bit_identical(self, setup):
         matrix, config, members, reference = setup
-        cfg = config.with_updates(parallel=ParallelConfig(n_workers=2, mode="auto"))
-        net = LemonTreeLearner(cfg).learn_from_modules(
+        net = LemonTreeLearner(_with_workers(config, 2)).learn_from_modules(
             matrix, members, seed=5
         ).network
         assert net == reference
 
     def test_spawn_context_pool_matches(self, setup):
-        """The per-call pool falls back to spawn when fork is forced off;
-        results stay bit-identical (macOS/Windows portability path)."""
-        from repro.parallel.pool import score_splits_pool
-
+        """A spawn-context pool (the macOS/Windows portability path, and
+        what the service lease always uses) scores bit-identically to the
+        in-process run."""
         matrix, config, members, reference = setup
         _trees, _nodes, records, _mrng = tree_phase(
             matrix.values, 0, list(members[0]), config, seed=5
         )
-        parents = _parents(matrix, config)
-        serial = score_splits_pool(
-            matrix.values, records, parents, config, seed=5, n_workers=1
-        )
-        spawned = score_splits_pool(
-            matrix.values, records, parents, config, seed=5, n_workers=2,
-            mp_context="spawn",
-        )
+        with open_executor(matrix.values, config, 5) as executor:
+            serial = executor.score_splits(records)
+        with open_executor(
+            matrix.values, _with_workers(config, 2), 5, mp_context="spawn"
+        ) as executor:
+            spawned = executor.score_splits(records)
         for a, b in zip(serial, spawned):
             np.testing.assert_array_equal(a, b)
+
+    def test_mode_is_not_an_option(self, setup):
+        """The decomposition is chosen from the input alone: the removed
+        spellings of a forced mode are hard errors."""
+        matrix, config, _members, _reference = setup
+        with pytest.raises(TypeError):
+            ParallelConfig(mode="split")
+        for override in (
+            {"parallel_mode": "split"},
+            {"n_workers": 2},
+            {"schedule": "static"},
+            {"steal": False},
+        ):
+            with pytest.raises(TypeError):
+                TaskPoolExecutor(
+                    matrix.values, _parents(matrix, config), config, 5, **override
+                )
 
 
 class TestCheckpoints:
@@ -100,20 +140,22 @@ class TestCheckpoints:
             matrix, members, seed=5, checkpoint_dir=tmp_path
         )
         (tmp_path / "module_0.json").unlink()
-        cfg = config.with_updates(parallel=ParallelConfig(n_workers=2, mode="module"))
+        cfg = _with_workers(config, 2)
         net = LemonTreeLearner(cfg).learn_from_modules(
             matrix, members, seed=5, checkpoint_dir=tmp_path
         ).network
         assert net == reference
 
-    def test_workers_write_checkpoints(self, setup, tmp_path):
+    def test_workers_write_checkpoints(self, setup, mode_references, tmp_path):
         """In module mode the workers themselves checkpoint each completed
         module, so an interruption loses only the modules in flight."""
-        matrix, config, members, reference = setup
-        cfg = config.with_updates(parallel=ParallelConfig(n_workers=2, mode="module"))
-        LemonTreeLearner(cfg).learn_from_modules(
-            matrix, members, seed=5, checkpoint_dir=tmp_path
-        )
+        matrix, config, _members, _reference = setup
+        members, reference = MODE_INPUTS["module"], mode_references["module"]
+        with open_executor(
+            matrix.values, _with_workers(config, 2), 5, tmp_path
+        ) as executor:
+            executor.learn_modules(members)
+            assert executor.stats.mode == "module"
         names = sorted(p.name for p in tmp_path.glob("module_*.json"))
         assert names == [f"module_{i}.json" for i in range(len(members))]
         # A sequential run resumes from the worker-written checkpoints.
@@ -123,13 +165,16 @@ class TestCheckpoints:
         assert resumed.network == reference
         assert resumed.task_times.modules < 0.5
 
-    def test_split_mode_writes_checkpoints(self, setup, tmp_path):
-        matrix, config, members, reference = setup
-        cfg = config.with_updates(parallel=ParallelConfig(n_workers=2, mode="split"))
-        net = LemonTreeLearner(cfg).learn_from_modules(
-            matrix, members, seed=5, checkpoint_dir=tmp_path
-        ).network
-        assert net == reference
+    def test_split_mode_writes_checkpoints(self, setup, mode_references, tmp_path):
+        matrix, config, _members, _reference = setup
+        members = MODE_INPUTS["split"]
+        with open_executor(
+            matrix.values, _with_workers(config, 2), 5, tmp_path
+        ) as executor:
+            modules = executor.learn_modules(members)
+            assert executor.stats.mode == "split"
+        net = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
+        assert net == mode_references["split"]
         assert len(list(tmp_path.glob("module_*.json"))) == len(members)
 
 
@@ -139,11 +184,9 @@ class TestSingleTransfer:
         per Task 3, one initializer run per worker — even across repeated
         scoring calls on the same executor."""
         matrix, config, members, reference = setup
-        parents = _parents(matrix, config)
         poolutil.reset_counters()
-        with ModuleExecutor(
-            matrix.values, parents, config.with_updates(parallel=ParallelConfig(n_workers=2)), 5,
-            parallel_mode="split",
+        with open_executor(
+            matrix.values, _with_workers(config, 2), 5
         ) as executor:
             first = executor.learn_modules(members)
             second = executor.learn_modules(members)  # pool is reused
@@ -157,32 +200,6 @@ class TestSingleTransfer:
             assert (
                 ModuleNetwork(mods, matrix.var_names, matrix.n_obs) == reference
             )
-
-    def test_executor_beats_percall_pool_on_construction_count(self, setup):
-        """CI smoke for the speedup mechanism, timing-free: the seed
-        per-call backend builds one pool per module, the executor one per
-        task."""
-        matrix, config, members, reference = setup
-        parents = _parents(matrix, config)
-
-        poolutil.reset_counters()
-        base = learn_modules_percall_pool(
-            matrix.values, parents, members, config, seed=5, n_workers=2
-        )
-        percall_pools = poolutil.counters()["pool_constructions"]
-        # One pool per module that has candidate splits to score (a module
-        # whose trees have no internal nodes skips its scoring call).
-        assert 2 <= percall_pools <= len(members)
-        assert ModuleNetwork(base, matrix.var_names, matrix.n_obs) == reference
-
-        poolutil.reset_counters()
-        with ModuleExecutor(
-            matrix.values, parents, config.with_updates(parallel=ParallelConfig(n_workers=2)), 5,
-            parallel_mode="module",
-        ) as executor:
-            executor.learn_modules(members)
-        executor_pools = poolutil.counters()["pool_constructions"]
-        assert executor_pools == 1 < percall_pools
 
 
 def _echo_run(ctx, item):
@@ -200,11 +217,8 @@ class TestSubmitRuns:
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_results_in_item_order(self, setup, n_workers, schedule):
         matrix, config, _members, _reference = setup
-        parents = _parents(matrix, config)
-        with TaskPoolExecutor(
-            matrix.values, parents, config, 5, n_workers=n_workers,
-            schedule=schedule,
-        ) as executor:
+        cfg = _with_workers(config, n_workers, schedule=schedule)
+        with open_executor(matrix.values, cfg, 5) as executor:
             results = executor.submit_runs(_echo_run, list(range(7)))
         assert results == [i * 10 for i in range(7)]
 
@@ -216,7 +230,7 @@ class TestSubmitRuns:
         )
         try:
             with TaskPoolExecutor(
-                matrix.values, parents, config, 5, n_workers=2
+                matrix.values, parents, _with_workers(config, 2), 5
             ) as executor:
                 results = executor.submit_runs(_echo_run, list(range(6)))
         finally:
@@ -227,7 +241,7 @@ class TestSubmitRuns:
         matrix, config, _members, _reference = setup
         parents = _parents(matrix, config)
         with TaskPoolExecutor(
-            matrix.values, parents, config, 5, n_workers=2
+            matrix.values, parents, _with_workers(config, 2), 5
         ) as executor:
             assert executor.submit_runs(_echo_run, []) == []
             assert executor.worker_inits() == 0  # pool never constructed
@@ -236,7 +250,7 @@ class TestSubmitRuns:
         matrix, config, _members, _reference = setup
         parents = _parents(matrix, config)
         with TaskPoolExecutor(
-            matrix.values, parents, config, 5, n_workers=2
+            matrix.values, parents, _with_workers(config, 2), 5
         ) as executor:
             with pytest.raises(ValueError, match="injected"):
                 executor.submit_runs(_raise_run, [0, 1, 2])
@@ -254,7 +268,7 @@ class TestTeardown:
         segment = None
         with pytest.raises(RuntimeError, match="injected"):
             with TaskPoolExecutor(
-                matrix.values, parents, config, 5, n_workers=2
+                matrix.values, parents, _with_workers(config, 2), 5
             ) as executor:
                 executor.submit_runs(_echo_run, [1, 2])
                 segment = executor._shared.spec[0]
@@ -269,39 +283,164 @@ class TestTeardown:
         """Regression for the teardown leak: an exception raised inside a
         worker task during learn_from_modules propagates as itself and the
         context-manager exit unlinks the shared segment."""
-        from repro.parallel import executor as executor_mod
+        from repro.parallel import tasks as tasks_mod
 
-        matrix, config, members, _reference = setup
+        matrix, config, _members, _reference = setup
+        members = MODE_INPUTS["module"]  # workers learn whole modules
 
         def boom(*args, **kwargs):
             raise ValueError("injected module failure")
 
         # Fork-inherited: workers resolve learn_single_module through the
-        # executor module's globals, so the patch reaches them.
-        monkeypatch.setattr(executor_mod, "learn_single_module", boom)
+        # tasks module's globals, so the patch reaches them.
+        monkeypatch.setattr(tasks_mod, "learn_single_module", boom)
         before = _shm_names()
-        cfg = config.with_updates(parallel=ParallelConfig(n_workers=2, mode="module"))
+        cfg = _with_workers(config, 2)
         with pytest.raises(ValueError, match="injected module failure"):
             LemonTreeLearner(cfg).learn_from_modules(matrix, members, seed=5)
         assert _shm_names() == before
 
     def test_serial_close_clears_worker_state(self, setup):
+        """An in-process executor keeps its task context on itself (never
+        in the pool workers' module global) and drops it — and with it the
+        matrix reference — on close."""
+        from repro.parallel import tasks as tasks_mod
+
         matrix, config, _members, _reference = setup
-        parents = _parents(matrix, config)
-        with TaskPoolExecutor(
-            matrix.values, parents, config, 5, n_workers=1
-        ) as executor:
+        with open_executor(matrix.values, config, 5) as executor:
             executor.submit_runs(_echo_run, [0, 1])
-            assert pool_mod._WORKER  # installed in-process
-        assert pool_mod._WORKER == {}
+            assert executor._ctx is not None  # installed in-process
+            assert tasks_mod._WORKER == {}
+        assert executor._ctx is None
 
     def test_close_is_idempotent(self, setup):
         matrix, config, _members, _reference = setup
         parents = _parents(matrix, config)
-        executor = TaskPoolExecutor(matrix.values, parents, config, 5, n_workers=2)
+        executor = TaskPoolExecutor(
+            matrix.values, parents, _with_workers(config, 2), 5
+        )
         executor.submit_runs(_echo_run, [0])
         executor.close()
         executor.close()  # second close must be a no-op, not an error
+
+
+class TestOneSeam:
+    """Every learner entry point opens its executor through
+    ``open_executor`` — exactly once, closed on every path — so the
+    one-worker run is configured like every other tier."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """Record every executor the factory hands out."""
+        from repro.parallel import executor as executor_mod
+
+        opened = []
+        real = executor_mod.open_executor
+
+        def recording(*args, **kwargs):
+            opened.append(real(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(executor_mod, "open_executor", recording)
+        return opened
+
+    def test_one_worker_honours_kernel_backend(self, setup):
+        """Regression: the learner's private serial loops never applied
+        ``kernel_backend`` (numpy cells ran the native kernel)."""
+        from repro.scoring import kernel as kernel_mod
+        from repro.scoring.kernel import configured_kernel_backend
+
+        matrix, config, _members, _reference = setup
+        backend = configured_kernel_backend()
+        chunk = kernel_mod._CONFIGURED_CHUNK_ELEMENTS
+        trace = WorkTrace()
+        LemonTreeLearner(
+            _with_workers(config, 1, kernel_backend="numpy")
+        ).learn(matrix, seed=5, trace=trace)
+        assert trace.kernel_counters["backends"] == ["numpy"]
+        assert trace.kernel_counters["evaluations"] > 0
+        # Process-wide settings are restored once learn() returns.
+        assert configured_kernel_backend() == backend
+        assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == chunk
+
+    def test_one_worker_applies_topology_chunk_size(
+        self, setup, opened, monkeypatch
+    ):
+        from repro.scoring import kernel as kernel_mod
+
+        matrix, config, _members, _reference = setup
+        seen = []
+        real = kernel_mod.set_chunk_elements
+
+        def spy(n):
+            seen.append(n)
+            return real(n)
+
+        monkeypatch.setattr(kernel_mod, "set_chunk_elements", spy)
+        LemonTreeLearner(config).learn(matrix, seed=5)
+        (executor,) = opened
+        assert seen[0] == executor.kernel_chunk_elements
+
+    def test_one_worker_native_request_raises_without_extension(
+        self, setup, monkeypatch
+    ):
+        """An explicit ``native`` request must not silently degrade at one
+        worker either — and the failed call restores the process config."""
+        from repro import _native
+        from repro.scoring.kernel import configured_kernel_backend
+
+        matrix, config, _members, _reference = setup
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        _native.invalidate()
+        backend = configured_kernel_backend()
+        try:
+            with pytest.raises(RuntimeError, match="native"):
+                LemonTreeLearner(
+                    _with_workers(config, 1, kernel_backend="native")
+                ).learn(matrix, seed=5)
+        finally:
+            monkeypatch.delenv("REPRO_NATIVE_DISABLE")
+            _native.invalidate()
+        assert configured_kernel_backend() == backend
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_entry_points_open_one_executor_and_close_it(
+        self, setup, opened, n_workers
+    ):
+        matrix, config, members, reference = setup
+        learner = LemonTreeLearner(_with_workers(config, n_workers))
+        before = _shm_names()
+        learner.sample_clusterings(matrix, seed=5)
+        result = learner.learn_from_modules(matrix, members, seed=5)
+        full = learner.learn(matrix, seed=5)
+        assert len(opened) == 3
+        for executor in opened:
+            assert executor._pool is None and executor._ctx is None
+        assert _shm_names() == before
+        assert result.network == reference
+        # learn_from_modules reports the same executor block learn does.
+        assert result.stats["executor"].keys() == full.stats["executor"].keys()
+        assert result.stats["executor"]["n_workers"] == n_workers
+        assert result.stats["executor"]["pools_constructed"] == (n_workers > 1)
+
+    def test_sample_clusterings_closes_executor_on_failure(
+        self, setup, opened, monkeypatch
+    ):
+        from repro.parallel import tasks as tasks_mod
+
+        matrix, config, _members, _reference = setup
+
+        def boom(*args, **kwargs):
+            raise ValueError("injected chain failure")
+
+        monkeypatch.setattr(tasks_mod, "run_replicated_ganesh", boom)
+        before = _shm_names()
+        cfg = _with_workers(config, 2).with_updates(n_ganesh_runs=2)
+        with pytest.raises(ValueError, match="injected chain failure"):
+            LemonTreeLearner(cfg).sample_clusterings(matrix, seed=5)
+        (executor,) = opened
+        assert executor._pool is None and executor._shared is None
+        assert _shm_names() == before
 
 
 def _shm_names():
@@ -333,9 +472,8 @@ class TestTrace:
     def test_worker_times_and_steps_recorded(self, setup):
         matrix, config, members, _ = setup
         trace = WorkTrace()
-        cfg = config.with_updates(parallel=ParallelConfig(n_workers=2, mode="module"))
-        LemonTreeLearner(cfg).learn_from_modules(
-            matrix, members, seed=5, trace=trace
+        LemonTreeLearner(_with_workers(config, 2)).learn_from_modules(
+            matrix, MODE_INPUTS["module"], seed=5, trace=trace
         )
         assert trace.worker_times
         assert all(t >= 0.0 for t in trace.worker_times.values())

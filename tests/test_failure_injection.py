@@ -262,12 +262,13 @@ class TestShardNodeDeath:
         deterministically and raises the shard tier's typed error."""
         from repro.parallel.sharding import NodeCrashedError, ShardedExecutor
 
-        config = LearnerConfig(n_ganesh_runs=4, max_sampling_steps=3)
+        config = LearnerConfig(
+            n_ganesh_runs=4, max_sampling_steps=3,
+            parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+        )
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         with ShardedExecutor(
-            tiny_matrix.values, parents, config, 1,
-            n_nodes=2, node_backend="socket", n_workers=1,
-            checkpoint_dir=tmp_path,
+            tiny_matrix.values, parents, config, 1, checkpoint_dir=tmp_path
         ) as executor:
             executor.start()
             assert len(executor.node_pids) == 2
@@ -293,9 +294,11 @@ class TestShardNodeDeath:
         parents = np.asarray(range(matrix.n_vars), dtype=np.int64)
 
         executor = ShardedExecutor(
-            matrix.values, parents, config, 5,
-            n_nodes=2, node_backend="socket", n_workers=1,
-            checkpoint_dir=tmp_path,
+            matrix.values, parents,
+            config.with_updates(
+                parallel=ParallelConfig(n_nodes=2, node_backend="socket")
+            ),
+            5, checkpoint_dir=tmp_path,
         )
         killed = []
 

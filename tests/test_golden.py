@@ -54,3 +54,54 @@ class TestGolden:
         assert golden.n_vars == 20
         assert golden.n_obs == 12
         assert golden.n_modules >= 1
+
+
+# -- golden work trace -------------------------------------------------------
+#
+# The Fig. 5/6 strong-scaling projections replay ``WorkTrace.steps`` of a
+# traced one-worker ``learn()``.  These digests were computed at the commit
+# *before* the learner's private serial loops were replaced by the
+# one-worker executor (PR 14), so whichever path produces the trace, the
+# projections cannot move.  G = 1 is the single-chain case the learner used
+# to keep off the executor; G = 3 merges per-run step records.
+
+GOLDEN_TRACE_DIGESTS = {
+    1: (160, "34283d718e4f1e69d207456c4f21998c8162f0aa947ac5f2e8e8a6c242ae6d9e"),
+    3: (438, "bf1c62f91d27b4367f1f5f29c9ef1626be4c8c7d1ba0529c1bd84a498b1c5423"),
+}
+
+
+def _steps_digest(trace) -> str:
+    import hashlib
+
+    import numpy as np
+
+    digest = hashlib.sha256()
+    for step in trace.steps:
+        digest.update(
+            repr(
+                (step.phase, step.run, int(step.n_collectives), int(step.words))
+            ).encode()
+        )
+        digest.update(np.ascontiguousarray(step.costs, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenTrace:
+    @pytest.mark.parametrize("n_ganesh_runs", sorted(GOLDEN_TRACE_DIGESTS))
+    def test_one_worker_trace_steps_match_golden(self, n_ganesh_runs):
+        from repro.core.config import ParallelConfig
+        from repro.parallel.trace import WorkTrace
+
+        matrix = make_module_dataset(24, 12, n_modules=3, seed=42).matrix
+        config = LearnerConfig(
+            n_ganesh_runs=n_ganesh_runs,
+            n_update_steps=2,
+            max_sampling_steps=5,
+            parallel=ParallelConfig(n_workers=1),
+        )
+        trace = WorkTrace()
+        LemonTreeLearner(config).learn(matrix, seed=11, trace=trace)
+        n_steps, digest = GOLDEN_TRACE_DIGESTS[n_ganesh_runs]
+        assert len(trace.steps) == n_steps
+        assert _steps_digest(trace) == digest

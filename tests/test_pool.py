@@ -1,19 +1,25 @@
-"""Tests for the process-pool split-scoring backend."""
+"""Tests for split-task construction and pooled flat split scoring
+(``repro.parallel.tasks`` + ``TaskPoolExecutor.score_splits``)."""
 
 import numpy as np
 import pytest
 
-from repro.core.config import LearnerConfig
+from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
-from repro.parallel.pool import (
-    SplitTask,
-    _subdivide,
-    build_split_tasks,
-    score_splits_pool,
-)
+from repro.parallel.executor import open_executor
+from repro.parallel.tasks import _subdivide, build_split_tasks
 from repro.rng.streams import IndexedStream, make_stream
 from repro.scoring.split_score import SplitScorer
-from repro.trees.splits import node_margins, score_node_splits
+from repro.trees.splits import score_node_splits
+
+
+def _score_splits(data, records, config, seed, n_workers, schedule="dynamic"):
+    """The flat split list scored through the one executor seam."""
+    cfg = config.with_updates(
+        parallel=ParallelConfig(n_workers=n_workers, schedule=schedule)
+    )
+    with open_executor(data, cfg, seed) as executor:
+        return executor.score_splits(records)
 
 
 def _node_records_and_reference(matrix, config, seed):
@@ -21,8 +27,7 @@ def _node_records_and_reference(matrix, config, seed):
     and reference split scores."""
     learner = LemonTreeLearner(config)
     data = matrix.values
-    samples = learner._task_ganesh(data, seed, None)
-    members = learner._task_consensus(samples)
+    members = learner.consensus(learner.sample_clusterings(matrix, seed))
     parents = np.asarray(config.resolve_candidate_parents(data.shape[0]))
     scorer = SplitScorer(
         beta_grid=config.beta_grid,
@@ -112,8 +117,8 @@ class TestBuildTasks:
 class TestPoolScoring:
     def test_serial_path_matches_reference(self, pool_setup):
         (data, records, parents, ref_s, ref_t, ref_a), config = pool_setup
-        scores, steps, accepted = score_splits_pool(
-            data, records, parents, config, seed=11, n_workers=1
+        scores, steps, accepted = _score_splits(
+            data, records, config, seed=11, n_workers=1
         )
         np.testing.assert_array_equal(scores, ref_s)
         np.testing.assert_array_equal(steps, ref_t)
@@ -124,8 +129,8 @@ class TestPoolScoring:
         """Chunking/worker assignment must not change results — the
         index-addressed randomness contract."""
         (data, records, parents, ref_s, ref_t, ref_a), config = pool_setup
-        scores, steps, accepted = score_splits_pool(
-            data, records, parents, config, seed=11, n_workers=3, schedule=schedule
+        scores, steps, accepted = _score_splits(
+            data, records, config, seed=11, n_workers=3, schedule=schedule
         )
         np.testing.assert_array_equal(scores, ref_s)
         np.testing.assert_array_equal(steps, ref_t)
@@ -134,6 +139,6 @@ class TestPoolScoring:
     def test_rejects_unknown_schedule(self, pool_setup):
         (data, records, parents, *_), config = pool_setup
         with pytest.raises(ValueError):
-            score_splits_pool(
-                data, records, parents, config, seed=1, n_workers=2, schedule="magic"
+            _score_splits(
+                data, records, config, seed=1, n_workers=2, schedule="magic"
             )

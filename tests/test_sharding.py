@@ -241,17 +241,22 @@ class TestConfigValidation:
             assert ParallelConfig(node_backend=backend).node_backend == backend
 
     def test_executor_validates_too(self, tiny_matrix):
+        """The executor takes its (validated) knobs from ``config.parallel``
+        alone: the constructor overrides that could bypass that validation
+        no longer exist."""
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         config = LearnerConfig(max_sampling_steps=3)
-        with pytest.raises(ValueError):
-            ShardedExecutor(
-                tiny_matrix.values, parents, config, 0, n_nodes=0
-            )
-        with pytest.raises(ValueError):
-            ShardedExecutor(
-                tiny_matrix.values, parents, config, 0,
-                n_nodes=2, node_backend="smoke-signals",
-            )
+        for override in (
+            {"n_nodes": 0},
+            {"node_backend": "smoke-signals"},
+            {"n_workers": 2},
+        ):
+            with pytest.raises(TypeError):
+                ShardedExecutor(tiny_matrix.values, parents, config, 0, **override)
+        executor = ShardedExecutor(
+            tiny_matrix.values, parents, _sharded_config(2, "thread"), 0
+        )
+        assert (executor.n_nodes, executor.node_backend) == (2, "thread")
 
 
 class TestShardedIdentityThread:
@@ -339,10 +344,12 @@ class TestShardedIdentitySocket:
         import os
 
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
-        config = LearnerConfig(n_ganesh_runs=2, max_sampling_steps=3)
+        config = LearnerConfig(
+            n_ganesh_runs=2, max_sampling_steps=3,
+            parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+        )
         with ShardedExecutor(
-            tiny_matrix.values, parents, config, 1,
-            n_nodes=2, node_backend="socket", n_workers=1,
+            tiny_matrix.values, parents, config, 1
         ) as executor:
             executor.start()
             assert len(set(executor.node_pids)) == 2

@@ -24,6 +24,7 @@ import pytest
 import repro
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
+from repro.datatypes import ModuleNetwork
 from repro.genomica.learner import GenomicaConfig
 from repro.parallel.costmodel import block_bounds
 from repro.parallel.topology import (
@@ -290,17 +291,25 @@ class TestBitIdentity:
         assert net == reference
 
     def test_multi_domain_placement_matches(self, task3_setup):
-        matrix, config, members, reference = task3_setup
-        cfg = config.with_updates(
-            parallel=ParallelConfig(
-                n_workers=2, mode="split", schedule="static",
-                topology=_two_domain_topology(),
-            )
-        )
-        net = LemonTreeLearner(cfg).learn_from_modules(
+        """Static split chunks nested inside two NUMA-domain blocks: one
+        module on two workers puts the input on the split side of
+        ``choose_mode``."""
+        from repro.parallel.executor import open_executor
+
+        matrix, config, _members, _reference = task3_setup
+        members = [list(range(matrix.n_vars))]
+        reference = LemonTreeLearner(config).learn_from_modules(
             matrix, members, seed=9
         ).network
-        assert net == reference
+        cfg = config.with_updates(
+            parallel=ParallelConfig(
+                n_workers=2, schedule="static", topology=_two_domain_topology(),
+            )
+        )
+        with open_executor(matrix.values, cfg, 9) as executor:
+            modules = executor.learn_modules(members)
+            assert executor.stats.mode == "split"
+        assert ModuleNetwork(modules, matrix.var_names, matrix.n_obs) == reference
 
     def test_trace_records_topology_and_domain_times(self, task3_setup, tmp_path):
         matrix, config, members, _ = task3_setup
@@ -464,8 +473,8 @@ class TestParallelConfigApi:
         ).resolve_n_workers() == max(1, allowed)
 
     def test_parallel_config_validation(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(mode="threads")
+        with pytest.raises(TypeError):  # the decomposition is not a knob
+            ParallelConfig(mode="split")
         with pytest.raises(ValueError):
             ParallelConfig(schedule="work-stealing")
         with pytest.raises(ValueError):
