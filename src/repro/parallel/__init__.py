@@ -17,17 +17,21 @@ MPI implementation is reproduced with three cooperating layers:
   calibrated compute rate and a ``(tau + mu * words) * log2(p)`` collective
   model.  This is what regenerates the strong-scaling figures.
 * :mod:`repro.parallel.executor` — the one dispatch seam of Tasks 1 and
-  3: ``open_executor`` picks the executor from ``config.parallel``.  The
-  single-host ``TaskPoolExecutor`` runs in-process at one worker (the
-  sequential learner) and above that keeps the expression matrix in
-  shared memory and one pool alive for the whole ``learn`` invocation:
-  the G GaneSH chains run concurrently, and whole modules are learned
-  concurrently (largest-first) with a fine-grained split-task fallback.
-* :mod:`repro.parallel.tasks` — what an executor runs: the task context,
+  3 and the one scheduler above it: ``open_executor`` picks a transport
+  from ``config.parallel`` and binds ``TaskScheduler`` to it.  The
+  scheduler owns checkpoint preload, largest-first module order, the
+  module-vs-split choice, split chunking and the reduction of completion
+  records into results, trace and stats — whatever carries the items.
+* :mod:`repro.parallel.transport` — the single-host transports: in-process
+  at one worker (the sequential learner), and above that one pool over
+  one shared-memory copy of the expression matrix, alive for the whole
+  ``learn`` invocation.
+* :mod:`repro.parallel.sharding` — the shard-node transport: node
+  processes, each running a single-host transport, pulling batches from
+  the scheduler's one ordered list over a framed socket protocol.
+* :mod:`repro.parallel.tasks` — what a transport runs: the task context,
   the named runners (GaneSH chain, whole module, split chunk) and the
   construction of split tasks from the flat candidate-split list.
-* :mod:`repro.parallel.sharding` — the multi-node executor: shard nodes,
-  each with its own local ``TaskPoolExecutor``, behind the same interface.
 * :mod:`repro.parallel.topology` — the machine model behind the executor's
   placement: NUMA domains and cache sizes probed from sysfs (flat
   single-domain fallback), worker pinning, first-touch page placement and

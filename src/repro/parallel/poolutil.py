@@ -1,6 +1,6 @@
 """Process-pool plumbing and instrumentation.
 
-:class:`repro.parallel.executor.TaskPoolExecutor` constructs its pool
+:class:`repro.parallel.transport.PoolTransport` constructs its pool
 through this module so that
 
 * the start method degrades gracefully: ``fork`` where available (Linux),

@@ -1,6 +1,7 @@
 """The named tasks an executor runs, and the context they run in.
 
-An executor (:mod:`repro.parallel.executor` on one host,
+An executor (the scheduler of :mod:`repro.parallel.executor` over a
+transport: :mod:`repro.parallel.transport` on one host,
 :mod:`repro.parallel.sharding` across nodes) answers one request: "run
 these named tasks over this matrix, results in submission order".  This
 module holds everything on the *task* side of that seam:
@@ -9,7 +10,8 @@ module holds everything on the *task* side of that seam:
   parents, config, seed, scorer, checkpoint stores), built by
   :func:`build_ctx`.  A pool worker keeps its context in :data:`_WORKER`
   (installed once by the pool initializer, together with the worker's
-  placement bookkeeping); an in-process executor keeps its own;
+  stable index and placement bookkeeping); an in-process transport keeps
+  its own;
 * the **runners** ``fn(ctx, item)`` — one GaneSH chain
   (:func:`_ganesh_run`), one whole module (:func:`_module_run`), one chunk
   of the flat candidate-split list (:func:`_score_chunk_run`) — and
@@ -51,7 +53,7 @@ from repro.trees.splits import NodeSplitScores, select_node_splits
 
 # -- the task context --------------------------------------------------------
 
-#: a pool worker's task context plus its placement bookkeeping (``domain``,
+#: a pool worker's task context plus its bookkeeping (``worker``, ``domain``,
 #: ``steal``, ``shm``, ``flush_barrier``); installed once per worker by the
 #: pool initializer so the matrix is attached a single time, never per task
 _WORKER: dict = {}
@@ -183,12 +185,13 @@ def _score_chunk_run(ctx, task: SplitTask):
     return task.out_offset, scores, steps, accepted
 
 
-#: the runners a shard node may be asked to execute, by wire name — the
-#: socket protocol of :mod:`repro.parallel.sharding` ships the *name*
-#: rather than a pickled callable so a node never unpickles code
+#: every runner the scheduler dispatches, by wire name — the frame protocol
+#: of :mod:`repro.parallel.sharding` ships the *name* rather than a pickled
+#: callable so a node never unpickles code
 TASK_RUNNERS = {
     "ganesh": _ganesh_run,
     "module": _module_run,
+    "score_chunk": _score_chunk_run,
 }
 
 

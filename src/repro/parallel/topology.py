@@ -338,7 +338,7 @@ class Placement:
         Blocks are proportional to each domain's worker count, so the
         rows/splits a domain's workers process sit in one contiguous
         region — the region whose shared-memory pages
-        :class:`repro.parallel.executor.SharedMatrix` first-touches from
+        :class:`repro.parallel.transport.SharedMatrix` first-touches from
         that domain.
         """
         from repro.parallel.costmodel import block_bounds

@@ -65,9 +65,10 @@ class WorkTrace:
     #: measured wall seconds per task ('ganesh' / 'consensus' / 'modules')
     times: dict[str, float] = field(default_factory=dict)
     n_ganesh_runs: int = 1
-    #: measured busy wall seconds per executor worker ('worker-0', ...),
-    #: recorded by the process executor so measured parallel speedups can
-    #: be compared against the projected ones
+    #: measured busy wall seconds per executor worker, keyed by the
+    #: worker's stable index ('worker-0', ...; 'shard1/worker-0' under
+    #: shard nodes) so one label is one process across every dispatch —
+    #: measured parallel speedups can be compared against projected ones
     worker_times: dict[str, float] = field(default_factory=dict)
     #: measured busy wall seconds per NUMA domain ('node0', ...), recorded
     #: by the process executor when a placement plan is active
@@ -93,16 +94,13 @@ class WorkTrace:
     #: ``peak_chunk_elements`` (largest guarded temporary) and
     #: ``backends`` (the resolved backend names actually used)
     kernel_counters: dict = field(default_factory=dict)
-    #: measured busy wall seconds per shard node ('shard0', ...), recorded
-    #: by the sharded executor (the process-node tier above the pool)
+    #: measured busy wall seconds per shard node ('shard0', ...), summed
+    #: over the node's workers
     node_times: dict[str, float] = field(default_factory=dict)
     #: bytes shipped over each shard node's channel (both directions)
     node_transfer_bytes: dict[str, int] = field(default_factory=dict)
     #: wall seconds spent inside each shard node's channel send/recv calls
     node_transfer_seconds: dict[str, float] = field(default_factory=dict)
-    #: work batches a node executed that were *stolen* from another node's
-    #: shard queue by the driver's work-conserving dispatch
-    node_steals: dict[str, int] = field(default_factory=dict)
     #: the measured tau/mu calibration of the shard channels, as recorded
     #: by :mod:`repro.parallel.sharding` (``{"tau": s, "mu": s/word, ...}``)
     calibration: dict | None = None
@@ -170,13 +168,11 @@ class WorkTrace:
             node, 0.0
         ) + float(seconds)
 
-    def mark_node_steal(self, node: str, count: int = 1) -> None:
-        """Count batches a shard node pulled from a foreign shard queue."""
-        self.node_steals[node] = self.node_steals.get(node, 0) + int(count)
-
     def total_node_steals(self) -> int:
-        """Cross-node steals summed over all shard nodes."""
-        return sum(self.node_steals.values())
+        """Cross-node steals: always 0 — shard nodes pull from one shared
+        list, so there is no home queue to steal from.  Kept for reports
+        that still print the column."""
+        return 0
 
     def mark_kernel(self, counters: dict | None) -> None:
         """Merge one process's drained kernel-counter delta (see
@@ -390,29 +386,33 @@ def project_time(
     )
 
 
+#: the flat per-label accumulators of :class:`WorkTrace`, persisted as-is
+_ACCUMULATORS = (
+    "times",
+    "worker_times",
+    "domain_times",
+    "worker_steals",
+    "worker_stolen_seconds",
+    "domain_local_times",
+    "domain_stolen_times",
+    "kernel_counters",
+    "node_times",
+    "node_transfer_bytes",
+    "node_transfer_seconds",
+)
+
+
 def save_trace(trace: WorkTrace, path) -> None:
     """Persist a trace to an ``.npz`` file (benchmark re-run cache)."""
     import json
     from pathlib import Path
 
-    path = Path(path)
-    meta = {
-        "times": trace.times,
-        "n_ganesh_runs": trace.n_ganesh_runs,
-        "worker_times": trace.worker_times,
-        "domain_times": trace.domain_times,
-        "worker_steals": trace.worker_steals,
-        "worker_stolen_seconds": trace.worker_stolen_seconds,
-        "domain_local_times": trace.domain_local_times,
-        "domain_stolen_times": trace.domain_stolen_times,
-        "topology": trace.topology,
-        "kernel_counters": trace.kernel_counters,
-        "node_times": trace.node_times,
-        "node_transfer_bytes": trace.node_transfer_bytes,
-        "node_transfer_seconds": trace.node_transfer_seconds,
-        "node_steals": trace.node_steals,
-        "calibration": trace.calibration,
-        "steps": [
+    meta = {name: getattr(trace, name) for name in _ACCUMULATORS}
+    meta.update(
+        n_ganesh_runs=trace.n_ganesh_runs,
+        topology=trace.topology,
+        calibration=trace.calibration,
+        steps=[
             {
                 "phase": s.phase,
                 "n_collectives": s.n_collectives,
@@ -421,9 +421,9 @@ def save_trace(trace: WorkTrace, path) -> None:
             }
             for s in trace.steps
         ],
-    }
+    )
     arrays = {f"costs_{i}": s.costs for i, s in enumerate(trace.steps)}
-    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+    np.savez_compressed(Path(path), meta=json.dumps(meta), **arrays)
 
 
 def load_trace(path) -> WorkTrace:
@@ -432,42 +432,12 @@ def load_trace(path) -> WorkTrace:
 
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        trace = WorkTrace()
-        trace.times = {k: float(v) for k, v in meta["times"].items()}
-        trace.n_ganesh_runs = int(meta["n_ganesh_runs"])
-        trace.worker_times = {
-            k: float(v) for k, v in meta.get("worker_times", {}).items()
-        }
-        trace.domain_times = {
-            k: float(v) for k, v in meta.get("domain_times", {}).items()
-        }
-        trace.worker_steals = {
-            k: int(v) for k, v in meta.get("worker_steals", {}).items()
-        }
-        trace.worker_stolen_seconds = {
-            k: float(v) for k, v in meta.get("worker_stolen_seconds", {}).items()
-        }
-        trace.domain_local_times = {
-            k: float(v) for k, v in meta.get("domain_local_times", {}).items()
-        }
-        trace.domain_stolen_times = {
-            k: float(v) for k, v in meta.get("domain_stolen_times", {}).items()
-        }
-        trace.topology = meta.get("topology")
-        trace.kernel_counters = meta.get("kernel_counters") or {}
-        trace.node_times = {
-            k: float(v) for k, v in meta.get("node_times", {}).items()
-        }
-        trace.node_transfer_bytes = {
-            k: int(v) for k, v in meta.get("node_transfer_bytes", {}).items()
-        }
-        trace.node_transfer_seconds = {
-            k: float(v) for k, v in meta.get("node_transfer_seconds", {}).items()
-        }
-        trace.node_steals = {
-            k: int(v) for k, v in meta.get("node_steals", {}).items()
-        }
-        trace.calibration = meta.get("calibration")
+        trace = WorkTrace(
+            n_ganesh_runs=int(meta["n_ganesh_runs"]),
+            topology=meta.get("topology"),
+            calibration=meta.get("calibration"),
+            **{name: meta.get(name) or {} for name in _ACCUMULATORS},
+        )
         for i, step in enumerate(meta["steps"]):
             trace.steps.append(
                 TraceStep(

@@ -1,0 +1,645 @@
+"""The single-host transports: how an ordered item list reaches a process.
+
+The scheduler (:mod:`repro.parallel.executor`) decides *what* runs and in
+what order; a :class:`Transport` only carries ``fn(ctx, item)`` calls to
+wherever they execute and brings back one **completion record** per item::
+
+    (index, result, node, worker, domain, home, stolen, seconds, kernel_totals)
+
+``index`` is the scheduler's item index (opaque here), ``node`` the shard
+node (``None`` on one host), ``worker`` the executing process's *stable*
+index (one process, one index, for the executor's lifetime), ``domain``
+its NUMA domain, ``home`` / ``stolen`` the item's affine-queue home and
+whether a foreign-domain worker drained it (``None`` / ``False`` without
+affine queues), ``seconds`` the task's wall time and ``kernel_totals`` the
+process's drained split-kernel counter delta.
+
+Here: :class:`InProcessTransport` (one worker — this *is* the sequential
+learner) and :class:`PoolTransport` (one persistent pool over one
+shared-memory copy of the matrix; a dead worker surfaces as
+:class:`WorkerCrashedError`, never a hang).  Shard nodes, the third, live
+in :mod:`repro.parallel.sharding`.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import queue as queue_mod
+import time
+from dataclasses import dataclass
+from multiprocessing import TimeoutError as _MpTimeoutError
+from multiprocessing import shared_memory
+
+import numpy as np
+
+from repro.core.config import LearnerConfig
+from repro.parallel import poolutil
+from repro.parallel.checkpoint_writer import AsyncCheckpointWriter
+from repro.parallel.tasks import _WORKER, build_ctx
+from repro.parallel.topology import (
+    Placement,
+    chunk_elements_for,
+    pin_to,
+    plan_placement,
+)
+from repro.scoring import kernel as kernel_mod
+
+
+class WorkerCrashedError(RuntimeError):
+    """A pool worker process died mid-task.
+
+    Raised by :meth:`PoolTransport.run` when the pool replaces a worker
+    that exited abnormally (detected via the instrumented initializer
+    re-running), instead of waiting forever for the dead worker's lost
+    task.  Checkpoints written before the crash remain valid; re-running
+    the same call executes only the missing units.
+    """
+
+
+@dataclass
+class ExecutorStats:
+    """Observable behaviour of one executor (asserted by tests)."""
+
+    pools_constructed: int = 0
+    matrix_transfers: int = 0
+    tasks_dispatched: int = 0
+    mode: str = ""
+    n_workers: int = 1
+    #: cross-domain steals: tasks an idle worker drained from a foreign
+    #: NUMA domain's affine queue (always 0 on flat machines)
+    steals: int = 0
+    #: busy seconds spent on stolen tasks
+    stolen_seconds: float = 0.0
+    #: shard nodes behind this executor (1 on one host) and their channel
+    #: traffic during dispatches, both directions, summed over nodes
+    n_nodes: int = 1
+    transfer_bytes: int = 0
+    transfer_seconds: float = 0.0
+
+
+def _install_kernel_settings(parallel, chunk_elements) -> tuple:
+    """Point this process's split kernels at the configured backend, chunk
+    size and shared score cache — the same call in a pool worker and in an
+    in-process transport, so no tier can drift from ``config.parallel``.
+
+    Returns the displaced ``(chunk_elements, backend)`` for restoring.  The
+    score cache is one bounded store per process and is never uninstalled,
+    so a service reusing a pool serves repeat nodes from memory.
+    """
+    previous = (
+        kernel_mod.set_chunk_elements(chunk_elements),
+        kernel_mod.set_kernel_backend(parallel.kernel_backend),
+    )
+    if parallel.score_cache_bytes > 0:
+        kernel_mod.ensure_shared_score_cache(parallel.score_cache_bytes)
+    return previous
+
+
+def _run_item(ctx, fn, index, item, home=None, stolen=False) -> tuple:
+    """Run ``fn(ctx, item)`` and build its completion record."""
+    t0 = time.perf_counter()
+    result = fn(ctx, item)
+    return (
+        index,
+        result,
+        None,
+        ctx["worker"],
+        ctx["domain"],
+        home,
+        stolen,
+        time.perf_counter() - t0,
+        kernel_mod.consume_kernel_totals(),
+    )
+
+
+class Transport:
+    """What every transport carries and the defaults most keep."""
+
+    def __init__(
+        self, data, parents, config: LearnerConfig, seed: int, checkpoint_dir,
+        n_workers: int,
+    ) -> None:
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.parents = np.asarray(parents, dtype=np.int64)
+        self.config = config
+        self.seed = seed
+        self.checkpoint_dir = (
+            checkpoint_dir
+            if checkpoint_dir is not None
+            else config.parallel.checkpoint_dir
+        )
+        #: every process that executes items, across the whole tier
+        self.n_workers = n_workers
+        #: the worker->domain plan; placement decides where work executes,
+        #: never its results
+        self.placement = plan_placement(
+            config.parallel.resolve_topology(), max(1, n_workers)
+        )
+        self.stats = ExecutorStats(n_workers=n_workers)
+
+    def start(self) -> None:
+        """Bring up whatever executes items (idempotent; ``run`` calls it)."""
+
+    def run(self, fn, ordered_items, *, schedule, chunksize=None, homes=None):
+        """Run ``fn(ctx, item)`` for every ``(index, item)`` pair, starting
+        them in the given order; returns the completion records, in any
+        order.  ``homes`` optionally names each pair's home NUMA domain."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release every process, segment and setting ``start`` took."""
+
+    def worker_inits(self) -> int:
+        """How many worker initializations ran."""
+        return 0
+
+    def worker_pids(self) -> list[int]:
+        """PIDs of the live processes executing items, other than this one."""
+        return []
+
+    def annotate(self, trace) -> None:
+        """Record what only the transport knows about the last ``run``."""
+        if trace.topology is None:
+            trace.topology = self.placement.describe()
+
+
+class InProcessTransport(Transport):
+    """One worker: items run in this process, in the order given."""
+
+    def __init__(self, data, parents, config, seed, checkpoint_dir) -> None:
+        super().__init__(data, parents, config, seed, checkpoint_dir, 1)
+        #: machine-wide kernel evaluation chunk size (this process is not
+        #: pinned to a domain)
+        self.kernel_chunk_elements = chunk_elements_for(self.placement.topology)
+        #: the task context and the process-wide kernel settings (chunk
+        #: size, backend) it displaced; built on first use
+        self._ctx: dict | None = None
+        self._prev_kernel: tuple = ()
+
+    def run(self, fn, ordered_items, *, schedule=None, chunksize=None, homes=None):
+        if self._ctx is None:
+            self._prev_kernel = _install_kernel_settings(
+                self.config.parallel, self.kernel_chunk_elements
+            )
+            self._ctx = dict(
+                build_ctx(
+                    self.data, self.parents, self.config, self.seed,
+                    self.checkpoint_dir,
+                ),
+                worker=0,
+                domain=0,
+            )
+        return [
+            _run_item(self._ctx, fn, index, item) for index, item in ordered_items
+        ]
+
+    def close(self) -> None:
+        """Drop the matrix reference and restore the kernel settings."""
+        if self._ctx is not None:
+            self._ctx = None
+            chunk_elements, backend = self._prev_kernel
+            kernel_mod.set_chunk_elements(chunk_elements)
+            kernel_mod.set_kernel_backend(backend)
+
+
+# -- shared-memory expression matrix --------------------------------------
+
+
+class SharedMatrix:
+    """The expression matrix in a shared-memory segment.
+
+    Created once per pool; workers attach by name with no copy.  The
+    creating process owns the segment and unlinks it on :meth:`close`.
+
+    With a multi-domain ``placement``, the initial copy is *first-touch
+    interleaved*: the driver temporarily pins itself to each NUMA domain's
+    CPUs while writing that domain's contiguous row block, so the kernel
+    allocates those shared pages on the memory node whose workers will
+    read them (Linux's default first-touch NUMA policy).  Purely a page
+    *location* effect — the bytes written are identical either way.
+    """
+
+    def __init__(self, data: np.ndarray, placement: Placement | None = None) -> None:
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        self._shm = shared_memory.SharedMemory(create=True, size=data.nbytes)
+        self.array = np.ndarray(data.shape, dtype=data.dtype, buffer=self._shm.buf)
+        if placement is not None and not placement.is_flat:
+            self._first_touch_copy(data, placement)
+        else:
+            self.array[:] = data
+        #: everything a worker needs to attach: (name, shape, dtype)
+        self.spec = (self._shm.name, data.shape, data.dtype.str)
+
+    def _first_touch_copy(self, data: np.ndarray, placement: Placement) -> None:
+        getaffinity = getattr(os, "sched_getaffinity", None)
+        try:
+            original = getaffinity(0) if getaffinity is not None else None
+        except OSError:  # pragma: no cover - exotic kernels
+            original = None
+        if original is None:
+            self.array[:] = data
+            return
+        try:
+            for domain, (lo, hi) in enumerate(
+                placement.domain_blocks(data.shape[0])
+            ):
+                if lo >= hi:
+                    continue
+                pin_to(placement.topology.numa_domains[domain])
+                self.array[lo:hi] = data[lo:hi]
+        finally:
+            try:
+                os.sched_setaffinity(0, original)
+            except OSError:  # pragma: no cover - affinity revoked mid-copy
+                pass
+
+    def close(self) -> None:
+        self.array = None
+        try:
+            self._shm.close()
+        finally:
+            # Unlink even when the local unmap fails: the segment outliving
+            # the run (a /dev/shm leak) is strictly worse than a dangling
+            # mapping in a process that is about to exit.
+            try:
+                self._shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - already unlinked
+                pass
+
+
+def _attach_shared(spec) -> tuple[shared_memory.SharedMemory, np.ndarray]:
+    """Attach to a :class:`SharedMatrix` segment from a worker process."""
+    name, shape, dtype = spec
+    shm = shared_memory.SharedMemory(name=name)
+    # Workers and driver share one resource-tracker process (the tracker fd
+    # is inherited), and its name cache is a set — the workers' attach-time
+    # registrations collapse into the driver's own, and the driver's unlink
+    # on close() is the single cleanup point.  No per-worker unregister.
+    return shm, np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+
+
+# -- pool worker side --------------------------------------------------------
+
+
+def _executor_init(
+    matrix_spec,
+    parents,
+    config,
+    seed,
+    checkpoint_dir,
+    counter,
+    flush_barrier,
+    placement,
+    steal_shared,
+):
+    """Pool initializer: attach the matrix once, install the worker's task
+    context (:data:`repro.parallel.tasks._WORKER`).
+
+    ``counter`` is a shared ``mp.Value`` bumped once per initialized worker;
+    tests read it to assert the matrix was shipped exactly once per worker
+    (i.e. the initializer ran once, never per task), and the driver reads
+    it mid-run to detect dead workers — the pool re-runs the initializer
+    for every replacement it spawns.  The pre-increment value is this
+    worker's stable index (``mp.Pool`` hands every worker identical
+    initargs, so it must come from shared state): it labels the worker in
+    every completion record and indexes the ``placement`` plan — the
+    worker pins itself to its NUMA domain's CPU set and sizes its kernel
+    evaluation chunks for that domain's caches.  Replacement workers draw
+    indices past the plan and wrap onto it.  Neither pinning nor chunk
+    sizing can change any score — see :mod:`repro.parallel.topology`.
+
+    ``steal_shared`` is the domain-affine ``(queues, pending, lock)``
+    scaffolding, ``None`` on flat machines.  With a checkpoint directory
+    the worker also starts an :class:`AsyncCheckpointWriter` so checkpoint
+    serialization never stalls task execution; ``flush_barrier`` is the
+    close-time flush rendezvous (see :func:`_checkpoint_flush_run`).
+    """
+    with counter.get_lock():
+        worker_index = int(counter.value)
+        counter.value += 1
+    domain = placement.domain_of(worker_index)
+    pin_to(placement.worker_cpus(worker_index))
+    _install_kernel_settings(
+        config.parallel, placement.chunk_elements(worker_index)
+    )
+    shm, data = _attach_shared(matrix_spec)
+    writer = AsyncCheckpointWriter() if checkpoint_dir is not None else None
+    _WORKER.update(
+        build_ctx(data, parents, config, seed, checkpoint_dir, writer),
+        worker=worker_index,
+        domain=domain,
+        steal=steal_shared,
+        shm=shm,  # keep the mapping alive for the worker's lifetime
+        flush_barrier=flush_barrier,
+    )
+
+
+def _checkpoint_flush_run(barrier_timeout: float):
+    """Drain this worker's checkpoint writer (close-time rendezvous).
+
+    Exactly ``n_workers`` of these are dispatched before teardown; a worker
+    that finished its flush blocks on the barrier, so it cannot take a
+    sibling's flush task and every writer queue is drained before
+    ``terminate``.  A broken barrier (dead sibling) aborts the wait rather
+    than hanging — this worker's own queue is already drained.
+    """
+    writer = _WORKER.get("checkpoint_writer")
+    if writer is not None:
+        writer.flush()
+    barrier = _WORKER.get("flush_barrier")
+    if barrier is not None:
+        try:
+            barrier.wait(timeout=barrier_timeout)
+        except Exception:  # BrokenBarrierError: a sibling died or timed out
+            pass
+    return os.getpid()
+
+
+def _pool_run(payload):
+    """Pool entry point of the shared-queue dispatch: one chunk of pairs."""
+    fn, pairs = payload
+    return [_run_item(_WORKER, fn, index, item) for index, item in pairs]
+
+
+def _affine_run(queue_timeout):
+    """Pool entry point of the domain-affine steal dispatch.
+
+    The driver enqueues every item on its home domain's queue, then
+    dispatches one of these triggers per item; each *reserves* exactly one
+    item under the shared lock — from this worker's home domain while its
+    ``pending`` count is positive, otherwise from the most-loaded foreign
+    domain (a steal) — then drains and runs it.  Reservation counts mean a
+    queue is never over-drained, so a victim domain whose worker died is
+    emptied by its siblings rather than deadlocking.
+
+    Returns a one-record chunk; an empty one when every reservation is
+    taken — only possible after a sibling crashed between reserving and
+    returning, which the collector surfaces as :class:`WorkerCrashedError`.
+    """
+    queues, pending, lock = _WORKER["steal"]
+    my_domain = _WORKER["domain"]
+    with lock:
+        if pending[my_domain] > 0:
+            domain = my_domain
+        else:
+            domain, best = -1, 0
+            for d in range(len(queues)):
+                if pending[d] > best:
+                    domain, best = d, pending[d]
+            if domain < 0:
+                return []
+        pending[domain] -= 1
+    fn, index, item, home = queues[domain].get(timeout=queue_timeout)
+    return [_run_item(_WORKER, fn, index, item, home, domain != my_domain)]
+
+
+# -- the pool transport ------------------------------------------------------
+
+
+class PoolTransport(Transport):
+    """A persistent worker pool over one shared-memory matrix, both created
+    on the first dispatch and alive until :meth:`close` — one ``learn``
+    invocation pays for one pool construction and one matrix transfer
+    total, across Tasks 1 and 3.
+    """
+
+    def __init__(
+        self, data, parents, config, seed, checkpoint_dir,
+        mp_context: str | None = None,
+        crash_poll_seconds: float | None = None,
+    ) -> None:
+        super().__init__(
+            data, parents, config, seed, checkpoint_dir, config.resolve_n_workers()
+        )
+        #: how often a blocked dispatch checks for dead workers
+        self.crash_poll_seconds = (
+            5.0 if crash_poll_seconds is None else float(crash_poll_seconds)
+        )
+        self._mp_context = mp_context
+        self._pool = None
+        self._shared: SharedMatrix | None = None
+        self._init_counter = None
+        self._flush_barrier = None
+        self._flush_timeout = 30.0
+        #: (queues, pending, lock) domain-affine steal scaffolding; created
+        #: with the pool when stealing is possible, None on flat machines
+        self._steal_shared = None
+        self._steal_queue_timeout = 60.0
+
+    def _steal_possible(self) -> bool:
+        """Whether dynamic dispatch uses domain-affine queues — the steal
+        knob on and workers on more than one NUMA domain.  Flat machines
+        never qualify, so they build none of the steal scaffolding and
+        every dispatch takes the exact shared-queue code path."""
+        return self.config.parallel.steal and self.placement.topology.n_domains > 1
+
+    def start(self) -> None:
+        """Create the shared matrix and the pool once."""
+        if self._pool is not None:
+            return
+        ctx = poolutil.pool_context(self._mp_context)
+        self._shared = SharedMatrix(self.data, placement=self.placement)
+        self._init_counter = ctx.Value("i", 0)
+        poolutil.note_pool_construction()
+        poolutil.note_matrix_transfer()
+        self.stats.pools_constructed += 1
+        self.stats.matrix_transfers += 1
+        self._flush_barrier = (
+            ctx.Barrier(self.n_workers) if self.checkpoint_dir is not None else None
+        )
+        if self._steal_possible():
+            n_domains = self.placement.topology.n_domains
+            self._steal_shared = (
+                [ctx.Queue() for _ in range(n_domains)],
+                ctx.Array("l", n_domains, lock=False),  # guarded by the lock
+                ctx.Lock(),
+            )
+        self._pool = ctx.Pool(
+            self.n_workers,
+            initializer=_executor_init,
+            initargs=(
+                self._shared.spec,
+                self.parents,
+                self.config,
+                self.seed,
+                self.checkpoint_dir,
+                self._init_counter,
+                self._flush_barrier,
+                self.placement,
+                self._steal_shared,
+            ),
+        )
+
+    def close(self) -> None:
+        """Tear down the pool and unlink the shared-memory segment — always
+        the latter: a failure while terminating (or a pool poisoned by a
+        crashed worker) must not leak the matrix into ``/dev/shm``; every
+        learner entry point runs through here on every exception path.
+        """
+        pool, self._pool = self._pool, None
+        shared, self._shared = self._shared, None
+        steal_shared, self._steal_shared = self._steal_shared, None
+        try:
+            if pool is not None:
+                self._drain_checkpoint_writers(pool)
+                pool.terminate()
+                pool.join()
+        finally:
+            if steal_shared is not None:
+                # Stranded payloads (a crashed dispatch) must not keep the
+                # queue feeder threads alive past the executor.
+                for queue in steal_shared[0]:
+                    queue.cancel_join_thread()
+                    queue.close()
+            if shared is not None:
+                shared.close()
+
+    def _drain_checkpoint_writers(self, pool) -> None:
+        """Flush every worker's async checkpoint writer before teardown.
+
+        ``terminate`` kills workers abruptly; a checkpoint still on a
+        writer queue would be silently lost (never torn, but "at most
+        in-flight units recomputed" would weaken).  Best-effort: a pool
+        poisoned by a crashed worker must still reach ``terminate``.
+        """
+        if self._flush_barrier is None:
+            return
+        try:
+            handle = pool.map_async(
+                _checkpoint_flush_run,
+                [self._flush_timeout] * self.n_workers,
+                chunksize=1,
+            )
+            handle.get(timeout=self._flush_timeout + 5.0)
+        except Exception:  # pragma: no cover - crashed/hung worker path
+            pass
+
+    def worker_inits(self) -> int:
+        """How many worker initializations ran (== workers when the matrix
+        was shipped exactly once per worker)."""
+        if self._init_counter is None:
+            return 0
+        return int(self._init_counter.value)
+
+    def worker_pids(self) -> list[int]:
+        """PIDs of the live pool worker processes (empty before the pool
+        is built).  Exposed so the service can report — and failure-
+        injection tests can target — the processes executing a job."""
+        pool = self._pool
+        if pool is None:
+            return []
+        return [proc.pid for proc in getattr(pool, "_pool", []) if proc.pid]
+
+    def run(self, fn, ordered_items, *, schedule, chunksize=None, homes=None):
+        """Dispatch onto the pool and collect, crash-aware.
+
+        ``dynamic`` pulls items one at a time from a shared queue,
+        ``static`` maps contiguous equal-count chunks.  With affine queues
+        (:meth:`_steal_possible`), dynamic dispatch instead feeds each NUMA
+        domain its own queue — items land on their ``homes`` domain (a
+        balanced spread over the worker plan by default), in dispatch
+        order — and idle workers steal from the most-loaded foreign one.
+        """
+        self.start()
+        n = len(ordered_items)
+        if schedule == "dynamic" and self._steal_shared is not None:
+            self._enqueue_affine(fn, ordered_items, homes)
+            payloads = [self._steal_queue_timeout] * n
+            entry = _affine_run
+        else:
+            if not chunksize:
+                chunksize = (
+                    math.ceil(n / self.n_workers) if schedule == "static" else 1
+                )
+            payloads = [
+                (fn, ordered_items[lo : lo + chunksize])
+                for lo in range(0, n, chunksize)
+            ]
+            entry = _pool_run
+        try:
+            return self._collect(
+                self._pool.imap_unordered(entry, payloads), len(payloads), n
+            )
+        except WorkerCrashedError:
+            self._reset_steal()
+            raise
+
+    def _enqueue_affine(self, fn, ordered_items, homes) -> None:
+        """Put every item on its home domain's queue.
+
+        Every item is enqueued before any trigger dispatches, and the
+        shared ``pending`` counts advance under the lock only after the
+        payloads are queued — a trigger always finds the payload it
+        reserved, and a worker dying mid-task strands exactly that.
+        """
+        queues, pending, lock = self._steal_shared
+        if homes is None:
+            homes = self.placement.spread_domains(len(ordered_items))
+        counts = [0] * len(queues)
+        for (index, item), domain in zip(ordered_items, homes):
+            queues[domain].put((fn, index, item, domain))
+            counts[domain] += 1
+        with lock:
+            for domain, count in enumerate(counts):
+                pending[domain] += count
+
+    def _collect(self, it, n_chunks: int, n_records: int) -> list:
+        """Crash-aware collection of ``n_chunks`` chunks of records.
+
+        Each timeout polls the init counter, which only advances past
+        ``n_workers`` when ``mp.Pool`` re-ran the initializer for a
+        replacement — an original worker exited abnormally and its
+        in-flight task is lost for good.  Empty chunks mark affine triggers
+        whose reservation a dead sibling took; the records then never add
+        up to ``n_records``, which surfaces that crash too.
+        """
+        out: list = []
+        while n_chunks:
+            try:
+                out.extend(it.next(timeout=self.crash_poll_seconds))
+                n_chunks -= 1
+            except _MpTimeoutError:
+                lost = self.worker_inits() - self.n_workers
+                if lost > 0:
+                    raise WorkerCrashedError(
+                        f"{lost} pool worker(s) died mid-run; completed "
+                        "checkpoints remain valid — re-run to resume from them"
+                    ) from None
+        if len(out) < n_records:
+            raise WorkerCrashedError(
+                "steal dispatch lost work items to a crashed worker; "
+                "completed checkpoints remain valid — re-run to resume"
+            )
+        return out
+
+    def _reset_steal(self) -> None:
+        """Drain stranded payloads after a crashed affine dispatch.
+
+        Restores the queues/pending invariant (both empty) so a retry on
+        the same pool starts clean rather than reserving ghosts.
+        """
+        if self._steal_shared is None:
+            return
+        queues, pending, lock = self._steal_shared
+        with lock:
+            for domain in range(len(queues)):
+                pending[domain] = 0
+        for q in queues:
+            while True:
+                try:
+                    q.get_nowait()
+                except (queue_mod.Empty, OSError, ValueError):
+                    break
+
+
+def local_transport(
+    data, parents, config: LearnerConfig, seed: int, checkpoint_dir=None,
+    mp_context: str | None = None, crash_poll_seconds: float | None = None,
+) -> Transport:
+    """This host's transport: in-process at one worker, the pool above."""
+    if config.resolve_n_workers() <= 1:
+        return InProcessTransport(data, parents, config, seed, checkpoint_dir)
+    return PoolTransport(
+        data, parents, config, seed, checkpoint_dir, mp_context, crash_poll_seconds
+    )

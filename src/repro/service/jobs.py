@@ -220,12 +220,10 @@ class ExecutorLease:
         return self._executor, False
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the live pool's workers ([] without a multi-worker
-        pool)."""
+        """PIDs of the live executor's processes: pool workers, or shard
+        nodes and the workers they last reported ([] in-process)."""
         executor = self._executor
-        if executor is None or not hasattr(executor, "worker_pids"):
-            return []
-        return executor.worker_pids()
+        return [] if executor is None else executor.worker_pids()
 
     def worker_inits(self) -> int:
         """How many pool workers have completed their initializer (0
@@ -233,9 +231,7 @@ class ExecutorLease:
         while to boot; until this reaches the worker count a listed pid
         may belong to a process that has not picked up any work yet."""
         executor = self._executor
-        if executor is None or not hasattr(executor, "worker_inits"):
-            return 0
-        return executor.worker_inits()
+        return 0 if executor is None else executor.worker_inits()
 
     def invalidate(self) -> None:
         """Discard the live executor (a worker died inside it)."""

@@ -5,9 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import LearnerConfig
+from repro.core.config import LearnerConfig, ParallelConfig
 from repro.data.synthetic import make_module_dataset
 from repro.datatypes import ExpressionMatrix
+
+
+#: the three transports the one scheduler runs over (socket nodes are
+#: covered by the slow acceptance grid in tests/test_sharding.py)
+TRANSPORTS = {
+    "in-process": ParallelConfig(n_workers=1),
+    "pool": ParallelConfig(n_workers=2),
+    "thread-nodes": ParallelConfig(n_nodes=2, node_backend="thread"),
+}
+
+#: 24-variable inputs on each side of ``choose_mode`` for 2 and 4 workers:
+#: many even modules keep every worker busy with whole modules; one module
+#: on several workers can only be balanced by the flat split list
+MODE_INPUTS = {
+    "module": [list(range(lo, lo + 3)) for lo in range(0, 24, 3)],
+    "split": [list(range(24))],
+}
 
 
 @pytest.fixture(scope="session")

@@ -21,12 +21,14 @@ from repro.datatypes import ModuleNetwork
 from repro.parallel import poolutil
 from repro.parallel.executor import (
     TaskPoolExecutor,
+    TaskScheduler,
     choose_mode,
     estimate_module_cost,
     open_executor,
 )
 from repro.parallel.tasks import tree_phase
 from repro.parallel.trace import WorkTrace
+from tests.conftest import MODE_INPUTS, TRANSPORTS
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +51,6 @@ def _with_workers(config, n_workers, **knobs):
     return config.with_updates(
         parallel=ParallelConfig(n_workers=n_workers, **knobs)
     )
-
-
-#: inputs on each side of ``choose_mode`` for 2 and 4 workers: many even
-#: modules keep every worker busy with whole modules; one module on several
-#: workers can only be balanced by the flat split list
-MODE_INPUTS = {
-    "module": [list(range(lo, lo + 3)) for lo in range(0, 24, 3)],
-    "split": [list(range(24))],
-}
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +195,79 @@ class TestSingleTransfer:
             )
 
 
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+class TestTransportContract:
+    """The scheduler's contracts hold whatever carries its items."""
+
+    @pytest.mark.parametrize("mode", ["module", "split"])
+    def test_network_bit_identical(self, setup, mode_references, transport, mode):
+        matrix, config, _members, _reference = setup
+        cfg = config.with_updates(parallel=TRANSPORTS[transport])
+        with open_executor(matrix.values, cfg, 5) as executor:
+            modules = executor.learn_modules(MODE_INPUTS[mode])
+            assert executor.stats.mode == (
+                mode if executor.n_workers > 1 else "module"
+            )
+        net = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
+        assert net == mode_references[mode]
+
+    def test_dispatch_permutation_leaves_network_unchanged(
+        self, setup, mode_references, transport
+    ):
+        matrix, config, _members, _reference = setup
+        cfg = config.with_updates(parallel=TRANSPORTS[transport])
+        seen = []
+
+        def hook(order):
+            seen.append(list(order))
+            return list(np.random.default_rng(3).permutation(order))
+
+        TaskScheduler.dispatch_order_hook = staticmethod(hook)
+        try:
+            with open_executor(matrix.values, cfg, 5) as executor:
+                modules = executor.learn_modules(MODE_INPUTS["module"])
+        finally:
+            TaskScheduler.dispatch_order_hook = None
+        assert seen == [list(range(len(MODE_INPUTS["module"])))]
+        net = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
+        assert net == mode_references["module"]
+
+    def test_checkpoint_resume(self, setup, mode_references, transport, tmp_path):
+        """Whoever ran a module checkpointed it; a resumed run re-learns
+        only what is missing and never rewrites a survivor."""
+        matrix, config, _members, _reference = setup
+        members = MODE_INPUTS["module"]
+        learner = LemonTreeLearner(
+            config.with_updates(parallel=TRANSPORTS[transport])
+        )
+        learner.learn_from_modules(matrix, members, seed=5, checkpoint_dir=tmp_path)
+        files = sorted(tmp_path.glob("module_*.json"))
+        assert len(files) == len(members)
+        files[0].unlink()
+        stamps = {f.name: f.stat().st_mtime_ns for f in files[1:]}
+        resumed = learner.learn_from_modules(
+            matrix, members, seed=5, checkpoint_dir=tmp_path
+        )
+        assert resumed.network == mode_references["module"]
+        assert files[0].exists()
+        for f in files[1:]:
+            assert f.stat().st_mtime_ns == stamps[f.name]
+
+    def test_one_open_one_close_no_leak(self, setup, transport):
+        matrix, config, members, reference = setup
+        cfg = config.with_updates(parallel=TRANSPORTS[transport])
+        before = _shm_names()
+        executor = open_executor(matrix.values, cfg, 5)
+        with executor:
+            first = executor.learn_modules(members)
+            second = executor.learn_modules(members)  # same pool / nodes
+        assert _released(executor.transport)
+        assert not _shm_names() - before
+        executor.close()  # idempotent
+        for mods in (first, second):
+            assert ModuleNetwork(mods, matrix.var_names, matrix.n_obs) == reference
+
+
 def _echo_run(ctx, item):
     """submit_runs test task: prove the worker context is installed."""
     assert ctx["data"] is not None and ctx["config"] is not None
@@ -210,6 +276,16 @@ def _echo_run(ctx, item):
 
 def _raise_run(ctx, item):
     raise ValueError(f"injected for item {item}")
+
+
+def _whoami_run(ctx, item):
+    """submit_runs test task: sleep ``item`` seconds, report which process
+    and which stable worker index ran it."""
+    import os
+    import time
+
+    time.sleep(item)
+    return os.getpid(), ctx["worker"]
 
 
 class TestSubmitRuns:
@@ -271,7 +347,7 @@ class TestTeardown:
                 matrix.values, parents, _with_workers(config, 2), 5
             ) as executor:
                 executor.submit_runs(_echo_run, [1, 2])
-                segment = executor._shared.spec[0]
+                segment = executor.transport._shared.spec[0]
                 raise RuntimeError("injected")
         assert segment is not None
         with pytest.raises(FileNotFoundError):
@@ -309,9 +385,9 @@ class TestTeardown:
         matrix, config, _members, _reference = setup
         with open_executor(matrix.values, config, 5) as executor:
             executor.submit_runs(_echo_run, [0, 1])
-            assert executor._ctx is not None  # installed in-process
+            assert executor.transport._ctx is not None  # installed in-process
             assert tasks_mod._WORKER == {}
-        assert executor._ctx is None
+        assert executor.transport._ctx is None
 
     def test_close_is_idempotent(self, setup):
         matrix, config, _members, _reference = setup
@@ -379,7 +455,7 @@ class TestOneSeam:
         monkeypatch.setattr(kernel_mod, "set_chunk_elements", spy)
         LemonTreeLearner(config).learn(matrix, seed=5)
         (executor,) = opened
-        assert seen[0] == executor.kernel_chunk_elements
+        assert seen[0] == executor.transport.kernel_chunk_elements
 
     def test_one_worker_native_request_raises_without_extension(
         self, setup, monkeypatch
@@ -415,7 +491,7 @@ class TestOneSeam:
         full = learner.learn(matrix, seed=5)
         assert len(opened) == 3
         for executor in opened:
-            assert executor._pool is None and executor._ctx is None
+            assert _released(executor.transport)
         assert _shm_names() == before
         assert result.network == reference
         # learn_from_modules reports the same executor block learn does.
@@ -439,8 +515,16 @@ class TestOneSeam:
         with pytest.raises(ValueError, match="injected chain failure"):
             LemonTreeLearner(cfg).sample_clusterings(matrix, seed=5)
         (executor,) = opened
-        assert executor._pool is None and executor._shared is None
+        assert executor.transport._pool is None and executor.transport._shared is None
         assert _shm_names() == before
+
+
+def _released(transport) -> bool:
+    """Whichever transport it is, close() left no pool, segment or context."""
+    return all(
+        getattr(transport, name, None) is None
+        for name in ("_pool", "_shared", "_ctx", "_channels")
+    )
 
 
 def _shm_names():
@@ -481,6 +565,39 @@ class TestTrace:
         # Worker-recorded supersteps are merged back in module order.
         assert any(s.phase == "modules.split_scoring" for s in trace.steps)
         assert trace.times.get("modules", 0.0) > 0.0
+
+    def test_worker_labels_are_stable_per_process(self, setup):
+        """One label is one process across dispatches: a lone first item
+        (Task 1 at G = 1) must not shift the labels of the next dispatch."""
+        matrix, config, _members, _reference = setup
+        parents = _parents(matrix, config)
+        trace = WorkTrace()
+        with TaskPoolExecutor(
+            matrix.values, parents, _with_workers(config, 2), 5
+        ) as executor:
+            ran = executor.submit_runs(_whoami_run, [0.05], trace=trace)
+            ran += executor.submit_runs(_whoami_run, [0.02] * 6, trace=trace)
+        label_of = {}
+        slept = {}
+        for (pid, worker), seconds in zip(ran, [0.05] + [0.02] * 6):
+            assert label_of.setdefault(pid, worker) == worker
+            slept[worker] = slept.get(worker, 0.0) + seconds
+        assert len(set(label_of.values())) == len(label_of)
+        # Per-label totals are per-process totals: at least the time that
+        # process slept, and nobody else's.
+        assert set(trace.worker_times) == {f"worker-{w}" for w in slept}
+        for worker, seconds in slept.items():
+            assert trace.worker_times[f"worker-{worker}"] >= seconds
+        assert sum(trace.worker_times.values()) < sum(slept.values()) + 0.5
+
+    def test_traced_learn_labels_workers_by_index(self, setup):
+        matrix, config, _members, _reference = setup
+        trace = WorkTrace()
+        LemonTreeLearner(
+            _with_workers(config, 2).with_updates(n_ganesh_runs=1)
+        ).learn(matrix, seed=5, trace=trace)
+        assert trace.worker_times
+        assert set(trace.worker_times) <= {"worker-0", "worker-1"}
 
     def test_worker_times_round_trip(self, setup, tmp_path):
         from repro.parallel.trace import load_trace, save_trace

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ class TestStealDispatchCrash:
         with TaskPoolExecutor(
             tiny_matrix.values, parents, config, 1, crash_poll_seconds=0.2,
         ) as executor:
-            assert executor._steal_possible()
+            assert executor.transport._steal_possible()
             with pytest.raises(WorkerCrashedError):
                 # All items homed on domain 0: domain 1's worker reaches
                 # them only by stealing, so the poisoned item can die in a
@@ -133,7 +134,7 @@ class TestStealDispatchCrash:
             assert executor.worker_inits() > 2  # a replacement spawned
             # The crash handler restored the queues/pending invariant:
             # nothing pending, so the victim domain's queue is not wedged.
-            queues, pending, lock = executor._steal_shared
+            queues, pending, lock = executor.transport._steal_shared
             assert list(pending) == [0, 0]
 
     def test_resume_replays_only_unfinished_runs(self, tiny_matrix, tmp_path):
@@ -344,6 +345,126 @@ class TestShardNodeDeath:
         for f in tmp_path.glob("ganesh_*.npz"):
             if f.name in survivors:
                 assert f.stat().st_mtime_ns == survivors[f.name]
+
+
+def _children(pid: int) -> list[int]:
+    """Child pids of ``pid`` as the kernel lists them (all its threads)."""
+    out: list[int] = []
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            out.extend(int(child) for child in path.read_text().split())
+        except OSError:  # the thread exited between glob and read
+            pass
+    return out
+
+
+def _cpu_ticks(pid: int) -> int:
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])  # utime + stime
+
+
+def _kill_busy_grandchild(node_pids, timeout: float = 120.0) -> int:
+    """SIGKILL a pool worker *inside* a shard node while it is computing
+    (its CPU time is advancing), so the task it holds is provably lost."""
+    deadline = time.monotonic() + timeout
+    seen: dict[int, int] = {}
+    while time.monotonic() < deadline:
+        for node_pid in node_pids:
+            for pid in _children(node_pid):
+                try:
+                    ticks = _cpu_ticks(pid)
+                except (OSError, IndexError):
+                    continue
+                if ticks >= seen.setdefault(pid, ticks) + 3:
+                    os.kill(pid, signal.SIGKILL)
+                    return pid
+        time.sleep(0.01)
+    raise AssertionError("no busy pool worker appeared under the shard nodes")
+
+
+def _nested_crash_setup():
+    """Two socket nodes x two pool workers each, on a job long enough for
+    a worker to be caught mid-module."""
+    from repro.data.synthetic import make_module_dataset
+
+    matrix = make_module_dataset(120, 60, n_modules=8, seed=3).matrix
+    config = LearnerConfig(
+        n_ganesh_runs=4,
+        n_update_steps=3,
+        n_splits_per_node=3,
+        parallel=ParallelConfig(n_workers=2, n_nodes=2, node_backend="socket"),
+    )
+    return matrix, config
+
+
+@pytest.mark.slow
+class TestNestedWorkerDeath:
+    """A pool worker dying *inside* a shard node keeps its type on the way
+    to the driver: the error frame re-raises as ``WorkerCrashedError``,
+    not as a ``RuntimeError`` the service's crash isolation cannot see."""
+
+    def test_grandchild_sigkill_raises_worker_crashed(self):
+        from repro.parallel.sharding import ShardedExecutor
+
+        matrix, config = _nested_crash_setup()
+        learner = LemonTreeLearner(
+            config.with_updates(parallel=ParallelConfig(n_workers=1))
+        )
+        members = learner.consensus(learner.sample_clusterings(matrix, seed=9))
+        parents = np.asarray(
+            config.resolve_candidate_parents(matrix.n_vars), dtype=np.int64
+        )
+        with ShardedExecutor(matrix.values, parents, config, 9) as executor:
+            executor.start()
+            killer = threading.Thread(
+                target=_kill_busy_grandchild, args=(executor.node_pids,),
+                daemon=True,
+            )
+            killer.start()
+            with pytest.raises(WorkerCrashedError, match="shard node"):
+                executor.learn_modules(members)
+            killer.join(timeout=120.0)
+            assert not killer.is_alive()
+
+    def test_service_isolates_nested_crash(self, tmp_path):
+        from repro.scoring.kernel import set_shared_score_cache
+        from repro.service import InferenceService, JobFailed
+        from repro.validation.metrics import network_fingerprint
+
+        matrix, config = _nested_crash_setup()
+        oracle = network_fingerprint(
+            LemonTreeLearner(
+                config.with_updates(parallel=ParallelConfig(n_workers=1))
+            ).learn(matrix, seed=9).network
+        )
+        previous = set_shared_score_cache(None)
+        try:
+            with InferenceService(
+                tmp_path, max_inflight=4, score_cache_bytes=0
+            ) as service:
+                job = service.submit(matrix, config, 9, use_checkpoints=False)
+                deadline = time.monotonic() + 120
+                node_pids: list[int] = []
+                while time.monotonic() < deadline and not node_pids:
+                    row = service.status(job)
+                    assert row["state"] in ("queued", "running"), row
+                    # A sharded lease lists its node processes first.
+                    node_pids = row.get("worker_pids", [])[:2]
+                    time.sleep(0.01)
+                assert len(node_pids) == 2, "job never reached running nodes"
+                _kill_busy_grandchild(node_pids)
+
+                with pytest.raises(JobFailed) as err:
+                    service.wait(job, timeout=300)
+                assert err.value.error_type == "WorkerCrashedError"
+                assert service.lease.invalidations == 1
+
+                job2 = service.submit(matrix, config, 9, use_checkpoints=False)
+                payload = service.wait(job2, timeout=600)
+                assert payload["fingerprint"] == oracle
+                assert payload["executor_reused"] is False
+        finally:
+            set_shared_score_cache(previous)
 
 
 class TestMissingDataRejection:

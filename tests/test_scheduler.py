@@ -326,7 +326,7 @@ class TestExecutorSteal:
         items = [8, 2, 2, 2, 2, 2, 2, 2]
         trace = WorkTrace()
         with TaskPoolExecutor(data, parents, config, 5) as executor:
-            assert executor._steal_possible()
+            assert executor.transport._steal_possible()
             results = executor.submit_runs(
                 _timed_run, items, schedule="dynamic", trace=trace,
                 home_domains=[0] * len(items),
@@ -375,11 +375,11 @@ class TestExecutorSteal:
         )
         trace = WorkTrace()
         with TaskPoolExecutor(data, parents, config, 5) as executor:
-            assert not executor._steal_possible()
+            assert not executor.transport._steal_possible()
             results = executor.submit_runs(
                 _timed_run, [1] * 6, schedule="dynamic", trace=trace
             )
-            assert executor._steal_shared is None
+            assert executor.transport._steal_shared is None
             stats = executor.stats
         assert results == [1] * 6
         assert stats.steals == 0 and stats.stolen_seconds == 0.0
@@ -396,9 +396,9 @@ class TestExecutorSteal:
             )
         )
         with TaskPoolExecutor(data, parents, config, 5) as executor:
-            assert not executor._steal_possible()
+            assert not executor.transport._steal_possible()
             results = executor.submit_runs(_timed_run, [1, 2], schedule="dynamic")
-            assert executor._steal_shared is None
+            assert executor.transport._steal_shared is None
             assert executor.stats.steals == 0
         assert results == [1, 2]
 

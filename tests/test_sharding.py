@@ -1,11 +1,12 @@
-"""The multi-node shard tier: protocol, partitioning, calibration, identity.
+"""The multi-node shard tier: protocol, dispatch order, calibration, identity.
 
 The tier's contract is the paper's output-consistency property lifted one
 level: for a fixed seed and RNG backend, the learned network is
 bit-identical for every shard count x worker count, on both the socket
 (real OS processes) and thread (in-process fallback) transports.  These
-tests pin the frame codec, the LPT shard planner, the tau/mu calibration
-math, and that contract end to end.
+tests pin the frame codec, the order the shard transport requests the
+scheduler's items in, the tau/mu calibration math, and that contract end
+to end.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
+from repro.datatypes import ModuleNetwork
 from repro.parallel.costmodel import (
     DEFAULT_REMOTE_PENALTY,
     MachineModel,
@@ -25,16 +27,17 @@ from repro.parallel.costmodel import (
     set_calibrated_model,
     steal_penalty,
 )
+from repro.parallel.executor import open_executor
 from repro.parallel.sharding import (
     MAX_FRAME_BYTES,
     NodeCrashedError,
     ShardedExecutor,
     decode_frame_length,
     encode_frame,
-    lpt_partition,
 )
 from repro.parallel.trace import WorkTrace
 from repro.validation.metrics import network_fingerprint
+from tests.conftest import MODE_INPUTS
 
 
 def _sharded_config(
@@ -84,41 +87,6 @@ class TestFrameCodec:
         assert decode_frame_length(struct.pack("!Q", MAX_FRAME_BYTES)) == (
             MAX_FRAME_BYTES
         )
-
-
-class TestLptPartition:
-    def test_covers_all_indices_once(self):
-        parts = lpt_partition([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0], 3)
-        flat = sorted(i for part in parts for i in part)
-        assert flat == list(range(7))
-
-    def test_deterministic(self):
-        costs = [2.0, 2.0, 2.0, 1.0, 1.0]
-        assert lpt_partition(costs, 2) == lpt_partition(costs, 2)
-
-    def test_largest_first_balance(self):
-        # Classic LPT: [5, 4, 3, 2, 1] on 2 shards -> loads 8 / 7.
-        parts = lpt_partition([5.0, 4.0, 3.0, 2.0, 1.0], 2)
-        loads = sorted(sum([5.0, 4.0, 3.0, 2.0, 1.0][i] for i in part)
-                       for part in parts)
-        assert loads == [7.0, 8.0]
-
-    def test_descending_order_within_part(self):
-        costs = [1.0, 6.0, 2.0, 5.0, 3.0, 4.0]
-        for part in lpt_partition(costs, 2):
-            part_costs = [costs[i] for i in part]
-            assert part_costs == sorted(part_costs, reverse=True)
-
-    def test_single_part(self):
-        assert lpt_partition([1.0, 2.0], 1) == [[1, 0]]
-
-    def test_more_parts_than_items(self):
-        parts = lpt_partition([1.0], 3)
-        assert sum(len(p) for p in parts) == 1
-
-    def test_invalid_parts(self):
-        with pytest.raises(ValueError):
-            lpt_partition([1.0], 0)
 
 
 class TestCalibration:
@@ -281,8 +249,11 @@ class TestShardedIdentityThread:
         ).learn(tiny_matrix, seed=7)
         executor_stats = result.stats["executor"]
         assert executor_stats["n_workers"] == 2
-        assert executor_stats["pools_constructed"] == 2
+        # What happened, not constants: one-worker nodes run in-process, so
+        # the matrix crossed the wire once per node and no pool was built.
+        assert executor_stats["pools_constructed"] == 0
         assert executor_stats["matrix_transfers"] == 2
+        assert executor_stats["worker_inits"] == 0
 
     def test_trace_records_node_tier(self, tiny_matrix):
         trace = WorkTrace()
@@ -325,6 +296,80 @@ class TestShardedIdentityThread:
         assert calibrated_model() is before
 
 
+class TestOneSchedulerOverShards:
+    """The shard tier has no scheduler of its own: mode choice, order and
+    trace come from the code that drives one host."""
+
+    @pytest.mark.parametrize("mode", ["split", "module"])
+    def test_split_mode_over_shards(self, tiny_matrix, mode):
+        """One dominating module on two nodes is cut into the flat split
+        list and scored on *both* (Algorithm 5 across the node tier); even
+        modules stay whole.  Either way the network is the one-worker one."""
+        members = MODE_INPUTS[mode]
+        reference = LemonTreeLearner(_sequential_config()).learn_from_modules(
+            tiny_matrix, members, seed=7
+        )
+        trace = WorkTrace()
+        with open_executor(
+            tiny_matrix.values, _sharded_config(2, "thread"), 7
+        ) as executor:
+            modules = executor.learn_modules(members, trace=trace)
+            assert executor.stats.mode == mode
+            assert executor.stats.steals == 0
+        network = ModuleNetwork(modules, tiny_matrix.var_names, tiny_matrix.n_obs)
+        assert network_fingerprint(network) == network_fingerprint(
+            reference.network
+        )
+        assert set(trace.node_times) == {"shard0", "shard1"}
+        assert all(seconds > 0 for seconds in trace.node_times.values())
+        assert set(trace.worker_times) == {"shard0/worker-0", "shard1/worker-0"}
+        assert trace.total_node_steals() == 0
+
+    def test_items_requested_in_scheduler_order(self, tiny_matrix):
+        """Each node's requests walk the scheduler's one list forward —
+        largest module first, one item per request at one worker per node
+        — and together they cover it exactly once."""
+        members = [
+            list(range(0, 2)), list(range(2, 10)), list(range(10, 13)),
+            list(range(13, 19)), list(range(19, 24)),
+        ]
+        largest_first = [1, 3, 4, 2, 0]
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        requests: list[tuple[str, list[int]]] = []
+        with ShardedExecutor(
+            tiny_matrix.values, parents, _sharded_config(2, "thread"), 7
+        ) as executor:
+            executor.start()
+            for channel in executor.transport._channels:
+                def recording(message, channel=channel, send=channel.send_msg):
+                    if message[0] == "run":
+                        requests.append(
+                            (channel.peer, [item[0] for _index, item in message[2]])
+                        )
+                    send(message)
+
+                channel.send_msg = recording
+            executor.learn_modules(members)
+            assert executor.stats.mode == "module"
+        assert all(len(ids) == 1 for _peer, ids in requests)
+        assert sorted(ids[0] for _peer, ids in requests) == sorted(largest_first)
+        for peer in {peer for peer, _ids in requests}:
+            positions = [
+                largest_first.index(ids[0]) for p, ids in requests if p == peer
+            ]
+            assert positions == sorted(positions)
+
+    def test_unnamed_runner_rejected(self, tiny_matrix):
+        """The wire carries runner names only: a callable outside
+        ``TASK_RUNNERS`` is refused before anything is sent."""
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        with ShardedExecutor(
+            tiny_matrix.values, parents, _sharded_config(2, "thread"), 7
+        ) as executor:
+            with pytest.raises(ValueError, match="TASK_RUNNERS"):
+                executor.submit_runs(len, [1, 2])
+
+
 class TestShardedIdentitySocket:
     """Socket-transport identity: real OS node processes, one cell per
     PR (the full grid runs in the slow/CI shard job)."""
@@ -356,6 +401,52 @@ class TestShardedIdentitySocket:
             assert os.getpid() not in executor.node_pids
             assert executor.calibration is not None
             assert executor.calibration["node_backend"] == "socket"
+
+
+    def test_kernel_counters_match_one_worker(self, tiny_matrix):
+        """Completion records carry each node's kernel-counter deltas, so a
+        sharded trace counts exactly the evaluations one worker does."""
+        members = MODE_INPUTS["module"]
+        totals = []
+        for config in (
+            _sequential_config(),
+            _sharded_config(2, "socket"),
+        ):
+            numpy_config = config.with_updates(
+                parallel=ParallelConfig(
+                    n_nodes=config.parallel.n_nodes,
+                    node_backend=config.parallel.node_backend,
+                    kernel_backend="numpy",
+                )
+            )
+            trace = WorkTrace()
+            LemonTreeLearner(numpy_config).learn_from_modules(
+                tiny_matrix, members, seed=7, trace=trace
+            )
+            totals.append(trace.kernel_counters)
+        one_worker, sharded = totals
+        assert one_worker["evaluations"] > 0
+        assert sharded["hits"] == one_worker["hits"]
+        assert sharded["evaluations"] == one_worker["evaluations"]
+
+    def test_stats_and_pids_report_the_node_pools(self, tiny_matrix):
+        """Two nodes x two workers: the nodes' pools, transfers, inits and
+        worker pids reach the driver's one stats block."""
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        config = _sharded_config(2, "socket", n_workers=2)
+        with ShardedExecutor(tiny_matrix.values, parents, config, 1) as executor:
+            assert executor.worker_pids() == []  # nothing started yet
+            executor.learn_modules(MODE_INPUTS["module"])
+            assert executor.n_workers == executor.stats.n_workers == 4
+            assert executor.stats.n_nodes == 2
+            assert executor.stats.pools_constructed == 2
+            # one init frame per node plus each node's shared-memory copy
+            assert executor.stats.matrix_transfers == 4
+            assert executor.stats.transfer_bytes > 0
+            assert executor.worker_inits() == 4
+            pids = executor.worker_pids()
+            assert pids[:2] == executor.node_pids
+            assert len(set(pids)) == 6
 
 
 @pytest.mark.slow

@@ -25,10 +25,12 @@ from repro.core.learner import LemonTreeLearner, _GaneshCheckpoints
 from repro.parallel import poolutil
 from repro.parallel.executor import (
     TaskPoolExecutor,
+    TaskScheduler,
     WorkerCrashedError,
     _ganesh_run,
 )
 from repro.parallel.trace import WorkTrace
+from tests.conftest import TRANSPORTS
 
 
 G_RUNS = 5
@@ -201,6 +203,47 @@ class TestResume:
         _assert_same_ensemble(samples, reference)
 
 
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+class TestTransports:
+    """Task 1's order-independence and resume hold over every transport."""
+
+    @pytest.mark.parametrize("permute", ["reverse", "shuffle"])
+    def test_out_of_order_dispatch(self, setup, transport, permute):
+        matrix, config, reference = setup
+
+        def hook(order):
+            if permute == "reverse":
+                return list(reversed(order))
+            return list(np.random.default_rng(99).permutation(order))
+
+        TaskScheduler.dispatch_order_hook = staticmethod(hook)
+        try:
+            cfg = config.with_updates(parallel=TRANSPORTS[transport])
+            samples = LemonTreeLearner(cfg).sample_clusterings(matrix, seed=SEED)
+        finally:
+            TaskScheduler.dispatch_order_hook = None
+        _assert_same_ensemble(samples, reference)
+
+    def test_only_missing_runs_reexecute(self, setup, transport, tmp_path):
+        matrix, config, reference = setup
+        learner = LemonTreeLearner(
+            config.with_updates(parallel=TRANSPORTS[transport])
+        )
+        learner.sample_clusterings(matrix, seed=SEED, checkpoint_dir=tmp_path)
+        for killed in (1, 3):
+            (tmp_path / f"ganesh_{killed}.npz").unlink()
+        stamps = {
+            f.name: f.stat().st_mtime_ns for f in tmp_path.glob("ganesh_*.npz")
+        }
+        samples = learner.sample_clusterings(
+            matrix, seed=SEED, checkpoint_dir=tmp_path
+        )
+        _assert_same_ensemble(samples, reference)
+        assert len(list(tmp_path.glob("ganesh_*.npz"))) == G_RUNS
+        for name, stamp in stamps.items():
+            assert (tmp_path / name).stat().st_mtime_ns == stamp
+
+
 def _die_on_first_item(ctx, item):
     """Test task: kill the worker process outright on item 0."""
     g, want_trace = item
@@ -251,7 +294,7 @@ class TestWorkerCrash:
                 executor.submit_runs(
                     _die_on_first_item, [(g, False) for g in range(G_RUNS)]
                 )
-            segment = executor._shared.spec[0]
+            segment = executor.transport._shared.spec[0]
         finally:
             executor.close()
         with pytest.raises(FileNotFoundError):
