@@ -20,7 +20,8 @@ Acquisition order:
 4. The compiled code picks a transcendental provider — the SVML kernels
    ``dlsym``-ed out of NumPy's own ``_multiarray_umath`` extension, or
    scalar libm — and **self-certifies**: a probe battery compares the
-   native evaluator, grouped statistics, and normal-gamma tail against the
+   native evaluator, the fused sampling chain (results, counters and memo
+   end state), grouped statistics, and normal-gamma tail against the
    NumPy implementations bit for bit.  A provider that fails certification
    is rejected; if none survives, the backend reports unavailable and the
    ``"auto"`` setting falls back to NumPy.
@@ -29,8 +30,9 @@ Every ``availability()`` status distinguishes *expected* absence (no cffi,
 no C compiler, explicitly disabled) from *failure* (build error, import
 error, certification mismatch); the kernel-backend resolver only warns on
 the latter.  All exposed entry points release the GIL for the duration of
-the C call (cffi's calling convention), so chunk evaluation overlaps with
-other threads.
+the C call (cffi's calling convention), so scoring overlaps with other
+threads — which is why the chain entry publishes a memo slot's score before
+its seen flag (release/acquire): two threads may share one memo.
 """
 
 from __future__ import annotations
@@ -102,6 +104,73 @@ class NativeKernels:
         )
         if rc:
             raise MemoryError("native evaluation chunk allocation failed")
+
+    def score_chain(
+        self,
+        values: np.ndarray,
+        sign: np.ndarray,
+        group_row: np.ndarray,
+        group_value: np.ndarray,
+        beta_grid: np.ndarray,
+        groups: np.ndarray,
+        uniforms: np.ndarray,
+        max_steps: int,
+        stop_repeats: int,
+        chunk_rows: int,
+        quantum: float,
+        cache: np.ndarray,
+        seen: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
+        """``SplitScorer._run_chain`` over a lazy kernel's tables in one call.
+
+        ``groups[i]`` is chain item ``i``'s memo group and row ``i`` of
+        ``uniforms`` its private draws; ``cache``/``seen`` (the kernel's
+        ``(n_groups * n_beta,)`` memo) are updated in place.  Returns the
+        quantized ``best_score``, ``steps``, ``best_idx`` and the
+        ``(hits, evaluations, peak_chunk_elements)`` the NumPy chain would
+        have counted with ``chunk_rows`` rows per evaluation chunk.
+        """
+        n_items = groups.shape[0]
+        n_beta = beta_grid.shape[0]
+        if uniforms.shape[0] != n_items or uniforms.shape[1] < 1 + 2 * max_steps:
+            raise ValueError(
+                f"uniforms must have shape ({n_items}, >= {1 + 2 * max_steps}), "
+                f"got {uniforms.shape}"
+            )
+        if n_beta < 2 or cache.shape != seen.shape or cache.size % n_beta:
+            raise ValueError("memo tables do not match the beta grid")
+        best_score = np.empty(n_items)
+        steps = np.empty(n_items, dtype=np.int64)
+        best_idx = np.empty(n_items, dtype=np.int64)
+        counters = np.zeros(3, dtype=np.int64)
+        rc = self._lib.repro_score_chain(
+            self._dp(values),
+            values.shape[1],
+            self._dp(sign),
+            self._ip(group_row),
+            self._dp(group_value),
+            self._dp(beta_grid),
+            n_beta,
+            self._ip(groups),
+            n_items,
+            self._dp(uniforms),
+            uniforms.shape[1],
+            int(max_steps),
+            int(stop_repeats),
+            int(chunk_rows),
+            float(quantum),
+            self._dp(cache),
+            self._ffi.from_buffer("uint8_t[]", seen),
+            self._dp(best_score),
+            self._ip(steps),
+            self._ip(best_idx),
+            self._ip(counters),
+        )
+        if rc == -3:
+            raise ValueError("start uniforms must be draws from [0, 1)")
+        if rc:
+            raise MemoryError("native chain scratch allocation failed")
+        return best_score, steps, best_idx, tuple(counters.tolist())
 
     def grouped(
         self, vals: np.ndarray, labels: np.ndarray, n_groups: int
@@ -304,6 +373,11 @@ def _certify_battery(kernels: NativeKernels) -> str | None:
                 if not np.array_equal(got, want, equal_nan=True):
                     return f"eval_chunk mismatch at n_obs={n_obs}, beta={beta}"
 
+    # -- score_chain vs SplitScorer._run_chain over the NumPy kernel -------
+    mismatch = _certify_chain(kernels, rng)
+    if mismatch is not None:
+        return mismatch
+
     # -- grouped stats vs the np.bincount formulas -------------------------
     for rows, cols in (
         (1, 6), (5, 1), (200, 1), (7, 30), (64, 13), (0, 4), (3000, 3),
@@ -371,6 +445,58 @@ def _certify_battery(kernels: NativeKernels) -> str | None:
         )
         if not np.array_equal(got, want, equal_nan=True):
             return f"log_marginal mismatch at size {size}"
+    return None
+
+
+def _certify_chain(kernels: NativeKernels, rng) -> str | None:
+    """The fused chain entry against the NumPy chain it replaces: scores,
+    steps, beta indices, memo counters and the memo's end state, on
+    tie-heavy rows, non-finite scores, SIMD-tail widths, one-step and
+    one-reject chains and an ``item_indices`` sub-range."""
+    from repro.rng.streams import SCORE_QUANTUM
+    from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
+    from repro.scoring.split_score import SplitScorer
+
+    grid = (0.25, 1.0, 4.0, 16.0)
+    n_parents, chunk_rows = 3, 2
+    for n_obs, max_steps, stop_repeats, first in (
+        (1, 1, 1, 0), (7, 4, 1, 0), (8, 6, 2, 3), (9, 1, 3, 0), (129, 5, 2, 5),
+    ):
+        values = np.round(rng.normal(size=(n_parents, n_obs)) * 2.0) / 2.0
+        if n_obs in (8, 9):
+            values[0, :2] = (0.0, -0.0)
+            values[1, -2:] = (1e308, -1e308)  # -inf scores
+            values[2, 0] = np.inf  # inf - inf margins: NaN scores
+        sign = np.where(rng.random(n_obs) < 0.5, 1.0, -1.0)
+        scorer = SplitScorer(grid, max_steps=max_steps, stop_repeats=stop_repeats)
+        items = np.arange(first, n_parents * n_obs)
+        uniforms = rng.random((items.size, scorer.draws_per_item))
+        with isolated_kernel_totals():
+            oracle = LazySplitKernel(
+                values, sign, grid, max_chunk_elements=chunk_rows * n_obs,
+                backend="numpy", shared_cache=None,
+            )
+            want = scorer.score_batch_kernel(oracle, uniforms, item_indices=items)
+        cache = np.zeros_like(oracle._cache)
+        seen = np.zeros_like(oracle._seen)
+        *got, counters = kernels.score_chain(
+            oracle.values, oracle.sign, oracle.group_row, oracle.group_value,
+            oracle.beta_grid, oracle.item_groups[items], uniforms, max_steps,
+            stop_repeats, chunk_rows, SCORE_QUANTUM, cache, seen,
+        )
+        where = f"at n_obs={n_obs}, max_steps={max_steps}"
+        if not all(
+            np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)
+        ):
+            return f"score_chain result mismatch {where}"
+        if counters != (
+            oracle.hits, oracle.evaluations, oracle.peak_chunk_elements
+        ):
+            return f"score_chain counter mismatch {where}"
+        if not np.array_equal(seen, oracle._seen) or not np.array_equal(
+            cache[seen], oracle._cache[seen], equal_nan=True
+        ):
+            return f"score_chain memo mismatch {where}"
     return None
 
 

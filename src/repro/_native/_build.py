@@ -17,6 +17,10 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   ``np.round`` at ``decimals=0``;
 * negation and absolute value are sign-bit flips/masks, matching
   ``np.negative`` / ``np.abs`` on signed zeros;
+* ``repro_score_chain`` replays ``SplitScorer._run_chain`` over
+  ``LazySplitKernel.scores`` step for step — same lookups, same memo
+  updates, same accept test (``np.log`` through the provider above) — so
+  the hit / evaluation / peak counters come out equal too;
 * grouped sufficient statistics replicate ``np.bincount`` (sequential
   accumulation in index order) and ``.sum(axis=0)`` (sequential row
   accumulation for multi-column arrays, pairwise for the single-column
@@ -42,6 +46,15 @@ int repro_eval_chunk(const double *group_value, const int64_t *group_row,
                      int64_t n_rows, const double *values, int64_t n_obs,
                      const double *sign, double beta, double quantum,
                      double *out);
+int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
+                      const int64_t *group_row, const double *group_value,
+                      const double *beta_grid, int64_t n_beta,
+                      const int64_t *groups, int64_t n_items,
+                      const double *uniforms, int64_t draws_per_item,
+                      int64_t max_steps, int64_t stop_repeats,
+                      int64_t chunk_rows, double quantum, double *cache,
+                      uint8_t *seen, double *best_score, int64_t *steps,
+                      int64_t *best_idx, int64_t *counters);
 int repro_grouped_1d(const double *vals, int64_t n, const int64_t *labels,
                      int64_t n_groups, double *count, double *total,
                      double *sumsq);
@@ -232,9 +245,21 @@ int repro_native_provider(void)
     return use_svml;
 }
 
-/* The LazySplitKernel._evaluate chunk body for one same-beta chunk:
- * z = ((group_value[r] - values[group_row[r], o]) * sign[o]) * beta,
+/* One (group, beta) score: z = ((gv - values_row[o]) * sign[o]) * beta,
  * stable log-sigmoid, pairwise row sum, round-half-even quantization. */
+static double row_score(double gv, const double *vrow, const double *sgn,
+                        double beta, double quantum, double *row, int64_t n)
+{
+#if REPRO_HAVE_AVX512
+    if (use_svml)
+        row_fill_svml(gv, vrow, sgn, beta, row, n);
+    else
+#endif
+        row_fill_scalar(gv, vrow, sgn, beta, row, n);
+    return rint(pw_sum(row, n) / quantum) * quantum;
+}
+
+/* The LazySplitKernel._evaluate chunk body for one same-beta chunk. */
 int repro_eval_chunk(const double *group_value, const int64_t *group_row,
                      int64_t n_rows, const double *values, int64_t n_obs,
                      const double *sign, double beta, double quantum,
@@ -245,20 +270,198 @@ int repro_eval_chunk(const double *group_value, const int64_t *group_row,
     row = (double *)malloc((size_t)(n_obs > 0 ? n_obs : 1) * sizeof(double));
     if (!row)
         return -1;
-    for (r = 0; r < n_rows; r++) {
-        const double *vrow = values + group_row[r] * n_obs;
-        double total;
-#if REPRO_HAVE_AVX512
-        if (use_svml)
-            row_fill_svml(group_value[r], vrow, sign, beta, row, n_obs);
-        else
-#endif
-            row_fill_scalar(group_value[r], vrow, sign, beta, row, n_obs);
-        total = pw_sum(row, n_obs);
-        out[r] = rint(total / quantum) * quantum;
-    }
+    for (r = 0; r < n_rows; r++)
+        out[r] = row_score(group_value[r], values + group_row[r] * n_obs,
+                           sign, beta, quantum, row, n_obs);
     free(row);
     return 0;
+}
+
+/* A memo slot is published cache-then-seen: the score is written first and
+ * the seen flag stored with release semantics; readers load the flag with
+ * acquire semantics before touching the score.  Two threads that adopted
+ * the same shared-cache entry may both evaluate a slot (same deterministic
+ * value, benign); neither can read a seen-but-unwritten score.  (GCC/clang
+ * builtins, like the toolchains the loader looks for; anything else fails
+ * the build and the loader falls back to NumPy.) */
+#define SEEN_ACQUIRE(p) __atomic_load_n((p), __ATOMIC_ACQUIRE)
+#define SEEN_RELEASE(p) __atomic_store_n((p), (uint8_t)1, __ATOMIC_RELEASE)
+
+typedef struct {
+    const double *values, *sign, *group_value, *beta_grid;
+    const int64_t *group_row, *groups;
+    int64_t n_obs, n_beta, chunk_rows;
+    double quantum;
+    double *cache, *row;
+    uint8_t *seen, *miss;
+    int64_t *flat, *per_beta;
+    int64_t hits, evaluations, peak;
+} chain_ctx;
+
+/* LazySplitKernel.scores for the k chain items act[0..k) at beta indices
+ * bidx[0..k): hits are counted against the memo as it stood when the
+ * lookup began (a duplicate key inside one lookup is a miss for every
+ * holder, as in ~seen[flat]), the distinct missing keys are evaluated
+ * once each, and peak tracks the largest same-beta chunk _evaluate would
+ * have allocated (min(keys at that beta, chunk_rows) rows of n_obs). */
+static void chain_lookup(chain_ctx *c, const int64_t *act, int64_t k,
+                         const int64_t *bidx, double *score)
+{
+    int64_t j, b, n_miss = 0;
+    for (j = 0; j < k; j++) {
+        int64_t key = c->groups[act[j]] * c->n_beta + bidx[j];
+        c->flat[j] = key;
+        c->miss[j] = !SEEN_ACQUIRE(c->seen + key);
+        n_miss += c->miss[j];
+    }
+    c->hits += k - n_miss;
+    if (n_miss) {
+        memset(c->per_beta, 0, (size_t)c->n_beta * sizeof(int64_t));
+        for (j = 0; j < k; j++) {
+            int64_t key = c->flat[j], g;
+            if (!c->miss[j] || SEEN_ACQUIRE(c->seen + key))
+                continue;
+            g = key / c->n_beta;
+            b = key % c->n_beta;
+            c->cache[key] = row_score(
+                c->group_value[g], c->values + c->group_row[g] * c->n_obs,
+                c->sign, c->beta_grid[b], c->quantum, c->row, c->n_obs);
+            SEEN_RELEASE(c->seen + key);
+            c->per_beta[b]++;
+            c->evaluations++;
+        }
+        for (b = 0; b < c->n_beta; b++) {
+            int64_t rows = c->per_beta[b] < c->chunk_rows ? c->per_beta[b]
+                                                          : c->chunk_rows;
+            if (rows * c->n_obs > c->peak)
+                c->peak = rows * c->n_obs;
+        }
+    }
+    for (j = 0; j < k; j++)
+        score[j] = c->cache[c->flat[j]];
+}
+
+/* SplitScorer._run_chain over a LazySplitKernel's tables, whole node in
+ * one call.  The chain stays step-synchronous (every active item takes
+ * step s before any takes s + 1) because the memo counters depend on the
+ * order of lookups; scores and accept decisions would not.  cache/seen are
+ * the kernel's own memo, updated in place.  counters = {hits, evaluations,
+ * peak_chunk_elements}.  Returns -1 on allocation failure, -3 when a start
+ * uniform is negative or NaN (not a draw from [0, 1)). */
+int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
+                      const int64_t *group_row, const double *group_value,
+                      const double *beta_grid, int64_t n_beta,
+                      const int64_t *groups, int64_t n_items,
+                      const double *uniforms, int64_t draws_per_item,
+                      int64_t max_steps, int64_t stop_repeats,
+                      int64_t chunk_rows, double quantum, double *cache,
+                      uint8_t *seen, double *best_score, int64_t *steps,
+                      int64_t *best_idx, int64_t *counters)
+{
+    chain_ctx c;
+    int64_t *ibuf, *act, *cur_idx, *rejects, *prop;
+    double *dbuf, *cur_score, *prop_score, *log_u;
+    int64_t i, j, k, step;
+    int rc = 0;
+    size_t n = (size_t)(n_items > 0 ? n_items : 1);
+
+    ibuf = (int64_t *)calloc(5 * n + (size_t)n_beta, sizeof(int64_t));
+    dbuf = (double *)malloc(
+        (3 * n + (size_t)(n_obs > 0 ? n_obs : 1)) * sizeof(double));
+    c.miss = (uint8_t *)malloc(n);
+    if (!ibuf || !dbuf || !c.miss) {
+        free(ibuf);
+        free(dbuf);
+        free(c.miss);
+        return -1;
+    }
+    act = ibuf;
+    cur_idx = ibuf + n;
+    rejects = ibuf + 2 * n;
+    prop = ibuf + 3 * n;
+    c.flat = ibuf + 4 * n;
+    c.per_beta = ibuf + 5 * n;
+    cur_score = dbuf;
+    prop_score = dbuf + n;
+    log_u = dbuf + 2 * n;
+    c.row = dbuf + 3 * n;
+    c.values = values;
+    c.sign = sign;
+    c.group_value = group_value;
+    c.beta_grid = beta_grid;
+    c.group_row = group_row;
+    c.groups = groups;
+    c.n_obs = n_obs;
+    c.n_beta = n_beta;
+    c.chunk_rows = chunk_rows;
+    c.quantum = quantum;
+    c.cache = cache;
+    c.seen = seen;
+    c.hits = c.evaluations = c.peak = 0;
+
+    for (i = 0; i < n_items; i++) {
+        /* min((u * n_beta).astype(int64), n_beta - 1) */
+        int64_t idx = (int64_t)(uniforms[i * draws_per_item] * (double)n_beta);
+        if (idx > n_beta - 1)
+            idx = n_beta - 1;
+        if (idx < 0) {
+            rc = -3;
+            goto done;
+        }
+        cur_idx[i] = idx;
+        act[i] = i;
+        steps[i] = 0;
+    }
+    chain_lookup(&c, act, n_items, cur_idx, cur_score);
+    for (i = 0; i < n_items; i++) {
+        best_score[i] = cur_score[i];
+        best_idx[i] = cur_idx[i];
+    }
+
+    k = n_items;
+    for (step = 0; step < max_steps && k > 0; step++) {
+        int64_t kept = 0;
+        for (j = 0; j < k; j++) {
+            const double *u = uniforms + act[j] * draws_per_item + 1 + 2 * step;
+            int64_t p = cur_idx[act[j]] + (u[0] < 0.5 ? -1 : 1);
+            if (p < 0)
+                p = 1;
+            if (p >= n_beta)
+                p = n_beta - 2;
+            prop[j] = p;
+            /* np.maximum(u_acc, 1e-300): NaN propagates */
+            log_u[j] = (u[1] != u[1] || u[1] > 1e-300) ? u[1] : 1e-300;
+        }
+        chain_lookup(&c, act, k, prop, prop_score);
+        apply_log(log_u, k);
+        for (j = 0; j < k; j++) {
+            i = act[j];
+            steps[i]++;
+            if (log_u[j] < prop_score[j] - cur_score[i]) {
+                cur_idx[i] = prop[j];
+                cur_score[i] = prop_score[j];
+                rejects[i] = 0;
+                if (cur_score[i] > best_score[i]) {
+                    best_score[i] = cur_score[i];
+                    best_idx[i] = cur_idx[i];
+                }
+                act[kept++] = i;
+            } else if (++rejects[i] < stop_repeats) {
+                act[kept++] = i;
+            }
+        }
+        k = kept;
+    }
+    for (i = 0; i < n_items; i++)
+        best_score[i] = rint(best_score[i] / quantum) * quantum;
+    counters[0] = c.hits;
+    counters[1] = c.evaluations;
+    counters[2] = c.peak;
+done:
+    free(ibuf);
+    free(dbuf);
+    free(c.miss);
+    return rc;
 }
 
 /* StatsArrays.grouped, 1-D: three np.bincount passes fused into one.

@@ -241,6 +241,23 @@ def consume_kernel_totals() -> dict | None:
     return out
 
 
+@contextmanager
+def isolated_kernel_totals():
+    """Keep a block's kernel traffic out of the process-wide counters.
+
+    The native loader certifies its chain entry against a NumPy kernel it
+    scores itself; that probe traffic is not the program's scoring work
+    and must not surface in the first run's ``WorkTrace.kernel_counters``.
+    """
+    totals, backends = dict(_TOTALS), set(_TOTALS_BACKENDS)
+    try:
+        yield
+    finally:
+        _TOTALS.update(totals)
+        _TOTALS_BACKENDS.clear()
+        _TOTALS_BACKENDS.update(backends)
+
+
 def set_chunk_elements(n_elements: int | None) -> int | None:
     """Install a process-wide default for evaluation-chunk sizing.
 
@@ -388,11 +405,12 @@ class LazySplitKernel:
 
     ``backend`` selects who evaluates a chunk: the NumPy expressions or
     the certified native extension (``None`` defers to the process-wide
-    :func:`set_kernel_backend` configuration, ``"auto"`` by default).  The
-    native path replaces only the chunk evaluation body — grouping, the
-    memo cache, chunk sizing, :func:`guard_alloc` and all counters stay in
-    Python — so cap semantics and cache accounting are identical by
-    construction, and scores are bit-identical by the extension's load-time
+    :func:`set_kernel_backend` configuration, ``"auto"`` by default).  In
+    :meth:`scores` the native path replaces only the chunk evaluation body;
+    in :meth:`run_chain` it runs the scorer's whole sampling chain against
+    this kernel's memo in one call.  Grouping, chunk sizing and
+    :func:`guard_alloc` stay in Python either way, and scores, counters and
+    the memo's end state are bit-identical by the extension's load-time
     certification.  Cached scores are tracked by an explicit seen-bitmask,
     not a NaN sentinel, so a legitimately non-finite score (a row mixing
     ``+inf`` and ``-inf`` margins sums to NaN) is cached like any other
@@ -413,7 +431,7 @@ class LazySplitKernel:
         if self.values.ndim != 2:
             raise ValueError("values must have shape (P, n_obs)")
         self.sign = np.ascontiguousarray(sign, dtype=np.float64)
-        self.beta_grid = np.asarray(beta_grid, dtype=np.float64)
+        self.beta_grid = np.ascontiguousarray(beta_grid, dtype=np.float64)
         self.n_parents, self.n_obs = self.values.shape
         if self.sign.shape != (self.n_obs,):
             raise ValueError("sign must have one entry per observation")
@@ -473,25 +491,26 @@ class LazySplitKernel:
 
     def _build_tables(self) -> None:
         # Group candidates by (parent row, value): duplicates share a row of
-        # the score table.  np.unique sorts, so group values ascend per row.
-        item_groups = np.empty(self.n_items, dtype=np.int64)
-        row_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        offset = 0
-        for l in range(self.n_parents):
-            uvals, inverse = np.unique(self.values[l], return_inverse=True)
-            item_groups[l * self.n_obs : (l + 1) * self.n_obs] = offset + inverse
-            row_parts.append(np.full(uvals.size, l, dtype=np.int64))
-            value_parts.append(uvals)
-            offset += uvals.size
-        self.item_groups = item_groups
-        self.group_row = (
-            np.concatenate(row_parts) if row_parts else np.zeros(0, dtype=np.int64)
+        # the score table.  One stable row-wise sort serves all P rows; a
+        # sorted value opens a group when it differs from its left neighbour
+        # (-0.0 == 0.0 share one, as under np.unique), so group values
+        # ascend per row and the running count of openings is the group id.
+        order = np.argsort(self.values, axis=1, kind="stable")
+        ranked = np.take_along_axis(self.values, order, axis=1)
+        opens = np.ones(ranked.shape, dtype=bool)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=opens[:, 1:])
+        if self.n_obs and np.isnan(ranked[:, -1]).any():
+            # NaNs sort last and np.unique collapses them into one group.
+            opens[:, 1:] &= ~(np.isnan(ranked[:, 1:]) & np.isnan(ranked[:, :-1]))
+        group_of_rank = np.cumsum(opens.ravel()).reshape(ranked.shape) - 1
+        item_groups = np.empty(ranked.shape, dtype=np.int64)
+        np.put_along_axis(item_groups, order, group_of_rank, axis=1)
+        self.item_groups = item_groups.ravel()
+        self.group_row = np.repeat(
+            np.arange(self.n_parents, dtype=np.int64), opens.sum(axis=1)
         )
-        self.group_value = (
-            np.concatenate(value_parts) if value_parts else np.zeros(0)
-        )
-        self.n_groups = int(offset)
+        self.group_value = ranked[opens]
+        self.n_groups = int(self.group_row.size)
         guard_alloc(self.n_groups * self._n_beta, "beta-score cache")
         self._cache = np.zeros(self.n_groups * self._n_beta)
         self._seen = np.zeros(self.n_groups * self._n_beta, dtype=bool)
@@ -518,6 +537,55 @@ class LazySplitKernel:
             keys = np.unique(flat[missing])
             self._evaluate(keys)
         return self._cache[flat]
+
+    def run_chain(
+        self,
+        groups: np.ndarray,
+        uniforms: np.ndarray,
+        max_steps: int,
+        stop_repeats: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scorer's whole bounded sampling chain in one native call.
+
+        Native backend only: the certified ``repro_score_chain`` replays
+        ``SplitScorer._run_chain`` over :meth:`scores` — same lookups in the
+        same step-synchronous order, same per-row evaluator — against this
+        kernel's memo in place, so ``best_score`` / ``steps`` / ``best_idx``
+        and every counter equal what the NumPy chain would have produced.
+        The evaluation-chunk guard is checked once up front: a chunk holds
+        at least one row, so a node the cap forbids fails here exactly when
+        the first NumPy chunk would.
+        """
+        if groups.size:
+            guard_alloc(self.n_obs, "lazy-margin evaluation chunk")
+        best_score, steps, best_idx, (hits, evaluations, peak) = (
+            self._native.score_chain(
+                self.values,
+                self.sign,
+                self.group_row,
+                self.group_value,
+                self.beta_grid,
+                np.ascontiguousarray(groups, dtype=np.int64),
+                np.ascontiguousarray(uniforms, dtype=np.float64),
+                max_steps,
+                stop_repeats,
+                self._chunk_rows(),
+                SCORE_QUANTUM,
+                self._cache,
+                self._seen,
+            )
+        )
+        self.hits += hits
+        self.evaluations += evaluations
+        self.peak_chunk_elements = max(self.peak_chunk_elements, peak)
+        _account_totals(hits=hits)
+        if evaluations:
+            _account_totals(
+                evaluations=evaluations,
+                peak=self.peak_chunk_elements,
+                backend=self.backend,
+            )
+        return best_score, steps, best_idx
 
     def _chunk_rows(self) -> int:
         limit = self.max_chunk_elements

@@ -124,13 +124,24 @@ class SplitScorer:
         of a node); row ``i`` of ``uniforms`` holds the private draws of
         candidate ``item_indices[i]``.  Results are bit-identical to the
         dense path because the kernel replays its exact float operations.
+
+        A kernel that resolved to the native backend runs the whole chain
+        in one certified call (:meth:`LazySplitKernel.run_chain`);
+        :meth:`_run_chain` over :meth:`LazySplitKernel.scores` is the
+        oracle it is certified against and the NumPy-backend path.
         """
         self._check_kernel(kernel)
         if item_indices is None:
             groups = kernel.item_groups
         else:
             groups = kernel.item_groups[np.asarray(item_indices, dtype=np.int64)]
-        self.last_memo = kernel
+        if kernel.backend == "native":
+            best_score, steps, best_idx = kernel.run_chain(
+                groups, uniforms, self.max_steps, self.stop_repeats
+            )
+            return best_score, steps, best_idx, _beats_baseline(
+                best_score, kernel.n_obs
+            )
 
         def provider(rows: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
             return kernel.scores(groups[rows], beta_idx)
@@ -186,9 +197,7 @@ class SplitScorer:
             active[rej_rows[rejects[rej_rows] >= self.stop_repeats]] = False
 
         best_score = np.round(best_score / SCORE_QUANTUM) * SCORE_QUANTUM
-        baseline = _quantize(n_obs * _LOG_HALF)
-        accepted = best_score > baseline + SCORE_QUANTUM / 2
-        return best_score, steps, best_idx, accepted
+        return best_score, steps, best_idx, _beats_baseline(best_score, n_obs)
 
     def _check_kernel(self, kernel: LazySplitKernel) -> None:
         if not np.array_equal(kernel.beta_grid, self.beta_grid):
@@ -222,9 +231,7 @@ class SplitScorer:
             improved = scores > best
             best[improved] = scores[improved]
             best_idx[improved] = idx
-        baseline = _quantize(n_obs * _LOG_HALF)
-        accepted = best > baseline + SCORE_QUANTUM / 2
-        return best, best_idx, accepted
+        return best, best_idx, _beats_baseline(best, n_obs)
 
     def score_grid_best_kernel(
         self,
@@ -251,9 +258,7 @@ class SplitScorer:
             improved = scores > best
             best[improved] = scores[improved]
             best_idx[improved] = idx
-        baseline = _quantize(kernel.n_obs * _LOG_HALF)
-        accepted = best > baseline + SCORE_QUANTUM / 2
-        return best, best_idx, accepted
+        return best, best_idx, _beats_baseline(best, kernel.n_obs)
 
     # -- scalar path (pure-Python reference) -----------------------------
     def score_one(self, margins: list[float], uniforms: list[float]) -> SplitScoreResult:
@@ -300,6 +305,12 @@ class SplitScorer:
             else:
                 total += z - math.log1p(math.exp(z))
         return _quantize(total)
+
+
+def _beats_baseline(best_score: np.ndarray, n_obs: int) -> np.ndarray:
+    """Which quantized scores beat the ``beta = 0`` coin-flip baseline."""
+    baseline = _quantize(n_obs * _LOG_HALF)
+    return best_score > baseline + SCORE_QUANTUM / 2
 
 
 def _neighbor(cur: np.ndarray, u: np.ndarray, n_beta: int) -> np.ndarray:

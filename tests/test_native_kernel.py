@@ -13,6 +13,16 @@ Three contracts:
   both RNG stream backends, extreme magnitudes and an active
   ``allocation_cap`` (which must raise the same
   :class:`AllocationCapExceeded` wherever the NumPy path would);
+* **the fused chain** — a native kernel runs the scorer's whole sampling
+  chain in one call; results, ``accepted``, counters and the memo's end
+  state equal the NumPy chain's (and the dense seed path's) on random,
+  tie-grid and constant-row nodes, through ``_score_chunk_run``
+  sub-ranges, on a kernel adopted from a shared-cache hit and under an
+  allocation cap; two threads sharing one memo entry agree with the
+  single-threaded run.  These run on the NumPy backend alone when the
+  extension is absent, pinning the fallback to the dense oracle;
+* **grouping tables** — the one-pass ``_build_tables`` equals the per-row
+  ``np.unique`` construction, signed zeros and duplicates included;
 * **seen-bitmask caching** — a legitimately non-finite score is cached
   like any other value instead of reading as a perpetual miss, and the
   kernel counters flow into :class:`WorkTrace.kernel_counters` from both
@@ -23,6 +33,8 @@ All native-vs-numpy tests skip cleanly when the extension cannot build
 run everywhere.
 """
 
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -282,6 +294,363 @@ class TestSplitKernelBitIdentity:
             assert kernel.peak_chunk_elements <= 5 * obs.size
         for got, want in zip(out["native"], out["numpy"]):
             np.testing.assert_array_equal(got, want)
+
+
+# -- the fused chain ----------------------------------------------------------
+
+
+def _kind_node(kind, seed, n_vars, n_obs, n_parents):
+    """A node of one adversarial family: continuous values, a coarse tie
+    grid with signed zeros, or constant parent rows."""
+    data, obs, left_obs, parents = _node_arrays(
+        seed, n_vars=n_vars, n_obs=n_obs, n_parents=n_parents
+    )
+    if kind == "ties":
+        data = np.round(data)
+        data[data == 0.0] = np.where(
+            np.random.default_rng(seed).random(int((data == 0.0).sum())) < 0.5,
+            0.0, -0.0,
+        )
+    elif kind == "constant":
+        data[parents[::2]] = 1.5
+    return data, obs, left_obs, parents
+
+
+def _memo_state(kernel):
+    return (
+        kernel.hits,
+        kernel.evaluations,
+        kernel.peak_chunk_elements,
+        kernel._seen.copy(),
+        np.where(kernel._seen, kernel._cache, 0.0),
+    )
+
+
+def _assert_same_memo(got, want):
+    assert got[:3] == want[:3]
+    np.testing.assert_array_equal(got[3], want[3])
+    np.testing.assert_array_equal(got[4], want[4])
+
+
+class TestFusedChain:
+    """``score_batch_kernel`` on every available backend against two
+    oracles: the dense seed path (values) and the NumPy chain over
+    ``LazySplitKernel.scores`` (counters, memo end state)."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.sampled_from(["random", "ties", "constant"]),
+        n_obs=st.integers(1, 20),
+        n_parents=st.integers(1, 5),
+        max_steps=st.sampled_from([1, 4, 9]),
+        stop_repeats=st.sampled_from([1, 2]),
+        chunk_rows=st.sampled_from([1, 3, 1000]),
+    )
+    def test_property_matches_dense_and_numpy_chain(
+        self, seed, kind, n_obs, n_parents, max_steps, stop_repeats, chunk_rows
+    ):
+        from repro.trees.splits import margins_from_arrays
+
+        data, obs, left_obs, parents = _kind_node(kind, seed, 8, n_obs, n_parents)
+        scorer = SplitScorer(max_steps=max_steps, stop_repeats=stop_repeats)
+        uniforms = _uniform_block(
+            parents.size * n_obs, scorer.draws_per_item, seed
+        )
+        dense = scorer.score_batch(
+            margins_from_arrays(data, obs, left_obs, parents), uniforms
+        )
+
+        def make(backend):
+            return split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid,
+                max_chunk_elements=chunk_rows * n_obs, backend=backend,
+            )
+
+        oracle = make("numpy")
+        scorer._run_chain(
+            oracle.n_items, n_obs, uniforms,
+            lambda rows, beta_idx: oracle.scores(oracle.item_groups[rows], beta_idx),
+        )
+        for backend in BACKENDS:
+            kernel = make(backend)
+            assert kernel.backend == backend
+            chain = scorer.score_batch_kernel(kernel, uniforms)
+            for got, want in zip(chain, dense):
+                np.testing.assert_array_equal(got, want)
+            _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
+
+    def test_scorer_does_not_pin_the_kernel(self):
+        """The scorer outlives nodes (and, under the daemon's lease, jobs);
+        it must not keep the last node's value slice and memo alive."""
+        data, obs, left_obs, parents = _node_arrays(5)
+        scorer = SplitScorer(max_steps=3)
+        for backend in BACKENDS:
+            kernel = split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+            )
+            scorer.score_batch_kernel(
+                kernel, _uniform_block(kernel.n_items, scorer.draws_per_item)
+            )
+            assert not hasattr(scorer, "last_memo")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_subranges_through_score_chunk_run(self, backend):
+        """Split-level tasks score ``[row0, row1)`` slices of a node on
+        kernels built over parent sub-slices; stitched together they equal
+        whole-node ``score_node_splits`` (NumPy kernel) entry for entry."""
+        from repro.datatypes import TreeNode
+        from repro.parallel.tasks import SplitTask, _score_chunk_run, build_ctx
+        from repro.rng.streams import IndexedStream
+        from repro.trees.splits import score_node_splits
+
+        data, obs, left_obs, parents = _kind_node("ties", 17, 12, 11, 6)
+        config = LearnerConfig(max_sampling_steps=6, sampling_stop_repeats=2)
+        seed, module_id, base = 3, 2, 40
+        left = np.sort(left_obs)
+        node = TreeNode(
+            0, obs,
+            left=TreeNode(1, left),
+            right=TreeNode(2, np.setdiff1d(obs, left)),
+        )
+        ctx = build_ctx(data, parents, config, seed)
+        istream = IndexedStream(
+            make_stream(seed, "splits", module_id, backend=config.rng_backend),
+            ctx["scorer"].draws_per_item,
+        )
+        prev = set_kernel_backend("numpy")
+        try:
+            whole = score_node_splits(
+                data, module_id, 0, node, parents, ctx["scorer"], istream, base
+            )
+            set_kernel_backend(backend)
+            n_items = parents.size * obs.size
+            bounds = [0, 4, obs.size, 3 * obs.size + 5, n_items - 1, n_items]
+            for row0, row1 in zip(bounds, bounds[1:]):
+                task = SplitTask(module_id, obs, left, base, row0, row1, row0)
+                offset, scores, steps, accepted = _score_chunk_run(ctx, task)
+                assert offset == row0
+                np.testing.assert_array_equal(scores, whole.log_scores[row0:row1])
+                np.testing.assert_array_equal(steps, whole.steps[row0:row1])
+                np.testing.assert_array_equal(accepted, whole.accepted[row0:row1])
+        finally:
+            set_kernel_backend(prev)
+
+    def test_kernel_adopted_from_shared_cache(self):
+        """A second kernel over the same node adopts the store's memo: the
+        chain then runs against a partly filled table, and every backend
+        reports the results and counters of the NumPy chain."""
+        from repro.scoring.score_cache import SharedScoreCache
+
+        data, obs, left_obs, parents = _kind_node("ties", 31, 10, 13, 4)
+        scorer = SplitScorer(max_steps=6, stop_repeats=2)
+        n_items = parents.size * obs.size
+        first = _uniform_block(n_items, scorer.draws_per_item, 31)
+        second = _uniform_block(n_items, scorer.draws_per_item, 32)
+        items = np.arange(5, n_items - 7)
+        runs = {}
+        for backend in BACKENDS:
+            values = data[parents][:, obs]
+            sign = np.where(np.isin(obs, left_obs), 1.0, -1.0)
+            store = SharedScoreCache(1 << 20)
+            builder = LazySplitKernel(
+                values, sign, scorer.beta_grid, backend=backend, shared_cache=store
+            )
+            a = scorer.score_batch_kernel(builder, first[items], item_indices=items)
+            adopter = LazySplitKernel(
+                values, sign, scorer.beta_grid, backend=backend, shared_cache=store
+            )
+            assert adopter.from_shared_cache and adopter._seen is builder._seen
+            b = scorer.score_batch_kernel(adopter, second)
+            assert adopter.hits > 0
+            runs[backend] = (a, b, _memo_state(builder), _memo_state(adopter))
+        for backend in BACKENDS[1:]:
+            for got, want in zip(runs[backend][0] + runs[backend][1],
+                                 runs["numpy"][0] + runs["numpy"][1]):
+                np.testing.assert_array_equal(got, want)
+            _assert_same_memo(runs[backend][2], runs["numpy"][2])
+            _assert_same_memo(runs[backend][3], runs["numpy"][3])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cap_below_one_row_raises(self, backend):
+        """``n_obs > cap``: not even a one-row evaluation chunk fits, and
+        both chains refuse before evaluating anything."""
+        data, obs, left_obs, parents = _node_arrays(41, n_obs=12, n_parents=3)
+        scorer = SplitScorer(max_steps=3)
+        kernel = split_kernel_from_arrays(
+            data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+        )
+        uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 41)
+        with allocation_cap(obs.size - 1):
+            with pytest.raises(AllocationCapExceeded, match="evaluation chunk"):
+                scorer.score_batch_kernel(kernel, uniforms)
+        assert kernel.evaluations == 0 and not kernel._seen.any()
+
+    @needs_native
+    def test_out_of_range_start_uniform_rejected(self):
+        data, obs, left_obs, parents = _node_arrays(43, n_obs=6, n_parents=2)
+        scorer = SplitScorer(max_steps=2)
+        kernel = split_kernel_from_arrays(
+            data, obs, left_obs, parents, scorer.beta_grid, backend="native"
+        )
+        uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 43)
+        bad = uniforms.copy()
+        bad[3, 0] = -0.5
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            scorer.score_batch_kernel(kernel, bad)
+        with pytest.raises(ValueError, match="uniforms must have shape"):
+            scorer.score_batch_kernel(kernel, uniforms[:, :-1])
+
+
+@needs_native
+class TestSharedMemoThreads:
+    """cffi drops the GIL for the whole fused call, and two in-process node
+    threads can adopt one ``SharedScoreCache`` entry: a memo slot must be
+    published score-first, flag-second."""
+
+    def test_two_threads_on_one_entry_agree_with_one(self):
+        from repro.scoring.score_cache import SharedScoreCache
+
+        # Sized so the threads overlap inside the C call: with the flag
+        # published before the score, this fails in every run of 25 rounds.
+        data, obs, left_obs, parents = _kind_node("ties", 53, 70, 96, 64)
+        values = data[parents][:, obs]
+        sign = np.where(np.isin(obs, left_obs), 1.0, -1.0)
+        scorer = SplitScorer(max_steps=12, stop_repeats=3)
+        n_items = parents.size * obs.size
+        n_threads = 4  # more than the box has cores
+        blocks = [
+            _uniform_block(n_items, scorer.draws_per_item, 60 + t)
+            for t in range(n_threads)
+        ]
+        solo = LazySplitKernel(
+            values, sign, scorer.beta_grid, backend="native", shared_cache=None
+        )
+        want = [scorer.score_batch_kernel(solo, block) for block in blocks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(25):
+                store = SharedScoreCache(1 << 24)
+                kernels = [
+                    LazySplitKernel(
+                        values, sign, scorer.beta_grid, backend="native",
+                        shared_cache=store,
+                    )
+                    for _ in range(n_threads)
+                ]
+                assert all(k._seen is kernels[0]._seen for k in kernels)
+                got = [None] * n_threads
+                barrier = threading.Barrier(n_threads)
+
+                def work(t):
+                    barrier.wait(timeout=30)
+                    got[t] = scorer.score_batch_kernel(kernels[t], blocks[t])
+
+                threads = [
+                    threading.Thread(target=work, args=(t,))
+                    for t in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for t in range(n_threads):
+                    for g, w in zip(got[t], want[t]):
+                        np.testing.assert_array_equal(g, w)
+                # every published slot holds the score a lone kernel computes
+                seen = kernels[0]._seen
+                np.testing.assert_array_equal(seen, solo._seen)
+                np.testing.assert_array_equal(
+                    kernels[0]._cache[seen], solo._cache[seen]
+                )
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("scenario", ["single-module", "tie-grid"])
+    def test_thread_nodes_with_shared_cache_validate(self, scenario):
+        """The daemon's configuration — two thread-backend nodes, one
+        process-wide score cache, native kernel — through ``repro
+        validate``'s fingerprint check."""
+        from repro.scoring.score_cache import SharedScoreCache
+        from repro.validation.runner import BackendCombo, run_scenario
+        from repro.validation.scenarios import select_scenarios
+
+        (spec,) = select_scenarios([scenario], smoke=True)
+        combos = [
+            BackendCombo(1, "native", rng, n_nodes=2, node_backend="thread")
+            for rng in ("philox", "mrg")
+        ]
+        previous = kernel_mod.set_shared_score_cache(SharedScoreCache(1 << 24))
+        # thread nodes install the process-wide backend and may leave it set
+        backend = kernel_mod.configured_kernel_backend()
+        try:
+            result = run_scenario(spec, seed=0, smoke=True, combos=combos)
+            assert kernel_mod.shared_score_cache().snapshot()["insertions"] > 0
+        finally:
+            kernel_mod.set_shared_score_cache(previous)
+            set_kernel_backend(backend)
+        assert [c.error for c in result.combos] == [None, None]
+        assert all(c.identical for c in result.combos)
+
+
+# -- grouping tables -----------------------------------------------------------
+
+
+def _per_row_unique_tables(values):
+    """``_build_tables`` as it was: one ``np.unique`` per parent row."""
+    item_groups = [np.zeros(0, dtype=np.int64)]
+    rows = [np.zeros(0, dtype=np.int64)]
+    vals = [np.zeros(0)]
+    offset = 0
+    for l, row in enumerate(values):
+        uvals, inverse = np.unique(row, return_inverse=True)
+        item_groups.append(offset + inverse)
+        rows.append(np.full(uvals.size, l, dtype=np.int64))
+        vals.append(uvals)
+        offset += uvals.size
+    return (
+        np.concatenate(item_groups), np.concatenate(rows), np.concatenate(vals),
+        offset,
+    )
+
+
+class TestBuildTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_parents=st.integers(0, 6),
+        n_obs=st.integers(0, 30),
+        levels=st.sampled_from([1, 2, 5, 1000]),
+        with_nan=st.booleans(),
+    )
+    def test_matches_per_row_unique(self, seed, n_parents, n_obs, levels, with_nan):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-levels, levels + 1, size=(n_parents, n_obs)) / 2.0
+        values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
+        if with_nan and values.size:
+            values[rng.random(values.shape) < 0.2] = np.nan
+        kernel = LazySplitKernel(
+            values, np.ones(n_obs), (1.0, 2.0), backend="numpy", shared_cache=None
+        )
+        item_groups, group_row, group_value, n_groups = _per_row_unique_tables(
+            kernel.values
+        )
+        assert kernel.n_groups == n_groups
+        np.testing.assert_array_equal(kernel.item_groups, item_groups)
+        np.testing.assert_array_equal(kernel.group_row, group_row)
+        # equal under ==: a group of signed zeros may be named by either
+        np.testing.assert_array_equal(kernel.group_value, group_value)
+        assert kernel.item_groups.dtype == kernel.group_row.dtype == np.int64
+        for table in (kernel.item_groups, kernel.group_row, kernel.group_value):
+            assert table.flags.c_contiguous
+        assert kernel._cache.shape == kernel._seen.shape == (2 * n_groups,)
 
 
 # -- bit identity: grouped stats and the normal-gamma tail -------------------
