@@ -29,39 +29,47 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.
 """
 
-from repro.core import (
-    LearnerConfig,
-    LearnResult,
-    LemonTreeLearner,
-    ParallelConfig,
-    ReferenceLearner,
-    network_from_json,
-    network_to_json,
-    network_to_xml,
-)
-from repro.data import (
-    make_module_dataset,
-    read_expression_tsv,
-    thaliana_like,
-    write_expression_tsv,
-    yeast_like,
-)
-from repro.analysis import make_acyclic, module_recovery_score, parent_recovery
-from repro.datatypes import ExpressionMatrix, Module, ModuleNetwork, TaskTimes
-from repro.genomica import GenomicaConfig, GenomicaLearner
-from repro.inference import (
-    fit_network,
-    holdout_log_likelihood,
-    train_test_split_obs,
-)
-from repro.parallel import (
-    MachineModel,
-    MachineTopology,
-    ParallelLearner,
-    WorkTrace,
-    project_time,
-)
-from repro.validation import SCENARIOS, run_matrix, run_scenario
+import importlib
+
+#: public name -> the submodule that defines it.  Resolved on first access
+#: (module ``__getattr__``, PEP 562) so that importing any ``repro.*``
+#: submodule — every spawned pool worker and shard node does — pays for
+#: what it uses, not for networkx, the CLI stack or the extensions.
+_EXPORTS = {
+    "LearnerConfig": "repro.core.config",
+    "ParallelConfig": "repro.core.config",
+    "LemonTreeLearner": "repro.core.learner",
+    "LearnResult": "repro.core.learner",
+    "ReferenceLearner": "repro.core.reference",
+    "network_from_json": "repro.core.output",
+    "network_to_json": "repro.core.output",
+    "network_to_xml": "repro.core.output",
+    "make_module_dataset": "repro.data.synthetic",
+    "yeast_like": "repro.data.synthetic",
+    "thaliana_like": "repro.data.synthetic",
+    "read_expression_tsv": "repro.data.io",
+    "write_expression_tsv": "repro.data.io",
+    "make_acyclic": "repro.analysis.acyclicity",
+    "module_recovery_score": "repro.analysis.recovery",
+    "parent_recovery": "repro.analysis.recovery",
+    "ExpressionMatrix": "repro.datatypes",
+    "Module": "repro.datatypes",
+    "ModuleNetwork": "repro.datatypes",
+    "TaskTimes": "repro.datatypes",
+    "GenomicaConfig": "repro.genomica",
+    "GenomicaLearner": "repro.genomica",
+    "fit_network": "repro.inference",
+    "holdout_log_likelihood": "repro.inference",
+    "train_test_split_obs": "repro.inference",
+    "MachineModel": "repro.parallel.costmodel",
+    "MachineTopology": "repro.parallel.topology",
+    "ParallelLearner": "repro.parallel.engine",
+    "WorkTrace": "repro.parallel.trace",
+    "project_time": "repro.parallel.trace",
+    "SCENARIOS": "repro.validation",
+    "run_matrix": "repro.validation",
+    "run_scenario": "repro.validation",
+}
 
 __version__ = "1.0.0"
 
@@ -101,3 +109,12 @@ __all__ = [
     "parent_recovery",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups bypass this hook
+    return value

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.datatypes import Module, ModuleNetwork
 
 
@@ -54,6 +52,8 @@ def make_acyclic(network: ModuleNetwork) -> tuple[ModuleNetwork, list[RemovedEdg
     definition).  The corresponding parents are dropped from the target
     module's parent map.
     """
+    import networkx as nx  # here, as in datatypes: only graph queries pay for it
+
     support = _edge_support(network)
     graph = nx.DiGraph()
     for module in network.modules:
@@ -97,7 +97,7 @@ def make_acyclic(network: ModuleNetwork) -> tuple[ModuleNetwork, list[RemovedEdg
     return cleaned, removed
 
 
-def _cut(graph: nx.DiGraph, support, src: int, dst: int) -> RemovedEdge:
+def _cut(graph, support, src: int, dst: int) -> RemovedEdge:
     parents = support.get((src, dst), {})
     graph.remove_edge(src, dst)
     return RemovedEdge(

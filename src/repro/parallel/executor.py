@@ -465,9 +465,11 @@ def open_executor(
     ``n_nodes > 1`` binds the scheduler to the shard-node transport,
     otherwise to this host's (in-process at one worker, pooled above).
     Either way the result is a :class:`TaskScheduler` and a context
-    manager; the caller closes what it opens.  ``mp_context`` and
-    ``crash_poll_seconds`` reach the local pool only (callers living in a
-    multi-threaded process pass ``"spawn"``).
+    manager; the caller closes what it opens.  ``mp_context`` is the start
+    method of every child process the executor launches, pool workers and
+    shard nodes alike (:func:`repro.parallel.poolutil.pool_context`;
+    callers living in a multi-threaded process pass ``"spawn"``);
+    ``crash_poll_seconds`` reaches the local pool only.
     """
     parents = np.asarray(
         config.resolve_candidate_parents(data.shape[0]), dtype=np.int64
@@ -476,7 +478,8 @@ def open_executor(
         from repro.parallel.sharding import ShardedExecutor
 
         return ShardedExecutor(
-            data, parents, config, seed, checkpoint_dir=checkpoint_dir
+            data, parents, config, seed,
+            checkpoint_dir=checkpoint_dir, mp_context=mp_context,
         )
     return TaskPoolExecutor(
         data,

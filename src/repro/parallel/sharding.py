@@ -15,12 +15,15 @@ network: bit-identity holds for any shard count x worker count.
 
 Two node backends speak one length-prefixed message protocol:
 
-* ``socket`` — each node is a real OS process (spawn context) connected
-  to the driver over a localhost TCP socket.  Frames are an 8-byte
-  big-endian length followed by a pickled message tuple.  A node killed
-  mid-run surfaces as :class:`NodeCrashedError` (the EOF tears the
-  frame); checkpoints the dead run wrote remain valid and a re-run
-  resumes from them.
+* ``socket`` — each node is a real OS process connected to the driver
+  over a localhost TCP socket, started by the one rule every child of the
+  executor tier follows (:func:`repro.parallel.poolutil.pool_context`:
+  fork where available; a fresh interpreter where it is not, or where the
+  caller's ``mp_context`` says so because it lives in a multi-threaded
+  process).  Frames are an 8-byte big-endian length followed by a pickled
+  message tuple.  A node killed mid-run surfaces as
+  :class:`NodeCrashedError` (the EOF tears the frame); checkpoints the
+  dead run wrote remain valid and a re-run resumes from them.
 * ``thread`` — the in-process fallback: nodes are threads exchanging the
   *same pickled frames* through :class:`repro.parallel.comm.ThreadComm`
   mailboxes, so byte accounting and protocol behaviour match the socket
@@ -42,22 +45,26 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import socket
 import struct
 import threading
 import time
+from multiprocessing.util import register_after_fork
 
 import numpy as np
 
 from repro.core.config import LearnerConfig
+from repro.parallel import poolutil
 from repro.parallel.costmodel import (
     MachineModel,
     calibrate_from_roundtrips,
     set_calibrated_model,
 )
 from repro.parallel.executor import TaskScheduler
-from repro.parallel.tasks import TASK_RUNNERS
+from repro.parallel.tasks import _WORKER, TASK_RUNNERS
 from repro.parallel.transport import Transport, WorkerCrashedError, local_transport
+from repro.scoring import kernel as kernel_mod
 
 #: 8-byte big-endian frame length prefix
 _FRAME_HEADER = struct.Struct("!Q")
@@ -71,6 +78,14 @@ CALIBRATION_WORDS = 64 * 1024
 #: echo repetitions per node (medians over these resist scheduler jitter)
 CALIBRATION_SMALL_ECHOES = 5
 CALIBRATION_LARGE_ECHOES = 3
+
+#: how long every node together may take to connect and say ``hello``
+HANDSHAKE_SECONDS = 120.0
+#: how often the accept loop looks for a node that exited before its hello
+ACCEPT_POLL_SECONDS = 0.2
+#: how long a node may take to answer ``close`` and then to exit before
+#: the driver stops asking and kills its process group
+NODE_EXIT_SECONDS = 30.0
 
 
 class NodeCrashedError(RuntimeError):
@@ -113,6 +128,10 @@ class _Channel:
     gone raises :class:`NodeCrashedError` from either.
     """
 
+    #: recv wait bound in seconds (``None`` waits forever); a peer silent
+    #: for longer surfaces as :class:`NodeCrashedError` instead of a hang
+    recv_timeout: float | None = None
+
     def __init__(self, peer: str) -> None:
         self.peer = peer
         self.bytes_sent = 0
@@ -154,6 +173,18 @@ class SocketChannel(_Channel):
         super().__init__(peer)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
+        # A process forked while this channel is live (another transport's
+        # node, a pool worker) drops its copy of the connection at once:
+        # the peer must see EOF the moment *this* process goes away.
+        register_after_fork(self, SocketChannel.close)
+
+    @property
+    def recv_timeout(self) -> float | None:
+        return self._sock.gettimeout()
+
+    @recv_timeout.setter
+    def recv_timeout(self, seconds: float | None) -> None:
+        self._sock.settimeout(seconds)
 
     def _send(self, frame: bytes) -> None:
         try:
@@ -203,9 +234,7 @@ class ThreadChannel(_Channel):
         super().__init__(peer)
         self._comm = comm
         self._peer_rank = peer_rank
-        #: recv wait bound; a node thread that died without replying
-        #: surfaces as NodeCrashedError instead of a hang
-        self.recv_timeout: float | None = 600.0
+        self.recv_timeout = 600.0
 
     def _send(self, frame: bytes) -> None:
         self._comm.send(frame, self._peer_rank)
@@ -218,7 +247,14 @@ class ThreadChannel(_Channel):
                 f"{self.peer} sent no reply within {self.recv_timeout} s "
                 "(node thread died?)"
             ) from exc
+        if not frame:
+            raise NodeCrashedError(f"{self.peer} closed the channel")
         return memoryview(frame)[_FRAME_HEADER.size :]
+
+    def close(self) -> None:
+        """The mailbox's EOF: an empty frame, so the peer's next ``recv``
+        fails at once, as on a closed socket."""
+        self._comm.send(b"", self._peer_rank)
 
 
 # -- node side ---------------------------------------------------------------
@@ -306,13 +342,40 @@ def _node_serve(channel, node_id: int) -> None:
 
 
 def _socket_node_main(port: int, node_id: int, token: str) -> None:
-    """Entry point of one spawned socket-backend node process."""
+    """Entry point of one socket-backend node process, forked or spawned.
+
+    A forked node must be the fresh interpreter a spawned one is.  Its copy
+    of the listener and of every other live channel is already closed (the
+    ``register_after_fork`` hooks ran before this), and here it drops what
+    the driver accumulated at module scope — a worker context, kernel
+    counters, a shared score cache, a calibrated machine model — so none of
+    it can surface in this node's completion records.  The node leads its
+    own process group: whoever has to kill it takes its pool workers along.
+    """
+    if hasattr(os, "setpgid"):
+        os.setpgid(0, 0)
+    _WORKER.clear()
+    kernel_mod.consume_kernel_totals()
+    kernel_mod.set_shared_score_cache(None)
+    set_calibrated_model(None)
     sock = socket.create_connection(("127.0.0.1", port))
     channel = SocketChannel(sock, peer="driver")
     channel.send_msg(
         ("hello", {"node_id": node_id, "token": token, "pid": os.getpid()})
     )
     _node_serve(channel, node_id)
+
+
+def _signal_group(proc, sig: int) -> None:
+    """Signal a node and the process group it leads (its pool workers,
+    orphaned or not).  No such group: the node died before ``setpgid``,
+    when it had no children yet."""
+    try:
+        os.killpg(proc.pid, sig)
+    except (AttributeError, ProcessLookupError, PermissionError):
+        pass
+    if proc.is_alive():
+        os.kill(proc.pid, sig)
 
 
 # -- the shard transport -----------------------------------------------------
@@ -331,7 +394,10 @@ class ShardTransport(Transport):
     preloads finished ones, so a resumed run ships only pending work.
     """
 
-    def __init__(self, data, parents, config: LearnerConfig, seed, checkpoint_dir):
+    def __init__(
+        self, data, parents, config: LearnerConfig, seed, checkpoint_dir,
+        mp_context: str | None = None,
+    ) -> None:
         self.n_nodes = config.parallel.n_nodes
         self.node_backend = config.parallel.node_backend
         self.workers_per_node = config.parallel.resolve_n_workers()
@@ -345,6 +411,7 @@ class ShardTransport(Transport):
         #: node process pids (socket backend; thread nodes report the
         #: driver's own pid) — the failure-injection tests kill these
         self.node_pids: list[int] = []
+        self._mp_context = mp_context
         self._channels: list | None = None
         self._procs: list = []
         self._threads: list = []
@@ -367,10 +434,27 @@ class ShardTransport(Transport):
         """
         if self._channels is not None:
             return
-        if self.node_backend == "socket":
-            channels = self._start_socket_nodes()
-        else:
-            channels = self._start_thread_nodes()
+        channels: list = [None] * self.n_nodes
+        try:
+            if self.node_backend == "socket":
+                self._start_socket_nodes(channels)
+            else:
+                self._start_thread_nodes(channels)
+            self._init_nodes(channels)
+        except BaseException:
+            # Nothing half-started survives a failed start: every accepted
+            # channel is closed (its node sees EOF and exits) and every
+            # process is reaped now, not by close() one join timeout each.
+            for channel in channels:
+                if channel is not None:
+                    channel.close()
+            self._reap(grace=0.0)
+            raise
+        self._channels = channels
+        self.stats.matrix_transfers += self.n_nodes  # one init frame each
+        self._calibrate()
+
+    def _init_nodes(self, channels) -> None:
         checkpoint_dir = (
             str(self.checkpoint_dir) if self.checkpoint_dir is not None else None
         )
@@ -385,10 +469,13 @@ class ShardTransport(Transport):
                     # Thread-backend nodes live inside the (multi-threaded)
                     # driver process: forking a pool there can capture a
                     # lock mid-held and deadlock the child, so those pools
-                    # must spawn.  Socket nodes are fresh single-threaded
-                    # processes where the cheaper fork default is safe.
+                    # must spawn.  Socket nodes are single-threaded
+                    # processes, forked or spawned, where the cheaper fork
+                    # default is safe.
                     "mp_context": (
-                        "spawn" if self.node_backend == "thread" else None
+                        poolutil.THREADED_START_METHOD
+                        if self.node_backend == "thread"
+                        else None
                     ),
                 })
             )
@@ -398,20 +485,16 @@ class ShardTransport(Transport):
                 raise NodeCrashedError(
                     f"node {node_id} failed to initialize: {body}"
                 )
-            if self.node_backend == "thread":
-                self.node_pids.append(os.getpid())
-        self._channels = channels
-        self.stats.matrix_transfers += self.n_nodes  # one init frame each
-        self._calibrate()
 
-    def _start_socket_nodes(self) -> list[SocketChannel]:
-        import multiprocessing
-
+    def _start_socket_nodes(self, channels: list) -> None:
         listener = socket.create_server(("127.0.0.1", 0))
-        listener.settimeout(120.0)
+        register_after_fork(listener, socket.socket.close)
+        listener.settimeout(ACCEPT_POLL_SECONDS)
         port = listener.getsockname()[1]
         token = os.urandom(16).hex()
-        ctx = multiprocessing.get_context("spawn")
+        # The pool's rule: fork where available, else — or when the caller,
+        # living in a multi-threaded process, says so — spawn.
+        ctx = poolutil.pool_context(self._mp_context)
         self._procs = [
             ctx.Process(
                 target=_socket_node_main,
@@ -421,36 +504,54 @@ class ShardTransport(Transport):
             )
             for node_id in range(self.n_nodes)
         ]
+        # Every node is started before the first accept(): none is forked
+        # while a sibling's connection exists to be inherited.
         for proc in self._procs:
             proc.start()
-        channels: list[SocketChannel | None] = [None] * self.n_nodes
-        pids: list[int] = [0] * self.n_nodes
+        self.node_pids = [proc.pid for proc in self._procs]
+        deadline = time.monotonic() + HANDSHAKE_SECONDS
         try:
-            for _ in range(self.n_nodes):
-                conn, _addr = listener.accept()
+            while None in channels:
+                try:
+                    conn, _addr = listener.accept()
+                except socket.timeout:
+                    self._check_unconnected(channels, deadline)
+                    continue
                 channel = SocketChannel(conn, peer="node")
-                tag, hello = channel.recv_msg()
-                if tag != "hello" or hello.get("token") != token:
-                    raise NodeCrashedError(
-                        "unexpected connection during node handshake"
-                    )
+                try:
+                    tag, hello = channel.recv_msg()
+                    if tag != "hello" or hello.get("token") != token:
+                        raise NodeCrashedError(
+                            "unexpected connection during node handshake"
+                        )
+                except BaseException:
+                    channel.close()
+                    raise
                 node_id = int(hello["node_id"])
                 channel.peer = f"node {node_id}"
                 channels[node_id] = channel
-                pids[node_id] = int(hello["pid"])
-        except socket.timeout as exc:
-            raise NodeCrashedError(
-                "shard node(s) failed to connect within the handshake timeout"
-            ) from exc
         finally:
             listener.close()
-        self.node_pids = pids
-        return list(channels)
 
-    def _start_thread_nodes(self) -> list[ThreadChannel]:
+    def _check_unconnected(self, channels, deadline: float) -> None:
+        """Fail the handshake as soon as it cannot complete: a node that
+        exited before its ``hello`` (import error, OOM kill) will never
+        connect, whatever the timeout."""
+        for node_id, proc in enumerate(self._procs):
+            if channels[node_id] is None and proc.exitcode is not None:
+                raise NodeCrashedError(
+                    f"node {node_id} (pid {proc.pid}) exited with code "
+                    f"{proc.exitcode} before its hello"
+                )
+        if time.monotonic() > deadline:
+            raise NodeCrashedError(
+                "shard node(s) failed to connect within the handshake timeout"
+            )
+
+    def _start_thread_nodes(self, channels: list) -> None:
         from repro.parallel.comm import ThreadComm, _Context
 
-        channels = []
+        self.node_pids = [os.getpid()] * self.n_nodes
         for node_id in range(self.n_nodes):
             context = _Context(2)
             driver_channel = ThreadChannel(
@@ -467,8 +568,7 @@ class ShardTransport(Transport):
             )
             thread.start()
             self._threads.append(thread)
-            channels.append(driver_channel)
-        return channels
+            channels[node_id] = driver_channel
 
     def _calibrate(self) -> None:
         """Fit tau/mu from echo round-trips over the live channels."""
@@ -511,30 +611,52 @@ class ShardTransport(Transport):
 
     def close(self) -> None:
         """Tear the tier down: close nodes, reap processes, restore the
-        process-wide machine model the calibration displaced."""
-        channels, self._channels = self._channels, None
+        process-wide machine model the calibration displaced.
+
+        Two phases — ``close`` to every node, then every ``bye`` — so the
+        nodes tear their pools down (and, spawned, finalize their
+        interpreters) side by side: closing costs the slowest node, not
+        the sum.
+        """
+        channels, self._channels = self._channels or [], None
         try:
-            if channels is not None:
-                for channel in channels:
-                    try:
-                        channel.send_msg(("close",))
-                        channel.recv_msg()  # ("bye", {})
-                    except NodeCrashedError:
-                        pass
-                    channel.close()
+            for channel in channels:
+                try:
+                    channel.send_msg(("close",))
+                except NodeCrashedError:
+                    pass
+            for channel in channels:
+                channel.recv_timeout = NODE_EXIT_SECONDS
+                try:
+                    channel.recv_msg()  # ("bye", {})
+                except NodeCrashedError:
+                    pass
+                channel.close()
         finally:
-            for proc in self._procs:
-                proc.join(timeout=30.0)
-                if proc.is_alive():  # pragma: no cover - hung node
-                    proc.terminate()
-                    proc.join(timeout=10.0)
-            self._procs = []
-            for thread in self._threads:
-                thread.join(timeout=30.0)
-            self._threads = []
+            self._reap()
             if self._prev_model is not False:
                 set_calibrated_model(self._prev_model)
                 self._prev_model = False
+
+    def _reap(self, grace: float = NODE_EXIT_SECONDS) -> None:
+        """Join every node within ``grace`` seconds in total; a node still
+        alive then, or one that died without tearing down its pool, has
+        its whole process group signalled — no worker outlives its node."""
+        deadline = time.monotonic() + grace
+        for proc in self._procs:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.exitcode != 0:
+                # SIGTERM first: the node's resource tracker ignores it and
+                # so lives to unlink the shared matrix its owner left behind.
+                _signal_group(proc, signal.SIGTERM)
+                proc.join(timeout=10.0)
+                if proc.is_alive():
+                    _signal_group(proc, signal.SIGKILL)
+                    proc.join(timeout=10.0)
+        self._procs = []
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        self._threads = []
 
     # -- dispatch ----------------------------------------------------------
     def run(self, fn, ordered_items, *, schedule=None, chunksize=None, homes=None):
@@ -653,8 +775,11 @@ class ShardedExecutor(TaskScheduler):
         seed: int,
         *,
         checkpoint_dir=None,
+        mp_context: str | None = None,
     ) -> None:
-        super().__init__(ShardTransport(data, parents, config, seed, checkpoint_dir))
+        super().__init__(
+            ShardTransport(data, parents, config, seed, checkpoint_dir, mp_context)
+        )
         self.n_nodes = self.transport.n_nodes
         self.node_backend = self.transport.node_backend
 

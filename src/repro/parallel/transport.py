@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import queue as queue_mod
+import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import TimeoutError as _MpTimeoutError
@@ -426,6 +427,9 @@ class PoolTransport(Transport):
         #: with the pool when stealing is possible, None on flat machines
         self._steal_shared = None
         self._steal_queue_timeout = 60.0
+        #: a worker died in this pool: its queues cannot be trusted any
+        #: more, and :meth:`close` does not ask them to cooperate
+        self._crashed = False
 
     def _steal_possible(self) -> bool:
         """Whether dynamic dispatch uses domain-affine queues — the steal
@@ -473,15 +477,18 @@ class PoolTransport(Transport):
 
     def close(self) -> None:
         """Tear down the pool and unlink the shared-memory segment — always
-        the latter: a failure while terminating (or a pool poisoned by a
-        crashed worker) must not leak the matrix into ``/dev/shm``; every
-        learner entry point runs through here on every exception path.
+        the latter: a failure while terminating must not leak the matrix
+        into ``/dev/shm``; every learner entry point runs through here on
+        every exception path.  A pool a worker died in is not asked to
+        cooperate (:func:`_abandon_pool`): no worker outlives it either.
         """
         pool, self._pool = self._pool, None
         shared, self._shared = self._shared, None
         steal_shared, self._steal_shared = self._steal_shared, None
         try:
-            if pool is not None:
+            if pool is not None and self._crashed:
+                _abandon_pool(pool)
+            elif pool is not None:
                 self._drain_checkpoint_writers(pool)
                 pool.terminate()
                 pool.join()
@@ -562,6 +569,7 @@ class PoolTransport(Transport):
                 self._pool.imap_unordered(entry, payloads), len(payloads), n
             )
         except WorkerCrashedError:
+            self._crashed = True
             self._reset_steal()
             raise
 
@@ -631,6 +639,34 @@ class PoolTransport(Transport):
                     q.get_nowait()
                 except (queue_mod.Empty, OSError, ValueError):
                     break
+
+
+def _abandon_pool(pool, grace: float = 2.0) -> None:
+    """Tear down a pool a worker died in, without trusting its queues.
+
+    ``mp.Pool`` guards its task and result pipes with plain semaphores.  A
+    worker SIGKILLed while it held one (mid result write, or idle inside
+    ``get``) leaves it locked for good: the surviving workers and every
+    replacement park on it, and ``terminate()`` — which takes the same
+    locks to post its sentinels — never returns.  So the cooperative
+    ``terminate()`` runs on a thread this call is prepared to abandon (its
+    first act stops the pool respawning workers, wedged or not); if it has
+    not finished within ``grace`` seconds the worker processes are
+    SIGKILLed and reaped here.  Checkpoints still queued on a survivor's
+    writer are lost with it — never torn, and a resume recomputes them.
+    """
+    reaper = threading.Thread(target=pool.terminate, name="pool-reaper", daemon=True)
+    reaper.start()
+    reaper.join(timeout=grace)
+    if not reaper.is_alive():
+        pool.join()
+        return
+    workers = list(pool._pool)
+    for proc in workers:
+        if proc.exitcode is None:
+            proc.kill()
+    for proc in workers:
+        proc.join(timeout=10.0)
 
 
 def local_transport(

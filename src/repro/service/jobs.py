@@ -202,17 +202,19 @@ class ExecutorLease:
             return self._executor, True
         self.release()
         from repro.parallel.executor import open_executor
+        from repro.parallel.poolutil import THREADED_START_METHOD
 
         # The service process is inherently multi-threaded (runner thread,
-        # daemon request handlers); forking a pool here can capture a lock
-        # mid-held and deadlock the child, so lease pools always spawn.
-        # The lease amortizes the slower startup across every job it serves.
+        # daemon request handlers); forking here can capture a lock
+        # mid-held and deadlock the child, so whatever the lease launches —
+        # pool workers, shard nodes — always spawns.  The lease amortizes
+        # the slower startup across every job it serves.
         self._executor = open_executor(
             data,
             config,
             seed,
             checkpoint_dir,
-            mp_context="spawn",
+            mp_context=THREADED_START_METHOD,
             crash_poll_seconds=self.crash_poll_seconds,
         )
         self._binding = binding

@@ -1,5 +1,7 @@
 """Failure injection and degenerate-input behaviour."""
 
+import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -14,6 +16,7 @@ import pytest
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.datatypes import ExpressionMatrix
+from repro.parallel import sharding
 from repro.parallel.comm import SpmdFailure, run_spmd
 from repro.parallel.engine import ParallelLearner
 from repro.parallel.executor import (
@@ -21,7 +24,75 @@ from repro.parallel.executor import (
     WorkerCrashedError,
     _ganesh_run,
 )
+from repro.parallel.sharding import (
+    NodeCrashedError,
+    ShardedExecutor,
+    _socket_node_main,
+)
 from repro.parallel.topology import MachineTopology, available_cpus
+
+
+def _proc_stat(pid: int) -> list[str]:
+    """``/proc/<pid>/stat`` after the command name: state, ppid, pgrp,
+    session, ... (the name may itself contain spaces and parentheses)."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is still running (a zombie is not)."""
+    try:
+        return _proc_stat(pid)[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+def _session_processes() -> dict[int, str]:
+    """Live processes of this session other than this one, pid -> command
+    line.  Everything a test launches stays in the session — shard nodes
+    lead their own process *group*, and workers orphaned by a killed node
+    are re-parented, but neither leaves it — so this sees what a walk down
+    from ``os.getpid()`` would miss."""
+    session = os.getsid(0)
+    found: dict[int, str] = {}
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit() or int(entry.name) == os.getpid():
+            continue
+        try:
+            stat = _proc_stat(int(entry.name))
+            if stat[0] == "Z" or int(stat[3]) != session:
+                continue
+            found[int(entry.name)] = (
+                (entry / "cmdline").read_bytes().replace(b"\0", b" ").decode()
+            )
+        except (OSError, IndexError, ValueError):  # exited while we looked
+            continue
+    return found
+
+
+@pytest.fixture(autouse=True)
+def _no_leaks():
+    """Whatever a test kills or crashes, nothing it started outlives it:
+    no process (this process's own resource tracker aside) and no
+    shared-memory segment."""
+    if not Path("/proc/self/stat").exists():  # pragma: no cover - not Linux
+        yield
+        return
+    shm = Path("/dev/shm")
+    procs_before = set(_session_processes())
+    segments_before = {f.name for f in shm.glob("psm_*")}
+    yield
+    deadline = time.monotonic() + 10.0
+    while True:
+        procs = {
+            pid: cmd for pid, cmd in _session_processes().items()
+            if pid not in procs_before and "resource_tracker" not in cmd
+        }
+        segments = {f.name for f in shm.glob("psm_*")} - segments_before
+        if not (procs or segments) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not procs, f"processes outlived the test: {procs}"
+    assert not segments, f"shared-memory segments outlived the test: {segments}"
 
 
 class TestSpmdFailures:
@@ -83,6 +154,32 @@ class TestWorkerDeath:
             # The replacement worker re-ran the initializer: visible proof
             # of the death, and the mechanism the detector relies on.
             assert executor.worker_inits() > 2
+
+    def test_poisoned_pool_is_torn_down_without_its_queues(self, tiny_matrix):
+        """A worker SIGKILLed inside its result write dies holding the
+        pool's result-pipe lock — a plain semaphore nobody will release.
+        The survivors park on it and so would ``Pool.terminate()``;
+        ``close()`` must come back anyway, with every worker dead and the
+        shared matrix unlinked (the module's leak fixture checks that)."""
+        config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        executor = TaskPoolExecutor(
+            tiny_matrix.values, parents, config, 1, crash_poll_seconds=0.2,
+        )
+        try:
+            with pytest.raises(WorkerCrashedError):
+                executor.submit_runs(_exit_mid_run, list(range(6)), schedule="dynamic")
+            executor.transport._pool._outqueue._wlock.acquire()
+            # Whoever reports next now parks on it, as the survivors of a
+            # real kill do.
+            executor.transport._pool.apply_async(os.getpid)
+            workers = executor.worker_pids()
+            assert workers
+        finally:
+            t0 = time.monotonic()
+            executor.close()
+        assert time.monotonic() - t0 < 15.0
+        assert not any(_alive(pid) for pid in workers)
 
 
 def _two_domain_topology():
@@ -258,18 +355,20 @@ class TestShardNodeDeath:
     and a restarted run must resume bit-identically from the checkpoints
     the surviving nodes wrote."""
 
+    #: how the nodes are launched (``open_executor``'s ``mp_context``)
+    mp_context = None
+
     def test_dead_node_raises_typed_error(self, tiny_matrix, tmp_path):
         """Kill a node before dispatch: the driver detects the dead peer
         deterministically and raises the shard tier's typed error."""
-        from repro.parallel.sharding import NodeCrashedError, ShardedExecutor
-
         config = LearnerConfig(
             n_ganesh_runs=4, max_sampling_steps=3,
             parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
         )
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         with ShardedExecutor(
-            tiny_matrix.values, parents, config, 1, checkpoint_dir=tmp_path
+            tiny_matrix.values, parents, config, 1, checkpoint_dir=tmp_path,
+            mp_context=self.mp_context,
         ) as executor:
             executor.start()
             assert len(executor.node_pids) == 2
@@ -286,8 +385,6 @@ class TestShardNodeDeath:
         """SIGKILL one shard node while chains are in flight on the
         tie-heavy workload; the survivors' checkpoints must carry a
         restarted run to exactly the uninterrupted ensemble."""
-        from repro.parallel.sharding import NodeCrashedError, ShardedExecutor
-
         config, matrix = _tie_heavy_setup()
         reference = LemonTreeLearner(config).sample_clusterings(
             matrix, seed=5
@@ -299,7 +396,7 @@ class TestShardNodeDeath:
             config.with_updates(
                 parallel=ParallelConfig(n_nodes=2, node_backend="socket")
             ),
-            5, checkpoint_dir=tmp_path,
+            5, checkpoint_dir=tmp_path, mp_context=self.mp_context,
         )
         killed = []
 
@@ -347,37 +444,31 @@ class TestShardNodeDeath:
                 assert f.stat().st_mtime_ns == survivors[f.name]
 
 
-def _children(pid: int) -> list[int]:
-    """Child pids of ``pid`` as the kernel lists them (all its threads)."""
-    out: list[int] = []
-    for path in Path(f"/proc/{pid}/task").glob("*/children"):
-        try:
-            out.extend(int(child) for child in path.read_text().split())
-        except OSError:  # the thread exited between glob and read
-            pass
-    return out
-
-
 def _cpu_ticks(pid: int) -> int:
-    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    fields = _proc_stat(pid)
     return int(fields[11]) + int(fields[12])  # utime + stime
 
 
-def _kill_busy_grandchild(node_pids, timeout: float = 120.0) -> int:
+def _kill_busy_worker(worker_pids, timeout: float = 120.0) -> int:
     """SIGKILL a pool worker *inside* a shard node while it is computing
-    (its CPU time is advancing), so the task it holds is provably lost."""
+    (its CPU time is advancing), so the task it holds is provably lost.
+
+    ``worker_pids()`` lists the pool workers the nodes have reported so
+    far.  The victim is picked from those, never from "any child of a
+    node": a forked node's first child can be the resource tracker it
+    starts for its shared matrix, which boots — busily — just then.
+    """
     deadline = time.monotonic() + timeout
     seen: dict[int, int] = {}
     while time.monotonic() < deadline:
-        for node_pid in node_pids:
-            for pid in _children(node_pid):
-                try:
-                    ticks = _cpu_ticks(pid)
-                except (OSError, IndexError):
-                    continue
-                if ticks >= seen.setdefault(pid, ticks) + 3:
-                    os.kill(pid, signal.SIGKILL)
-                    return pid
+        for pid in worker_pids():
+            try:
+                ticks = _cpu_ticks(pid)
+            except (OSError, IndexError):
+                continue
+            if ticks >= seen.setdefault(pid, ticks) + 3:
+                os.kill(pid, signal.SIGKILL)
+                return pid
         time.sleep(0.01)
     raise AssertionError("no busy pool worker appeared under the shard nodes")
 
@@ -403,22 +494,27 @@ class TestNestedWorkerDeath:
     to the driver: the error frame re-raises as ``WorkerCrashedError``,
     not as a ``RuntimeError`` the service's crash isolation cannot see."""
 
-    def test_grandchild_sigkill_raises_worker_crashed(self):
-        from repro.parallel.sharding import ShardedExecutor
+    #: how the nodes are launched (``open_executor``'s ``mp_context``)
+    mp_context = None
 
+    def test_grandchild_sigkill_raises_worker_crashed(self):
         matrix, config = _nested_crash_setup()
-        learner = LemonTreeLearner(
-            config.with_updates(parallel=ParallelConfig(n_workers=1))
-        )
-        members = learner.consensus(learner.sample_clusterings(matrix, seed=9))
+        learner = LemonTreeLearner(config)
         parents = np.asarray(
             config.resolve_candidate_parents(matrix.n_vars), dtype=np.int64
         )
-        with ShardedExecutor(matrix.values, parents, config, 9) as executor:
-            executor.start()
+        with ShardedExecutor(
+            matrix.values, parents, config, 9, mp_context=self.mp_context
+        ) as executor:
+            # Task 1 on the same tier builds the nodes' pools, so every
+            # pool worker is reported before Task 3 gives them long work.
+            members = learner.consensus(
+                executor.sample_ganesh_runs(config.n_ganesh_runs)
+            )
+            workers = executor.worker_pids()[2:]
+            assert len(workers) == 4
             killer = threading.Thread(
-                target=_kill_busy_grandchild, args=(executor.node_pids,),
-                daemon=True,
+                target=_kill_busy_worker, args=(lambda: workers,), daemon=True
             )
             killer.start()
             with pytest.raises(WorkerCrashedError, match="shard node"):
@@ -443,16 +539,15 @@ class TestNestedWorkerDeath:
                 tmp_path, max_inflight=4, score_cache_bytes=0
             ) as service:
                 job = service.submit(matrix, config, 9, use_checkpoints=False)
-                deadline = time.monotonic() + 120
-                node_pids: list[int] = []
-                while time.monotonic() < deadline and not node_pids:
+
+                def reported_workers() -> list[int]:
                     row = service.status(job)
                     assert row["state"] in ("queued", "running"), row
-                    # A sharded lease lists its node processes first.
-                    node_pids = row.get("worker_pids", [])[:2]
-                    time.sleep(0.01)
-                assert len(node_pids) == 2, "job never reached running nodes"
-                _kill_busy_grandchild(node_pids)
+                    # A sharded lease lists its two node processes first,
+                    # then the pool workers they have reported.
+                    return row.get("worker_pids", [])[2:]
+
+                _kill_busy_worker(reported_workers)
 
                 with pytest.raises(JobFailed) as err:
                     service.wait(job, timeout=300)
@@ -465,6 +560,148 @@ class TestNestedWorkerDeath:
                 assert payload["executor_reused"] is False
         finally:
             set_shared_score_cache(previous)
+
+
+class TestShardNodeDeathSpawned(TestShardNodeDeath):
+    """The same injections on nodes launched as fresh interpreters — the
+    rule the service's lease passes, and every platform without fork."""
+
+    mp_context = "spawn"
+
+
+@pytest.mark.slow
+class TestNestedWorkerDeathSpawned(TestNestedWorkerDeath):
+    mp_context = "spawn"
+    #: the service always launches by its own rule: nothing to vary
+    test_service_isolates_nested_crash = None
+
+
+def _exit_before_hello(port, node_id, token):
+    """A node that dies before it connects (import error, OOM kill)."""
+    os._exit(7)
+
+
+def _second_node_exits_before_hello(port, node_id, token):
+    if node_id == 1:
+        os._exit(7)
+    _socket_node_main(port, node_id, token)
+
+
+def _failing_local_transport(*args, **kwargs):
+    raise RuntimeError("injected init failure")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="forked nodes inherit the patched module; spawned ones re-import it",
+)
+class TestShardStartFailures:
+    """``start()`` fails fast, typed and clean: it never waits out the
+    handshake timeout for a node that is already dead, and whatever it had
+    launched by then is reaped before the error reaches the caller."""
+
+    def _executor(self, tiny_matrix):
+        config = LearnerConfig(
+            max_sampling_steps=3,
+            parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+        )
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        return ShardedExecutor(tiny_matrix.values, parents, config, 1)
+
+    def _assert_start_fails(self, executor, match):
+        t0 = time.monotonic()
+        with pytest.raises(NodeCrashedError, match=match):
+            executor.start()
+        assert time.monotonic() - t0 < 2.0
+        # Reaped inside start(): close() has nothing left to wait for.
+        assert executor.transport._procs == []
+        assert not any(_alive(pid) for pid in executor.node_pids)
+        t0 = time.monotonic()
+        executor.close()
+        assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "node_main", [_exit_before_hello, _second_node_exits_before_hello]
+    )
+    def test_node_dead_before_hello(self, tiny_matrix, monkeypatch, node_main):
+        monkeypatch.setattr(sharding, "_socket_node_main", node_main)
+        self._assert_start_fails(
+            self._executor(tiny_matrix), "exited with code 7 before its hello"
+        )
+
+    def test_failed_init_reaps_every_node(self, tiny_matrix, monkeypatch):
+        monkeypatch.setattr(sharding, "local_transport", _failing_local_transport)
+        self._assert_start_fails(self._executor(tiny_matrix), "node")
+
+
+_TWO_TIERS_SCRIPT = """
+import json, sys, time
+import numpy as np
+from repro.core.config import LearnerConfig, ParallelConfig
+from repro.data.synthetic import make_module_dataset
+from repro.parallel.executor import open_executor
+
+if __name__ == "__main__":
+    matrix = make_module_dataset(24, 12, n_modules=3, seed=42).matrix
+    config = LearnerConfig(
+        max_sampling_steps=3,
+        parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+    )
+    tiers = [
+        open_executor(matrix.values, config, 1, mp_context=sys.argv[1] or None)
+        for _ in range(2)
+    ]
+    for tier in tiers:
+        tier.start()
+    print(json.dumps([tier.node_pids for tier in tiers]), flush=True)
+    time.sleep(600)
+"""
+
+
+def _socket_fds(pid: int) -> list[str]:
+    """The sockets ``pid`` holds open, as ``socket:[inode]`` links."""
+    links = []
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            link = os.readlink(fd)
+        except OSError:  # closed while we looked
+            continue
+        if link.startswith("socket:"):
+            links.append(link)
+    return links
+
+
+class TestShardDriverDeath:
+    """A node's only tie to the world is its own channel.  A forked node
+    must not keep the listener, a sibling's connection or another live
+    tier's channels open: each of those would hide the driver's death from
+    some node, which then never exits."""
+
+    @pytest.mark.parametrize("mp_context", ["", "spawn"], ids=["default", "spawn"])
+    def test_sigkilled_driver_takes_every_node_of_both_tiers(
+        self, tmp_path, mp_context
+    ):
+        script = tmp_path / "two_tiers.py"
+        script.write_text(_TWO_TIERS_SCRIPT)
+        driver = subprocess.Popen(
+            [sys.executable, str(script), mp_context], stdout=subprocess.PIPE
+        )
+        try:
+            first, second = json.loads(driver.stdout.readline())
+            nodes = first + second
+            assert len(set(nodes)) == 4
+            for pid in nodes:
+                assert len(_socket_fds(pid)) == 1, (pid, _socket_fds(pid))
+            driver.send_signal(signal.SIGKILL)
+            driver.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while any(map(_alive, nodes)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(map(_alive, nodes))
+        finally:
+            if driver.poll() is None:  # pragma: no cover - cleanup on failure
+                driver.kill()
+                driver.wait()
 
 
 class TestMissingDataRejection:

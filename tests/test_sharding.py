@@ -11,7 +11,13 @@ to end.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import pickle
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ import pytest
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.datatypes import ModuleNetwork
+from repro.parallel import poolutil
 from repro.parallel.costmodel import (
     DEFAULT_REMOTE_PENALTY,
     MachineModel,
@@ -36,6 +43,7 @@ from repro.parallel.sharding import (
     encode_frame,
 )
 from repro.parallel.trace import WorkTrace
+from repro.scoring.kernel import consume_kernel_totals
 from repro.validation.metrics import network_fingerprint
 from tests.conftest import MODE_INPUTS
 
@@ -370,17 +378,36 @@ class TestOneSchedulerOverShards:
                 executor.submit_runs(len, [1, 2])
 
 
+def _start_method(pid: int) -> str:
+    """How ``pid`` was launched: a spawned child is a fresh interpreter
+    running multiprocessing's bootstrap, a forked one shares our command."""
+    cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+    return "spawn" if b"multiprocessing.spawn" in cmdline else "fork"
+
+
 class TestShardedIdentitySocket:
     """Socket-transport identity: real OS node processes, one cell per
-    PR (the full grid runs in the slow/CI shard job)."""
+    PR (the full grid runs in the slow/CI shard job).  The subclass below
+    repeats every case on spawned nodes."""
+
+    #: how the nodes are launched (``open_executor``'s ``mp_context``);
+    #: ``None`` is a one-shot ``learn()``'s rule — fork where available
+    mp_context = None
+
+    def _open(self, matrix, config, seed, checkpoint_dir=None):
+        return open_executor(
+            matrix.values, config, seed, checkpoint_dir, mp_context=self.mp_context
+        )
 
     def test_learn_bit_identical_two_nodes(self, tiny_matrix):
         reference = LemonTreeLearner(_sequential_config()).learn(
             tiny_matrix, seed=7
         )
-        sharded = LemonTreeLearner(_sharded_config(2, "socket")).learn(
-            tiny_matrix, seed=7
-        )
+        config = _sharded_config(2, "socket")
+        with self._open(tiny_matrix, config, 7) as executor:
+            sharded = LemonTreeLearner(config).learn(
+                tiny_matrix, seed=7, executor=executor
+            )
         assert network_fingerprint(sharded.network) == network_fingerprint(
             reference.network
         )
@@ -388,20 +415,21 @@ class TestShardedIdentitySocket:
     def test_node_pids_are_real_processes(self, tiny_matrix):
         import os
 
-        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         config = LearnerConfig(
             n_ganesh_runs=2, max_sampling_steps=3,
             parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
         )
-        with ShardedExecutor(
-            tiny_matrix.values, parents, config, 1
-        ) as executor:
+        with self._open(tiny_matrix, config, 1) as executor:
             executor.start()
             assert len(set(executor.node_pids)) == 2
             assert os.getpid() not in executor.node_pids
             assert executor.calibration is not None
             assert executor.calibration["node_backend"] == "socket"
-
+            if Path("/proc/self/cmdline").exists():
+                expected = self.mp_context or poolutil.pool_context().get_start_method()
+                assert {_start_method(pid) for pid in executor.node_pids} == {
+                    expected
+                }
 
     def test_kernel_counters_match_one_worker(self, tiny_matrix):
         """Completion records carry each node's kernel-counter deltas, so a
@@ -420,21 +448,54 @@ class TestShardedIdentitySocket:
                 )
             )
             trace = WorkTrace()
-            LemonTreeLearner(numpy_config).learn_from_modules(
-                tiny_matrix, members, seed=7, trace=trace
-            )
+            with self._open(tiny_matrix, numpy_config, 7) as executor:
+                consume_kernel_totals()  # earlier tests' leftovers
+                executor.learn_modules(members, trace=trace)
+                trace.mark_kernel(consume_kernel_totals())
             totals.append(trace.kernel_counters)
         one_worker, sharded = totals
         assert one_worker["evaluations"] > 0
         assert sharded["hits"] == one_worker["hits"]
         assert sharded["evaluations"] == one_worker["evaluations"]
 
+    def test_split_mode_over_socket_nodes(self, tiny_matrix):
+        """One dominating module is cut into the flat split list and
+        scored on both node processes; the network is the one-worker one."""
+        members = MODE_INPUTS["split"]
+        reference = LemonTreeLearner(_sequential_config()).learn_from_modules(
+            tiny_matrix, members, seed=7
+        )
+        trace = WorkTrace()
+        with self._open(tiny_matrix, _sharded_config(2, "socket"), 7) as executor:
+            modules = executor.learn_modules(members, trace=trace)
+            assert executor.stats.mode == "split"
+        network = ModuleNetwork(modules, tiny_matrix.var_names, tiny_matrix.n_obs)
+        assert network_fingerprint(network) == network_fingerprint(
+            reference.network
+        )
+        assert set(trace.node_times) == {"shard0", "shard1"}
+
+    def test_checkpoint_resume_through_socket_nodes(self, tiny_matrix, tmp_path):
+        config = _sharded_config(2, "socket")
+        with self._open(tiny_matrix, config, 3, tmp_path) as executor:
+            first = executor.sample_ganesh_runs(config.n_ganesh_runs)
+        stamps = {
+            f.name: f.stat().st_mtime_ns for f in tmp_path.glob("ganesh_*.npz")
+        }
+        assert len(stamps) == config.n_ganesh_runs
+        with self._open(tiny_matrix, config, 3, tmp_path) as executor:
+            second = executor.sample_ganesh_runs(config.n_ganesh_runs)
+            assert executor.worker_pids() == []  # nothing pending: no nodes
+        for got, want in zip(second, first):
+            np.testing.assert_array_equal(got, want)
+        for f in tmp_path.glob("ganesh_*.npz"):
+            assert f.stat().st_mtime_ns == stamps[f.name]
+
     def test_stats_and_pids_report_the_node_pools(self, tiny_matrix):
         """Two nodes x two workers: the nodes' pools, transfers, inits and
         worker pids reach the driver's one stats block."""
-        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         config = _sharded_config(2, "socket", n_workers=2)
-        with ShardedExecutor(tiny_matrix.values, parents, config, 1) as executor:
+        with self._open(tiny_matrix, config, 1) as executor:
             assert executor.worker_pids() == []  # nothing started yet
             executor.learn_modules(MODE_INPUTS["module"])
             assert executor.n_workers == executor.stats.n_workers == 4
@@ -447,6 +508,129 @@ class TestShardedIdentitySocket:
             pids = executor.worker_pids()
             assert pids[:2] == executor.node_pids
             assert len(set(pids)) == 6
+
+
+class TestShardedIdentitySocketSpawned(TestShardedIdentitySocket):
+    """The same cases on nodes launched as fresh interpreters — what the
+    service's lease asks for, and every platform without fork gets."""
+
+    mp_context = "spawn"
+
+
+def _probe_process_state(ctx, item):
+    """A runner reporting what its process holds at module scope."""
+    from repro.parallel import tasks
+    from repro.parallel.costmodel import calibrated_model
+    from repro.scoring import kernel
+
+    return {
+        "worker": dict(tasks._WORKER),
+        "kernel_totals": kernel.consume_kernel_totals(),
+        "score_cache": kernel.shared_score_cache() is not None,
+        "calibrated": calibrated_model() is not None,
+    }
+
+
+@contextmanager
+def _dirty_driver():
+    """Leave in this process what a long-lived driver accumulates at module
+    scope: kernel counters, a worker context, a shared score cache, a
+    calibrated machine model."""
+    from repro.parallel import tasks
+    from repro.scoring import kernel
+    from repro.scoring.score_cache import SharedScoreCache
+
+    kernel._account_totals(hits=11, evaluations=13, peak=17, backend="numpy")
+    tasks._WORKER.update(worker=99, domain=5)
+    cache = kernel.set_shared_score_cache(SharedScoreCache(1 << 20))
+    model = set_calibrated_model(MachineModel(tau=1.0, mu=1.0))
+    try:
+        yield
+    finally:
+        set_calibrated_model(model)
+        kernel.set_shared_score_cache(cache)
+        tasks._WORKER.clear()
+        kernel.consume_kernel_totals()
+
+
+_PLAIN_LEARN_SCRIPT = """
+import json, threading
+from repro.core.config import LearnerConfig, ParallelConfig
+from repro.core.learner import LemonTreeLearner
+from repro.data.synthetic import make_module_dataset
+from repro.parallel import poolutil
+
+launches = []
+pool_context = poolutil.pool_context
+
+def recording(method=None):
+    context = pool_context(method)
+    launches.append([method, context.get_start_method(), threading.active_count()])
+    return context
+
+poolutil.pool_context = recording
+matrix = make_module_dataset(24, 12, n_modules=3, seed=42).matrix
+config = LearnerConfig(
+    max_sampling_steps=3,
+    parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+)
+LemonTreeLearner(config).learn(matrix, seed=7)
+print(json.dumps(launches))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="only a forked node can inherit anything",
+)
+class TestForkedNodeIsFresh:
+    """A forked node replaces a fresh interpreter and must behave like
+    one: nothing the driver accumulated at module scope reaches a node's
+    completion records."""
+
+    def test_node_holds_no_driver_state(self, tiny_matrix, monkeypatch):
+        from repro.parallel.tasks import TASK_RUNNERS
+
+        # Forked nodes inherit the patched registry, so the probe has a
+        # wire name there too.
+        monkeypatch.setitem(TASK_RUNNERS, "probe", _probe_process_state)
+        with _dirty_driver(), open_executor(
+            tiny_matrix.values, _sharded_config(2, "socket"), 7
+        ) as executor:
+            states = executor.submit_runs(_probe_process_state, [0, 1])
+        for state in states:
+            assert state == {
+                "worker": {}, "kernel_totals": None,
+                "score_cache": False, "calibrated": False,
+            }
+
+    def test_traced_run_reports_the_one_worker_counters(self, tiny_matrix):
+        members = MODE_INPUTS["module"]
+
+        def counters(config):
+            trace = WorkTrace()
+            with open_executor(tiny_matrix.values, config, 7) as executor:
+                executor.learn_modules(members, trace=trace)
+            return trace.kernel_counters
+
+        consume_kernel_totals()  # earlier tests' leftovers
+        one_worker = counters(_sequential_config())
+        with _dirty_driver():
+            sharded = counters(_sharded_config(2, "socket"))
+        assert one_worker["evaluations"] > 0
+        assert sharded == one_worker
+        assert not any(key.startswith("store_") for key in sharded)
+
+    def test_plain_learn_forks_its_nodes_from_one_thread(self):
+        """A one-shot ``learn()`` asks for no start method, gets fork, and
+        launches before the driver has started any thread of its own."""
+        done = subprocess.run(
+            [sys.executable, "-c", _PLAIN_LEARN_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+            cwd=Path(__file__).resolve().parents[1],
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == [[None, "fork", 1]]
 
 
 @pytest.mark.slow
