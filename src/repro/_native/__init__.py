@@ -21,7 +21,8 @@ Acquisition order:
    ``dlsym``-ed out of NumPy's own ``_multiarray_umath`` extension, or
    scalar libm — and **self-certifies**: a probe battery compares the
    native evaluator, the fused sampling chain (results, counters and memo
-   end state), grouped statistics, and normal-gamma tail against the
+   end state), the GaneSH observation sweeps (end state, draws consumed),
+   grouped statistics, and normal-gamma tail against the
    NumPy implementations bit for bit.  A provider that fails certification
    is rejected; if none survives, the backend reports unavailable and the
    ``"auto"`` setting falls back to NumPy.
@@ -44,11 +45,20 @@ import shutil
 import sys
 import sysconfig
 import tempfile
+import threading
 
 import numpy as np
 
 #: loader result cache: (status, detail, provider, kernels-or-None)
 _RESULT: tuple[str, str, str | None, "NativeKernels | None"] | None = None
+
+#: set on a thread while it runs ``_certify``.  The sweep
+#: certification's oracle is the NumPy sweep loops themselves, whose scoring
+#: calls resolve the backend like any other caller: on the loading thread
+#: ``load()`` answers ``None`` and ``availability()`` ``"certifying"``, which
+#: the resolver reads as NumPy whatever backend is configured, instead of
+#: recursing into the load.  Other threads are unaffected.
+_CERTIFYING = threading.local()
 
 #: statuses that mean "tried and failed" rather than "expectedly absent" —
 #: the auto resolver warns once for these only
@@ -237,6 +247,105 @@ class NativeKernels:
         )
         return out
 
+    def obs_sweep(
+        self,
+        block: np.ndarray | None,
+        rows: int,
+        labels: np.ndarray,
+        stats: tuple[np.ndarray, np.ndarray, np.ndarray],
+        lm: np.ndarray,
+        k: int,
+        uniforms: np.ndarray,
+        lgam: np.ndarray,
+        prior,
+        quantum: float,
+        trace: bool = False,
+    ) -> tuple[int, np.ndarray | None]:
+        """One GaneSH observation sweep over a clustering's own state, in place.
+
+        With ``block`` (``rows x m``) it is ``reassign_obs_sweep`` and
+        consumes ``uniforms[:2 * m]``; with ``block=None`` it is
+        ``merge_obs_sweep`` (which only needs the block's ``rows``) and
+        consumes ``uniforms[:k]``.  ``labels`` (``m`` labels in ``[0, k)``),
+        the three ``stats`` buffers and ``lm`` (each with at least ``m + 1``
+        slots, the first ``k`` live) are updated as the NumPy loop would
+        leave them; ``lgam[t]`` is ``gammaln(alpha0 + rows * t / 2)`` for
+        ``t = 0..m``.  Returns the new cluster count and, with ``trace``, the
+        cluster count every iteration was scored against.
+
+        Everything the C loop indexes by is validated first, and a
+        ``ValueError`` leaves the state untouched; a ``block`` that is not
+        C-contiguous ``float64`` is copied.
+        """
+        m = _checked(labels, np.int64, 1, "labels").shape[0]
+        k, rows = int(k), int(rows)
+        if not 1 <= k <= m:
+            raise ValueError(f"cluster count must be in [1, {m}], got {k}")
+        if labels.min() < 0 or labels.max() >= k:
+            raise ValueError(f"labels must lie in [0, {k})")
+        for name, buf in zip(("count", "total", "sumsq", "lm"), (*stats, lm)):
+            _checked(buf, np.float64, m + 1, name)
+        _checked(lgam, np.float64, m + 1, "gammaln table")
+        n_iterations, n_draws = (m, 2 * m) if block is not None else (k, k)
+        _checked(uniforms, np.float64, n_draws, "uniforms")
+        if block is not None:
+            block = np.ascontiguousarray(block, dtype=np.float64)
+            if block.shape != (rows, m):
+                raise ValueError(
+                    f"block must have shape ({rows}, {m}), got {block.shape}"
+                )
+        if rows < 1:
+            raise ValueError("an observation sweep needs at least one block row")
+        k_io = np.array([k], dtype=np.int64)
+        k_trace = np.empty(n_iterations, dtype=np.int64) if trace else None
+        state = (
+            self._ip(labels), *(self._dp(buf) for buf in stats), self._dp(lm),
+            self._ip(k_io), self._dp(uniforms), self._dp(lgam),
+            self._dp(_prior_vector(prior)), float(quantum),
+            self._ip(k_trace) if trace else self._ffi.NULL,
+        )
+        if block is not None:
+            rc = self._lib.repro_obs_reassign_sweep(self._dp(block), rows, m, *state)
+        else:
+            rc = self._lib.repro_obs_merge_sweep(rows, m, *state)
+        if rc == -1:
+            raise MemoryError("native sweep scratch allocation failed")
+        if rc == -2:
+            raise ValueError(
+                "statistics do not describe the labels: every cluster needs "
+                f"count == {rows} x its number of observations"
+            )
+        if rc:
+            raise ValueError("uniforms must be draws from [0, 1)")
+        return int(k_io[0]), k_trace
+
+
+def _checked(arr, dtype, min_size: int, what: str) -> np.ndarray:
+    """``arr`` if C code may index ``min_size`` entries of ``dtype`` in it."""
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.ndim == 1
+        and arr.flags.c_contiguous
+        and arr.flags.writeable
+        and arr.shape[0] >= min_size
+    ):
+        raise ValueError(
+            f"{what} must be a writable C-contiguous 1-D {np.dtype(dtype).name} "
+            f"array of at least {min_size} entries"
+        )
+    return arr
+
+
+def _prior_vector(prior) -> np.ndarray:
+    return np.array(
+        [
+            prior.mu0, prior.lambda0, prior.alpha0, prior.beta0,
+            prior.log_lambda0, prior.log_beta0, prior.lgamma_alpha0,
+            math.log(2.0 * math.pi),
+        ]
+    )
+
 
 def _numpy_umath_path() -> str | None:
     """The shared object whose SVML exports the svml provider resolves."""
@@ -333,8 +442,12 @@ def _reference_row_scores(z: np.ndarray, quantum: float) -> np.ndarray:
 def _certify(kernels: NativeKernels) -> str | None:
     """Bit-compare the native entry points against NumPy on a probe
     battery; return ``None`` on success or a mismatch description."""
-    with np.errstate(all="ignore"):  # probe data overflows by design
-        return _certify_battery(kernels)
+    _CERTIFYING.active = True
+    try:
+        with np.errstate(all="ignore"):  # probe data overflows by design
+            return _certify_battery(kernels)
+    finally:
+        _CERTIFYING.active = False
 
 
 def _certify_battery(kernels: NativeKernels) -> str | None:
@@ -375,6 +488,11 @@ def _certify_battery(kernels: NativeKernels) -> str | None:
 
     # -- score_chain vs SplitScorer._run_chain over the NumPy kernel -------
     mismatch = _certify_chain(kernels, rng)
+    if mismatch is not None:
+        return mismatch
+
+    # -- observation sweeps vs the NumPy sweep loops ------------------------
+    mismatch = _certify_obs_sweep(kernels)
     if mismatch is not None:
         return mismatch
 
@@ -500,6 +618,61 @@ def _certify_chain(kernels: NativeKernels, rng) -> str | None:
     return None
 
 
+def _certify_obs_sweep(kernels: NativeKernels) -> str | None:
+    """The two sweep entries against the NumPy sweep loops they replace
+    (which, on the certifying thread, score through NumPy): labels, the
+    three statistics, ``lm``, the cluster count, the draws consumed and the
+    cluster count of every iteration.  Probes cover the pairwise rule's three
+    regimes in the block's rows, one cluster and all singletons (where a
+    fresh move holds ``m + 1`` clusters before the drop), tie-heavy data and
+    the non-finite score branches (an ``inf`` and a ``1e200`` in the block)."""
+    from repro.ganesh.coclustering import (
+        SweepHooks, merge_obs_sweep, reassign_obs_sweep,
+    )
+    from repro.ganesh.state import ObsClustering
+    from repro.rng.streams import GibbsRandom, make_stream
+
+    data = np.random.default_rng(0x0B5).normal(size=(129, 17))
+    for probe, (rows, m, k, flavour) in enumerate((
+        (1, 1, 1, "plain"), (7, 2, 2, "ties"), (8, 9, 1, "plain"),
+        (9, 17, 17, "ties"), (129, 9, 9, "plain"), (8, 9, 3, "inf"),
+        (7, 9, 3, "1e200"),
+    )):
+        block = np.ascontiguousarray(data[:rows, :m])
+        if flavour == "ties":
+            block = np.round(block * 2.0) / 2.0
+        elif flavour != "plain":
+            block[0, 0] = float(flavour)
+        start = ObsClustering.from_block(block, np.arange(m) % k)
+        traced = probe % 2 == 1
+        runs = []
+        for native in (None, kernels):
+            oc = start.copy()
+            rng = GibbsRandom(make_stream(0x5EED, "obs-sweep", probe))
+            if native is None:
+                sizes: list[int] = []  # of the recorded cost vectors
+                hooks = SweepHooks(
+                    (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
+                )
+                reassign_obs_sweep(oc, block, rng, hooks)
+                ks = [n - 1 for n in sizes]  # candidates = clusters + fresh
+                del sizes[:]
+                merge_obs_sweep(oc, rng, hooks)
+                ks += sizes
+            else:
+                ks = oc.native_sweep(native, rng, block, trace=traced)
+                ks += oc.native_sweep(native, rng, trace=traced)
+            runs.append((
+                oc.labels, oc.stats.count, oc.stats.total, oc.stats.sumsq, oc.lm,
+                np.array([oc.n_clusters, rng.offset, *ks]),
+            ))
+        if not all(
+            np.array_equal(want, got, equal_nan=True) for want, got in zip(*runs)
+        ):
+            return f"obs sweep mismatch at rows={rows}, m={m}, k={k}, {flavour}"
+    return None
+
+
 def _load_uncached() -> tuple[str, str, str | None, NativeKernels | None]:
     if os.environ.get("REPRO_NATIVE_DISABLE"):
         return "disabled", "REPRO_NATIVE_DISABLE is set", None, None
@@ -554,6 +727,8 @@ def _load_uncached() -> tuple[str, str, str | None, NativeKernels | None]:
 def load() -> NativeKernels | None:
     """The certified native kernels, or ``None`` (cached per process)."""
     global _RESULT
+    if getattr(_CERTIFYING, "active", False):
+        return None
     if _RESULT is None:
         _RESULT = _load_uncached()
     return _RESULT[3]
@@ -561,6 +736,8 @@ def load() -> NativeKernels | None:
 
 def availability() -> dict:
     """Loader outcome: ``status``/``detail``/``provider`` (forces a load)."""
+    if getattr(_CERTIFYING, "active", False):
+        return {"status": "certifying", "detail": "", "provider": None}
     load()
     status, detail, provider, _kernels = _RESULT
     return {"status": status, "detail": detail, "provider": provider}

@@ -24,7 +24,15 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
 * grouped sufficient statistics replicate ``np.bincount`` (sequential
   accumulation in index order) and ``.sum(axis=0)`` (sequential row
   accumulation for multi-column arrays, pairwise for the single-column
-  case, which NumPy reduces as a contiguous vector).
+  case, which NumPy reduces as a contiguous vector);
+* ``repro_obs_reassign_sweep`` / ``repro_obs_merge_sweep`` replay
+  ``coclustering.reassign_obs_sweep`` / ``merge_obs_sweep`` over one
+  observation clustering's own state, move for move: the pre-drawn
+  uniforms in the loop's order, the column sums by the pairwise rule, the
+  stacked marginals through the ``repro_log_marginal`` arithmetic (with
+  ``gammaln`` read from a per-sweep SciPy table), the score vector in the
+  same operation order and ``weighted_choice_logs`` (``rint``, provider
+  ``exp``, pairwise total, sequential ``cumsum``).
 
 Used two ways: ``setup.py`` consumes ``ffibuilder`` for an ahead-of-time
 extension build when ``REPRO_BUILD_NATIVE`` is set, and
@@ -66,6 +74,17 @@ int repro_log_marginal(const double *n, const double *s, const double *q,
                        double lambda0, double alpha0, double beta0,
                        double log_lambda0, double log_beta0,
                        double lgamma_alpha0, double log_2pi, double *out);
+int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
+                             int64_t *labels, double *count, double *total,
+                             double *sumsq, double *lm, int64_t *k_io,
+                             const double *uniforms, const double *lgam,
+                             const double *prior, double quantum,
+                             int64_t *k_trace);
+int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
+                          double *count, double *total, double *sumsq,
+                          double *lm, int64_t *k_io, const double *uniforms,
+                          const double *lgam, const double *prior,
+                          double quantum, int64_t *k_trace);
 """
 
 CSOURCE = r"""
@@ -131,17 +150,18 @@ static void row_fill_svml(double gv, const double *vrow, const double *sgn,
     }
 }
 
-/* np.log via __svml_log8_ha, in place, masked tail. */
+/* np.log / np.exp via __svml_log8_ha / __svml_exp8_ha, in place, masked
+ * tail. */
 __attribute__((target("avx512f")))
-static void apply_log_svml(double *x, int64_t n)
+static void apply_svml(svml8_fn fn, double *x, int64_t n)
 {
     int64_t i = 0;
     for (; i + 8 <= n; i += 8)
-        _mm512_storeu_pd(x + i, p_log8(_mm512_loadu_pd(x + i)));
+        _mm512_storeu_pd(x + i, fn(_mm512_loadu_pd(x + i)));
     if (i < n) {
         __mmask8 m = (__mmask8)((1u << (n - i)) - 1u);
         __m512d v = _mm512_maskz_loadu_pd(m, x + i);
-        _mm512_mask_storeu_pd(x + i, m, p_log8(v));
+        _mm512_mask_storeu_pd(x + i, m, fn(v));
     }
 }
 #endif
@@ -162,12 +182,25 @@ static void apply_log(double *x, int64_t n)
     int64_t i;
 #if REPRO_HAVE_AVX512
     if (use_svml) {
-        apply_log_svml(x, n);
+        apply_svml(p_log8, x, n);
         return;
     }
 #endif
     for (i = 0; i < n; i++)
         x[i] = log(x[i]);
+}
+
+static void apply_exp(double *x, int64_t n)
+{
+    int64_t i;
+#if REPRO_HAVE_AVX512
+    if (use_svml) {
+        apply_svml(p_exp8, x, n);
+        return;
+    }
+#endif
+    for (i = 0; i < n; i++)
+        x[i] = exp(x[i]);
 }
 
 /* NumPy's pairwise summation of a contiguous row (numpy/_core/src/umath/
@@ -548,14 +581,16 @@ int repro_grouped_2d(const double *vals, int64_t rows, int64_t cols,
 /* normal_gamma.log_marginal minus the gammaln(alpha_N) term, which the
  * caller computes with SciPy and passes in.  Every expression mirrors the
  * NumPy path's evaluation order; the two np.log calls go through the
- * active transcendental provider in blocks. */
-int repro_log_marginal(const double *n, const double *s, const double *q,
-                       const double *lgam_alpha_n, int64_t size, double mu0,
-                       double lambda0, double alpha0, double beta0,
-                       double log_lambda0, double log_beta0,
-                       double lgamma_alpha0, double log_2pi, double *out)
+ * active transcendental provider in blocks.  p = {mu0, lambda0, alpha0,
+ * beta0, log_lambda0, log_beta0, lgamma_alpha0, log_2pi}. */
+static void log_marginal_core(const double *n, const double *s,
+                              const double *q, const double *lgam_alpha_n,
+                              int64_t size, const double *p, double *out)
 {
     enum { BLOCK = 512 };
+    const double mu0 = p[0], lambda0 = p[1], alpha0 = p[2], beta0 = p[3];
+    const double log_lambda0 = p[4], log_beta0 = p[5];
+    const double lgamma_alpha0 = p[6], log_2pi = p[7];
     double lam_n[BLOCK], beta_n[BLOCK];
     int64_t start, j;
     for (start = 0; start < size; start += BLOCK) {
@@ -589,7 +624,266 @@ int repro_log_marginal(const double *n, const double *s, const double *q,
             out[i] = (nn > 0.0) ? val : 0.0;
         }
     }
+}
+
+int repro_log_marginal(const double *n, const double *s, const double *q,
+                       const double *lgam_alpha_n, int64_t size, double mu0,
+                       double lambda0, double alpha0, double beta0,
+                       double log_lambda0, double log_beta0,
+                       double lgamma_alpha0, double log_2pi, double *out)
+{
+    const double p[8] = {mu0, lambda0, alpha0, beta0, log_lambda0,
+                         log_beta0, lgamma_alpha0, log_2pi};
+    log_marginal_core(n, s, q, lgam_alpha_n, size, p, out);
     return 0;
+}
+
+/* GibbsRandom.weighted_choice_logs over logs[0..n) with its one uniform:
+ * rint quantisation, exp(logs - peak) through the provider, pairwise
+ * total, sequential cumsum, first cum > u * total.  A non-finite entry
+ * weighs 0, which is the masked branch; on an all-finite vector the same
+ * expressions are the unmasked branch (its peak is the finite peak).  With
+ * no finite entry the draw picks uniformly, as the randint fallback does.
+ * logs is quantised in place; w is n doubles of scratch. */
+static int64_t weighted_choice(double *logs, int64_t n, double u,
+                               double quantum, double *w)
+{
+    int64_t i, idx, any = 0;
+    double peak = 0.0, total, cum = 0.0;
+    for (i = 0; i < n; i++) {
+        logs[i] = rint(logs[i] / quantum) * quantum;
+        if (isfinite(logs[i])) {
+            if (!any || logs[i] > peak)
+                peak = logs[i];
+            any = 1;
+        }
+    }
+    if (!any) {
+        idx = (int64_t)(u * (double)n);
+        return idx < n - 1 ? idx : n - 1;
+    }
+    for (i = 0; i < n; i++)
+        w[i] = isfinite(logs[i]) ? logs[i] - peak : 0.0;
+    apply_exp(w, n);
+    for (i = 0; i < n; i++)
+        if (!isfinite(logs[i]))
+            w[i] = 0.0;
+    total = pw_sum(w, n);
+    u *= total;
+    for (idx = 0; idx < n; idx++) {
+        cum += w[idx];
+        if (cum > u)
+            break;
+    }
+    return idx < n - 1 ? idx : n - 1;
+}
+
+/* One ObsClustering under a sweep: its own labels / statistics / marginals
+ * (buffers of at least m + 1 slots: all-singletons plus a fresh cluster is
+ * the most a sweep holds, for one move), the integer cluster sizes that
+ * index the gammaln table lgam[t] = gammaln(alpha0 + rows * t / 2), and
+ * per-call scratch: seven vectors of m + 3 candidates, the gathered column
+ * and its squares. */
+typedef struct {
+    int64_t m, k;
+    int64_t *labels, *sizes;
+    double *count, *total, *sumsq, *lm;
+    const double *lgam;
+    double *n, *s, *q, *lg, *scored, *scores, *w, *col, *colsq;
+} sweep_ctx;
+
+/* Everything the loops below index by is checked here, before the first
+ * write: labels inside [0, k), no empty cluster (so k <= m holds between
+ * moves), counts equal to rows * size (so every count the sweep forms is a
+ * table entry), uniforms inside [0, 1).  -1 allocation, -2 state, -3 draws. */
+static int sweep_begin(sweep_ctx *c, int64_t rows, const double *uniforms,
+                       int64_t n_draws)
+{
+    int64_t i, cap = c->m + 3;
+    for (i = 0; i < n_draws; i++)
+        if (!(uniforms[i] >= 0.0 && uniforms[i] < 1.0))
+            return -3;
+    c->sizes = (int64_t *)calloc((size_t)cap, sizeof(int64_t));
+    c->n = (double *)malloc((size_t)(7 * cap + 2 * rows) * sizeof(double));
+    if (!c->sizes || !c->n)
+        return -1;
+    c->s = c->n + cap;
+    c->q = c->s + cap;
+    c->lg = c->q + cap;
+    c->scored = c->lg + cap;
+    c->scores = c->scored + cap;
+    c->w = c->scores + cap;
+    c->col = c->w + cap;
+    c->colsq = c->col + rows;
+    for (i = 0; i < c->m; i++) {
+        if (c->labels[i] < 0 || c->labels[i] >= c->k)
+            return -2;
+        c->sizes[c->labels[i]]++;
+    }
+    for (i = 0; i < c->k; i++)
+        if (c->sizes[i] < 1 || c->count[i] != (double)(rows * c->sizes[i]))
+            return -2;
+    return 0;
+}
+
+static int sweep_end(sweep_ctx *c, int64_t *k_io, int rc)
+{
+    if (!rc)
+        *k_io = c->k;
+    free(c->sizes);
+    free(c->n);
+    return rc;
+}
+
+/* ObsClustering._drop_cluster: shift the buffers down over the emptied
+ * slot and renumber the labels above it. */
+static void sweep_drop(sweep_ctx *c, int64_t cl)
+{
+    size_t tail = (size_t)(c->k - 1 - cl);
+    int64_t j;
+    memmove(c->count + cl, c->count + cl + 1, tail * sizeof(double));
+    memmove(c->total + cl, c->total + cl + 1, tail * sizeof(double));
+    memmove(c->sumsq + cl, c->sumsq + cl + 1, tail * sizeof(double));
+    memmove(c->lm + cl, c->lm + cl + 1, tail * sizeof(double));
+    memmove(c->sizes + cl, c->sizes + cl + 1, tail * sizeof(int64_t));
+    for (j = 0; j < c->m; j++)
+        if (c->labels[j] > cl)
+            c->labels[j]--;
+    c->k--;
+}
+
+/* Candidate slot i <- block `cl` with (dn, ds, dq) added and dt more
+ * observations; the slot of the move's own cluster (whose score is
+ * overwritten with the 0 baseline, and whose size could leave the table)
+ * is scored as an empty block instead. */
+static void sweep_stack(sweep_ctx *c, int64_t i, int64_t cl, int skip,
+                        double dn, double ds, double dq, int64_t dt)
+{
+    if (skip) {
+        c->n[i] = c->s[i] = c->q[i] = 0.0;
+        c->lg[i] = c->lgam[0];
+        return;
+    }
+    c->n[i] = c->count[cl] + dn;
+    c->s[i] = c->total[cl] + ds;
+    c->q[i] = c->sumsq[cl] + dq;
+    c->lg[i] = c->lgam[c->sizes[cl] + dt];
+}
+
+/* The move: cluster `cl` takes the statistics and marginal scored in
+ * candidate slot `slot` (the operations the NumPy move would repeat on the
+ * same operands) and now holds `size` observations. */
+static void sweep_adopt(sweep_ctx *c, int64_t cl, int64_t slot, int64_t size)
+{
+    c->count[cl] = c->n[slot];
+    c->total[cl] = c->s[slot];
+    c->sumsq[cl] = c->q[slot];
+    c->lm[cl] = c->scored[slot];
+    c->sizes[cl] = size;
+}
+
+/* coclustering.reassign_obs_sweep over block (rows x m, C order): m moves,
+ * uniforms[2i] picks the observation and uniforms[2i + 1] the target.
+ * k_trace, when not NULL, receives the cluster count each move was scored
+ * against (what the recorder's cost vector is sized by). */
+int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
+                             int64_t *labels, double *count, double *total,
+                             double *sumsq, double *lm, int64_t *k_io,
+                             const double *uniforms, const double *lgam,
+                             const double *prior, double quantum,
+                             int64_t *k_trace)
+{
+    sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
+    const double cn = (double)rows;
+    int64_t it, r, cl;
+    int rc = sweep_begin(&c, rows, uniforms, 2 * m);
+    if (rc)
+        return sweep_end(&c, k_io, rc);
+    for (it = 0; it < m; it++) {
+        int64_t k = c.k, obs, src, choice;
+        double cs, cq, rem_delta;
+        obs = (int64_t)(uniforms[2 * it] * (double)m);
+        if (obs > m - 1)
+            obs = m - 1;
+        src = labels[obs];
+        for (r = 0; r < rows; r++) {
+            c.col[r] = block[r * m + obs];
+            c.colsq[r] = c.col[r] * c.col[r];
+        }
+        cs = pw_sum(c.col, rows);
+        cq = pw_sum(c.colsq, rows);
+        if (k_trace)
+            k_trace[it] = k;
+        /* the k candidate blocks with the column added, the source block
+         * with it removed, the column alone */
+        for (cl = 0; cl < k; cl++)
+            sweep_stack(&c, cl, cl, cl == src, cn, cs, cq, 1);
+        sweep_stack(&c, k, src, 0, -cn, -cs, -cq, -1);
+        c.n[k + 1] = cn;
+        c.s[k + 1] = cs;
+        c.q[k + 1] = cq;
+        c.lg[k + 1] = lgam[1];
+        log_marginal_core(c.n, c.s, c.q, c.lg, k + 2, prior, c.scored);
+        rem_delta = c.scored[k] - lm[src];
+        for (cl = 0; cl < k; cl++)
+            c.scores[cl] = (c.scored[cl] - lm[cl]) + rem_delta;
+        c.scores[src] = 0.0;
+        c.scores[k] = rem_delta + c.scored[k + 1];
+        choice = weighted_choice(c.scores, k + 1, uniforms[2 * it + 1],
+                                 quantum, c.w);
+        if (choice == src)
+            continue;
+        sweep_adopt(&c, src, k, c.sizes[src] - 1);
+        if (choice == k) { /* fresh: slot k + 1 is the column alone */
+            sweep_adopt(&c, k, k + 1, 1);
+            c.k++;
+        } else {
+            sweep_adopt(&c, choice, choice, c.sizes[choice] + 1);
+        }
+        labels[obs] = choice;
+        if (count[src] <= 0.0)
+            sweep_drop(&c, src);
+    }
+    return sweep_end(&c, k_io, 0);
+}
+
+/* coclustering.merge_obs_sweep: one pass over the clusters, one uniform
+ * per iteration; every iteration either advances or removes a cluster, so
+ * there are exactly k-at-entry of them. */
+int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
+                          double *count, double *total, double *sumsq,
+                          double *lm, int64_t *k_io, const double *uniforms,
+                          const double *lgam, const double *prior,
+                          double quantum, int64_t *k_trace)
+{
+    sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
+    int64_t it = 0, cid = 0, cl, j;
+    int rc = sweep_begin(&c, rows, uniforms, c.k);
+    if (rc)
+        return sweep_end(&c, k_io, rc);
+    while (cid < c.k) {
+        int64_t k = c.k, choice;
+        if (k_trace)
+            k_trace[it] = k;
+        for (cl = 0; cl < k; cl++)
+            sweep_stack(&c, cl, cl, cl == cid, count[cid], total[cid],
+                        sumsq[cid], c.sizes[cid]);
+        log_marginal_core(c.n, c.s, c.q, c.lg, k, prior, c.scored);
+        for (cl = 0; cl < k; cl++)
+            c.scores[cl] = (c.scored[cl] - lm[cl]) - lm[cid];
+        c.scores[cid] = 0.0;
+        choice = weighted_choice(c.scores, k, uniforms[it++], quantum, c.w);
+        if (choice == cid) {
+            cid++;
+            continue;
+        }
+        sweep_adopt(&c, choice, choice, c.sizes[choice] + c.sizes[cid]);
+        for (j = 0; j < m; j++)
+            if (labels[j] == cid)
+                labels[j] = choice;
+        sweep_drop(&c, cid);
+    }
+    return sweep_end(&c, k_io, 0);
 }
 """
 

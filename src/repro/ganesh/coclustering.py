@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.ganesh.state import CoClusterState, ObsClustering, init_sqrt_obs_labels
 from repro.rng.streams import GibbsRandom, make_stream
-from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior
+from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, _native_kernels
 
 
 @dataclass
@@ -100,8 +100,18 @@ def reassign_obs_sweep(
     hooks: SweepHooks = _NO_HOOKS,
     phase: str = "ganesh.obs_reassign",
 ) -> None:
-    """m iterations of random observation reassignment (Algorithm 2, lines 3-11)."""
+    """m iterations of random observation reassignment (Algorithm 2, lines 3-11).
+
+    On the native kernel backend the whole sweep is one certified call
+    (:meth:`ObsClustering.native_sweep`); the loop below is the NumPy
+    backend's path and the oracle that call is certified against.
+    """
     n_members, m = block.shape
+    native = _native_kernels()
+    if native is not None:
+        for k in oc.native_sweep(native, rng, block, trace=hooks.record is not None):
+            hooks.emit(phase, np.full(k + 1, float(n_members + 1)))
+        return
     for _ in range(m):
         obs = rng.randint(m)
         column = block[:, obs]
@@ -118,7 +128,15 @@ def merge_obs_sweep(
     hooks: SweepHooks = _NO_HOOKS,
     phase: str = "ganesh.obs_merge",
 ) -> None:
-    """One pass of observation-cluster merging (Algorithm 2, lines 12-20)."""
+    """One pass of observation-cluster merging (Algorithm 2, lines 12-20).
+
+    Dispatches like :func:`reassign_obs_sweep`.
+    """
+    native = _native_kernels()
+    if native is not None:
+        for k in oc.native_sweep(native, rng, trace=hooks.record is not None):
+            hooks.emit(phase, np.ones(k, dtype=np.float64))
+        return
     cid = 0
     while cid < oc.n_clusters:
         scores = oc.merge_obs_scores(cid)

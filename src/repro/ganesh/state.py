@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
+from repro.rng.streams import SCORE_QUANTUM
 from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marginal
 from repro.scoring.suffstats import StatsArrays, SuffStats
 
@@ -250,6 +252,47 @@ class ObsClustering:
         self.lm = np.delete(self.lm, cluster)
         self.labels[self.labels > cluster] -= 1
         self.n_clusters -= 1
+
+    # -- a whole sweep where the marginals are scored ------------------------
+    def native_sweep(
+        self, native, rng, block: np.ndarray | None = None, trace: bool = False
+    ) -> list[int]:
+        """One observation sweep in a single certified native call.
+
+        With ``block`` it is the reassign sweep of
+        :func:`repro.ganesh.coclustering.reassign_obs_sweep`, without it the
+        merge sweep: the same moves, statistics, marginals and draws as the
+        NumPy loops make through ``move_obs_scores`` / ``merge_obs_scores``,
+        applied to ``labels``, ``stats`` and ``lm`` in place (ALGORITHMS.md
+        §13).  The draws are taken up front — two per reassign iteration, one
+        per merge iteration, of which a merge sweep always makes
+        ``n_clusters`` — so the stream ends where the loops leave it.  Block
+        counts are multiples of the block's row count, so ``gammaln`` (SciPy's,
+        as on every path) is tabulated once per sweep over the ``m + 1``
+        possible cluster sizes.  With ``trace`` returns the cluster count of
+        every iteration (all a recorder's cost vectors depend on), else ``[]``.
+        """
+        m, k = self.labels.size, self.n_clusters
+        if m == 0:
+            return []
+        if block is None:
+            rows = int(self.stats.count.sum()) // m
+            uniforms = rng.uniforms(k)
+        else:
+            rows = block.shape[0]
+            uniforms = rng.uniforms(2 * m)
+        lgam = gammaln(self.prior.alpha0 + (rows * np.arange(m + 1.0)) / 2.0)
+        lm = np.empty(m + 1)
+        lm[:k] = self.lm
+        k, ks = native.obs_sweep(
+            block, rows, self.labels, self.stats.reserve(m + 1), lm, k,
+            uniforms, lgam, self.prior, SCORE_QUANTUM, trace,
+        )
+        self.stats.resize(k)
+        self.lm = lm[:k].copy()
+        self.n_clusters = k
+        self._scored = None
+        return ks.tolist() if trace else []
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters)

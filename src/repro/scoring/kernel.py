@@ -169,6 +169,10 @@ def resolve_kernel_backend(name: str | None = None):
     if kernels is not None:
         return "native", kernels
     info = _native.availability()
+    if info["status"] == "certifying":
+        # Re-entered from the loader's own certification on this thread:
+        # the oracle it compares the extension against is NumPy.
+        return "numpy", None
     if name == "native":
         raise RuntimeError(
             "kernel_backend='native' but the native extension is "

@@ -257,6 +257,21 @@ class StatsArrays:
                 new[: self._size] = buf[: self._size]
                 setattr(self, attr, new)
 
+    def reserve(self, capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three whole buffers, grown to at least ``capacity`` slots.
+
+        For a native sweep that moves, appends and drops blocks in place;
+        it reports the live length it leaves through :meth:`resize`.
+        """
+        self._ensure_capacity(capacity)
+        return self._count, self._total, self._sumsq
+
+    def resize(self, size: int) -> None:
+        """Set the live length after the buffers were updated in place."""
+        if not 0 <= size <= self.capacity:
+            raise ValueError(f"live length {size} outside capacity {self.capacity}")
+        self._size = int(size)
+
     def append(self, stats: SuffStats) -> None:
         """Add one block: a slot write, amortized O(1) via doubling."""
         self._ensure_capacity(self._size + 1)

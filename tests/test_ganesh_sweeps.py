@@ -1,8 +1,20 @@
 """Tests for the GaneSH sweep drivers."""
 
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
+from repro import _native
+from repro.core.config import LearnerConfig, ParallelConfig
+from repro.core.learner import LemonTreeLearner
+from repro.ganesh import coclustering
 from repro.ganesh.coclustering import (
     SweepHooks,
     merge_obs_sweep,
@@ -13,7 +25,11 @@ from repro.ganesh.coclustering import (
     run_obs_only_ganesh,
 )
 from repro.ganesh.state import CoClusterState, ObsClustering, _compact
+from repro.parallel.trace import WorkTrace
 from repro.rng.streams import GibbsRandom, make_stream
+from repro.scoring import kernel as kernel_mod
+from repro.scoring.kernel import resolve_kernel_backend, set_kernel_backend
+from repro.validation.metrics import network_fingerprint
 
 
 def _rng(seed=1):
@@ -194,3 +210,405 @@ class TestObsOnlyGanesh:
     def test_single_row_block(self, tiny_matrix):
         (labels,) = run_obs_only_ganesh(tiny_matrix.values[3], _rng(17))
         assert labels.shape == (tiny_matrix.n_obs,)
+
+
+# -- the observation sweeps as one native call --------------------------------
+#
+# Under kernel_backend "native"/"auto" a whole reassign or merge sweep is one
+# certified C call (ALGORITHMS.md §13); the NumPy loops stay as the "numpy"
+# backend's path and as the oracle.  Everything below except the last class
+# needs the extension.
+
+NATIVE = _native.load() is not None
+needs_native = pytest.mark.skipif(
+    not NATIVE,
+    reason=f"native backend unavailable ({_native.availability()['status']})",
+)
+
+
+@contextmanager
+def kernel_backend(name):
+    previous = set_kernel_backend(name)
+    try:
+        yield
+    finally:
+        set_kernel_backend(previous)
+
+
+def _block(seed, rows, m, scale=1.0, ties=False):
+    block = np.random.default_rng(seed).normal(size=(rows, m)) * scale
+    return np.round(block / scale) * scale if ties else block
+
+
+def _snapshot(oc, rng, records=()):
+    return (
+        oc.n_clusters,
+        oc.labels.tolist(),
+        oc.stats.count.tolist(),
+        oc.stats.total.tolist(),
+        oc.stats.sumsq.tolist(),
+        oc.lm.tolist(),
+        rng.offset,
+        [(phase, costs.tolist(), nc) for phase, costs, nc in records],
+    )
+
+
+def _run_program(backend, block, labels, program, rng_backend, traced, seed):
+    """``program`` is a string of sweeps: r(eassign) / m(erge)."""
+    with kernel_backend(backend):
+        oc = ObsClustering.from_block(block, labels)
+        rng = GibbsRandom(make_stream(seed, "program", backend=rng_backend))
+        records = []
+        hooks = SweepHooks(
+            record=(lambda *record: records.append(record)) if traced else None
+        )
+        for sweep in program:
+            if sweep == "r":
+                reassign_obs_sweep(oc, block, rng, hooks)
+            else:
+                merge_obs_sweep(oc, rng, hooks)
+            oc.check_invariants(block)
+        return _snapshot(oc, rng, records)
+
+
+@needs_native
+class TestNativeObsSweeps:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.sampled_from([1, 2, 7, 8, 9, 16, 129, 200]),
+        m=st.sampled_from([1, 2, 3, 8, 17, 64, 130]),
+        k_frac=st.floats(0.0, 1.0),
+        scale=st.sampled_from([1e-3, 1.0, 50.0]),
+        ties=st.booleans(),
+        program=st.text(alphabet="rm", min_size=1, max_size=4),
+        rng_backend=st.sampled_from(["philox", "mrg"]),
+        traced=st.booleans(),
+    )
+    def test_random_sweep_programs(
+        self, seed, rows, m, k_frac, scale, ties, program, rng_backend, traced
+    ):
+        """Native and NumPy sweeps leave the same clustering, statistics,
+        marginals, stream position and recorded cost vectors — from one
+        cluster through all singletons, in every pairwise-sum regime."""
+        block = _block(seed, rows, m, scale, ties)
+        k = 1 + int(k_frac * (m - 1))
+        labels = np.random.default_rng(seed + 1).integers(0, k, size=m)
+        if k == m:
+            labels = np.arange(m)  # all singletons: a fresh move holds m + 1
+        args = (block, labels, program, rng_backend, traced, seed)
+        assert _run_program("native", *args) == _run_program("numpy", *args)
+
+    @pytest.mark.parametrize("value", [np.inf, 1e200])
+    def test_non_finite_scores(self, value):
+        """A block holding inf (or a value whose square overflows) reaches
+        the sweeps with NaN marginals; the masked and the all-impossible
+        branches of the weighted choice are replayed, not refused."""
+        block = _block(3, 6, 12)
+        block[0, 0] = value
+        labels = np.arange(12) % 4
+        outcomes = []
+        for backend in ("numpy", "native"):
+            with kernel_backend(backend), np.errstate(all="ignore"):
+                oc = ObsClustering.from_block(block, labels)
+                rng = _rng(21)
+                for _ in range(2):
+                    reassign_obs_sweep(oc, block, rng)
+                    merge_obs_sweep(oc, rng)
+                outcomes.append((oc, rng.offset))
+        (want, want_offset), (got, got_offset) = outcomes
+        assert got_offset == want_offset
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert np.isnan(want.lm).any() or np.isinf(want.lm).any()
+        for name in ("count", "total", "sumsq"):
+            np.testing.assert_array_equal(
+                getattr(got.stats, name), getattr(want.stats, name)
+            )
+        np.testing.assert_array_equal(got.lm, want.lm)
+
+    @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
+    def test_runs_end_to_end(self, small_matrix, rng_backend):
+        outcomes = []
+        for backend in ("numpy", "native"):
+            with kernel_backend(backend):
+                rng = GibbsRandom(make_stream(5, "e2e", backend=rng_backend))
+                result = run_ganesh(small_matrix.values, rng, n_update_steps=2)
+                result.state.check_invariants()
+                samples = run_obs_only_ganesh(
+                    small_matrix.values[:9], rng, n_update_steps=3, burn_in=1
+                )
+                outcomes.append(
+                    (
+                        result.var_labels.tolist(),
+                        [c.obs.labels.tolist() for c in result.state.clusters],
+                        [s.tolist() for s in samples],
+                        rng.offset,
+                    )
+                )
+        assert outcomes[0] == outcomes[1]
+
+    def test_non_contiguous_block_is_copied_not_refused(self):
+        block = _block(8, 5, 11)
+        labels = np.arange(11) % 3
+        with kernel_backend("native"):
+            outcomes = []
+            for view in (block, np.asfortranarray(block), block[:, ::-1][:, ::-1]):
+                oc = ObsClustering.from_block(block, labels)
+                rng = _rng(9)
+                reassign_obs_sweep(oc, view, rng)
+                outcomes.append(_snapshot(oc, rng))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_concurrent_sweeps_share_nothing(self):
+        """Thread-backend nodes run sweeps at once with the GIL released:
+        the C scratch is per call."""
+        blocks = [_block(seed, 7, 40) for seed in range(4)]
+
+        def run(index):
+            return [
+                s.tolist()
+                for s in run_obs_only_ganesh(blocks[index], _rng(index), n_update_steps=6)
+            ]
+
+        with kernel_backend("native"):
+            serial = [run(i) for i in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = list(pool.map(run, range(4), timeout=60))
+            finally:
+                sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
+@needs_native
+class TestSweepEntryValidation:
+    """``NativeKernels.obs_sweep`` checks everything the C loop indexes by
+    before C touches memory; a refusal leaves the state as it was."""
+
+    M, K, ROWS = 6, 3, 4
+
+    def _args(self, **overrides):
+        m, k, rows = self.M, self.K, self.ROWS
+        block = _block(1, rows, m)
+        oc = ObsClustering.from_block(block, np.arange(m) % k)
+        lm = np.zeros(m + 1)
+        lm[:k] = oc.lm
+        args = dict(
+            block=block, rows=rows, labels=oc.labels, stats=oc.stats.reserve(m + 1),
+            lm=lm, k=k, uniforms=_rng(1).uniforms(2 * m),
+            lgam=np.zeros(m + 1), prior=oc.prior, quantum=1e-9,
+        )
+        args.update(overrides)
+        return args
+
+    @staticmethod
+    def _state(args):
+        return [a.copy() for a in (args["labels"], *args["stats"], args["lm"])]
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(labels=np.array([0, 1, 2, 3, 0, 1])), "labels must lie"),
+            (dict(labels=np.array([0, 1, 2, -1, 0, 1])), "labels must lie"),
+            (dict(labels=np.arange(6, dtype=np.int32) % 3), "labels must be"),
+            (dict(k=7), "cluster count"),
+            (dict(k=0), "cluster count"),
+            (dict(lm=np.zeros(6)), "lm must be"),
+            (dict(stats=(np.zeros(6),) * 3), "count must be"),
+            (dict(uniforms=np.zeros(11)), "uniforms must be"),
+            (dict(lgam=np.zeros(6)), "gammaln table must be"),
+            (dict(block=np.zeros((4, 5))), "block must have shape"),
+            (dict(block=None, rows=0), "at least one block row"),
+            (dict(uniforms=np.full(12, 1.0)), r"draws from \[0, 1\)"),
+            (dict(uniforms=np.full(12, np.nan)), r"draws from \[0, 1\)"),
+            (dict(rows=5, block=np.zeros((5, 6))), "do not describe the labels"),
+        ],
+    )
+    def test_refusals_leave_the_state_untouched(self, overrides, match):
+        args = self._args(**overrides)
+        before = self._state(args)
+        with pytest.raises(ValueError, match=match):
+            _native.load().obs_sweep(**args)
+        for was, now in zip(before, self._state(args)):
+            np.testing.assert_array_equal(was, now)
+
+    def test_empty_cluster_is_refused(self):
+        """With an empty cluster among the k, all-singletons plus a fresh
+        move would need more than m + 1 slots."""
+        args = self._args(labels=np.array([0, 0, 0, 2, 2, 2]))
+        with pytest.raises(ValueError, match="do not describe the labels"):
+            _native.load().obs_sweep(**args)
+
+    def test_valid_arguments_run(self):
+        args = self._args()
+        args["lgam"] = gammaln(
+            args["prior"].alpha0 + self.ROWS * np.arange(self.M + 1.0) / 2.0
+        )
+        k, ks = _native.load().obs_sweep(**args, trace=True)
+        assert 1 <= k <= self.M and ks.shape == (self.M,)
+        k, ks = _native.load().obs_sweep(
+            **{**args, "block": None, "k": k, "uniforms": _rng(2).uniforms(k)}
+        )
+        assert ks is None
+
+
+@needs_native
+class TestOneNativeCallPerSweep:
+    """The dispatch-bound cost model taken to its end: under the native
+    backend a ``learn()`` — traced or not — enters the native entry once per
+    observation sweep and never the per-move scoring methods; under
+    ``numpy`` the native entry is never entered."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counted = {"sweeps": 0, "native": 0, "per_move": 0}
+
+        def counting(target, name, key):
+            original = getattr(target, name)
+
+            def wrapper(*args, **kwargs):
+                counted[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, wrapper)
+
+        counting(coclustering, "reassign_obs_sweep", "sweeps")
+        counting(coclustering, "merge_obs_sweep", "sweeps")
+        counting(_native.NativeKernels, "obs_sweep", "native")
+        counting(ObsClustering, "move_obs_scores", "per_move")
+        counting(ObsClustering, "merge_obs_scores", "per_move")
+        return counted
+
+    @staticmethod
+    def _learn(matrix, backend, trace):
+        config = LearnerConfig(
+            max_sampling_steps=5, n_ganesh_runs=2,
+            parallel=ParallelConfig(kernel_backend=backend),
+        )
+        return LemonTreeLearner(config).learn(matrix, seed=3, trace=trace)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_native_enters_once_per_sweep(self, tiny_matrix, counts, traced):
+        self._learn(tiny_matrix, "native", WorkTrace() if traced else None)
+        assert counts["sweeps"] > 0
+        assert counts["native"] == counts["sweeps"]
+        assert counts["per_move"] == 0
+
+    def test_numpy_never_enters_the_native_entry(self, tiny_matrix, counts):
+        self._learn(tiny_matrix, "numpy", None)
+        assert counts["sweeps"] > 0 and counts["per_move"] > 0
+        assert counts["native"] == 0
+
+    def test_traced_records_are_backend_independent(self, tiny_matrix):
+        steps = []
+        for backend in ("numpy", "native"):
+            trace = WorkTrace()
+            self._learn(tiny_matrix, backend, trace)
+            steps.append(
+                [(s.phase, s.costs.tolist(), s.n_collectives, s.run) for s in trace.steps]
+            )
+        assert steps[0] == steps[1]
+        assert any(phase == "modules.obs_merge" for phase, *_ in steps[0])
+
+
+@needs_native
+class TestSweepCertification:
+    def test_oracle_is_the_numpy_loop(self, monkeypatch):
+        """While the loader certifies, the sweep loops it compares against
+        score through NumPy — whatever backend is configured — and the
+        process is back on the extension afterwards."""
+        per_move = []
+        original = ObsClustering.move_obs_scores
+
+        def counting(self, *args, **kwargs):
+            per_move.append(resolve_kernel_backend())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ObsClustering, "move_obs_scores", counting)
+        with kernel_backend("native"):
+            assert _native._certify(_native.load()) is None
+            assert per_move and set(per_move) == {("numpy", None)}
+            assert resolve_kernel_backend()[0] == "native"
+
+    def test_forced_mismatch_is_certification_failed(self, monkeypatch, tiny_matrix):
+        """auto falls back to NumPy with the one-time warning and learns the
+        same network; an explicit native request raises."""
+        config = LearnerConfig(max_sampling_steps=5)
+        want = network_fingerprint(
+            LemonTreeLearner(config).learn(tiny_matrix, seed=4).network
+        )
+        monkeypatch.setattr(_native, "_certify_obs_sweep", lambda kernels: "forced")
+        monkeypatch.setattr(kernel_mod, "_WARNED_NATIVE_FALLBACK", False)
+        _native.invalidate()
+        try:
+            info = _native.availability()
+            assert info["status"] == "certification-failed"
+            assert "forced" in info["detail"]
+            with pytest.warns(RuntimeWarning, match="certification-failed"):
+                got = LemonTreeLearner(config).learn(tiny_matrix, seed=4).network
+            assert network_fingerprint(got) == want
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the warning is one-time
+                assert resolve_kernel_backend("auto") == ("numpy", None)
+            with pytest.raises(RuntimeError, match="certification-failed"):
+                resolve_kernel_backend("native")
+        finally:
+            monkeypatch.undo()
+            _native.invalidate()
+        assert _native.load() is not None
+
+
+class TestNumpySweepOracle:
+    """Runs everywhere (the extension cannot exist on the no-toolchain job):
+    the NumPy loops are the ``numpy`` backend's only path and the oracle the
+    native entry is certified against, and they score move by move."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_backend(self):
+        with kernel_backend("numpy"):
+            yield
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_obs_sweeps_preserve_invariants(self, seed):
+        state, data = _state(seed=seed)
+        rng = _rng(seed + 30)
+        for cluster in state.clusters:
+            block = data[cluster.members]
+            for _ in range(2):
+                reassign_obs_sweep(cluster.obs, block, rng)
+                cluster.obs.check_invariants(block)
+                merge_obs_sweep(cluster.obs, rng)
+                cluster.obs.check_invariants(block)
+        state.check_invariants()
+
+    def test_draws_per_sweep(self):
+        """The counts the native entry pre-draws: two uniforms per reassign
+        iteration, one per merge iteration, and a merge sweep makes exactly
+        as many iterations as it found clusters."""
+        block = _block(2, 5, 14)
+        oc = ObsClustering.from_block(block, np.arange(14) % 5)
+        rng = _rng(40)
+        records = []
+        hooks = SweepHooks(record=lambda *record: records.append(record))
+        reassign_obs_sweep(oc, block, rng, hooks)
+        assert rng.offset == 2 * 14 and len(records) == 14
+        k, before = oc.n_clusters, rng.offset
+        del records[:]
+        merge_obs_sweep(oc, rng, hooks)
+        assert rng.offset - before == k == len(records)
+
+    def test_scores_move_by_move(self, monkeypatch):
+        calls = []
+        original = ObsClustering.move_obs_scores
+        monkeypatch.setattr(
+            ObsClustering, "move_obs_scores",
+            lambda self, *a, **kw: calls.append(1) or original(self, *a, **kw),
+        )
+        block = _block(4, 3, 9)
+        oc = ObsClustering.from_block(block, np.arange(9) % 2)
+        reassign_obs_sweep(oc, block, _rng(41))
+        assert len(calls) == 9
