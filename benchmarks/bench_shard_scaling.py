@@ -6,8 +6,8 @@ localhost (the socket transport) over the same LPT plan.  This benchmark
 learns the yeast-shaped Figure 5 workload end to end (Task 1 chains +
 Task 3 modules) at 1 and 2 shard nodes, asserts every configuration's
 network bit-identical to the sequential learner, and records the tier's
-measured behaviour — the calibrated tau/mu wire model, per-node transfer
-traffic, and cross-node steals — in ``benchmarks/results/BENCH_shard.json``.
+measured behaviour — the calibrated tau/mu wire model and per-node
+transfer traffic — in ``benchmarks/results/BENCH_shard.json``.
 
 The >= 1.5x speedup gate at 2 nodes only applies when the machine has
 enough cores for two node processes to actually run concurrently (and is
@@ -85,10 +85,9 @@ def test_shard_scaling(capsys):
 
     # The thread transport must land on the same network as the socket
     # one — same frames, same plan, different wire.
-    thread_trace = WorkTrace()
     thread_result = LemonTreeLearner(
         _sharded_config(config, 2, "thread")
-    ).learn(matrix, seed=BENCH_SEED, trace=thread_trace)
+    ).learn(matrix, seed=BENCH_SEED)
     assert network_fingerprint(thread_result.network) == reference, (
         "network diverged on the thread transport"
     )
@@ -135,8 +134,6 @@ def test_shard_scaling(capsys):
             "calibration": calibration,
             "transfer_bytes": transfer_bytes,
             "transfer_seconds": transfer_seconds,
-            "node_steals": shard_trace.total_node_steals(),
-            "thread_backend_node_steals": thread_trace.total_node_steals(),
             "bit_identical": True,
         },
     )

@@ -26,8 +26,6 @@ from repro.bench import render_table, save_results
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.data.synthetic import yeast_like
-from repro.parallel.topology import MachineTopology, available_cpus
-from repro.parallel.trace import WorkTrace
 
 #: sized so that T_1 stays above ~1 s and pool start-up a small share of the
 #: 4-worker time, which is what gives the ``speedup4 >= 1.5`` gate its
@@ -36,21 +34,6 @@ from repro.parallel.trace import WorkTrace
 #: multiple of every worker count so no worker idles through a last round.
 G_RUNS = 24
 WORKER_COUNTS = (1, 2, 4)
-
-
-def _two_domain_topology() -> MachineTopology:
-    """Two simulated NUMA domains over the schedulable CPUs (see
-    bench_executor.py) — gives the Task 1 chains domain-affine queues to
-    steal across on any runner."""
-    cpus = available_cpus()
-    half = max(1, len(cpus) // 2)
-    low, high = cpus[:half], cpus[half:] or cpus[:1]
-    return MachineTopology(
-        numa_domains=(tuple(low), tuple(high)),
-        l2_bytes=2 << 20,
-        l3_bytes=16 << 20,
-        source="sysfs",
-    )
 
 
 def _available_cores() -> int:
@@ -86,33 +69,10 @@ def test_task1_scaling(capsys):
                 got, want, err_msg=f"run diverged at {n_workers} workers"
             )
 
-    # Steal topology: the same G chains on two simulated NUMA domains with
-    # domain-affine queues.  Stealing only moves chains between workers —
-    # the ensemble must stay bit-identical to the sequential run.
-    steal_trace = WorkTrace()
-    learner = LemonTreeLearner(
-        config.with_updates(
-            parallel=ParallelConfig(n_workers=4, topology=_two_domain_topology())
-        )
-    )
-    t0 = time.perf_counter()
-    steal_ensemble = learner.sample_clusterings(
-        matrix, seed=BENCH_SEED, trace=steal_trace
-    )
-    t_steal = time.perf_counter() - t0
-    for got, want in zip(steal_ensemble, reference):
-        np.testing.assert_array_equal(
-            got, want, err_msg="run diverged under steal dispatch"
-        )
-
     rows = [
         [w, f"{times[w]:.2f}", f"{times[1] / times[w]:.2f}x"]
         for w in WORKER_COUNTS
     ]
-    rows.append(
-        [f"4 (2-domain steal, {steal_trace.total_steals()} steals)",
-         f"{t_steal:.2f}", f"{times[1] / t_steal:.2f}x"]
-    )
     table = render_table(
         f"Task 1: {G_RUNS} GaneSH runs on {matrix.n_vars} x {matrix.n_obs} "
         "(bit-identical ensembles)",
@@ -133,9 +93,6 @@ def test_task1_scaling(capsys):
             "times_s": {str(w): times[w] for w in WORKER_COUNTS},
             "speedup_2": times[1] / times[2],
             "speedup_4": speedup4,
-            "steal_topology_s": t_steal,
-            "steals": steal_trace.total_steals(),
-            "locality_hit_rate": steal_trace.locality_hit_rate(),
             "bit_identical": True,
         },
     )

@@ -123,9 +123,7 @@ def main() -> None:
     task1 = _load("BENCH_task1")
     if task1:
         print(f"task1: {task1['speedup_2']:.2f}x@2w, "
-              f"{task1['speedup_4']:.2f}x@4w ({task1['g_runs']} runs, "
-              f"{task1['steals']} steals, locality "
-              f"{task1['locality_hit_rate']:.0%}); "
+              f"{task1['speedup_4']:.2f}x@4w ({task1['g_runs']} runs); "
               f"bit-identical: {task1['bit_identical']}")
 
     shard = _load("BENCH_shard")
@@ -138,8 +136,7 @@ def main() -> None:
               f"({shard['node_backend']}, {shard['g_runs']} runs, "
               f"{shard['cores_available']} cores); wire {wire}; "
               f"{shard['transfer_bytes']} B in "
-              f"{shard['transfer_seconds']:.3f}s, "
-              f"{shard['node_steals']} node steals; "
+              f"{shard['transfer_seconds']:.3f}s; "
               f"bit-identical: {shard['bit_identical']}")
 
     genomica = _load("extension_genomica")

@@ -13,17 +13,17 @@ Quickstart::
 
     dataset = yeast_like(scale=1 / 64)
     config = LearnerConfig(
-        parallel=ParallelConfig(n_workers=4, topology="auto"),
+        parallel=ParallelConfig(n_workers=4),
     )
     result = LemonTreeLearner(config).learn(dataset.matrix, seed=1)
     print(result.network)
 
 ``ParallelConfig`` gathers every execution-backend knob (workers,
-schedule, checkpoint directory, machine topology, shard nodes); it is
+schedule, checkpoint directory, kernel backend, shard nodes); it is
 embedded in both ``LearnerConfig`` and ``GenomicaConfig`` as
-``config.parallel``.  Worker placement and chunk sizing follow the probed
-machine topology (``MachineTopology``) but can never change the learned
-network — every backend is bit-identical to the one-worker run.
+``config.parallel``.  The kernel's chunk size follows the probed cache
+sizes (``MachineTopology``) but can never change the learned network —
+every backend is bit-identical to the one-worker run.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.

@@ -16,15 +16,14 @@ strong-scaling table, ``compare`` pits the Lemon-Tree pipeline against the
 GENOMICA-style two-step learner, and ``generate`` writes synthetic
 module-structured expression data.
 
-Every learning subcommand takes the same parallel knobs: ``--workers W``
-(0 = all cores the affinity mask allows; 1 runs in-process) sizes the
-shared-memory task-pool executor, ``--topology {auto,flat}`` selects the machine
-model — ``auto`` probes NUMA domains and cache sizes from sysfs and pins
-workers accordingly, ``flat`` forces the single-domain fallback — and
-``--no-steal`` disables the domain-affine work queues (idle workers
-stealing from the most-loaded foreign NUMA domain) that multi-domain
-dynamic dispatch uses by default.  All of these are pure placement: the
-learned network is bit-identical whatever the setting.
+Every learning subcommand takes ``--workers W`` (0 = all cores the
+affinity mask allows; 1 runs in-process), which sizes the shared-memory
+task-pool executor, and ``--kernel-backend``, the split-scoring
+implementation; ``learn``, ``modules`` and ``submit`` add ``--schedule
+{static,dynamic}`` (how the pool's one shared queue is cut) and, with
+``ganesh``, ``--nodes N`` (the shard tier).  All of these decide where
+and how fast work runs: the learned network is bit-identical whatever
+the setting.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=1, metavar="W",
                         help="worker processes for both learners (0 = all "
                              "cores; >1 runs the persistent pool executor)")
-    _add_topology_arg(compare)
+    _add_kernel_arg(compare)
 
     # Task-by-task workflow (how Lemon-Tree itself is driven: separate
     # invocations exchanging intermediate files, so the G GaneSH runs can
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     ganesh.add_argument("--workers", type=int, default=1, metavar="W",
                         help="worker processes for the G runs (0 = all cores; "
                              ">1 runs the persistent pool executor)")
-    _add_topology_arg(ganesh)
+    _add_kernel_arg(ganesh)
     _add_node_args(ganesh)
     ganesh.add_argument("--checkpoint-dir", default=None,
                         help="resume/continue directory for per-run "
@@ -262,21 +261,11 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                              "split-score cache; 0 (default) keeps the "
                              "per-kernel memo only — purely a speed knob, "
                              "results are bit-identical")
-    _add_topology_arg(parser)
+    _add_kernel_arg(parser)
     _add_node_args(parser)
 
 
-def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--topology", choices=["auto", "flat"], default="auto",
-                        help="machine model: probe NUMA domains and cache "
-                             "sizes from sysfs and pin workers (auto), or "
-                             "force the flat single-domain fallback (flat); "
-                             "placement only — results are bit-identical")
-    parser.add_argument("--no-steal", action="store_true",
-                        help="disable domain-affine work queues with "
-                             "cross-domain stealing on multi-domain dynamic "
-                             "dispatch (placement only — results are "
-                             "bit-identical)")
+def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel-backend", choices=list(KERNEL_BACKENDS),
                         default="auto",
                         help="split-scoring backend: the NumPy oracle "
@@ -288,10 +277,11 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_node_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=1, metavar="N",
-                        help="shard nodes (>1 runs the multi-node tier: the "
-                             "work is LPT-partitioned across N nodes, each "
-                             "running its own W-worker pool; results are "
-                             "bit-identical for any node count)")
+                        help="shard nodes (>1 runs the multi-node tier: N "
+                             "nodes, each running its own W-worker pool, "
+                             "pull batches from the scheduler's one ordered "
+                             "list; results are bit-identical for any node "
+                             "count)")
     parser.add_argument("--node-backend", choices=["socket", "thread"],
                         default="socket",
                         help="shard transport: real OS processes over a "
@@ -306,8 +296,6 @@ def _parallel_config(args: argparse.Namespace) -> ParallelConfig:
         n_workers=getattr(args, "workers", 1),
         schedule=getattr(args, "schedule", "dynamic"),
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        topology=getattr(args, "topology", "auto"),
-        steal=not getattr(args, "no_steal", False),
         kernel_backend=getattr(args, "kernel_backend", "auto"),
         n_nodes=getattr(args, "nodes", 1),
         node_backend=getattr(args, "node_backend", "socket"),

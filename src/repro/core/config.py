@@ -32,21 +32,9 @@ class ParallelConfig:
     #: (largest-module-first for whole modules) — the paper's
     #: Section 3.2.3 / Section 6 static-vs-dynamic ablation
     schedule: str = "dynamic"
-    #: dynamic dispatch locality: with multiple NUMA domains, feed each
-    #: domain its own affine work queue and let idle workers steal from
-    #: the most-loaded foreign domain (``True``, the default); ``False``
-    #: keeps the single shared queue.  Pure placement — results are
-    #: bit-identical either way, and single-domain (flat) machines take
-    #: the shared-queue path regardless.
-    steal: bool = True
     #: default checkpoint directory for ``learn(checkpoint_dir=...)``
     #: (the explicit argument wins when both are given)
     checkpoint_dir: str | None = None
-    #: machine model: "auto" (probe sysfs, fall back flat), "flat"
-    #: (single NUMA domain, fixed kernel chunk — the pre-topology
-    #: behaviour), or an explicit
-    #: :class:`repro.parallel.topology.MachineTopology`
-    topology: object = "auto"
     #: split-scoring backend: "numpy" (the oracle), "native" (the
     #: certified compiled extension; constructing a kernel raises when it
     #: is unavailable) or "auto" (use native when it builds, loads and
@@ -85,18 +73,10 @@ class ParallelConfig:
             raise ValueError("node_backend must be 'socket' or 'thread'")
         if self.schedule not in ("static", "dynamic"):
             raise ValueError("schedule must be 'static' or 'dynamic'")
-        if not isinstance(self.steal, bool):
-            raise ValueError("steal must be a bool")
         if self.kernel_backend not in ("auto", "numpy", "native"):
             raise ValueError(
                 "kernel_backend must be 'auto', 'numpy' or 'native'"
             )
-        topology = self.topology
-        if isinstance(topology, str):
-            if topology not in ("auto", "flat"):
-                raise ValueError("topology must be 'auto', 'flat' or a MachineTopology")
-        elif not hasattr(topology, "numa_domains"):
-            raise ValueError("topology must be 'auto', 'flat' or a MachineTopology")
 
     def resolve_n_workers(self) -> int:
         """The effective worker count (0 means every available core).
@@ -117,13 +97,6 @@ class ParallelConfig:
             except OSError:  # pragma: no cover - exotic kernels
                 pass
         return max(1, os.cpu_count() or 1)
-
-    def resolve_topology(self):
-        """The :class:`~repro.parallel.topology.MachineTopology` to use."""
-        # Lazy import: repro.parallel pulls in the engine/learner stack.
-        from repro.parallel.topology import resolve_topology
-
-        return resolve_topology(self.topology)
 
 
 @dataclass(frozen=True)

@@ -32,22 +32,15 @@ MPI implementation is reproduced with three cooperating layers:
 * :mod:`repro.parallel.tasks` — what a transport runs: the task context,
   the named runners (GaneSH chain, whole module, split chunk) and the
   construction of split tasks from the flat candidate-split list.
-* :mod:`repro.parallel.topology` — the machine model behind the executor's
-  placement: NUMA domains and cache sizes probed from sysfs (flat
-  single-domain fallback), worker pinning, first-touch page placement and
-  cache-derived kernel chunk sizing.  Placement never changes results.
+* :mod:`repro.parallel.topology` — the machine probe: NUMA domains and
+  cache sizes read from sysfs (flat single-domain fallback) and the
+  cache-derived kernel chunk size.  Chunk size never changes results.
 """
 
 from repro.parallel.comm import SerialComm, ThreadComm, run_spmd
 from repro.parallel.costmodel import MachineModel
 from repro.parallel.engine import ParallelLearner
-from repro.parallel.topology import (
-    MachineTopology,
-    Placement,
-    flat_topology,
-    plan_placement,
-    probe_topology,
-)
+from repro.parallel.topology import MachineTopology, flat_topology, probe_topology
 from repro.parallel.trace import WorkTrace, project_time
 
 __all__ = [
@@ -56,9 +49,7 @@ __all__ = [
     "run_spmd",
     "MachineModel",
     "MachineTopology",
-    "Placement",
     "flat_topology",
-    "plan_placement",
     "probe_topology",
     "WorkTrace",
     "project_time",

@@ -40,79 +40,6 @@ class MachineModel:
 #: the default model used by all benchmarks
 PHOENIX_LIKE = MachineModel()
 
-# -- measured calibration ----------------------------------------------------
-#
-# The defaults above describe the *paper's* testbed.  A real deployment of
-# the shard tier (:mod:`repro.parallel.sharding`) measures its own tau/mu
-# from echo round-trips over the actual node channels at startup and
-# installs the result here, so every consumer of the machine model — the
-# run-time projections and the steal-penalty charge below — reasons about
-# the interconnect that is actually in use rather than the hardcoded
-# HDR100 numbers.
-
-#: uncalibrated cross-domain/cross-node steal charge: executing a work item
-#: outside its home domain costs this factor times its work (remote DRAM /
-#: interconnect reads).  1.3 matches the historical hardcoded default of
-#: the placement schedulers; a measured calibration replaces it via
-#: :func:`resolve_remote_penalty`.
-DEFAULT_REMOTE_PENALTY = 1.3
-
-#: nominal steal granule used to convert a transfer model into a penalty:
-#: a ~512 KiB work-item payload (64 Ki 8-byte words) against the ~10 ms
-#: median fine-grained chunk time measured by ``bench_executor.py``
-STEAL_GRANULE_WORDS = 64 * 1024
-STEAL_GRANULE_SECONDS = 0.010
-
-#: the process-wide calibrated model (None until a shard tier installs one)
-_CALIBRATED: MachineModel | None = None
-
-
-def steal_penalty(
-    model: MachineModel,
-    words: int = STEAL_GRANULE_WORDS,
-    compute_seconds: float = STEAL_GRANULE_SECONDS,
-) -> float:
-    """Bandwidth-derived steal charge: (compute + transfer) / compute.
-
-    A stolen item's inputs cross the interconnect once, so its effective
-    cost grows by the point-to-point time of the steal granule relative to
-    the granule's compute time.  Clamped to at least 1 (a steal can never
-    be cheaper than local execution).
-    """
-    if compute_seconds <= 0:
-        raise ValueError("compute_seconds must be positive")
-    return max(1.0, 1.0 + model.point_to_point(words) / compute_seconds)
-
-
-def set_calibrated_model(model: MachineModel | None) -> MachineModel | None:
-    """Install a measured machine model process-wide; returns the previous
-    one so callers (the shard executor) can restore it on teardown."""
-    global _CALIBRATED
-    previous = _CALIBRATED
-    _CALIBRATED = model
-    return previous
-
-
-def calibrated_model() -> MachineModel | None:
-    """The currently installed measured model, or ``None``."""
-    return _CALIBRATED
-
-
-def resolve_remote_penalty(explicit: float | None = None) -> float:
-    """The steal charge to use: explicit > calibrated > 1.3 fallback.
-
-    This is the single source of the remote-penalty default for the
-    placement schedulers (they historically duplicated a hardcoded 1.3):
-    an explicitly passed value always wins; otherwise a calibrated model
-    installed by :func:`set_calibrated_model` yields the bandwidth-derived
-    :func:`steal_penalty`; without either, :data:`DEFAULT_REMOTE_PENALTY`.
-    """
-    if explicit is not None:
-        return float(explicit)
-    if _CALIBRATED is not None:
-        return steal_penalty(_CALIBRATED)
-    return DEFAULT_REMOTE_PENALTY
-
 
 def calibrate_from_roundtrips(
     small_rtts: list[float], large_rtts: list[float], large_words: int

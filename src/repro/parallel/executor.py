@@ -124,7 +124,6 @@ class TaskScheduler:
         self.checkpoint_dir = transport.checkpoint_dir
         #: total workers across the tier (what the learner reports)
         self.n_workers = transport.n_workers
-        self.placement = transport.placement
         self.schedule = self.config.parallel.schedule
         self.stats = transport.stats
 
@@ -160,7 +159,6 @@ class TaskScheduler:
         schedule: str | None = None,
         chunksize: int | None = None,
         trace=None,
-        home_domains=None,
     ):
         """Run ``fn(ctx, item)`` for every item on the transport.
 
@@ -168,16 +166,15 @@ class TaskScheduler:
         :data:`repro.parallel.tasks.TASK_RUNNERS` on shard nodes); ``ctx``
         is the executing process's matrix/parents/config/seed/checkpoint
         store.  The returned list is aligned with ``items`` whatever the
-        dispatch permutation (:attr:`dispatch_order_hook`), completion
-        order or steals: results are reassembled by item index.
+        dispatch permutation (:attr:`dispatch_order_hook`) or completion
+        order: results are reassembled by item index.
 
         ``schedule`` defaults to the executor's (``dynamic`` pulls items
-        one at a time, ``static`` maps contiguous equal-count chunks);
-        ``home_domains`` optionally names each item's home NUMA domain for
-        transports with domain-affine queues.  Busy seconds, steals and
-        kernel counters land in ``trace`` when one is given.  A worker
-        process dying mid-run raises :class:`WorkerCrashedError`; an
-        exception *raised* by ``fn`` propagates as itself.
+        one at a time, ``static`` maps contiguous equal-count chunks).
+        Busy seconds and kernel counters land in ``trace`` when one is
+        given.  A worker process dying mid-run raises
+        :class:`WorkerCrashedError`; an exception *raised* by ``fn``
+        propagates as itself.
         """
         items = list(items)
         if not items:
@@ -190,11 +187,6 @@ class TaskScheduler:
             [(index, items[index]) for index in order],
             schedule=schedule or self.schedule,
             chunksize=chunksize,
-            homes=(
-                None
-                if home_domains is None
-                else [int(home_domains[index]) for index in order]
-            ),
         )
         self.stats.tasks_dispatched += len(items)
         if trace is not None:
@@ -202,13 +194,10 @@ class TaskScheduler:
         return self._reduce(records, len(items), trace)
 
     def _reduce(self, records, n_items: int, trace) -> list:
-        """Completion records -> results in item order, stats and trace."""
+        """Completion records -> results in item order, and the trace."""
         results: list = [None] * n_items
-        for index, result, node, worker, domain, home, stolen, secs, kernel in records:
+        for index, result, node, worker, secs, kernel in records:
             results[index] = result
-            if stolen:
-                self.stats.steals += 1
-                self.stats.stolen_seconds += secs
             if trace is None:
                 continue
             label = f"worker-{worker}"
@@ -217,27 +206,7 @@ class TaskScheduler:
                 trace.mark_node_time(f"shard{node}", secs)
             trace.mark_kernel(kernel)
             trace.mark_worker_time(label, secs)
-            trace.mark_domain_time(f"node{domain}", secs)
-            if home is not None:
-                trace.mark_domain_locality(f"node{home}", secs, stolen)
-                if stolen:
-                    trace.mark_steal(label, 1, secs)
         return results
-
-    def _range_homes(self, ranges, total: int) -> list[int] | None:
-        """Home domain per ``[lo, hi)`` range of a flat work index: the
-        domain whose contiguous block contains the range midpoint (the
-        same rule as ``placement_lpt_schedule`` / ``placement_steal_schedule``);
-        ``None`` on flat machines, which have no affine queues to home on."""
-        if self.placement.is_flat:
-            return None
-        blocks = self.placement.domain_blocks(total)
-        return [
-            next(
-                (d for d, (a, b) in enumerate(blocks) if a <= (lo + hi) // 2 < b), 0
-            )
-            for lo, hi in ranges
-        ]
 
     # -- task 1: the G GaneSH co-clustering runs ---------------------------
     def sample_ganesh_runs(self, n_runs: int, trace=None) -> list[np.ndarray]:
@@ -291,29 +260,12 @@ class TaskScheduler:
         steps = np.zeros(total, dtype=np.int64)
         accepted = np.zeros(total, dtype=bool)
 
-        work_items, home_domains = tasks, None
+        work_items = tasks
         if self.n_workers > 1 and total > 0:
-            # Chunks nest inside NUMA-domain blocks so a chunk's output
-            # region lies in the shared pages its domain first-touched
-            # (plain block_bounds when flat), and that domain is its home.
             per_worker = 1 if self.schedule == "static" else 4
-            work_items = _subdivide(
-                tasks, total, per_worker * self.n_workers,
-                bounds=self.placement.chunk_bounds(total, per_worker),
-            )
-            home_domains = self._range_homes(
-                [
-                    (t.out_offset, t.out_offset + (t.row1 - t.row0))
-                    for t in work_items
-                ],
-                total,
-            )
+            work_items = _subdivide(tasks, total, per_worker * self.n_workers)
         results = self.submit_runs(
-            _score_chunk_run,
-            work_items,
-            chunksize=1,
-            trace=trace,
-            home_domains=home_domains,
+            _score_chunk_run, work_items, chunksize=1, trace=trace
         )
 
         for offset, sc, st, ac in results:
@@ -358,28 +310,15 @@ class TaskScheduler:
             (module_id, members, trace is not None)
             for module_id, members in pending
         ]
-        home_domains = None
         if self.schedule == "dynamic":
-            # Largest-module-first dispatch: greedy LPT via a shared queue
-            # (per-domain LPT order once partitioned onto affine queues).
+            # Largest-module-first dispatch: greedy LPT via a shared queue.
             items.sort(
                 key=lambda item: (
                     -estimate_module_cost(item[1], n_obs, self.config),
                     item[0],
                 )
             )
-            # A module's home is the domain whose block of the matrix rows
-            # (the pages it first-touched) holds the module's median member.
-            home_domains = self._range_homes(
-                [
-                    (int(np.median(members)), int(np.median(members)) + 1)
-                    for _, members, _ in items
-                ],
-                self.data.shape[0],
-            )
-        results = self.submit_runs(
-            _module_run, items, trace=trace, home_domains=home_domains
-        )
+        results = self.submit_runs(_module_run, items, trace=trace)
 
         for module_id, module, steps in sorted(results):
             modules[module_id] = module

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.costmodel import block_sums, resolve_remote_penalty
+from repro.parallel.costmodel import block_sums
 
 
 @dataclass(frozen=True)
@@ -118,155 +118,6 @@ def chunked_lpt_schedule(
     for cost in sorted(chunk_costs, reverse=True):
         per_rank[np.argmin(per_rank)] += cost
     return ScheduleResult("chunked-lpt", p, per_rank)
-
-
-def placement_lpt_schedule(
-    split_costs: np.ndarray,
-    group_sizes: np.ndarray,
-    placement,
-    remote_penalty: float | None = None,
-) -> ScheduleResult:
-    """Placement-aware LPT: greedy over groups with NUMA locality costs.
-
-    Models the executor's topology-aware dispatch: ``placement`` is a
-    :class:`repro.parallel.topology.Placement`, each group's *home* domain
-    is the domain whose contiguous block of the flat split range contains
-    the group's midpoint (the region whose shared-memory pages that domain
-    first-touched), and assigning a group to a rank outside its home
-    domain costs ``remote_penalty`` times its work (remote DRAM reads).
-    ``None`` (the default) resolves the charge through
-    :func:`repro.parallel.costmodel.resolve_remote_penalty`: the
-    bandwidth-derived value of a calibrated machine model when the shard
-    tier has installed one, else the 1.3 fallback.
-    Largest-first to the rank with the lowest *effective* finish time —
-    degenerate to plain :func:`lpt_schedule` on a flat single-domain
-    placement (every assignment is local).  Analysis-only, like the other
-    schemes: the executor's real dispatch never changes results, this
-    model just predicts what placement buys.
-    """
-    split_costs = np.asarray(split_costs, dtype=np.float64)
-    group_sizes = np.asarray(group_sizes, dtype=np.int64)
-    if group_sizes.sum() != split_costs.size:
-        raise ValueError("group sizes must cover the cost vector exactly")
-    remote_penalty = resolve_remote_penalty(remote_penalty)
-    if remote_penalty < 1.0:
-        raise ValueError("remote_penalty must be at least 1")
-    p = placement.n_workers
-    total = int(split_costs.size)
-    domain_blocks = placement.domain_blocks(total)
-    bounds = np.concatenate([[0], np.cumsum(group_sizes)])
-    group_costs = np.array(
-        [split_costs[bounds[i] : bounds[i + 1]].sum() for i in range(group_sizes.size)]
-    )
-
-    def home_domain(group_index: int) -> int:
-        mid = (bounds[group_index] + bounds[group_index + 1]) // 2
-        for domain, (lo, hi) in enumerate(domain_blocks):
-            if lo <= mid < hi:
-                return domain
-        return 0
-
-    homes = np.array([home_domain(i) for i in range(group_sizes.size)])
-    rank_domains = np.array(
-        [placement.domain_of(rank) for rank in range(p)], dtype=np.int64
-    )
-    per_rank = np.zeros(p, dtype=np.float64)
-    order = np.argsort(-group_costs, kind="stable")
-    for g in order:
-        effective = per_rank + np.where(
-            rank_domains == homes[g], group_costs[g], group_costs[g] * remote_penalty
-        )
-        rank = int(np.argmin(effective))
-        per_rank[rank] = effective[rank]
-    return ScheduleResult("placement-lpt", p, per_rank)
-
-
-def placement_steal_schedule(
-    split_costs: np.ndarray,
-    group_sizes: np.ndarray,
-    placement,
-    remote_penalty: float | None = None,
-) -> ScheduleResult:
-    """Domain-affine queues with idle stealing: a fake-clock simulation.
-
-    Models the executor's steal dispatch exactly: every group lands on its
-    *home* domain's LPT-ordered queue (home = the domain whose contiguous
-    block of the flat split range contains the group's midpoint, as in
-    :func:`placement_lpt_schedule`), and a deterministic event clock runs
-    the ranks — whenever a rank falls idle it pops the largest remaining
-    group of its home queue, or, when that queue is empty, *steals* the
-    largest group from the most-loaded foreign domain at
-    ``remote_penalty`` times its cost (remote DRAM reads).  Work
-    conserving: no rank idles while any queue holds work, so ``per_rank``
-    holds each rank's effective busy time and the makespan is the
-    simulated finish time.
-
-    On a single-domain placement no steal ever happens and the event clock
-    reduces to greedy LPT list scheduling — bit-identical rank loads to
-    :func:`lpt_schedule`.  Ties (equal finish times, equally loaded steal
-    victims) break on the lowest rank / domain index, so the simulation is
-    deterministic for any input.  Analysis-only, like the other schemes.
-
-    ``remote_penalty=None`` resolves through
-    :func:`repro.parallel.costmodel.resolve_remote_penalty` — the
-    bandwidth-derived charge of a calibrated machine model when one is
-    installed, else the 1.3 fallback — so this model and
-    :func:`placement_lpt_schedule` always charge steals identically.
-    """
-    import heapq
-
-    split_costs = np.asarray(split_costs, dtype=np.float64)
-    group_sizes = np.asarray(group_sizes, dtype=np.int64)
-    if group_sizes.sum() != split_costs.size:
-        raise ValueError("group sizes must cover the cost vector exactly")
-    remote_penalty = resolve_remote_penalty(remote_penalty)
-    if remote_penalty < 1.0:
-        raise ValueError("remote_penalty must be at least 1")
-    p = placement.n_workers
-    n_domains = placement.topology.n_domains
-    total = int(split_costs.size)
-    domain_blocks = placement.domain_blocks(total)
-    bounds = np.concatenate([[0], np.cumsum(group_sizes)])
-    group_costs = np.array(
-        [split_costs[bounds[i] : bounds[i + 1]].sum() for i in range(group_sizes.size)]
-    )
-
-    def home_domain(group_index: int) -> int:
-        mid = (bounds[group_index] + bounds[group_index + 1]) // 2
-        for domain, (lo, hi) in enumerate(domain_blocks):
-            if lo <= mid < hi:
-                return domain
-        return 0
-
-    # Per-domain queues in LPT order (largest first); pop from the front.
-    queues: list[list[float]] = [[] for _ in range(n_domains)]
-    for g in np.argsort(-group_costs, kind="stable"):
-        queues[home_domain(int(g))].append(float(group_costs[g]))
-    remaining = [sum(q) for q in queues]
-
-    rank_domains = [placement.domain_of(rank) for rank in range(p)]
-    per_rank = np.zeros(p, dtype=np.float64)
-    # Event clock: (finish_time, rank); the earliest-free rank acts next.
-    clock = [(0.0, rank) for rank in range(p)]
-    heapq.heapify(clock)
-    while any(queues):
-        finish, rank = heapq.heappop(clock)
-        home = rank_domains[rank]
-        if queues[home]:
-            domain, penalty = home, 1.0
-        else:
-            # Steal from the most-loaded foreign domain (lowest index on
-            # ties); only domains with queued work are candidates.
-            domain = max(
-                (d for d in range(n_domains) if queues[d]),
-                key=lambda d: (remaining[d], -d),
-            )
-            penalty = remote_penalty
-        cost = queues[domain].pop(0)
-        remaining[domain] -= cost
-        per_rank[rank] = finish + cost * penalty
-        heapq.heappush(clock, (per_rank[rank], rank))
-    return ScheduleResult("placement-steal", p, per_rank)
 
 
 def imbalance_sweep(

@@ -29,10 +29,10 @@ Two node backends speak one length-prefixed message protocol:
   mailboxes, so byte accounting and protocol behaviour match the socket
   backend without any processes.
 
-At startup the driver measures echo round-trips over the real channels
-and fits the :class:`~repro.parallel.costmodel.MachineModel` ``tau``/
-``mu`` from them, installing the result process-wide so the placement
-schedulers' remote-steal charge derives from the *measured* interconnect.
+The first *traced* dispatch measures echo round-trips over the real
+channels and fits the :class:`~repro.parallel.costmodel.MachineModel`
+``tau``/``mu`` from them — a trace annotation (``WorkTrace.calibration``)
+nothing in the package consumes, so an untraced run never pays for it.
 
 Dispatch is list scheduling over the scheduler's one ordered list: a
 driver thread per node pulls the next ``workers_per_node`` items whenever
@@ -56,11 +56,7 @@ import numpy as np
 
 from repro.core.config import LearnerConfig
 from repro.parallel import poolutil
-from repro.parallel.costmodel import (
-    MachineModel,
-    calibrate_from_roundtrips,
-    set_calibrated_model,
-)
+from repro.parallel.costmodel import calibrate_from_roundtrips
 from repro.parallel.executor import TaskScheduler
 from repro.parallel.tasks import _WORKER, TASK_RUNNERS
 from repro.parallel.transport import Transport, WorkerCrashedError, local_transport
@@ -269,7 +265,7 @@ def _node_serve(channel, node_id: int) -> None:
       (:func:`repro.parallel.transport.local_transport`) ->
       ``("ok", {"pid": ...})``;
     * ``("echo", payload)`` — calibration round-trip, bounced back verbatim;
-    * ``("run", task_kind, pairs, homes)`` — execute the ``(index, item)``
+    * ``("run", task_kind, pairs)`` — execute the ``(index, item)``
       pairs through the named runner of
       :data:`repro.parallel.tasks.TASK_RUNNERS` (the wire carries runner
       *names*, never pickled code) -> ``("result", {"records", "node"})``:
@@ -290,6 +286,7 @@ def _node_serve(channel, node_id: int) -> None:
             kind = message[0]
             if kind == "init":
                 spec = message[1]
+                kernel_mod.set_chunk_elements(spec["chunk_elements"])
                 local = local_transport(
                     spec["data"],
                     spec["parents"],
@@ -302,11 +299,10 @@ def _node_serve(channel, node_id: int) -> None:
             elif kind == "echo":
                 channel.send_msg(("echo", message[1]))
             elif kind == "run" and local is not None and message[1] in TASK_RUNNERS:
-                task_kind, pairs, homes = message[1:]
+                task_kind, pairs = message[1:]
                 try:
                     records = local.run(
-                        TASK_RUNNERS[task_kind], pairs, schedule="dynamic",
-                        homes=homes,
+                        TASK_RUNNERS[task_kind], pairs, schedule="dynamic"
                     )
                 except Exception as exc:  # shipped back; the node keeps serving
                     channel.send_msg(
@@ -348,16 +344,15 @@ def _socket_node_main(port: int, node_id: int, token: str) -> None:
     of the listener and of every other live channel is already closed (the
     ``register_after_fork`` hooks ran before this), and here it drops what
     the driver accumulated at module scope — a worker context, kernel
-    counters, a shared score cache, a calibrated machine model — so none of
-    it can surface in this node's completion records.  The node leads its
-    own process group: whoever has to kill it takes its pool workers along.
+    counters, a shared score cache — so none of it can surface in this
+    node's completion records.  The node leads its own process group:
+    whoever has to kill it takes its pool workers along.
     """
     if hasattr(os, "setpgid"):
         os.setpgid(0, 0)
     _WORKER.clear()
     kernel_mod.consume_kernel_totals()
     kernel_mod.set_shared_score_cache(None)
-    set_calibrated_model(None)
     sock = socket.create_connection(("127.0.0.1", port))
     channel = SocketChannel(sock, peer="driver")
     channel.send_msg(
@@ -406,7 +401,8 @@ class ShardTransport(Transport):
             self.n_nodes * self.workers_per_node,
         )
         self.stats.n_nodes = self.n_nodes
-        #: the measured tau/mu fit (populated by :meth:`start`)
+        #: the measured tau/mu fit (``None`` until a traced dispatch has
+        #: happened: :meth:`annotate` measures once, for the tier's life)
         self.calibration: dict | None = None
         #: node process pids (socket backend; thread nodes report the
         #: driver's own pid) — the failure-injection tests kill these
@@ -422,12 +418,11 @@ class ShardTransport(Transport):
         #: per-node channel (bytes, seconds) of the most recent ``run``
         self._last_traffic: list[tuple[int, float]] = []
         self._lock = threading.Lock()
-        self._prev_model: MachineModel | None | bool = False  # False = unset
         self._failed = False
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Launch the nodes, ship the init spec, calibrate tau/mu.
+        """Launch the nodes and ship the init spec.
 
         Idempotent; :meth:`run` calls it lazily, tests call it eagerly
         to learn the node pids.
@@ -452,7 +447,6 @@ class ShardTransport(Transport):
             raise
         self._channels = channels
         self.stats.matrix_transfers += self.n_nodes  # one init frame each
-        self._calibrate()
 
     def _init_nodes(self, channels) -> None:
         checkpoint_dir = (
@@ -466,6 +460,10 @@ class ShardTransport(Transport):
                     "config": self.config,
                     "seed": self.seed,
                     "checkpoint_dir": checkpoint_dir,
+                    # The machine is probed once, here: every node and
+                    # every pool worker below it sizes its kernel
+                    # temporaries by the driver's number.
+                    "chunk_elements": kernel_mod.configured_chunk_elements(),
                     # Thread-backend nodes live inside the (multi-threaded)
                     # driver process: forking a pool there can capture a
                     # lock mid-held and deadlock the child, so those pools
@@ -571,7 +569,7 @@ class ShardTransport(Transport):
             channels[node_id] = driver_channel
 
     def _calibrate(self) -> None:
-        """Fit tau/mu from echo round-trips over the live channels."""
+        """Fit tau/mu from echo round-trips over the (idle) channels."""
         small_rtts: list[float] = []
         large_rtts: list[float] = []
         for channel in self._channels:
@@ -587,7 +585,6 @@ class ShardTransport(Transport):
         model = calibrate_from_roundtrips(
             small_rtts, large_rtts, CALIBRATION_WORDS
         )
-        self._prev_model = set_calibrated_model(model)
         self.calibration = {
             "tau": model.tau,
             "mu": model.mu,
@@ -610,8 +607,7 @@ class ShardTransport(Transport):
         return pids
 
     def close(self) -> None:
-        """Tear the tier down: close nodes, reap processes, restore the
-        process-wide machine model the calibration displaced.
+        """Tear the tier down: close nodes, reap processes.
 
         Two phases — ``close`` to every node, then every ``bye`` — so the
         nodes tear their pools down (and, spawned, finalize their
@@ -634,9 +630,6 @@ class ShardTransport(Transport):
                 channel.close()
         finally:
             self._reap()
-            if self._prev_model is not False:
-                set_calibrated_model(self._prev_model)
-                self._prev_model = False
 
     def _reap(self, grace: float = NODE_EXIT_SECONDS) -> None:
         """Join every node within ``grace`` seconds in total; a node still
@@ -659,7 +652,7 @@ class ShardTransport(Transport):
         self._threads = []
 
     # -- dispatch ----------------------------------------------------------
-    def run(self, fn, ordered_items, *, schedule=None, chunksize=None, homes=None):
+    def run(self, fn, ordered_items, *, schedule=None, chunksize=None):
         """List-schedule the pairs over the nodes: one driver thread per
         node pulls the next ``workers_per_node`` pairs from the shared list
         whenever its node is free, so work starts in the order given and an
@@ -697,10 +690,7 @@ class ShardTransport(Transport):
                     lo, hi = cursor, min(cursor + self.workers_per_node, total)
                     cursor = hi
                 try:
-                    channel.send_msg((
-                        "run", task_kind, ordered_items[lo:hi],
-                        None if homes is None else homes[lo:hi],
-                    ))
+                    channel.send_msg(("run", task_kind, ordered_items[lo:hi]))
                     tag, body = channel.recv_msg()
                 except NodeCrashedError as exc:
                     with self._lock:
@@ -749,9 +739,16 @@ class ShardTransport(Transport):
         return records
 
     def annotate(self, trace) -> None:
-        """The last run's channel traffic, the calibration, the node tier."""
+        """The last run's channel traffic, the calibration, the node tier.
+
+        The scheduler calls this after ``run`` has returned, so the
+        channels are idle and the echoes measure the wire alone; their
+        bytes stay outside ``stats.transfer_bytes`` (``run`` counts its own
+        before/after delta)."""
         for node, (n_bytes, seconds) in enumerate(self._last_traffic):
             trace.mark_node_transfer(f"shard{node}", n_bytes, seconds)
+        if self.calibration is None:
+            self._calibrate()
         if trace.calibration is None:
             trace.calibration = self.calibration
         if trace.topology is None:

@@ -10,8 +10,7 @@ module holds everything on the *task* side of that seam:
   parents, config, seed, scorer, checkpoint stores), built by
   :func:`build_ctx`.  A pool worker keeps its context in :data:`_WORKER`
   (installed once by the pool initializer, together with the worker's
-  stable index and placement bookkeeping); an in-process transport keeps
-  its own;
+  stable index); an in-process transport keeps its own;
 * the **runners** ``fn(ctx, item)`` — one GaneSH chain
   (:func:`_ganesh_run`), one whole module (:func:`_module_run`), one chunk
   of the flat candidate-split list (:func:`_score_chunk_run`) — and
@@ -53,9 +52,9 @@ from repro.trees.splits import NodeSplitScores, select_node_splits
 
 # -- the task context --------------------------------------------------------
 
-#: a pool worker's task context plus its bookkeeping (``worker``, ``domain``,
-#: ``steal``, ``shm``, ``flush_barrier``); installed once per worker by the
-#: pool initializer so the matrix is attached a single time, never per task
+#: a pool worker's task context plus its bookkeeping (``worker``, ``shm``,
+#: ``flush_barrier``); installed once per worker by the pool initializer so
+#: the matrix is attached a single time, never per task
 _WORKER: dict = {}
 
 
@@ -223,29 +222,20 @@ def build_split_tasks(node_records, n_parents: int) -> tuple[list[SplitTask], in
     return tasks, offset
 
 
-def _subdivide(
-    tasks: list[SplitTask],
-    total: int,
-    n_chunks: int,
-    bounds: list[tuple[int, int]] | None = None,
-) -> list[SplitTask]:
-    """Split node tasks along the flat index so chunks have equal split counts.
+def _subdivide(tasks: list[SplitTask], total: int, n_chunks: int) -> list[SplitTask]:
+    """Split node tasks along the flat index so chunks have equal split
+    counts (:func:`block_bounds`, the paper's equal-count cut).
 
     Tasks and chunk bounds are both sorted along the flat split index, so a
     single merge walk suffices: O(tasks + chunks + pieces) instead of the
-    O(chunks x tasks) rescan of every task per chunk.
-
-    ``bounds`` overrides the default equal-count :func:`block_bounds`
-    partition with an explicit sorted list of ``[lo, hi)`` chunk bounds —
-    the executor passes its NUMA placement's nested bounds so each chunk
-    stays inside the flat region whose shared-memory pages its domain
-    first-touched.  Chunk boundaries only change *where* splits are
-    scored, never their values: results are written back by flat offset.
+    O(chunks x tasks) rescan of every task per chunk.  Chunk boundaries
+    only change *where* splits are scored, never their values: results are
+    written back by flat offset.
     """
     out: list[SplitTask] = []
     ti = 0
     n_tasks = len(tasks)
-    for lo, hi in (bounds if bounds is not None else block_bounds(total, n_chunks)):
+    for lo, hi in block_bounds(total, n_chunks):
         if lo >= hi:
             continue
         # Skip tasks that end at or before this chunk; a task straddling a

@@ -70,24 +70,9 @@ class WorkTrace:
     #: shard nodes) so one label is one process across every dispatch —
     #: measured parallel speedups can be compared against projected ones
     worker_times: dict[str, float] = field(default_factory=dict)
-    #: measured busy wall seconds per NUMA domain ('node0', ...), recorded
-    #: by the process executor when a placement plan is active
-    domain_times: dict[str, float] = field(default_factory=dict)
-    #: cross-domain steals per executor worker ('worker-0', ...): tasks the
-    #: worker pulled from a foreign domain's affine queue because its home
-    #: queue was empty
-    worker_steals: dict[str, int] = field(default_factory=dict)
-    #: busy wall seconds each worker spent on *stolen* (foreign-domain)
-    #: tasks — the home/foreign split of ``worker_times``
-    worker_stolen_seconds: dict[str, float] = field(default_factory=dict)
-    #: busy seconds of each domain's *own* items executed by that domain's
-    #: workers ('node0', ...) — the locality hits
-    domain_local_times: dict[str, float] = field(default_factory=dict)
-    #: busy seconds of each domain's items executed by *foreign* workers —
-    #: the locality misses (stolen away)
-    domain_stolen_times: dict[str, float] = field(default_factory=dict)
-    #: the executor's placement plan (``Placement.describe()``): machine
-    #: topology plus the worker->domain map, for benchmark reports
+    #: what the transport ran on, for benchmark reports: the probed
+    #: machine (``MachineTopology.describe()``), worker count and kernel
+    #: chunk size on one host; the node tier's shape under shard nodes
     topology: dict | None = None
     #: aggregated split-scoring kernel counters across every process that
     #: scored splits: ``hits`` / ``evaluations`` (cache behaviour),
@@ -135,25 +120,6 @@ class WorkTrace:
             seconds
         )
 
-    def mark_domain_time(self, domain: str, seconds: float) -> None:
-        """Accumulate busy wall time of one NUMA domain's workers."""
-        self.domain_times[domain] = self.domain_times.get(domain, 0.0) + float(
-            seconds
-        )
-
-    def mark_steal(self, worker: str, count: int, seconds: float) -> None:
-        """Accumulate one worker's cross-domain steals and stolen seconds."""
-        self.worker_steals[worker] = self.worker_steals.get(worker, 0) + int(count)
-        self.worker_stolen_seconds[worker] = self.worker_stolen_seconds.get(
-            worker, 0.0
-        ) + float(seconds)
-
-    def mark_domain_locality(self, domain: str, seconds: float, stolen: bool) -> None:
-        """Accumulate one domain's work seconds as local (home worker ran
-        the item) or stolen (a foreign worker drained it)."""
-        target = self.domain_stolen_times if stolen else self.domain_local_times
-        target[domain] = target.get(domain, 0.0) + float(seconds)
-
     def mark_node_time(self, node: str, seconds: float) -> None:
         """Accumulate busy wall time of one shard node."""
         self.node_times[node] = self.node_times.get(node, 0.0) + float(seconds)
@@ -167,12 +133,6 @@ class WorkTrace:
         self.node_transfer_seconds[node] = self.node_transfer_seconds.get(
             node, 0.0
         ) + float(seconds)
-
-    def total_node_steals(self) -> int:
-        """Cross-node steals: always 0 — shard nodes pull from one shared
-        list, so there is no home queue to steal from.  Kept for reports
-        that still print the column."""
-        return 0
 
     def mark_kernel(self, counters: dict | None) -> None:
         """Merge one process's drained kernel-counter delta (see
@@ -199,34 +159,15 @@ class WorkTrace:
             if key in counters or key in agg:
                 agg[key] = agg.get(key, 0) + int(counters.get(key, 0))
 
+    # Constants since every tier pulls from one shared list: there is no
+    # home queue to take work from.  Their only caller is
+    # benchmarks/e2e/probes.py (two exact-count metrics that can only read
+    # 0); they leave with the benchmark-only change that drops those rows.
     def total_steals(self) -> int:
-        """Cross-domain steals summed over all workers."""
-        return sum(self.worker_steals.values())
+        return 0
 
-    def locality_hit_rate(self) -> float:
-        """Fraction of work seconds executed in the items' home domain.
-
-        ``1.0`` when nothing was recorded (a flat run never steals and may
-        skip locality accounting entirely).
-        """
-        local = sum(self.domain_local_times.values())
-        stolen = sum(self.domain_stolen_times.values())
-        total = local + stolen
-        if total <= 0.0:
-            return 1.0
-        return local / total
-
-    def domain_locality(self) -> dict[str, float]:
-        """Per-domain locality hit rate (local / (local + stolen))."""
-        out: dict[str, float] = {}
-        for domain in sorted(
-            set(self.domain_local_times) | set(self.domain_stolen_times)
-        ):
-            local = self.domain_local_times.get(domain, 0.0)
-            stolen = self.domain_stolen_times.get(domain, 0.0)
-            total = local + stolen
-            out[domain] = local / total if total > 0.0 else 1.0
-        return out
+    def total_node_steals(self) -> int:
+        return 0
 
     def worker_imbalance(self) -> float:
         """Measured (max - mean) / mean busy time across executor workers."""
@@ -390,11 +331,6 @@ def project_time(
 _ACCUMULATORS = (
     "times",
     "worker_times",
-    "domain_times",
-    "worker_steals",
-    "worker_stolen_seconds",
-    "domain_local_times",
-    "domain_stolen_times",
     "kernel_counters",
     "node_times",
     "node_transfer_bytes",

@@ -4,15 +4,13 @@ The scheduler (:mod:`repro.parallel.executor`) decides *what* runs and in
 what order; a :class:`Transport` only carries ``fn(ctx, item)`` calls to
 wherever they execute and brings back one **completion record** per item::
 
-    (index, result, node, worker, domain, home, stolen, seconds, kernel_totals)
+    (index, result, node, worker, seconds, kernel_totals)
 
 ``index`` is the scheduler's item index (opaque here), ``node`` the shard
 node (``None`` on one host), ``worker`` the executing process's *stable*
-index (one process, one index, for the executor's lifetime), ``domain``
-its NUMA domain, ``home`` / ``stolen`` the item's affine-queue home and
-whether a foreign-domain worker drained it (``None`` / ``False`` without
-affine queues), ``seconds`` the task's wall time and ``kernel_totals`` the
-process's drained split-kernel counter delta.
+index (one process, one index, for the executor's lifetime), ``seconds``
+the task's wall time and ``kernel_totals`` the process's drained
+split-kernel counter delta.
 
 Here: :class:`InProcessTransport` (one worker — this *is* the sequential
 learner) and :class:`PoolTransport` (one persistent pool over one
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass
@@ -38,12 +35,7 @@ from repro.core.config import LearnerConfig
 from repro.parallel import poolutil
 from repro.parallel.checkpoint_writer import AsyncCheckpointWriter
 from repro.parallel.tasks import _WORKER, build_ctx
-from repro.parallel.topology import (
-    Placement,
-    chunk_elements_for,
-    pin_to,
-    plan_placement,
-)
+from repro.parallel.topology import probe_topology
 from repro.scoring import kernel as kernel_mod
 
 
@@ -67,11 +59,6 @@ class ExecutorStats:
     tasks_dispatched: int = 0
     mode: str = ""
     n_workers: int = 1
-    #: cross-domain steals: tasks an idle worker drained from a foreign
-    #: NUMA domain's affine queue (always 0 on flat machines)
-    steals: int = 0
-    #: busy seconds spent on stolen tasks
-    stolen_seconds: float = 0.0
     #: shard nodes behind this executor (1 on one host) and their channel
     #: traffic during dispatches, both directions, summed over nodes
     n_nodes: int = 1
@@ -79,25 +66,22 @@ class ExecutorStats:
     transfer_seconds: float = 0.0
 
 
-def _install_kernel_settings(parallel, chunk_elements) -> tuple:
-    """Point this process's split kernels at the configured backend, chunk
-    size and shared score cache — the same call in a pool worker and in an
+def _install_kernel_settings(parallel) -> str:
+    """Point this process's split kernels at the configured backend and
+    shared score cache — the same call in a pool worker and in an
     in-process transport, so no tier can drift from ``config.parallel``.
 
-    Returns the displaced ``(chunk_elements, backend)`` for restoring.  The
-    score cache is one bounded store per process and is never uninstalled,
-    so a service reusing a pool serves repeat nodes from memory.
+    Returns the displaced backend for restoring.  The score cache is one
+    bounded store per process and is never uninstalled, so a service
+    reusing a pool serves repeat nodes from memory.
     """
-    previous = (
-        kernel_mod.set_chunk_elements(chunk_elements),
-        kernel_mod.set_kernel_backend(parallel.kernel_backend),
-    )
+    previous = kernel_mod.set_kernel_backend(parallel.kernel_backend)
     if parallel.score_cache_bytes > 0:
         kernel_mod.ensure_shared_score_cache(parallel.score_cache_bytes)
     return previous
 
 
-def _run_item(ctx, fn, index, item, home=None, stolen=False) -> tuple:
+def _run_item(ctx, fn, index, item) -> tuple:
     """Run ``fn(ctx, item)`` and build its completion record."""
     t0 = time.perf_counter()
     result = fn(ctx, item)
@@ -106,9 +90,6 @@ def _run_item(ctx, fn, index, item, home=None, stolen=False) -> tuple:
         result,
         None,
         ctx["worker"],
-        ctx["domain"],
-        home,
-        stolen,
         time.perf_counter() - t0,
         kernel_mod.consume_kernel_totals(),
     )
@@ -132,20 +113,15 @@ class Transport:
         )
         #: every process that executes items, across the whole tier
         self.n_workers = n_workers
-        #: the worker->domain plan; placement decides where work executes,
-        #: never its results
-        self.placement = plan_placement(
-            config.parallel.resolve_topology(), max(1, n_workers)
-        )
         self.stats = ExecutorStats(n_workers=n_workers)
 
     def start(self) -> None:
         """Bring up whatever executes items (idempotent; ``run`` calls it)."""
 
-    def run(self, fn, ordered_items, *, schedule, chunksize=None, homes=None):
+    def run(self, fn, ordered_items, *, schedule, chunksize=None):
         """Run ``fn(ctx, item)`` for every ``(index, item)`` pair, starting
         them in the given order; returns the completion records, in any
-        order.  ``homes`` optionally names each pair's home NUMA domain."""
+        order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -162,7 +138,11 @@ class Transport:
     def annotate(self, trace) -> None:
         """Record what only the transport knows about the last ``run``."""
         if trace.topology is None:
-            trace.topology = self.placement.describe()
+            trace.topology = dict(
+                probe_topology().describe(),
+                n_workers=self.n_workers,
+                kernel_chunk_elements=kernel_mod.configured_chunk_elements(),
+            )
 
 
 class InProcessTransport(Transport):
@@ -170,38 +150,30 @@ class InProcessTransport(Transport):
 
     def __init__(self, data, parents, config, seed, checkpoint_dir) -> None:
         super().__init__(data, parents, config, seed, checkpoint_dir, 1)
-        #: machine-wide kernel evaluation chunk size (this process is not
-        #: pinned to a domain)
-        self.kernel_chunk_elements = chunk_elements_for(self.placement.topology)
-        #: the task context and the process-wide kernel settings (chunk
-        #: size, backend) it displaced; built on first use
+        #: the task context and the process-wide kernel backend it
+        #: displaced; built on first use
         self._ctx: dict | None = None
-        self._prev_kernel: tuple = ()
+        self._prev_backend: str | None = None
 
-    def run(self, fn, ordered_items, *, schedule=None, chunksize=None, homes=None):
+    def run(self, fn, ordered_items, *, schedule=None, chunksize=None):
         if self._ctx is None:
-            self._prev_kernel = _install_kernel_settings(
-                self.config.parallel, self.kernel_chunk_elements
-            )
+            self._prev_backend = _install_kernel_settings(self.config.parallel)
             self._ctx = dict(
                 build_ctx(
                     self.data, self.parents, self.config, self.seed,
                     self.checkpoint_dir,
                 ),
                 worker=0,
-                domain=0,
             )
         return [
             _run_item(self._ctx, fn, index, item) for index, item in ordered_items
         ]
 
     def close(self) -> None:
-        """Drop the matrix reference and restore the kernel settings."""
+        """Drop the matrix reference and restore the kernel backend."""
         if self._ctx is not None:
             self._ctx = None
-            chunk_elements, backend = self._prev_kernel
-            kernel_mod.set_chunk_elements(chunk_elements)
-            kernel_mod.set_kernel_backend(backend)
+            kernel_mod.set_kernel_backend(self._prev_backend)
 
 
 # -- shared-memory expression matrix --------------------------------------
@@ -212,48 +184,15 @@ class SharedMatrix:
 
     Created once per pool; workers attach by name with no copy.  The
     creating process owns the segment and unlinks it on :meth:`close`.
-
-    With a multi-domain ``placement``, the initial copy is *first-touch
-    interleaved*: the driver temporarily pins itself to each NUMA domain's
-    CPUs while writing that domain's contiguous row block, so the kernel
-    allocates those shared pages on the memory node whose workers will
-    read them (Linux's default first-touch NUMA policy).  Purely a page
-    *location* effect — the bytes written are identical either way.
     """
 
-    def __init__(self, data: np.ndarray, placement: Placement | None = None) -> None:
+    def __init__(self, data: np.ndarray) -> None:
         data = np.ascontiguousarray(data, dtype=np.float64)
         self._shm = shared_memory.SharedMemory(create=True, size=data.nbytes)
         self.array = np.ndarray(data.shape, dtype=data.dtype, buffer=self._shm.buf)
-        if placement is not None and not placement.is_flat:
-            self._first_touch_copy(data, placement)
-        else:
-            self.array[:] = data
+        self.array[:] = data
         #: everything a worker needs to attach: (name, shape, dtype)
         self.spec = (self._shm.name, data.shape, data.dtype.str)
-
-    def _first_touch_copy(self, data: np.ndarray, placement: Placement) -> None:
-        getaffinity = getattr(os, "sched_getaffinity", None)
-        try:
-            original = getaffinity(0) if getaffinity is not None else None
-        except OSError:  # pragma: no cover - exotic kernels
-            original = None
-        if original is None:
-            self.array[:] = data
-            return
-        try:
-            for domain, (lo, hi) in enumerate(
-                placement.domain_blocks(data.shape[0])
-            ):
-                if lo >= hi:
-                    continue
-                pin_to(placement.topology.numa_domains[domain])
-                self.array[lo:hi] = data[lo:hi]
-        finally:
-            try:
-                os.sched_setaffinity(0, original)
-            except OSError:  # pragma: no cover - affinity revoked mid-copy
-                pass
 
     def close(self) -> None:
         self.array = None
@@ -291,8 +230,7 @@ def _executor_init(
     checkpoint_dir,
     counter,
     flush_barrier,
-    placement,
-    steal_shared,
+    chunk_elements,
 ):
     """Pool initializer: attach the matrix once, install the worker's task
     context (:data:`repro.parallel.tasks._WORKER`).
@@ -304,14 +242,12 @@ def _executor_init(
     for every replacement it spawns.  The pre-increment value is this
     worker's stable index (``mp.Pool`` hands every worker identical
     initargs, so it must come from shared state): it labels the worker in
-    every completion record and indexes the ``placement`` plan — the
-    worker pins itself to its NUMA domain's CPU set and sizes its kernel
-    evaluation chunks for that domain's caches.  Replacement workers draw
-    indices past the plan and wrap onto it.  Neither pinning nor chunk
-    sizing can change any score — see :mod:`repro.parallel.topology`.
+    every completion record.
 
-    ``steal_shared`` is the domain-affine ``(queues, pending, lock)``
-    scaffolding, ``None`` on flat machines.  With a checkpoint directory
+    ``chunk_elements`` is the driver's kernel chunk size
+    (:func:`repro.scoring.kernel.configured_chunk_elements`): the machine
+    is probed once, in the driver, and every worker — forked or spawned —
+    sizes its temporaries by that one number.  With a checkpoint directory
     the worker also starts an :class:`AsyncCheckpointWriter` so checkpoint
     serialization never stalls task execution; ``flush_barrier`` is the
     close-time flush rendezvous (see :func:`_checkpoint_flush_run`).
@@ -319,18 +255,13 @@ def _executor_init(
     with counter.get_lock():
         worker_index = int(counter.value)
         counter.value += 1
-    domain = placement.domain_of(worker_index)
-    pin_to(placement.worker_cpus(worker_index))
-    _install_kernel_settings(
-        config.parallel, placement.chunk_elements(worker_index)
-    )
+    kernel_mod.set_chunk_elements(chunk_elements)
+    _install_kernel_settings(config.parallel)
     shm, data = _attach_shared(matrix_spec)
     writer = AsyncCheckpointWriter() if checkpoint_dir is not None else None
     _WORKER.update(
         build_ctx(data, parents, config, seed, checkpoint_dir, writer),
         worker=worker_index,
-        domain=domain,
-        steal=steal_shared,
         shm=shm,  # keep the mapping alive for the worker's lifetime
         flush_barrier=flush_barrier,
     )
@@ -358,41 +289,9 @@ def _checkpoint_flush_run(barrier_timeout: float):
 
 
 def _pool_run(payload):
-    """Pool entry point of the shared-queue dispatch: one chunk of pairs."""
+    """Pool entry point: one chunk of ``(index, item)`` pairs."""
     fn, pairs = payload
     return [_run_item(_WORKER, fn, index, item) for index, item in pairs]
-
-
-def _affine_run(queue_timeout):
-    """Pool entry point of the domain-affine steal dispatch.
-
-    The driver enqueues every item on its home domain's queue, then
-    dispatches one of these triggers per item; each *reserves* exactly one
-    item under the shared lock — from this worker's home domain while its
-    ``pending`` count is positive, otherwise from the most-loaded foreign
-    domain (a steal) — then drains and runs it.  Reservation counts mean a
-    queue is never over-drained, so a victim domain whose worker died is
-    emptied by its siblings rather than deadlocking.
-
-    Returns a one-record chunk; an empty one when every reservation is
-    taken — only possible after a sibling crashed between reserving and
-    returning, which the collector surfaces as :class:`WorkerCrashedError`.
-    """
-    queues, pending, lock = _WORKER["steal"]
-    my_domain = _WORKER["domain"]
-    with lock:
-        if pending[my_domain] > 0:
-            domain = my_domain
-        else:
-            domain, best = -1, 0
-            for d in range(len(queues)):
-                if pending[d] > best:
-                    domain, best = d, pending[d]
-            if domain < 0:
-                return []
-        pending[domain] -= 1
-    fn, index, item, home = queues[domain].get(timeout=queue_timeout)
-    return [_run_item(_WORKER, fn, index, item, home, domain != my_domain)]
 
 
 # -- the pool transport ------------------------------------------------------
@@ -423,27 +322,16 @@ class PoolTransport(Transport):
         self._init_counter = None
         self._flush_barrier = None
         self._flush_timeout = 30.0
-        #: (queues, pending, lock) domain-affine steal scaffolding; created
-        #: with the pool when stealing is possible, None on flat machines
-        self._steal_shared = None
-        self._steal_queue_timeout = 60.0
         #: a worker died in this pool: its queues cannot be trusted any
         #: more, and :meth:`close` does not ask them to cooperate
         self._crashed = False
-
-    def _steal_possible(self) -> bool:
-        """Whether dynamic dispatch uses domain-affine queues — the steal
-        knob on and workers on more than one NUMA domain.  Flat machines
-        never qualify, so they build none of the steal scaffolding and
-        every dispatch takes the exact shared-queue code path."""
-        return self.config.parallel.steal and self.placement.topology.n_domains > 1
 
     def start(self) -> None:
         """Create the shared matrix and the pool once."""
         if self._pool is not None:
             return
         ctx = poolutil.pool_context(self._mp_context)
-        self._shared = SharedMatrix(self.data, placement=self.placement)
+        self._shared = SharedMatrix(self.data)
         self._init_counter = ctx.Value("i", 0)
         poolutil.note_pool_construction()
         poolutil.note_matrix_transfer()
@@ -452,13 +340,6 @@ class PoolTransport(Transport):
         self._flush_barrier = (
             ctx.Barrier(self.n_workers) if self.checkpoint_dir is not None else None
         )
-        if self._steal_possible():
-            n_domains = self.placement.topology.n_domains
-            self._steal_shared = (
-                [ctx.Queue() for _ in range(n_domains)],
-                ctx.Array("l", n_domains, lock=False),  # guarded by the lock
-                ctx.Lock(),
-            )
         self._pool = ctx.Pool(
             self.n_workers,
             initializer=_executor_init,
@@ -470,8 +351,7 @@ class PoolTransport(Transport):
                 self.checkpoint_dir,
                 self._init_counter,
                 self._flush_barrier,
-                self.placement,
-                self._steal_shared,
+                kernel_mod.configured_chunk_elements(),
             ),
         )
 
@@ -484,7 +364,6 @@ class PoolTransport(Transport):
         """
         pool, self._pool = self._pool, None
         shared, self._shared = self._shared, None
-        steal_shared, self._steal_shared = self._steal_shared, None
         try:
             if pool is not None and self._crashed:
                 _abandon_pool(pool)
@@ -493,12 +372,6 @@ class PoolTransport(Transport):
                 pool.terminate()
                 pool.join()
         finally:
-            if steal_shared is not None:
-                # Stranded payloads (a crashed dispatch) must not keep the
-                # queue feeder threads alive past the executor.
-                for queue in steal_shared[0]:
-                    queue.cancel_join_thread()
-                    queue.close()
             if shared is not None:
                 shared.close()
 
@@ -538,69 +411,32 @@ class PoolTransport(Transport):
             return []
         return [proc.pid for proc in getattr(pool, "_pool", []) if proc.pid]
 
-    def run(self, fn, ordered_items, *, schedule, chunksize=None, homes=None):
-        """Dispatch onto the pool and collect, crash-aware.
-
-        ``dynamic`` pulls items one at a time from a shared queue,
-        ``static`` maps contiguous equal-count chunks.  With affine queues
-        (:meth:`_steal_possible`), dynamic dispatch instead feeds each NUMA
-        domain its own queue — items land on their ``homes`` domain (a
-        balanced spread over the worker plan by default), in dispatch
-        order — and idle workers steal from the most-loaded foreign one.
-        """
+    def run(self, fn, ordered_items, *, schedule, chunksize=None):
+        """Dispatch onto the pool and collect, crash-aware: ``dynamic``
+        pulls items one at a time from the shared queue, ``static`` maps
+        contiguous equal-count chunks."""
         self.start()
         n = len(ordered_items)
-        if schedule == "dynamic" and self._steal_shared is not None:
-            self._enqueue_affine(fn, ordered_items, homes)
-            payloads = [self._steal_queue_timeout] * n
-            entry = _affine_run
-        else:
-            if not chunksize:
-                chunksize = (
-                    math.ceil(n / self.n_workers) if schedule == "static" else 1
-                )
-            payloads = [
-                (fn, ordered_items[lo : lo + chunksize])
-                for lo in range(0, n, chunksize)
-            ]
-            entry = _pool_run
+        if not chunksize:
+            chunksize = math.ceil(n / self.n_workers) if schedule == "static" else 1
+        payloads = [
+            (fn, ordered_items[lo : lo + chunksize]) for lo in range(0, n, chunksize)
+        ]
         try:
             return self._collect(
-                self._pool.imap_unordered(entry, payloads), len(payloads), n
+                self._pool.imap_unordered(_pool_run, payloads), len(payloads)
             )
         except WorkerCrashedError:
             self._crashed = True
-            self._reset_steal()
             raise
 
-    def _enqueue_affine(self, fn, ordered_items, homes) -> None:
-        """Put every item on its home domain's queue.
-
-        Every item is enqueued before any trigger dispatches, and the
-        shared ``pending`` counts advance under the lock only after the
-        payloads are queued — a trigger always finds the payload it
-        reserved, and a worker dying mid-task strands exactly that.
-        """
-        queues, pending, lock = self._steal_shared
-        if homes is None:
-            homes = self.placement.spread_domains(len(ordered_items))
-        counts = [0] * len(queues)
-        for (index, item), domain in zip(ordered_items, homes):
-            queues[domain].put((fn, index, item, domain))
-            counts[domain] += 1
-        with lock:
-            for domain, count in enumerate(counts):
-                pending[domain] += count
-
-    def _collect(self, it, n_chunks: int, n_records: int) -> list:
+    def _collect(self, it, n_chunks: int) -> list:
         """Crash-aware collection of ``n_chunks`` chunks of records.
 
         Each timeout polls the init counter, which only advances past
         ``n_workers`` when ``mp.Pool`` re-ran the initializer for a
         replacement — an original worker exited abnormally and its
-        in-flight task is lost for good.  Empty chunks mark affine triggers
-        whose reservation a dead sibling took; the records then never add
-        up to ``n_records``, which surfaces that crash too.
+        in-flight task is lost for good.
         """
         out: list = []
         while n_chunks:
@@ -614,31 +450,7 @@ class PoolTransport(Transport):
                         f"{lost} pool worker(s) died mid-run; completed "
                         "checkpoints remain valid — re-run to resume from them"
                     ) from None
-        if len(out) < n_records:
-            raise WorkerCrashedError(
-                "steal dispatch lost work items to a crashed worker; "
-                "completed checkpoints remain valid — re-run to resume"
-            )
         return out
-
-    def _reset_steal(self) -> None:
-        """Drain stranded payloads after a crashed affine dispatch.
-
-        Restores the queues/pending invariant (both empty) so a retry on
-        the same pool starts clean rather than reserving ghosts.
-        """
-        if self._steal_shared is None:
-            return
-        queues, pending, lock = self._steal_shared
-        with lock:
-            for domain in range(len(queues)):
-                pending[domain] = 0
-        for q in queues:
-            while True:
-                try:
-                    q.get_nowait()
-                except (queue_mod.Empty, OSError, ValueError):
-                    break
 
 
 def _abandon_pool(pool, grace: float = 2.0) -> None:

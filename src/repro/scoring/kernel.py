@@ -265,12 +265,13 @@ def isolated_kernel_totals():
 def set_chunk_elements(n_elements: int | None) -> int | None:
     """Install a process-wide default for evaluation-chunk sizing.
 
-    The executor calls this in every pool worker (and on its own serial
-    path) with the chunk size derived from the machine's probed L2/L3
-    capacity, so kernels constructed deep inside module learning pick the
-    topology-aware size without threading a parameter through every layer.
-    Returns the previous override so callers can restore it; ``None``
-    reverts to lazy machine probing.
+    Pool workers and shard nodes install the driver's
+    :func:`configured_chunk_elements` here at start-up, so the machine is
+    probed once per run and kernels constructed deep inside module
+    learning pick that size without threading a parameter through every
+    layer.  A one-worker run never calls it.  Returns the previous
+    override so callers can restore it; ``None`` reverts to lazy machine
+    probing.
     """
     global _CONFIGURED_CHUNK_ELEMENTS
     previous = _CONFIGURED_CHUNK_ELEMENTS

@@ -35,15 +35,20 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["learn", "modules"])
     def test_parallel_mode_flag_is_gone(self, command):
-        """The module/split decomposition is chosen from the input; the
-        flag that forced it is rejected, the remaining knobs still parse."""
+        """The module/split decomposition is chosen from the input and
+        every worker pulls from one shared queue on one probed machine; the
+        flags that selected otherwise are rejected, the remaining knobs
+        still parse."""
         args = [command, "--input", "x.tsv", "--workers", "2",
                 "--schedule", "static"]
         if command == "modules":
             args += ["--modules-file", "m.json"]
         build_parser().parse_args(args)
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(args + ["--parallel-mode", "split"])
+        for gone in (
+            ["--parallel-mode", "split"], ["--no-steal"], ["--topology", "flat"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(args + gone)
 
 
 class TestGenerate:

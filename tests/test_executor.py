@@ -203,13 +203,27 @@ class TestTransportContract:
     def test_network_bit_identical(self, setup, mode_references, transport, mode):
         matrix, config, _members, _reference = setup
         cfg = config.with_updates(parallel=TRANSPORTS[transport])
+        records = []
         with open_executor(matrix.values, cfg, 5) as executor:
+            run = executor.transport.run
+
+            def recording(*args, **kwargs):
+                out = run(*args, **kwargs)
+                records.extend(out)
+                return out
+
+            executor.transport.run = recording
             modules = executor.learn_modules(MODE_INPUTS[mode])
             assert executor.stats.mode == (
                 mode if executor.n_workers > 1 else "module"
             )
         net = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
         assert net == mode_references[mode]
+        # One record shape whatever carried the item:
+        # (index, result, node, worker, seconds, kernel_totals).
+        assert records and all(len(record) == 6 for record in records)
+        nodes = {record[2] for record in records}
+        assert nodes <= ({0, 1} if transport == "thread-nodes" else {None})
 
     def test_dispatch_permutation_leaves_network_unchanged(
         self, setup, mode_references, transport
@@ -276,6 +290,13 @@ def _echo_run(ctx, item):
 
 def _raise_run(ctx, item):
     raise ValueError(f"injected for item {item}")
+
+
+def _chunk_size_run(ctx, item):
+    """submit_runs test task: the kernel chunk size this process runs by."""
+    from repro.scoring.kernel import configured_chunk_elements
+
+    return configured_chunk_elements()
 
 
 def _whoami_run(ctx, item):
@@ -439,23 +460,39 @@ class TestOneSeam:
         assert configured_kernel_backend() == backend
         assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == chunk
 
-    def test_one_worker_applies_topology_chunk_size(
-        self, setup, opened, monkeypatch
+    def test_one_worker_leaves_chunk_size_alone(self, setup, monkeypatch):
+        """The kernel chunk size has one source, the process's own
+        ``configured_chunk_elements()``: a one-worker executor neither
+        installs nor restores it, and its kernels run by it."""
+        from repro.scoring import kernel as kernel_mod
+
+        matrix, config, members, _reference = setup
+        n_obs = matrix.n_obs
+        monkeypatch.setattr(kernel_mod, "_CONFIGURED_CHUNK_ELEMENTS", 8 * n_obs)
+        trace = WorkTrace()
+        with open_executor(matrix.values, config, 5) as executor:
+            executor.learn_modules(members, trace=trace)
+            assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == 8 * n_obs
+        assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == 8 * n_obs
+        assert trace.kernel_counters["peak_chunk_elements"] == 8 * n_obs
+        assert trace.topology["kernel_chunk_elements"] == 8 * n_obs
+
+    @pytest.mark.parametrize("mp_context", [None, "spawn"], ids=["fork", "spawn"])
+    def test_pool_workers_run_by_the_drivers_chunk_size(
+        self, setup, monkeypatch, mp_context
     ):
+        """The driver's number is shipped with the pool's initargs, so a
+        spawned worker (a fresh interpreter that would otherwise probe the
+        machine itself) sizes its temporaries like a forked one."""
         from repro.scoring import kernel as kernel_mod
 
         matrix, config, _members, _reference = setup
-        seen = []
-        real = kernel_mod.set_chunk_elements
-
-        def spy(n):
-            seen.append(n)
-            return real(n)
-
-        monkeypatch.setattr(kernel_mod, "set_chunk_elements", spy)
-        LemonTreeLearner(config).learn(matrix, seed=5)
-        (executor,) = opened
-        assert seen[0] == executor.transport.kernel_chunk_elements
+        monkeypatch.setattr(kernel_mod, "_CONFIGURED_CHUNK_ELEMENTS", 4242)
+        with open_executor(
+            matrix.values, _with_workers(config, 2), 5, mp_context=mp_context
+        ) as executor:
+            sizes = executor.submit_runs(_chunk_size_run, range(4))
+        assert sizes == [4242] * 4
 
     def test_one_worker_native_request_raises_without_extension(
         self, setup, monkeypatch

@@ -29,7 +29,6 @@ from repro.parallel.sharding import (
     ShardedExecutor,
     _socket_node_main,
 )
-from repro.parallel.topology import MachineTopology, available_cpus
 
 
 def _proc_stat(pid: int) -> list[str]:
@@ -137,6 +136,15 @@ def _exit_mid_run(ctx, item):
     return item
 
 
+def _die_on_ganesh_zero(ctx, item):
+    """Checkpointed-crash test task: the worker running run 0 dies outright
+    (``os._exit`` skips all handling, like a kill -9 mid-dispatch)."""
+    g, want_trace = item
+    if g == 0:
+        os._exit(13)
+    return _ganesh_run(ctx, item)
+
+
 class TestWorkerDeath:
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_dead_worker_detected_not_hung(self, tiny_matrix, schedule):
@@ -181,65 +189,15 @@ class TestWorkerDeath:
         assert time.monotonic() - t0 < 15.0
         assert not any(_alive(pid) for pid in workers)
 
-
-def _two_domain_topology():
-    cpu = available_cpus()[0]
-    return MachineTopology(
-        numa_domains=((cpu,), (cpu,)), l2_bytes=2 << 20, l3_bytes=16 << 20,
-        source="sysfs",
-    )
-
-
-def _die_on_ganesh_zero(ctx, item):
-    """Steal-dispatch test task: the worker running run 0 dies outright
-    (``os._exit`` skips all handling, like a kill -9 mid-steal)."""
-    g, want_trace = item
-    if g == 0:
-        os._exit(13)
-    return _ganesh_run(ctx, item)
-
-
-class TestStealDispatchCrash:
-    """A worker dying while the domain-affine steal queues are live must
-    surface the crash — never deadlock the victim domain's queue."""
-
-    def _config(self, n_runs=1):
-        return LearnerConfig(
-            max_sampling_steps=3,
-            n_ganesh_runs=n_runs,
-            parallel=ParallelConfig(
-                n_workers=2, topology=_two_domain_topology()
-            ),
-        )
-
-    def test_mid_steal_crash_detected_not_hung(self, tiny_matrix):
-        config = self._config()
-        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
-        with TaskPoolExecutor(
-            tiny_matrix.values, parents, config, 1, crash_poll_seconds=0.2,
-        ) as executor:
-            assert executor.transport._steal_possible()
-            with pytest.raises(WorkerCrashedError):
-                # All items homed on domain 0: domain 1's worker reaches
-                # them only by stealing, so the poisoned item can die in a
-                # thief's hands — detection must not depend on which side
-                # held the reservation.
-                executor.submit_runs(
-                    _exit_mid_run, list(range(6)), schedule="dynamic",
-                    home_domains=[0] * 6,
-                )
-            assert executor.worker_inits() > 2  # a replacement spawned
-            # The crash handler restored the queues/pending invariant:
-            # nothing pending, so the victim domain's queue is not wedged.
-            queues, pending, lock = executor.transport._steal_shared
-            assert list(pending) == [0, 0]
-
     def test_resume_replays_only_unfinished_runs(self, tiny_matrix, tmp_path):
-        """Kill a worker mid-steal-dispatch with checkpointing on: the
+        """Kill a worker mid-dispatch with checkpointing on: the
         surviving runs' checkpoints are valid and a resumed run replays
         only the lost runs (survivor files are never rewritten)."""
         n_runs = 4
-        config = self._config(n_runs)
+        config = LearnerConfig(
+            max_sampling_steps=3, n_ganesh_runs=n_runs,
+            parallel=ParallelConfig(n_workers=2),
+        )
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         reference = LemonTreeLearner(
             config.with_updates(parallel=ParallelConfig(n_workers=1))
@@ -254,7 +212,6 @@ class TestStealDispatchCrash:
                     _die_on_ganesh_zero,
                     [(g, False) for g in range(n_runs)],
                     schedule="dynamic",
-                    home_domains=[0] * n_runs,
                 )
         names = {f.name for f in tmp_path.glob("ganesh_*.npz")}
         assert "ganesh_0.npz" not in names  # the poisoned run never landed

@@ -16,7 +16,6 @@ from repro.core.output import network_from_json, network_to_json
 from repro.data.synthetic import make_module_dataset
 from repro.datatypes import Module, ModuleNetwork, RegressionTree, Split, TreeNode
 from repro.parallel.engine import ParallelLearner
-from repro.parallel.topology import MachineTopology, available_cpus
 
 FAST = LearnerConfig(max_sampling_steps=3)
 SLOW_OK = settings(
@@ -79,38 +78,12 @@ class TestLearnerInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Steal-dispatch invariants
+# Dispatch invariants
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def machine_topologies(draw):
-    """Random 1-3 domain machine models over the schedulable CPUs, with
-    optionally heterogeneous per-domain caches."""
-    cpus = available_cpus()
-    n_domains = draw(st.integers(1, 3))
-    domains = tuple((cpus[d % len(cpus)],) for d in range(n_domains))
-    l2 = draw(st.sampled_from([0, 2 << 20]))
-    per_domain = (
-        tuple(
-            draw(st.sampled_from([512 << 10, 1 << 20, 2 << 20]))
-            for _ in range(n_domains)
-        )
-        if l2 and draw(st.booleans())
-        else None
-    )
-    return MachineTopology(
-        numa_domains=domains,
-        l2_bytes=l2,
-        l3_bytes=16 << 20 if l2 else 0,
-        source="sysfs",
-        domain_l2_bytes=per_domain,
-    )
-
-
-class TestStealDispatchInvariants:
+class TestDispatchInvariants:
     @given(
-        topology=machine_topologies(),
         seed=st.integers(0, 500),
         backend=st.sampled_from(["philox", "mrg"]),
     )
@@ -119,30 +92,24 @@ class TestStealDispatchInvariants:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    def test_steal_bit_identical_to_static_and_serial(
-        self, topology, seed, backend
-    ):
-        """Dynamic dispatch with domain-affine stealing moves work between
-        workers, never changes it: for any machine model the learned
-        network equals the static-schedule and single-worker runs."""
+    def test_dynamic_bit_identical_to_static_and_serial(self, seed, backend):
+        """How the shared queue is cut moves work between workers, never
+        changes it: the learned network equals the static-schedule and
+        single-worker runs."""
         matrix = make_module_dataset(12, 8, n_modules=2, seed=5).matrix
         base = LearnerConfig(max_sampling_steps=3, rng_backend=backend)
         serial = LemonTreeLearner(base).learn(matrix, seed=seed).network
-        steal = LemonTreeLearner(
+        dynamic = LemonTreeLearner(
             base.with_updates(
-                parallel=ParallelConfig(
-                    n_workers=2, schedule="dynamic", topology=topology
-                )
+                parallel=ParallelConfig(n_workers=2, schedule="dynamic")
             )
         ).learn(matrix, seed=seed).network
         static = LemonTreeLearner(
             base.with_updates(
-                parallel=ParallelConfig(
-                    n_workers=2, schedule="static", topology=topology
-                )
+                parallel=ParallelConfig(n_workers=2, schedule="static")
             )
         ).learn(matrix, seed=seed).network
-        assert steal == serial
+        assert dynamic == serial
         assert static == serial
 
 

@@ -16,6 +16,7 @@ import multiprocessing
 import pickle
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,14 +27,7 @@ from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.datatypes import ModuleNetwork
 from repro.parallel import poolutil
-from repro.parallel.costmodel import (
-    DEFAULT_REMOTE_PENALTY,
-    MachineModel,
-    calibrate_from_roundtrips,
-    resolve_remote_penalty,
-    set_calibrated_model,
-    steal_penalty,
-)
+from repro.parallel.costmodel import calibrate_from_roundtrips
 from repro.parallel.executor import open_executor
 from repro.parallel.sharding import (
     MAX_FRAME_BYTES,
@@ -42,6 +36,7 @@ from repro.parallel.sharding import (
     decode_frame_length,
     encode_frame,
 )
+from repro.parallel.tasks import TASK_RUNNERS
 from repro.parallel.trace import WorkTrace
 from repro.scoring.kernel import consume_kernel_totals
 from repro.validation.metrics import network_fingerprint
@@ -125,54 +120,6 @@ class TestCalibration:
             calibrate_from_roundtrips([1.0], [], 1)
         with pytest.raises(ValueError):
             calibrate_from_roundtrips([1.0], [1.0], 0)
-
-
-class TestRemotePenaltyResolution:
-    def test_explicit_wins(self):
-        previous = set_calibrated_model(MachineModel(tau=1.0, mu=1.0))
-        try:
-            assert resolve_remote_penalty(2.5) == 2.5
-        finally:
-            set_calibrated_model(previous)
-
-    def test_fallback_without_calibration(self):
-        previous = set_calibrated_model(None)
-        try:
-            assert resolve_remote_penalty() == DEFAULT_REMOTE_PENALTY
-        finally:
-            set_calibrated_model(previous)
-
-    def test_calibrated_model_supplies_penalty(self):
-        model = MachineModel(tau=1e-5, mu=1e-8)
-        previous = set_calibrated_model(model)
-        try:
-            assert resolve_remote_penalty() == pytest.approx(
-                steal_penalty(model)
-            )
-        finally:
-            set_calibrated_model(previous)
-
-    def test_schedulers_pick_up_calibration(self):
-        from repro.parallel.scheduler import placement_lpt_schedule
-        from repro.parallel.topology import MachineTopology, plan_placement
-
-        topology = MachineTopology(
-            numa_domains=((0, 1, 2, 3), (4, 5, 6, 7)), source="sysfs"
-        )
-        placement = plan_placement(topology, 4)
-        sizes = np.full(8, 4, dtype=np.int64)
-        costs = np.ones(int(sizes.sum()))
-        # With no explicit penalty the scheduler must resolve through the
-        # installed calibration; an extreme wire model steers every group
-        # home, so the makespan is the perfectly balanced one.
-        previous = set_calibrated_model(
-            MachineModel(tau=10.0, mu=10.0)
-        )
-        try:
-            result = placement_lpt_schedule(costs, sizes, placement)
-        finally:
-            set_calibrated_model(previous)
-        assert result.makespan == pytest.approx(costs.sum() / 4)
 
 
 class TestThreadCommPointToPoint:
@@ -294,44 +241,70 @@ class TestShardedIdentityThread:
         for f in tmp_path.glob("ganesh_*.npz"):
             assert f.stat().st_mtime_ns == stamps[f.name]
 
-    def test_calibration_restored_after_close(self, tiny_matrix):
-        from repro.parallel.costmodel import calibrated_model
-
-        before = calibrated_model()
-        LemonTreeLearner(_sharded_config(2, "thread")).learn(
-            tiny_matrix, seed=7
-        )
-        assert calibrated_model() is before
-
 
 class TestOneSchedulerOverShards:
     """The shard tier has no scheduler of its own: mode choice, order and
     trace come from the code that drives one host."""
 
     @pytest.mark.parametrize("mode", ["split", "module"])
-    def test_split_mode_over_shards(self, tiny_matrix, mode):
+    def test_split_mode_over_shards(self, tiny_matrix, mode, monkeypatch):
         """One dominating module on two nodes is cut into the flat split
         list and scored on *both* (Algorithm 5 across the node tier); even
-        modules stay whole.  Either way the network is the one-worker one."""
+        modules stay whole.  Either way the network is the one-worker one.
+
+        Which node wins how much of a dynamic queue is scheduling luck, so
+        "both nodes ran items" is arranged, not hoped for: thread nodes
+        share this process's runner registry, and each node's first item
+        waits for the other node's first."""
+        from repro.parallel import executor as executor_mod
+
         members = MODE_INPUTS[mode]
         reference = LemonTreeLearner(_sequential_config()).learn_from_modules(
             tiny_matrix, members, seed=7
         )
+        wire_name = {"split": "score_chunk", "module": "module"}[mode]
+        runner = TASK_RUNNERS[wire_name]
+        arrived = {f"shard-node-{node}": threading.Event() for node in range(2)}
+        ran = []
+
+        def rendezvous(ctx, item):
+            me = threading.current_thread().name
+            if not arrived[me].is_set():
+                arrived[me].set()
+                for name, event in arrived.items():
+                    # A lone node fails the test (typed, through the error
+                    # frame) instead of hanging it.
+                    assert event.wait(timeout=60.0), f"{name} never ran an item"
+            ran.append(item)
+            return runner(ctx, item)
+
+        # The driver names a runner by identity and the node looks the name
+        # up: both must see the wrapper.
+        monkeypatch.setitem(TASK_RUNNERS, wire_name, rendezvous)
+        monkeypatch.setattr(executor_mod, runner.__name__, rendezvous)
         trace = WorkTrace()
         with open_executor(
             tiny_matrix.values, _sharded_config(2, "thread"), 7
         ) as executor:
             modules = executor.learn_modules(members, trace=trace)
             assert executor.stats.mode == mode
-            assert executor.stats.steals == 0
+            assert executor.stats.tasks_dispatched == len(ran)
         network = ModuleNetwork(modules, tiny_matrix.var_names, tiny_matrix.n_obs)
         assert network_fingerprint(network) == network_fingerprint(
             reference.network
         )
+        # Every item ran exactly once: whole modules by id, split chunks
+        # tiling the flat list end to end.
+        if mode == "module":
+            assert sorted(item[0] for item in ran) == list(range(len(members)))
+        else:
+            pieces = sorted((t.out_offset, t.row1 - t.row0) for t in ran)
+            assert pieces[0][0] == 0
+            for (lo, size), (nxt, _size) in zip(pieces, pieces[1:]):
+                assert lo + size == nxt
         assert set(trace.node_times) == {"shard0", "shard1"}
         assert all(seconds > 0 for seconds in trace.node_times.values())
         assert set(trace.worker_times) == {"shard0/worker-0", "shard1/worker-0"}
-        assert trace.total_node_steals() == 0
 
     def test_items_requested_in_scheduler_order(self, tiny_matrix):
         """Each node's requests walk the scheduler's one list forward —
@@ -423,17 +396,33 @@ class TestShardedIdentitySocket:
             executor.start()
             assert len(set(executor.node_pids)) == 2
             assert os.getpid() not in executor.node_pids
-            assert executor.calibration is not None
-            assert executor.calibration["node_backend"] == "socket"
+            # The echoes are a trace annotation: start() does not pay for
+            # them, the first traced dispatch does, once.
+            assert executor.calibration is None
+            executor.sample_ganesh_runs(1)
+            assert executor.calibration is None
+            executor.sample_ganesh_runs(1, trace=WorkTrace())
+            calibration = executor.calibration
+            assert calibration["node_backend"] == "socket"
+            assert calibration["small_echoes"] == 10
+            assert calibration["large_echoes"] == 6
+            executor.sample_ganesh_runs(1, trace=WorkTrace())
+            assert executor.calibration is calibration
             if Path("/proc/self/cmdline").exists():
                 expected = self.mp_context or poolutil.pool_context().get_start_method()
                 assert {_start_method(pid) for pid in executor.node_pids} == {
                     expected
                 }
 
-    def test_kernel_counters_match_one_worker(self, tiny_matrix):
+    def test_kernel_counters_match_one_worker(self, tiny_matrix, monkeypatch):
         """Completion records carry each node's kernel-counter deltas, so a
-        sharded trace counts exactly the evaluations one worker does."""
+        sharded trace counts exactly the evaluations one worker does — in
+        temporaries of the driver's chunk size, which the init frame ships
+        (a spawned node would otherwise probe the machine for its own)."""
+        from repro.scoring import kernel as kernel_mod
+
+        chunk = 8 * tiny_matrix.n_obs
+        monkeypatch.setattr(kernel_mod, "_CONFIGURED_CHUNK_ELEMENTS", chunk)
         members = MODE_INPUTS["module"]
         totals = []
         for config in (
@@ -457,6 +446,8 @@ class TestShardedIdentitySocket:
         assert one_worker["evaluations"] > 0
         assert sharded["hits"] == one_worker["hits"]
         assert sharded["evaluations"] == one_worker["evaluations"]
+        assert sharded["peak_chunk_elements"] == chunk
+        assert one_worker["peak_chunk_elements"] == chunk
 
     def test_split_mode_over_socket_nodes(self, tiny_matrix):
         """One dominating module is cut into the flat split list and
@@ -520,34 +511,29 @@ class TestShardedIdentitySocketSpawned(TestShardedIdentitySocket):
 def _probe_process_state(ctx, item):
     """A runner reporting what its process holds at module scope."""
     from repro.parallel import tasks
-    from repro.parallel.costmodel import calibrated_model
     from repro.scoring import kernel
 
     return {
         "worker": dict(tasks._WORKER),
         "kernel_totals": kernel.consume_kernel_totals(),
         "score_cache": kernel.shared_score_cache() is not None,
-        "calibrated": calibrated_model() is not None,
     }
 
 
 @contextmanager
 def _dirty_driver():
     """Leave in this process what a long-lived driver accumulates at module
-    scope: kernel counters, a worker context, a shared score cache, a
-    calibrated machine model."""
+    scope: kernel counters, a worker context, a shared score cache."""
     from repro.parallel import tasks
     from repro.scoring import kernel
     from repro.scoring.score_cache import SharedScoreCache
 
     kernel._account_totals(hits=11, evaluations=13, peak=17, backend="numpy")
-    tasks._WORKER.update(worker=99, domain=5)
+    tasks._WORKER.update(worker=99)
     cache = kernel.set_shared_score_cache(SharedScoreCache(1 << 20))
-    model = set_calibrated_model(MachineModel(tau=1.0, mu=1.0))
     try:
         yield
     finally:
-        set_calibrated_model(model)
         kernel.set_shared_score_cache(cache)
         tasks._WORKER.clear()
         kernel.consume_kernel_totals()
@@ -589,8 +575,6 @@ class TestForkedNodeIsFresh:
     completion records."""
 
     def test_node_holds_no_driver_state(self, tiny_matrix, monkeypatch):
-        from repro.parallel.tasks import TASK_RUNNERS
-
         # Forked nodes inherit the patched registry, so the probe has a
         # wire name there too.
         monkeypatch.setitem(TASK_RUNNERS, "probe", _probe_process_state)
@@ -600,8 +584,7 @@ class TestForkedNodeIsFresh:
             states = executor.submit_runs(_probe_process_state, [0, 1])
         for state in states:
             assert state == {
-                "worker": {}, "kernel_totals": None,
-                "score_cache": False, "calibrated": False,
+                "worker": {}, "kernel_totals": None, "score_cache": False,
             }
 
     def test_traced_run_reports_the_one_worker_counters(self, tiny_matrix):

@@ -1,5 +1,7 @@
 """Tests for trace persistence and paper-scale projection parameters."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,37 @@ def _trace():
     trace.mark_time("ganesh", 1.0)
     trace.mark_time("consensus", 0.2)
     trace.mark_time("modules", 3.0)
+    trace.mark_worker_time("shard0/worker-0", 0.8)
+    trace.mark_kernel(
+        {"hits": 3, "evaluations": 5, "peak_chunk_elements": 96, "backends": ["numpy"]}
+    )
     trace.mark_node_time("shard0", 0.8)
     trace.mark_node_transfer("shard0", 4096, 0.01)
     trace.calibration = {"tau": 2e-6, "mu": 6.4e-10}
     return trace
+
+
+def _save_as_parent_commit(trace, path):
+    """The ``.npz`` the commit before the NUMA-domain tier's removal wrote:
+    today's layout plus five per-domain / per-steal accumulators and the
+    placement plan as ``topology``."""
+    save_trace(trace, path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files if key != "meta"}
+        meta = json.loads(str(data["meta"]))
+    meta.update(
+        domain_times={"node0": 0.5, "node1": 0.3},
+        worker_steals={"worker-1": 2},
+        worker_stolen_seconds={"worker-1": 0.25},
+        domain_local_times={"node0": 0.55},
+        domain_stolen_times={"node0": 0.25},
+        topology={
+            "topology": {"source": "sysfs", "n_cores": 2, "n_domains": 2},
+            "worker_domains": [0, 1],
+            "domain_chunk_elements": [131072, 131072],
+        },
+    )
+    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
 
 
 class TestSaveLoad:
@@ -26,7 +55,16 @@ class TestSaveLoad:
         trace = _trace()
         path = tmp_path / "trace.npz"
         save_trace(trace, path)
+        self._assert_same(load_trace(path), trace)
+        # A trace cached by the previous release still loads: the removed
+        # accumulators are ignored, everything else comes back.
+        _save_as_parent_commit(trace, path)
         back = load_trace(path)
+        self._assert_same(back, trace)
+        assert not hasattr(back, "domain_times")
+        assert back.topology["worker_domains"] == [0, 1]
+
+    def _assert_same(self, back, trace):
         assert back.times == trace.times
         assert back.n_ganesh_runs == trace.n_ganesh_runs == 1
         assert len(back.steps) == len(trace.steps)
@@ -36,10 +74,11 @@ class TestSaveLoad:
             assert a.words == b.words
             assert a.run == b.run
             np.testing.assert_array_equal(a.costs, b.costs)
+        assert back.worker_times == trace.worker_times
+        assert back.kernel_counters == trace.kernel_counters
         assert back.node_times == trace.node_times
         assert back.node_transfer_bytes == trace.node_transfer_bytes
         assert back.node_transfer_seconds == trace.node_transfer_seconds
-        assert back.total_node_steals() == 0  # nothing to steal from
         assert back.calibration == trace.calibration
 
     def test_roundtrip_preserves_projection(self, tmp_path):
