@@ -21,11 +21,11 @@ Acquisition order:
    ``dlsym``-ed out of NumPy's own ``_multiarray_umath`` extension, or
    scalar libm — and **self-certifies**: a probe battery compares the
    native evaluator, the fused sampling chain (results, counters and memo
-   end state), the GaneSH observation sweeps (end state, draws consumed),
-   grouped statistics, and normal-gamma tail against the
-   NumPy implementations bit for bit.  A provider that fails certification
-   is rejected; if none survives, the backend reports unavailable and the
-   ``"auto"`` setting falls back to NumPy.
+   end state), the GaneSH observation and variable sweeps (end state,
+   draws consumed, recorded costs), grouped statistics, and normal-gamma
+   tail against the NumPy implementations bit for bit.  A provider that
+   fails certification is rejected; if none survives, the backend reports
+   unavailable and the ``"auto"`` setting falls back to NumPy.
 
 Every ``availability()`` status distinguishes *expected* absence (no cffi,
 no C compiler, explicitly disabled) from *failure* (build error, import
@@ -319,6 +319,96 @@ class NativeKernels:
             raise ValueError("uniforms must be draws from [0, 1)")
         return int(k_io[0]), k_trace
 
+    def var_sweep(
+        self,
+        data: np.ndarray,
+        var_labels: np.ndarray,
+        member_order: np.ndarray,
+        obs_labels: np.ndarray,
+        offsets: np.ndarray,
+        n_blocks: int,
+        stats: tuple[np.ndarray, np.ndarray, np.ndarray],
+        lm: np.ndarray,
+        uniforms: np.ndarray,
+        lgam: np.ndarray,
+        prior,
+        quantum: float,
+        merge: bool = False,
+        trace: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One GaneSH variable sweep over a packed ``CoClusterState``, in place.
+
+        ``reassign_var_sweep`` (consumes ``uniforms[:2 * n]``) or, with
+        ``merge``, ``merge_var_sweep`` (``uniforms[:k]``).  The pack
+        (ALGORITHMS.md §13): ``var_labels`` (``n`` labels in ``[0, k)``),
+        ``member_order`` (the clusters' members, cluster after cluster, each
+        in its own order), ``obs_labels`` (``k x m``, row ``c`` in ``[0,
+        k_c)``), ``offsets`` (``k + 1``: cluster ``c``'s blocks are
+        ``offsets[c]:offsets[c + 1]`` of the three ``stats`` buffers and
+        ``lm``, ``n_blocks`` in all) and ``lgam[t] = gammaln(alpha0 + t / 2)``
+        for ``t = 0..n * m``.  A reassign sweep appends the one block of
+        every cluster it opens from ``n_blocks`` on, so its buffers need
+        ``n_blocks + n`` slots.
+
+        Returns, for the clusters the sweep leaves, in order: where each
+        came from (an entry cluster's index, or ``k + j`` for the ``j``-th
+        opened, whose block is ``n_blocks + j``) and its member count —
+        ``member_order`` and ``var_labels`` are rewritten to match — and,
+        with ``trace``, per iteration ``(opened a cluster, position dropped
+        or -1)``.
+
+        Everything the C loop indexes by is validated first and a
+        ``ValueError`` leaves the pack untouched; a ``data`` that is not
+        C-contiguous ``float64`` is copied.
+        """
+        n = _checked(var_labels, np.int64, 1, "var labels").shape[0]
+        if _checked(member_order, np.int64, n, "member order").shape[0] != n:
+            raise ValueError(f"member order must list {n} variables")
+        if not (
+            isinstance(obs_labels, np.ndarray)
+            and obs_labels.dtype == np.int64
+            and obs_labels.ndim == 2
+            and obs_labels.flags.c_contiguous
+            and 1 <= obs_labels.shape[0] <= n
+            and obs_labels.shape[1] >= 1
+        ):
+            raise ValueError(
+                "obs labels must be a C-contiguous int64 table of 1 to "
+                f"{n} clusters by at least one observation"
+            )
+        k, m = obs_labels.shape
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.shape != (n, m):
+            raise ValueError(f"data must have shape ({n}, {m}), got {data.shape}")
+        n_blocks = int(n_blocks)
+        if n_blocks < k:
+            raise ValueError("offsets do not tile the block arrays")
+        _checked(offsets, np.int64, k + 1, "offsets")
+        n_iterations, n_draws, n_slots = (k, k, n_blocks) if merge else (n, 2 * n, n_blocks + n)
+        for name, buf in zip(("count", "total", "sumsq", "lm"), (*stats, lm)):
+            _checked(buf, np.float64, n_slots, name)
+        _checked(uniforms, np.float64, n_draws, "uniforms")
+        _checked(lgam, np.float64, n * m + 1, "gammaln table")
+        k_io = np.array([k], dtype=np.int64)
+        origin = np.empty(n + 1, dtype=np.int64)
+        member_counts = np.empty(n + 1, dtype=np.int64)
+        moves = np.empty(2 * n_iterations, dtype=np.int64) if trace else None
+        sweep = self._lib.repro_var_merge_sweep if merge else self._lib.repro_var_reassign_sweep
+        rc = sweep(
+            self._dp(data), n, m, self._ip(var_labels), self._ip(member_order),
+            self._ip(obs_labels.reshape(-1)), self._ip(offsets), n_blocks,
+            self._ip(k_io), *(self._dp(buf) for buf in stats), self._dp(lm),
+            self._dp(uniforms), self._dp(lgam), self._dp(_prior_vector(prior)),
+            float(quantum), self._ip(origin), self._ip(member_counts),
+            self._ip(moves) if trace else self._ffi.NULL,
+        )
+        if rc:
+            if rc == -1:
+                raise MemoryError("native sweep scratch allocation failed")
+            raise ValueError(_VAR_SWEEP_REFUSALS[rc])
+        k = int(k_io[0])
+        return origin[:k], member_counts[:k], moves.reshape(-1, 2) if trace else None
+
 
 def _checked(arr, dtype, min_size: int, what: str) -> np.ndarray:
     """``arr`` if C code may index ``min_size`` entries of ``dtype`` in it."""
@@ -335,6 +425,19 @@ def _checked(arr, dtype, min_size: int, what: str) -> np.ndarray:
             f"array of at least {min_size} entries"
         )
     return arr
+
+
+#: what ``var_begin`` answers (``_build.py``)
+_VAR_SWEEP_REFUSALS = {
+    -2: "var labels and member order do not describe the clusters: every "
+    "label must lie in [0, k), no cluster may be empty and each variable "
+    "must be listed once, under its own cluster",
+    -3: "uniforms must be draws from [0, 1)",
+    -4: "obs labels must lie in [0, k_c) of their cluster",
+    -5: "offsets do not tile the block arrays",
+    -6: "statistics do not describe the labels: every block needs "
+    "count == its cluster's members x its observations",
+}
 
 
 def _prior_vector(prior) -> np.ndarray:
@@ -491,10 +594,11 @@ def _certify_battery(kernels: NativeKernels) -> str | None:
     if mismatch is not None:
         return mismatch
 
-    # -- observation sweeps vs the NumPy sweep loops ------------------------
-    mismatch = _certify_obs_sweep(kernels)
-    if mismatch is not None:
-        return mismatch
+    # -- observation and variable sweeps vs the NumPy sweep loops -----------
+    for certify_sweep in (_certify_obs_sweep, _certify_var_sweep):
+        mismatch = certify_sweep(kernels)
+        if mismatch is not None:
+            return mismatch
 
     # -- grouped stats vs the np.bincount formulas -------------------------
     for rows, cols in (
@@ -670,6 +774,71 @@ def _certify_obs_sweep(kernels: NativeKernels) -> str | None:
             np.array_equal(want, got, equal_nan=True) for want, got in zip(*runs)
         ):
             return f"obs sweep mismatch at rows={rows}, m={m}, k={k}, {flavour}"
+    return None
+
+
+def _certify_var_sweep(kernels: NativeKernels) -> str | None:
+    """The two variable-sweep entries against the NumPy sweep loops (a
+    reassign then a merge sweep per probe): variable labels, every cluster's
+    members in order, observation labels, statistics and ``lm``, the draws
+    consumed and the recorded cluster counts.  A handful of tiny probes — the
+    breadth is in ``tests/test_ganesh_sweeps.py`` — covering one cluster, all
+    singletons (a fresh move then holds ``n + 1`` clusters), moves that open
+    a cluster and that drop their source, tie-heavy data, nine observation
+    clusters (the pairwise rule's unrolled regime in ``reduceat``) and a
+    non-finite score."""
+    from repro.ganesh.coclustering import (
+        SweepHooks, merge_var_sweep, reassign_var_sweep,
+    )
+    from repro.ganesh.state import CoClusterState
+    from repro.rng.streams import GibbsRandom, make_stream
+
+    source = np.random.default_rng(0x7A5).normal(size=(5, 9))
+    for probe, (n, m, k, k_obs, flavour) in enumerate((
+        (3, 3, 1, 1, "plain"), (5, 5, 5, 2, "ties"), (4, 9, 2, 9, "plain"),
+        (3, 9, 2, 3, "inf"),
+    )):
+        data = np.ascontiguousarray(source[:n, :m])
+        if flavour == "ties":
+            data = np.round(data * 2.0) / 2.0
+        elif flavour != "plain":
+            data[0, 0] = float(flavour)
+        start = CoClusterState(
+            data, np.arange(n) % k, [(np.arange(m) + c) % k_obs for c in range(k)]
+        )
+        traced = probe % 2 == 0
+        runs = []
+        for native in (None, kernels):
+            state = start.copy()
+            rng = GibbsRandom(make_stream(0x5EED, "var-sweep", probe))
+            ks: list[float] = []  # every recorded cost vector, -1 terminated
+            if native is None:
+                hooks = SweepHooks(
+                    (lambda _ph, costs, _nc: ks.extend([*(costs - m), -1]))
+                    if traced else None
+                )
+                reassign_var_sweep(state, rng, hooks)
+                merge_var_sweep(state, rng, hooks)
+            else:
+                for step in state.native_var_sweep(native, rng, trace=traced):
+                    ks += [*step, 0, -1]  # the fresh candidate costs m
+                for step in state.native_var_sweep(native, rng, merge=True, trace=traced):
+                    ks += [*step, -1]
+            runs.append([
+                state.var_labels, np.array([rng.offset, state.n_clusters, *ks]),
+                *(
+                    part
+                    for cluster in state.clusters
+                    for part in (
+                        cluster.members, cluster.obs.labels, cluster.obs.stats.count,
+                        cluster.obs.stats.total, cluster.obs.stats.sumsq, cluster.obs.lm,
+                    )
+                ),
+            ])
+        if len(runs[0]) != len(runs[1]) or not all(
+            np.array_equal(want, got, equal_nan=True) for want, got in zip(*runs)
+        ):
+            return f"var sweep mismatch at n={n}, m={m}, k={k}, {flavour}"
     return None
 
 

@@ -32,7 +32,15 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   stacked marginals through the ``repro_log_marginal`` arithmetic (with
   ``gammaln`` read from a per-sweep SciPy table), the score vector in the
   same operation order and ``weighted_choice_logs`` (``rint``, provider
-  ``exp``, pairwise total, sequential ``cumsum``).
+  ``exp``, pairwise total, sequential ``cumsum``);
+* ``repro_var_reassign_sweep`` / ``repro_var_merge_sweep`` replay
+  ``coclustering.reassign_var_sweep`` / ``merge_var_sweep`` over a packed
+  ``CoClusterState``: per candidate cluster the ``np.bincount`` of the
+  moved rows' column sums in observation order, the stacked marginals,
+  ``np.add.reduceat`` as first element plus the pairwise sum of the rest,
+  the removal delta and a merging cluster's own score by the pairwise
+  rule, ``block.sum(axis=0)`` in member order, and the fresh singleton
+  scored from the pairwise row sum but built from the sequential one.
 
 Used two ways: ``setup.py`` consumes ``ffibuilder`` for an ahead-of-time
 extension build when ``REPRO_BUILD_NATIVE`` is set, and
@@ -85,6 +93,25 @@ int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
                           double *lm, int64_t *k_io, const double *uniforms,
                           const double *lgam, const double *prior,
                           double quantum, int64_t *k_trace);
+int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
+                             int64_t *var_labels, int64_t *member_order,
+                             const int64_t *obs_labels,
+                             const int64_t *offsets, int64_t n_blocks,
+                             int64_t *k_io, double *count, double *total,
+                             double *sumsq, double *lm,
+                             const double *uniforms, const double *lgam,
+                             const double *prior, double quantum,
+                             int64_t *origin, int64_t *member_counts,
+                             int64_t *moves);
+int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
+                          int64_t *var_labels, int64_t *member_order,
+                          const int64_t *obs_labels, const int64_t *offsets,
+                          int64_t n_blocks, int64_t *k_io, double *count,
+                          double *total, double *sumsq, double *lm,
+                          const double *uniforms, const double *lgam,
+                          const double *prior, double quantum,
+                          int64_t *origin, int64_t *member_counts,
+                          int64_t *moves);
 """
 
 CSOURCE = r"""
@@ -884,6 +911,433 @@ int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
         sweep_drop(&c, cid);
     }
     return sweep_end(&c, k_io, 0);
+}
+
+/* A packed CoClusterState under a variable sweep.  A *slot* names a cluster
+ * for the length of the sweep: the k0 clusters at entry are slots
+ * 0..k0-1, the j-th cluster a reassign sweep opens is slot k0 + j.
+ * Positions — what var_labels and the candidate order mean — map to slots
+ * through slot_at, so dropping a cluster shifts that one array.  A variable
+ * sweep never changes an observation partition, so a slot's blocks stay at
+ * one place in the flat per-block arrays: slot c < k0 at offsets[c], labelled
+ * by row c of obs_labels; fresh slot k0 + j is the single block n_blocks + j
+ * holding every observation.  Each slot's members are a doubly linked list:
+ * remove / append / extend keep the order data[members].sum(axis=0) and the
+ * observation sweeps' column sums run in.  The stacked arrays are the
+ * oracle's: the live clusters' blocks in position order from bounds[p],
+ * then what the move appends. */
+typedef struct {
+    int64_t n, m, k, k0, n_slots, n_blocks;
+    const double *data, *lgam, *prior;
+    const int64_t *obs_labels;
+    double *count, *total, *sumsq, *lm;
+    int64_t *slot_at;
+    int64_t *off, *kc, *head, *tail, *size, *pos_of; /* per slot */
+    int64_t *bsize;                                  /* per block */
+    int64_t *vslot, *next, *prev;                    /* per variable */
+    int64_t *bounds, *zeros;
+    double *sn, *ss, *sq, *lg, *scored, *delta, *as, *aq; /* stacked */
+    double *scores, *w, *wsum, *wsq, *gather;
+} var_ctx;
+
+static void var_link(var_ctx *c, int64_t s, int64_t v)
+{
+    c->prev[v] = c->tail[s];
+    c->next[v] = -1;
+    if (c->tail[s] < 0)
+        c->head[s] = v;
+    else
+        c->next[c->tail[s]] = v;
+    c->tail[s] = v;
+    c->vslot[v] = s;
+}
+
+static void var_unlink(var_ctx *c, int64_t s, int64_t v)
+{
+    if (c->prev[v] < 0)
+        c->head[s] = c->next[v];
+    else
+        c->next[c->prev[v]] = c->next[v];
+    if (c->next[v] < 0)
+        c->tail[s] = c->prev[v];
+    else
+        c->prev[c->next[v]] = c->prev[v];
+}
+
+/* Everything the loops index by is checked here, before the first write to
+ * a caller's buffer.  -1 allocation, -2 variable labels / member lists (a
+ * label outside [0, k0), an empty cluster, a variable listed twice or under
+ * another cluster), -3 draws outside [0, 1), -4 observation labels outside a
+ * cluster's [0, k_c), -5 offsets that do not tile the block arrays, -6
+ * counts that are not members x block size (so every count the sweep forms
+ * is a gammaln-table entry).  max_fresh bounds the clusters the sweep can
+ * open. */
+static int var_begin(var_ctx *c, const int64_t *var_labels,
+                     const int64_t *member_order, const int64_t *offsets,
+                     const double *uniforms, int64_t n_draws,
+                     int64_t max_fresh)
+{
+    const int64_t n = c->n, m = c->m, k0 = c->k0;
+    const int64_t n_slots = k0 + max_fresh;
+    const int64_t cap_blocks = c->n_blocks + max_fresh;
+    const int64_t cap = cap_blocks + c->n_blocks + 1;
+    int64_t i, j, s, idx = 0, *ip;
+    double *dp;
+    c->off = NULL;
+    c->sn = NULL;
+    for (i = 0; i < n_draws; i++)
+        if (!(uniforms[i] >= 0.0 && uniforms[i] < 1.0))
+            return -3;
+    for (s = 0; s < k0; s++)
+        if (offsets[s + 1] <= offsets[s])
+            return -5;
+    if (offsets[0] != 0 || offsets[k0] != c->n_blocks)
+        return -5;
+    ip = (int64_t *)calloc(
+        (size_t)(6 * n_slots + cap_blocks + 4 * n + 2 + m), sizeof(int64_t));
+    dp = (double *)malloc(
+        (size_t)(8 * cap + 4 * n + 4 + 2 * m) * sizeof(double));
+    c->off = ip; /* the two allocations var_end frees */
+    c->sn = dp;
+    if (!ip || !dp)
+        return -1;
+    c->kc = ip + n_slots;
+    c->head = ip + 2 * n_slots;
+    c->tail = ip + 3 * n_slots;
+    c->size = ip + 4 * n_slots;
+    c->pos_of = ip + 5 * n_slots;
+    c->bsize = ip + 6 * n_slots;
+    c->vslot = c->bsize + cap_blocks;
+    c->next = c->vslot + n;
+    c->prev = c->next + n;
+    c->bounds = c->prev + n;
+    c->zeros = c->bounds + n + 2;
+    c->ss = dp + cap;
+    c->sq = dp + 2 * cap;
+    c->lg = dp + 3 * cap;
+    c->scored = dp + 4 * cap;
+    c->delta = dp + 5 * cap;
+    c->as = dp + 6 * cap;
+    c->aq = dp + 7 * cap;
+    c->scores = dp + 8 * cap;
+    c->w = c->scores + n + 2;
+    c->wsum = c->w + n + 2;
+    c->wsq = c->wsum + m;
+    c->gather = c->wsq + m;
+
+    for (i = 0; i < n; i++) {
+        if (var_labels[i] < 0 || var_labels[i] >= k0)
+            return -2;
+        c->size[var_labels[i]]++;
+        c->vslot[i] = -1;
+    }
+    for (s = 0; s < k0; s++)
+        if (c->size[s] < 1)
+            return -2;
+    for (s = 0; s < k0; s++) {
+        const int64_t *lab = c->obs_labels + s * m;
+        c->off[s] = offsets[s];
+        c->kc[s] = offsets[s + 1] - offsets[s];
+        c->head[s] = c->tail[s] = -1;
+        for (j = 0; j < c->size[s]; j++) {
+            int64_t v = member_order[idx++];
+            if (v < 0 || v >= n || var_labels[v] != s || c->vslot[v] >= 0)
+                return -2;
+            var_link(c, s, v);
+        }
+        for (j = 0; j < m; j++) {
+            if (lab[j] < 0 || lab[j] >= c->kc[s])
+                return -4;
+            c->bsize[c->off[s] + lab[j]]++;
+        }
+        for (i = c->off[s]; i < offsets[s + 1]; i++)
+            if (c->count[i] != (double)(c->size[s] * c->bsize[i]))
+                return -6;
+    }
+    for (s = 0; s < k0; s++)
+        c->slot_at[s] = c->pos_of[s] = s;
+    c->k = c->n_slots = k0;
+    return 0;
+}
+
+/* On success the clusters in position order: var_labels, the members of
+ * each (member_order, member_counts) and, left in slot_at by the sweep, the
+ * slot each came from. */
+static int var_end(var_ctx *c, int64_t *var_labels, int64_t *member_order,
+                   int64_t *member_counts, int64_t *k_io, int rc)
+{
+    if (!rc) {
+        int64_t p, v, idx = 0;
+        for (p = 0; p < c->k; p++) {
+            int64_t s = c->slot_at[p];
+            member_counts[p] = c->size[s];
+            for (v = c->head[s]; v >= 0; v = c->next[v]) {
+                member_order[idx++] = v;
+                var_labels[v] = p;
+            }
+        }
+        *k_io = c->k;
+    }
+    free(c->off);
+    free(c->sn);
+    return rc;
+}
+
+/* CoClusterState._stacked_lm's stacking: for every live cluster the
+ * np.bincount of the moved rows' column sums (wsum, wsq) over its
+ * observation labels — sequential accumulation in observation order — and
+ * its blocks with `rows` rows of them added.  The cluster at position `skip`
+ * (the move's own: its score is overwritten with the 0 baseline, and its
+ * count could leave the table) is stacked as empty blocks.  Returns the
+ * number of blocks stacked. */
+static int64_t var_stack(var_ctx *c, int64_t rows, const double *wsum,
+                         const double *wsq, int64_t skip)
+{
+    int64_t p, i, j, base = 0;
+    for (p = 0; p < c->k; p++) {
+        int64_t s = c->slot_at[p], kc = c->kc[s], off = c->off[s];
+        const int64_t *lab = s < c->k0 ? c->obs_labels + s * c->m : c->zeros;
+        double *as = c->as + base, *aq = c->aq + base;
+        c->bounds[p] = base;
+        for (i = 0; i < kc; i++)
+            as[i] = aq[i] = 0.0;
+        for (j = 0; j < c->m; j++) {
+            as[lab[j]] += wsum[j];
+            aq[lab[j]] += wsq[j];
+        }
+        for (i = 0; i < kc; i++, base++) {
+            if (p == skip) {
+                c->sn[base] = c->ss[base] = c->sq[base] = 0.0;
+                c->lg[base] = c->lgam[0];
+                continue;
+            }
+            c->sn[base] = c->count[off + i]
+                        + (double)(rows * c->bsize[off + i]);
+            c->ss[base] = c->total[off + i] + as[i];
+            c->sq[base] = c->sumsq[off + i] + aq[i];
+            c->lg[base] = c->lgam[(int64_t)c->sn[base]];
+        }
+    }
+    c->bounds[c->k] = base;
+    return base;
+}
+
+/* One scoring call over the n_stacked slots, then np.add.reduceat of the
+ * marginals' change per live cluster into scores[p]: the segment's first
+ * element plus the pairwise sum of the rest. */
+static void var_score(var_ctx *c, int64_t n_stacked)
+{
+    int64_t p, i;
+    log_marginal_core(c->sn, c->ss, c->sq, c->lg, n_stacked, c->prior,
+                      c->scored);
+    for (p = 0; p < c->k; p++) {
+        int64_t s = c->slot_at[p], base = c->bounds[p];
+        for (i = 0; i < c->kc[s]; i++)
+            c->delta[base + i] = c->scored[base + i] - c->lm[c->off[s] + i];
+        c->scores[p] = c->delta[base]
+                     + pw_sum(c->delta + base + 1, c->kc[s] - 1);
+    }
+}
+
+/* The move: slot s takes the statistics and marginals scored in stacked
+ * slots from `from` on (the operations the NumPy move would repeat on the
+ * same operands).  StatsArrays.grouped's refusal of a NaN total cannot
+ * trigger here: such a candidate scores NaN and is never drawn. */
+static void var_adopt(var_ctx *c, int64_t s, int64_t from)
+{
+    int64_t i, off = c->off[s];
+    for (i = 0; i < c->kc[s]; i++) {
+        c->count[off + i] = c->sn[from + i];
+        c->total[off + i] = c->ss[from + i];
+        c->sumsq[off + i] = c->sq[from + i];
+        c->lm[off + i] = c->scored[from + i];
+    }
+}
+
+/* CoClusterState._drop_cluster at position p. */
+static void var_drop(var_ctx *c, int64_t p)
+{
+    for (; p < c->k - 1; p++) {
+        c->slot_at[p] = c->slot_at[p + 1];
+        c->pos_of[c->slot_at[p]] = p;
+    }
+    c->k--;
+}
+
+/* coclustering.reassign_var_sweep over data (n x m, C order): n moves,
+ * uniforms[2i] picks the variable and uniforms[2i + 1] the target.  moves,
+ * when not NULL, receives per iteration whether a cluster was opened and
+ * the position dropped (-1: none) — what a recorder needs to rebuild the
+ * clusters every iteration was scored against. */
+int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
+                             int64_t *var_labels, int64_t *member_order,
+                             const int64_t *obs_labels,
+                             const int64_t *offsets, int64_t n_blocks,
+                             int64_t *k_io, double *count, double *total,
+                             double *sumsq, double *lm,
+                             const double *uniforms, const double *lgam,
+                             const double *prior, double quantum,
+                             int64_t *origin, int64_t *member_counts,
+                             int64_t *moves)
+{
+    var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
+                 count, total, sumsq, lm, origin};
+    int64_t it, i, j;
+    int rc = var_begin(&c, var_labels, member_order, offsets, uniforms,
+                       2 * n, n);
+    for (it = 0; !rc && it < n; it++) {
+        int64_t k = c.k, var, src, ps, kcs, removed, fresh, choice;
+        const double *row;
+        double rem_delta;
+        var = (int64_t)(uniforms[2 * it] * (double)n);
+        if (var > n - 1)
+            var = n - 1;
+        row = data + var * m;
+        for (j = 0; j < m; j++)
+            c.wsq[j] = row[j] * row[j];
+        src = c.vslot[var];
+        ps = c.pos_of[src];
+        kcs = c.kc[src];
+        /* the k candidate clusters with the row added, the source's blocks
+         * with it removed, the row alone */
+        removed = var_stack(&c, 1, row, c.wsq, ps);
+        for (i = 0; i < kcs; i++) {
+            int64_t b = c.off[src] + i, a = c.bounds[ps] + i;
+            c.sn[removed + i] = count[b] - (double)c.bsize[b];
+            c.ss[removed + i] = total[b] - c.as[a];
+            c.sq[removed + i] = sumsq[b] - c.aq[a];
+            c.lg[removed + i] = lgam[(int64_t)c.sn[removed + i]];
+        }
+        fresh = removed + kcs;
+        c.sn[fresh] = (double)m;
+        c.ss[fresh] = pw_sum(row, m);
+        c.sq[fresh] = pw_sum(c.wsq, m);
+        c.lg[fresh] = lgam[m];
+        var_score(&c, fresh + 1);
+        for (i = 0; i < kcs; i++)
+            c.delta[removed + i] = c.scored[removed + i] - lm[c.off[src] + i];
+        rem_delta = pw_sum(c.delta + removed, kcs);
+        for (i = 0; i < k; i++)
+            c.scores[i] = rem_delta + c.scores[i];
+        c.scores[ps] = 0.0;
+        c.scores[k] = rem_delta + c.scored[fresh];
+        choice = weighted_choice(c.scores, k + 1, uniforms[2 * it + 1],
+                                 quantum, c.w);
+        if (moves) {
+            moves[2 * it] = choice == k;
+            moves[2 * it + 1] = -1;
+        }
+        if (choice == ps)
+            continue;
+        var_adopt(&c, src, removed);
+        var_unlink(&c, src, var);
+        c.size[src]--;
+        if (choice == k) {
+            /* ObsClustering.from_block of the row alone: one block, its
+             * sums bincount's sequential ones (the scored singleton used
+             * the pairwise sum), its marginal scored from them */
+            int64_t s = c.n_slots++, b = c.n_blocks++;
+            double t = 0.0, q = 0.0;
+            for (j = 0; j < m; j++) {
+                t += row[j];
+                q += c.wsq[j];
+            }
+            count[b] = (double)m;
+            total[b] = t;
+            sumsq[b] = q;
+            log_marginal_core(count + b, total + b, sumsq + b, lgam + m, 1,
+                              prior, lm + b);
+            c.off[s] = b;
+            c.kc[s] = 1;
+            c.bsize[b] = m;
+            c.head[s] = c.tail[s] = -1;
+            c.size[s] = 1;
+            c.slot_at[k] = s;
+            c.pos_of[s] = k;
+            c.k++;
+            var_link(&c, s, var);
+        } else {
+            int64_t s = c.slot_at[choice];
+            var_adopt(&c, s, c.bounds[choice]);
+            var_link(&c, s, var);
+            c.size[s]++;
+        }
+        if (c.size[src] == 0) {
+            var_drop(&c, ps);
+            if (moves)
+                moves[2 * it + 1] = ps;
+        }
+    }
+    return var_end(&c, var_labels, member_order, member_counts, k_io, rc);
+}
+
+/* coclustering.merge_var_sweep: one pass over the clusters, one uniform per
+ * iteration, exactly k-at-entry of them.  The merging cluster's column sums
+ * are data[members].sum(axis=0): row by row in member order, or — a single
+ * column, which NumPy reduces as a contiguous vector — pairwise. */
+int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
+                          int64_t *var_labels, int64_t *member_order,
+                          const int64_t *obs_labels, const int64_t *offsets,
+                          int64_t n_blocks, int64_t *k_io, double *count,
+                          double *total, double *sumsq, double *lm,
+                          const double *uniforms, const double *lgam,
+                          const double *prior, double quantum,
+                          int64_t *origin, int64_t *member_counts,
+                          int64_t *moves)
+{
+    var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
+                 count, total, sumsq, lm, origin};
+    int64_t it = 0, cid = 0, i, j, v;
+    int rc = var_begin(&c, var_labels, member_order, offsets, uniforms,
+                       c.k0, 0);
+    while (!rc && cid < c.k) {
+        int64_t k = c.k, sc = c.slot_at[cid], rows = c.size[sc], choice, s;
+        double own;
+        if (m == 1) {
+            for (i = 0, v = c.head[sc]; v >= 0; v = c.next[v], i++) {
+                c.gather[i] = data[v];
+                c.gather[n + i] = data[v] * data[v];
+            }
+            c.wsum[0] = pw_sum(c.gather, rows);
+            c.wsq[0] = pw_sum(c.gather + n, rows);
+        } else {
+            for (j = 0; j < m; j++)
+                c.wsum[j] = c.wsq[j] = 0.0;
+            for (v = c.head[sc]; v >= 0; v = c.next[v]) {
+                const double *row = data + v * m;
+                for (j = 0; j < m; j++) {
+                    c.wsum[j] += row[j];
+                    c.wsq[j] += row[j] * row[j];
+                }
+            }
+        }
+        var_score(&c, var_stack(&c, rows, c.wsum, c.wsq, cid));
+        own = pw_sum(lm + c.off[sc], c.kc[sc]);
+        for (i = 0; i < k; i++)
+            c.scores[i] -= own;
+        c.scores[cid] = 0.0;
+        choice = weighted_choice(c.scores, k, uniforms[it], quantum, c.w);
+        if (moves) {
+            moves[2 * it] = 0;
+            moves[2 * it + 1] = choice == cid ? -1 : cid;
+        }
+        it++;
+        if (choice == cid) {
+            cid++;
+            continue;
+        }
+        s = c.slot_at[choice];
+        var_adopt(&c, s, c.bounds[choice]);
+        for (v = c.head[sc]; v >= 0; v = i) {
+            i = c.next[v];
+            var_link(&c, s, v);
+        }
+        c.size[s] += rows;
+        c.size[sc] = 0;
+        c.head[sc] = c.tail[sc] = -1;
+        var_drop(&c, cid);
+    }
+    return var_end(&c, var_labels, member_order, member_counts, k_io, rc);
 }
 """
 

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ganesh.state import CoClusterState, ObsClustering, init_sqrt_obs_labels
+from repro.ganesh.state import (
+    CoClusterState,
+    ObsClustering,
+    _compact,
+    init_sqrt_obs_labels,
+)
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, _native_kernels
 
@@ -54,12 +59,29 @@ class SweepHooks:
 _NO_HOOKS = SweepHooks()
 
 
+def _var_sweep_kernels(state: CoClusterState):
+    """The native kernels when a variable sweep of ``state`` can run on
+    them: the backend is native and the state's ``gammaln`` table is bounded."""
+    return _native_kernels() if state.gammaln_table_fits else None
+
+
 def reassign_var_sweep(
     state: CoClusterState, rng: GibbsRandom, hooks: SweepHooks = _NO_HOOKS
 ) -> None:
-    """n iterations of random variable reassignment (Algorithm 1, lines 3-11)."""
+    """n iterations of random variable reassignment (Algorithm 1, lines 3-11).
+
+    On the native kernel backend the whole sweep is one certified call
+    (:meth:`CoClusterState.native_var_sweep`); the loop below is the NumPy
+    backend's path and the oracle that call is certified against.
+    """
     n = state.n_vars
     m = state.n_obs
+    native = _var_sweep_kernels(state)
+    if native is not None:
+        for ks in state.native_var_sweep(native, rng, trace=hooks.record is not None):
+            costs = [m + k for k in ks] + [m]
+            hooks.emit("ganesh.var_reassign", np.array(costs, dtype=np.float64))
+        return
     for _ in range(n):
         var = rng.randint(n)
         scores = state.move_var_scores(var)
@@ -77,9 +99,17 @@ def merge_var_sweep(
 
     Clusters are considered one at a time; a "keep" decision advances to the
     next cluster, a merge removes the current cluster and stays at the same
-    index (the next unexamined cluster shifts into it).
+    index (the next unexamined cluster shifts into it).  Dispatches like
+    :func:`reassign_var_sweep`.
     """
     m = state.n_obs
+    native = _var_sweep_kernels(state)
+    if native is not None:
+        traced = hooks.record is not None
+        for ks in state.native_var_sweep(native, rng, merge=True, trace=traced):
+            costs = [m + k for k in ks]
+            hooks.emit("ganesh.var_merge", np.array(costs, dtype=np.float64))
+        return
     cid = 0
     while cid < state.n_clusters:
         scores = state.merge_var_scores(cid)
@@ -172,8 +202,6 @@ def run_ganesh(
 
     # Compaction may renumber; build per-cluster observation labels in the
     # compacted order so the RNG call order is well defined.
-    from repro.ganesh.state import _compact  # deterministic relabelling
-
     var_labels = _compact(rng.random_labels(n, k0))
     n_clusters = int(var_labels.max()) + 1
     obs_labels = [init_sqrt_obs_labels(m, rng) for _ in range(n_clusters)]

@@ -30,6 +30,11 @@ from repro.rng.streams import SCORE_QUANTUM
 from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marginal
 from repro.scoring.suffstats import StatsArrays, SuffStats
 
+#: Largest ``gammaln`` table (``n * m + 1`` entries, 8 bytes each: 32 MB) a
+#: state builds for the native variable sweeps; above it the sweeps take the
+#: NumPy loops.  The paper's yeast shape would need 14.7 M entries per chain.
+MAX_GAMMALN_TABLE = 1 << 22
+
 
 class ObsClustering:
     """An observation clustering of one variable cluster's data block.
@@ -350,6 +355,19 @@ class CoClusterState:
                 self.data[members], obs_labels_per_cluster[cid], prior
             )
             self.clusters.append(VarCluster(members, oc))
+        #: ``gammaln(alpha0 + t / 2)`` over every block count ``t = 0..n * m``,
+        #: built by the first native variable sweep
+        self._lgam: np.ndarray | None = None
+
+    def copy(self) -> "CoClusterState":
+        """An independent state over the same (read-only) data matrix."""
+        out = CoClusterState.__new__(CoClusterState)
+        out.data = self.data
+        out.prior = self.prior
+        out.var_labels = self.var_labels.copy()
+        out.clusters = [VarCluster(c.members[:], c.obs.copy()) for c in self.clusters]
+        out._lgam = self._lgam
+        return out
 
     @property
     def n_vars(self) -> int:
@@ -519,6 +537,114 @@ class CoClusterState:
     def _drop_cluster(self, cluster: int) -> None:
         del self.clusters[cluster]
         self.var_labels[self.var_labels > cluster] -= 1
+
+    # -- a whole sweep where the marginals are scored ------------------------
+    @property
+    def gammaln_table_fits(self) -> bool:
+        """Whether the native variable sweeps' ``gammaln`` table — one entry
+        per possible block count, ``0..n * m`` — is within the bound."""
+        return 0 < self.n_vars * self.n_obs < MAX_GAMMALN_TABLE
+
+    def var_sweep_pack(self, merge: bool = False) -> dict:
+        """The state as flat arrays, the layout ``NativeKernels.var_sweep``
+        takes (ALGORITHMS.md §13): copies, so a refused sweep leaves the
+        state as it was.  A variable sweep never changes an
+        observation partition, so every cluster keeps its block count and
+        the arrays never grow in place; a reassign sweep gets ``n`` spare
+        block slots, one per cluster it could open."""
+        n, m = self.data.shape
+        ocs = [cluster.obs for cluster in self.clusters]
+        offsets = np.zeros(len(ocs) + 1, dtype=np.int64)
+        np.cumsum([oc.n_clusters for oc in ocs], out=offsets[1:])
+        n_blocks = int(offsets[-1])
+        count, total, sumsq, lm = np.empty((4, n_blocks + (0 if merge else n)))
+        for out, parts in (
+            (count, [oc.stats.count for oc in ocs]),
+            (total, [oc.stats.total for oc in ocs]),
+            (sumsq, [oc.stats.sumsq for oc in ocs]),
+            (lm, [oc.lm for oc in ocs]),
+        ):
+            np.concatenate(parts, out=out[:n_blocks])
+        if self._lgam is None:
+            # every block count is an integer rows x size <= n * m
+            self._lgam = gammaln(self.prior.alpha0 + np.arange(n * m + 1.0) / 2.0)
+        return dict(
+            data=self.data,
+            var_labels=self.var_labels.copy(),
+            member_order=np.array(
+                [var for cluster in self.clusters for var in cluster.members],
+                dtype=np.int64,
+            ),
+            obs_labels=np.array([oc.labels for oc in ocs], dtype=np.int64),
+            offsets=offsets,
+            n_blocks=n_blocks,
+            stats=(count, total, sumsq),
+            lm=lm,
+            lgam=self._lgam,
+            prior=self.prior,
+            quantum=SCORE_QUANTUM,
+            merge=merge,
+        )
+
+    def native_var_sweep(
+        self, native, rng, merge: bool = False, trace: bool = False
+    ) -> list[list[int]]:
+        """One variable sweep in a single certified native call.
+
+        The reassign sweep of :func:`repro.ganesh.coclustering.
+        reassign_var_sweep` or, with ``merge``, the merge sweep: the same
+        moves, statistics, marginals and draws as the NumPy loops make
+        through ``move_var_scores`` / ``merge_var_scores``.  The state is
+        packed once (:meth:`var_sweep_pack`), swept, and unpacked into the
+        ``VarCluster`` / ``ObsClustering`` objects it already holds.  The
+        draws are taken up front — two per reassign iteration, of which
+        there are ``n``; one per merge iteration, of which there are
+        ``n_clusters`` — so the stream ends where the loops leave it.  With
+        ``trace`` returns, per iteration, the live clusters' observation
+        cluster counts (all a recorder's cost vectors depend on), else ``[]``.
+        """
+        pack = self.var_sweep_pack(merge)
+        k0, n_blocks = self.n_clusters, pack["n_blocks"]
+        uniforms = rng.uniforms(k0 if merge else 2 * self.n_vars)
+        origin, sizes, moves = native.var_sweep(**pack, uniforms=uniforms, trace=trace)
+
+        offsets = pack["offsets"].tolist()
+        order = pack["member_order"].tolist()
+        entered = self.clusters[:]
+        for cluster in entered:
+            cluster.members = []  # as the loops leave a merged-away cluster
+        del self.clusters[:]
+        start = 0
+        for slot, size in zip(origin.tolist(), sizes.tolist()):
+            members = order[start : start + size]
+            start += size
+            if slot < k0:
+                cluster = entered[slot]
+                cluster.members = members
+                blocks = slice(offsets[slot], offsets[slot + 1])
+            else:  # opened by the sweep: one block holding every observation
+                labels = np.zeros(self.n_obs, dtype=np.int64)
+                cluster = VarCluster(members, ObsClustering(labels, self.prior))
+                blocks = slice(n_blocks + slot - k0, n_blocks + slot - k0 + 1)
+            oc = cluster.obs
+            for name, packed in zip(("count", "total", "sumsq"), pack["stats"]):
+                getattr(oc.stats, name)[:] = packed[blocks]
+            oc.lm = pack["lm"][blocks].copy()
+            oc._scored = None
+            self.clusters.append(cluster)
+        self.var_labels[:] = pack["var_labels"]
+
+        if not trace:
+            return []
+        live = [cluster.obs.n_clusters for cluster in entered]
+        steps = []
+        for opened, dropped in moves.tolist():
+            steps.append(live[:])
+            if opened:
+                live.append(1)
+            if dropped >= 0:
+                del live[dropped]
+        return steps
 
     # -- invariants --------------------------------------------------------
     def check_invariants(self) -> None:

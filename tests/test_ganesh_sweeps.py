@@ -15,6 +15,7 @@ from repro import _native
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.ganesh import coclustering
+from repro.ganesh import state as state_mod
 from repro.ganesh.coclustering import (
     SweepHooks,
     merge_obs_sweep,
@@ -212,12 +213,12 @@ class TestObsOnlyGanesh:
         assert labels.shape == (tiny_matrix.n_obs,)
 
 
-# -- the observation sweeps as one native call --------------------------------
+# -- the sweeps as one native call each ---------------------------------------
 #
-# Under kernel_backend "native"/"auto" a whole reassign or merge sweep is one
-# certified C call (ALGORITHMS.md §13); the NumPy loops stay as the "numpy"
-# backend's path and as the oracle.  Everything below except the last class
-# needs the extension.
+# Under kernel_backend "native"/"auto" a whole reassign or merge sweep —
+# observation or variable — is one certified C call (ALGORITHMS.md §13); the
+# NumPy loops stay as the "numpy" backend's path and as the oracle.
+# Everything below except the last class needs the extension.
 
 NATIVE = _native.load() is not None
 needs_native = pytest.mark.skipif(
@@ -456,16 +457,335 @@ class TestSweepEntryValidation:
         assert ks is None
 
 
+def _co_state(seed, n, m, k, k_obs, scale=1.0, ties=False):
+    """A co-clustering of ``n x m`` data into ``k`` variable clusters (``k ==
+    n``: all singletons) whose observations start in ``k_obs`` clusters."""
+    gen = np.random.default_rng(seed)
+    data = gen.normal(size=(n, m)) * scale
+    if ties:
+        data = np.round(data / scale) * scale
+    var_labels = np.arange(n) if k == n else gen.integers(0, k, size=n)
+    n_clusters = len(set(var_labels.tolist()))
+    obs_labels = [
+        np.arange(m) if k_obs == m else gen.integers(0, k_obs, size=m)
+        for _ in range(n_clusters)
+    ]
+    return CoClusterState(data, var_labels, obs_labels)
+
+
+def _co_snapshot(state, rng, records=()):
+    return (
+        state.var_labels.tolist(),
+        [cluster.members for cluster in state.clusters],
+        [cluster.obs.labels.tolist() for cluster in state.clusters],
+        [
+            getattr(cluster.obs.stats, name).tolist()
+            for cluster in state.clusters
+            for name in ("count", "total", "sumsq")
+        ],
+        [cluster.obs.lm.tolist() for cluster in state.clusters],
+        rng.offset,
+        [(phase, costs.tolist(), nc) for phase, costs, nc in records],
+    )
+
+
+def _run_co_program(backend, start, program, rng_backend, traced, seed, check=True):
+    """``program`` is a string of sweeps over the whole state: R(eassign) /
+    M(erge) variables, o(bservation sweeps of every cluster).  ``check``
+    verifies the state's invariants after every sweep."""
+    with kernel_backend(backend):
+        state = start.copy()
+        rng = GibbsRandom(make_stream(seed, "program", backend=rng_backend))
+        records = []
+        hooks = SweepHooks(
+            record=(lambda *record: records.append(record)) if traced else None
+        )
+        for sweep in program:
+            if sweep == "R":
+                reassign_var_sweep(state, rng, hooks)
+            elif sweep == "M":
+                merge_var_sweep(state, rng, hooks)
+            else:
+                for cluster in list(state.clusters):
+                    block = state.data[cluster.members]
+                    reassign_obs_sweep(cluster.obs, block, rng, hooks)
+                    merge_obs_sweep(cluster.obs, rng, hooks)
+            if check:
+                state.check_invariants()
+        return _co_snapshot(state, rng, records)
+
+
+@needs_native
+class TestNativeVarSweeps:
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.sampled_from([1, 2, 3, 5, 8, 9, 17, 40]),
+        m=st.sampled_from([1, 2, 3, 8, 9, 17, 33, 130]),
+        k_frac=st.floats(0.0, 1.0),
+        k_obs_frac=st.floats(0.0, 1.0),
+        scale=st.sampled_from([1e-3, 1.0, 50.0]),
+        ties=st.booleans(),
+        program=st.text(alphabet="RMo", min_size=1, max_size=4),
+        rng_backend=st.sampled_from(["philox", "mrg"]),
+        traced=st.booleans(),
+    )
+    def test_random_sweep_programs(
+        self, seed, n, m, k_frac, k_obs_frac, scale, ties, program, rng_backend, traced
+    ):
+        """Native and NumPy variable sweeps, interleaved with observation
+        sweeps, leave the same labels, members (in order), statistics,
+        marginals, stream position and recorded cost vectors — from one
+        cluster through all singletons (a fresh move then holds ``n + 1``),
+        with moves that open clusters and that drop their source."""
+        k = 1 + round(k_frac * (n - 1))
+        k_obs = 1 + round(k_obs_frac * (m - 1))
+        start = _co_state(seed, n, m, k, k_obs, scale, ties)
+        args = (start, program, rng_backend, traced, seed)
+        assert _run_co_program("native", *args) == _run_co_program("numpy", *args)
+
+    def test_sweeps_open_and_drop_clusters(self, monkeypatch):
+        """The programs above are not vacuous.  Two well-separated groups,
+        one split over a shared cluster and singletons: a reassign sweep
+        opens a cluster for the other group, drops emptied singletons, and
+        leaves a cluster whose members are not in index order."""
+        gen = np.random.default_rng(11)
+        data = gen.normal(scale=0.05, size=(16, 9))
+        data[8:] += 40.0
+        var_labels = np.array([0] * 4 + [1, 2, 3, 4] + [0] * 8)
+        obs_labels = [np.zeros(9, dtype=np.int64)] * 5
+        start = CoClusterState(data, var_labels, obs_labels)
+        moves = []
+        original = _native.NativeKernels.var_sweep
+
+        def spying(self, **pack):
+            out = original(self, **{**pack, "trace": True})
+            moves.extend(out[2].tolist())
+            return out
+
+        monkeypatch.setattr(_native.NativeKernels, "var_sweep", spying)
+        outcomes = []
+        for backend in ("native", "numpy"):
+            with kernel_backend(backend):
+                state = start.copy()
+                rng = _rng(3)
+                reassign_var_sweep(state, rng)
+                reassign_var_sweep(state, rng)
+                state.check_invariants()
+                outcomes.append(_co_snapshot(state, rng))
+        assert outcomes[0] == outcomes[1]
+        assert any(opened for opened, _ in moves)
+        assert any(dropped >= 0 for _, dropped in moves)
+        assert any(members != sorted(members) for members in outcomes[0][1])
+
+    @pytest.mark.parametrize("value", [np.inf, 1e200])
+    def test_non_finite_scores(self, value):
+        """A row holding inf (or a value whose square overflows) gives NaN
+        marginals; the masked branch of the weighted choice is replayed,
+        not refused."""
+        data = np.random.default_rng(5).normal(size=(9, 12))
+        data[0, 0] = value
+        with np.errstate(all="ignore"):
+            start = CoClusterState(data, np.arange(9) % 3, [np.arange(12) % 3] * 3)
+            # (the invariant check compares marginals with ==: not for NaN)
+            want, got = (
+                _run_co_program(backend, start, "RMoRM", "philox", True, 21, check=False)
+                for backend in ("numpy", "native")
+            )
+        assert not np.isfinite([x for lm in want[4] for x in lm]).all()
+        np.testing.assert_equal(got, want)  # NaN == NaN
+
+    @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
+    def test_runs_end_to_end(self, small_matrix, rng_backend):
+        outcomes = []
+        for backend in ("numpy", "native"):
+            with kernel_backend(backend):
+                rng = GibbsRandom(make_stream(6, "e2e", backend=rng_backend))
+                result = run_ganesh(
+                    small_matrix.values, rng, n_update_steps=3, init_var_clusters=5
+                )
+                result.state.check_invariants()
+                outcomes.append(_co_snapshot(result.state, rng))
+        assert outcomes[0] == outcomes[1]
+
+    def test_non_contiguous_data_is_copied_not_refused(self):
+        start = _co_state(8, 9, 7, 3, 2)
+        views = (start.data, np.asfortranarray(start.data), start.data[:, ::-1][:, ::-1])
+        outcomes = []
+        for data in views:
+            state = start.copy()
+            state.data = data
+            outcomes.append(_run_co_program("native", state, "RM", "philox", False, 9))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == _run_co_program("numpy", start, "RM", "philox", False, 9)
+
+    def test_table_bound_takes_the_loops(self, monkeypatch):
+        """Above ``MAX_GAMMALN_TABLE`` entries (``n * m + 1``) the sweeps run
+        the NumPy loops on the native backend too; both paths agree."""
+        start = _co_state(4, 15, 10, 4, 2)
+        entered = []
+        original = _native.NativeKernels.var_sweep
+        monkeypatch.setattr(
+            _native.NativeKernels, "var_sweep",
+            lambda self, **pack: entered.append(1) or original(self, **pack),
+        )
+        outcomes = []
+        for bound in (15 * 10 + 1, 15 * 10):
+            monkeypatch.setattr(state_mod, "MAX_GAMMALN_TABLE", bound)
+            del entered[:]
+            outcomes.append(_run_co_program("native", start, "RMR", "philox", True, 2))
+            assert len(entered) == (3 if bound > 15 * 10 else 0)
+        assert outcomes[0] == outcomes[1]
+
+    def test_concurrent_sweeps_share_nothing(self):
+        """Thread-backend nodes run chains at once with the GIL released:
+        the C scratch is per call."""
+        datas = [np.random.default_rng(seed).normal(size=(24, 12)) for seed in range(4)]
+
+        def run(index):
+            result = run_ganesh(datas[index], _rng(index), n_update_steps=4)
+            return _co_snapshot(result.state, _rng(0))
+
+        with kernel_backend("native"):
+            serial = [run(i) for i in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = list(pool.map(run, range(4), timeout=60))
+            finally:
+                sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
+def _set(name, index, value):
+    def corrupt(pack):
+        pack[name][index] = value
+
+    return corrupt
+
+
+def _replace(name, make):
+    def corrupt(pack):
+        pack[name] = make(pack[name])
+
+    return corrupt
+
+
+def _empty_cluster(pack):
+    pack["var_labels"][pack["var_labels"] == 1] = 0
+
+
+@needs_native
+class TestVarSweepEntryValidation:
+    """``NativeKernels.var_sweep`` checks everything the C loop indexes by
+    before C writes anything; a refusal leaves the pack, and the state it was
+    packed from, as they were."""
+
+    N, M = 15, 10
+
+    def _packed(self, merge=False):
+        state, _ = _state(seed=2, n=self.N, m=self.M)
+        pack = state.var_sweep_pack(merge)
+        pack["uniforms"] = _rng(1).uniforms(state.n_clusters if merge else 2 * self.N)
+        return state, pack
+
+    @staticmethod
+    def _arrays(pack):
+        names = ("var_labels", "member_order", "obs_labels", "offsets", "lm")
+        return [pack[name].copy() for name in names] + [a.copy() for a in pack["stats"]]
+
+    REFUSALS = [
+        ("label above k", _set("var_labels", 0, 99), "var labels and member order"),
+        ("negative label", _set("var_labels", 3, -1), "var labels and member order"),
+        ("empty cluster", _empty_cluster, "no cluster may be empty"),
+        ("variable listed twice", _set("member_order", 0, 14), "listed once"),
+        ("member outside n", _set("member_order", 2, 15), "var labels and member order"),
+        ("short member order", _replace("member_order", lambda a: a[:-1].copy()),
+         "member order must"),
+        ("int32 labels", _replace("var_labels", lambda a: a.astype(np.int32)),
+         "var labels must be"),
+        ("obs label above k_c", _set("obs_labels", (1, 0), 7), "obs labels must lie"),
+        ("negative obs label", _set("obs_labels", (0, 4), -1), "obs labels must lie"),
+        ("1-D obs labels", _replace("obs_labels", lambda a: a.reshape(-1)),
+         "obs labels must be"),
+        ("offsets past the blocks", _set("offsets", -1, 99), "offsets do not tile"),
+        ("an empty offset range", _set("offsets", 1, 0), "offsets do not tile"),
+        ("fewer blocks than offsets", _replace("n_blocks", lambda b: b - 1),
+         "offsets do not tile"),
+        ("count not rows x size", lambda pack: pack["stats"][0].fill(3.0),
+         "do not describe the labels"),
+        ("short statistics", _replace("lm", lambda a: a[:5].copy()), "lm must be"),
+        ("short uniforms", _replace("uniforms", lambda a: a[:-1].copy()),
+         "uniforms must be"),
+        ("uniform of 1", _set("uniforms", 1, 1.0), r"draws from \[0, 1\)"),
+        ("NaN uniform", _set("uniforms", 0, np.nan), r"draws from \[0, 1\)"),
+        ("data not n x m", _replace("data", lambda a: a[:, :-1]), "data must have shape"),
+        ("short gammaln table", _replace("lgam", lambda a: a[:-1].copy()),
+         "gammaln table must be"),
+    ]
+
+    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize(
+        "corrupt, match", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS]
+    )
+    def test_refusals_leave_pack_and_state_untouched(self, corrupt, match, merge):
+        state, pack = self._packed(merge)
+        corrupt(pack)
+        before = self._arrays(pack)
+        with pytest.raises(ValueError, match=match):
+            _native.load().var_sweep(**pack)
+        for was, now in zip(before, self._arrays(pack)):
+            np.testing.assert_array_equal(was, now)
+        state.check_invariants()
+
+    def test_a_refused_sweep_leaves_the_state_sweepable(self, monkeypatch):
+        """Through the state's own entry: the refusal surfaces, the state
+        still passes its invariants and the next sweep runs as if nothing
+        had happened."""
+        state, _ = _state(seed=2, n=self.N, m=self.M)
+        want = state.copy()
+        original = CoClusterState.var_sweep_pack
+
+        def corrupted(self, merge=False):
+            pack = original(self, merge)
+            pack["stats"][1][2] = np.nan  # never reaches C's arithmetic
+            pack["offsets"][-1] += 1
+            return pack
+
+        with kernel_backend("native"):
+            monkeypatch.setattr(CoClusterState, "var_sweep_pack", corrupted)
+            with pytest.raises(ValueError, match="offsets do not tile"):
+                reassign_var_sweep(state, _rng(1))
+            state.check_invariants()
+            monkeypatch.undo()
+            reassign_var_sweep(state, _rng(2))
+            reassign_var_sweep(want, _rng(2))
+        assert _co_snapshot(state, _rng(0)) == _co_snapshot(want, _rng(0))
+
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_valid_arguments_run(self, merge):
+        state, pack = self._packed(merge)
+        origin, sizes, moves = _native.load().var_sweep(**pack, trace=True)
+        assert origin.shape == sizes.shape and int(sizes.sum()) == self.N
+        assert moves.shape == ((state.n_clusters if merge else self.N), 2)
+        assert _native.load().var_sweep(**self._packed(merge)[1])[2] is None
+
+
 @needs_native
 class TestOneNativeCallPerSweep:
     """The dispatch-bound cost model taken to its end: under the native
     backend a ``learn()`` — traced or not — enters the native entry once per
-    observation sweep and never the per-move scoring methods; under
-    ``numpy`` the native entry is never entered."""
+    observation sweep and once per variable sweep and never the per-move
+    scoring methods; under ``numpy`` the native entries are never entered."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counted = {"sweeps": 0, "native": 0, "per_move": 0}
+        counted = dict.fromkeys(
+            ("obs_sweeps", "obs_native", "var_sweeps", "var_native", "per_move"), 0
+        )
 
         def counting(target, name, key):
             original = getattr(target, name)
@@ -476,11 +796,17 @@ class TestOneNativeCallPerSweep:
 
             monkeypatch.setattr(target, name, wrapper)
 
-        counting(coclustering, "reassign_obs_sweep", "sweeps")
-        counting(coclustering, "merge_obs_sweep", "sweeps")
-        counting(_native.NativeKernels, "obs_sweep", "native")
+        counting(coclustering, "reassign_obs_sweep", "obs_sweeps")
+        counting(coclustering, "merge_obs_sweep", "obs_sweeps")
+        counting(_native.NativeKernels, "obs_sweep", "obs_native")
+        counting(coclustering, "reassign_var_sweep", "var_sweeps")
+        counting(coclustering, "merge_var_sweep", "var_sweeps")
+        counting(_native.NativeKernels, "var_sweep", "var_native")
         counting(ObsClustering, "move_obs_scores", "per_move")
         counting(ObsClustering, "merge_obs_scores", "per_move")
+        counting(CoClusterState, "_stacked_lm", "per_move")
+        counting(CoClusterState, "move_var_scores", "per_move")
+        counting(CoClusterState, "merge_var_scores", "per_move")
         return counted
 
     @staticmethod
@@ -494,14 +820,16 @@ class TestOneNativeCallPerSweep:
     @pytest.mark.parametrize("traced", [False, True])
     def test_native_enters_once_per_sweep(self, tiny_matrix, counts, traced):
         self._learn(tiny_matrix, "native", WorkTrace() if traced else None)
-        assert counts["sweeps"] > 0
-        assert counts["native"] == counts["sweeps"]
+        assert counts["obs_sweeps"] > 0 and counts["var_sweeps"] > 0
+        assert counts["obs_native"] == counts["obs_sweeps"]
+        assert counts["var_native"] == counts["var_sweeps"]
         assert counts["per_move"] == 0
 
     def test_numpy_never_enters_the_native_entry(self, tiny_matrix, counts):
         self._learn(tiny_matrix, "numpy", None)
-        assert counts["sweeps"] > 0 and counts["per_move"] > 0
-        assert counts["native"] == 0
+        assert counts["obs_sweeps"] > 0 and counts["var_sweeps"] > 0
+        assert counts["per_move"] > 0
+        assert counts["obs_native"] == counts["var_native"] == 0
 
     def test_traced_records_are_backend_independent(self, tiny_matrix):
         steps = []
@@ -512,7 +840,8 @@ class TestOneNativeCallPerSweep:
                 [(s.phase, s.costs.tolist(), s.n_collectives, s.run) for s in trace.steps]
             )
         assert steps[0] == steps[1]
-        assert any(phase == "modules.obs_merge" for phase, *_ in steps[0])
+        phases = {phase for phase, *_ in steps[0]}
+        assert {"ganesh.var_reassign", "ganesh.var_merge", "modules.obs_merge"} <= phases
 
 
 @needs_native
@@ -521,18 +850,49 @@ class TestSweepCertification:
         """While the loader certifies, the sweep loops it compares against
         score through NumPy — whatever backend is configured — and the
         process is back on the extension afterwards."""
-        per_move = []
-        original = ObsClustering.move_obs_scores
+        per_move = {"move_obs_scores": [], "move_var_scores": []}
 
-        def counting(self, *args, **kwargs):
-            per_move.append(resolve_kernel_backend())
-            return original(self, *args, **kwargs)
+        def counting(target, name):
+            original = getattr(target, name)
 
-        monkeypatch.setattr(ObsClustering, "move_obs_scores", counting)
+            def wrapper(self, *args, **kwargs):
+                per_move[name].append(resolve_kernel_backend())
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(target, name, wrapper)
+
+        counting(ObsClustering, "move_obs_scores")
+        counting(CoClusterState, "move_var_scores")
         with kernel_backend("native"):
             assert _native._certify(_native.load()) is None
-            assert per_move and set(per_move) == {("numpy", None)}
+            for backends in per_move.values():
+                assert backends and set(backends) == {("numpy", None)}
             assert resolve_kernel_backend()[0] == "native"
+
+    @pytest.mark.parametrize("doctor", ["block marginal", "draw index"])
+    def test_doctored_var_sweep_fails_certification(self, doctor):
+        """One block marginal an ulp off, or the draws read one index late:
+        the battery rejects the provider and names the variable sweep."""
+        kernels = _native.load()
+
+        class Doctored:
+            def __getattr__(self, name):
+                return getattr(kernels, name)
+
+            def var_sweep(self, **pack):
+                if doctor == "draw index":
+                    pack["uniforms"] = np.roll(pack["uniforms"], 1)
+                origin, sizes, moves = kernels.var_sweep(**pack)
+                if doctor == "block marginal":
+                    slot, k0 = int(origin[0]), len(pack["obs_labels"])
+                    block = (
+                        pack["offsets"][slot] if slot < k0 else pack["n_blocks"] + slot - k0
+                    )
+                    pack["lm"][block] = np.nextafter(pack["lm"][block], np.inf)
+                return origin, sizes, moves
+
+        mismatch = _native._certify(Doctored())
+        assert mismatch is not None and mismatch.startswith("var sweep mismatch")
 
     def test_forced_mismatch_is_certification_failed(self, monkeypatch, tiny_matrix):
         """auto falls back to NumPy with the one-time warning and learns the
@@ -600,6 +960,31 @@ class TestNumpySweepOracle:
         del records[:]
         merge_obs_sweep(oc, rng, hooks)
         assert rng.offset - before == k == len(records)
+
+    def test_draws_per_variable_sweep(self):
+        """``2n`` uniforms and ``n`` iterations per reassign sweep; a merge
+        sweep makes exactly as many iterations as it found clusters."""
+        state, _ = _state(seed=3)
+        rng = _rng(42)
+        records = []
+        hooks = SweepHooks(record=lambda *record: records.append(record))
+        reassign_var_sweep(state, rng, hooks)
+        assert rng.offset == 2 * state.n_vars and len(records) == state.n_vars
+        k, before = state.n_clusters, rng.offset
+        del records[:]
+        merge_var_sweep(state, rng, hooks)
+        assert rng.offset - before == k == len(records)
+
+    def test_variable_sweeps_score_move_by_move(self, monkeypatch):
+        calls = []
+        original = CoClusterState._stacked_lm
+        monkeypatch.setattr(
+            CoClusterState, "_stacked_lm",
+            lambda self, *a, **kw: calls.append(1) or original(self, *a, **kw),
+        )
+        state, _ = _state(seed=4)
+        reassign_var_sweep(state, _rng(43))
+        assert len(calls) == state.n_vars
 
     def test_scores_move_by_move(self, monkeypatch):
         calls = []
