@@ -20,10 +20,12 @@ Acquisition order:
 4. The compiled code picks a transcendental provider — the SVML kernels
    ``dlsym``-ed out of NumPy's own ``_multiarray_umath`` extension, or
    scalar libm — and **self-certifies**: a probe battery compares the
-   native evaluator, the fused sampling chain (results, counters and memo
-   end state), the GaneSH observation and variable sweeps (end state,
-   draws consumed, recorded costs), grouped statistics, and normal-gamma
-   tail against the NumPy implementations bit for bit.  A provider that
+   native evaluator, the in-kernel Philox generator, the fused sampling
+   chain (results, counters and memo end state), the GaneSH observation
+   and variable sweeps (end state, draws consumed, recorded costs) — the
+   chain and the sweeps both reading their draws and computing them —
+   grouped statistics, and normal-gamma tail against the NumPy
+   implementations bit for bit.  A provider that
    fails certification is rejected; if none survives, the backend reports
    unavailable and the ``"auto"`` setting falls back to NumPy.
 
@@ -48,6 +50,9 @@ import tempfile
 import threading
 
 import numpy as np
+
+from repro.rng.philox import DrawSpan, PhiloxStream
+from repro.rng.streams import SCORE_QUANTUM, GibbsRandom, IndexedStream, make_stream
 
 #: loader result cache: (status, detail, provider, kernels-or-None)
 _RESULT: tuple[str, str, str | None, "NativeKernels | None"] | None = None
@@ -90,6 +95,29 @@ class NativeKernels:
     def _ip(self, arr: np.ndarray):
         return self._ffi.from_buffer("int64_t[]", arr)
 
+    def _draws(self, uniforms, need: int) -> tuple:
+        """The ``(uniforms, key, offset)`` arguments of an entry that reads
+        draws ``[0, need)``: a Philox span goes in by address — the entry
+        computes the draws it reaches — and anything else as the
+        ``float64`` array it is, or materialises to."""
+        if isinstance(uniforms, DrawSpan):
+            if uniforms.count < need:
+                raise ValueError(f"uniforms must span at least {need} draws")
+            if uniforms.key is not None:
+                _checked_address(uniforms.key, uniforms.start, uniforms.count)
+                return self._ffi.NULL, uniforms.key, uniforms.start
+            uniforms = uniforms.array()
+        return self._dp(_checked(uniforms, np.float64, need, "uniforms")), 0, 0
+
+    def philox_uniforms(self, key: int, offset: int, count: int) -> np.ndarray:
+        """Draws ``[offset, offset + count)`` of the Philox stream keyed
+        ``key``, from the generator the entries above draw with: what
+        ``PhiloxStream.block(offset, count)`` returns, bit for bit."""
+        _checked_address(key, offset, count)
+        out = np.empty(count)
+        self._lib.repro_philox_uniforms(key, offset, count, self._dp(out))
+        return out
+
     def eval_chunk(
         self,
         group_value: np.ndarray,
@@ -123,7 +151,7 @@ class NativeKernels:
         group_value: np.ndarray,
         beta_grid: np.ndarray,
         groups: np.ndarray,
-        uniforms: np.ndarray,
+        uniforms: "np.ndarray | DrawSpan",
         max_steps: int,
         stop_repeats: int,
         chunk_rows: int,
@@ -134,19 +162,32 @@ class NativeKernels:
         """``SplitScorer._run_chain`` over a lazy kernel's tables in one call.
 
         ``groups[i]`` is chain item ``i``'s memo group and row ``i`` of
-        ``uniforms`` its private draws; ``cache``/``seen`` (the kernel's
-        ``(n_groups * n_beta,)`` memo) are updated in place.  Returns the
+        ``uniforms`` its private draws — or ``uniforms`` is the span of
+        exactly ``1 + 2 * max_steps`` draws per item, item after item;
+        ``cache``/``seen`` (the kernel's ``(n_groups * n_beta,)`` memo)
+        are updated in place.  Returns the
         quantized ``best_score``, ``steps``, ``best_idx`` and the
         ``(hits, evaluations, peak_chunk_elements)`` the NumPy chain would
         have counted with ``chunk_rows`` rows per evaluation chunk.
         """
         n_items = groups.shape[0]
         n_beta = beta_grid.shape[0]
-        if uniforms.shape[0] != n_items or uniforms.shape[1] < 1 + 2 * max_steps:
-            raise ValueError(
-                f"uniforms must have shape ({n_items}, >= {1 + 2 * max_steps}), "
-                f"got {uniforms.shape}"
-            )
+        per_item = 1 + 2 * max_steps
+        if isinstance(uniforms, DrawSpan):  # whole rows of exactly per_item
+            if divmod(uniforms.count, per_item) != (n_items, 0):
+                raise ValueError(
+                    f"uniforms must span exactly {per_item} draws for each of "
+                    f"{n_items} items, got {uniforms.count}"
+                )
+            stride, draws = per_item, self._draws(uniforms, uniforms.count)
+        else:
+            uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+            if uniforms.shape[0] != n_items or uniforms.shape[1] < per_item:
+                raise ValueError(
+                    f"uniforms must have shape ({n_items}, >= {per_item}), "
+                    f"got {uniforms.shape}"
+                )
+            stride, draws = uniforms.shape[1], (self._dp(uniforms), 0, 0)
         if n_beta < 2 or cache.shape != seen.shape or cache.size % n_beta:
             raise ValueError("memo tables do not match the beta grid")
         best_score = np.empty(n_items)
@@ -163,8 +204,8 @@ class NativeKernels:
             n_beta,
             self._ip(groups),
             n_items,
-            self._dp(uniforms),
-            uniforms.shape[1],
+            *draws,
+            stride,
             int(max_steps),
             int(stop_repeats),
             int(chunk_rows),
@@ -266,7 +307,8 @@ class NativeKernels:
         With ``block`` (``rows x m``) it is ``reassign_obs_sweep`` and
         consumes ``uniforms[:2 * m]``; with ``block=None`` it is
         ``merge_obs_sweep`` (which only needs the block's ``rows``) and
-        consumes ``uniforms[:k]``.  ``labels`` (``m`` labels in ``[0, k)``),
+        consumes ``uniforms[:k]`` — an array, or the ``DrawSpan`` of those
+        draws (:meth:`_draws`).  ``labels`` (``m`` labels in ``[0, k)``),
         the three ``stats`` buffers and ``lm`` (each with at least ``m + 1``
         slots, the first ``k`` live) are updated as the NumPy loop would
         leave them; ``lgam[t]`` is ``gammaln(alpha0 + rows * t / 2)`` for
@@ -287,7 +329,7 @@ class NativeKernels:
             _checked(buf, np.float64, m + 1, name)
         _checked(lgam, np.float64, m + 1, "gammaln table")
         n_iterations, n_draws = (m, 2 * m) if block is not None else (k, k)
-        _checked(uniforms, np.float64, n_draws, "uniforms")
+        draws = self._draws(uniforms, n_draws)
         if block is not None:
             block = np.ascontiguousarray(block, dtype=np.float64)
             if block.shape != (rows, m):
@@ -300,7 +342,7 @@ class NativeKernels:
         k_trace = np.empty(n_iterations, dtype=np.int64) if trace else None
         state = (
             self._ip(labels), *(self._dp(buf) for buf in stats), self._dp(lm),
-            self._ip(k_io), self._dp(uniforms), self._dp(lgam),
+            self._ip(k_io), *draws, self._dp(lgam),
             self._dp(_prior_vector(prior)), float(quantum),
             self._ip(k_trace) if trace else self._ffi.NULL,
         )
@@ -338,8 +380,9 @@ class NativeKernels:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """One GaneSH variable sweep over a packed ``CoClusterState``, in place.
 
-        ``reassign_var_sweep`` (consumes ``uniforms[:2 * n]``) or, with
-        ``merge``, ``merge_var_sweep`` (``uniforms[:k]``).  The pack
+        ``reassign_var_sweep`` (consumes ``uniforms[:2 * n]``, an array or
+        the ``DrawSpan`` of those draws) or, with ``merge``,
+        ``merge_var_sweep`` (``uniforms[:k]``).  The pack
         (ALGORITHMS.md §13): ``var_labels`` (``n`` labels in ``[0, k)``),
         ``member_order`` (the clusters' members, cluster after cluster, each
         in its own order), ``obs_labels`` (``k x m``, row ``c`` in ``[0,
@@ -387,7 +430,7 @@ class NativeKernels:
         n_iterations, n_draws, n_slots = (k, k, n_blocks) if merge else (n, 2 * n, n_blocks + n)
         for name, buf in zip(("count", "total", "sumsq", "lm"), (*stats, lm)):
             _checked(buf, np.float64, n_slots, name)
-        _checked(uniforms, np.float64, n_draws, "uniforms")
+        draws = self._draws(uniforms, n_draws)
         _checked(lgam, np.float64, n * m + 1, "gammaln table")
         k_io = np.array([k], dtype=np.int64)
         origin = np.empty(n + 1, dtype=np.int64)
@@ -398,7 +441,7 @@ class NativeKernels:
             self._dp(data), n, m, self._ip(var_labels), self._ip(member_order),
             self._ip(obs_labels.reshape(-1)), self._ip(offsets), n_blocks,
             self._ip(k_io), *(self._dp(buf) for buf in stats), self._dp(lm),
-            self._dp(uniforms), self._dp(lgam), self._dp(_prior_vector(prior)),
+            *draws, self._dp(lgam), self._dp(_prior_vector(prior)),
             float(quantum), self._ip(origin), self._ip(member_counts),
             self._ip(moves) if trace else self._ffi.NULL,
         )
@@ -408,6 +451,15 @@ class NativeKernels:
             raise ValueError(_VAR_SWEEP_REFUSALS[rc])
         k = int(k_io[0])
         return origin[:k], member_counts[:k], moves.reshape(-1, 2) if trace else None
+
+
+def _checked_address(key: int, offset: int, count: int) -> None:
+    """Refuse what would wrap in C: the key and every draw index are uint64."""
+    if not (0 <= key < 1 << 64 and offset >= 0 <= count and offset + count < 1 << 64):
+        raise ValueError(
+            "a Philox key must fit 64 bits and the draws lie in [0, 2**64): "
+            f"got key {key}, offset {offset}, count {count}"
+        )
 
 
 def _checked(arr, dtype, min_size: int, what: str) -> np.ndarray:
@@ -589,14 +641,13 @@ def _certify_battery(kernels: NativeKernels) -> str | None:
                 if not np.array_equal(got, want, equal_nan=True):
                     return f"eval_chunk mismatch at n_obs={n_obs}, beta={beta}"
 
-    # -- score_chain vs SplitScorer._run_chain over the NumPy kernel -------
-    mismatch = _certify_chain(kernels, rng)
-    if mismatch is not None:
-        return mismatch
-
-    # -- observation and variable sweeps vs the NumPy sweep loops -----------
-    for certify_sweep in (_certify_obs_sweep, _certify_var_sweep):
-        mismatch = certify_sweep(kernels)
+    # -- the in-kernel Philox vs PhiloxStream.block; score_chain vs
+    # SplitScorer._run_chain over the NumPy kernel; the observation and
+    # variable sweeps vs the NumPy sweep loops ------------------------------
+    for certify in (
+        _certify_philox, _certify_chain, _certify_obs_sweep, _certify_var_sweep
+    ):
+        mismatch = certify(kernels)
         if mismatch is not None:
             return mismatch
 
@@ -670,15 +721,41 @@ def _certify_battery(kernels: NativeKernels) -> str | None:
     return None
 
 
-def _certify_chain(kernels: NativeKernels, rng) -> str | None:
+#: (key, offset, count): both key halves' bits, every word of a block as the
+#: first draw, counters past 2**32 and 2**61, empty and multi-block runs
+_PHILOX_CASES = (
+    (0, 0, 9), (1, 1, 4), (0x9E3779B97F4A7C15, 2, 1), ((1 << 64) - 1, 3, 257),
+    (0x5EED, (1 << 34) + 5, 6), (1 << 63, (1 << 63) + 2, 3), (7, 11, 0),
+)
+
+
+def _certify_philox(kernels: NativeKernels) -> str | None:
+    """The generator the keyed entries draw with against its definition,
+    ``PhiloxStream.block`` (draw ``i`` = word ``i % 4`` at counter ``i // 4 +
+    1``), and against NumPy's own ``advance`` followed by sequential reads
+    that start inside a buffered block."""
+    from numpy.random import Generator, Philox
+
+    for key, offset, count in _PHILOX_CASES:
+        got = kernels.philox_uniforms(key, offset, count)
+        numpy_own = Generator(Philox(key=key).advance(offset // 4))
+        numpy_own.random(offset % 4)
+        for want in (PhiloxStream(key).block(offset, count), numpy_own.random(count)):
+            if not np.array_equal(got, want):
+                return f"philox draws mismatch at key={key:#x}, offset={offset}, count={count}"
+    return None
+
+
+def _certify_chain(kernels: NativeKernels) -> str | None:
     """The fused chain entry against the NumPy chain it replaces: scores,
     steps, beta indices, memo counters and the memo's end state, on
     tie-heavy rows, non-finite scores, SIMD-tail widths, one-step and
-    one-reject chains and an ``item_indices`` sub-range."""
-    from repro.rng.streams import SCORE_QUANTUM
+    one-reject chains and an ``item_indices`` sub-range — once reading the
+    oracle's array of draws, once computing them from the span's address."""
     from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
     from repro.scoring.split_score import SplitScorer
 
+    rng = np.random.default_rng(0xC4A1)
     grid = (0.25, 1.0, 4.0, 16.0)
     n_parents, chunk_rows = 3, 2
     for n_obs, max_steps, stop_repeats, first in (
@@ -692,49 +769,70 @@ def _certify_chain(kernels: NativeKernels, rng) -> str | None:
         sign = np.where(rng.random(n_obs) < 0.5, 1.0, -1.0)
         scorer = SplitScorer(grid, max_steps=max_steps, stop_repeats=stop_repeats)
         items = np.arange(first, n_parents * n_obs)
-        uniforms = rng.random((items.size, scorer.draws_per_item))
+        span = IndexedStream(
+            make_stream(0x5EED, "chain", n_obs), scorer.draws_per_item
+        ).items_span(first, items.size)
+        uniforms = span.array().reshape(items.size, -1)
         with isolated_kernel_totals():
             oracle = LazySplitKernel(
                 values, sign, grid, max_chunk_elements=chunk_rows * n_obs,
                 backend="numpy", shared_cache=None,
             )
             want = scorer.score_batch_kernel(oracle, uniforms, item_indices=items)
-        cache = np.zeros_like(oracle._cache)
-        seen = np.zeros_like(oracle._seen)
-        *got, counters = kernels.score_chain(
-            oracle.values, oracle.sign, oracle.group_row, oracle.group_value,
-            oracle.beta_grid, oracle.item_groups[items], uniforms, max_steps,
-            stop_repeats, chunk_rows, SCORE_QUANTUM, cache, seen,
-        )
-        where = f"at n_obs={n_obs}, max_steps={max_steps}"
-        if not all(
-            np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)
-        ):
-            return f"score_chain result mismatch {where}"
-        if counters != (
-            oracle.hits, oracle.evaluations, oracle.peak_chunk_elements
-        ):
-            return f"score_chain counter mismatch {where}"
-        if not np.array_equal(seen, oracle._seen) or not np.array_equal(
-            cache[seen], oracle._cache[seen], equal_nan=True
-        ):
-            return f"score_chain memo mismatch {where}"
+        for draws in (uniforms, span):
+            cache = np.zeros_like(oracle._cache)
+            seen = np.zeros_like(oracle._seen)
+            *got, counters = kernels.score_chain(
+                oracle.values, oracle.sign, oracle.group_row, oracle.group_value,
+                oracle.beta_grid, oracle.item_groups[items], draws, max_steps,
+                stop_repeats, chunk_rows, SCORE_QUANTUM, cache, seen,
+            )
+            memo = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
+            if not _runs_agree([
+                (*want[:3], memo, oracle._seen, oracle._cache[oracle._seen]),
+                (*got, counters, seen, cache[seen]),
+            ]):
+                return (
+                    f"score_chain mismatch at n_obs={n_obs}, max_steps={max_steps}, "
+                    f"draws from {type(draws).__name__}"
+                )
     return None
+
+
+class _PreDrawn(GibbsRandom):
+    """A replicated stream that hands the sweep entries arrays, not spans."""
+
+    def span(self, count: int) -> np.ndarray:
+        return self.uniforms(count)
+
+
+#: what every sweep probe runs: the NumPy loops (the oracle), then the entry
+#: reading pre-drawn uniforms, then the entry computing its Philox draws
+_SWEEP_RUNS = ((False, GibbsRandom), (True, _PreDrawn), (True, GibbsRandom))
+
+
+def _runs_agree(runs: list) -> bool:
+    """Every run left the arrays the first (the oracle's) did."""
+    return all(
+        len(run) == len(runs[0])
+        and all(np.array_equal(w, g, equal_nan=True) for w, g in zip(runs[0], run))
+        for run in runs[1:]
+    )
 
 
 def _certify_obs_sweep(kernels: NativeKernels) -> str | None:
     """The two sweep entries against the NumPy sweep loops they replace
     (which, on the certifying thread, score through NumPy): labels, the
     three statistics, ``lm``, the cluster count, the draws consumed and the
-    cluster count of every iteration.  Probes cover the pairwise rule's three
-    regimes in the block's rows, one cluster and all singletons (where a
-    fresh move holds ``m + 1`` clusters before the drop), tie-heavy data and
-    the non-finite score branches (an ``inf`` and a ``1e200`` in the block)."""
+    cluster count of every iteration, in both draw modes.  Probes cover the
+    pairwise rule's three regimes in the block's rows, one cluster and all
+    singletons (where a fresh move holds ``m + 1`` clusters before the drop),
+    tie-heavy data and the non-finite score branches (an ``inf`` and a
+    ``1e200`` in the block)."""
     from repro.ganesh.coclustering import (
         SweepHooks, merge_obs_sweep, reassign_obs_sweep,
     )
     from repro.ganesh.state import ObsClustering
-    from repro.rng.streams import GibbsRandom, make_stream
 
     data = np.random.default_rng(0x0B5).normal(size=(129, 17))
     for probe, (rows, m, k, flavour) in enumerate((
@@ -750,10 +848,10 @@ def _certify_obs_sweep(kernels: NativeKernels) -> str | None:
         start = ObsClustering.from_block(block, np.arange(m) % k)
         traced = probe % 2 == 1
         runs = []
-        for native in (None, kernels):
+        for native, stream_type in _SWEEP_RUNS:
             oc = start.copy()
-            rng = GibbsRandom(make_stream(0x5EED, "obs-sweep", probe))
-            if native is None:
+            rng = stream_type(make_stream(0x5EED, "obs-sweep", probe))
+            if not native:
                 sizes: list[int] = []  # of the recorded cost vectors
                 hooks = SweepHooks(
                     (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
@@ -764,15 +862,13 @@ def _certify_obs_sweep(kernels: NativeKernels) -> str | None:
                 merge_obs_sweep(oc, rng, hooks)
                 ks += sizes
             else:
-                ks = oc.native_sweep(native, rng, block, trace=traced)
-                ks += oc.native_sweep(native, rng, trace=traced)
+                ks = oc.native_sweep(kernels, rng, block, trace=traced)
+                ks += oc.native_sweep(kernels, rng, trace=traced)
             runs.append((
                 oc.labels, oc.stats.count, oc.stats.total, oc.stats.sumsq, oc.lm,
                 np.array([oc.n_clusters, rng.offset, *ks]),
             ))
-        if not all(
-            np.array_equal(want, got, equal_nan=True) for want, got in zip(*runs)
-        ):
+        if not _runs_agree(runs):
             return f"obs sweep mismatch at rows={rows}, m={m}, k={k}, {flavour}"
     return None
 
@@ -781,17 +877,16 @@ def _certify_var_sweep(kernels: NativeKernels) -> str | None:
     """The two variable-sweep entries against the NumPy sweep loops (a
     reassign then a merge sweep per probe): variable labels, every cluster's
     members in order, observation labels, statistics and ``lm``, the draws
-    consumed and the recorded cluster counts.  A handful of tiny probes — the
-    breadth is in ``tests/test_ganesh_sweeps.py`` — covering one cluster, all
-    singletons (a fresh move then holds ``n + 1`` clusters), moves that open
-    a cluster and that drop their source, tie-heavy data, nine observation
-    clusters (the pairwise rule's unrolled regime in ``reduceat``) and a
-    non-finite score."""
+    consumed and the recorded cluster counts, in both draw modes.  A handful
+    of tiny probes — the breadth is in ``tests/test_ganesh_sweeps.py`` —
+    covering one cluster, all singletons (a fresh move then holds ``n + 1``
+    clusters), moves that open a cluster and that drop their source,
+    tie-heavy data, nine observation clusters (the pairwise rule's unrolled
+    regime in ``reduceat``) and a non-finite score."""
     from repro.ganesh.coclustering import (
         SweepHooks, merge_var_sweep, reassign_var_sweep,
     )
     from repro.ganesh.state import CoClusterState
-    from repro.rng.streams import GibbsRandom, make_stream
 
     source = np.random.default_rng(0x7A5).normal(size=(5, 9))
     for probe, (n, m, k, k_obs, flavour) in enumerate((
@@ -808,11 +903,11 @@ def _certify_var_sweep(kernels: NativeKernels) -> str | None:
         )
         traced = probe % 2 == 0
         runs = []
-        for native in (None, kernels):
+        for native, stream_type in _SWEEP_RUNS:
             state = start.copy()
-            rng = GibbsRandom(make_stream(0x5EED, "var-sweep", probe))
+            rng = stream_type(make_stream(0x5EED, "var-sweep", probe))
             ks: list[float] = []  # every recorded cost vector, -1 terminated
-            if native is None:
+            if not native:
                 hooks = SweepHooks(
                     (lambda _ph, costs, _nc: ks.extend([*(costs - m), -1]))
                     if traced else None
@@ -820,9 +915,9 @@ def _certify_var_sweep(kernels: NativeKernels) -> str | None:
                 reassign_var_sweep(state, rng, hooks)
                 merge_var_sweep(state, rng, hooks)
             else:
-                for step in state.native_var_sweep(native, rng, trace=traced):
+                for step in state.native_var_sweep(kernels, rng, trace=traced):
                     ks += [*step, 0, -1]  # the fresh candidate costs m
-                for step in state.native_var_sweep(native, rng, merge=True, trace=traced):
+                for step in state.native_var_sweep(kernels, rng, merge=True, trace=traced):
                     ks += [*step, -1]
             runs.append([
                 state.var_labels, np.array([rng.offset, state.n_clusters, *ks]),
@@ -835,9 +930,7 @@ def _certify_var_sweep(kernels: NativeKernels) -> str | None:
                     )
                 ),
             ])
-        if len(runs[0]) != len(runs[1]) or not all(
-            np.array_equal(want, got, equal_nan=True) for want, got in zip(*runs)
-        ):
+        if not _runs_agree(runs):
             return f"var sweep mismatch at n={n}, m={m}, k={k}, {flavour}"
     return None
 

@@ -40,7 +40,12 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   ``np.add.reduceat`` as first element plus the pairwise sum of the rest,
   the removal delta and a merging cluster's own score by the pairwise
   rule, ``block.sum(axis=0)`` in member order, and the fresh singleton
-  scored from the pairwise row sum but built from the sequential one.
+  scored from the pairwise row sum but built from the sequential one;
+* the uniforms the chain and the four sweeps consume are either read from
+  the caller's array or — ``uniforms == NULL`` — computed where they are
+  read by ``philox_block``, Philox4x64-10 with ``numpy.random.Philox``'s
+  key, counter and word-to-double conventions (``PhiloxStream.block`` is
+  the definition); one ``draw`` accessor, one body per entry.
 
 Used two ways: ``setup.py`` consumes ``ffibuilder`` for an ahead-of-time
 extension build when ``REPRO_BUILD_NATIVE`` is set, and
@@ -58,6 +63,8 @@ ffibuilder = FFI()
 CDEF = """
 int repro_native_init(const char *umath_path, int want_svml);
 int repro_native_provider(void);
+void repro_philox_uniforms(uint64_t key, uint64_t offset, int64_t count,
+                           double *out);
 int repro_eval_chunk(const double *group_value, const int64_t *group_row,
                      int64_t n_rows, const double *values, int64_t n_obs,
                      const double *sign, double beta, double quantum,
@@ -66,11 +73,12 @@ int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
                       const int64_t *group_row, const double *group_value,
                       const double *beta_grid, int64_t n_beta,
                       const int64_t *groups, int64_t n_items,
-                      const double *uniforms, int64_t draws_per_item,
-                      int64_t max_steps, int64_t stop_repeats,
-                      int64_t chunk_rows, double quantum, double *cache,
-                      uint8_t *seen, double *best_score, int64_t *steps,
-                      int64_t *best_idx, int64_t *counters);
+                      const double *uniforms, uint64_t key, uint64_t offset,
+                      int64_t draws_per_item, int64_t max_steps,
+                      int64_t stop_repeats, int64_t chunk_rows,
+                      double quantum, double *cache, uint8_t *seen,
+                      double *best_score, int64_t *steps, int64_t *best_idx,
+                      int64_t *counters);
 int repro_grouped_1d(const double *vals, int64_t n, const int64_t *labels,
                      int64_t n_groups, double *count, double *total,
                      double *sumsq);
@@ -85,21 +93,24 @@ int repro_log_marginal(const double *n, const double *s, const double *q,
 int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
                              int64_t *labels, double *count, double *total,
                              double *sumsq, double *lm, int64_t *k_io,
-                             const double *uniforms, const double *lgam,
+                             const double *uniforms, uint64_t key,
+                             uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *k_trace);
 int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
                           double *count, double *total, double *sumsq,
                           double *lm, int64_t *k_io, const double *uniforms,
-                          const double *lgam, const double *prior,
-                          double quantum, int64_t *k_trace);
+                          uint64_t key, uint64_t offset, const double *lgam,
+                          const double *prior, double quantum,
+                          int64_t *k_trace);
 int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
                              int64_t *var_labels, int64_t *member_order,
                              const int64_t *obs_labels,
                              const int64_t *offsets, int64_t n_blocks,
                              int64_t *k_io, double *count, double *total,
                              double *sumsq, double *lm,
-                             const double *uniforms, const double *lgam,
+                             const double *uniforms, uint64_t key,
+                             uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *origin, int64_t *member_counts,
                              int64_t *moves);
@@ -108,7 +119,8 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
                           const int64_t *obs_labels, const int64_t *offsets,
                           int64_t n_blocks, int64_t *k_io, double *count,
                           double *total, double *sumsq, double *lm,
-                          const double *uniforms, const double *lgam,
+                          const double *uniforms, uint64_t key,
+                          uint64_t offset, const double *lgam,
                           const double *prior, double quantum,
                           int64_t *origin, int64_t *member_counts,
                           int64_t *moves);
@@ -273,6 +285,69 @@ static double pw_sum(const double *a, int64_t n)
     }
 }
 
+/* Philox4x64-10 (Salmon et al., SC'11) as numpy.random.Philox keys and
+ * counts it: a 64-bit key is the key pair {key, 0}; Philox increments its
+ * counter *before* generating, so the four words of counter value c + 1 are
+ * draws 4c..4c + 3; Generator.random turns a word into a double as
+ * (w >> 11) * 2^-53.  Draw i of a keyed stream is therefore word i % 4 of
+ * counter {i / 4 + 1, 0, 0, 0} — a pure function of (key, i), the property
+ * PhiloxStream.block is defined by and this is certified against.  (The
+ * 128-bit product is a GCC/clang extension, like the atomics below.) */
+static void philox_block(uint64_t key, uint64_t counter, double *out)
+{
+    uint64_t c0 = counter, c1 = 0, c2 = 0, c3 = 0, k0 = key, k1 = 0;
+    int round;
+    for (round = 0; round < 10; round++) {
+        unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * c0;
+        unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c1 = (uint64_t)p1;
+        c3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15ULL;
+        k1 += 0xBB67AE8584CAA73BULL;
+    }
+    out[0] = (double)(c0 >> 11) * (1.0 / 9007199254740992.0);
+    out[1] = (double)(c1 >> 11) * (1.0 / 9007199254740992.0);
+    out[2] = (double)(c2 >> 11) * (1.0 / 9007199254740992.0);
+    out[3] = (double)(c3 >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Where an entry's uniforms come from: the caller's array, or — u == NULL —
+ * draws offset, offset + 1, ... of the Philox stream keyed `key`, computed
+ * when read (the last block is kept: a proposal/accept pair or a sweep's
+ * consecutive draws mostly share one).  Counter 0 holds no draw, so
+ * block == 0 means nothing is kept yet. */
+typedef struct {
+    const double *u;
+    uint64_t key, offset, block;
+    double kept[4];
+} draws;
+
+static double draw(draws *d, int64_t i)
+{
+    uint64_t at, counter;
+    if (d->u)
+        return d->u[i];
+    at = d->offset + (uint64_t)i;
+    counter = at / 4 + 1;
+    if (counter != d->block) {
+        philox_block(d->key, counter, d->kept);
+        d->block = counter;
+    }
+    return d->kept[at % 4];
+}
+
+/* PhiloxStream.block(offset, count) */
+void repro_philox_uniforms(uint64_t key, uint64_t offset, int64_t count,
+                           double *out)
+{
+    draws d = {NULL, key, offset, 0};
+    int64_t i;
+    for (i = 0; i < count; i++)
+        out[i] = draw(&d, i);
+}
+
 int repro_native_init(const char *umath_path, int want_svml)
 {
     if (want_svml) {
@@ -405,20 +480,25 @@ static void chain_lookup(chain_ctx *c, const int64_t *act, int64_t k,
  * one call.  The chain stays step-synchronous (every active item takes
  * step s before any takes s + 1) because the memo counters depend on the
  * order of lookups; scores and accept decisions would not.  cache/seen are
- * the kernel's own memo, updated in place.  counters = {hits, evaluations,
- * peak_chunk_elements}.  Returns -1 on allocation failure, -3 when a start
- * uniform is negative or NaN (not a draw from [0, 1)). */
+ * the kernel's own memo, updated in place.  Item i's draws are
+ * i * draws_per_item onwards of `uniforms` or, when that is NULL, of the
+ * Philox stream (key, offset): only the draws a chain reaches are computed.
+ * counters = {hits, evaluations, peak_chunk_elements}.  Returns -1 on
+ * allocation failure, -3 when a start uniform is negative or NaN (not a
+ * draw from [0, 1)). */
 int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
                       const int64_t *group_row, const double *group_value,
                       const double *beta_grid, int64_t n_beta,
                       const int64_t *groups, int64_t n_items,
-                      const double *uniforms, int64_t draws_per_item,
-                      int64_t max_steps, int64_t stop_repeats,
-                      int64_t chunk_rows, double quantum, double *cache,
-                      uint8_t *seen, double *best_score, int64_t *steps,
-                      int64_t *best_idx, int64_t *counters)
+                      const double *uniforms, uint64_t key, uint64_t offset,
+                      int64_t draws_per_item, int64_t max_steps,
+                      int64_t stop_repeats, int64_t chunk_rows,
+                      double quantum, double *cache, uint8_t *seen,
+                      double *best_score, int64_t *steps, int64_t *best_idx,
+                      int64_t *counters)
 {
     chain_ctx c;
+    draws d = {uniforms, key, offset, 0};
     int64_t *ibuf, *act, *cur_idx, *rejects, *prop;
     double *dbuf, *cur_score, *prop_score, *log_u;
     int64_t i, j, k, step;
@@ -461,7 +541,7 @@ int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
 
     for (i = 0; i < n_items; i++) {
         /* min((u * n_beta).astype(int64), n_beta - 1) */
-        int64_t idx = (int64_t)(uniforms[i * draws_per_item] * (double)n_beta);
+        int64_t idx = (int64_t)(draw(&d, i * draws_per_item) * (double)n_beta);
         if (idx > n_beta - 1)
             idx = n_beta - 1;
         if (idx < 0) {
@@ -482,15 +562,16 @@ int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
     for (step = 0; step < max_steps && k > 0; step++) {
         int64_t kept = 0;
         for (j = 0; j < k; j++) {
-            const double *u = uniforms + act[j] * draws_per_item + 1 + 2 * step;
-            int64_t p = cur_idx[act[j]] + (u[0] < 0.5 ? -1 : 1);
+            const int64_t at = act[j] * draws_per_item + 1 + 2 * step;
+            const double u_prop = draw(&d, at), u_acc = draw(&d, at + 1);
+            int64_t p = cur_idx[act[j]] + (u_prop < 0.5 ? -1 : 1);
             if (p < 0)
                 p = 1;
             if (p >= n_beta)
                 p = n_beta - 2;
             prop[j] = p;
             /* np.maximum(u_acc, 1e-300): NaN propagates */
-            log_u[j] = (u[1] != u[1] || u[1] > 1e-300) ? u[1] : 1e-300;
+            log_u[j] = (u_acc != u_acc || u_acc > 1e-300) ? u_acc : 1e-300;
         }
         chain_lookup(&c, act, k, prop, prop_score);
         apply_log(log_u, k);
@@ -722,13 +803,14 @@ typedef struct {
 /* Everything the loops below index by is checked here, before the first
  * write: labels inside [0, k), no empty cluster (so k <= m holds between
  * moves), counts equal to rows * size (so every count the sweep forms is a
- * table entry), uniforms inside [0, 1).  -1 allocation, -2 state, -3 draws. */
-static int sweep_begin(sweep_ctx *c, int64_t rows, const double *uniforms,
+ * table entry), a caller's uniforms inside [0, 1) (computed ones are).
+ * -1 allocation, -2 state, -3 draws. */
+static int sweep_begin(sweep_ctx *c, int64_t rows, const draws *d,
                        int64_t n_draws)
 {
     int64_t i, cap = c->m + 3;
-    for (i = 0; i < n_draws; i++)
-        if (!(uniforms[i] >= 0.0 && uniforms[i] < 1.0))
+    for (i = 0; d->u && i < n_draws; i++)
+        if (!(d->u[i] >= 0.0 && d->u[i] < 1.0))
             return -3;
     c->sizes = (int64_t *)calloc((size_t)cap, sizeof(int64_t));
     c->n = (double *)malloc((size_t)(7 * cap + 2 * rows) * sizeof(double));
@@ -810,26 +892,29 @@ static void sweep_adopt(sweep_ctx *c, int64_t cl, int64_t slot, int64_t size)
 }
 
 /* coclustering.reassign_obs_sweep over block (rows x m, C order): m moves,
- * uniforms[2i] picks the observation and uniforms[2i + 1] the target.
+ * draw 2i picks the observation and draw 2i + 1 the target (of `uniforms`,
+ * or of the Philox stream (key, offset) when that is NULL).
  * k_trace, when not NULL, receives the cluster count each move was scored
  * against (what the recorder's cost vector is sized by). */
 int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
                              int64_t *labels, double *count, double *total,
                              double *sumsq, double *lm, int64_t *k_io,
-                             const double *uniforms, const double *lgam,
+                             const double *uniforms, uint64_t key,
+                             uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *k_trace)
 {
     sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
+    draws d = {uniforms, key, offset, 0};
     const double cn = (double)rows;
     int64_t it, r, cl;
-    int rc = sweep_begin(&c, rows, uniforms, 2 * m);
+    int rc = sweep_begin(&c, rows, &d, 2 * m);
     if (rc)
         return sweep_end(&c, k_io, rc);
     for (it = 0; it < m; it++) {
         int64_t k = c.k, obs, src, choice;
         double cs, cq, rem_delta;
-        obs = (int64_t)(uniforms[2 * it] * (double)m);
+        obs = (int64_t)(draw(&d, 2 * it) * (double)m);
         if (obs > m - 1)
             obs = m - 1;
         src = labels[obs];
@@ -856,7 +941,7 @@ int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
             c.scores[cl] = (c.scored[cl] - lm[cl]) + rem_delta;
         c.scores[src] = 0.0;
         c.scores[k] = rem_delta + c.scored[k + 1];
-        choice = weighted_choice(c.scores, k + 1, uniforms[2 * it + 1],
+        choice = weighted_choice(c.scores, k + 1, draw(&d, 2 * it + 1),
                                  quantum, c.w);
         if (choice == src)
             continue;
@@ -880,12 +965,14 @@ int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
 int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
                           double *count, double *total, double *sumsq,
                           double *lm, int64_t *k_io, const double *uniforms,
-                          const double *lgam, const double *prior,
-                          double quantum, int64_t *k_trace)
+                          uint64_t key, uint64_t offset, const double *lgam,
+                          const double *prior, double quantum,
+                          int64_t *k_trace)
 {
     sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
+    draws d = {uniforms, key, offset, 0};
     int64_t it = 0, cid = 0, cl, j;
-    int rc = sweep_begin(&c, rows, uniforms, c.k);
+    int rc = sweep_begin(&c, rows, &d, c.k);
     if (rc)
         return sweep_end(&c, k_io, rc);
     while (cid < c.k) {
@@ -899,7 +986,7 @@ int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
         for (cl = 0; cl < k; cl++)
             c.scores[cl] = (c.scored[cl] - lm[cl]) - lm[cid];
         c.scores[cid] = 0.0;
-        choice = weighted_choice(c.scores, k, uniforms[it++], quantum, c.w);
+        choice = weighted_choice(c.scores, k, draw(&d, it++), quantum, c.w);
         if (choice == cid) {
             cid++;
             continue;
@@ -967,15 +1054,14 @@ static void var_unlink(var_ctx *c, int64_t s, int64_t v)
 /* Everything the loops index by is checked here, before the first write to
  * a caller's buffer.  -1 allocation, -2 variable labels / member lists (a
  * label outside [0, k0), an empty cluster, a variable listed twice or under
- * another cluster), -3 draws outside [0, 1), -4 observation labels outside a
- * cluster's [0, k_c), -5 offsets that do not tile the block arrays, -6
- * counts that are not members x block size (so every count the sweep forms
- * is a gammaln-table entry).  max_fresh bounds the clusters the sweep can
- * open. */
+ * another cluster), -3 a caller's draws outside [0, 1) (computed ones are
+ * inside), -4 observation labels outside a cluster's [0, k_c), -5 offsets
+ * that do not tile the block arrays, -6 counts that are not members x block
+ * size (so every count the sweep forms is a gammaln-table entry).
+ * max_fresh bounds the clusters the sweep can open. */
 static int var_begin(var_ctx *c, const int64_t *var_labels,
                      const int64_t *member_order, const int64_t *offsets,
-                     const double *uniforms, int64_t n_draws,
-                     int64_t max_fresh)
+                     const draws *d, int64_t n_draws, int64_t max_fresh)
 {
     const int64_t n = c->n, m = c->m, k0 = c->k0;
     const int64_t n_slots = k0 + max_fresh;
@@ -985,8 +1071,8 @@ static int var_begin(var_ctx *c, const int64_t *var_labels,
     double *dp;
     c->off = NULL;
     c->sn = NULL;
-    for (i = 0; i < n_draws; i++)
-        if (!(uniforms[i] >= 0.0 && uniforms[i] < 1.0))
+    for (i = 0; d->u && i < n_draws; i++)
+        if (!(d->u[i] >= 0.0 && d->u[i] < 1.0))
             return -3;
     for (s = 0; s < k0; s++)
         if (offsets[s + 1] <= offsets[s])
@@ -1165,7 +1251,8 @@ static void var_drop(var_ctx *c, int64_t p)
 }
 
 /* coclustering.reassign_var_sweep over data (n x m, C order): n moves,
- * uniforms[2i] picks the variable and uniforms[2i + 1] the target.  moves,
+ * draw 2i picks the variable and draw 2i + 1 the target (of `uniforms`, or
+ * of the Philox stream (key, offset) when that is NULL).  moves,
  * when not NULL, receives per iteration whether a cluster was opened and
  * the position dropped (-1: none) — what a recorder needs to rebuild the
  * clusters every iteration was scored against. */
@@ -1175,21 +1262,22 @@ int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
                              const int64_t *offsets, int64_t n_blocks,
                              int64_t *k_io, double *count, double *total,
                              double *sumsq, double *lm,
-                             const double *uniforms, const double *lgam,
+                             const double *uniforms, uint64_t key,
+                             uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *origin, int64_t *member_counts,
                              int64_t *moves)
 {
     var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
                  count, total, sumsq, lm, origin};
+    draws d = {uniforms, key, offset, 0};
     int64_t it, i, j;
-    int rc = var_begin(&c, var_labels, member_order, offsets, uniforms,
-                       2 * n, n);
+    int rc = var_begin(&c, var_labels, member_order, offsets, &d, 2 * n, n);
     for (it = 0; !rc && it < n; it++) {
         int64_t k = c.k, var, src, ps, kcs, removed, fresh, choice;
         const double *row;
         double rem_delta;
-        var = (int64_t)(uniforms[2 * it] * (double)n);
+        var = (int64_t)(draw(&d, 2 * it) * (double)n);
         if (var > n - 1)
             var = n - 1;
         row = data + var * m;
@@ -1221,7 +1309,7 @@ int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
             c.scores[i] = rem_delta + c.scores[i];
         c.scores[ps] = 0.0;
         c.scores[k] = rem_delta + c.scored[fresh];
-        choice = weighted_choice(c.scores, k + 1, uniforms[2 * it + 1],
+        choice = weighted_choice(c.scores, k + 1, draw(&d, 2 * it + 1),
                                  quantum, c.w);
         if (moves) {
             moves[2 * it] = choice == k;
@@ -1280,16 +1368,17 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
                           const int64_t *obs_labels, const int64_t *offsets,
                           int64_t n_blocks, int64_t *k_io, double *count,
                           double *total, double *sumsq, double *lm,
-                          const double *uniforms, const double *lgam,
+                          const double *uniforms, uint64_t key,
+                          uint64_t offset, const double *lgam,
                           const double *prior, double quantum,
                           int64_t *origin, int64_t *member_counts,
                           int64_t *moves)
 {
     var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
                  count, total, sumsq, lm, origin};
+    draws d = {uniforms, key, offset, 0};
     int64_t it = 0, cid = 0, i, j, v;
-    int rc = var_begin(&c, var_labels, member_order, offsets, uniforms,
-                       c.k0, 0);
+    int rc = var_begin(&c, var_labels, member_order, offsets, &d, c.k0, 0);
     while (!rc && cid < c.k) {
         int64_t k = c.k, sc = c.slot_at[cid], rows = c.size[sc], choice, s;
         double own;
@@ -1316,7 +1405,7 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
         for (i = 0; i < k; i++)
             c.scores[i] -= own;
         c.scores[cid] = 0.0;
-        choice = weighted_choice(c.scores, k, uniforms[it], quantum, c.w);
+        choice = weighted_choice(c.scores, k, draw(&d, it), quantum, c.w);
         if (moves) {
             moves[2 * it] = 0;
             moves[2 * it + 1] = choice == cid ? -1 : cid;

@@ -269,9 +269,11 @@ class ObsClustering:
         merge sweep: the same moves, statistics, marginals and draws as the
         NumPy loops make through ``move_obs_scores`` / ``merge_obs_scores``,
         applied to ``labels``, ``stats`` and ``lm`` in place (ALGORITHMS.md
-        §13).  The draws are taken up front — two per reassign iteration, one
-        per merge iteration, of which a merge sweep always makes
-        ``n_clusters`` — so the stream ends where the loops leave it.  Block
+        §13).  The stream is moved past the sweep's draws up front — two per
+        reassign iteration, one per merge iteration, of which a merge sweep
+        always makes ``n_clusters`` — so it ends where the loops leave it;
+        the draws themselves go in as a span, which a Philox stream's sweep
+        computes as it reads them.  Block
         counts are multiples of the block's row count, so ``gammaln`` (SciPy's,
         as on every path) is tabulated once per sweep over the ``m + 1``
         possible cluster sizes.  With ``trace`` returns the cluster count of
@@ -282,10 +284,10 @@ class ObsClustering:
             return []
         if block is None:
             rows = int(self.stats.count.sum()) // m
-            uniforms = rng.uniforms(k)
+            uniforms = rng.span(k)
         else:
             rows = block.shape[0]
-            uniforms = rng.uniforms(2 * m)
+            uniforms = rng.span(2 * m)
         lgam = gammaln(self.prior.alpha0 + (rows * np.arange(m + 1.0)) / 2.0)
         lm = np.empty(m + 1)
         lm[:k] = self.lm
@@ -597,15 +599,17 @@ class CoClusterState:
         through ``move_var_scores`` / ``merge_var_scores``.  The state is
         packed once (:meth:`var_sweep_pack`), swept, and unpacked into the
         ``VarCluster`` / ``ObsClustering`` objects it already holds.  The
-        draws are taken up front — two per reassign iteration, of which
-        there are ``n``; one per merge iteration, of which there are
-        ``n_clusters`` — so the stream ends where the loops leave it.  With
+        stream is moved past the sweep's draws up front — two per reassign
+        iteration, of which there are ``n``; one per merge iteration, of
+        which there are ``n_clusters`` — so it ends where the loops leave
+        it, and the draws go in as a span (computed in the call on a Philox
+        stream).  With
         ``trace`` returns, per iteration, the live clusters' observation
         cluster counts (all a recorder's cost vectors depend on), else ``[]``.
         """
         pack = self.var_sweep_pack(merge)
         k0, n_blocks = self.n_clusters, pack["n_blocks"]
-        uniforms = rng.uniforms(k0 if merge else 2 * self.n_vars)
+        uniforms = rng.span(k0 if merge else 2 * self.n_vars)
         origin, sizes, moves = native.var_sweep(**pack, uniforms=uniforms, trace=trace)
 
         offsets = pack["offsets"].tolist()

@@ -174,10 +174,9 @@ def _score_chunk_run(ctx, task: SplitTask):
     )
     items = np.arange(task.row0 - l0 * n_obs, task.row1 - l0 * n_obs)
 
-    dpi = scorer.draws_per_item
-    first = task.module_split_base + task.row0
-    uniforms = istream.stream.block(first * dpi, (task.row1 - task.row0) * dpi)
-    uniforms = uniforms.reshape(task.row1 - task.row0, dpi)
+    uniforms = istream.items_span(
+        task.module_split_base + task.row0, task.row1 - task.row0
+    )
     scores, steps, _beta, accepted = scorer.score_batch_kernel(
         kernel, uniforms, item_indices=items
     )

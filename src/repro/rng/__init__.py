@@ -25,12 +25,13 @@ discipline used throughout the learner:
 """
 
 from repro.rng.mrg import MRGStream
-from repro.rng.philox import PhiloxStream
+from repro.rng.philox import DrawSpan, PhiloxStream
 from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
 
 __all__ = [
     "MRGStream",
     "PhiloxStream",
+    "DrawSpan",
     "GibbsRandom",
     "IndexedStream",
     "make_stream",

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.rng.philox import DrawSpan, checked_index, derive_key
+
 #: Sophie-Germain prime modulus (2*M + 1 is also prime).
 MODULUS = 2147483543
 _A1 = 1403580
@@ -59,8 +61,6 @@ class MRGStream:
     def __init__(self, seed: int, *path: object, offset: int = 0) -> None:
         # Key derivation shared with the Philox backend keeps child-stream
         # identities consistent across backends.
-        from repro.rng.philox import derive_key
-
         self._seed = int(seed)
         self._path = tuple(path)
         key = derive_key(self._seed, *self._path)
@@ -69,7 +69,7 @@ class MRGStream:
         s1 = (key >> 21) % (MODULUS - 1) + 1
         s2 = (key >> 42) % (MODULUS - 1) + 1
         self._initial = (s0, s1, s2)
-        self._offset = int(offset)
+        self._offset = checked_index(offset, "offset")
         self._state = self._state_at(self._offset)
 
     # -- construction ---------------------------------------------------
@@ -93,7 +93,7 @@ class MRGStream:
 
     def jump_to(self, offset: int) -> None:
         """Reposition at absolute draw index ``offset`` in O(log offset)."""
-        self._offset = int(offset)
+        self._offset = checked_index(offset, "offset")
         self._state = self._state_at(self._offset)
 
     # -- draws ----------------------------------------------------------
@@ -107,15 +107,18 @@ class MRGStream:
         self._offset += 1
         return self._state[0] / MODULUS
 
-    def next_uniforms(self, count: int) -> np.ndarray:
-        out = np.empty(int(count), dtype=np.float64)
-        state = self._state
-        for i in range(int(count)):
+    def _run(self, state: tuple[int, int, int], count: int):
+        """``count`` uniforms from ``state`` on, and the state they end at."""
+        out = np.empty(checked_index(count, "count"), dtype=np.float64)
+        for i in range(out.size):
             state = self._step(state)
             out[i] = state[0]
-        self._state = state
-        self._offset += int(count)
-        return out / MODULUS
+        return out / MODULUS, state
+
+    def next_uniforms(self, count: int) -> np.ndarray:
+        out, self._state = self._run(self._state, count)
+        self._offset += out.size
+        return out
 
     def block(self, start: int, count: int) -> np.ndarray:
         """Uniforms at absolute indices ``[start, start + count)``.
@@ -123,12 +126,17 @@ class MRGStream:
         Jump-ahead to ``start`` via a modular matrix power, then generate
         ``count`` values; the sequential position is unchanged.
         """
-        state = self._state_at(int(start))
-        out = np.empty(int(count), dtype=np.float64)
-        for i in range(int(count)):
-            state = self._step(state)
-            out[i] = state[0]
-        return out / MODULUS
+        return self._run(self._state_at(checked_index(start, "start")), count)[0]
+
+    def span(self, start: int, count: int) -> DrawSpan:
+        """:meth:`block` by address.  The state is sequential, so a span of
+        this backend has no key: consumers read :meth:`DrawSpan.array`."""
+        return DrawSpan(self, start, count)
+
+    def next_span(self, count: int) -> DrawSpan:
+        """:meth:`next_uniforms` as a span (drawn now: the state must step)."""
+        start = self._offset
+        return DrawSpan(self, start, count, drawn=self.next_uniforms(count))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

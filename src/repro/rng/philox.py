@@ -4,7 +4,10 @@ Philox is a counter-based generator: output ``i`` of a keyed stream is a pure
 function of ``(key, i)``, so jumping to an arbitrary offset costs O(1)
 (``BitGenerator.advance``).  This is the property the paper relies on for
 block-splitting the random stream across processors in O(1) time (Section
-4.2, citing Bauke & Mertens).
+4.2, citing Bauke & Mertens).  It also means a consumer that knows the key
+can compute a draw where it needs it: a :class:`DrawSpan` is the *address*
+of a run of draws, which the native kernels generate themselves and every
+other consumer materialises with :meth:`DrawSpan.array`.
 """
 
 from __future__ import annotations
@@ -14,10 +17,45 @@ from numpy.random import Generator, Philox
 
 _UINT64_MASK = (1 << 64) - 1
 
-#: sequential draws generated per buffer refill: building a ``Philox`` +
-#: ``Generator`` costs ~30 us whether it yields 1 draw or 256, so
-#: ``next_uniform`` amortizes that set-up over a block (8 KB per live stream)
+#: sequential draws generated per buffer refill: re-seating the stream's
+#: generator costs ~2 us (measured; ~14 us the first time, which builds it)
+#: whether it yields 1 draw or 256, so ``next_uniform`` amortizes that
+#: set-up over a block (8 KB per live stream)
 _REFILL = 256
+
+
+def checked_index(value: int, name: str) -> int:
+    """``value`` as a stream position or draw count: an int, not negative."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+class DrawSpan:
+    """Draws ``[start, start + count)`` of one stream, by address.
+
+    ``key`` is the stream's Philox key when draw ``i`` is the pure function
+    of ``(key, i)`` a consumer may compute for itself — word ``i % 4`` of
+    Philox4x64-10 at counter ``i // 4 + 1``, which is what
+    :meth:`PhiloxStream.block` returns — and ``None`` when the stream has to
+    be asked (the MRG backend).  :meth:`array` is the draws either way.
+    """
+
+    __slots__ = ("key", "start", "count", "_stream", "_drawn")
+
+    def __init__(self, stream, start: int, count: int, drawn=None) -> None:
+        self.key: int | None = getattr(stream, "key", None)
+        self.start = checked_index(start, "start")
+        self.count = checked_index(count, "count")
+        self._stream = stream
+        self._drawn = drawn
+
+    def array(self) -> np.ndarray:
+        """The span's uniforms, materialised."""
+        if self._drawn is not None:
+            return self._drawn
+        return self._stream.block(self.start, self.count)
 
 
 def derive_key(seed: int, *path: object) -> int:
@@ -62,10 +100,17 @@ class PhiloxStream:
         self._seed = int(seed)
         self._path = tuple(path)
         self._key = derive_key(self._seed, *self._path)
-        self._offset = int(offset)
+        self._offset = checked_index(offset, "offset")
         #: draws ``[_buf_start, _buf_start + len(_buf))``, generated ahead
         self._buf: list[float] = []
         self._buf_start = 0
+        #: this stream's own (generator, its state with a settable counter),
+        #: built by the first materialised draw; scratch, not identity:
+        #: ``clone`` / ``split`` never share it and it is not pickled
+        self._generator: tuple[Generator, dict] | None = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_generator": None}
 
     # -- construction ---------------------------------------------------
     def split(self, *path: object) -> "PhiloxStream":
@@ -77,27 +122,36 @@ class PhiloxStream:
 
     # -- state ----------------------------------------------------------
     @property
+    def key(self) -> int:
+        """The 64-bit Philox key: with it, draw ``i`` is computable anywhere."""
+        return self._key
+
+    @property
     def offset(self) -> int:
         """Number of uniforms consumed so far (the stream position)."""
         return self._offset
 
     def jump_to(self, offset: int) -> None:
         """Reposition the stream at absolute draw index ``offset`` (O(1))."""
-        self._offset = int(offset)
+        self._offset = checked_index(offset, "offset")
 
     def _draws_at(self, offset: int, count: int) -> np.ndarray:
         # Philox emits 4 x 64-bit words per counter increment and
         # Generator.random consumes one word per double, so draw index
-        # ``offset`` lives at counter ``offset // 4``, word ``offset % 4``.
-        # Setting the counter directly is the O(1) jump the paper's
-        # block-splitting requires.
-        bg = Philox(key=self._key)
-        quot, rem = divmod(int(offset), 4)
-        if quot:
-            state = bg.state
-            state["state"]["counter"][0] = quot
-            bg.state = state
-        out = Generator(bg).random(rem + int(count))
+        # ``offset`` lives at counter ``offset // 4``, word ``offset % 4``
+        # (Philox increments before it generates: the words come from
+        # counter value ``offset // 4 + 1``).  Setting the counter directly
+        # is the O(1) jump the paper's block-splitting requires; re-seating
+        # the kept generator (counter, emptied word buffer) is the same as
+        # building a fresh one, for a seventh of the cost.
+        if self._generator is None:
+            bit_generator = Philox(key=self._key)
+            self._generator = Generator(bit_generator), bit_generator.state
+        generator, state = self._generator
+        quot, rem = divmod(offset, 4)
+        state["state"]["counter"][0] = quot
+        generator.bit_generator.state = state
+        out = generator.random(rem + count)
         return out[rem:] if rem else out
 
     # -- draws ----------------------------------------------------------
@@ -111,9 +165,7 @@ class PhiloxStream:
         return self._buf[pos]
 
     def next_uniforms(self, count: int) -> np.ndarray:
-        out = self._draws_at(self._offset, int(count))
-        self._offset += int(count)
-        return out
+        return self.next_span(count).array()
 
     def block(self, start: int, count: int) -> np.ndarray:
         """Uniforms at absolute indices ``[start, start + count)``.
@@ -121,7 +173,20 @@ class PhiloxStream:
         Does not move the sequential position; O(1) setup regardless of
         ``start``.
         """
-        return self._draws_at(int(start), int(count))
+        return self._draws_at(
+            checked_index(start, "start"), checked_index(count, "count")
+        )
+
+    def span(self, start: int, count: int) -> DrawSpan:
+        """:meth:`block` by address: nothing is generated until asked."""
+        return DrawSpan(self, start, count)
+
+    def next_span(self, count: int) -> DrawSpan:
+        """:meth:`next_uniforms` by address: the position moves now, the
+        draws are generated by whoever consumes the span."""
+        span = DrawSpan(self, self._offset, count)
+        self._offset += span.count
+        return span
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

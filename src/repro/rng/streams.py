@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.rng.mrg import MRGStream
-from repro.rng.philox import PhiloxStream
+from repro.rng.philox import DrawSpan, PhiloxStream, checked_index
 
 Stream = Union[PhiloxStream, MRGStream]
 
@@ -78,6 +78,13 @@ class GibbsRandom:
 
     def uniforms(self, count: int) -> np.ndarray:
         return self.stream.next_uniforms(count)
+
+    def span(self, count: int) -> DrawSpan:
+        """The next ``count`` draws by address: the stream moves past them
+        exactly as :meth:`uniforms` moves it, and a consumer that can
+        compute Philox draws itself (the native sweeps) never has them
+        generated here."""
+        return self.stream.next_span(count)
 
     def randint(self, n: int) -> int:
         """Uniform integer in ``[0, n)`` — the Select-Unif-Rand oracle."""
@@ -162,7 +169,17 @@ class IndexedStream:
             raise ValueError(
                 f"item requested {count} draws but owns {self.draws_per_item}"
             )
-        return self.stream.block(index * self.draws_per_item, count)
+        return self.stream.block(
+            checked_index(index, "index") * self.draws_per_item, count
+        )
+
+    def items_span(self, first: int, count: int) -> DrawSpan:
+        """The private draws of items ``[first, first + count)``, by address
+        (``count * draws_per_item`` draws, item after item)."""
+        return self.stream.span(
+            checked_index(first, "first") * self.draws_per_item,
+            checked_index(count, "count") * self.draws_per_item,
+        )
 
     def spawn(self, *path: object) -> "IndexedStream":
         return IndexedStream(self.stream.split(*path), self.draws_per_item)

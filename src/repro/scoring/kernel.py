@@ -557,6 +557,9 @@ class LazySplitKernel:
         same step-synchronous order, same per-row evaluator — against this
         kernel's memo in place, so ``best_score`` / ``steps`` / ``best_idx``
         and every counter equal what the NumPy chain would have produced.
+        ``uniforms`` is the items' rows of private draws or their
+        :class:`~repro.rng.philox.DrawSpan`; a Philox span is never
+        materialised — the call computes the draws its chains reach.
         The evaluation-chunk guard is checked once up front: a chunk holds
         at least one row, so a node the cap forbids fails here exactly when
         the first NumPy chunk would.
@@ -571,7 +574,7 @@ class LazySplitKernel:
                 self.group_value,
                 self.beta_grid,
                 np.ascontiguousarray(groups, dtype=np.int64),
-                np.ascontiguousarray(uniforms, dtype=np.float64),
+                uniforms,
                 max_steps,
                 stop_repeats,
                 self._chunk_rows(),

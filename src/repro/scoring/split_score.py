@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM
 from repro.scoring.kernel import DenseScoreMemo, LazySplitKernel
 
@@ -122,7 +123,10 @@ class SplitScorer:
         ``item_indices`` selects a sub-range of the kernel's candidate
         enumeration (the partitioned backends score ``[row0, row1)`` slices
         of a node); row ``i`` of ``uniforms`` holds the private draws of
-        candidate ``item_indices[i]``.  Results are bit-identical to the
+        candidate ``item_indices[i]`` — or ``uniforms`` is the
+        :class:`~repro.rng.philox.DrawSpan` of those rows
+        (:meth:`~repro.rng.streams.IndexedStream.items_span`), which only
+        this NumPy path materialises.  Results are bit-identical to the
         dense path because the kernel replays its exact float operations.
 
         A kernel that resolved to the native backend runs the whole chain
@@ -146,6 +150,8 @@ class SplitScorer:
         def provider(rows: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
             return kernel.scores(groups[rows], beta_idx)
 
+        if isinstance(uniforms, DrawSpan):
+            uniforms = uniforms.array().reshape(groups.size, self.draws_per_item)
         return self._run_chain(groups.size, kernel.n_obs, uniforms, provider)
 
     def _run_chain(self, n_items, n_obs, uniforms, provider):

@@ -124,16 +124,13 @@ def score_node_splits(
 
     ``base_index`` is the node's first global split index; the node's splits
     occupy the contiguous range ``[base_index, base_index + P * n_obs)`` so
-    their private random draws are fetched with one O(1)-seek block read.
+    their private random draws are one span of the stream: the native chain
+    computes the draws it reaches, the NumPy chain fetches them with one
+    O(1)-seek block read.
     """
     kernel = node_kernel(data, node, parents, scorer.beta_grid)
-    n_items = kernel.n_items
-    dpi = istream.draws_per_item
-    uniforms = istream.stream.block(base_index * dpi, n_items * dpi).reshape(
-        n_items, dpi
-    )
     log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(
-        kernel, uniforms
+        kernel, istream.items_span(base_index, kernel.n_items)
     )
     return NodeSplitScores(
         module_id=module_id,

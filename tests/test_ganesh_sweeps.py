@@ -27,6 +27,7 @@ from repro.ganesh.coclustering import (
 )
 from repro.ganesh.state import CoClusterState, ObsClustering, _compact
 from repro.parallel.trace import WorkTrace
+from repro.rng.philox import DrawSpan
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring import kernel as kernel_mod
 from repro.scoring.kernel import resolve_kernel_backend, set_kernel_backend
@@ -241,6 +242,19 @@ def _block(seed, rows, m, scale=1.0, ties=False):
     return np.round(block / scale) * scale if ties else block
 
 
+def _program_rng(seed, rng_backend):
+    """The replicated stream of a sweep program.  ``"philox-array"`` is the
+    Philox stream handing the native entries arrays instead of spans (their
+    array mode on the draws their keyed mode computes); MRG spans carry no
+    key, so that backend pre-draws on its own."""
+    if rng_backend == "philox-array":
+        return _native._PreDrawn(make_stream(seed, "program"))
+    return GibbsRandom(make_stream(seed, "program", backend=rng_backend))
+
+
+RNG_FLAVOURS = ["philox", "mrg", "philox-array"]
+
+
 def _snapshot(oc, rng, records=()):
     return (
         oc.n_clusters,
@@ -258,7 +272,7 @@ def _run_program(backend, block, labels, program, rng_backend, traced, seed):
     """``program`` is a string of sweeps: r(eassign) / m(erge)."""
     with kernel_backend(backend):
         oc = ObsClustering.from_block(block, labels)
-        rng = GibbsRandom(make_stream(seed, "program", backend=rng_backend))
+        rng = _program_rng(seed, rng_backend)
         records = []
         hooks = SweepHooks(
             record=(lambda *record: records.append(record)) if traced else None
@@ -285,7 +299,7 @@ class TestNativeObsSweeps:
         scale=st.sampled_from([1e-3, 1.0, 50.0]),
         ties=st.booleans(),
         program=st.text(alphabet="rm", min_size=1, max_size=4),
-        rng_backend=st.sampled_from(["philox", "mrg"]),
+        rng_backend=st.sampled_from(RNG_FLAVOURS),
         traced=st.booleans(),
     )
     def test_random_sweep_programs(
@@ -293,7 +307,8 @@ class TestNativeObsSweeps:
     ):
         """Native and NumPy sweeps leave the same clustering, statistics,
         marginals, stream position and recorded cost vectors — from one
-        cluster through all singletons, in every pairwise-sum regime."""
+        cluster through all singletons, in every pairwise-sum regime, with
+        the draws computed in the call or read from an array."""
         block = _block(seed, rows, m, scale, ties)
         k = 1 + int(k_frac * (m - 1))
         labels = np.random.default_rng(seed + 1).integers(0, k, size=m)
@@ -495,7 +510,7 @@ def _run_co_program(backend, start, program, rng_backend, traced, seed, check=Tr
     verifies the state's invariants after every sweep."""
     with kernel_backend(backend):
         state = start.copy()
-        rng = GibbsRandom(make_stream(seed, "program", backend=rng_backend))
+        rng = _program_rng(seed, rng_backend)
         records = []
         hooks = SweepHooks(
             record=(lambda *record: records.append(record)) if traced else None
@@ -529,7 +544,7 @@ class TestNativeVarSweeps:
         scale=st.sampled_from([1e-3, 1.0, 50.0]),
         ties=st.booleans(),
         program=st.text(alphabet="RMo", min_size=1, max_size=4),
-        rng_backend=st.sampled_from(["philox", "mrg"]),
+        rng_backend=st.sampled_from(RNG_FLAVOURS),
         traced=st.booleans(),
     )
     def test_random_sweep_programs(
@@ -539,7 +554,8 @@ class TestNativeVarSweeps:
         sweeps, leave the same labels, members (in order), statistics,
         marginals, stream position and recorded cost vectors — from one
         cluster through all singletons (a fresh move then holds ``n + 1``),
-        with moves that open clusters and that drop their source."""
+        with moves that open clusters and that drop their source, and with
+        the draws computed in the call or read from an array."""
         k = 1 + round(k_frac * (n - 1))
         k_obs = 1 + round(k_obs_frac * (m - 1))
         start = _co_state(seed, n, m, k, k_obs, scale, ties)
@@ -825,6 +841,41 @@ class TestOneNativeCallPerSweep:
         assert counts["var_native"] == counts["var_sweeps"]
         assert counts["per_move"] == 0
 
+    @pytest.fixture
+    def drawn_for(self, monkeypatch):
+        """Every materialised Philox draw of a ``learn()``: the span
+        consumers (``None``: none) on the stack of each ``_draws_at`` call."""
+        from repro.rng.philox import PhiloxStream
+
+        consumers = {
+            "score_node_splits", "_score_chunk_run", "native_sweep", "native_var_sweep",
+        }
+        calls = []
+        original = PhiloxStream._draws_at
+
+        def wrapper(stream, offset, count):
+            frame, on_stack = sys._getframe(1), set()
+            while frame is not None:
+                on_stack.add(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append(sorted(on_stack & consumers) or None)
+            return original(stream, offset, count)
+
+        monkeypatch.setattr(PhiloxStream, "_draws_at", wrapper)
+        return calls
+
+    def test_native_philox_learn_draws_inside_the_kernel(self, tiny_matrix, drawn_for):
+        """Split scoring and the four sweep kinds hand the native entries
+        addresses: no draw is materialised for them.  What still pre-draws
+        (``random_labels``, the ``next_uniform`` refill) does; under
+        ``numpy`` the same spans materialise through ``.array()``."""
+        self._learn(tiny_matrix, "native", None)
+        assert drawn_for and all(consumer is None for consumer in drawn_for)
+        del drawn_for[:]
+        self._learn(tiny_matrix, "numpy", None)
+        assert ["score_node_splits"] in drawn_for
+        assert not any(c and "native_sweep" in c for c in drawn_for)  # the loops ran
+
     def test_numpy_never_enters_the_native_entry(self, tiny_matrix, counts):
         self._learn(tiny_matrix, "numpy", None)
         assert counts["obs_sweeps"] > 0 and counts["var_sweeps"] > 0
@@ -881,7 +932,10 @@ class TestSweepCertification:
 
             def var_sweep(self, **pack):
                 if doctor == "draw index":
-                    pack["uniforms"] = np.roll(pack["uniforms"], 1)
+                    draws = pack["uniforms"]  # an array, then a span
+                    if isinstance(draws, DrawSpan):
+                        draws = draws.array()
+                    pack["uniforms"] = np.roll(draws, 1)
                 origin, sizes, moves = kernels.var_sweep(**pack)
                 if doctor == "block marginal":
                     slot, k0 = int(origin[0]), len(pack["obs_labels"])

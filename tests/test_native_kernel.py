@@ -69,12 +69,13 @@ needs_native = pytest.mark.skipif(
 BACKENDS = ["numpy"] + (["native"] if NATIVE else [])
 
 
+def _uniform_span(n_items, dpi, seed=0, backend="philox"):
+    """The draws of :func:`_uniform_block`, by address."""
+    return make_stream(seed, "u", backend=backend).span(0, n_items * dpi)
+
+
 def _uniform_block(n_items, dpi, seed=0, backend="philox"):
-    return (
-        make_stream(seed, "u", backend=backend)
-        .block(0, n_items * dpi)
-        .reshape(n_items, dpi)
-    )
+    return _uniform_span(n_items, dpi, seed, backend).array().reshape(n_items, dpi)
 
 
 def _node_arrays(seed, n_vars=20, n_obs=14, n_parents=5, duplicates=False, scale=1.0):
@@ -350,17 +351,21 @@ class TestFusedChain:
         max_steps=st.sampled_from([1, 4, 9]),
         stop_repeats=st.sampled_from([1, 2]),
         chunk_rows=st.sampled_from([1, 3, 1000]),
+        rng_backend=st.sampled_from(["philox", "mrg"]),
     )
     def test_property_matches_dense_and_numpy_chain(
-        self, seed, kind, n_obs, n_parents, max_steps, stop_repeats, chunk_rows
+        self, seed, kind, n_obs, n_parents, max_steps, stop_repeats, chunk_rows,
+        rng_backend,
     ):
+        """... whether the draws arrive as rows or as their span: a Philox
+        span's draws are computed inside the native call (keyed), an MRG
+        span's are pre-drawn, the NumPy chain materialises either."""
         from repro.trees.splits import margins_from_arrays
 
         data, obs, left_obs, parents = _kind_node(kind, seed, 8, n_obs, n_parents)
         scorer = SplitScorer(max_steps=max_steps, stop_repeats=stop_repeats)
-        uniforms = _uniform_block(
-            parents.size * n_obs, scorer.draws_per_item, seed
-        )
+        draws = (parents.size * n_obs, scorer.draws_per_item, seed, rng_backend)
+        uniforms = _uniform_block(*draws)
         dense = scorer.score_batch(
             margins_from_arrays(data, obs, left_obs, parents), uniforms
         )
@@ -377,12 +382,13 @@ class TestFusedChain:
             lambda rows, beta_idx: oracle.scores(oracle.item_groups[rows], beta_idx),
         )
         for backend in BACKENDS:
-            kernel = make(backend)
-            assert kernel.backend == backend
-            chain = scorer.score_batch_kernel(kernel, uniforms)
-            for got, want in zip(chain, dense):
-                np.testing.assert_array_equal(got, want)
-            _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
+            for source in (uniforms, _uniform_span(*draws)):
+                kernel = make(backend)
+                assert kernel.backend == backend
+                chain = scorer.score_batch_kernel(kernel, source)
+                for got, want in zip(chain, dense):
+                    np.testing.assert_array_equal(got, want)
+                _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
 
     def test_scorer_does_not_pin_the_kernel(self):
         """The scorer outlives nodes (and, under the daemon's lease, jobs);
@@ -398,18 +404,23 @@ class TestFusedChain:
             )
             assert not hasattr(scorer, "last_memo")
 
+    @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_subranges_through_score_chunk_run(self, backend):
+    def test_subranges_through_score_chunk_run(self, backend, rng_backend):
         """Split-level tasks score ``[row0, row1)`` slices of a node on
         kernels built over parent sub-slices; stitched together they equal
-        whole-node ``score_node_splits`` (NumPy kernel) entry for entry."""
+        whole-node ``score_node_splits`` (NumPy kernel) entry for entry —
+        each slice's draws addressed from the module's stream, computed in
+        the call (native + Philox) or pre-drawn (MRG, NumPy)."""
         from repro.datatypes import TreeNode
         from repro.parallel.tasks import SplitTask, _score_chunk_run, build_ctx
         from repro.rng.streams import IndexedStream
         from repro.trees.splits import score_node_splits
 
         data, obs, left_obs, parents = _kind_node("ties", 17, 12, 11, 6)
-        config = LearnerConfig(max_sampling_steps=6, sampling_stop_repeats=2)
+        config = LearnerConfig(
+            max_sampling_steps=6, sampling_stop_repeats=2, rng_backend=rng_backend
+        )
         seed, module_id, base = 3, 2, 40
         left = np.sort(left_obs)
         node = TreeNode(
@@ -504,6 +515,144 @@ class TestFusedChain:
             scorer.score_batch_kernel(kernel, bad)
         with pytest.raises(ValueError, match="uniforms must have shape"):
             scorer.score_batch_kernel(kernel, uniforms[:, :-1])
+        # a span holds whole rows of exactly draws_per_item: one item short,
+        # and one draw past the last item, are both refused by count
+        for n_draws in (11 * 5, 12 * 5 + 1):
+            short = make_stream(43, "u").span(0, n_draws)
+            with pytest.raises(
+                ValueError, match=rf"exactly 5 draws for each of 12 items, got {n_draws}"
+            ):
+                scorer.score_batch_kernel(kernel, short)
+        assert kernel.evaluations == 0 and not kernel._seen.any()
+
+    @needs_native
+    def test_read_only_uniforms_array_scores_like_a_writable_one(self):
+        """The chain only reads its draws: a read-only array goes in as it
+        is (as on the NumPy chain), and equals the writable copy's result."""
+        data, obs, left_obs, parents = _node_arrays(44, n_obs=6, n_parents=2)
+        scorer = SplitScorer(max_steps=2)
+        uniforms = _uniform_block(12, scorer.draws_per_item, 44)
+        frozen = uniforms.copy()
+        frozen.setflags(write=False)
+        results = []
+        for draws in (uniforms, frozen):
+            kernel = split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid, backend="native"
+            )
+            results.append(scorer.score_batch_kernel(kernel, draws))
+        for want, got in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+
+def _philox_reference(key, offset, count, m0=0xD2E7470EE14C6C93, bias=1):
+    """Philox4x64-10 from the paper's definition in Python integers, with
+    NumPy's addressing: draw ``i`` is word ``i % 4`` at counter ``i // 4 +
+    bias``, as a double ``(w >> 11) * 2**-53``.  ``m0`` and ``bias`` are the
+    two things a wrong port gets wrong."""
+    mask = (1 << 64) - 1
+    out = []
+    for index in range(offset, offset + count):
+        c = [index // 4 + bias, 0, 0, 0]
+        k0, k1 = key, 0
+        for _ in range(10):
+            p0, p1 = m0 * c[0], 0xCA5A826395121157 * c[2]
+            c = [(p1 >> 64) ^ c[1] ^ k0, p1 & mask, (p0 >> 64) ^ c[3] ^ k1, p0 & mask]
+            k0 = (k0 + 0x9E3779B97F4A7C15) & mask
+            k1 = (k1 + 0xBB67AE8584CAA73B) & mask
+        out.append((c[index % 4] >> 11) * 2.0**-53)
+    return np.array(out)
+
+
+@needs_native
+class TestPhiloxInKernel:
+    """The generator the native entries draw with is ``PhiloxStream.block``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        key=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
+        counter=st.one_of(st.integers(0, 100), st.integers(2**32, 2**61)),
+        residue=st.integers(0, 3),
+        count=st.one_of(st.integers(0, 40), st.integers(0, 10**5)),
+    )
+    def test_property_equals_philox_stream_block(self, key, counter, residue, count):
+        from repro.rng.philox import PhiloxStream
+
+        offset = 4 * counter + residue
+        got = _native.load().philox_uniforms(key, offset, count)
+        stream = PhiloxStream(key)  # an empty path leaves the seed as the key
+        assert stream.key == key
+        np.testing.assert_array_equal(got, stream.block(offset, count))
+
+    def test_equals_the_definition(self):
+        """... and both equal a third, independent implementation."""
+        for key, offset, count in _native._PHILOX_CASES:
+            count = min(count, 12)  # the reference is a Python loop
+            np.testing.assert_array_equal(
+                _native.load().philox_uniforms(key, offset, count),
+                _philox_reference(key, offset, count),
+            )
+
+    @pytest.mark.parametrize(
+        "doctor", [dict(m0=0xD2E7470EE14C6C92), dict(bias=0)],
+        ids=["wrong round constant", "counter bias dropped"],
+    )
+    def test_doctored_generator_fails_certification_by_name(self, doctor):
+        kernels = _native.load()
+
+        class Doctored:
+            def __getattr__(self, name):
+                return getattr(kernels, name)
+
+            def philox_uniforms(self, key, offset, count):
+                return _philox_reference(key, offset, count, **doctor)
+
+        assert _native._certify(kernels) is None
+        mismatch = _native._certify(Doctored())
+        assert mismatch is not None and "philox" in mismatch
+
+    @pytest.mark.parametrize(
+        "key, offset, count",
+        [(1, -1, 4), (1, 0, -4), (-1, 0, 4), (1 << 64, 0, 4), (1, (1 << 64) - 4, 4)],
+    )
+    def test_addresses_that_would_wrap_are_refused(self, key, offset, count):
+        with pytest.raises(ValueError, match="Philox key must fit 64 bits"):
+            _native.load().philox_uniforms(key, offset, count)
+
+    def test_only_a_philox_span_goes_in_by_address(self):
+        """The one validator behind the five entries' draw arguments: a
+        keyed span is (NULL, key, start); an MRG span and an array go in as
+        the array they are or materialise to; too few draws, or not
+        ``float64``, is refused."""
+        kernels = _native.load()
+        ffi = kernels._ffi
+        philox, mrg = make_stream(3, "a"), make_stream(3, "a", backend="mrg")
+        assert kernels._draws(philox.span(5, 8), 8) == (ffi.NULL, philox.key, 5)
+        for source in (mrg.span(5, 8), philox.block(5, 8)):
+            want = source if isinstance(source, np.ndarray) else source.array()
+            pointer, key, offset = kernels._draws(source, 8)
+            assert (key, offset) == (0, 0)
+            np.testing.assert_array_equal(np.frombuffer(ffi.buffer(pointer), count=8), want)
+        for source in (philox.span(5, 8), mrg.span(5, 8), np.zeros(8)):
+            with pytest.raises(ValueError, match="uniforms must"):
+                kernels._draws(source, 9)
+        with pytest.raises(ValueError, match="uniforms must be a writable C-contiguous"):
+            kernels._draws(np.zeros(8, dtype=np.float32), 8)
+
+    def test_a_span_past_the_counter_is_refused_before_c(self):
+        """A sweep handed the last draws of the stream: refused, state
+        untouched (in C ``offset + i`` would wrap to draw 0)."""
+        from repro.ganesh.state import ObsClustering
+        from repro.rng.philox import PhiloxStream
+        from repro.rng.streams import GibbsRandom
+
+        block = np.random.default_rng(0).normal(size=(4, 6))
+        oc = ObsClustering.from_block(block, np.arange(6) % 2)
+        before = oc.labels.copy(), oc.lm.copy()
+        rng = GibbsRandom(PhiloxStream(3, offset=(1 << 64) - 12))
+        with pytest.raises(ValueError, match="Philox key must fit 64 bits"):
+            oc.native_sweep(_native.load(), rng, block)
+        np.testing.assert_array_equal(oc.labels, before[0])
+        np.testing.assert_array_equal(oc.lm, before[1])
 
 
 @needs_native

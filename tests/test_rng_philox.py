@@ -1,12 +1,16 @@
 """Tests for the counter-based Philox stream."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from repro.rng.mrg import MRGStream
-from repro.rng.philox import _REFILL, PhiloxStream, derive_key
+from repro.rng.philox import _REFILL, DrawSpan, PhiloxStream, derive_key
+from repro.rng.streams import GibbsRandom, IndexedStream
 
 
 class TestDeriveKey:
@@ -100,6 +104,8 @@ _OPS = st.one_of(
     st.tuples(st.just("uniform"), st.integers(1, _REFILL + 40)),
     st.tuples(st.just("uniforms"), st.integers(0, 2 * _REFILL)),
     st.tuples(st.just("block"), st.integers(0, 3 * _REFILL)),
+    st.tuples(st.just("span"), st.integers(0, 3 * _REFILL)),
+    st.tuples(st.just("next_span"), st.integers(0, 2 * _REFILL)),
     st.tuples(st.just("jump"), st.integers(0, 3 * _REFILL)),
     st.tuples(st.just("clone"), st.integers(0, 5)),
     st.tuples(st.just("split"), st.integers(0, 3)),
@@ -124,6 +130,16 @@ def _check_program(make, ops):
             expected += arg
         elif op == "block":  # random access never moves the position
             np.testing.assert_array_equal(stream.block(arg, 3), oracle.block(arg, 3))
+        elif op == "span":  # ... by address or by value
+            span = stream.span(arg, 3)
+            assert (span.start, span.count) == (arg, 3)
+            np.testing.assert_array_equal(span.array(), oracle.block(arg, 3))
+        elif op == "next_span":  # moves the position now, draws when asked
+            span = stream.next_span(arg)
+            assert (span.start, span.count) == (expected, arg)
+            expected += arg
+            assert stream.offset == expected
+            np.testing.assert_array_equal(span.array(), oracle.block(span.start, arg))
         elif op == "jump":
             stream.jump_to(arg)
             expected = arg
@@ -179,8 +195,122 @@ class TestBufferedDraws:
         _check_program(
             lambda: MRGStream(21, "buffered"),
             [("uniform", 5), ("uniforms", 7), ("block", 30), ("clone", 3),
-             ("jump", 4), ("uniform", 9), ("split", 1), ("jump", 0), ("uniforms", 3)],
+             ("jump", 4), ("uniform", 9), ("split", 1), ("jump", 0), ("uniforms", 3),
+             ("next_span", 6), ("span", 2), ("uniform", 2), ("next_span", 0)],
         )
+
+
+class TestKeptGenerator:
+    """Materialised draws come from one generator per stream, re-seated per
+    call; the definition stays a *fresh* ``Philox`` at counter ``i // 4``."""
+
+    @staticmethod
+    def _fresh(key, offset, count):
+        bit_generator = Philox(key=key)
+        state = bit_generator.state
+        state["state"]["counter"][0] = offset // 4
+        bit_generator.state = state
+        return Generator(bit_generator).random(offset % 4 + count)[offset % 4 :]
+
+    @given(
+        calls=st.lists(
+            st.tuples(st.integers(0, 2**62), st.integers(0, 600)), min_size=1, max_size=8
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reseated_equals_fresh_in_any_call_order(self, calls):
+        stream = PhiloxStream(77, "kept")
+        for offset, count in calls:  # residues, long and empty, back and forth
+            np.testing.assert_array_equal(
+                stream.block(offset, count), self._fresh(stream.key, offset, count)
+            )
+
+    def test_built_lazily_and_never_shared(self):
+        stream = PhiloxStream(5, "own")
+        assert stream._generator is None
+        stream.span(0, 8)  # addresses generate nothing
+        stream.next_span(8)
+        assert stream._generator is None
+        stream.next_uniform()
+        kept = stream._generator
+        assert kept is not None
+        assert stream.clone()._generator is None
+        assert stream.split("child")._generator is None
+        stream.block(1000, 3)
+        assert stream._generator is kept
+
+    def test_not_part_of_the_pickled_state(self):
+        stream = PhiloxStream(5, "wire")
+        [stream.next_uniform() for _ in range(3)]
+        copy = pickle.loads(pickle.dumps(stream))
+        assert copy._generator is None and stream._generator is not None
+        assert copy.offset == 3 and copy.key == stream.key
+        assert copy.next_uniform() == stream.next_uniform()
+
+
+class TestSpans:
+    def test_philox_span_is_an_address_an_mrg_span_is_not(self):
+        philox, mrg = PhiloxStream(3, "s"), MRGStream(3, "s")
+        assert philox.span(4, 2).key == philox.key == derive_key(3, "s")
+        assert mrg.span(4, 2).key is None and mrg.next_span(2).key is None
+
+    @pytest.mark.parametrize("make", [PhiloxStream, MRGStream])
+    def test_gibbs_span_moves_the_stream_like_uniforms(self, make):
+        by_value, by_address = GibbsRandom(make(8, "g")), GibbsRandom(make(8, "g"))
+        for count in (3, 0, 10):
+            want = by_value.uniforms(count)
+            span = by_address.span(count)
+            assert isinstance(span, DrawSpan) and span.count == count
+            assert by_address.offset == by_value.offset
+            np.testing.assert_array_equal(span.array(), want)
+        assert by_address.uniform() == by_value.uniform()
+
+    @pytest.mark.parametrize("make", [PhiloxStream, MRGStream])
+    def test_items_span_is_the_items_rows(self, make):
+        istream = IndexedStream(make(2, "items"), 5)
+        span = istream.items_span(3, 4)
+        assert (span.start, span.count) == (15, 20)
+        rows = span.array().reshape(4, 5)
+        for i in range(4):
+            np.testing.assert_array_equal(rows[i], istream.item_uniforms(3 + i))
+
+
+@pytest.mark.parametrize("make", [PhiloxStream, MRGStream])
+class TestTypedEdges:
+    """A negative position or count is a ``ValueError`` naming the argument,
+    where it is given — not an ``OverflowError`` out of NumPy at the next draw."""
+
+    def test_offsets(self, make):
+        with pytest.raises(ValueError, match="offset must be non-negative, got -1"):
+            make(1, offset=-1)
+        stream = make(1)
+        with pytest.raises(ValueError, match="offset must be non-negative"):
+            stream.jump_to(-3)
+        assert stream.offset == 0
+
+    def test_random_access(self, make):
+        stream = make(1)
+        for call in (stream.block, stream.span):
+            with pytest.raises(ValueError, match="start must be non-negative"):
+                call(-1, 4)
+            with pytest.raises(ValueError, match="count must be non-negative"):
+                call(0, -4)
+
+    def test_sequential(self, make):
+        stream = make(1)
+        for call in (stream.next_uniforms, stream.next_span):
+            with pytest.raises(ValueError, match="count must be non-negative"):
+                call(-2)
+        assert stream.offset == 0
+
+    def test_indexed_items(self, make):
+        istream = IndexedStream(make(1), 3)
+        with pytest.raises(ValueError, match="index must be non-negative"):
+            istream.item_uniforms(-1)
+        with pytest.raises(ValueError, match="first must be non-negative"):
+            istream.items_span(-1, 2)
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            istream.items_span(0, -2)
 
 
 class TestSplitting:
