@@ -97,16 +97,14 @@ class NativeKernels:
 
     def _draws(self, uniforms, need: int) -> tuple:
         """The ``(uniforms, key, offset)`` arguments of an entry that reads
-        draws ``[0, need)``: a Philox span goes in by address — the entry
-        computes the draws it reaches — and anything else as the
-        ``float64`` array it is, or materialises to."""
+        draws ``[0, need)``: a span (of a keyed stream, by construction)
+        goes in by address — the entry computes the draws it reaches — and
+        anything else as the ``float64`` array it is."""
         if isinstance(uniforms, DrawSpan):
             if uniforms.count < need:
                 raise ValueError(f"uniforms must span at least {need} draws")
-            if uniforms.key is not None:
-                _checked_address(uniforms.key, uniforms.start, uniforms.count)
-                return self._ffi.NULL, uniforms.key, uniforms.start
-            uniforms = uniforms.array()
+            _checked_address(uniforms.key, uniforms.start, uniforms.count)
+            return self._ffi.NULL, uniforms.key, uniforms.start
         return self._dp(_checked(uniforms, np.float64, need, "uniforms")), 0, 0
 
     def philox_uniforms(self, key: int, offset: int, count: int) -> np.ndarray:
@@ -143,85 +141,124 @@ class NativeKernels:
         if rc:
             raise MemoryError("native evaluation chunk allocation failed")
 
-    def score_chain(
-        self,
-        values: np.ndarray,
-        sign: np.ndarray,
-        group_row: np.ndarray,
-        group_value: np.ndarray,
-        beta_grid: np.ndarray,
-        groups: np.ndarray,
-        uniforms: "np.ndarray | DrawSpan",
-        max_steps: int,
-        stop_repeats: int,
-        chunk_rows: int,
-        quantum: float,
-        cache: np.ndarray,
-        seen: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
-        """``SplitScorer._run_chain`` over a lazy kernel's tables in one call.
+    def score_batch(
+        self, uvalues: np.ndarray, urow: np.ndarray, beta_grid: np.ndarray, nodes,
+        max_steps: int, stop_repeats: int, quantum: float, chunk_elements: int,
+        share: bool, want_idx: bool = True,
+    ):
+        """``SplitScorer._run_chain`` for a batch of tree nodes in one call.
 
-        ``groups[i]`` is chain item ``i``'s memo group and row ``i`` of
-        ``uniforms`` its private draws — or ``uniforms`` is the span of
-        exactly ``1 + 2 * max_steps`` draws per item, item after item;
-        ``cache``/``seen`` (the kernel's ``(n_groups * n_beta,)`` memo)
-        are updated in place.  Returns the
-        quantized ``best_score``, ``steps``, ``best_idx`` and the
-        ``(hits, evaluations, peak_chunk_elements)`` the NumPy chain would
-        have counted with ``chunk_rows`` rows per evaluation chunk.
+        ``uvalues`` is the batch's universe (a row of values per candidate
+        parent), ``urow`` the rank of each value among its row's distinct
+        ones, and a node (:class:`repro.scoring.kernel.ChainNode`, which
+        documents ``items`` / ``uniforms`` / the lent memo) names its
+        observations as universe columns: its candidate ``l * n_obs + j``
+        is ``(parent l, uvalues[l, obs[j]])``.  With ``share``, nodes whose
+        ``sign`` is exactly +-1 read each ``log1p(exp(-|z|))`` row from one
+        table of margin rows per parent (``n_beta * n_u`` rows of ``n_u``),
+        filled on first use; without, and for a node with any other sign,
+        the fused row evaluator runs and nothing is shared.
+
+        Returns the items' quantized ``best_score``, ``steps`` and (with
+        ``want_idx``; else ``None``) ``best_idx``, node after node, and the
+        nodes' ``bounds`` in them; per node the ``(hits, evaluations,
+        peak_chunk_elements)`` its NumPy chain would have counted with
+        evaluation chunks of ``chunk_elements`` elements; the table's ``(rows
+        filled, row uses)``.  Everything C indexes by is checked first: a
+        ``ValueError`` leaves every memo untouched.
         """
-        n_items = groups.shape[0]
-        n_beta = beta_grid.shape[0]
-        per_item = 1 + 2 * max_steps
-        if isinstance(uniforms, DrawSpan):  # whole rows of exactly per_item
-            if divmod(uniforms.count, per_item) != (n_items, 0):
-                raise ValueError(
-                    f"uniforms must span exactly {per_item} draws for each of "
-                    f"{n_items} items, got {uniforms.count}"
-                )
-            stride, draws = per_item, self._draws(uniforms, uniforms.count)
-        else:
-            uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-            if uniforms.shape[0] != n_items or uniforms.shape[1] < per_item:
-                raise ValueError(
-                    f"uniforms must have shape ({n_items}, >= {per_item}), "
-                    f"got {uniforms.shape}"
-                )
-            stride, draws = uniforms.shape[1], (self._dp(uniforms), 0, 0)
-        if n_beta < 2 or cache.shape != seen.shape or cache.size % n_beta:
-            raise ValueError("memo tables do not match the beta grid")
-        best_score = np.empty(n_items)
-        steps = np.empty(n_items, dtype=np.int64)
-        best_idx = np.empty(n_items, dtype=np.int64)
-        counters = np.zeros(3, dtype=np.int64)
-        rc = self._lib.repro_score_chain(
-            self._dp(values),
-            values.shape[1],
-            self._dp(sign),
-            self._ip(group_row),
-            self._dp(group_value),
-            self._dp(beta_grid),
-            n_beta,
-            self._ip(groups),
-            n_items,
-            *draws,
-            stride,
-            int(max_steps),
-            int(stop_repeats),
-            int(chunk_rows),
-            float(quantum),
-            self._dp(cache),
-            self._ffi.from_buffer("uint8_t[]", seen),
-            self._dp(best_score),
-            self._ip(steps),
-            self._ip(best_idx),
-            self._ip(counters),
+        n_parents, n_u = _checked(
+            uvalues, np.float64, 0, "universe values", writable=False, ndim=2
+        ).shape
+        n_beta = _checked(beta_grid, np.float64, 2, "beta grid", writable=False).shape[0]
+        _checked(urow, np.int64, 0, "universe ranks", writable=False, ndim=2)
+        if urow.shape != uvalues.shape or (
+            urow.size and not 0 <= urow.min() <= urow.max() < n_u
+        ):
+            raise ValueError(f"universe ranks must lie in [0, {n_u}), one per value")
+        per_item = 1 + 2 * int(max_steps)
+        c_nodes = self._ffi.new("repro_node[]", len(nodes))
+        bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
+        held = []  # the buffers behind the structs' pointers
+
+        def pointer(cast, arr):
+            held.append(cast(arr))
+            return held[-1]
+
+        for q, (node, c) in enumerate(zip(nodes, c_nodes)):
+            n_obs = _checked(node.obs, np.int64, 0, "obs", writable=False).shape[0]
+            if n_obs and not 0 <= node.obs.min() <= node.obs.max() < n_u:
+                raise ValueError(f"obs must be columns of the universe, in [0, {n_u})")
+            if _checked(node.sign, np.float64, n_obs, "sign", writable=False).shape[0] != n_obs:
+                raise ValueError("sign must have one entry per observation")
+            c.obs, c.sign = pointer(self._ip, node.obs), pointer(self._dp, node.sign)
+            c.n_obs, c.chunk_rows = n_obs, max(1, int(chunk_elements) // max(1, n_obs))
+            c.shared = bool((np.abs(node.sign) == 1.0).all())
+            c.n_items = n_parents * n_obs
+            if node.items is not None:
+                items = _checked(node.items, np.int64, 0, "items", writable=False)
+                if items.size and (
+                    items.min() < 0 or items.max() >= c.n_items
+                    or (np.diff(items // n_obs) < 0).any()
+                ):
+                    raise ValueError(
+                        f"items must be candidates in [0, {c.n_items}), ascending by parent"
+                    )
+                c.items, c.n_items = pointer(self._ip, items), items.shape[0]
+            if node.groups is not None:
+                cache = _checked(node.cache, np.float64, 0, "memo cache")
+                if cache.size % n_beta or not (
+                    isinstance(node.seen, np.ndarray) and node.seen.dtype == np.bool_
+                    and node.seen.shape == cache.shape and node.seen.flags.c_contiguous
+                ):
+                    raise ValueError("memo tables do not match the beta grid")
+                groups = _checked(node.groups, np.int64, c.n_items, "groups", writable=False)
+                if groups.shape[0] != c.n_items or (
+                    c.n_items and not 0 <= groups.min() <= groups.max() < cache.size // n_beta
+                ):
+                    raise ValueError("groups must name one memo row per item")
+                c.groups, c.cache = pointer(self._ip, groups), pointer(self._dp, cache)
+                c.seen = pointer(lambda a: self._ffi.from_buffer("uint8_t[]", a), node.seen)
+            if isinstance(node.uniforms, DrawSpan):  # whole rows of exactly per_item
+                if node.uniforms.count != c.n_items * per_item:
+                    raise ValueError(
+                        f"uniforms must span exactly {per_item} draws for each of "
+                        f"{c.n_items} items, got {node.uniforms.count}"
+                    )
+                c.stride, draws = per_item, self._draws(node.uniforms, node.uniforms.count)
+            else:
+                rows = np.require(node.uniforms, np.float64, ["C", "W"])
+                if rows.ndim == 1 and rows.size == c.n_items * per_item:
+                    rows = rows.reshape(c.n_items, per_item)  # rows end to end
+                if rows.ndim != 2 or rows.shape[0] != c.n_items or rows.shape[1] < per_item:
+                    raise ValueError(
+                        f"uniforms must have shape ({c.n_items}, >= {per_item}), "
+                        f"got {rows.shape}"
+                    )
+                c.stride, draws = rows.shape[1], self._draws(rows.reshape(-1), rows.size)
+            held.append(draws[0])
+            c.uniforms, c.key, c.offset = draws
+            bounds[q + 1] = bounds[q] + c.n_items
+        best_score = np.empty(bounds[-1])
+        steps = np.empty(bounds[-1], dtype=np.int64)
+        best_idx = np.empty(bounds[-1], dtype=np.int64) if want_idx else None
+        for c, lo, hi in zip(c_nodes, bounds, bounds[1:]):
+            c.best_score = pointer(self._dp, best_score[lo:hi])
+            c.steps = pointer(self._ip, steps[lo:hi])
+            if want_idx:
+                c.best_idx = pointer(self._ip, best_idx[lo:hi])
+        table = np.zeros(2, dtype=np.int64)
+        rc = self._lib.repro_score_batch(
+            self._dp(uvalues), self._ip(urow.reshape(-1)), n_parents, n_u,
+            self._dp(beta_grid), n_beta, c_nodes, len(nodes), int(max_steps),
+            int(stop_repeats), float(quantum), bool(share), self._ip(table),
         )
         if rc == -3:
             raise ValueError("start uniforms must be draws from [0, 1)")
         if rc:
             raise MemoryError("native chain scratch allocation failed")
-        return best_score, steps, best_idx, tuple(counters.tolist())
+        counters = [(c.hits, c.evaluations, c.peak) for c in c_nodes]
+        return best_score, steps, best_idx, bounds, counters, tuple(table.tolist())
 
     def grouped(
         self, vals: np.ndarray, labels: np.ndarray, n_groups: int
@@ -462,19 +499,22 @@ def _checked_address(key: int, offset: int, count: int) -> None:
         )
 
 
-def _checked(arr, dtype, min_size: int, what: str) -> np.ndarray:
-    """``arr`` if C code may index ``min_size`` entries of ``dtype`` in it."""
+def _checked(
+    arr, dtype, min_size: int, what: str, writable: bool = True, ndim: int = 1
+) -> np.ndarray:
+    """``arr`` if C code may index ``min_size`` entries of ``dtype`` in it
+    (and, unless it only reads them, write them)."""
     if not (
         isinstance(arr, np.ndarray)
         and arr.dtype == dtype
-        and arr.ndim == 1
+        and arr.ndim == ndim
         and arr.flags.c_contiguous
-        and arr.flags.writeable
-        and arr.shape[0] >= min_size
+        and (arr.flags.writeable or not writable)
+        and arr.size >= min_size
     ):
         raise ValueError(
-            f"{what} must be a writable C-contiguous 1-D {np.dtype(dtype).name} "
-            f"array of at least {min_size} entries"
+            f"{what} must be a {'writable ' * writable}C-contiguous {ndim}-D "
+            f"{np.dtype(dtype).name} array of at least {min_size} entries"
         )
     return arr
 
@@ -641,11 +681,11 @@ def _certify_battery(kernels: NativeKernels) -> str | None:
                 if not np.array_equal(got, want, equal_nan=True):
                     return f"eval_chunk mismatch at n_obs={n_obs}, beta={beta}"
 
-    # -- the in-kernel Philox vs PhiloxStream.block; score_chain vs
+    # -- the in-kernel Philox vs PhiloxStream.block; score_batch vs
     # SplitScorer._run_chain over the NumPy kernel; the observation and
     # variable sweeps vs the NumPy sweep loops ------------------------------
     for certify in (
-        _certify_philox, _certify_chain, _certify_obs_sweep, _certify_var_sweep
+        _certify_philox, _certify_batch, _certify_obs_sweep, _certify_var_sweep
     ):
         mismatch = certify(kernels)
         if mismatch is not None:
@@ -746,56 +786,73 @@ def _certify_philox(kernels: NativeKernels) -> str | None:
     return None
 
 
-def _certify_chain(kernels: NativeKernels) -> str | None:
-    """The fused chain entry against the NumPy chain it replaces: scores,
-    steps, beta indices, memo counters and the memo's end state, on
-    tie-heavy rows, non-finite scores, SIMD-tail widths, one-step and
-    one-reject chains and an ``item_indices`` sub-range — once reading the
-    oracle's array of draws, once computing them from the span's address."""
-    from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
+def _certify_batch(kernels: NativeKernels) -> str | None:
+    """The batch chain entry against the NumPy chain it replaces, node by
+    node: scores, steps, beta indices, memo counters and a lent memo's end
+    state, on tie-heavy rows, non-finite scores, SIMD-tail widths, one-step
+    and one-reject chains.  Each probe scores two nodes over one universe
+    (all of it reversed, from a mid-parent candidate on; up to nine
+    alternate observations) under independent left/right signs, so a margin
+    row read under the wrong node's sign shows: with lent memos and array
+    draws, then with scratch memos and draws computed from the span's
+    address, sharing margin rows and not (the fused evaluator)."""
+    from repro.scoring.kernel import (
+        ChainNode, LazySplitKernel, isolated_kernel_totals, run_chains,
+    )
     from repro.scoring.split_score import SplitScorer
 
     rng = np.random.default_rng(0xC4A1)
-    grid = (0.25, 1.0, 4.0, 16.0)
-    n_parents, chunk_rows = 3, 2
-    for n_obs, max_steps, stop_repeats, first in (
+    grid, n_parents = np.array((0.25, 1.0, 4.0, 16.0)), 3
+    for n_u, max_steps, stop_repeats, first in (
         (1, 1, 1, 0), (7, 4, 1, 0), (8, 6, 2, 3), (9, 1, 3, 0), (129, 5, 2, 5),
     ):
-        values = np.round(rng.normal(size=(n_parents, n_obs)) * 2.0) / 2.0
-        if n_obs in (8, 9):
-            values[0, :2] = (0.0, -0.0)
-            values[1, -2:] = (1e308, -1e308)  # -inf scores
-            values[2, 0] = np.inf  # inf - inf margins: NaN scores
-        sign = np.where(rng.random(n_obs) < 0.5, 1.0, -1.0)
+        uvalues = np.round(rng.normal(size=(n_parents, n_u)) * 2.0) / 2.0
+        if n_u in (8, 9):
+            uvalues[0, :2] = (0.0, -0.0)
+            uvalues[1, -2:] = (1e308, -1e308)  # -inf scores
+            uvalues[2, 0] = np.inf  # inf - inf margins: NaN scores
         scorer = SplitScorer(grid, max_steps=max_steps, stop_repeats=stop_repeats)
-        items = np.arange(first, n_parents * n_obs)
-        span = IndexedStream(
-            make_stream(0x5EED, "chain", n_obs), scorer.draws_per_item
-        ).items_span(first, items.size)
-        uniforms = span.array().reshape(items.size, -1)
+        chunk = {"max_chunk_elements": 2 * n_u}  # two rows of the wide node
+        probes = []  # per node: obs, sign, items, span, oracle kernel, its results
         with isolated_kernel_totals():
-            oracle = LazySplitKernel(
-                values, sign, grid, max_chunk_elements=chunk_rows * n_obs,
-                backend="numpy", shared_cache=None,
-            )
-            want = scorer.score_batch_kernel(oracle, uniforms, item_indices=items)
-        for draws in (uniforms, span):
-            cache = np.zeros_like(oracle._cache)
-            seen = np.zeros_like(oracle._seen)
-            *got, counters = kernels.score_chain(
-                oracle.values, oracle.sign, oracle.group_row, oracle.group_value,
-                oracle.beta_grid, oracle.item_groups[items], draws, max_steps,
-                stop_repeats, chunk_rows, SCORE_QUANTUM, cache, seen,
-            )
-            memo = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
-            if not _runs_agree([
-                (*want[:3], memo, oracle._seen, oracle._cache[oracle._seen]),
-                (*got, counters, seen, cache[seen]),
-            ]):
-                return (
-                    f"score_chain mismatch at n_obs={n_obs}, max_steps={max_steps}, "
-                    f"draws from {type(draws).__name__}"
+            for q, obs in enumerate((np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])):
+                sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
+                items = np.arange(0 if q else first, n_parents * obs.size)
+                span = IndexedStream(
+                    make_stream(0x5EED, "chain", n_u, q), scorer.draws_per_item
+                ).items_span(int(items[0]), items.size)
+                oracle = LazySplitKernel(
+                    uvalues[:, obs], sign, grid, backend="numpy", shared_cache=None, **chunk
                 )
+                want = scorer.score_batch_kernel(oracle, span, item_indices=items)[:3]
+                probes.append((obs, sign, items, span, oracle, want))
+            # an explicit table budget: the default would probe the machine
+            for lend, share in ((True, True), (False, True), (False, False)):
+                nodes = [
+                    ChainNode(obs, sign, span.array() if lend else span, items, *(
+                        (oracle.item_groups[items], np.zeros_like(oracle._cache),
+                         np.zeros_like(oracle._seen)) if lend else ()
+                    ))
+                    for obs, sign, items, span, oracle, _want in probes
+                ]
+                *flat, bounds, counters = run_chains(
+                    kernels, uvalues, grid, nodes, max_steps, stop_repeats,
+                    table_elements=grid.size * n_u * n_u * share, **chunk,
+                )
+                for node, lo, hi, counted, (*_probe, oracle, want) in zip(
+                    nodes, bounds, bounds[1:], counters, probes
+                ):
+                    memo = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
+                    runs = [(*want, memo), (*(part[lo:hi] for part in flat), counted)]
+                    if lend:
+                        runs[0] += (oracle._seen, oracle._cache[oracle._seen])
+                        runs[1] += (node.seen, node.cache[node.seen])
+                    if not _runs_agree(runs):
+                        return (
+                            f"score_batch mismatch at n_obs={node.obs.size} of {n_u}, "
+                            f"max_steps={max_steps}, {'lent' if lend else 'scratch'} memo, "
+                            f"margin rows {'shared' if share else 'fused'}"
+                        )
     return None
 
 

@@ -17,10 +17,12 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   ``np.round`` at ``decimals=0``;
 * negation and absolute value are sign-bit flips/masks, matching
   ``np.negative`` / ``np.abs`` on signed zeros;
-* ``repro_score_chain`` replays ``SplitScorer._run_chain`` over
-  ``LazySplitKernel.scores`` step for step — same lookups, same memo
-  updates, same accept test (``np.log`` through the provider above) — so
-  the hit / evaluation / peak counters come out equal too;
+* ``repro_score_batch`` replays ``SplitScorer._run_chain`` over
+  ``LazySplitKernel.scores`` for a batch of tree nodes, parent by parent —
+  same lookups, same memo updates, same accept test (``np.log`` through the
+  provider above) — so the hit / evaluation / peak counters come out equal
+  too; the nodes share each ``log1p(exp(-|z|))`` row, which does not depend
+  on a node's +-1 sign vector, through a per-parent table of margin rows;
 * grouped sufficient statistics replicate ``np.bincount`` (sequential
   accumulation in index order) and ``.sum(axis=0)`` (sequential row
   accumulation for multi-column arrays, pairwise for the single-column
@@ -69,16 +71,25 @@ int repro_eval_chunk(const double *group_value, const int64_t *group_row,
                      int64_t n_rows, const double *values, int64_t n_obs,
                      const double *sign, double beta, double quantum,
                      double *out);
-int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
-                      const int64_t *group_row, const double *group_value,
-                      const double *beta_grid, int64_t n_beta,
-                      const int64_t *groups, int64_t n_items,
-                      const double *uniforms, uint64_t key, uint64_t offset,
-                      int64_t draws_per_item, int64_t max_steps,
-                      int64_t stop_repeats, int64_t chunk_rows,
-                      double quantum, double *cache, uint8_t *seen,
-                      double *best_score, int64_t *steps, int64_t *best_idx,
-                      int64_t *counters);
+typedef struct {
+    const int64_t *obs;
+    const double *sign;
+    const int64_t *items;
+    const int64_t *groups;
+    double *cache;
+    uint8_t *seen;
+    const double *uniforms;
+    uint64_t key, offset;
+    int64_t n_obs, n_items, stride, chunk_rows, shared;
+    double *best_score;
+    int64_t *steps, *best_idx;
+    int64_t hits, evaluations, peak;
+} repro_node;
+int repro_score_batch(const double *uvalues, const int64_t *urow,
+                      int64_t n_parents, int64_t n_u, const double *beta_grid,
+                      int64_t n_beta, repro_node *nodes, int64_t n_nodes,
+                      int64_t max_steps, int64_t stop_repeats, double quantum,
+                      int64_t share, int64_t *table_counters);
 int repro_grouped_1d(const double *vals, int64_t n, const int64_t *labels,
                      int64_t n_groups, double *count, double *total,
                      double *sumsq);
@@ -412,6 +423,96 @@ int repro_eval_chunk(const double *group_value, const int64_t *group_row,
     return 0;
 }
 
+/* The sign-free half of a margin, t = log1p(exp(-|(gv - x) * beta|)), over
+ * one parent's universe row.  A left/right sign of exactly +-1 only flips
+ * the sign of z = ((gv - x) * s) * beta — IEEE multiplication rounds
+ * symmetrically — and |.| drops it again, so t is the log1p(exp(-|z|)) of
+ * every node whose observations are columns of this row, whatever its
+ * sign vector: it is filled once per (parent, beta, value) and read by all
+ * of them (docs/ALGORITHMS.md section 13, "Margins are shared across
+ * nodes"). */
+#if REPRO_HAVE_AVX512
+__attribute__((target("avx512f")))
+static void margin_fill_svml(double gv, const double *uv, double beta,
+                             double *t, int64_t n)
+{
+    const __m512d vgv = _mm512_set1_pd(gv);
+    const __m512d vbeta = _mm512_set1_pd(beta);
+    const __m512i sbit = _mm512_set1_epi64((int64_t)0x8000000000000000ULL);
+    int64_t i;
+    for (i = 0; i < n; i += 8) {
+        __mmask8 m = n - i >= 8 ? (__mmask8)0xFF
+                                : (__mmask8)((1u << (n - i)) - 1u);
+        __m512d z = _mm512_mul_pd(
+            _mm512_sub_pd(vgv, _mm512_maskz_loadu_pd(m, uv + i)), vbeta);
+        __m512d naz = _mm512_castsi512_pd(
+            _mm512_or_si512(_mm512_castpd_si512(z), sbit)); /* -|z| */
+        _mm512_mask_storeu_pd(t + i, m, p_log1p8(p_exp8(naz)));
+    }
+}
+
+/* row[o] = where(z > 0, -t, z - t) with z exactly as row_fill_svml computes
+ * it and t gathered from the shared margin row at the node's columns. */
+__attribute__((target("avx512f")))
+static void margin_apply_svml(double gv, const double *vrow,
+                              const double *sgn, double beta, const double *t,
+                              const int64_t *obs, double *row, int64_t n)
+{
+    const __m512d vgv = _mm512_set1_pd(gv);
+    const __m512d vbeta = _mm512_set1_pd(beta);
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512i sbit = _mm512_set1_epi64((int64_t)0x8000000000000000ULL);
+    int64_t i;
+    for (i = 0; i < n; i += 8) {
+        __mmask8 m = n - i >= 8 ? (__mmask8)0xFF
+                                : (__mmask8)((1u << (n - i)) - 1u);
+        __m512d z = _mm512_mul_pd(
+            _mm512_mul_pd(
+                _mm512_sub_pd(vgv, _mm512_maskz_loadu_pd(m, vrow + i)),
+                _mm512_maskz_loadu_pd(m, sgn + i)),
+            vbeta);
+        __m512d tt = _mm512_mask_i64gather_pd(
+            zero, m, _mm512_maskz_loadu_epi64(m, obs + i), t, 8);
+        __mmask8 pos = _mm512_cmp_pd_mask(z, zero, _CMP_GT_OQ);
+        __m512d neg_t = _mm512_castsi512_pd(
+            _mm512_xor_si512(_mm512_castpd_si512(tt), sbit));
+        _mm512_mask_storeu_pd(
+            row + i, m, _mm512_mask_blend_pd(pos, _mm512_sub_pd(z, tt), neg_t));
+    }
+}
+#endif
+
+static void margin_fill(double gv, const double *uv, double beta, double *t,
+                        int64_t n)
+{
+    int64_t i;
+#if REPRO_HAVE_AVX512
+    if (use_svml) {
+        margin_fill_svml(gv, uv, beta, t, n);
+        return;
+    }
+#endif
+    for (i = 0; i < n; i++)
+        t[i] = log1p(exp(-fabs((gv - uv[i]) * beta)));
+}
+
+static void margin_apply(double gv, const double *vrow, const double *sgn,
+                         double beta, const double *t, const int64_t *obs,
+                         double *row, int64_t n)
+{
+    int64_t i;
+#if REPRO_HAVE_AVX512
+    if (use_svml) {
+        margin_apply_svml(gv, vrow, sgn, beta, t, obs, row, n);
+        return;
+    }
+#endif
+    for (i = 0; i < n; i++) {
+        double z = ((gv - vrow[i]) * sgn[i]) * beta;
+        row[i] = (z > 0.0) ? -t[obs[i]] : z - t[obs[i]];
+    }
+}
+
 /* A memo slot is published cache-then-seen: the score is written first and
  * the seen flag stored with release semantics; readers load the flag with
  * acquire semantics before touching the score.  Two threads that adopted
@@ -422,97 +523,164 @@ int repro_eval_chunk(const double *group_value, const int64_t *group_row,
 #define SEEN_ACQUIRE(p) __atomic_load_n((p), __ATOMIC_ACQUIRE)
 #define SEEN_RELEASE(p) __atomic_store_n((p), (uint8_t)1, __ATOMIC_RELEASE)
 
+/* One tree node of a scoring batch.  Its candidate split l * n_obs + j is
+ * (candidate parent l, the parent's value at the node's j-th observation);
+ * `obs` are the node's observations as columns of the batch's universe and
+ * `sign` its left/right vector (`shared`: every entry is exactly +-1, the
+ * precondition of reading shared margin rows).  `items` are the candidates
+ * the chain runs over, ascending by parent (NULL: all of them, n_items =
+ * n_parents * n_obs), and `groups` their rows in the lent memo cache/seen
+ * (NULL: nothing lent, the chain keeps a scratch memo).  Chain item i
+ * writes best_score/steps/best_idx[i] (best_idx may be NULL: not wanted);
+ * hits/evaluations/peak are written once per call. */
 typedef struct {
-    const double *values, *sign, *group_value, *beta_grid;
-    const int64_t *group_row, *groups;
-    int64_t n_obs, n_beta, chunk_rows;
-    double quantum;
-    double *cache, *row;
-    uint8_t *seen, *miss;
-    int64_t *flat, *per_beta;
+    const int64_t *obs;
+    const double *sign;
+    const int64_t *items;
+    const int64_t *groups;
+    double *cache;
+    uint8_t *seen;
+    const double *uniforms;
+    uint64_t key, offset;
+    int64_t n_obs, n_items, stride, chunk_rows, shared;
+    double *best_score;
+    int64_t *steps, *best_idx;
     int64_t hits, evaluations, peak;
-} chain_ctx;
+} repro_node;
+
+/* What one repro_score_batch call holds: the universe (one row of parent
+ * values and value ranks per candidate parent), the margin table of the
+ * parent in hand, and the (node, parent) chain in hand with its memo. */
+typedef struct {
+    const double *beta_grid, *uv;
+    const int64_t *ur;
+    int64_t n_u, n_beta;
+    double quantum;
+    /* margin rows of the parent in hand, by key (NULL: nothing shared) */
+    double *rows;
+    uint8_t *have;
+    int64_t filled, uses;
+    /* the chain in hand */
+    const repro_node *nd;
+    double *vrow, *row, *cache;
+    uint8_t *seen, *miss;
+    int64_t *flat, *mrow, *ucol, *missed;
+    int64_t hits, evaluations;
+} batch_ctx;
+
+/* One (group, beta) score of the node in hand, for the group whose value
+ * sits in universe column u: z = ((gv - values_row[o]) * sign[o]) * beta,
+ * stable log-sigmoid, pairwise row sum, round-half-even quantization.  A
+ * node with +-1 signs reads log1p(exp(-|z|)) from the parent's margin row
+ * (filled on first use); any other node, and every node when the batch
+ * shares no table, evaluates the fused row. */
+static double node_score(batch_ctx *c, int64_t u, int64_t b)
+{
+    const repro_node *nd = c->nd;
+    const double gv = c->uv[u], beta = c->beta_grid[b];
+    int64_t key;
+    double *t;
+    if (!c->rows || !nd->shared)
+        return row_score(gv, c->vrow, nd->sign, beta, c->quantum, c->row,
+                         nd->n_obs);
+    key = b * c->n_u + c->ur[u];
+    t = c->rows + key * c->n_u;
+    c->uses++;
+    if (!c->have[key]) {
+        margin_fill(gv, c->uv, beta, t, c->n_u);
+        c->have[key] = 1;
+        c->filled++;
+    }
+    margin_apply(gv, c->vrow, nd->sign, beta, t, nd->obs, c->row, nd->n_obs);
+    return rint(pw_sum(c->row, nd->n_obs) / c->quantum) * c->quantum;
+}
 
 /* LazySplitKernel.scores for the k chain items act[0..k) at beta indices
  * bidx[0..k): hits are counted against the memo as it stood when the
  * lookup began (a duplicate key inside one lookup is a miss for every
- * holder, as in ~seen[flat]), the distinct missing keys are evaluated
- * once each, and peak tracks the largest same-beta chunk _evaluate would
- * have allocated (min(keys at that beta, chunk_rows) rows of n_obs). */
-static void chain_lookup(chain_ctx *c, const int64_t *act, int64_t k,
-                         const int64_t *bidx, double *score)
+ * holder, as in ~seen[flat]) and the distinct missing keys are evaluated
+ * once each.  missed[b] counts them per beta for this lookup of the node:
+ * groups never span parents, so summed over the node's parents it is what
+ * one all-parents lookup would have missed at that beta — the count
+ * _evaluate sizes its same-beta chunks by (peak_chunk_elements). */
+static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
+                         const int64_t *bidx, int64_t *missed, double *score)
 {
-    int64_t j, b, n_miss = 0;
+    int64_t j, n_miss = 0;
     for (j = 0; j < k; j++) {
-        int64_t key = c->groups[act[j]] * c->n_beta + bidx[j];
+        int64_t key = c->mrow[act[j]] * c->n_beta + bidx[j];
         c->flat[j] = key;
         c->miss[j] = !SEEN_ACQUIRE(c->seen + key);
         n_miss += c->miss[j];
     }
     c->hits += k - n_miss;
-    if (n_miss) {
-        memset(c->per_beta, 0, (size_t)c->n_beta * sizeof(int64_t));
-        for (j = 0; j < k; j++) {
-            int64_t key = c->flat[j], g;
-            if (!c->miss[j] || SEEN_ACQUIRE(c->seen + key))
-                continue;
-            g = key / c->n_beta;
-            b = key % c->n_beta;
-            c->cache[key] = row_score(
-                c->group_value[g], c->values + c->group_row[g] * c->n_obs,
-                c->sign, c->beta_grid[b], c->quantum, c->row, c->n_obs);
-            SEEN_RELEASE(c->seen + key);
-            c->per_beta[b]++;
-            c->evaluations++;
-        }
-        for (b = 0; b < c->n_beta; b++) {
-            int64_t rows = c->per_beta[b] < c->chunk_rows ? c->per_beta[b]
-                                                          : c->chunk_rows;
-            if (rows * c->n_obs > c->peak)
-                c->peak = rows * c->n_obs;
-        }
+    for (j = 0; n_miss && j < k; j++) {
+        int64_t key = c->flat[j];
+        if (!c->miss[j] || SEEN_ACQUIRE(c->seen + key))
+            continue;
+        c->cache[key] = node_score(c, c->ucol[act[j]], bidx[j]);
+        SEEN_RELEASE(c->seen + key);
+        missed[bidx[j]]++;
+        c->evaluations++;
     }
     for (j = 0; j < k; j++)
         score[j] = c->cache[c->flat[j]];
 }
 
-/* SplitScorer._run_chain over a LazySplitKernel's tables, whole node in
- * one call.  The chain stays step-synchronous (every active item takes
- * step s before any takes s + 1) because the memo counters depend on the
- * order of lookups; scores and accept decisions would not.  cache/seen are
- * the kernel's own memo, updated in place.  Item i's draws are
- * i * draws_per_item onwards of `uniforms` or, when that is NULL, of the
- * Philox stream (key, offset): only the draws a chain reaches are computed.
- * counters = {hits, evaluations, peak_chunk_elements}.  Returns -1 on
- * allocation failure, -3 when a start uniform is negative or NaN (not a
- * draw from [0, 1)). */
-int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
-                      const int64_t *group_row, const double *group_value,
-                      const double *beta_grid, int64_t n_beta,
-                      const int64_t *groups, int64_t n_items,
-                      const double *uniforms, uint64_t key, uint64_t offset,
-                      int64_t draws_per_item, int64_t max_steps,
-                      int64_t stop_repeats, int64_t chunk_rows,
-                      double quantum, double *cache, uint8_t *seen,
-                      double *best_score, int64_t *steps, int64_t *best_idx,
-                      int64_t *counters)
+/* SplitScorer._run_chain for a batch of tree nodes, parent-major: for each
+ * candidate parent, each node's chain over its candidate splits of that
+ * parent (chain items [k0, k1) of the node) runs step-synchronously (every
+ * active item takes step s before any takes s + 1; the memo counters
+ * depend on the order of lookups, scores and accept decisions would not)
+ * against the node's lent memo or a scratch one keyed by universe value
+ * rank, and with `share` all nodes read one table of margin rows, n_beta *
+ * n_u of n_u per parent (node_score).  A node's
+ * candidate l * n_obs + j is (parent row l of uvalues, value at universe
+ * column obs[j]); chain item i draws i * stride onwards of `uniforms` or,
+ * when that is NULL, of the Philox stream (key, offset): only the draws a
+ * chain reaches are computed.  table_counters = {rows filled, row uses};
+ * each node reports {hits, evaluations, peak_chunk_elements} as one
+ * all-parents chain would have counted them.
+ * Returns -1 on allocation failure, -3 when a start uniform is negative or
+ * NaN (not a draw from [0, 1); checked before any memo is touched). */
+int repro_score_batch(const double *uvalues, const int64_t *urow,
+                      int64_t n_parents, int64_t n_u, const double *beta_grid,
+                      int64_t n_beta, repro_node *nodes, int64_t n_nodes,
+                      int64_t max_steps, int64_t stop_repeats, double quantum,
+                      int64_t share, int64_t *table_counters)
 {
-    chain_ctx c;
-    draws d = {uniforms, key, offset, 0};
-    int64_t *ibuf, *act, *cur_idx, *rejects, *prop;
-    double *dbuf, *cur_score, *prop_score, *log_u;
-    int64_t i, j, k, step;
-    int rc = 0;
-    size_t n = (size_t)(n_items > 0 ? n_items : 1);
+    batch_ctx c;
+    int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *cursor, *missed;
+    double *dbuf, *cur_score, *prop_score, *log_u, *memo;
+    uint8_t *bbuf;
+    int64_t i, j, k, l, q, step, max_k = 1, max_obs = 1;
+    const int64_t n_lookups = max_steps + 1, n_memo = n_u * n_beta;
+    const int64_t n_rows = share ? n_memo : 0;
+    size_t n;
 
-    ibuf = (int64_t *)calloc(5 * n + (size_t)n_beta, sizeof(int64_t));
+    for (q = 0; q < n_nodes; q++) {
+        const repro_node *nd = nodes + q;
+        k = nd->items ? nd->n_items : nd->n_obs;
+        if (k > max_k)
+            max_k = k;
+        if (nd->n_obs > max_obs)
+            max_obs = nd->n_obs;
+        for (i = 0; nd->uniforms && i < nd->n_items; i++)
+            if ((int64_t)(nd->uniforms[i * nd->stride] * (double)n_beta) < 0)
+                return -3;
+    }
+    n = (size_t)max_k;
+    ibuf = (int64_t *)calloc(
+        8 * n + (size_t)(n_nodes * (1 + n_lookups * n_beta)),
+        sizeof(int64_t));
     dbuf = (double *)malloc(
-        (3 * n + (size_t)(n_obs > 0 ? n_obs : 1)) * sizeof(double));
-    c.miss = (uint8_t *)malloc(n);
-    if (!ibuf || !dbuf || !c.miss) {
+        (3 * n + 2 * (size_t)max_obs + (size_t)(n_memo + n_rows * n_u))
+        * sizeof(double));
+    bbuf = (uint8_t *)malloc(n + (size_t)(n_memo + n_rows));
+    if (!ibuf || !dbuf || !bbuf) {
         free(ibuf);
         free(dbuf);
-        free(c.miss);
+        free(bbuf);
         return -1;
     }
     act = ibuf;
@@ -520,89 +688,139 @@ int repro_score_chain(const double *values, int64_t n_obs, const double *sign,
     rejects = ibuf + 2 * n;
     prop = ibuf + 3 * n;
     c.flat = ibuf + 4 * n;
-    c.per_beta = ibuf + 5 * n;
+    c.mrow = ibuf + 5 * n;
+    c.ucol = ibuf + 6 * n;
+    best_idx = ibuf + 7 * n;
+    cursor = ibuf + 8 * n;
+    missed = cursor + n_nodes;
     cur_score = dbuf;
     prop_score = dbuf + n;
     log_u = dbuf + 2 * n;
     c.row = dbuf + 3 * n;
-    c.values = values;
-    c.sign = sign;
-    c.group_value = group_value;
+    c.vrow = c.row + max_obs;
+    memo = c.vrow + max_obs;
+    c.rows = share ? memo + n_memo : NULL;
+    c.miss = bbuf;
+    c.have = bbuf + n + n_memo;
     c.beta_grid = beta_grid;
-    c.group_row = group_row;
-    c.groups = groups;
-    c.n_obs = n_obs;
+    c.n_u = n_u;
     c.n_beta = n_beta;
-    c.chunk_rows = chunk_rows;
     c.quantum = quantum;
-    c.cache = cache;
-    c.seen = seen;
-    c.hits = c.evaluations = c.peak = 0;
+    c.filled = c.uses = 0;
+    for (q = 0; q < n_nodes; q++)
+        nodes[q].hits = nodes[q].evaluations = nodes[q].peak = 0;
 
-    for (i = 0; i < n_items; i++) {
-        /* min((u * n_beta).astype(int64), n_beta - 1) */
-        int64_t idx = (int64_t)(draw(&d, i * draws_per_item) * (double)n_beta);
-        if (idx > n_beta - 1)
-            idx = n_beta - 1;
-        if (idx < 0) {
-            rc = -3;
-            goto done;
-        }
-        cur_idx[i] = idx;
-        act[i] = i;
-        steps[i] = 0;
-    }
-    chain_lookup(&c, act, n_items, cur_idx, cur_score);
-    for (i = 0; i < n_items; i++) {
-        best_score[i] = cur_score[i];
-        best_idx[i] = cur_idx[i];
-    }
-
-    k = n_items;
-    for (step = 0; step < max_steps && k > 0; step++) {
-        int64_t kept = 0;
-        for (j = 0; j < k; j++) {
-            const int64_t at = act[j] * draws_per_item + 1 + 2 * step;
-            const double u_prop = draw(&d, at), u_acc = draw(&d, at + 1);
-            int64_t p = cur_idx[act[j]] + (u_prop < 0.5 ? -1 : 1);
-            if (p < 0)
-                p = 1;
-            if (p >= n_beta)
-                p = n_beta - 2;
-            prop[j] = p;
-            /* np.maximum(u_acc, 1e-300): NaN propagates */
-            log_u[j] = (u_acc != u_acc || u_acc > 1e-300) ? u_acc : 1e-300;
-        }
-        chain_lookup(&c, act, k, prop, prop_score);
-        apply_log(log_u, k);
-        for (j = 0; j < k; j++) {
-            i = act[j];
-            steps[i]++;
-            if (log_u[j] < prop_score[j] - cur_score[i]) {
-                cur_idx[i] = prop[j];
-                cur_score[i] = prop_score[j];
-                rejects[i] = 0;
-                if (cur_score[i] > best_score[i]) {
-                    best_score[i] = cur_score[i];
-                    best_idx[i] = cur_idx[i];
-                }
-                act[kept++] = i;
-            } else if (++rejects[i] < stop_repeats) {
-                act[kept++] = i;
+    for (l = 0; l < n_parents; l++) {
+        c.uv = uvalues + l * n_u;
+        c.ur = urow + l * n_u;
+        memset(c.have, 0, (size_t)n_rows);
+        for (q = 0; q < n_nodes; q++) {
+            repro_node *nd = nodes + q;
+            const int64_t n_obs = nd->n_obs;
+            int64_t *node_missed = missed + q * n_lookups * n_beta;
+            int64_t k0 = l * n_obs, k1 = k0 + n_obs;
+            draws d = {nd->uniforms, nd->key, nd->offset, 0};
+            if (nd->items) {
+                k0 = k1 = cursor[q];
+                while (k1 < nd->n_items && nd->items[k1] < (l + 1) * n_obs)
+                    k1++;
+                cursor[q] = k1;
             }
+            k = k1 - k0;
+            if (!k)
+                continue;
+            c.nd = nd;
+            c.hits = c.evaluations = 0;
+            for (j = 0; j < n_obs; j++)
+                c.vrow[j] = c.uv[nd->obs[j]];
+            if (nd->groups) {
+                c.cache = nd->cache;
+                c.seen = nd->seen;
+            } else {
+                c.cache = memo;
+                c.seen = bbuf + n;
+                memset(c.seen, 0, (size_t)n_memo);
+            }
+            for (i = 0; i < k; i++) {
+                /* min((u * n_beta).astype(int64), n_beta - 1) */
+                int64_t idx = (int64_t)(draw(&d, (k0 + i) * nd->stride)
+                                        * (double)n_beta);
+                int64_t item = nd->items ? nd->items[k0 + i] : k0 + i;
+                c.ucol[i] = nd->obs[item - l * n_obs];
+                c.mrow[i] = nd->groups ? nd->groups[k0 + i] : c.ur[c.ucol[i]];
+                cur_idx[i] = idx > n_beta - 1 ? n_beta - 1 : idx;
+                rejects[i] = 0;
+                act[i] = i;
+                nd->steps[k0 + i] = 0;
+            }
+            chain_lookup(&c, act, k, cur_idx, node_missed, cur_score);
+            for (i = 0; i < k; i++) {
+                nd->best_score[k0 + i] = cur_score[i];
+                best_idx[i] = cur_idx[i];
+            }
+            for (step = 0; step < max_steps && k > 0; step++) {
+                int64_t kept = 0;
+                for (j = 0; j < k; j++) {
+                    const int64_t at =
+                        (k0 + act[j]) * nd->stride + 1 + 2 * step;
+                    const double u_prop = draw(&d, at),
+                                 u_acc = draw(&d, at + 1);
+                    int64_t p = cur_idx[act[j]] + (u_prop < 0.5 ? -1 : 1);
+                    if (p < 0)
+                        p = 1;
+                    if (p >= n_beta)
+                        p = n_beta - 2;
+                    prop[j] = p;
+                    /* np.maximum(u_acc, 1e-300): NaN propagates */
+                    log_u[j] =
+                        (u_acc != u_acc || u_acc > 1e-300) ? u_acc : 1e-300;
+                }
+                chain_lookup(&c, act, k, prop,
+                             node_missed + (step + 1) * n_beta, prop_score);
+                apply_log(log_u, k);
+                for (j = 0; j < k; j++) {
+                    i = act[j];
+                    nd->steps[k0 + i]++;
+                    if (log_u[j] < prop_score[j] - cur_score[i]) {
+                        cur_idx[i] = prop[j];
+                        cur_score[i] = prop_score[j];
+                        rejects[i] = 0;
+                        if (cur_score[i] > nd->best_score[k0 + i]) {
+                            nd->best_score[k0 + i] = cur_score[i];
+                            best_idx[i] = cur_idx[i];
+                        }
+                        act[kept++] = i;
+                    } else if (++rejects[i] < stop_repeats) {
+                        act[kept++] = i;
+                    }
+                }
+                k = kept;
+            }
+            for (i = k0; i < k1; i++)
+                nd->best_score[i] = rint(nd->best_score[i] / quantum) * quantum;
+            if (nd->best_idx)
+                memcpy(nd->best_idx + k0, best_idx,
+                       (size_t)(k1 - k0) * sizeof(int64_t));
+            nd->hits += c.hits;
+            nd->evaluations += c.evaluations;
         }
-        k = kept;
     }
-    for (i = 0; i < n_items; i++)
-        best_score[i] = rint(best_score[i] / quantum) * quantum;
-    counters[0] = c.hits;
-    counters[1] = c.evaluations;
-    counters[2] = c.peak;
-done:
+    /* peak = the largest same-beta chunk of any lookup:
+     * min(keys missed at that beta, chunk_rows) rows of n_obs */
+    for (q = 0; q < n_nodes; q++)
+        for (i = 0; i < n_lookups * n_beta; i++) {
+            int64_t rows = missed[q * n_lookups * n_beta + i];
+            if (rows > nodes[q].chunk_rows)
+                rows = nodes[q].chunk_rows;
+            if (rows * nodes[q].n_obs > nodes[q].peak)
+                nodes[q].peak = rows * nodes[q].n_obs;
+        }
+    table_counters[0] = c.filled;
+    table_counters[1] = c.uses;
     free(ibuf);
     free(dbuf);
-    free(c.miss);
-    return rc;
+    free(bbuf);
+    return 0;
 }
 
 /* StatsArrays.grouped, 1-D: three np.bincount passes fused into one.

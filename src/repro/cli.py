@@ -139,6 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--network", required=True, help="network JSON file")
     report.add_argument("--top", type=int, default=3, help="regulators per module")
 
+    trace = sub.add_parser("trace", help="inspect a saved work trace")
+    trace.add_argument("action", choices=["summarize"])
+    trace.add_argument("path", help="trace file written by save_trace (.npz)")
+
     validate = sub.add_parser(
         "validate",
         help="scenario-matrix differential validation across backends",
@@ -530,6 +534,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.parallel.trace import load_trace, summarize_trace
+
+    print(summarize_trace(load_trace(args.path)))
+    return 0
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     from repro.validation import SCENARIOS, run_matrix
 
@@ -661,6 +672,7 @@ COMMANDS = {
     "consensus": cmd_consensus,
     "modules": cmd_modules,
     "report": cmd_report,
+    "trace": cmd_trace,
     "validate": cmd_validate,
     "serve": cmd_serve,
     "submit": cmd_submit,

@@ -38,7 +38,7 @@ from repro.scoring.kernel import consume_kernel_totals
 from repro.scoring.split_score import SplitScorer
 from repro.trees.hierarchy import build_tree_structure
 from repro.trees.parents import accumulate_parent_scores
-from repro.trees.splits import score_node_splits, select_node_splits
+from repro.trees.splits import NodeSplitScores, score_nodes, select_node_splits
 
 
 def _require_complete(matrix: ExpressionMatrix) -> None:
@@ -246,34 +246,32 @@ def _learn_result(matrix, modules, times: TaskTimes, trace, executor) -> LearnRe
     return LearnResult(network=network, task_times=times, trace=trace, stats=stats)
 
 
-def learn_single_module(
-    data: np.ndarray,
-    module_id: int,
-    members: list[int],
-    parents: np.ndarray,
-    scorer: SplitScorer,
-    config: LearnerConfig,
-    seed: int,
-    trace=None,
-) -> Module:
-    """Learn one module end to end (obs clustering, trees, splits, parents).
+#: bytes one candidate split holds in the flat score arrays (float64 log
+#: score, int64 steps, bool accepted)
+_SPLIT_BYTES = 17
 
-    A module consumes only its own named streams (``("modules", id)`` and
-    ``("splits", id)``), so this function is self-contained: executors run
-    it on whole modules in any order, concurrently or not, and obtain
-    bit-identical results.
+#: bytes of flat score arrays one scoring batch may hold; a batch of modules
+#: whose trees pass it is scored in several calls.  128 MiB is ~500 root
+#: nodes of the benchmark's `bench` shape (120 parents x 128 observations)
+#: — far above one `learn()` there — while a root node of the paper's shape
+#: (5,716 x 2,577: 250 MB) is always a call of its own.
+SCORE_BATCH_BYTES = 1 << 27
+
+
+def tree_phase(data, module_id, members, config, seed, trace=None):
+    """Step 1 of one module: observation clusterings agglomerated to trees.
+
+    Returns ``(trees, nodes, records, mrng)`` where ``nodes`` lists
+    ``(tree_index, node)`` in enumeration order, ``records`` are the node
+    records ``(module_id, obs, left_obs, module_obs_base)`` split scoring
+    consumes, and ``mrng`` is the module stream, positioned for split
+    selection.
     """
     block = data[members]
     mrng = GibbsRandom(
         make_stream(seed, "modules", module_id, backend=config.rng_backend)
     )
     hooks = _hooks_for(trace)
-    istream = IndexedStream(
-        make_stream(seed, "splits", module_id, backend=config.rng_backend),
-        scorer.draws_per_item,
-    )
-
-    # Step 1: sample observation clusterings, agglomerate into trees.
     obs_samples = run_obs_only_ganesh(
         block,
         mrng,
@@ -286,42 +284,75 @@ def learn_single_module(
         build_tree_structure(block, labels, module_id, config.prior, hooks)
         for labels in obs_samples
     ]
+    nodes = []
+    records = []
+    obs_base = 0
+    for tree_index, tree in enumerate(trees):
+        for node in tree.internal_nodes():
+            nodes.append((tree_index, node))
+            records.append(
+                (module_id, node.observations, node.left.observations, obs_base)
+            )
+            obs_base += int(node.observations.size)
+    return trees, nodes, records, mrng
 
-    # Steps 2-3: score candidate splits, select, aggregate parents.
+
+def select_phase(
+    data,
+    module_id,
+    members,
+    trees,
+    nodes,
+    parents,
+    mrng,
+    config,
+    log_scores,
+    steps,
+    accepted,
+    offset,
+    trace=None,
+) -> tuple[Module, int]:
+    """Steps 2-3 of one module from pre-computed flat score arrays.
+
+    ``offset`` is the module's first row in the flat arrays; the new offset
+    (one past the module's last split) is returned.  Consumes exactly the
+    same ``mrng`` draws whoever scored the splits, in the same order.
+    """
     module = Module(module_id=module_id, members=list(members), trees=trees)
     split_base = 0
     all_weighted = []
     all_uniform = []
-    for tree_index, tree in enumerate(trees):
-        for node in tree.internal_nodes():
-            scores = score_node_splits(
-                data,
-                module_id,
-                tree_index,
-                node,
-                parents,
-                scorer,
-                istream,
-                split_base,
+    for tree_index, node in nodes:
+        n_splits = int(parents.size * node.observations.size)
+        scores = NodeSplitScores(
+            module_id=module_id,
+            tree_index=tree_index,
+            node=node,
+            parents=parents,
+            base_index=split_base,
+            log_scores=log_scores[offset : offset + n_splits],
+            steps=steps[offset : offset + n_splits],
+            accepted=accepted[offset : offset + n_splits],
+        )
+        offset += n_splits
+        split_base += n_splits
+        if trace is not None:
+            trace.record(
+                "modules.split_scoring",
+                scores.work_units(),
+                # The whole phase shares one segmented scan and one
+                # all-gather (Section 3.2.3); charge them per node so
+                # the per-p comm term scales with the node count.
+                n_collectives=1,
+                words=2 * config.n_splits_per_node,
             )
-            split_base += scores.n_splits
-            if trace is not None:
-                trace.record(
-                    "modules.split_scoring",
-                    scores.work_units(),
-                    # The whole phase shares one segmented scan and one
-                    # all-gather (Section 3.2.3); charge them per node so
-                    # the per-p comm term scales with the node count.
-                    n_collectives=1,
-                    words=2 * config.n_splits_per_node,
-                )
-            weighted, uniform = select_node_splits(
-                data, scores, mrng, config.n_splits_per_node
-            )
-            node.weighted_splits = weighted
-            node.uniform_splits = uniform
-            all_weighted.extend(weighted)
-            all_uniform.extend(uniform)
+        weighted, uniform = select_node_splits(
+            data, scores, mrng, config.n_splits_per_node
+        )
+        node.weighted_splits = weighted
+        node.uniform_splits = uniform
+        all_weighted.extend(weighted)
+        all_uniform.extend(uniform)
 
     module.weighted_parents = accumulate_parent_scores(all_weighted)
     module.uniform_parents = accumulate_parent_scores(all_uniform)
@@ -333,6 +364,92 @@ def learn_single_module(
             n_collectives=2,
             words=len(all_weighted) + len(all_uniform),
         )
+    return module, offset
+
+
+def learn_module_batch(
+    data: np.ndarray,
+    batch,
+    parents: np.ndarray,
+    scorer: SplitScorer,
+    config: LearnerConfig,
+    seed: int,
+    traces: dict | None = None,
+    checkpoints=None,
+) -> list[Module]:
+    """Learn a batch of ``(module_id, members)`` modules end to end.
+
+    Trees are built module by module (:func:`tree_phase`), the candidate
+    splits of all their internal nodes are scored as one batch
+    (:func:`repro.trees.splits.score_nodes` — on the native backend one
+    call in which the nodes share every margin row; several when the flat
+    score arrays would pass :data:`SCORE_BATCH_BYTES`), then splits are
+    selected and parents aggregated module by module
+    (:func:`select_phase`) and each finished module goes to ``checkpoints``.
+    A module consumes only its own named streams (``("modules", id)`` and
+    ``("splits", id)``), so however modules are batched, ordered or spread
+    over processes the results are bit-identical; ``traces[module_id]``
+    records one module's steps in the order a module learned alone would.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    modules: list[Module] = []
+    pending: list[tuple] = []  # modules whose trees await scoring ...
+    pending_nodes: list[tuple] = []  # ... and their nodes, for score_nodes
+
+    def score_and_select() -> None:
+        log_scores, steps, accepted = score_nodes(data, parents, scorer, pending_nodes)
+        offset = 0
+        for module_id, members, trees, nodes, mrng in pending:
+            module, offset = select_phase(
+                data, module_id, members, trees, nodes, parents, mrng, config,
+                log_scores, steps, accepted, offset,
+                None if traces is None else traces[module_id],
+            )
+            if checkpoints is not None:
+                checkpoints.store(module)
+            modules.append(module)
+        pending.clear()
+        pending_nodes.clear()
+
+    for module_id, members in batch:
+        trees, nodes, records, mrng = tree_phase(
+            data, module_id, members, config, seed,
+            None if traces is None else traces[module_id],
+        )
+        istream = IndexedStream(
+            make_stream(seed, "splits", module_id, backend=config.rng_backend),
+            scorer.draws_per_item,
+        )
+        module_nodes = [
+            (obs, left_obs, istream, obs_base * parents.size)
+            for _module_id, obs, left_obs, obs_base in records
+        ]
+        n_obs = sum(len(obs) for obs, *_rest in pending_nodes + module_nodes)
+        if pending and _SPLIT_BYTES * parents.size * n_obs > SCORE_BATCH_BYTES:
+            score_and_select()
+        pending.append((module_id, members, trees, nodes, mrng))
+        pending_nodes.extend(module_nodes)
+    if pending:
+        score_and_select()
+    return modules
+
+
+def learn_single_module(
+    data: np.ndarray,
+    module_id: int,
+    members: list[int],
+    parents: np.ndarray,
+    scorer: SplitScorer,
+    config: LearnerConfig,
+    seed: int,
+    trace=None,
+) -> Module:
+    """Learn one module end to end (obs clustering, trees, splits, parents):
+    a one-module :func:`learn_module_batch`."""
+    (module,) = learn_module_batch(
+        data, [(module_id, members)], parents, scorer, config, seed,
+        None if trace is None else {module_id: trace},
+    )
     return module
 
 

@@ -12,13 +12,14 @@ module holds everything on the *task* side of that seam:
   (installed once by the pool initializer, together with the worker's
   stable index); an in-process transport keeps its own;
 * the **runners** ``fn(ctx, item)`` — one GaneSH chain
-  (:func:`_ganesh_run`), one whole module (:func:`_module_run`), one chunk
-  of the flat candidate-split list (:func:`_score_chunk_run`) — and
-  :data:`TASK_RUNNERS`, the wire names shard nodes accept;
+  (:func:`_ganesh_run`), one batch of whole modules
+  (:func:`_module_batch_run`), one chunk of the flat candidate-split list
+  (:func:`_score_chunk_run`) — and :data:`TASK_RUNNERS`, the wire names
+  shard nodes accept;
 * the **split-task construction** — :func:`build_split_tasks` /
-  :func:`_subdivide` cut the flat split list of Algorithm 5 into chunks,
-  and :func:`tree_phase` / :func:`select_phase` are the driver-side halves
-  of a module around that pooled scoring pass.
+  :func:`_subdivide` cut the flat split list of Algorithm 5 into chunks
+  (:func:`repro.core.learner.tree_phase` / ``select_phase``, re-exported
+  here, are the driver-side halves of a module around that pooled pass).
 
 Every task draws only from streams named by its own unit — ``("ganesh",
 g)``, ``("modules", id)``, ``("splits", id)`` with index-addressed
@@ -37,18 +38,16 @@ from repro.core.learner import (
     _GaneshCheckpoints,
     _hooks_for,
     _ModuleCheckpoints,
-    learn_single_module,
+    learn_module_batch,
+    select_phase,  # noqa: F401 - re-exported: the executor's split mode
+    tree_phase,  # noqa: F401 - ... and examples import them from here
 )
-from repro.datatypes import Module
-from repro.ganesh.coclustering import run_obs_only_ganesh, run_replicated_ganesh
+from repro.ganesh.coclustering import run_replicated_ganesh
 from repro.parallel.costmodel import block_bounds
 from repro.parallel.trace import WorkTrace
-from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
+from repro.rng.streams import IndexedStream, make_stream
 from repro.scoring.kernel import split_kernel_from_arrays
 from repro.scoring.split_score import SplitScorer
-from repro.trees.hierarchy import build_tree_structure
-from repro.trees.parents import accumulate_parent_scores
-from repro.trees.splits import NodeSplitScores, select_node_splits
 
 # -- the task context --------------------------------------------------------
 
@@ -116,24 +115,27 @@ def _ganesh_run(ctx, item):
     return g, labels, (trace.steps if trace is not None else [])
 
 
-def _module_run(ctx, item):
-    """Learn one whole module (Task 3 module-level parallelism)."""
-    module_id, members, want_trace = item
-    trace = WorkTrace() if want_trace else None
-    module = learn_single_module(
+def _module_batch_run(ctx, item):
+    """Learn a batch of whole modules (Task 3 module-level parallelism):
+    their nodes' candidate splits are scored together, each finished module
+    is checkpointed at once.  Returns ``(module_id, module, trace steps)``
+    per module."""
+    batch, want_trace = item
+    traces = {module_id: WorkTrace() for module_id, _ in batch} if want_trace else None
+    modules = learn_module_batch(
         ctx["data"],
-        module_id,
-        members,
+        batch,
         ctx["parents"],
         ctx["scorer"],
         ctx["config"],
         ctx["seed"],
-        trace,
+        traces,
+        ctx["module_checkpoints"],
     )
-    checkpoints = ctx["module_checkpoints"]
-    if checkpoints is not None:
-        checkpoints.store(module)
-    return module_id, module, (trace.steps if trace is not None else [])
+    return [
+        (m.module_id, m, traces[m.module_id].steps if want_trace else [])
+        for m in modules
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +190,7 @@ def _score_chunk_run(ctx, task: SplitTask):
 #: callable so a node never unpickles code
 TASK_RUNNERS = {
     "ganesh": _ganesh_run,
-    "module": _module_run,
+    "module_batch": _module_batch_run,
     "score_chunk": _score_chunk_run,
 }
 
@@ -263,110 +265,3 @@ def _subdivide(tasks: list[SplitTask], total: int, n_chunks: int) -> list[SplitT
                 )
             tj += 1
     return out
-
-
-# -- driver-side phases of split mode ----------------------------------------
-
-
-def tree_phase(data, module_id, members, config, seed, trace=None):
-    """Step 1 of one module: observation clusterings agglomerated to trees.
-
-    Returns ``(trees, nodes, records, mrng)`` where ``nodes`` lists
-    ``(tree_index, node)`` in enumeration order, ``records`` are the node
-    records :func:`build_split_tasks` consumes, and ``mrng`` is the module
-    stream, positioned for split selection.
-    """
-    block = data[members]
-    mrng = GibbsRandom(
-        make_stream(seed, "modules", module_id, backend=config.rng_backend)
-    )
-    hooks = _hooks_for(trace)
-    obs_samples = run_obs_only_ganesh(
-        block,
-        mrng,
-        n_update_steps=config.tree_update_steps,
-        burn_in=config.tree_burn_in,
-        prior=config.prior,
-        hooks=hooks,
-    )
-    trees = [
-        build_tree_structure(block, labels, module_id, config.prior, hooks)
-        for labels in obs_samples
-    ]
-    nodes = []
-    records = []
-    obs_base = 0
-    for tree_index, tree in enumerate(trees):
-        for node in tree.internal_nodes():
-            nodes.append((tree_index, node))
-            records.append(
-                (module_id, node.observations, node.left.observations, obs_base)
-            )
-            obs_base += int(node.observations.size)
-    return trees, nodes, records, mrng
-
-
-def select_phase(
-    data,
-    module_id,
-    members,
-    trees,
-    nodes,
-    parents,
-    mrng,
-    config,
-    log_scores,
-    steps,
-    accepted,
-    offset,
-    trace=None,
-) -> tuple[Module, int]:
-    """Steps 2-3 of one module from pre-computed flat score arrays.
-
-    ``offset`` is the module's first row in the flat arrays; the new offset
-    (one past the module's last split) is returned.  Consumes exactly the
-    same ``mrng`` draws as the sequential learner, in the same order.
-    """
-    module = Module(module_id=module_id, members=list(members), trees=trees)
-    split_base = 0
-    all_weighted = []
-    all_uniform = []
-    for tree_index, node in nodes:
-        n_splits = int(parents.size * node.observations.size)
-        scores = NodeSplitScores(
-            module_id=module_id,
-            tree_index=tree_index,
-            node=node,
-            parents=parents,
-            base_index=split_base,
-            log_scores=log_scores[offset : offset + n_splits],
-            steps=steps[offset : offset + n_splits],
-            accepted=accepted[offset : offset + n_splits],
-        )
-        offset += n_splits
-        split_base += n_splits
-        if trace is not None:
-            trace.record(
-                "modules.split_scoring",
-                scores.work_units(),
-                n_collectives=1,
-                words=2 * config.n_splits_per_node,
-            )
-        weighted, uniform = select_node_splits(
-            data, scores, mrng, config.n_splits_per_node
-        )
-        node.weighted_splits = weighted
-        node.uniform_splits = uniform
-        all_weighted.extend(weighted)
-        all_uniform.extend(uniform)
-
-    module.weighted_parents = accumulate_parent_scores(all_weighted)
-    module.uniform_parents = accumulate_parent_scores(all_uniform)
-    if trace is not None and split_base:
-        trace.record(
-            "modules.parents",
-            np.array([len(all_weighted) + len(all_uniform)], dtype=np.float64),
-            n_collectives=2,
-            words=len(all_weighted) + len(all_uniform),
-        )
-    return module, offset

@@ -76,8 +76,11 @@ class WorkTrace:
     topology: dict | None = None
     #: aggregated split-scoring kernel counters across every process that
     #: scored splits: ``hits`` / ``evaluations`` (cache behaviour),
-    #: ``peak_chunk_elements`` (largest guarded temporary) and
-    #: ``backends`` (the resolved backend names actually used)
+    #: ``peak_chunk_elements`` (largest guarded temporary), ``backends``
+    #: (the resolved backend names actually used) and, from native node
+    #: batches that shared margin rows, ``margin_rows_filled`` /
+    #: ``margin_row_uses`` (uses / filled is the sharing factor; absent on a
+    #: native run means one parent's table passed the budget)
     kernel_counters: dict = field(default_factory=dict)
     #: measured busy wall seconds per shard node ('shard0', ...), summed
     #: over the node's workers
@@ -152,10 +155,13 @@ class WorkTrace:
         agg["backends"] = sorted(
             set(agg.get("backends", [])) | set(counters.get("backends", []))
         )
-        # Shared-score-cache traffic (store_hits / store_misses /
-        # store_evictions) is only present when a process consulted a
-        # shared store; merge without widening cache-off traces.
-        for key in ("store_hits", "store_misses", "store_evictions"):
+        # Shared-score-cache traffic is only present when a process
+        # consulted a shared store, margin-row traffic when one scored a
+        # node batch natively; merge without widening other traces.
+        for key in (
+            "store_hits", "store_misses", "store_evictions",
+            "margin_rows_filled", "margin_row_uses",
+        ):
             if key in counters or key in agg:
                 agg[key] = agg.get(key, 0) + int(counters.get(key, 0))
 
@@ -385,6 +391,47 @@ def load_trace(path) -> WorkTrace:
                 )
             )
     return trace
+
+
+def summarize_trace(trace: WorkTrace) -> str:
+    """A trace's accumulators as text: where the time went and how the
+    split-scoring kernel behaved (``repro trace summarize FILE``)."""
+    lines = [
+        f"steps: {len(trace.steps)} ({trace.total_units():.4g} work units, "
+        f"{trace.n_ganesh_runs} GaneSH run(s))"
+    ]
+    for title, table in (
+        ("task", trace.times), ("worker", trace.worker_times), ("node", trace.node_times),
+    ):
+        lines += [f"{title} {name}: {seconds:.3f} s" for name, seconds in sorted(table.items())]
+    if trace.worker_times:
+        lines.append(f"worker imbalance: {trace.worker_imbalance():.3f}")
+    for node, n_bytes in sorted(trace.node_transfer_bytes.items()):
+        lines.append(
+            f"channel {node}: {n_bytes} bytes in "
+            f"{trace.node_transfer_seconds.get(node, 0.0):.4f} s"
+        )
+    kernel = trace.kernel_counters
+    if kernel:
+        hits, evaluations = kernel.get("hits", 0), kernel.get("evaluations", 0)
+        lines.append(
+            f"kernel ({', '.join(kernel.get('backends', [])) or '-'}): "
+            f"{evaluations} evaluations, {hits} hits "
+            f"(hit ratio {hits / max(1, hits + evaluations):.3f}), "
+            f"peak chunk {kernel.get('peak_chunk_elements', 0)} elements"
+        )
+        if "store_hits" in kernel:
+            lines.append(
+                f"score store: {kernel['store_hits']} hits, {kernel['store_misses']} "
+                f"misses, {kernel['store_evictions']} evictions"
+            )
+        if "margin_row_uses" in kernel:
+            filled, uses = kernel["margin_rows_filled"], kernel["margin_row_uses"]
+            lines.append(
+                f"margin rows: {filled} filled for {uses} uses "
+                f"(shared {uses / max(1, filled):.2f}x)"
+            )
+    return "\n".join(lines)
 
 
 def scaling_curve(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rng.philox import DrawSpan, checked_index, derive_key
+from repro.rng.philox import checked_index, derive_key
 
 #: Sophie-Germain prime modulus (2*M + 1 is also prime).
 MODULUS = 2147483543
@@ -127,16 +127,6 @@ class MRGStream:
         ``count`` values; the sequential position is unchanged.
         """
         return self._run(self._state_at(checked_index(start, "start")), count)[0]
-
-    def span(self, start: int, count: int) -> DrawSpan:
-        """:meth:`block` by address.  The state is sequential, so a span of
-        this backend has no key: consumers read :meth:`DrawSpan.array`."""
-        return DrawSpan(self, start, count)
-
-    def next_span(self, count: int) -> DrawSpan:
-        """:meth:`next_uniforms` as a span (drawn now: the state must step)."""
-        start = self._offset
-        return DrawSpan(self, start, count, drawn=self.next_uniforms(count))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

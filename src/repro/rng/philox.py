@@ -35,26 +35,24 @@ def checked_index(value: int, name: str) -> int:
 class DrawSpan:
     """Draws ``[start, start + count)`` of one stream, by address.
 
-    ``key`` is the stream's Philox key when draw ``i`` is the pure function
-    of ``(key, i)`` a consumer may compute for itself — word ``i % 4`` of
+    ``key`` is the stream's Philox key: draw ``i`` is the pure function of
+    ``(key, i)`` a consumer may compute for itself — word ``i % 4`` of
     Philox4x64-10 at counter ``i // 4 + 1``, which is what
-    :meth:`PhiloxStream.block` returns — and ``None`` when the stream has to
-    be asked (the MRG backend).  :meth:`array` is the draws either way.
+    :meth:`PhiloxStream.block` returns and :meth:`array` materialises.
+    Only a keyed stream has spans; a sequential one (the MRG backend)
+    hands its consumers the draws themselves.
     """
 
-    __slots__ = ("key", "start", "count", "_stream", "_drawn")
+    __slots__ = ("key", "start", "count", "_stream")
 
-    def __init__(self, stream, start: int, count: int, drawn=None) -> None:
-        self.key: int | None = getattr(stream, "key", None)
+    def __init__(self, stream: "PhiloxStream", start: int, count: int) -> None:
+        self.key: int = stream.key
         self.start = checked_index(start, "start")
         self.count = checked_index(count, "count")
         self._stream = stream
-        self._drawn = drawn
 
     def array(self) -> np.ndarray:
         """The span's uniforms, materialised."""
-        if self._drawn is not None:
-            return self._drawn
         return self._stream.block(self.start, self.count)
 
 

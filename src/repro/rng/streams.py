@@ -79,12 +79,15 @@ class GibbsRandom:
     def uniforms(self, count: int) -> np.ndarray:
         return self.stream.next_uniforms(count)
 
-    def span(self, count: int) -> DrawSpan:
-        """The next ``count`` draws by address: the stream moves past them
-        exactly as :meth:`uniforms` moves it, and a consumer that can
-        compute Philox draws itself (the native sweeps) never has them
-        generated here."""
-        return self.stream.next_span(count)
+    def span(self, count: int) -> "DrawSpan | np.ndarray":
+        """The next ``count`` draws, by address when the stream is keyed:
+        the stream moves past them exactly as :meth:`uniforms` moves it,
+        and a consumer that can compute Philox draws itself (the native
+        sweeps) never has them generated here.  A stream whose state is
+        sequential (MRG) hands over the draws themselves."""
+        if hasattr(self.stream, "next_span"):
+            return self.stream.next_span(count)
+        return self.stream.next_uniforms(count)
 
     def randint(self, n: int) -> int:
         """Uniform integer in ``[0, n)`` — the Select-Unif-Rand oracle."""
@@ -173,10 +176,17 @@ class IndexedStream:
             checked_index(index, "index") * self.draws_per_item, count
         )
 
-    def items_span(self, first: int, count: int) -> DrawSpan:
-        """The private draws of items ``[first, first + count)``, by address
-        (``count * draws_per_item`` draws, item after item)."""
-        return self.stream.span(
+    @property
+    def keyed(self) -> bool:
+        """Whether :meth:`items_span` hands out addresses, not draws."""
+        return hasattr(self.stream, "span")
+
+    def items_span(self, first: int, count: int) -> "DrawSpan | np.ndarray":
+        """The private draws of items ``[first, first + count)`` (``count *
+        draws_per_item`` draws, item after item): by address when the
+        stream is keyed, else the draws themselves."""
+        fetch = getattr(self.stream, "span", self.stream.block)
+        return fetch(
             checked_index(first, "first") * self.draws_per_item,
             checked_index(count, "count") * self.draws_per_item,
         )

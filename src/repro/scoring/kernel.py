@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +55,15 @@ from repro.rng.streams import SCORE_QUANTUM
 DEFAULT_CHUNK_ELEMENTS = 1 << 18
 
 _CONFIGURED_CHUNK_ELEMENTS: int | None = None
+
+#: how many evaluation chunks' worth of elements one parent's table of
+#: margin rows (``n_beta * n_u * n_u``) may hold for the native batch entry
+#: to share rows at all (16 MiB on a 1 MiB-L2 machine: a universe of up to
+#: ~540 observations at 7 betas).  Above it the batch runs the fused
+#: per-row evaluator, what every node ran before batches: a table that held
+#: only part of a parent's rows refilled ``n_u``-wide rows for ``n_obs``-wide
+#: reads and measured slower than not sharing (CHANGES.md, PR 23).
+MARGIN_TABLE_CHUNKS = 16
 
 _CAP: int | None = None
 
@@ -70,7 +80,13 @@ _WARNED_NATIVE_FALLBACK = False
 #: store_* counters) drained by the executor and the learner into
 #: ``WorkTrace.kernel_counters``
 _TOTALS = {"hits": 0, "evaluations": 0, "peak_chunk_elements": 0}
-_STORE_TOTALS = {"store_hits": 0, "store_misses": 0, "store_evictions": 0}
+#: counters that surface only once touched: the shared score cache's
+#: lookups and the native batch entry's margin-row table (rows filled with
+#: ``log1p(exp(-|z|))`` and reads of them)
+_OPTIONAL_TOTALS = {
+    "store_hits": 0, "store_misses": 0, "store_evictions": 0,
+    "margin_rows_filled": 0, "margin_row_uses": 0,
+}
 _TOTALS_BACKENDS: set[str] = set()
 
 #: the process-wide :class:`repro.scoring.score_cache.SharedScoreCache`
@@ -207,9 +223,15 @@ def _account_totals(
 
 def _account_store(hits: int = 0, misses: int = 0, evictions: int = 0) -> None:
     """Accumulate shared-score-cache traffic into the process totals."""
-    _STORE_TOTALS["store_hits"] += hits
-    _STORE_TOTALS["store_misses"] += misses
-    _STORE_TOTALS["store_evictions"] += evictions
+    _OPTIONAL_TOTALS["store_hits"] += hits
+    _OPTIONAL_TOTALS["store_misses"] += misses
+    _OPTIONAL_TOTALS["store_evictions"] += evictions
+
+
+def _account_margins(filled: int, uses: int) -> None:
+    """Accumulate one batch call's margin-table traffic."""
+    _OPTIONAL_TOTALS["margin_rows_filled"] += filled
+    _OPTIONAL_TOTALS["margin_row_uses"] += uses
 
 
 def consume_kernel_totals() -> dict | None:
@@ -220,27 +242,23 @@ def consume_kernel_totals() -> dict | None:
     ``WorkTrace.kernel_counters`` aggregates cache behaviour across every
     process that scored splits — whatever backend each one resolved.  The
     ``store_*`` keys (shared-score-cache lookups) appear only when a
-    shared store was actually consulted, so cache-off runs keep the
-    pre-service counter shape.
+    shared store was actually consulted and the ``margin_*`` keys only
+    when the native batch entry shared margin rows, so runs that did
+    neither keep the pre-service counter shape.
     """
-    store_touched = any(_STORE_TOTALS.values())
-    if (
-        not _TOTALS["hits"]
-        and not _TOTALS["evaluations"]
-        and not _TOTALS["peak_chunk_elements"]
-        and not _TOTALS_BACKENDS
-        and not store_touched
-    ):
+    if not (any(_TOTALS.values()) or _TOTALS_BACKENDS or any(_OPTIONAL_TOTALS.values())):
         return None
     out = dict(_TOTALS)
     out["backends"] = sorted(_TOTALS_BACKENDS)
-    if store_touched:
-        out.update(_STORE_TOTALS)
+    for family in ("store_", "margin_"):
+        counts = {k: v for k, v in _OPTIONAL_TOTALS.items() if k.startswith(family)}
+        if any(counts.values()):
+            out.update(counts)
     _TOTALS["hits"] = 0
     _TOTALS["evaluations"] = 0
     _TOTALS["peak_chunk_elements"] = 0
-    for key in _STORE_TOTALS:
-        _STORE_TOTALS[key] = 0
+    for key in _OPTIONAL_TOTALS:
+        _OPTIONAL_TOTALS[key] = 0
     _TOTALS_BACKENDS.clear()
     return out
 
@@ -253,13 +271,14 @@ def isolated_kernel_totals():
     scores itself; that probe traffic is not the program's scoring work
     and must not surface in the first run's ``WorkTrace.kernel_counters``.
     """
-    totals, backends = dict(_TOTALS), set(_TOTALS_BACKENDS)
+    saved = dict(_TOTALS), set(_TOTALS_BACKENDS), dict(_OPTIONAL_TOTALS)
     try:
         yield
     finally:
-        _TOTALS.update(totals)
+        _TOTALS.update(saved[0])
         _TOTALS_BACKENDS.clear()
-        _TOTALS_BACKENDS.update(backends)
+        _TOTALS_BACKENDS.update(saved[1])
+        _OPTIONAL_TOTALS.update(saved[2])
 
 
 def set_chunk_elements(n_elements: int | None) -> int | None:
@@ -396,6 +415,39 @@ class DenseScoreMemo:
         _account_totals(evaluations=int(keys.size), backend="numpy")
 
 
+def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the entries of each row of ``values`` by value.
+
+    Returns ``(item_groups, group_row, group_value)``: the group of every
+    entry in row-major order, and per group its row and value.  One stable
+    row-wise sort serves all rows; a sorted value opens a group when it
+    differs from its left neighbour (-0.0 == 0.0 share one, as under
+    ``np.unique``), so group values ascend per row and the running count of
+    openings is the group id.
+    """
+    order = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    opens = np.ones(ranked.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=opens[:, 1:])
+    if ranked.shape[1] and np.isnan(ranked[:, -1]).any():
+        # NaNs sort last and np.unique collapses them into one group.
+        opens[:, 1:] &= ~(np.isnan(ranked[:, 1:]) & np.isnan(ranked[:, :-1]))
+    group_of_rank = np.cumsum(opens.ravel()).reshape(ranked.shape) - 1
+    item_groups = np.empty(ranked.shape, dtype=np.int64)
+    np.put_along_axis(item_groups, order, group_of_rank, axis=1)
+    group_row = np.repeat(
+        np.arange(values.shape[0], dtype=np.int64), opens.sum(axis=1)
+    )
+    return item_groups.ravel(), group_row, ranked[opens]
+
+
+def _ranks_per_row(item_groups, group_row, shape) -> np.ndarray:
+    """:func:`group_rows`' group ids counted from 0 within each row: the
+    rank of every entry's value among its row's distinct ones."""
+    first = np.searchsorted(group_row, np.arange(shape[0]))
+    return item_groups.reshape(shape) - first[:, None]
+
+
 class LazySplitKernel:
     """Deduplicated, memoized split scores from a ``(P, n_obs)`` value slice.
 
@@ -495,26 +547,7 @@ class LazySplitKernel:
         _account_store(misses=1, evictions=evicted)
 
     def _build_tables(self) -> None:
-        # Group candidates by (parent row, value): duplicates share a row of
-        # the score table.  One stable row-wise sort serves all P rows; a
-        # sorted value opens a group when it differs from its left neighbour
-        # (-0.0 == 0.0 share one, as under np.unique), so group values
-        # ascend per row and the running count of openings is the group id.
-        order = np.argsort(self.values, axis=1, kind="stable")
-        ranked = np.take_along_axis(self.values, order, axis=1)
-        opens = np.ones(ranked.shape, dtype=bool)
-        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=opens[:, 1:])
-        if self.n_obs and np.isnan(ranked[:, -1]).any():
-            # NaNs sort last and np.unique collapses them into one group.
-            opens[:, 1:] &= ~(np.isnan(ranked[:, 1:]) & np.isnan(ranked[:, :-1]))
-        group_of_rank = np.cumsum(opens.ravel()).reshape(ranked.shape) - 1
-        item_groups = np.empty(ranked.shape, dtype=np.int64)
-        np.put_along_axis(item_groups, order, group_of_rank, axis=1)
-        self.item_groups = item_groups.ravel()
-        self.group_row = np.repeat(
-            np.arange(self.n_parents, dtype=np.int64), opens.sum(axis=1)
-        )
-        self.group_value = ranked[opens]
+        self.item_groups, self.group_row, self.group_value = group_rows(self.values)
         self.n_groups = int(self.group_row.size)
         guard_alloc(self.n_groups * self._n_beta, "beta-score cache")
         self._cache = np.zeros(self.n_groups * self._n_beta)
@@ -545,61 +578,44 @@ class LazySplitKernel:
 
     def run_chain(
         self,
-        groups: np.ndarray,
-        uniforms: np.ndarray,
+        item_indices: np.ndarray | None,
+        uniforms,
         max_steps: int,
         stop_repeats: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The scorer's whole bounded sampling chain in one native call.
 
-        Native backend only: the certified ``repro_score_chain`` replays
-        ``SplitScorer._run_chain`` over :meth:`scores` — same lookups in the
-        same step-synchronous order, same per-row evaluator — against this
-        kernel's memo in place, so ``best_score`` / ``steps`` / ``best_idx``
-        and every counter equal what the NumPy chain would have produced.
-        ``uniforms`` is the items' rows of private draws or their
-        :class:`~repro.rng.philox.DrawSpan`; a Philox span is never
+        Native backend only: a one-node :func:`run_chains` batch whose
+        universe is this node's own value slice and whose memo is this
+        kernel's, updated in place — ``SplitScorer._run_chain`` over
+        :meth:`scores`, same lookups in the same step-synchronous order,
+        same per-row evaluator — so ``best_score`` / ``steps`` /
+        ``best_idx`` and every counter equal what the NumPy chain would
+        have produced.  ``item_indices`` (``None``: every candidate) must
+        ascend by parent; ``uniforms`` is the items' rows of private draws
+        or their :class:`~repro.rng.philox.DrawSpan`, which is never
         materialised — the call computes the draws its chains reach.
-        The evaluation-chunk guard is checked once up front: a chunk holds
-        at least one row, so a node the cap forbids fails here exactly when
-        the first NumPy chunk would.
         """
-        if groups.size:
-            guard_alloc(self.n_obs, "lazy-margin evaluation chunk")
-        best_score, steps, best_idx, (hits, evaluations, peak) = (
-            self._native.score_chain(
-                self.values,
-                self.sign,
-                self.group_row,
-                self.group_value,
-                self.beta_grid,
-                np.ascontiguousarray(groups, dtype=np.int64),
-                uniforms,
-                max_steps,
-                stop_repeats,
-                self._chunk_rows(),
-                SCORE_QUANTUM,
-                self._cache,
-                self._seen,
-            )
+        groups = self.item_groups
+        if item_indices is not None:
+            item_indices = np.ascontiguousarray(item_indices, dtype=np.int64)
+            groups = groups[item_indices]
+        node = ChainNode(
+            np.arange(self.n_obs), self.sign, uniforms, item_indices,
+            groups, self._cache, self._seen,
+        )
+        best_score, steps, best_idx, _bounds, ((hits, evaluations, peak),) = run_chains(
+            self._native, self.values, self.beta_grid, [node], max_steps, stop_repeats,
+            urow=_ranks_per_row(self.item_groups, self.group_row, self.values.shape),
+            max_chunk_elements=self.max_chunk_elements,
         )
         self.hits += hits
         self.evaluations += evaluations
         self.peak_chunk_elements = max(self.peak_chunk_elements, peak)
-        _account_totals(hits=hits)
-        if evaluations:
-            _account_totals(
-                evaluations=evaluations,
-                peak=self.peak_chunk_elements,
-                backend=self.backend,
-            )
         return best_score, steps, best_idx
 
     def _chunk_rows(self) -> int:
-        limit = self.max_chunk_elements
-        if _CAP is not None:
-            limit = min(limit, _CAP)
-        return max(1, limit // max(1, self.n_obs))
+        return max(1, _chunk_limit(self.max_chunk_elements) // max(1, self.n_obs))
 
     def _evaluate(self, keys: np.ndarray) -> None:
         beta = keys % self._n_beta
@@ -654,6 +670,105 @@ class LazySplitKernel:
         )
 
 
+def _chunk_limit(max_chunk_elements: int | None) -> int:
+    """Elements one evaluation temporary may hold, under any active cap."""
+    limit = int(max_chunk_elements or configured_chunk_elements())
+    return limit if _CAP is None else min(limit, _CAP)
+
+
+@dataclass
+class ChainNode:
+    """One tree node of a native scoring batch (:func:`run_chains`)."""
+
+    #: the node's observations, as columns of the batch's universe
+    obs: np.ndarray
+    #: +1.0 for the left child's observations, -1.0 for the right's
+    sign: np.ndarray
+    #: the chain items' rows of private draws, or their ``DrawSpan``
+    uniforms: object
+    #: the candidates ``l * n_obs + j`` the chain runs over, ascending by
+    #: parent (``None``: all of them)
+    items: np.ndarray | None = None
+    #: a lent memo, updated in place: per item its row of ``cache`` /
+    #: ``seen`` (``None``: the chain keeps a scratch memo per parent)
+    groups: np.ndarray | None = None
+    cache: np.ndarray | None = None
+    seen: np.ndarray | None = None
+
+
+def run_chains(
+    native,
+    uvalues: np.ndarray,
+    beta_grid: np.ndarray,
+    nodes: list[ChainNode],
+    max_steps: int,
+    stop_repeats: int,
+    *,
+    urow: np.ndarray | None = None,
+    max_chunk_elements: int | None = None,
+    table_elements: int | None = None,
+    want_idx: bool = True,
+):
+    """The scorer's sampling chains of a batch of tree nodes, in one call.
+
+    ``uvalues`` is the batch's universe — row ``l`` holds candidate parent
+    ``l``'s values at every observation some node of the batch has — and a
+    node's candidate ``l * n_obs + j`` is ``(parent l, uvalues[l,
+    obs[j]])``.  The native entry scores the batch parent by parent: the
+    transcendental part of a margin, ``log1p(exp(-|(v - x) * beta|))``,
+    does not depend on a node's +-1 sign vector, so every node reads it
+    from one table of margin rows per parent, each row filled the first
+    time any chain needs it, and only the sign select, the pairwise sum
+    and the quantum are paid per ``(group, beta)``.  One parent's table is
+    ``n_beta * n_u`` rows of ``n_u``; when that passes ``table_elements``
+    (default: :data:`MARGIN_TABLE_CHUNKS` evaluation chunks of the probed
+    machine) nothing is shared and every node runs the fused per-row
+    evaluator — a row is a pure function of its key, so the budget cannot
+    change a bit of the output.  ``urow`` ranks each universe row's
+    distinct values from 0 (computed when not given).
+
+    Returns the flat ``best_score`` / ``steps`` / ``best_idx`` (``None``
+    unless ``want_idx``) of all chain items, node after node, the nodes'
+    ``bounds`` in them, and per node the
+    ``(hits, evaluations, peak_chunk_elements)`` its own NumPy chain would
+    have counted, which are accounted to the process totals here.
+    """
+    uvalues = np.ascontiguousarray(uvalues, dtype=np.float64)
+    beta_grid = np.ascontiguousarray(beta_grid, dtype=np.float64)
+    n_parents, n_u = uvalues.shape
+    if urow is None:
+        ranks, group_row, _values = group_rows(uvalues)
+        urow = _ranks_per_row(ranks, group_row, uvalues.shape)
+    for node in nodes:
+        if node.obs.size:
+            # A chunk holds at least one row: a node the cap forbids fails
+            # here exactly when its first NumPy chunk would.
+            guard_alloc(node.obs.size, "lazy-margin evaluation chunk")
+    budget = table_elements
+    if budget is None:
+        budget = MARGIN_TABLE_CHUNKS * configured_chunk_elements()
+    if _CAP is not None:  # the table is optional: a cap it passes turns it off
+        budget = min(budget, _CAP)
+    share = beta_grid.size * n_u * n_u <= budget
+    *results, counters, table = native.score_batch(
+        uvalues, np.ascontiguousarray(urow), beta_grid, nodes,
+        max_steps, stop_repeats, SCORE_QUANTUM, _chunk_limit(max_chunk_elements),
+        share, want_idx,
+    )
+    for hits, evaluations, peak in counters:
+        _account_totals(hits=hits)
+        if evaluations:
+            _account_totals(evaluations=evaluations, peak=peak, backend="native")
+    _account_margins(*table)
+    return (*results, counters)
+
+
+def split_sign(obs: np.ndarray, left_obs: np.ndarray) -> np.ndarray:
+    """A node's left/right vector: +1.0 where an observation belongs to the
+    left child, -1.0 elsewhere."""
+    return np.where(np.isin(obs, left_obs), 1.0, -1.0)
+
+
 def split_kernel_from_arrays(
     data: np.ndarray,
     obs: np.ndarray,
@@ -672,9 +787,8 @@ def split_kernel_from_arrays(
     dense margins layout row for row.
     """
     obs = np.asarray(obs, dtype=np.int64)
-    sign = np.where(np.isin(obs, left_obs), 1.0, -1.0)
     values = data[np.asarray(parents, dtype=np.int64)][:, obs]
     return LazySplitKernel(
-        values, sign, beta_grid, max_chunk_elements=max_chunk_elements,
+        values, split_sign(obs, left_obs), beta_grid, max_chunk_elements=max_chunk_elements,
         backend=backend,
     )

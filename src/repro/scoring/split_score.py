@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM
-from repro.scoring.kernel import DenseScoreMemo, LazySplitKernel
+from repro.scoring.kernel import DenseScoreMemo, LazySplitKernel, run_chains
 
 #: Default discrete grid of sigmoid steepness values.
 DEFAULT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -123,36 +123,58 @@ class SplitScorer:
         ``item_indices`` selects a sub-range of the kernel's candidate
         enumeration (the partitioned backends score ``[row0, row1)`` slices
         of a node); row ``i`` of ``uniforms`` holds the private draws of
-        candidate ``item_indices[i]`` — or ``uniforms`` is the
-        :class:`~repro.rng.philox.DrawSpan` of those rows
-        (:meth:`~repro.rng.streams.IndexedStream.items_span`), which only
-        this NumPy path materialises.  Results are bit-identical to the
+        candidate ``item_indices[i]`` — or ``uniforms`` is what
+        :meth:`~repro.rng.streams.IndexedStream.items_span` returns for
+        those rows: their :class:`~repro.rng.philox.DrawSpan`, which only
+        this NumPy path materialises, or the rows end to end.  Results are bit-identical to the
         dense path because the kernel replays its exact float operations.
 
         A kernel that resolved to the native backend runs the whole chain
-        in one certified call (:meth:`LazySplitKernel.run_chain`);
-        :meth:`_run_chain` over :meth:`LazySplitKernel.scores` is the
-        oracle it is certified against and the NumPy-backend path.
+        in one certified call (:meth:`LazySplitKernel.run_chain`, a
+        one-node batch of the entry :func:`repro.trees.splits.score_nodes`
+        scores many nodes with; ``item_indices`` must then ascend by
+        parent); :meth:`_run_chain` over :meth:`LazySplitKernel.scores` is
+        the oracle it is certified against and the NumPy-backend path.
         """
         self._check_kernel(kernel)
-        if item_indices is None:
-            groups = kernel.item_groups
-        else:
-            groups = kernel.item_groups[np.asarray(item_indices, dtype=np.int64)]
         if kernel.backend == "native":
             best_score, steps, best_idx = kernel.run_chain(
-                groups, uniforms, self.max_steps, self.stop_repeats
+                item_indices, uniforms, self.max_steps, self.stop_repeats
             )
             return best_score, steps, best_idx, _beats_baseline(
                 best_score, kernel.n_obs
             )
+        if item_indices is None:
+            groups = kernel.item_groups
+        else:
+            groups = kernel.item_groups[np.asarray(item_indices, dtype=np.int64)]
 
         def provider(rows: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
             return kernel.scores(groups[rows], beta_idx)
 
         if isinstance(uniforms, DrawSpan):
-            uniforms = uniforms.array().reshape(groups.size, self.draws_per_item)
+            uniforms = uniforms.array()
+        # a span, materialised or not, is the items' rows end to end
+        uniforms = np.asarray(uniforms, dtype=np.float64).reshape(groups.size, -1)
         return self._run_chain(groups.size, kernel.n_obs, uniforms, provider)
+
+    def score_chain_nodes(
+        self, native, uvalues: np.ndarray, nodes
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The chain over every candidate of a batch of tree nodes, in one
+        native call (:func:`repro.scoring.kernel.run_chains`; ``uvalues``
+        is the batch's universe of parent values, ``nodes`` its
+        :class:`~repro.scoring.kernel.ChainNode` list).  Returns the flat
+        ``(log_scores, steps, accepted)`` of the nodes' candidates, node
+        after node — per node what :meth:`score_batch_kernel` returns."""
+        best_score, steps, _best_idx, bounds, _counters = run_chains(
+            native, uvalues, self.beta_grid, nodes, self.max_steps,
+            self.stop_repeats, want_idx=False,
+        )
+        accepted = np.empty(best_score.size, dtype=bool)
+        for node, lo, hi in zip(nodes, bounds, bounds[1:]):
+            accepted[lo:hi] = _beats_baseline(best_score[lo:hi], node.obs.size)
+        return best_score, steps, accepted
 
     def _run_chain(self, n_items, n_obs, uniforms, provider):
         """Shared Metropolis-chain driver over a score ``provider``.

@@ -15,6 +15,7 @@ from repro.trees.splits import (
     NodeSplitScores,
     node_kernel,
     score_node_splits,
+    score_nodes,
     select_node_splits,
 )
 
@@ -23,6 +24,7 @@ __all__ = [
     "NodeSplitScores",
     "node_kernel",
     "score_node_splits",
+    "score_nodes",
     "select_node_splits",
     "accumulate_parent_scores",
 ]

@@ -20,9 +20,13 @@ import numpy as np
 from repro.datatypes import Split, TreeNode
 from repro.rng.streams import GibbsRandom, IndexedStream
 from repro.scoring.kernel import (
+    ChainNode,
     LazySplitKernel,
     guard_alloc,
+    resolve_kernel_backend,
+    shared_score_cache,
     split_kernel_from_arrays,
+    split_sign,
 )
 from repro.scoring.split_score import SplitScorer
 
@@ -77,7 +81,7 @@ def margins_from_arrays(
     rebuild margins without shipping tree objects.
     """
     obs = np.asarray(obs, dtype=np.int64)
-    sign = np.where(np.isin(obs, left_obs), 1.0, -1.0)
+    sign = split_sign(obs, left_obs)
     values = data[np.asarray(parents, dtype=np.int64)][:, obs]  # (P, n_obs)
     n_parents, n_obs = values.shape
     guard_alloc(n_parents * n_obs * n_obs, "dense margins matrix")
@@ -110,6 +114,71 @@ def node_kernel(
     )
 
 
+def score_nodes(
+    data: np.ndarray,
+    parents: np.ndarray,
+    scorer: SplitScorer,
+    nodes,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score every candidate split of a batch of internal nodes.
+
+    ``nodes`` lists ``(obs, left_obs, istream, base_index)``: a node's
+    observations, its left child's, the indexed stream of its module and
+    its first split index in it — the node's splits occupy the contiguous
+    range ``[base_index, base_index + P * n_obs)``, so their private draws
+    are one span of the stream.  Returns flat ``(log_scores, steps,
+    accepted)`` arrays, node after node in the canonical parent-major,
+    observation-minor order.
+
+    On the native backend, with keyed (Philox) streams, the whole batch is
+    one call (:func:`repro.scoring.kernel.run_chains`): the nodes share
+    every ``log1p(exp(-|z|))`` row over the union of their observations,
+    keep no per-node grouping tables or memo, and the draws are computed
+    where the chains read them.  Otherwise the nodes are scored one by one
+    through :func:`~repro.scoring.kernel.split_kernel_from_arrays`, bit for
+    bit what the batch computes: on the NumPy backend (the NumPy chain),
+    with a shared score store installed (each node adopts or publishes its
+    memo there), and on a stream that hands out the draws themselves (MRG:
+    51 x 8 B per split, so only one node's are held at a time).
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    if not nodes:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+
+    def span(obs, istream, base_index):
+        return istream.items_span(base_index, parents.size * len(obs))
+
+    native = resolve_kernel_backend()[1]
+    if (
+        native is not None
+        and shared_score_cache() is None
+        and all(istream.keyed for _obs, _left_obs, istream, _base in nodes)
+    ):
+        universe = np.unique(np.concatenate([obs for obs, *_rest in nodes]))
+        guard_alloc(parents.size * universe.size, "parent-value slice")
+        return scorer.score_chain_nodes(
+            native,
+            data[np.ix_(parents, universe)],
+            [
+                ChainNode(
+                    np.searchsorted(universe, obs),
+                    split_sign(obs, left_obs),
+                    span(obs, istream, base_index),
+                )
+                for obs, left_obs, istream, base_index in nodes
+            ],
+        )
+    parts = [
+        scorer.score_batch_kernel(
+            split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid),
+            span(obs, istream, base_index),
+        )
+        for obs, left_obs, istream, base_index in nodes
+    ]
+    log_scores, steps, _beta_idx, accepted = (np.concatenate(field) for field in zip(*parts))
+    return log_scores, steps, accepted
+
+
 def score_node_splits(
     data: np.ndarray,
     module_id: int,
@@ -120,17 +189,13 @@ def score_node_splits(
     istream: IndexedStream,
     base_index: int,
 ) -> NodeSplitScores:
-    """Score every candidate split of one internal node (batch path).
-
-    ``base_index`` is the node's first global split index; the node's splits
-    occupy the contiguous range ``[base_index, base_index + P * n_obs)`` so
-    their private random draws are one span of the stream: the native chain
-    computes the draws it reaches, the NumPy chain fetches them with one
-    O(1)-seek block read.
-    """
-    kernel = node_kernel(data, node, parents, scorer.beta_grid)
-    log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(
-        kernel, istream.items_span(base_index, kernel.n_items)
+    """Score every candidate split of one internal node: a one-node
+    :func:`score_nodes` batch (``base_index`` is the node's first global
+    split index)."""
+    assert node.left is not None
+    log_scores, steps, accepted = score_nodes(
+        data, parents, scorer,
+        [(node.observations, node.left.observations, istream, base_index)],
     )
     return NodeSplitScores(
         module_id=module_id,

@@ -242,7 +242,8 @@ class TestTransportContract:
                 modules = executor.learn_modules(MODE_INPUTS["module"])
         finally:
             TaskScheduler.dispatch_order_hook = None
-        assert seen == [list(range(len(MODE_INPUTS["module"])))]
+        # one batch of whole modules per worker
+        assert seen == [list(range(min(executor.n_workers, len(modules))))]
         net = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
         assert net == mode_references["module"]
 
@@ -388,9 +389,9 @@ class TestTeardown:
         def boom(*args, **kwargs):
             raise ValueError("injected module failure")
 
-        # Fork-inherited: workers resolve learn_single_module through the
+        # Fork-inherited: workers resolve learn_module_batch through the
         # tasks module's globals, so the patch reaches them.
-        monkeypatch.setattr(tasks_mod, "learn_single_module", boom)
+        monkeypatch.setattr(tasks_mod, "learn_module_batch", boom)
         before = _shm_names()
         cfg = _with_workers(config, 2)
         with pytest.raises(ValueError, match="injected module failure"):

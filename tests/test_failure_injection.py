@@ -401,38 +401,68 @@ class TestShardNodeDeath:
                 assert f.stat().st_mtime_ns == survivors[f.name]
 
 
-def _cpu_ticks(pid: int) -> int:
-    fields = _proc_stat(pid)
-    return int(fields[11]) + int(fields[12])  # utime + stime
+@pytest.fixture
+def readable_syscall():
+    """Skip where :func:`_kill_busy_worker` cannot make its decision: a
+    stopped descendant's ``/proc/<pid>/syscall`` is refused (it needs
+    ptrace-read access: Yama ``ptrace_scope`` >= 2, hardened containers) or
+    the kernel does not expose the file."""
+    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        os.kill(child.pid, signal.SIGSTOP)
+        Path(f"/proc/{child.pid}/syscall").read_text()
+    except OSError as exc:
+        pytest.skip(f"cannot read a stopped descendant's /proc/<pid>/syscall: {exc!r}")
+    finally:
+        child.kill()
+        child.wait()
 
 
 def _kill_busy_worker(worker_pids, timeout: float = 120.0) -> int:
-    """SIGKILL a pool worker *inside* a shard node while it is computing
-    (its CPU time is advancing), so the task it holds is provably lost.
+    """SIGKILL a pool worker *inside* a shard node while it provably holds
+    a unit, however short units are: freeze a candidate with SIGSTOP, then
+    read where it stopped.  An idle worker stops inside the ``read`` /
+    ``futex`` it waits for its next task in; one stopped in user mode
+    (``/proc/<pid>/syscall`` reads ``-1 ...``) was computing — it has taken
+    a task and not yet delivered the result — and dies as it stands, so the
+    task is lost whatever the unit's length.  Anything else is resumed and
+    asked again a moment later.
 
     ``worker_pids()`` lists the pool workers the nodes have reported so
-    far.  The victim is picked from those, never from "any child of a
-    node": a forked node's first child can be the resource tracker it
-    starts for its shared matrix, which boots — busily — just then.
+    far, which have all run their initializer.  The victim is picked from
+    those, never from "any child of a node": a forked node's first child
+    can be the resource tracker it starts for its shared matrix, which
+    boots — busily — just then.  Callers take the ``readable_syscall``
+    fixture, which skips where the read below is refused; a refusal here is
+    raised (the candidate resumed), not waited out.
     """
     deadline = time.monotonic() + timeout
-    seen: dict[int, int] = {}
     while time.monotonic() < deadline:
         for pid in worker_pids():
+            stopped_in = None
             try:
-                ticks = _cpu_ticks(pid)
-            except (OSError, IndexError):
+                os.kill(pid, signal.SIGSTOP)
+                while _proc_stat(pid)[0] not in "TZ":
+                    time.sleep(0.001)
+                stopped_in = Path(f"/proc/{pid}/syscall").read_text().split()[0]
+            except (ProcessLookupError, FileNotFoundError, IndexError):
+                pass  # gone, or exited while we looked
+            except PermissionError:
+                os.kill(pid, signal.SIGCONT)
+                raise
+            try:
+                os.kill(pid, signal.SIGKILL if stopped_in == "-1" else signal.SIGCONT)
+            except OSError:
                 continue
-            if ticks >= seen.setdefault(pid, ticks) + 3:
-                os.kill(pid, signal.SIGKILL)
+            if stopped_in == "-1":
                 return pid
-        time.sleep(0.01)
+        time.sleep(0.005)
     raise AssertionError("no busy pool worker appeared under the shard nodes")
 
 
 def _nested_crash_setup():
-    """Two socket nodes x two pool workers each, on a job long enough for
-    a worker to be caught mid-module."""
+    """Two socket nodes x two pool workers each, on the default (native
+    where it builds) kernel backend: units of tens of milliseconds."""
     from repro.data.synthetic import make_module_dataset
 
     matrix = make_module_dataset(120, 60, n_modules=8, seed=3).matrix
@@ -446,6 +476,7 @@ def _nested_crash_setup():
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("readable_syscall")
 class TestNestedWorkerDeath:
     """A pool worker dying *inside* a shard node keeps its type on the way
     to the driver: the error frame re-raises as ``WorkerCrashedError``,
@@ -792,7 +823,8 @@ class TestInitClusterResolution:
 
 
 def _daemon_job_config(workers: int = 2) -> LearnerConfig:
-    """A multi-second job (so a worker can be killed mid-flight)."""
+    """A job of a dozen units per worker (tens of milliseconds each on the
+    native kernels), so one can be killed mid-flight."""
     return LearnerConfig(
         n_ganesh_runs=4,
         n_update_steps=3,
@@ -819,7 +851,9 @@ class TestDaemonCrashIsolation:
         consume_kernel_totals()
 
     @pytest.mark.slow
-    def test_sigkilled_worker_fails_job_next_job_bit_identical(self, tmp_path):
+    def test_sigkilled_worker_fails_job_next_job_bit_identical(
+        self, tmp_path, readable_syscall
+    ):
         from repro.data.synthetic import make_module_dataset
         from repro.service import InferenceService, JobFailed
         from repro.validation.metrics import network_fingerprint
@@ -854,8 +888,9 @@ class TestDaemonCrashIsolation:
                     break
                 time.sleep(0.01)
             assert pids, "job never reached a running pool"
-            time.sleep(0.3)  # let the booted workers dequeue real work
-            os.kill(pids[0], signal.SIGKILL)
+            # ... and kill one while it provably holds a unit: a fixed
+            # delay outlasts the whole job on the native kernels.
+            _kill_busy_worker(lambda: pids, timeout=60.0)
 
             with pytest.raises(JobFailed) as err:
                 service.wait(job, timeout=120)

@@ -848,7 +848,7 @@ class TestOneNativeCallPerSweep:
         from repro.rng.philox import PhiloxStream
 
         consumers = {
-            "score_node_splits", "_score_chunk_run", "native_sweep", "native_var_sweep",
+            "score_nodes", "_score_chunk_run", "native_sweep", "native_var_sweep",
         }
         calls = []
         original = PhiloxStream._draws_at
@@ -873,7 +873,7 @@ class TestOneNativeCallPerSweep:
         assert drawn_for and all(consumer is None for consumer in drawn_for)
         del drawn_for[:]
         self._learn(tiny_matrix, "numpy", None)
-        assert ["score_node_splits"] in drawn_for
+        assert ["score_nodes"] in drawn_for
         assert not any(c and "native_sweep" in c for c in drawn_for)  # the loops ran
 
     def test_numpy_never_enters_the_native_entry(self, tiny_matrix, counts):

@@ -70,12 +70,19 @@ BACKENDS = ["numpy"] + (["native"] if NATIVE else [])
 
 
 def _uniform_span(n_items, dpi, seed=0, backend="philox"):
-    """The draws of :func:`_uniform_block`, by address."""
-    return make_stream(seed, "u", backend=backend).span(0, n_items * dpi)
+    """The draws of :func:`_uniform_block` as the scorers' callers pass
+    them: by address on a keyed stream, end to end otherwise."""
+    from repro.rng.streams import IndexedStream
+
+    return IndexedStream(make_stream(seed, "u", backend=backend), dpi).items_span(
+        0, n_items
+    )
 
 
 def _uniform_block(n_items, dpi, seed=0, backend="philox"):
-    return _uniform_span(n_items, dpi, seed, backend).array().reshape(n_items, dpi)
+    return make_stream(seed, "u", backend=backend).block(0, n_items * dpi).reshape(
+        n_items, dpi
+    )
 
 
 def _node_arrays(seed, n_vars=20, n_obs=14, n_parents=5, duplicates=False, scale=1.0):
@@ -620,19 +627,18 @@ class TestPhiloxInKernel:
 
     def test_only_a_philox_span_goes_in_by_address(self):
         """The one validator behind the five entries' draw arguments: a
-        keyed span is (NULL, key, start); an MRG span and an array go in as
-        the array they are or materialise to; too few draws, or not
-        ``float64``, is refused."""
+        span (keyed, by construction) is (NULL, key, start); an array — what
+        an MRG stream hands over — goes in as the array it is; too few
+        draws, or not ``float64``, is refused."""
         kernels = _native.load()
         ffi = kernels._ffi
         philox, mrg = make_stream(3, "a"), make_stream(3, "a", backend="mrg")
         assert kernels._draws(philox.span(5, 8), 8) == (ffi.NULL, philox.key, 5)
-        for source in (mrg.span(5, 8), philox.block(5, 8)):
-            want = source if isinstance(source, np.ndarray) else source.array()
+        for source in (mrg.block(5, 8), philox.block(5, 8)):
             pointer, key, offset = kernels._draws(source, 8)
             assert (key, offset) == (0, 0)
-            np.testing.assert_array_equal(np.frombuffer(ffi.buffer(pointer), count=8), want)
-        for source in (philox.span(5, 8), mrg.span(5, 8), np.zeros(8)):
+            np.testing.assert_array_equal(np.frombuffer(ffi.buffer(pointer), count=8), source)
+        for source in (philox.span(5, 8), np.zeros(8)):
             with pytest.raises(ValueError, match="uniforms must"):
                 kernels._draws(source, 9)
         with pytest.raises(ValueError, match="uniforms must be a writable C-contiguous"):

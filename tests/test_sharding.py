@@ -262,7 +262,7 @@ class TestOneSchedulerOverShards:
         reference = LemonTreeLearner(_sequential_config()).learn_from_modules(
             tiny_matrix, members, seed=7
         )
-        wire_name = {"split": "score_chunk", "module": "module"}[mode]
+        wire_name = {"split": "score_chunk", "module": "module_batch"}[mode]
         runner = TASK_RUNNERS[wire_name]
         arrived = {f"shard-node-{node}": threading.Event() for node in range(2)}
         ran = []
@@ -293,10 +293,13 @@ class TestOneSchedulerOverShards:
         assert network_fingerprint(network) == network_fingerprint(
             reference.network
         )
-        # Every item ran exactly once: whole modules by id, split chunks
-        # tiling the flat list end to end.
+        # Every item ran exactly once: whole modules by id (one batch of
+        # them per worker), split chunks tiling the flat list end to end.
         if mode == "module":
-            assert sorted(item[0] for item in ran) == list(range(len(members)))
+            assert len(ran) == 2
+            assert sorted(
+                module_id for batch, _want_trace in ran for module_id, _members in batch
+            ) == list(range(len(members)))
         else:
             pieces = sorted((t.out_offset, t.row1 - t.row0) for t in ran)
             assert pieces[0][0] == 0
@@ -307,16 +310,17 @@ class TestOneSchedulerOverShards:
         assert set(trace.worker_times) == {"shard0/worker-0", "shard1/worker-0"}
 
     def test_items_requested_in_scheduler_order(self, tiny_matrix):
-        """Each node's requests walk the scheduler's one list forward —
-        largest module first, one item per request at one worker per node
-        — and together they cover it exactly once."""
+        """Each node's requests walk the scheduler's one list forward, one
+        item per request at one worker per node, and together they cover it
+        exactly once — Task 1's chains in run order; in module mode one
+        LPT-balanced batch of whole modules per worker, each led by its
+        largest module."""
         members = [
             list(range(0, 2)), list(range(2, 10)), list(range(10, 13)),
             list(range(13, 19)), list(range(19, 24)),
         ]
-        largest_first = [1, 3, 4, 2, 0]
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
-        requests: list[tuple[str, list[int]]] = []
+        requests: list[tuple[str, list]] = []
         with ShardedExecutor(
             tiny_matrix.values, parents, _sharded_config(2, "thread"), 7
         ) as executor:
@@ -330,15 +334,21 @@ class TestOneSchedulerOverShards:
                     send(message)
 
                 channel.send_msg = recording
+            executor.sample_ganesh_runs(5)
+            chains, requests[:] = list(requests), []
             executor.learn_modules(members)
             assert executor.stats.mode == "module"
-        assert all(len(ids) == 1 for _peer, ids in requests)
-        assert sorted(ids[0] for _peer, ids in requests) == sorted(largest_first)
-        for peer in {peer for peer, _ids in requests}:
-            positions = [
-                largest_first.index(ids[0]) for p, ids in requests if p == peer
-            ]
-            assert positions == sorted(positions)
+        assert all(len(ids) == 1 for _peer, ids in chains)
+        assert sorted(ids[0] for _peer, ids in chains) == list(range(5))
+        for peer in {peer for peer, _ids in chains}:
+            runs = [ids[0] for p, ids in chains if p == peer]
+            assert runs == sorted(runs)
+        assert all(len(batches) == 1 for _peer, batches in requests)
+        batches = sorted(
+            [module_id for module_id, _members in batch[0]] for _peer, batch in requests
+        )
+        # 8, 6, 5, 3, 2 members: greedy LPT over two batches
+        assert batches == [[1, 2, 0], [3, 4]]
 
     def test_unnamed_runner_rejected(self, tiny_matrix):
         """The wire carries runner names only: a callable outside

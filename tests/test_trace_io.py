@@ -101,6 +101,31 @@ class TestSaveLoad:
         assert back.split_imbalance(8) == pytest.approx(trace.split_imbalance(8))
 
 
+class TestSummarize:
+    def test_cli_prints_times_kernel_and_margin_rows(self, tmp_path, capsys):
+        """``repro trace summarize FILE``: the sharing factor of the native
+        batch entry's margin rows is readable from a saved trace."""
+        from repro.cli import main
+
+        trace = _trace()
+        trace.mark_kernel({"margin_rows_filled": 4, "margin_row_uses": 10})
+        trace.mark_kernel({"margin_rows_filled": 1, "margin_row_uses": 2})
+        save_trace(trace, tmp_path / "t.npz")
+        assert main(["trace", "summarize", str(tmp_path / "t.npz")]) == 0
+        out = capsys.readouterr().out
+        assert "task modules: 3.000 s" in out
+        assert "worker shard0/worker-0: 0.800 s" in out
+        assert "channel shard0: 4096 bytes" in out
+        assert "kernel (numpy): 5 evaluations, 3 hits (hit ratio 0.375)" in out
+        assert "margin rows: 5 filled for 12 uses (shared 2.40x)" in out
+        assert "score store" not in out
+
+    def test_a_trace_without_margin_rows_has_no_margin_line(self):
+        from repro.parallel.trace import summarize_trace
+
+        assert "margin rows" not in summarize_trace(_trace())
+
+
 class TestPaperScaleProjection:
     def test_consensus_scaled_separately(self):
         trace = _trace()
