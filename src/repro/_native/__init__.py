@@ -822,7 +822,7 @@ def _certify_batch(kernels: NativeKernels) -> str | None:
                     make_stream(0x5EED, "chain", n_u, q), scorer.draws_per_item
                 ).items_span(int(items[0]), items.size)
                 oracle = LazySplitKernel(
-                    uvalues[:, obs], sign, grid, backend="numpy", shared_cache=None, **chunk
+                    uvalues[:, obs], sign, grid, backend="numpy", **chunk
                 )
                 want = scorer.score_batch_kernel(oracle, span, item_indices=items)[:3]
                 probes.append((obs, sign, items, span, oracle, want))

@@ -182,16 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the JSON scenario report here")
 
     # Always-on inference service (daemon + client verbs).  The daemon
-    # owns one warm executor lease and the process-shared score cache
-    # across jobs; clients talk to it over a localhost socket discovered
-    # through <dir>/endpoint.json.
+    # owns one warm executor lease across jobs; clients talk to it over a
+    # localhost socket discovered through <dir>/endpoint.json.
     serve = sub.add_parser(
         "serve",
         help="run the always-on inference daemon",
         description="Start a persistent job daemon in DIR: one warm "
-                    "executor lease and a process-shared score cache "
-                    "answer repeat queries from checkpoint namespaces "
-                    "and memoized split scores.  Clients find it through "
+                    "executor lease serves consecutive jobs and per-job "
+                    "checkpoint namespaces answer repeat queries.  "
+                    "Clients find it through "
                     "DIR/endpoint.json; every served network is "
                     "bit-identical to a fresh one-shot learn.",
     )
@@ -202,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="localhost port (0 = let the OS pick)")
     serve.add_argument("--max-inflight", type=int, default=4,
                        help="admission bound on queued + running jobs")
-    serve.add_argument("--score-cache-mb", type=int, default=256, metavar="MB",
-                       help="shared split-score cache budget in MiB "
-                            "(0 disables the cross-job cache)")
 
     submit = sub.add_parser("submit", help="submit a job to a running daemon")
     submit.add_argument("--service", required=True, metavar="DIR",
@@ -234,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--service", required=True, metavar="DIR")
     status.add_argument("--job", default=None, help="one job id (default: all)")
     status.add_argument("--stats", action="store_true",
-                        help="also print service counters and cache stats")
+                        help="also print service counters and executor-lease "
+                             "stats")
 
     result = sub.add_parser("result", help="fetch a finished job's network")
     result.add_argument("--service", required=True, metavar="DIR")
@@ -260,11 +257,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                         default="dynamic",
                         help="executor dispatch: static blocks or dynamic "
                              "largest-first pulling")
-    parser.add_argument("--score-cache-mb", type=int, default=0, metavar="MB",
-                        help="byte budget (in MiB) of the process-shared "
-                             "split-score cache; 0 (default) keeps the "
-                             "per-kernel memo only — purely a speed knob, "
-                             "results are bit-identical")
     _add_kernel_arg(parser)
     _add_node_args(parser)
 
@@ -303,7 +295,6 @@ def _parallel_config(args: argparse.Namespace) -> ParallelConfig:
         kernel_backend=getattr(args, "kernel_backend", "auto"),
         n_nodes=getattr(args, "nodes", 1),
         node_backend=getattr(args, "node_backend", "socket"),
-        score_cache_bytes=int(getattr(args, "score_cache_mb", 0)) * (1 << 20),
     )
 
 
@@ -579,12 +570,7 @@ def _service_client(args: argparse.Namespace):
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceDaemon
 
-    daemon = ServiceDaemon(
-        args.dir,
-        port=args.port,
-        max_inflight=args.max_inflight,
-        score_cache_bytes=args.score_cache_mb * (1 << 20),
-    )
+    daemon = ServiceDaemon(args.dir, port=args.port, max_inflight=args.max_inflight)
     with daemon:
         print(f"serving on {daemon.host}:{daemon.port} "
               f"(endpoint {daemon.endpoint_path})", flush=True)

@@ -52,19 +52,8 @@ class ParallelConfig:
     #: TCP frames on localhost) or "thread" (in-process fallback over the
     #: :mod:`repro.parallel.comm` mailboxes — same protocol, no processes)
     node_backend: str = "socket"
-    #: byte budget of the process-shared split-score cache
-    #: (:class:`repro.scoring.score_cache.SharedScoreCache`): 0 (default)
-    #: keeps the per-kernel-instance memo only, >0 installs one bounded
-    #: LRU store per scoring process (each pool worker, or the driver
-    #: when it runs in-process) so
-    #: identical nodes across jobs share grouping tables and score memos.
-    #: Cached scores are deterministic functions of the node content, so
-    #: this is purely a speed knob — results are bit-identical either way.
-    score_cache_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.score_cache_bytes < 0:
-            raise ValueError("score_cache_bytes must be non-negative")
         if self.n_workers < 0:
             raise ValueError("n_workers must be non-negative (0 = all cores)")
         if self.n_nodes < 1:

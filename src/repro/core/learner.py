@@ -116,10 +116,9 @@ class LemonTreeLearner:
 
         ``executor`` lends an externally owned executor (the service
         daemon's warm pool) for this invocation: the learner dispatches on
-        it but never closes it, so the pool — and each worker's shared
-        score cache — survives into the next job.  The caller is
-        responsible for the executor matching ``(matrix, config, seed,
-        checkpoint_dir)``.
+        it but never closes it, so the pool survives into the next job.
+        The caller is responsible for the executor matching ``(matrix,
+        config, seed, checkpoint_dir)``.
         """
         _require_complete(matrix)
         config = self.config

@@ -344,15 +344,14 @@ def _socket_node_main(port: int, node_id: int, token: str) -> None:
     of the listener and of every other live channel is already closed (the
     ``register_after_fork`` hooks ran before this), and here it drops what
     the driver accumulated at module scope — a worker context, kernel
-    counters, a shared score cache — so none of it can surface in this
-    node's completion records.  The node leads its own process group:
-    whoever has to kill it takes its pool workers along.
+    counters — so none of it can surface in this node's completion
+    records.  The node leads its own process group: whoever has to kill
+    it takes its pool workers along.
     """
     if hasattr(os, "setpgid"):
         os.setpgid(0, 0)
     _WORKER.clear()
     kernel_mod.consume_kernel_totals()
-    kernel_mod.set_shared_score_cache(None)
     sock = socket.create_connection(("127.0.0.1", port))
     channel = SocketChannel(sock, peer="driver")
     channel.send_msg(

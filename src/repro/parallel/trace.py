@@ -155,13 +155,9 @@ class WorkTrace:
         agg["backends"] = sorted(
             set(agg.get("backends", [])) | set(counters.get("backends", []))
         )
-        # Shared-score-cache traffic is only present when a process
-        # consulted a shared store, margin-row traffic when one scored a
-        # node batch natively; merge without widening other traces.
-        for key in (
-            "store_hits", "store_misses", "store_evictions",
-            "margin_rows_filled", "margin_row_uses",
-        ):
+        # Margin-row traffic is only present when a process scored a node
+        # batch natively; merge without widening other traces.
+        for key in ("margin_rows_filled", "margin_row_uses"):
             if key in counters or key in agg:
                 agg[key] = agg.get(key, 0) + int(counters.get(key, 0))
 
@@ -420,11 +416,6 @@ def summarize_trace(trace: WorkTrace) -> str:
             f"(hit ratio {hits / max(1, hits + evaluations):.3f}), "
             f"peak chunk {kernel.get('peak_chunk_elements', 0)} elements"
         )
-        if "store_hits" in kernel:
-            lines.append(
-                f"score store: {kernel['store_hits']} hits, {kernel['store_misses']} "
-                f"misses, {kernel['store_evictions']} evictions"
-            )
         if "margin_row_uses" in kernel:
             filled, uses = kernel["margin_rows_filled"], kernel["margin_row_uses"]
             lines.append(

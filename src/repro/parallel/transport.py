@@ -66,21 +66,6 @@ class ExecutorStats:
     transfer_seconds: float = 0.0
 
 
-def _install_kernel_settings(parallel) -> str:
-    """Point this process's split kernels at the configured backend and
-    shared score cache — the same call in a pool worker and in an
-    in-process transport, so no tier can drift from ``config.parallel``.
-
-    Returns the displaced backend for restoring.  The score cache is one
-    bounded store per process and is never uninstalled, so a service
-    reusing a pool serves repeat nodes from memory.
-    """
-    previous = kernel_mod.set_kernel_backend(parallel.kernel_backend)
-    if parallel.score_cache_bytes > 0:
-        kernel_mod.ensure_shared_score_cache(parallel.score_cache_bytes)
-    return previous
-
-
 def _run_item(ctx, fn, index, item) -> tuple:
     """Run ``fn(ctx, item)`` and build its completion record."""
     t0 = time.perf_counter()
@@ -157,7 +142,9 @@ class InProcessTransport(Transport):
 
     def run(self, fn, ordered_items, *, schedule=None, chunksize=None):
         if self._ctx is None:
-            self._prev_backend = _install_kernel_settings(self.config.parallel)
+            self._prev_backend = kernel_mod.set_kernel_backend(
+                self.config.parallel.kernel_backend
+            )
             self._ctx = dict(
                 build_ctx(
                     self.data, self.parents, self.config, self.seed,
@@ -256,7 +243,7 @@ def _executor_init(
         worker_index = int(counter.value)
         counter.value += 1
     kernel_mod.set_chunk_elements(chunk_elements)
-    _install_kernel_settings(config.parallel)
+    kernel_mod.set_kernel_backend(config.parallel.kernel_backend)
     shm, data = _attach_shared(matrix_spec)
     writer = AsyncCheckpointWriter() if checkpoint_dir is not None else None
     _WORKER.update(

@@ -76,61 +76,14 @@ _CONFIGURED_BACKEND: str = "auto"
 _WARNED_NATIVE_FALLBACK = False
 
 #: process-wide kernel counter accumulator (hits / evaluations /
-#: peak_chunk_elements / backends seen, plus the shared-score-cache
-#: store_* counters) drained by the executor and the learner into
-#: ``WorkTrace.kernel_counters``
+#: peak_chunk_elements / backends seen) drained by the executor and the
+#: learner into ``WorkTrace.kernel_counters``
 _TOTALS = {"hits": 0, "evaluations": 0, "peak_chunk_elements": 0}
-#: counters that surface only once touched: the shared score cache's
-#: lookups and the native batch entry's margin-row table (rows filled with
-#: ``log1p(exp(-|z|))`` and reads of them)
-_OPTIONAL_TOTALS = {
-    "store_hits": 0, "store_misses": 0, "store_evictions": 0,
-    "margin_rows_filled": 0, "margin_row_uses": 0,
-}
+#: counters that surface only once touched: the native batch entry's
+#: margin-row table (rows filled with ``log1p(exp(-|z|))`` and reads of
+#: them)
+_MARGIN_TOTALS = {"margin_rows_filled": 0, "margin_row_uses": 0}
 _TOTALS_BACKENDS: set[str] = set()
-
-#: the process-wide :class:`repro.scoring.score_cache.SharedScoreCache`
-#: (None = cross-kernel sharing disabled, the default)
-_SHARED_SCORE_CACHE = None
-
-#: sentinel: "use the process-wide shared score cache, if installed"
-_USE_GLOBAL_CACHE = object()
-
-
-def set_shared_score_cache(store):
-    """Install the process-wide shared score cache.
-
-    Mirrors :func:`set_chunk_elements` / :func:`set_kernel_backend`: the
-    service daemon (and the executor's worker initializer) installs one
-    store per process so every :class:`LazySplitKernel` constructed deep
-    inside module learning shares grouping tables and score memos across
-    jobs.  Returns the previous store so callers can restore it; ``None``
-    disables sharing.
-    """
-    global _SHARED_SCORE_CACHE
-    previous = _SHARED_SCORE_CACHE
-    _SHARED_SCORE_CACHE = store
-    return previous
-
-
-def shared_score_cache():
-    """The process-wide shared score cache, or ``None``."""
-    return _SHARED_SCORE_CACHE
-
-
-def ensure_shared_score_cache(max_bytes: int):
-    """Install a shared score cache if this process has none yet.
-
-    An already-installed store wins (the daemon's budget outranks a
-    per-job knob), so repeated ``learn()`` calls in one process keep
-    accumulating into the same store.  Returns the active store.
-    """
-    global _SHARED_SCORE_CACHE
-    if _SHARED_SCORE_CACHE is None:
-        from repro.scoring.score_cache import SharedScoreCache
-
-        _SHARED_SCORE_CACHE = SharedScoreCache(max_bytes)
-    return _SHARED_SCORE_CACHE
 
 
 def set_kernel_backend(name: str | None) -> str | None:
@@ -221,17 +174,10 @@ def _account_totals(
         _TOTALS_BACKENDS.add(backend)
 
 
-def _account_store(hits: int = 0, misses: int = 0, evictions: int = 0) -> None:
-    """Accumulate shared-score-cache traffic into the process totals."""
-    _OPTIONAL_TOTALS["store_hits"] += hits
-    _OPTIONAL_TOTALS["store_misses"] += misses
-    _OPTIONAL_TOTALS["store_evictions"] += evictions
-
-
 def _account_margins(filled: int, uses: int) -> None:
     """Accumulate one batch call's margin-table traffic."""
-    _OPTIONAL_TOTALS["margin_rows_filled"] += filled
-    _OPTIONAL_TOTALS["margin_row_uses"] += uses
+    _MARGIN_TOTALS["margin_rows_filled"] += filled
+    _MARGIN_TOTALS["margin_row_uses"] += uses
 
 
 def consume_kernel_totals() -> dict | None:
@@ -241,24 +187,20 @@ def consume_kernel_totals() -> dict | None:
     the learner drains its own process at the end of a run, so
     ``WorkTrace.kernel_counters`` aggregates cache behaviour across every
     process that scored splits — whatever backend each one resolved.  The
-    ``store_*`` keys (shared-score-cache lookups) appear only when a
-    shared store was actually consulted and the ``margin_*`` keys only
-    when the native batch entry shared margin rows, so runs that did
-    neither keep the pre-service counter shape.
+    ``margin_*`` keys appear only when the native batch entry shared
+    margin rows, so runs that did not keep the plain counter shape.
     """
-    if not (any(_TOTALS.values()) or _TOTALS_BACKENDS or any(_OPTIONAL_TOTALS.values())):
+    if not (any(_TOTALS.values()) or _TOTALS_BACKENDS or any(_MARGIN_TOTALS.values())):
         return None
     out = dict(_TOTALS)
     out["backends"] = sorted(_TOTALS_BACKENDS)
-    for family in ("store_", "margin_"):
-        counts = {k: v for k, v in _OPTIONAL_TOTALS.items() if k.startswith(family)}
-        if any(counts.values()):
-            out.update(counts)
+    if any(_MARGIN_TOTALS.values()):
+        out.update(_MARGIN_TOTALS)
     _TOTALS["hits"] = 0
     _TOTALS["evaluations"] = 0
     _TOTALS["peak_chunk_elements"] = 0
-    for key in _OPTIONAL_TOTALS:
-        _OPTIONAL_TOTALS[key] = 0
+    for key in _MARGIN_TOTALS:
+        _MARGIN_TOTALS[key] = 0
     _TOTALS_BACKENDS.clear()
     return out
 
@@ -271,14 +213,14 @@ def isolated_kernel_totals():
     scores itself; that probe traffic is not the program's scoring work
     and must not surface in the first run's ``WorkTrace.kernel_counters``.
     """
-    saved = dict(_TOTALS), set(_TOTALS_BACKENDS), dict(_OPTIONAL_TOTALS)
+    saved = dict(_TOTALS), set(_TOTALS_BACKENDS), dict(_MARGIN_TOTALS)
     try:
         yield
     finally:
         _TOTALS.update(saved[0])
         _TOTALS_BACKENDS.clear()
         _TOTALS_BACKENDS.update(saved[1])
-        _OPTIONAL_TOTALS.update(saved[2])
+        _MARGIN_TOTALS.update(saved[2])
 
 
 def set_chunk_elements(n_elements: int | None) -> int | None:
@@ -482,7 +424,6 @@ class LazySplitKernel:
         *,
         max_chunk_elements: int | None = None,
         backend: str | None = None,
-        shared_cache=_USE_GLOBAL_CACHE,
     ) -> None:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         if self.values.ndim != 2:
@@ -497,61 +438,14 @@ class LazySplitKernel:
         self.max_chunk_elements = int(max_chunk_elements or configured_chunk_elements())
         self.backend, self._native = resolve_kernel_backend(backend)
         guard_alloc(self.n_items, "parent-value slice")
-
-        if shared_cache is _USE_GLOBAL_CACHE:
-            shared_cache = _SHARED_SCORE_CACHE
-        self.from_shared_cache = False
-        if shared_cache is not None:
-            self._init_via_store(shared_cache)
-        else:
-            self._build_tables()
-        self.hits = 0
-        self.evaluations = 0
-        self.peak_chunk_elements = 0
-
-    def _init_via_store(self, store) -> None:
-        """Adopt (or build and publish) this node's tables from ``store``.
-
-        A hit shares the entry's arrays by reference: grouping is skipped
-        entirely and every ``(group, beta)`` pair any earlier kernel
-        evaluated is already seen.  Shared tables hold deterministic
-        functions of the content key, so adoption — and in-place growth of
-        the memo by later kernels — cannot change a single score.
-        """
-        from repro.scoring.score_cache import CacheEntry, score_cache_key
-
-        key = score_cache_key(self.values, self.sign, self.beta_grid)
-        entry = store.lookup(key)
-        if entry is not None:
-            self.item_groups = entry.item_groups
-            self.group_row = entry.group_row
-            self.group_value = entry.group_value
-            self.n_groups = entry.n_groups
-            self._cache = entry.cache
-            self._seen = entry.seen
-            self.from_shared_cache = True
-            _account_store(hits=1)
-            return
-        self._build_tables()
-        evicted = store.insert(
-            key,
-            CacheEntry.from_arrays(
-                self.item_groups,
-                self.group_row,
-                self.group_value,
-                self.n_groups,
-                self._cache,
-                self._seen,
-            ),
-        )
-        _account_store(misses=1, evictions=evicted)
-
-    def _build_tables(self) -> None:
         self.item_groups, self.group_row, self.group_value = group_rows(self.values)
         self.n_groups = int(self.group_row.size)
         guard_alloc(self.n_groups * self._n_beta, "beta-score cache")
         self._cache = np.zeros(self.n_groups * self._n_beta)
         self._seen = np.zeros(self.n_groups * self._n_beta, dtype=bool)
+        self.hits = 0
+        self.evaluations = 0
+        self.peak_chunk_elements = 0
 
     @property
     def n_beta(self) -> int:

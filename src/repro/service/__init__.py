@@ -1,18 +1,15 @@
-"""Always-on inference service: persistent job daemon + shared score cache.
+"""Always-on inference service: persistent job daemon.
 
 Layers (bottom up):
 
-* :mod:`repro.scoring.score_cache` — the process-shared, bounded,
-  content-addressed :class:`~repro.scoring.score_cache.SharedScoreCache`
-  the daemon keeps warm across jobs (re-exported here for convenience).
 * :mod:`repro.service.jobs` — the in-process service core:
   :class:`InferenceService` (job queue, admission control, executor
-  lease, crash isolation).
+  lease, crash isolation; warm state is the per-job checkpoint namespace
+  and the lease).
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — the
   localhost socket front-end (``repro serve``) and its client.
 """
 
-from repro.scoring.score_cache import DEFAULT_SCORE_CACHE_BYTES, SharedScoreCache
 from repro.service.client import AuthError, ServiceClient, ServiceError
 from repro.service.daemon import ServiceDaemon
 from repro.service.jobs import (
@@ -37,7 +34,6 @@ __all__ = [
     "AdmissionRejected",
     "AuthError",
     "CANCELLED",
-    "DEFAULT_SCORE_CACHE_BYTES",
     "DONE",
     "ExecutorLease",
     "FAILED",
@@ -53,6 +49,5 @@ __all__ = [
     "ServiceClosed",
     "ServiceDaemon",
     "ServiceError",
-    "SharedScoreCache",
     "job_fingerprint",
 ]

@@ -28,7 +28,6 @@ import threading
 from pathlib import Path
 
 from repro.parallel.sharding import NodeCrashedError, SocketChannel
-from repro.scoring.score_cache import DEFAULT_SCORE_CACHE_BYTES
 from repro.service.jobs import InferenceService
 
 #: verbs a connection may open with
@@ -52,21 +51,10 @@ class ServiceDaemon:
     OS pick a free port.
     """
 
-    def __init__(
-        self,
-        root,
-        *,
-        port: int = 0,
-        max_inflight: int = 4,
-        score_cache_bytes: int = DEFAULT_SCORE_CACHE_BYTES,
-    ) -> None:
+    def __init__(self, root, *, port: int = 0, max_inflight: int = 4) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.service = InferenceService(
-            self.root,
-            max_inflight=max_inflight,
-            score_cache_bytes=score_cache_bytes,
-        )
+        self.service = InferenceService(self.root, max_inflight=max_inflight)
         self._listener = socket.create_server(("127.0.0.1", port))
         self.host, self.port = self._listener.getsockname()
         self.token = os.urandom(16).hex()

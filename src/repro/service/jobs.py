@@ -5,17 +5,13 @@ shared-memory matrix, kernel memo tables — on every call.  The ROADMAP's
 north star is a serving system, so this module hosts the long-lived
 counterpart: an :class:`InferenceService` that owns ONE
 :class:`repro.parallel.executor.TaskPoolExecutor` lease across many jobs
-and answers repeat queries from three layers of warm state:
+and answers repeat queries from two layers of warm state:
 
 * **per-job checkpoint namespaces** — each job's content fingerprint
   (matrix bytes + result-relevant config + seed) names a directory under
   ``root/jobs/<fp>/checkpoints`` holding the existing atomic fingerprinted
   checkpoints.  A resubmitted identical job loads Task 1 runs and Task 3
   modules from disk instead of recomputing them — the warm-repeat path.
-* **the shared score cache** — every scoring process (driver and each
-  pool worker) installs a :class:`repro.scoring.score_cache.
-  SharedScoreCache`, so identical nodes across jobs share grouping tables
-  and score memos (see that module for why this cannot change results).
 * **the executor lease** — while consecutive jobs share a binding
   (fingerprint + config), the pool and its shared-memory matrix are
   reused rather than rebuilt.
@@ -53,7 +49,6 @@ from repro.core.learner import LemonTreeLearner
 from repro.core.output import network_to_json
 from repro.datatypes import ExpressionMatrix
 from repro.parallel.trace import WorkTrace
-from repro.scoring.score_cache import DEFAULT_SCORE_CACHE_BYTES
 
 # -- job states --------------------------------------------------------------
 
@@ -104,8 +99,8 @@ class JobSpec:
     config: LearnerConfig
     seed: int
     priority: int = 0
-    #: False runs the job without its checkpoint namespace (pure
-    #: score-cache warm path); results are identical either way
+    #: False runs the job without its checkpoint namespace (every unit
+    #: recomputed); results are identical either way
     use_checkpoints: bool = True
 
 
@@ -113,12 +108,12 @@ def job_fingerprint(spec: JobSpec) -> str:
     """Content address of a job's *result*: matrix + seed + the config
     fields that can change the learned network.
 
-    Parallel-execution knobs (worker counts, schedules, backends, the
-    score cache) are deliberately excluded — bit-identity across all of
-    them is the repo's core invariant, so jobs differing only in execution
-    backend share one fingerprint, one checkpoint namespace, and one warm
-    path.  Checkpoint stores re-verify their own fingerprints on load, so
-    even a colliding namespace could only ever ignore foreign files.
+    Parallel-execution knobs (worker counts, schedules, backends) are
+    deliberately excluded — bit-identity across all of them is the repo's
+    core invariant, so jobs differing only in execution backend share one
+    fingerprint, one checkpoint namespace, and one warm path.  Checkpoint
+    stores re-verify their own fingerprints on load, so even a colliding
+    namespace could only ever ignore foreign files.
     """
     config = spec.config
     prior = config.prior
@@ -175,9 +170,9 @@ class ExecutorLease:
     """At most one live executor, rebound when the job binding changes.
 
     The binding is ``(job fingerprint, config, use_checkpoints)``: a
-    matching consecutive job reuses the warm pool (and each worker's
-    shared score cache); a mismatch closes the old executor and builds the
-    new job's.  :meth:`invalidate` is the crash-isolation hook — after a
+    matching consecutive job reuses the warm pool; a mismatch closes the
+    old executor and builds the new job's.  :meth:`invalidate` is the
+    crash-isolation hook — after a
     :class:`~repro.parallel.executor.WorkerCrashedError` the poisoned pool
     is discarded so the next job starts on a fresh one.
     """
@@ -259,10 +254,6 @@ class InferenceService:
     ``root`` is the service's state directory (checkpoint namespaces live
     under ``root/jobs/``).  ``max_inflight`` bounds queued + running jobs;
     a submit beyond it raises :class:`AdmissionRejected`.
-    ``score_cache_bytes`` sizes the process-shared
-    :class:`~repro.scoring.score_cache.SharedScoreCache` (0 disables it);
-    the budget is also injected into every job's ``ParallelConfig`` so
-    pool workers install their own store.
 
     ``autostart=False`` leaves the runner thread stopped until
     :meth:`start` — the deterministic admission/cancel test hook: jobs
@@ -274,7 +265,6 @@ class InferenceService:
         root,
         *,
         max_inflight: int = 4,
-        score_cache_bytes: int = DEFAULT_SCORE_CACHE_BYTES,
         autostart: bool = True,
         crash_poll_seconds: float | None = None,
     ) -> None:
@@ -283,11 +273,6 @@ class InferenceService:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_inflight = int(max_inflight)
-        self.score_cache_bytes = int(score_cache_bytes)
-        if self.score_cache_bytes > 0:
-            from repro.scoring.kernel import ensure_shared_score_cache
-
-            ensure_shared_score_cache(self.score_cache_bytes)
         self.lease = ExecutorLease(crash_poll_seconds=crash_poll_seconds)
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -399,16 +384,12 @@ class InferenceService:
             self._wakeup.notify_all()
         return job_id
 
-    def _normalize_config(self, config: LearnerConfig) -> LearnerConfig:
+    @staticmethod
+    def _normalize_config(config: LearnerConfig) -> LearnerConfig:
         parallel = config.parallel
-        changes = {}
-        if parallel.checkpoint_dir is not None:
-            changes["checkpoint_dir"] = None
-        if self.score_cache_bytes != parallel.score_cache_bytes:
-            changes["score_cache_bytes"] = self.score_cache_bytes
-        if not changes:
+        if parallel.checkpoint_dir is None:
             return config
-        return config.with_updates(parallel=replace(parallel, **changes))
+        return config.with_updates(parallel=replace(parallel, checkpoint_dir=None))
 
     def status(self, job_id: str | None = None):
         """One job's status dict, or (with no id) all jobs in submit
@@ -492,9 +473,7 @@ class InferenceService:
             return True
 
     def stats(self) -> dict:
-        """Service-level counters, lease behaviour, score-cache snapshot."""
-        from repro.scoring.kernel import shared_score_cache
-
+        """Service-level counters and lease behaviour."""
         with self._lock:
             out = dict(self.counters)
             out["n_jobs"] = len(self._jobs)
@@ -504,8 +483,6 @@ class InferenceService:
             "reuses": self.lease.reuses,
             "invalidations": self.lease.invalidations,
         }
-        store = shared_score_cache()
-        out["score_cache"] = store.snapshot() if store is not None else None
         return out
 
     # -- the runner ----------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.scoring.kernel import (
     LazySplitKernel,
     guard_alloc,
     resolve_kernel_backend,
-    shared_score_cache,
     split_kernel_from_arrays,
     split_sign,
 )
@@ -136,10 +135,9 @@ def score_nodes(
     keep no per-node grouping tables or memo, and the draws are computed
     where the chains read them.  Otherwise the nodes are scored one by one
     through :func:`~repro.scoring.kernel.split_kernel_from_arrays`, bit for
-    bit what the batch computes: on the NumPy backend (the NumPy chain),
-    with a shared score store installed (each node adopts or publishes its
-    memo there), and on a stream that hands out the draws themselves (MRG:
-    51 x 8 B per split, so only one node's are held at a time).
+    bit what the batch computes: on the NumPy backend (the NumPy chain)
+    and on a stream that hands out the draws themselves (MRG: 51 x 8 B per
+    split, so only one node's are held at a time).
     """
     parents = np.asarray(parents, dtype=np.int64)
     if not nodes:
@@ -149,10 +147,8 @@ def score_nodes(
         return istream.items_span(base_index, parents.size * len(obs))
 
     native = resolve_kernel_backend()[1]
-    if (
-        native is not None
-        and shared_score_cache() is None
-        and all(istream.keyed for _obs, _left_obs, istream, _base in nodes)
+    if native is not None and all(
+        istream.keyed for _obs, _left_obs, istream, _base in nodes
     ):
         universe = np.unique(np.concatenate([obs for obs, *_rest in nodes]))
         guard_alloc(parents.size * universe.size, "parent-value slice")

@@ -33,19 +33,23 @@ class TestParser:
                 ["learn", "--input", "x.tsv", "--preset", "yeast"]
             )
 
-    @pytest.mark.parametrize("command", ["learn", "modules"])
+    @pytest.mark.parametrize("command", ["learn", "modules", "serve"])
     def test_parallel_mode_flag_is_gone(self, command):
-        """The module/split decomposition is chosen from the input and
-        every worker pulls from one shared queue on one probed machine; the
-        flags that selected otherwise are rejected, the remaining knobs
-        still parse."""
-        args = [command, "--input", "x.tsv", "--workers", "2",
-                "--schedule", "static"]
+        """The module/split decomposition is chosen from the input, every
+        worker pulls from one shared queue on one probed machine and each
+        kernel keeps its own memo; the flags that selected otherwise are
+        rejected, the remaining knobs still parse."""
+        if command == "serve":
+            args = [command, "--dir", "run", "--max-inflight", "2"]
+        else:
+            args = [command, "--input", "x.tsv", "--workers", "2",
+                    "--schedule", "static"]
         if command == "modules":
             args += ["--modules-file", "m.json"]
         build_parser().parse_args(args)
         for gone in (
             ["--parallel-mode", "split"], ["--no-steal"], ["--topology", "flat"],
+            ["--score-cache-mb", "8"],
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(args + gone)

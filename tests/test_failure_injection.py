@@ -511,7 +511,6 @@ class TestNestedWorkerDeath:
             assert not killer.is_alive()
 
     def test_service_isolates_nested_crash(self, tmp_path):
-        from repro.scoring.kernel import set_shared_score_cache
         from repro.service import InferenceService, JobFailed
         from repro.validation.metrics import network_fingerprint
 
@@ -521,33 +520,27 @@ class TestNestedWorkerDeath:
                 config.with_updates(parallel=ParallelConfig(n_workers=1))
             ).learn(matrix, seed=9).network
         )
-        previous = set_shared_score_cache(None)
-        try:
-            with InferenceService(
-                tmp_path, max_inflight=4, score_cache_bytes=0
-            ) as service:
-                job = service.submit(matrix, config, 9, use_checkpoints=False)
+        with InferenceService(tmp_path, max_inflight=4) as service:
+            job = service.submit(matrix, config, 9, use_checkpoints=False)
 
-                def reported_workers() -> list[int]:
-                    row = service.status(job)
-                    assert row["state"] in ("queued", "running"), row
-                    # A sharded lease lists its two node processes first,
-                    # then the pool workers they have reported.
-                    return row.get("worker_pids", [])[2:]
+            def reported_workers() -> list[int]:
+                row = service.status(job)
+                assert row["state"] in ("queued", "running"), row
+                # A sharded lease lists its two node processes first,
+                # then the pool workers they have reported.
+                return row.get("worker_pids", [])[2:]
 
-                _kill_busy_worker(reported_workers)
+            _kill_busy_worker(reported_workers)
 
-                with pytest.raises(JobFailed) as err:
-                    service.wait(job, timeout=300)
-                assert err.value.error_type == "WorkerCrashedError"
-                assert service.lease.invalidations == 1
+            with pytest.raises(JobFailed) as err:
+                service.wait(job, timeout=300)
+            assert err.value.error_type == "WorkerCrashedError"
+            assert service.lease.invalidations == 1
 
-                job2 = service.submit(matrix, config, 9, use_checkpoints=False)
-                payload = service.wait(job2, timeout=600)
-                assert payload["fingerprint"] == oracle
-                assert payload["executor_reused"] is False
-        finally:
-            set_shared_score_cache(previous)
+            job2 = service.submit(matrix, config, 9, use_checkpoints=False)
+            payload = service.wait(job2, timeout=600)
+            assert payload["fingerprint"] == oracle
+            assert payload["executor_reused"] is False
 
 
 class TestShardNodeDeathSpawned(TestShardNodeDeath):
@@ -834,22 +827,6 @@ def _daemon_job_config(workers: int = 2) -> LearnerConfig:
 
 
 class TestDaemonCrashIsolation:
-    @pytest.fixture(autouse=True)
-    def _isolated_store(self):
-        """The shared score store is process-global; the service installs
-        one on construction, so reset around every test here to keep the
-        rest of the suite's kernel counters untouched."""
-        from repro.scoring.kernel import (
-            consume_kernel_totals,
-            set_shared_score_cache,
-        )
-
-        previous = set_shared_score_cache(None)
-        consume_kernel_totals()
-        yield
-        set_shared_score_cache(previous)
-        consume_kernel_totals()
-
     @pytest.mark.slow
     def test_sigkilled_worker_fails_job_next_job_bit_identical(
         self, tmp_path, readable_syscall
@@ -866,8 +843,7 @@ class TestDaemonCrashIsolation:
             ).learn(matrix, seed=9).network
         )
         with InferenceService(
-            tmp_path, max_inflight=4, score_cache_bytes=0,
-            crash_poll_seconds=0.2,
+            tmp_path, max_inflight=4, crash_poll_seconds=0.2
         ) as service:
             job = service.submit(matrix, config, 9, use_checkpoints=False)
             deadline = time.monotonic() + 60

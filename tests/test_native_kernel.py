@@ -17,8 +17,8 @@ Three contracts:
   chain in one call; results, ``accepted``, counters and the memo's end
   state equal the NumPy chain's (and the dense seed path's) on random,
   tie-grid and constant-row nodes, through ``_score_chunk_run``
-  sub-ranges, on a kernel adopted from a shared-cache hit and under an
-  allocation cap; two threads sharing one memo entry agree with the
+  sub-ranges, on a partly filled memo and under an allocation cap;
+  threads running chains on one kernel's memo agree with the
   single-threaded run.  These run on the NumPy backend alone when the
   extension is absent, pinning the fallback to the dense oracle;
 * **grouping tables** — the one-pass ``_build_tables`` equals the per-row
@@ -458,12 +458,10 @@ class TestFusedChain:
         finally:
             set_kernel_backend(prev)
 
-    def test_kernel_adopted_from_shared_cache(self):
-        """A second kernel over the same node adopts the store's memo: the
-        chain then runs against a partly filled table, and every backend
-        reports the results and counters of the NumPy chain."""
-        from repro.scoring.score_cache import SharedScoreCache
-
+    def test_chain_on_a_partly_filled_memo(self):
+        """A second chain on the same kernel runs against the memo the
+        first one left partly filled, and every backend reports the results
+        and counters of the NumPy chain."""
         data, obs, left_obs, parents = _kind_node("ties", 31, 10, 13, 4)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
         n_items = parents.size * obs.size
@@ -472,20 +470,15 @@ class TestFusedChain:
         items = np.arange(5, n_items - 7)
         runs = {}
         for backend in BACKENDS:
-            values = data[parents][:, obs]
-            sign = np.where(np.isin(obs, left_obs), 1.0, -1.0)
-            store = SharedScoreCache(1 << 20)
-            builder = LazySplitKernel(
-                values, sign, scorer.beta_grid, backend=backend, shared_cache=store
+            kernel = split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid, backend=backend
             )
-            a = scorer.score_batch_kernel(builder, first[items], item_indices=items)
-            adopter = LazySplitKernel(
-                values, sign, scorer.beta_grid, backend=backend, shared_cache=store
-            )
-            assert adopter.from_shared_cache and adopter._seen is builder._seen
-            b = scorer.score_batch_kernel(adopter, second)
-            assert adopter.hits > 0
-            runs[backend] = (a, b, _memo_state(builder), _memo_state(adopter))
+            a = scorer.score_batch_kernel(kernel, first[items], item_indices=items)
+            after_first = _memo_state(kernel)
+            hits = kernel.hits
+            b = scorer.score_batch_kernel(kernel, second)
+            assert kernel.hits > hits
+            runs[backend] = (a, b, after_first, _memo_state(kernel))
         for backend in BACKENDS[1:]:
             for got, want in zip(runs[backend][0] + runs[backend][1],
                                  runs["numpy"][0] + runs["numpy"][1]):
@@ -663,13 +656,11 @@ class TestPhiloxInKernel:
 
 @needs_native
 class TestSharedMemoThreads:
-    """cffi drops the GIL for the whole fused call, and two in-process node
-    threads can adopt one ``SharedScoreCache`` entry: a memo slot must be
+    """cffi drops the GIL for the whole fused call, and threads may run
+    chains on one kernel, i.e. on one lent memo: a memo slot must be
     published score-first, flag-second."""
 
-    def test_two_threads_on_one_entry_agree_with_one(self):
-        from repro.scoring.score_cache import SharedScoreCache
-
+    def test_threads_on_one_memo_agree_with_one(self):
         # Sized so the threads overlap inside the C call: with the flag
         # published before the score, this fails in every run of 25 rounds.
         data, obs, left_obs, parents = _kind_node("ties", 53, 70, 96, 64)
@@ -682,30 +673,24 @@ class TestSharedMemoThreads:
             _uniform_block(n_items, scorer.draws_per_item, 60 + t)
             for t in range(n_threads)
         ]
-        solo = LazySplitKernel(
-            values, sign, scorer.beta_grid, backend="native", shared_cache=None
-        )
-        want = [scorer.score_batch_kernel(solo, block) for block in blocks]
+        solo = LazySplitKernel(values, sign, scorer.beta_grid, backend="native")
+        want = [scorer.score_batch_kernel(solo, block)[:3] for block in blocks]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _round in range(25):
-                store = SharedScoreCache(1 << 24)
-                kernels = [
-                    LazySplitKernel(
-                        values, sign, scorer.beta_grid, backend="native",
-                        shared_cache=store,
-                    )
-                    for _ in range(n_threads)
-                ]
-                assert all(k._seen is kernels[0]._seen for k in kernels)
+                shared = LazySplitKernel(
+                    values, sign, scorer.beta_grid, backend="native"
+                )
                 got = [None] * n_threads
                 barrier = threading.Barrier(n_threads)
 
                 def work(t):
                     barrier.wait(timeout=30)
-                    got[t] = scorer.score_batch_kernel(kernels[t], blocks[t])
+                    got[t] = shared.run_chain(
+                        None, blocks[t], scorer.max_steps, scorer.stop_repeats
+                    )
 
                 threads = [
                     threading.Thread(target=work, args=(t,))
@@ -720,20 +705,17 @@ class TestSharedMemoThreads:
                     for g, w in zip(got[t], want[t]):
                         np.testing.assert_array_equal(g, w)
                 # every published slot holds the score a lone kernel computes
-                seen = kernels[0]._seen
-                np.testing.assert_array_equal(seen, solo._seen)
+                np.testing.assert_array_equal(shared._seen, solo._seen)
                 np.testing.assert_array_equal(
-                    kernels[0]._cache[seen], solo._cache[seen]
+                    shared._cache[shared._seen], solo._cache[solo._seen]
                 )
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("scenario", ["single-module", "tie-grid"])
-    def test_thread_nodes_with_shared_cache_validate(self, scenario):
-        """The daemon's configuration — two thread-backend nodes, one
-        process-wide score cache, native kernel — through ``repro
-        validate``'s fingerprint check."""
-        from repro.scoring.score_cache import SharedScoreCache
+    def test_thread_nodes_validate(self, scenario):
+        """Two thread-backend nodes in one process on the native kernel,
+        through ``repro validate``'s fingerprint check."""
         from repro.validation.runner import BackendCombo, run_scenario
         from repro.validation.scenarios import select_scenarios
 
@@ -742,14 +724,11 @@ class TestSharedMemoThreads:
             BackendCombo(1, "native", rng, n_nodes=2, node_backend="thread")
             for rng in ("philox", "mrg")
         ]
-        previous = kernel_mod.set_shared_score_cache(SharedScoreCache(1 << 24))
         # thread nodes install the process-wide backend and may leave it set
         backend = kernel_mod.configured_kernel_backend()
         try:
             result = run_scenario(spec, seed=0, smoke=True, combos=combos)
-            assert kernel_mod.shared_score_cache().snapshot()["insertions"] > 0
         finally:
-            kernel_mod.set_shared_score_cache(previous)
             set_kernel_backend(backend)
         assert [c.error for c in result.combos] == [None, None]
         assert all(c.identical for c in result.combos)
@@ -791,9 +770,7 @@ class TestBuildTables:
         values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
         if with_nan and values.size:
             values[rng.random(values.shape) < 0.2] = np.nan
-        kernel = LazySplitKernel(
-            values, np.ones(n_obs), (1.0, 2.0), backend="numpy", shared_cache=None
-        )
+        kernel = LazySplitKernel(values, np.ones(n_obs), (1.0, 2.0), backend="numpy")
         item_groups, group_row, group_value, n_groups = _per_row_unique_tables(
             kernel.values
         )
@@ -973,6 +950,23 @@ class TestKernelCounters:
         save_trace(trace, path)
         assert load_trace(path).kernel_counters == trace.kernel_counters
 
+    def test_trace_merge_drops_store_counters(self):
+        """Counter deltas from a release that had the shared score store
+        merge as their kernel counters alone."""
+        from repro.parallel.trace import WorkTrace
+
+        trace = WorkTrace()
+        trace.mark_kernel(
+            {"hits": 5, "evaluations": 7, "peak_chunk_elements": 100,
+             "backends": ["numpy"], "store_hits": 2, "store_misses": 1,
+             "store_evictions": 0}
+        )
+        trace.mark_kernel({"hits": 1, "evaluations": 0, "store_hits": 4})
+        assert trace.kernel_counters == {
+            "hits": 6, "evaluations": 7, "peak_chunk_elements": 100,
+            "backends": ["numpy"],
+        }
+
     def test_serial_learn_records_counters(self):
         from repro.core.learner import LemonTreeLearner
         from repro.data.synthetic import make_module_dataset
@@ -987,6 +981,34 @@ class TestKernelCounters:
         counters = trace.kernel_counters
         assert counters.get("evaluations", 0) > 0
         assert counters["backends"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_run_scores_into_fresh_memos(self, backend):
+        """Nothing a run memoises outlives it: an identical second run
+        evaluates every score again, and no counter names a store."""
+        from repro.core.learner import LemonTreeLearner
+        from repro.data.synthetic import make_module_dataset
+        from repro.parallel.trace import WorkTrace
+
+        matrix = make_module_dataset(16, 10, n_modules=2, seed=7).matrix
+        config = LearnerConfig(
+            max_sampling_steps=4, parallel=ParallelConfig(kernel_backend=backend)
+        )
+        learner = LemonTreeLearner(config)
+        members = learner.consensus(learner.sample_clusterings(matrix, seed=7))
+        runs = []
+        for _run in range(2):
+            trace = WorkTrace()
+            network = learner.learn_from_modules(
+                matrix, members, seed=7, trace=trace
+            ).network
+            runs.append((network, trace.kernel_counters))
+        (net1, c1), (net2, c2) = runs
+        assert net1 == net2
+        assert c1["evaluations"] > 0
+        assert c2 == c1
+        assert c1["backends"] == [backend]
+        assert not any(key.startswith("store_") for key in c1)
 
 
 # -- spawn pool workers ------------------------------------------------------

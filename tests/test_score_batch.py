@@ -69,7 +69,7 @@ def _oracle(uvalues, obs, sign, items, scorer, chunk_elements, rows):
     """The node's own NumPy chain: the kernel (counters, memo) and results."""
     oracle = LazySplitKernel(
         uvalues[:, obs], sign, scorer.beta_grid, max_chunk_elements=chunk_elements,
-        backend="numpy", shared_cache=None,
+        backend="numpy",
     )
     return oracle, scorer.score_batch_kernel(oracle, rows, item_indices=items)
 
@@ -230,8 +230,7 @@ class TestPreconditions:
     def test_bad_node_is_refused_and_memos_are_untouched(self, damage, message):
         uvalues, scorer, nodes = _two_nodes()
         lender = LazySplitKernel(
-            uvalues[:, nodes[0].obs], nodes[0].sign, scorer.beta_grid,
-            backend="native", shared_cache=None,
+            uvalues[:, nodes[0].obs], nodes[0].sign, scorer.beta_grid, backend="native"
         )
         nodes[0].groups, nodes[0].cache, nodes[0].seen = (
             lender.item_groups, lender._cache, lender._seen,
@@ -333,10 +332,10 @@ def entries(monkeypatch):
 
 class TestOneNativeCallPerModuleBatch:
     @staticmethod
-    def _config(backend, **parallel):
+    def _config(backend):
         return LearnerConfig(
             max_sampling_steps=5, n_ganesh_runs=2,
-            parallel=ParallelConfig(kernel_backend=backend, **parallel),
+            parallel=ParallelConfig(kernel_backend=backend),
         )
 
     @pytest.mark.parametrize("traced", [False, True])
@@ -355,6 +354,30 @@ class TestOneNativeCallPerModuleBatch:
             counters = trace.kernel_counters
             assert counters["margin_row_uses"] == counters["evaluations"]
             assert 0 < counters["margin_rows_filled"] < counters["margin_row_uses"]
+
+    @pytest.mark.parametrize("use_checkpoints", [False, True])
+    def test_a_served_job_scores_like_a_one_shot_learn(
+        self, tiny_matrix, tmp_path, entries, use_checkpoints
+    ):
+        """A daemon job on one worker enters the scoring paths exactly as
+        ``learn()`` does: one native call for every node of the batch."""
+        from repro.service import InferenceService
+        from repro.validation.metrics import network_fingerprint
+
+        config = self._config("native")
+        oracle = LemonTreeLearner(config).learn(tiny_matrix, 3)
+        one_shot = dict(entries)
+        entries.update(dict.fromkeys(entries, 0))
+        with InferenceService(tmp_path, max_inflight=1) as service:
+            payload = service.wait(
+                service.submit(
+                    tiny_matrix, config, 3, use_checkpoints=use_checkpoints
+                )
+            )
+        assert payload["fingerprint"] == network_fingerprint(oracle.network)
+        assert one_shot["batch"] == 1
+        assert one_shot["batch_nodes"] == oracle.stats["n_internal_nodes"]
+        assert entries == one_shot
 
     def test_numpy_learn_scores_node_by_node(self, tiny_matrix, entries):
         trace = WorkTrace()
@@ -390,19 +413,6 @@ class TestOneNativeCallPerModuleBatch:
         assert peak < 5 * node_draws < len(nodes) * node_draws
         assert entries["kernels"] == len(nodes) + 1
         assert entries["batch_nodes"] == (len(nodes) + 1 if backend == "native" else 0)
-
-    def test_a_shared_score_store_rides_the_one_node_case(self, tiny_matrix, entries):
-        """With a store installed every node adopts or publishes its memo
-        there: node by node through its own kernel, each a one-node batch."""
-        previous = kernel_mod.set_shared_score_cache(None)
-        try:
-            result = LemonTreeLearner(
-                self._config("native", score_cache_bytes=1 << 22)
-            ).learn(tiny_matrix, 3)
-        finally:
-            kernel_mod.set_shared_score_cache(previous)
-        n_nodes = result.stats["n_internal_nodes"]
-        assert entries["batch"] == entries["batch_nodes"] == entries["run_chain"] == n_nodes
 
     def test_batches_and_backends_learn_one_network(self, tiny_matrix):
         """... whatever the byte budget cuts a module batch into."""

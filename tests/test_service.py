@@ -1,8 +1,8 @@
 """Service-grade battery for the always-on inference daemon.
 
 The tentpole invariant: a network served by the daemon — from any mix of
-concurrent clients, on either RNG backend, with the shared score cache
-on or off, checkpoints on or off — is bit-identical (by
+concurrent clients, on either RNG backend, on one worker or two, with
+checkpoints on or off — is bit-identical (by
 :func:`~repro.validation.metrics.network_fingerprint`) to a fresh
 one-shot ``learn()`` of the same job.  Everything else here (admission
 control, FIFO-with-priority dispatch, cancel semantics, the socket
@@ -16,10 +16,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.core.output import network_from_json
-from repro.scoring.kernel import consume_kernel_totals, set_shared_score_cache
 from repro.service import (
     AdmissionRejected,
     InferenceService,
@@ -32,15 +32,10 @@ from repro.service import (
 from repro.service.jobs import JobSpec
 from repro.validation.metrics import network_fingerprint
 
-
-@pytest.fixture(autouse=True)
-def _isolated_store():
-    """The shared store is process-global; keep tests independent."""
-    previous = set_shared_score_cache(None)
-    consume_kernel_totals()
-    yield
-    set_shared_score_cache(previous)
-    consume_kernel_totals()
+needs_native = pytest.mark.skipif(
+    _native.load() is None,
+    reason=f"native backend unavailable ({_native.availability()['status']})",
+)
 
 
 def _config(workers: int = 1, rng_backend: str = "philox") -> LearnerConfig:
@@ -59,15 +54,13 @@ def _oracle_fingerprint(matrix, config, seed) -> str:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
-    @pytest.mark.parametrize("cache_bytes", [0, 64 << 20])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_served_equals_one_shot(
-        self, tiny_matrix, tmp_path, rng_backend, cache_bytes
+        self, tiny_matrix, tmp_path, rng_backend, workers
     ):
-        config = _config(rng_backend=rng_backend)
+        config = _config(workers, rng_backend=rng_backend)
         oracle = _oracle_fingerprint(tiny_matrix, config, seed=7)
-        with InferenceService(
-            tmp_path, max_inflight=4, score_cache_bytes=cache_bytes
-        ) as service:
+        with InferenceService(tmp_path, max_inflight=4) as service:
             for use_checkpoints in (True, False):
                 job = service.submit(
                     tiny_matrix, config, 7, use_checkpoints=use_checkpoints
@@ -95,23 +88,21 @@ class TestBitIdentity:
 
 class TestConcurrentClients:
     @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
-    @pytest.mark.parametrize("cache_bytes", [0, 64 << 20])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_overlapping_submissions_bit_identical(
-        self, tiny_matrix, tmp_path, rng_backend, cache_bytes
+        self, tiny_matrix, tmp_path, rng_backend, workers
     ):
         """N threads race overlapping jobs on the same matrix; every
         result matches the fresh one-shot oracle for its (seed, config)."""
         seeds = [7, 7, 8, 7, 8]
-        config = _config(rng_backend=rng_backend)
+        config = _config(workers, rng_backend=rng_backend)
         oracles = {
             seed: _oracle_fingerprint(tiny_matrix, config, seed)
             for seed in set(seeds)
         }
         results: dict[int, str] = {}
         errors: list[Exception] = []
-        with InferenceService(
-            tmp_path, max_inflight=len(seeds), score_cache_bytes=cache_bytes
-        ) as service:
+        with InferenceService(tmp_path, max_inflight=len(seeds)) as service:
 
             def client(idx: int, seed: int) -> None:
                 try:
@@ -222,19 +213,7 @@ class TestJobFingerprint:
         share one checkpoint namespace and one warm path."""
         base = job_fingerprint(self._spec(tiny_matrix, _config(1), 7))
         pooled = job_fingerprint(self._spec(tiny_matrix, _config(2), 7))
-        cached = job_fingerprint(
-            self._spec(
-                tiny_matrix,
-                LearnerConfig(
-                    max_sampling_steps=5,
-                    parallel=ParallelConfig(
-                        n_workers=1, score_cache_bytes=64 << 20
-                    ),
-                ),
-                7,
-            )
-        )
-        assert base == pooled == cached
+        assert base == pooled
 
     def test_result_knobs_split_fingerprints(self, tiny_matrix):
         base = job_fingerprint(self._spec(tiny_matrix, _config(), 7))
@@ -272,20 +251,28 @@ class TestWarmPath:
             ns = service.namespace_dir(cold["job_fingerprint"])
             assert ns.exists() and any(ns.iterdir())
 
-    def test_cache_only_repeat_reevaluates_nothing(self, tiny_matrix, tmp_path):
-        with InferenceService(
-            tmp_path, max_inflight=4, score_cache_bytes=64 << 20
-        ) as service:
-            cold = service.wait(
-                service.submit(tiny_matrix, _config(), 7, use_checkpoints=False)
+    @needs_native
+    @pytest.mark.parametrize("use_checkpoints", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_served_job_shares_margin_rows(
+        self, tiny_matrix, tmp_path, workers, use_checkpoints
+    ):
+        """A served job takes the native batch entry, as a one-shot
+        ``learn()`` does: its tree nodes read shared margin rows, so fewer
+        rows are filled than read."""
+        config = LearnerConfig(
+            max_sampling_steps=5,
+            parallel=ParallelConfig(n_workers=workers, kernel_backend="native"),
+        )
+        with InferenceService(tmp_path, max_inflight=4) as service:
+            payload = service.wait(
+                service.submit(
+                    tiny_matrix, config, 7, use_checkpoints=use_checkpoints
+                )
             )
-            warm = service.wait(
-                service.submit(tiny_matrix, _config(), 7, use_checkpoints=False)
-            )
-            assert warm["fingerprint"] == cold["fingerprint"]
-            counters = warm["kernel_counters"]
-            assert counters.get("evaluations", 0) == 0
-            assert counters.get("store_hits", 0) > 0
+        counters = payload["kernel_counters"]
+        assert counters["backends"] == ["native"]
+        assert 0 < counters["margin_rows_filled"] < counters["margin_row_uses"]
 
     def test_executor_lease_reused_for_identical_jobs(
         self, tiny_matrix, tmp_path
@@ -315,6 +302,7 @@ class TestDaemonProtocol:
             assert [r["job_id"] for r in rows] == [job]
             stats = client.stats()
             assert stats["completed"] == 1
+            assert "score_cache" not in stats
 
     def test_typed_errors_cross_the_wire(self, tiny_matrix, tmp_path):
         with ServiceDaemon(tmp_path, max_inflight=4) as daemon:

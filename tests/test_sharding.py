@@ -526,25 +526,21 @@ def _probe_process_state(ctx, item):
     return {
         "worker": dict(tasks._WORKER),
         "kernel_totals": kernel.consume_kernel_totals(),
-        "score_cache": kernel.shared_score_cache() is not None,
     }
 
 
 @contextmanager
 def _dirty_driver():
     """Leave in this process what a long-lived driver accumulates at module
-    scope: kernel counters, a worker context, a shared score cache."""
+    scope: kernel counters and a worker context."""
     from repro.parallel import tasks
     from repro.scoring import kernel
-    from repro.scoring.score_cache import SharedScoreCache
 
     kernel._account_totals(hits=11, evaluations=13, peak=17, backend="numpy")
     tasks._WORKER.update(worker=99)
-    cache = kernel.set_shared_score_cache(SharedScoreCache(1 << 20))
     try:
         yield
     finally:
-        kernel.set_shared_score_cache(cache)
         tasks._WORKER.clear()
         kernel.consume_kernel_totals()
 
@@ -593,9 +589,7 @@ class TestForkedNodeIsFresh:
         ) as executor:
             states = executor.submit_runs(_probe_process_state, [0, 1])
         for state in states:
-            assert state == {
-                "worker": {}, "kernel_totals": None, "score_cache": False,
-            }
+            assert state == {"worker": {}, "kernel_totals": None}
 
     def test_traced_run_reports_the_one_worker_counters(self, tiny_matrix):
         members = MODE_INPUTS["module"]
@@ -612,7 +606,6 @@ class TestForkedNodeIsFresh:
             sharded = counters(_sharded_config(2, "socket"))
         assert one_worker["evaluations"] > 0
         assert sharded == one_worker
-        assert not any(key.startswith("store_") for key in sharded)
 
     def test_plain_learn_forks_its_nodes_from_one_thread(self):
         """A one-shot ``learn()`` asks for no start method, gets fork, and

@@ -10,21 +10,30 @@ The kernel's contract has three legs:
   allocation cap;
 * **dedup accounting** — duplicate candidate values share one cached score
   table but still consume their own private uniforms, so RNG-lockstep draw
-  accounting is untouched.
+  accounting is untouched;
+* **one memo per kernel** — every lookup is a hit or an evaluation, a
+  repeated lookup or chain evaluates nothing, and a second kernel over
+  the same node starts from an empty memo of its own.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import _native
 from repro.rng.streams import make_stream
 from repro.scoring.kernel import (
     AllocationCapExceeded,
+    DenseScoreMemo,
     LazySplitKernel,
     allocation_cap,
     split_kernel_from_arrays,
 )
 from repro.scoring.split_score import SplitScorer
 from repro.trees.splits import margins_from_arrays
+
+BACKENDS = ["numpy"] + (["native"] if _native.load() is not None else [])
 
 
 def _uniform_block(n_items, dpi, seed=0):
@@ -170,6 +179,93 @@ class TestDedupAccounting:
         )
         for got, want in zip(lazy, dense):
             np.testing.assert_array_equal(got, want)
+
+
+BETA_GRID = (1.0, 5.0, 20.0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestMemoContract:
+    @given(st.integers(0, 2**16), st.integers(1, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_lookups_are_hits_or_evaluations(self, backend, seed, n_lookups):
+        """A looked-up pair the memo has seen is a hit; the distinct unseen
+        pairs of a batch are evaluated once each; a repeated batch is all
+        hits."""
+        rng = np.random.default_rng(seed)
+        data, obs, left_obs, parents = _node_arrays(seed % 7, duplicates=bool(seed % 2))
+        kernel = split_kernel_from_arrays(
+            data, obs, left_obs, parents, BETA_GRID, backend=backend
+        )
+        seen: set[int] = set()
+        for _batch in range(2):
+            groups = rng.integers(0, kernel.n_groups, size=n_lookups)
+            beta = rng.integers(0, len(BETA_GRID), size=n_lookups)
+            keys = groups * len(BETA_GRID) + beta
+            hits, evaluations = kernel.hits, kernel.evaluations
+            kernel.scores(groups, beta)
+            assert kernel.hits - hits == sum(int(k) in seen for k in keys)
+            assert kernel.evaluations - evaluations == len(set(keys.tolist()) - seen)
+            seen.update(keys.tolist())
+            evaluations = kernel.evaluations
+            kernel.scores(groups, beta)
+            assert kernel.evaluations == evaluations
+        assert kernel.hits + kernel.evaluations <= 4 * n_lookups
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_scores_equal_the_dense_memo(self, backend, duplicates):
+        """Every ``(group, beta)`` score equals the dense memo's score of
+        each candidate in the group, evaluated once per group."""
+        data, obs, left_obs, parents = _node_arrays(3, duplicates=duplicates)
+        kernel = split_kernel_from_arrays(
+            data, obs, left_obs, parents, BETA_GRID, backend=backend
+        )
+        dense = DenseScoreMemo(margins_from_arrays(data, obs, left_obs, parents), BETA_GRID)
+        items = np.arange(kernel.n_items, dtype=np.int64)
+        for b in range(len(BETA_GRID)):
+            beta = np.full(items.size, b, dtype=np.int64)
+            np.testing.assert_array_equal(
+                kernel.scores(kernel.item_groups, beta), dense.scores(items, beta)
+            )
+        assert kernel.evaluations == kernel.n_groups * len(BETA_GRID)
+        assert dense.evaluations == kernel.n_items * len(BETA_GRID)
+
+    def test_a_repeated_chain_evaluates_nothing(self, backend):
+        """A second chain with the same draws reads every score it needs
+        from the memo the first one filled."""
+        data, obs, left_obs, parents = _node_arrays(19, duplicates=True)
+        scorer = SplitScorer(max_steps=6, stop_repeats=2)
+        kernel = split_kernel_from_arrays(
+            data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+        )
+        uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 19)
+        first = scorer.score_batch_kernel(kernel, uniforms)
+        hits, evaluations = kernel.hits, kernel.evaluations
+        assert evaluations > 0
+        again = scorer.score_batch_kernel(kernel, uniforms)
+        assert kernel.evaluations == evaluations
+        assert kernel.hits - hits >= hits + evaluations
+        for got, want in zip(again, first):
+            np.testing.assert_array_equal(got, want)
+
+    def test_each_kernel_starts_from_its_own_memo(self, backend):
+        """Two kernels over one node share no memo: the second evaluates
+        what the first did and ends in the same state."""
+        node = _node_arrays(23, duplicates=True)
+        scorer = SplitScorer(max_steps=6, stop_repeats=2)
+        first = split_kernel_from_arrays(*node, scorer.beta_grid, backend=backend)
+        uniforms = _uniform_block(first.n_items, scorer.draws_per_item, 23)
+        want = scorer.score_batch_kernel(first, uniforms)
+        second = split_kernel_from_arrays(*node, scorer.beta_grid, backend=backend)
+        assert not second._seen.any()
+        assert not np.shares_memory(second._cache, first._cache)
+        assert not np.shares_memory(second._seen, first._seen)
+        got = scorer.score_batch_kernel(second, uniforms)
+        assert (second.hits, second.evaluations) == (first.hits, first.evaluations)
+        np.testing.assert_array_equal(second._seen, first._seen)
+        np.testing.assert_array_equal(second._cache, first._cache)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestMemoryContract:

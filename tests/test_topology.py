@@ -207,6 +207,9 @@ class TestParallelConfigApi:
             ParallelConfig(topology="flat")
         with pytest.raises(AttributeError):
             ParallelConfig().resolve_topology()
+        # ... and so is the process-shared score store's budget.
+        with pytest.raises(TypeError):
+            ParallelConfig(score_cache_bytes=1)
 
     def test_dropped_property_reads_are_attribute_errors(self):
         cfg = LearnerConfig(parallel=ParallelConfig(n_workers=5))
@@ -246,7 +249,7 @@ class TestParallelConfigApi:
             ParallelConfig(schedule="work-stealing")
         assert [f.name for f in dataclasses.fields(ParallelConfig)] == [
             "n_workers", "schedule", "checkpoint_dir", "kernel_backend",
-            "n_nodes", "node_backend", "score_cache_bytes",
+            "n_nodes", "node_backend",
         ]
 
     def test_package_exports(self):

@@ -7,7 +7,13 @@ import pytest
 
 from repro.core.learner import LemonTreeLearner
 from repro.parallel.costmodel import MachineModel
-from repro.parallel.trace import WorkTrace, load_trace, project_time, save_trace
+from repro.parallel.trace import (
+    WorkTrace,
+    load_trace,
+    project_time,
+    save_trace,
+    summarize_trace,
+)
 
 
 def _trace():
@@ -28,13 +34,15 @@ def _trace():
 
 
 def _save_as_parent_commit(trace, path):
-    """The ``.npz`` the commit before the NUMA-domain tier's removal wrote:
-    today's layout plus five per-domain / per-steal accumulators and the
-    placement plan as ``topology``."""
+    """The ``.npz`` earlier releases wrote: today's layout plus five
+    per-domain / per-steal accumulators and the placement plan as
+    ``topology`` (before the NUMA-domain tier's removal), and the shared
+    score store's counters in ``kernel_counters`` (before the store's)."""
     save_trace(trace, path)
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files if key != "meta"}
         meta = json.loads(str(data["meta"]))
+    meta["kernel_counters"].update(store_hits=4, store_misses=2, store_evictions=1)
     meta.update(
         domain_times={"node0": 0.5, "node1": 0.3},
         worker_steals={"worker-1": 2},
@@ -56,10 +64,15 @@ class TestSaveLoad:
         path = tmp_path / "trace.npz"
         save_trace(trace, path)
         self._assert_same(load_trace(path), trace)
-        # A trace cached by the previous release still loads: the removed
-        # accumulators are ignored, everything else comes back.
+        # A trace cached by an earlier release still loads: the removed
+        # accumulators are ignored, the store's counters are neither
+        # summarized nor merged, everything else comes back.
         _save_as_parent_commit(trace, path)
         back = load_trace(path)
+        assert "store" not in summarize_trace(back)
+        merged = WorkTrace()
+        merged.mark_kernel(back.kernel_counters)
+        back.kernel_counters = merged.kernel_counters
         self._assert_same(back, trace)
         assert not hasattr(back, "domain_times")
         assert back.topology["worker_domains"] == [0, 1]
@@ -118,7 +131,17 @@ class TestSummarize:
         assert "channel shard0: 4096 bytes" in out
         assert "kernel (numpy): 5 evaluations, 3 hits (hit ratio 0.375)" in out
         assert "margin rows: 5 filled for 12 uses (shared 2.40x)" in out
-        assert "score store" not in out
+
+    def test_cli_summarizes_an_earlier_release_trace(self, tmp_path, capsys):
+        """A trace whose counters still carry the shared score store's
+        keys summarizes like today's: same kernel line, no store line."""
+        from repro.cli import main
+
+        _save_as_parent_commit(_trace(), tmp_path / "old.npz")
+        assert main(["trace", "summarize", str(tmp_path / "old.npz")]) == 0
+        out = capsys.readouterr().out
+        assert "kernel (numpy): 5 evaluations, 3 hits (hit ratio 0.375)" in out
+        assert "store" not in out
 
     def test_a_trace_without_margin_rows_has_no_margin_line(self):
         from repro.parallel.trace import summarize_trace
