@@ -52,12 +52,8 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _sharded_config(base: LearnerConfig, n_nodes: int, backend: str):
-    return base.with_updates(
-        parallel=ParallelConfig(
-            n_workers=1, n_nodes=n_nodes, node_backend=backend
-        )
-    )
+def _sharded_config(base: LearnerConfig, n_nodes: int):
+    return base.with_updates(parallel=ParallelConfig(n_workers=1, n_nodes=n_nodes))
 
 
 def test_shard_scaling(capsys):
@@ -68,7 +64,7 @@ def test_shard_scaling(capsys):
     traces: dict[int, WorkTrace] = {}
     for n_nodes in NODE_COUNTS:
         trace = WorkTrace()
-        learner = LemonTreeLearner(_sharded_config(config, n_nodes, "socket"))
+        learner = LemonTreeLearner(_sharded_config(config, n_nodes))
         t0 = time.perf_counter()
         result = learner.learn(matrix, seed=BENCH_SEED, trace=trace)
         times[n_nodes] = time.perf_counter() - t0
@@ -82,15 +78,6 @@ def test_shard_scaling(capsys):
         assert fingerprints[n_nodes] == reference, (
             f"network diverged at {n_nodes} socket nodes"
         )
-
-    # The thread transport must land on the same network as the socket
-    # one — same frames, same plan, different wire.
-    thread_result = LemonTreeLearner(
-        _sharded_config(config, 2, "thread")
-    ).learn(matrix, seed=BENCH_SEED)
-    assert network_fingerprint(thread_result.network) == reference, (
-        "network diverged on the thread transport"
-    )
 
     shard_trace = traces[2]
     calibration = shard_trace.calibration or {}
@@ -127,7 +114,6 @@ def test_shard_scaling(capsys):
             "shape": list(matrix.shape),
             "cores_available": cores,
             "smoke": SMOKE,
-            "node_backend": "socket",
             "workers_per_node": 1,
             "times_s": {str(n): times[n] for n in NODE_COUNTS},
             "speedup_2": speedup_2,

@@ -133,7 +133,7 @@ def main() -> None:
         wire = (f"tau={tau:.3g}s mu={mu:.3g}s/word"
                 if tau is not None else "uncalibrated")
         print(f"shard: {shard['speedup_2']:.2f}x@2 nodes "
-              f"({shard['node_backend']}, {shard['g_runs']} runs, "
+              f"({shard['g_runs']} runs, "
               f"{shard['cores_available']} cores); wire {wire}; "
               f"{shard['transfer_bytes']} B in "
               f"{shard['transfer_seconds']:.3f}s; "

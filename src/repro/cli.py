@@ -175,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "the multi-node tier, asserting the same "
                                "bit-identity against the sequential "
                                "reference)")
-    validate.add_argument("--node-backend", choices=["socket", "thread"],
-                          default="socket",
-                          help="shard transport for the --nodes combos")
     validate.add_argument("--out", default=None,
                           help="write the JSON scenario report here")
 
@@ -278,12 +275,6 @@ def _add_node_args(parser: argparse.ArgumentParser) -> None:
                              "pull batches from the scheduler's one ordered "
                              "list; results are bit-identical for any node "
                              "count)")
-    parser.add_argument("--node-backend", choices=["socket", "thread"],
-                        default="socket",
-                        help="shard transport: real OS processes over a "
-                             "length-prefixed localhost socket protocol "
-                             "(socket), or in-process threads over the same "
-                             "frame protocol (thread)")
 
 
 def _parallel_config(args: argparse.Namespace) -> ParallelConfig:
@@ -294,7 +285,6 @@ def _parallel_config(args: argparse.Namespace) -> ParallelConfig:
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         kernel_backend=getattr(args, "kernel_backend", "auto"),
         n_nodes=getattr(args, "nodes", 1),
-        node_backend=getattr(args, "node_backend", "socket"),
     )
 
 
@@ -346,7 +336,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     workers = config.resolve_n_workers()
     n_nodes = config.parallel.n_nodes
     if n_nodes > 1:
-        mode = f"sharded n={n_nodes} x w={workers} ({config.parallel.node_backend})"
+        mode = f"sharded n={n_nodes} x w={workers}"
     elif workers > 1:
         mode = f"executor w={workers}"
     else:
@@ -550,7 +540,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         worker_counts=worker_counts,
         node_counts=node_counts,
-        node_backend=args.node_backend,
     )
     elapsed = time.perf_counter() - t0
     print(report.summarize())

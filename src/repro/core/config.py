@@ -48,9 +48,9 @@ class ParallelConfig:
     #: each node running its own ``n_workers``-worker pool.  Pure
     #: placement: results are bit-identical for any node count.
     n_nodes: int = 1
-    #: shard transport: "socket" (real OS processes over length-prefixed
-    #: TCP frames on localhost) or "thread" (in-process fallback over the
-    #: :mod:`repro.parallel.comm` mailboxes — same protocol, no processes)
+    #: shard nodes are always OS processes over localhost TCP frames; the
+    #: one accepted value is kept only for callers that still pass it
+    #: (``benchmarks/e2e/workload.py``) and nothing reads it
     node_backend: str = "socket"
 
     def __post_init__(self) -> None:
@@ -58,8 +58,11 @@ class ParallelConfig:
             raise ValueError("n_workers must be non-negative (0 = all cores)")
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
-        if self.node_backend not in ("socket", "thread"):
-            raise ValueError("node_backend must be 'socket' or 'thread'")
+        if self.node_backend != "socket":
+            raise ValueError(
+                "node_backend must be 'socket': the in-process 'thread' "
+                "node backend was removed, shard nodes are always processes"
+            )
         if self.schedule not in ("static", "dynamic"):
             raise ValueError("schedule must be 'static' or 'dynamic'")
         if self.kernel_backend not in ("auto", "numpy", "native"):

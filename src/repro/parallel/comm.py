@@ -32,20 +32,6 @@ class _Context:
         self.slots: list[Any] = [None] * size
         self.lock = threading.Lock()
         self.subgroups: dict[tuple[int, Any], "_Context"] = {}
-        #: point-to-point mailboxes, one FIFO per (source, dest) pair,
-        #: created lazily under ``lock`` (see :meth:`ThreadComm.send`)
-        self.mailboxes: dict[tuple[int, int], Any] = {}
-
-    def mailbox(self, source: int, dest: int):
-        """The FIFO carrying messages from ``source`` to ``dest``."""
-        import queue
-
-        key = (source, dest)
-        with self.lock:
-            box = self.mailboxes.get(key)
-            if box is None:
-                box = self.mailboxes[key] = queue.Queue()
-        return box
 
 
 class ThreadComm:
@@ -56,38 +42,6 @@ class ThreadComm:
         self.rank = rank
         self.size = context.size
         self._split_epoch = 0
-
-    # -- point-to-point ----------------------------------------------------
-    # MPI_Send / MPI_Recv over per-(source, dest) FIFOs.  Unlike the
-    # collectives these involve only the two named ranks — the shard
-    # tier's thread backend (:mod:`repro.parallel.sharding`) drives its
-    # in-process "nodes" through exactly this pair, so the same
-    # driver/node protocol runs on threads and on sockets.
-
-    def send(self, value: Any, dest: int) -> None:
-        """Post ``value`` to ``dest``'s mailbox (non-blocking)."""
-        if not 0 <= dest < self.size:
-            raise ValueError(f"dest {dest} out of range for size {self.size}")
-        self._ctx.mailbox(self.rank, dest).put(value)
-
-    def recv(self, source: int, timeout: float | None = None) -> Any:
-        """Take the next message ``source`` sent to this rank.
-
-        Blocks until a message arrives; with ``timeout`` (seconds) raises
-        :class:`TimeoutError` instead of waiting forever — the shard
-        driver uses that to notice a node thread that died without
-        replying.
-        """
-        import queue
-
-        if not 0 <= source < self.size:
-            raise ValueError(f"source {source} out of range for size {self.size}")
-        try:
-            return self._ctx.mailbox(source, self.rank).get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(
-                f"no message from rank {source} within {timeout} s"
-            ) from None
 
     # -- basic ------------------------------------------------------------
     def barrier(self) -> None:

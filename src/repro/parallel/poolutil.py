@@ -22,9 +22,9 @@ import multiprocessing as mp
 
 _COUNTERS = {"pool_constructions": 0, "matrix_transfers": 0}
 
-#: what a caller living in a multi-threaded process (the service daemon,
-#: thread-backend shard nodes) passes as ``method``: a fork there can copy
-#: a lock another thread holds and deadlock the child
+#: what a caller living in a multi-threaded process (the service daemon)
+#: passes as ``method``: a fork there can copy a lock another thread holds
+#: and deadlock the child
 THREADED_START_METHOD = "spawn"
 
 

@@ -13,21 +13,15 @@ Because every work unit consumes only its named random streams, where a
 unit executes — which node, which worker — can never change the learned
 network: bit-identity holds for any shard count x worker count.
 
-Two node backends speak one length-prefixed message protocol:
-
-* ``socket`` — each node is a real OS process connected to the driver
-  over a localhost TCP socket, started by the one rule every child of the
-  executor tier follows (:func:`repro.parallel.poolutil.pool_context`:
-  fork where available; a fresh interpreter where it is not, or where the
-  caller's ``mp_context`` says so because it lives in a multi-threaded
-  process).  Frames are an 8-byte big-endian length followed by a pickled
-  message tuple.  A node killed mid-run surfaces as
-  :class:`NodeCrashedError` (the EOF tears the frame); checkpoints the
-  dead run wrote remain valid and a re-run resumes from them.
-* ``thread`` — the in-process fallback: nodes are threads exchanging the
-  *same pickled frames* through :class:`repro.parallel.comm.ThreadComm`
-  mailboxes, so byte accounting and protocol behaviour match the socket
-  backend without any processes.
+Each node is a real OS process connected to the driver over a localhost
+TCP socket, started by the one rule every child of the executor tier
+follows (:func:`repro.parallel.poolutil.pool_context`: fork where
+available; a fresh interpreter where it is not, or where the caller's
+``mp_context`` says so because it lives in a multi-threaded process).
+Frames are an 8-byte big-endian length followed by a pickled message
+tuple.  A node killed mid-run surfaces as :class:`NodeCrashedError` (the
+EOF tears the frame); checkpoints the dead run wrote remain valid and a
+re-run resumes from them.
 
 The first *traced* dispatch measures echo round-trips over the real
 channels and fits the :class:`~repro.parallel.costmodel.MachineModel`
@@ -115,38 +109,55 @@ def decode_frame_length(header: bytes) -> int:
 # -- channels ----------------------------------------------------------------
 
 
-class _Channel:
-    """One endpoint of the frame protocol.
+class SocketChannel:
+    """One endpoint of the frame protocol over a TCP socket.
 
     Counts bytes and wall seconds in both directions so the driver can
-    attribute transfer cost per node.  Subclasses move whole frames
-    (:meth:`_send`) and return payloads (:meth:`_recv`); a peer that is
-    gone raises :class:`NodeCrashedError` from either.
+    attribute transfer cost per node.  Any connection failure — EOF
+    mid-frame, a reset from a SIGKILLed peer, a peer silent for longer
+    than :attr:`recv_timeout` — raises :class:`NodeCrashedError`.
     """
 
-    #: recv wait bound in seconds (``None`` waits forever); a peer silent
-    #: for longer surfaces as :class:`NodeCrashedError` instead of a hang
-    recv_timeout: float | None = None
-
-    def __init__(self, peer: str) -> None:
+    def __init__(self, sock: socket.socket, peer: str = "peer") -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
         self.peer = peer
         self.bytes_sent = 0
         self.bytes_received = 0
         self.send_seconds = 0.0
         self.recv_seconds = 0.0
+        # A process forked while this channel is live (another transport's
+        # node, a pool worker) drops its copy of the connection at once:
+        # the peer must see EOF the moment *this* process goes away.
+        register_after_fork(self, SocketChannel.close)
+
+    @property
+    def recv_timeout(self) -> float | None:
+        """The recv wait bound in seconds (``None`` waits forever)."""
+        return self._sock.gettimeout()
+
+    @recv_timeout.setter
+    def recv_timeout(self, seconds: float | None) -> None:
+        self._sock.settimeout(seconds)
 
     def send_msg(self, message) -> None:
         frame = encode_frame(message)
         t0 = time.perf_counter()
-        self._send(frame)
+        try:
+            self._sock.sendall(frame)
+        except OSError as exc:
+            raise NodeCrashedError(
+                f"{self.peer} connection failed during send: {exc}"
+            ) from exc
         self.send_seconds += time.perf_counter() - t0
         self.bytes_sent += len(frame)
 
     def recv_msg(self):
         t0 = time.perf_counter()
-        payload = self._recv()
+        header = self._recv_exact(_FRAME_HEADER.size)
+        payload = self._recv_exact(decode_frame_length(header))
         self.recv_seconds += time.perf_counter() - t0
-        self.bytes_received += _FRAME_HEADER.size + len(payload)
+        self.bytes_received += len(header) + len(payload)
         return pickle.loads(payload)
 
     def traffic(self) -> tuple[int, float]:
@@ -155,44 +166,6 @@ class _Channel:
             self.bytes_sent + self.bytes_received,
             self.send_seconds + self.recv_seconds,
         )
-
-    def close(self) -> None:
-        pass
-
-
-class SocketChannel(_Channel):
-    """The frame protocol over a TCP socket.  Any connection failure — EOF
-    mid-frame, a reset from a SIGKILLed peer — raises
-    :class:`NodeCrashedError`."""
-
-    def __init__(self, sock: socket.socket, peer: str = "peer") -> None:
-        super().__init__(peer)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        # A process forked while this channel is live (another transport's
-        # node, a pool worker) drops its copy of the connection at once:
-        # the peer must see EOF the moment *this* process goes away.
-        register_after_fork(self, SocketChannel.close)
-
-    @property
-    def recv_timeout(self) -> float | None:
-        return self._sock.gettimeout()
-
-    @recv_timeout.setter
-    def recv_timeout(self, seconds: float | None) -> None:
-        self._sock.settimeout(seconds)
-
-    def _send(self, frame: bytes) -> None:
-        try:
-            self._sock.sendall(frame)
-        except OSError as exc:
-            raise NodeCrashedError(
-                f"{self.peer} connection failed during send: {exc}"
-            ) from exc
-
-    def _recv(self) -> bytes:
-        header = self._recv_exact(_FRAME_HEADER.size)
-        return self._recv_exact(decode_frame_length(header))
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = bytearray()
@@ -218,46 +191,11 @@ class SocketChannel(_Channel):
             pass
 
 
-class ThreadChannel(_Channel):
-    """The same frames over in-process ``ThreadComm`` mailboxes.
-
-    Messages are still pickled to frames before crossing the mailbox, so
-    byte accounting — and anything unpicklable failing loudly — behaves
-    exactly as on the socket backend.
-    """
-
-    def __init__(self, comm, peer_rank: int, peer: str = "peer") -> None:
-        super().__init__(peer)
-        self._comm = comm
-        self._peer_rank = peer_rank
-        self.recv_timeout = 600.0
-
-    def _send(self, frame: bytes) -> None:
-        self._comm.send(frame, self._peer_rank)
-
-    def _recv(self) -> memoryview:
-        try:
-            frame = self._comm.recv(self._peer_rank, timeout=self.recv_timeout)
-        except TimeoutError as exc:
-            raise NodeCrashedError(
-                f"{self.peer} sent no reply within {self.recv_timeout} s "
-                "(node thread died?)"
-            ) from exc
-        if not frame:
-            raise NodeCrashedError(f"{self.peer} closed the channel")
-        return memoryview(frame)[_FRAME_HEADER.size :]
-
-    def close(self) -> None:
-        """The mailbox's EOF: an empty frame, so the peer's next ``recv``
-        fails at once, as on a closed socket."""
-        self._comm.send(b"", self._peer_rank)
-
-
 # -- node side ---------------------------------------------------------------
 
 
-def _node_serve(channel, node_id: int) -> None:
-    """One shard node's request loop (both backends).
+def _node_serve(channel: SocketChannel, node_id: int) -> None:
+    """One shard node's request loop.
 
     Messages are tuples ``(kind, ...)``:
 
@@ -293,7 +231,6 @@ def _node_serve(channel, node_id: int) -> None:
                     spec["config"],
                     spec["seed"],
                     spec["checkpoint_dir"],
-                    mp_context=spec["mp_context"],
                 )
                 channel.send_msg(("ok", {"pid": os.getpid()}))
             elif kind == "echo":
@@ -338,7 +275,7 @@ def _node_serve(channel, node_id: int) -> None:
 
 
 def _socket_node_main(port: int, node_id: int, token: str) -> None:
-    """Entry point of one socket-backend node process, forked or spawned.
+    """Entry point of one node process, forked or spawned.
 
     A forked node must be the fresh interpreter a spawned one is.  Its copy
     of the listener and of every other live channel is already closed (the
@@ -393,7 +330,6 @@ class ShardTransport(Transport):
         mp_context: str | None = None,
     ) -> None:
         self.n_nodes = config.parallel.n_nodes
-        self.node_backend = config.parallel.node_backend
         self.workers_per_node = config.parallel.resolve_n_workers()
         super().__init__(
             data, parents, config, seed, checkpoint_dir,
@@ -403,13 +339,11 @@ class ShardTransport(Transport):
         #: the measured tau/mu fit (``None`` until a traced dispatch has
         #: happened: :meth:`annotate` measures once, for the tier's life)
         self.calibration: dict | None = None
-        #: node process pids (socket backend; thread nodes report the
-        #: driver's own pid) — the failure-injection tests kill these
+        #: node process pids — the failure-injection tests kill these
         self.node_pids: list[int] = []
         self._mp_context = mp_context
         self._channels: list | None = None
         self._procs: list = []
-        self._threads: list = []
         #: each node's latest report of its local transport's counters
         self._reports: list[dict] = [
             {"inits": 0, "pools": 0, "transfers": 0, "pids": []}
@@ -430,10 +364,7 @@ class ShardTransport(Transport):
             return
         channels: list = [None] * self.n_nodes
         try:
-            if self.node_backend == "socket":
-                self._start_socket_nodes(channels)
-            else:
-                self._start_thread_nodes(channels)
+            self._start_socket_nodes(channels)
             self._init_nodes(channels)
         except BaseException:
             # Nothing half-started survives a failed start: every accepted
@@ -463,17 +394,6 @@ class ShardTransport(Transport):
                     # every pool worker below it sizes its kernel
                     # temporaries by the driver's number.
                     "chunk_elements": kernel_mod.configured_chunk_elements(),
-                    # Thread-backend nodes live inside the (multi-threaded)
-                    # driver process: forking a pool there can capture a
-                    # lock mid-held and deadlock the child, so those pools
-                    # must spawn.  Socket nodes are single-threaded
-                    # processes, forked or spawned, where the cheaper fork
-                    # default is safe.
-                    "mp_context": (
-                        poolutil.THREADED_START_METHOD
-                        if self.node_backend == "thread"
-                        else None
-                    ),
                 })
             )
         for node_id, channel in enumerate(channels):
@@ -516,11 +436,16 @@ class ShardTransport(Transport):
                     continue
                 channel = SocketChannel(conn, peer="node")
                 try:
+                    # accept() hands back a blocking socket whatever the
+                    # listener's timeout: a peer that connects and then says
+                    # nothing must not outwait the handshake.
+                    channel.recv_timeout = max(0.0, deadline - time.monotonic())
                     tag, hello = channel.recv_msg()
                     if tag != "hello" or hello.get("token") != token:
                         raise NodeCrashedError(
                             "unexpected connection during node handshake"
                         )
+                    channel.recv_timeout = None
                 except BaseException:
                     channel.close()
                     raise
@@ -545,28 +470,6 @@ class ShardTransport(Transport):
                 "shard node(s) failed to connect within the handshake timeout"
             )
 
-    def _start_thread_nodes(self, channels: list) -> None:
-        from repro.parallel.comm import ThreadComm, _Context
-
-        self.node_pids = [os.getpid()] * self.n_nodes
-        for node_id in range(self.n_nodes):
-            context = _Context(2)
-            driver_channel = ThreadChannel(
-                ThreadComm(context, 0), peer_rank=1, peer=f"node {node_id}"
-            )
-            node_channel = ThreadChannel(
-                ThreadComm(context, 1), peer_rank=0, peer="driver"
-            )
-            thread = threading.Thread(
-                target=_node_serve,
-                args=(node_channel, node_id),
-                name=f"shard-node-{node_id}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-            channels[node_id] = driver_channel
-
     def _calibrate(self) -> None:
         """Fit tau/mu from echo round-trips over the (idle) channels."""
         small_rtts: list[float] = []
@@ -588,7 +491,6 @@ class ShardTransport(Transport):
             "tau": model.tau,
             "mu": model.mu,
             "n_nodes": self.n_nodes,
-            "node_backend": self.node_backend,
             "large_words": CALIBRATION_WORDS,
             "small_echoes": len(small_rtts),
             "large_echoes": len(large_rtts),
@@ -600,7 +502,7 @@ class ShardTransport(Transport):
 
     def worker_pids(self) -> list[int]:
         """The node processes and the pool workers they last reported."""
-        pids = [pid for pid in self.node_pids if pid != os.getpid()]
+        pids = list(self.node_pids)
         for report in self._reports:
             pids.extend(report["pids"])
         return pids
@@ -646,9 +548,6 @@ class ShardTransport(Transport):
                     _signal_group(proc, signal.SIGKILL)
                     proc.join(timeout=10.0)
         self._procs = []
-        for thread in self._threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        self._threads = []
 
     # -- dispatch ----------------------------------------------------------
     def run(self, fn, ordered_items, *, schedule=None, chunksize=None):
@@ -753,7 +652,6 @@ class ShardTransport(Transport):
         if trace.topology is None:
             trace.topology = {
                 "shard_nodes": self.n_nodes,
-                "node_backend": self.node_backend,
                 "workers_per_node": self.workers_per_node,
             }
 
@@ -777,7 +675,6 @@ class ShardedExecutor(TaskScheduler):
             ShardTransport(data, parents, config, seed, checkpoint_dir, mp_context)
         )
         self.n_nodes = self.transport.n_nodes
-        self.node_backend = self.transport.node_backend
 
     @property
     def node_pids(self) -> list[int]:

@@ -24,7 +24,6 @@ class ComboResult:
     rng_backend: str
     #: shard nodes (>1 = the combo ran on the multi-node tier)
     n_nodes: int = 1
-    node_backend: str = "socket"
     fingerprint: str | None = None
     #: matched the sequential reference for the same RNG backend
     identical: bool = False
@@ -35,7 +34,7 @@ class ComboResult:
     def label(self) -> str:
         label = f"w={self.n_workers}/{self.kernel_backend}/{self.rng_backend}"
         if self.n_nodes > 1:
-            label = f"n={self.n_nodes}({self.node_backend})/" + label
+            label = f"n={self.n_nodes}/" + label
         return label
 
     def to_dict(self) -> dict:
@@ -44,7 +43,6 @@ class ComboResult:
             "kernel_backend": self.kernel_backend,
             "rng_backend": self.rng_backend,
             "n_nodes": self.n_nodes,
-            "node_backend": self.node_backend,
             "fingerprint": self.fingerprint,
             "identical": self.identical,
             "seconds": round(self.seconds, 4),

@@ -41,7 +41,6 @@ class BackendCombo:
     rng_backend: str
     #: shard nodes (>1 routes through the multi-node tier)
     n_nodes: int = 1
-    node_backend: str = "socket"
 
 
 def _native_available() -> bool:
@@ -54,7 +53,6 @@ def backend_grid(
     smoke: bool = False,
     worker_counts: tuple[int, ...] | None = None,
     node_counts: tuple[int, ...] | None = None,
-    node_backend: str = "socket",
 ) -> list[BackendCombo]:
     """The backend combinations to differentiate against the reference.
 
@@ -85,7 +83,7 @@ def backend_grid(
     ]
     if node_counts:
         grid.extend(
-            BackendCombo(1, "numpy", rng, n_nodes=n, node_backend=node_backend)
+            BackendCombo(1, "numpy", rng, n_nodes=n)
             for rng in RNG_BACKENDS
             for n in node_counts
             # a 1-node shard tier differentiates nothing beyond w=1/numpy
@@ -115,7 +113,6 @@ def _combo_config(
             n_workers=combo.n_workers,
             kernel_backend=combo.kernel_backend,
             n_nodes=combo.n_nodes,
-            node_backend=combo.node_backend,
         ),
     )
 
@@ -166,7 +163,6 @@ def run_scenario(
             kernel_backend=combo.kernel_backend,
             rng_backend=combo.rng_backend,
             n_nodes=combo.n_nodes,
-            node_backend=combo.node_backend,
         )
         t0 = time.perf_counter()
         try:
@@ -191,7 +187,6 @@ def run_matrix(
     smoke: bool = False,
     worker_counts: tuple[int, ...] | None = None,
     node_counts: tuple[int, ...] | None = None,
-    node_backend: str = "socket",
     progress=None,
 ) -> MatrixReport:
     """Run the scenario matrix: every selected scenario x the backend grid.
@@ -199,7 +194,7 @@ def run_matrix(
     ``progress`` is an optional callable receiving each completed
     :class:`ScenarioResult` (the CLI uses it to stream the table).
     """
-    combos = backend_grid(smoke, worker_counts, node_counts, node_backend)
+    combos = backend_grid(smoke, worker_counts, node_counts)
     scenarios = select_scenarios(scenario_names, smoke=smoke)
     report = MatrixReport(
         smoke=smoke,
@@ -210,7 +205,6 @@ def run_matrix(
             "rng_backends": list(RNG_BACKENDS),
             "native_available": _native_available(),
             "node_counts": sorted({c.n_nodes for c in combos} | {1}),
-            "node_backend": node_backend,
         },
     )
     for spec in scenarios:

@@ -10,12 +10,13 @@ from repro.data.synthetic import make_module_dataset
 from repro.datatypes import ExpressionMatrix
 
 
-#: the three transports the one scheduler runs over (socket nodes are
-#: covered by the slow acceptance grid in tests/test_sharding.py)
+#: the three transports the one scheduler runs over (the nodes are forked
+#: by the default start-method rule; tests/test_sharding.py repeats its
+#: socket cases on spawned ones)
 TRANSPORTS = {
     "in-process": ParallelConfig(n_workers=1),
     "pool": ParallelConfig(n_workers=2),
-    "thread-nodes": ParallelConfig(n_nodes=2, node_backend="thread"),
+    "socket-nodes": ParallelConfig(n_nodes=2),
 }
 
 #: 24-variable inputs on each side of ``choose_mode`` for 2 and 4 workers:

@@ -33,23 +33,30 @@ class TestParser:
                 ["learn", "--input", "x.tsv", "--preset", "yeast"]
             )
 
-    @pytest.mark.parametrize("command", ["learn", "modules", "serve"])
+    @pytest.mark.parametrize(
+        "command", ["learn", "modules", "submit", "validate", "serve"]
+    )
     def test_parallel_mode_flag_is_gone(self, command):
         """The module/split decomposition is chosen from the input, every
-        worker pulls from one shared queue on one probed machine and each
-        kernel keeps its own memo; the flags that selected otherwise are
-        rejected, the remaining knobs still parse."""
+        worker pulls from one shared queue on one probed machine, each
+        kernel keeps its own memo and every shard node is a process; the
+        flags that selected otherwise are rejected, the remaining knobs
+        still parse."""
         if command == "serve":
             args = [command, "--dir", "run", "--max-inflight", "2"]
+        elif command == "validate":
+            args = [command, "--smoke", "--workers", "1", "2", "--nodes", "1", "2"]
         else:
             args = [command, "--input", "x.tsv", "--workers", "2",
-                    "--schedule", "static"]
+                    "--schedule", "static", "--nodes", "2"]
         if command == "modules":
             args += ["--modules-file", "m.json"]
+        if command == "submit":
+            args += ["--service", "run"]
         build_parser().parse_args(args)
         for gone in (
             ["--parallel-mode", "split"], ["--no-steal"], ["--topology", "flat"],
-            ["--score-cache-mb", "8"],
+            ["--score-cache-mb", "8"], ["--node-backend", "thread"],
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(args + gone)

@@ -12,6 +12,8 @@ The central contracts:
   is constructed more than once per call.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,7 @@ class TestTransportContract:
         # (index, result, node, worker, seconds, kernel_totals).
         assert records and all(len(record) == 6 for record in records)
         nodes = {record[2] for record in records}
-        assert nodes <= ({0, 1} if transport == "thread-nodes" else {None})
+        assert nodes <= ({0, 1} if transport == "socket-nodes" else {None})
 
     def test_dispatch_permutation_leaves_network_unchanged(
         self, setup, mode_references, transport
@@ -278,6 +280,12 @@ class TestTransportContract:
             second = executor.learn_modules(members)  # same pool / nodes
         assert _released(executor.transport)
         assert not _shm_names() - before
+        if transport == "socket-nodes":
+            # Joined, not only dead: neither a process nor a zombie is left.
+            assert len(executor.node_pids) == 2
+            assert not any(
+                Path(f"/proc/{pid}").exists() for pid in executor.node_pids
+            )
         executor.close()  # idempotent
         for mods in (first, second):
             assert ModuleNetwork(mods, matrix.var_names, matrix.n_obs) == reference
@@ -558,11 +566,12 @@ class TestOneSeam:
 
 
 def _released(transport) -> bool:
-    """Whichever transport it is, close() left no pool, segment or context."""
+    """Whichever transport it is, close() left no pool, segment, context,
+    channel or node process."""
     return all(
         getattr(transport, name, None) is None
         for name in ("_pool", "_shared", "_ctx", "_channels")
-    )
+    ) and not getattr(transport, "_procs", None)
 
 
 def _shm_names():

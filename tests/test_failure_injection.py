@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -320,7 +321,7 @@ class TestShardNodeDeath:
         deterministically and raises the shard tier's typed error."""
         config = LearnerConfig(
             n_ganesh_runs=4, max_sampling_steps=3,
-            parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+            parallel=ParallelConfig(n_nodes=2),
         )
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         with ShardedExecutor(
@@ -351,7 +352,7 @@ class TestShardNodeDeath:
         executor = ShardedExecutor(
             matrix.values, parents,
             config.with_updates(
-                parallel=ParallelConfig(n_nodes=2, node_backend="socket")
+                parallel=ParallelConfig(n_nodes=2)
             ),
             5, checkpoint_dir=tmp_path, mp_context=self.mp_context,
         )
@@ -470,7 +471,7 @@ def _nested_crash_setup():
         n_ganesh_runs=4,
         n_update_steps=3,
         n_splits_per_node=3,
-        parallel=ParallelConfig(n_workers=2, n_nodes=2, node_backend="socket"),
+        parallel=ParallelConfig(n_workers=2, n_nodes=2),
     )
     return matrix, config
 
@@ -584,7 +585,7 @@ class TestShardStartFailures:
     def _executor(self, tiny_matrix):
         config = LearnerConfig(
             max_sampling_steps=3,
-            parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+            parallel=ParallelConfig(n_nodes=2),
         )
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         return ShardedExecutor(tiny_matrix.values, parents, config, 1)
@@ -614,6 +615,49 @@ class TestShardStartFailures:
         monkeypatch.setattr(sharding, "local_transport", _failing_local_transport)
         self._assert_start_fails(self._executor(tiny_matrix), "node")
 
+    @pytest.mark.parametrize(
+        "sends, match",
+        [
+            (b"", "timed out"),
+            (b"\0\0\0", "timed out"),
+            (
+                sharding.encode_frame(("hello", {"node_id": 0, "token": "forged"})),
+                "unexpected connection",
+            ),
+        ],
+        ids=["silent", "half-header", "wrong-token"],
+    )
+    def test_stray_connection_fails_the_handshake(
+        self, tiny_matrix, monkeypatch, sends, match
+    ):
+        """A connection to the listener that is not a node cannot stall
+        ``start()``: one that goes quiet runs into the handshake deadline,
+        one with the wrong token is refused at once."""
+        monkeypatch.setattr(sharding, "HANDSHAKE_SECONDS", 0.5)
+        create_server = socket.create_server
+        strays = []
+
+        def listening(address, **kwargs):
+            listener = create_server(address, **kwargs)
+            # Queued before any node exists, so accept() takes it first.
+            stray = socket.create_connection(listener.getsockname())
+            stray.sendall(sends)
+            strays.append(stray)
+            return listener
+
+        monkeypatch.setattr(socket, "create_server", listening)
+        # Should the deadline not apply, end the wait with EOF (shutdown
+        # reaches the peer although the forked nodes hold copies of this
+        # socket) so the test fails on time instead of hanging.
+        backstop = threading.Timer(10.0, lambda: strays[0].shutdown(socket.SHUT_RDWR))
+        backstop.start()
+        try:
+            self._assert_start_fails(self._executor(tiny_matrix), match)
+        finally:
+            backstop.cancel()
+            for stray in strays:
+                stray.close()
+
 
 _TWO_TIERS_SCRIPT = """
 import json, sys, time
@@ -626,7 +670,7 @@ if __name__ == "__main__":
     matrix = make_module_dataset(24, 12, n_modules=3, seed=42).matrix
     config = LearnerConfig(
         max_sampling_steps=3,
-        parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+        parallel=ParallelConfig(n_nodes=2),
     )
     tiers = [
         open_executor(matrix.values, config, 1, mp_context=sys.argv[1] or None)

@@ -378,7 +378,7 @@ class TestNativeObsSweeps:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_concurrent_sweeps_share_nothing(self):
-        """Thread-backend nodes run sweeps at once with the GIL released:
+        """Two threads may be inside a sweep at once with the GIL released:
         the C scratch is per call."""
         blocks = [_block(seed, 7, 40) for seed in range(4)]
 
@@ -656,8 +656,8 @@ class TestNativeVarSweeps:
         assert outcomes[0] == outcomes[1]
 
     def test_concurrent_sweeps_share_nothing(self):
-        """Thread-backend nodes run chains at once with the GIL released:
-        the C scratch is per call."""
+        """Two threads may run chains at once with the GIL released: the C
+        scratch is per call."""
         datas = [np.random.default_rng(seed).normal(size=(24, 12)) for seed in range(4)]
 
         def run(index):

@@ -712,24 +712,21 @@ class TestSharedMemoThreads:
         finally:
             sys.setswitchinterval(interval)
 
+
+@needs_native
+class TestShardNodes:
     @pytest.mark.parametrize("scenario", ["single-module", "tie-grid"])
-    def test_thread_nodes_validate(self, scenario):
-        """Two thread-backend nodes in one process on the native kernel,
-        through ``repro validate``'s fingerprint check."""
+    def test_shard_nodes_validate(self, scenario):
+        """Two shard-node processes on the native kernel, through ``repro
+        validate``'s fingerprint check (the grid's node axis is NumPy-only)."""
         from repro.validation.runner import BackendCombo, run_scenario
         from repro.validation.scenarios import select_scenarios
 
         (spec,) = select_scenarios([scenario], smoke=True)
         combos = [
-            BackendCombo(1, "native", rng, n_nodes=2, node_backend="thread")
-            for rng in ("philox", "mrg")
+            BackendCombo(1, "native", rng, n_nodes=2) for rng in ("philox", "mrg")
         ]
-        # thread nodes install the process-wide backend and may leave it set
-        backend = kernel_mod.configured_kernel_backend()
-        try:
-            result = run_scenario(spec, seed=0, smoke=True, combos=combos)
-        finally:
-            set_kernel_backend(backend)
+        result = run_scenario(spec, seed=0, smoke=True, combos=combos)
         assert [c.error for c in result.combos] == [None, None]
         assert all(c.identical for c in result.combos)
 

@@ -2,11 +2,10 @@
 
 The tier's contract is the paper's output-consistency property lifted one
 level: for a fixed seed and RNG backend, the learned network is
-bit-identical for every shard count x worker count, on both the socket
-(real OS processes) and thread (in-process fallback) transports.  These
-tests pin the frame codec, the order the shard transport requests the
-scheduler's items in, the tau/mu calibration math, and that contract end
-to end.
+bit-identical for every shard count x worker count, on node processes
+forked or spawned.  These tests pin the frame codec, the order the shard
+transport requests the scheduler's items in, the tau/mu calibration math,
+and that contract end to end.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import multiprocessing
 import pickle
 import subprocess
 import sys
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -44,18 +42,13 @@ from tests.conftest import MODE_INPUTS
 
 
 def _sharded_config(
-    n_nodes: int,
-    node_backend: str = "thread",
-    n_workers: int = 1,
-    rng_backend: str = "philox",
+    n_nodes: int, n_workers: int = 1, rng_backend: str = "philox"
 ) -> LearnerConfig:
     return LearnerConfig(
         n_ganesh_runs=4,
         max_sampling_steps=4,
         rng_backend=rng_backend,
-        parallel=ParallelConfig(
-            n_workers=n_workers, n_nodes=n_nodes, node_backend=node_backend
-        ),
+        parallel=ParallelConfig(n_workers=n_workers, n_nodes=n_nodes),
     )
 
 
@@ -122,46 +115,19 @@ class TestCalibration:
             calibrate_from_roundtrips([1.0], [1.0], 0)
 
 
-class TestThreadCommPointToPoint:
-    def test_send_recv_orders_per_channel(self):
-        from repro.parallel.comm import _Context, ThreadComm
-
-        ctx = _Context(2)
-        a, b = ThreadComm(ctx, 0), ThreadComm(ctx, 1)
-        a.send("first", dest=1)
-        a.send("second", dest=1)
-        assert b.recv(source=0) == "first"
-        assert b.recv(source=0) == "second"
-        b.send(42, dest=0)
-        assert a.recv(source=1) == 42
-
-    def test_recv_timeout(self):
-        from repro.parallel.comm import _Context, ThreadComm
-
-        ctx = _Context(2)
-        b = ThreadComm(ctx, 1)
-        with pytest.raises(TimeoutError):
-            b.recv(source=0, timeout=0.01)
-
-    def test_bad_destination_rejected(self):
-        from repro.parallel.comm import _Context, ThreadComm
-
-        ctx = _Context(2)
-        a = ThreadComm(ctx, 0)
-        with pytest.raises(ValueError):
-            a.send("x", dest=2)
-
-
 class TestConfigValidation:
     def test_n_nodes_floor(self):
         with pytest.raises(ValueError, match="n_nodes"):
             ParallelConfig(n_nodes=0)
 
     def test_node_backend_choices(self):
+        """Shard nodes are processes: the removed in-process backend fails
+        loudly, naming the removal; the one remaining value still parses."""
+        with pytest.raises(ValueError, match="'thread' node backend was removed"):
+            ParallelConfig(node_backend="thread")
         with pytest.raises(ValueError, match="node_backend"):
             ParallelConfig(node_backend="carrier-pigeon")
-        for backend in ("socket", "thread"):
-            assert ParallelConfig(node_backend=backend).node_backend == backend
+        assert ParallelConfig(node_backend="socket").node_backend == "socket"
 
     def test_executor_validates_too(self, tiny_matrix):
         """The executor takes its (validated) knobs from ``config.parallel``
@@ -176,14 +142,14 @@ class TestConfigValidation:
         ):
             with pytest.raises(TypeError):
                 ShardedExecutor(tiny_matrix.values, parents, config, 0, **override)
-        executor = ShardedExecutor(
-            tiny_matrix.values, parents, _sharded_config(2, "thread"), 0
-        )
-        assert (executor.n_nodes, executor.node_backend) == (2, "thread")
+        executor = ShardedExecutor(tiny_matrix.values, parents, _sharded_config(2), 0)
+        assert executor.n_nodes == 2
+        assert not hasattr(executor, "node_backend")
 
 
-class TestShardedIdentityThread:
-    """Thread-transport identity: fast enough for every-PR runs."""
+class TestShardedIdentity:
+    """One-shot ``learn()`` on forked node processes: fast enough for
+    every-PR runs."""
 
     @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
     @pytest.mark.parametrize("n_nodes", [2, 4])
@@ -192,16 +158,14 @@ class TestShardedIdentityThread:
             _sequential_config(rng_backend)
         ).learn(tiny_matrix, seed=7)
         sharded = LemonTreeLearner(
-            _sharded_config(n_nodes, "thread", rng_backend=rng_backend)
+            _sharded_config(n_nodes, rng_backend=rng_backend)
         ).learn(tiny_matrix, seed=7)
         assert network_fingerprint(sharded.network) == network_fingerprint(
             reference.network
         )
 
     def test_learner_reports_shard_stats(self, tiny_matrix):
-        result = LemonTreeLearner(
-            _sharded_config(2, "thread")
-        ).learn(tiny_matrix, seed=7)
+        result = LemonTreeLearner(_sharded_config(2)).learn(tiny_matrix, seed=7)
         executor_stats = result.stats["executor"]
         assert executor_stats["n_workers"] == 2
         # What happened, not constants: one-worker nodes run in-process, so
@@ -212,7 +176,7 @@ class TestShardedIdentityThread:
 
     def test_trace_records_node_tier(self, tiny_matrix):
         trace = WorkTrace()
-        LemonTreeLearner(_sharded_config(2, "thread")).learn(
+        LemonTreeLearner(_sharded_config(2)).learn(
             tiny_matrix, seed=7, trace=trace
         )
         assert set(trace.node_times) == {"shard0", "shard1"}
@@ -224,7 +188,7 @@ class TestShardedIdentityThread:
         assert trace.topology["shard_nodes"] == 2
 
     def test_checkpoint_resume_through_tier(self, tiny_matrix, tmp_path):
-        config = _sharded_config(2, "thread")
+        config = _sharded_config(2)
         learner = LemonTreeLearner(config)
         first = learner.sample_clusterings(
             tiny_matrix, seed=3, checkpoint_dir=tmp_path
@@ -246,6 +210,10 @@ class TestOneSchedulerOverShards:
     """The shard tier has no scheduler of its own: mode choice, order and
     trace come from the code that drives one host."""
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the rendezvous is inherited by forked nodes",
+    )
     @pytest.mark.parametrize("mode", ["split", "module"])
     def test_split_mode_over_shards(self, tiny_matrix, mode, monkeypatch):
         """One dominating module on two nodes is cut into the flat split
@@ -253,9 +221,9 @@ class TestOneSchedulerOverShards:
         modules stay whole.  Either way the network is the one-worker one.
 
         Which node wins how much of a dynamic queue is scheduling luck, so
-        "both nodes ran items" is arranged, not hoped for: thread nodes
-        share this process's runner registry, and each node's first item
-        waits for the other node's first."""
+        "both nodes ran items" is arranged, not hoped for: the forked nodes
+        inherit the patched runner registry and a process-shared barrier,
+        and each node's first item waits there for the other node's."""
         from repro.parallel import executor as executor_mod
 
         members = MODE_INPUTS[mode]
@@ -264,18 +232,15 @@ class TestOneSchedulerOverShards:
         )
         wire_name = {"split": "score_chunk", "module": "module_batch"}[mode]
         runner = TASK_RUNNERS[wire_name]
-        arrived = {f"shard-node-{node}": threading.Event() for node in range(2)}
-        ran = []
+        barrier = multiprocessing.get_context("fork").Barrier(2)
+        first = []  # each node process has its own copy
 
         def rendezvous(ctx, item):
-            me = threading.current_thread().name
-            if not arrived[me].is_set():
-                arrived[me].set()
-                for name, event in arrived.items():
-                    # A lone node fails the test (typed, through the error
-                    # frame) instead of hanging it.
-                    assert event.wait(timeout=60.0), f"{name} never ran an item"
-            ran.append(item)
+            if not first:
+                first.append(item)
+                # A lone node fails the test (typed, through the error
+                # frame) instead of hanging it.
+                barrier.wait(timeout=60.0)
             return runner(ctx, item)
 
         # The driver names a runner by identity and the node looks the name
@@ -283,28 +248,19 @@ class TestOneSchedulerOverShards:
         monkeypatch.setitem(TASK_RUNNERS, wire_name, rendezvous)
         monkeypatch.setattr(executor_mod, runner.__name__, rendezvous)
         trace = WorkTrace()
-        with open_executor(
-            tiny_matrix.values, _sharded_config(2, "thread"), 7
-        ) as executor:
+        with open_executor(tiny_matrix.values, _sharded_config(2), 7) as executor:
             modules = executor.learn_modules(members, trace=trace)
             assert executor.stats.mode == mode
-            assert executor.stats.tasks_dispatched == len(ran)
+            # whole modules: one batch of them per worker; split chunks:
+            # at least one per node
+            if mode == "module":
+                assert executor.stats.tasks_dispatched == 2
+            else:
+                assert executor.stats.tasks_dispatched >= 2
         network = ModuleNetwork(modules, tiny_matrix.var_names, tiny_matrix.n_obs)
         assert network_fingerprint(network) == network_fingerprint(
             reference.network
         )
-        # Every item ran exactly once: whole modules by id (one batch of
-        # them per worker), split chunks tiling the flat list end to end.
-        if mode == "module":
-            assert len(ran) == 2
-            assert sorted(
-                module_id for batch, _want_trace in ran for module_id, _members in batch
-            ) == list(range(len(members)))
-        else:
-            pieces = sorted((t.out_offset, t.row1 - t.row0) for t in ran)
-            assert pieces[0][0] == 0
-            for (lo, size), (nxt, _size) in zip(pieces, pieces[1:]):
-                assert lo + size == nxt
         assert set(trace.node_times) == {"shard0", "shard1"}
         assert all(seconds > 0 for seconds in trace.node_times.values())
         assert set(trace.worker_times) == {"shard0/worker-0", "shard1/worker-0"}
@@ -322,7 +278,7 @@ class TestOneSchedulerOverShards:
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         requests: list[tuple[str, list]] = []
         with ShardedExecutor(
-            tiny_matrix.values, parents, _sharded_config(2, "thread"), 7
+            tiny_matrix.values, parents, _sharded_config(2), 7
         ) as executor:
             executor.start()
             for channel in executor.transport._channels:
@@ -355,7 +311,7 @@ class TestOneSchedulerOverShards:
         ``TASK_RUNNERS`` is refused before anything is sent."""
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         with ShardedExecutor(
-            tiny_matrix.values, parents, _sharded_config(2, "thread"), 7
+            tiny_matrix.values, parents, _sharded_config(2), 7
         ) as executor:
             with pytest.raises(ValueError, match="TASK_RUNNERS"):
                 executor.submit_runs(len, [1, 2])
@@ -386,7 +342,7 @@ class TestShardedIdentitySocket:
         reference = LemonTreeLearner(_sequential_config()).learn(
             tiny_matrix, seed=7
         )
-        config = _sharded_config(2, "socket")
+        config = _sharded_config(2)
         with self._open(tiny_matrix, config, 7) as executor:
             sharded = LemonTreeLearner(config).learn(
                 tiny_matrix, seed=7, executor=executor
@@ -400,7 +356,7 @@ class TestShardedIdentitySocket:
 
         config = LearnerConfig(
             n_ganesh_runs=2, max_sampling_steps=3,
-            parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+            parallel=ParallelConfig(n_nodes=2),
         )
         with self._open(tiny_matrix, config, 1) as executor:
             executor.start()
@@ -413,7 +369,7 @@ class TestShardedIdentitySocket:
             assert executor.calibration is None
             executor.sample_ganesh_runs(1, trace=WorkTrace())
             calibration = executor.calibration
-            assert calibration["node_backend"] == "socket"
+            assert calibration["n_nodes"] == 2
             assert calibration["small_echoes"] == 10
             assert calibration["large_echoes"] == 6
             executor.sample_ganesh_runs(1, trace=WorkTrace())
@@ -437,13 +393,11 @@ class TestShardedIdentitySocket:
         totals = []
         for config in (
             _sequential_config(),
-            _sharded_config(2, "socket"),
+            _sharded_config(2),
         ):
             numpy_config = config.with_updates(
                 parallel=ParallelConfig(
-                    n_nodes=config.parallel.n_nodes,
-                    node_backend=config.parallel.node_backend,
-                    kernel_backend="numpy",
+                    n_nodes=config.parallel.n_nodes, kernel_backend="numpy"
                 )
             )
             trace = WorkTrace()
@@ -467,7 +421,7 @@ class TestShardedIdentitySocket:
             tiny_matrix, members, seed=7
         )
         trace = WorkTrace()
-        with self._open(tiny_matrix, _sharded_config(2, "socket"), 7) as executor:
+        with self._open(tiny_matrix, _sharded_config(2), 7) as executor:
             modules = executor.learn_modules(members, trace=trace)
             assert executor.stats.mode == "split"
         network = ModuleNetwork(modules, tiny_matrix.var_names, tiny_matrix.n_obs)
@@ -477,7 +431,7 @@ class TestShardedIdentitySocket:
         assert set(trace.node_times) == {"shard0", "shard1"}
 
     def test_checkpoint_resume_through_socket_nodes(self, tiny_matrix, tmp_path):
-        config = _sharded_config(2, "socket")
+        config = _sharded_config(2)
         with self._open(tiny_matrix, config, 3, tmp_path) as executor:
             first = executor.sample_ganesh_runs(config.n_ganesh_runs)
         stamps = {
@@ -495,7 +449,7 @@ class TestShardedIdentitySocket:
     def test_stats_and_pids_report_the_node_pools(self, tiny_matrix):
         """Two nodes x two workers: the nodes' pools, transfers, inits and
         worker pids reach the driver's one stats block."""
-        config = _sharded_config(2, "socket", n_workers=2)
+        config = _sharded_config(2, n_workers=2)
         with self._open(tiny_matrix, config, 1) as executor:
             assert executor.worker_pids() == []  # nothing started yet
             executor.learn_modules(MODE_INPUTS["module"])
@@ -564,7 +518,7 @@ poolutil.pool_context = recording
 matrix = make_module_dataset(24, 12, n_modules=3, seed=42).matrix
 config = LearnerConfig(
     max_sampling_steps=3,
-    parallel=ParallelConfig(n_nodes=2, node_backend="socket"),
+    parallel=ParallelConfig(n_nodes=2),
 )
 LemonTreeLearner(config).learn(matrix, seed=7)
 print(json.dumps(launches))
@@ -585,7 +539,7 @@ class TestForkedNodeIsFresh:
         # wire name there too.
         monkeypatch.setitem(TASK_RUNNERS, "probe", _probe_process_state)
         with _dirty_driver(), open_executor(
-            tiny_matrix.values, _sharded_config(2, "socket"), 7
+            tiny_matrix.values, _sharded_config(2), 7
         ) as executor:
             states = executor.submit_runs(_probe_process_state, [0, 1])
         for state in states:
@@ -603,7 +557,7 @@ class TestForkedNodeIsFresh:
         consume_kernel_totals()  # earlier tests' leftovers
         one_worker = counters(_sequential_config())
         with _dirty_driver():
-            sharded = counters(_sharded_config(2, "socket"))
+            sharded = counters(_sharded_config(2))
         assert one_worker["evaluations"] > 0
         assert sharded == one_worker
 
@@ -621,12 +575,11 @@ class TestForkedNodeIsFresh:
 
 @pytest.mark.slow
 class TestShardedAcceptanceGrid:
-    """The issue's acceptance grid: node counts {1, 2, 4} x worker counts
-    x RNG backends, socket and thread transports, all bit-identical."""
+    """The acceptance grid: node counts {1, 2, 4} x worker counts x RNG
+    backends, all bit-identical."""
 
-    @pytest.mark.parametrize("node_backend", ["thread", "socket"])
     @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
-    def test_full_grid(self, tiny_matrix, node_backend, rng_backend):
+    def test_full_grid(self, tiny_matrix, rng_backend):
         reference = network_fingerprint(
             LemonTreeLearner(_sequential_config(rng_backend))
             .learn(tiny_matrix, seed=11)
@@ -637,15 +590,14 @@ class TestShardedAcceptanceGrid:
                 if n_nodes == 1 and n_workers == 1:
                     continue  # that cell *is* the reference
                 config = _sharded_config(
-                    n_nodes, node_backend,
-                    n_workers=n_workers, rng_backend=rng_backend,
+                    n_nodes, n_workers=n_workers, rng_backend=rng_backend
                 )
                 got = network_fingerprint(
                     LemonTreeLearner(config).learn(tiny_matrix, seed=11).network
                 )
                 assert got == reference, (
                     f"diverged at n_nodes={n_nodes} x w={n_workers} "
-                    f"({node_backend}/{rng_backend})"
+                    f"({rng_backend})"
                 )
 
 
@@ -660,13 +612,12 @@ class TestValidationGridNodeAxis:
         assert len(extended) == len(base) + 2
         assert {c.n_nodes for c in shard_cells} == {2}
         assert {c.rng_backend for c in shard_cells} == {"philox", "mrg"}
-        assert all(c.node_backend == "socket" for c in shard_cells)
 
     def test_combo_label_names_shard_tier(self):
         from repro.validation.report import ComboResult
 
-        cell = ComboResult(1, "numpy", "mrg", n_nodes=2, node_backend="thread")
-        assert cell.label == "n=2(thread)/w=1/numpy/mrg"
+        cell = ComboResult(1, "numpy", "mrg", n_nodes=2)
+        assert cell.label == "n=2/w=1/numpy/mrg"
 
 
 class TestCliNodeFlags:
@@ -675,17 +626,15 @@ class TestCliNodeFlags:
 
         args = build_parser().parse_args(["learn", "--preset", "yeast"])
         assert args.nodes == 1
-        assert args.node_backend == "socket"
+        assert not hasattr(args, "node_backend")
 
     def test_learn_accepts_nodes(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["learn", "--preset", "yeast", "--nodes", "2",
-             "--node-backend", "thread"]
+            ["learn", "--preset", "yeast", "--nodes", "2"]
         )
         assert args.nodes == 2
-        assert args.node_backend == "thread"
 
     def test_validate_accepts_node_axis(self):
         from repro.cli import build_parser
@@ -695,10 +644,10 @@ class TestCliNodeFlags:
         )
         assert args.nodes == [1, 2]
 
-    def test_rejects_unknown_backend(self):
+    def test_rejects_non_integer_nodes(self):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["learn", "--preset", "yeast", "--node-backend", "bogus"]
+                ["learn", "--preset", "yeast", "--nodes", "two"]
             )
