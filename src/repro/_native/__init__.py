@@ -164,8 +164,9 @@ class NativeKernels:
         nodes' ``bounds`` in them; per node the ``(hits, evaluations,
         peak_chunk_elements)`` its NumPy chain would have counted with
         evaluation chunks of ``chunk_elements`` elements; the table's ``(rows
-        filled, row uses)``.  Everything C indexes by is checked first: a
-        ``ValueError`` leaves every memo untouched.
+        filled, row uses)`` and the Philox blocks the call computed (0 when
+        every node's draws are arrays).  Everything C indexes by is checked
+        first: a ``ValueError`` leaves every memo untouched.
         """
         n_parents, n_u = _checked(
             uvalues, np.float64, 0, "universe values", writable=False, ndim=2
@@ -247,7 +248,7 @@ class NativeKernels:
             c.steps = pointer(self._ip, steps[lo:hi])
             if want_idx:
                 c.best_idx = pointer(self._ip, best_idx[lo:hi])
-        table = np.zeros(2, dtype=np.int64)
+        table = np.zeros(3, dtype=np.int64)
         rc = self._lib.repro_score_batch(
             self._dp(uvalues), self._ip(urow.reshape(-1)), n_parents, n_u,
             self._dp(beta_grid), n_beta, c_nodes, len(nodes), int(max_steps),

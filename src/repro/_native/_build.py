@@ -13,6 +13,10 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   itself routes through libm;
 * row reduction uses NumPy's pairwise-summation algorithm (blocks of eight
   with eight partial accumulators, halving recursion above 128 elements);
+  a node's row read from shared margins is never stored: ``margin_sum``
+  adds each block of eight into one AVX-512 register whose lanes are those
+  eight accumulators (every ``avx512f`` function that returns into scalar
+  code ends with ``vzeroupper``);
 * quantization is C ``rint`` (round-half-even), the exact semantics of
   ``np.round`` at ``decimals=0``;
 * negation and absolute value are sign-bit flips/masks, matching
@@ -47,7 +51,8 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   the caller's array or — ``uniforms == NULL`` — computed where they are
   read by ``philox_block``, Philox4x64-10 with ``numpy.random.Philox``'s
   key, counter and word-to-double conventions (``PhiloxStream.block`` is
-  the definition); one ``draw`` accessor, one body per entry.
+  the definition); one ``draw`` accessor, one body per entry.  Each chain
+  item keeps its own cursor, so its step pairs share a four-draw block.
 
 Used two ways: ``setup.py`` consumes ``ffibuilder`` for an ahead-of-time
 extension build when ``REPRO_BUILD_NATIVE`` is set, and
@@ -198,6 +203,7 @@ static void row_fill_svml(double gv, const double *vrow, const double *sgn,
         __m512d res = _mm512_mask_blend_pd(pos, _mm512_sub_pd(z, t), neg_t);
         _mm512_mask_storeu_pd(row + i, m, res);
     }
+    _mm256_zeroupper();
 }
 
 /* np.log / np.exp via __svml_log8_ha / __svml_exp8_ha, in place, masked
@@ -213,6 +219,7 @@ static void apply_svml(svml8_fn fn, double *x, int64_t n)
         __m512d v = _mm512_maskz_loadu_pd(m, x + i);
         _mm512_mask_storeu_pd(x + i, m, fn(v));
     }
+    _mm256_zeroupper();
 }
 #endif
 
@@ -326,13 +333,15 @@ static void philox_block(uint64_t key, uint64_t counter, double *out)
 
 /* Where an entry's uniforms come from: the caller's array, or — u == NULL —
  * draws offset, offset + 1, ... of the Philox stream keyed `key`, computed
- * when read (the last block is kept: a proposal/accept pair or a sweep's
- * consecutive draws mostly share one).  Counter 0 holds no draw, so
- * block == 0 means nothing is kept yet. */
+ * when read (the last block is kept: a chain item's consecutive steps or a
+ * sweep's consecutive draws mostly share one; `blocks` counts the ones
+ * computed).  Counter 0 holds no draw, so block == 0 means nothing is kept
+ * yet. */
 typedef struct {
     const double *u;
     uint64_t key, offset, block;
     double kept[4];
+    int64_t blocks;
 } draws;
 
 static double draw(draws *d, int64_t i)
@@ -345,6 +354,7 @@ static double draw(draws *d, int64_t i)
     if (counter != d->block) {
         philox_block(d->key, counter, d->kept);
         d->block = counter;
+        d->blocks++;
     }
     return d->kept[at % 4];
 }
@@ -449,36 +459,74 @@ static void margin_fill_svml(double gv, const double *uv, double beta,
             _mm512_or_si512(_mm512_castpd_si512(z), sbit)); /* -|z| */
         _mm512_mask_storeu_pd(t + i, m, p_log1p8(p_exp8(naz)));
     }
+    _mm256_zeroupper();
 }
 
-/* row[o] = where(z > 0, -t, z - t) with z exactly as row_fill_svml computes
- * it and t gathered from the shared margin row at the node's columns. */
+/* where(z > 0, -t, z - t) in the lanes of m, with z exactly as row_fill_svml
+ * computes it and t gathered from the shared margin row at the node's
+ * columns. */
 __attribute__((target("avx512f")))
-static void margin_apply_svml(double gv, const double *vrow,
-                              const double *sgn, double beta, const double *t,
-                              const int64_t *obs, double *row, int64_t n)
+static inline __m512d margin_lanes(double gv, const double *vrow,
+                                   const double *sgn, double beta,
+                                   const double *t, const int64_t *obs,
+                                   __mmask8 m)
 {
-    const __m512d vgv = _mm512_set1_pd(gv);
-    const __m512d vbeta = _mm512_set1_pd(beta);
     const __m512d zero = _mm512_setzero_pd();
     const __m512i sbit = _mm512_set1_epi64((int64_t)0x8000000000000000ULL);
-    int64_t i;
-    for (i = 0; i < n; i += 8) {
-        __mmask8 m = n - i >= 8 ? (__mmask8)0xFF
-                                : (__mmask8)((1u << (n - i)) - 1u);
-        __m512d z = _mm512_mul_pd(
-            _mm512_mul_pd(
-                _mm512_sub_pd(vgv, _mm512_maskz_loadu_pd(m, vrow + i)),
-                _mm512_maskz_loadu_pd(m, sgn + i)),
-            vbeta);
-        __m512d tt = _mm512_mask_i64gather_pd(
-            zero, m, _mm512_maskz_loadu_epi64(m, obs + i), t, 8);
-        __mmask8 pos = _mm512_cmp_pd_mask(z, zero, _CMP_GT_OQ);
-        __m512d neg_t = _mm512_castsi512_pd(
-            _mm512_xor_si512(_mm512_castpd_si512(tt), sbit));
-        _mm512_mask_storeu_pd(
-            row + i, m, _mm512_mask_blend_pd(pos, _mm512_sub_pd(z, tt), neg_t));
+    __m512d z = _mm512_mul_pd(
+        _mm512_mul_pd(
+            _mm512_sub_pd(_mm512_set1_pd(gv), _mm512_maskz_loadu_pd(m, vrow)),
+            _mm512_maskz_loadu_pd(m, sgn)),
+        _mm512_set1_pd(beta));
+    __m512d tt = _mm512_mask_i64gather_pd(
+        zero, m, _mm512_maskz_loadu_epi64(m, obs), t, 8);
+    __mmask8 pos = _mm512_cmp_pd_mask(z, zero, _CMP_GT_OQ);
+    __m512d neg_t = _mm512_castsi512_pd(
+        _mm512_xor_si512(_mm512_castpd_si512(tt), sbit));
+    return _mm512_mask_blend_pd(pos, _mm512_sub_pd(z, tt), neg_t);
+}
+
+/* pw_sum of those values, the row never stored: each block of eight is
+ * added into one register whose lanes are pw_sum's eight accumulators. */
+__attribute__((target("avx512f")))
+static double margin_pw_svml(double gv, const double *vrow, const double *sgn,
+                             double beta, const double *t, const int64_t *obs,
+                             int64_t n)
+{
+    double r[8], res = 0.0;
+    int64_t i = 0, j;
+    if (n > 128) {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return margin_pw_svml(gv, vrow, sgn, beta, t, obs, n2)
+             + margin_pw_svml(gv, vrow + n2, sgn + n2, beta, t, obs + n2,
+                              n - n2);
     }
+    if (n >= 8) {
+        __m512d acc = margin_lanes(gv, vrow, sgn, beta, t, obs, 0xFF);
+        for (i = 8; i + 8 <= n; i += 8)
+            acc = _mm512_add_pd(acc, margin_lanes(gv, vrow + i, sgn + i, beta,
+                                                  t, obs + i, 0xFF));
+        _mm512_storeu_pd(r, acc);
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    if (i < n) {
+        _mm512_storeu_pd(r, margin_lanes(gv, vrow + i, sgn + i, beta, t,
+                                         obs + i, (__mmask8)((1u << (n - i)) - 1u)));
+        for (j = 0; j < n - i; j++)
+            res += r[j];
+    }
+    return res;
+}
+
+__attribute__((target("avx512f")))
+static double margin_sum_svml(double gv, const double *vrow, const double *sgn,
+                              double beta, const double *t, const int64_t *obs,
+                              int64_t n)
+{
+    double res = margin_pw_svml(gv, vrow, sgn, beta, t, obs, n);
+    _mm256_zeroupper();
+    return res;
 }
 #endif
 
@@ -496,21 +544,22 @@ static void margin_fill(double gv, const double *uv, double beta, double *t,
         t[i] = log1p(exp(-fabs((gv - uv[i]) * beta)));
 }
 
-static void margin_apply(double gv, const double *vrow, const double *sgn,
+/* pw_sum(where(z > 0, -t, z - t)) over the node's columns; the scalar
+ * provider applies into the scratch `row` and sums it. */
+static double margin_sum(double gv, const double *vrow, const double *sgn,
                          double beta, const double *t, const int64_t *obs,
                          double *row, int64_t n)
 {
     int64_t i;
 #if REPRO_HAVE_AVX512
-    if (use_svml) {
-        margin_apply_svml(gv, vrow, sgn, beta, t, obs, row, n);
-        return;
-    }
+    if (use_svml)
+        return margin_sum_svml(gv, vrow, sgn, beta, t, obs, n);
 #endif
     for (i = 0; i < n; i++) {
         double z = ((gv - vrow[i]) * sgn[i]) * beta;
         row[i] = (z > 0.0) ? -t[obs[i]] : z - t[obs[i]];
     }
+    return pw_sum(row, n);
 }
 
 /* A memo slot is published cache-then-seen: the score is written first and
@@ -591,8 +640,8 @@ static double node_score(batch_ctx *c, int64_t u, int64_t b)
         c->have[key] = 1;
         c->filled++;
     }
-    margin_apply(gv, c->vrow, nd->sign, beta, t, nd->obs, c->row, nd->n_obs);
-    return rint(pw_sum(c->row, nd->n_obs) / c->quantum) * c->quantum;
+    return rint(margin_sum(gv, c->vrow, nd->sign, beta, t, nd->obs, c->row,
+                           nd->n_obs) / c->quantum) * c->quantum;
 }
 
 /* LazySplitKernel.scores for the k chain items act[0..k) at beta indices
@@ -637,10 +686,11 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
  * n_u of n_u per parent (node_score).  A node's
  * candidate l * n_obs + j is (parent row l of uvalues, value at universe
  * column obs[j]); chain item i draws i * stride onwards of `uniforms` or,
- * when that is NULL, of the Philox stream (key, offset): only the draws a
- * chain reaches are computed.  table_counters = {rows filled, row uses};
- * each node reports {hits, evaluations, peak_chunk_elements} as one
- * all-parents chain would have counted them.
+ * when that is NULL, of the Philox stream (key, offset), through a cursor
+ * of its own: only the draws a chain reaches are computed, and two steps
+ * share a block.  table_counters = {rows filled, row uses, Philox blocks
+ * computed}; each node reports {hits, evaluations, peak_chunk_elements} as
+ * one all-parents chain would have counted them.
  * Returns -1 on allocation failure, -3 when a start uniform is negative or
  * NaN (not a draw from [0, 1); checked before any memo is touched). */
 int repro_score_batch(const double *uvalues, const int64_t *urow,
@@ -653,7 +703,8 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *cursor, *missed;
     double *dbuf, *cur_score, *prop_score, *log_u, *memo;
     uint8_t *bbuf;
-    int64_t i, j, k, l, q, step, max_k = 1, max_obs = 1;
+    draws *d;
+    int64_t i, j, k, l, q, step, max_k = 1, max_obs = 1, blocks = 0;
     const int64_t n_lookups = max_steps + 1, n_memo = n_u * n_beta;
     const int64_t n_rows = share ? n_memo : 0;
     size_t n;
@@ -677,10 +728,12 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
         (3 * n + 2 * (size_t)max_obs + (size_t)(n_memo + n_rows * n_u))
         * sizeof(double));
     bbuf = (uint8_t *)malloc(n + (size_t)(n_memo + n_rows));
-    if (!ibuf || !dbuf || !bbuf) {
+    d = (draws *)malloc(n * sizeof(draws));
+    if (!ibuf || !dbuf || !bbuf || !d) {
         free(ibuf);
         free(dbuf);
         free(bbuf);
+        free(d);
         return -1;
     }
     act = ibuf;
@@ -719,7 +772,6 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
             const int64_t n_obs = nd->n_obs;
             int64_t *node_missed = missed + q * n_lookups * n_beta;
             int64_t k0 = l * n_obs, k1 = k0 + n_obs;
-            draws d = {nd->uniforms, nd->key, nd->offset, 0};
             if (nd->items) {
                 k0 = k1 = cursor[q];
                 while (k1 < nd->n_items && nd->items[k1] < (l + 1) * n_obs)
@@ -742,10 +794,11 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                 memset(c.seen, 0, (size_t)n_memo);
             }
             for (i = 0; i < k; i++) {
+                int64_t idx, item = nd->items ? nd->items[k0 + i] : k0 + i;
+                d[i] = (draws){nd->uniforms, nd->key, nd->offset, 0};
                 /* min((u * n_beta).astype(int64), n_beta - 1) */
-                int64_t idx = (int64_t)(draw(&d, (k0 + i) * nd->stride)
-                                        * (double)n_beta);
-                int64_t item = nd->items ? nd->items[k0 + i] : k0 + i;
+                idx = (int64_t)(draw(d + i, (k0 + i) * nd->stride)
+                                * (double)n_beta);
                 c.ucol[i] = nd->obs[item - l * n_obs];
                 c.mrow[i] = nd->groups ? nd->groups[k0 + i] : c.ur[c.ucol[i]];
                 cur_idx[i] = idx > n_beta - 1 ? n_beta - 1 : idx;
@@ -763,8 +816,8 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                 for (j = 0; j < k; j++) {
                     const int64_t at =
                         (k0 + act[j]) * nd->stride + 1 + 2 * step;
-                    const double u_prop = draw(&d, at),
-                                 u_acc = draw(&d, at + 1);
+                    const double u_prop = draw(d + act[j], at),
+                                 u_acc = draw(d + act[j], at + 1);
                     int64_t p = cur_idx[act[j]] + (u_prop < 0.5 ? -1 : 1);
                     if (p < 0)
                         p = 1;
@@ -796,8 +849,10 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                 }
                 k = kept;
             }
-            for (i = k0; i < k1; i++)
+            for (i = k0; i < k1; i++) {
                 nd->best_score[i] = rint(nd->best_score[i] / quantum) * quantum;
+                blocks += d[i - k0].blocks;
+            }
             if (nd->best_idx)
                 memcpy(nd->best_idx + k0, best_idx,
                        (size_t)(k1 - k0) * sizeof(int64_t));
@@ -817,9 +872,11 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
         }
     table_counters[0] = c.filled;
     table_counters[1] = c.uses;
+    table_counters[2] = blocks;
     free(ibuf);
     free(dbuf);
     free(bbuf);
+    free(d);
     return 0;
 }
 

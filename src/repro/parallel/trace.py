@@ -80,7 +80,8 @@ class WorkTrace:
     #: (the resolved backend names actually used) and, from native node
     #: batches that shared margin rows, ``margin_rows_filled`` /
     #: ``margin_row_uses`` (uses / filled is the sharing factor; absent on a
-    #: native run means one parent's table passed the budget)
+    #: native run means one parent's table passed the budget) and, from
+    #: batches that computed their draws, ``philox_blocks``
     kernel_counters: dict = field(default_factory=dict)
     #: measured busy wall seconds per shard node ('shard0', ...), summed
     #: over the node's workers
@@ -155,9 +156,9 @@ class WorkTrace:
         agg["backends"] = sorted(
             set(agg.get("backends", [])) | set(counters.get("backends", []))
         )
-        # Margin-row traffic is only present when a process scored a node
-        # batch natively; merge without widening other traces.
-        for key in ("margin_rows_filled", "margin_row_uses"):
+        # Margin-row traffic and draw blocks are only present when a process
+        # scored a node batch natively; merge without widening other traces.
+        for key in ("margin_rows_filled", "margin_row_uses", "philox_blocks"):
             if key in counters or key in agg:
                 agg[key] = agg.get(key, 0) + int(counters.get(key, 0))
 
@@ -422,6 +423,8 @@ def summarize_trace(trace: WorkTrace) -> str:
                 f"margin rows: {filled} filled for {uses} uses "
                 f"(shared {uses / max(1, filled):.2f}x)"
             )
+        if "philox_blocks" in kernel:
+            lines.append(f"philox blocks computed: {kernel['philox_blocks']}")
     return "\n".join(lines)
 
 

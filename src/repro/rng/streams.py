@@ -20,7 +20,7 @@ the paper):
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -52,6 +52,15 @@ def quantize_logs(log_weights: Sequence[float]) -> np.ndarray:
     arr = np.asarray(log_weights, dtype=np.float64)
     # -inf sentinels (zero-probability choices) survive the round trip.
     return np.round(arr / SCORE_QUANTUM) * SCORE_QUANTUM
+
+
+class ChoiceTable(NamedTuple):
+    """A weighted choice's sampling table (:meth:`GibbsRandom.choice_table`)."""
+
+    #: cumulative weights (``None``: no weight is finite, choose uniformly)
+    cum: np.ndarray | None
+    total: float
+    size: int
 
 
 class GibbsRandom:
@@ -106,13 +115,13 @@ class GibbsRandom:
         return labels
 
     # -- weighted sampling ----------------------------------------------
-    def weighted_choice_logs(self, log_weights: Sequence[float]) -> int:
-        """Sample an index with probability ∝ exp(log_weights[i]).
-
-        The Select-Wtd-Rand oracle.  Log-weights are quantized (see
-        :data:`SCORE_QUANTUM`) and normalized with log-sum-exp; exactly one
-        uniform is consumed.
-        """
+    @staticmethod
+    def choice_table(log_weights: Sequence[float]) -> ChoiceTable:
+        """What :meth:`choose` samples from, built without a draw: the
+        log-weights quantized (see :data:`SCORE_QUANTUM`), shifted by their
+        finite peak and exponentiated, non-finite ones weighing 0, with
+        their total and cumulative sum — or, when no weight is finite, the
+        uniform fallback."""
         logs = quantize_logs(log_weights)
         if logs.size == 0:
             raise ValueError("weighted choice over an empty list")
@@ -124,15 +133,27 @@ class GibbsRandom:
             finite = np.isfinite(logs)
             if not finite.any():
                 # All options impossible: fall back to uniform (still one draw).
-                return self.randint(logs.size)
+                return ChoiceTable(None, 0.0, logs.size)
             peak = logs[finite].max()
             weights = np.exp(np.where(finite, logs - peak, -np.inf))
             weights[~finite] = 0.0
-        total = weights.sum()
-        u = self.stream.next_uniform() * total
-        cum = np.cumsum(weights)
-        idx = int(np.searchsorted(cum, u, side="right"))
-        return min(idx, logs.size - 1)
+        return ChoiceTable(np.cumsum(weights), weights.sum(), logs.size)
+
+    def choose(self, table: ChoiceTable) -> int:
+        """Sample an index of ``table``; exactly one uniform is consumed."""
+        if table.cum is None:
+            return self.randint(table.size)
+        u = self.stream.next_uniform() * table.total
+        idx = int(np.searchsorted(table.cum, u, side="right"))
+        return min(idx, table.size - 1)
+
+    def weighted_choice_logs(self, log_weights: Sequence[float]) -> int:
+        """Sample an index with probability ∝ exp(log_weights[i]).
+
+        The Select-Wtd-Rand oracle: :meth:`choose` over the
+        :meth:`choice_table` of ``log_weights`` (one uniform consumed).
+        """
+        return self.choose(self.choice_table(log_weights))
 
     def weighted_choice(self, weights: Sequence[float]) -> int:
         """Sample an index with probability ∝ weights[i] (linear scale)."""

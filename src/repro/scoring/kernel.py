@@ -81,8 +81,8 @@ _WARNED_NATIVE_FALLBACK = False
 _TOTALS = {"hits": 0, "evaluations": 0, "peak_chunk_elements": 0}
 #: counters that surface only once touched: the native batch entry's
 #: margin-row table (rows filled with ``log1p(exp(-|z|))`` and reads of
-#: them)
-_MARGIN_TOTALS = {"margin_rows_filled": 0, "margin_row_uses": 0}
+#: them) and the Philox blocks it computed for its chains' draws
+_MARGIN_TOTALS = {"margin_rows_filled": 0, "margin_row_uses": 0, "philox_blocks": 0}
 _TOTALS_BACKENDS: set[str] = set()
 
 
@@ -174,10 +174,11 @@ def _account_totals(
         _TOTALS_BACKENDS.add(backend)
 
 
-def _account_margins(filled: int, uses: int) -> None:
-    """Accumulate one batch call's margin-table traffic."""
+def _account_margins(filled: int, uses: int, blocks: int) -> None:
+    """Accumulate one batch call's margin-table traffic and draw blocks."""
     _MARGIN_TOTALS["margin_rows_filled"] += filled
     _MARGIN_TOTALS["margin_row_uses"] += uses
+    _MARGIN_TOTALS["philox_blocks"] += blocks
 
 
 def consume_kernel_totals() -> dict | None:
@@ -188,14 +189,14 @@ def consume_kernel_totals() -> dict | None:
     ``WorkTrace.kernel_counters`` aggregates cache behaviour across every
     process that scored splits — whatever backend each one resolved.  The
     ``margin_*`` keys appear only when the native batch entry shared
-    margin rows, so runs that did not keep the plain counter shape.
+    margin rows, and ``philox_blocks`` only when it computed draws, so runs
+    that did neither keep the plain counter shape.
     """
     if not (any(_TOTALS.values()) or _TOTALS_BACKENDS or any(_MARGIN_TOTALS.values())):
         return None
     out = dict(_TOTALS)
     out["backends"] = sorted(_TOTALS_BACKENDS)
-    if any(_MARGIN_TOTALS.values()):
-        out.update(_MARGIN_TOTALS)
+    out.update((key, count) for key, count in _MARGIN_TOTALS.items() if count)
     _TOTALS["hits"] = 0
     _TOTALS["evaluations"] = 0
     _TOTALS["peak_chunk_elements"] = 0
@@ -613,7 +614,10 @@ def run_chains(
     does not depend on a node's +-1 sign vector, so every node reads it
     from one table of margin rows per parent, each row filled the first
     time any chain needs it, and only the sign select, the pairwise sum
-    and the quantum are paid per ``(group, beta)``.  One parent's table is
+    and the quantum are paid per ``(group, beta)``: one register pass over
+    the node's columns, the selected row never stored.  Each chain item
+    reads its Philox draws through a cursor of its own, so consecutive
+    steps share a four-draw block.  One parent's table is
     ``n_beta * n_u`` rows of ``n_u``; when that passes ``table_elements``
     (default: :data:`MARGIN_TABLE_CHUNKS` evaluation chunks of the probed
     machine) nothing is shared and every node runs the fused per-row
@@ -625,7 +629,8 @@ def run_chains(
     unless ``want_idx``) of all chain items, node after node, the nodes'
     ``bounds`` in them, and per node the
     ``(hits, evaluations, peak_chunk_elements)`` its own NumPy chain would
-    have counted, which are accounted to the process totals here.
+    have counted, which are accounted to the process totals here with the
+    call's margin rows filled and used and its Philox blocks computed.
     """
     uvalues = np.ascontiguousarray(uvalues, dtype=np.float64)
     beta_grid = np.ascontiguousarray(beta_grid, dtype=np.float64)

@@ -236,13 +236,18 @@ def select_node_splits(
     discarded — there is no posterior to sample from), and another
     ``n_select`` uniformly at random over all candidates (the paper's random
     control set).  Exactly one replicated-stream draw is consumed per
-    selected split, keeping all implementations in RNG lockstep.
+    selected split, keeping all implementations in RNG lockstep; the
+    weighted draws share one choice table, built once per node.
     """
     posteriors = node_posteriors(scores)
     weighted: list[Split] = []
     uniform: list[Split] = []
     n_obs = scores.n_obs
-    any_retained = bool(scores.accepted.any())
+    table = None
+    if scores.accepted.any():
+        table = rng.choice_table(
+            np.where(posteriors > 0, np.log(np.maximum(posteriors, 1e-300)), -np.inf)
+        )
 
     def make_split(local_index: int) -> Split:
         return Split(
@@ -254,10 +259,7 @@ def select_node_splits(
         )
 
     for _ in range(n_select):
-        if any_retained:
-            log_weights = np.where(
-                posteriors > 0, np.log(np.maximum(posteriors, 1e-300)), -np.inf
-            )
-            weighted.append(make_split(rng.weighted_choice_logs(log_weights)))
+        if table is not None:
+            weighted.append(make_split(rng.choose(table)))
         uniform.append(make_split(rng.randint(scores.n_splits)))
     return weighted, uniform

@@ -131,6 +131,47 @@ class TestWeightedChoiceLogs:
         assert 0 <= idx < len(logs)
 
 
+class TestChoiceTable:
+    """``weighted_choice_logs`` is ``choose(choice_table(w))``: the table
+    takes no draw, so a caller may build it once and choose from it many
+    times."""
+
+    @pytest.mark.parametrize(
+        "logs",
+        [
+            [0.0, 1.0, -1.0],
+            [0.123456, 0.523456, -0.3, 700.0],
+            [-np.inf, 0.0, -np.inf, 2.5],
+            [np.nan, -np.inf, -1.0],
+            [-np.inf] * 4,  # no finite weight: the uniform fallback
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["philox", "mrg"])
+    def test_choose_from_the_table_is_the_weighted_choice(self, logs, backend):
+        for seed in range(12):
+            split, whole = _rng(seed, backend), _rng(seed, backend)
+            table = split.choice_table(logs)
+            assert split.offset == 0
+            assert split.choose(table) == whole.weighted_choice_logs(logs)
+            assert split.offset == whole.offset == 1
+
+    def test_all_neg_inf_marks_the_uniform_fallback(self):
+        table = GibbsRandom.choice_table([-np.inf] * 3)
+        assert table.cum is None and table.size == 3
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            GibbsRandom.choice_table([])
+
+    def test_one_table_many_choices(self):
+        logs = [0.0, 0.3, -0.2, -np.inf]
+        rng, again = _rng(5), _rng(5)
+        table = rng.choice_table(logs)
+        assert [rng.choose(table) for _ in range(20)] == [
+            again.weighted_choice_logs(logs) for _ in range(20)
+        ]
+
+
 class TestWeightedChoiceLinear:
     def test_zero_weights_fall_back(self):
         idx = _rng(2).weighted_choice([0.0, 0.0, 0.0])

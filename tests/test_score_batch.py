@@ -102,73 +102,153 @@ class TestBatchEqualsPerNodeChain:
         holds one parent's rows (the default, and exactly), that is one
         element short and that is zero (no sharing: the fused evaluator),
         all giving identical output."""
-        rng = np.random.default_rng(seed)
-        uvalues = _universe(kind, n_parents, n_u, rng)
-        scorer = SplitScorer(max_steps=max_steps, stop_repeats=2)
-        specs = []
-        for q, obs in enumerate(_node_obs(layout, n_u, rng)):
-            sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
-            n_items = n_parents * obs.size
-            items = np.arange(min(first, n_items - 1), n_items) if q == 0 else None
-            span = IndexedStream(
-                make_stream(seed, "batch", q, backend=rng_backend), scorer.draws_per_item
-            ).items_span(
-                0 if items is None else int(items[0]),
-                n_items if items is None else items.size,
-            )
-            specs.append((obs, sign, items, span))
+        _assert_batch_equals_per_node_chains(
+            seed, n_u, layout, kind, n_parents, max_steps, chunk_elements,
+            rng_backend, lend, first,
+        )
 
-        consume_kernel_totals()
-        oracles = [
-            _oracle(
-                uvalues, obs, sign, items, scorer, chunk_elements,
-                (span if isinstance(span, np.ndarray) else span.array()).reshape(
-                    -1, scorer.draws_per_item
-                ),
+
+def _assert_batch_equals_per_node_chains(
+    seed, n_u, layout, kind, n_parents, max_steps, chunk_elements, rng_backend, lend,
+    first,
+):
+    rng = np.random.default_rng(seed)
+    uvalues = _universe(kind, n_parents, n_u, rng)
+    scorer = SplitScorer(max_steps=max_steps, stop_repeats=2)
+    specs = []
+    for q, obs in enumerate(_node_obs(layout, n_u, rng)):
+        sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
+        n_items = n_parents * obs.size
+        items = np.arange(min(first, n_items - 1), n_items) if q == 0 else None
+        span = IndexedStream(
+            make_stream(seed, "batch", q, backend=rng_backend), scorer.draws_per_item
+        ).items_span(
+            0 if items is None else int(items[0]),
+            n_items if items is None else items.size,
+        )
+        specs.append((obs, sign, items, span))
+
+    consume_kernel_totals()
+    oracles = [
+        _oracle(
+            uvalues, obs, sign, items, scorer, chunk_elements,
+            (span if isinstance(span, np.ndarray) else span.array()).reshape(
+                -1, scorer.draws_per_item
+            ),
+        )
+        for obs, sign, items, span in specs
+    ]
+    want = consume_kernel_totals()
+    outputs = []
+    table = scorer.beta_grid.size * n_u * n_u  # one parent's margin rows
+    for table_elements in (None, table, table - 1, 0):
+        nodes = [ChainNode(obs, sign, span, items) for obs, sign, items, span in specs]
+        for node, (oracle, _results) in zip(nodes, oracles):
+            if lend:
+                groups = oracle.item_groups
+                node.groups = groups if node.items is None else groups[node.items]
+                node.cache = np.zeros_like(oracle._cache)
+                node.seen = np.zeros_like(oracle._seen)
+        *flat, bounds, counters = run_chains(
+            _native.load(), uvalues, scorer.beta_grid, nodes, max_steps, 2,
+            max_chunk_elements=chunk_elements, table_elements=table_elements,
+        )
+        got = consume_kernel_totals()
+        for node, lo, hi, counted, (oracle, results) in zip(
+            nodes, bounds, bounds[1:], counters, oracles
+        ):
+            for part, expected in zip(flat, results):
+                np.testing.assert_array_equal(part[lo:hi], expected)
+            assert counted == (
+                oracle.hits, oracle.evaluations, oracle.peak_chunk_elements
             )
-            for obs, sign, items, span in specs
-        ]
-        want = consume_kernel_totals()
-        outputs = []
-        table = scorer.beta_grid.size * n_u * n_u  # one parent's margin rows
-        for table_elements in (None, table, table - 1, 0):
-            nodes = [ChainNode(obs, sign, span, items) for obs, sign, items, span in specs]
-            for node, (oracle, _results) in zip(nodes, oracles):
-                if lend:
-                    groups = oracle.item_groups
-                    node.groups = groups if node.items is None else groups[node.items]
-                    node.cache = np.zeros_like(oracle._cache)
-                    node.seen = np.zeros_like(oracle._seen)
-            *flat, bounds, counters = run_chains(
-                _native.load(), uvalues, scorer.beta_grid, nodes, max_steps, 2,
-                max_chunk_elements=chunk_elements, table_elements=table_elements,
-            )
-            got = consume_kernel_totals()
-            for node, lo, hi, counted, (oracle, results) in zip(
-                nodes, bounds, bounds[1:], counters, oracles
-            ):
-                for part, expected in zip(flat, results):
-                    np.testing.assert_array_equal(part[lo:hi], expected)
-                assert counted == (
-                    oracle.hits, oracle.evaluations, oracle.peak_chunk_elements
+            if lend:
+                np.testing.assert_array_equal(node.seen, oracle._seen)
+                np.testing.assert_array_equal(
+                    node.cache[node.seen], oracle._cache[oracle._seen]
                 )
-                if lend:
-                    np.testing.assert_array_equal(node.seen, oracle._seen)
-                    np.testing.assert_array_equal(
-                        node.cache[node.seen], oracle._cache[oracle._seen]
-                    )
-            for key in ("hits", "evaluations", "peak_chunk_elements"):
-                assert got[key] == want[key]
-            uses, filled = got.get("margin_row_uses", 0), got.get("margin_rows_filled", 0)
-            if table_elements is None or table_elements >= table:
-                assert filled <= uses == want["evaluations"]
-                assert filled <= n_parents * scorer.beta_grid.size * n_u
-            else:
-                assert uses == filled == 0  # nothing shared: the fused evaluator
-            outputs.append(flat)
-        for other in outputs[1:]:
-            for part, expected in zip(other, outputs[0]):
-                np.testing.assert_array_equal(part, expected)
+        for key in ("hits", "evaluations", "peak_chunk_elements"):
+            assert got[key] == want[key]
+        uses, filled = got.get("margin_row_uses", 0), got.get("margin_rows_filled", 0)
+        if table_elements is None or table_elements >= table:
+            assert filled <= uses == want["evaluations"]
+            assert filled <= n_parents * scorer.beta_grid.size * n_u
+        else:
+            assert uses == filled == 0  # nothing shared: the fused evaluator
+        assert ("philox_blocks" in got) == (rng_backend == "philox")
+        outputs.append(flat)
+    for other in outputs[1:]:
+        for part, expected in zip(other, outputs[0]):
+            np.testing.assert_array_equal(part, expected)
+
+
+@pytest.fixture
+def libm_provider():
+    """The loaded library re-initialised on the scalar libm provider — what
+    a machine without AVX-512 runs, and on one with it nothing else does —
+    then restored to SVML however the test ends."""
+    kernels = _native.load()
+    kernels._lib.repro_native_init(b"", 0)
+    try:
+        yield kernels
+    finally:
+        if kernels.provider == "svml":
+            restored = kernels._lib.repro_native_init(_native._numpy_umath_path().encode(), 1)
+            assert restored == 1
+
+
+class TestLibmProvider:
+    """The scalar half of every provider branch (``margin_sum``'s apply
+    and ``pw_sum`` among them) against the same oracles."""
+
+    def test_certifies(self, libm_provider):
+        assert libm_provider._lib.repro_native_provider() == 0
+        assert _native._certify(libm_provider) is None
+
+    @pytest.mark.parametrize("n_u", WIDTHS)
+    def test_batch_equals_per_node_chain(self, libm_provider, n_u):
+        for q, layout in enumerate(LAYOUTS):
+            _assert_batch_equals_per_node_chains(
+                seed=n_u * 8 + q, n_u=n_u, layout=layout,
+                kind=("random", "ties")[q % 2], n_parents=1 + q % 3, max_steps=3,
+                chunk_elements=(None, 40)[q % 2], rng_backend=("philox", "mrg")[q // 2 % 2],
+                lend=q % 2 == 1, first=q,
+            )
+
+
+class TestPhiloxBlocks:
+    """A batch call counts the Philox blocks it computes for its chains'
+    draws (``kernel_counters["philox_blocks"]``).  Each chain item reads
+    through a cursor of its own, so two consecutive steps share a block."""
+
+    def _run(self, uvalues, scorer, nodes):
+        consume_kernel_totals()
+        *flat, bounds, _counters = run_chains(
+            _native.load(), uvalues, scorer.beta_grid, nodes,
+            scorer.max_steps, scorer.stop_repeats,
+        )
+        return flat, bounds, consume_kernel_totals()
+
+    def test_array_draws_compute_none(self):
+        uvalues, scorer, nodes = _two_nodes()
+        nodes[0].uniforms = nodes[0].uniforms.array()
+        _flat, _bounds, totals = self._run(uvalues, scorer, nodes[:1])
+        assert totals["margin_row_uses"] > 0
+        assert "philox_blocks" not in totals
+
+    def test_each_item_computes_the_blocks_its_draws_touch(self):
+        """An item that took ``steps`` steps read draws ``a`` to ``a + 2 *
+        steps`` of its span: the four-draw blocks those touch, never more
+        than ``(2 * steps) // 4 + 2``."""
+        uvalues, scorer, nodes = _two_nodes()
+        (_best, steps, _idx), bounds, totals = self._run(uvalues, scorer, nodes)
+        touched = bound = 0
+        for node, lo, hi in zip(nodes, bounds, bounds[1:]):
+            first = node.uniforms.start + scorer.draws_per_item * np.arange(hi - lo)
+            last = first + 2 * steps[lo:hi]
+            touched += int((last // 4 - first // 4 + 1).sum())
+            bound += int(((2 * steps[lo:hi]) // 4 + 2).sum())
+        assert totals["philox_blocks"] == touched <= bound
 
 
 def _two_nodes(seed=5, n_parents=2, n_u=12):
@@ -354,6 +434,7 @@ class TestOneNativeCallPerModuleBatch:
             counters = trace.kernel_counters
             assert counters["margin_row_uses"] == counters["evaluations"]
             assert 0 < counters["margin_rows_filled"] < counters["margin_row_uses"]
+            assert counters["philox_blocks"] > 0
 
     @pytest.mark.parametrize("use_checkpoints", [False, True])
     def test_a_served_job_scores_like_a_one_shot_learn(

@@ -121,7 +121,9 @@ class TestSummarize:
         from repro.cli import main
 
         trace = _trace()
-        trace.mark_kernel({"margin_rows_filled": 4, "margin_row_uses": 10})
+        trace.mark_kernel(
+            {"margin_rows_filled": 4, "margin_row_uses": 10, "philox_blocks": 7}
+        )
         trace.mark_kernel({"margin_rows_filled": 1, "margin_row_uses": 2})
         save_trace(trace, tmp_path / "t.npz")
         assert main(["trace", "summarize", str(tmp_path / "t.npz")]) == 0
@@ -131,10 +133,12 @@ class TestSummarize:
         assert "channel shard0: 4096 bytes" in out
         assert "kernel (numpy): 5 evaluations, 3 hits (hit ratio 0.375)" in out
         assert "margin rows: 5 filled for 12 uses (shared 2.40x)" in out
+        assert "philox blocks computed: 7" in out
 
     def test_cli_summarizes_an_earlier_release_trace(self, tmp_path, capsys):
         """A trace whose counters still carry the shared score store's
-        keys summarizes like today's: same kernel line, no store line."""
+        keys, and no Philox block count, summarizes like today's: same
+        kernel line, no store line, no block line."""
         from repro.cli import main
 
         _save_as_parent_commit(_trace(), tmp_path / "old.npz")
@@ -142,6 +146,7 @@ class TestSummarize:
         out = capsys.readouterr().out
         assert "kernel (numpy): 5 evaluations, 3 hits (hit ratio 0.375)" in out
         assert "store" not in out
+        assert "philox" not in out
 
     def test_a_trace_without_margin_rows_has_no_margin_line(self):
         from repro.parallel.trace import summarize_trace

@@ -196,6 +196,39 @@ class TestPosteriorsAndSelection:
             assert split.n_obs == node.observations.size
             assert 0 <= split.parent < data.shape[0]
 
+    @pytest.mark.parametrize("n_select", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    def test_one_table_per_node_selects_what_a_table_per_draw_did(self, seed, n_select):
+        """The weighted draws share one choice table per node; they still
+        interleave with the uniform ones, each taking one draw."""
+        data, _, scores = _scored_node(seed=seed)
+
+        def per_draw_tables(rng):  # the loop as it was: a table per draw
+            posteriors = node_posteriors(scores)
+            weighted, uniform = [], []
+
+            def make_split(local_index):
+                return Split(
+                    parent=scores.split_parent(local_index),
+                    value=scores.split_value(data, local_index),
+                    node_id=scores.node.node_id,
+                    posterior=float(posteriors[local_index]),
+                    n_obs=scores.n_obs,
+                )
+
+            for _ in range(n_select):
+                if scores.accepted.any():
+                    log_weights = np.where(
+                        posteriors > 0, np.log(np.maximum(posteriors, 1e-300)), -np.inf
+                    )
+                    weighted.append(make_split(rng.weighted_choice_logs(log_weights)))
+                uniform.append(make_split(rng.randint(scores.n_splits)))
+            return weighted, uniform
+
+        rng, oracle = (GibbsRandom(make_stream(seed, "sel")) for _ in range(2))
+        assert select_node_splits(data, scores, rng, n_select) == per_draw_tables(oracle)
+        assert rng.offset == oracle.offset
+
     def test_weighted_selection_prefers_high_posterior(self):
         data, _, scores = _scored_node(seed=8)
         post = node_posteriors(scores)
