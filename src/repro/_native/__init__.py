@@ -19,15 +19,21 @@ Acquisition order:
    from the same deterministic path.
 4. The compiled code picks a transcendental provider — the SVML kernels
    ``dlsym``-ed out of NumPy's own ``_multiarray_umath`` extension, or
-   scalar libm — and **self-certifies**: a probe battery compares the
-   native evaluator, the in-kernel Philox generator, the fused sampling
-   chain (results, counters and memo end state), the GaneSH observation
-   and variable sweeps (end state, draws consumed, recorded costs) — the
-   chain and the sweeps both reading their draws and computing them —
-   grouped statistics, and normal-gamma tail against the NumPy
-   implementations bit for bit.  A provider that
+   scalar libm — and **self-certifies**: every row of the certification
+   table (:data:`_CERTIFICATION`) runs its probe cases through the entry
+   and through an independent NumPy oracle and compares the outputs bit
+   for bit — the evaluator, the in-kernel Philox generator, the fused
+   sampling chain (results, counters and memo end state), the GaneSH
+   observation and variable sweeps (end state, draws consumed, recorded
+   costs; the chain and the sweeps both reading their draws and computing
+   them), grouped statistics and the normal-gamma tail.  A provider that
    fails certification is rejected; if none survives, the backend reports
    unavailable and the ``"auto"`` setting falls back to NumPy.
+
+One boundary stands between Python and C: every array an entry takes is
+checked against the entry's row of the spec table (:data:`_SPEC`) by one
+validator before C runs, and every return code an entry gives is read
+from one table (:data:`_RC`).
 
 Every ``availability()`` status distinguishes *expected* absence (no cffi,
 no C compiler, explicitly disabled) from *failure* (build error, import
@@ -40,6 +46,9 @@ its seen flag (release/acquire): two threads may share one memo.
 
 from __future__ import annotations
 
+import ast
+import builtins
+import functools
 import hashlib
 import math
 import os
@@ -48,6 +57,7 @@ import sys
 import sysconfig
 import tempfile
 import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,14 +81,324 @@ FAILURE_STATUSES = frozenset(
     {"build-failed", "load-failed", "init-failed", "certification-failed"}
 )
 
+F64, I64, BOOL = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.bool_)
+#: the dtype of an entry's draws: a ``DrawSpan`` (by address) or ``float64``
+DRAWS = "draws"
+_CTYPES = {F64: "double[]", I64: "int64_t[]", BOOL: "uint8_t[]"}
+
+
+class Arg(NamedTuple):
+    """An array argument of a C entry: C-contiguous ``dtype`` (with ``copy``,
+    copied to it), one axis per ``shape`` entry — a size the call does not
+    know yet is read off the array, one it knows must match — at least
+    ``size`` entries, writable when C writes it, values in ``[0, below)``
+    when C indexes by them, NULL when ``when`` is false.  ``size``,
+    ``below`` and ``when`` are expressions over the call's sizes and
+    arrays; a refusal names the argument (``name``, else ``key``)."""
+
+    key: str
+    dtype: object
+    shape: tuple = ()
+    size: str = ""
+    writable: bool = False
+    below: str = ""
+    refusal: str = ""
+    when: str = ""
+    copy: bool = False
+    name: str = ""
+
+
+class Rule(NamedTuple):
+    """A relation between a call's sizes and arrays that C relies on."""
+
+    test: str
+    refusal: str
+
+
+class Size(NamedTuple):
+    """A size of the call derived from others, unless an argument set it."""
+
+    name: str
+    expr: str
+
+
+#: the statistics and marginal buffers a sweep rewrites in place
+_SWEPT = ("count", "total", "sumsq", "lm")
+#: the draw check: C computes draws ``[offset, offset + count)`` of key
+#: ``key`` as uint64s, so neither may wrap
+_ADDRESS = Rule(
+    "0 <= key < 1 << 64 and offset >= 0 <= count and offset + count < 1 << 64",
+    "a Philox key must fit 64 bits and the draws lie in [0, 2**64): "
+    "got key {key}, offset {offset}, count {count}",
+)
+
+
+def _obs_sweep(n_draws: str) -> tuple:
+    """The row of an observation sweep that reads ``n_draws`` draws."""
+    return (
+        Rule("1 <= k <= m", "cluster count must be in [1, {m}], got {k}"),
+        Arg("labels", I64, ("m",), "1", True, below="k", refusal="labels must lie in [0, {k})"),
+        *(Arg(key, F64, size="m + 1", writable=True) for key in _SWEPT),
+        Arg("lgam", F64, size="m + 1", name="gammaln table"),
+        # the array form of the draws is held writable, as it always was
+        Arg("uniforms", DRAWS, size=n_draws, writable=True),
+        Rule("rows >= 1", "an observation sweep needs at least one block row"),
+    )
+
+
+def _var_sweep(n_draws: str, n_slots: str) -> tuple:
+    """The row of a variable sweep that reads ``n_draws`` draws and may fill
+    ``n_slots`` blocks."""
+    return (
+        Arg("var_labels", I64, ("n",), "1", True),
+        Arg("member_order", I64, ("n",), "n", True, refusal="member order must list {n} variables"),
+        Arg("obs_labels", I64, ("k", "m")),
+        Rule(
+            "1 <= k <= n and m >= 1",
+            "obs labels must be a C-contiguous int64 table of 1 to {n} clusters "
+            "by at least one observation",
+        ),
+        Arg(
+            "data", F64, ("n", "m"), copy=True,
+            refusal="data must have shape ({n}, {m}), got {data.shape}",
+        ),
+        Rule("n_blocks >= k", "offsets do not tile the block arrays"),
+        Arg("offsets", I64, size="k + 1"),
+        *(Arg(key, F64, size=n_slots, writable=True) for key in _SWEPT),
+        Arg("uniforms", DRAWS, size=n_draws, writable=True),
+        Arg("lgam", F64, size="n * m + 1", name="gammaln table"),
+    )
+
+
+_ITEMS = "items must be candidates in [0, {n_cand}), ascending by parent"
+_MEMO = "memo tables do not match the beta grid"
+_ROWS = "uniforms must have shape ({n_items}, >= {per_item}), got {uniforms.shape}"
+
+#: the argument spec table: per C entry, its arrays and relations.  The
+#: validator checks a row in two passes: every array (dtype, dimensions,
+#: contiguity, size, shape, writability) and derived size in row order,
+#: then every value range and rule in row order.
+_SPEC = {
+    "repro_philox_uniforms": (_ADDRESS,),  # also the draw check of every span
+    "repro_eval_chunk": (
+        Arg("values", F64, ("n_parents", "n_obs")),
+        Arg("group_value", F64, ("n_rows",)),
+        Arg(
+            "group_row", I64, ("n_rows",), "n_rows", below="n_parents",
+            refusal="group row must name a row of values, in [0, {n_parents}), per group value",
+        ),
+        Arg("sign", F64, size="n_obs"),
+        Arg("out", F64, size="n_rows", writable=True),
+    ),
+    "repro_score_batch": (
+        Arg("uvalues", F64, ("n_parents", "n_u"), name="universe values"),
+        Arg(
+            "urow", I64, ("n_parents", "n_u"), below="n_u", name="universe ranks",
+            refusal="universe ranks must lie in [0, {n_u}), one per value",
+        ),
+        Arg("beta_grid", F64, ("n_beta",), "2"),
+    ),
+    "repro_grouped_1d": (Arg("vals", F64, ("n",)), Arg("labels", I64, size="n")),
+    "repro_grouped_2d": (Arg("vals", F64, ("rows", "cols")), Arg("labels", I64, size="cols")),
+    "repro_log_marginal": (
+        Arg("n", F64, ("size",)),
+        Arg("s", F64, size="size"),
+        Arg("q", F64, size="size"),
+        Arg("lgam_alpha_n", F64, size="size", name="gammaln(alpha_N)"),
+    ),
+    "repro_obs_reassign_sweep": (
+        *_obs_sweep("2 * m"),
+        Arg(
+            "block", F64, ("rows", "m"), copy=True,
+            refusal="block must have shape ({rows}, {m}), got {block.shape}",
+        ),
+    ),
+    "repro_obs_merge_sweep": _obs_sweep("k"),
+    "repro_var_reassign_sweep": _var_sweep("2 * n", "n_blocks + n"),
+    "repro_var_merge_sweep": _var_sweep("k", "n_blocks"),
+}
+
+#: ``repro_score_batch``'s per-node row: one ``repro_node`` struct's arrays
+_NODE = (
+    Arg(
+        "obs", I64, ("n_obs",), below="n_u",
+        refusal="obs must be columns of the universe, in [0, {n_u})",
+    ),
+    Arg("sign", F64, ("n_obs",), "n_obs", refusal="sign must have one entry per observation"),
+    Size("n_cand", "n_parents * n_obs"),
+    Arg("items", I64, ("n_items",), below="n_cand", refusal=_ITEMS, when="items is not None"),
+    Rule("items is None or not (np.diff(items // max(n_obs, 1)) < 0).any()", _ITEMS),
+    Size("n_items", "n_cand"),
+    Arg("cache", F64, ("n_memo",), writable=True, name="memo cache", when="groups is not None"),
+    Arg("seen", BOOL, ("n_memo",), "n_memo", True, refusal=_MEMO, when="groups is not None"),
+    Rule("groups is None or n_memo % n_beta == 0", _MEMO),
+    Arg(
+        "groups", I64, ("n_items",), "n_items", below="n_memo // n_beta",
+        refusal="groups must name one memo row per item", when="groups is not None",
+    ),
+    # rows of at least per_item draws, or a span of exactly that many
+    Arg("uniforms", DRAWS, ("n_items", "stride"), writable=True, refusal=_ROWS, copy=True),
+    Size("stride", "per_item"),  # a span's rows are exactly per_item long
+    Rule("isinstance(uniforms, DrawSpan) or stride >= per_item", _ROWS),
+    Rule(
+        "not isinstance(uniforms, DrawSpan) or uniforms.count == n_items * per_item",
+        "uniforms must span exactly {per_item} draws for each of {n_items} items, "
+        "got {uniforms.count}",
+    ),
+)
+
+
+def _checked(
+    arr, dtype, min_size: int, what: str, writable: bool = True, ndim: int = 1
+) -> np.ndarray:
+    """``arr`` if C code may index ``min_size`` entries of ``dtype`` in it
+    (and, unless it only reads them, write them)."""
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.ndim == ndim
+        and (flags := arr.flags).c_contiguous
+        and (flags.writeable or not writable)
+        and arr.size >= min_size
+    ):
+        raise ValueError(
+            f"{what} must be a {'writable ' * writable}C-contiguous {ndim}-D "
+            f"{np.dtype(dtype).name} array of at least {min_size} entries"
+        )
+    return arr
+
+
+def _refuse(refusal: str, env: dict):
+    raise ValueError(refusal.format(**env))
+
+
+_DTYPE_NAMES = {F64: "F64", I64: "I64", BOOL: "BOOL", DRAWS: "F64"}
+
+
+def _arg_check(arg: Arg) -> list[str]:
+    """The lines of a compiled check that take one array argument."""
+    key, size, dtype = arg.key, arg.size or "0", _DTYPE_NAMES[arg.dtype]
+    copy = f"np.require({key}, {dtype}, ['C', 'W'])" if arg.writable else (
+        f"np.ascontiguousarray({key}, {dtype})"
+    )
+    lines = [f"{key} = {copy}"] if arg.copy else []
+    lines.append(
+        f"{key} = _checked({key}, {dtype}, {size}, {arg.name or key.replace('_', ' ')!r}, "
+        f"{arg.writable}, {len(arg.shape) or 1})"
+    )
+    for axis, dim in enumerate(arg.shape):  # a size the call knows must match
+        lines += [
+            f"if {dim} is None: {dim} = {key}.shape[{axis}]",
+            f"elif {dim} != {key}.shape[{axis}]: _refuse({arg.refusal!r}, locals())",
+        ]
+    if arg.dtype is DRAWS:  # a span goes in by address, an array as it is
+        span = f"_draws = _kernels._draws({key}, {size})"
+        lines = [span] if not arg.shape else [
+            f"if isinstance({key}, DrawSpan): {span}", "else:",
+            *("    " + line for line in lines), f"    _draws = _kernels._buffer({key}), 0, 0",
+        ]
+    if arg.when:
+        lines = [f"if {arg.when}:", *("    " + line for line in lines), f"else: {key} = None"]
+    return lines
+
+
+def _compile(row: tuple):
+    """A spec row as one function, compiled once: it checks every array and
+    derives every size in row order, then every value range and rule in row
+    order, and returns its names (``locals()``), the ``uniforms``, ``key``
+    and ``offset`` C arguments of a draws argument among them.  It takes
+    every name the row reads by keyword (``None`` when the call does not
+    give it; a name it does not read is ignored), and ``_kernels`` when the
+    row has draws."""
+    buffers, values = [], []
+    for item in row:
+        if type(item) is Size:
+            buffers.append(f"if {item.name} is None: {item.name} = {item.expr}")
+        elif type(item) is Rule:
+            values.append(f"if not ({item.test}): _refuse({item.refusal!r}, locals())")
+        else:
+            buffers += _arg_check(item)
+            if item.below:
+                values.append(
+                    f"if {item.key} is not None and {item.key}.size and not 0 <= "
+                    f"{item.key}.min() <= {item.key}.max() < ({item.below}): "
+                    f"_refuse({item.refusal!r}, locals())"
+                )
+    if any(type(item) is Arg and item.dtype is DRAWS for item in row):
+        values.append("uniforms, key, offset = _draws")
+    body = buffers + values
+    read = {
+        node.id for node in ast.walk(ast.parse("\n".join(body)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    params = sorted(read - _SCOPE.keys() - vars(builtins).keys())
+    source = [f"def check(*, {''.join(f'{name}=None, ' for name in params)}**_unread):"]
+    source += [*("    " + line for line in body), "    return locals()"]
+    scope = dict(_SCOPE)
+    exec(compile("\n".join(source), "<native spec>", "exec"), scope)
+    return scope["check"]
+
+
+#: the names a compiled check reads that are not the call's
+_SCOPE = {
+    "np": np, "DrawSpan": DrawSpan, "F64": F64, "I64": I64, "BOOL": BOOL,
+    "_checked": _checked, "_refuse": _refuse,
+}
+#: the spec table's rows, each compiled into its check
+_CHECKS = {entry: _compile(row) for entry, row in _SPEC.items()}
+_NODE_CHECK = _compile(_NODE)
+
+
+_SCRATCH = (MemoryError, "native sweep scratch allocation failed")
+_OUTSIDE = (ValueError, "uniforms must be draws from [0, 1)")
+_GROUPED = {-1: (MemoryError, "native grouped-stats allocation failed"), -2: None}
+_UNDESCRIBED = "statistics do not describe the labels: every "
+_OBS_RC = {
+    -1: _SCRATCH,
+    -2: (ValueError, _UNDESCRIBED + "cluster needs count == {rows} x its number of observations"),
+    -3: _OUTSIDE,
+}
+#: what ``var_begin`` answers (``_build.py``)
+_VAR_RC = {
+    -1: _SCRATCH,
+    -2: (
+        ValueError,
+        "var labels and member order do not describe the clusters: every label must lie "
+        "in [0, k), no cluster may be empty and each variable must be listed once, under "
+        "its own cluster",
+    ),
+    -3: _OUTSIDE,
+    -4: (ValueError, "obs labels must lie in [0, k_c) of their cluster"),
+    -5: (ValueError, "offsets do not tile the block arrays"),
+    -6: (
+        ValueError, _UNDESCRIBED + "block needs count == its cluster's members x its observations"
+    ),
+}
+#: the return-code table: per entry, what each nonzero code raises, its
+#: message formatted with the call's sizes (``None``: the caller reads it)
+_RC = {
+    "repro_eval_chunk": {-1: (MemoryError, "native evaluation chunk allocation failed")},
+    "repro_score_batch": {
+        -1: (MemoryError, "native chain scratch allocation failed"),
+        -3: (ValueError, "start uniforms must be draws from [0, 1)"),
+    },
+    "repro_grouped_1d": _GROUPED,
+    "repro_grouped_2d": _GROUPED,
+    "repro_obs_reassign_sweep": _OBS_RC,
+    "repro_obs_merge_sweep": _OBS_RC,
+    "repro_var_reassign_sweep": _VAR_RC,
+    "repro_var_merge_sweep": _VAR_RC,
+}
+
 
 class NativeKernels:
     """Typed wrapper over the certified cffi extension.
 
-    All array arguments must be C-contiguous ``float64``/``int64``; the
-    callers in ``repro.scoring`` guarantee that.  Methods mirror the NumPy
-    expressions they replace and are bit-identical to them (enforced by
-    :func:`_certify` before this object is ever handed out).
+    Every array argument must be C-contiguous ``float64``/``int64`` of the
+    sizes C indexes; the spec table checks that (:data:`_CHECKS`) before
+    C runs, and a refusal is a ``ValueError`` naming the argument.  Methods
+    mirror the NumPy expressions they replace and are bit-identical to them
+    (enforced by :func:`_certify` before this object is ever handed out).
     """
 
     def __init__(self, ffi, lib, provider: str) -> None:
@@ -86,14 +406,22 @@ class NativeKernels:
         self._lib = lib
         self.provider = provider
 
-    # ``from_buffer`` takes the array's buffer directly (no per-call ctypes
-    # helper object) and refuses a non-contiguous array instead of reading
-    # past its strides.
-    def _dp(self, arr: np.ndarray):
-        return self._ffi.from_buffer("double[]", arr)
+    def _buffer(self, arg):
+        """A C argument: an array by its buffer (``from_buffer`` takes it
+        directly, no per-call ctypes helper object), ``None`` as NULL."""
+        if isinstance(arg, np.ndarray):
+            return self._ffi.from_buffer(_CTYPES[arg.dtype], arg)
+        return self._ffi.NULL if arg is None else arg
 
-    def _ip(self, arr: np.ndarray):
-        return self._ffi.from_buffer("int64_t[]", arr)
+    def _call(self, entry: str, env: dict, *args) -> int:
+        """Run ``entry`` on ``args`` and raise what its return code means
+        (:data:`_RC`, the message formatted with the call's names ``env``);
+        return the code."""
+        rc = getattr(self._lib, entry)(*args)
+        if rc and _RC[entry][rc] is not None:
+            error, message = _RC[entry][rc]
+            raise error(message.format(**env))
+        return rc
 
     def _draws(self, uniforms, need: int) -> tuple:
         """The ``(uniforms, key, offset)`` arguments of an entry that reads
@@ -103,43 +431,34 @@ class NativeKernels:
         if isinstance(uniforms, DrawSpan):
             if uniforms.count < need:
                 raise ValueError(f"uniforms must span at least {need} draws")
-            _checked_address(uniforms.key, uniforms.start, uniforms.count)
+            _CHECKS["repro_philox_uniforms"](
+                key=uniforms.key, offset=uniforms.start, count=uniforms.count
+            )
             return self._ffi.NULL, uniforms.key, uniforms.start
-        return self._dp(_checked(uniforms, np.float64, need, "uniforms")), 0, 0
+        return self._buffer(_checked(uniforms, F64, need, "uniforms")), 0, 0
 
     def philox_uniforms(self, key: int, offset: int, count: int) -> np.ndarray:
         """Draws ``[offset, offset + count)`` of the Philox stream keyed
         ``key``, from the generator the entries above draw with: what
         ``PhiloxStream.block(offset, count)`` returns, bit for bit."""
-        _checked_address(key, offset, count)
+        env = _CHECKS["repro_philox_uniforms"](key=key, offset=offset, count=count)
         out = np.empty(count)
-        self._lib.repro_philox_uniforms(key, offset, count, self._dp(out))
+        self._call("repro_philox_uniforms", env, key, offset, count, self._buffer(out))
         return out
 
     def eval_chunk(
-        self,
-        group_value: np.ndarray,
-        group_row: np.ndarray,
-        values: np.ndarray,
-        sign: np.ndarray,
-        beta: float,
-        quantum: float,
-        out: np.ndarray,
+        self, group_value: np.ndarray, group_row: np.ndarray, values: np.ndarray,
+        sign: np.ndarray, beta: float, quantum: float, out: np.ndarray,
     ) -> None:
         """Quantized log-sigmoid row scores for one same-beta chunk."""
-        rc = self._lib.repro_eval_chunk(
-            self._dp(group_value),
-            self._ip(group_row),
-            group_value.shape[0],
-            self._dp(values),
-            values.shape[1],
-            self._dp(sign),
-            float(beta),
-            float(quantum),
-            self._dp(out),
+        env = _CHECKS["repro_eval_chunk"](
+            group_value=group_value, group_row=group_row, values=values, sign=sign, out=out
         )
-        if rc:
-            raise MemoryError("native evaluation chunk allocation failed")
+        b = self._buffer
+        self._call(
+            "repro_eval_chunk", env, b(group_value), b(group_row), env["n_rows"], b(values),
+            env["n_obs"], b(sign), float(beta), float(quantum), b(out),
+        )
 
     def score_batch(
         self, uvalues: np.ndarray, urow: np.ndarray, beta_grid: np.ndarray, nodes,
@@ -166,98 +485,53 @@ class NativeKernels:
         evaluation chunks of ``chunk_elements`` elements; the table's ``(rows
         filled, row uses)`` and the Philox blocks the call computed (0 when
         every node's draws are arrays).  Everything C indexes by is checked
-        first: a ``ValueError`` leaves every memo untouched.
+        first (the batch's and every node's spec rows): a ``ValueError``
+        leaves every memo untouched.
         """
-        n_parents, n_u = _checked(
-            uvalues, np.float64, 0, "universe values", writable=False, ndim=2
-        ).shape
-        n_beta = _checked(beta_grid, np.float64, 2, "beta grid", writable=False).shape[0]
-        _checked(urow, np.int64, 0, "universe ranks", writable=False, ndim=2)
-        if urow.shape != uvalues.shape or (
-            urow.size and not 0 <= urow.min() <= urow.max() < n_u
-        ):
-            raise ValueError(f"universe ranks must lie in [0, {n_u}), one per value")
+        env = _CHECKS["repro_score_batch"](uvalues=uvalues, urow=urow, beta_grid=beta_grid)
         per_item = 1 + 2 * int(max_steps)
         c_nodes = self._ffi.new("repro_node[]", len(nodes))
         bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
         held = []  # the buffers behind the structs' pointers
 
-        def pointer(cast, arr):
-            held.append(cast(arr))
+        def pointer(arr):
+            held.append(self._buffer(arr))
             return held[-1]
 
         for q, (node, c) in enumerate(zip(nodes, c_nodes)):
-            n_obs = _checked(node.obs, np.int64, 0, "obs", writable=False).shape[0]
-            if n_obs and not 0 <= node.obs.min() <= node.obs.max() < n_u:
-                raise ValueError(f"obs must be columns of the universe, in [0, {n_u})")
-            if _checked(node.sign, np.float64, n_obs, "sign", writable=False).shape[0] != n_obs:
-                raise ValueError("sign must have one entry per observation")
-            c.obs, c.sign = pointer(self._ip, node.obs), pointer(self._dp, node.sign)
-            c.n_obs, c.chunk_rows = n_obs, max(1, int(chunk_elements) // max(1, n_obs))
+            rows = node.uniforms
+            if isinstance(rows, np.ndarray) and rows.ndim == 1 and not rows.size % per_item:
+                rows = rows.reshape(-1, per_item)  # rows end to end
+            v = _NODE_CHECK(
+                _kernels=self, n_parents=env["n_parents"], n_u=env["n_u"],
+                n_beta=env["n_beta"], per_item=per_item, obs=node.obs, sign=node.sign,
+                items=node.items, groups=node.groups, cache=node.cache, seen=node.seen,
+                uniforms=rows,
+            )
+            c.obs, c.sign, c.uniforms = map(pointer, (v["obs"], v["sign"], v["uniforms"]))
+            c.items, c.groups, c.cache, c.seen = map(
+                pointer, (v["items"], v["groups"], v["cache"], v["seen"])
+            )
+            c.key, c.offset, c.stride = v["key"], v["offset"], v["stride"]
+            c.n_obs, c.n_items = v["n_obs"], v["n_items"]
+            c.chunk_rows = max(1, int(chunk_elements) // max(1, c.n_obs))
             c.shared = bool((np.abs(node.sign) == 1.0).all())
-            c.n_items = n_parents * n_obs
-            if node.items is not None:
-                items = _checked(node.items, np.int64, 0, "items", writable=False)
-                if items.size and (
-                    items.min() < 0 or items.max() >= c.n_items
-                    or (np.diff(items // n_obs) < 0).any()
-                ):
-                    raise ValueError(
-                        f"items must be candidates in [0, {c.n_items}), ascending by parent"
-                    )
-                c.items, c.n_items = pointer(self._ip, items), items.shape[0]
-            if node.groups is not None:
-                cache = _checked(node.cache, np.float64, 0, "memo cache")
-                if cache.size % n_beta or not (
-                    isinstance(node.seen, np.ndarray) and node.seen.dtype == np.bool_
-                    and node.seen.shape == cache.shape and node.seen.flags.c_contiguous
-                ):
-                    raise ValueError("memo tables do not match the beta grid")
-                groups = _checked(node.groups, np.int64, c.n_items, "groups", writable=False)
-                if groups.shape[0] != c.n_items or (
-                    c.n_items and not 0 <= groups.min() <= groups.max() < cache.size // n_beta
-                ):
-                    raise ValueError("groups must name one memo row per item")
-                c.groups, c.cache = pointer(self._ip, groups), pointer(self._dp, cache)
-                c.seen = pointer(lambda a: self._ffi.from_buffer("uint8_t[]", a), node.seen)
-            if isinstance(node.uniforms, DrawSpan):  # whole rows of exactly per_item
-                if node.uniforms.count != c.n_items * per_item:
-                    raise ValueError(
-                        f"uniforms must span exactly {per_item} draws for each of "
-                        f"{c.n_items} items, got {node.uniforms.count}"
-                    )
-                c.stride, draws = per_item, self._draws(node.uniforms, node.uniforms.count)
-            else:
-                rows = np.require(node.uniforms, np.float64, ["C", "W"])
-                if rows.ndim == 1 and rows.size == c.n_items * per_item:
-                    rows = rows.reshape(c.n_items, per_item)  # rows end to end
-                if rows.ndim != 2 or rows.shape[0] != c.n_items or rows.shape[1] < per_item:
-                    raise ValueError(
-                        f"uniforms must have shape ({c.n_items}, >= {per_item}), "
-                        f"got {rows.shape}"
-                    )
-                c.stride, draws = rows.shape[1], self._draws(rows.reshape(-1), rows.size)
-            held.append(draws[0])
-            c.uniforms, c.key, c.offset = draws
             bounds[q + 1] = bounds[q] + c.n_items
         best_score = np.empty(bounds[-1])
         steps = np.empty(bounds[-1], dtype=np.int64)
         best_idx = np.empty(bounds[-1], dtype=np.int64) if want_idx else None
         for c, lo, hi in zip(c_nodes, bounds, bounds[1:]):
-            c.best_score = pointer(self._dp, best_score[lo:hi])
-            c.steps = pointer(self._ip, steps[lo:hi])
+            c.best_score = pointer(best_score[lo:hi])
+            c.steps = pointer(steps[lo:hi])
             if want_idx:
-                c.best_idx = pointer(self._ip, best_idx[lo:hi])
+                c.best_idx = pointer(best_idx[lo:hi])
         table = np.zeros(3, dtype=np.int64)
-        rc = self._lib.repro_score_batch(
-            self._dp(uvalues), self._ip(urow.reshape(-1)), n_parents, n_u,
-            self._dp(beta_grid), n_beta, c_nodes, len(nodes), int(max_steps),
-            int(stop_repeats), float(quantum), bool(share), self._ip(table),
+        self._call(
+            "repro_score_batch", env, pointer(env["uvalues"]), pointer(env["urow"]),
+            env["n_parents"], env["n_u"], pointer(env["beta_grid"]), env["n_beta"], c_nodes,
+            len(nodes), int(max_steps), int(stop_repeats), float(quantum), bool(share),
+            pointer(table),
         )
-        if rc == -3:
-            raise ValueError("start uniforms must be draws from [0, 1)")
-        if rc:
-            raise MemoryError("native chain scratch allocation failed")
         counters = [(c.hits, c.evaluations, c.peak) for c in c_nodes]
         return best_score, steps, best_idx, bounds, counters, tuple(table.tolist())
 
@@ -267,78 +541,30 @@ class NativeKernels:
         """Fused per-group (count, total, sumsq), or ``None`` when a label
         falls outside ``[0, n_groups)`` (the caller's NumPy path then keeps
         ``np.bincount``'s implicit-widening semantics)."""
-        count = np.zeros(n_groups)
-        total = np.zeros(n_groups)
-        sumsq = np.zeros(n_groups)
-        if vals.ndim == 1:
-            rc = self._lib.repro_grouped_1d(
-                self._dp(vals),
-                vals.shape[0],
-                self._ip(labels),
-                n_groups,
-                self._dp(count),
-                self._dp(total),
-                self._dp(sumsq),
-            )
-        else:
-            rc = self._lib.repro_grouped_2d(
-                self._dp(vals),
-                vals.shape[0],
-                vals.shape[1],
-                self._ip(labels),
-                n_groups,
-                self._dp(count),
-                self._dp(total),
-                self._dp(sumsq),
-            )
-        if rc == -2:
-            return None
-        if rc:
-            raise MemoryError("native grouped-stats allocation failed")
-        return count, total, sumsq
+        entry = "repro_grouped_1d" if vals.ndim == 1 else "repro_grouped_2d"
+        env = _CHECKS[entry](vals=vals, labels=labels)
+        stats = np.empty(n_groups), np.empty(n_groups), np.empty(n_groups)  # C zeroes them
+        b = self._buffer
+        rc = self._call(entry, env, b(vals), *vals.shape, b(labels), n_groups, *map(b, stats))
+        return None if rc else stats
 
     def log_marginal(
-        self,
-        n: np.ndarray,
-        s: np.ndarray,
-        q: np.ndarray,
-        lgam_alpha_n: np.ndarray,
-        prior,
+        self, n: np.ndarray, s: np.ndarray, q: np.ndarray, lgam_alpha_n: np.ndarray, prior
     ) -> np.ndarray:
         """The vectorized normal-gamma score with ``gammaln(alpha_N)``
         precomputed by the caller (SciPy both ways, so identical)."""
-        out = np.empty(n.shape[0])
-        self._lib.repro_log_marginal(
-            self._dp(n),
-            self._dp(s),
-            self._dp(q),
-            self._dp(lgam_alpha_n),
-            n.shape[0],
-            prior.mu0,
-            prior.lambda0,
-            prior.alpha0,
-            prior.beta0,
-            prior.log_lambda0,
-            prior.log_beta0,
-            prior.lgamma_alpha0,
-            math.log(2.0 * math.pi),
-            self._dp(out),
+        env = _CHECKS["repro_log_marginal"](n=n, s=s, q=q, lgam_alpha_n=lgam_alpha_n)
+        out, b = np.empty(env["size"]), self._buffer
+        self._call(
+            "repro_log_marginal", env, b(n), b(s), b(q), b(lgam_alpha_n), env["size"],
+            *_prior_values(prior), b(out),
         )
         return out
 
     def obs_sweep(
-        self,
-        block: np.ndarray | None,
-        rows: int,
-        labels: np.ndarray,
-        stats: tuple[np.ndarray, np.ndarray, np.ndarray],
-        lm: np.ndarray,
-        k: int,
-        uniforms: np.ndarray,
-        lgam: np.ndarray,
-        prior,
-        quantum: float,
-        trace: bool = False,
+        self, block: np.ndarray | None, rows: int, labels: np.ndarray,
+        stats: tuple[np.ndarray, np.ndarray, np.ndarray], lm: np.ndarray, k: int,
+        uniforms: np.ndarray, lgam: np.ndarray, prior, quantum: float, trace: bool = False,
     ) -> tuple[int, np.ndarray | None]:
         """One GaneSH observation sweep over a clustering's own state, in place.
 
@@ -357,64 +583,29 @@ class NativeKernels:
         ``ValueError`` leaves the state untouched; a ``block`` that is not
         C-contiguous ``float64`` is copied.
         """
-        m = _checked(labels, np.int64, 1, "labels").shape[0]
-        k, rows = int(k), int(rows)
-        if not 1 <= k <= m:
-            raise ValueError(f"cluster count must be in [1, {m}], got {k}")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ValueError(f"labels must lie in [0, {k})")
-        for name, buf in zip(("count", "total", "sumsq", "lm"), (*stats, lm)):
-            _checked(buf, np.float64, m + 1, name)
-        _checked(lgam, np.float64, m + 1, "gammaln table")
-        n_iterations, n_draws = (m, 2 * m) if block is not None else (k, k)
-        draws = self._draws(uniforms, n_draws)
-        if block is not None:
-            block = np.ascontiguousarray(block, dtype=np.float64)
-            if block.shape != (rows, m):
-                raise ValueError(
-                    f"block must have shape ({rows}, {m}), got {block.shape}"
-                )
-        if rows < 1:
-            raise ValueError("an observation sweep needs at least one block row")
-        k_io = np.array([k], dtype=np.int64)
-        k_trace = np.empty(n_iterations, dtype=np.int64) if trace else None
-        state = (
-            self._ip(labels), *(self._dp(buf) for buf in stats), self._dp(lm),
-            self._ip(k_io), *draws, self._dp(lgam),
-            self._dp(_prior_vector(prior)), float(quantum),
-            self._ip(k_trace) if trace else self._ffi.NULL,
+        entry = "repro_obs_merge_sweep" if block is None else "repro_obs_reassign_sweep"
+        blocks = {} if block is None else {"block": block}
+        env = _CHECKS[entry](
+            _kernels=self, rows=int(rows), k=int(k), labels=labels, count=stats[0],
+            total=stats[1], sumsq=stats[2], lm=lm, lgam=lgam, uniforms=uniforms, **blocks,
         )
-        if block is not None:
-            rc = self._lib.repro_obs_reassign_sweep(self._dp(block), rows, m, *state)
-        else:
-            rc = self._lib.repro_obs_merge_sweep(rows, m, *state)
-        if rc == -1:
-            raise MemoryError("native sweep scratch allocation failed")
-        if rc == -2:
-            raise ValueError(
-                "statistics do not describe the labels: every cluster needs "
-                f"count == {rows} x its number of observations"
-            )
-        if rc:
-            raise ValueError("uniforms must be draws from [0, 1)")
+        m, k, b = env["m"], env["k"], self._buffer
+        head = () if block is None else (b(env["block"]),)  # a merge sweep takes no block
+        k_io = np.array([k], dtype=np.int64)
+        k_trace = np.empty(k if block is None else m, dtype=np.int64) if trace else None
+        self._call(
+            entry, env, *head, env["rows"], m, b(labels),
+            *map(b, stats), b(lm), b(k_io), env["uniforms"], env["key"], env["offset"],
+            b(lgam), b(np.array(_prior_values(prior))), float(quantum), b(k_trace),
+        )
         return int(k_io[0]), k_trace
 
     def var_sweep(
-        self,
-        data: np.ndarray,
-        var_labels: np.ndarray,
-        member_order: np.ndarray,
-        obs_labels: np.ndarray,
-        offsets: np.ndarray,
-        n_blocks: int,
-        stats: tuple[np.ndarray, np.ndarray, np.ndarray],
-        lm: np.ndarray,
-        uniforms: np.ndarray,
-        lgam: np.ndarray,
-        prior,
-        quantum: float,
-        merge: bool = False,
-        trace: bool = False,
+        self, data: np.ndarray, var_labels: np.ndarray, member_order: np.ndarray,
+        obs_labels: np.ndarray, offsets: np.ndarray, n_blocks: int,
+        stats: tuple[np.ndarray, np.ndarray, np.ndarray], lm: np.ndarray,
+        uniforms: np.ndarray, lgam: np.ndarray, prior, quantum: float,
+        merge: bool = False, trace: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """One GaneSH variable sweep over a packed ``CoClusterState``, in place.
 
@@ -442,104 +633,32 @@ class NativeKernels:
         ``ValueError`` leaves the pack untouched; a ``data`` that is not
         C-contiguous ``float64`` is copied.
         """
-        n = _checked(var_labels, np.int64, 1, "var labels").shape[0]
-        if _checked(member_order, np.int64, n, "member order").shape[0] != n:
-            raise ValueError(f"member order must list {n} variables")
-        if not (
-            isinstance(obs_labels, np.ndarray)
-            and obs_labels.dtype == np.int64
-            and obs_labels.ndim == 2
-            and obs_labels.flags.c_contiguous
-            and 1 <= obs_labels.shape[0] <= n
-            and obs_labels.shape[1] >= 1
-        ):
-            raise ValueError(
-                "obs labels must be a C-contiguous int64 table of 1 to "
-                f"{n} clusters by at least one observation"
-            )
-        k, m = obs_labels.shape
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.shape != (n, m):
-            raise ValueError(f"data must have shape ({n}, {m}), got {data.shape}")
-        n_blocks = int(n_blocks)
-        if n_blocks < k:
-            raise ValueError("offsets do not tile the block arrays")
-        _checked(offsets, np.int64, k + 1, "offsets")
-        n_iterations, n_draws, n_slots = (k, k, n_blocks) if merge else (n, 2 * n, n_blocks + n)
-        for name, buf in zip(("count", "total", "sumsq", "lm"), (*stats, lm)):
-            _checked(buf, np.float64, n_slots, name)
-        draws = self._draws(uniforms, n_draws)
-        _checked(lgam, np.float64, n * m + 1, "gammaln table")
-        k_io = np.array([k], dtype=np.int64)
-        origin = np.empty(n + 1, dtype=np.int64)
-        member_counts = np.empty(n + 1, dtype=np.int64)
-        moves = np.empty(2 * n_iterations, dtype=np.int64) if trace else None
-        sweep = self._lib.repro_var_merge_sweep if merge else self._lib.repro_var_reassign_sweep
-        rc = sweep(
-            self._dp(data), n, m, self._ip(var_labels), self._ip(member_order),
-            self._ip(obs_labels.reshape(-1)), self._ip(offsets), n_blocks,
-            self._ip(k_io), *(self._dp(buf) for buf in stats), self._dp(lm),
-            *draws, self._dp(lgam), self._dp(_prior_vector(prior)),
-            float(quantum), self._ip(origin), self._ip(member_counts),
-            self._ip(moves) if trace else self._ffi.NULL,
+        entry = "repro_var_merge_sweep" if merge else "repro_var_reassign_sweep"
+        env = _CHECKS[entry](
+            _kernels=self, data=data, var_labels=var_labels, member_order=member_order,
+            obs_labels=obs_labels, offsets=offsets, n_blocks=int(n_blocks), count=stats[0],
+            total=stats[1], sumsq=stats[2], lm=lm, uniforms=uniforms, lgam=lgam,
         )
-        if rc:
-            if rc == -1:
-                raise MemoryError("native sweep scratch allocation failed")
-            raise ValueError(_VAR_SWEEP_REFUSALS[rc])
+        n, k, b = env["n"], env["k"], self._buffer
+        k_io = np.array([k], dtype=np.int64)
+        origin, member_counts = np.empty((2, n + 1), dtype=np.int64)
+        moves = np.empty(2 * (k if merge else n), dtype=np.int64) if trace else None
+        self._call(
+            entry, env, b(env["data"]), n, env["m"], b(var_labels), b(member_order),
+            b(obs_labels), b(offsets), env["n_blocks"], b(k_io), *map(b, stats), b(lm),
+            env["uniforms"], env["key"], env["offset"], b(lgam),
+            b(np.array(_prior_values(prior))), float(quantum), b(origin), b(member_counts),
+            b(moves),
+        )
         k = int(k_io[0])
         return origin[:k], member_counts[:k], moves.reshape(-1, 2) if trace else None
 
 
-def _checked_address(key: int, offset: int, count: int) -> None:
-    """Refuse what would wrap in C: the key and every draw index are uint64."""
-    if not (0 <= key < 1 << 64 and offset >= 0 <= count and offset + count < 1 << 64):
-        raise ValueError(
-            "a Philox key must fit 64 bits and the draws lie in [0, 2**64): "
-            f"got key {key}, offset {offset}, count {count}"
-        )
-
-
-def _checked(
-    arr, dtype, min_size: int, what: str, writable: bool = True, ndim: int = 1
-) -> np.ndarray:
-    """``arr`` if C code may index ``min_size`` entries of ``dtype`` in it
-    (and, unless it only reads them, write them)."""
-    if not (
-        isinstance(arr, np.ndarray)
-        and arr.dtype == dtype
-        and arr.ndim == ndim
-        and arr.flags.c_contiguous
-        and (arr.flags.writeable or not writable)
-        and arr.size >= min_size
-    ):
-        raise ValueError(
-            f"{what} must be a {'writable ' * writable}C-contiguous {ndim}-D "
-            f"{np.dtype(dtype).name} array of at least {min_size} entries"
-        )
-    return arr
-
-
-#: what ``var_begin`` answers (``_build.py``)
-_VAR_SWEEP_REFUSALS = {
-    -2: "var labels and member order do not describe the clusters: every "
-    "label must lie in [0, k), no cluster may be empty and each variable "
-    "must be listed once, under its own cluster",
-    -3: "uniforms must be draws from [0, 1)",
-    -4: "obs labels must lie in [0, k_c) of their cluster",
-    -5: "offsets do not tile the block arrays",
-    -6: "statistics do not describe the labels: every block needs "
-    "count == its cluster's members x its observations",
-}
-
-
-def _prior_vector(prior) -> np.ndarray:
-    return np.array(
-        [
-            prior.mu0, prior.lambda0, prior.alpha0, prior.beta0,
-            prior.log_lambda0, prior.log_beta0, prior.lgamma_alpha0,
-            math.log(2.0 * math.pi),
-        ]
+def _prior_values(prior) -> tuple[float, ...]:
+    """The normal-gamma prior as the entries take it, ``log(2 pi)`` last."""
+    return (
+        prior.mu0, prior.lambda0, prior.alpha0, prior.beta0, prior.log_lambda0,
+        prior.log_beta0, prior.lgamma_alpha0, math.log(2.0 * math.pi),
     )
 
 
@@ -628,245 +747,33 @@ def _build_on_demand() -> str:
     return final_path
 
 
-def _reference_row_scores(z: np.ndarray, quantum: float) -> np.ndarray:
-    t = np.log1p(np.exp(-np.abs(z)))
-    out = np.where(z > 0, -t, z - t)
-    scores = out.sum(axis=1)
-    return np.round(scores / quantum) * quantum
+class Cert(NamedTuple):
+    """A row of the certification table.  ``cases()`` yields ``(label,
+    case)``; ``oracle(case)`` returns the NumPy runs (the first is the
+    reference) and ``native(kernels, case)`` the entry's runs, one per draw
+    or memo mode; a run is the sequence of compared output arrays."""
+
+    name: str
+    entries: tuple[str, ...]
+    cases: Callable
+    oracle: Callable
+    native: Callable
 
 
 def _certify(kernels: NativeKernels) -> str | None:
-    """Bit-compare the native entry points against NumPy on a probe
-    battery; return ``None`` on success or a mismatch description."""
+    """Bit-compare the native entry points against NumPy, row after row of
+    :data:`_CERTIFICATION`; ``None``, or ``"<name> mismatch at <label>"``
+    for the first case whose runs disagree (:func:`_runs_agree`)."""
     _CERTIFYING.active = True
     try:
         with np.errstate(all="ignore"):  # probe data overflows by design
-            return _certify_battery(kernels)
+            for cert in _CERTIFICATION:
+                for label, case in cert.cases():
+                    if not _runs_agree([*cert.oracle(case), *cert.native(kernels, case)]):
+                        return f"{cert.name} mismatch at {label}"
+        return None
     finally:
         _CERTIFYING.active = False
-
-
-def _certify_battery(kernels: NativeKernels) -> str | None:
-    quantum = 1e-9
-    rng = np.random.default_rng(0x5EED)
-
-    # -- eval_chunk vs the NumPy chunk body --------------------------------
-    for n_obs in (1, 2, 3, 7, 8, 9, 16, 17, 129, 150):
-        for scale in (1.0, 40.0):
-            n_parents = 3
-            values = np.ascontiguousarray(
-                rng.normal(scale=scale, size=(n_parents, n_obs))
-            )
-            if n_obs >= 8:  # duplicate-heavy + special values
-                values[0, :4] = (0.0, -0.0, values[0, 4], values[0, 4])
-                values[1, -2:] = (1e308, -1e308)
-                values[2, 0] = 5e-324
-            sign = np.ascontiguousarray(
-                np.where(rng.random(n_obs) < 0.5, 1.0, -1.0)
-            )
-            n_rows = 5
-            group_row = np.ascontiguousarray(
-                rng.integers(0, n_parents, size=n_rows)
-            )
-            group_value = np.ascontiguousarray(
-                values[group_row, rng.integers(0, n_obs, size=n_rows)]
-            )
-            for beta in (0.25, 1.0, 16.0):
-                diff = group_value[:, None] - values[group_row]
-                z = (sign * diff) * beta
-                want = _reference_row_scores(z, quantum)
-                got = np.empty(n_rows)
-                kernels.eval_chunk(
-                    group_value, group_row, values, sign, beta, quantum, got
-                )
-                if not np.array_equal(got, want, equal_nan=True):
-                    return f"eval_chunk mismatch at n_obs={n_obs}, beta={beta}"
-
-    # -- the in-kernel Philox vs PhiloxStream.block; score_batch vs
-    # SplitScorer._run_chain over the NumPy kernel; the observation and
-    # variable sweeps vs the NumPy sweep loops ------------------------------
-    for certify in (
-        _certify_philox, _certify_batch, _certify_obs_sweep, _certify_var_sweep
-    ):
-        mismatch = certify(kernels)
-        if mismatch is not None:
-            return mismatch
-
-    # -- grouped stats vs the np.bincount formulas -------------------------
-    for rows, cols in (
-        (1, 6), (5, 1), (200, 1), (7, 30), (64, 13), (0, 4), (3000, 3),
-    ):
-        vals = np.ascontiguousarray(rng.normal(scale=1e3, size=(rows, cols)))
-        labels = np.ascontiguousarray(rng.integers(0, 3, size=cols))
-        got = kernels.grouped(vals, labels, 3)
-        want_count = rows * np.bincount(labels, minlength=3).astype(np.float64)
-        want_total = np.bincount(labels, weights=vals.sum(axis=0), minlength=3)
-        want_sumsq = np.bincount(
-            labels, weights=(vals * vals).sum(axis=0), minlength=3
-        )
-        if got is None or not all(
-            np.array_equal(g, w)
-            for g, w in zip(got, (want_count, want_total, want_sumsq))
-        ):
-            return f"grouped_2d mismatch at shape ({rows}, {cols})"
-        flat = np.ascontiguousarray(rng.normal(size=max(rows, 1) * cols))
-        labels1 = np.ascontiguousarray(rng.integers(0, 4, size=flat.size))
-        got1 = kernels.grouped(flat, labels1, 4)
-        want1 = (
-            np.bincount(labels1, minlength=4).astype(np.float64),
-            np.bincount(labels1, weights=flat, minlength=4),
-            np.bincount(labels1, weights=flat * flat, minlength=4),
-        )
-        if got1 is None or not all(
-            np.array_equal(g, w) for g, w in zip(got1, want1)
-        ):
-            return "grouped_1d mismatch"
-
-    # -- log_marginal vs the NumPy expression ------------------------------
-    from scipy.special import gammaln
-
-    class _Prior:
-        mu0, lambda0, alpha0, beta0 = 0.0, 0.1, 0.1, 0.1
-        log_lambda0 = math.log(0.1)
-        log_beta0 = math.log(0.1)
-        lgamma_alpha0 = math.lgamma(0.1)
-
-    prior = _Prior()
-    for size in (1, 7, 8, 9, 511, 513):
-        n = np.ascontiguousarray(
-            rng.integers(0, 40, size=size).astype(np.float64)
-        )
-        s = np.ascontiguousarray(rng.normal(scale=10.0, size=size))
-        q = np.ascontiguousarray(np.abs(rng.normal(scale=100.0, size=size)))
-        n_safe = np.where(n > 0, n, 1.0)
-        xbar = s / n_safe
-        ss = np.maximum(q - n_safe * xbar * xbar, 0.0)
-        lam_n = prior.lambda0 + n
-        alpha_n = prior.alpha0 + n / 2.0
-        d = xbar - prior.mu0
-        beta_n = prior.beta0 + ss / 2.0 + prior.lambda0 * n * d * d / (2.0 * lam_n)
-        want = (
-            gammaln(alpha_n)
-            - prior.lgamma_alpha0
-            + prior.alpha0 * prior.log_beta0
-            - alpha_n * np.log(beta_n)
-            + 0.5 * (prior.log_lambda0 - np.log(lam_n))
-            - (n / 2.0) * math.log(2.0 * math.pi)
-        )
-        want = np.where(n > 0, want, 0.0)
-        got = kernels.log_marginal(
-            n, s, q, np.ascontiguousarray(gammaln(alpha_n)), prior
-        )
-        if not np.array_equal(got, want, equal_nan=True):
-            return f"log_marginal mismatch at size {size}"
-    return None
-
-
-#: (key, offset, count): both key halves' bits, every word of a block as the
-#: first draw, counters past 2**32 and 2**61, empty and multi-block runs
-_PHILOX_CASES = (
-    (0, 0, 9), (1, 1, 4), (0x9E3779B97F4A7C15, 2, 1), ((1 << 64) - 1, 3, 257),
-    (0x5EED, (1 << 34) + 5, 6), (1 << 63, (1 << 63) + 2, 3), (7, 11, 0),
-)
-
-
-def _certify_philox(kernels: NativeKernels) -> str | None:
-    """The generator the keyed entries draw with against its definition,
-    ``PhiloxStream.block`` (draw ``i`` = word ``i % 4`` at counter ``i // 4 +
-    1``), and against NumPy's own ``advance`` followed by sequential reads
-    that start inside a buffered block."""
-    from numpy.random import Generator, Philox
-
-    for key, offset, count in _PHILOX_CASES:
-        got = kernels.philox_uniforms(key, offset, count)
-        numpy_own = Generator(Philox(key=key).advance(offset // 4))
-        numpy_own.random(offset % 4)
-        for want in (PhiloxStream(key).block(offset, count), numpy_own.random(count)):
-            if not np.array_equal(got, want):
-                return f"philox draws mismatch at key={key:#x}, offset={offset}, count={count}"
-    return None
-
-
-def _certify_batch(kernels: NativeKernels) -> str | None:
-    """The batch chain entry against the NumPy chain it replaces, node by
-    node: scores, steps, beta indices, memo counters and a lent memo's end
-    state, on tie-heavy rows, non-finite scores, SIMD-tail widths, one-step
-    and one-reject chains.  Each probe scores two nodes over one universe
-    (all of it reversed, from a mid-parent candidate on; up to nine
-    alternate observations) under independent left/right signs, so a margin
-    row read under the wrong node's sign shows: with lent memos and array
-    draws, then with scratch memos and draws computed from the span's
-    address, sharing margin rows and not (the fused evaluator)."""
-    from repro.scoring.kernel import (
-        ChainNode, LazySplitKernel, isolated_kernel_totals, run_chains,
-    )
-    from repro.scoring.split_score import SplitScorer
-
-    rng = np.random.default_rng(0xC4A1)
-    grid, n_parents = np.array((0.25, 1.0, 4.0, 16.0)), 3
-    for n_u, max_steps, stop_repeats, first in (
-        (1, 1, 1, 0), (7, 4, 1, 0), (8, 6, 2, 3), (9, 1, 3, 0), (129, 5, 2, 5),
-    ):
-        uvalues = np.round(rng.normal(size=(n_parents, n_u)) * 2.0) / 2.0
-        if n_u in (8, 9):
-            uvalues[0, :2] = (0.0, -0.0)
-            uvalues[1, -2:] = (1e308, -1e308)  # -inf scores
-            uvalues[2, 0] = np.inf  # inf - inf margins: NaN scores
-        scorer = SplitScorer(grid, max_steps=max_steps, stop_repeats=stop_repeats)
-        chunk = {"max_chunk_elements": 2 * n_u}  # two rows of the wide node
-        probes = []  # per node: obs, sign, items, span, oracle kernel, its results
-        with isolated_kernel_totals():
-            for q, obs in enumerate((np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])):
-                sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
-                items = np.arange(0 if q else first, n_parents * obs.size)
-                span = IndexedStream(
-                    make_stream(0x5EED, "chain", n_u, q), scorer.draws_per_item
-                ).items_span(int(items[0]), items.size)
-                oracle = LazySplitKernel(
-                    uvalues[:, obs], sign, grid, backend="numpy", **chunk
-                )
-                want = scorer.score_batch_kernel(oracle, span, item_indices=items)[:3]
-                probes.append((obs, sign, items, span, oracle, want))
-            # an explicit table budget: the default would probe the machine
-            for lend, share in ((True, True), (False, True), (False, False)):
-                nodes = [
-                    ChainNode(obs, sign, span.array() if lend else span, items, *(
-                        (oracle.item_groups[items], np.zeros_like(oracle._cache),
-                         np.zeros_like(oracle._seen)) if lend else ()
-                    ))
-                    for obs, sign, items, span, oracle, _want in probes
-                ]
-                *flat, bounds, counters = run_chains(
-                    kernels, uvalues, grid, nodes, max_steps, stop_repeats,
-                    table_elements=grid.size * n_u * n_u * share, **chunk,
-                )
-                for node, lo, hi, counted, (*_probe, oracle, want) in zip(
-                    nodes, bounds, bounds[1:], counters, probes
-                ):
-                    memo = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
-                    runs = [(*want, memo), (*(part[lo:hi] for part in flat), counted)]
-                    if lend:
-                        runs[0] += (oracle._seen, oracle._cache[oracle._seen])
-                        runs[1] += (node.seen, node.cache[node.seen])
-                    if not _runs_agree(runs):
-                        return (
-                            f"score_batch mismatch at n_obs={node.obs.size} of {n_u}, "
-                            f"max_steps={max_steps}, {'lent' if lend else 'scratch'} memo, "
-                            f"margin rows {'shared' if share else 'fused'}"
-                        )
-    return None
-
-
-class _PreDrawn(GibbsRandom):
-    """A replicated stream that hands the sweep entries arrays, not spans."""
-
-    def span(self, count: int) -> np.ndarray:
-        return self.uniforms(count)
-
-
-#: what every sweep probe runs: the NumPy loops (the oracle), then the entry
-#: reading pre-drawn uniforms, then the entry computing its Philox draws
-_SWEEP_RUNS = ((False, GibbsRandom), (True, _PreDrawn), (True, GibbsRandom))
 
 
 def _runs_agree(runs: list) -> bool:
@@ -878,18 +785,157 @@ def _runs_agree(runs: list) -> bool:
     )
 
 
-def _certify_obs_sweep(kernels: NativeKernels) -> str | None:
-    """The two sweep entries against the NumPy sweep loops they replace
-    (which, on the certifying thread, score through NumPy): labels, the
-    three statistics, ``lm``, the cluster count, the draws consumed and the
-    cluster count of every iteration, in both draw modes.  Probes cover the
-    pairwise rule's three regimes in the block's rows, one cluster and all
-    singletons (where a fresh move holds ``m + 1`` clusters before the drop),
-    tie-heavy data and the non-finite score branches (an ``inf`` and a
-    ``1e200`` in the block)."""
-    from repro.ganesh.coclustering import (
-        SweepHooks, merge_obs_sweep, reassign_obs_sweep,
-    )
+def _eval_cases():
+    rng = np.random.default_rng(0x5EED)
+    for n_obs in (1, 2, 3, 7, 8, 9, 16, 17, 129, 150):
+        for scale in (1.0, 40.0):
+            values = rng.normal(scale=scale, size=(3, n_obs))
+            if n_obs >= 8:  # duplicate-heavy + special values
+                values[0, :4] = (0.0, -0.0, values[0, 4], values[0, 4])
+                values[1, -2:] = (1e308, -1e308)
+                values[2, 0] = 5e-324
+            sign = np.where(rng.random(n_obs) < 0.5, 1.0, -1.0)
+            group_row = rng.integers(0, 3, size=5)
+            group_value = values[group_row, rng.integers(0, n_obs, size=5)]
+            for beta in (0.25, 1.0, 16.0):
+                case = group_value, group_row, values, sign, beta, 1e-9
+                yield f"n_obs={n_obs}, beta={beta}", case
+
+
+def _eval_oracle(case):
+    group_value, group_row, values, sign, beta, quantum = case
+    z = (sign * (group_value[:, None] - values[group_row])) * beta
+    t = np.log1p(np.exp(-np.abs(z)))
+    return [(np.round(np.where(z > 0, -t, z - t).sum(axis=1) / quantum) * quantum,)]
+
+
+def _eval_native(kernels, case):
+    out = np.empty(case[0].size)
+    kernels.eval_chunk(*case, out)
+    return [(out,)]
+
+
+#: (key, offset, count): both key halves' bits, every word of a block as the
+#: first draw, counters past 2**32 and 2**61, empty and multi-block runs
+_PHILOX_CASES = (
+    (0, 0, 9), (1, 1, 4), (0x9E3779B97F4A7C15, 2, 1), ((1 << 64) - 1, 3, 257),
+    (0x5EED, (1 << 34) + 5, 6), (1 << 63, (1 << 63) + 2, 3), (7, 11, 0),
+)
+
+
+def _philox_oracle(case):
+    """The generator's definition, ``PhiloxStream.block`` (draw ``i`` =
+    word ``i % 4`` at counter ``i // 4 + 1``), and NumPy's own ``advance``
+    followed by sequential reads that start inside a buffered block."""
+    from numpy.random import Generator, Philox
+
+    key, offset, count = case
+    numpy_own = Generator(Philox(key=key).advance(offset // 4))
+    numpy_own.random(offset % 4)
+    return [(PhiloxStream(key).block(offset, count),), (numpy_own.random(count),)]
+
+
+def _batch_cases():
+    """Two nodes over one universe per probe (all of it reversed, from a
+    mid-parent candidate on; up to nine alternate observations) under
+    independent left/right signs, so a margin row read under the wrong
+    node's sign shows, on tie-heavy rows, non-finite scores, SIMD-tail
+    widths, one-step and one-reject chains.  Each node's oracle —
+    ``SplitScorer._run_chain`` over a NumPy kernel — runs once per probe,
+    for three cases: lent memos and array draws, then scratch memos and
+    draws computed from the span's address, sharing margin rows and not
+    (the fused evaluator)."""
+    from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
+    from repro.scoring.split_score import SplitScorer
+
+    rng = np.random.default_rng(0xC4A1)
+    grid, n_parents = np.array((0.25, 1.0, 4.0, 16.0)), 3
+    with isolated_kernel_totals():
+        for n_u, max_steps, stop_repeats, first in (
+            (1, 1, 1, 0), (7, 4, 1, 0), (8, 6, 2, 3), (9, 1, 3, 0), (129, 5, 2, 5),
+        ):
+            uvalues = np.round(rng.normal(size=(n_parents, n_u)) * 2.0) / 2.0
+            if n_u in (8, 9):
+                uvalues[0, :2] = (0.0, -0.0)
+                uvalues[1, -2:] = (1e308, -1e308)  # -inf scores
+                uvalues[2, 0] = np.inf  # inf - inf margins: NaN scores
+            scorer = SplitScorer(grid, max_steps=max_steps, stop_repeats=stop_repeats)
+            chunk = 2 * n_u  # two rows of the wide node
+            probes = []  # per node: obs, sign, items, span, oracle kernel, its results
+            for q, obs in enumerate((np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])):
+                sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
+                items = np.arange(0 if q else first, n_parents * obs.size)
+                span = IndexedStream(
+                    make_stream(0x5EED, "chain", n_u, q), scorer.draws_per_item
+                ).items_span(int(items[0]), items.size)
+                oracle = LazySplitKernel(
+                    uvalues[:, obs], sign, grid, backend="numpy", max_chunk_elements=chunk
+                )
+                want = scorer.score_batch_kernel(oracle, span, item_indices=items)[:3]
+                probes.append((obs, sign, items, span, oracle, want))
+            for lend, share in ((True, True), (False, True), (False, False)):
+                memo = f"{'lent' if lend else 'scratch'} memo"
+                rows = f"margin rows {'shared' if share else 'fused'}"
+                label = f"n_u={n_u}, max_steps={max_steps}, {memo}, {rows}"
+                yield label, (uvalues, scorer, chunk, probes, lend, share)
+
+
+def _batch_runs(case, kernels=None):
+    """Per node: scores, steps, beta indices, the memo counters and, with a
+    lent memo, its end state — of the NumPy chain, or of one batch call."""
+    from repro.scoring.kernel import ChainNode, run_chains
+
+    uvalues, scorer, chunk, probes, lend, share = case
+    if kernels is None:
+        ends = [
+            (*want, (o.hits, o.evaluations, o.peak_chunk_elements), o._seen, o._cache)
+            for *_, o, want in probes
+        ]
+    else:
+        nodes = [
+            ChainNode(obs, sign, span.array() if lend else span, items, *(
+                (o.item_groups[items], np.zeros_like(o._cache), np.zeros_like(o._seen))
+                if lend else ()
+            ))
+            for obs, sign, items, span, o, _want in probes
+        ]
+        # an explicit table budget: the default would probe the machine
+        *flat, bounds, counters = run_chains(
+            kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
+            scorer.stop_repeats, max_chunk_elements=chunk,
+            table_elements=scorer.beta_grid.size * uvalues.shape[1] ** 2 * share,
+        )
+        ends = [
+            (*(part[lo:hi] for part in flat), counted, node.seen, node.cache)
+            for node, lo, hi, counted in zip(nodes, bounds, bounds[1:], counters)
+        ]
+    run = []
+    for *out, seen, cache in ends:
+        run += [*out, seen, cache[seen]] if lend else out
+    return [run]
+
+
+class _PreDrawn(GibbsRandom):
+    """A replicated stream that hands the sweep entries arrays, not spans."""
+
+    def span(self, count: int) -> np.ndarray:
+        return self.uniforms(count)
+
+
+def _flavoured(data: np.ndarray, flavour: str) -> np.ndarray:
+    data = np.ascontiguousarray(data)
+    if flavour == "ties":
+        return np.round(data * 2.0) / 2.0
+    if flavour != "plain":
+        data[0, 0] = float(flavour)
+    return data
+
+
+def _obs_cases():
+    """The pairwise rule's three regimes in the block's rows, one cluster
+    and all singletons (where a fresh move holds ``m + 1`` clusters before
+    the drop), tie-heavy data and the non-finite score branches (an ``inf``
+    and a ``1e200`` in the block), recorder on and off."""
     from repro.ganesh.state import ObsClustering
 
     data = np.random.default_rng(0x0B5).normal(size=(129, 17))
@@ -898,52 +944,46 @@ def _certify_obs_sweep(kernels: NativeKernels) -> str | None:
         (9, 17, 17, "ties"), (129, 9, 9, "plain"), (8, 9, 3, "inf"),
         (7, 9, 3, "1e200"),
     )):
-        block = np.ascontiguousarray(data[:rows, :m])
-        if flavour == "ties":
-            block = np.round(block * 2.0) / 2.0
-        elif flavour != "plain":
-            block[0, 0] = float(flavour)
+        block = _flavoured(data[:rows, :m], flavour)
         start = ObsClustering.from_block(block, np.arange(m) % k)
-        traced = probe % 2 == 1
-        runs = []
-        for native, stream_type in _SWEEP_RUNS:
-            oc = start.copy()
-            rng = stream_type(make_stream(0x5EED, "obs-sweep", probe))
-            if not native:
-                sizes: list[int] = []  # of the recorded cost vectors
-                hooks = SweepHooks(
-                    (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
-                )
-                reassign_obs_sweep(oc, block, rng, hooks)
-                ks = [n - 1 for n in sizes]  # candidates = clusters + fresh
-                del sizes[:]
-                merge_obs_sweep(oc, rng, hooks)
-                ks += sizes
-            else:
-                ks = oc.native_sweep(kernels, rng, block, trace=traced)
-                ks += oc.native_sweep(kernels, rng, trace=traced)
-            runs.append((
-                oc.labels, oc.stats.count, oc.stats.total, oc.stats.sumsq, oc.lm,
-                np.array([oc.n_clusters, rng.offset, *ks]),
-            ))
-        if not _runs_agree(runs):
-            return f"obs sweep mismatch at rows={rows}, m={m}, k={k}, {flavour}"
-    return None
+        yield f"rows={rows}, m={m}, k={k}, {flavour}", (probe, block, start, probe % 2 == 1)
 
 
-def _certify_var_sweep(kernels: NativeKernels) -> str | None:
-    """The two variable-sweep entries against the NumPy sweep loops (a
-    reassign then a merge sweep per probe): variable labels, every cluster's
-    members in order, observation labels, statistics and ``lm``, the draws
-    consumed and the recorded cluster counts, in both draw modes.  A handful
-    of tiny probes — the breadth is in ``tests/test_ganesh_sweeps.py`` —
-    covering one cluster, all singletons (a fresh move then holds ``n + 1``
-    clusters), moves that open a cluster and that drop their source,
-    tie-heavy data, nine observation clusters (the pairwise rule's unrolled
-    regime in ``reduceat``) and a non-finite score."""
-    from repro.ganesh.coclustering import (
-        SweepHooks, merge_var_sweep, reassign_var_sweep,
-    )
+def _obs_runs(case, kernels=None):
+    """A reassign then a merge sweep, by the NumPy loops (which, on the
+    certifying thread, score through NumPy) or by the entries: labels, the
+    three statistics, ``lm``, the cluster count, the draws consumed and the
+    cluster count of every iteration."""
+    from repro.ganesh.coclustering import SweepHooks, merge_obs_sweep, reassign_obs_sweep
+
+    probe, block, start, traced = case
+    runs = []
+    for stream_type in (GibbsRandom,) if kernels is None else (_PreDrawn, GibbsRandom):
+        oc, rng = start.copy(), stream_type(make_stream(0x5EED, "obs-sweep", probe))
+        if kernels is None:
+            sizes: list[int] = []  # of the recorded cost vectors
+            record = (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
+            reassign_obs_sweep(oc, block, rng, SweepHooks(record))
+            ks = [n - 1 for n in sizes]  # candidates = clusters + fresh
+            del sizes[:]
+            merge_obs_sweep(oc, rng, SweepHooks(record))
+            ks += sizes
+        else:
+            ks = oc.native_sweep(kernels, rng, block, trace=traced)
+            ks += oc.native_sweep(kernels, rng, trace=traced)
+        stats = oc.stats
+        counts = np.array([oc.n_clusters, rng.offset, *ks])
+        runs.append((oc.labels, stats.count, stats.total, stats.sumsq, oc.lm, counts))
+    return runs
+
+
+def _var_cases():
+    """A handful of tiny probes — the breadth is in
+    ``tests/test_ganesh_sweeps.py`` — covering one cluster, all singletons
+    (a fresh move then holds ``n + 1`` clusters), moves that open a cluster
+    and that drop their source, tie-heavy data, nine observation clusters
+    (the pairwise rule's unrolled regime in ``reduceat``) and a non-finite
+    score, recorder on and off."""
     from repro.ganesh.state import CoClusterState
 
     source = np.random.default_rng(0x7A5).normal(size=(5, 9))
@@ -951,46 +991,133 @@ def _certify_var_sweep(kernels: NativeKernels) -> str | None:
         (3, 3, 1, 1, "plain"), (5, 5, 5, 2, "ties"), (4, 9, 2, 9, "plain"),
         (3, 9, 2, 3, "inf"),
     )):
-        data = np.ascontiguousarray(source[:n, :m])
-        if flavour == "ties":
-            data = np.round(data * 2.0) / 2.0
-        elif flavour != "plain":
-            data[0, 0] = float(flavour)
         start = CoClusterState(
-            data, np.arange(n) % k, [(np.arange(m) + c) % k_obs for c in range(k)]
+            _flavoured(source[:n, :m], flavour), np.arange(n) % k,
+            [(np.arange(m) + c) % k_obs for c in range(k)],
         )
-        traced = probe % 2 == 0
-        runs = []
-        for native, stream_type in _SWEEP_RUNS:
-            state = start.copy()
-            rng = stream_type(make_stream(0x5EED, "var-sweep", probe))
-            ks: list[float] = []  # every recorded cost vector, -1 terminated
-            if not native:
-                hooks = SweepHooks(
-                    (lambda _ph, costs, _nc: ks.extend([*(costs - m), -1]))
-                    if traced else None
-                )
-                reassign_var_sweep(state, rng, hooks)
-                merge_var_sweep(state, rng, hooks)
-            else:
-                for step in state.native_var_sweep(kernels, rng, trace=traced):
-                    ks += [*step, 0, -1]  # the fresh candidate costs m
-                for step in state.native_var_sweep(kernels, rng, merge=True, trace=traced):
-                    ks += [*step, -1]
-            runs.append([
-                state.var_labels, np.array([rng.offset, state.n_clusters, *ks]),
-                *(
-                    part
-                    for cluster in state.clusters
-                    for part in (
-                        cluster.members, cluster.obs.labels, cluster.obs.stats.count,
-                        cluster.obs.stats.total, cluster.obs.stats.sumsq, cluster.obs.lm,
-                    )
-                ),
-            ])
-        if not _runs_agree(runs):
-            return f"var sweep mismatch at n={n}, m={m}, k={k}, {flavour}"
-    return None
+        yield f"n={n}, m={m}, k={k}, {flavour}", (probe, start, probe % 2 == 0)
+
+
+def _var_runs(case, kernels=None):
+    """A reassign then a merge variable sweep, by the NumPy loops or by the
+    entries: variable labels, the draws consumed, the recorded cluster
+    counts and every cluster's members in order, observation labels,
+    statistics and ``lm``."""
+    from repro.ganesh.coclustering import SweepHooks, merge_var_sweep, reassign_var_sweep
+
+    probe, start, traced = case
+    runs = []
+    for stream_type in (GibbsRandom,) if kernels is None else (_PreDrawn, GibbsRandom):
+        state, rng = start.copy(), stream_type(make_stream(0x5EED, "var-sweep", probe))
+        m = state.data.shape[1]
+        ks: list[float] = []  # every recorded cost vector, -1 terminated
+        if kernels is None:
+            record = (lambda _ph, costs, _nc: ks.extend([*(costs - m), -1])) if traced else None
+            reassign_var_sweep(state, rng, SweepHooks(record))
+            merge_var_sweep(state, rng, SweepHooks(record))
+        else:
+            for step in state.native_var_sweep(kernels, rng, trace=traced):
+                ks += [*step, 0, -1]  # the fresh candidate costs m
+            for step in state.native_var_sweep(kernels, rng, merge=True, trace=traced):
+                ks += [*step, -1]
+        runs.append([state.var_labels, np.array([rng.offset, state.n_clusters, *ks])])
+        for cluster in state.clusters:
+            obs = cluster.obs
+            stats = obs.stats
+            runs[-1] += [cluster.members, obs.labels, stats.count, stats.total, stats.sumsq, obs.lm]
+    return runs
+
+
+def _grouped_cases(ndim: int):
+    rng = np.random.default_rng(0x5EED)
+    for rows, cols in ((1, 6), (5, 1), (200, 1), (7, 30), (64, 13), (0, 4), (3000, 3)):
+        if ndim == 2:
+            vals, n_groups = rng.normal(scale=1e3, size=(rows, cols)), 3
+        else:
+            vals, n_groups = rng.normal(size=max(rows, 1) * cols), 4
+        labels = rng.integers(0, n_groups, size=vals.shape[-1])
+        yield f"shape {vals.shape}", (vals, labels, n_groups)
+
+
+def _grouped_oracle(case):
+    """The ``np.bincount`` formulas, a 1-D vector as one row."""
+    vals, labels, n_groups = case
+    block = np.atleast_2d(vals)
+    return [(
+        block.shape[0] * np.bincount(labels, minlength=n_groups).astype(np.float64),
+        np.bincount(labels, weights=block.sum(axis=0), minlength=n_groups),
+        np.bincount(labels, weights=(block * block).sum(axis=0), minlength=n_groups),
+    )]
+
+
+def _log_marginal_cases():
+    from scipy.special import gammaln
+
+    from repro.scoring.normal_gamma import NormalGammaPrior
+
+    rng, prior = np.random.default_rng(0x5EED), NormalGammaPrior(0.0, 0.1, 0.1, 0.1)
+    for size in (1, 7, 8, 9, 511, 513):
+        n = rng.integers(0, 40, size=size).astype(np.float64)
+        s = rng.normal(scale=10.0, size=size)
+        q = np.abs(rng.normal(scale=100.0, size=size))
+        yield f"size {size}", (n, s, q, gammaln(prior.alpha0 + n / 2.0), prior)
+
+
+def _log_marginal_oracle(case):
+    """The NumPy expression, ``gammaln(alpha_N)`` from SciPy both ways."""
+    n, s, q, lgam_alpha_n, prior = case
+    n_safe = np.where(n > 0, n, 1.0)
+    xbar = s / n_safe
+    ss = np.maximum(q - n_safe * xbar * xbar, 0.0)
+    lam_n = prior.lambda0 + n
+    alpha_n = prior.alpha0 + n / 2.0
+    d = xbar - prior.mu0
+    beta_n = prior.beta0 + ss / 2.0 + prior.lambda0 * n * d * d / (2.0 * lam_n)
+    want = (
+        lgam_alpha_n
+        - prior.lgamma_alpha0
+        + prior.alpha0 * prior.log_beta0
+        - alpha_n * np.log(beta_n)
+        + 0.5 * (prior.log_lambda0 - np.log(lam_n))
+        - (n / 2.0) * math.log(2.0 * math.pi)
+    )
+    return [(np.where(n > 0, want, 0.0),)]
+
+
+#: the certification table, run in order by :func:`_certify`: every probe
+#: case and seed is fixed, so a load certifies the same cases every time
+_CERTIFICATION = (
+    Cert("eval_chunk", ("repro_eval_chunk",), _eval_cases, _eval_oracle, _eval_native),
+    Cert(
+        "philox draws", ("repro_philox_uniforms",),
+        lambda: ((f"key={c[0]:#x}, offset={c[1]}, count={c[2]}", c) for c in _PHILOX_CASES),
+        _philox_oracle, lambda kernels, case: [(kernels.philox_uniforms(*case),)],
+    ),
+    Cert(
+        "score_batch", ("repro_score_batch",), _batch_cases, _batch_runs,
+        lambda kernels, case: _batch_runs(case, kernels),
+    ),
+    Cert(
+        "obs sweep", ("repro_obs_reassign_sweep", "repro_obs_merge_sweep"),
+        _obs_cases, _obs_runs, lambda kernels, case: _obs_runs(case, kernels),
+    ),
+    Cert(
+        "var sweep", ("repro_var_reassign_sweep", "repro_var_merge_sweep"),
+        _var_cases, _var_runs, lambda kernels, case: _var_runs(case, kernels),
+    ),
+    *(
+        Cert(
+            f"grouped_{ndim}d", (f"repro_grouped_{ndim}d",),
+            functools.partial(_grouped_cases, ndim), _grouped_oracle,
+            lambda kernels, case: [kernels.grouped(*case) or ()],
+        )
+        for ndim in (2, 1)
+    ),
+    Cert(
+        "log_marginal", ("repro_log_marginal",), _log_marginal_cases,
+        _log_marginal_oracle, lambda kernels, case: [(kernels.log_marginal(*case),)],
+    ),
+)
 
 
 def _load_uncached() -> tuple[str, str, str | None, NativeKernels | None]:

@@ -955,13 +955,17 @@ class TestSweepCertification:
         want = network_fingerprint(
             LemonTreeLearner(config).learn(tiny_matrix, seed=4).network
         )
-        monkeypatch.setattr(_native, "_certify_obs_sweep", lambda kernels: "forced")
+        forced = tuple(  # the observation-sweep row's entry runs return nothing
+            row._replace(native=lambda kernels, case: [()]) if row.name == "obs sweep" else row
+            for row in _native._CERTIFICATION
+        )
+        monkeypatch.setattr(_native, "_CERTIFICATION", forced)
         monkeypatch.setattr(kernel_mod, "_WARNED_NATIVE_FALLBACK", False)
         _native.invalidate()
         try:
             info = _native.availability()
             assert info["status"] == "certification-failed"
-            assert "forced" in info["detail"]
+            assert "obs sweep mismatch" in info["detail"]
             with pytest.warns(RuntimeWarning, match="certification-failed"):
                 got = LemonTreeLearner(config).learn(tiny_matrix, seed=4).network
             assert network_fingerprint(got) == want

@@ -1,0 +1,298 @@
+"""The native boundary's three tables (``repro._native``).
+
+* **completeness** — every entry ``_build.CDEF`` declares has exactly one
+  argument spec row and at least one certification row, and no row names
+  an entry it does not declare;
+* **the spec table** — every array argument of every row, passed with the
+  wrong dtype, the wrong number of dimensions, not C-contiguous, shorter
+  than its row allows, read-only where C writes it or holding a negative
+  index where C indexes by its values, is refused with a ``ValueError``
+  that names it, before any C entry is reached;
+* **the certification table** — every row fails certification by name when
+  its entry's output is moved one ulp.
+"""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+from repro import _native
+from repro.ganesh.state import CoClusterState, ObsClustering
+from repro.rng.streams import GibbsRandom, make_stream
+from repro.scoring.kernel import ChainNode
+from repro.scoring.normal_gamma import DEFAULT_PRIOR
+
+needs_native = pytest.mark.skipif(
+    _native.load() is None,
+    reason=f"native backend unavailable ({_native.availability()['status']})",
+)
+
+
+def test_every_entry_has_one_spec_row_and_a_certification_row():
+    pytest.importorskip("cffi")
+    from repro._native import _build
+
+    declared = set(re.findall(r"\b(repro_\w+)\(", _build.CDEF))
+    declared -= {"repro_native_init", "repro_native_provider"}
+    certified = [entry for row in _native._CERTIFICATION for entry in row.entries]
+    assert set(_native._SPEC) == declared  # dict keys: one row each
+    assert set(certified) == declared
+    assert set(_native._RC) <= declared
+
+
+_STATS = ("count", "total", "sumsq")
+_NODE_FIELDS = ("obs", "sign", "items", "groups", "cache", "seen", "uniforms")
+
+
+def _valid_call(entry):
+    """A call of the ``NativeKernels`` method behind ``entry`` that passes
+    the spec table: ``(method name, keyword arguments)``."""
+    rng = np.random.default_rng(7)
+    if entry == "repro_eval_chunk":
+        values = rng.normal(size=(3, 4))
+        return "eval_chunk", dict(
+            group_value=rng.normal(size=5), group_row=rng.integers(0, 3, size=5),
+            values=values, sign=np.ones(4), beta=1.0, quantum=1e-9, out=np.empty(5),
+        )
+    if entry == "repro_score_batch":
+        n_parents, n_u, per_item = 2, 6, 5
+        n_items = n_parents * n_u
+        node = ChainNode(
+            np.arange(n_u), np.where(np.arange(n_u) % 2, 1.0, -1.0),
+            rng.random((n_items, per_item)), np.arange(n_items),
+            np.zeros(n_items, dtype=np.int64), np.zeros(4), np.zeros(4, dtype=bool),
+        )
+        return "score_batch", dict(
+            uvalues=rng.normal(size=(n_parents, n_u)),
+            urow=np.tile(np.arange(n_u), (n_parents, 1)), beta_grid=np.arange(1.0, 5.0),
+            nodes=[node], max_steps=2, stop_repeats=1, quantum=1e-9, chunk_elements=64,
+            share=True,
+        )
+    if entry in ("repro_grouped_1d", "repro_grouped_2d"):
+        shape = (6,) if entry.endswith("1d") else (3, 6)
+        return "grouped", dict(
+            vals=rng.normal(size=shape), labels=rng.integers(0, 2, size=6), n_groups=2
+        )
+    if entry == "repro_log_marginal":
+        n = rng.integers(1, 9, size=5).astype(np.float64)
+        return "log_marginal", dict(
+            n=n, s=rng.normal(size=5), q=np.abs(rng.normal(size=5)) + 9.0,
+            lgam_alpha_n=np.zeros(5), prior=DEFAULT_PRIOR,
+        )
+    if entry in ("repro_obs_reassign_sweep", "repro_obs_merge_sweep"):
+        m, k, rows = 6, 3, 4
+        block = rng.normal(size=(rows, m))
+        oc = ObsClustering.from_block(block, np.arange(m) % k)
+        merge = entry == "repro_obs_merge_sweep"
+        return "obs_sweep", dict(
+            block=None if merge else block, rows=rows, labels=oc.labels,
+            stats=oc.stats.reserve(m + 1), lm=np.zeros(m + 1), k=k,
+            uniforms=GibbsRandom(make_stream(1, "u")).uniforms(k if merge else 2 * m),
+            lgam=np.zeros(m + 1), prior=oc.prior, quantum=1e-9,
+        )
+    merge = entry == "repro_var_merge_sweep"
+    state = CoClusterState(
+        rng.normal(size=(5, 4)), np.arange(5) % 2, [np.arange(4) % 2, np.arange(4) % 3]
+    )
+    pack = state.var_sweep_pack(merge)
+    pack["uniforms"] = GibbsRandom(make_stream(1, "u")).uniforms(2 if merge else 10)
+    return "var_sweep", pack
+
+
+def _get(kwargs, key):
+    if key in _STATS:
+        return kwargs["stats"][_STATS.index(key)]
+    if key in _NODE_FIELDS and "nodes" in kwargs:
+        return getattr(kwargs["nodes"][0], key)
+    return kwargs[key]
+
+
+def _set(kwargs, key, value):
+    kwargs = dict(kwargs)
+    if key in _STATS:
+        stats = list(kwargs["stats"])
+        stats[_STATS.index(key)] = value
+        kwargs["stats"] = tuple(stats)
+    elif key in _NODE_FIELDS and "nodes" in kwargs:
+        kwargs["nodes"] = [dataclasses.replace(kwargs["nodes"][0], **{key: value})]
+    else:
+        kwargs[key] = value
+    return kwargs
+
+
+def _read_only(arr):
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _variants(arg, valid, need):
+    """The refusable versions of a valid array: a ``copy`` argument is
+    converted, not refused, for its dtype, contiguity and writability."""
+    other = {"f": np.float32, "i": np.int32, "b": np.int8}[valid.dtype.kind]
+    if not arg.copy:
+        yield "dtype", valid.astype(other)
+        yield "strided", np.repeat(valid, 2, axis=-1)[..., ::2]
+    yield "ndim", valid[None]
+    if arg.size:
+        yield "short", valid[: need - 1]
+    if arg.writable and not arg.copy:
+        yield "read-only", _read_only(valid)
+    if arg.below:  # C indexes by the values
+        negative = valid.copy()
+        negative.flat[0] = -1
+        yield "negative", negative
+
+
+_ARGS = [
+    (entry, arg)
+    for entry, row in [*_native._SPEC.items(), ("repro_score_batch", _native._NODE)]
+    for arg in row
+    if isinstance(arg, _native.Arg)
+]
+
+
+class _Trap:
+    """A ``lib`` stand-in: reaching any C entry fails the test."""
+
+    def __getattr__(self, name):
+        def entered(*args):
+            raise AssertionError(f"C entry {name} reached")
+
+        return entered
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "entry, arg", _ARGS, ids=[f"{entry}-{arg.key}" for entry, arg in _ARGS]
+)
+def test_spec_refuses_every_bad_buffer_before_c(entry, arg, monkeypatch):
+    kernels = _native.load()
+    method, kwargs = _valid_call(entry)
+    envs = []  # the valid call's sizes, as its checks left them
+
+    def recording(check):
+        return lambda **names: envs.append(check(**names)) or envs[-1]
+
+    for name, check in _native._CHECKS.items():
+        monkeypatch.setitem(_native._CHECKS, name, recording(check))
+    monkeypatch.setattr(_native, "_NODE_CHECK", recording(_native._NODE_CHECK))
+    monkeypatch.setattr(_native.NativeKernels, "_call", lambda self, name, env, *args: 0)
+    getattr(kernels, method)(**kwargs)
+    monkeypatch.undo()
+    env = next(env for env in reversed(envs) if arg.key in env)
+    need = eval(arg.size, {"np": np}, env) if arg.size else 0
+    trapped = _native.NativeKernels(kernels._ffi, _Trap(), kernels.provider)
+    name = arg.name or arg.key.replace("_", " ")
+    valid = _get(kwargs, arg.key)
+    variants = list(_variants(arg, valid, need))
+    if entry == "repro_grouped_1d" and arg.key == "vals":
+        variants = [v for v in variants if v[0] != "ndim"]  # 2-D values are grouped_2d's
+    assert variants
+    for variant, bad in variants:
+        with pytest.raises(ValueError) as refusal:
+            getattr(trapped, method)(**_set(kwargs, arg.key, bad))
+        assert str(refusal.value).startswith(f"{name} must"), (variant, str(refusal.value))
+
+
+def _nudged(arr, index=0):
+    arr[index] = np.nextafter(arr[index], np.inf)
+
+
+def _doctors(kernels):
+    """Per certification row, the entry's wrapper with one output element
+    moved one ulp."""
+
+    def eval_chunk(*args):
+        kernels.eval_chunk(*args)
+        _nudged(args[-1])
+
+    def philox_uniforms(*args):
+        out = kernels.philox_uniforms(*args)
+        if out.size:
+            _nudged(out)
+        return out
+
+    def score_batch(*args):
+        out = kernels.score_batch(*args)
+        _nudged(out[0])
+        return out
+
+    def obs_sweep(*args):
+        out = kernels.obs_sweep(*args)
+        _nudged(args[4])  # lm
+        return out
+
+    def var_sweep(**pack):
+        origin, sizes, moves = kernels.var_sweep(**pack)
+        slot, k0 = int(origin[0]), len(pack["obs_labels"])
+        _nudged(pack["lm"], pack["offsets"][slot] if slot < k0 else pack["n_blocks"] + slot - k0)
+        return origin, sizes, moves
+
+    def grouped(ndim):
+        def doctored(vals, labels, n_groups):
+            out = kernels.grouped(vals, labels, n_groups)
+            if out is not None and np.ndim(vals) == ndim:
+                _nudged(out[1])
+            return out
+
+        return {"grouped": doctored}
+
+    def log_marginal(*args):
+        out = kernels.log_marginal(*args)
+        _nudged(out)
+        return out
+
+    return {
+        "eval_chunk": {"eval_chunk": eval_chunk},
+        "philox draws": {"philox_uniforms": philox_uniforms},
+        "score_batch": {"score_batch": score_batch},
+        "obs sweep": {"obs_sweep": obs_sweep},
+        "var sweep": {"var_sweep": var_sweep},
+        "grouped_2d": grouped(2),
+        "grouped_1d": grouped(1),
+        "log_marginal": {"log_marginal": log_marginal},
+    }
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "row", _native._CERTIFICATION, ids=[row.name for row in _native._CERTIFICATION]
+)
+def test_an_entry_one_ulp_off_fails_certification_by_name(row):
+    kernels = _native.load()
+
+    class Doctored:
+        def __getattr__(self, name):
+            return getattr(kernels, name)
+
+    doctored = Doctored()
+    vars(doctored).update(_doctors(kernels)[row.name])
+    assert _native._certify(kernels) is None
+    mismatch = _native._certify(doctored)
+    assert mismatch is not None and mismatch.startswith(f"{row.name} mismatch"), mismatch
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "method, overrides, refusal",
+    [
+        ("eval_chunk", dict(group_row=np.array([0, 1, 2, 3, 0])), "group row must name a row"),
+        ("log_marginal", dict(s=np.zeros(4)), "s must be"),
+        ("log_marginal", dict(q=np.zeros(4)), "q must be"),
+        ("log_marginal", dict(lgam_alpha_n=np.zeros(4)), "gammaln(alpha_N) must be"),
+        ("grouped", dict(labels=np.zeros(5, dtype=np.int64)), "labels must be"),
+    ],
+)
+def test_the_buffers_the_old_wrappers_passed_unchecked_are_refused(method, overrides, refusal):
+    """A row index outside the values, and lengths C trusted the first
+    array for: refused before C (``group_row`` 3 of 3 rows, 4 entries
+    where C reads 5)."""
+    kernels = _native.load()
+    entry = {"eval_chunk": "repro_eval_chunk", "log_marginal": "repro_log_marginal"}
+    kwargs = _valid_call(entry.get(method, "repro_grouped_1d"))[1]
+    trapped = _native.NativeKernels(kernels._ffi, _Trap(), kernels.provider)
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        getattr(trapped, method)(**{**kwargs, **overrides})
