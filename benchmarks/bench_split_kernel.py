@@ -179,9 +179,7 @@ def test_kernel_vs_materialized(capsys):
     def run_kernel():
         # Pinned to the NumPy oracle: this record tracks the lazy-margin
         # rewrite itself; the native backend has its own sweep below.
-        kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, grid, backend="numpy"
-        )
+        kernel = split_kernel_from_arrays(data, obs, left_obs, parents, grid)
         chain = scorer.score_batch_kernel(kernel, uniforms)
         best = scorer.score_grid_best_kernel(kernel)
         return kernel, chain, best
@@ -285,7 +283,8 @@ def test_native_vs_numpy_kernel(capsys):
 
     def run_backend(backend):
         kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, grid, backend=backend
+            data, obs, left_obs, parents, grid,
+            native=_native.load() if backend == "native" else None,
         )
         chain = scorer.score_batch_kernel(kernel, uniforms)
         best = scorer.score_grid_best_kernel(kernel)

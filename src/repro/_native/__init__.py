@@ -26,9 +26,9 @@ Acquisition order:
    sampling chain (results, counters and memo end state), the GaneSH
    observation and variable sweeps (end state, draws consumed, recorded
    costs; the chain and the sweeps both reading their draws and computing
-   them), grouped statistics and the normal-gamma tail.  A provider that
-   fails certification is rejected; if none survives, the backend reports
-   unavailable and the ``"auto"`` setting falls back to NumPy.
+   them).  A provider that fails certification is rejected; if none
+   survives, the backend reports unavailable and the ``"auto"`` setting
+   falls back to NumPy.
 
 One boundary stands between Python and C: every array an entry takes is
 checked against the entry's row of the spec table (:data:`_SPEC`) by one
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import ast
 import builtins
-import functools
 import hashlib
 import math
 import os
@@ -56,7 +55,6 @@ import shutil
 import sys
 import sysconfig
 import tempfile
-import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,14 +64,6 @@ from repro.rng.streams import SCORE_QUANTUM, GibbsRandom, IndexedStream, make_st
 
 #: loader result cache: (status, detail, provider, kernels-or-None)
 _RESULT: tuple[str, str, str | None, "NativeKernels | None"] | None = None
-
-#: set on a thread while it runs ``_certify``.  The sweep
-#: certification's oracle is the NumPy sweep loops themselves, whose scoring
-#: calls resolve the backend like any other caller: on the loading thread
-#: ``load()`` answers ``None`` and ``availability()`` ``"certifying"``, which
-#: the resolver reads as NumPy whatever backend is configured, instead of
-#: recursing into the load.  Other threads are unaffected.
-_CERTIFYING = threading.local()
 
 #: statuses that mean "tried and failed" rather than "expectedly absent" —
 #: the auto resolver warns once for these only
@@ -197,14 +187,6 @@ _SPEC = {
             refusal="universe ranks must lie in [0, {n_u}), one per value",
         ),
         Arg("beta_grid", F64, ("n_beta",), "2"),
-    ),
-    "repro_grouped_1d": (Arg("vals", F64, ("n",)), Arg("labels", I64, size="n")),
-    "repro_grouped_2d": (Arg("vals", F64, ("rows", "cols")), Arg("labels", I64, size="cols")),
-    "repro_log_marginal": (
-        Arg("n", F64, ("size",)),
-        Arg("s", F64, size="size"),
-        Arg("q", F64, size="size"),
-        Arg("lgam_alpha_n", F64, size="size", name="gammaln(alpha_N)"),
     ),
     "repro_obs_reassign_sweep": (
         *_obs_sweep("2 * m"),
@@ -351,7 +333,6 @@ _NODE_CHECK = _compile(_NODE)
 
 _SCRATCH = (MemoryError, "native sweep scratch allocation failed")
 _OUTSIDE = (ValueError, "uniforms must be draws from [0, 1)")
-_GROUPED = {-1: (MemoryError, "native grouped-stats allocation failed"), -2: None}
 _UNDESCRIBED = "statistics do not describe the labels: every "
 _OBS_RC = {
     -1: _SCRATCH,
@@ -375,15 +356,13 @@ _VAR_RC = {
     ),
 }
 #: the return-code table: per entry, what each nonzero code raises, its
-#: message formatted with the call's sizes (``None``: the caller reads it)
+#: message formatted with the call's sizes
 _RC = {
     "repro_eval_chunk": {-1: (MemoryError, "native evaluation chunk allocation failed")},
     "repro_score_batch": {
         -1: (MemoryError, "native chain scratch allocation failed"),
         -3: (ValueError, "start uniforms must be draws from [0, 1)"),
     },
-    "repro_grouped_1d": _GROUPED,
-    "repro_grouped_2d": _GROUPED,
     "repro_obs_reassign_sweep": _OBS_RC,
     "repro_obs_merge_sweep": _OBS_RC,
     "repro_var_reassign_sweep": _VAR_RC,
@@ -413,15 +392,13 @@ class NativeKernels:
             return self._ffi.from_buffer(_CTYPES[arg.dtype], arg)
         return self._ffi.NULL if arg is None else arg
 
-    def _call(self, entry: str, env: dict, *args) -> int:
+    def _call(self, entry: str, env: dict, *args) -> None:
         """Run ``entry`` on ``args`` and raise what its return code means
-        (:data:`_RC`, the message formatted with the call's names ``env``);
-        return the code."""
+        (:data:`_RC`, the message formatted with the call's names ``env``)."""
         rc = getattr(self._lib, entry)(*args)
-        if rc and _RC[entry][rc] is not None:
+        if rc:
             error, message = _RC[entry][rc]
             raise error(message.format(**env))
-        return rc
 
     def _draws(self, uniforms, need: int) -> tuple:
         """The ``(uniforms, key, offset)`` arguments of an entry that reads
@@ -534,32 +511,6 @@ class NativeKernels:
         )
         counters = [(c.hits, c.evaluations, c.peak) for c in c_nodes]
         return best_score, steps, best_idx, bounds, counters, tuple(table.tolist())
-
-    def grouped(
-        self, vals: np.ndarray, labels: np.ndarray, n_groups: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Fused per-group (count, total, sumsq), or ``None`` when a label
-        falls outside ``[0, n_groups)`` (the caller's NumPy path then keeps
-        ``np.bincount``'s implicit-widening semantics)."""
-        entry = "repro_grouped_1d" if vals.ndim == 1 else "repro_grouped_2d"
-        env = _CHECKS[entry](vals=vals, labels=labels)
-        stats = np.empty(n_groups), np.empty(n_groups), np.empty(n_groups)  # C zeroes them
-        b = self._buffer
-        rc = self._call(entry, env, b(vals), *vals.shape, b(labels), n_groups, *map(b, stats))
-        return None if rc else stats
-
-    def log_marginal(
-        self, n: np.ndarray, s: np.ndarray, q: np.ndarray, lgam_alpha_n: np.ndarray, prior
-    ) -> np.ndarray:
-        """The vectorized normal-gamma score with ``gammaln(alpha_N)``
-        precomputed by the caller (SciPy both ways, so identical)."""
-        env = _CHECKS["repro_log_marginal"](n=n, s=s, q=q, lgam_alpha_n=lgam_alpha_n)
-        out, b = np.empty(env["size"]), self._buffer
-        self._call(
-            "repro_log_marginal", env, b(n), b(s), b(q), b(lgam_alpha_n), env["size"],
-            *_prior_values(prior), b(out),
-        )
-        return out
 
     def obs_sweep(
         self, block: np.ndarray | None, rows: int, labels: np.ndarray,
@@ -763,17 +714,14 @@ class Cert(NamedTuple):
 def _certify(kernels: NativeKernels) -> str | None:
     """Bit-compare the native entry points against NumPy, row after row of
     :data:`_CERTIFICATION`; ``None``, or ``"<name> mismatch at <label>"``
-    for the first case whose runs disagree (:func:`_runs_agree`)."""
-    _CERTIFYING.active = True
-    try:
-        with np.errstate(all="ignore"):  # probe data overflows by design
-            for cert in _CERTIFICATION:
-                for label, case in cert.cases():
-                    if not _runs_agree([*cert.oracle(case), *cert.native(kernels, case)]):
-                        return f"{cert.name} mismatch at {label}"
-        return None
-    finally:
-        _CERTIFYING.active = False
+    for the first case whose runs disagree (:func:`_runs_agree`).  Every
+    oracle runs on NumPy by name, so nothing here resolves a backend."""
+    with np.errstate(all="ignore"):  # probe data overflows by design
+        for cert in _CERTIFICATION:
+            for label, case in cert.cases():
+                if not _runs_agree([*cert.oracle(case), *cert.native(kernels, case)]):
+                    return f"{cert.name} mismatch at {label}"
+    return None
 
 
 def _runs_agree(runs: list) -> bool:
@@ -859,7 +807,9 @@ def _batch_cases():
                 uvalues[0, :2] = (0.0, -0.0)
                 uvalues[1, -2:] = (1e308, -1e308)  # -inf scores
                 uvalues[2, 0] = np.inf  # inf - inf margins: NaN scores
-            scorer = SplitScorer(grid, max_steps=max_steps, stop_repeats=stop_repeats)
+            scorer = SplitScorer(
+                grid, max_steps=max_steps, stop_repeats=stop_repeats, kernel_backend="numpy"
+            )
             chunk = 2 * n_u  # two rows of the wide node
             probes = []  # per node: obs, sign, items, span, oracle kernel, its results
             for q, obs in enumerate((np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])):
@@ -868,9 +818,7 @@ def _batch_cases():
                 span = IndexedStream(
                     make_stream(0x5EED, "chain", n_u, q), scorer.draws_per_item
                 ).items_span(int(items[0]), items.size)
-                oracle = LazySplitKernel(
-                    uvalues[:, obs], sign, grid, backend="numpy", max_chunk_elements=chunk
-                )
+                oracle = LazySplitKernel(uvalues[:, obs], sign, grid, max_chunk_elements=chunk)
                 want = scorer.score_batch_kernel(oracle, span, item_indices=items)[:3]
                 probes.append((obs, sign, items, span, oracle, want))
             for lend, share in ((True, True), (False, True), (False, False)):
@@ -950,10 +898,9 @@ def _obs_cases():
 
 
 def _obs_runs(case, kernels=None):
-    """A reassign then a merge sweep, by the NumPy loops (which, on the
-    certifying thread, score through NumPy) or by the entries: labels, the
-    three statistics, ``lm``, the cluster count, the draws consumed and the
-    cluster count of every iteration."""
+    """A reassign then a merge sweep, by the NumPy loops (``native=None``)
+    or by the entries: labels, the three statistics, ``lm``, the cluster
+    count, the draws consumed and the cluster count of every iteration."""
     from repro.ganesh.coclustering import SweepHooks, merge_obs_sweep, reassign_obs_sweep
 
     probe, block, start, traced = case
@@ -982,17 +929,23 @@ def _var_cases():
     ``tests/test_ganesh_sweeps.py`` — covering one cluster, all singletons
     (a fresh move then holds ``n + 1`` clusters), moves that open a cluster
     and that drop their source, tie-heavy data, nine observation clusters
-    (the pairwise rule's unrolled regime in ``reduceat``) and a non-finite
-    score, recorder on and off."""
+    (the pairwise rule's unrolled regime in ``reduceat``), a non-finite
+    score, and two clusters of 257 blocks whose stacked scoring calls pass
+    the 512 entries ``log_marginal_core`` scores at a time — each cluster
+    holds one noisy copy of each of two rows, so rows move and adopt
+    marginals scored past the first 512 — recorder on and off."""
     from repro.ganesh.state import CoClusterState
 
-    source = np.random.default_rng(0x7A5).normal(size=(5, 9))
-    for probe, (n, m, k, k_obs, flavour) in enumerate((
-        (3, 3, 1, 1, "plain"), (5, 5, 5, 2, "ties"), (4, 9, 2, 9, "plain"),
-        (3, 9, 2, 3, "inf"),
+    rng = np.random.default_rng(0x7A5)
+    source, pair = rng.normal(size=(5, 9)), rng.normal(size=(2, 257))
+    wide = pair[[0, 0, 1, 1]] + 0.05 * rng.normal(size=(4, 257))
+    for probe, (data, k, k_obs, flavour) in enumerate((
+        (source[:3, :3], 1, 1, "plain"), (source[:5, :5], 5, 2, "ties"),
+        (source[:4], 2, 9, "plain"), (source[:3], 2, 3, "inf"), (wide, 2, 257, "plain"),
     )):
+        n, m = data.shape
         start = CoClusterState(
-            _flavoured(source[:n, :m], flavour), np.arange(n) % k,
+            _flavoured(data, flavour), np.arange(n) % k,
             [(np.arange(m) + c) % k_obs for c in range(k)],
         )
         yield f"n={n}, m={m}, k={k}, {flavour}", (probe, start, probe % 2 == 0)
@@ -1028,62 +981,6 @@ def _var_runs(case, kernels=None):
     return runs
 
 
-def _grouped_cases(ndim: int):
-    rng = np.random.default_rng(0x5EED)
-    for rows, cols in ((1, 6), (5, 1), (200, 1), (7, 30), (64, 13), (0, 4), (3000, 3)):
-        if ndim == 2:
-            vals, n_groups = rng.normal(scale=1e3, size=(rows, cols)), 3
-        else:
-            vals, n_groups = rng.normal(size=max(rows, 1) * cols), 4
-        labels = rng.integers(0, n_groups, size=vals.shape[-1])
-        yield f"shape {vals.shape}", (vals, labels, n_groups)
-
-
-def _grouped_oracle(case):
-    """The ``np.bincount`` formulas, a 1-D vector as one row."""
-    vals, labels, n_groups = case
-    block = np.atleast_2d(vals)
-    return [(
-        block.shape[0] * np.bincount(labels, minlength=n_groups).astype(np.float64),
-        np.bincount(labels, weights=block.sum(axis=0), minlength=n_groups),
-        np.bincount(labels, weights=(block * block).sum(axis=0), minlength=n_groups),
-    )]
-
-
-def _log_marginal_cases():
-    from scipy.special import gammaln
-
-    from repro.scoring.normal_gamma import NormalGammaPrior
-
-    rng, prior = np.random.default_rng(0x5EED), NormalGammaPrior(0.0, 0.1, 0.1, 0.1)
-    for size in (1, 7, 8, 9, 511, 513):
-        n = rng.integers(0, 40, size=size).astype(np.float64)
-        s = rng.normal(scale=10.0, size=size)
-        q = np.abs(rng.normal(scale=100.0, size=size))
-        yield f"size {size}", (n, s, q, gammaln(prior.alpha0 + n / 2.0), prior)
-
-
-def _log_marginal_oracle(case):
-    """The NumPy expression, ``gammaln(alpha_N)`` from SciPy both ways."""
-    n, s, q, lgam_alpha_n, prior = case
-    n_safe = np.where(n > 0, n, 1.0)
-    xbar = s / n_safe
-    ss = np.maximum(q - n_safe * xbar * xbar, 0.0)
-    lam_n = prior.lambda0 + n
-    alpha_n = prior.alpha0 + n / 2.0
-    d = xbar - prior.mu0
-    beta_n = prior.beta0 + ss / 2.0 + prior.lambda0 * n * d * d / (2.0 * lam_n)
-    want = (
-        lgam_alpha_n
-        - prior.lgamma_alpha0
-        + prior.alpha0 * prior.log_beta0
-        - alpha_n * np.log(beta_n)
-        + 0.5 * (prior.log_lambda0 - np.log(lam_n))
-        - (n / 2.0) * math.log(2.0 * math.pi)
-    )
-    return [(np.where(n > 0, want, 0.0),)]
-
-
 #: the certification table, run in order by :func:`_certify`: every probe
 #: case and seed is fixed, so a load certifies the same cases every time
 _CERTIFICATION = (
@@ -1104,18 +1001,6 @@ _CERTIFICATION = (
     Cert(
         "var sweep", ("repro_var_reassign_sweep", "repro_var_merge_sweep"),
         _var_cases, _var_runs, lambda kernels, case: _var_runs(case, kernels),
-    ),
-    *(
-        Cert(
-            f"grouped_{ndim}d", (f"repro_grouped_{ndim}d",),
-            functools.partial(_grouped_cases, ndim), _grouped_oracle,
-            lambda kernels, case: [kernels.grouped(*case) or ()],
-        )
-        for ndim in (2, 1)
-    ),
-    Cert(
-        "log_marginal", ("repro_log_marginal",), _log_marginal_cases,
-        _log_marginal_oracle, lambda kernels, case: [(kernels.log_marginal(*case),)],
     ),
 )
 
@@ -1174,8 +1059,6 @@ def _load_uncached() -> tuple[str, str, str | None, NativeKernels | None]:
 def load() -> NativeKernels | None:
     """The certified native kernels, or ``None`` (cached per process)."""
     global _RESULT
-    if getattr(_CERTIFYING, "active", False):
-        return None
     if _RESULT is None:
         _RESULT = _load_uncached()
     return _RESULT[3]
@@ -1183,8 +1066,6 @@ def load() -> NativeKernels | None:
 
 def availability() -> dict:
     """Loader outcome: ``status``/``detail``/``provider`` (forces a load)."""
-    if getattr(_CERTIFYING, "active", False):
-        return {"status": "certifying", "detail": "", "provider": None}
     load()
     status, detail, provider, _kernels = _RESULT
     return {"status": status, "detail": detail, "provider": provider}

@@ -27,18 +27,13 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   provider above) — so the hit / evaluation / peak counters come out equal
   too; the nodes share each ``log1p(exp(-|z|))`` row, which does not depend
   on a node's +-1 sign vector, through a per-parent table of margin rows;
-* grouped sufficient statistics replicate ``np.bincount`` (sequential
-  accumulation in index order) and ``.sum(axis=0)`` (sequential row
-  accumulation for multi-column arrays, pairwise for the single-column
-  case, which NumPy reduces as a contiguous vector);
 * ``repro_obs_reassign_sweep`` / ``repro_obs_merge_sweep`` replay
   ``coclustering.reassign_obs_sweep`` / ``merge_obs_sweep`` over one
   observation clustering's own state, move for move: the pre-drawn
   uniforms in the loop's order, the column sums by the pairwise rule, the
-  stacked marginals through the ``repro_log_marginal`` arithmetic (with
-  ``gammaln`` read from a per-sweep SciPy table), the score vector in the
-  same operation order and ``weighted_choice_logs`` (``rint``, provider
-  ``exp``, pairwise total, sequential ``cumsum``);
+  stacked marginals (with ``gammaln`` read from a per-sweep SciPy table),
+  the score vector in the same operation order and ``weighted_choice_logs``
+  (``rint``, provider ``exp``, pairwise total, sequential ``cumsum``);
 * ``repro_var_reassign_sweep`` / ``repro_var_merge_sweep`` replay
   ``coclustering.reassign_var_sweep`` / ``merge_var_sweep`` over a packed
   ``CoClusterState``: per candidate cluster the ``np.bincount`` of the
@@ -95,17 +90,6 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                       int64_t n_beta, repro_node *nodes, int64_t n_nodes,
                       int64_t max_steps, int64_t stop_repeats, double quantum,
                       int64_t share, int64_t *table_counters);
-int repro_grouped_1d(const double *vals, int64_t n, const int64_t *labels,
-                     int64_t n_groups, double *count, double *total,
-                     double *sumsq);
-int repro_grouped_2d(const double *vals, int64_t rows, int64_t cols,
-                     const int64_t *labels, int64_t n_groups, double *count,
-                     double *total, double *sumsq);
-int repro_log_marginal(const double *n, const double *s, const double *q,
-                       const double *lgam_alpha_n, int64_t size, double mu0,
-                       double lambda0, double alpha0, double beta0,
-                       double log_lambda0, double log_beta0,
-                       double lgamma_alpha0, double log_2pi, double *out);
 int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
                              int64_t *labels, double *count, double *total,
                              double *sumsq, double *lm, int64_t *k_io,
@@ -880,89 +864,8 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     return 0;
 }
 
-/* StatsArrays.grouped, 1-D: three np.bincount passes fused into one.
- * bincount accumulates sequentially in index order, which interleaving
- * the three accumulators preserves per accumulator. */
-int repro_grouped_1d(const double *vals, int64_t n, const int64_t *labels,
-                     int64_t n_groups, double *count, double *total,
-                     double *sumsq)
-{
-    int64_t i;
-    memset(count, 0, (size_t)n_groups * sizeof(double));
-    memset(total, 0, (size_t)n_groups * sizeof(double));
-    memset(sumsq, 0, (size_t)n_groups * sizeof(double));
-    for (i = 0; i < n; i++) {
-        int64_t g = labels[i];
-        double v = vals[i];
-        if (g < 0 || g >= n_groups)
-            return -2;
-        count[g] += 1.0;
-        total[g] += v;
-        sumsq[g] += v * v;
-    }
-    return 0;
-}
-
-/* StatsArrays.grouped, 2-D over axis=1: column sums replicate
- * vals.sum(axis=0) — sequential row accumulation for cols > 1; for
- * cols == 1 NumPy reduces the contiguous column pairwise — then one
- * bincount pass over the columns. */
-int repro_grouped_2d(const double *vals, int64_t rows, int64_t cols,
-                     const int64_t *labels, int64_t n_groups, double *count,
-                     double *total, double *sumsq)
-{
-    double *colsum, *colsumsq;
-    int64_t r, o;
-    memset(count, 0, (size_t)n_groups * sizeof(double));
-    memset(total, 0, (size_t)n_groups * sizeof(double));
-    memset(sumsq, 0, (size_t)n_groups * sizeof(double));
-    if (cols == 0)
-        return 0;
-    for (o = 0; o < cols; o++)
-        if (labels[o] < 0 || labels[o] >= n_groups)
-            return -2;
-    colsum = (double *)malloc((size_t)cols * 2 * sizeof(double));
-    if (!colsum)
-        return -1;
-    colsumsq = colsum + cols;
-    if (cols == 1) {
-        double *sq = (double *)malloc((size_t)(rows > 0 ? rows : 1)
-                                      * sizeof(double));
-        if (!sq) {
-            free(colsum);
-            return -1;
-        }
-        for (r = 0; r < rows; r++)
-            sq[r] = vals[r] * vals[r];
-        colsum[0] = pw_sum(vals, rows);
-        colsumsq[0] = pw_sum(sq, rows);
-        free(sq);
-    } else {
-        for (o = 0; o < cols; o++) {
-            colsum[o] = 0.0;
-            colsumsq[o] = 0.0;
-        }
-        for (r = 0; r < rows; r++) {
-            const double *vrow = vals + r * cols;
-            for (o = 0; o < cols; o++) {
-                double v = vrow[o];
-                colsum[o] += v;
-                colsumsq[o] += v * v;
-            }
-        }
-    }
-    for (o = 0; o < cols; o++) {
-        int64_t g = labels[o];
-        count[g] += (double)rows;
-        total[g] += colsum[o];
-        sumsq[g] += colsumsq[o];
-    }
-    free(colsum);
-    return 0;
-}
-
 /* normal_gamma.log_marginal minus the gammaln(alpha_N) term, which the
- * caller computes with SciPy and passes in.  Every expression mirrors the
+ * sweeps read from their SciPy table and pass in.  Every expression mirrors the
  * NumPy path's evaluation order; the two np.log calls go through the
  * active transcendental provider in blocks.  p = {mu0, lambda0, alpha0,
  * beta0, log_lambda0, log_beta0, lgamma_alpha0, log_2pi}. */
@@ -1007,18 +910,6 @@ static void log_marginal_core(const double *n, const double *s,
             out[i] = (nn > 0.0) ? val : 0.0;
         }
     }
-}
-
-int repro_log_marginal(const double *n, const double *s, const double *q,
-                       const double *lgam_alpha_n, int64_t size, double mu0,
-                       double lambda0, double alpha0, double beta0,
-                       double log_lambda0, double log_beta0,
-                       double lgamma_alpha0, double log_2pi, double *out)
-{
-    const double p[8] = {mu0, lambda0, alpha0, beta0, log_lambda0,
-                         log_beta0, lgamma_alpha0, log_2pi};
-    log_marginal_core(n, s, q, lgam_alpha_n, size, p, out);
-    return 0;
 }
 
 /* GibbsRandom.weighted_choice_logs over logs[0..n) with its one uniform:

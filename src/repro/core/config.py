@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from repro.scoring.kernel import KERNEL_BACKENDS
 from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior
 from repro.scoring.split_score import DEFAULT_BETA_GRID
 
@@ -35,10 +36,11 @@ class ParallelConfig:
     #: default checkpoint directory for ``learn(checkpoint_dir=...)``
     #: (the explicit argument wins when both are given)
     checkpoint_dir: str | None = None
-    #: split-scoring backend: "numpy" (the oracle), "native" (the
-    #: certified compiled extension; constructing a kernel raises when it
-    #: is unavailable) or "auto" (use native when it builds, loads and
-    #: passes bit-identity certification, else fall back to NumPy).
+    #: scoring backend of split scoring and of the GaneSH sweeps: "numpy"
+    #: (the oracle), "native" (the certified compiled extension; raises
+    #: when it is unavailable) or "auto" (use native when it builds, loads
+    #: and passes bit-identity certification, else fall back to NumPy).
+    #: Resolved per job by whoever holds the config, never process-wide.
     #: Backends are bit-identical by construction, so this is purely a
     #: speed knob.
     kernel_backend: str = "auto"
@@ -65,10 +67,8 @@ class ParallelConfig:
             )
         if self.schedule not in ("static", "dynamic"):
             raise ValueError("schedule must be 'static' or 'dynamic'")
-        if self.kernel_backend not in ("auto", "numpy", "native"):
-            raise ValueError(
-                "kernel_backend must be 'auto', 'numpy' or 'native'"
-            )
+        if self.kernel_backend not in KERNEL_BACKENDS:
+            raise ValueError(f"kernel_backend must be one of {KERNEL_BACKENDS}")
 
     def resolve_n_workers(self) -> int:
         """The effective worker count (0 means every available core).

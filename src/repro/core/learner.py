@@ -278,6 +278,7 @@ def tree_phase(data, module_id, members, config, seed, trace=None):
         burn_in=config.tree_burn_in,
         prior=config.prior,
         hooks=hooks,
+        kernel_backend=config.parallel.kernel_backend,
     )
     trees = [
         build_tree_structure(block, labels, module_id, config.prior, hooks)

@@ -463,6 +463,7 @@ class ReferenceLearner:
             beta_grid=config.beta_grid,
             max_steps=config.max_sampling_steps,
             stop_repeats=config.sampling_stop_repeats,
+            kernel_backend="numpy",  # score_one is pure Python
         )
         modules = []
         for module_id, members in enumerate(modules_members):

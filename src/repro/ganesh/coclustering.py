@@ -25,7 +25,8 @@ from repro.ganesh.state import (
     init_sqrt_obs_labels,
 )
 from repro.rng.streams import GibbsRandom, make_stream
-from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, _native_kernels
+from repro.scoring.kernel import resolve_kernel_backend
+from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior
 
 
 @dataclass
@@ -59,25 +60,19 @@ class SweepHooks:
 _NO_HOOKS = SweepHooks()
 
 
-def _var_sweep_kernels(state: CoClusterState):
-    """The native kernels when a variable sweep of ``state`` can run on
-    them: the backend is native and the state's ``gammaln`` table is bounded."""
-    return _native_kernels() if state.gammaln_table_fits else None
-
-
 def reassign_var_sweep(
-    state: CoClusterState, rng: GibbsRandom, hooks: SweepHooks = _NO_HOOKS
+    state: CoClusterState, rng: GibbsRandom, hooks: SweepHooks = _NO_HOOKS, native=None
 ) -> None:
     """n iterations of random variable reassignment (Algorithm 1, lines 3-11).
 
-    On the native kernel backend the whole sweep is one certified call
-    (:meth:`CoClusterState.native_var_sweep`); the loop below is the NumPy
-    backend's path and the oracle that call is certified against.
+    With ``native`` (the certified :class:`repro._native.NativeKernels`) the
+    whole sweep is one call (:meth:`CoClusterState.native_var_sweep`) when
+    the state's ``gammaln`` table is bounded; the loop below is the NumPy
+    path (``native=None``) and the oracle that call is certified against.
     """
     n = state.n_vars
     m = state.n_obs
-    native = _var_sweep_kernels(state)
-    if native is not None:
+    if native is not None and state.gammaln_table_fits:
         for ks in state.native_var_sweep(native, rng, trace=hooks.record is not None):
             costs = [m + k for k in ks] + [m]
             hooks.emit("ganesh.var_reassign", np.array(costs, dtype=np.float64))
@@ -93,7 +88,7 @@ def reassign_var_sweep(
 
 
 def merge_var_sweep(
-    state: CoClusterState, rng: GibbsRandom, hooks: SweepHooks = _NO_HOOKS
+    state: CoClusterState, rng: GibbsRandom, hooks: SweepHooks = _NO_HOOKS, native=None
 ) -> None:
     """One pass of variable-cluster merging (Algorithm 1, lines 12-20).
 
@@ -103,8 +98,7 @@ def merge_var_sweep(
     :func:`reassign_var_sweep`.
     """
     m = state.n_obs
-    native = _var_sweep_kernels(state)
-    if native is not None:
+    if native is not None and state.gammaln_table_fits:
         traced = hooks.record is not None
         for ks in state.native_var_sweep(native, rng, merge=True, trace=traced):
             costs = [m + k for k in ks]
@@ -129,15 +123,15 @@ def reassign_obs_sweep(
     rng: GibbsRandom,
     hooks: SweepHooks = _NO_HOOKS,
     phase: str = "ganesh.obs_reassign",
+    native=None,
 ) -> None:
     """m iterations of random observation reassignment (Algorithm 2, lines 3-11).
 
-    On the native kernel backend the whole sweep is one certified call
+    With ``native`` the whole sweep is one certified call
     (:meth:`ObsClustering.native_sweep`); the loop below is the NumPy
-    backend's path and the oracle that call is certified against.
+    path (``native=None``) and the oracle that call is certified against.
     """
     n_members, m = block.shape
-    native = _native_kernels()
     if native is not None:
         for k in oc.native_sweep(native, rng, block, trace=hooks.record is not None):
             hooks.emit(phase, np.full(k + 1, float(n_members + 1)))
@@ -157,12 +151,12 @@ def merge_obs_sweep(
     rng: GibbsRandom,
     hooks: SweepHooks = _NO_HOOKS,
     phase: str = "ganesh.obs_merge",
+    native=None,
 ) -> None:
     """One pass of observation-cluster merging (Algorithm 2, lines 12-20).
 
     Dispatches like :func:`reassign_obs_sweep`.
     """
-    native = _native_kernels()
     if native is not None:
         for k in oc.native_sweep(native, rng, trace=hooks.record is not None):
             hooks.emit(phase, np.ones(k, dtype=np.float64))
@@ -186,6 +180,7 @@ def run_ganesh(
     init_var_clusters: int | None = None,
     prior: NormalGammaPrior = DEFAULT_PRIOR,
     hooks: SweepHooks = _NO_HOOKS,
+    kernel_backend: str = "auto",
 ) -> GaneshResult:
     """One full GaneSH co-clustering run (Algorithm 3).
 
@@ -193,8 +188,10 @@ def run_ganesh(
     not given, as in Lemon-Tree); observations of each variable cluster
     start in ``sqrt(m)`` random clusters.  Each update step runs a variable
     reassignment sweep, a variable merge sweep, then observation
-    reassignment and merge sweeps for every variable cluster.
+    reassignment and merge sweeps for every variable cluster, each on the
+    resolved ``kernel_backend`` (a job's ``ParallelConfig.kernel_backend``).
     """
+    native = resolve_kernel_backend(kernel_backend)[1]
     data = np.asarray(data, dtype=np.float64)
     n, m = data.shape
     k0 = init_var_clusters if init_var_clusters is not None else max(1, n // 2)
@@ -209,14 +206,14 @@ def run_ganesh(
 
     iterations = 0
     for _ in range(n_update_steps):
-        reassign_var_sweep(state, rng, hooks)
-        merge_var_sweep(state, rng, hooks)
+        reassign_var_sweep(state, rng, hooks, native)
+        merge_var_sweep(state, rng, hooks, native)
         for cluster in list(state.clusters):
             if not cluster.members:  # merged away earlier in this loop
                 continue
             block = data[cluster.members]
-            reassign_obs_sweep(cluster.obs, block, rng, hooks)
-            merge_obs_sweep(cluster.obs, rng, hooks)
+            reassign_obs_sweep(cluster.obs, block, rng, hooks, native=native)
+            merge_obs_sweep(cluster.obs, rng, hooks, native=native)
         iterations += 1
 
     return GaneshResult(
@@ -233,6 +230,7 @@ def run_replicated_ganesh(
     prior: NormalGammaPrior = DEFAULT_PRIOR,
     rng_backend: str = "philox",
     hooks: SweepHooks = _NO_HOOKS,
+    kernel_backend: str = "auto",
 ) -> np.ndarray:
     """GaneSH run ``run_index`` of a G-run ensemble, on its own stream.
 
@@ -251,6 +249,7 @@ def run_replicated_ganesh(
         init_var_clusters=init_var_clusters,
         prior=prior,
         hooks=hooks,
+        kernel_backend=kernel_backend,
     )
     return result.var_labels
 
@@ -262,6 +261,7 @@ def run_obs_only_ganesh(
     burn_in: int = 0,
     prior: NormalGammaPrior = DEFAULT_PRIOR,
     hooks: SweepHooks = _NO_HOOKS,
+    kernel_backend: str = "auto",
 ) -> list[np.ndarray]:
     """GaneSH constrained to a single variable cluster (Algorithm 4, lines 3-9).
 
@@ -270,7 +270,9 @@ def run_obs_only_ganesh(
     update steps each subsequent clustering is sampled into the output
     ensemble.  With ``n_update_steps == 1`` and ``burn_in == 0`` exactly one
     clustering is sampled — the paper's minimum-run-time configuration.
+    The sweeps run on the resolved ``kernel_backend``, as in :func:`run_ganesh`.
     """
+    native = resolve_kernel_backend(kernel_backend)[1]
     block = np.atleast_2d(np.asarray(block, dtype=np.float64))
     m = block.shape[1]
     labels = init_sqrt_obs_labels(m, rng)
@@ -278,8 +280,8 @@ def run_obs_only_ganesh(
 
     samples: list[np.ndarray] = []
     for step in range(1, n_update_steps + 1):
-        reassign_obs_sweep(oc, block, rng, hooks, phase="modules.obs_reassign")
-        merge_obs_sweep(oc, rng, hooks, phase="modules.obs_merge")
+        reassign_obs_sweep(oc, block, rng, hooks, "modules.obs_reassign", native)
+        merge_obs_sweep(oc, rng, hooks, "modules.obs_merge", native)
         if step > burn_in or step == n_update_steps and not samples:
             samples.append(oc.labels.copy())
     return samples

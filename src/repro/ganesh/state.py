@@ -353,10 +353,21 @@ class CoClusterState:
         self.clusters: list[VarCluster] = []
         for cid in range(n_clusters):
             members = [int(v) for v in np.flatnonzero(var_labels == cid)]
-            oc = ObsClustering.from_block(
-                self.data[members], obs_labels_per_cluster[cid], prior
-            )
+            oc = ObsClustering(obs_labels_per_cluster[cid], prior)
+            oc.stats = StatsArrays.grouped(self.data[members], oc.labels, oc.n_clusters)
             self.clusters.append(VarCluster(members, oc))
+        # Every cluster's block marginals in one stacked call: elementwise,
+        # so each equals the per-cluster ``stats.log_marginals`` bit for bit.
+        ocs = [cluster.obs for cluster in self.clusters]
+        if ocs:
+            lm = log_marginal(
+                *(np.concatenate([getattr(oc.stats, name) for oc in ocs])
+                  for name in ("count", "total", "sumsq")),
+                prior,
+            )
+            bounds = np.cumsum([oc.n_clusters for oc in ocs])
+            for oc, part in zip(ocs, np.split(lm, bounds)):
+                oc.lm = part
         #: ``gammaln(alpha0 + t / 2)`` over every block count ``t = 0..n * m``,
         #: built by the first native variable sweep
         self._lgam: np.ndarray | None = None

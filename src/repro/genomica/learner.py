@@ -105,7 +105,10 @@ class GenomicaLearner:
         n, m = data.shape
         k = min(config.n_modules, n)
         rng = GibbsRandom(make_stream(seed, "genomica", backend=config.rng_backend))
-        scorer = SplitScorer(beta_grid=config.beta_grid, max_steps=1)
+        scorer = SplitScorer(
+            beta_grid=config.beta_grid, max_steps=1,
+            kernel_backend=config.parallel.kernel_backend,
+        )
         parents = np.asarray(
             LearnerConfig(candidate_parents=config.candidate_parents)
             .resolve_candidate_parents(n),
@@ -220,7 +223,7 @@ class GenomicaLearner:
             (labels,) = run_obs_only_ganesh(
                 block, mrng, n_update_steps=config.tree_update_steps,
                 burn_in=config.tree_update_steps - 1, prior=config.prior,
-                hooks=hooks,
+                hooks=hooks, kernel_backend=config.parallel.kernel_backend,
             )
             label_runs.append(labels)
         return label_runs
@@ -439,12 +442,12 @@ def build_final_module(
     (labels,) = run_obs_only_ganesh(
         block, mrng, n_update_steps=config.tree_update_steps,
         burn_in=config.tree_update_steps - 1, prior=config.prior,
-        hooks=hooks,
+        hooks=hooks, kernel_backend=scorer.kernel_backend,
     )
     tree = build_tree_structure(block, labels, module_id, config.prior, hooks)
     selected: list[Split] = []
     for node in tree.internal_nodes():
-        kernel = node_kernel(data, node, parents, scorer.beta_grid)
+        kernel = node_kernel(data, node, parents, scorer)
         if trace is not None:
             trace.record(
                 "modules.split_search",
@@ -484,6 +487,7 @@ def _genomica_mstep_run(ctx, item) -> np.ndarray:
     (labels,) = run_obs_only_ganesh(
         block, mrng, n_update_steps=config.tree_update_steps,
         burn_in=config.tree_update_steps - 1, prior=config.prior,
+        kernel_backend=config.parallel.kernel_backend,
     )
     return labels
 

@@ -57,7 +57,13 @@ class ParallelGenomicaLearner(GenomicaLearner):
     def learn_parallel(
         self, matrix: ExpressionMatrix, seed: int, p: int
     ) -> ParallelGenomicaResult:
-        rank_results = run_spmd(p, self._rank_main, matrix, seed)
+        config = self.config
+        scorer = SplitScorer(
+            beta_grid=config.beta_grid, max_steps=1,
+            kernel_backend=config.parallel.kernel_backend,
+        )
+        scorer.native  # noqa: B018 - resolved here: a failure raises, not p ranks
+        rank_results = run_spmd(p, self._rank_main, matrix, seed, scorer)
         networks = [r[0] for r in rank_results]
         for rank, net in enumerate(networks[1:], start=1):
             if net.signature() != networks[0].signature():
@@ -75,13 +81,12 @@ class ParallelGenomicaLearner(GenomicaLearner):
         )
 
     # -- rank body -----------------------------------------------------------
-    def _rank_main(self, comm, matrix: ExpressionMatrix, seed: int):
+    def _rank_main(self, comm, matrix: ExpressionMatrix, seed: int, scorer: SplitScorer):
         config = self.config
         data = matrix.values
         n, m = data.shape
         k = min(config.n_modules, n)
         rng = GibbsRandom(make_stream(seed, "genomica", backend=config.rng_backend))
-        scorer = SplitScorer(beta_grid=config.beta_grid, max_steps=1)
         parents = np.asarray(
             LearnerConfig(candidate_parents=config.candidate_parents)
             .resolve_candidate_parents(n),
@@ -181,7 +186,7 @@ class ParallelGenomicaLearner(GenomicaLearner):
                 lo, hi = block_range(n_items, comm.size, comm.rank)
                 if hi > lo:
                     l0, l1 = lo // n_obs, (hi - 1) // n_obs + 1
-                    kernel = node_kernel(data, node, parents[l0:l1], scorer.beta_grid)
+                    kernel = node_kernel(data, node, parents[l0:l1], scorer)
                     items = np.arange(lo - l0 * n_obs, hi - l0 * n_obs)
                     local_scores, _beta, local_acc = scorer.score_grid_best_kernel(
                         kernel, item_indices=items

@@ -113,8 +113,11 @@ class ParallelLearner:
 
     # -- public API ---------------------------------------------------------
     def learn(self, matrix: ExpressionMatrix, seed: int, p: int) -> ParallelLearnResult:
-        """Learn with ``p`` concurrent SPMD ranks (threads)."""
-        rank_results = run_spmd(p, self._rank_main, matrix, seed)
+        """Learn with ``p`` concurrent SPMD ranks (threads), sharing one
+        scorer whose kernel backend is resolved before any rank starts."""
+        scorer = self._scorer()
+        scorer.native  # noqa: B018 - resolved here: a failure raises, not p ranks
+        rank_results = run_spmd(p, self._rank_main, matrix, seed, scorer)
         networks = [net for net, _work in rank_results]
         works = np.array([work for _net, work in rank_results])
         # Replicated state must agree everywhere — a hard invariant.
@@ -131,10 +134,19 @@ class ParallelLearner:
 
     def learn_with_comm(self, comm, matrix: ExpressionMatrix, seed: int):
         """SPMD entry point for an externally-managed communicator."""
-        return self._rank_main(comm, matrix, seed)
+        return self._rank_main(comm, matrix, seed, self._scorer())
+
+    def _scorer(self) -> SplitScorer:
+        config = self.config
+        return SplitScorer(
+            beta_grid=config.beta_grid,
+            max_steps=config.max_sampling_steps,
+            stop_repeats=config.sampling_stop_repeats,
+            kernel_backend=config.parallel.kernel_backend,
+        )
 
     # -- rank body ------------------------------------------------------------
-    def _rank_main(self, comm, matrix: ExpressionMatrix, seed: int):
+    def _rank_main(self, comm, matrix: ExpressionMatrix, seed: int, scorer: SplitScorer):
         config = self.config
         data = matrix.values
         work = _RankWork()
@@ -145,7 +157,7 @@ class ParallelLearner:
             threshold=config.consensus_threshold,
             max_clusters=config.max_modules,
         )
-        modules = self._task_modules(comm, data, modules_members, seed, work)
+        modules = self._task_modules(comm, data, modules_members, seed, work, scorer)
         network = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
         return network, work.units
 
@@ -238,16 +250,12 @@ class ParallelLearner:
 
     # -- task 3 -------------------------------------------------------------
     def _task_modules(
-        self, comm, data: np.ndarray, modules_members: list[list[int]], seed: int, work
+        self, comm, data: np.ndarray, modules_members: list[list[int]], seed: int, work,
+        scorer: SplitScorer,
     ) -> list[Module]:
         config = self.config
         n_vars = data.shape[0]
         parents = np.asarray(config.resolve_candidate_parents(n_vars), dtype=np.int64)
-        scorer = SplitScorer(
-            beta_grid=config.beta_grid,
-            max_steps=config.max_sampling_steps,
-            stop_repeats=config.sampling_stop_repeats,
-        )
 
         # Phase A: tree structures, module by module on all ranks
         # (Algorithm 6, lines 3-4).
@@ -422,7 +430,7 @@ class ParallelLearner:
             # Rows [a - gbase, b - gbase) of this node's candidate list.
             row0, row1 = a - gbase, b - gbase
             l0, l1 = row0 // n_obs, (row1 - 1) // n_obs + 1
-            kernel = node_kernel(data, node, parents[l0:l1], scorer.beta_grid)
+            kernel = node_kernel(data, node, parents[l0:l1], scorer)
             items = np.arange(row0 - l0 * n_obs, row1 - l0 * n_obs)
             # Private draws, addressed by module-local split index.
             first = module_base + row0

@@ -74,6 +74,7 @@ def build_ctx(data, parents, config: LearnerConfig, seed: int,
             beta_grid=config.beta_grid,
             max_steps=config.max_sampling_steps,
             stop_repeats=config.sampling_stop_repeats,
+            kernel_backend=config.parallel.kernel_backend,
         ),
         # per-module ("splits", id) indexed streams, opened on demand
         "streams": {},
@@ -106,6 +107,7 @@ def _ganesh_run(ctx, item):
         prior=config.prior,
         rng_backend=config.rng_backend,
         hooks=_hooks_for(trace, run=g),
+        kernel_backend=config.parallel.kernel_backend,
     )
     if ctx["checkpoint_dir"] is not None:
         _GaneshCheckpoints(
@@ -172,7 +174,7 @@ def _score_chunk_run(ctx, task: SplitTask):
     n_obs = obs.size
     l0, l1 = task.row0 // n_obs, (task.row1 - 1) // n_obs + 1
     kernel = split_kernel_from_arrays(
-        data, obs, task.left_obs, parents[l0:l1], scorer.beta_grid
+        data, obs, task.left_obs, parents[l0:l1], scorer.beta_grid, native=scorer.native
     )
     items = np.arange(task.row0 - l0 * n_obs, task.row1 - l0 * n_obs)
 

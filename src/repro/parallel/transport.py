@@ -110,7 +110,7 @@ class Transport:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release every process, segment and setting ``start`` took."""
+        """Release every process and segment ``start`` took."""
 
     def worker_inits(self) -> int:
         """How many worker initializations ran."""
@@ -135,16 +135,11 @@ class InProcessTransport(Transport):
 
     def __init__(self, data, parents, config, seed, checkpoint_dir) -> None:
         super().__init__(data, parents, config, seed, checkpoint_dir, 1)
-        #: the task context and the process-wide kernel backend it
-        #: displaced; built on first use
+        #: the task context, built on first use
         self._ctx: dict | None = None
-        self._prev_backend: str | None = None
 
     def run(self, fn, ordered_items, *, schedule=None, chunksize=None):
         if self._ctx is None:
-            self._prev_backend = kernel_mod.set_kernel_backend(
-                self.config.parallel.kernel_backend
-            )
             self._ctx = dict(
                 build_ctx(
                     self.data, self.parents, self.config, self.seed,
@@ -157,10 +152,8 @@ class InProcessTransport(Transport):
         ]
 
     def close(self) -> None:
-        """Drop the matrix reference and restore the kernel backend."""
-        if self._ctx is not None:
-            self._ctx = None
-            kernel_mod.set_kernel_backend(self._prev_backend)
+        """Drop the matrix reference."""
+        self._ctx = None
 
 
 # -- shared-memory expression matrix --------------------------------------
@@ -243,7 +236,6 @@ def _executor_init(
         worker_index = int(counter.value)
         counter.value += 1
     kernel_mod.set_chunk_elements(chunk_elements)
-    kernel_mod.set_kernel_backend(config.parallel.kernel_backend)
     shm, data = _attach_shared(matrix_spec)
     writer = AsyncCheckpointWriter() if checkpoint_dir is not None else None
     _WORKER.update(
@@ -346,18 +338,18 @@ class PoolTransport(Transport):
         """Tear down the pool and unlink the shared-memory segment — always
         the latter: a failure while terminating must not leak the matrix
         into ``/dev/shm``; every learner entry point runs through here on
-        every exception path.  A pool a worker died in is not asked to
-        cooperate (:func:`_abandon_pool`): no worker outlives it either.
+        every exception path.  A healthy pool first drains its checkpoint
+        writers; a pool a worker died in is not asked to cooperate.  Either
+        way the workers go through :func:`_abandon_pool`: ``terminate()``
+        under a deadline, then SIGKILL, so no close can wedge.
         """
         pool, self._pool = self._pool, None
         shared, self._shared = self._shared, None
         try:
-            if pool is not None and self._crashed:
+            if pool is not None:
+                if not self._crashed:
+                    self._drain_checkpoint_writers(pool)
                 _abandon_pool(pool)
-            elif pool is not None:
-                self._drain_checkpoint_writers(pool)
-                pool.terminate()
-                pool.join()
         finally:
             if shared is not None:
                 shared.close()
@@ -441,17 +433,18 @@ class PoolTransport(Transport):
 
 
 def _abandon_pool(pool, grace: float = 2.0) -> None:
-    """Tear down a pool a worker died in, without trusting its queues.
+    """Tear down a pool without trusting its queues.
 
     ``mp.Pool`` guards its task and result pipes with plain semaphores.  A
-    worker SIGKILLed while it held one (mid result write, or idle inside
-    ``get``) leaves it locked for good: the surviving workers and every
-    replacement park on it, and ``terminate()`` — which takes the same
-    locks to post its sentinels — never returns.  So the cooperative
-    ``terminate()`` runs on a thread this call is prepared to abandon (its
-    first act stops the pool respawning workers, wedged or not); if it has
-    not finished within ``grace`` seconds the worker processes are
-    SIGKILLed and reaped here.  Checkpoints still queued on a survivor's
+    worker killed while it held one (SIGKILLed mid result write, or idle
+    inside ``get``; on a healthy pool, ``terminate()``'s own SIGTERM landing
+    while a worker writes a result) leaves it locked for good: the
+    surviving workers and every replacement park on it, and ``terminate()``
+    — which takes the same locks to post its sentinels — never returns.  So
+    the cooperative ``terminate()`` runs on a thread this call is prepared
+    to abandon (its first act stops the pool respawning workers, wedged or
+    not); if it has not finished within ``grace`` seconds the worker
+    processes are SIGKILLed and reaped here.  Checkpoints still queued on a survivor's
     writer are lost with it — never torn, and a resume recomputes them.
     """
     reaper = threading.Thread(target=pool.terminate, name="pool-reaper", daemon=True)

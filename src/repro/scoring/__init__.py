@@ -25,10 +25,8 @@ from repro.scoring.kernel import (
     LazySplitKernel,
     active_kernel_backend,
     allocation_cap,
-    configured_kernel_backend,
     consume_kernel_totals,
     resolve_kernel_backend,
-    set_kernel_backend,
     split_kernel_from_arrays,
 )
 from repro.scoring.normal_gamma import NormalGammaPrior, log_marginal
@@ -47,8 +45,6 @@ __all__ = [
     "allocation_cap",
     "AllocationCapExceeded",
     "KERNEL_BACKENDS",
-    "set_kernel_backend",
-    "configured_kernel_backend",
     "resolve_kernel_backend",
     "active_kernel_backend",
     "consume_kernel_totals",

@@ -71,8 +71,6 @@ _CAP: int | None = None
 #: values: the pure-NumPy oracle, the native-compiled extension, or probe
 KERNEL_BACKENDS = ("auto", "numpy", "native")
 
-_CONFIGURED_BACKEND: str = "auto"
-
 _WARNED_NATIVE_FALLBACK = False
 
 #: process-wide kernel counter accumulator (hits / evaluations /
@@ -86,46 +84,21 @@ _MARGIN_TOTALS = {"margin_rows_filled": 0, "margin_row_uses": 0, "philox_blocks"
 _TOTALS_BACKENDS: set[str] = set()
 
 
-def set_kernel_backend(name: str | None) -> str | None:
-    """Install the process-wide scoring-backend selection.
-
-    Mirrors :func:`set_chunk_elements`: the executor calls this in every
-    pool worker (and on its own serial path) with
-    ``ParallelConfig.kernel_backend``, so kernels constructed deep inside
-    module learning pick the configured backend without threading a
-    parameter through every layer.  Returns the previous value so callers
-    can restore it; ``None`` reverts to ``"auto"``.
-    """
-    global _CONFIGURED_BACKEND
-    if name is not None and name not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"kernel backend must be one of {KERNEL_BACKENDS}, got {name!r}"
-        )
-    previous = _CONFIGURED_BACKEND
-    _CONFIGURED_BACKEND = "auto" if name is None else name
-    return previous
-
-
-def configured_kernel_backend() -> str:
-    """The configured (unresolved) backend selection for this process."""
-    return _CONFIGURED_BACKEND
-
-
-def resolve_kernel_backend(name: str | None = None):
+def resolve_kernel_backend(name: str):
     """Resolve a backend request to ``(backend_name, native_or_None)``.
 
+    The request is a job's ``ParallelConfig.kernel_backend``: whoever holds
+    the config resolves it and hands the result to the code that scores
+    (a :class:`~repro.scoring.split_score.SplitScorer`, the GaneSH runs).
     ``"numpy"`` never touches the extension.  ``"native"`` demands the
     certified native kernels and raises :class:`RuntimeError` when they
     are unavailable — an explicit request must not silently degrade.
-    ``"auto"`` (and ``None``, meaning the process-wide configuration)
-    probes availability: the extension is used when it builds, loads and
-    passes its bit-identity certification, otherwise NumPy is used — with
-    a one-time warning if the native path *failed* rather than being
-    expectedly absent (no cffi, no compiler, ``REPRO_NATIVE_DISABLE``).
+    ``"auto"`` probes availability: the extension is used when it builds,
+    loads and passes its bit-identity certification, otherwise NumPy is
+    used — with a one-time warning if the native path *failed* rather than
+    being expectedly absent (no cffi, no compiler, ``REPRO_NATIVE_DISABLE``).
     """
     global _WARNED_NATIVE_FALLBACK
-    if name is None:
-        name = _CONFIGURED_BACKEND
     if name not in KERNEL_BACKENDS:
         raise ValueError(
             f"kernel backend must be one of {KERNEL_BACKENDS}, got {name!r}"
@@ -138,10 +111,6 @@ def resolve_kernel_backend(name: str | None = None):
     if kernels is not None:
         return "native", kernels
     info = _native.availability()
-    if info["status"] == "certifying":
-        # Re-entered from the loader's own certification on this thread:
-        # the oracle it compares the extension against is NumPy.
-        return "numpy", None
     if name == "native":
         raise RuntimeError(
             "kernel_backend='native' but the native extension is "
@@ -159,8 +128,8 @@ def resolve_kernel_backend(name: str | None = None):
 
 
 def active_kernel_backend() -> str:
-    """The backend new kernels will actually use (``auto`` resolved)."""
-    return resolve_kernel_backend()[0]
+    """The backend ``"auto"`` resolves to in this process."""
+    return resolve_kernel_backend("auto")[0]
 
 
 def _account_totals(
@@ -403,9 +372,10 @@ class LazySplitKernel:
     :func:`allocation_cap`), and ``peak_chunk_elements`` records the largest
     temporary actually allocated.
 
-    ``backend`` selects who evaluates a chunk: the NumPy expressions or
-    the certified native extension (``None`` defers to the process-wide
-    :func:`set_kernel_backend` configuration, ``"auto"`` by default).  In
+    ``native`` selects who evaluates a chunk: the certified native
+    extension (a :class:`repro._native.NativeKernels` handle, normally the
+    one a :class:`~repro.scoring.split_score.SplitScorer` resolved from its
+    ``kernel_backend``) or, with ``None``, the NumPy expressions.  In
     :meth:`scores` the native path replaces only the chunk evaluation body;
     in :meth:`run_chain` it runs the scorer's whole sampling chain against
     this kernel's memo in one call.  Grouping, chunk sizing and
@@ -424,7 +394,7 @@ class LazySplitKernel:
         beta_grid,
         *,
         max_chunk_elements: int | None = None,
-        backend: str | None = None,
+        native=None,
     ) -> None:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         if self.values.ndim != 2:
@@ -437,7 +407,8 @@ class LazySplitKernel:
         self.n_items = self.n_parents * self.n_obs
         self._n_beta = self.beta_grid.size
         self.max_chunk_elements = int(max_chunk_elements or configured_chunk_elements())
-        self.backend, self._native = resolve_kernel_backend(backend)
+        self._native = native
+        self.backend = "numpy" if native is None else "native"
         guard_alloc(self.n_items, "parent-value slice")
         self.item_groups, self.group_row, self.group_value = group_rows(self.values)
         self.n_groups = int(self.group_row.size)
@@ -676,18 +647,19 @@ def split_kernel_from_arrays(
     beta_grid,
     *,
     max_chunk_elements: int | None = None,
-    backend: str | None = None,
+    native=None,
 ) -> LazySplitKernel:
     """A node's lazy kernel from raw arrays (the worker-friendly twin of
     :func:`repro.trees.splits.margins_from_arrays`).
 
     ``obs`` are the node's observations, ``left_obs`` its left child's; the
     candidate enumeration order (parent-major, observation-minor) matches the
-    dense margins layout row for row.
+    dense margins layout row for row.  ``native`` is as for
+    :class:`LazySplitKernel`.
     """
     obs = np.asarray(obs, dtype=np.int64)
     values = data[np.asarray(parents, dtype=np.int64)][:, obs]
     return LazySplitKernel(
         values, split_sign(obs, left_obs), beta_grid, max_chunk_elements=max_chunk_elements,
-        backend=backend,
+        native=native,
     )

@@ -30,24 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from repro.scoring.kernel import resolve_kernel_backend
-
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _native_kernels():
-    """The certified native kernels, or ``None`` on the NumPy backend.
-
-    Resolution honours the process-wide ``kernel_backend`` configuration."""
-    return resolve_kernel_backend()[1]
-
-
-def _flat(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as the C-contiguous 1-D array the native kernels take (the
-    Gibbs sweeps' stacked inputs already are, and pass through)."""
-    if arr.ndim == 1 and arr.flags.c_contiguous:
-        return arr
-    return np.ascontiguousarray(arr).ravel()
 
 
 @dataclass(frozen=True)
@@ -100,17 +83,6 @@ def log_marginal(
     n = np.asarray(count, dtype=np.float64)
     s = np.asarray(total, dtype=np.float64)
     q = np.asarray(sumsq, dtype=np.float64)
-
-    if not scalar and n.size and n.shape == s.shape == q.shape:
-        native = _native_kernels()
-        if native is not None:
-            # gammaln stays in SciPy (same call both ways); the certified
-            # extension replicates the remaining expression bit for bit.
-            alpha_n = prior.alpha0 + n / 2.0
-            out = native.log_marginal(
-                _flat(n), _flat(s), _flat(q), _flat(gammaln(alpha_n)), prior
-            )
-            return out if n.ndim == 1 else out.reshape(n.shape)
 
     n_safe = np.where(n > 0, n, 1.0)
     xbar = s / n_safe

@@ -30,12 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM
-from repro.scoring.kernel import DenseScoreMemo, LazySplitKernel, run_chains
+from repro.scoring.kernel import (
+    DenseScoreMemo,
+    LazySplitKernel,
+    resolve_kernel_backend,
+    run_chains,
+)
 
 #: Default discrete grid of sigmoid steepness values.
 DEFAULT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -66,6 +72,9 @@ class SplitScorer:
     rejections (stuck at a mode) or ``max_steps`` steps.  Each step consumes
     exactly two uniforms; one more seeds the start, so every split owns
     ``1 + 2 * max_steps`` draws of its indexed stream.
+
+    ``kernel_backend`` is the job's ``ParallelConfig.kernel_backend``, and
+    every kernel built for this scorer evaluates with :attr:`native`.
     """
 
     def __init__(
@@ -73,6 +82,7 @@ class SplitScorer:
         beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID,
         max_steps: int = 10,
         stop_repeats: int = 3,
+        kernel_backend: str = "auto",
     ) -> None:
         if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
@@ -83,6 +93,15 @@ class SplitScorer:
             raise ValueError("beta grid needs at least two points")
         self.max_steps = int(max_steps)
         self.stop_repeats = int(stop_repeats)
+        self.kernel_backend = kernel_backend
+
+    @cached_property
+    def native(self):
+        """The certified native kernels ``kernel_backend`` resolves to
+        (``None``: NumPy), resolved once, on first use: building a pool
+        worker's task context stays cheap, and an explicit ``"native"``
+        the worker cannot load fails the task that needs it."""
+        return resolve_kernel_backend(self.kernel_backend)[1]
 
     @property
     def draws_per_item(self) -> int:
@@ -159,16 +178,17 @@ class SplitScorer:
         return self._run_chain(groups.size, kernel.n_obs, uniforms, provider)
 
     def score_chain_nodes(
-        self, native, uvalues: np.ndarray, nodes
+        self, uvalues: np.ndarray, nodes
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The chain over every candidate of a batch of tree nodes, in one
-        native call (:func:`repro.scoring.kernel.run_chains`; ``uvalues``
+        call of this scorer's native kernels
+        (:func:`repro.scoring.kernel.run_chains`; ``uvalues``
         is the batch's universe of parent values, ``nodes`` its
         :class:`~repro.scoring.kernel.ChainNode` list).  Returns the flat
         ``(log_scores, steps, accepted)`` of the nodes' candidates, node
         after node — per node what :meth:`score_batch_kernel` returns."""
         best_score, steps, _best_idx, bounds, _counters = run_chains(
-            native, uvalues, self.beta_grid, nodes, self.max_steps,
+            self.native, uvalues, self.beta_grid, nodes, self.max_steps,
             self.stop_repeats, want_idx=False,
         )
         accepted = np.empty(best_score.size, dtype=bool)

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.scoring.normal_gamma import (
-    DEFAULT_PRIOR,
-    NormalGammaPrior,
-    _native_kernels,
-    log_marginal,
-)
+from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marginal
 
 
 def _reject_nan_groups(stats: "StatsArrays") -> None:
@@ -166,24 +161,6 @@ class StatsArrays:
         vals = np.asarray(values, dtype=np.float64)
         labels = np.asarray(labels)
         out = cls(n_groups)
-        if (
-            vals.ndim in (1, 2)
-            and labels.shape == (vals.shape[-1],)
-            and np.issubdtype(labels.dtype, np.integer)
-        ):
-            native = _native_kernels()
-            if native is not None:
-                triple = native.grouped(
-                    np.ascontiguousarray(vals),
-                    np.ascontiguousarray(labels, dtype=np.int64),
-                    int(n_groups),
-                )
-                # None: a label fell outside [0, n_groups) — keep
-                # np.bincount's implicit array-widening semantics below.
-                if triple is not None:
-                    out.count, out.total, out.sumsq = triple
-                    _reject_nan_groups(out)
-                    return out
         if vals.ndim == 1:
             out.count = np.bincount(labels, minlength=n_groups).astype(np.float64)
             out.total = np.bincount(labels, weights=vals, minlength=n_groups)

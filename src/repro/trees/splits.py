@@ -23,7 +23,6 @@ from repro.scoring.kernel import (
     ChainNode,
     LazySplitKernel,
     guard_alloc,
-    resolve_kernel_backend,
     split_kernel_from_arrays,
     split_sign,
 )
@@ -99,9 +98,10 @@ def node_kernel(
     data: np.ndarray,
     node: TreeNode,
     parents: np.ndarray,
-    beta_grid,
+    scorer: SplitScorer,
 ) -> LazySplitKernel:
-    """Lazy split-scoring kernel over all candidate splits at ``node``.
+    """Lazy split-scoring kernel over all candidate splits at ``node``, on
+    ``scorer``'s beta grid and backend.
 
     The O(P * n_obs) replacement for :func:`node_margins`: the same
     candidate enumeration, but margins are materialized row-chunk by
@@ -109,7 +109,8 @@ def node_kernel(
     """
     assert node.left is not None
     return split_kernel_from_arrays(
-        data, node.observations, node.left.observations, parents, beta_grid
+        data, node.observations, node.left.observations, parents, scorer.beta_grid,
+        native=scorer.native,
     )
 
 
@@ -129,11 +130,11 @@ def score_nodes(
     accepted)`` arrays, node after node in the canonical parent-major,
     observation-minor order.
 
-    On the native backend, with keyed (Philox) streams, the whole batch is
-    one call (:func:`repro.scoring.kernel.run_chains`): the nodes share
-    every ``log1p(exp(-|z|))`` row over the union of their observations,
-    keep no per-node grouping tables or memo, and the draws are computed
-    where the chains read them.  Otherwise the nodes are scored one by one
+    On ``scorer``'s native backend, with keyed (Philox) streams, the whole
+    batch is one call (:func:`repro.scoring.kernel.run_chains`): the nodes
+    share every ``log1p(exp(-|z|))`` row over the union of their
+    observations, keep no per-node grouping tables or memo, and the draws
+    are computed where the chains read them.  Otherwise the nodes are scored one by one
     through :func:`~repro.scoring.kernel.split_kernel_from_arrays`, bit for
     bit what the batch computes: on the NumPy backend (the NumPy chain)
     and on a stream that hands out the draws themselves (MRG: 51 x 8 B per
@@ -146,14 +147,12 @@ def score_nodes(
     def span(obs, istream, base_index):
         return istream.items_span(base_index, parents.size * len(obs))
 
-    native = resolve_kernel_backend()[1]
-    if native is not None and all(
+    if scorer.native is not None and all(
         istream.keyed for _obs, _left_obs, istream, _base in nodes
     ):
         universe = np.unique(np.concatenate([obs for obs, *_rest in nodes]))
         guard_alloc(parents.size * universe.size, "parent-value slice")
         return scorer.score_chain_nodes(
-            native,
             data[np.ix_(parents, universe)],
             [
                 ChainNode(
@@ -166,7 +165,9 @@ def score_nodes(
         )
     parts = [
         scorer.score_batch_kernel(
-            split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid),
+            split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid, native=scorer.native
+            ),
             span(obs, istream, base_index),
         )
         for obs, left_obs, istream, base_index in nodes

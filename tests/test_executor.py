@@ -452,12 +452,12 @@ class TestOneSeam:
 
     def test_one_worker_honours_kernel_backend(self, setup):
         """Regression: the learner's private serial loops never applied
-        ``kernel_backend`` (numpy cells ran the native kernel)."""
+        ``kernel_backend`` (numpy cells ran the native kernel).  The backend
+        is the job's own value; the one process-wide setting, the chunk
+        size, is left as it was."""
         from repro.scoring import kernel as kernel_mod
-        from repro.scoring.kernel import configured_kernel_backend
 
         matrix, config, _members, _reference = setup
-        backend = configured_kernel_backend()
         chunk = kernel_mod._CONFIGURED_CHUNK_ELEMENTS
         trace = WorkTrace()
         LemonTreeLearner(
@@ -465,8 +465,6 @@ class TestOneSeam:
         ).learn(matrix, seed=5, trace=trace)
         assert trace.kernel_counters["backends"] == ["numpy"]
         assert trace.kernel_counters["evaluations"] > 0
-        # Process-wide settings are restored once learn() returns.
-        assert configured_kernel_backend() == backend
         assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == chunk
 
     def test_one_worker_leaves_chunk_size_alone(self, setup, monkeypatch):
@@ -507,14 +505,12 @@ class TestOneSeam:
         self, setup, monkeypatch
     ):
         """An explicit ``native`` request must not silently degrade at one
-        worker either — and the failed call restores the process config."""
+        worker either."""
         from repro import _native
-        from repro.scoring.kernel import configured_kernel_backend
 
         matrix, config, _members, _reference = setup
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
         _native.invalidate()
-        backend = configured_kernel_backend()
         try:
             with pytest.raises(RuntimeError, match="native"):
                 LemonTreeLearner(
@@ -523,7 +519,6 @@ class TestOneSeam:
         finally:
             monkeypatch.delenv("REPRO_NATIVE_DISABLE")
             _native.invalidate()
-        assert configured_kernel_backend() == backend
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_entry_points_open_one_executor_and_close_it(

@@ -190,6 +190,26 @@ class TestWorkerDeath:
         assert time.monotonic() - t0 < 15.0
         assert not any(_alive(pid) for pid in workers)
 
+    def test_healthy_pool_with_a_held_result_lock_is_torn_down(self, tiny_matrix):
+        """``terminate()``'s own SIGTERM can catch a healthy worker holding
+        the result-pipe lock, and ``terminate()`` then waits on it for good.
+        A healthy close goes through the same deadline-and-SIGKILL teardown
+        as a crashed pool's: it comes back, with every worker dead."""
+        config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        executor = TaskPoolExecutor(tiny_matrix.values, parents, config, 1)
+        try:
+            assert executor.submit_runs(_exit_mid_run, [0, 1, 3]) == [0, 1, 3]
+            executor.transport._pool._outqueue._wlock.acquire()
+            executor.transport._pool.apply_async(os.getpid)
+            workers = executor.worker_pids()
+            assert workers
+        finally:
+            t0 = time.monotonic()
+            executor.close()
+        assert time.monotonic() - t0 < 15.0
+        assert not any(_alive(pid) for pid in workers)
+
     def test_resume_replays_only_unfinished_runs(self, tiny_matrix, tmp_path):
         """Kill a worker mid-dispatch with checkpointing on: the
         surviving runs' checkpoints are valid and a resumed run replays

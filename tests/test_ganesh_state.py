@@ -186,6 +186,26 @@ class TestCoClusterState:
         state, _ = _random_state()
         state.check_invariants()
 
+    @pytest.mark.parametrize("flavour", ["ties", "inf"])
+    def test_stacked_marginals_equal_per_cluster_ones(self, flavour):
+        """Construction scores every cluster's blocks in one stacked call;
+        each cluster's ``lm`` is what its own ``log_marginals`` gives, bit
+        for bit, on tie-heavy data and on data holding ``inf`` (NaN
+        marginals)."""
+        data = np.round(np.random.default_rng(7).normal(size=(14, 11)) * 2.0) / 2.0
+        if flavour == "inf":
+            data[3, 4] = np.inf
+        labels = np.arange(14) % 4
+        obs = [(np.arange(11) * (c + 1)) % (c + 2) for c in range(4)]
+        with np.errstate(all="ignore"):
+            state = CoClusterState(data, labels, obs)
+            for cluster in state.clusters:
+                np.testing.assert_array_equal(
+                    cluster.obs.lm, cluster.obs.stats.log_marginals(state.prior)
+                )
+        lms = np.concatenate([cluster.obs.lm for cluster in state.clusters])
+        assert np.isnan(lms).any() == (flavour == "inf")
+
     def test_score_matches_brute_force(self):
         state, _ = _random_state(seed=2)
         assert state.score() == pytest.approx(_brute_score(state), abs=1e-8)

@@ -3,7 +3,6 @@
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from repro.parallel.trace import WorkTrace
 from repro.rng.philox import DrawSpan
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring import kernel as kernel_mod
-from repro.scoring.kernel import resolve_kernel_backend, set_kernel_backend
+from repro.scoring.kernel import resolve_kernel_backend
 from repro.validation.metrics import network_fingerprint
 
 
@@ -216,9 +215,10 @@ class TestObsOnlyGanesh:
 
 # -- the sweeps as one native call each ---------------------------------------
 #
-# Under kernel_backend "native"/"auto" a whole reassign or merge sweep —
-# observation or variable — is one certified C call (ALGORITHMS.md §13); the
-# NumPy loops stay as the "numpy" backend's path and as the oracle.
+# Handed the native kernels (``native=``, which ``run_ganesh`` resolves from
+# its ``kernel_backend``) a whole reassign or merge sweep — observation or
+# variable — is one certified C call (ALGORITHMS.md §13); the NumPy loops
+# (``native=None``) stay as the "numpy" backend's path and as the oracle.
 # Everything below except the last class needs the extension.
 
 NATIVE = _native.load() is not None
@@ -228,13 +228,9 @@ needs_native = pytest.mark.skipif(
 )
 
 
-@contextmanager
-def kernel_backend(name):
-    previous = set_kernel_backend(name)
-    try:
-        yield
-    finally:
-        set_kernel_backend(previous)
+def _native_of(backend):
+    """The sweeps' handle for a backend name (``None``: the NumPy loops)."""
+    return resolve_kernel_backend(backend)[1]
 
 
 def _block(seed, rows, m, scale=1.0, ties=False):
@@ -270,20 +266,20 @@ def _snapshot(oc, rng, records=()):
 
 def _run_program(backend, block, labels, program, rng_backend, traced, seed):
     """``program`` is a string of sweeps: r(eassign) / m(erge)."""
-    with kernel_backend(backend):
-        oc = ObsClustering.from_block(block, labels)
-        rng = _program_rng(seed, rng_backend)
-        records = []
-        hooks = SweepHooks(
-            record=(lambda *record: records.append(record)) if traced else None
-        )
-        for sweep in program:
-            if sweep == "r":
-                reassign_obs_sweep(oc, block, rng, hooks)
-            else:
-                merge_obs_sweep(oc, rng, hooks)
-            oc.check_invariants(block)
-        return _snapshot(oc, rng, records)
+    native = _native_of(backend)
+    oc = ObsClustering.from_block(block, labels)
+    rng = _program_rng(seed, rng_backend)
+    records = []
+    hooks = SweepHooks(
+        record=(lambda *record: records.append(record)) if traced else None
+    )
+    for sweep in program:
+        if sweep == "r":
+            reassign_obs_sweep(oc, block, rng, hooks, native=native)
+        else:
+            merge_obs_sweep(oc, rng, hooks, native=native)
+        oc.check_invariants(block)
+    return _snapshot(oc, rng, records)
 
 
 @needs_native
@@ -327,12 +323,13 @@ class TestNativeObsSweeps:
         labels = np.arange(12) % 4
         outcomes = []
         for backend in ("numpy", "native"):
-            with kernel_backend(backend), np.errstate(all="ignore"):
+            native = _native_of(backend)
+            with np.errstate(all="ignore"):
                 oc = ObsClustering.from_block(block, labels)
                 rng = _rng(21)
                 for _ in range(2):
-                    reassign_obs_sweep(oc, block, rng)
-                    merge_obs_sweep(oc, rng)
+                    reassign_obs_sweep(oc, block, rng, native=native)
+                    merge_obs_sweep(oc, rng, native=native)
                 outcomes.append((oc, rng.offset))
         (want, want_offset), (got, got_offset) = outcomes
         assert got_offset == want_offset
@@ -348,33 +345,34 @@ class TestNativeObsSweeps:
     def test_runs_end_to_end(self, small_matrix, rng_backend):
         outcomes = []
         for backend in ("numpy", "native"):
-            with kernel_backend(backend):
-                rng = GibbsRandom(make_stream(5, "e2e", backend=rng_backend))
-                result = run_ganesh(small_matrix.values, rng, n_update_steps=2)
-                result.state.check_invariants()
-                samples = run_obs_only_ganesh(
-                    small_matrix.values[:9], rng, n_update_steps=3, burn_in=1
+            rng = GibbsRandom(make_stream(5, "e2e", backend=rng_backend))
+            result = run_ganesh(
+                small_matrix.values, rng, n_update_steps=2, kernel_backend=backend
+            )
+            result.state.check_invariants()
+            samples = run_obs_only_ganesh(
+                small_matrix.values[:9], rng, n_update_steps=3, burn_in=1,
+                kernel_backend=backend,
+            )
+            outcomes.append(
+                (
+                    result.var_labels.tolist(),
+                    [c.obs.labels.tolist() for c in result.state.clusters],
+                    [s.tolist() for s in samples],
+                    rng.offset,
                 )
-                outcomes.append(
-                    (
-                        result.var_labels.tolist(),
-                        [c.obs.labels.tolist() for c in result.state.clusters],
-                        [s.tolist() for s in samples],
-                        rng.offset,
-                    )
-                )
+            )
         assert outcomes[0] == outcomes[1]
 
     def test_non_contiguous_block_is_copied_not_refused(self):
         block = _block(8, 5, 11)
         labels = np.arange(11) % 3
-        with kernel_backend("native"):
-            outcomes = []
-            for view in (block, np.asfortranarray(block), block[:, ::-1][:, ::-1]):
-                oc = ObsClustering.from_block(block, labels)
-                rng = _rng(9)
-                reassign_obs_sweep(oc, view, rng)
-                outcomes.append(_snapshot(oc, rng))
+        outcomes = []
+        for view in (block, np.asfortranarray(block), block[:, ::-1][:, ::-1]):
+            oc = ObsClustering.from_block(block, labels)
+            rng = _rng(9)
+            reassign_obs_sweep(oc, view, rng, native=_native.load())
+            outcomes.append(_snapshot(oc, rng))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_concurrent_sweeps_share_nothing(self):
@@ -385,18 +383,19 @@ class TestNativeObsSweeps:
         def run(index):
             return [
                 s.tolist()
-                for s in run_obs_only_ganesh(blocks[index], _rng(index), n_update_steps=6)
+                for s in run_obs_only_ganesh(
+                    blocks[index], _rng(index), n_update_steps=6, kernel_backend="native"
+                )
             ]
 
-        with kernel_backend("native"):
-            serial = [run(i) for i in range(4)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    threaded = list(pool.map(run, range(4), timeout=60))
-            finally:
-                sys.setswitchinterval(interval)
+        serial = [run(i) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
         assert threaded == serial
 
 
@@ -508,26 +507,26 @@ def _run_co_program(backend, start, program, rng_backend, traced, seed, check=Tr
     """``program`` is a string of sweeps over the whole state: R(eassign) /
     M(erge) variables, o(bservation sweeps of every cluster).  ``check``
     verifies the state's invariants after every sweep."""
-    with kernel_backend(backend):
-        state = start.copy()
-        rng = _program_rng(seed, rng_backend)
-        records = []
-        hooks = SweepHooks(
-            record=(lambda *record: records.append(record)) if traced else None
-        )
-        for sweep in program:
-            if sweep == "R":
-                reassign_var_sweep(state, rng, hooks)
-            elif sweep == "M":
-                merge_var_sweep(state, rng, hooks)
-            else:
-                for cluster in list(state.clusters):
-                    block = state.data[cluster.members]
-                    reassign_obs_sweep(cluster.obs, block, rng, hooks)
-                    merge_obs_sweep(cluster.obs, rng, hooks)
-            if check:
-                state.check_invariants()
-        return _co_snapshot(state, rng, records)
+    native = _native_of(backend)
+    state = start.copy()
+    rng = _program_rng(seed, rng_backend)
+    records = []
+    hooks = SweepHooks(
+        record=(lambda *record: records.append(record)) if traced else None
+    )
+    for sweep in program:
+        if sweep == "R":
+            reassign_var_sweep(state, rng, hooks, native)
+        elif sweep == "M":
+            merge_var_sweep(state, rng, hooks, native)
+        else:
+            for cluster in list(state.clusters):
+                block = state.data[cluster.members]
+                reassign_obs_sweep(cluster.obs, block, rng, hooks, native=native)
+                merge_obs_sweep(cluster.obs, rng, hooks, native=native)
+        if check:
+            state.check_invariants()
+    return _co_snapshot(state, rng, records)
 
 
 @needs_native
@@ -584,13 +583,12 @@ class TestNativeVarSweeps:
         monkeypatch.setattr(_native.NativeKernels, "var_sweep", spying)
         outcomes = []
         for backend in ("native", "numpy"):
-            with kernel_backend(backend):
-                state = start.copy()
-                rng = _rng(3)
-                reassign_var_sweep(state, rng)
-                reassign_var_sweep(state, rng)
-                state.check_invariants()
-                outcomes.append(_co_snapshot(state, rng))
+            state = start.copy()
+            rng = _rng(3)
+            reassign_var_sweep(state, rng, native=_native_of(backend))
+            reassign_var_sweep(state, rng, native=_native_of(backend))
+            state.check_invariants()
+            outcomes.append(_co_snapshot(state, rng))
         assert outcomes[0] == outcomes[1]
         assert any(opened for opened, _ in moves)
         assert any(dropped >= 0 for _, dropped in moves)
@@ -617,13 +615,13 @@ class TestNativeVarSweeps:
     def test_runs_end_to_end(self, small_matrix, rng_backend):
         outcomes = []
         for backend in ("numpy", "native"):
-            with kernel_backend(backend):
-                rng = GibbsRandom(make_stream(6, "e2e", backend=rng_backend))
-                result = run_ganesh(
-                    small_matrix.values, rng, n_update_steps=3, init_var_clusters=5
-                )
-                result.state.check_invariants()
-                outcomes.append(_co_snapshot(result.state, rng))
+            rng = GibbsRandom(make_stream(6, "e2e", backend=rng_backend))
+            result = run_ganesh(
+                small_matrix.values, rng, n_update_steps=3, init_var_clusters=5,
+                kernel_backend=backend,
+            )
+            result.state.check_invariants()
+            outcomes.append(_co_snapshot(result.state, rng))
         assert outcomes[0] == outcomes[1]
 
     def test_non_contiguous_data_is_copied_not_refused(self):
@@ -661,18 +659,19 @@ class TestNativeVarSweeps:
         datas = [np.random.default_rng(seed).normal(size=(24, 12)) for seed in range(4)]
 
         def run(index):
-            result = run_ganesh(datas[index], _rng(index), n_update_steps=4)
+            result = run_ganesh(
+                datas[index], _rng(index), n_update_steps=4, kernel_backend="native"
+            )
             return _co_snapshot(result.state, _rng(0))
 
-        with kernel_backend("native"):
-            serial = [run(i) for i in range(4)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    threaded = list(pool.map(run, range(4), timeout=60))
-            finally:
-                sys.setswitchinterval(interval)
+        serial = [run(i) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
         assert threaded == serial
 
 
@@ -771,14 +770,14 @@ class TestVarSweepEntryValidation:
             pack["offsets"][-1] += 1
             return pack
 
-        with kernel_backend("native"):
-            monkeypatch.setattr(CoClusterState, "var_sweep_pack", corrupted)
-            with pytest.raises(ValueError, match="offsets do not tile"):
-                reassign_var_sweep(state, _rng(1))
-            state.check_invariants()
-            monkeypatch.undo()
-            reassign_var_sweep(state, _rng(2))
-            reassign_var_sweep(want, _rng(2))
+        native = _native.load()
+        monkeypatch.setattr(CoClusterState, "var_sweep_pack", corrupted)
+        with pytest.raises(ValueError, match="offsets do not tile"):
+            reassign_var_sweep(state, _rng(1), native=native)
+        state.check_invariants()
+        monkeypatch.undo()
+        reassign_var_sweep(state, _rng(2), native=native)
+        reassign_var_sweep(want, _rng(2), native=native)
         assert _co_snapshot(state, _rng(0)) == _co_snapshot(want, _rng(0))
 
     @pytest.mark.parametrize("merge", [False, True])
@@ -898,27 +897,30 @@ class TestOneNativeCallPerSweep:
 @needs_native
 class TestSweepCertification:
     def test_oracle_is_the_numpy_loop(self, monkeypatch):
-        """While the loader certifies, the sweep loops it compares against
-        score through NumPy — whatever backend is configured — and the
-        process is back on the extension afterwards."""
-        per_move = {"move_obs_scores": [], "move_var_scores": []}
+        """The sweep loops the loader compares against score move by move,
+        through NumPy, and nothing in the certification resolves ``auto`` or
+        ``native``: that would re-enter the load."""
+        kernels = _native.load()
+        per_move = dict.fromkeys(("move_obs_scores", "move_var_scores"), 0)
 
         def counting(target, name):
             original = getattr(target, name)
 
             def wrapper(self, *args, **kwargs):
-                per_move[name].append(resolve_kernel_backend())
+                per_move[name] += 1
                 return original(self, *args, **kwargs)
 
             monkeypatch.setattr(target, name, wrapper)
 
+        def reentered(*args, **kwargs):
+            raise AssertionError("a backend was resolved during certification")
+
         counting(ObsClustering, "move_obs_scores")
         counting(CoClusterState, "move_var_scores")
-        with kernel_backend("native"):
-            assert _native._certify(_native.load()) is None
-            for backends in per_move.values():
-                assert backends and set(backends) == {("numpy", None)}
-            assert resolve_kernel_backend()[0] == "native"
+        monkeypatch.setattr(_native, "load", reentered)
+        monkeypatch.setattr(_native, "availability", reentered)
+        assert _native._certify(kernels) is None
+        assert all(per_move.values())
 
     @pytest.mark.parametrize("doctor", ["block marginal", "draw index"])
     def test_doctored_var_sweep_fails_certification(self, doctor):
@@ -984,11 +986,6 @@ class TestNumpySweepOracle:
     """Runs everywhere (the extension cannot exist on the no-toolchain job):
     the NumPy loops are the ``numpy`` backend's only path and the oracle the
     native entry is certified against, and they score move by move."""
-
-    @pytest.fixture(autouse=True)
-    def numpy_backend(self):
-        with kernel_backend("numpy"):
-            yield
 
     @pytest.mark.parametrize("seed", range(3))
     def test_obs_sweeps_preserve_invariants(self, seed):

@@ -9,7 +9,8 @@
   index where C indexes by its values, is refused with a ``ValueError``
   that names it, before any C entry is reached;
 * **the certification table** — every row fails certification by name when
-  its entry's output is moved one ulp.
+  its entry's output is moved one ulp, and a variable sweep wrong only past
+  the first 512 stacked blocks fails the probe that stacks that many.
 """
 
 import dataclasses
@@ -22,7 +23,6 @@ from repro import _native
 from repro.ganesh.state import CoClusterState, ObsClustering
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring.kernel import ChainNode
-from repro.scoring.normal_gamma import DEFAULT_PRIOR
 
 needs_native = pytest.mark.skipif(
     _native.load() is None,
@@ -69,17 +69,6 @@ def _valid_call(entry):
             urow=np.tile(np.arange(n_u), (n_parents, 1)), beta_grid=np.arange(1.0, 5.0),
             nodes=[node], max_steps=2, stop_repeats=1, quantum=1e-9, chunk_elements=64,
             share=True,
-        )
-    if entry in ("repro_grouped_1d", "repro_grouped_2d"):
-        shape = (6,) if entry.endswith("1d") else (3, 6)
-        return "grouped", dict(
-            vals=rng.normal(size=shape), labels=rng.integers(0, 2, size=6), n_groups=2
-        )
-    if entry == "repro_log_marginal":
-        n = rng.integers(1, 9, size=5).astype(np.float64)
-        return "log_marginal", dict(
-            n=n, s=rng.normal(size=5), q=np.abs(rng.normal(size=5)) + 9.0,
-            lgam_alpha_n=np.zeros(5), prior=DEFAULT_PRIOR,
         )
     if entry in ("repro_obs_reassign_sweep", "repro_obs_merge_sweep"):
         m, k, rows = 6, 3, 4
@@ -188,8 +177,6 @@ def test_spec_refuses_every_bad_buffer_before_c(entry, arg, monkeypatch):
     name = arg.name or arg.key.replace("_", " ")
     valid = _get(kwargs, arg.key)
     variants = list(_variants(arg, valid, need))
-    if entry == "repro_grouped_1d" and arg.key == "vals":
-        variants = [v for v in variants if v[0] != "ndim"]  # 2-D values are grouped_2d's
     assert variants
     for variant, bad in variants:
         with pytest.raises(ValueError) as refusal:
@@ -231,29 +218,12 @@ def _doctors(kernels):
         _nudged(pack["lm"], pack["offsets"][slot] if slot < k0 else pack["n_blocks"] + slot - k0)
         return origin, sizes, moves
 
-    def grouped(ndim):
-        def doctored(vals, labels, n_groups):
-            out = kernels.grouped(vals, labels, n_groups)
-            if out is not None and np.ndim(vals) == ndim:
-                _nudged(out[1])
-            return out
-
-        return {"grouped": doctored}
-
-    def log_marginal(*args):
-        out = kernels.log_marginal(*args)
-        _nudged(out)
-        return out
-
     return {
         "eval_chunk": {"eval_chunk": eval_chunk},
         "philox draws": {"philox_uniforms": philox_uniforms},
         "score_batch": {"score_batch": score_batch},
         "obs sweep": {"obs_sweep": obs_sweep},
         "var sweep": {"var_sweep": var_sweep},
-        "grouped_2d": grouped(2),
-        "grouped_1d": grouped(1),
-        "log_marginal": {"log_marginal": log_marginal},
     }
 
 
@@ -276,23 +246,40 @@ def test_an_entry_one_ulp_off_fails_certification_by_name(row):
 
 
 @needs_native
-@pytest.mark.parametrize(
-    "method, overrides, refusal",
-    [
-        ("eval_chunk", dict(group_row=np.array([0, 1, 2, 3, 0])), "group row must name a row"),
-        ("log_marginal", dict(s=np.zeros(4)), "s must be"),
-        ("log_marginal", dict(q=np.zeros(4)), "q must be"),
-        ("log_marginal", dict(lgam_alpha_n=np.zeros(4)), "gammaln(alpha_N) must be"),
-        ("grouped", dict(labels=np.zeros(5, dtype=np.int64)), "labels must be"),
-    ],
-)
-def test_the_buffers_the_old_wrappers_passed_unchecked_are_refused(method, overrides, refusal):
-    """A row index outside the values, and lengths C trusted the first
-    array for: refused before C (``group_row`` 3 of 3 rows, 4 entries
-    where C reads 5)."""
+def test_a_group_row_outside_the_values_is_refused():
+    """A row index C would read past the values with: ``group_row`` 3 of
+    3 rows, refused before C."""
     kernels = _native.load()
-    entry = {"eval_chunk": "repro_eval_chunk", "log_marginal": "repro_log_marginal"}
-    kwargs = _valid_call(entry.get(method, "repro_grouped_1d"))[1]
+    kwargs = _valid_call("repro_eval_chunk")[1]
     trapped = _native.NativeKernels(kernels._ffi, _Trap(), kernels.provider)
-    with pytest.raises(ValueError, match=re.escape(refusal)):
-        getattr(trapped, method)(**{**kwargs, **overrides})
+    with pytest.raises(ValueError, match="group row must name a row"):
+        trapped.eval_chunk(**{**kwargs, "group_row": np.array([0, 1, 2, 3, 0])})
+
+
+#: how many entries ``log_marginal_core`` (``_build.py``) scores at a time
+_LOG_MARGINAL_BLOCK = 512
+
+
+@needs_native
+def test_a_var_sweep_wrong_past_the_first_block_fails_the_wide_probe():
+    """The variable-sweep entry with one marginal an ulp off whenever its
+    state holds more blocks than ``log_marginal_core`` scores at a time:
+    certification fails at the probe that stacks that many, by name."""
+    kernels = _native.load()
+    nudging = _doctors(kernels)["var sweep"]["var_sweep"]
+
+    class Doctored:
+        def __getattr__(self, name):
+            return getattr(kernels, name)
+
+        def var_sweep(self, **pack):
+            if pack["n_blocks"] > _LOG_MARGINAL_BLOCK:
+                return nudging(**pack)
+            return kernels.var_sweep(**pack)
+
+    with np.errstate(all="ignore"):  # one probe holds an inf
+        (wide,) = [
+            label for label, case in _native._var_cases()
+            if sum(c.obs.n_clusters for c in case[1].clusters) > _LOG_MARGINAL_BLOCK
+        ]
+    assert _native._certify(Doctored()) == f"var sweep mismatch at {wide}"

@@ -7,8 +7,8 @@ Three contracts:
   extension is unavailable while ``"auto"`` silently falls back to NumPy
   for *expected* absence (disabled, no cffi, no compiler) and warns once
   only for genuine failures;
-* **bit identity** — the native chunk evaluator, grouped statistics and
-  normal-gamma tail agree with the NumPy oracle bit for bit, property-based
+* **bit identity** — the native chunk evaluator agrees with the NumPy
+  oracle bit for bit, property-based
   over random shapes, duplicate-heavy rows, sub-range ``item_indices``,
   both RNG stream backends, extreme magnitudes and an active
   ``allocation_cap`` (which must raise the same
@@ -36,7 +36,6 @@ run everywhere.
 import sys
 import threading
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,12 +53,9 @@ from repro.scoring.kernel import (
     allocation_cap,
     consume_kernel_totals,
     resolve_kernel_backend,
-    set_kernel_backend,
     split_kernel_from_arrays,
 )
-from repro.scoring.normal_gamma import NormalGammaPrior, log_marginal
 from repro.scoring.split_score import SplitScorer
-from repro.scoring.suffstats import StatsArrays
 
 NATIVE = _native.load() is not None
 needs_native = pytest.mark.skipif(
@@ -67,6 +63,11 @@ needs_native = pytest.mark.skipif(
     reason=f"native backend unavailable ({_native.availability()['status']})",
 )
 BACKENDS = ["numpy"] + (["native"] if NATIVE else [])
+
+
+def _native_of(backend):
+    """The kernels' handle for a backend name (``None``: NumPy)."""
+    return resolve_kernel_backend(backend)[1]
 
 
 def _uniform_span(n_items, dpi, seed=0, backend="philox"):
@@ -112,21 +113,15 @@ class TestBackendConfig:
         cfg = LearnerConfig(parallel=ParallelConfig(kernel_backend="numpy"))
         assert cfg.parallel.kernel_backend == "numpy"
 
-    def test_set_kernel_backend_roundtrip(self):
-        prev = set_kernel_backend("numpy")
-        try:
-            assert kernel_mod.configured_kernel_backend() == "numpy"
-            assert resolve_kernel_backend() == ("numpy", None)
-        finally:
-            set_kernel_backend(prev)
-
-    def test_set_kernel_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_kernel_backend("fortran")
+    def test_resolve_rejects_unknown(self):
+        with pytest.raises(ValueError, match="kernel backend must be one of"):
+            resolve_kernel_backend("fortran")
 
     def test_numpy_never_touches_extension(self):
         name, kernels = resolve_kernel_backend("numpy")
         assert name == "numpy" and kernels is None
+        scorer = SplitScorer(kernel_backend="numpy")
+        assert (scorer.kernel_backend, scorer.native) == ("numpy", None)
 
     def test_cli_flag_flows_into_config(self):
         from repro.cli import _parallel_config, build_parser
@@ -155,10 +150,7 @@ class TestAutoFallback:
             assert name == "numpy" and kernels is None
             with pytest.raises(RuntimeError, match="native"):
                 resolve_kernel_backend("native")
-            kernel = LazySplitKernel(
-                np.zeros((2, 3)), np.ones(3), (1.0,), backend="auto"
-            )
-            assert kernel.backend == "numpy"
+            assert SplitScorer(kernel_backend="auto").native is None
         finally:
             monkeypatch.delenv("REPRO_NATIVE_DISABLE")
             _native.invalidate()
@@ -180,7 +172,7 @@ class TestSplitKernelBitIdentity:
         results = {}
         for backend in ("numpy", "native"):
             kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+                data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
             )
             chain = scorer.score_batch_kernel(kernel, uniforms)
             best = scorer.score_grid_best_kernel(kernel)
@@ -243,7 +235,7 @@ class TestSplitKernelBitIdentity:
             for backend in ("numpy", "native"):
                 kernel = split_kernel_from_arrays(
                     data, obs, left_obs, parents[l0:l1], scorer.beta_grid,
-                    backend=backend,
+                    native=_native_of(backend),
                 )
                 parts[backend] = scorer.score_batch_kernel(
                     kernel, uniforms[row0:row1], item_indices=items
@@ -273,7 +265,7 @@ class TestSplitKernelBitIdentity:
             for backend in ("numpy", "native"):
                 kernel = split_kernel_from_arrays(
                     data, obs, left_obs, parents, scorer.beta_grid,
-                    backend=backend,
+                    native=_native_of(backend),
                 )
                 out[backend] = scorer.score_batch_kernel(kernel, uniforms)
                 assert kernel.peak_chunk_elements <= cap
@@ -283,7 +275,7 @@ class TestSplitKernelBitIdentity:
             for backend in ("numpy", "native"):
                 with pytest.raises(AllocationCapExceeded):
                     LazySplitKernel(
-                        np.zeros((4, 4)), np.ones(4), (1.0, 2.0), backend=backend
+                        np.zeros((4, 4)), np.ones(4), (1.0, 2.0), native=_native_of(backend)
                     )
 
     def test_explicit_chunk_bound_parity(self):
@@ -296,7 +288,7 @@ class TestSplitKernelBitIdentity:
         for backend in ("numpy", "native"):
             kernel = split_kernel_from_arrays(
                 data, obs, left_obs, parents, scorer.beta_grid,
-                max_chunk_elements=5 * obs.size, backend=backend,
+                max_chunk_elements=5 * obs.size, native=_native_of(backend),
             )
             out[backend] = scorer.score_batch_kernel(kernel, uniforms)
             assert kernel.peak_chunk_elements <= 5 * obs.size
@@ -380,7 +372,7 @@ class TestFusedChain:
         def make(backend):
             return split_kernel_from_arrays(
                 data, obs, left_obs, parents, scorer.beta_grid,
-                max_chunk_elements=chunk_rows * n_obs, backend=backend,
+                max_chunk_elements=chunk_rows * n_obs, native=_native_of(backend),
             )
 
         oracle = make("numpy")
@@ -404,7 +396,7 @@ class TestFusedChain:
         scorer = SplitScorer(max_steps=3)
         for backend in BACKENDS:
             kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+                data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
             )
             scorer.score_batch_kernel(
                 kernel, _uniform_block(kernel.n_items, scorer.draws_per_item)
@@ -435,28 +427,28 @@ class TestFusedChain:
             left=TreeNode(1, left),
             right=TreeNode(2, np.setdiff1d(obs, left)),
         )
-        ctx = build_ctx(data, parents, config, seed)
+        ctx = build_ctx(
+            data, parents,
+            config.with_updates(parallel=ParallelConfig(kernel_backend=backend)), seed,
+        )
+        assert ctx["scorer"].kernel_backend == backend
         istream = IndexedStream(
             make_stream(seed, "splits", module_id, backend=config.rng_backend),
             ctx["scorer"].draws_per_item,
         )
-        prev = set_kernel_backend("numpy")
-        try:
-            whole = score_node_splits(
-                data, module_id, 0, node, parents, ctx["scorer"], istream, base
-            )
-            set_kernel_backend(backend)
-            n_items = parents.size * obs.size
-            bounds = [0, 4, obs.size, 3 * obs.size + 5, n_items - 1, n_items]
-            for row0, row1 in zip(bounds, bounds[1:]):
-                task = SplitTask(module_id, obs, left, base, row0, row1, row0)
-                offset, scores, steps, accepted = _score_chunk_run(ctx, task)
-                assert offset == row0
-                np.testing.assert_array_equal(scores, whole.log_scores[row0:row1])
-                np.testing.assert_array_equal(steps, whole.steps[row0:row1])
-                np.testing.assert_array_equal(accepted, whole.accepted[row0:row1])
-        finally:
-            set_kernel_backend(prev)
+        whole = score_node_splits(
+            data, module_id, 0, node, parents,
+            SplitScorer(max_steps=6, stop_repeats=2, kernel_backend="numpy"), istream, base,
+        )
+        n_items = parents.size * obs.size
+        bounds = [0, 4, obs.size, 3 * obs.size + 5, n_items - 1, n_items]
+        for row0, row1 in zip(bounds, bounds[1:]):
+            task = SplitTask(module_id, obs, left, base, row0, row1, row0)
+            offset, scores, steps, accepted = _score_chunk_run(ctx, task)
+            assert offset == row0
+            np.testing.assert_array_equal(scores, whole.log_scores[row0:row1])
+            np.testing.assert_array_equal(steps, whole.steps[row0:row1])
+            np.testing.assert_array_equal(accepted, whole.accepted[row0:row1])
 
     def test_chain_on_a_partly_filled_memo(self):
         """A second chain on the same kernel runs against the memo the
@@ -471,7 +463,7 @@ class TestFusedChain:
         runs = {}
         for backend in BACKENDS:
             kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+                data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
             )
             a = scorer.score_batch_kernel(kernel, first[items], item_indices=items)
             after_first = _memo_state(kernel)
@@ -493,7 +485,7 @@ class TestFusedChain:
         data, obs, left_obs, parents = _node_arrays(41, n_obs=12, n_parents=3)
         scorer = SplitScorer(max_steps=3)
         kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+            data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
         )
         uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 41)
         with allocation_cap(obs.size - 1):
@@ -506,7 +498,7 @@ class TestFusedChain:
         data, obs, left_obs, parents = _node_arrays(43, n_obs=6, n_parents=2)
         scorer = SplitScorer(max_steps=2)
         kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, scorer.beta_grid, backend="native"
+            data, obs, left_obs, parents, scorer.beta_grid, native=_native.load()
         )
         uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 43)
         bad = uniforms.copy()
@@ -537,7 +529,7 @@ class TestFusedChain:
         results = []
         for draws in (uniforms, frozen):
             kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, backend="native"
+                data, obs, left_obs, parents, scorer.beta_grid, native=_native.load()
             )
             results.append(scorer.score_batch_kernel(kernel, draws))
         for want, got in zip(*results):
@@ -673,7 +665,7 @@ class TestSharedMemoThreads:
             _uniform_block(n_items, scorer.draws_per_item, 60 + t)
             for t in range(n_threads)
         ]
-        solo = LazySplitKernel(values, sign, scorer.beta_grid, backend="native")
+        solo = LazySplitKernel(values, sign, scorer.beta_grid, native=_native.load())
         want = [scorer.score_batch_kernel(solo, block)[:3] for block in blocks]
 
         interval = sys.getswitchinterval()
@@ -681,7 +673,7 @@ class TestSharedMemoThreads:
         try:
             for _round in range(25):
                 shared = LazySplitKernel(
-                    values, sign, scorer.beta_grid, backend="native"
+                    values, sign, scorer.beta_grid, native=_native.load()
                 )
                 got = [None] * n_threads
                 barrier = threading.Barrier(n_threads)
@@ -767,7 +759,7 @@ class TestBuildTables:
         values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
         if with_nan and values.size:
             values[rng.random(values.shape) < 0.2] = np.nan
-        kernel = LazySplitKernel(values, np.ones(n_obs), (1.0, 2.0), backend="numpy")
+        kernel = LazySplitKernel(values, np.ones(n_obs), (1.0, 2.0))
         item_groups, group_row, group_value, n_groups = _per_row_unique_tables(
             kernel.values
         )
@@ -782,88 +774,6 @@ class TestBuildTables:
         assert kernel._cache.shape == kernel._seen.shape == (2 * n_groups,)
 
 
-# -- bit identity: grouped stats and the normal-gamma tail -------------------
-
-
-@needs_native
-class TestStatsBitIdentity:
-    @staticmethod
-    def _numpy_oracle():
-        import repro.scoring.normal_gamma as ng
-
-        return mock.patch.object(ng, "_native_kernels", lambda: None)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        rows=st.integers(1, 40),
-        cols=st.integers(0, 20),
-        n_groups=st.integers(1, 8),
-        scale=st.sampled_from([1.0, 1e8]),
-    )
-    def test_grouped_property(self, seed, rows, cols, n_groups, scale):
-        rng = np.random.default_rng(seed)
-        if cols == 0:  # 1-D shape
-            vals = rng.normal(size=rows) * scale
-            labels = rng.integers(0, n_groups, size=rows)
-        else:
-            vals = rng.normal(size=(rows, cols)) * scale
-            labels = rng.integers(0, n_groups, size=cols)
-        native = StatsArrays.grouped(vals, labels, n_groups)
-        with self._numpy_oracle():
-            oracle = StatsArrays.grouped(vals, labels, n_groups)
-        np.testing.assert_array_equal(native.count, oracle.count)
-        np.testing.assert_array_equal(native.total, oracle.total)
-        np.testing.assert_array_equal(native.sumsq, oracle.sumsq)
-
-    def test_grouped_out_of_range_labels_fall_back(self):
-        """Labels beyond n_groups keep np.bincount's widening semantics."""
-        vals = np.arange(6, dtype=np.float64)
-        labels = np.arange(6)
-        stats = StatsArrays.grouped(vals, labels, 3)
-        assert len(stats) == 6  # widened, exactly as the NumPy path does
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        size=st.integers(1, 600),
-        empty_frac=st.sampled_from([0.0, 0.5]),
-        lambda0=st.sampled_from([0.1, 1.0]),
-        alpha0=st.sampled_from([0.1, 2.5]),
-    )
-    def test_log_marginal_property(self, seed, size, empty_frac, lambda0, alpha0):
-        rng = np.random.default_rng(seed)
-        count = rng.integers(0, 50, size=size).astype(np.float64)
-        count[rng.random(size) < empty_frac] = 0.0
-        total = rng.normal(size=size) * count
-        sumsq = total * total / np.maximum(count, 1.0) + np.abs(
-            rng.normal(size=size)
-        ) * count
-        prior = NormalGammaPrior(lambda0=lambda0, alpha0=alpha0)
-        native = log_marginal(count, total, sumsq, prior)
-        with self._numpy_oracle():
-            oracle = log_marginal(count, total, sumsq, prior)
-        np.testing.assert_array_equal(native, oracle)
-
-    def test_log_marginal_scalar_path_unchanged(self):
-        # Scalars never dispatch to the extension; the vectorized oracle
-        # and the pure-math scalar twin stay in close agreement.
-        from repro.scoring.normal_gamma import log_marginal_scalar
-
-        got = log_marginal(3.0, 1.5, 2.0)
-        assert isinstance(got, float)
-        assert got == pytest.approx(log_marginal_scalar(3.0, 1.5, 2.0), rel=1e-12)
-
-    def test_log_marginal_2d_shape_preserved(self):
-        rng = np.random.default_rng(0)
-        count = rng.integers(0, 9, size=(4, 5)).astype(np.float64)
-        total = rng.normal(size=(4, 5)) * count
-        sumsq = np.abs(rng.normal(size=(4, 5))) * count + total**2 / np.maximum(count, 1)
-        out = log_marginal(count, total, sumsq)
-        assert out.shape == (4, 5)
-        assert np.all(out[count == 0] == 0.0)
-
-
 # -- the seen-bitmask cache --------------------------------------------------
 
 
@@ -876,7 +786,7 @@ class TestSeenBitmask:
         values = np.array([[np.inf, -np.inf, 0.0, 1.0]])
         sign = np.array([1.0, -1.0, 1.0, -1.0])
         with np.errstate(all="ignore"):
-            kernel = LazySplitKernel(values, sign, (1.0,), backend=backend)
+            kernel = LazySplitKernel(values, sign, (1.0,), native=_native_of(backend))
             # The group holding the +inf candidate value scores NaN.
             inf_group = kernel.item_groups[0]
             g = np.array([inf_group], dtype=np.int64)
@@ -912,7 +822,7 @@ class TestKernelCounters:
     def test_consume_drains_and_resets(self):
         consume_kernel_totals()
         kernel = split_kernel_from_arrays(
-            *_node_arrays(3)[:4], (1.0, 2.0), backend="numpy"
+            *_node_arrays(3)[:4], (1.0, 2.0)
         )
         kernel.scores(
             np.zeros(4, dtype=np.int64), np.array([0, 0, 1, 1], dtype=np.int64)

@@ -93,6 +93,20 @@ class TestLogMarginal:
     def test_scalar_returns_float(self):
         assert isinstance(log_marginal(3.0, 1.0, 2.0), float)
 
+    def test_scalar_path_agrees_with_the_pure_math_twin(self):
+        got = log_marginal(3.0, 1.5, 2.0)
+        assert isinstance(got, float)
+        assert got == pytest.approx(log_marginal_scalar(3.0, 1.5, 2.0), rel=1e-12)
+
+    def test_2d_shape_preserved(self):
+        rng = np.random.default_rng(0)
+        count = rng.integers(0, 9, size=(4, 5)).astype(np.float64)
+        total = rng.normal(size=(4, 5)) * count
+        sumsq = np.abs(rng.normal(size=(4, 5))) * count + total**2 / np.maximum(count, 1)
+        out = log_marginal(count, total, sumsq)
+        assert out.shape == (4, 5)
+        assert np.all(out[count == 0] == 0.0)
+
     def test_tight_data_beats_spread_data(self):
         tight = log_marginal(*_stats([1.0, 1.01, 0.99, 1.0]))
         spread = log_marginal(*_stats([5.0, -5.0, 3.0, -3.0]))

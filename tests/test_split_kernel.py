@@ -33,7 +33,9 @@ from repro.scoring.kernel import (
 from repro.scoring.split_score import SplitScorer
 from repro.trees.splits import margins_from_arrays
 
-BACKENDS = ["numpy"] + (["native"] if _native.load() is not None else [])
+#: each available backend's kernels handle (``None``: NumPy)
+NATIVES = {"numpy": None, **({"native": _native.load()} if _native.load() else {})}
+BACKENDS = list(NATIVES)
 
 
 def _uniform_block(n_items, dpi, seed=0):
@@ -195,7 +197,7 @@ class TestMemoContract:
         rng = np.random.default_rng(seed)
         data, obs, left_obs, parents = _node_arrays(seed % 7, duplicates=bool(seed % 2))
         kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, BETA_GRID, backend=backend
+            data, obs, left_obs, parents, BETA_GRID, native=NATIVES[backend]
         )
         seen: set[int] = set()
         for _batch in range(2):
@@ -218,7 +220,7 @@ class TestMemoContract:
         each candidate in the group, evaluated once per group."""
         data, obs, left_obs, parents = _node_arrays(3, duplicates=duplicates)
         kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, BETA_GRID, backend=backend
+            data, obs, left_obs, parents, BETA_GRID, native=NATIVES[backend]
         )
         dense = DenseScoreMemo(margins_from_arrays(data, obs, left_obs, parents), BETA_GRID)
         items = np.arange(kernel.n_items, dtype=np.int64)
@@ -236,7 +238,7 @@ class TestMemoContract:
         data, obs, left_obs, parents = _node_arrays(19, duplicates=True)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
         kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, scorer.beta_grid, backend=backend
+            data, obs, left_obs, parents, scorer.beta_grid, native=NATIVES[backend]
         )
         uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 19)
         first = scorer.score_batch_kernel(kernel, uniforms)
@@ -253,10 +255,10 @@ class TestMemoContract:
         what the first did and ends in the same state."""
         node = _node_arrays(23, duplicates=True)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
-        first = split_kernel_from_arrays(*node, scorer.beta_grid, backend=backend)
+        first = split_kernel_from_arrays(*node, scorer.beta_grid, native=NATIVES[backend])
         uniforms = _uniform_block(first.n_items, scorer.draws_per_item, 23)
         want = scorer.score_batch_kernel(first, uniforms)
-        second = split_kernel_from_arrays(*node, scorer.beta_grid, backend=backend)
+        second = split_kernel_from_arrays(*node, scorer.beta_grid, native=NATIVES[backend])
         assert not second._seen.any()
         assert not np.shares_memory(second._cache, first._cache)
         assert not np.shares_memory(second._seen, first._seen)

@@ -72,6 +72,19 @@ class TestStatsArraysGrouped:
         stats = StatsArrays.grouped(np.array([1.0]), np.array([2]), 4)
         np.testing.assert_array_equal(stats.count, [0, 0, 1, 0])
 
+    def test_grouped_out_of_range_labels_widen(self):
+        """Labels beyond ``n_groups`` keep ``np.bincount``'s widening."""
+        stats = StatsArrays.grouped(np.arange(6, dtype=np.float64), np.arange(6), 3)
+        assert len(stats) == 6
+        np.testing.assert_array_equal(stats.total, np.arange(6.0))
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_grouped_refuses_nan_groups(self, shape):
+        values = np.ones(shape)
+        values[..., 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            StatsArrays.grouped(values, np.array([0, 0, 1, 1, 1]), 2)
+
     def test_grouped_rejects_3d(self):
         with pytest.raises(ValueError):
             StatsArrays.grouped(np.zeros((2, 2, 2)), np.array([0, 1]), 2)
