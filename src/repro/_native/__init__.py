@@ -23,7 +23,7 @@ Acquisition order:
    table (:data:`_CERTIFICATION`) runs its probe cases through the entry
    and through an independent NumPy oracle and compares the outputs bit
    for bit — the evaluator, the in-kernel Philox generator, the fused
-   sampling chain (results, counters and memo end state), the GaneSH
+   sampling chain (results and counters), the GaneSH
    observation and variable sweeps (end state, draws consumed, recorded
    costs; the chain and the sweeps both reading their draws and computing
    them).  A provider that fails certification is rejected; if none
@@ -40,8 +40,7 @@ no C compiler, explicitly disabled) from *failure* (build error, import
 error, certification mismatch); the kernel-backend resolver only warns on
 the latter.  All exposed entry points release the GIL for the duration of
 the C call (cffi's calling convention), so scoring overlaps with other
-threads — which is why the chain entry publishes a memo slot's score before
-its seen flag (release/acquire): two threads may share one memo.
+threads; every memo the chain entry writes is its own scratch.
 """
 
 from __future__ import annotations
@@ -160,8 +159,6 @@ def _var_sweep(n_draws: str, n_slots: str) -> tuple:
     )
 
 
-_ITEMS = "items must be candidates in [0, {n_cand}), ascending by parent"
-_MEMO = "memo tables do not match the beta grid"
 _ROWS = "uniforms must have shape ({n_items}, >= {per_item}), got {uniforms.shape}"
 
 #: the argument spec table: per C entry, its arrays and relations.  The
@@ -207,17 +204,7 @@ _NODE = (
         refusal="obs must be columns of the universe, in [0, {n_u})",
     ),
     Arg("sign", F64, ("n_obs",), "n_obs", refusal="sign must have one entry per observation"),
-    Size("n_cand", "n_parents * n_obs"),
-    Arg("items", I64, ("n_items",), below="n_cand", refusal=_ITEMS, when="items is not None"),
-    Rule("items is None or not (np.diff(items // max(n_obs, 1)) < 0).any()", _ITEMS),
-    Size("n_items", "n_cand"),
-    Arg("cache", F64, ("n_memo",), writable=True, name="memo cache", when="groups is not None"),
-    Arg("seen", BOOL, ("n_memo",), "n_memo", True, refusal=_MEMO, when="groups is not None"),
-    Rule("groups is None or n_memo % n_beta == 0", _MEMO),
-    Arg(
-        "groups", I64, ("n_items",), "n_items", below="n_memo // n_beta",
-        refusal="groups must name one memo row per item", when="groups is not None",
-    ),
+    Size("n_items", "n_parents * n_obs"),
     # rows of at least per_item draws, or a span of exactly that many
     Arg("uniforms", DRAWS, ("n_items", "stride"), writable=True, refusal=_ROWS, copy=True),
     Size("stride", "per_item"),  # a span's rows are exactly per_item long
@@ -446,10 +433,11 @@ class NativeKernels:
 
         ``uvalues`` is the batch's universe (a row of values per candidate
         parent), ``urow`` the rank of each value among its row's distinct
-        ones, and a node (:class:`repro.scoring.kernel.ChainNode`, which
-        documents ``items`` / ``uniforms`` / the lent memo) names its
-        observations as universe columns: its candidate ``l * n_obs + j``
-        is ``(parent l, uvalues[l, obs[j]])``.  With ``share``, nodes whose
+        ones, and a node (:class:`repro.scoring.kernel.ChainNode`) names
+        its observations as universe columns: its candidate ``l * n_obs +
+        j`` is ``(parent l, uvalues[l, obs[j]])``, and its chain runs over
+        all of them against a scratch memo of the call's own.  With
+        ``share``, nodes whose
         ``sign`` is exactly +-1 read each ``log1p(exp(-|z|))`` row from one
         table of margin rows per parent (``n_beta * n_u`` rows of ``n_u``),
         filled on first use; without, and for a node with any other sign,
@@ -462,8 +450,7 @@ class NativeKernels:
         evaluation chunks of ``chunk_elements`` elements; the table's ``(rows
         filled, row uses)`` and the Philox blocks the call computed (0 when
         every node's draws are arrays).  Everything C indexes by is checked
-        first (the batch's and every node's spec rows): a ``ValueError``
-        leaves every memo untouched.
+        first (the batch's and every node's spec rows).
         """
         env = _CHECKS["repro_score_batch"](uvalues=uvalues, urow=urow, beta_grid=beta_grid)
         per_item = 1 + 2 * int(max_steps)
@@ -481,19 +468,13 @@ class NativeKernels:
                 rows = rows.reshape(-1, per_item)  # rows end to end
             v = _NODE_CHECK(
                 _kernels=self, n_parents=env["n_parents"], n_u=env["n_u"],
-                n_beta=env["n_beta"], per_item=per_item, obs=node.obs, sign=node.sign,
-                items=node.items, groups=node.groups, cache=node.cache, seen=node.seen,
-                uniforms=rows,
+                per_item=per_item, obs=node.obs, sign=node.sign, uniforms=rows,
             )
             c.obs, c.sign, c.uniforms = map(pointer, (v["obs"], v["sign"], v["uniforms"]))
-            c.items, c.groups, c.cache, c.seen = map(
-                pointer, (v["items"], v["groups"], v["cache"], v["seen"])
-            )
-            c.key, c.offset, c.stride = v["key"], v["offset"], v["stride"]
-            c.n_obs, c.n_items = v["n_obs"], v["n_items"]
+            c.key, c.offset, c.stride, c.n_obs = v["key"], v["offset"], v["stride"], v["n_obs"]
             c.chunk_rows = max(1, int(chunk_elements) // max(1, c.n_obs))
             c.shared = bool((np.abs(node.sign) == 1.0).all())
-            bounds[q + 1] = bounds[q] + c.n_items
+            bounds[q + 1] = bounds[q] + v["n_items"]
         best_score = np.empty(bounds[-1])
         steps = np.empty(bounds[-1], dtype=np.int64)
         best_idx = np.empty(bounds[-1], dtype=np.int64) if want_idx else None
@@ -784,23 +765,22 @@ def _philox_oracle(case):
 
 
 def _batch_cases():
-    """Two nodes over one universe per probe (all of it reversed, from a
-    mid-parent candidate on; up to nine alternate observations) under
-    independent left/right signs, so a margin row read under the wrong
-    node's sign shows, on tie-heavy rows, non-finite scores, SIMD-tail
-    widths, one-step and one-reject chains.  Each node's oracle —
-    ``SplitScorer._run_chain`` over a NumPy kernel — runs once per probe,
-    for three cases: lent memos and array draws, then scratch memos and
-    draws computed from the span's address, sharing margin rows and not
-    (the fused evaluator)."""
+    """Two nodes over one universe per probe (all of it reversed; up to
+    nine alternate observations) under independent left/right signs, so a
+    margin row read under the wrong node's sign shows, on tie-heavy rows,
+    non-finite scores, SIMD-tail widths, one-step and one-reject chains.
+    Each node's oracle — ``SplitScorer._run_chain`` over a NumPy kernel —
+    runs once per probe, for three cases: array draws sharing margin rows,
+    then draws computed from the span's address, sharing margin rows and
+    not (the fused evaluator)."""
     from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
     from repro.scoring.split_score import SplitScorer
 
     rng = np.random.default_rng(0xC4A1)
     grid, n_parents = np.array((0.25, 1.0, 4.0, 16.0)), 3
     with isolated_kernel_totals():
-        for n_u, max_steps, stop_repeats, first in (
-            (1, 1, 1, 0), (7, 4, 1, 0), (8, 6, 2, 3), (9, 1, 3, 0), (129, 5, 2, 5),
+        for n_u, max_steps, stop_repeats in (
+            (1, 1, 1), (7, 4, 1), (8, 6, 2), (9, 1, 3), (129, 5, 2),
         ):
             uvalues = np.round(rng.normal(size=(n_parents, n_u)) * 2.0) / 2.0
             if n_u in (8, 9):
@@ -811,56 +791,44 @@ def _batch_cases():
                 grid, max_steps=max_steps, stop_repeats=stop_repeats, kernel_backend="numpy"
             )
             chunk = 2 * n_u  # two rows of the wide node
-            probes = []  # per node: obs, sign, items, span, oracle kernel, its results
+            probes = []  # per node: obs, sign, span, its oracle's results and counters
             for q, obs in enumerate((np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])):
                 sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
-                items = np.arange(0 if q else first, n_parents * obs.size)
                 span = IndexedStream(
                     make_stream(0x5EED, "chain", n_u, q), scorer.draws_per_item
-                ).items_span(int(items[0]), items.size)
+                ).items_span(0, n_parents * obs.size)
                 oracle = LazySplitKernel(uvalues[:, obs], sign, grid, max_chunk_elements=chunk)
-                want = scorer.score_batch_kernel(oracle, span, item_indices=items)[:3]
-                probes.append((obs, sign, items, span, oracle, want))
-            for lend, share in ((True, True), (False, True), (False, False)):
-                memo = f"{'lent' if lend else 'scratch'} memo"
+                want = scorer.score_batch_kernel(oracle, span)[:3]
+                counted = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
+                probes.append((obs, sign, span, [*want, counted]))
+            for arrays, share in ((True, True), (False, True), (False, False)):
+                draws = "array draws" if arrays else "keyed draws"
                 rows = f"margin rows {'shared' if share else 'fused'}"
-                label = f"n_u={n_u}, max_steps={max_steps}, {memo}, {rows}"
-                yield label, (uvalues, scorer, chunk, probes, lend, share)
+                label = f"n_u={n_u}, max_steps={max_steps}, {draws}, {rows}"
+                yield label, (uvalues, scorer, chunk, probes, arrays, share)
 
 
 def _batch_runs(case, kernels=None):
-    """Per node: scores, steps, beta indices, the memo counters and, with a
-    lent memo, its end state — of the NumPy chain, or of one batch call."""
+    """Per node: scores, steps, beta indices and the memo counters — of the
+    NumPy chain, or of one batch call."""
     from repro.scoring.kernel import ChainNode, run_chains
 
-    uvalues, scorer, chunk, probes, lend, share = case
+    uvalues, scorer, chunk, probes, arrays, share = case
     if kernels is None:
-        ends = [
-            (*want, (o.hits, o.evaluations, o.peak_chunk_elements), o._seen, o._cache)
-            for *_, o, want in probes
-        ]
-    else:
-        nodes = [
-            ChainNode(obs, sign, span.array() if lend else span, items, *(
-                (o.item_groups[items], np.zeros_like(o._cache), np.zeros_like(o._seen))
-                if lend else ()
-            ))
-            for obs, sign, items, span, o, _want in probes
-        ]
-        # an explicit table budget: the default would probe the machine
-        *flat, bounds, counters = run_chains(
-            kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
-            scorer.stop_repeats, max_chunk_elements=chunk,
-            table_elements=scorer.beta_grid.size * uvalues.shape[1] ** 2 * share,
-        )
-        ends = [
-            (*(part[lo:hi] for part in flat), counted, node.seen, node.cache)
-            for node, lo, hi, counted in zip(nodes, bounds, bounds[1:], counters)
-        ]
-    run = []
-    for *out, seen, cache in ends:
-        run += [*out, seen, cache[seen]] if lend else out
-    return [run]
+        return [[part for *_node, want in probes for part in want]]
+    nodes = [
+        ChainNode(obs, sign, span.array() if arrays else span) for obs, sign, span, _ in probes
+    ]
+    # an explicit table budget: the default would probe the machine
+    *flat, bounds, counters = run_chains(
+        kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
+        scorer.stop_repeats, max_chunk_elements=chunk,
+        table_elements=scorer.beta_grid.size * uvalues.shape[1] ** 2 * share,
+    )
+    return [[
+        part for lo, hi, counted in zip(bounds, bounds[1:], counters)
+        for part in (*(out[lo:hi] for out in flat), counted)
+    ]]
 
 
 class _PreDrawn(GibbsRandom):

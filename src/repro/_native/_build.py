@@ -74,13 +74,9 @@ int repro_eval_chunk(const double *group_value, const int64_t *group_row,
 typedef struct {
     const int64_t *obs;
     const double *sign;
-    const int64_t *items;
-    const int64_t *groups;
-    double *cache;
-    uint8_t *seen;
     const double *uniforms;
     uint64_t key, offset;
-    int64_t n_obs, n_items, stride, chunk_rows, shared;
+    int64_t n_obs, stride, chunk_rows, shared;
     double *best_score;
     int64_t *steps, *best_idx;
     int64_t hits, evaluations, peak;
@@ -546,36 +542,20 @@ static double margin_sum(double gv, const double *vrow, const double *sgn,
     return pw_sum(row, n);
 }
 
-/* A memo slot is published cache-then-seen: the score is written first and
- * the seen flag stored with release semantics; readers load the flag with
- * acquire semantics before touching the score.  Two threads that adopted
- * the same shared-cache entry may both evaluate a slot (same deterministic
- * value, benign); neither can read a seen-but-unwritten score.  (GCC/clang
- * builtins, like the toolchains the loader looks for; anything else fails
- * the build and the loader falls back to NumPy.) */
-#define SEEN_ACQUIRE(p) __atomic_load_n((p), __ATOMIC_ACQUIRE)
-#define SEEN_RELEASE(p) __atomic_store_n((p), (uint8_t)1, __ATOMIC_RELEASE)
-
 /* One tree node of a scoring batch.  Its candidate split l * n_obs + j is
- * (candidate parent l, the parent's value at the node's j-th observation);
- * `obs` are the node's observations as columns of the batch's universe and
- * `sign` its left/right vector (`shared`: every entry is exactly +-1, the
- * precondition of reading shared margin rows).  `items` are the candidates
- * the chain runs over, ascending by parent (NULL: all of them, n_items =
- * n_parents * n_obs), and `groups` their rows in the lent memo cache/seen
- * (NULL: nothing lent, the chain keeps a scratch memo).  Chain item i
- * writes best_score/steps/best_idx[i] (best_idx may be NULL: not wanted);
- * hits/evaluations/peak are written once per call. */
+ * (candidate parent l, the parent's value at the node's j-th observation),
+ * and the chain runs over every one of them: chain item i writes
+ * best_score/steps/best_idx[i] (best_idx may be NULL: not wanted);
+ * hits/evaluations/peak are written once per call.  `obs` are the node's
+ * observations as columns of the batch's universe and `sign` its
+ * left/right vector (`shared`: every entry is exactly +-1, the
+ * precondition of reading shared margin rows). */
 typedef struct {
     const int64_t *obs;
     const double *sign;
-    const int64_t *items;
-    const int64_t *groups;
-    double *cache;
-    uint8_t *seen;
     const double *uniforms;
     uint64_t key, offset;
-    int64_t n_obs, n_items, stride, chunk_rows, shared;
+    int64_t n_obs, stride, chunk_rows, shared;
     double *best_score;
     int64_t *steps, *best_idx;
     int64_t hits, evaluations, peak;
@@ -583,7 +563,8 @@ typedef struct {
 
 /* What one repro_score_batch call holds: the universe (one row of parent
  * values and value ranks per candidate parent), the margin table of the
- * parent in hand, and the (node, parent) chain in hand with its memo. */
+ * parent in hand, and the (node, parent) chain in hand with its scratch
+ * memo, allocated by the call and seen by no other thread. */
 typedef struct {
     const double *beta_grid, *uv;
     const int64_t *ur;
@@ -643,16 +624,16 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
     for (j = 0; j < k; j++) {
         int64_t key = c->mrow[act[j]] * c->n_beta + bidx[j];
         c->flat[j] = key;
-        c->miss[j] = !SEEN_ACQUIRE(c->seen + key);
+        c->miss[j] = !c->seen[key];
         n_miss += c->miss[j];
     }
     c->hits += k - n_miss;
     for (j = 0; n_miss && j < k; j++) {
         int64_t key = c->flat[j];
-        if (!c->miss[j] || SEEN_ACQUIRE(c->seen + key))
+        if (!c->miss[j] || c->seen[key])
             continue;
         c->cache[key] = node_score(c, c->ucol[act[j]], bidx[j]);
-        SEEN_RELEASE(c->seen + key);
+        c->seen[key] = 1;
         missed[bidx[j]]++;
         c->evaluations++;
     }
@@ -665,8 +646,8 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
  * parent (chain items [k0, k1) of the node) runs step-synchronously (every
  * active item takes step s before any takes s + 1; the memo counters
  * depend on the order of lookups, scores and accept decisions would not)
- * against the node's lent memo or a scratch one keyed by universe value
- * rank, and with `share` all nodes read one table of margin rows, n_beta *
+ * against a scratch memo keyed by universe value rank, and with `share`
+ * all nodes read one table of margin rows, n_beta *
  * n_u of n_u per parent (node_score).  A node's
  * candidate l * n_obs + j is (parent row l of uvalues, value at universe
  * column obs[j]); chain item i draws i * stride onwards of `uniforms` or,
@@ -684,30 +665,26 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                       int64_t share, int64_t *table_counters)
 {
     batch_ctx c;
-    int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *cursor, *missed;
-    double *dbuf, *cur_score, *prop_score, *log_u, *memo;
+    int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *missed;
+    double *dbuf, *cur_score, *prop_score, *log_u;
     uint8_t *bbuf;
     draws *d;
-    int64_t i, j, k, l, q, step, max_k = 1, max_obs = 1, blocks = 0;
+    int64_t i, j, k, l, q, step, max_obs = 1, blocks = 0;
     const int64_t n_lookups = max_steps + 1, n_memo = n_u * n_beta;
     const int64_t n_rows = share ? n_memo : 0;
     size_t n;
 
     for (q = 0; q < n_nodes; q++) {
         const repro_node *nd = nodes + q;
-        k = nd->items ? nd->n_items : nd->n_obs;
-        if (k > max_k)
-            max_k = k;
         if (nd->n_obs > max_obs)
             max_obs = nd->n_obs;
-        for (i = 0; nd->uniforms && i < nd->n_items; i++)
+        for (i = 0; nd->uniforms && i < n_parents * nd->n_obs; i++)
             if ((int64_t)(nd->uniforms[i * nd->stride] * (double)n_beta) < 0)
                 return -3;
     }
-    n = (size_t)max_k;
+    n = (size_t)max_obs;
     ibuf = (int64_t *)calloc(
-        8 * n + (size_t)(n_nodes * (1 + n_lookups * n_beta)),
-        sizeof(int64_t));
+        8 * n + (size_t)(n_nodes * n_lookups * n_beta), sizeof(int64_t));
     dbuf = (double *)malloc(
         (3 * n + 2 * (size_t)max_obs + (size_t)(n_memo + n_rows * n_u))
         * sizeof(double));
@@ -728,16 +705,16 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     c.mrow = ibuf + 5 * n;
     c.ucol = ibuf + 6 * n;
     best_idx = ibuf + 7 * n;
-    cursor = ibuf + 8 * n;
-    missed = cursor + n_nodes;
+    missed = ibuf + 8 * n;
     cur_score = dbuf;
     prop_score = dbuf + n;
     log_u = dbuf + 2 * n;
     c.row = dbuf + 3 * n;
     c.vrow = c.row + max_obs;
-    memo = c.vrow + max_obs;
-    c.rows = share ? memo + n_memo : NULL;
+    c.cache = c.vrow + max_obs;
+    c.rows = share ? c.cache + n_memo : NULL;
     c.miss = bbuf;
+    c.seen = bbuf + n;
     c.have = bbuf + n + n_memo;
     c.beta_grid = beta_grid;
     c.n_u = n_u;
@@ -755,36 +732,21 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
             repro_node *nd = nodes + q;
             const int64_t n_obs = nd->n_obs;
             int64_t *node_missed = missed + q * n_lookups * n_beta;
-            int64_t k0 = l * n_obs, k1 = k0 + n_obs;
-            if (nd->items) {
-                k0 = k1 = cursor[q];
-                while (k1 < nd->n_items && nd->items[k1] < (l + 1) * n_obs)
-                    k1++;
-                cursor[q] = k1;
-            }
-            k = k1 - k0;
-            if (!k)
-                continue;
+            const int64_t k0 = l * n_obs, k1 = k0 + n_obs;
+            k = n_obs;
             c.nd = nd;
             c.hits = c.evaluations = 0;
             for (j = 0; j < n_obs; j++)
                 c.vrow[j] = c.uv[nd->obs[j]];
-            if (nd->groups) {
-                c.cache = nd->cache;
-                c.seen = nd->seen;
-            } else {
-                c.cache = memo;
-                c.seen = bbuf + n;
-                memset(c.seen, 0, (size_t)n_memo);
-            }
+            memset(c.seen, 0, (size_t)n_memo);
             for (i = 0; i < k; i++) {
-                int64_t idx, item = nd->items ? nd->items[k0 + i] : k0 + i;
+                int64_t idx;
                 d[i] = (draws){nd->uniforms, nd->key, nd->offset, 0};
                 /* min((u * n_beta).astype(int64), n_beta - 1) */
                 idx = (int64_t)(draw(d + i, (k0 + i) * nd->stride)
                                 * (double)n_beta);
-                c.ucol[i] = nd->obs[item - l * n_obs];
-                c.mrow[i] = nd->groups ? nd->groups[k0 + i] : c.ur[c.ucol[i]];
+                c.ucol[i] = nd->obs[i];
+                c.mrow[i] = c.ur[c.ucol[i]];
                 cur_idx[i] = idx > n_beta - 1 ? n_beta - 1 : idx;
                 rejects[i] = 0;
                 act[i] = i;

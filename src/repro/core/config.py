@@ -182,6 +182,8 @@ class LearnerConfig:
         """The candidate-parent list, defaulting to every variable."""
         if self.candidate_parents is None:
             return tuple(range(n_vars))
+        if not self.candidate_parents:
+            raise ValueError("candidate_parents must name at least one variable")
         for parent in self.candidate_parents:
             if not 0 <= parent < n_vars:
                 raise ValueError(f"candidate parent {parent} out of range")

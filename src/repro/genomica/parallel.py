@@ -13,8 +13,9 @@ exactly the components the paper proposes to reuse:
 * the E-step is a synchronous update, so variables are block-distributed
   and the new assignment is all-gathered — identical results for any
   rank count;
-* the final best-split search block-distributes each node's candidate
-  rows and all-gathers the deterministic grid scores.
+* the final best-split search gives each rank a block of the candidate
+  parents of each node and all-gathers the deterministic grid scores,
+  which concatenate in rank order into the node's parent-major list.
 
 The consistency guarantee carries over: for any ``p`` the learned network
 is bit-identical to :class:`repro.genomica.learner.GenomicaLearner`.
@@ -62,8 +63,14 @@ class ParallelGenomicaLearner(GenomicaLearner):
             beta_grid=config.beta_grid, max_steps=1,
             kernel_backend=config.parallel.kernel_backend,
         )
-        scorer.native  # noqa: B018 - resolved here: a failure raises, not p ranks
-        rank_results = run_spmd(p, self._rank_main, matrix, seed, scorer)
+        # resolved here: a failure raises, not p ranks
+        scorer.native  # noqa: B018
+        parents = np.asarray(
+            LearnerConfig(candidate_parents=config.candidate_parents)
+            .resolve_candidate_parents(matrix.n_vars),
+            dtype=np.int64,
+        )
+        rank_results = run_spmd(p, self._rank_main, matrix, seed, scorer, parents)
         networks = [r[0] for r in rank_results]
         for rank, net in enumerate(networks[1:], start=1):
             if net.signature() != networks[0].signature():
@@ -81,17 +88,14 @@ class ParallelGenomicaLearner(GenomicaLearner):
         )
 
     # -- rank body -----------------------------------------------------------
-    def _rank_main(self, comm, matrix: ExpressionMatrix, seed: int, scorer: SplitScorer):
+    def _rank_main(
+        self, comm, matrix: ExpressionMatrix, seed: int, scorer: SplitScorer, parents
+    ):
         config = self.config
         data = matrix.values
         n, m = data.shape
         k = min(config.n_modules, n)
         rng = GibbsRandom(make_stream(seed, "genomica", backend=config.rng_backend))
-        parents = np.asarray(
-            LearnerConfig(candidate_parents=config.candidate_parents)
-            .resolve_candidate_parents(n),
-            dtype=np.int64,
-        )
         work = _RankWork()
 
         assignment = rng.random_labels(n, k)
@@ -180,18 +184,12 @@ class ParallelGenomicaLearner(GenomicaLearner):
             labels = self._p_obs_clustering(comm, block, mrng, work)
             tree = build_tree_structure(block, labels, module_id, config.prior)
             selected: list[Split] = []
+            lo, hi = block_range(parents.size, comm.size, comm.rank)
             for node in tree.internal_nodes():
-                n_obs = int(node.observations.size)
-                n_items = parents.size * n_obs
-                lo, hi = block_range(n_items, comm.size, comm.rank)
                 if hi > lo:
-                    l0, l1 = lo // n_obs, (hi - 1) // n_obs + 1
-                    kernel = node_kernel(data, node, parents[l0:l1], scorer)
-                    items = np.arange(lo - l0 * n_obs, hi - l0 * n_obs)
-                    local_scores, _beta, local_acc = scorer.score_grid_best_kernel(
-                        kernel, item_indices=items
-                    )
-                    work.add(float(scorer.beta_grid.size * n_obs * (hi - lo)))
+                    kernel = node_kernel(data, node, parents[lo:hi], scorer)
+                    local_scores, _beta, local_acc = scorer.score_grid_best_kernel(kernel)
+                    work.add(float(scorer.beta_grid.size * kernel.n_obs * kernel.n_items))
                 else:
                     local_scores = np.zeros(0)
                     local_acc = np.zeros(0, dtype=bool)

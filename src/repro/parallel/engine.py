@@ -44,7 +44,12 @@ from repro.scoring.suffstats import SuffStats
 from repro.datatypes import RegressionTree, TreeNode
 from repro.trees.hierarchy import leaf_order
 from repro.trees.parents import accumulate_parent_scores
-from repro.trees.splits import NodeSplitScores, node_kernel, select_node_splits
+from repro.trees.splits import (
+    NodeSplitScores,
+    gather_parent_blocks,
+    score_nodes,
+    select_node_splits,
+)
 
 
 @dataclass
@@ -116,7 +121,9 @@ class ParallelLearner:
         """Learn with ``p`` concurrent SPMD ranks (threads), sharing one
         scorer whose kernel backend is resolved before any rank starts."""
         scorer = self._scorer()
-        scorer.native  # noqa: B018 - resolved here: a failure raises, not p ranks
+        # resolved here: a failure raises, not p ranks
+        scorer.native  # noqa: B018
+        self.config.resolve_candidate_parents(matrix.n_vars)
         rank_results = run_spmd(p, self._rank_main, matrix, seed, scorer)
         networks = [net for net, _work in rank_results]
         works = np.array([work for _net, work in rank_results])
@@ -394,59 +401,44 @@ class ParallelLearner:
     def _p_score_splits(
         self, comm, data, descriptors, parents, scorer: SplitScorer, seed, work
     ) -> list[NodeSplitScores]:
+        """Rank ``r`` scores the block ``block_range(P, p, r)`` of the
+        candidate parents of every node in one :func:`score_nodes` batch
+        (a rank past the last parent scores nothing); the blocks are
+        all-gathered and refilled by node offset."""
         config = self.config
         n_parents = parents.size
-        dpi = scorer.draws_per_item
+        n_obs = [int(node.observations.size) for _m, _t, node, *_rest in descriptors]
 
         # Fill in split counts: each node has n_parents * n_obs candidates.
         global_base = 0
-        for desc in descriptors:
-            node = desc[2]
-            n_splits = n_parents * int(node.observations.size)
+        for desc, n in zip(descriptors, n_obs):
             desc[3] = desc[3] * n_parents  # module-local split base
             desc[4] = global_base
-            desc[5] = n_splits
-            global_base += n_splits
-        total_splits = global_base
+            desc[5] = n_parents * n
+            global_base += desc[5]
 
-        lo, hi = block_range(total_splits, comm.size, comm.rank)
-        local_scores = np.zeros(max(0, hi - lo), dtype=np.float64)
-        local_steps = np.zeros(max(0, hi - lo), dtype=np.int64)
-        local_accept = np.zeros(max(0, hi - lo), dtype=bool)
-
+        lo, hi = block_range(n_parents, comm.size, comm.rank)
         module_streams: dict[int, IndexedStream] = {}
-        for module_id, _tree, node, module_base, gbase, n_splits in descriptors:
-            a = max(lo, gbase)
-            b = min(hi, gbase + n_splits)
-            if a >= b:
-                continue
+        nodes = []
+        for (module_id, _tree, node, module_base, *_rest), n in zip(descriptors, n_obs):
             if module_id not in module_streams:
                 module_streams[module_id] = IndexedStream(
                     make_stream(seed, "splits", module_id, backend=config.rng_backend),
-                    dpi,
+                    scorer.draws_per_item,
                 )
-            istream = module_streams[module_id]
-            n_obs = int(node.observations.size)
-            # Rows [a - gbase, b - gbase) of this node's candidate list.
-            row0, row1 = a - gbase, b - gbase
-            l0, l1 = row0 // n_obs, (row1 - 1) // n_obs + 1
-            kernel = node_kernel(data, node, parents[l0:l1], scorer)
-            items = np.arange(row0 - l0 * n_obs, row1 - l0 * n_obs)
-            # Private draws, addressed by module-local split index.
-            first = module_base + row0
-            uniforms = istream.stream.block(first * dpi, (row1 - row0) * dpi)
-            uniforms = uniforms.reshape(row1 - row0, dpi)
-            scores, steps, _beta, accepted = scorer.score_batch_kernel(
-                kernel, uniforms, item_indices=items
-            )
-            local_scores[a - lo : b - lo] = scores
-            local_steps[a - lo : b - lo] = steps
-            local_accept[a - lo : b - lo] = accepted
-            work.add(float(steps.sum()) * n_obs)
-
-        all_scores = comm.allgather_concat(local_scores)
-        all_steps = comm.allgather_concat(local_steps)
-        all_accept = comm.allgather_concat(local_accept.astype(np.int8)).astype(bool)
+            nodes.append((
+                node.observations, node.left.observations, module_streams[module_id],
+                module_base + lo * n,
+            ))
+        local = score_nodes(data, parents[lo:hi], scorer, nodes if hi > lo else [])
+        # steps x n_obs units per split, as the trace charges them
+        units = np.repeat(n_obs, [(hi - lo) * n for n in n_obs])
+        work.add(float(units @ local[1]))
+        all_scores, all_steps, all_accept = gather_parent_blocks(
+            n_obs, n_parents,
+            [block_range(n_parents, comm.size, rank) for rank in range(comm.size)],
+            comm.allgather(local),
+        )
 
         node_scores: list[NodeSplitScores] = []
         for module_id, tree_index, node, module_base, gbase, n_splits in descriptors:

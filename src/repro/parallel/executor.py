@@ -24,9 +24,10 @@ count or completion order.  **Task 3** keeps both of the paper's
 parallelism levels: ``module`` mode runs *whole* modules, one LPT-balanced
 batch per worker (each module consumes only its ``("modules", id)`` /
 ``("splits", id)`` streams; LPT attacks the Section 5.3.1 imbalance), ``split`` mode builds trees in
-the driver and scores the flat candidate-split list of *all* pending
-modules over every worker of the tier (Algorithm 5), for the
-few-huge-modules regime module granularity cannot balance.  Whoever runs
+the driver and scores the candidate splits of *all* pending modules'
+nodes over every worker of the tier, cut into blocks of candidate parents
+(Algorithm 5), for the few-huge-modules regime module granularity cannot
+balance.  Whoever runs
 a unit checkpoints it at once, so an interrupted parallel run resumes
 exactly like a sequential one.
 """
@@ -43,8 +44,6 @@ from repro.parallel.tasks import (
     _ganesh_run,
     _module_batch_run,
     _score_chunk_run,
-    _subdivide,
-    build_split_tasks,
     select_phase,
     tree_phase,
 )
@@ -53,6 +52,7 @@ from repro.parallel.transport import (
     WorkerCrashedError,  # noqa: F401 - re-exported: callers import it from here
     local_transport,
 )
+from repro.trees.splits import gather_parent_blocks
 
 # -- mode heuristic ---------------------------------------------------------
 
@@ -246,34 +246,33 @@ class TaskScheduler:
 
     # -- fine-grained scoring (the inner level) ----------------------------
     def score_splits(self, node_records, trace=None):
-        """Score a flat candidate-split list (Algorithm 5's decomposition).
+        """Score the candidate splits of a node list (Algorithm 5's
+        decomposition), cut by candidate parent.
 
         ``node_records`` are ``(module_id, obs, left_obs, module_obs_base)``
         in enumeration order (see :func:`repro.parallel.tasks.tree_phase`).
-        ``schedule="static"`` cuts the list into one contiguous block per
-        worker, ``"dynamic"`` into ~4 per worker pulled from a queue — the
-        paper's Section 6 ablation.  Returns flat ``(log_scores, steps,
-        accepted)`` arrays, bit-identical to in-process scoring however the
-        list is cut: each split's draws are addressed by its index.
+        A work item is a contiguous block ``[l0, l1)`` of the candidate
+        parents of *every* node, scored as one batch, so each margin row is
+        filled once in the whole pass: ``schedule="static"`` cuts one block
+        per worker, ``"dynamic"`` ~4 per worker pulled from a queue (the
+        paper's Section 6 ablation), never more blocks than parents.
+        Returns flat ``(log_scores, steps, accepted)`` arrays, bit-identical
+        to in-process scoring however the parents are cut: each split's
+        draws are addressed by its index.
         """
-        tasks, total = build_split_tasks(node_records, len(self.parents))
-        log_scores = np.zeros(total, dtype=np.float64)
-        steps = np.zeros(total, dtype=np.int64)
-        accepted = np.zeros(total, dtype=bool)
-
-        work_items = tasks
-        if self.n_workers > 1 and total > 0:
-            per_worker = 1 if self.schedule == "static" else 4
-            work_items = _subdivide(tasks, total, per_worker * self.n_workers)
+        n_parents = len(self.parents)
+        per_worker = 1 if self.schedule == "static" else 4
+        blocks = block_bounds(n_parents, min(n_parents, per_worker * self.n_workers))
         results = self.submit_runs(
-            _score_chunk_run, work_items, chunksize=1, trace=trace
+            _score_chunk_run,
+            [(l0, l1, node_records) for l0, l1 in blocks],
+            chunksize=1,
+            trace=trace,
         )
-
-        for offset, sc, st, ac in results:
-            log_scores[offset : offset + sc.size] = sc
-            steps[offset : offset + st.size] = st
-            accepted[offset : offset + ac.size] = ac
-        return log_scores, steps, accepted
+        return gather_parent_blocks(
+            [len(obs) for _module_id, obs, *_rest in node_records], n_parents, blocks,
+            results,
+        )
 
     # -- module learning (the outer level) ---------------------------------
     def learn_modules(self, modules_members, trace=None) -> list[Module]:
@@ -343,10 +342,11 @@ class TaskScheduler:
 
     def _learn_modules_fine(self, pending, modules, checkpoints, trace) -> None:
         """Split-level parallelism: trees built in the driver (each on its
-        own module stream), the concatenated candidate-split list of *all*
-        modules scored in one pass over every worker, then the sequential
-        selection replayed per module.  One flat list across modules is
-        exactly the paper's load-balance argument for Algorithm 5.
+        own module stream), the candidate splits of *all* modules' nodes
+        scored in one pass over every worker (:meth:`score_splits`, blocks
+        of candidate parents), then the sequential selection replayed per
+        module.  One list across modules is exactly the paper's
+        load-balance argument for Algorithm 5.
         """
         states = []
         records = []

@@ -13,13 +13,12 @@ module holds everything on the *task* side of that seam:
   stable index); an in-process transport keeps its own;
 * the **runners** ``fn(ctx, item)`` — one GaneSH chain
   (:func:`_ganesh_run`), one batch of whole modules
-  (:func:`_module_batch_run`), one chunk of the flat candidate-split list
-  (:func:`_score_chunk_run`) — and :data:`TASK_RUNNERS`, the wire names
-  shard nodes accept;
-* the **split-task construction** — :func:`build_split_tasks` /
-  :func:`_subdivide` cut the flat split list of Algorithm 5 into chunks
+  (:func:`_module_batch_run`), one block of candidate parents of every
+  pending node (:func:`_score_chunk_run`, split mode) — and
+  :data:`TASK_RUNNERS`, the wire names shard nodes accept
   (:func:`repro.core.learner.tree_phase` / ``select_phase``, re-exported
-  here, are the driver-side halves of a module around that pooled pass).
+  here, are the driver-side halves of a module around split mode's
+  pooled pass).
 
 Every task draws only from streams named by its own unit — ``("ganesh",
 g)``, ``("modules", id)``, ``("splits", id)`` with index-addressed
@@ -28,8 +27,6 @@ never change its result (the paper's Section 4.2 consistency property).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +40,10 @@ from repro.core.learner import (
     tree_phase,  # noqa: F401 - ... and examples import them from here
 )
 from repro.ganesh.coclustering import run_replicated_ganesh
-from repro.parallel.costmodel import block_bounds
 from repro.parallel.trace import WorkTrace
 from repro.rng.streams import IndexedStream, make_stream
-from repro.scoring.kernel import split_kernel_from_arrays
 from repro.scoring.split_score import SplitScorer
+from repro.trees.splits import score_nodes
 
 # -- the task context --------------------------------------------------------
 
@@ -140,51 +136,28 @@ def _module_batch_run(ctx, item):
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class SplitTask:
-    """A contiguous sub-range of one node's candidate splits."""
-
-    module_id: int
-    obs: np.ndarray  # node observations (int64)
-    left_obs: np.ndarray  # left child observations (int64)
-    module_split_base: int  # module-local split index of the node's first split
-    row0: int  # first split row of this task within the node
-    row1: int  # one past the last split row
-    out_offset: int  # position in the flat output arrays
-
-
-def _score_chunk_run(ctx, task: SplitTask):
-    """Fine-grained candidate-split scoring (Task 3 split-level path)."""
-    data = ctx["data"]
+def _score_chunk_run(ctx, item):
+    """Split mode's unit (Task 3 split level): the candidate parents
+    ``[l0, l1)`` of every node record ``(module_id, obs, left_obs,
+    module_obs_base)``, scored as one :func:`score_nodes` batch; a node's
+    draws start at its module's split index ``module_obs_base * P + l0 *
+    n_obs``.  Returns the batch's flat ``(log_scores, steps, accepted)``."""
+    l0, l1, records = item
     parents = ctx["parents"]
-    config: LearnerConfig = ctx["config"]
     scorer: SplitScorer = ctx["scorer"]
     streams: dict = ctx["streams"]
-
-    if task.module_id not in streams:
-        streams[task.module_id] = IndexedStream(
-            make_stream(
-                ctx["seed"], "splits", task.module_id, backend=config.rng_backend
-            ),
-            scorer.draws_per_item,
-        )
-    istream = streams[task.module_id]
-
-    obs = task.obs
-    n_obs = obs.size
-    l0, l1 = task.row0 // n_obs, (task.row1 - 1) // n_obs + 1
-    kernel = split_kernel_from_arrays(
-        data, obs, task.left_obs, parents[l0:l1], scorer.beta_grid, native=scorer.native
-    )
-    items = np.arange(task.row0 - l0 * n_obs, task.row1 - l0 * n_obs)
-
-    uniforms = istream.items_span(
-        task.module_split_base + task.row0, task.row1 - task.row0
-    )
-    scores, steps, _beta, accepted = scorer.score_batch_kernel(
-        kernel, uniforms, item_indices=items
-    )
-    return task.out_offset, scores, steps, accepted
+    nodes = []
+    for module_id, obs, left_obs, module_obs_base in records:
+        if module_id not in streams:
+            streams[module_id] = IndexedStream(
+                make_stream(
+                    ctx["seed"], "splits", module_id, backend=ctx["config"].rng_backend
+                ),
+                scorer.draws_per_item,
+            )
+        base = module_obs_base * parents.size + l0 * len(obs)
+        nodes.append((obs, left_obs, streams[module_id], base))
+    return score_nodes(ctx["data"], parents[l0:l1], scorer, nodes)
 
 
 #: every runner the scheduler dispatches, by wire name — the frame protocol
@@ -195,75 +168,3 @@ TASK_RUNNERS = {
     "module_batch": _module_batch_run,
     "score_chunk": _score_chunk_run,
 }
-
-
-# -- split-task construction -------------------------------------------------
-
-
-def build_split_tasks(node_records, n_parents: int) -> tuple[list[SplitTask], int]:
-    """Per-node tasks from ``(module_id, obs, left_obs, module_obs_base)``
-    records in enumeration order; returns the tasks and the total split count."""
-    tasks: list[SplitTask] = []
-    offset = 0
-    for module_id, obs, left_obs, module_obs_base in node_records:
-        n_obs = len(obs)
-        n_splits = n_parents * n_obs
-        tasks.append(
-            SplitTask(
-                module_id=module_id,
-                # Small int64 arrays pickle far cheaper than tuples of
-                # Python ints and feed margins_from_arrays directly.
-                obs=np.asarray(obs, dtype=np.int64),
-                left_obs=np.asarray(left_obs, dtype=np.int64),
-                module_split_base=module_obs_base * n_parents,
-                row0=0,
-                row1=n_splits,
-                out_offset=offset,
-            )
-        )
-        offset += n_splits
-    return tasks, offset
-
-
-def _subdivide(tasks: list[SplitTask], total: int, n_chunks: int) -> list[SplitTask]:
-    """Split node tasks along the flat index so chunks have equal split
-    counts (:func:`block_bounds`, the paper's equal-count cut).
-
-    Tasks and chunk bounds are both sorted along the flat split index, so a
-    single merge walk suffices: O(tasks + chunks + pieces) instead of the
-    O(chunks x tasks) rescan of every task per chunk.  Chunk boundaries
-    only change *where* splits are scored, never their values: results are
-    written back by flat offset.
-    """
-    out: list[SplitTask] = []
-    ti = 0
-    n_tasks = len(tasks)
-    for lo, hi in block_bounds(total, n_chunks):
-        if lo >= hi:
-            continue
-        # Skip tasks that end at or before this chunk; a task straddling a
-        # chunk boundary is revisited because ti stops at the first overlap.
-        while ti < n_tasks and tasks[ti].out_offset + (
-            tasks[ti].row1 - tasks[ti].row0
-        ) <= lo:
-            ti += 1
-        tj = ti
-        while tj < n_tasks and tasks[tj].out_offset < hi:
-            task = tasks[tj]
-            a = max(lo, task.out_offset)
-            b = min(hi, task.out_offset + (task.row1 - task.row0))
-            if a < b:
-                shift = a - task.out_offset
-                out.append(
-                    SplitTask(
-                        module_id=task.module_id,
-                        obs=task.obs,
-                        left_obs=task.left_obs,
-                        module_split_base=task.module_split_base,
-                        row0=task.row0 + shift,
-                        row1=task.row0 + shift + (b - a),
-                        out_offset=a,
-                    )
-                )
-            tj += 1
-    return out

@@ -375,13 +375,13 @@ class LazySplitKernel:
     ``native`` selects who evaluates a chunk: the certified native
     extension (a :class:`repro._native.NativeKernels` handle, normally the
     one a :class:`~repro.scoring.split_score.SplitScorer` resolved from its
-    ``kernel_backend``) or, with ``None``, the NumPy expressions.  In
-    :meth:`scores` the native path replaces only the chunk evaluation body;
-    in :meth:`run_chain` it runs the scorer's whole sampling chain against
-    this kernel's memo in one call.  Grouping, chunk sizing and
-    :func:`guard_alloc` stay in Python either way, and scores, counters and
-    the memo's end state are bit-identical by the extension's load-time
-    certification.  Cached scores are tracked by an explicit seen-bitmask,
+    ``kernel_backend``) or, with ``None``, the NumPy expressions.  The
+    native path replaces only the chunk evaluation body of :meth:`scores`;
+    grouping, chunk sizing and :func:`guard_alloc` stay in Python either
+    way, and scores, counters and the memo's end state are bit-identical by
+    the extension's load-time certification.  (The whole sampling chain
+    runs natively only through :func:`run_chains`, on whole nodes with the
+    call's own memo.)  Cached scores are tracked by an explicit seen-bitmask,
     not a NaN sentinel, so a legitimately non-finite score (a row mixing
     ``+inf`` and ``-inf`` margins sums to NaN) is cached like any other
     value instead of re-evaluating on every lookup.
@@ -441,44 +441,6 @@ class LazySplitKernel:
             keys = np.unique(flat[missing])
             self._evaluate(keys)
         return self._cache[flat]
-
-    def run_chain(
-        self,
-        item_indices: np.ndarray | None,
-        uniforms,
-        max_steps: int,
-        stop_repeats: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The scorer's whole bounded sampling chain in one native call.
-
-        Native backend only: a one-node :func:`run_chains` batch whose
-        universe is this node's own value slice and whose memo is this
-        kernel's, updated in place — ``SplitScorer._run_chain`` over
-        :meth:`scores`, same lookups in the same step-synchronous order,
-        same per-row evaluator — so ``best_score`` / ``steps`` /
-        ``best_idx`` and every counter equal what the NumPy chain would
-        have produced.  ``item_indices`` (``None``: every candidate) must
-        ascend by parent; ``uniforms`` is the items' rows of private draws
-        or their :class:`~repro.rng.philox.DrawSpan`, which is never
-        materialised — the call computes the draws its chains reach.
-        """
-        groups = self.item_groups
-        if item_indices is not None:
-            item_indices = np.ascontiguousarray(item_indices, dtype=np.int64)
-            groups = groups[item_indices]
-        node = ChainNode(
-            np.arange(self.n_obs), self.sign, uniforms, item_indices,
-            groups, self._cache, self._seen,
-        )
-        best_score, steps, best_idx, _bounds, ((hits, evaluations, peak),) = run_chains(
-            self._native, self.values, self.beta_grid, [node], max_steps, stop_repeats,
-            urow=_ranks_per_row(self.item_groups, self.group_row, self.values.shape),
-            max_chunk_elements=self.max_chunk_elements,
-        )
-        self.hits += hits
-        self.evaluations += evaluations
-        self.peak_chunk_elements = max(self.peak_chunk_elements, peak)
-        return best_score, steps, best_idx
 
     def _chunk_rows(self) -> int:
         return max(1, _chunk_limit(self.max_chunk_elements) // max(1, self.n_obs))
@@ -550,16 +512,9 @@ class ChainNode:
     obs: np.ndarray
     #: +1.0 for the left child's observations, -1.0 for the right's
     sign: np.ndarray
-    #: the chain items' rows of private draws, or their ``DrawSpan``
+    #: the rows of private draws of the node's candidates ``l * n_obs + j``,
+    #: every one of them in order, or their ``DrawSpan``
     uniforms: object
-    #: the candidates ``l * n_obs + j`` the chain runs over, ascending by
-    #: parent (``None``: all of them)
-    items: np.ndarray | None = None
-    #: a lent memo, updated in place: per item its row of ``cache`` /
-    #: ``seen`` (``None``: the chain keeps a scratch memo per parent)
-    groups: np.ndarray | None = None
-    cache: np.ndarray | None = None
-    seen: np.ndarray | None = None
 
 
 def run_chains(
@@ -580,7 +535,10 @@ def run_chains(
     ``uvalues`` is the batch's universe — row ``l`` holds candidate parent
     ``l``'s values at every observation some node of the batch has — and a
     node's candidate ``l * n_obs + j`` is ``(parent l, uvalues[l,
-    obs[j]])``.  The native entry scores the batch parent by parent: the
+    obs[j]])``; each node's chain runs over all of its candidates, against
+    a scratch memo the call allocates per ``(node, parent)`` and frees, so
+    no caller's memo is read or written.  The native entry scores the
+    batch parent by parent: the
     transcendental part of a margin, ``log1p(exp(-|(v - x) * beta|))``,
     does not depend on a node's +-1 sign vector, so every node reads it
     from one table of margin rows per parent, each row filled the first

@@ -130,43 +130,25 @@ class SplitScorer:
         return self._run_chain(n_items, n_obs, uniforms, memo.scores)
 
     def score_batch_kernel(
-        self,
-        kernel: LazySplitKernel,
-        uniforms: np.ndarray,
-        item_indices: np.ndarray | None = None,
+        self, kernel: LazySplitKernel, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`score_batch` on a :class:`LazySplitKernel` — no margins
         matrix is ever materialized, and equal-value duplicate candidates
         share one cached score table.
 
-        ``item_indices`` selects a sub-range of the kernel's candidate
-        enumeration (the partitioned backends score ``[row0, row1)`` slices
-        of a node); row ``i`` of ``uniforms`` holds the private draws of
-        candidate ``item_indices[i]`` — or ``uniforms`` is what
+        Row ``i`` of ``uniforms`` holds the private draws of the kernel's
+        candidate ``i`` — or ``uniforms`` is what
         :meth:`~repro.rng.streams.IndexedStream.items_span` returns for
-        those rows: their :class:`~repro.rng.philox.DrawSpan`, which only
-        this NumPy path materialises, or the rows end to end.  Results are bit-identical to the
+        those rows: their :class:`~repro.rng.philox.DrawSpan`, materialised
+        here, or the rows end to end.  Results are bit-identical to the
         dense path because the kernel replays its exact float operations.
-
-        A kernel that resolved to the native backend runs the whole chain
-        in one certified call (:meth:`LazySplitKernel.run_chain`, a
-        one-node batch of the entry :func:`repro.trees.splits.score_nodes`
-        scores many nodes with; ``item_indices`` must then ascend by
-        parent); :meth:`_run_chain` over :meth:`LazySplitKernel.scores` is
-        the oracle it is certified against and the NumPy-backend path.
+        This NumPy chain over :meth:`LazySplitKernel.scores` is the oracle
+        the native batch entry (:meth:`score_chain_nodes`) is certified
+        against; a kernel built with ``native`` evaluates its score chunks
+        there.
         """
         self._check_kernel(kernel)
-        if kernel.backend == "native":
-            best_score, steps, best_idx = kernel.run_chain(
-                item_indices, uniforms, self.max_steps, self.stop_repeats
-            )
-            return best_score, steps, best_idx, _beats_baseline(
-                best_score, kernel.n_obs
-            )
-        if item_indices is None:
-            groups = kernel.item_groups
-        else:
-            groups = kernel.item_groups[np.asarray(item_indices, dtype=np.int64)]
+        groups = kernel.item_groups
 
         def provider(rows: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
             return kernel.scores(groups[rows], beta_idx)
@@ -282,9 +264,7 @@ class SplitScorer:
         return best, best_idx, _beats_baseline(best, n_obs)
 
     def score_grid_best_kernel(
-        self,
-        kernel: LazySplitKernel,
-        item_indices: np.ndarray | None = None,
+        self, kernel: LazySplitKernel
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`score_grid_best` on a :class:`LazySplitKernel`.
 
@@ -294,10 +274,7 @@ class SplitScorer:
         is built.
         """
         self._check_kernel(kernel)
-        if item_indices is None:
-            groups = kernel.item_groups
-        else:
-            groups = kernel.item_groups[np.asarray(item_indices, dtype=np.int64)]
+        groups = kernel.item_groups
         n_items = groups.size
         best = np.full(n_items, -np.inf)
         best_idx = np.zeros(n_items, dtype=np.int64)

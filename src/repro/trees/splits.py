@@ -122,58 +122,84 @@ def score_nodes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score every candidate split of a batch of internal nodes.
 
-    ``nodes`` lists ``(obs, left_obs, istream, base_index)``: a node's
-    observations, its left child's, the indexed stream of its module and
-    its first split index in it — the node's splits occupy the contiguous
-    range ``[base_index, base_index + P * n_obs)``, so their private draws
-    are one span of the stream.  Returns flat ``(log_scores, steps,
-    accepted)`` arrays, node after node in the canonical parent-major,
-    observation-minor order.
+    ``parents`` may be a block ``[l0, l1)`` of a node list's candidate
+    parents (split mode's cut, and the SPMD engine's).  ``nodes`` lists
+    ``(obs, left_obs, istream, base_index)``: a node's observations, its
+    left child's, the indexed stream of its module and the split index in
+    it of the node's first candidate *of these parents* — the node's
+    splits here occupy the contiguous range ``[base_index, base_index + P
+    * n_obs)``, so their private draws are one span of the stream (for a
+    block, ``base_index`` is the node's first split plus ``l0 * n_obs``).
+    Returns flat ``(log_scores, steps, accepted)`` arrays, node after node
+    in the canonical parent-major, observation-minor order.
 
-    On ``scorer``'s native backend, with keyed (Philox) streams, the whole
-    batch is one call (:func:`repro.scoring.kernel.run_chains`): the nodes
-    share every ``log1p(exp(-|z|))`` row over the union of their
-    observations, keep no per-node grouping tables or memo, and the draws
-    are computed where the chains read them.  Otherwise the nodes are scored one by one
-    through :func:`~repro.scoring.kernel.split_kernel_from_arrays`, bit for
-    bit what the batch computes: on the NumPy backend (the NumPy chain)
-    and on a stream that hands out the draws themselves (MRG: 51 x 8 B per
-    split, so only one node's are held at a time).
+    On ``scorer``'s native backend every chain runs whole nodes in
+    :func:`repro.scoring.kernel.run_chains`, each ``(node, parent)`` on a
+    scratch memo of the call's own.  With keyed (Philox) streams the whole
+    batch is one call: the nodes share every ``log1p(exp(-|z|))`` row over
+    the union of their observations and the draws are computed where the
+    chains read them.  A stream that hands out the draws themselves (MRG:
+    51 x 8 B per split) runs one-node batches, so only one node's draws are
+    held at a time.  On the NumPy backend the nodes are scored one by one
+    through :func:`~repro.scoring.kernel.split_kernel_from_arrays`, the
+    oracle the batch is certified against, bit for bit.
     """
     parents = np.asarray(parents, dtype=np.int64)
     if not nodes:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    keyed = all(istream.keyed for _obs, _left_obs, istream, _base in nodes)
+    batches = [nodes] if scorer.native is not None and keyed else [[node] for node in nodes]
+    parts = [_score_batch(data, parents, scorer, batch) for batch in batches]
+    if len(parts) == 1:  # no copy of the one batch's arrays
+        return parts[0]
+    return tuple(np.concatenate(field) for field in zip(*parts))
 
-    def span(obs, istream, base_index):
-        return istream.items_span(base_index, parents.size * len(obs))
 
-    if scorer.native is not None and all(
-        istream.keyed for _obs, _left_obs, istream, _base in nodes
-    ):
-        universe = np.unique(np.concatenate([obs for obs, *_rest in nodes]))
-        guard_alloc(parents.size * universe.size, "parent-value slice")
-        return scorer.score_chain_nodes(
-            data[np.ix_(parents, universe)],
-            [
-                ChainNode(
-                    np.searchsorted(universe, obs),
-                    split_sign(obs, left_obs),
-                    span(obs, istream, base_index),
-                )
-                for obs, left_obs, istream, base_index in nodes
-            ],
-        )
-    parts = [
-        scorer.score_batch_kernel(
-            split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, native=scorer.native
-            ),
-            span(obs, istream, base_index),
-        )
-        for obs, left_obs, istream, base_index in nodes
+def _score_batch(data, parents, scorer, batch):
+    """One batch of :func:`score_nodes` (a single node on NumPy)."""
+    spans = [
+        istream.items_span(base_index, parents.size * len(obs))
+        for obs, _left_obs, istream, base_index in batch
     ]
-    log_scores, steps, _beta_idx, accepted = (np.concatenate(field) for field in zip(*parts))
-    return log_scores, steps, accepted
+    if scorer.native is None:
+        ((obs, left_obs, _istream, _base),) = batch
+        kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
+        log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(kernel, spans[0])
+        return log_scores, steps, accepted
+    universe = np.unique(np.concatenate([obs for obs, *_rest in batch]))
+    guard_alloc(parents.size * universe.size, "parent-value slice")
+    return scorer.score_chain_nodes(
+        data[np.ix_(parents, universe)],
+        [
+            ChainNode(np.searchsorted(universe, obs), split_sign(obs, left_obs), span)
+            for (obs, left_obs, _istream, _base), span in zip(batch, spans)
+        ],
+    )
+
+
+def gather_parent_blocks(n_obs, n_parents: int, blocks, parts) -> tuple:
+    """The flat ``(log_scores, steps, accepted)`` of a node list, in the
+    canonical order, from the :func:`score_nodes` results ``parts`` of its
+    parent blocks ``blocks`` (``[l0, l1)`` each, covering ``[0,
+    n_parents)``).  ``n_obs`` lists the nodes' observation counts; a block's
+    result holds node after node ``(l1 - l0) * n_obs`` entries, which go
+    to the node's offset plus ``l0 * n_obs``."""
+    offsets = np.cumsum([0, *(n_parents * n for n in n_obs)])
+    order = np.concatenate([
+        np.empty(0, dtype=np.int64),
+        *(
+            np.arange(offsets[q] + l0 * n, offsets[q] + l1 * n)
+            for l0, l1 in blocks
+            for q, n in enumerate(n_obs)
+        ),
+    ])
+    out = []
+    for field in zip(*parts):
+        values = np.concatenate(field)
+        flat = np.empty(offsets[-1], dtype=values.dtype)
+        flat[order] = values
+        out.append(flat)
+    return tuple(out)
 
 
 def score_node_splits(

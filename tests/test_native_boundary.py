@@ -43,7 +43,7 @@ def test_every_entry_has_one_spec_row_and_a_certification_row():
 
 
 _STATS = ("count", "total", "sumsq")
-_NODE_FIELDS = ("obs", "sign", "items", "groups", "cache", "seen", "uniforms")
+_NODE_FIELDS = ("obs", "sign", "uniforms")
 
 
 def _valid_call(entry):
@@ -61,8 +61,7 @@ def _valid_call(entry):
         n_items = n_parents * n_u
         node = ChainNode(
             np.arange(n_u), np.where(np.arange(n_u) % 2, 1.0, -1.0),
-            rng.random((n_items, per_item)), np.arange(n_items),
-            np.zeros(n_items, dtype=np.int64), np.zeros(4), np.zeros(4, dtype=bool),
+            rng.random((n_items, per_item)),
         )
         return "score_batch", dict(
             uvalues=rng.normal(size=(n_parents, n_u)),

@@ -9,18 +9,18 @@ Three contracts:
   only for genuine failures;
 * **bit identity** — the native chunk evaluator agrees with the NumPy
   oracle bit for bit, property-based
-  over random shapes, duplicate-heavy rows, sub-range ``item_indices``,
+  over random shapes, duplicate-heavy rows,
   both RNG stream backends, extreme magnitudes and an active
   ``allocation_cap`` (which must raise the same
   :class:`AllocationCapExceeded` wherever the NumPy path would);
-* **the fused chain** — a native kernel runs the scorer's whole sampling
-  chain in one call; results, ``accepted``, counters and the memo's end
-  state equal the NumPy chain's (and the dense seed path's) on random,
-  tie-grid and constant-row nodes, through ``_score_chunk_run``
-  sub-ranges, on a partly filled memo and under an allocation cap;
-  threads running chains on one kernel's memo agree with the
-  single-threaded run.  These run on the NumPy backend alone when the
-  extension is absent, pinning the fallback to the dense oracle;
+* **the fused chain** — the native batch entry runs a whole node's
+  sampling chain in one call; results and counters equal the NumPy
+  chain's (and the dense seed path's) on random, tie-grid and
+  constant-row nodes, and through ``_score_chunk_run``'s parent blocks;
+  a native kernel's memo ends as the NumPy kernel's, on a partly filled
+  memo and under an allocation cap.  These run on the NumPy backend
+  alone when the extension is absent, pinning the fallback to the dense
+  oracle;
 * **grouping tables** — the one-pass ``_build_tables`` equals the per-row
   ``np.unique`` construction, signed zeros and duplicates included;
 * **seen-bitmask caching** — a legitimately non-finite score is cached
@@ -33,8 +33,6 @@ All native-vs-numpy tests skip cleanly when the extension cannot build
 run everywhere.
 """
 
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -49,11 +47,14 @@ from repro.rng.streams import make_stream
 from repro.scoring.kernel import (
     AllocationCapExceeded,
     KERNEL_BACKENDS,
+    ChainNode,
     LazySplitKernel,
     allocation_cap,
     consume_kernel_totals,
     resolve_kernel_backend,
+    run_chains,
     split_kernel_from_arrays,
+    split_sign,
 )
 from repro.scoring.split_score import SplitScorer
 
@@ -219,30 +220,6 @@ class TestSplitKernelBitIdentity:
         )
         self._compare(data, obs, left_obs, parents, scorer, uniforms)
 
-    def test_subrange_item_indices(self):
-        """The partitioned backends score [row0, row1) slices against a
-        kernel built on a parent sub-slice — native must reproduce the
-        NumPy kernel on exactly this arithmetic."""
-        data, obs, left_obs, parents = _node_arrays(11, n_parents=6)
-        scorer = SplitScorer(max_steps=5, stop_repeats=2)
-        n_obs = obs.size
-        n_items = parents.size * n_obs
-        uniforms = _uniform_block(n_items, scorer.draws_per_item, 11)
-        for row0, row1 in [(0, n_items), (3, 17), (n_obs, 3 * n_obs), (5, 6)]:
-            l0, l1 = row0 // n_obs, (row1 - 1) // n_obs + 1
-            items = np.arange(row0 - l0 * n_obs, row1 - l0 * n_obs)
-            parts = {}
-            for backend in ("numpy", "native"):
-                kernel = split_kernel_from_arrays(
-                    data, obs, left_obs, parents[l0:l1], scorer.beta_grid,
-                    native=_native_of(backend),
-                )
-                parts[backend] = scorer.score_batch_kernel(
-                    kernel, uniforms[row0:row1], item_indices=items
-                )
-            for got, want in zip(parts["native"], parts["numpy"]):
-                np.testing.assert_array_equal(got, want)
-
     def test_allocation_cap_parity(self):
         """Under a cap that blocks the dense margins matrix, the native
         kernel chunks its evaluations exactly like the NumPy kernel (the
@@ -316,6 +293,18 @@ def _kind_node(kind, seed, n_vars, n_obs, n_parents):
     return data, obs, left_obs, parents
 
 
+def _whole_node_chain(scorer, data, obs, left_obs, parents, uniforms, chunk_elements=None):
+    """One node's chain over all its candidates in one native batch call:
+    ``(best_score, steps, best_idx)`` and its ``(hits, evaluations,
+    peak_chunk_elements)``."""
+    node = ChainNode(np.arange(obs.size), split_sign(obs, left_obs), uniforms)
+    *chain, _bounds, (counted,) = run_chains(
+        _native.load(), data[np.ix_(parents, obs)], scorer.beta_grid, [node],
+        scorer.max_steps, scorer.stop_repeats, max_chunk_elements=chunk_elements,
+    )
+    return chain, counted
+
+
 def _memo_state(kernel):
     return (
         kernel.hits,
@@ -357,8 +346,8 @@ class TestFusedChain:
         rng_backend,
     ):
         """... whether the draws arrive as rows or as their span: a Philox
-        span's draws are computed inside the native call (keyed), an MRG
-        span's are pre-drawn, the NumPy chain materialises either."""
+        span's draws are computed inside the native batch call (keyed), an
+        MRG span's are pre-drawn, the NumPy chain materialises either."""
         from repro.trees.splits import margins_from_arrays
 
         data, obs, left_obs, parents = _kind_node(kind, seed, 8, n_obs, n_parents)
@@ -388,6 +377,13 @@ class TestFusedChain:
                 for got, want in zip(chain, dense):
                     np.testing.assert_array_equal(got, want)
                 _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
+                if backend == "native":
+                    chain, counted = _whole_node_chain(
+                        scorer, data, obs, left_obs, parents, source, chunk_rows * n_obs
+                    )
+                    for got, want in zip(chain, dense):
+                        np.testing.assert_array_equal(got, want)
+                    assert counted == _memo_state(oracle)[:3]
 
     def test_scorer_does_not_pin_the_kernel(self):
         """The scorer outlives nodes (and, under the daemon's lease, jobs);
@@ -405,14 +401,15 @@ class TestFusedChain:
 
     @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_subranges_through_score_chunk_run(self, backend, rng_backend):
-        """Split-level tasks score ``[row0, row1)`` slices of a node on
-        kernels built over parent sub-slices; stitched together they equal
-        whole-node ``score_node_splits`` (NumPy kernel) entry for entry —
-        each slice's draws addressed from the module's stream, computed in
+    def test_parent_blocks_through_score_chunk_run(self, backend, rng_backend):
+        """Split mode scores a block ``[l0, l1)`` of the candidate parents
+        of every node as one ``score_nodes`` batch; each node's part equals
+        whole-node ``score_node_splits`` (NumPy kernel) at parents ``[l0,
+        l1)``, entry for entry — its draws addressed from the module's
+        stream at the node's first split plus ``l0 * n_obs``, computed in
         the call (native + Philox) or pre-drawn (MRG, NumPy)."""
         from repro.datatypes import TreeNode
-        from repro.parallel.tasks import SplitTask, _score_chunk_run, build_ctx
+        from repro.parallel.tasks import _score_chunk_run, build_ctx
         from repro.rng.streams import IndexedStream
         from repro.trees.splits import score_node_splits
 
@@ -420,13 +417,13 @@ class TestFusedChain:
         config = LearnerConfig(
             max_sampling_steps=6, sampling_stop_repeats=2, rng_backend=rng_backend
         )
-        seed, module_id, base = 3, 2, 40
+        seed, module_id = 3, 2
         left = np.sort(left_obs)
-        node = TreeNode(
-            0, obs,
-            left=TreeNode(1, left),
-            right=TreeNode(2, np.setdiff1d(obs, left)),
-        )
+        nodes = [  # a node and its left child's own split, module obs bases 40 and 51
+            TreeNode(0, obs, left=TreeNode(1, left), right=TreeNode(2, np.setdiff1d(obs, left))),
+            TreeNode(1, left, left=TreeNode(3, left[:2]), right=TreeNode(4, left[2:])),
+        ]
+        records = [(module_id, n.observations, n.left.observations, b) for n, b in zip(nodes, (40, 51))]
         ctx = build_ctx(
             data, parents,
             config.with_updates(parallel=ParallelConfig(kernel_backend=backend)), seed,
@@ -436,19 +433,24 @@ class TestFusedChain:
             make_stream(seed, "splits", module_id, backend=config.rng_backend),
             ctx["scorer"].draws_per_item,
         )
-        whole = score_node_splits(
-            data, module_id, 0, node, parents,
-            SplitScorer(max_steps=6, stop_repeats=2, kernel_backend="numpy"), istream, base,
-        )
-        n_items = parents.size * obs.size
-        bounds = [0, 4, obs.size, 3 * obs.size + 5, n_items - 1, n_items]
-        for row0, row1 in zip(bounds, bounds[1:]):
-            task = SplitTask(module_id, obs, left, base, row0, row1, row0)
-            offset, scores, steps, accepted = _score_chunk_run(ctx, task)
-            assert offset == row0
-            np.testing.assert_array_equal(scores, whole.log_scores[row0:row1])
-            np.testing.assert_array_equal(steps, whole.steps[row0:row1])
-            np.testing.assert_array_equal(accepted, whole.accepted[row0:row1])
+        wholes = [
+            score_node_splits(
+                data, module_id, 0, node, parents,
+                SplitScorer(max_steps=6, stop_repeats=2, kernel_backend="numpy"), istream,
+                base * parents.size,
+            )
+            for node, (*_rest, base) in zip(nodes, records)
+        ]
+        for l0, l1 in [(0, parents.size), (0, 1), (1, 4), (4, parents.size), (5, 6)]:
+            scores, steps, accepted = _score_chunk_run(ctx, (l0, l1, records))
+            at = 0
+            for whole in wholes:
+                rows, size = slice(l0 * whole.n_obs, l1 * whole.n_obs), (l1 - l0) * whole.n_obs
+                np.testing.assert_array_equal(scores[at : at + size], whole.log_scores[rows])
+                np.testing.assert_array_equal(steps[at : at + size], whole.steps[rows])
+                np.testing.assert_array_equal(accepted[at : at + size], whole.accepted[rows])
+                at += size
+            assert at == scores.size
 
     def test_chain_on_a_partly_filled_memo(self):
         """A second chain on the same kernel runs against the memo the
@@ -459,13 +461,12 @@ class TestFusedChain:
         n_items = parents.size * obs.size
         first = _uniform_block(n_items, scorer.draws_per_item, 31)
         second = _uniform_block(n_items, scorer.draws_per_item, 32)
-        items = np.arange(5, n_items - 7)
         runs = {}
         for backend in BACKENDS:
             kernel = split_kernel_from_arrays(
                 data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
             )
-            a = scorer.score_batch_kernel(kernel, first[items], item_indices=items)
+            a = scorer.score_batch_kernel(kernel, first)
             after_first = _memo_state(kernel)
             hits = kernel.hits
             b = scorer.score_batch_kernel(kernel, second)
@@ -495,18 +496,19 @@ class TestFusedChain:
 
     @needs_native
     def test_out_of_range_start_uniform_rejected(self):
+        """The batch entry refuses draws it cannot use before it scores
+        anything: no counter moves."""
         data, obs, left_obs, parents = _node_arrays(43, n_obs=6, n_parents=2)
         scorer = SplitScorer(max_steps=2)
-        kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, scorer.beta_grid, native=_native.load()
-        )
-        uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 43)
+        node = (scorer, data, obs, left_obs, parents)
+        uniforms = _uniform_block(12, scorer.draws_per_item, 43)
         bad = uniforms.copy()
         bad[3, 0] = -0.5
+        consume_kernel_totals()
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            scorer.score_batch_kernel(kernel, bad)
+            _whole_node_chain(*node, bad)
         with pytest.raises(ValueError, match="uniforms must have shape"):
-            scorer.score_batch_kernel(kernel, uniforms[:, :-1])
+            _whole_node_chain(*node, uniforms[:, :-1])
         # a span holds whole rows of exactly draws_per_item: one item short,
         # and one draw past the last item, are both refused by count
         for n_draws in (11 * 5, 12 * 5 + 1):
@@ -514,8 +516,8 @@ class TestFusedChain:
             with pytest.raises(
                 ValueError, match=rf"exactly 5 draws for each of 12 items, got {n_draws}"
             ):
-                scorer.score_batch_kernel(kernel, short)
-        assert kernel.evaluations == 0 and not kernel._seen.any()
+                _whole_node_chain(*node, short)
+        assert consume_kernel_totals() is None
 
     @needs_native
     def test_read_only_uniforms_array_scores_like_a_writable_one(self):
@@ -526,12 +528,10 @@ class TestFusedChain:
         uniforms = _uniform_block(12, scorer.draws_per_item, 44)
         frozen = uniforms.copy()
         frozen.setflags(write=False)
-        results = []
-        for draws in (uniforms, frozen):
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, native=_native.load()
-            )
-            results.append(scorer.score_batch_kernel(kernel, draws))
+        results = [
+            _whole_node_chain(scorer, data, obs, left_obs, parents, draws)[0]
+            for draws in (uniforms, frozen)
+        ]
         for want, got in zip(*results):
             np.testing.assert_array_equal(got, want)
 
@@ -644,65 +644,6 @@ class TestPhiloxInKernel:
             oc.native_sweep(_native.load(), rng, block)
         np.testing.assert_array_equal(oc.labels, before[0])
         np.testing.assert_array_equal(oc.lm, before[1])
-
-
-@needs_native
-class TestSharedMemoThreads:
-    """cffi drops the GIL for the whole fused call, and threads may run
-    chains on one kernel, i.e. on one lent memo: a memo slot must be
-    published score-first, flag-second."""
-
-    def test_threads_on_one_memo_agree_with_one(self):
-        # Sized so the threads overlap inside the C call: with the flag
-        # published before the score, this fails in every run of 25 rounds.
-        data, obs, left_obs, parents = _kind_node("ties", 53, 70, 96, 64)
-        values = data[parents][:, obs]
-        sign = np.where(np.isin(obs, left_obs), 1.0, -1.0)
-        scorer = SplitScorer(max_steps=12, stop_repeats=3)
-        n_items = parents.size * obs.size
-        n_threads = 4  # more than the box has cores
-        blocks = [
-            _uniform_block(n_items, scorer.draws_per_item, 60 + t)
-            for t in range(n_threads)
-        ]
-        solo = LazySplitKernel(values, sign, scorer.beta_grid, native=_native.load())
-        want = [scorer.score_batch_kernel(solo, block)[:3] for block in blocks]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _round in range(25):
-                shared = LazySplitKernel(
-                    values, sign, scorer.beta_grid, native=_native.load()
-                )
-                got = [None] * n_threads
-                barrier = threading.Barrier(n_threads)
-
-                def work(t):
-                    barrier.wait(timeout=30)
-                    got[t] = shared.run_chain(
-                        None, blocks[t], scorer.max_steps, scorer.stop_repeats
-                    )
-
-                threads = [
-                    threading.Thread(target=work, args=(t,))
-                    for t in range(n_threads)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                for t in range(n_threads):
-                    for g, w in zip(got[t], want[t]):
-                        np.testing.assert_array_equal(g, w)
-                # every published slot holds the score a lone kernel computes
-                np.testing.assert_array_equal(shared._seen, solo._seen)
-                np.testing.assert_array_equal(
-                    shared._cache[shared._seen], solo._cache[solo._seen]
-                )
-        finally:
-            sys.setswitchinterval(interval)
 
 
 @needs_native

@@ -1,5 +1,6 @@
-"""Tests for split-task construction and pooled flat split scoring
-(``repro.parallel.tasks`` + ``TaskPoolExecutor.score_splits``)."""
+"""Tests for pooled split scoring by parent block
+(``TaskPoolExecutor.score_splits``; the cut itself is covered in
+``tests/test_parent_blocks.py``)."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.parallel.executor import open_executor
-from repro.parallel.tasks import _subdivide, build_split_tasks
 from repro.rng.streams import IndexedStream, make_stream
 from repro.scoring.split_score import SplitScorer
 from repro.trees.splits import score_node_splits
@@ -81,37 +81,6 @@ def pool_setup(request):
     matrix = make_module_dataset(24, 12, n_modules=3, seed=42).matrix
     config = LearnerConfig(max_sampling_steps=5)
     return _node_records_and_reference(matrix, config, seed=11), config
-
-
-class TestBuildTasks:
-    def test_offsets_are_contiguous(self, pool_setup):
-        (data, records, parents, *_), config = pool_setup
-        tasks, total = build_split_tasks(records, len(parents))
-        offset = 0
-        for task in tasks:
-            assert task.out_offset == offset
-            offset += task.row1 - task.row0
-        assert offset == total
-
-    def test_subdivide_preserves_coverage(self, pool_setup):
-        (data, records, parents, *_), config = pool_setup
-        tasks, total = build_split_tasks(records, len(parents))
-        pieces = _subdivide(tasks, total, 7)
-        covered = sorted(
-            (piece.out_offset, piece.out_offset + piece.row1 - piece.row0)
-            for piece in pieces
-        )
-        position = 0
-        for lo, hi in covered:
-            assert lo == position
-            position = hi
-        assert position == total
-
-    def test_subdivide_respects_node_boundaries(self, pool_setup):
-        (data, records, parents, *_), config = pool_setup
-        tasks, total = build_split_tasks(records, len(parents))
-        for piece in _subdivide(tasks, total, 5):
-            assert 0 <= piece.row0 < piece.row1
 
 
 class TestPoolScoring:

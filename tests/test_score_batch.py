@@ -2,7 +2,7 @@
 
 ``repro_score_batch`` scores a batch of nodes parent by parent against one
 table of ``log1p(exp(-|z|))`` rows.  Everything it returns — scores, steps,
-beta indices, the three memo counters, a lent memo's end state — must equal
+beta indices, the three memo counters — must equal
 what each node's own NumPy chain produces, whatever the nodes share, however
 small the table, and wherever the draws come from.
 """
@@ -65,13 +65,13 @@ def _universe(kind, n_parents, n_u, rng):
     return values
 
 
-def _oracle(uvalues, obs, sign, items, scorer, chunk_elements, rows):
+def _oracle(uvalues, obs, sign, scorer, chunk_elements, rows):
     """The node's own NumPy chain: the kernel (counters, memo) and results."""
     oracle = LazySplitKernel(
         uvalues[:, obs], sign, scorer.beta_grid, max_chunk_elements=chunk_elements,
         native=None,
     )
-    return oracle, scorer.score_batch_kernel(oracle, rows, item_indices=items)
+    return oracle, scorer.score_batch_kernel(oracle, rows)
 
 
 class TestBatchEqualsPerNodeChain:
@@ -88,29 +88,24 @@ class TestBatchEqualsPerNodeChain:
         max_steps=st.sampled_from([1, 3, 6]),
         chunk_elements=st.sampled_from([1, 40, None]),
         rng_backend=st.sampled_from(["philox", "mrg"]),
-        lend=st.booleans(),
-        first=st.integers(0, 5),
     )
     def test_property_results_counters_memos(
         self, seed, n_u, layout, kind, n_parents, max_steps, chunk_elements,
-        rng_backend, lend, first,
+        rng_backend,
     ):
         """... over node sets with shared, nested, disjoint and unsorted
-        observations, keyed spans (Philox) and array draws (MRG), lent and
-        scratch memos, a sub-range of the first node's candidates, one row
+        observations, keyed spans (Philox) and array draws (MRG), one row
         or many per evaluation chunk — and with a margin-table budget that
         holds one parent's rows (the default, and exactly), that is one
         element short and that is zero (no sharing: the fused evaluator),
         all giving identical output."""
         _assert_batch_equals_per_node_chains(
-            seed, n_u, layout, kind, n_parents, max_steps, chunk_elements,
-            rng_backend, lend, first,
+            seed, n_u, layout, kind, n_parents, max_steps, chunk_elements, rng_backend,
         )
 
 
 def _assert_batch_equals_per_node_chains(
-    seed, n_u, layout, kind, n_parents, max_steps, chunk_elements, rng_backend, lend,
-    first,
+    seed, n_u, layout, kind, n_parents, max_steps, chunk_elements, rng_backend,
 ):
     rng = np.random.default_rng(seed)
     uvalues = _universe(kind, n_parents, n_u, rng)
@@ -118,55 +113,37 @@ def _assert_batch_equals_per_node_chains(
     specs = []
     for q, obs in enumerate(_node_obs(layout, n_u, rng)):
         sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
-        n_items = n_parents * obs.size
-        items = np.arange(min(first, n_items - 1), n_items) if q == 0 else None
         span = IndexedStream(
             make_stream(seed, "batch", q, backend=rng_backend), scorer.draws_per_item
-        ).items_span(
-            0 if items is None else int(items[0]),
-            n_items if items is None else items.size,
-        )
-        specs.append((obs, sign, items, span))
+        ).items_span(0, n_parents * obs.size)
+        specs.append((obs, sign, span))
 
     consume_kernel_totals()
     oracles = [
         _oracle(
-            uvalues, obs, sign, items, scorer, chunk_elements,
+            uvalues, obs, sign, scorer, chunk_elements,
             (span if isinstance(span, np.ndarray) else span.array()).reshape(
                 -1, scorer.draws_per_item
             ),
         )
-        for obs, sign, items, span in specs
+        for obs, sign, span in specs
     ]
     want = consume_kernel_totals()
     outputs = []
     table = scorer.beta_grid.size * n_u * n_u  # one parent's margin rows
     for table_elements in (None, table, table - 1, 0):
-        nodes = [ChainNode(obs, sign, span, items) for obs, sign, items, span in specs]
-        for node, (oracle, _results) in zip(nodes, oracles):
-            if lend:
-                groups = oracle.item_groups
-                node.groups = groups if node.items is None else groups[node.items]
-                node.cache = np.zeros_like(oracle._cache)
-                node.seen = np.zeros_like(oracle._seen)
+        nodes = [ChainNode(obs, sign, span) for obs, sign, span in specs]
         *flat, bounds, counters = run_chains(
             _native.load(), uvalues, scorer.beta_grid, nodes, max_steps, 2,
             max_chunk_elements=chunk_elements, table_elements=table_elements,
         )
         got = consume_kernel_totals()
-        for node, lo, hi, counted, (oracle, results) in zip(
-            nodes, bounds, bounds[1:], counters, oracles
-        ):
+        for lo, hi, counted, (oracle, results) in zip(bounds, bounds[1:], counters, oracles):
             for part, expected in zip(flat, results):
                 np.testing.assert_array_equal(part[lo:hi], expected)
             assert counted == (
                 oracle.hits, oracle.evaluations, oracle.peak_chunk_elements
             )
-            if lend:
-                np.testing.assert_array_equal(node.seen, oracle._seen)
-                np.testing.assert_array_equal(
-                    node.cache[node.seen], oracle._cache[oracle._seen]
-                )
         for key in ("hits", "evaluations", "peak_chunk_elements"):
             assert got[key] == want[key]
         uses, filled = got.get("margin_row_uses", 0), got.get("margin_rows_filled", 0)
@@ -229,7 +206,6 @@ class TestLibmProvider:
                 seed=n_u * 8 + q, n_u=n_u, layout=layout,
                 kind=("random", "ties")[q % 2], n_parents=1 + q % 3, max_steps=3,
                 chunk_elements=(None, 40)[q % 2], rng_backend=("philox", "mrg")[q // 2 % 2],
-                lend=q % 2 == 1, first=q,
             )
 
 
@@ -285,7 +261,7 @@ def _two_nodes(seed=5, n_parents=2, n_u=12):
 
 class TestPreconditions:
     """What the shared path relies on is checked before C, by name; a
-    ``ValueError`` leaves every memo untouched."""
+    ``ValueError`` scores nothing."""
 
     def _run(self, uvalues, scorer, nodes, **kwargs):
         return run_chains(
@@ -306,7 +282,7 @@ class TestPreconditions:
         assert totals["margin_row_uses"] == counters[0][1]  # node 0's evaluations only
         for node, lo, hi, counted in zip(nodes, bounds, bounds[1:], counters):
             oracle, results = _oracle(
-                uvalues, node.obs, node.sign, None, scorer, None,
+                uvalues, node.obs, node.sign, scorer, None,
                 node.uniforms.array().reshape(-1, scorer.draws_per_item),
             )
             for part, expected in zip(flat, results):
@@ -319,23 +295,16 @@ class TestPreconditions:
             (lambda n: setattr(n, "obs", n.obs + 3), "obs must be columns of the universe"),
             (lambda n: setattr(n, "obs", -n.obs), "obs must be columns of the universe"),
             (lambda n: setattr(n, "sign", n.sign[:-1]), "sign must"),
-            (lambda n: setattr(n, "items", np.array([3, 40])), "items must be candidates"),
-            (lambda n: setattr(n, "items", np.array([13, 2])), "ascending by parent"),
             (lambda n: setattr(n, "uniforms", np.zeros((3, 9))), "uniforms must have shape"),
         ],
     )
-    def test_bad_node_is_refused_and_memos_are_untouched(self, damage, message):
+    def test_bad_node_is_refused_and_nothing_is_scored(self, damage, message):
         uvalues, scorer, nodes = _two_nodes()
-        lender = LazySplitKernel(
-            uvalues[:, nodes[0].obs], nodes[0].sign, scorer.beta_grid, native=_native.load()
-        )
-        nodes[0].groups, nodes[0].cache, nodes[0].seen = (
-            lender.item_groups, lender._cache, lender._seen,
-        )
         damage(nodes[1])
+        consume_kernel_totals()
         with pytest.raises(ValueError, match=message):
             self._run(uvalues, scorer, nodes)
-        assert not lender._seen.any() and not lender._cache.any()
+        assert consume_kernel_totals() is None
 
     def test_draw_addresses_go_through_the_one_validator(self):
         """A node's span at the end of the counter: refused before C (where
@@ -346,17 +315,6 @@ class TestPreconditions:
         count = nodes[1].uniforms.count
         nodes[1].uniforms = PhiloxStream(3).span((1 << 64) - count, count)
         with pytest.raises(ValueError, match="Philox key must fit 64 bits"):
-            self._run(uvalues, scorer, nodes)
-
-    def test_memo_that_does_not_match_is_refused(self):
-        uvalues, scorer, nodes = _two_nodes()
-        nodes[0].groups = np.zeros(nodes[0].obs.size * uvalues.shape[0], dtype=np.int64)
-        nodes[0].cache, nodes[0].seen = np.zeros(6), np.zeros(6, dtype=bool)
-        with pytest.raises(ValueError, match="memo tables do not match the beta grid"):
-            self._run(uvalues, scorer, nodes)
-        nodes[0].cache, nodes[0].seen = np.zeros(7), np.zeros(7, dtype=bool)
-        nodes[0].groups[3] = 1
-        with pytest.raises(ValueError, match="groups must name one memo row per item"):
             self._run(uvalues, scorer, nodes)
 
     def test_an_allocation_cap_bounds_the_table(self):
@@ -405,7 +363,7 @@ class TestCertification:
 @pytest.fixture
 def entries(monkeypatch):
     """How often a ``learn()`` enters each scoring path."""
-    counted = dict.fromkeys(("batch", "batch_nodes", "kernels", "run_chain", "numpy_chain"), 0)
+    counted = dict.fromkeys(("batch", "batch_nodes", "kernels", "numpy_chain"), 0)
 
     def counting(target, name, key, size=lambda *args, **kwargs: 1):
         original = getattr(target, name)
@@ -422,7 +380,6 @@ def entries(monkeypatch):
         lambda self, uvalues, urow, grid, nodes, *rest: len(nodes),
     )
     counting(LazySplitKernel, "__init__", "kernels")
-    counting(LazySplitKernel, "run_chain", "run_chain")
     counting(SplitScorer, "_run_chain", "numpy_chain")
     return counted
 
@@ -446,7 +403,7 @@ class TestOneNativeCallPerModuleBatch:
         assert result.stats["n_internal_nodes"] > 1
         assert entries["batch"] == 1
         assert entries["batch_nodes"] == result.stats["n_internal_nodes"]
-        assert entries["kernels"] == entries["run_chain"] == entries["numpy_chain"] == 0
+        assert entries["kernels"] == entries["numpy_chain"] == 0
         if traced:
             counters = trace.kernel_counters
             assert counters["margin_row_uses"] == counters["evaluations"]
@@ -480,7 +437,7 @@ class TestOneNativeCallPerModuleBatch:
     def test_numpy_learn_scores_node_by_node(self, tiny_matrix, entries):
         trace = WorkTrace()
         result = LemonTreeLearner(self._config("numpy")).learn(tiny_matrix, 3, trace=trace)
-        assert entries["batch"] == entries["run_chain"] == 0
+        assert entries["batch"] == 0
         assert entries["kernels"] == entries["numpy_chain"] == result.stats["n_internal_nodes"]
         assert "margin_row_uses" not in trace.kernel_counters
 
@@ -507,8 +464,10 @@ class TestOneNativeCallPerModuleBatch:
         finally:
             tracemalloc.stop()
         assert peak < 5 * node_draws < len(nodes) * node_draws
-        assert entries["kernels"] == len(nodes) + 1
-        assert entries["batch_nodes"] == (len(nodes) + 1 if backend == "native" else 0)
+        assert entries["kernels"] == (len(nodes) + 1 if backend == "numpy" else 0)
+        assert entries["batch"] == entries["batch_nodes"] == (
+            len(nodes) + 1 if backend == "native" else 0
+        )
 
     def test_batches_and_backends_learn_one_network(self, tiny_matrix):
         """... whatever the byte budget cuts a module batch into."""

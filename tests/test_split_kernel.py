@@ -3,8 +3,7 @@
 The kernel's contract has three legs:
 
 * **bit identity** — chain and grid-best scores from the kernel equal the
-  dense materialized-margins path exactly, including duplicate-value nodes
-  and partitioned sub-ranges (the pool/SPMD ``item_indices`` path);
+  dense materialized-margins path exactly, including duplicate-value nodes;
 * **memory** — scoring never materializes more than O(P * n_obs) at once,
   proven by scoring a node whose dense margins matrix would blow a hard
   allocation cap;
@@ -116,29 +115,6 @@ class TestBitIdentity:
         lazy = scorer.score_grid_best_kernel(kernel)
         for got, want in zip(lazy, dense):
             np.testing.assert_array_equal(got, want)
-
-    def test_subrange_item_indices(self):
-        """The partitioned backends score [row0, row1) slices against a
-        kernel built on a parent sub-slice — exactly this arithmetic."""
-        data, obs, left_obs, parents = _node_arrays(11, n_parents=6)
-        scorer = SplitScorer(max_steps=5, stop_repeats=2)
-        n_obs = obs.size
-        margins = margins_from_arrays(data, obs, left_obs, parents)
-        n_items = margins.shape[0]
-        uniforms = _uniform_block(n_items, scorer.draws_per_item, 11)
-        full = scorer.score_batch(margins, uniforms)
-
-        for row0, row1 in [(0, n_items), (3, 17), (n_obs, 3 * n_obs), (5, 6)]:
-            l0, l1 = row0 // n_obs, (row1 - 1) // n_obs + 1
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents[l0:l1], scorer.beta_grid
-            )
-            items = np.arange(row0 - l0 * n_obs, row1 - l0 * n_obs)
-            part = scorer.score_batch_kernel(
-                kernel, uniforms[row0:row1], item_indices=items
-            )
-            for got, want in zip(part, full):
-                np.testing.assert_array_equal(got, want[row0:row1])
 
     def test_chain_then_grid_best_share_cache(self):
         """score_grid_best_kernel on a chain-warmed kernel reuses cached
