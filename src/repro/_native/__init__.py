@@ -22,13 +22,12 @@ Acquisition order:
    scalar libm — and **self-certifies**: every row of the certification
    table (:data:`_CERTIFICATION`) runs its probe cases through the entry
    and through an independent NumPy oracle and compares the outputs bit
-   for bit — the evaluator, the in-kernel Philox generator, the fused
-   sampling chain (results and counters), the GaneSH
-   observation and variable sweeps (end state, draws consumed, recorded
-   costs; the chain and the sweeps both reading their draws and computing
-   them).  A provider that fails certification is rejected; if none
-   survives, the backend reports unavailable and the ``"auto"`` setting
-   falls back to NumPy.
+   for bit — the evaluator, the in-kernel Philox and MRG generators, the
+   fused sampling chain (results and counters), the GaneSH observation and
+   variable sweeps (end state, draws consumed, recorded costs; the chain
+   and the sweeps computing the draws of either generator).  A provider
+   that fails certification is rejected; if none survives, the backend
+   reports unavailable and the ``"auto"`` setting falls back to NumPy.
 
 One boundary stands between Python and C: every array an entry takes is
 checked against the entry's row of the spec table (:data:`_SPEC`) by one
@@ -58,7 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.rng.philox import DrawSpan, PhiloxStream
+from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM, GibbsRandom, IndexedStream, make_stream
 
 #: loader result cache: (status, detail, provider, kernels-or-None)
@@ -71,8 +70,10 @@ FAILURE_STATUSES = frozenset(
 )
 
 F64, I64, BOOL = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.bool_)
-#: the dtype of an entry's draws: a ``DrawSpan`` (by address) or ``float64``
+#: the dtype of an entry's draws: a ``DrawSpan``, which goes in by address
 DRAWS = "draws"
+#: the generators the entries draw with, by stream ``name``; C's tag is the index
+_GENERATORS = ("philox", "mrg")
 _CTYPES = {F64: "double[]", I64: "int64_t[]", BOOL: "uint8_t[]"}
 
 
@@ -113,12 +114,13 @@ class Size(NamedTuple):
 
 #: the statistics and marginal buffers a sweep rewrites in place
 _SWEPT = ("count", "total", "sumsq", "lm")
-#: the draw check: C computes draws ``[offset, offset + count)`` of key
-#: ``key`` as uint64s, so neither may wrap
+#: the draw check: C computes draws ``[offset, offset + count)`` of the
+#: stream ``(generator, key)`` as uint64s, so neither may wrap
 _ADDRESS = Rule(
-    "0 <= key < 1 << 64 and offset >= 0 <= count and offset + count < 1 << 64",
-    "a Philox key must fit 64 bits and the draws lie in [0, 2**64): "
-    "got key {key}, offset {offset}, count {count}",
+    "generator in _GENERATORS and 0 <= key < 1 << 64 and offset >= 0 <= count "
+    "and offset + count < 1 << 64",
+    "a span must address a philox or mrg stream by a 64-bit key, its draws in "
+    "[0, 2**64): got {generator!r} key {key}, offset {offset}, count {count}",
 )
 
 
@@ -129,8 +131,7 @@ def _obs_sweep(n_draws: str) -> tuple:
         Arg("labels", I64, ("m",), "1", True, below="k", refusal="labels must lie in [0, {k})"),
         *(Arg(key, F64, size="m + 1", writable=True) for key in _SWEPT),
         Arg("lgam", F64, size="m + 1", name="gammaln table"),
-        # the array form of the draws is held writable, as it always was
-        Arg("uniforms", DRAWS, size=n_draws, writable=True),
+        Arg("span", DRAWS, size=n_draws),
         Rule("rows >= 1", "an observation sweep needs at least one block row"),
     )
 
@@ -154,19 +155,17 @@ def _var_sweep(n_draws: str, n_slots: str) -> tuple:
         Rule("n_blocks >= k", "offsets do not tile the block arrays"),
         Arg("offsets", I64, size="k + 1"),
         *(Arg(key, F64, size=n_slots, writable=True) for key in _SWEPT),
-        Arg("uniforms", DRAWS, size=n_draws, writable=True),
+        Arg("span", DRAWS, size=n_draws),
         Arg("lgam", F64, size="n * m + 1", name="gammaln table"),
     )
 
-
-_ROWS = "uniforms must have shape ({n_items}, >= {per_item}), got {uniforms.shape}"
 
 #: the argument spec table: per C entry, its arrays and relations.  The
 #: validator checks a row in two passes: every array (dtype, dimensions,
 #: contiguity, size, shape, writability) and derived size in row order,
 #: then every value range and rule in row order.
 _SPEC = {
-    "repro_philox_uniforms": (_ADDRESS,),  # also the draw check of every span
+    "repro_uniforms": (_ADDRESS,),  # also the draw check of every span
     "repro_eval_chunk": (
         Arg("values", F64, ("n_parents", "n_obs")),
         Arg("group_value", F64, ("n_rows",)),
@@ -205,14 +204,11 @@ _NODE = (
     ),
     Arg("sign", F64, ("n_obs",), "n_obs", refusal="sign must have one entry per observation"),
     Size("n_items", "n_parents * n_obs"),
-    # rows of at least per_item draws, or a span of exactly that many
-    Arg("uniforms", DRAWS, ("n_items", "stride"), writable=True, refusal=_ROWS, copy=True),
-    Size("stride", "per_item"),  # a span's rows are exactly per_item long
-    Rule("isinstance(uniforms, DrawSpan) or stride >= per_item", _ROWS),
+    Arg("span", DRAWS),
     Rule(
-        "not isinstance(uniforms, DrawSpan) or uniforms.count == n_items * per_item",
-        "uniforms must span exactly {per_item} draws for each of {n_items} items, "
-        "got {uniforms.count}",
+        "span.count == n_items * per_item",
+        "span must cover exactly {per_item} draws for each of {n_items} items, "
+        "got {span.count}",
     ),
 )
 
@@ -241,12 +237,30 @@ def _refuse(refusal: str, env: dict):
     raise ValueError(refusal.format(**env))
 
 
-_DTYPE_NAMES = {F64: "F64", I64: "I64", BOOL: "BOOL", DRAWS: "F64"}
+_DTYPE_NAMES = {F64: "F64", I64: "I64", BOOL: "BOOL"}
+
+
+def _address(span, need: int) -> tuple:
+    """The ``(generator, key, offset)`` arguments of an entry that reads
+    draws ``[0, need)`` of ``span``: it goes in by address, and the entry
+    computes the draws it reaches."""
+    if not isinstance(span, DrawSpan):
+        raise ValueError(f"span must be a DrawSpan, got {type(span).__name__}")
+    if span.count < need:
+        raise ValueError(f"span must cover at least {need} draws, got {span.count}")
+    _CHECKS["repro_uniforms"](
+        generator=span.generator, key=span.key, offset=span.start, count=span.count
+    )
+    return _GENERATORS.index(span.generator), span.key, span.start
 
 
 def _arg_check(arg: Arg) -> list[str]:
-    """The lines of a compiled check that take one array argument."""
-    key, size, dtype = arg.key, arg.size or "0", _DTYPE_NAMES[arg.dtype]
+    """The lines of a compiled check that take one array argument (a
+    span: its address)."""
+    key, size = arg.key, arg.size or "0"
+    if arg.dtype is DRAWS:
+        return [f"generator, key, offset = _address({key}, {size})"]
+    dtype = _DTYPE_NAMES[arg.dtype]
     copy = f"np.require({key}, {dtype}, ['C', 'W'])" if arg.writable else (
         f"np.ascontiguousarray({key}, {dtype})"
     )
@@ -260,12 +274,6 @@ def _arg_check(arg: Arg) -> list[str]:
             f"if {dim} is None: {dim} = {key}.shape[{axis}]",
             f"elif {dim} != {key}.shape[{axis}]: _refuse({arg.refusal!r}, locals())",
         ]
-    if arg.dtype is DRAWS:  # a span goes in by address, an array as it is
-        span = f"_draws = _kernels._draws({key}, {size})"
-        lines = [span] if not arg.shape else [
-            f"if isinstance({key}, DrawSpan): {span}", "else:",
-            *("    " + line for line in lines), f"    _draws = _kernels._buffer({key}), 0, 0",
-        ]
     if arg.when:
         lines = [f"if {arg.when}:", *("    " + line for line in lines), f"else: {key} = None"]
     return lines
@@ -274,11 +282,10 @@ def _arg_check(arg: Arg) -> list[str]:
 def _compile(row: tuple):
     """A spec row as one function, compiled once: it checks every array and
     derives every size in row order, then every value range and rule in row
-    order, and returns its names (``locals()``), the ``uniforms``, ``key``
-    and ``offset`` C arguments of a draws argument among them.  It takes
-    every name the row reads by keyword (``None`` when the call does not
-    give it; a name it does not read is ignored), and ``_kernels`` when the
-    row has draws."""
+    order, and returns its names (``locals()``), the ``generator``, ``key``
+    and ``offset`` C arguments of a span among them.  It takes every name
+    the row reads by keyword (``None`` when the call does not give it; a
+    name it does not read is ignored)."""
     buffers, values = [], []
     for item in row:
         if type(item) is Size:
@@ -293,8 +300,6 @@ def _compile(row: tuple):
                     f"{item.key}.min() <= {item.key}.max() < ({item.below}): "
                     f"_refuse({item.refusal!r}, locals())"
                 )
-    if any(type(item) is Arg and item.dtype is DRAWS for item in row):
-        values.append("uniforms, key, offset = _draws")
     body = buffers + values
     read = {
         node.id for node in ast.walk(ast.parse("\n".join(body)))
@@ -310,8 +315,8 @@ def _compile(row: tuple):
 
 #: the names a compiled check reads that are not the call's
 _SCOPE = {
-    "np": np, "DrawSpan": DrawSpan, "F64": F64, "I64": I64, "BOOL": BOOL,
-    "_checked": _checked, "_refuse": _refuse,
+    "np": np, "F64": F64, "I64": I64, "BOOL": BOOL, "_GENERATORS": _GENERATORS,
+    "_checked": _checked, "_refuse": _refuse, "_address": _address,
 }
 #: the spec table's rows, each compiled into its check
 _CHECKS = {entry: _compile(row) for entry, row in _SPEC.items()}
@@ -319,12 +324,10 @@ _NODE_CHECK = _compile(_NODE)
 
 
 _SCRATCH = (MemoryError, "native sweep scratch allocation failed")
-_OUTSIDE = (ValueError, "uniforms must be draws from [0, 1)")
 _UNDESCRIBED = "statistics do not describe the labels: every "
 _OBS_RC = {
     -1: _SCRATCH,
     -2: (ValueError, _UNDESCRIBED + "cluster needs count == {rows} x its number of observations"),
-    -3: _OUTSIDE,
 }
 #: what ``var_begin`` answers (``_build.py``)
 _VAR_RC = {
@@ -335,7 +338,6 @@ _VAR_RC = {
         "in [0, k), no cluster may be empty and each variable must be listed once, under "
         "its own cluster",
     ),
-    -3: _OUTSIDE,
     -4: (ValueError, "obs labels must lie in [0, k_c) of their cluster"),
     -5: (ValueError, "offsets do not tile the block arrays"),
     -6: (
@@ -346,10 +348,7 @@ _VAR_RC = {
 #: message formatted with the call's sizes
 _RC = {
     "repro_eval_chunk": {-1: (MemoryError, "native evaluation chunk allocation failed")},
-    "repro_score_batch": {
-        -1: (MemoryError, "native chain scratch allocation failed"),
-        -3: (ValueError, "start uniforms must be draws from [0, 1)"),
-    },
+    "repro_score_batch": {-1: (MemoryError, "native chain scratch allocation failed")},
     "repro_obs_reassign_sweep": _OBS_RC,
     "repro_obs_merge_sweep": _OBS_RC,
     "repro_var_reassign_sweep": _VAR_RC,
@@ -387,27 +386,19 @@ class NativeKernels:
             error, message = _RC[entry][rc]
             raise error(message.format(**env))
 
-    def _draws(self, uniforms, need: int) -> tuple:
-        """The ``(uniforms, key, offset)`` arguments of an entry that reads
-        draws ``[0, need)``: a span (of a keyed stream, by construction)
-        goes in by address — the entry computes the draws it reaches — and
-        anything else as the ``float64`` array it is."""
-        if isinstance(uniforms, DrawSpan):
-            if uniforms.count < need:
-                raise ValueError(f"uniforms must span at least {need} draws")
-            _CHECKS["repro_philox_uniforms"](
-                key=uniforms.key, offset=uniforms.start, count=uniforms.count
-            )
-            return self._ffi.NULL, uniforms.key, uniforms.start
-        return self._buffer(_checked(uniforms, F64, need, "uniforms")), 0, 0
-
-    def philox_uniforms(self, key: int, offset: int, count: int) -> np.ndarray:
-        """Draws ``[offset, offset + count)`` of the Philox stream keyed
-        ``key``, from the generator the entries above draw with: what
-        ``PhiloxStream.block(offset, count)`` returns, bit for bit."""
-        env = _CHECKS["repro_philox_uniforms"](key=key, offset=offset, count=count)
+    def uniforms(self, generator: str, key: int, offset: int, count: int) -> np.ndarray:
+        """Draws ``[offset, offset + count)`` of the ``generator`` stream
+        (``"philox"`` or ``"mrg"``) keyed ``key``, from the generator the
+        entries below draw with: what the stream's ``block(offset, count)``
+        returns, bit for bit."""
+        env = _CHECKS["repro_uniforms"](
+            generator=generator, key=key, offset=offset, count=count
+        )
         out = np.empty(count)
-        self._call("repro_philox_uniforms", env, key, offset, count, self._buffer(out))
+        self._call(
+            "repro_uniforms", env, _GENERATORS.index(generator), key, offset, count,
+            self._buffer(out),
+        )
         return out
 
     def eval_chunk(
@@ -449,7 +440,7 @@ class NativeKernels:
         peak_chunk_elements)`` its NumPy chain would have counted with
         evaluation chunks of ``chunk_elements`` elements; the table's ``(rows
         filled, row uses)`` and the Philox blocks the call computed (0 when
-        every node's draws are arrays).  Everything C indexes by is checked
+        every node's span is an MRG one).  Everything C indexes by is checked
         first (the batch's and every node's spec rows).
         """
         env = _CHECKS["repro_score_batch"](uvalues=uvalues, urow=urow, beta_grid=beta_grid)
@@ -463,15 +454,12 @@ class NativeKernels:
             return held[-1]
 
         for q, (node, c) in enumerate(zip(nodes, c_nodes)):
-            rows = node.uniforms
-            if isinstance(rows, np.ndarray) and rows.ndim == 1 and not rows.size % per_item:
-                rows = rows.reshape(-1, per_item)  # rows end to end
             v = _NODE_CHECK(
-                _kernels=self, n_parents=env["n_parents"], n_u=env["n_u"],
-                per_item=per_item, obs=node.obs, sign=node.sign, uniforms=rows,
+                n_parents=env["n_parents"], n_u=env["n_u"], per_item=per_item,
+                obs=node.obs, sign=node.sign, span=node.span,
             )
-            c.obs, c.sign, c.uniforms = map(pointer, (v["obs"], v["sign"], v["uniforms"]))
-            c.key, c.offset, c.stride, c.n_obs = v["key"], v["offset"], v["stride"], v["n_obs"]
+            c.obs, c.sign = pointer(v["obs"]), pointer(v["sign"])
+            c.gen, c.key, c.offset, c.n_obs = v["generator"], v["key"], v["offset"], v["n_obs"]
             c.chunk_rows = max(1, int(chunk_elements) // max(1, c.n_obs))
             c.shared = bool((np.abs(node.sign) == 1.0).all())
             bounds[q + 1] = bounds[q] + v["n_items"]
@@ -496,15 +484,15 @@ class NativeKernels:
     def obs_sweep(
         self, block: np.ndarray | None, rows: int, labels: np.ndarray,
         stats: tuple[np.ndarray, np.ndarray, np.ndarray], lm: np.ndarray, k: int,
-        uniforms: np.ndarray, lgam: np.ndarray, prior, quantum: float, trace: bool = False,
+        span: DrawSpan, lgam: np.ndarray, prior, quantum: float, trace: bool = False,
     ) -> tuple[int, np.ndarray | None]:
         """One GaneSH observation sweep over a clustering's own state, in place.
 
         With ``block`` (``rows x m``) it is ``reassign_obs_sweep`` and
-        consumes ``uniforms[:2 * m]``; with ``block=None`` it is
-        ``merge_obs_sweep`` (which only needs the block's ``rows``) and
-        consumes ``uniforms[:k]`` — an array, or the ``DrawSpan`` of those
-        draws (:meth:`_draws`).  ``labels`` (``m`` labels in ``[0, k)``),
+        consumes the first ``2 * m`` draws of ``span``; with ``block=None``
+        it is ``merge_obs_sweep`` (which only needs the block's ``rows``)
+        and consumes the first ``k`` — computed as the entry reads them
+        (:func:`_address`).  ``labels`` (``m`` labels in ``[0, k)``),
         the three ``stats`` buffers and ``lm`` (each with at least ``m + 1``
         slots, the first ``k`` live) are updated as the NumPy loop would
         leave them; ``lgam[t]`` is ``gammaln(alpha0 + rows * t / 2)`` for
@@ -518,8 +506,8 @@ class NativeKernels:
         entry = "repro_obs_merge_sweep" if block is None else "repro_obs_reassign_sweep"
         blocks = {} if block is None else {"block": block}
         env = _CHECKS[entry](
-            _kernels=self, rows=int(rows), k=int(k), labels=labels, count=stats[0],
-            total=stats[1], sumsq=stats[2], lm=lm, lgam=lgam, uniforms=uniforms, **blocks,
+            rows=int(rows), k=int(k), labels=labels, count=stats[0], total=stats[1],
+            sumsq=stats[2], lm=lm, lgam=lgam, span=span, **blocks,
         )
         m, k, b = env["m"], env["k"], self._buffer
         head = () if block is None else (b(env["block"]),)  # a merge sweep takes no block
@@ -527,7 +515,7 @@ class NativeKernels:
         k_trace = np.empty(k if block is None else m, dtype=np.int64) if trace else None
         self._call(
             entry, env, *head, env["rows"], m, b(labels),
-            *map(b, stats), b(lm), b(k_io), env["uniforms"], env["key"], env["offset"],
+            *map(b, stats), b(lm), b(k_io), env["generator"], env["key"], env["offset"],
             b(lgam), b(np.array(_prior_values(prior))), float(quantum), b(k_trace),
         )
         return int(k_io[0]), k_trace
@@ -536,14 +524,14 @@ class NativeKernels:
         self, data: np.ndarray, var_labels: np.ndarray, member_order: np.ndarray,
         obs_labels: np.ndarray, offsets: np.ndarray, n_blocks: int,
         stats: tuple[np.ndarray, np.ndarray, np.ndarray], lm: np.ndarray,
-        uniforms: np.ndarray, lgam: np.ndarray, prior, quantum: float,
+        span: DrawSpan, lgam: np.ndarray, prior, quantum: float,
         merge: bool = False, trace: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """One GaneSH variable sweep over a packed ``CoClusterState``, in place.
 
-        ``reassign_var_sweep`` (consumes ``uniforms[:2 * n]``, an array or
-        the ``DrawSpan`` of those draws) or, with ``merge``,
-        ``merge_var_sweep`` (``uniforms[:k]``).  The pack
+        ``reassign_var_sweep`` (consumes the first ``2 * n`` draws of
+        ``span``) or, with ``merge``, ``merge_var_sweep`` (the first
+        ``k``).  The pack
         (ALGORITHMS.md §13): ``var_labels`` (``n`` labels in ``[0, k)``),
         ``member_order`` (the clusters' members, cluster after cluster, each
         in its own order), ``obs_labels`` (``k x m``, row ``c`` in ``[0,
@@ -567,9 +555,9 @@ class NativeKernels:
         """
         entry = "repro_var_merge_sweep" if merge else "repro_var_reassign_sweep"
         env = _CHECKS[entry](
-            _kernels=self, data=data, var_labels=var_labels, member_order=member_order,
+            data=data, var_labels=var_labels, member_order=member_order,
             obs_labels=obs_labels, offsets=offsets, n_blocks=int(n_blocks), count=stats[0],
-            total=stats[1], sumsq=stats[2], lm=lm, uniforms=uniforms, lgam=lgam,
+            total=stats[1], sumsq=stats[2], lm=lm, span=span, lgam=lgam,
         )
         n, k, b = env["n"], env["k"], self._buffer
         k_io = np.array([k], dtype=np.int64)
@@ -578,7 +566,7 @@ class NativeKernels:
         self._call(
             entry, env, b(env["data"]), n, env["m"], b(var_labels), b(member_order),
             b(obs_labels), b(offsets), env["n_blocks"], b(k_io), *map(b, stats), b(lm),
-            env["uniforms"], env["key"], env["offset"], b(lgam),
+            env["generator"], env["key"], env["offset"], b(lgam),
             b(np.array(_prior_values(prior))), float(quantum), b(origin), b(member_counts),
             b(moves),
         )
@@ -682,8 +670,8 @@ def _build_on_demand() -> str:
 class Cert(NamedTuple):
     """A row of the certification table.  ``cases()`` yields ``(label,
     case)``; ``oracle(case)`` returns the NumPy runs (the first is the
-    reference) and ``native(kernels, case)`` the entry's runs, one per draw
-    or memo mode; a run is the sequence of compared output arrays."""
+    reference) and ``native(kernels, case)`` the entry's runs; a run is
+    the sequence of compared output arrays."""
 
     name: str
     entries: tuple[str, ...]
@@ -744,24 +732,35 @@ def _eval_native(kernels, case):
     return [(out,)]
 
 
-#: (key, offset, count): both key halves' bits, every word of a block as the
-#: first draw, counters past 2**32 and 2**61, empty and multi-block runs
-_PHILOX_CASES = (
-    (0, 0, 9), (1, 1, 4), (0x9E3779B97F4A7C15, 2, 1), ((1 << 64) - 1, 3, 257),
-    (0x5EED, (1 << 34) + 5, 6), (1 << 63, (1 << 63) + 2, 3), (7, 11, 0),
-)
+#: (key, offset, count) per generator: both key halves' bits, every word of
+#: a Philox block as the first draw, offsets past 2**32 and 2**61, empty,
+#: single and multi-block runs
+_DRAW_CASES = {
+    "philox": (
+        (0, 0, 9), (1, 1, 4), (0x9E3779B97F4A7C15, 2, 1), ((1 << 64) - 1, 3, 257),
+        (0x5EED, (1 << 34) + 5, 6), (1 << 63, (1 << 63) + 2, 3), (7, 11, 0),
+    ),
+    "mrg": (
+        (0, 0, 1), (1, 1, 257), (0x9E3779B97F4A7C15, 2, 0),
+        ((1 << 64) - 1, (1 << 32) + 5, 257), (1 << 63, (1 << 61) + 3, 1),
+    ),
+}
 
 
-def _philox_oracle(case):
-    """The generator's definition, ``PhiloxStream.block`` (draw ``i`` =
-    word ``i % 4`` at counter ``i // 4 + 1``), and NumPy's own ``advance``
+def _draws_oracle(case):
+    """The generator's definition, the stream's ``block`` (Philox: draw
+    ``i`` = word ``i % 4`` at counter ``i // 4 + 1``; MRG: the first word
+    of ``A^(i + 1) s0`` over ``M``), and for Philox NumPy's own ``advance``
     followed by sequential reads that start inside a buffered block."""
     from numpy.random import Generator, Philox
 
-    key, offset, count = case
-    numpy_own = Generator(Philox(key=key).advance(offset // 4))
-    numpy_own.random(offset % 4)
-    return [(PhiloxStream(key).block(offset, count),), (numpy_own.random(count),)]
+    generator, key, offset, count = case
+    runs = [(make_stream(key, backend=generator).block(offset, count),)]
+    if generator == "philox":
+        numpy_own = Generator(Philox(key=key).advance(offset // 4))
+        numpy_own.random(offset % 4)
+        runs.append((numpy_own.random(count),))
+    return runs
 
 
 def _batch_cases():
@@ -770,18 +769,18 @@ def _batch_cases():
     margin row read under the wrong node's sign shows, on tie-heavy rows,
     non-finite scores, SIMD-tail widths, one-step and one-reject chains.
     Each node's oracle — ``SplitScorer._run_chain`` over a NumPy kernel —
-    runs once per probe, for three cases: array draws sharing margin rows,
-    then draws computed from the span's address, sharing margin rows and
-    not (the fused evaluator)."""
+    runs once per probe, on the spans of a Philox stream or (every other
+    probe) an MRG one, for two cases: sharing margin rows and not (the
+    fused evaluator)."""
     from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
     from repro.scoring.split_score import SplitScorer
 
     rng = np.random.default_rng(0xC4A1)
     grid, n_parents = np.array((0.25, 1.0, 4.0, 16.0)), 3
     with isolated_kernel_totals():
-        for n_u, max_steps, stop_repeats in (
+        for probe, (n_u, max_steps, stop_repeats) in enumerate((
             (1, 1, 1), (7, 4, 1), (8, 6, 2), (9, 1, 3), (129, 5, 2),
-        ):
+        )):
             uvalues = np.round(rng.normal(size=(n_parents, n_u)) * 2.0) / 2.0
             if n_u in (8, 9):
                 uvalues[0, :2] = (0.0, -0.0)
@@ -791,21 +790,22 @@ def _batch_cases():
                 grid, max_steps=max_steps, stop_repeats=stop_repeats, kernel_backend="numpy"
             )
             chunk = 2 * n_u  # two rows of the wide node
+            generator = _GENERATORS[probe % 2]
             probes = []  # per node: obs, sign, span, its oracle's results and counters
             for q, obs in enumerate((np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])):
                 sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
                 span = IndexedStream(
-                    make_stream(0x5EED, "chain", n_u, q), scorer.draws_per_item
+                    make_stream(0x5EED, "chain", n_u, q, backend=generator),
+                    scorer.draws_per_item,
                 ).items_span(0, n_parents * obs.size)
                 oracle = LazySplitKernel(uvalues[:, obs], sign, grid, max_chunk_elements=chunk)
                 want = scorer.score_batch_kernel(oracle, span)[:3]
                 counted = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
                 probes.append((obs, sign, span, [*want, counted]))
-            for arrays, share in ((True, True), (False, True), (False, False)):
-                draws = "array draws" if arrays else "keyed draws"
+            for share in (True, False):
                 rows = f"margin rows {'shared' if share else 'fused'}"
-                label = f"n_u={n_u}, max_steps={max_steps}, {draws}, {rows}"
-                yield label, (uvalues, scorer, chunk, probes, arrays, share)
+                label = f"n_u={n_u}, max_steps={max_steps}, {generator} span, {rows}"
+                yield label, (uvalues, scorer, chunk, probes, share)
 
 
 def _batch_runs(case, kernels=None):
@@ -813,12 +813,10 @@ def _batch_runs(case, kernels=None):
     NumPy chain, or of one batch call."""
     from repro.scoring.kernel import ChainNode, run_chains
 
-    uvalues, scorer, chunk, probes, arrays, share = case
+    uvalues, scorer, chunk, probes, share = case
     if kernels is None:
         return [[part for *_node, want in probes for part in want]]
-    nodes = [
-        ChainNode(obs, sign, span.array() if arrays else span) for obs, sign, span, _ in probes
-    ]
+    nodes = [ChainNode(obs, sign, span) for obs, sign, span, _ in probes]
     # an explicit table budget: the default would probe the machine
     *flat, bounds, counters = run_chains(
         kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
@@ -829,13 +827,6 @@ def _batch_runs(case, kernels=None):
         part for lo, hi, counted in zip(bounds, bounds[1:], counters)
         for part in (*(out[lo:hi] for out in flat), counted)
     ]]
-
-
-class _PreDrawn(GibbsRandom):
-    """A replicated stream that hands the sweep entries arrays, not spans."""
-
-    def span(self, count: int) -> np.ndarray:
-        return self.uniforms(count)
 
 
 def _flavoured(data: np.ndarray, flavour: str) -> np.ndarray:
@@ -851,7 +842,8 @@ def _obs_cases():
     """The pairwise rule's three regimes in the block's rows, one cluster
     and all singletons (where a fresh move holds ``m + 1`` clusters before
     the drop), tie-heavy data and the non-finite score branches (an ``inf``
-    and a ``1e200`` in the block), recorder on and off."""
+    and a ``1e200`` in the block), recorder on and off, each generator's
+    draws."""
     from repro.ganesh.state import ObsClustering
 
     data = np.random.default_rng(0x0B5).normal(size=(129, 17))
@@ -862,7 +854,9 @@ def _obs_cases():
     )):
         block = _flavoured(data[:rows, :m], flavour)
         start = ObsClustering.from_block(block, np.arange(m) % k)
-        yield f"rows={rows}, m={m}, k={k}, {flavour}", (probe, block, start, probe % 2 == 1)
+        generator = _GENERATORS[probe // 2 % 2]
+        label = f"rows={rows}, m={m}, k={k}, {flavour}, {generator}"
+        yield label, (probe, block, start, probe % 2 == 1, generator)
 
 
 def _obs_runs(case, kernels=None):
@@ -871,25 +865,23 @@ def _obs_runs(case, kernels=None):
     count, the draws consumed and the cluster count of every iteration."""
     from repro.ganesh.coclustering import SweepHooks, merge_obs_sweep, reassign_obs_sweep
 
-    probe, block, start, traced = case
-    runs = []
-    for stream_type in (GibbsRandom,) if kernels is None else (_PreDrawn, GibbsRandom):
-        oc, rng = start.copy(), stream_type(make_stream(0x5EED, "obs-sweep", probe))
-        if kernels is None:
-            sizes: list[int] = []  # of the recorded cost vectors
-            record = (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
-            reassign_obs_sweep(oc, block, rng, SweepHooks(record))
-            ks = [n - 1 for n in sizes]  # candidates = clusters + fresh
-            del sizes[:]
-            merge_obs_sweep(oc, rng, SweepHooks(record))
-            ks += sizes
-        else:
-            ks = oc.native_sweep(kernels, rng, block, trace=traced)
-            ks += oc.native_sweep(kernels, rng, trace=traced)
-        stats = oc.stats
-        counts = np.array([oc.n_clusters, rng.offset, *ks])
-        runs.append((oc.labels, stats.count, stats.total, stats.sumsq, oc.lm, counts))
-    return runs
+    probe, block, start, traced, generator = case
+    oc = start.copy()
+    rng = GibbsRandom(make_stream(0x5EED, "obs-sweep", probe, backend=generator))
+    if kernels is None:
+        sizes: list[int] = []  # of the recorded cost vectors
+        record = (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
+        reassign_obs_sweep(oc, block, rng, SweepHooks(record))
+        ks = [n - 1 for n in sizes]  # candidates = clusters + fresh
+        del sizes[:]
+        merge_obs_sweep(oc, rng, SweepHooks(record))
+        ks += sizes
+    else:
+        ks = oc.native_sweep(kernels, rng, block, trace=traced)
+        ks += oc.native_sweep(kernels, rng, trace=traced)
+    stats = oc.stats
+    counts = np.array([oc.n_clusters, rng.offset, *ks])
+    return [(oc.labels, stats.count, stats.total, stats.sumsq, oc.lm, counts)]
 
 
 def _var_cases():
@@ -901,7 +893,8 @@ def _var_cases():
     score, and two clusters of 257 blocks whose stacked scoring calls pass
     the 512 entries ``log_marginal_core`` scores at a time — each cluster
     holds one noisy copy of each of two rows, so rows move and adopt
-    marginals scored past the first 512 — recorder on and off."""
+    marginals scored past the first 512 — recorder on and off, each
+    generator's draws."""
     from repro.ganesh.state import CoClusterState
 
     rng = np.random.default_rng(0x7A5)
@@ -916,7 +909,9 @@ def _var_cases():
             _flavoured(data, flavour), np.arange(n) % k,
             [(np.arange(m) + c) % k_obs for c in range(k)],
         )
-        yield f"n={n}, m={m}, k={k}, {flavour}", (probe, start, probe % 2 == 0)
+        generator = _GENERATORS[probe // 2 % 2]
+        label = f"n={n}, m={m}, k={k}, {flavour}, {generator}"
+        yield label, (probe, start, probe % 2 == 0, generator)
 
 
 def _var_runs(case, kernels=None):
@@ -926,27 +921,26 @@ def _var_runs(case, kernels=None):
     statistics and ``lm``."""
     from repro.ganesh.coclustering import SweepHooks, merge_var_sweep, reassign_var_sweep
 
-    probe, start, traced = case
-    runs = []
-    for stream_type in (GibbsRandom,) if kernels is None else (_PreDrawn, GibbsRandom):
-        state, rng = start.copy(), stream_type(make_stream(0x5EED, "var-sweep", probe))
-        m = state.data.shape[1]
-        ks: list[float] = []  # every recorded cost vector, -1 terminated
-        if kernels is None:
-            record = (lambda _ph, costs, _nc: ks.extend([*(costs - m), -1])) if traced else None
-            reassign_var_sweep(state, rng, SweepHooks(record))
-            merge_var_sweep(state, rng, SweepHooks(record))
-        else:
-            for step in state.native_var_sweep(kernels, rng, trace=traced):
-                ks += [*step, 0, -1]  # the fresh candidate costs m
-            for step in state.native_var_sweep(kernels, rng, merge=True, trace=traced):
-                ks += [*step, -1]
-        runs.append([state.var_labels, np.array([rng.offset, state.n_clusters, *ks])])
-        for cluster in state.clusters:
-            obs = cluster.obs
-            stats = obs.stats
-            runs[-1] += [cluster.members, obs.labels, stats.count, stats.total, stats.sumsq, obs.lm]
-    return runs
+    probe, start, traced, generator = case
+    state = start.copy()
+    rng = GibbsRandom(make_stream(0x5EED, "var-sweep", probe, backend=generator))
+    m = state.data.shape[1]
+    ks: list[float] = []  # every recorded cost vector, -1 terminated
+    if kernels is None:
+        record = (lambda _ph, costs, _nc: ks.extend([*(costs - m), -1])) if traced else None
+        reassign_var_sweep(state, rng, SweepHooks(record))
+        merge_var_sweep(state, rng, SweepHooks(record))
+    else:
+        for step in state.native_var_sweep(kernels, rng, trace=traced):
+            ks += [*step, 0, -1]  # the fresh candidate costs m
+        for step in state.native_var_sweep(kernels, rng, merge=True, trace=traced):
+            ks += [*step, -1]
+    run = [state.var_labels, np.array([rng.offset, state.n_clusters, *ks])]
+    for cluster in state.clusters:
+        obs = cluster.obs
+        stats = obs.stats
+        run += [cluster.members, obs.labels, stats.count, stats.total, stats.sumsq, obs.lm]
+    return [run]
 
 
 #: the certification table, run in order by :func:`_certify`: every probe
@@ -954,9 +948,12 @@ def _var_runs(case, kernels=None):
 _CERTIFICATION = (
     Cert("eval_chunk", ("repro_eval_chunk",), _eval_cases, _eval_oracle, _eval_native),
     Cert(
-        "philox draws", ("repro_philox_uniforms",),
-        lambda: ((f"key={c[0]:#x}, offset={c[1]}, count={c[2]}", c) for c in _PHILOX_CASES),
-        _philox_oracle, lambda kernels, case: [(kernels.philox_uniforms(*case),)],
+        "draws", ("repro_uniforms",),
+        lambda: (
+            (f"{g} key={key:#x}, offset={offset}, count={count}", (g, key, offset, count))
+            for g, cases in _DRAW_CASES.items() for key, offset, count in cases
+        ),
+        _draws_oracle, lambda kernels, case: [(kernels.uniforms(*case),)],
     ),
     Cert(
         "score_batch", ("repro_score_batch",), _batch_cases, _batch_runs,

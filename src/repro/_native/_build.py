@@ -29,8 +29,8 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   on a node's +-1 sign vector, through a per-parent table of margin rows;
 * ``repro_obs_reassign_sweep`` / ``repro_obs_merge_sweep`` replay
   ``coclustering.reassign_obs_sweep`` / ``merge_obs_sweep`` over one
-  observation clustering's own state, move for move: the pre-drawn
-  uniforms in the loop's order, the column sums by the pairwise rule, the
+  observation clustering's own state, move for move: the draws in the
+  loop's order, the column sums by the pairwise rule, the
   stacked marginals (with ``gammaln`` read from a per-sweep SciPy table),
   the score vector in the same operation order and ``weighted_choice_logs``
   (``rint``, provider ``exp``, pairwise total, sequential ``cumsum``);
@@ -42,12 +42,16 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   the removal delta and a merging cluster's own score by the pairwise
   rule, ``block.sum(axis=0)`` in member order, and the fresh singleton
   scored from the pairwise row sum but built from the sequential one;
-* the uniforms the chain and the four sweeps consume are either read from
-  the caller's array or — ``uniforms == NULL`` — computed where they are
-  read by ``philox_block``, Philox4x64-10 with ``numpy.random.Philox``'s
-  key, counter and word-to-double conventions (``PhiloxStream.block`` is
-  the definition); one ``draw`` accessor, one body per entry.  Each chain
-  item keeps its own cursor, so its step pairs share a four-draw block.
+* the uniforms the chain and the four sweeps consume are computed where
+  they are read, from a span's address (generator, key, offset), by one
+  ``draw`` accessor: Philox4x64-10 with ``numpy.random.Philox``'s key,
+  counter and word-to-double conventions (``philox_block``;
+  ``PhiloxStream.block`` is the definition), or the MRG recurrence of
+  ``rng/mrg.py`` stepped in exact ``uint64`` arithmetic from the state a
+  square-and-multiply matrix power reaches (``MRGStream.block`` is the
+  definition).  Each chain item keeps its own cursor: its Philox step
+  pairs share a four-draw block, and its MRG state starts one 3 x 3
+  product on from the previous item's.
 
 Used two ways: ``setup.py`` consumes ``ffibuilder`` for an ahead-of-time
 extension build when ``REPRO_BUILD_NATIVE`` is set, and
@@ -65,8 +69,8 @@ ffibuilder = FFI()
 CDEF = """
 int repro_native_init(const char *umath_path, int want_svml);
 int repro_native_provider(void);
-void repro_philox_uniforms(uint64_t key, uint64_t offset, int64_t count,
-                           double *out);
+void repro_uniforms(int64_t gen, uint64_t key, uint64_t offset,
+                    int64_t count, double *out);
 int repro_eval_chunk(const double *group_value, const int64_t *group_row,
                      int64_t n_rows, const double *values, int64_t n_obs,
                      const double *sign, double beta, double quantum,
@@ -74,9 +78,9 @@ int repro_eval_chunk(const double *group_value, const int64_t *group_row,
 typedef struct {
     const int64_t *obs;
     const double *sign;
-    const double *uniforms;
+    int64_t gen;
     uint64_t key, offset;
-    int64_t n_obs, stride, chunk_rows, shared;
+    int64_t n_obs, chunk_rows, shared;
     double *best_score;
     int64_t *steps, *best_idx;
     int64_t hits, evaluations, peak;
@@ -89,13 +93,13 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
 int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
                              int64_t *labels, double *count, double *total,
                              double *sumsq, double *lm, int64_t *k_io,
-                             const double *uniforms, uint64_t key,
+                             int64_t gen, uint64_t key,
                              uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *k_trace);
 int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
                           double *count, double *total, double *sumsq,
-                          double *lm, int64_t *k_io, const double *uniforms,
+                          double *lm, int64_t *k_io, int64_t gen,
                           uint64_t key, uint64_t offset, const double *lgam,
                           const double *prior, double quantum,
                           int64_t *k_trace);
@@ -105,7 +109,7 @@ int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
                              const int64_t *offsets, int64_t n_blocks,
                              int64_t *k_io, double *count, double *total,
                              double *sumsq, double *lm,
-                             const double *uniforms, uint64_t key,
+                             int64_t gen, uint64_t key,
                              uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *origin, int64_t *member_counts,
@@ -115,7 +119,7 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
                           const int64_t *obs_labels, const int64_t *offsets,
                           int64_t n_blocks, int64_t *k_io, double *count,
                           double *total, double *sumsq, double *lm,
-                          const double *uniforms, uint64_t key,
+                          int64_t gen, uint64_t key,
                           uint64_t offset, const double *lgam,
                           const double *prior, double quantum,
                           int64_t *origin, int64_t *member_counts,
@@ -311,25 +315,87 @@ static void philox_block(uint64_t key, uint64_t counter, double *out)
     out[3] = (double)(c3 >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Where an entry's uniforms come from: the caller's array, or — u == NULL —
- * draws offset, offset + 1, ... of the Philox stream keyed `key`, computed
- * when read (the last block is kept: a chain item's consecutive steps or a
- * sweep's consecutive draws mostly share one; `blocks` counts the ones
- * computed).  Counter 0 holds no draw, so block == 0 means nothing is kept
- * yet. */
+/* The MRG of rng/mrg.py: x_n = (a1 x_{n-1} + a2 x_{n-2} + a3 x_{n-3}) mod M
+ * on the state (x_{n-1}, x_{n-2}, x_{n-3}), A its transition matrix.  Draw
+ * i of the stream keyed `key` is x / M for the first word x of A^(i + 1) s0,
+ * s0 the seed state MRGStream derives from the key — the property
+ * MRGStream.block is defined by and this is certified against.  Every
+ * entry is below M < 2^31, so a product of two is below 2^62 and a sum of
+ * three below 2^64: uint64 arithmetic gives Python's integers exactly, and
+ * x / M in double is the correctly rounded quotient NumPy's is. */
+#define MRG_M 2147483543ULL
+static const uint64_t mrg_a[9] = {1403580, 810728, 1234567, 1, 0, 0, 0, 1, 0};
+
+/* out = a b mod M, a 3 x 3 and b 3 x n (n = 3: a matrix, 1: a state) */
+static void mrg_mul(const uint64_t *a, const uint64_t *b, int n, uint64_t *out)
+{
+    uint64_t r[9];
+    int i, j;
+    for (i = 0; i < 3; i++)
+        for (j = 0; j < n; j++)
+            r[i * n + j] = (a[3 * i] * b[j] + a[3 * i + 1] * b[n + j]
+                            + a[3 * i + 2] * b[2 * n + j]) % MRG_M;
+    memcpy(out, r, (size_t)(3 * n) * sizeof(uint64_t));
+}
+
+/* b = A^k b, square-and-multiply (powers of A commute) */
+static void mrg_ahead(uint64_t k, uint64_t *b, int n)
+{
+    uint64_t base[9];
+    memcpy(base, mrg_a, sizeof base);
+    for (; k; k >>= 1) {
+        if (k & 1)
+            mrg_mul(base, b, n, b);
+        mrg_mul(base, base, 3, base);
+    }
+}
+
+/* x = A^n s0: the state before draw n of the stream keyed `key` */
+static void mrg_state(uint64_t key, uint64_t n, uint64_t *x)
+{
+    x[0] = key % (MRG_M - 1) + 1;
+    x[1] = (key >> 21) % (MRG_M - 1) + 1;
+    x[2] = (key >> 42) % (MRG_M - 1) + 1;
+    mrg_ahead(n, x, 1);
+}
+
+enum { PHILOX, MRG }; /* generator tags, in _native._GENERATORS' order */
+
+/* Where an entry's uniforms come from: draws offset, offset + 1, ... of the
+ * stream (gen, key), computed when read.  Philox keeps the last block (a
+ * chain item's consecutive steps or a sweep's consecutive draws mostly
+ * share one; `blocks` counts the ones computed; counter 0 holds no draw,
+ * so block == 0 means nothing is kept yet).  MRG keeps x, the state before
+ * draw `at` of the stream, so a sequential read is one step and any other
+ * a jump (at == ~0: nothing kept yet; no draw of a span has that index). */
 typedef struct {
-    const double *u;
-    uint64_t key, offset, block;
+    int64_t gen;
+    uint64_t key, offset, block, at;
     double kept[4];
+    uint64_t x[3];
     int64_t blocks;
 } draws;
 
+static draws draws_from(int64_t gen, uint64_t key, uint64_t offset)
+{
+    draws d = {gen, key, offset, 0, ~0ULL};
+    return d;
+}
+
 static double draw(draws *d, int64_t i)
 {
-    uint64_t at, counter;
-    if (d->u)
-        return d->u[i];
-    at = d->offset + (uint64_t)i;
+    uint64_t at = d->offset + (uint64_t)i, counter;
+    if (d->gen == MRG) {
+        uint64_t x0;
+        if (at != d->at)
+            mrg_state(d->key, at, d->x);
+        x0 = (mrg_a[0] * d->x[0] + mrg_a[1] * d->x[1] + mrg_a[2] * d->x[2])
+           % MRG_M;
+        memmove(d->x + 1, d->x, 2 * sizeof(uint64_t));
+        d->x[0] = x0;
+        d->at = at + 1;
+        return (double)x0 / (double)MRG_M;
+    }
     counter = at / 4 + 1;
     if (counter != d->block) {
         philox_block(d->key, counter, d->kept);
@@ -339,11 +405,11 @@ static double draw(draws *d, int64_t i)
     return d->kept[at % 4];
 }
 
-/* PhiloxStream.block(offset, count) */
-void repro_philox_uniforms(uint64_t key, uint64_t offset, int64_t count,
-                           double *out)
+/* PhiloxStream / MRGStream(key).block(offset, count) */
+void repro_uniforms(int64_t gen, uint64_t key, uint64_t offset,
+                    int64_t count, double *out)
 {
-    draws d = {NULL, key, offset, 0};
+    draws d = draws_from(gen, key, offset);
     int64_t i;
     for (i = 0; i < count; i++)
         out[i] = draw(&d, i);
@@ -549,13 +615,14 @@ static double margin_sum(double gv, const double *vrow, const double *sgn,
  * hits/evaluations/peak are written once per call.  `obs` are the node's
  * observations as columns of the batch's universe and `sign` its
  * left/right vector (`shared`: every entry is exactly +-1, the
- * precondition of reading shared margin rows). */
+ * precondition of reading shared margin rows); chain item i reads draws
+ * offset + i * (1 + 2 max_steps) onwards of the stream (gen, key). */
 typedef struct {
     const int64_t *obs;
     const double *sign;
-    const double *uniforms;
+    int64_t gen;
     uint64_t key, offset;
-    int64_t n_obs, stride, chunk_rows, shared;
+    int64_t n_obs, chunk_rows, shared;
     double *best_score;
     int64_t *steps, *best_idx;
     int64_t hits, evaluations, peak;
@@ -650,14 +717,14 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
  * all nodes read one table of margin rows, n_beta *
  * n_u of n_u per parent (node_score).  A node's
  * candidate l * n_obs + j is (parent row l of uvalues, value at universe
- * column obs[j]); chain item i draws i * stride onwards of `uniforms` or,
- * when that is NULL, of the Philox stream (key, offset), through a cursor
- * of its own: only the draws a chain reaches are computed, and two steps
- * share a block.  table_counters = {rows filled, row uses, Philox blocks
- * computed}; each node reports {hits, evaluations, peak_chunk_elements} as
- * one all-parents chain would have counted them.
- * Returns -1 on allocation failure, -3 when a start uniform is negative or
- * NaN (not a draw from [0, 1); checked before any memo is touched). */
+ * column obs[j]); chain item i reads its draws through a cursor of its own:
+ * only the draws a chain reaches are computed, two Philox steps share a
+ * block, and an MRG item is seated at the state its node's previous item
+ * started from times A^per_item (nine multiply-mods, not a matrix power;
+ * one power per node seats the first).  table_counters = {rows filled,
+ * row uses, Philox blocks computed}; each node reports {hits, evaluations,
+ * peak_chunk_elements} as one all-parents chain would have counted them.
+ * Returns -1 on allocation failure. */
 int repro_score_batch(const double *uvalues, const int64_t *urow,
                       int64_t n_parents, int64_t n_u, const double *beta_grid,
                       int64_t n_beta, repro_node *nodes, int64_t n_nodes,
@@ -669,19 +736,15 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     double *dbuf, *cur_score, *prop_score, *log_u;
     uint8_t *bbuf;
     draws *d;
+    uint64_t ahead[9] = {1, 0, 0, 0, 1, 0, 0, 0, 1}, *item_x;
     int64_t i, j, k, l, q, step, max_obs = 1, blocks = 0;
     const int64_t n_lookups = max_steps + 1, n_memo = n_u * n_beta;
-    const int64_t n_rows = share ? n_memo : 0;
+    const int64_t n_rows = share ? n_memo : 0, per_item = 1 + 2 * max_steps;
     size_t n;
 
-    for (q = 0; q < n_nodes; q++) {
-        const repro_node *nd = nodes + q;
-        if (nd->n_obs > max_obs)
-            max_obs = nd->n_obs;
-        for (i = 0; nd->uniforms && i < n_parents * nd->n_obs; i++)
-            if ((int64_t)(nd->uniforms[i * nd->stride] * (double)n_beta) < 0)
-                return -3;
-    }
+    for (q = 0; q < n_nodes; q++)
+        if (nodes[q].n_obs > max_obs)
+            max_obs = nodes[q].n_obs;
     n = (size_t)max_obs;
     ibuf = (int64_t *)calloc(
         8 * n + (size_t)(n_nodes * n_lookups * n_beta), sizeof(int64_t));
@@ -690,13 +753,20 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
         * sizeof(double));
     bbuf = (uint8_t *)malloc(n + (size_t)(n_memo + n_rows));
     d = (draws *)malloc(n * sizeof(draws));
-    if (!ibuf || !dbuf || !bbuf || !d) {
+    item_x = (uint64_t *)malloc((3 * (size_t)n_nodes + 1) * sizeof(uint64_t));
+    if (!ibuf || !dbuf || !bbuf || !d || !item_x) {
         free(ibuf);
         free(dbuf);
         free(bbuf);
         free(d);
+        free(item_x);
         return -1;
     }
+    /* per node, the MRG state before its next chain item's draws */
+    mrg_ahead((uint64_t)per_item, ahead, 3);
+    for (q = 0; q < n_nodes; q++)
+        if (nodes[q].gen == MRG)
+            mrg_state(nodes[q].key, nodes[q].offset, item_x + 3 * q);
     act = ibuf;
     cur_idx = ibuf + n;
     rejects = ibuf + 2 * n;
@@ -741,10 +811,15 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
             memset(c.seen, 0, (size_t)n_memo);
             for (i = 0; i < k; i++) {
                 int64_t idx;
-                d[i] = (draws){nd->uniforms, nd->key, nd->offset, 0};
+                d[i] = draws_from(nd->gen, nd->key,
+                                  nd->offset + (uint64_t)((k0 + i) * per_item));
+                if (nd->gen == MRG) {
+                    memcpy(d[i].x, item_x + 3 * q, sizeof d[i].x);
+                    d[i].at = d[i].offset;
+                    mrg_mul(ahead, item_x + 3 * q, 1, item_x + 3 * q);
+                }
                 /* min((u * n_beta).astype(int64), n_beta - 1) */
-                idx = (int64_t)(draw(d + i, (k0 + i) * nd->stride)
-                                * (double)n_beta);
+                idx = (int64_t)(draw(d + i, 0) * (double)n_beta);
                 c.ucol[i] = nd->obs[i];
                 c.mrow[i] = c.ur[c.ucol[i]];
                 cur_idx[i] = idx > n_beta - 1 ? n_beta - 1 : idx;
@@ -760,10 +835,8 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
             for (step = 0; step < max_steps && k > 0; step++) {
                 int64_t kept = 0;
                 for (j = 0; j < k; j++) {
-                    const int64_t at =
-                        (k0 + act[j]) * nd->stride + 1 + 2 * step;
-                    const double u_prop = draw(d + act[j], at),
-                                 u_acc = draw(d + act[j], at + 1);
+                    const double u_prop = draw(d + act[j], 1 + 2 * step),
+                                 u_acc = draw(d + act[j], 2 + 2 * step);
                     int64_t p = cur_idx[act[j]] + (u_prop < 0.5 ? -1 : 1);
                     if (p < 0)
                         p = 1;
@@ -823,6 +896,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     free(dbuf);
     free(bbuf);
     free(d);
+    free(item_x);
     return 0;
 }
 
@@ -931,15 +1005,10 @@ typedef struct {
 /* Everything the loops below index by is checked here, before the first
  * write: labels inside [0, k), no empty cluster (so k <= m holds between
  * moves), counts equal to rows * size (so every count the sweep forms is a
- * table entry), a caller's uniforms inside [0, 1) (computed ones are).
- * -1 allocation, -2 state, -3 draws. */
-static int sweep_begin(sweep_ctx *c, int64_t rows, const draws *d,
-                       int64_t n_draws)
+ * table entry).  -1 allocation, -2 state. */
+static int sweep_begin(sweep_ctx *c, int64_t rows)
 {
     int64_t i, cap = c->m + 3;
-    for (i = 0; d->u && i < n_draws; i++)
-        if (!(d->u[i] >= 0.0 && d->u[i] < 1.0))
-            return -3;
     c->sizes = (int64_t *)calloc((size_t)cap, sizeof(int64_t));
     c->n = (double *)malloc((size_t)(7 * cap + 2 * rows) * sizeof(double));
     if (!c->sizes || !c->n)
@@ -1020,23 +1089,23 @@ static void sweep_adopt(sweep_ctx *c, int64_t cl, int64_t slot, int64_t size)
 }
 
 /* coclustering.reassign_obs_sweep over block (rows x m, C order): m moves,
- * draw 2i picks the observation and draw 2i + 1 the target (of `uniforms`,
- * or of the Philox stream (key, offset) when that is NULL).
+ * draw 2i picks the observation and draw 2i + 1 the target (draws offset
+ * on of the stream (gen, key)).
  * k_trace, when not NULL, receives the cluster count each move was scored
  * against (what the recorder's cost vector is sized by). */
 int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
                              int64_t *labels, double *count, double *total,
                              double *sumsq, double *lm, int64_t *k_io,
-                             const double *uniforms, uint64_t key,
+                             int64_t gen, uint64_t key,
                              uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *k_trace)
 {
     sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
-    draws d = {uniforms, key, offset, 0};
+    draws d = draws_from(gen, key, offset);
     const double cn = (double)rows;
     int64_t it, r, cl;
-    int rc = sweep_begin(&c, rows, &d, 2 * m);
+    int rc = sweep_begin(&c, rows);
     if (rc)
         return sweep_end(&c, k_io, rc);
     for (it = 0; it < m; it++) {
@@ -1092,15 +1161,15 @@ int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
  * there are exactly k-at-entry of them. */
 int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
                           double *count, double *total, double *sumsq,
-                          double *lm, int64_t *k_io, const double *uniforms,
+                          double *lm, int64_t *k_io, int64_t gen,
                           uint64_t key, uint64_t offset, const double *lgam,
                           const double *prior, double quantum,
                           int64_t *k_trace)
 {
     sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
-    draws d = {uniforms, key, offset, 0};
+    draws d = draws_from(gen, key, offset);
     int64_t it = 0, cid = 0, cl, j;
-    int rc = sweep_begin(&c, rows, &d, c.k);
+    int rc = sweep_begin(&c, rows);
     if (rc)
         return sweep_end(&c, k_io, rc);
     while (cid < c.k) {
@@ -1182,14 +1251,13 @@ static void var_unlink(var_ctx *c, int64_t s, int64_t v)
 /* Everything the loops index by is checked here, before the first write to
  * a caller's buffer.  -1 allocation, -2 variable labels / member lists (a
  * label outside [0, k0), an empty cluster, a variable listed twice or under
- * another cluster), -3 a caller's draws outside [0, 1) (computed ones are
- * inside), -4 observation labels outside a cluster's [0, k_c), -5 offsets
- * that do not tile the block arrays, -6 counts that are not members x block
- * size (so every count the sweep forms is a gammaln-table entry).
- * max_fresh bounds the clusters the sweep can open. */
+ * another cluster), -4 observation labels outside a cluster's [0, k_c), -5
+ * offsets that do not tile the block arrays, -6 counts that are not
+ * members x block size (so every count the sweep forms is a gammaln-table
+ * entry).  max_fresh bounds the clusters the sweep can open. */
 static int var_begin(var_ctx *c, const int64_t *var_labels,
                      const int64_t *member_order, const int64_t *offsets,
-                     const draws *d, int64_t n_draws, int64_t max_fresh)
+                     int64_t max_fresh)
 {
     const int64_t n = c->n, m = c->m, k0 = c->k0;
     const int64_t n_slots = k0 + max_fresh;
@@ -1199,9 +1267,6 @@ static int var_begin(var_ctx *c, const int64_t *var_labels,
     double *dp;
     c->off = NULL;
     c->sn = NULL;
-    for (i = 0; d->u && i < n_draws; i++)
-        if (!(d->u[i] >= 0.0 && d->u[i] < 1.0))
-            return -3;
     for (s = 0; s < k0; s++)
         if (offsets[s + 1] <= offsets[s])
             return -5;
@@ -1379,8 +1444,8 @@ static void var_drop(var_ctx *c, int64_t p)
 }
 
 /* coclustering.reassign_var_sweep over data (n x m, C order): n moves,
- * draw 2i picks the variable and draw 2i + 1 the target (of `uniforms`, or
- * of the Philox stream (key, offset) when that is NULL).  moves,
+ * draw 2i picks the variable and draw 2i + 1 the target (draws offset on of
+ * the stream (gen, key)).  moves,
  * when not NULL, receives per iteration whether a cluster was opened and
  * the position dropped (-1: none) — what a recorder needs to rebuild the
  * clusters every iteration was scored against. */
@@ -1390,7 +1455,7 @@ int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
                              const int64_t *offsets, int64_t n_blocks,
                              int64_t *k_io, double *count, double *total,
                              double *sumsq, double *lm,
-                             const double *uniforms, uint64_t key,
+                             int64_t gen, uint64_t key,
                              uint64_t offset, const double *lgam,
                              const double *prior, double quantum,
                              int64_t *origin, int64_t *member_counts,
@@ -1398,9 +1463,9 @@ int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
 {
     var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
                  count, total, sumsq, lm, origin};
-    draws d = {uniforms, key, offset, 0};
+    draws d = draws_from(gen, key, offset);
     int64_t it, i, j;
-    int rc = var_begin(&c, var_labels, member_order, offsets, &d, 2 * n, n);
+    int rc = var_begin(&c, var_labels, member_order, offsets, n);
     for (it = 0; !rc && it < n; it++) {
         int64_t k = c.k, var, src, ps, kcs, removed, fresh, choice;
         const double *row;
@@ -1496,7 +1561,7 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
                           const int64_t *obs_labels, const int64_t *offsets,
                           int64_t n_blocks, int64_t *k_io, double *count,
                           double *total, double *sumsq, double *lm,
-                          const double *uniforms, uint64_t key,
+                          int64_t gen, uint64_t key,
                           uint64_t offset, const double *lgam,
                           const double *prior, double quantum,
                           int64_t *origin, int64_t *member_counts,
@@ -1504,9 +1569,9 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
 {
     var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
                  count, total, sumsq, lm, origin};
-    draws d = {uniforms, key, offset, 0};
+    draws d = draws_from(gen, key, offset);
     int64_t it = 0, cid = 0, i, j, v;
-    int rc = var_begin(&c, var_labels, member_order, offsets, &d, c.k0, 0);
+    int rc = var_begin(&c, var_labels, member_order, offsets, 0);
     while (!rc && cid < c.k) {
         int64_t k = c.k, sc = c.slot_at[cid], rows = c.size[sc], choice, s;
         double own;

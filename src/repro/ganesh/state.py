@@ -272,8 +272,8 @@ class ObsClustering:
         §13).  The stream is moved past the sweep's draws up front — two per
         reassign iteration, one per merge iteration, of which a merge sweep
         always makes ``n_clusters`` — so it ends where the loops leave it;
-        the draws themselves go in as a span, which a Philox stream's sweep
-        computes as it reads them.  Block
+        the draws themselves go in as a span, which the sweep computes as
+        it reads them.  Block
         counts are multiples of the block's row count, so ``gammaln`` (SciPy's,
         as on every path) is tabulated once per sweep over the ``m + 1``
         possible cluster sizes.  With ``trace`` returns the cluster count of
@@ -284,16 +284,16 @@ class ObsClustering:
             return []
         if block is None:
             rows = int(self.stats.count.sum()) // m
-            uniforms = rng.span(k)
+            span = rng.span(k)
         else:
             rows = block.shape[0]
-            uniforms = rng.span(2 * m)
+            span = rng.span(2 * m)
         lgam = gammaln(self.prior.alpha0 + (rows * np.arange(m + 1.0)) / 2.0)
         lm = np.empty(m + 1)
         lm[:k] = self.lm
         k, ks = native.obs_sweep(
             block, rows, self.labels, self.stats.reserve(m + 1), lm, k,
-            uniforms, lgam, self.prior, SCORE_QUANTUM, trace,
+            span, lgam, self.prior, SCORE_QUANTUM, trace,
         )
         self.stats.resize(k)
         self.lm = lm[:k].copy()
@@ -613,15 +613,14 @@ class CoClusterState:
         stream is moved past the sweep's draws up front — two per reassign
         iteration, of which there are ``n``; one per merge iteration, of
         which there are ``n_clusters`` — so it ends where the loops leave
-        it, and the draws go in as a span (computed in the call on a Philox
-        stream).  With
+        it, and the draws go in as a span (computed in the call).  With
         ``trace`` returns, per iteration, the live clusters' observation
         cluster counts (all a recorder's cost vectors depend on), else ``[]``.
         """
         pack = self.var_sweep_pack(merge)
         k0, n_blocks = self.n_clusters, pack["n_blocks"]
-        uniforms = rng.span(k0 if merge else 2 * self.n_vars)
-        origin, sizes, moves = native.var_sweep(**pack, uniforms=uniforms, trace=trace)
+        span = rng.span(k0 if merge else 2 * self.n_vars)
+        origin, sizes, moves = native.var_sweep(**pack, span=span, trace=trace)
 
         offsets = pack["offsets"].tolist()
         order = pack["member_order"].tolist()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rng.philox import checked_index, derive_key
+from repro.rng.philox import KeyedStream, checked_index
 
 #: Sophie-Germain prime modulus (2*M + 1 is also prime).
 MODULUS = 2147483543
@@ -34,8 +34,8 @@ _A3 = 1234567
 
 def _mat_mul(a: list[list[int]], b: list[list[int]], mod: int) -> list[list[int]]:
     return [
-        [sum(a[i][k] * b[k][j] for k in range(3)) % mod for j in range(3)]
-        for i in range(3)
+        [(row[0] * b[0][j] + row[1] * b[1][j] + row[2] * b[2][j]) % mod for j in range(3)]
+        for row in a
     ]
 
 
@@ -53,37 +53,32 @@ def _mat_pow(mat: list[list[int]], power: int, mod: int) -> list[list[int]]:
 _TRANSITION = [[_A1, _A2, _A3], [1, 0, 0], [0, 1, 0]]
 
 
-class MRGStream:
-    """MRG-backed stream with the same interface as ``PhiloxStream``."""
+class MRGStream(KeyedStream):
+    """MRG-backed stream with the same interface as ``PhiloxStream``.
+
+    Its seed state is a pure function of the key (shared with the Philox
+    backend, which keeps child-stream identities consistent across
+    backends), so draw ``i`` is too: the first word of ``A^(i + 1) s0``,
+    over ``M``.  The native kernels compute a span's draws that way
+    (``_build.py``); here the state of the last draw served is kept, so
+    sequential draws cost one step each.
+    """
 
     name = "mrg"
 
     def __init__(self, seed: int, *path: object, offset: int = 0) -> None:
-        # Key derivation shared with the Philox backend keeps child-stream
-        # identities consistent across backends.
-        self._seed = int(seed)
-        self._path = tuple(path)
-        key = derive_key(self._seed, *self._path)
+        super().__init__(seed, *path, offset=offset)
         # Non-zero initial state derived from the key.
-        s0 = key % (MODULUS - 1) + 1
-        s1 = (key >> 21) % (MODULUS - 1) + 1
-        s2 = (key >> 42) % (MODULUS - 1) + 1
-        self._initial = (s0, s1, s2)
-        self._offset = checked_index(offset, "offset")
-        self._state = self._state_at(self._offset)
-
-    # -- construction ---------------------------------------------------
-    def split(self, *path: object) -> "MRGStream":
-        return MRGStream(self._seed, *self._path, *path)
-
-    def clone(self) -> "MRGStream":
-        return MRGStream(self._seed, *self._path, offset=self._offset)
+        key = self.key
+        self._initial = (
+            key % (MODULUS - 1) + 1,
+            (key >> 21) % (MODULUS - 1) + 1,
+            (key >> 42) % (MODULUS - 1) + 1,
+        )
+        #: the state before draw ``_at``, kept from the last draw served
+        self._state, self._at = self._initial, 0
 
     # -- state ----------------------------------------------------------
-    @property
-    def offset(self) -> int:
-        return self._offset
-
     def _state_at(self, offset: int) -> tuple[int, int, int]:
         mat = _mat_pow(_TRANSITION, offset, MODULUS)
         s = self._initial
@@ -91,10 +86,12 @@ class MRGStream:
             sum(mat[i][j] * s[j] for j in range(3)) % MODULUS for i in range(3)
         )  # type: ignore[return-value]
 
-    def jump_to(self, offset: int) -> None:
-        """Reposition at absolute draw index ``offset`` in O(log offset)."""
-        self._offset = checked_index(offset, "offset")
-        self._state = self._state_at(self._offset)
+    def _seated(self, start: int) -> tuple[int, int, int]:
+        """The state before draw ``start``: the kept one, or jumped to in
+        O(log start)."""
+        if start != self._at:
+            self._state, self._at = self._state_at(start), start
+        return self._state
 
     # -- draws ----------------------------------------------------------
     def _step(self, state: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -103,8 +100,8 @@ class MRGStream:
         return (nxt, x0, x1)
 
     def next_uniform(self) -> float:
-        self._state = self._step(self._state)
-        self._offset += 1
+        self._state = self._step(self._seated(self._offset))
+        self._offset = self._at = self._offset + 1
         return self._state[0] / MODULUS
 
     def _run(self, state: tuple[int, int, int], count: int):
@@ -115,21 +112,10 @@ class MRGStream:
             out[i] = state[0]
         return out / MODULUS, state
 
-    def next_uniforms(self, count: int) -> np.ndarray:
-        out, self._state = self._run(self._state, count)
-        self._offset += out.size
-        return out
-
     def block(self, start: int, count: int) -> np.ndarray:
-        """Uniforms at absolute indices ``[start, start + count)``.
-
-        Jump-ahead to ``start`` via a modular matrix power, then generate
-        ``count`` values; the sequential position is unchanged.
-        """
-        return self._run(self._state_at(checked_index(start, "start")), count)[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MRGStream(seed={self._seed}, path={self._path!r}, "
-            f"offset={self._offset})"
-        )
+        """Uniforms at absolute indices ``[start, start + count)``: from
+        the state before ``start`` (:meth:`_seated`), ``count`` steps.  The
+        sequential position is unchanged."""
+        out, self._state = self._run(self._seated(checked_index(start, "start")), count)
+        self._at = start + out.size
+        return out

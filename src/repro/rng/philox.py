@@ -7,7 +7,9 @@ block-splitting the random stream across processors in O(1) time (Section
 4.2, citing Bauke & Mertens).  It also means a consumer that knows the key
 can compute a draw where it needs it: a :class:`DrawSpan` is the *address*
 of a run of draws, which the native kernels generate themselves and every
-other consumer materialises with :meth:`DrawSpan.array`.
+other consumer materialises with :meth:`DrawSpan.array`.  The MRG backend
+(:mod:`repro.rng.mrg`) shares :class:`KeyedStream`: its draw ``i`` is a
+pure function of ``(key, i)`` too, by a matrix power.
 """
 
 from __future__ import annotations
@@ -35,25 +37,26 @@ def checked_index(value: int, name: str) -> int:
 class DrawSpan:
     """Draws ``[start, start + count)`` of one stream, by address.
 
-    ``key`` is the stream's Philox key: draw ``i`` is the pure function of
-    ``(key, i)`` a consumer may compute for itself — word ``i % 4`` of
-    Philox4x64-10 at counter ``i // 4 + 1``, which is what
-    :meth:`PhiloxStream.block` returns and :meth:`array` materialises.
-    Only a keyed stream has spans; a sequential one (the MRG backend)
-    hands its consumers the draws themselves.
+    ``generator`` names the stream's generator (its class's ``name``) and
+    ``key`` is the stream's key: draw ``i`` is the pure function of ``(key,
+    i)`` a consumer may compute for itself — for Philox word ``i % 4`` of
+    Philox4x64-10 at counter ``i // 4 + 1``, for MRG the first word of the
+    state ``i + 1`` steps past the key's seed state, over ``M`` — which is
+    what the stream's ``block`` returns and :meth:`array` materialises.
     """
 
-    __slots__ = ("key", "start", "count", "_stream")
+    __slots__ = ("generator", "key", "start", "count", "stream")
 
-    def __init__(self, stream: "PhiloxStream", start: int, count: int) -> None:
+    def __init__(self, stream: "KeyedStream", start: int, count: int) -> None:
+        self.generator: str = stream.name
         self.key: int = stream.key
         self.start = checked_index(start, "start")
         self.count = checked_index(count, "count")
-        self._stream = stream
+        self.stream = stream
 
     def array(self) -> np.ndarray:
         """The span's uniforms, materialised."""
-        return self._stream.block(self.start, self.count)
+        return self.stream.block(self.start, self.count)
 
 
 def derive_key(seed: int, *path: object) -> int:
@@ -76,29 +79,87 @@ def derive_key(seed: int, *path: object) -> int:
     return z
 
 
-class PhiloxStream:
-    """A keyed, counter-addressable stream of uniforms in ``[0, 1)``.
+class KeyedStream:
+    """A stream of uniforms in ``[0, 1)`` named by ``(seed, *path)``, whose
+    draw ``i`` is a pure function of its 64-bit key and ``i``.
 
-    Supports both sequential consumption (:meth:`next_uniform`,
-    :meth:`next_uniforms`) and O(1) random access to a block of draws by
-    global offset (:meth:`block`), which is what "block splitting" a stream
-    means: rank ``k`` of ``p`` obtains the draws its work items would have
-    consumed sequentially, without generating the preceding ones.
-
-    Draw ``i`` is a pure function of ``(key, i)``, so :meth:`next_uniform`
-    serves draws from a block generated ahead of the position; the block is
-    addressed by absolute draw index, which keeps ``offset`` (draws
-    *consumed*), ``jump_to`` and ``clone`` oblivious to it.
+    Supports sequential consumption (``next_uniform``, :meth:`next_uniforms`)
+    from a position ``offset`` (draws *consumed*) and random access to a
+    block of draws by global offset (``block``), which is what "block
+    splitting" a stream means: rank ``k`` of ``p`` obtains the draws its
+    work items would have consumed sequentially, without generating the
+    preceding ones.  :meth:`span` and :meth:`next_span` hand out the same
+    draws by address (:class:`DrawSpan`).  A generator subclasses this with
+    its ``name``, ``block`` and ``next_uniform``.
     """
 
-    #: draws consumed per uniform (one 64-bit word each)
-    name = "philox"
+    name = ""
 
     def __init__(self, seed: int, *path: object, offset: int = 0) -> None:
         self._seed = int(seed)
         self._path = tuple(path)
         self._key = derive_key(self._seed, *self._path)
         self._offset = checked_index(offset, "offset")
+
+    # -- construction ---------------------------------------------------
+    def split(self, *path: object) -> "KeyedStream":
+        """Return an independent child stream identified by ``path``."""
+        return type(self)(self._seed, *self._path, *path)
+
+    def clone(self) -> "KeyedStream":
+        return type(self)(self._seed, *self._path, offset=self._offset)
+
+    # -- state ----------------------------------------------------------
+    @property
+    def key(self) -> int:
+        """The 64-bit key: with it, draw ``i`` is computable anywhere."""
+        return self._key
+
+    @property
+    def offset(self) -> int:
+        """Number of uniforms consumed so far (the stream position)."""
+        return self._offset
+
+    def jump_to(self, offset: int) -> None:
+        """Reposition the stream at absolute draw index ``offset``."""
+        self._offset = checked_index(offset, "offset")
+
+    # -- draws ----------------------------------------------------------
+    def next_uniforms(self, count: int) -> np.ndarray:
+        return self.next_span(count).array()
+
+    def span(self, start: int, count: int) -> DrawSpan:
+        """``block(start, count)`` by address: nothing is generated until
+        asked."""
+        return DrawSpan(self, start, count)
+
+    def next_span(self, count: int) -> DrawSpan:
+        """:meth:`next_uniforms` by address: the position moves now, the
+        draws are generated by whoever consumes the span."""
+        span = DrawSpan(self, self._offset, count)
+        self._offset += span.count
+        return span
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(seed={self._seed}, path={self._path!r}, "
+            f"offset={self._offset})"
+        )
+
+
+class PhiloxStream(KeyedStream):
+    """A keyed, counter-addressable stream: O(1) random access.
+
+    Draw ``i`` is a pure function of ``(key, i)``, so :meth:`next_uniform`
+    serves draws from a block generated ahead of the position; the block is
+    addressed by absolute draw index, which keeps ``offset``, ``jump_to``
+    and ``clone`` oblivious to it.
+    """
+
+    name = "philox"
+
+    def __init__(self, seed: int, *path: object, offset: int = 0) -> None:
+        super().__init__(seed, *path, offset=offset)
         #: draws ``[_buf_start, _buf_start + len(_buf))``, generated ahead
         self._buf: list[float] = []
         self._buf_start = 0
@@ -109,29 +170,6 @@ class PhiloxStream:
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_generator": None}
-
-    # -- construction ---------------------------------------------------
-    def split(self, *path: object) -> "PhiloxStream":
-        """Return an independent child stream identified by ``path``."""
-        return PhiloxStream(self._seed, *self._path, *path)
-
-    def clone(self) -> "PhiloxStream":
-        return PhiloxStream(self._seed, *self._path, offset=self._offset)
-
-    # -- state ----------------------------------------------------------
-    @property
-    def key(self) -> int:
-        """The 64-bit Philox key: with it, draw ``i`` is computable anywhere."""
-        return self._key
-
-    @property
-    def offset(self) -> int:
-        """Number of uniforms consumed so far (the stream position)."""
-        return self._offset
-
-    def jump_to(self, offset: int) -> None:
-        """Reposition the stream at absolute draw index ``offset`` (O(1))."""
-        self._offset = checked_index(offset, "offset")
 
     def _draws_at(self, offset: int, count: int) -> np.ndarray:
         # Philox emits 4 x 64-bit words per counter increment and
@@ -152,7 +190,6 @@ class PhiloxStream:
         out = generator.random(rem + count)
         return out[rem:] if rem else out
 
-    # -- draws ----------------------------------------------------------
     def next_uniform(self) -> float:
         pos = self._offset - self._buf_start
         if not 0 <= pos < len(self._buf):
@@ -162,9 +199,6 @@ class PhiloxStream:
         self._offset += 1
         return self._buf[pos]
 
-    def next_uniforms(self, count: int) -> np.ndarray:
-        return self.next_span(count).array()
-
     def block(self, start: int, count: int) -> np.ndarray:
         """Uniforms at absolute indices ``[start, start + count)``.
 
@@ -173,21 +207,4 @@ class PhiloxStream:
         """
         return self._draws_at(
             checked_index(start, "start"), checked_index(count, "count")
-        )
-
-    def span(self, start: int, count: int) -> DrawSpan:
-        """:meth:`block` by address: nothing is generated until asked."""
-        return DrawSpan(self, start, count)
-
-    def next_span(self, count: int) -> DrawSpan:
-        """:meth:`next_uniforms` by address: the position moves now, the
-        draws are generated by whoever consumes the span."""
-        span = DrawSpan(self, self._offset, count)
-        self._offset += span.count
-        return span
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PhiloxStream(seed={self._seed}, path={self._path!r}, "
-            f"offset={self._offset})"
         )

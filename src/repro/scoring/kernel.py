@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM
 
 #: Default bound on the element count of one evaluation temporary
@@ -158,8 +159,8 @@ def consume_kernel_totals() -> dict | None:
     ``WorkTrace.kernel_counters`` aggregates cache behaviour across every
     process that scored splits — whatever backend each one resolved.  The
     ``margin_*`` keys appear only when the native batch entry shared
-    margin rows, and ``philox_blocks`` only when it computed draws, so runs
-    that did neither keep the plain counter shape.
+    margin rows, and ``philox_blocks`` only when it computed Philox draws,
+    so runs that did neither keep the plain counter shape.
     """
     if not (any(_TOTALS.values()) or _TOTALS_BACKENDS or any(_MARGIN_TOTALS.values())):
         return None
@@ -512,9 +513,9 @@ class ChainNode:
     obs: np.ndarray
     #: +1.0 for the left child's observations, -1.0 for the right's
     sign: np.ndarray
-    #: the rows of private draws of the node's candidates ``l * n_obs + j``,
-    #: every one of them in order, or their ``DrawSpan``
-    uniforms: object
+    #: the ``DrawSpan`` of the private draws of the node's candidates ``l *
+    #: n_obs + j``, every one of them in order
+    span: DrawSpan
 
 
 def run_chains(
@@ -545,8 +546,10 @@ def run_chains(
     time any chain needs it, and only the sign select, the pairwise sum
     and the quantum are paid per ``(group, beta)``: one register pass over
     the node's columns, the selected row never stored.  Each chain item
-    reads its Philox draws through a cursor of its own, so consecutive
-    steps share a four-draw block.  One parent's table is
+    computes the draws of its node's span through a cursor of its own:
+    consecutive Philox steps share a four-draw block, and an MRG item
+    starts one matrix product on from the previous item's start
+    (ALGORITHMS.md §13).  One parent's table is
     ``n_beta * n_u`` rows of ``n_u``; when that passes ``table_elements``
     (default: :data:`MARGIN_TABLE_CHUNKS` evaluation chunks of the probed
     machine) nothing is shared and every node runs the fused per-row

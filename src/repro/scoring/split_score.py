@@ -130,17 +130,17 @@ class SplitScorer:
         return self._run_chain(n_items, n_obs, uniforms, memo.scores)
 
     def score_batch_kernel(
-        self, kernel: LazySplitKernel, uniforms: np.ndarray
+        self, kernel: LazySplitKernel, draws: np.ndarray | DrawSpan
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`score_batch` on a :class:`LazySplitKernel` — no margins
         matrix is ever materialized, and equal-value duplicate candidates
         share one cached score table.
 
-        Row ``i`` of ``uniforms`` holds the private draws of the kernel's
-        candidate ``i`` — or ``uniforms`` is what
+        Row ``i`` of ``draws`` holds the private draws of the kernel's
+        candidate ``i`` — or ``draws`` is what
         :meth:`~repro.rng.streams.IndexedStream.items_span` returns for
         those rows: their :class:`~repro.rng.philox.DrawSpan`, materialised
-        here, or the rows end to end.  Results are bit-identical to the
+        here.  Results are bit-identical to the
         dense path because the kernel replays its exact float operations.
         This NumPy chain over :meth:`LazySplitKernel.scores` is the oracle
         the native batch entry (:meth:`score_chain_nodes`) is certified
@@ -153,10 +153,9 @@ class SplitScorer:
         def provider(rows: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
             return kernel.scores(groups[rows], beta_idx)
 
-        if isinstance(uniforms, DrawSpan):
-            uniforms = uniforms.array()
-        # a span, materialised or not, is the items' rows end to end
-        uniforms = np.asarray(uniforms, dtype=np.float64).reshape(groups.size, -1)
+        if isinstance(draws, DrawSpan):
+            draws = draws.array()  # the items' rows, end to end
+        uniforms = np.asarray(draws, dtype=np.float64).reshape(groups.size, -1)
         return self._run_chain(groups.size, kernel.n_obs, uniforms, provider)
 
     def score_chain_nodes(

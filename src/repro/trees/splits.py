@@ -133,46 +133,36 @@ def score_nodes(
     Returns flat ``(log_scores, steps, accepted)`` arrays, node after node
     in the canonical parent-major, observation-minor order.
 
-    On ``scorer``'s native backend every chain runs whole nodes in
-    :func:`repro.scoring.kernel.run_chains`, each ``(node, parent)`` on a
-    scratch memo of the call's own.  With keyed (Philox) streams the whole
-    batch is one call: the nodes share every ``log1p(exp(-|z|))`` row over
-    the union of their observations and the draws are computed where the
-    chains read them.  A stream that hands out the draws themselves (MRG:
-    51 x 8 B per split) runs one-node batches, so only one node's draws are
-    held at a time.  On the NumPy backend the nodes are scored one by one
-    through :func:`~repro.scoring.kernel.split_kernel_from_arrays`, the
-    oracle the batch is certified against, bit for bit.
+    On ``scorer``'s native backend the batch is one call of
+    :func:`repro.scoring.kernel.run_chains`, whichever generator the
+    streams run: each ``(node, parent)`` chain on a scratch memo of the
+    call's own, the nodes sharing every ``log1p(exp(-|z|))`` row over the
+    union of their observations, the draws computed where the chains read
+    them.  On the NumPy backend the nodes are scored one by one through
+    :func:`~repro.scoring.kernel.split_kernel_from_arrays`, the oracle the
+    batch is certified against, bit for bit.
     """
     parents = np.asarray(parents, dtype=np.int64)
     if not nodes:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    keyed = all(istream.keyed for _obs, _left_obs, istream, _base in nodes)
-    batches = [nodes] if scorer.native is not None and keyed else [[node] for node in nodes]
-    parts = [_score_batch(data, parents, scorer, batch) for batch in batches]
-    if len(parts) == 1:  # no copy of the one batch's arrays
-        return parts[0]
-    return tuple(np.concatenate(field) for field in zip(*parts))
-
-
-def _score_batch(data, parents, scorer, batch):
-    """One batch of :func:`score_nodes` (a single node on NumPy)."""
     spans = [
         istream.items_span(base_index, parents.size * len(obs))
-        for obs, _left_obs, istream, base_index in batch
+        for obs, _left_obs, istream, base_index in nodes
     ]
     if scorer.native is None:
-        ((obs, left_obs, _istream, _base),) = batch
-        kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
-        log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(kernel, spans[0])
-        return log_scores, steps, accepted
-    universe = np.unique(np.concatenate([obs for obs, *_rest in batch]))
+        parts = []
+        for (obs, left_obs, _istream, _base), span in zip(nodes, spans):
+            kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
+            log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(kernel, span)
+            parts.append((log_scores, steps, accepted))
+        return tuple(np.concatenate(field) for field in zip(*parts))
+    universe = np.unique(np.concatenate([obs for obs, *_rest in nodes]))
     guard_alloc(parents.size * universe.size, "parent-value slice")
     return scorer.score_chain_nodes(
         data[np.ix_(parents, universe)],
         [
             ChainNode(np.searchsorted(universe, obs), split_sign(obs, left_obs), span)
-            for (obs, left_obs, _istream, _base), span in zip(batch, spans)
+            for (obs, left_obs, _istream, _base), span in zip(nodes, spans)
         ],
     )
 

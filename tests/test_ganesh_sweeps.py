@@ -26,7 +26,7 @@ from repro.ganesh.coclustering import (
 )
 from repro.ganesh.state import CoClusterState, ObsClustering, _compact
 from repro.parallel.trace import WorkTrace
-from repro.rng.philox import DrawSpan
+from repro.rng.philox import PhiloxStream
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring import kernel as kernel_mod
 from repro.scoring.kernel import resolve_kernel_backend
@@ -239,16 +239,12 @@ def _block(seed, rows, m, scale=1.0, ties=False):
 
 
 def _program_rng(seed, rng_backend):
-    """The replicated stream of a sweep program.  ``"philox-array"`` is the
-    Philox stream handing the native entries arrays instead of spans (their
-    array mode on the draws their keyed mode computes); MRG spans carry no
-    key, so that backend pre-draws on its own."""
-    if rng_backend == "philox-array":
-        return _native._PreDrawn(make_stream(seed, "program"))
+    """The replicated stream of a sweep program, on either generator: the
+    native entries compute its span's draws as they read them."""
     return GibbsRandom(make_stream(seed, "program", backend=rng_backend))
 
 
-RNG_FLAVOURS = ["philox", "mrg", "philox-array"]
+RNG_FLAVOURS = ["philox", "mrg"]
 
 
 def _snapshot(oc, rng, records=()):
@@ -304,7 +300,7 @@ class TestNativeObsSweeps:
         """Native and NumPy sweeps leave the same clustering, statistics,
         marginals, stream position and recorded cost vectors — from one
         cluster through all singletons, in every pairwise-sum regime, with
-        the draws computed in the call or read from an array."""
+        the draws of either generator computed in the call."""
         block = _block(seed, rows, m, scale, ties)
         k = 1 + int(k_frac * (m - 1))
         labels = np.random.default_rng(seed + 1).integers(0, k, size=m)
@@ -414,7 +410,7 @@ class TestSweepEntryValidation:
         lm[:k] = oc.lm
         args = dict(
             block=block, rows=rows, labels=oc.labels, stats=oc.stats.reserve(m + 1),
-            lm=lm, k=k, uniforms=_rng(1).uniforms(2 * m),
+            lm=lm, k=k, span=_rng(1).span(2 * m),
             lgam=np.zeros(m + 1), prior=oc.prior, quantum=1e-9,
         )
         args.update(overrides)
@@ -434,12 +430,12 @@ class TestSweepEntryValidation:
             (dict(k=0), "cluster count"),
             (dict(lm=np.zeros(6)), "lm must be"),
             (dict(stats=(np.zeros(6),) * 3), "count must be"),
-            (dict(uniforms=np.zeros(11)), "uniforms must be"),
+            (dict(span=_rng(1).span(11)), "span must cover at least 12 draws"),
             (dict(lgam=np.zeros(6)), "gammaln table must be"),
             (dict(block=np.zeros((4, 5))), "block must have shape"),
             (dict(block=None, rows=0), "at least one block row"),
-            (dict(uniforms=np.full(12, 1.0)), r"draws from \[0, 1\)"),
-            (dict(uniforms=np.full(12, np.nan)), r"draws from \[0, 1\)"),
+            (dict(span=_rng(1).uniforms(12)), "span must be a DrawSpan"),
+            (dict(span=PhiloxStream(1).span((1 << 64) - 12, 12)), r"draws in \[0, 2\*\*64\)"),
             (dict(rows=5, block=np.zeros((5, 6))), "do not describe the labels"),
         ],
     )
@@ -466,7 +462,7 @@ class TestSweepEntryValidation:
         k, ks = _native.load().obs_sweep(**args, trace=True)
         assert 1 <= k <= self.M and ks.shape == (self.M,)
         k, ks = _native.load().obs_sweep(
-            **{**args, "block": None, "k": k, "uniforms": _rng(2).uniforms(k)}
+            **{**args, "block": None, "k": k, "span": _rng(2).span(k)}
         )
         assert ks is None
 
@@ -554,7 +550,7 @@ class TestNativeVarSweeps:
         marginals, stream position and recorded cost vectors — from one
         cluster through all singletons (a fresh move then holds ``n + 1``),
         with moves that open clusters and that drop their source, and with
-        the draws computed in the call or read from an array."""
+        the draws of either generator computed in the call."""
         k = 1 + round(k_frac * (n - 1))
         k_obs = 1 + round(k_obs_frac * (m - 1))
         start = _co_state(seed, n, m, k, k_obs, scale, ties)
@@ -704,7 +700,7 @@ class TestVarSweepEntryValidation:
     def _packed(self, merge=False):
         state, _ = _state(seed=2, n=self.N, m=self.M)
         pack = state.var_sweep_pack(merge)
-        pack["uniforms"] = _rng(1).uniforms(state.n_clusters if merge else 2 * self.N)
+        pack["span"] = _rng(1).span(state.n_clusters if merge else 2 * self.N)
         return state, pack
 
     @staticmethod
@@ -733,10 +729,12 @@ class TestVarSweepEntryValidation:
         ("count not rows x size", lambda pack: pack["stats"][0].fill(3.0),
          "do not describe the labels"),
         ("short statistics", _replace("lm", lambda a: a[:5].copy()), "lm must be"),
-        ("short uniforms", _replace("uniforms", lambda a: a[:-1].copy()),
-         "uniforms must be"),
-        ("uniform of 1", _set("uniforms", 1, 1.0), r"draws from \[0, 1\)"),
-        ("NaN uniform", _set("uniforms", 0, np.nan), r"draws from \[0, 1\)"),
+        ("short span", _replace("span", lambda a: a.stream.span(a.start, a.count - 1)),
+         "span must cover at least"),
+        ("an array of draws", _replace("span", lambda a: a.array()), "span must be a DrawSpan"),
+        ("a span past the counter",
+         _replace("span", lambda a: a.stream.span((1 << 64) - a.count, a.count)),
+         r"draws in \[0, 2\*\*64\)"),
         ("data not n x m", _replace("data", lambda a: a[:, :-1]), "data must have shape"),
         ("short gammaln table", _replace("lgam", lambda a: a[:-1].copy()),
          "gammaln table must be"),
@@ -844,8 +842,6 @@ class TestOneNativeCallPerSweep:
     def drawn_for(self, monkeypatch):
         """Every materialised Philox draw of a ``learn()``: the span
         consumers (``None``: none) on the stack of each ``_draws_at`` call."""
-        from repro.rng.philox import PhiloxStream
-
         consumers = {
             "score_nodes", "_score_chunk_run", "native_sweep", "native_var_sweep",
         }
@@ -934,10 +930,8 @@ class TestSweepCertification:
 
             def var_sweep(self, **pack):
                 if doctor == "draw index":
-                    draws = pack["uniforms"]  # an array, then a span
-                    if isinstance(draws, DrawSpan):
-                        draws = draws.array()
-                    pack["uniforms"] = np.roll(draws, 1)
+                    span = pack["span"]
+                    pack["span"] = span.stream.span(span.start + 1, span.count)
                 origin, sizes, moves = kernels.var_sweep(**pack)
                 if doctor == "block marginal":
                     slot, k0 = int(origin[0]), len(pack["obs_labels"])

@@ -7,7 +7,8 @@
   wrong dtype, the wrong number of dimensions, not C-contiguous, shorter
   than its row allows, read-only where C writes it or holding a negative
   index where C indexes by its values, is refused with a ``ValueError``
-  that names it, before any C entry is reached;
+  that names it, before any C entry is reached — and every span, handed
+  over as an array or covering one draw too few;
 * **the certification table** — every row fails certification by name when
   its entry's output is moved one ulp, and a variable sweep wrong only past
   the first 512 stacked blocks fails the probe that stacks that many.
@@ -21,7 +22,7 @@ import pytest
 
 from repro import _native
 from repro.ganesh.state import CoClusterState, ObsClustering
-from repro.rng.streams import GibbsRandom, make_stream
+from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
 from repro.scoring.kernel import ChainNode
 
 needs_native = pytest.mark.skipif(
@@ -43,7 +44,7 @@ def test_every_entry_has_one_spec_row_and_a_certification_row():
 
 
 _STATS = ("count", "total", "sumsq")
-_NODE_FIELDS = ("obs", "sign", "uniforms")
+_NODE_FIELDS = ("obs", "sign", "span")
 
 
 def _valid_call(entry):
@@ -61,7 +62,7 @@ def _valid_call(entry):
         n_items = n_parents * n_u
         node = ChainNode(
             np.arange(n_u), np.where(np.arange(n_u) % 2, 1.0, -1.0),
-            rng.random((n_items, per_item)),
+            IndexedStream(make_stream(1, "u"), per_item).items_span(0, n_items),
         )
         return "score_batch", dict(
             uvalues=rng.normal(size=(n_parents, n_u)),
@@ -77,7 +78,7 @@ def _valid_call(entry):
         return "obs_sweep", dict(
             block=None if merge else block, rows=rows, labels=oc.labels,
             stats=oc.stats.reserve(m + 1), lm=np.zeros(m + 1), k=k,
-            uniforms=GibbsRandom(make_stream(1, "u")).uniforms(k if merge else 2 * m),
+            span=GibbsRandom(make_stream(1, "u")).span(k if merge else 2 * m),
             lgam=np.zeros(m + 1), prior=oc.prior, quantum=1e-9,
         )
     merge = entry == "repro_var_merge_sweep"
@@ -85,7 +86,7 @@ def _valid_call(entry):
         rng.normal(size=(5, 4)), np.arange(5) % 2, [np.arange(4) % 2, np.arange(4) % 3]
     )
     pack = state.var_sweep_pack(merge)
-    pack["uniforms"] = GibbsRandom(make_stream(1, "u")).uniforms(2 if merge else 10)
+    pack["span"] = GibbsRandom(make_stream(1, "u", backend="mrg")).span(2 if merge else 10)
     return "var_sweep", pack
 
 
@@ -118,7 +119,12 @@ def _read_only(arr):
 
 def _variants(arg, valid, need):
     """The refusable versions of a valid array: a ``copy`` argument is
-    converted, not refused, for its dtype, contiguity and writability."""
+    converted, not refused, for its dtype, contiguity and writability.  A
+    span's are its draws as an array and the span one draw short."""
+    if arg.dtype is _native.DRAWS:
+        yield "array", valid.array()
+        yield "short", valid.stream.span(valid.start, valid.count - 1)
+        return
     other = {"f": np.float32, "i": np.int32, "b": np.int8}[valid.dtype.kind]
     if not arg.copy:
         yield "dtype", valid.astype(other)
@@ -195,8 +201,8 @@ def _doctors(kernels):
         kernels.eval_chunk(*args)
         _nudged(args[-1])
 
-    def philox_uniforms(*args):
-        out = kernels.philox_uniforms(*args)
+    def uniforms(*args):
+        out = kernels.uniforms(*args)
         if out.size:
             _nudged(out)
         return out
@@ -219,7 +225,7 @@ def _doctors(kernels):
 
     return {
         "eval_chunk": {"eval_chunk": eval_chunk},
-        "philox draws": {"philox_uniforms": philox_uniforms},
+        "draws": {"uniforms": uniforms},
         "score_batch": {"score_batch": score_batch},
         "obs sweep": {"obs_sweep": obs_sweep},
         "var sweep": {"var_sweep": var_sweep},

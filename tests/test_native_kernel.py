@@ -73,7 +73,7 @@ def _native_of(backend):
 
 def _uniform_span(n_items, dpi, seed=0, backend="philox"):
     """The draws of :func:`_uniform_block` as the scorers' callers pass
-    them: by address on a keyed stream, end to end otherwise."""
+    them: by address."""
     from repro.rng.streams import IndexedStream
 
     return IndexedStream(make_stream(seed, "u", backend=backend), dpi).items_span(
@@ -345,9 +345,9 @@ class TestFusedChain:
         self, seed, kind, n_obs, n_parents, max_steps, stop_repeats, chunk_rows,
         rng_backend,
     ):
-        """... whether the draws arrive as rows or as their span: a Philox
-        span's draws are computed inside the native batch call (keyed), an
-        MRG span's are pre-drawn, the NumPy chain materialises either."""
+        """... whether the draws arrive as rows or as their span: a span's
+        draws (Philox or MRG) are computed inside the native batch call, and
+        the NumPy chain materialises it."""
         from repro.trees.splits import margins_from_arrays
 
         data, obs, left_obs, parents = _kind_node(kind, seed, 8, n_obs, n_parents)
@@ -369,21 +369,22 @@ class TestFusedChain:
             oracle.n_items, n_obs, uniforms,
             lambda rows, beta_idx: oracle.scores(oracle.item_groups[rows], beta_idx),
         )
+        span = _uniform_span(*draws)
         for backend in BACKENDS:
-            for source in (uniforms, _uniform_span(*draws)):
+            for source in (uniforms, span):
                 kernel = make(backend)
                 assert kernel.backend == backend
                 chain = scorer.score_batch_kernel(kernel, source)
                 for got, want in zip(chain, dense):
                     np.testing.assert_array_equal(got, want)
                 _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
-                if backend == "native":
-                    chain, counted = _whole_node_chain(
-                        scorer, data, obs, left_obs, parents, source, chunk_rows * n_obs
-                    )
-                    for got, want in zip(chain, dense):
-                        np.testing.assert_array_equal(got, want)
-                    assert counted == _memo_state(oracle)[:3]
+            if backend == "native":
+                chain, counted = _whole_node_chain(
+                    scorer, data, obs, left_obs, parents, span, chunk_rows * n_obs
+                )
+                for got, want in zip(chain, dense):
+                    np.testing.assert_array_equal(got, want)
+                assert counted == _memo_state(oracle)[:3]
 
     def test_scorer_does_not_pin_the_kernel(self):
         """The scorer outlives nodes (and, under the daemon's lease, jobs);
@@ -407,7 +408,7 @@ class TestFusedChain:
         whole-node ``score_node_splits`` (NumPy kernel) at parents ``[l0,
         l1)``, entry for entry — its draws addressed from the module's
         stream at the node's first split plus ``l0 * n_obs``, computed in
-        the call (native + Philox) or pre-drawn (MRG, NumPy)."""
+        the call (native) or materialised (NumPy)."""
         from repro.datatypes import TreeNode
         from repro.parallel.tasks import _score_chunk_run, build_ctx
         from repro.rng.streams import IndexedStream
@@ -495,45 +496,23 @@ class TestFusedChain:
         assert kernel.evaluations == 0 and not kernel._seen.any()
 
     @needs_native
-    def test_out_of_range_start_uniform_rejected(self):
+    @pytest.mark.parametrize("generator", ["philox", "mrg"])
+    def test_a_span_of_the_wrong_length_is_refused(self, generator):
         """The batch entry refuses draws it cannot use before it scores
-        anything: no counter moves."""
+        anything: a span holds whole rows of exactly draws_per_item, so one
+        item short, and one draw past the last item, are both refused by
+        count, and no counter moves."""
         data, obs, left_obs, parents = _node_arrays(43, n_obs=6, n_parents=2)
         scorer = SplitScorer(max_steps=2)
         node = (scorer, data, obs, left_obs, parents)
-        uniforms = _uniform_block(12, scorer.draws_per_item, 43)
-        bad = uniforms.copy()
-        bad[3, 0] = -0.5
         consume_kernel_totals()
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            _whole_node_chain(*node, bad)
-        with pytest.raises(ValueError, match="uniforms must have shape"):
-            _whole_node_chain(*node, uniforms[:, :-1])
-        # a span holds whole rows of exactly draws_per_item: one item short,
-        # and one draw past the last item, are both refused by count
         for n_draws in (11 * 5, 12 * 5 + 1):
-            short = make_stream(43, "u").span(0, n_draws)
+            short = make_stream(43, "u", backend=generator).span(0, n_draws)
             with pytest.raises(
                 ValueError, match=rf"exactly 5 draws for each of 12 items, got {n_draws}"
             ):
                 _whole_node_chain(*node, short)
         assert consume_kernel_totals() is None
-
-    @needs_native
-    def test_read_only_uniforms_array_scores_like_a_writable_one(self):
-        """The chain only reads its draws: a read-only array goes in as it
-        is (as on the NumPy chain), and equals the writable copy's result."""
-        data, obs, left_obs, parents = _node_arrays(44, n_obs=6, n_parents=2)
-        scorer = SplitScorer(max_steps=2)
-        uniforms = _uniform_block(12, scorer.draws_per_item, 44)
-        frozen = uniforms.copy()
-        frozen.setflags(write=False)
-        results = [
-            _whole_node_chain(scorer, data, obs, left_obs, parents, draws)[0]
-            for draws in (uniforms, frozen)
-        ]
-        for want, got in zip(*results):
-            np.testing.assert_array_equal(got, want)
 
 
 def _philox_reference(key, offset, count, m0=0xD2E7470EE14C6C93, bias=1):
@@ -555,6 +534,37 @@ def _philox_reference(key, offset, count, m0=0xD2E7470EE14C6C93, bias=1):
     return np.array(out)
 
 
+def _mrg_reference(key, offset, count, a1=1403580, ahead=0):
+    """The MRG of ``rng/mrg.py`` from its definition in Python integers,
+    stepped with no matrix power: the seed state from the key, ``offset``
+    steps, then ``count`` draws ``x / M``.  ``a1`` and ``ahead`` (draw ``i +
+    ahead`` served as draw ``i``) are the two things a wrong port gets
+    wrong."""
+    m = 2147483543
+    x = [key % (m - 1) + 1, (key >> 21) % (m - 1) + 1, (key >> 42) % (m - 1) + 1]
+    out = []
+    for index in range(offset + ahead + count):
+        x = [(a1 * x[0] + 810728 * x[1] + 1234567 * x[2]) % m, x[0], x[1]]
+        if index >= offset + ahead:
+            out.append(x[0] / m)
+    return np.array(out)
+
+
+def _doctored(kernels, generator, reference):
+    """``kernels`` with ``generator``'s draws served by ``reference``."""
+
+    class Doctored:
+        def __getattr__(self, name):
+            return getattr(kernels, name)
+
+        def uniforms(self, gen, key, offset, count):
+            if gen != generator:
+                return kernels.uniforms(gen, key, offset, count)
+            return reference(key, offset, count)
+
+    return Doctored()
+
+
 @needs_native
 class TestPhiloxInKernel:
     """The generator the native entries draw with is ``PhiloxStream.block``."""
@@ -570,17 +580,17 @@ class TestPhiloxInKernel:
         from repro.rng.philox import PhiloxStream
 
         offset = 4 * counter + residue
-        got = _native.load().philox_uniforms(key, offset, count)
+        got = _native.load().uniforms("philox", key, offset, count)
         stream = PhiloxStream(key)  # an empty path leaves the seed as the key
         assert stream.key == key
         np.testing.assert_array_equal(got, stream.block(offset, count))
 
     def test_equals_the_definition(self):
         """... and both equal a third, independent implementation."""
-        for key, offset, count in _native._PHILOX_CASES:
+        for key, offset, count in _native._DRAW_CASES["philox"]:
             count = min(count, 12)  # the reference is a Python loop
             np.testing.assert_array_equal(
-                _native.load().philox_uniforms(key, offset, count),
+                _native.load().uniforms("philox", key, offset, count),
                 _philox_reference(key, offset, count),
             )
 
@@ -590,58 +600,97 @@ class TestPhiloxInKernel:
     )
     def test_doctored_generator_fails_certification_by_name(self, doctor):
         kernels = _native.load()
-
-        class Doctored:
-            def __getattr__(self, name):
-                return getattr(kernels, name)
-
-            def philox_uniforms(self, key, offset, count):
-                return _philox_reference(key, offset, count, **doctor)
-
         assert _native._certify(kernels) is None
-        mismatch = _native._certify(Doctored())
-        assert mismatch is not None and "philox" in mismatch
+        mismatch = _native._certify(
+            _doctored(kernels, "philox", lambda *case: _philox_reference(*case, **doctor))
+        )
+        assert mismatch is not None and mismatch.startswith("draws mismatch at philox")
+
+
+@needs_native
+class TestMRGInKernel:
+    """The generator the native entries draw with is ``MRGStream.block``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**21)),
+        offset=st.one_of(
+            st.integers(0, 100), st.integers(2**32, 2**61), st.integers(2**63, 2**64 - 2**12)
+        ),
+        count=st.one_of(st.integers(0, 40), st.integers(0, 2000)),
+    )
+    def test_property_equals_mrg_stream_block(self, key, offset, count):
+        from repro.rng.mrg import MRGStream
+
+        got = _native.load().uniforms("mrg", key, offset, count)
+        stream = MRGStream(key)  # an empty path leaves the seed as the key
+        assert stream.key == key
+        np.testing.assert_array_equal(got, stream.block(offset, count))
+
+    def test_equals_the_definition(self):
+        """... and both equal a third implementation that steps the
+        recurrence, where stepping to the offset is affordable."""
+        cases = [c for c in _native._DRAW_CASES["mrg"] if c[1] < 1000]
+        for key, offset, count in [*cases, (5, 999, 50), ((1 << 64) - 1, 0, 300)]:
+            np.testing.assert_array_equal(
+                _native.load().uniforms("mrg", key, offset, count),
+                _mrg_reference(key, offset, count),
+            )
 
     @pytest.mark.parametrize(
-        "key, offset, count",
-        [(1, -1, 4), (1, 0, -4), (-1, 0, 4), (1 << 64, 0, 4), (1, (1 << 64) - 4, 4)],
+        "doctor", [dict(ahead=1), dict(a1=1403580 + 1)],
+        ids=["one step off", "wrong multiplier"],
     )
-    def test_addresses_that_would_wrap_are_refused(self, key, offset, count):
-        with pytest.raises(ValueError, match="Philox key must fit 64 bits"):
-            _native.load().philox_uniforms(key, offset, count)
-
-    def test_only_a_philox_span_goes_in_by_address(self):
-        """The one validator behind the five entries' draw arguments: a
-        span (keyed, by construction) is (NULL, key, start); an array — what
-        an MRG stream hands over — goes in as the array it is; too few
-        draws, or not ``float64``, is refused."""
+    def test_doctored_generator_fails_certification_by_name(self, doctor):
         kernels = _native.load()
-        ffi = kernels._ffi
-        philox, mrg = make_stream(3, "a"), make_stream(3, "a", backend="mrg")
-        assert kernels._draws(philox.span(5, 8), 8) == (ffi.NULL, philox.key, 5)
-        for source in (mrg.block(5, 8), philox.block(5, 8)):
-            pointer, key, offset = kernels._draws(source, 8)
-            assert (key, offset) == (0, 0)
-            np.testing.assert_array_equal(np.frombuffer(ffi.buffer(pointer), count=8), source)
-        for source in (philox.span(5, 8), np.zeros(8)):
-            with pytest.raises(ValueError, match="uniforms must"):
-                kernels._draws(source, 9)
-        with pytest.raises(ValueError, match="uniforms must be a writable C-contiguous"):
-            kernels._draws(np.zeros(8, dtype=np.float32), 8)
+        assert _native._certify(kernels) is None
+        mismatch = _native._certify(
+            _doctored(kernels, "mrg", lambda *case: _mrg_reference(*case, **doctor))
+        )
+        assert mismatch is not None and mismatch.startswith("draws mismatch at mrg"), mismatch
 
-    def test_a_span_past_the_counter_is_refused_before_c(self):
+
+_WRAPS = [(1, -1, 4), (1, 0, -4), (-1, 0, 4), (1 << 64, 0, 4), (1, (1 << 64) - 4, 4)]
+
+
+@needs_native
+class TestSpansInKernel:
+    """Every entry takes its draws as a span, by address, through one check."""
+
+    @pytest.mark.parametrize(
+        "generator, key, offset, count",
+        [(g, *case) for g in ("philox", "mrg") for case in _WRAPS] + [("lcg", 1, 0, 4)],
+    )
+    def test_addresses_that_would_wrap_are_refused(self, generator, key, offset, count):
+        with pytest.raises(ValueError, match="philox or mrg stream by a 64-bit key"):
+            _native.load().uniforms(generator, key, offset, count)
+
+    def test_every_span_goes_in_by_address(self):
+        """The one check behind the five entries' draw arguments: a span
+        of either generator is (generator tag, key, start); an array, or a
+        span of too few draws, is refused."""
+        for tag, generator in enumerate(("philox", "mrg")):
+            stream = make_stream(3, "a", backend=generator)
+            assert _native._address(stream.span(5, 8), 8) == (tag, stream.key, 5)
+            with pytest.raises(ValueError, match="span must cover at least 9 draws, got 8"):
+                _native._address(stream.span(5, 8), 9)
+            with pytest.raises(ValueError, match="span must be a DrawSpan, got ndarray"):
+                _native._address(stream.block(5, 8), 8)
+
+    @pytest.mark.parametrize("generator", ["philox", "mrg"])
+    def test_a_span_past_the_counter_is_refused_before_c(self, generator):
         """A sweep handed the last draws of the stream: refused, state
         untouched (in C ``offset + i`` would wrap to draw 0)."""
         from repro.ganesh.state import ObsClustering
-        from repro.rng.philox import PhiloxStream
         from repro.rng.streams import GibbsRandom
 
         block = np.random.default_rng(0).normal(size=(4, 6))
         oc = ObsClustering.from_block(block, np.arange(6) % 2)
         before = oc.labels.copy(), oc.lm.copy()
-        rng = GibbsRandom(PhiloxStream(3, offset=(1 << 64) - 12))
-        with pytest.raises(ValueError, match="Philox key must fit 64 bits"):
-            oc.native_sweep(_native.load(), rng, block)
+        stream = make_stream(3, backend=generator)
+        stream.jump_to((1 << 64) - 12)
+        with pytest.raises(ValueError, match="64-bit key, its draws in"):
+            oc.native_sweep(_native.load(), GibbsRandom(stream), block)
         np.testing.assert_array_equal(oc.labels, before[0])
         np.testing.assert_array_equal(oc.lm, before[1])
 

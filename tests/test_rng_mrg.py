@@ -104,6 +104,9 @@ class TestMRGStream:
         """MRG and Philox expose the same stream interface."""
         from repro.rng.philox import PhiloxStream
 
-        for attr in ("next_uniform", "next_uniforms", "block", "split", "clone", "jump_to"):
+        for attr in (
+            "next_uniform", "next_uniforms", "block", "span", "next_span", "split",
+            "clone", "jump_to", "key", "offset",
+        ):
             assert hasattr(MRGStream(1), attr)
             assert hasattr(PhiloxStream(1), attr)

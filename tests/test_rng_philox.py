@@ -192,12 +192,14 @@ class TestBufferedDraws:
         assert parent.next_uniform() == ref[10]
 
     def test_mrg_honours_the_same_contract(self):
-        """... but for spans: its state is sequential, there is no address."""
+        """... spans included: the state it keeps for sequential draws is
+        re-seated wherever the position moved."""
         _check_program(
             lambda: MRGStream(21, "buffered"),
             [("uniform", 5), ("uniforms", 7), ("block", 30), ("clone", 3),
              ("jump", 4), ("uniform", 9), ("split", 1), ("jump", 0), ("uniforms", 3),
-             ("uniform", 2)],
+             ("next_span", 6), ("uniform", 2), ("span", 40), ("uniforms", 4),
+             ("next_span", 0), ("uniform", 2)],
         )
 
 
@@ -250,33 +252,35 @@ class TestKeptGenerator:
 
 
 class TestSpans:
-    def test_only_a_keyed_stream_has_spans(self):
-        philox, mrg = PhiloxStream(3, "s"), MRGStream(3, "s")
-        assert philox.span(4, 2).key == philox.key == derive_key(3, "s")
-        assert not hasattr(mrg, "span") and not hasattr(mrg, "next_span")
+    @pytest.mark.parametrize("make", [PhiloxStream, MRGStream])
+    def test_both_streams_have_spans(self, make):
+        """A span names its stream's generator and key: its draws are
+        computable from the address alone."""
+        stream = make(3, "s")
+        span = stream.span(4, 2)
+        assert (span.generator, span.key) == (make.name, stream.key) == (
+            make.name, derive_key(3, "s")
+        )
+        np.testing.assert_array_equal(span.array(), make(3, "s").block(4, 2))
 
     @pytest.mark.parametrize("make", [PhiloxStream, MRGStream])
     def test_gibbs_span_moves_the_stream_like_uniforms(self, make):
-        """... and is the address on a keyed stream, the draws otherwise."""
+        """... and is the address of the draws."""
         by_value, by_address = GibbsRandom(make(8, "g")), GibbsRandom(make(8, "g"))
         for count in (3, 0, 10):
             want = by_value.uniforms(count)
             span = by_address.span(count)
-            if make is PhiloxStream:
-                assert isinstance(span, DrawSpan) and span.count == count
-                span = span.array()
+            assert isinstance(span, DrawSpan) and span.count == count
             assert by_address.offset == by_value.offset
-            np.testing.assert_array_equal(span, want)
+            np.testing.assert_array_equal(span.array(), want)
         assert by_address.uniform() == by_value.uniform()
 
     @pytest.mark.parametrize("make", [PhiloxStream, MRGStream])
     def test_items_span_is_the_items_rows(self, make):
         istream = IndexedStream(make(2, "items"), 5)
         span = istream.items_span(3, 4)
-        if make is PhiloxStream:
-            assert (span.start, span.count) == (15, 20)
-            span = span.array()
-        rows = span.reshape(4, 5)
+        assert (span.start, span.count) == (15, 20)
+        rows = span.array().reshape(4, 5)
         for i in range(4):
             np.testing.assert_array_equal(rows[i], istream.item_uniforms(3 + i))
 
@@ -296,7 +300,7 @@ class TestTypedEdges:
 
     def test_random_access(self, make):
         stream = make(1)
-        for call in (stream.block, getattr(stream, "span", stream.block)):
+        for call in (stream.block, stream.span):
             with pytest.raises(ValueError, match="start must be non-negative"):
                 call(-1, 4)
             with pytest.raises(ValueError, match="count must be non-negative"):

@@ -94,7 +94,7 @@ class TestBatchEqualsPerNodeChain:
         rng_backend,
     ):
         """... over node sets with shared, nested, disjoint and unsorted
-        observations, keyed spans (Philox) and array draws (MRG), one row
+        observations, Philox and MRG spans, one row
         or many per evaluation chunk — and with a margin-table budget that
         holds one parent's rows (the default, and exactly), that is one
         element short and that is zero (no sharing: the fused evaluator),
@@ -122,9 +122,7 @@ def _assert_batch_equals_per_node_chains(
     oracles = [
         _oracle(
             uvalues, obs, sign, scorer, chunk_elements,
-            (span if isinstance(span, np.ndarray) else span.array()).reshape(
-                -1, scorer.draws_per_item
-            ),
+            span.array().reshape(-1, scorer.draws_per_item),
         )
         for obs, sign, span in specs
     ]
@@ -222,9 +220,10 @@ class TestPhiloxBlocks:
         )
         return flat, bounds, consume_kernel_totals()
 
-    def test_array_draws_compute_none(self):
+    def test_mrg_draws_compute_none(self):
         uvalues, scorer, nodes = _two_nodes()
-        nodes[0].uniforms = nodes[0].uniforms.array()
+        span = nodes[0].span
+        nodes[0].span = make_stream(5, "pre", 0, backend="mrg").span(span.start, span.count)
         _flat, _bounds, totals = self._run(uvalues, scorer, nodes[:1])
         assert totals["margin_row_uses"] > 0
         assert "philox_blocks" not in totals
@@ -237,7 +236,7 @@ class TestPhiloxBlocks:
         (_best, steps, _idx), bounds, totals = self._run(uvalues, scorer, nodes)
         touched = bound = 0
         for node, lo, hi in zip(nodes, bounds, bounds[1:]):
-            first = node.uniforms.start + scorer.draws_per_item * np.arange(hi - lo)
+            first = node.span.start + scorer.draws_per_item * np.arange(hi - lo)
             last = first + 2 * steps[lo:hi]
             touched += int((last // 4 - first // 4 + 1).sum())
             bound += int(((2 * steps[lo:hi]) // 4 + 2).sum())
@@ -283,7 +282,7 @@ class TestPreconditions:
         for node, lo, hi, counted in zip(nodes, bounds, bounds[1:], counters):
             oracle, results = _oracle(
                 uvalues, node.obs, node.sign, scorer, None,
-                node.uniforms.array().reshape(-1, scorer.draws_per_item),
+                node.span.array().reshape(-1, scorer.draws_per_item),
             )
             for part, expected in zip(flat, results):
                 np.testing.assert_array_equal(part[lo:hi], expected)
@@ -295,7 +294,7 @@ class TestPreconditions:
             (lambda n: setattr(n, "obs", n.obs + 3), "obs must be columns of the universe"),
             (lambda n: setattr(n, "obs", -n.obs), "obs must be columns of the universe"),
             (lambda n: setattr(n, "sign", n.sign[:-1]), "sign must"),
-            (lambda n: setattr(n, "uniforms", np.zeros((3, 9))), "uniforms must have shape"),
+            (lambda n: setattr(n, "span", n.span.array()), "span must be a DrawSpan"),
         ],
     )
     def test_bad_node_is_refused_and_nothing_is_scored(self, damage, message):
@@ -306,15 +305,14 @@ class TestPreconditions:
             self._run(uvalues, scorer, nodes)
         assert consume_kernel_totals() is None
 
-    def test_draw_addresses_go_through_the_one_validator(self):
+    @pytest.mark.parametrize("generator", ["philox", "mrg"])
+    def test_draw_addresses_go_through_the_one_validator(self, generator):
         """A node's span at the end of the counter: refused before C (where
         ``offset + i`` would wrap to draw 0), by the sweeps' own check."""
-        from repro.rng.philox import PhiloxStream
-
         uvalues, scorer, nodes = _two_nodes()
-        count = nodes[1].uniforms.count
-        nodes[1].uniforms = PhiloxStream(3).span((1 << 64) - count, count)
-        with pytest.raises(ValueError, match="Philox key must fit 64 bits"):
+        count = nodes[1].span.count
+        nodes[1].span = make_stream(3, backend=generator).span((1 << 64) - count, count)
+        with pytest.raises(ValueError, match="64-bit key, its draws in"):
             self._run(uvalues, scorer, nodes)
 
     def test_an_allocation_cap_bounds_the_table(self):
@@ -441,33 +439,25 @@ class TestOneNativeCallPerModuleBatch:
         assert entries["kernels"] == entries["numpy_chain"] == result.stats["n_internal_nodes"]
         assert "margin_row_uses" not in trace.kernel_counters
 
-    @pytest.mark.parametrize("backend", ["numpy", "native"])
-    def test_an_mrg_stream_is_scored_holding_one_nodes_draws(self, entries, backend):
-        """An MRG stream has no addresses to hand out: its draws are arrays,
-        51 x 8 B per split.  They are fetched node by node — never a whole
-        batch's at once — and the nodes run as one-node batches."""
-        import tracemalloc
-
+    def test_an_mrg_batch_is_one_native_call(self, entries):
+        """An MRG stream hands out spans as a Philox one does: a native
+        ``score_nodes`` over 16 nodes is one batch call of 16 nodes, and
+        it scores what the NumPy backend scores."""
         data = np.random.default_rng(0).normal(size=(6, 40))
         parents, obs = np.arange(6), np.arange(40)
-        scorer = SplitScorer(max_steps=25, kernel_backend=backend)
-        istream = IndexedStream(
-            make_stream(1, "splits", 0, backend="mrg"), scorer.draws_per_item
-        )
-        nodes = [(obs, obs[:20], istream, q * parents.size * obs.size) for q in range(16)]
-        node_draws = parents.size * obs.size * scorer.draws_per_item * 8
-        score_nodes(data, parents, scorer, nodes[:1])  # warm imports and caches
-        tracemalloc.start()
-        try:
-            score_nodes(data, parents, scorer, nodes)
-            _size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * node_draws < len(nodes) * node_draws
-        assert entries["kernels"] == (len(nodes) + 1 if backend == "numpy" else 0)
-        assert entries["batch"] == entries["batch_nodes"] == (
-            len(nodes) + 1 if backend == "native" else 0
-        )
+        results = {}
+        for backend in ("numpy", "native"):
+            scorer = SplitScorer(max_steps=25, kernel_backend=backend)
+            istream = IndexedStream(
+                make_stream(1, "splits", 0, backend="mrg"), scorer.draws_per_item
+            )
+            nodes = [
+                (obs, obs[: 5 + q], istream, q * parents.size * obs.size) for q in range(16)
+            ]
+            results[backend] = score_nodes(data, parents, scorer, nodes)
+        assert entries["batch"] == 1 and entries["batch_nodes"] == 16
+        for got, want in zip(results["native"], results["numpy"]):
+            np.testing.assert_array_equal(got, want)
 
     def test_batches_and_backends_learn_one_network(self, tiny_matrix):
         """... whatever the byte budget cuts a module batch into."""
