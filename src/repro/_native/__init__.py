@@ -860,25 +860,23 @@ def _obs_cases():
 
 
 def _obs_runs(case, kernels=None):
-    """A reassign then a merge sweep, by the NumPy loops (``native=None``)
-    or by the entries: labels, the three statistics, ``lm``, the cluster
-    count, the draws consumed and the cluster count of every iteration."""
+    """A reassign then a merge sweep by the drivers, on the loops or (with
+    ``kernels``) the entries: labels, the three statistics, ``lm``, the
+    cluster count, the draws consumed and the cluster count of every iteration."""
     from repro.ganesh.coclustering import SweepHooks, merge_obs_sweep, reassign_obs_sweep
+    from repro.scoring.normal_gamma import gammaln_table
 
     probe, block, start, traced, generator = case
     oc = start.copy()
     rng = GibbsRandom(make_stream(0x5EED, "obs-sweep", probe, backend=generator))
-    if kernels is None:
-        sizes: list[int] = []  # of the recorded cost vectors
-        record = (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
-        reassign_obs_sweep(oc, block, rng, SweepHooks(record))
-        ks = [n - 1 for n in sizes]  # candidates = clusters + fresh
-        del sizes[:]
-        merge_obs_sweep(oc, rng, SweepHooks(record))
-        ks += sizes
-    else:
-        ks = oc.native_sweep(kernels, rng, block, trace=traced)
-        ks += oc.native_sweep(kernels, rng, trace=traced)
+    lgam = None if kernels is None else gammaln_table(block.shape[1], oc.prior, block.shape[0])
+    sizes: list[int] = []  # of the recorded cost vectors
+    record = (lambda _ph, costs, _nc: sizes.append(len(costs))) if traced else None
+    reassign_obs_sweep(oc, block, rng, SweepHooks(record), native=kernels, lgam=lgam)
+    ks = [n - 1 for n in sizes]  # candidates = clusters + fresh
+    del sizes[:]
+    merge_obs_sweep(oc, rng, SweepHooks(record), native=kernels, lgam=lgam)
+    ks += sizes
     stats = oc.stats
     counts = np.array([oc.n_clusters, rng.offset, *ks])
     return [(oc.labels, stats.count, stats.total, stats.sumsq, oc.lm, counts)]

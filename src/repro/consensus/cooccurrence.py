@@ -16,17 +16,22 @@ def cooccurrence_matrix(
     variables ``i`` and ``j`` share a cluster (Section 2.2.2).  Entries
     strictly below ``threshold`` are zeroed, as are the diagonal entries
     (self co-occurrence carries no grouping information for the spectral
-    step).
+    step).  Every label must be a non-negative integer: a sample holding
+    another value is refused by its index.
     """
     if not samples:
         raise ValueError("need at least one clustering sample")
     first = np.asarray(samples[0])
     n = first.shape[0]
     accum = np.zeros((n, n), dtype=np.float64)
-    for labels in samples:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n,):
+    for index, raw in enumerate(samples):
+        raw = np.asarray(raw)
+        if raw.shape != (n,):
             raise ValueError("all samples must label the same variables")
+        whole = raw.dtype.kind in "iuf" and np.isfinite(raw).all() and (raw % 1 == 0).all()
+        if not whole or (raw < 0).any():
+            raise ValueError(f"sample {index} has a label that is not a non-negative integer")
+        labels = raw.astype(np.int64)
         n_clusters = int(labels.max()) + 1
         onehot = np.zeros((n, n_clusters), dtype=np.float64)
         onehot[np.arange(n), labels] = 1.0

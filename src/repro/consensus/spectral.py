@@ -58,14 +58,10 @@ def _best_prefix(matrix: np.ndarray, order: np.ndarray) -> int:
     return best_t
 
 
-def spectral_clusters(
-    matrix: np.ndarray, min_cluster_size: int = 1, max_clusters: int | None = None
-) -> list[list[int]]:
+def spectral_clusters(matrix: np.ndarray, *, max_clusters: int | None = None) -> list[list[int]]:
     """Disjoint clusters from a symmetric non-negative affinity matrix.
 
     Variables with no remaining affinity become singleton clusters.
-    Clusters smaller than ``min_cluster_size`` are still returned (the
-    learner decides whether to keep them as modules).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -108,7 +104,6 @@ def spectral_clusters(
         remaining = remaining[mask]
     # Deterministic module numbering: by smallest member index.
     clusters.sort(key=lambda c: c[0])
-    _ = min_cluster_size  # kept for API symmetry; filtering is the caller's
     return clusters
 
 

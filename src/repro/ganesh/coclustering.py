@@ -26,7 +26,7 @@ from repro.ganesh.state import (
 )
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring.kernel import resolve_kernel_backend
-from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior
+from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, gammaln_table
 
 
 @dataclass
@@ -66,13 +66,13 @@ def reassign_var_sweep(
     """n iterations of random variable reassignment (Algorithm 1, lines 3-11).
 
     With ``native`` (the certified :class:`repro._native.NativeKernels`) the
-    whole sweep is one call (:meth:`CoClusterState.native_var_sweep`) when
-    the state's ``gammaln`` table is bounded; the loop below is the NumPy
-    path (``native=None``) and the oracle that call is certified against.
+    whole sweep is one call (:meth:`CoClusterState.native_var_sweep`); the
+    loop below is the NumPy path (``native=None``) and the oracle that call
+    is certified against.
     """
     n = state.n_vars
     m = state.n_obs
-    if native is not None and state.gammaln_table_fits:
+    if native is not None:
         for ks in state.native_var_sweep(native, rng, trace=hooks.record is not None):
             costs = [m + k for k in ks] + [m]
             hooks.emit("ganesh.var_reassign", np.array(costs, dtype=np.float64))
@@ -98,7 +98,7 @@ def merge_var_sweep(
     :func:`reassign_var_sweep`.
     """
     m = state.n_obs
-    if native is not None and state.gammaln_table_fits:
+    if native is not None:
         traced = hooks.record is not None
         for ks in state.native_var_sweep(native, rng, merge=True, trace=traced):
             costs = [m + k for k in ks]
@@ -124,16 +124,17 @@ def reassign_obs_sweep(
     hooks: SweepHooks = _NO_HOOKS,
     phase: str = "ganesh.obs_reassign",
     native=None,
+    lgam: np.ndarray | None = None,
 ) -> None:
     """m iterations of random observation reassignment (Algorithm 2, lines 3-11).
 
     With ``native`` the whole sweep is one certified call
-    (:meth:`ObsClustering.native_sweep`); the loop below is the NumPy
-    path (``native=None``) and the oracle that call is certified against.
+    (:meth:`ObsClustering.native_sweep`) reading the caller's ``lgam``; the
+    loop below is the NumPy path (``native=None``) and its oracle.
     """
     n_members, m = block.shape
     if native is not None:
-        for k in oc.native_sweep(native, rng, block, trace=hooks.record is not None):
+        for k in oc.native_sweep(native, rng, lgam, block, trace=hooks.record is not None):
             hooks.emit(phase, np.full(k + 1, float(n_members + 1)))
         return
     for _ in range(m):
@@ -152,13 +153,14 @@ def merge_obs_sweep(
     hooks: SweepHooks = _NO_HOOKS,
     phase: str = "ganesh.obs_merge",
     native=None,
+    lgam: np.ndarray | None = None,
 ) -> None:
     """One pass of observation-cluster merging (Algorithm 2, lines 12-20).
 
     Dispatches like :func:`reassign_obs_sweep`.
     """
     if native is not None:
-        for k in oc.native_sweep(native, rng, trace=hooks.record is not None):
+        for k in oc.native_sweep(native, rng, lgam, trace=hooks.record is not None):
             hooks.emit(phase, np.ones(k, dtype=np.float64))
         return
     cid = 0
@@ -212,8 +214,9 @@ def run_ganesh(
             if not cluster.members:  # merged away earlier in this loop
                 continue
             block = data[cluster.members]
-            reassign_obs_sweep(cluster.obs, block, rng, hooks, native=native)
-            merge_obs_sweep(cluster.obs, rng, hooks, native=native)
+            lgam = None if native is None else state.obs_lgam(len(cluster.members))
+            reassign_obs_sweep(cluster.obs, block, rng, hooks, native=native, lgam=lgam)
+            merge_obs_sweep(cluster.obs, rng, hooks, native=native, lgam=lgam)
         iterations += 1
 
     return GaneshResult(
@@ -274,14 +277,15 @@ def run_obs_only_ganesh(
     """
     native = resolve_kernel_backend(kernel_backend)[1]
     block = np.atleast_2d(np.asarray(block, dtype=np.float64))
-    m = block.shape[1]
+    rows, m = block.shape
     labels = init_sqrt_obs_labels(m, rng)
     oc = ObsClustering.from_block(block, labels, prior)
+    lgam = None if native is None else gammaln_table(m, prior, rows)
 
     samples: list[np.ndarray] = []
     for step in range(1, n_update_steps + 1):
-        reassign_obs_sweep(oc, block, rng, hooks, "modules.obs_reassign", native)
-        merge_obs_sweep(oc, rng, hooks, "modules.obs_merge", native)
+        reassign_obs_sweep(oc, block, rng, hooks, "modules.obs_reassign", native, lgam)
+        merge_obs_sweep(oc, rng, hooks, "modules.obs_merge", native, lgam)
         if step > burn_in or step == n_update_steps and not samples:
             samples.append(oc.labels.copy())
     return samples

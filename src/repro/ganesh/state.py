@@ -24,16 +24,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.rng.streams import SCORE_QUANTUM
-from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marginal
+from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, gammaln_table, log_marginal
 from repro.scoring.suffstats import StatsArrays, SuffStats
-
-#: Largest ``gammaln`` table (``n * m + 1`` entries, 8 bytes each: 32 MB) a
-#: state builds for the native variable sweeps; above it the sweeps take the
-#: NumPy loops.  The paper's yeast shape would need 14.7 M entries per chain.
-MAX_GAMMALN_TABLE = 1 << 22
 
 
 class ObsClustering:
@@ -260,7 +254,7 @@ class ObsClustering:
 
     # -- a whole sweep where the marginals are scored ------------------------
     def native_sweep(
-        self, native, rng, block: np.ndarray | None = None, trace: bool = False
+        self, native, rng, lgam: np.ndarray, block: np.ndarray | None = None, trace: bool = False
     ) -> list[int]:
         """One observation sweep in a single certified native call.
 
@@ -274,10 +268,10 @@ class ObsClustering:
         always makes ``n_clusters`` — so it ends where the loops leave it;
         the draws themselves go in as a span, which the sweep computes as
         it reads them.  Block
-        counts are multiples of the block's row count, so ``gammaln`` (SciPy's,
-        as on every path) is tabulated once per sweep over the ``m + 1``
-        possible cluster sizes.  With ``trace`` returns the cluster count of
-        every iteration (all a recorder's cost vectors depend on), else ``[]``.
+        counts are multiples of the block's row count, so ``gammaln`` is read
+        from ``lgam``, the caller's ``gammaln_table(m, prior, rows)`` (a state's
+        cluster: :meth:`CoClusterState.obs_lgam`).  With ``trace`` returns the
+        cluster count of every iteration (all a recorder's costs depend on).
         """
         m, k = self.labels.size, self.n_clusters
         if m == 0:
@@ -288,7 +282,6 @@ class ObsClustering:
         else:
             rows = block.shape[0]
             span = rng.span(2 * m)
-        lgam = gammaln(self.prior.alpha0 + (rows * np.arange(m + 1.0)) / 2.0)
         lm = np.empty(m + 1)
         lm[:k] = self.lm
         k, ks = native.obs_sweep(
@@ -300,9 +293,6 @@ class ObsClustering:
         self.n_clusters = k
         self._scored = None
         return ks.tolist() if trace else []
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_clusters)
 
     def check_invariants(self, block: np.ndarray) -> None:
         """Verify stats match a fresh recomputation, and the maintained
@@ -326,10 +316,6 @@ class VarCluster:
     def __init__(self, members: list[int], obs: ObsClustering) -> None:
         self.members = members
         self.obs = obs
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 class CoClusterState:
@@ -368,9 +354,7 @@ class CoClusterState:
             bounds = np.cumsum([oc.n_clusters for oc in ocs])
             for oc, part in zip(ocs, np.split(lm, bounds)):
                 oc.lm = part
-        #: ``gammaln(alpha0 + t / 2)`` over every block count ``t = 0..n * m``,
-        #: built by the first native variable sweep
-        self._lgam: np.ndarray | None = None
+        self._lgam: np.ndarray | None = None  # built by the first native sweep
 
     def copy(self) -> "CoClusterState":
         """An independent state over the same (read-only) data matrix."""
@@ -396,9 +380,6 @@ class CoClusterState:
 
     def score(self) -> float:
         return sum(cluster.obs.score() for cluster in self.clusters)
-
-    def max_obs_clusters(self) -> int:
-        return max((c.obs.n_clusters for c in self.clusters), default=0)
 
     # -- variable reassignment ------------------------------------------
     def move_var_scores(
@@ -553,10 +534,19 @@ class CoClusterState:
 
     # -- a whole sweep where the marginals are scored ------------------------
     @property
-    def gammaln_table_fits(self) -> bool:
-        """Whether the native variable sweeps' ``gammaln`` table — one entry
-        per possible block count, ``0..n * m`` — is within the bound."""
-        return 0 < self.n_vars * self.n_obs < MAX_GAMMALN_TABLE
+    def lgam(self) -> np.ndarray:
+        """``gammaln(alpha0 + t / 2)`` for every block count ``t = 0..n * m``:
+        the state's one table, built on first use and shared by its copies,
+        read whole by the variable sweeps and strided by :meth:`obs_lgam`."""
+        if self._lgam is None:
+            self._lgam = gammaln_table(self.n_vars * self.n_obs, self.prior)
+        return self._lgam
+
+    def obs_lgam(self, rows: int) -> np.ndarray:
+        """``gammaln(alpha0 + rows * t / 2)`` for ``t = 0..m``, what a
+        ``rows``-member cluster's observation sweeps read: every ``rows``-th
+        entry of :attr:`lgam` (the same arguments, so bit for bit), in O(m)."""
+        return np.ascontiguousarray(self.lgam[: rows * self.n_obs + 1 : rows])
 
     def var_sweep_pack(self, merge: bool = False) -> dict:
         """The state as flat arrays, the layout ``NativeKernels.var_sweep``
@@ -565,7 +555,7 @@ class CoClusterState:
         observation partition, so every cluster keeps its block count and
         the arrays never grow in place; a reassign sweep gets ``n`` spare
         block slots, one per cluster it could open."""
-        n, m = self.data.shape
+        n = self.n_vars
         ocs = [cluster.obs for cluster in self.clusters]
         offsets = np.zeros(len(ocs) + 1, dtype=np.int64)
         np.cumsum([oc.n_clusters for oc in ocs], out=offsets[1:])
@@ -578,9 +568,6 @@ class CoClusterState:
             (lm, [oc.lm for oc in ocs]),
         ):
             np.concatenate(parts, out=out[:n_blocks])
-        if self._lgam is None:
-            # every block count is an integer rows x size <= n * m
-            self._lgam = gammaln(self.prior.alpha0 + np.arange(n * m + 1.0) / 2.0)
         return dict(
             data=self.data,
             var_labels=self.var_labels.copy(),
@@ -593,7 +580,7 @@ class CoClusterState:
             n_blocks=n_blocks,
             stats=(count, total, sumsq),
             lm=lm,
-            lgam=self._lgam,
+            lgam=self.lgam,
             prior=self.prior,
             quantum=SCORE_QUANTUM,
             merge=merge,

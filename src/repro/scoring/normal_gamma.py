@@ -108,6 +108,16 @@ def log_marginal(
     return out
 
 
+def gammaln_table(t_max: int, prior: NormalGammaPrior = DEFAULT_PRIOR, rows: int = 1) -> np.ndarray:
+    """``gammaln(alpha_N)`` of every block of ``rows * t`` values, for
+    ``t = 0..t_max``: the table the native sweeps read ``gammaln`` from.
+    Its arguments are the floats :func:`log_marginal` feeds ``gammaln``, so
+    every entry equals the one it computes, bit for bit; built in place."""
+    table = np.arange(t_max + 1.0)
+    table *= rows / 2.0  # rows * t is exact and halving commutes with rounding
+    return gammaln(np.add(table, prior.alpha0, out=table), out=table)
+
+
 def log_marginal_scalar(
     count: float,
     total: float,

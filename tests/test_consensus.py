@@ -45,6 +45,27 @@ class TestCooccurrence:
         with pytest.raises(ValueError):
             cooccurrence_matrix([np.array([0, 1]), np.array([0, 1, 2])])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0, 1, -1, 1],  # would wrap to the last cluster
+            [0.7, 1.2, 1.0, 0.0],  # would truncate: 0 with 3, 1 with 2
+            [0.0, 1.0, float("nan"), 1.0],
+        ],
+    )
+    def test_rejects_labels_that_are_not_non_negative_integers(self, bad):
+        good = [0, 1, 0, 1]
+        with pytest.raises(ValueError, match="sample 1 has a label"):
+            cooccurrence_matrix([np.array(good), np.array(bad)])
+
+    def test_accepts_whole_float_labels(self):
+        """Labels read back from JSON may be whole floats."""
+        samples = [np.array([0, 1, 1, 0]), np.array([1, 0, 0, 1])]
+        as_floats = [s.astype(np.float64) for s in samples]
+        np.testing.assert_array_equal(
+            cooccurrence_matrix(as_floats), cooccurrence_matrix(samples)
+        )
+
 
 class TestDominantEigenvector:
     def test_matches_numpy_eig(self):

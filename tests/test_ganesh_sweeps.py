@@ -14,7 +14,6 @@ from repro import _native
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.ganesh import coclustering
-from repro.ganesh import state as state_mod
 from repro.ganesh.coclustering import (
     SweepHooks,
     merge_obs_sweep,
@@ -29,7 +28,9 @@ from repro.parallel.trace import WorkTrace
 from repro.rng.philox import PhiloxStream
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring import kernel as kernel_mod
+from repro.scoring import normal_gamma
 from repro.scoring.kernel import resolve_kernel_backend
+from repro.scoring.normal_gamma import NormalGammaPrior, gammaln_table
 from repro.validation.metrics import network_fingerprint
 
 
@@ -247,6 +248,12 @@ def _program_rng(seed, rng_backend):
 RNG_FLAVOURS = ["philox", "mrg"]
 
 
+def _obs_lgam(block):
+    """The ``gammaln`` table an observation sweep over ``block`` reads."""
+    rows, m = block.shape
+    return gammaln_table(m, rows=rows)
+
+
 def _snapshot(oc, rng, records=()):
     return (
         oc.n_clusters,
@@ -269,11 +276,12 @@ def _run_program(backend, block, labels, program, rng_backend, traced, seed):
     hooks = SweepHooks(
         record=(lambda *record: records.append(record)) if traced else None
     )
+    lgam = _obs_lgam(block) if native else None
     for sweep in program:
         if sweep == "r":
-            reassign_obs_sweep(oc, block, rng, hooks, native=native)
+            reassign_obs_sweep(oc, block, rng, hooks, native=native, lgam=lgam)
         else:
-            merge_obs_sweep(oc, rng, hooks, native=native)
+            merge_obs_sweep(oc, rng, hooks, native=native, lgam=lgam)
         oc.check_invariants(block)
     return _snapshot(oc, rng, records)
 
@@ -323,9 +331,10 @@ class TestNativeObsSweeps:
             with np.errstate(all="ignore"):
                 oc = ObsClustering.from_block(block, labels)
                 rng = _rng(21)
+                lgam = _obs_lgam(block) if native else None
                 for _ in range(2):
-                    reassign_obs_sweep(oc, block, rng, native=native)
-                    merge_obs_sweep(oc, rng, native=native)
+                    reassign_obs_sweep(oc, block, rng, native=native, lgam=lgam)
+                    merge_obs_sweep(oc, rng, native=native, lgam=lgam)
                 outcomes.append((oc, rng.offset))
         (want, want_offset), (got, got_offset) = outcomes
         assert got_offset == want_offset
@@ -367,7 +376,7 @@ class TestNativeObsSweeps:
         for view in (block, np.asfortranarray(block), block[:, ::-1][:, ::-1]):
             oc = ObsClustering.from_block(block, labels)
             rng = _rng(9)
-            reassign_obs_sweep(oc, view, rng, native=_native.load())
+            reassign_obs_sweep(oc, view, rng, native=_native.load(), lgam=_obs_lgam(block))
             outcomes.append(_snapshot(oc, rng))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
@@ -518,8 +527,9 @@ def _run_co_program(backend, start, program, rng_backend, traced, seed, check=Tr
         else:
             for cluster in list(state.clusters):
                 block = state.data[cluster.members]
-                reassign_obs_sweep(cluster.obs, block, rng, hooks, native=native)
-                merge_obs_sweep(cluster.obs, rng, hooks, native=native)
+                lgam = state.obs_lgam(len(cluster.members)) if native else None
+                reassign_obs_sweep(cluster.obs, block, rng, hooks, native=native, lgam=lgam)
+                merge_obs_sweep(cluster.obs, rng, hooks, native=native, lgam=lgam)
         if check:
             state.check_invariants()
     return _co_snapshot(state, rng, records)
@@ -631,23 +641,22 @@ class TestNativeVarSweeps:
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert outcomes[0] == _run_co_program("numpy", start, "RM", "philox", False, 9)
 
-    def test_table_bound_takes_the_loops(self, monkeypatch):
-        """Above ``MAX_GAMMALN_TABLE`` entries (``n * m + 1``) the sweeps run
-        the NumPy loops on the native backend too; both paths agree."""
-        start = _co_state(4, 15, 10, 4, 2)
+    def test_every_shape_takes_the_native_sweeps(self, monkeypatch):
+        """A state whose ``gammaln`` table passes 2**22 entries (``n * m + 1``)
+        still sweeps in one native call per variable sweep, reassign and
+        merge, and leaves what the NumPy loops leave."""
+        n, m = 2049, 2048
+        assert n * m + 1 > 1 << 22
+        start = _co_state(4, n, m, 2, 2)
         entered = []
         original = _native.NativeKernels.var_sweep
         monkeypatch.setattr(
             _native.NativeKernels, "var_sweep",
-            lambda self, **pack: entered.append(1) or original(self, **pack),
+            lambda self, **pack: entered.append(pack["merge"]) or original(self, **pack),
         )
-        outcomes = []
-        for bound in (15 * 10 + 1, 15 * 10):
-            monkeypatch.setattr(state_mod, "MAX_GAMMALN_TABLE", bound)
-            del entered[:]
-            outcomes.append(_run_co_program("native", start, "RMR", "philox", True, 2))
-            assert len(entered) == (3 if bound > 15 * 10 else 0)
-        assert outcomes[0] == outcomes[1]
+        got = _run_co_program("native", start, "RM", "philox", True, 2)
+        assert entered == [False, True]
+        assert got == _run_co_program("numpy", start, "RM", "philox", True, 2)
 
     def test_concurrent_sweeps_share_nothing(self):
         """Two threads may run chains at once with the GIL released: the C
@@ -669,6 +678,59 @@ class TestNativeVarSweeps:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+class TestOneGammalnTable:
+    """A state's one ``gammaln`` table serves both sweep kinds: the variable
+    sweeps read it whole, an observation sweep of a ``rows``-member cluster
+    every ``rows``-th entry."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha0=st.floats(min_value=0.0, max_value=1e12, exclude_min=True),
+        n=st.integers(1, 120),
+        m=st.integers(1, 120),
+        data=st.data(),
+    )
+    def test_strided_table_is_the_per_sweep_table(self, alpha0, n, m, data):
+        rows = data.draw(st.integers(1, n))
+        state = CoClusterState(
+            np.zeros((n, m)), np.zeros(n, dtype=np.int64), [np.zeros(m, dtype=np.int64)],
+            NormalGammaPrior(alpha0=alpha0),
+        )
+        want = gammaln(alpha0 + (rows * np.arange(m + 1.0)) / 2.0)
+        assert state.obs_lgam(rows).tobytes() == want.tobytes()
+
+    @needs_native
+    def test_scipy_tables_once_per_state_and_per_obs_only_run(self, small_matrix, monkeypatch):
+        """SciPy tabulates ``gammaln`` once per ``CoClusterState`` and once per
+        ``run_obs_only_ganesh`` run, never per sweep; every other call is a
+        ``log_marginal``."""
+        callers = []
+        original = normal_gamma.gammaln
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(normal_gamma, "gammaln", counting)
+        obs_sweeps = []
+        original_sweep = _native.NativeKernels.obs_sweep
+        monkeypatch.setattr(
+            _native.NativeKernels, "obs_sweep",
+            lambda self, *a, **kw: obs_sweeps.append(1) or original_sweep(self, *a, **kw),
+        )
+        data = small_matrix.values
+        result = run_ganesh(
+            data, _rng(7), n_update_steps=3, init_var_clusters=6, kernel_backend="native"
+        )
+        assert result.state.n_clusters > 1 and len(obs_sweeps) > 2 * 3
+        assert set(callers) == {"log_marginal", "gammaln_table"}
+        assert callers.count("gammaln_table") == 1
+        del callers[:], obs_sweeps[:]
+        run_obs_only_ganesh(data[:9], _rng(8), n_update_steps=4, kernel_backend="native")
+        assert len(obs_sweeps) == 2 * 4
+        assert callers.count("gammaln_table") == 1
 
 
 def _set(name, index, value):

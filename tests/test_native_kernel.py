@@ -683,6 +683,7 @@ class TestSpansInKernel:
         untouched (in C ``offset + i`` would wrap to draw 0)."""
         from repro.ganesh.state import ObsClustering
         from repro.rng.streams import GibbsRandom
+        from repro.scoring.normal_gamma import gammaln_table
 
         block = np.random.default_rng(0).normal(size=(4, 6))
         oc = ObsClustering.from_block(block, np.arange(6) % 2)
@@ -690,7 +691,7 @@ class TestSpansInKernel:
         stream = make_stream(3, backend=generator)
         stream.jump_to((1 << 64) - 12)
         with pytest.raises(ValueError, match="64-bit key, its draws in"):
-            oc.native_sweep(_native.load(), GibbsRandom(stream), block)
+            oc.native_sweep(_native.load(), GibbsRandom(stream), gammaln_table(6, rows=4), block)
         np.testing.assert_array_equal(oc.labels, before[0])
         np.testing.assert_array_equal(oc.lm, before[1])
 
