@@ -651,7 +651,7 @@ def _build_on_demand() -> str:
     os.makedirs(final_dir, exist_ok=True)
     tmpdir = tempfile.mkdtemp(prefix="build-", dir=final_dir)
     try:
-        built = _build.ffibuilder.compile(tmpdir=tmpdir, verbose=False)
+        built = _build.ffibuilder().compile(tmpdir=tmpdir, verbose=False)
         # cffi nests the output under the dotted module path; find the .so.
         so_path = built
         if not os.path.isfile(so_path):  # pragma: no cover - cffi variants

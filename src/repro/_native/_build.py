@@ -31,7 +31,8 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   ``coclustering.reassign_obs_sweep`` / ``merge_obs_sweep`` over one
   observation clustering's own state, move for move: the draws in the
   loop's order, the column sums by the pairwise rule, the
-  stacked marginals (with ``gammaln`` read from a per-sweep SciPy table),
+  stacked marginals (with ``gammaln`` read from the state's one table at
+  the clustering's row stride),
   the score vector in the same operation order and ``weighted_choice_logs``
   (``rint``, provider ``exp``, pairwise total, sequential ``cumsum``);
 * ``repro_var_reassign_sweep`` / ``repro_var_merge_sweep`` replay
@@ -53,18 +54,17 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   pairs share a four-draw block, and its MRG state starts one 3 x 3
   product on from the previous item's.
 
-Used two ways: ``setup.py`` consumes ``ffibuilder`` for an ahead-of-time
-extension build when ``REPRO_BUILD_NATIVE`` is set, and
-``repro._native.load`` compiles the same recipe on demand into a cache
-directory when no prebuilt module exists.  Either way the loader certifies
-the compiled code against NumPy on a probe battery before it is ever used.
+``CDEF`` and ``CSOURCE`` are plain strings, so hashing them for the cache
+key parses nothing; ``ffibuilder()`` makes the cffi ``FFI`` (and parses
+``CDEF``) only when something is compiled.  Used two ways: ``setup.py``
+calls ``ffibuilder`` for an ahead-of-time extension build when
+``REPRO_BUILD_NATIVE`` is set, and ``repro._native.load`` compiles the same
+recipe on demand into a cache directory when no prebuilt module exists.
+Either way the loader certifies the compiled code against NumPy on a probe
+battery before it is ever used.
 """
 
 from __future__ import annotations
-
-from cffi import FFI
-
-ffibuilder = FFI()
 
 CDEF = """
 int repro_native_init(const char *umath_path, int want_svml);
@@ -1623,12 +1623,16 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
 }
 """
 
-ffibuilder.cdef(CDEF)
-ffibuilder.set_source(
-    "repro._native._native_kernel",
-    CSOURCE,
-    libraries=["m", "dl"],
-)
+
+def ffibuilder():
+    """The cffi builder of ``repro._native._native_kernel``."""
+    from cffi import FFI
+
+    ffi = FFI()
+    ffi.cdef(CDEF)
+    ffi.set_source("repro._native._native_kernel", CSOURCE, libraries=["m", "dl"])
+    return ffi
+
 
 if __name__ == "__main__":  # pragma: no cover - manual AOT build entry
-    ffibuilder.compile(verbose=True)
+    ffibuilder().compile(verbose=True)

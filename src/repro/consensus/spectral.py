@@ -8,15 +8,22 @@ within-group density, removed, and the procedure repeats.  This matches the
 role the algorithm plays in Lemon-Tree — turning a fuzzy ensemble into
 disjoint consensus modules — with a deterministic implementation (fixed
 power-iteration start) so all learners agree bit-for-bit.
+
+Peeling works one connected component at a time, and the affinities are
+held as their positive entries: components are labelled once, and after a
+peel only the rest of the peeled component is split again, so the cost
+follows the non-zeros and the components' sizes, never ``n**2``.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.consensus.cooccurrence import cooccurrence_matrix
+from repro.consensus.cooccurrence import cooccurrence_pairs
 
 
 def _dominant_eigenvector(
@@ -27,7 +34,7 @@ def _dominant_eigenvector(
     vec = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(max_iter):
         nxt = matrix @ vec
-        norm = np.linalg.norm(nxt)
+        norm = math.sqrt(nxt.dot(nxt))  # np.linalg.norm of a 1-D float64
         if norm == 0.0:
             return vec
         nxt /= norm
@@ -58,53 +65,112 @@ def _best_prefix(matrix: np.ndarray, order: np.ndarray) -> int:
     return best_t
 
 
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each vertex's component; edges ``(u, v)`` undirected.
+
+    Each round hooks every root to the smallest root across its edges and
+    then flattens the trees, so no component is walked vertex by vertex.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return root
+        ru, rv = ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
+def _components(members: np.ndarray, roots: np.ndarray) -> list[np.ndarray]:
+    """``members`` grouped by ``roots``, groups by smallest member."""
+    if not members.size:
+        return []
+    order = np.argsort(roots, kind="stable")
+    return np.split(members[order], np.flatnonzero(np.diff(roots[order])) + 1)
+
+
+def _peel(
+    n: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    max_clusters: int | None,
+) -> list[list[int]]:
+    """Spectral peeling of the ``n x n`` affinity whose positive entries
+    are ``values`` at ``(rows, cols)``.
+
+    The component holding the smallest remaining index is peeled next;
+    its dense block, in ascending index order, is what the eigenvector and
+    the prefix cut read.  Once ``max_clusters - 1`` clusters are out, the
+    rest is one cluster.
+    """
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    position = np.full(n, -1)
+
+    def block(comp: np.ndarray) -> np.ndarray:
+        k = comp.size
+        position[comp] = np.arange(k)
+        lo, counts = indptr[comp], indptr[comp + 1] - indptr[comp]
+        entry = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        row, col = np.repeat(np.arange(k), counts), position[cols[entry]]
+        inside = col >= 0
+        sub = np.zeros((k, k))
+        sub[row[inside], col[inside]] = values[entry[inside]]
+        position[comp] = -1
+        return sub
+
+    queue = [
+        (int(comp[0]), comp)
+        for comp in _components(np.arange(n), _component_roots(n, rows, cols))
+    ]  # ascending keys: already a heap
+    clusters: list[list[int]] = []
+    while queue:
+        if max_clusters is not None and len(clusters) >= max_clusters - 1:
+            rest = np.sort(np.concatenate([comp for _key, comp in queue]))
+            clusters.append([int(v) for v in rest])
+            break
+        _key, comp = heapq.heappop(queue)
+        if comp.size == 1:
+            clusters.append([int(comp[0])])
+            continue
+        comp_sub = block(comp)
+        vec = np.abs(_dominant_eigenvector(comp_sub))
+        # Stable order: by decreasing weight, index as tie-break.
+        order = np.lexsort((comp, -vec))
+        t = _best_prefix(comp_sub, order)
+        clusters.append(sorted(int(v) for v in comp[order[:t]]))
+        kept = np.ones(comp.size, dtype=bool)
+        kept[order[:t]] = False
+        left = np.flatnonzero(kept)
+        u, v = np.nonzero(comp_sub[np.ix_(left, left)] > 0)
+        for piece in _components(comp[left], _component_roots(left.size, u, v)):
+            heapq.heappush(queue, (int(piece[0]), piece))
+    # Deterministic module numbering: by smallest member index.
+    clusters.sort(key=lambda c: c[0])
+    return clusters
+
+
 def spectral_clusters(matrix: np.ndarray, *, max_clusters: int | None = None) -> list[list[int]]:
     """Disjoint clusters from a symmetric non-negative affinity matrix.
 
-    Variables with no remaining affinity become singleton clusters.
+    Variables with no remaining affinity become singleton clusters, and
+    at most ``max_clusters`` clusters are returned.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("affinity matrix must be square")
     if (matrix < 0).any():
         raise ValueError("affinity matrix must be non-negative")
-    n = matrix.shape[0]
-    remaining = np.arange(n)
-    clusters: list[list[int]] = []
-    while remaining.size:
-        if max_clusters is not None and len(clusters) >= max_clusters - 1:
-            clusters.append([int(v) for v in remaining])
-            break
-        sub = matrix[np.ix_(remaining, remaining)]
-        if sub.max() <= 0.0:
-            clusters.extend([[int(v)] for v in remaining])
-            break
-        # Work within one connected component: after thresholding the
-        # co-occurrence matrix is near block-diagonal and disconnected
-        # blocks can share the dominant eigenvalue, which would smear the
-        # eigenvector across blocks.  The component containing the smallest
-        # remaining index is processed first (deterministic).
-        from scipy.sparse.csgraph import connected_components
-
-        _n_comp, comp_labels = connected_components(sub > 0, directed=False)
-        comp = np.flatnonzero(comp_labels == comp_labels[0])
-        if comp.size == 1:
-            clusters.append([int(remaining[comp[0]])])
-            remaining = np.delete(remaining, comp[0])
-            continue
-        comp_sub = sub[np.ix_(comp, comp)]
-        vec = np.abs(_dominant_eigenvector(comp_sub))
-        # Stable order: by decreasing weight, index as tie-break.
-        order = np.lexsort((remaining[comp], -vec))
-        t = _best_prefix(comp_sub, order)
-        chosen = remaining[comp[order[:t]]]
-        clusters.append(sorted(int(v) for v in chosen))
-        mask = np.ones(remaining.size, dtype=bool)
-        mask[comp[order[:t]]] = False
-        remaining = remaining[mask]
-    # Deterministic module numbering: by smallest member index.
-    clusters.sort(key=lambda c: c[0])
-    return clusters
+    rows, cols = np.nonzero(matrix > 0)
+    return _peel(matrix.shape[0], rows, cols, matrix[rows, cols], max_clusters)
 
 
 def consensus_clusters(
@@ -112,6 +178,8 @@ def consensus_clusters(
     threshold: float = 0.25,
     max_clusters: int | None = None,
 ) -> list[list[int]]:
-    """Full consensus-clustering task: co-occurrence matrix + spectral step."""
-    matrix = cooccurrence_matrix(samples, threshold=threshold)
-    return spectral_clusters(matrix, max_clusters=max_clusters)
+    """Full consensus-clustering task: co-occurrence pairs + spectral step."""
+    n, rows, cols, values = cooccurrence_pairs(samples, threshold=threshold)
+    return _peel(
+        n, np.r_[rows, cols], np.r_[cols, rows], np.r_[values, values], max_clusters
+    )

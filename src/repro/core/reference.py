@@ -16,8 +16,10 @@ random-stream contract:
 
 * the RNG streams and sampling helpers (:mod:`repro.rng`) — the paper
   likewise forced both implementations onto one PRNG via JNI;
-* the consensus-clustering task (< 0.04% of sequential run-time, Section
-  3.2.2), so its output is trivially identical;
+* the consensus-clustering task (sequential in the paper, Section 3.2.2;
+  measured here at about 1% of a yeast-shaped ``learn()`` and a tenth of a
+  many-chain GaneSH one, ALGORITHMS.md §18), so its output is trivially
+  identical;
 * decision quantization (:data:`repro.rng.streams.SCORE_QUANTUM`), which
   absorbs summation-order noise between the two scorers.
 """

@@ -4,12 +4,17 @@ Every spawned pool worker and shard node (the service's lease, platforms
 without fork), the CLI and every benchmark child import ``repro.*`` from
 cold, so the package root re-exports lazily and nothing on the executor
 tier's import path may pull in the graph library, the CLI, the service or
-the extensions.
+the extensions.  A cold ``learn()`` with a warm native cache loads neither
+SciPy's sparse stack nor cffi's C parser.
 """
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 _SCRIPT = """
 import sys
@@ -37,9 +42,91 @@ def test_node_import_path_is_lean_and_every_export_resolves():
 
 
 def test_unknown_attribute_is_an_attribute_error():
-    import pytest
-
     import repro
 
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.no_such_name
+
+
+_COLD_LEARN = """
+import sys
+from repro.core.config import LearnerConfig
+from repro.core.learner import LemonTreeLearner
+from repro.data.synthetic import make_module_dataset
+
+LemonTreeLearner(LearnerConfig()).learn(make_module_dataset(24, 16, seed=7).matrix, 3)
+from repro import _native
+assert _native.availability()["status"] == "native", _native.availability()
+unused = [m for m in sys.modules
+          if m.startswith("scipy.sparse") or m.startswith("pycparser") or m == "cffi.cparser"]
+assert not unused, unused
+"""
+
+_SOURCE_KEY = """
+import sys
+from repro._native import _build, _source_key
+assert len(_source_key()) == 16
+assert isinstance(_build.CDEF, str) and isinstance(_build.CSOURCE, str)
+unused = [m for m in sys.modules if m.startswith("pycparser") or m == "cffi.cparser"]
+assert not unused, unused
+"""
+
+
+def _run_cold(script, **env):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=300, cwd=root,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
+def _warm_native_cache():
+    from repro import _native
+
+    if _native.availability()["status"] != "native":
+        pytest.skip(f"no native kernel here: {_native.availability()['detail']}")
+
+
+def test_cold_learn_loads_neither_the_sparse_stack_nor_the_c_parser():
+    """A cache hit loads the extension without cffi's parser, and Task 2
+    needs nothing from ``scipy.sparse``."""
+    _warm_native_cache()
+    done = _run_cold(_COLD_LEARN)
+    assert done.returncode == 0, done.stderr
+
+
+def test_source_key_parses_nothing():
+    done = _run_cold(_SOURCE_KEY)
+    assert done.returncode == 0, done.stderr
+
+
+def test_setup_entry_resolves_to_an_ffi():
+    """``setup.py``'s ``cffi_modules`` entry, loaded the way cffi's
+    setuptools hook loads it: a callable it is given is called, and must
+    return the builder."""
+    cffi = pytest.importorskip("cffi")
+    from cffi.setuptools_ext import execfile
+
+    root = Path(__file__).resolve().parents[1]
+    entry = re.search(r'"([\w/]+\.py):(\w+)"', (root / "setup.py").read_text())
+    scope = {"__name__": "__cffi__"}
+    execfile(str(root / entry[1]), scope)
+    ffi = scope[entry[2]]
+    if not isinstance(ffi, cffi.FFI):
+        ffi = ffi()
+    assert isinstance(ffi, cffi.FFI)
+
+
+@pytest.mark.slow
+def test_build_on_demand_into_an_empty_cache(tmp_path):
+    """A cache miss still compiles the recipe (and certifies it)."""
+    _warm_native_cache()
+    done = _run_cold(
+        "from repro import _native; print(_native.availability()['status'])",
+        REPRO_NATIVE_CACHE=str(tmp_path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["native"]
+    assert any(tmp_path.rglob("_native_kernel*"))
