@@ -19,7 +19,7 @@ Quickstart::
     print(result.network)
 
 ``ParallelConfig`` gathers every execution-backend knob (workers,
-schedule, checkpoint directory, kernel backend, shard nodes); it is
+schedule, kernel backend, shard nodes); it is
 embedded in both ``LearnerConfig`` and ``GenomicaConfig`` as
 ``config.parallel``.  The kernel's chunk size follows the probed cache
 sizes (``MachineTopology``) but can never change the learned network —

@@ -282,7 +282,6 @@ def _parallel_config(args: argparse.Namespace) -> ParallelConfig:
     return ParallelConfig(
         n_workers=getattr(args, "workers", 1),
         schedule=getattr(args, "schedule", "dynamic"),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
         kernel_backend=getattr(args, "kernel_backend", "auto"),
         n_nodes=getattr(args, "nodes", 1),
     )
@@ -332,7 +331,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
     config = _learner_config(args)
     t0 = time.perf_counter()
-    network = LemonTreeLearner(config).learn(matrix, seed=args.seed).network
+    network = LemonTreeLearner(config).learn(
+        matrix, seed=args.seed, checkpoint_dir=args.checkpoint_dir
+    ).network
     workers = config.resolve_n_workers()
     n_nodes = config.parallel.n_nodes
     if n_nodes > 1:
@@ -432,7 +433,9 @@ def cmd_ganesh(args: argparse.Namespace) -> int:
         init_var_clusters=init,
         parallel=_parallel_config(args),
     )
-    samples = LemonTreeLearner(config).sample_clusterings(matrix, seed=args.seed)
+    samples = LemonTreeLearner(config).sample_clusterings(
+        matrix, seed=args.seed, checkpoint_dir=args.checkpoint_dir
+    )
     payload = {
         "n_vars": matrix.n_vars,
         "seed": args.seed,
@@ -486,6 +489,7 @@ def cmd_modules(args: argparse.Namespace) -> int:
     )
     result = LemonTreeLearner(config).learn_from_modules(
         matrix, payload["modules"], seed=args.seed,
+        checkpoint_dir=args.checkpoint_dir,
     )
     network = result.network
     workers = config.resolve_n_workers()

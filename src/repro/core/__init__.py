@@ -11,6 +11,8 @@
   call sequence, identical networks, deliberately unvectorised inner loops.
 * :mod:`~repro.core.output` — JSON and XML writers/readers for learned
   networks.
+* :mod:`~repro.core.checkpoints` — the one checkpoint store of resumable
+  Tasks 1 and 3.
 """
 
 from repro.core.config import LearnerConfig, ParallelConfig

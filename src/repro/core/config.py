@@ -33,9 +33,6 @@ class ParallelConfig:
     #: (largest-module-first for whole modules) — the paper's
     #: Section 3.2.3 / Section 6 static-vs-dynamic ablation
     schedule: str = "dynamic"
-    #: default checkpoint directory for ``learn(checkpoint_dir=...)``
-    #: (the explicit argument wins when both are given)
-    checkpoint_dir: str | None = None
     #: scoring backend of split scoring and of the GaneSH sweeps: "numpy"
     #: (the oracle), "native" (the certified compiled extension; raises
     #: when it is unavailable) or "auto" (use native when it builds, loads

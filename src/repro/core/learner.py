@@ -82,8 +82,8 @@ class LemonTreeLearner:
         self.config = config or LearnerConfig()
 
     def _open_executor(self, matrix: ExpressionMatrix, seed: int, checkpoint_dir):
-        # Imported here: the executor module imports this one (checkpoint
-        # stores, learn_single_module).
+        # Imported here: the executor module imports this one (tree_phase,
+        # select_phase, learn_module_batch).
         from repro.parallel.executor import open_executor
 
         return open_executor(matrix.values, self.config, seed, checkpoint_dir)
@@ -106,8 +106,7 @@ class LemonTreeLearner:
         ``checkpoint_dir`` makes the run resumable: Task 1 persists each
         GaneSH run to ``ganesh_<g>.npz`` and Task 3 each learned module to
         ``module_<id>.json``; a restarted run skips whatever is already on
-        disk and produces the identical network.  It defaults to
-        ``config.parallel.checkpoint_dir`` when not given.
+        disk and produces the identical network.
 
         One executor serves both Task 1 (the G independent GaneSH runs)
         and Task 3 (module learning): with ``config.parallel.n_workers >
@@ -385,7 +384,8 @@ def learn_module_batch(
     call in which the nodes share every margin row; several when the flat
     score arrays would pass :data:`SCORE_BATCH_BYTES`), then splits are
     selected and parents aggregated module by module
-    (:func:`select_phase`) and each finished module goes to ``checkpoints``.
+    (:func:`select_phase`) and each finished module is written to
+    ``checkpoints`` (a :class:`~repro.core.checkpoints.CheckpointStore`).
     A module consumes only its own named streams (``("modules", id)`` and
     ``("splits", id)``), so however modules are batched, ordered or spread
     over processes the results are bit-identical; ``traces[module_id]``
@@ -406,7 +406,7 @@ def learn_module_batch(
                 None if traces is None else traces[module_id],
             )
             if checkpoints is not None:
-                checkpoints.store(module)
+                checkpoints.store_module(module)
             modules.append(module)
         pending.clear()
         pending_nodes.clear()
@@ -451,184 +451,6 @@ def learn_single_module(
         None if trace is None else {module_id: trace},
     )
     return module
-
-
-class _ModuleCheckpoints:
-    """Per-module checkpoint store for resumable task-3 execution.
-
-    Checkpoints are keyed by (seed, configuration fingerprint, module
-    members): a checkpoint written under different learning parameters or
-    for a different module composition is ignored rather than silently
-    reused.
-
-    With a ``writer`` (an :class:`repro.parallel.checkpoint_writer.
-    AsyncCheckpointWriter`), :meth:`store` serializes the payload up front
-    and hands the file write + atomic rename to the background thread so
-    the caller never stalls on the filesystem.
-    """
-
-    def __init__(self, directory, seed: int, config: LearnerConfig, writer=None) -> None:
-        from pathlib import Path
-
-        self.writer = writer
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self.fingerprint = {
-            "seed": seed,
-            "rng_backend": config.rng_backend,
-            "tree_update_steps": config.tree_update_steps,
-            "tree_burn_in": config.tree_burn_in,
-            "n_splits_per_node": config.n_splits_per_node,
-            "max_sampling_steps": config.max_sampling_steps,
-            "sampling_stop_repeats": config.sampling_stop_repeats,
-            "beta_grid": list(config.beta_grid),
-            "candidate_parents": (
-                list(config.candidate_parents)
-                if config.candidate_parents is not None
-                else None
-            ),
-        }
-
-    def _path(self, module_id: int):
-        return self.directory / f"module_{module_id}.json"
-
-    def load(self, module_id: int, members: list[int]) -> Module | None:
-        import json
-
-        from repro.core.output import _node_from_dict
-
-        if self.directory is None:
-            return None
-        path = self._path(module_id)
-        if not path.exists():
-            return None
-        payload = json.loads(path.read_text())
-        if payload.get("fingerprint") != self.fingerprint:
-            return None
-        if payload.get("members") != list(members):
-            return None
-        from repro.datatypes import RegressionTree
-
-        module = Module(
-            module_id=module_id,
-            members=list(members),
-            trees=[
-                RegressionTree(module_id=module_id, root=_node_from_dict(tree))
-                for tree in payload["trees"]
-            ],
-            weighted_parents={
-                int(k): float(v) for k, v in payload["weighted_parents"].items()
-            },
-            uniform_parents={
-                int(k): float(v) for k, v in payload["uniform_parents"].items()
-            },
-        )
-        return module
-
-    def store(self, module: Module) -> None:
-        import json
-
-        from repro.core.output import _node_to_dict
-
-        if self.directory is None:
-            return
-        payload = {
-            "fingerprint": self.fingerprint,
-            "members": module.members,
-            "trees": [_node_to_dict(tree.root) for tree in module.trees],
-            "weighted_parents": {
-                str(k): v for k, v in module.weighted_parents.items()
-            },
-            "uniform_parents": {
-                str(k): v for k, v in module.uniform_parents.items()
-            },
-        }
-        path = self._path(module.module_id)
-        tmp = path.with_suffix(".json.tmp")
-        text = json.dumps(payload)
-
-        def write() -> None:
-            tmp.write_text(text)
-            tmp.replace(path)  # atomic: a killed run never leaves torn files
-
-        if self.writer is not None:
-            self.writer.submit(write)
-        else:
-            write()
-
-
-class _GaneshCheckpoints:
-    """Per-run checkpoint store for resumable Task 1 execution.
-
-    Each completed GaneSH run ``g`` is persisted to ``ganesh_<g>.npz``
-    (labels array plus a JSON fingerprint).  Like the module checkpoints, a
-    file written under a different seed, RNG backend, sweep configuration
-    or data shape is ignored rather than silently reused — and because
-    every run consumes only its ``("ganesh", g)`` stream, a resumed task
-    produces exactly the ensemble an uninterrupted one would.
-
-    Like the module store, an optional ``writer`` moves the ``.npz`` write
-    and atomic rename onto a background thread.
-    """
-
-    def __init__(
-        self, directory, seed: int, config: LearnerConfig, n_vars: int, writer=None
-    ) -> None:
-        from pathlib import Path
-
-        self.writer = writer
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        prior = config.prior
-        self.fingerprint = {
-            "seed": seed,
-            "rng_backend": config.rng_backend,
-            "n_update_steps": config.n_update_steps,
-            "init_var_clusters": config.resolve_init_clusters(n_vars),
-            "prior": [prior.mu0, prior.lambda0, prior.alpha0, prior.beta0],
-            "n_vars": n_vars,
-        }
-
-    def _path(self, run_index: int):
-        return self.directory / f"ganesh_{run_index}.npz"
-
-    def load(self, run_index: int) -> np.ndarray | None:
-        import json
-
-        if self.directory is None:
-            return None
-        path = self._path(run_index)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as payload:
-                if json.loads(str(payload["meta"])) != self.fingerprint:
-                    return None
-                return np.asarray(payload["labels"], dtype=np.int64)
-        except (OSError, ValueError, KeyError):  # torn or foreign file
-            return None
-
-    def store(self, run_index: int, labels: np.ndarray) -> None:
-        import json
-
-        if self.directory is None:
-            return
-        path = self._path(run_index)
-        tmp = path.with_suffix(".npz.tmp.npz")  # savez requires .npz
-        meta = json.dumps(self.fingerprint)
-        # Private copy: the caller may mutate its labels after store returns.
-        labels = np.array(labels, dtype=np.int64, copy=True)
-
-        def write() -> None:
-            np.savez_compressed(tmp, meta=meta, labels=labels)
-            tmp.replace(path)  # atomic: a killed run never leaves torn files
-
-        if self.writer is not None:
-            self.writer.submit(write)
-        else:
-            write()
 
 
 def _hooks_for(trace, run: int | None = None) -> SweepHooks:

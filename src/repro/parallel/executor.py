@@ -27,17 +27,18 @@ batch per worker (each module consumes only its ``("modules", id)`` /
 the driver and scores the candidate splits of *all* pending modules'
 nodes over every worker of the tier, cut into blocks of candidate parents
 (Algorithm 5), for the few-huge-modules regime module granularity cannot
-balance.  Whoever runs
-a unit checkpoints it at once, so an interrupted parallel run resumes
-exactly like a sequential one.
+balance.  The driver builds the executor's checkpoint store
+(:class:`~repro.core.checkpoints.CheckpointStore`) once; whoever runs a
+unit writes it before reporting it, so an interrupted parallel run
+resumes exactly like a sequential one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checkpoints import CheckpointStore
 from repro.core.config import LearnerConfig
-from repro.core.learner import _GaneshCheckpoints, _ModuleCheckpoints
 from repro.datatypes import Module
 from repro.parallel.costmodel import block_bounds
 from repro.parallel.tasks import (
@@ -122,7 +123,7 @@ class TaskScheduler:
         self.parents = transport.parents
         self.config = transport.config
         self.seed = transport.seed
-        self.checkpoint_dir = transport.checkpoint_dir
+        self.checkpoints = transport.checkpoints
         #: total workers across the tier (what the learner reports)
         self.n_workers = transport.n_workers
         self.schedule = self.config.parallel.schedule
@@ -219,13 +220,11 @@ class TaskScheduler:
         returned ensemble is the same for any worker count because run
         ``g`` consumes only its replicated ``("ganesh", g)`` stream.
         """
-        checkpoints = _GaneshCheckpoints(
-            self.checkpoint_dir, self.seed, self.config, self.data.shape[0]
-        )
+        checkpoints = self.checkpoints
         samples: dict[int, np.ndarray] = {}
         pending: list[int] = []
         for g in range(n_runs):
-            labels = checkpoints.load(g)
+            labels = None if checkpoints is None else checkpoints.load_run(g)
             if labels is None:
                 pending.append(g)
             else:
@@ -277,11 +276,14 @@ class TaskScheduler:
     # -- module learning (the outer level) ---------------------------------
     def learn_modules(self, modules_members, trace=None) -> list[Module]:
         """Learn every module, resuming from checkpoints where present."""
-        checkpoints = _ModuleCheckpoints(self.checkpoint_dir, self.seed, self.config)
+        checkpoints = self.checkpoints
         modules: dict[int, Module] = {}
         pending: list[tuple[int, list[int]]] = []
         for module_id, members in enumerate(modules_members):
-            module = checkpoints.load(module_id, members)
+            module = (
+                None if checkpoints is None
+                else checkpoints.load_module(module_id, members)
+            )
             if module is None:
                 pending.append((module_id, list(members)))
             else:
@@ -295,7 +297,7 @@ class TaskScheduler:
         if pending and self.stats.mode == "module":
             self._learn_modules_coarse(pending, modules, trace)
         elif pending:
-            self._learn_modules_fine(pending, modules, checkpoints, trace)
+            self._learn_modules_fine(pending, modules, trace)
         return [modules[module_id] for module_id in range(len(modules_members))]
 
     def _learn_modules_coarse(self, pending, modules, trace) -> None:
@@ -340,7 +342,7 @@ class TaskScheduler:
             if trace is not None:
                 trace.steps.extend(steps)
 
-    def _learn_modules_fine(self, pending, modules, checkpoints, trace) -> None:
+    def _learn_modules_fine(self, pending, modules, trace) -> None:
         """Split-level parallelism: trees built in the driver (each on its
         own module stream), the candidate splits of *all* modules' nodes
         scored in one pass over every worker (:meth:`score_splits`, blocks
@@ -376,7 +378,8 @@ class TaskScheduler:
                 offset,
                 trace,
             )
-            checkpoints.store(module)
+            if self.checkpoints is not None:
+                self.checkpoints.store_module(module)
             modules[module_id] = module
 
 
@@ -397,7 +400,8 @@ class TaskPoolExecutor(TaskScheduler):
     ) -> None:
         super().__init__(
             local_transport(
-                data, parents, config, seed, checkpoint_dir,
+                data, parents, config, seed,
+                CheckpointStore.open(checkpoint_dir, data, config, seed),
                 mp_context, crash_poll_seconds,
             )
         )

@@ -48,6 +48,7 @@ from multiprocessing.util import register_after_fork
 
 import numpy as np
 
+from repro.core.checkpoints import CheckpointStore
 from repro.core.config import LearnerConfig
 from repro.parallel import poolutil
 from repro.parallel.costmodel import calibrate_from_roundtrips
@@ -230,7 +231,7 @@ def _node_serve(channel: SocketChannel, node_id: int) -> None:
                     spec["parents"],
                     spec["config"],
                     spec["seed"],
-                    spec["checkpoint_dir"],
+                    spec["checkpoints"],
                 )
                 channel.send_msg(("ok", {"pid": os.getpid()}))
             elif kind == "echo":
@@ -326,13 +327,13 @@ class ShardTransport(Transport):
     """
 
     def __init__(
-        self, data, parents, config: LearnerConfig, seed, checkpoint_dir,
+        self, data, parents, config: LearnerConfig, seed, checkpoints,
         mp_context: str | None = None,
     ) -> None:
         self.n_nodes = config.parallel.n_nodes
         self.workers_per_node = config.parallel.resolve_n_workers()
         super().__init__(
-            data, parents, config, seed, checkpoint_dir,
+            data, parents, config, seed, checkpoints,
             self.n_nodes * self.workers_per_node,
         )
         self.stats.n_nodes = self.n_nodes
@@ -379,9 +380,6 @@ class ShardTransport(Transport):
         self.stats.matrix_transfers += self.n_nodes  # one init frame each
 
     def _init_nodes(self, channels) -> None:
-        checkpoint_dir = (
-            str(self.checkpoint_dir) if self.checkpoint_dir is not None else None
-        )
         for channel in channels:
             channel.send_msg(
                 ("init", {
@@ -389,7 +387,7 @@ class ShardTransport(Transport):
                     "parents": self.parents,
                     "config": self.config,
                     "seed": self.seed,
-                    "checkpoint_dir": checkpoint_dir,
+                    "checkpoints": self.checkpoints,
                     # The machine is probed once, here: every node and
                     # every pool worker below it sizes its kernel
                     # temporaries by the driver's number.
@@ -672,7 +670,11 @@ class ShardedExecutor(TaskScheduler):
         mp_context: str | None = None,
     ) -> None:
         super().__init__(
-            ShardTransport(data, parents, config, seed, checkpoint_dir, mp_context)
+            ShardTransport(
+                data, parents, config, seed,
+                CheckpointStore.open(checkpoint_dir, data, config, seed),
+                mp_context,
+            )
         )
         self.n_nodes = self.transport.n_nodes
 

@@ -7,7 +7,7 @@ these named tasks over this matrix, results in submission order".  This
 module holds everything on the *task* side of that seam:
 
 * the **task context** — one dict per executing process (matrix, candidate
-  parents, config, seed, scorer, checkpoint stores), built by
+  parents, config, seed, scorer, checkpoint store), built by
   :func:`build_ctx`.  A pool worker keeps its context in :data:`_WORKER`
   (installed once by the pool initializer, together with the worker's
   stable index); an in-process transport keeps its own;
@@ -32,9 +32,7 @@ import numpy as np
 
 from repro.core.config import LearnerConfig
 from repro.core.learner import (
-    _GaneshCheckpoints,
     _hooks_for,
-    _ModuleCheckpoints,
     learn_module_batch,
     select_phase,  # noqa: F401 - re-exported: the executor's split mode
     tree_phase,  # noqa: F401 - ... and examples import them from here
@@ -47,19 +45,20 @@ from repro.trees.splits import score_nodes
 
 # -- the task context --------------------------------------------------------
 
-#: a pool worker's task context plus its bookkeeping (``worker``, ``shm``,
-#: ``flush_barrier``); installed once per worker by the pool initializer so
-#: the matrix is attached a single time, never per task
+#: a pool worker's task context plus its bookkeeping (``worker``, ``shm``);
+#: installed once per worker by the pool initializer so the matrix is
+#: attached a single time, never per task
 _WORKER: dict = {}
 
 
 def build_ctx(data, parents, config: LearnerConfig, seed: int,
-              checkpoint_dir=None, writer=None) -> dict:
+              checkpoints=None) -> dict:
     """The context handed to every runner as ``fn(ctx, item)``.
 
-    ``writer`` is the process's :class:`~repro.parallel.checkpoint_writer.
-    AsyncCheckpointWriter` (pool workers); without one, checkpoint stores
-    write synchronously (in-process execution).
+    ``checkpoints`` is the driver's
+    :class:`~repro.core.checkpoints.CheckpointStore` (``None`` without a
+    checkpoint directory); a runner writes each unit it finishes before it
+    returns.
     """
     return {
         "data": np.asarray(data),
@@ -74,13 +73,7 @@ def build_ctx(data, parents, config: LearnerConfig, seed: int,
         ),
         # per-module ("splits", id) indexed streams, opened on demand
         "streams": {},
-        "checkpoint_dir": checkpoint_dir,
-        "checkpoint_writer": writer,
-        "module_checkpoints": (
-            _ModuleCheckpoints(checkpoint_dir, seed, config, writer=writer)
-            if checkpoint_dir is not None
-            else None
-        ),
+        "checkpoints": checkpoints,
     }
 
 
@@ -105,11 +98,8 @@ def _ganesh_run(ctx, item):
         hooks=_hooks_for(trace, run=g),
         kernel_backend=config.parallel.kernel_backend,
     )
-    if ctx["checkpoint_dir"] is not None:
-        _GaneshCheckpoints(
-            ctx["checkpoint_dir"], ctx["seed"], config, ctx["data"].shape[0],
-            writer=ctx["checkpoint_writer"],
-        ).store(g, labels)
+    if ctx["checkpoints"] is not None:
+        ctx["checkpoints"].store_run(g, labels)
     return g, labels, (trace.steps if trace is not None else [])
 
 
@@ -128,7 +118,7 @@ def _module_batch_run(ctx, item):
         ctx["config"],
         ctx["seed"],
         traces,
-        ctx["module_checkpoints"],
+        ctx["checkpoints"],
     )
     return [
         (m.module_id, m, traces[m.module_id].steps if want_trace else [])

@@ -22,7 +22,6 @@ in :mod:`repro.parallel.sharding`.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro.core.config import LearnerConfig
 from repro.parallel import poolutil
-from repro.parallel.checkpoint_writer import AsyncCheckpointWriter
 from repro.parallel.tasks import _WORKER, build_ctx
 from repro.parallel.topology import probe_topology
 from repro.scoring import kernel as kernel_mod
@@ -84,18 +82,17 @@ class Transport:
     """What every transport carries and the defaults most keep."""
 
     def __init__(
-        self, data, parents, config: LearnerConfig, seed: int, checkpoint_dir,
+        self, data, parents, config: LearnerConfig, seed: int, checkpoints,
         n_workers: int,
     ) -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.parents = np.asarray(parents, dtype=np.int64)
         self.config = config
         self.seed = seed
-        self.checkpoint_dir = (
-            checkpoint_dir
-            if checkpoint_dir is not None
-            else config.parallel.checkpoint_dir
-        )
+        #: the driver's :class:`~repro.core.checkpoints.CheckpointStore`
+        #: (``None``: nothing is checkpointed), carried to every process
+        #: that executes items
+        self.checkpoints = checkpoints
         #: every process that executes items, across the whole tier
         self.n_workers = n_workers
         self.stats = ExecutorStats(n_workers=n_workers)
@@ -133,8 +130,8 @@ class Transport:
 class InProcessTransport(Transport):
     """One worker: items run in this process, in the order given."""
 
-    def __init__(self, data, parents, config, seed, checkpoint_dir) -> None:
-        super().__init__(data, parents, config, seed, checkpoint_dir, 1)
+    def __init__(self, data, parents, config, seed, checkpoints) -> None:
+        super().__init__(data, parents, config, seed, checkpoints, 1)
         #: the task context, built on first use
         self._ctx: dict | None = None
 
@@ -143,7 +140,7 @@ class InProcessTransport(Transport):
             self._ctx = dict(
                 build_ctx(
                     self.data, self.parents, self.config, self.seed,
-                    self.checkpoint_dir,
+                    self.checkpoints,
                 ),
                 worker=0,
             )
@@ -207,9 +204,8 @@ def _executor_init(
     parents,
     config,
     seed,
-    checkpoint_dir,
+    checkpoints,
     counter,
-    flush_barrier,
     chunk_elements,
 ):
     """Pool initializer: attach the matrix once, install the worker's task
@@ -227,44 +223,20 @@ def _executor_init(
     ``chunk_elements`` is the driver's kernel chunk size
     (:func:`repro.scoring.kernel.configured_chunk_elements`): the machine
     is probed once, in the driver, and every worker — forked or spawned —
-    sizes its temporaries by that one number.  With a checkpoint directory
-    the worker also starts an :class:`AsyncCheckpointWriter` so checkpoint
-    serialization never stalls task execution; ``flush_barrier`` is the
-    close-time flush rendezvous (see :func:`_checkpoint_flush_run`).
+    sizes its temporaries by that one number.  ``checkpoints`` is the
+    driver's store: the worker writes each unit it finishes before
+    reporting it.
     """
     with counter.get_lock():
         worker_index = int(counter.value)
         counter.value += 1
     kernel_mod.set_chunk_elements(chunk_elements)
     shm, data = _attach_shared(matrix_spec)
-    writer = AsyncCheckpointWriter() if checkpoint_dir is not None else None
     _WORKER.update(
-        build_ctx(data, parents, config, seed, checkpoint_dir, writer),
+        build_ctx(data, parents, config, seed, checkpoints),
         worker=worker_index,
         shm=shm,  # keep the mapping alive for the worker's lifetime
-        flush_barrier=flush_barrier,
     )
-
-
-def _checkpoint_flush_run(barrier_timeout: float):
-    """Drain this worker's checkpoint writer (close-time rendezvous).
-
-    Exactly ``n_workers`` of these are dispatched before teardown; a worker
-    that finished its flush blocks on the barrier, so it cannot take a
-    sibling's flush task and every writer queue is drained before
-    ``terminate``.  A broken barrier (dead sibling) aborts the wait rather
-    than hanging — this worker's own queue is already drained.
-    """
-    writer = _WORKER.get("checkpoint_writer")
-    if writer is not None:
-        writer.flush()
-    barrier = _WORKER.get("flush_barrier")
-    if barrier is not None:
-        try:
-            barrier.wait(timeout=barrier_timeout)
-        except Exception:  # BrokenBarrierError: a sibling died or timed out
-            pass
-    return os.getpid()
 
 
 def _pool_run(payload):
@@ -284,12 +256,12 @@ class PoolTransport(Transport):
     """
 
     def __init__(
-        self, data, parents, config, seed, checkpoint_dir,
+        self, data, parents, config, seed, checkpoints,
         mp_context: str | None = None,
         crash_poll_seconds: float | None = None,
     ) -> None:
         super().__init__(
-            data, parents, config, seed, checkpoint_dir, config.resolve_n_workers()
+            data, parents, config, seed, checkpoints, config.resolve_n_workers()
         )
         #: how often a blocked dispatch checks for dead workers
         self.crash_poll_seconds = (
@@ -299,11 +271,6 @@ class PoolTransport(Transport):
         self._pool = None
         self._shared: SharedMatrix | None = None
         self._init_counter = None
-        self._flush_barrier = None
-        self._flush_timeout = 30.0
-        #: a worker died in this pool: its queues cannot be trusted any
-        #: more, and :meth:`close` does not ask them to cooperate
-        self._crashed = False
 
     def start(self) -> None:
         """Create the shared matrix and the pool once."""
@@ -316,9 +283,6 @@ class PoolTransport(Transport):
         poolutil.note_matrix_transfer()
         self.stats.pools_constructed += 1
         self.stats.matrix_transfers += 1
-        self._flush_barrier = (
-            ctx.Barrier(self.n_workers) if self.checkpoint_dir is not None else None
-        )
         self._pool = ctx.Pool(
             self.n_workers,
             initializer=_executor_init,
@@ -327,9 +291,8 @@ class PoolTransport(Transport):
                 self.parents,
                 self.config,
                 self.seed,
-                self.checkpoint_dir,
+                self.checkpoints,
                 self._init_counter,
-                self._flush_barrier,
                 kernel_mod.configured_chunk_elements(),
             ),
         )
@@ -338,41 +301,19 @@ class PoolTransport(Transport):
         """Tear down the pool and unlink the shared-memory segment — always
         the latter: a failure while terminating must not leak the matrix
         into ``/dev/shm``; every learner entry point runs through here on
-        every exception path.  A healthy pool first drains its checkpoint
-        writers; a pool a worker died in is not asked to cooperate.  Either
-        way the workers go through :func:`_abandon_pool`: ``terminate()``
-        under a deadline, then SIGKILL, so no close can wedge.
+        every exception path.  Nothing is dispatched to the workers: every
+        unit they reported is already checkpointed, so healthy or not they
+        go through :func:`_abandon_pool` — ``terminate()`` under a
+        deadline, then SIGKILL — and no close can wedge.
         """
         pool, self._pool = self._pool, None
         shared, self._shared = self._shared, None
         try:
             if pool is not None:
-                if not self._crashed:
-                    self._drain_checkpoint_writers(pool)
                 _abandon_pool(pool)
         finally:
             if shared is not None:
                 shared.close()
-
-    def _drain_checkpoint_writers(self, pool) -> None:
-        """Flush every worker's async checkpoint writer before teardown.
-
-        ``terminate`` kills workers abruptly; a checkpoint still on a
-        writer queue would be silently lost (never torn, but "at most
-        in-flight units recomputed" would weaken).  Best-effort: a pool
-        poisoned by a crashed worker must still reach ``terminate``.
-        """
-        if self._flush_barrier is None:
-            return
-        try:
-            handle = pool.map_async(
-                _checkpoint_flush_run,
-                [self._flush_timeout] * self.n_workers,
-                chunksize=1,
-            )
-            handle.get(timeout=self._flush_timeout + 5.0)
-        except Exception:  # pragma: no cover - crashed/hung worker path
-            pass
 
     def worker_inits(self) -> int:
         """How many worker initializations ran (== workers when the matrix
@@ -401,13 +342,9 @@ class PoolTransport(Transport):
         payloads = [
             (fn, ordered_items[lo : lo + chunksize]) for lo in range(0, n, chunksize)
         ]
-        try:
-            return self._collect(
-                self._pool.imap_unordered(_pool_run, payloads), len(payloads)
-            )
-        except WorkerCrashedError:
-            self._crashed = True
-            raise
+        return self._collect(
+            self._pool.imap_unordered(_pool_run, payloads), len(payloads)
+        )
 
     def _collect(self, it, n_chunks: int) -> list:
         """Crash-aware collection of ``n_chunks`` chunks of records.
@@ -444,8 +381,7 @@ def _abandon_pool(pool, grace: float = 2.0) -> None:
     the cooperative ``terminate()`` runs on a thread this call is prepared
     to abandon (its first act stops the pool respawning workers, wedged or
     not); if it has not finished within ``grace`` seconds the worker
-    processes are SIGKILLed and reaped here.  Checkpoints still queued on a survivor's
-    writer are lost with it — never torn, and a resume recomputes them.
+    processes are SIGKILLed and reaped here.
     """
     reaper = threading.Thread(target=pool.terminate, name="pool-reaper", daemon=True)
     reaper.start()
@@ -462,12 +398,12 @@ def _abandon_pool(pool, grace: float = 2.0) -> None:
 
 
 def local_transport(
-    data, parents, config: LearnerConfig, seed: int, checkpoint_dir=None,
+    data, parents, config: LearnerConfig, seed: int, checkpoints=None,
     mp_context: str | None = None, crash_poll_seconds: float | None = None,
 ) -> Transport:
     """This host's transport: in-process at one worker, the pool above."""
     if config.resolve_n_workers() <= 1:
-        return InProcessTransport(data, parents, config, seed, checkpoint_dir)
+        return InProcessTransport(data, parents, config, seed, checkpoints)
     return PoolTransport(
-        data, parents, config, seed, checkpoint_dir, mp_context, crash_poll_seconds
+        data, parents, config, seed, checkpoints, mp_context, crash_poll_seconds
     )

@@ -9,9 +9,9 @@ and answers repeat queries from two layers of warm state:
 
 * **per-job checkpoint namespaces** — each job's content fingerprint
   (matrix bytes + result-relevant config + seed) names a directory under
-  ``root/jobs/<fp>/checkpoints`` holding the existing atomic fingerprinted
-  checkpoints.  A resubmitted identical job loads Task 1 runs and Task 3
-  modules from disk instead of recomputing them — the warm-repeat path.
+  ``root/jobs/<fp>/checkpoints``, the job's checkpoint directory.  A
+  resubmitted identical job loads Task 1 runs and Task 3 modules from
+  disk instead of recomputing them — the warm-repeat path.
 * **the executor lease** — while consecutive jobs share a binding
   (fingerprint + config), the pool and its shared-memory matrix are
   reused rather than rebuilt.
@@ -39,11 +39,12 @@ import heapq
 import json
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.checkpoints import matrix_digest
 from repro.core.config import LearnerConfig
 from repro.core.learner import LemonTreeLearner
 from repro.core.output import network_to_json
@@ -138,12 +139,10 @@ def job_fingerprint(spec: JobSpec) -> str:
         "beta_grid": list(config.beta_grid),
         "prior": [prior.mu0, prior.lambda0, prior.alpha0, prior.beta0],
         "shape": list(np.asarray(spec.values).shape),
+        "matrix": matrix_digest(spec.values),
         "var_names": list(spec.var_names),
     }
-    digest = hashlib.sha256()
-    digest.update(json.dumps(meta, sort_keys=True).encode())
-    digest.update(np.ascontiguousarray(spec.values, dtype=np.float64).tobytes())
-    return digest.hexdigest()
+    return hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -342,16 +341,14 @@ class InferenceService:
         :class:`AdmissionRejected` when the in-flight bound is full.
 
         ``matrix`` is an :class:`~repro.datatypes.ExpressionMatrix` or a
-        raw ``(n, m)`` array.  Any ``config.parallel.checkpoint_dir`` is
-        stripped: the service owns checkpoint placement (per-job
-        fingerprinted namespaces under its root).
+        raw ``(n, m)`` array.  The service owns checkpoint placement
+        (per-job fingerprinted namespaces under its root).
         """
         if isinstance(matrix, ExpressionMatrix):
             values, var_names = matrix.values, list(matrix.var_names)
         else:
             values = np.asarray(matrix, dtype=np.float64)
             var_names = [f"G{i}" for i in range(values.shape[0])]
-        config = self._normalize_config(config)
         spec = JobSpec(
             values=values,
             var_names=var_names,
@@ -383,13 +380,6 @@ class InferenceService:
             self.counters["submitted"] += 1
             self._wakeup.notify_all()
         return job_id
-
-    @staticmethod
-    def _normalize_config(config: LearnerConfig) -> LearnerConfig:
-        parallel = config.parallel
-        if parallel.checkpoint_dir is None:
-            return config
-        return config.with_updates(parallel=replace(parallel, checkpoint_dir=None))
 
     def status(self, job_id: str | None = None):
         """One job's status dict, or (with no id) all jobs in submit

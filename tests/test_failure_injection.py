@@ -190,14 +190,21 @@ class TestWorkerDeath:
         assert time.monotonic() - t0 < 15.0
         assert not any(_alive(pid) for pid in workers)
 
-    def test_healthy_pool_with_a_held_result_lock_is_torn_down(self, tiny_matrix):
+    @pytest.mark.parametrize("checkpoints", [False, True], ids=["no-dir", "dir"])
+    def test_healthy_pool_with_a_held_result_lock_is_torn_down(
+        self, tiny_matrix, tmp_path, checkpoints
+    ):
         """``terminate()``'s own SIGTERM can catch a healthy worker holding
         the result-pipe lock, and ``terminate()`` then waits on it for good.
         A healthy close goes through the same deadline-and-SIGKILL teardown
-        as a crashed pool's: it comes back, with every worker dead."""
+        as a crashed pool's: it comes back, with every worker dead — with a
+        checkpoint directory too, since close dispatches nothing."""
         config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
-        executor = TaskPoolExecutor(tiny_matrix.values, parents, config, 1)
+        executor = TaskPoolExecutor(
+            tiny_matrix.values, parents, config, 1,
+            checkpoint_dir=tmp_path if checkpoints else None,
+        )
         try:
             assert executor.submit_runs(_exit_mid_run, [0, 1, 3]) == [0, 1, 3]
             executor.transport._pool._outqueue._wlock.acquire()

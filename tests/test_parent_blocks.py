@@ -43,7 +43,7 @@ def _scheduler(n_parents, n_workers, schedule):
     ``submit_runs``."""
     return executor_mod.TaskScheduler(
         SimpleNamespace(
-            data=None, parents=np.arange(n_parents), seed=0, checkpoint_dir=None,
+            data=None, parents=np.arange(n_parents), seed=0, checkpoints=None,
             config=LearnerConfig(parallel=ParallelConfig(schedule=schedule)),
             n_workers=n_workers, stats=SimpleNamespace(),
         )

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import LearnerConfig, ParallelConfig
-from repro.core.learner import LemonTreeLearner, _GaneshCheckpoints
+from repro.core.checkpoints import CheckpointStore
+from repro.core.learner import LemonTreeLearner
 from repro.parallel import poolutil
 from repro.parallel.executor import (
     TaskPoolExecutor,
@@ -178,16 +179,35 @@ class TestResume:
         matrix, config, _ = setup
         reference = LemonTreeLearner(config).learn(matrix, seed=SEED).network
         # "Interrupt": persist only k of the G runs, as a killed pool would.
-        checkpoints = _GaneshCheckpoints(tmp_path, SEED, config, matrix.n_vars)
+        checkpoints = CheckpointStore.open(tmp_path, matrix.values, config, SEED)
         learner = LemonTreeLearner(config)
         samples = learner.sample_clusterings(matrix, seed=SEED)
         for g in (0, 2):
-            checkpoints.store(g, samples[g])
+            checkpoints.store_run(g, samples[g])
 
         resumed = LemonTreeLearner(config.with_updates(parallel=ParallelConfig(n_workers=2))).learn(
             matrix, seed=SEED, checkpoint_dir=tmp_path
         )
         assert resumed.network == reference
+
+    def test_runs_are_on_disk_when_dispatch_returns(self, setup, tmp_path):
+        """Pool workers write each run before reporting it: once
+        ``submit_runs`` returns, every run's file is on disk — before
+        ``close()``, which dispatches nothing to the workers."""
+        matrix, config, reference = setup
+        with TaskPoolExecutor(
+            matrix.values, _parents(matrix, config),
+            config.with_updates(parallel=ParallelConfig(n_workers=2)), SEED,
+            checkpoint_dir=tmp_path,
+        ) as executor:
+            results = executor.submit_runs(
+                _ganesh_run, [(g, False) for g in range(G_RUNS)]
+            )
+            for g, labels, _steps in results:
+                with np.load(tmp_path / f"ganesh_{g}.npz") as payload:
+                    np.testing.assert_array_equal(payload["labels"], labels)
+            assert not list(tmp_path.glob("*.tmp"))
+        _assert_same_ensemble([labels for _g, labels, _ in results], reference)
 
     def test_foreign_fingerprint_ignored(self, setup, tmp_path):
         """A checkpoint written under different sweep parameters is

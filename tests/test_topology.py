@@ -248,8 +248,7 @@ class TestParallelConfigApi:
         with pytest.raises(ValueError):
             ParallelConfig(schedule="work-stealing")
         assert [f.name for f in dataclasses.fields(ParallelConfig)] == [
-            "n_workers", "schedule", "checkpoint_dir", "kernel_backend",
-            "n_nodes", "node_backend",
+            "n_workers", "schedule", "kernel_backend", "n_nodes", "node_backend",
         ]
 
     def test_package_exports(self):
