@@ -901,7 +901,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
 }
 
 /* normal_gamma.log_marginal minus the gammaln(alpha_N) term, which the
- * sweeps read from their SciPy table and pass in.  Every expression mirrors the
+ * sweeps read from their gammaln table and pass in.  Every expression mirrors the
  * NumPy path's evaluation order; the two np.log calls go through the
  * active transcendental provider in blocks.  p = {mu0, lambda0, alpha0,
  * beta0, log_lambda0, log_beta0, lgamma_alpha0, log_2pi}. */

@@ -698,12 +698,12 @@ class TestOneGammalnTable:
             np.zeros((n, m)), np.zeros(n, dtype=np.int64), [np.zeros(m, dtype=np.int64)],
             NormalGammaPrior(alpha0=alpha0),
         )
-        want = gammaln(alpha0 + (rows * np.arange(m + 1.0)) / 2.0)
+        want = normal_gamma.gammaln(alpha0 + (rows * np.arange(m + 1.0)) / 2.0)
         assert state.obs_lgam(rows).tobytes() == want.tobytes()
 
     @needs_native
-    def test_scipy_tables_once_per_state_and_per_obs_only_run(self, small_matrix, monkeypatch):
-        """SciPy tabulates ``gammaln`` once per ``CoClusterState`` and once per
+    def test_gammaln_tabulated_once_per_state_and_per_obs_only_run(self, small_matrix, monkeypatch):
+        """``gammaln`` is tabulated once per ``CoClusterState`` and once per
         ``run_obs_only_ganesh`` run, never per sweep; every other call is a
         ``log_marginal``."""
         callers = []

@@ -5,7 +5,7 @@ without fork), the CLI and every benchmark child import ``repro.*`` from
 cold, so the package root re-exports lazily and nothing on the executor
 tier's import path may pull in the graph library, the CLI, the service or
 the extensions.  A cold ``learn()`` with a warm native cache loads neither
-SciPy's sparse stack nor cffi's C parser.
+SciPy nor cffi's C parser, and runs where SciPy cannot be imported at all.
 """
 
 import os
@@ -57,8 +57,8 @@ from repro.data.synthetic import make_module_dataset
 LemonTreeLearner(LearnerConfig()).learn(make_module_dataset(24, 16, seed=7).matrix, 3)
 from repro import _native
 assert _native.availability()["status"] == "native", _native.availability()
-unused = [m for m in sys.modules
-          if m.startswith("scipy.sparse") or m.startswith("pycparser") or m == "cffi.cparser"]
+unused = [m for m, module in sys.modules.items() if module is not None  # None: blocked
+          and (m.split(".")[0] in ("scipy", "pycparser") or m == "cffi.cparser")]
 assert not unused, unused
 """
 
@@ -89,11 +89,19 @@ def _warm_native_cache():
         pytest.skip(f"no native kernel here: {_native.availability()['detail']}")
 
 
-def test_cold_learn_loads_neither_the_sparse_stack_nor_the_c_parser():
-    """A cache hit loads the extension without cffi's parser, and Task 2
-    needs nothing from ``scipy.sparse``."""
+def test_cold_learn_loads_neither_scipy_nor_the_c_parser():
+    """A cache hit loads the extension without cffi's parser, and nothing
+    the runtime does (``gammaln`` included) needs SciPy."""
     _warm_native_cache()
     done = _run_cold(_COLD_LEARN)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cold_learn_runs_without_scipy():
+    """With every ``import scipy`` made to fail, a cold ``learn()`` still
+    runs and certifies the native kernel."""
+    _warm_native_cache()
+    done = _run_cold('import sys\nsys.modules["scipy"] = None\n' + _COLD_LEARN)
     assert done.returncode == 0, done.stderr
 
 

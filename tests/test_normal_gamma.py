@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.scoring.normal_gamma import (
     DEFAULT_PRIOR,
     NormalGammaPrior,
+    gammaln,
     log_marginal,
     log_marginal_scalar,
 )
@@ -140,3 +141,67 @@ class TestLogMarginal:
 
     def test_scalar_empty(self):
         assert log_marginal_scalar(0, 0, 0) == 0.0
+
+
+class TestGammalnPort:
+    """``gammaln`` is cephes ``lgam``, the function SciPy's ``gammaln``
+    evaluates: scalars bit-identical to it, arrays within 2 ulp (NumPy's
+    ``log`` against libm's), on the arguments a prior feeds it."""
+
+    @pytest.fixture(scope="class", params=[0.1, 1.5, 0.37])
+    def grid(self, request):
+        special = pytest.importorskip("scipy.special")
+        x = request.param + np.arange(200_000) / 2.0
+        return x, special.gammaln(x)
+
+    def test_scalar_path_is_bit_identical(self, grid):
+        x, want = grid
+        got = np.array([gammaln(v) for v in x.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edge", [13.0, 1000.0, 1e8])
+    def test_scalar_path_is_bit_identical_at_each_branch_edge(self, edge):
+        special = pytest.importorskip("scipy.special")
+        for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+            assert gammaln(float(v)) == special.gammaln(v), v
+
+    def test_array_path_is_within_two_ulp(self, grid):
+        x, want = grid
+        got = gammaln(x)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+    def test_array_path_is_the_scalar_path_where_the_logs_agree(self, grid):
+        x, _ = grid
+        same = np.log(x) == np.array([math.log(v) for v in x.tolist()])
+        scalar = np.array([gammaln(v) for v in x[same].tolist()])
+        assert gammaln(x)[same].tobytes() == scalar.tobytes()
+
+    def test_an_elements_bits_do_not_depend_on_its_array(self, grid):
+        """Short arrays run element by element, long ones vectorized, both
+        on NumPy's ``log``: a ``gammaln_table`` entry and the same argument
+        in a short ``log_marginal`` array agree, bit for bit."""
+        x, _ = grid
+        pieces = np.concatenate([gammaln(x[i : i + 7]) for i in range(0, x.size, 7)])
+        assert pieces.tobytes() == gammaln(x).tobytes()
+
+    def test_array_spanning_the_small_and_large_branches(self):
+        x = np.array([[20.0, 0.3, 1e9], [2.0, 5000.0, 12.999]])
+        got = gammaln(x)
+        assert got.shape == x.shape
+        for g, v in zip(got.ravel().tolist(), x.ravel().tolist()):
+            assert g == pytest.approx(math.lgamma(v), rel=1e-14, abs=1e-15)
+        assert gammaln(x[:, :1]).tobytes() == got[:, :1].tobytes()  # strided input
+
+    def test_zero_d_input_returns_a_float(self):
+        for x in (np.array(3.5), np.float64(3.5), 3.5, 40.0):
+            got = gammaln(x)
+            assert type(got) is float and got == pytest.approx(math.lgamma(float(x)))
+
+    def test_out_fills_in_place_and_is_returned(self):
+        x = 0.1 + np.arange(40_000) / 2.0  # several blocks, the first one mixed
+        want = gammaln(x)
+        out = np.empty_like(x)
+        assert gammaln(x, out=out) is out and out.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="out must be C-contiguous"):
+            gammaln(x, out=np.empty(2 * x.size)[::2])
+        assert gammaln(x, out=x) is x and x.tobytes() == want.tobytes()
