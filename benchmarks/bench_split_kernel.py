@@ -32,9 +32,9 @@ import pytest
 from conftest import BENCH_SEED
 from repro.bench import render_table, save_results
 from repro.data.synthetic import make_module_dataset
-from repro.parallel.topology import chunk_elements_for, probe_topology
+from repro.parallel.topology import probe_topology
 from repro.rng.streams import SCORE_QUANTUM
-from repro.scoring.kernel import configured_chunk_elements, split_kernel_from_arrays
+from repro.scoring.kernel import CHUNK_ELEMENTS, split_kernel_from_arrays
 from repro.scoring.split_score import (
     DEFAULT_BETA_GRID,
     SplitScorer,
@@ -242,11 +242,8 @@ def test_kernel_vs_materialized(capsys):
             "memo_evaluations": kernel.evaluations,
             "margins_bytes": margins_bytes,
             "peak_chunk_elements": kernel.peak_chunk_elements,
-            # The machine-probed chunk budget the kernel defaulted to
-            # (cache-derived via repro.parallel.topology, 2^18 when flat).
-            "max_chunk_elements": configured_chunk_elements(),
+            "max_chunk_elements": CHUNK_ELEMENTS,
             "topology": probe_topology().describe(),
-            "topology_chunk_elements": chunk_elements_for(probe_topology()),
             "bit_identical": True,
             "smoke": SMOKE,
         },
@@ -355,7 +352,7 @@ def test_native_vs_numpy_kernel(capsys):
             "memo_evaluations": native_kernel.evaluations,
             "peak_chunk_elements": native_kernel.peak_chunk_elements,
             "kernel_totals": totals,
-            "max_chunk_elements": configured_chunk_elements(),
+            "max_chunk_elements": CHUNK_ELEMENTS,
             "bit_identical": True,
             "smoke": SMOKE,
         },

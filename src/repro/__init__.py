@@ -21,9 +21,8 @@ Quickstart::
 ``ParallelConfig`` gathers every execution-backend knob (workers,
 schedule, kernel backend, shard nodes); it is
 embedded in both ``LearnerConfig`` and ``GenomicaConfig`` as
-``config.parallel``.  The kernel's chunk size follows the probed cache
-sizes (``MachineTopology``) but can never change the learned network —
-every backend is bit-identical to the one-worker run.
+``config.parallel``.  Every backend is bit-identical to the one-worker
+run.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.

@@ -77,15 +77,11 @@ class ParallelConfig:
         """
         if self.n_workers != 0:
             return self.n_workers
-        import os
+        # Not at module level: repro.parallel's package import pulls in the
+        # engine, which imports this module.
+        from repro.parallel.topology import available_cpus
 
-        getaffinity = getattr(os, "sched_getaffinity", None)
-        if getaffinity is not None:
-            try:
-                return max(1, len(getaffinity(0)))
-            except OSError:  # pragma: no cover - exotic kernels
-                pass
-        return max(1, os.cpu_count() or 1)
+        return len(available_cpus())
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,8 @@ class GenomicaConfig:
             raise ValueError("tree_update_steps must be at least 1")
         if not isinstance(self.parallel, ParallelConfig):
             raise ValueError("parallel must be a ParallelConfig")
+        if self.parallel.n_nodes != 1:
+            raise ValueError("GENOMICA runs on one host: parallel.n_nodes must be 1")
 
 
 @dataclass
@@ -333,9 +335,7 @@ class GenomicaLearner:
             [int(v) for v in np.flatnonzero(assignment == module_id)]
             for module_id in range(k)
         ]
-        if executor is None and config.parallel.n_workers != 1 and trace is None and k > 1:
-            modules = self._build_modules_pooled(data, members_of, parents, seed)
-        elif executor is not None:
+        if executor is not None:
             modules = executor.submit_runs(
                 _genomica_module_run, list(enumerate(members_of))
             )
@@ -366,16 +366,6 @@ class GenomicaLearner:
             parallel=config.parallel,
         )
         return TaskPoolExecutor(data, parents, bridge, seed)
-
-    def _build_modules_pooled(
-        self, data: np.ndarray, members_of, parents: np.ndarray, seed: int
-    ) -> list[Module]:
-        """The final network build fanned out over a one-shot pool."""
-        with self._make_executor(data, parents, seed) as executor:
-            modules = executor.submit_runs(
-                _genomica_module_run, list(enumerate(members_of))
-            )
-        return modules
 
 
 def select_best_split(
@@ -495,8 +485,8 @@ def _genomica_mstep_run(ctx, item) -> np.ndarray:
 def _genomica_module_run(ctx, item) -> Module:
     """Task-pool entry point: one final-network module from the worker ctx.
 
-    The worker context carries the bridge :class:`LearnerConfig` installed
-    by :meth:`GenomicaLearner._build_modules_pooled`; reconstruct the
+    The worker context carries the bridge :class:`LearnerConfig` built by
+    :meth:`GenomicaLearner._make_executor`; reconstruct the
     GENOMICA parameters it encodes and build the module against the
     shared-memory matrix.
     """

@@ -32,9 +32,9 @@ MPI implementation is reproduced with three cooperating layers:
 * :mod:`repro.parallel.tasks` — what a transport runs: the task context,
   the named runners (GaneSH chain, whole module, split chunk) and the
   construction of split tasks from the flat candidate-split list.
-* :mod:`repro.parallel.topology` — the machine probe: NUMA domains and
-  cache sizes read from sysfs (flat single-domain fallback) and the
-  cache-derived kernel chunk size.  Chunk size never changes results.
+* :mod:`repro.parallel.topology` — the machine probe: cores and NUMA
+  domains read from sysfs (flat single-domain fallback), reported in
+  traces and benchmark machine blocks, never used to schedule or size.
 """
 
 from repro.parallel.comm import SerialComm, ThreadComm, run_spmd

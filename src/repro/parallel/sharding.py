@@ -225,7 +225,6 @@ def _node_serve(channel: SocketChannel, node_id: int) -> None:
             kind = message[0]
             if kind == "init":
                 spec = message[1]
-                kernel_mod.set_chunk_elements(spec["chunk_elements"])
                 local = local_transport(
                     spec["data"],
                     spec["parents"],
@@ -388,10 +387,6 @@ class ShardTransport(Transport):
                     "config": self.config,
                     "seed": self.seed,
                     "checkpoints": self.checkpoints,
-                    # The machine is probed once, here: every node and
-                    # every pool worker below it sizes its kernel
-                    # temporaries by the driver's number.
-                    "chunk_elements": kernel_mod.configured_chunk_elements(),
                 })
             )
         for node_id, channel in enumerate(channels):

@@ -71,8 +71,8 @@ class WorkTrace:
     #: measured parallel speedups can be compared against projected ones
     worker_times: dict[str, float] = field(default_factory=dict)
     #: what the transport ran on, for benchmark reports: the probed
-    #: machine (``MachineTopology.describe()``), worker count and kernel
-    #: chunk size on one host; the node tier's shape under shard nodes
+    #: machine (``MachineTopology.describe()``) and worker count on one
+    #: host; the node tier's shape under shard nodes
     topology: dict | None = None
     #: aggregated split-scoring kernel counters across every process that
     #: scored splits: ``hits`` / ``evaluations`` (cache behaviour),

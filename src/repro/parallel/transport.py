@@ -120,11 +120,7 @@ class Transport:
     def annotate(self, trace) -> None:
         """Record what only the transport knows about the last ``run``."""
         if trace.topology is None:
-            trace.topology = dict(
-                probe_topology().describe(),
-                n_workers=self.n_workers,
-                kernel_chunk_elements=kernel_mod.configured_chunk_elements(),
-            )
+            trace.topology = dict(probe_topology().describe(), n_workers=self.n_workers)
 
 
 class InProcessTransport(Transport):
@@ -206,7 +202,6 @@ def _executor_init(
     seed,
     checkpoints,
     counter,
-    chunk_elements,
 ):
     """Pool initializer: attach the matrix once, install the worker's task
     context (:data:`repro.parallel.tasks._WORKER`).
@@ -218,19 +213,12 @@ def _executor_init(
     for every replacement it spawns.  The pre-increment value is this
     worker's stable index (``mp.Pool`` hands every worker identical
     initargs, so it must come from shared state): it labels the worker in
-    every completion record.
-
-    ``chunk_elements`` is the driver's kernel chunk size
-    (:func:`repro.scoring.kernel.configured_chunk_elements`): the machine
-    is probed once, in the driver, and every worker — forked or spawned —
-    sizes its temporaries by that one number.  ``checkpoints`` is the
-    driver's store: the worker writes each unit it finishes before
-    reporting it.
+    every completion record.  ``checkpoints`` is the driver's store: the
+    worker writes each unit it finishes before reporting it.
     """
     with counter.get_lock():
         worker_index = int(counter.value)
         counter.value += 1
-    kernel_mod.set_chunk_elements(chunk_elements)
     shm, data = _attach_shared(matrix_spec)
     _WORKER.update(
         build_ctx(data, parents, config, seed, checkpoints),
@@ -293,7 +281,6 @@ class PoolTransport(Transport):
                 self.seed,
                 self.checkpoints,
                 self._init_counter,
-                kernel_mod.configured_chunk_elements(),
             ),
         )
 

@@ -50,21 +50,21 @@ import numpy as np
 from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM
 
-#: Default bound on the element count of one evaluation temporary
-#: (``chunk_rows * n_obs`` float64 values, ~2 MiB) when the machine's
-#: cache hierarchy is unknown; see :func:`configured_chunk_elements`.
-DEFAULT_CHUNK_ELEMENTS = 1 << 18
+#: Bound on the element count of one evaluation temporary (``chunk_rows *
+#: n_obs`` float64 values, 1 MiB: half the 2 MiB per-core L2 of the machine
+#: every benchmark row was taken on).  It changes no score — rows are
+#: evaluated independently and summed per row — only how many rows one
+#: temporary holds (docs/ALGORITHMS.md §11).
+CHUNK_ELEMENTS = 1 << 17
 
-_CONFIGURED_CHUNK_ELEMENTS: int | None = None
-
-#: how many evaluation chunks' worth of elements one parent's table of
-#: margin rows (``n_beta * n_u * n_u``) may hold for the native batch entry
-#: to share rows at all (16 MiB on a 1 MiB-L2 machine: a universe of up to
-#: ~540 observations at 7 betas).  Above it the batch runs the fused
-#: per-row evaluator, what every node ran before batches: a table that held
-#: only part of a parent's rows refilled ``n_u``-wide rows for ``n_obs``-wide
-#: reads and measured slower than not sharing (CHANGES.md, PR 23).
-MARGIN_TABLE_CHUNKS = 16
+#: how many elements one parent's table of margin rows (``n_beta * n_u *
+#: n_u``, float64) may hold for the native batch entry to share rows at all
+#: (16 MiB, 16 evaluation chunks: a universe of up to ~540 observations at 7
+#: betas).  Above it the batch runs the fused per-row evaluator, what every
+#: node ran before batches: a table that held only part of a parent's rows
+#: refilled ``n_u``-wide rows for ``n_obs``-wide reads and measured slower
+#: than not sharing (docs/ALGORITHMS.md §10, "The table budget").
+MARGIN_TABLE_ELEMENTS = 1 << 21
 
 _CAP: int | None = None
 
@@ -192,42 +192,6 @@ def isolated_kernel_totals():
         _TOTALS_BACKENDS.clear()
         _TOTALS_BACKENDS.update(saved[1])
         _MARGIN_TOTALS.update(saved[2])
-
-
-def set_chunk_elements(n_elements: int | None) -> int | None:
-    """Install a process-wide default for evaluation-chunk sizing.
-
-    Pool workers and shard nodes install the driver's
-    :func:`configured_chunk_elements` here at start-up, so the machine is
-    probed once per run and kernels constructed deep inside module
-    learning pick that size without threading a parameter through every
-    layer.  A one-worker run never calls it.  Returns the previous
-    override so callers can restore it; ``None`` reverts to lazy machine
-    probing.
-    """
-    global _CONFIGURED_CHUNK_ELEMENTS
-    previous = _CONFIGURED_CHUNK_ELEMENTS
-    _CONFIGURED_CHUNK_ELEMENTS = None if n_elements is None else int(n_elements)
-    return previous
-
-
-def configured_chunk_elements() -> int:
-    """The active default bound for one evaluation temporary.
-
-    An explicit :func:`set_chunk_elements` override wins; otherwise the
-    machine topology is probed once (falling back to the flat model and
-    therefore :data:`DEFAULT_CHUNK_ELEMENTS` when sysfs is unavailable)
-    and the L2/L3-derived size is cached.  Chunk size can never change
-    scores — rows are evaluated independently and summed per row — so
-    this is purely a cache-locality knob.
-    """
-    global _CONFIGURED_CHUNK_ELEMENTS
-    if _CONFIGURED_CHUNK_ELEMENTS is None:
-        # Lazy import: repro.parallel pulls in the engine/learner stack.
-        from repro.parallel.topology import chunk_elements_for, probe_topology
-
-        _CONFIGURED_CHUNK_ELEMENTS = chunk_elements_for(probe_topology())
-    return _CONFIGURED_CHUNK_ELEMENTS
 
 
 class AllocationCapExceeded(MemoryError):
@@ -407,7 +371,7 @@ class LazySplitKernel:
             raise ValueError("sign must have one entry per observation")
         self.n_items = self.n_parents * self.n_obs
         self._n_beta = self.beta_grid.size
-        self.max_chunk_elements = int(max_chunk_elements or configured_chunk_elements())
+        self.max_chunk_elements = int(max_chunk_elements or CHUNK_ELEMENTS)
         self._native = native
         self.backend = "numpy" if native is None else "native"
         guard_alloc(self.n_items, "parent-value slice")
@@ -501,7 +465,7 @@ class LazySplitKernel:
 
 def _chunk_limit(max_chunk_elements: int | None) -> int:
     """Elements one evaluation temporary may hold, under any active cap."""
-    limit = int(max_chunk_elements or configured_chunk_elements())
+    limit = int(max_chunk_elements or CHUNK_ELEMENTS)
     return limit if _CAP is None else min(limit, _CAP)
 
 
@@ -551,11 +515,10 @@ def run_chains(
     starts one matrix product on from the previous item's start
     (ALGORITHMS.md §13).  One parent's table is
     ``n_beta * n_u`` rows of ``n_u``; when that passes ``table_elements``
-    (default: :data:`MARGIN_TABLE_CHUNKS` evaluation chunks of the probed
-    machine) nothing is shared and every node runs the fused per-row
-    evaluator — a row is a pure function of its key, so the budget cannot
-    change a bit of the output.  ``urow`` ranks each universe row's
-    distinct values from 0 (computed when not given).
+    (default: :data:`MARGIN_TABLE_ELEMENTS`) nothing is shared and every
+    node runs the fused per-row evaluator — a row is a pure function of its
+    key, so the budget cannot change a bit of the output.  ``urow`` ranks
+    each universe row's distinct values from 0 (computed when not given).
 
     Returns the flat ``best_score`` / ``steps`` / ``best_idx`` (``None``
     unless ``want_idx``) of all chain items, node after node, the nodes'
@@ -575,9 +538,7 @@ def run_chains(
             # A chunk holds at least one row: a node the cap forbids fails
             # here exactly when its first NumPy chunk would.
             guard_alloc(node.obs.size, "lazy-margin evaluation chunk")
-    budget = table_elements
-    if budget is None:
-        budget = MARGIN_TABLE_CHUNKS * configured_chunk_elements()
+    budget = MARGIN_TABLE_ELEMENTS if table_elements is None else table_elements
     if _CAP is not None:  # the table is optional: a cap it passes turns it off
         budget = min(budget, _CAP)
     share = beta_grid.size * n_u * n_u <= budget

@@ -301,13 +301,6 @@ def _raise_run(ctx, item):
     raise ValueError(f"injected for item {item}")
 
 
-def _chunk_size_run(ctx, item):
-    """submit_runs test task: the kernel chunk size this process runs by."""
-    from repro.scoring.kernel import configured_chunk_elements
-
-    return configured_chunk_elements()
-
-
 def _whoami_run(ctx, item):
     """submit_runs test task: sleep ``item`` seconds, report which process
     and which stable worker index ran it."""
@@ -453,53 +446,14 @@ class TestOneSeam:
     def test_one_worker_honours_kernel_backend(self, setup):
         """Regression: the learner's private serial loops never applied
         ``kernel_backend`` (numpy cells ran the native kernel).  The backend
-        is the job's own value; the one process-wide setting, the chunk
-        size, is left as it was."""
-        from repro.scoring import kernel as kernel_mod
-
+        is the job's own value."""
         matrix, config, _members, _reference = setup
-        chunk = kernel_mod._CONFIGURED_CHUNK_ELEMENTS
         trace = WorkTrace()
         LemonTreeLearner(
             _with_workers(config, 1, kernel_backend="numpy")
         ).learn(matrix, seed=5, trace=trace)
         assert trace.kernel_counters["backends"] == ["numpy"]
         assert trace.kernel_counters["evaluations"] > 0
-        assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == chunk
-
-    def test_one_worker_leaves_chunk_size_alone(self, setup, monkeypatch):
-        """The kernel chunk size has one source, the process's own
-        ``configured_chunk_elements()``: a one-worker executor neither
-        installs nor restores it, and its kernels run by it."""
-        from repro.scoring import kernel as kernel_mod
-
-        matrix, config, members, _reference = setup
-        n_obs = matrix.n_obs
-        monkeypatch.setattr(kernel_mod, "_CONFIGURED_CHUNK_ELEMENTS", 8 * n_obs)
-        trace = WorkTrace()
-        with open_executor(matrix.values, config, 5) as executor:
-            executor.learn_modules(members, trace=trace)
-            assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == 8 * n_obs
-        assert kernel_mod._CONFIGURED_CHUNK_ELEMENTS == 8 * n_obs
-        assert trace.kernel_counters["peak_chunk_elements"] == 8 * n_obs
-        assert trace.topology["kernel_chunk_elements"] == 8 * n_obs
-
-    @pytest.mark.parametrize("mp_context", [None, "spawn"], ids=["fork", "spawn"])
-    def test_pool_workers_run_by_the_drivers_chunk_size(
-        self, setup, monkeypatch, mp_context
-    ):
-        """The driver's number is shipped with the pool's initargs, so a
-        spawned worker (a fresh interpreter that would otherwise probe the
-        machine itself) sizes its temporaries like a forked one."""
-        from repro.scoring import kernel as kernel_mod
-
-        matrix, config, _members, _reference = setup
-        monkeypatch.setattr(kernel_mod, "_CONFIGURED_CHUNK_ELEMENTS", 4242)
-        with open_executor(
-            matrix.values, _with_workers(config, 2), 5, mp_context=mp_context
-        ) as executor:
-            sizes = executor.submit_runs(_chunk_size_run, range(4))
-        assert sizes == [4242] * 4
 
     def test_one_worker_native_request_raises_without_extension(
         self, setup, monkeypatch

@@ -188,6 +188,14 @@ class TestPooledGenomica:
         with pytest.raises(ValueError):
             GenomicaConfig(parallel=ParallelConfig(n_workers=-1))
 
+    def test_shard_nodes_rejected(self):
+        # Shard nodes are out of scope: n_nodes > 1 is refused, not run on
+        # one host without a word.
+        with pytest.raises(ValueError, match="n_nodes"):
+            GenomicaConfig(parallel=ParallelConfig(n_nodes=2))
+        with pytest.raises(ValueError, match="n_nodes"):
+            GenomicaConfig(parallel=ParallelConfig(n_workers=2, n_nodes=3))
+
     def test_dropped_flat_knob_rejected(self):
         # The one-release deprecation shim for the flat ``n_workers``
         # field is gone: the old spelling is now a hard error.

@@ -380,38 +380,42 @@ class TestShardedIdentitySocket:
                     expected
                 }
 
-    def test_kernel_counters_match_one_worker(self, tiny_matrix, monkeypatch):
-        """Completion records carry each node's kernel-counter deltas, so a
-        sharded trace counts exactly the evaluations one worker does — in
-        temporaries of the driver's chunk size, which the init frame ships
-        (a spawned node would otherwise probe the machine for its own)."""
-        from repro.scoring import kernel as kernel_mod
-
-        chunk = 8 * tiny_matrix.n_obs
-        monkeypatch.setattr(kernel_mod, "_CONFIGURED_CHUNK_ELEMENTS", chunk)
-        members = MODE_INPUTS["module"]
-        totals = []
-        for config in (
-            _sequential_config(),
-            _sharded_config(2),
-        ):
-            numpy_config = config.with_updates(
-                parallel=ParallelConfig(
-                    n_nodes=config.parallel.n_nodes, kernel_backend="numpy"
-                )
+    def _kernel_counters(self, matrix, config):
+        """A traced NumPy-kernel Task 3 run's kernel counters on ``config``'s
+        tier."""
+        numpy_config = config.with_updates(
+            parallel=ParallelConfig(
+                n_workers=config.parallel.n_workers,
+                n_nodes=config.parallel.n_nodes,
+                kernel_backend="numpy",
             )
-            trace = WorkTrace()
-            with self._open(tiny_matrix, numpy_config, 7) as executor:
-                consume_kernel_totals()  # earlier tests' leftovers
-                executor.learn_modules(members, trace=trace)
-                trace.mark_kernel(consume_kernel_totals())
-            totals.append(trace.kernel_counters)
-        one_worker, sharded = totals
+        )
+        trace = WorkTrace()
+        with self._open(matrix, numpy_config, 7) as executor:
+            consume_kernel_totals()  # earlier tests' leftovers
+            executor.learn_modules(MODE_INPUTS["module"], trace=trace)
+            trace.mark_kernel(consume_kernel_totals())
+        return trace.kernel_counters
+
+    def test_kernel_counters_match_one_worker(self, tiny_matrix):
+        """Completion records carry each node's kernel-counter deltas, so a
+        sharded trace counts exactly the evaluations one worker does, in
+        temporaries of the same size on forked or spawned nodes."""
+        one_worker = self._kernel_counters(tiny_matrix, _sequential_config())
+        sharded = self._kernel_counters(tiny_matrix, _sharded_config(2))
         assert one_worker["evaluations"] > 0
-        assert sharded["hits"] == one_worker["hits"]
-        assert sharded["evaluations"] == one_worker["evaluations"]
-        assert sharded["peak_chunk_elements"] == chunk
-        assert one_worker["peak_chunk_elements"] == chunk
+        for key in ("hits", "evaluations", "peak_chunk_elements"):
+            assert sharded[key] == one_worker[key]
+
+    def test_pool_kernel_counters_match_one_worker(self, tiny_matrix):
+        """The pool tier's completion records do the same: forked or
+        spawned workers count one worker's evaluations in temporaries of
+        one worker's size."""
+        one_worker = self._kernel_counters(tiny_matrix, _sequential_config())
+        pooled = self._kernel_counters(tiny_matrix, _sharded_config(1, n_workers=2))
+        assert one_worker["evaluations"] > 0
+        for key in ("hits", "evaluations", "peak_chunk_elements"):
+            assert pooled[key] == one_worker[key]
 
     def test_split_mode_over_socket_nodes(self, tiny_matrix):
         """One dominating module is cut into the flat split list and

@@ -12,7 +12,10 @@ The kernel's contract has three legs:
   accounting is untouched;
 * **one memo per kernel** — every lookup is a hit or an evaluation, a
   repeated lookup or chain evaluates nothing, and a second kernel over
-  the same node starts from an empty memo of its own.
+  the same node starts from an empty memo of its own;
+* **chunk size is not a result** — a ``learn()`` under any
+  ``CHUNK_ELEMENTS`` builds the same network with the same counts, only
+  in smaller temporaries.
 """
 
 import numpy as np
@@ -22,6 +25,10 @@ from hypothesis import strategies as st
 
 from repro import _native
 from repro.rng.streams import make_stream
+from repro.core.config import LearnerConfig, ParallelConfig
+from repro.core.learner import LemonTreeLearner
+from repro.parallel.trace import WorkTrace
+from repro.scoring import kernel as kernel_mod
 from repro.scoring.kernel import (
     AllocationCapExceeded,
     DenseScoreMemo,
@@ -31,6 +38,7 @@ from repro.scoring.kernel import (
 )
 from repro.scoring.split_score import SplitScorer
 from repro.trees.splits import margins_from_arrays
+from repro.validation.metrics import network_fingerprint
 
 #: each available backend's kernels handle (``None``: NumPy)
 NATIVES = {"numpy": None, **({"native": _native.load()} if _native.load() else {})}
@@ -296,3 +304,36 @@ class TestMemoryContract:
         )
         for got, want in zip(lazy, dense):
             np.testing.assert_array_equal(got, want)
+
+
+def _traced_learn(matrix):
+    """A NumPy-kernel ``learn_from_modules`` on one worker: its network's
+    fingerprint and its kernel counters."""
+    config = LearnerConfig(
+        max_sampling_steps=4, parallel=ParallelConfig(kernel_backend="numpy")
+    )
+    members = [list(range(lo, lo + 8)) for lo in range(0, 24, 8)]
+    trace = WorkTrace()
+    result = LemonTreeLearner(config).learn_from_modules(
+        matrix, members, seed=9, trace=trace
+    )
+    return network_fingerprint(result.network), trace.kernel_counters
+
+
+class TestChunkSizeChangesNoBit:
+    """Rows are evaluated independently, so the chunk size bounds the
+    temporaries and nothing else (docs/ALGORITHMS.md §11): that is why it
+    is one constant and not a per-machine setting."""
+
+    @pytest.mark.parametrize("chunk_elements", [1, 25, 100])
+    def test_learn_is_chunk_size_free(self, tiny_matrix, monkeypatch, chunk_elements):
+        fingerprint, counters = _traced_learn(tiny_matrix)
+        assert counters["peak_chunk_elements"] <= kernel_mod.CHUNK_ELEMENTS
+        monkeypatch.setattr(kernel_mod, "CHUNK_ELEMENTS", chunk_elements)
+        chunked_fingerprint, chunked = _traced_learn(tiny_matrix)
+        assert chunked_fingerprint == fingerprint
+        assert chunked["hits"] == counters["hits"]
+        assert chunked["evaluations"] == counters["evaluations"] > 0
+        # one row of a node's universe at least, otherwise the bound
+        assert chunked["peak_chunk_elements"] <= max(chunk_elements, tiny_matrix.n_obs)
+        assert chunked["peak_chunk_elements"] < counters["peak_chunk_elements"]

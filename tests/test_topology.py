@@ -1,11 +1,9 @@
-"""Tests for hardware topology probing, chunk sizing and the ParallelConfig API.
+"""Tests for hardware topology probing and the ParallelConfig API.
 
 The contracts this file pins down:
 
 * the sysfs probe is deterministic, clamps to the affinity mask, and any
   missing or unparseable entry degrades to the flat single-domain model;
-* the kernel chunk size follows the probed L2/L3 capacity, clamped and
-  rounded, and keeps the fixed default when the caches are unknown;
 * a traced run records the machine it ran on;
 * the old flat config knobs (``LearnerConfig.n_workers`` /
   ``parallel_mode`` / ``schedule``, ``GenomicaConfig.n_workers``) and the
@@ -23,14 +21,9 @@ from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.genomica.learner import GenomicaConfig
 from repro.parallel.topology import (
-    FLAT_CHUNK_ELEMENTS,
-    MAX_CHUNK_ELEMENTS,
-    MIN_CHUNK_ELEMENTS,
     MachineTopology,
-    _parse_cache_size,
     _parse_cpulist,
     available_cpus,
-    chunk_elements_for,
     flat_topology,
     probe_topology,
     resolve_topology,
@@ -43,21 +36,11 @@ def _write(path, text):
     path.write_text(text)
 
 
-def _make_sysfs(root, node_cpulists, l2="2048K", l3="16M", cache_cpu=None):
+def _make_sysfs(root, node_cpulists):
     """A fake sysfs tree under ``root`` (driven via ``sysfs_root``)."""
     for i, cpulist in enumerate(node_cpulists):
         _write(root / "devices" / "system" / "node" / f"node{i}" / "cpulist",
                f"{cpulist}\n")
-    if cache_cpu is None:
-        cache_cpu = available_cpus()[0]
-    cache = root / "devices" / "system" / "cpu" / f"cpu{cache_cpu}" / "cache"
-    levels = [("index0", "1", "Data", "32K"), ("index1", "1", "Instruction", "32K"),
-              ("index2", "2", "Unified", l2), ("index3", "3", "Unified", l3)]
-    for name, level, ctype, size in levels:
-        _write(cache / name / "level", f"{level}\n")
-        _write(cache / name / "type", f"{ctype}\n")
-        _write(cache / name / "size", f"{size}\n")
-
 
 class TestProbe:
     def test_sysfs_probe_deterministic(self, tmp_path):
@@ -68,15 +51,12 @@ class TestProbe:
         assert first == second
         assert first.source == "sysfs"
         assert first.numa_domains == ((cpu,),)
-        assert first.l2_bytes == 2048 << 10
-        assert first.l3_bytes == 16 << 20
 
     def test_missing_sysfs_falls_back_flat(self, tmp_path):
         first = probe_topology(sysfs_root=tmp_path / "no-such-sysfs")
         second = probe_topology(sysfs_root=tmp_path / "no-such-sysfs")
         assert first == second == flat_topology()
         assert first.source == "flat"
-        assert first.l2_bytes == 0 and first.l3_bytes == 0
 
     def test_unschedulable_nodes_dropped(self, tmp_path):
         cpus = available_cpus()
@@ -94,14 +74,6 @@ class TestProbe:
         _make_sysfs(tmp_path, ["not-a-cpulist"])
         assert probe_topology(sysfs_root=tmp_path) == flat_topology()
 
-    def test_bad_cache_entries_leave_sizes_unknown(self, tmp_path):
-        cpu = available_cpus()[0]
-        _make_sysfs(tmp_path, [str(cpu)], l2="banana", l3="nonsense")
-        topology = probe_topology(sysfs_root=tmp_path)
-        assert topology.source == "sysfs"
-        assert topology.l2_bytes == 0 and topology.l3_bytes == 0
-        assert chunk_elements_for(topology) == FLAT_CHUNK_ELEMENTS
-
     def test_flat_topology_matches_affinity_mask(self):
         assert flat_topology().numa_domains == (available_cpus(),)
         assert flat_topology(3).numa_domains == ((0, 1, 2),)
@@ -112,59 +84,30 @@ class TestProbe:
         with pytest.raises(ValueError):
             _parse_cpulist("a-b")
 
-    def test_parse_cache_size(self):
-        assert _parse_cache_size("2048K") == 2048 << 10
-        assert _parse_cache_size("32M\n") == 32 << 20
-        assert _parse_cache_size("1G") == 1 << 30
-        assert _parse_cache_size("512") == 512
-        with pytest.raises(ValueError):
-            _parse_cache_size("lots")
-
     def test_resolve_topology(self):
         assert resolve_topology("flat") == flat_topology()
         assert resolve_topology("auto").n_cores >= 1
         with pytest.raises(ValueError):
             resolve_topology("numa")
 
+    def test_describe_records_cores_and_domains_only(self):
+        topology = MachineTopology(numa_domains=((0, 1), (2,)), source="sysfs")
+        assert topology.describe() == {
+            "source": "sysfs",
+            "n_cores": 3,
+            "n_domains": 2,
+            "domain_sizes": [2, 1],
+        }
+
     def test_topology_validation(self):
         with pytest.raises(ValueError):
             MachineTopology(numa_domains=())
         with pytest.raises(ValueError):
-            MachineTopology(numa_domains=((0,),), l2_bytes=-1)
-        with pytest.raises(ValueError):
             MachineTopology(numa_domains=((0,),), source="dmi")
-
-
-class TestChunkSizing:
-    def test_unknown_caches_keep_fixed_default(self):
-        assert chunk_elements_for(flat_topology()) == FLAT_CHUNK_ELEMENTS
-
-    def test_l2_budget_power_of_two(self):
-        # 2 MiB L2, ample L3: half the L2 is 1 MiB -> 2^17 float64 elements.
-        topology = MachineTopology(
-            numa_domains=((0,),), l2_bytes=2 << 20, l3_bytes=1 << 30, source="sysfs"
-        )
-        assert chunk_elements_for(topology) == 1 << 17
-
-    def test_shared_l3_caps_per_core_budget(self):
-        # 8 cores sharing 8 MiB L3: 1 MiB per core beats the 2 MiB half-L2.
-        topology = MachineTopology(
-            numa_domains=(tuple(range(8)),), l2_bytes=4 << 20, l3_bytes=8 << 20,
-            source="sysfs",
-        )
-        assert chunk_elements_for(topology) == 1 << 17
-
-    def test_clamped_to_bounds(self):
-        tiny = MachineTopology(numa_domains=((0,),), l2_bytes=1024, source="sysfs")
-        huge = MachineTopology(numa_domains=((0,),), l2_bytes=1 << 30, source="sysfs")
-        assert chunk_elements_for(tiny) == MIN_CHUNK_ELEMENTS
-        assert chunk_elements_for(huge) == MAX_CHUNK_ELEMENTS
 
 
 class TestTraceRecordsMachine:
     def test_trace_records_topology(self, tiny_matrix, tmp_path):
-        from repro.scoring.kernel import configured_chunk_elements
-
         config = LearnerConfig(
             max_sampling_steps=4, parallel=ParallelConfig(n_workers=2)
         )
@@ -173,14 +116,23 @@ class TestTraceRecordsMachine:
         LemonTreeLearner(config).learn_from_modules(
             tiny_matrix, members, seed=9, trace=trace
         )
-        assert trace.topology == dict(
-            probe_topology().describe(),
-            n_workers=2,
-            kernel_chunk_elements=configured_chunk_elements(),
-        )
+        assert trace.topology == dict(probe_topology().describe(), n_workers=2)
         path = tmp_path / "trace.npz"
         save_trace(trace, path)
         assert load_trace(path).topology == trace.topology
+
+    def test_one_worker_trace_records_topology(self, tiny_matrix):
+        """The in-process tier records the same machine block, with its one
+        worker, and nothing about the kernel's chunk size."""
+        config = LearnerConfig(
+            max_sampling_steps=4, parallel=ParallelConfig(n_workers=1)
+        )
+        members = [list(range(lo, lo + 8)) for lo in range(0, 24, 8)]
+        trace = WorkTrace()
+        LemonTreeLearner(config).learn_from_modules(
+            tiny_matrix, members, seed=9, trace=trace
+        )
+        assert trace.topology == dict(probe_topology().describe(), n_workers=1)
 
 
 class TestParallelConfigApi:
@@ -241,6 +193,20 @@ class TestParallelConfigApi:
         assert LearnerConfig().with_updates(
             parallel=ParallelConfig(n_workers=0)
         ).resolve_n_workers() == max(1, allowed)
+
+    def test_resolve_n_workers_counts_available_cpus(self, monkeypatch):
+        """One affinity rule: "every available core" is
+        ``topology.available_cpus()``, and an explicit count never asks."""
+        from repro.parallel import topology
+
+        monkeypatch.setattr(topology, "available_cpus", lambda: (3, 5, 9))
+        assert ParallelConfig(n_workers=0).resolve_n_workers() == 3
+
+        def refuse():
+            raise AssertionError("an explicit worker count probed the machine")
+
+        monkeypatch.setattr(topology, "available_cpus", refuse)
+        assert ParallelConfig(n_workers=2).resolve_n_workers() == 2
 
     def test_parallel_config_validation(self):
         with pytest.raises(TypeError):  # the decomposition is not a knob

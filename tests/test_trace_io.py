@@ -33,11 +33,28 @@ def _trace():
     return trace
 
 
-def _save_as_parent_commit(trace, path):
+#: ``topology`` as releases before the NUMA-domain tier's removal wrote it:
+#: the placement plan
+_PLACEMENT_TOPOLOGY = {
+    "topology": {"source": "sysfs", "n_cores": 2, "n_domains": 2},
+    "worker_domains": [0, 1],
+    "domain_chunk_elements": [131072, 131072],
+}
+
+#: ``topology`` as releases with the cache-derived kernel chunk size wrote
+#: it: the probed L2/L3 capacities and the chunk size the run used
+_CACHE_TOPOLOGY = {
+    "source": "sysfs", "n_cores": 2, "n_domains": 1, "domain_sizes": [2],
+    "l2_bytes": 2 << 20, "l3_bytes": 300 << 20, "n_workers": 2,
+    "kernel_chunk_elements": 131072,
+}
+
+
+def _save_as_parent_commit(trace, path, topology):
     """The ``.npz`` earlier releases wrote: today's layout plus five
-    per-domain / per-steal accumulators and the placement plan as
-    ``topology`` (before the NUMA-domain tier's removal), and the shared
-    score store's counters in ``kernel_counters`` (before the store's)."""
+    per-domain / per-steal accumulators (before the NUMA-domain tier's
+    removal), the shared score store's counters in ``kernel_counters``
+    (before the store's) and an older ``topology``."""
     save_trace(trace, path)
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files if key != "meta"}
@@ -49,11 +66,7 @@ def _save_as_parent_commit(trace, path):
         worker_stolen_seconds={"worker-1": 0.25},
         domain_local_times={"node0": 0.55},
         domain_stolen_times={"node0": 0.25},
-        topology={
-            "topology": {"source": "sysfs", "n_cores": 2, "n_domains": 2},
-            "worker_domains": [0, 1],
-            "domain_chunk_elements": [131072, 131072],
-        },
+        topology=topology,
     )
     np.savez_compressed(path, meta=json.dumps(meta), **arrays)
 
@@ -64,10 +77,20 @@ class TestSaveLoad:
         path = tmp_path / "trace.npz"
         save_trace(trace, path)
         self._assert_same(load_trace(path), trace)
+        self._assert_earlier_release_loads(trace, path, _PLACEMENT_TOPOLOGY)
+
+    def test_cache_probe_topology_loads(self, tmp_path):
+        """A trace whose ``topology`` still carries the probed L2/L3 sizes
+        and the kernel chunk size loads with those keys as written."""
+        self._assert_earlier_release_loads(
+            _trace(), tmp_path / "trace.npz", _CACHE_TOPOLOGY
+        )
+
+    def _assert_earlier_release_loads(self, trace, path, topology):
         # A trace cached by an earlier release still loads: the removed
         # accumulators are ignored, the store's counters are neither
         # summarized nor merged, everything else comes back.
-        _save_as_parent_commit(trace, path)
+        _save_as_parent_commit(trace, path, topology)
         back = load_trace(path)
         assert "store" not in summarize_trace(back)
         merged = WorkTrace()
@@ -75,7 +98,7 @@ class TestSaveLoad:
         back.kernel_counters = merged.kernel_counters
         self._assert_same(back, trace)
         assert not hasattr(back, "domain_times")
-        assert back.topology["worker_domains"] == [0, 1]
+        assert back.topology == topology
 
     def _assert_same(self, back, trace):
         assert back.times == trace.times
@@ -141,7 +164,7 @@ class TestSummarize:
         kernel line, no store line, no block line."""
         from repro.cli import main
 
-        _save_as_parent_commit(_trace(), tmp_path / "old.npz")
+        _save_as_parent_commit(_trace(), tmp_path / "old.npz", _CACHE_TOPOLOGY)
         assert main(["trace", "summarize", str(tmp_path / "old.npz")]) == 0
         out = capsys.readouterr().out
         assert "kernel (numpy): 5 evaluations, 3 hits (hit ratio 0.375)" in out
