@@ -764,14 +764,21 @@ def _draws_oracle(case):
 
 
 def _batch_cases():
-    """Two nodes over one universe per probe (all of it reversed; up to
-    nine alternate observations) under independent left/right signs, so a
-    margin row read under the wrong node's sign shows, on tie-heavy rows,
-    non-finite scores, SIMD-tail widths, one-step and one-reject chains.
-    Each node's oracle — ``SplitScorer._run_chain`` over a NumPy kernel —
-    runs once per probe, on the spans of a Philox stream or (every other
-    probe) an MRG one, for two cases: sharing margin rows and not (the
-    fused evaluator)."""
+    """Nodes over one universe per probe under independent left/right
+    signs, so a margin row read under the wrong node's sign shows, on
+    tie-heavy rows, non-finite scores, SIMD-tail widths, one-step and
+    one-reject chains.  Most probes hold two nodes: all of the universe
+    reversed and up to nine alternate observations; their first lookups
+    leave every margin row to be filled when read.  The two ``n_u=16``
+    probes hold every column six times over, whose first lookups make
+    some (parent, beta) blocks filled whole (a transpose left out of the
+    tile fill shows there), and, on an MRG span, a run of columns from 3
+    (read by plain loads) or, on a Philox one, a gathered node whose
+    endpoints look like such a run; their universes hold ±0.0, a tie and
+    an infinity.  Each node's oracle — ``SplitScorer._run_chain`` over a
+    NumPy kernel — runs once per probe, on the spans of a Philox stream or
+    (every other probe) an MRG one, for two cases: sharing margin rows and
+    not (the fused evaluator)."""
     from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
     from repro.scoring.split_score import SplitScorer
 
@@ -779,9 +786,18 @@ def _batch_cases():
     grid, n_parents = np.array((0.25, 1.0, 4.0, 16.0)), 3
     with isolated_kernel_totals():
         for probe, (n_u, max_steps, stop_repeats) in enumerate((
-            (1, 1, 1), (7, 4, 1), (8, 6, 2), (9, 1, 3), (129, 5, 2),
+            (1, 1, 1), (7, 4, 1), (8, 6, 2), (9, 1, 3), (129, 5, 2), (16, 2, 2), (16, 2, 2),
         )):
-            uvalues = np.round(rng.normal(size=(n_parents, n_u)) * 2.0) / 2.0
+            uvalues = rng.normal(size=(n_parents, n_u)) * 2.0
+            if n_u == 16:
+                uvalues[0, :2] = (0.0, -0.0)
+                uvalues[1, 9] = uvalues[1, 4]
+                uvalues[2, 5] = np.inf
+                runs = (np.array((3, 5, 5, 6, 7, 8, 9, 10, 11)), np.arange(3, 12))
+                layout = (np.tile(np.arange(n_u), 6), runs[probe % 2])
+            else:
+                uvalues = np.round(uvalues) / 2.0
+                layout = (np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])
             if n_u in (8, 9):
                 uvalues[0, :2] = (0.0, -0.0)
                 uvalues[1, -2:] = (1e308, -1e308)  # -inf scores
@@ -789,10 +805,10 @@ def _batch_cases():
             scorer = SplitScorer(
                 grid, max_steps=max_steps, stop_repeats=stop_repeats, kernel_backend="numpy"
             )
-            chunk = 2 * n_u  # two rows of the wide node
+            chunk = 2 * layout[0].size  # two rows of the wide node
             generator = _GENERATORS[probe % 2]
             probes = []  # per node: obs, sign, span, its oracle's results and counters
-            for q, obs in enumerate((np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])):
+            for q, obs in enumerate(layout):
                 sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
                 span = IndexedStream(
                     make_stream(0x5EED, "chain", n_u, q, backend=generator),

@@ -25,8 +25,14 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   ``LazySplitKernel.scores`` for a batch of tree nodes, parent by parent —
   same lookups, same memo updates, same accept test (``np.log`` through the
   provider above) — so the hit / evaluation / peak counters come out equal
-  too; the nodes share each ``log1p(exp(-|z|))`` row, which does not depend
-  on a node's +-1 sign vector, through a per-parent table of margin rows;
+  too; a lookup visits only the slots its key pass listed as missing, and
+  the accept pass is selects, not branches.  The nodes share each
+  ``log1p(exp(-|z|))`` row, which does not depend on a node's +-1 sign
+  vector, through a per-parent table of margin rows keyed by universe
+  column; a node whose columns are one run reads them by plain loads, any
+  other gathers them, and since t(u, o) is t(o, u) bit for bit a
+  (parent, beta) block the first lookups will read enough of is filled
+  whole, each 8 x 8 tile once and stored again transposed;
 * ``repro_obs_reassign_sweep`` / ``repro_obs_merge_sweep`` replay
   ``coclustering.reassign_obs_sweep`` / ``merge_obs_sweep`` over one
   observation clustering's own state, move for move: the draws in the
@@ -509,13 +515,14 @@ static void margin_fill_svml(double gv, const double *uv, double beta,
 }
 
 /* where(z > 0, -t, z - t) in the lanes of m, with z exactly as row_fill_svml
- * computes it and t gathered from the shared margin row at the node's
- * columns. */
+ * computes it and t read from the shared margin row at the node's columns:
+ * loaded whole when they are one run (contig: obs[j] == obs[0] + j), else
+ * gathered. */
 __attribute__((target("avx512f")))
 static inline __m512d margin_lanes(double gv, const double *vrow,
                                    const double *sgn, double beta,
                                    const double *t, const int64_t *obs,
-                                   __mmask8 m)
+                                   int contig, __mmask8 m)
 {
     const __m512d zero = _mm512_setzero_pd();
     const __m512i sbit = _mm512_set1_epi64((int64_t)0x8000000000000000ULL);
@@ -524,8 +531,10 @@ static inline __m512d margin_lanes(double gv, const double *vrow,
             _mm512_sub_pd(_mm512_set1_pd(gv), _mm512_maskz_loadu_pd(m, vrow)),
             _mm512_maskz_loadu_pd(m, sgn)),
         _mm512_set1_pd(beta));
-    __m512d tt = _mm512_mask_i64gather_pd(
-        zero, m, _mm512_maskz_loadu_epi64(m, obs), t, 8);
+    __m512d tt = contig
+        ? _mm512_maskz_loadu_pd(m, t + obs[0])
+        : _mm512_mask_i64gather_pd(zero, m, _mm512_maskz_loadu_epi64(m, obs),
+                                   t, 8);
     __mmask8 pos = _mm512_cmp_pd_mask(z, zero, _CMP_GT_OQ);
     __m512d neg_t = _mm512_castsi512_pd(
         _mm512_xor_si512(_mm512_castpd_si512(tt), sbit));
@@ -537,28 +546,29 @@ static inline __m512d margin_lanes(double gv, const double *vrow,
 __attribute__((target("avx512f")))
 static double margin_pw_svml(double gv, const double *vrow, const double *sgn,
                              double beta, const double *t, const int64_t *obs,
-                             int64_t n)
+                             int contig, int64_t n)
 {
     double r[8], res = 0.0;
     int64_t i = 0, j;
     if (n > 128) {
         int64_t n2 = n / 2;
         n2 -= n2 % 8;
-        return margin_pw_svml(gv, vrow, sgn, beta, t, obs, n2)
+        return margin_pw_svml(gv, vrow, sgn, beta, t, obs, contig, n2)
              + margin_pw_svml(gv, vrow + n2, sgn + n2, beta, t, obs + n2,
-                              n - n2);
+                              contig, n - n2);
     }
     if (n >= 8) {
-        __m512d acc = margin_lanes(gv, vrow, sgn, beta, t, obs, 0xFF);
+        __m512d acc = margin_lanes(gv, vrow, sgn, beta, t, obs, contig, 0xFF);
         for (i = 8; i + 8 <= n; i += 8)
             acc = _mm512_add_pd(acc, margin_lanes(gv, vrow + i, sgn + i, beta,
-                                                  t, obs + i, 0xFF));
+                                                  t, obs + i, contig, 0xFF));
         _mm512_storeu_pd(r, acc);
         res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
     }
     if (i < n) {
         _mm512_storeu_pd(r, margin_lanes(gv, vrow + i, sgn + i, beta, t,
-                                         obs + i, (__mmask8)((1u << (n - i)) - 1u)));
+                                         obs + i, contig,
+                                         (__mmask8)((1u << (n - i)) - 1u)));
         for (j = 0; j < n - i; j++)
             res += r[j];
     }
@@ -568,11 +578,69 @@ static double margin_pw_svml(double gv, const double *vrow, const double *sgn,
 __attribute__((target("avx512f")))
 static double margin_sum_svml(double gv, const double *vrow, const double *sgn,
                               double beta, const double *t, const int64_t *obs,
-                              int64_t n)
+                              int contig, int64_t n)
 {
-    double res = margin_pw_svml(gv, vrow, sgn, beta, t, obs, n);
+    double res = margin_pw_svml(gv, vrow, sgn, beta, t, obs, contig, n);
     _mm256_zeroupper();
     return res;
+}
+
+/* The eight rows of an 8 x 8 tile become its eight columns: pairs of rows
+ * interleaved, then 128- and 256-bit lanes regrouped. */
+__attribute__((target("avx512f")))
+static inline void transpose8(__m512d *r)
+{
+    __m512d t[8], u[8];
+    int i;
+    for (i = 0; i < 8; i += 2) {
+        t[i] = _mm512_unpacklo_pd(r[i], r[i + 1]);
+        t[i + 1] = _mm512_unpackhi_pd(r[i], r[i + 1]);
+    }
+    for (i = 0; i < 8; i += 4) {
+        u[i] = _mm512_shuffle_f64x2(t[i], t[i + 2], 0x88);
+        u[i + 1] = _mm512_shuffle_f64x2(t[i + 1], t[i + 3], 0x88);
+        u[i + 2] = _mm512_shuffle_f64x2(t[i], t[i + 2], 0xDD);
+        u[i + 3] = _mm512_shuffle_f64x2(t[i + 1], t[i + 3], 0xDD);
+    }
+    for (i = 0; i < 4; i++) {
+        r[i] = _mm512_shuffle_f64x2(u[i], u[i + 4], 0x88);
+        r[i + 4] = _mm512_shuffle_f64x2(u[i], u[i + 4], 0xDD);
+    }
+}
+
+/* block_fill eight lanes at a time: each 8 x 8 tile on or above the
+ * diagonal is computed as margin_fill_svml computes its rows, stored, and
+ * (off the diagonal) stored again transposed in registers. */
+__attribute__((target("avx512f")))
+static void block_fill_svml(const double *uv, double beta, double *blk,
+                            int64_t n)
+{
+    const __m512d vbeta = _mm512_set1_pd(beta);
+    const __m512i sbit = _mm512_set1_epi64((int64_t)0x8000000000000000ULL);
+    int64_t i0, j0, r;
+    for (i0 = 0; i0 < n; i0 += 8) {
+        const int64_t rows = n - i0 < 8 ? n - i0 : 8;
+        for (j0 = i0; j0 < n; j0 += 8) {
+            const int64_t cols = n - j0 < 8 ? n - j0 : 8;
+            const __mmask8 mc = (__mmask8)((1u << cols) - 1u);
+            const __m512d vo = _mm512_maskz_loadu_pd(mc, uv + j0);
+            __m512d t[8];
+            for (r = 0; r < rows; r++) {
+                __m512d z = _mm512_mul_pd(
+                    _mm512_sub_pd(_mm512_set1_pd(uv[i0 + r]), vo), vbeta);
+                t[r] = p_log1p8(p_exp8(_mm512_castsi512_pd(_mm512_or_si512(
+                    _mm512_castpd_si512(z), sbit)))); /* -|z| */
+                _mm512_mask_storeu_pd(blk + (i0 + r) * n + j0, mc, t[r]);
+            }
+            if (j0 == i0)
+                continue;
+            /* off the diagonal the tile has all eight rows */
+            transpose8(t);
+            for (r = 0; r < cols; r++)
+                _mm512_storeu_pd(blk + (j0 + r) * n + i0, t[r]);
+        }
+    }
+    _mm256_zeroupper();
 }
 #endif
 
@@ -590,16 +658,37 @@ static void margin_fill(double gv, const double *uv, double beta, double *t,
         t[i] = log1p(exp(-fabs((gv - uv[i]) * beta)));
 }
 
+/* Every margin row of one (parent, beta) block, row u filled as
+ * margin_fill(uv[u], ...) fills it.  t(u, o) equals t(o, u) bit for bit:
+ * IEEE subtraction is antisymmetric, multiplication rounds symmetrically
+ * and |.| drops the sign, so each entry above the diagonal is computed
+ * once and stored at both places — about n^2 / 2 exp/log1p evaluations
+ * where n lazy rows take n^2 (docs/ALGORITHMS.md section 10). */
+static void block_fill(const double *uv, double beta, double *blk, int64_t n)
+{
+    int64_t u, o;
+#if REPRO_HAVE_AVX512
+    if (use_svml) {
+        block_fill_svml(uv, beta, blk, n);
+        return;
+    }
+#endif
+    for (u = 0; u < n; u++)
+        for (o = u; o < n; o++)
+            blk[u * n + o] = blk[o * n + u] =
+                log1p(exp(-fabs((uv[u] - uv[o]) * beta)));
+}
+
 /* pw_sum(where(z > 0, -t, z - t)) over the node's columns; the scalar
  * provider applies into the scratch `row` and sums it. */
 static double margin_sum(double gv, const double *vrow, const double *sgn,
                          double beta, const double *t, const int64_t *obs,
-                         double *row, int64_t n)
+                         int contig, double *row, int64_t n)
 {
     int64_t i;
 #if REPRO_HAVE_AVX512
     if (use_svml)
-        return margin_sum_svml(gv, vrow, sgn, beta, t, obs, n);
+        return margin_sum_svml(gv, vrow, sgn, beta, t, obs, contig, n);
 #endif
     for (i = 0; i < n; i++) {
         double z = ((gv - vrow[i]) * sgn[i]) * beta;
@@ -637,15 +726,21 @@ typedef struct {
     const int64_t *ur;
     int64_t n_u, n_beta;
     double quantum;
-    /* margin rows of the parent in hand, by key (NULL: nothing shared) */
+    /* margin rows of the parent in hand, row b * n_u + u holding t(u, .)
+     * at beta b (NULL: nothing shared); a value's rows are those of its
+     * first column, rep[rank]; have[] marks the rows read so far, whole[b]
+     * the blocks filled before any chain ran */
     double *rows;
-    uint8_t *have;
+    const int64_t *rep;
+    uint8_t *have, *whole;
     int64_t filled, uses;
-    /* the chain in hand */
+    /* the chain in hand; vrow is its parent's values at its columns */
     const repro_node *nd;
-    double *vrow, *row, *cache;
-    uint8_t *seen, *miss;
-    int64_t *flat, *mrow, *ucol, *missed;
+    const double *vrow;
+    double *row, *cache;
+    uint8_t *seen;
+    int contig;
+    int64_t *flat, *mrow, *ucol, *list;
     int64_t hits, evaluations;
 } batch_ctx;
 
@@ -653,51 +748,58 @@ typedef struct {
  * sits in universe column u: z = ((gv - values_row[o]) * sign[o]) * beta,
  * stable log-sigmoid, pairwise row sum, round-half-even quantization.  A
  * node with +-1 signs reads log1p(exp(-|z|)) from the parent's margin row
- * (filled on first use); any other node, and every node when the batch
- * shares no table, evaluates the fused row. */
+ * (filled on first read unless its block was filled whole); any other
+ * node, and every node when the batch shares no table, evaluates the
+ * fused row. */
 static double node_score(batch_ctx *c, int64_t u, int64_t b)
 {
     const repro_node *nd = c->nd;
     const double gv = c->uv[u], beta = c->beta_grid[b];
-    int64_t key;
+    int64_t col, key;
     double *t;
     if (!c->rows || !nd->shared)
         return row_score(gv, c->vrow, nd->sign, beta, c->quantum, c->row,
                          nd->n_obs);
-    key = b * c->n_u + c->ur[u];
+    col = c->rep[c->ur[u]];
+    key = b * c->n_u + col;
     t = c->rows + key * c->n_u;
     c->uses++;
     if (!c->have[key]) {
-        margin_fill(gv, c->uv, beta, t, c->n_u);
+        if (!c->whole[b])
+            margin_fill(c->uv[col], c->uv, beta, t, c->n_u);
         c->have[key] = 1;
         c->filled++;
     }
-    return rint(margin_sum(gv, c->vrow, nd->sign, beta, t, nd->obs, c->row,
-                           nd->n_obs) / c->quantum) * c->quantum;
+    return rint(margin_sum(gv, c->vrow, nd->sign, beta, t, nd->obs, c->contig,
+                           c->row, nd->n_obs) / c->quantum) * c->quantum;
 }
 
 /* LazySplitKernel.scores for the k chain items act[0..k) at beta indices
  * bidx[0..k): hits are counted against the memo as it stood when the
  * lookup began (a duplicate key inside one lookup is a miss for every
  * holder, as in ~seen[flat]) and the distinct missing keys are evaluated
- * once each.  missed[b] counts them per beta for this lookup of the node:
+ * once each, in slot order: the key pass lists every slot and keeps the
+ * missing ones (list[n] = j; n += !seen), so only they are visited.
+ * missed[b] counts them per beta for this lookup of the node:
  * groups never span parents, so summed over the node's parents it is what
  * one all-parents lookup would have missed at that beta — the count
  * _evaluate sizes its same-beta chunks by (peak_chunk_elements). */
 static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
                          const int64_t *bidx, int64_t *missed, double *score)
 {
-    int64_t j, n_miss = 0;
+    int64_t j, x, n_miss = 0;
     for (j = 0; j < k; j++) {
         int64_t key = c->mrow[act[j]] * c->n_beta + bidx[j];
         c->flat[j] = key;
-        c->miss[j] = !c->seen[key];
-        n_miss += c->miss[j];
+        c->list[n_miss] = j;
+        n_miss += !c->seen[key];
     }
     c->hits += k - n_miss;
-    for (j = 0; n_miss && j < k; j++) {
-        int64_t key = c->flat[j];
-        if (!c->miss[j] || c->seen[key])
+    for (x = 0; x < n_miss; x++) {
+        int64_t key;
+        j = c->list[x];
+        key = c->flat[j];
+        if (c->seen[key]) /* a duplicate of this lookup, evaluated above */
             continue;
         c->cache[key] = node_score(c, c->ucol[act[j]], bidx[j]);
         c->seen[key] = 1;
@@ -708,23 +810,46 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
         score[j] = c->cache[c->flat[j]];
 }
 
+/* A chain item's first draw cursor, kept from the pre-pass that seats it
+ * to the start of its chain: the words its first Philox block holds after
+ * draw 0 (words 1..3; the block's word 0 is at most draw 0 itself) or the
+ * MRG state after draw 0: 24 bytes an item, for the items of the parent
+ * in hand. */
+typedef union {
+    double w[3];
+    uint64_t x[3];
+} seat;
+
 /* SplitScorer._run_chain for a batch of tree nodes, parent-major: for each
  * candidate parent, each node's chain over its candidate splits of that
  * parent (chain items [k0, k1) of the node) runs step-synchronously (every
  * active item takes step s before any takes s + 1; the memo counters
  * depend on the order of lookups, scores and accept decisions would not)
  * against a scratch memo keyed by universe value rank, and with `share`
- * all nodes read one table of margin rows, n_beta *
- * n_u of n_u per parent (node_score).  A node's
- * candidate l * n_obs + j is (parent row l of uvalues, value at universe
- * column obs[j]); chain item i reads its draws through a cursor of its own:
- * only the draws a chain reaches are computed, two Philox steps share a
- * block, and an MRG item is seated at the state its node's previous item
- * started from times A^per_item (nine multiply-mods, not a matrix power;
- * one power per node seats the first).  table_counters = {rows filled,
- * row uses, Philox blocks computed}; each node reports {hits, evaluations,
- * peak_chunk_elements} as one all-parents chain would have counted them.
- * Returns -1 on allocation failure. */
+ * all nodes read one table of margin rows, n_beta * n_u of n_u per parent
+ * (node_score).  A node's candidate l * n_obs + j is (parent row l of
+ * uvalues, value at universe column obs[j]); chain item i reads its draws
+ * through a cursor of its own: only the draws a chain reaches are
+ * computed, two Philox steps share a block, and an MRG item is seated at
+ * the state its node's previous item started from times A^per_item (nine
+ * multiply-mods, not a matrix power; one power per node seats the first).
+ *
+ * Per parent, a pre-pass seats every item of every node first: its draw 0
+ * gives its first beta (left in its steps slot until its chain starts) and
+ * its cursor is kept (seat).  The first lookups read every distinct
+ * (beta, value) row their shared nodes' items start at; where at one beta
+ * that is at least whole_rows rows, lazy fills were certain to cost at
+ * least what filling the block whole costs (block_fill: ceil(n_u / 8)
+ * (ceil(n_u / 8) + 1) / 2 tiles of 64 lanes, against ceil(n_u / 8) blocks
+ * of 8 lanes per lazy row), and the block is filled whole before any chain
+ * runs.  Rows are counted as filled when first read, however they got
+ * there.  The chain step is branch-free but for the Philox refresh and the
+ * evaluation of a missing key: the accept test, the best-so-far update
+ * and the keep-or-drop decision are selects.
+ *
+ * table_counters = {rows filled, row uses, Philox blocks computed}; each
+ * node reports {hits, evaluations, peak_chunk_elements} as one all-parents
+ * chain would have counted them.  Returns -1 on allocation failure. */
 int repro_score_batch(const double *uvalues, const int64_t *urow,
                       int64_t n_parents, int64_t n_u, const double *beta_grid,
                       int64_t n_beta, repro_node *nodes, int64_t n_nodes,
@@ -733,32 +858,40 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
 {
     batch_ctx c;
     int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *missed;
-    double *dbuf, *cur_score, *prop_score, *log_u;
-    uint8_t *bbuf;
+    int64_t *rep, *first_rows;
+    double *dbuf, *cur_score, *prop_score, *log_u, *vbuf;
+    uint8_t *bbuf, *contig;
     draws *d;
+    seat *seats;
     uint64_t ahead[9] = {1, 0, 0, 0, 1, 0, 0, 0, 1}, *item_x;
-    int64_t i, j, k, l, q, step, max_obs = 1, blocks = 0;
+    int64_t i, j, k, l, q, s, step, max_obs = 1, n_items = 1, blocks = 0;
     const int64_t n_lookups = max_steps + 1, n_memo = n_u * n_beta;
     const int64_t n_rows = share ? n_memo : 0, per_item = 1 + 2 * max_steps;
+    const int64_t whole_rows = 4 * ((n_u + 7) / 8 + 1);
     size_t n;
 
-    for (q = 0; q < n_nodes; q++)
+    for (q = 0; q < n_nodes; q++) {
         if (nodes[q].n_obs > max_obs)
             max_obs = nodes[q].n_obs;
+        n_items += nodes[q].n_obs;
+    }
     n = (size_t)max_obs;
-    ibuf = (int64_t *)calloc(
-        8 * n + (size_t)(n_nodes * n_lookups * n_beta), sizeof(int64_t));
+    ibuf = (int64_t *)calloc(9 * n + (size_t)(n_u + n_beta)
+                                 + (size_t)(n_nodes * n_lookups * n_beta),
+                             sizeof(int64_t));
     dbuf = (double *)malloc(
         (3 * n + 2 * (size_t)max_obs + (size_t)(n_memo + n_rows * n_u))
         * sizeof(double));
-    bbuf = (uint8_t *)malloc(n + (size_t)(n_memo + n_rows));
+    bbuf = (uint8_t *)malloc((size_t)(n_memo + n_rows + n_beta + n_nodes));
     d = (draws *)malloc(n * sizeof(draws));
+    seats = (seat *)malloc((size_t)n_items * sizeof(seat));
     item_x = (uint64_t *)malloc((3 * (size_t)n_nodes + 1) * sizeof(uint64_t));
-    if (!ibuf || !dbuf || !bbuf || !d || !item_x) {
+    if (!ibuf || !dbuf || !bbuf || !d || !seats || !item_x) {
         free(ibuf);
         free(dbuf);
         free(bbuf);
         free(d);
+        free(seats);
         free(item_x);
         return -1;
     }
@@ -775,30 +908,75 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     c.mrow = ibuf + 5 * n;
     c.ucol = ibuf + 6 * n;
     best_idx = ibuf + 7 * n;
-    missed = ibuf + 8 * n;
+    c.list = ibuf + 8 * n;
+    c.rep = rep = ibuf + 9 * n;
+    first_rows = rep + n_u;
+    missed = first_rows + n_beta;
     cur_score = dbuf;
     prop_score = dbuf + n;
     log_u = dbuf + 2 * n;
     c.row = dbuf + 3 * n;
-    c.vrow = c.row + max_obs;
-    c.cache = c.vrow + max_obs;
+    vbuf = c.row + max_obs;
+    c.cache = vbuf + max_obs;
     c.rows = share ? c.cache + n_memo : NULL;
-    c.miss = bbuf;
-    c.seen = bbuf + n;
-    c.have = bbuf + n + n_memo;
+    c.seen = bbuf;
+    c.have = bbuf + n_memo;
+    c.whole = c.have + n_rows;
+    contig = c.whole + n_beta;
     c.beta_grid = beta_grid;
     c.n_u = n_u;
     c.n_beta = n_beta;
     c.quantum = quantum;
     c.filled = c.uses = 0;
-    for (q = 0; q < n_nodes; q++)
+    for (q = 0; q < n_nodes; q++) {
+        const int64_t *obs = nodes[q].obs;
         nodes[q].hits = nodes[q].evaluations = nodes[q].peak = 0;
+        /* one run of columns: its margin reads are plain loads */
+        contig[q] = 1;
+        for (j = 1; j < nodes[q].n_obs; j++)
+            contig[q] &= obs[j] == obs[0] + j;
+    }
 
     for (l = 0; l < n_parents; l++) {
         c.uv = uvalues + l * n_u;
         c.ur = urow + l * n_u;
+        for (i = n_u - 1; i >= 0; i--)
+            rep[c.ur[i]] = i;
         memset(c.have, 0, (size_t)n_rows);
-        for (q = 0; q < n_nodes; q++) {
+        memset(c.seen, 0, (size_t)n_memo);
+        memset(first_rows, 0, (size_t)n_beta * sizeof(int64_t));
+        for (q = 0, s = 0; q < n_nodes; q++) {
+            repro_node *nd = nodes + q;
+            const int64_t k0 = l * nd->n_obs;
+            for (i = 0; i < nd->n_obs; i++, s++) {
+                draws di = draws_from(nd->gen, nd->key,
+                                      nd->offset + (uint64_t)((k0 + i) * per_item));
+                int64_t idx, key;
+                if (nd->gen == MRG) {
+                    memcpy(di.x, item_x + 3 * q, sizeof di.x);
+                    di.at = di.offset;
+                    mrg_mul(ahead, item_x + 3 * q, 1, item_x + 3 * q);
+                }
+                /* min((u * n_beta).astype(int64), n_beta - 1) */
+                idx = (int64_t)(draw(&di, 0) * (double)n_beta);
+                idx = idx > n_beta - 1 ? n_beta - 1 : idx;
+                nd->steps[k0 + i] = idx;
+                if (nd->gen == MRG)
+                    memcpy(seats[s].x, di.x, sizeof seats[s].x);
+                else
+                    memcpy(seats[s].w, di.kept + 1, sizeof seats[s].w);
+                blocks += di.blocks;
+                key = c.ur[nd->obs[i]] * n_beta + idx;
+                first_rows[idx] += nd->shared && !c.seen[key];
+                c.seen[key] |= (uint8_t)nd->shared;
+            }
+        }
+        for (j = 0; j < n_beta; j++) {
+            c.whole[j] = c.rows && first_rows[j] >= whole_rows;
+            if (c.whole[j])
+                block_fill(c.uv, beta_grid[j], c.rows + j * n_u * n_u, n_u);
+        }
+        for (q = 0, s = 0; q < n_nodes; q++) {
             repro_node *nd = nodes + q;
             const int64_t n_obs = nd->n_obs;
             int64_t *node_missed = missed + q * n_lookups * n_beta;
@@ -806,23 +984,28 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
             k = n_obs;
             c.nd = nd;
             c.hits = c.evaluations = 0;
-            for (j = 0; j < n_obs; j++)
-                c.vrow[j] = c.uv[nd->obs[j]];
+            c.contig = contig[q];
+            if (c.contig && n_obs) {
+                c.vrow = c.uv + nd->obs[0];
+            } else {
+                for (j = 0; j < n_obs; j++)
+                    vbuf[j] = c.uv[nd->obs[j]];
+                c.vrow = vbuf;
+            }
             memset(c.seen, 0, (size_t)n_memo);
-            for (i = 0; i < k; i++) {
-                int64_t idx;
+            for (i = 0; i < k; i++, s++) {
                 d[i] = draws_from(nd->gen, nd->key,
                                   nd->offset + (uint64_t)((k0 + i) * per_item));
                 if (nd->gen == MRG) {
-                    memcpy(d[i].x, item_x + 3 * q, sizeof d[i].x);
-                    d[i].at = d[i].offset;
-                    mrg_mul(ahead, item_x + 3 * q, 1, item_x + 3 * q);
+                    memcpy(d[i].x, seats[s].x, sizeof d[i].x);
+                    d[i].at = d[i].offset + 1;
+                } else {
+                    memcpy(d[i].kept + 1, seats[s].w, sizeof seats[s].w);
+                    d[i].block = d[i].offset / 4 + 1;
                 }
-                /* min((u * n_beta).astype(int64), n_beta - 1) */
-                idx = (int64_t)(draw(d + i, 0) * (double)n_beta);
                 c.ucol[i] = nd->obs[i];
                 c.mrow[i] = c.ur[c.ucol[i]];
-                cur_idx[i] = idx > n_beta - 1 ? n_beta - 1 : idx;
+                cur_idx[i] = nd->steps[k0 + i];
                 rejects[i] = 0;
                 act[i] = i;
                 nd->steps[k0 + i] = 0;
@@ -838,11 +1021,8 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                     const double u_prop = draw(d + act[j], 1 + 2 * step),
                                  u_acc = draw(d + act[j], 2 + 2 * step);
                     int64_t p = cur_idx[act[j]] + (u_prop < 0.5 ? -1 : 1);
-                    if (p < 0)
-                        p = 1;
-                    if (p >= n_beta)
-                        p = n_beta - 2;
-                    prop[j] = p;
+                    p = p < 0 ? 1 : p;
+                    prop[j] = p >= n_beta ? n_beta - 2 : p;
                     /* np.maximum(u_acc, 1e-300): NaN propagates */
                     log_u[j] =
                         (u_acc != u_acc || u_acc > 1e-300) ? u_acc : 1e-300;
@@ -851,20 +1031,23 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                              node_missed + (step + 1) * n_beta, prop_score);
                 apply_log(log_u, k);
                 for (j = 0; j < k; j++) {
+                    const double ps = prop_score[j];
+                    double *best;
+                    int acc, better;
+                    int64_t r;
                     i = act[j];
+                    best = nd->best_score + k0 + i;
+                    acc = log_u[j] < ps - cur_score[i];
+                    better = acc & (ps > *best);
+                    r = acc ? 0 : rejects[i] + 1;
                     nd->steps[k0 + i]++;
-                    if (log_u[j] < prop_score[j] - cur_score[i]) {
-                        cur_idx[i] = prop[j];
-                        cur_score[i] = prop_score[j];
-                        rejects[i] = 0;
-                        if (cur_score[i] > nd->best_score[k0 + i]) {
-                            nd->best_score[k0 + i] = cur_score[i];
-                            best_idx[i] = cur_idx[i];
-                        }
-                        act[kept++] = i;
-                    } else if (++rejects[i] < stop_repeats) {
-                        act[kept++] = i;
-                    }
+                    cur_idx[i] = acc ? prop[j] : cur_idx[i];
+                    cur_score[i] = acc ? ps : cur_score[i];
+                    best_idx[i] = better ? prop[j] : best_idx[i];
+                    *best = better ? ps : *best;
+                    rejects[i] = r;
+                    act[kept] = i;
+                    kept += acc | (r < stop_repeats);
                 }
                 k = kept;
             }
@@ -896,6 +1079,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     free(dbuf);
     free(bbuf);
     free(d);
+    free(seats);
     free(item_x);
     return 0;
 }

@@ -53,6 +53,7 @@ from repro.parallel.transport import (
     WorkerCrashedError,  # noqa: F401 - re-exported: callers import it from here
     local_transport,
 )
+from repro.scoring.kernel import resolve_kernel_backend
 from repro.trees.splits import gather_parent_blocks
 
 # -- mode heuristic ---------------------------------------------------------
@@ -429,7 +430,13 @@ def open_executor(
     shard nodes alike (:func:`repro.parallel.poolutil.pool_context`;
     callers living in a multi-threaded process pass ``"spawn"``);
     ``crash_poll_seconds`` reaches the local pool only.
+
+    The job's kernel backend is resolved here, before any child starts: a
+    forked worker or node inherits the loaded, certified native kernel
+    instead of certifying its own, and an explicit ``"native"`` this host
+    cannot load raises its ``RuntimeError`` in the caller.
     """
+    resolve_kernel_backend(config.parallel.kernel_backend)
     parents = np.asarray(
         config.resolve_candidate_parents(data.shape[0]), dtype=np.int64
     )

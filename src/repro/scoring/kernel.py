@@ -506,10 +506,16 @@ def run_chains(
     batch parent by parent: the
     transcendental part of a margin, ``log1p(exp(-|(v - x) * beta|))``,
     does not depend on a node's +-1 sign vector, so every node reads it
-    from one table of margin rows per parent, each row filled the first
-    time any chain needs it, and only the sign select, the pairwise sum
-    and the quantum are paid per ``(group, beta)``: one register pass over
-    the node's columns, the selected row never stored.  Each chain item
+    from one table of margin rows per parent, keyed by universe column,
+    each row filled the first time any chain needs it — or, where the
+    items' first lookups will read enough rows of a ``(parent, beta)``
+    block, the whole block at once by the symmetry ``t(u, o) = t(o, u)``,
+    about half the ``exp``/``log1p`` — and only the sign select, the
+    pairwise sum and the quantum are paid per ``(group, beta)``: one
+    register pass over the node's columns (plain loads when they are one
+    run, a gather otherwise), the selected row never stored.  A lookup
+    visits only the keys it misses and the accept step is selects, not
+    branches (ALGORITHMS.md §10, §13).  Each chain item
     computes the draws of its node's span through a cursor of its own:
     consecutive Philox steps share a four-draw block, and an MRG item
     starts one matrix product on from the previous item's start

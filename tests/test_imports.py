@@ -97,6 +97,40 @@ def test_cold_learn_loads_neither_scipy_nor_the_c_parser():
     assert done.returncode == 0, done.stderr
 
 
+_POOL_LEARNS = """
+import os
+from repro import _native
+from repro.core.config import LearnerConfig, ParallelConfig
+from repro.core.learner import LemonTreeLearner
+from repro.data.synthetic import make_module_dataset
+
+certify = _native._certify
+
+def counted(kernels):
+    with open(os.environ["CERTIFY_LOG"], "a") as log:
+        log.write(f"{os.getpid()}\\n")
+    return certify(kernels)
+
+_native._certify = counted
+config = LearnerConfig(max_sampling_steps=5, parallel=ParallelConfig(n_workers=2))
+for _ in range(2):
+    LemonTreeLearner(config).learn(make_module_dataset(24, 16, seed=7).matrix, 3)
+print(os.getpid())
+"""
+
+
+def test_pool_learns_certify_the_native_kernel_once_before_forking(tmp_path):
+    """The process that opens a pool never scores, yet it resolves the
+    job's kernel backend before its workers fork: two ``learn()`` calls on
+    two workers certify the kernel once, in that process, and in no
+    worker."""
+    _warm_native_cache()
+    log = tmp_path / "certified"
+    done = _run_cold(_POOL_LEARNS, CERTIFY_LOG=str(log))
+    assert done.returncode == 0, done.stderr
+    assert log.read_text().split() == [done.stdout.split()[-1]]
+
+
 def test_cold_learn_runs_without_scipy():
     """With every ``import scipy`` made to fail, a cold ``learn()`` still
     runs and certifies the native kernel."""

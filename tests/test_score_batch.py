@@ -157,6 +157,152 @@ def _assert_batch_equals_per_node_chains(
             np.testing.assert_array_equal(part, expected)
 
 
+def _whole_blocks(uvalues, beta_grid, specs, max_steps):
+    """Which (parent, beta) blocks ``repro_score_batch`` fills whole before
+    its chains run: those where the distinct (beta, value) rows the first
+    lookups of its +-1 nodes read number at least ``4 * (ceil(n_u / 8) +
+    1)`` — from that many lazy rows of ``ceil(n_u / 8)`` eight-lane blocks
+    on, the ``ceil(n_u / 8) (ceil(n_u / 8) + 1) / 2`` tiles of 64 lanes of
+    the symmetric fill cost no more."""
+    per_item = 1 + 2 * max_steps
+    n_parents, n_u = uvalues.shape
+    n_beta = beta_grid.size
+    whole = np.zeros((n_parents, n_beta), dtype=bool)
+    for l in range(n_parents):
+        rows = set()
+        for obs, sign, span in specs:
+            if (np.abs(sign) == 1.0).all():
+                first = span.array()[(l * obs.size + np.arange(obs.size)) * per_item]
+                beta = np.minimum((first * n_beta).astype(np.int64), n_beta - 1)
+                rows.update(zip(beta.tolist(), uvalues[l, obs].tolist()))
+        for b in range(n_beta):
+            whole[l, b] = sum(row[0] == b for row in rows) >= 4 * ((n_u + 7) // 8 + 1)
+    return whole
+
+
+def _rows_read(oracle, beta_grid):
+    """The distinct (parent, beta, value) margin rows a node's chain read:
+    one per (group, beta) its NumPy kernel evaluated."""
+    groups, beta = np.nonzero(oracle._seen.reshape(-1, beta_grid.size))
+    return set(zip(oracle.group_row[groups].tolist(), beta.tolist(),
+                   oracle.group_value[groups].tolist()))
+
+
+class TestWholeBlockFill:
+    """Where a batch's first lookups are certain to read enough rows of a
+    (parent, beta) block, the block is filled whole by the symmetric tile
+    fill before any chain runs; elsewhere rows are filled when first read.
+    Either way every output and all five counters are the per-node NumPy
+    chains', and ``margin_rows_filled`` counts the distinct rows read."""
+
+    @staticmethod
+    def _universe(rng, n_parents, n_u):
+        values = rng.normal(size=(n_parents, n_u))
+        values[:, :2] = (0.0, -0.0)  # one value, two columns
+        values[:, 2] = values[:, 3]
+        return values
+
+    def _check(self, uvalues, specs, scorer, rng_backend):
+        grid = scorer.beta_grid
+        consume_kernel_totals()
+        oracles = [
+            _oracle(uvalues, obs, sign, scorer, None,
+                    span.array().reshape(-1, scorer.draws_per_item))
+            for obs, sign, span in specs
+        ]
+        want = consume_kernel_totals()
+        *flat, bounds, counters = run_chains(
+            _native.load(), uvalues, grid, [ChainNode(*spec) for spec in specs],
+            scorer.max_steps, scorer.stop_repeats,
+        )
+        got = consume_kernel_totals()
+        touched = 0
+        for (obs, _sign, span), lo, hi, counted, (oracle, results) in zip(
+            specs, bounds, bounds[1:], counters, oracles
+        ):
+            for part, expected in zip(flat, results):
+                np.testing.assert_array_equal(part[lo:hi], expected)
+            assert counted == (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
+            first = span.start + scorer.draws_per_item * np.arange(hi - lo)
+            touched += int(((first + 2 * flat[1][lo:hi]) // 4 - first // 4 + 1).sum())
+        for key in ("hits", "evaluations", "peak_chunk_elements"):
+            assert got[key] == want[key]
+        assert got["margin_row_uses"] == want["evaluations"]
+        assert got["margin_rows_filled"] == len(
+            set().union(*(_rows_read(oracle, grid) for oracle, _ in oracles))
+        )
+        assert got.get("philox_blocks") == (touched if rng_backend == "philox" else None)
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_u=st.sampled_from([16, 24, 40]),
+        max_steps=st.sampled_from([1, 4]),
+        rng_backend=st.sampled_from(["philox", "mrg"]),
+    )
+    def test_property_each_side_of_the_rule(self, seed, n_u, max_steps, rng_backend):
+        self.assert_each_side_of_the_rule(seed, n_u, max_steps, rng_backend)
+
+    def assert_each_side_of_the_rule(self, seed, n_u, max_steps, rng_backend):
+        """A node reading every column eight times over on a two-point grid
+        leaves every value at each beta to its first lookups: some blocks
+        go whole.  Alone, a node of fewer columns than the rule's row count
+        leaves every block lazy."""
+        rng = np.random.default_rng(seed)
+        scorer = SplitScorer((0.5, 4.0), max_steps=max_steps, kernel_backend="numpy")
+        uvalues = self._universe(rng, 2, n_u)
+        stream = make_stream(seed, "whole", backend=rng_backend)
+        for layout, goes_whole in (
+            ((np.tile(np.arange(n_u), 8), rng.permutation(n_u)[:7]), True),
+            ((rng.permutation(n_u)[: n_u // 2],), False),
+        ):
+            specs = [
+                (obs, np.where(rng.random(obs.size) < 0.5, 1.0, -1.0),
+                 IndexedStream(stream.split(q), scorer.draws_per_item).items_span(
+                     0, 2 * obs.size))
+                for q, obs in enumerate(layout)
+            ]
+            assert _whole_blocks(uvalues, scorer.beta_grid, specs, max_steps).any() == goes_whole
+            self._check(uvalues, specs, scorer, rng_backend)
+
+    @pytest.mark.parametrize(
+        "obs",
+        [[0, 0, 2, 3], [3, 2, 1, 0], list(range(5, 14)), [2, 4, 4, 5], [7, 8, 9, 9, 11]],
+        ids=["duplicated", "descending", "run-from-5", "endpoints-of-a-run", "repeat-in-run"],
+    )
+    @pytest.mark.parametrize("goes_whole", [True, False])
+    def test_only_a_run_of_columns_is_loaded_whole(self, obs, goes_whole):
+        """Only ``obs[j] == obs[0] + j`` for every ``j`` reads its margins
+        by plain loads: columns whose endpoints or span look like a run but
+        that repeat or reorder one are gathered, each where it is, whether
+        their block was filled whole or row by row."""
+        rng = np.random.default_rng(len(obs))
+        scorer = SplitScorer((0.5, 4.0), max_steps=3, kernel_backend="numpy")
+        uvalues = self._universe(rng, 2, 16)
+        stream = make_stream(11, "runs")
+        layout = [np.array(obs)] + [np.tile(np.arange(16), 8)] * goes_whole
+        specs = [
+            (o, np.where(rng.random(o.size) < 0.5, 1.0, -1.0),
+             IndexedStream(stream.split(q), scorer.draws_per_item).items_span(0, 2 * o.size))
+            for q, o in enumerate(layout)
+        ]
+        assert _whole_blocks(uvalues, scorer.beta_grid, specs, 3).any() == goes_whole
+        self._check(uvalues, specs, scorer, "philox")
+
+    def test_the_certification_battery_takes_both_fills(self):
+        """The load-time battery certifies batches on each side of the rule."""
+        sides = set()
+        with np.errstate(all="ignore"):  # the probes overflow by design
+            cases = list(_native._batch_cases())
+        for _label, (uvalues, scorer, _chunk, probes, share) in cases:
+            if share:
+                whole = _whole_blocks(
+                    uvalues, scorer.beta_grid, [p[:3] for p in probes], scorer.max_steps
+                )
+                sides.add(bool(whole.any()))
+        assert sides == {True, False}
+
+
 @pytest.fixture
 def libm_provider():
     """The loaded library re-initialised on the scalar libm provider — what
@@ -196,6 +342,12 @@ class TestLibmProvider:
         )
         monkeypatch.setattr(_native, "_CERTIFICATION", narrower)
         assert _native._certify(libm_provider) is None
+
+    @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
+    def test_whole_blocks_equal_per_node_chains(self, libm_provider, rng_backend):
+        """The scalar whole-block fill, mirrored entry by entry."""
+        for seed, n_u in enumerate((16, 24, 40)):
+            TestWholeBlockFill().assert_each_side_of_the_rule(seed, n_u, 3, rng_backend)
 
     @pytest.mark.parametrize("n_u", WIDTHS)
     def test_batch_equals_per_node_chain(self, libm_provider, n_u):
