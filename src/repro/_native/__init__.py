@@ -775,7 +775,11 @@ def _batch_cases():
     tile fill shows there), and, on an MRG span, a run of columns from 3
     (read by plain loads) or, on a Philox one, a gathered node whose
     endpoints look like such a run; their universes hold ±0.0, a tie and
-    an infinity.  Each node's oracle — ``SplitScorer._run_chain`` over a
+    an infinity.  The last probe's wide node is gathered over 150 columns,
+    so pw_sum's halving split leaves a 78-column half whose masked tail
+    follows nine full blocks, in the groups of four keys the batch sums
+    at once and in the one to three keys a lookup leaves after them.
+    Each node's oracle — ``SplitScorer._run_chain`` over a
     NumPy kernel — runs once per probe, on the spans of a Philox stream or
     (every other probe) an MRG one, for two cases: sharing margin rows and
     not (the fused evaluator)."""
@@ -787,6 +791,7 @@ def _batch_cases():
     with isolated_kernel_totals():
         for probe, (n_u, max_steps, stop_repeats) in enumerate((
             (1, 1, 1), (7, 4, 1), (8, 6, 2), (9, 1, 3), (129, 5, 2), (16, 2, 2), (16, 2, 2),
+            (150, 2, 1),
         )):
             uvalues = rng.normal(size=(n_parents, n_u)) * 2.0
             if n_u == 16:

@@ -13,26 +13,29 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   itself routes through libm;
 * row reduction uses NumPy's pairwise-summation algorithm (blocks of eight
   with eight partial accumulators, halving recursion above 128 elements);
-  a node's row read from shared margins is never stored: ``margin_sum``
+  a node's row read from shared margins is never stored: ``margin_score``
   adds each block of eight into one AVX-512 register whose lanes are those
-  eight accumulators (every ``avx512f`` function that returns into scalar
-  code ends with ``vzeroupper``);
+  eight accumulators, for four of a lookup's keys at once, each in its own
+  register and its one-key order (every ``avx512f`` function that returns
+  into scalar code ends with ``vzeroupper``);
 * quantization is C ``rint`` (round-half-even), the exact semantics of
   ``np.round`` at ``decimals=0``;
 * negation and absolute value are sign-bit flips/masks, matching
-  ``np.negative`` / ``np.abs`` on signed zeros;
+  ``np.negative`` / ``np.abs`` on signed zeros (or ``-0.0 - t``, which is
+  ``-t`` for every ``t >= +0``);
 * ``repro_score_batch`` replays ``SplitScorer._run_chain`` over
   ``LazySplitKernel.scores`` for a batch of tree nodes, parent by parent —
   same lookups, same memo updates, same accept test (``np.log`` through the
   provider above) — so the hit / evaluation / peak counters come out equal
-  too; a lookup visits only the slots its key pass listed as missing, and
-  the accept pass is selects, not branches.  The nodes share each
+  too; a lookup evaluates only the distinct keys it misses, and the accept
+  pass is integer-mask blends, without a branch.  The nodes share each
   ``log1p(exp(-|z|))`` row, which does not depend on a node's +-1 sign
   vector, through a per-parent table of margin rows keyed by universe
   column; a node whose columns are one run reads them by plain loads, any
   other gathers them, and since t(u, o) is t(o, u) bit for bit a
   (parent, beta) block the first lookups will read enough of is filled
-  whole, each 8 x 8 tile once and stored again transposed;
+  whole, each 8 x 8 tile once (its rows' exp8 calls before their log1p8
+  calls) and stored again transposed;
 * ``repro_obs_reassign_sweep`` / ``repro_obs_merge_sweep`` replay
   ``coclustering.reassign_obs_sweep`` / ``merge_obs_sweep`` over one
   observation clustering's own state, move for move: the draws in the
@@ -51,9 +54,10 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
   scored from the pairwise row sum but built from the sequential one;
 * the uniforms the chain and the four sweeps consume are computed where
   they are read, from a span's address (generator, key, offset), by one
-  ``draw`` accessor: Philox4x64-10 with ``numpy.random.Philox``'s key,
-  counter and word-to-double conventions (``philox_block``;
-  ``PhiloxStream.block`` is the definition), or the MRG recurrence of
+  ``draw`` accessor (inline while its Philox block is in hand):
+  Philox4x64-10 with ``numpy.random.Philox``'s key, counter and
+  word-to-double conventions (``philox_block``; ``PhiloxStream.block`` is
+  the definition), or the MRG recurrence of
   ``rng/mrg.py`` stepped in exact ``uint64`` arithmetic from the state a
   square-and-multiply matrix power reaches (``MRGStream.block`` is the
   definition).  Each chain item keeps its own cursor: its Philox step
@@ -388,9 +392,11 @@ static draws draws_from(int64_t gen, uint64_t key, uint64_t offset)
     return d;
 }
 
-static double draw(draws *d, int64_t i)
+/* draw's other cases, out of line: an MRG step (or jump) and a Philox
+ * block not yet in hand. */
+__attribute__((noinline))
+static double draw_refresh(draws *d, uint64_t at)
 {
-    uint64_t at = d->offset + (uint64_t)i, counter;
     if (d->gen == MRG) {
         uint64_t x0;
         if (at != d->at)
@@ -402,13 +408,20 @@ static double draw(draws *d, int64_t i)
         d->at = at + 1;
         return (double)x0 / (double)MRG_M;
     }
-    counter = at / 4 + 1;
-    if (counter != d->block) {
-        philox_block(d->key, counter, d->kept);
-        d->block = counter;
-        d->blocks++;
-    }
+    d->block = at / 4 + 1;
+    philox_block(d->key, d->block, d->kept);
+    d->blocks++;
     return d->kept[at % 4];
+}
+
+/* Draw i of the span: inline while its Philox block is in hand (an MRG
+ * cursor's block stays 0, which no counter is, so it always refreshes). */
+static inline double draw(draws *d, int64_t i)
+{
+    const uint64_t at = d->offset + (uint64_t)i;
+    if (__builtin_expect(at / 4 + 1 == d->block, 1))
+        return d->kept[at % 4];
+    return draw_refresh(d, at);
 }
 
 /* PhiloxStream / MRGStream(key).block(offset, count) */
@@ -509,80 +522,149 @@ static void margin_fill_svml(double gv, const double *uv, double beta,
             _mm512_sub_pd(vgv, _mm512_maskz_loadu_pd(m, uv + i)), vbeta);
         __m512d naz = _mm512_castsi512_pd(
             _mm512_or_si512(_mm512_castpd_si512(z), sbit)); /* -|z| */
-        _mm512_mask_storeu_pd(t + i, m, p_log1p8(p_exp8(naz)));
+        _mm512_mask_storeu_pd(t + i, m, p_exp8(naz));
+    }
+    /* log1p8 over the stored exp8 values after all of them: no call waits
+     * on the one just before it */
+    for (i = 0; i < n; i += 8) {
+        __mmask8 m = n - i >= 8 ? (__mmask8)0xFF
+                                : (__mmask8)((1u << (n - i)) - 1u);
+        _mm512_mask_storeu_pd(t + i, m,
+                              p_log1p8(_mm512_maskz_loadu_pd(m, t + i)));
     }
     _mm256_zeroupper();
 }
 
-/* where(z > 0, -t, z - t) in the lanes of m, with z exactly as row_fill_svml
- * computes it and t read from the shared margin row at the node's columns:
- * loaded whole when they are one run (contig: obs[j] == obs[0] + j), else
- * gathered. */
+/* where(z > 0, -t, z - t) for one key (value gv, beta, margin row t) over
+ * eight of the node's observations, with z = ((gv - v) * s) * beta exactly
+ * as row_fill_svml computes it from their values v and signs s, and t read
+ * at their columns: from col0 on when the node's columns are one run
+ * (contig: obs[j] == obs[0] + j), else gathered at idx.  It is computed as
+ * (z > 0 ? -0.0 : z) - t, one masked move and one subtraction: -0.0 - t is
+ * -t exactly for every t >= +0, and t, a log1p of an exp, is >= +0 wherever
+ * z > 0 (it is NaN only where z is, and then z > 0 is false). */
 __attribute__((target("avx512f")))
-static inline __m512d margin_lanes(double gv, const double *vrow,
-                                   const double *sgn, double beta,
-                                   const double *t, const int64_t *obs,
-                                   int contig, __mmask8 m)
+static inline __m512d margin_lanes(double gv, double beta, const double *t,
+                                   __m512d v, __m512d s, int contig,
+                                   int64_t col0, __m512i idx, __mmask8 m)
 {
     const __m512d zero = _mm512_setzero_pd();
-    const __m512i sbit = _mm512_set1_epi64((int64_t)0x8000000000000000ULL);
     __m512d z = _mm512_mul_pd(
-        _mm512_mul_pd(
-            _mm512_sub_pd(_mm512_set1_pd(gv), _mm512_maskz_loadu_pd(m, vrow)),
-            _mm512_maskz_loadu_pd(m, sgn)),
+        _mm512_mul_pd(_mm512_sub_pd(_mm512_set1_pd(gv), v), s),
         _mm512_set1_pd(beta));
-    __m512d tt = contig
-        ? _mm512_maskz_loadu_pd(m, t + obs[0])
-        : _mm512_mask_i64gather_pd(zero, m, _mm512_maskz_loadu_epi64(m, obs),
-                                   t, 8);
+    __m512d tt = contig ? _mm512_maskz_loadu_pd(m, t + col0)
+                        : _mm512_mask_i64gather_pd(zero, m, idx, t, 8);
     __mmask8 pos = _mm512_cmp_pd_mask(z, zero, _CMP_GT_OQ);
-    __m512d neg_t = _mm512_castsi512_pd(
-        _mm512_xor_si512(_mm512_castpd_si512(tt), sbit));
-    return _mm512_mask_blend_pd(pos, _mm512_sub_pd(z, tt), neg_t);
+    return _mm512_sub_pd(_mm512_mask_mov_pd(z, pos, _mm512_set1_pd(-0.0)),
+                         tt);
 }
 
-/* pw_sum of those values, the row never stored: each block of eight is
- * added into one register whose lanes are pw_sum's eight accumulators. */
-__attribute__((target("avx512f")))
-static double margin_pw_svml(double gv, const double *vrow, const double *sgn,
-                             double beta, const double *t, const int64_t *obs,
-                             int contig, int64_t n)
+/* How many of a node's missing keys one margin_scores_svml call sums. */
+#define MARGIN_GROUP 4
+
+/* pw_sum of margin_lanes' values for g keys of one node at once (n <= 128;
+ * key q at gv[q], beta[q] and margin row t[q]) into out[q], the rows never
+ * stored: each block of eight is added into one register per key whose
+ * lanes are pw_sum's eight accumulators (from -0.0, which adds exactly),
+ * and the node's values, signs and columns are loaded once for all g.
+ * Inlined at a constant g, so the g accumulators stay in registers and
+ * their adds are g independent chains. */
+__attribute__((target("avx512f"), always_inline))
+static inline void margin_run(int g, const double *gv, const double *vrow,
+                              const double *sgn, const double *beta,
+                              const double *const *t, const int64_t *obs,
+                              int contig, int64_t n, double *out)
 {
-    double r[8], res = 0.0;
+    __m512d acc[MARGIN_GROUP];
+    double r[8], res[MARGIN_GROUP];
     int64_t i = 0, j;
-    if (n > 128) {
-        int64_t n2 = n / 2;
-        n2 -= n2 % 8;
-        return margin_pw_svml(gv, vrow, sgn, beta, t, obs, contig, n2)
-             + margin_pw_svml(gv, vrow + n2, sgn + n2, beta, t, obs + n2,
-                              contig, n - n2);
+    int q;
+    for (q = 0; q < g; q++) {
+        acc[q] = _mm512_set1_pd(-0.0);
+        res[q] = 0.0;
     }
-    if (n >= 8) {
-        __m512d acc = margin_lanes(gv, vrow, sgn, beta, t, obs, contig, 0xFF);
-        for (i = 8; i + 8 <= n; i += 8)
-            acc = _mm512_add_pd(acc, margin_lanes(gv, vrow + i, sgn + i, beta,
-                                                  t, obs + i, contig, 0xFF));
-        _mm512_storeu_pd(r, acc);
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i + 8 <= n; i += 8) {
+        const __m512d v = _mm512_loadu_pd(vrow + i);
+        const __m512d s = _mm512_loadu_pd(sgn + i);
+        const __m512i idx = contig ? _mm512_setzero_si512()
+                                   : _mm512_loadu_si512(obs + i);
+        for (q = 0; q < g; q++)
+            acc[q] = _mm512_add_pd(acc[q],
+                                   margin_lanes(gv[q], beta[q], t[q], v, s,
+                                                contig, obs[i], idx, 0xFF));
     }
+    if (n >= 8 && g == 4) {
+        /* pw_sum's ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) for
+         * the four keys at once: adjacent lanes, then 128-bit lanes, then
+         * 256-bit halves */
+        __m512d ab = _mm512_add_pd(_mm512_unpacklo_pd(acc[0], acc[1]),
+                                   _mm512_unpackhi_pd(acc[0], acc[1]));
+        __m512d cd = _mm512_add_pd(_mm512_unpacklo_pd(acc[2], acc[3]),
+                                   _mm512_unpackhi_pd(acc[2], acc[3]));
+        __m512d h = _mm512_add_pd(_mm512_shuffle_f64x2(ab, cd, 0x88),
+                                  _mm512_shuffle_f64x2(ab, cd, 0xDD));
+        _mm256_storeu_pd(res, _mm256_add_pd(
+            _mm512_castpd512_pd256(_mm512_shuffle_f64x2(h, h, 0x08)),
+            _mm512_castpd512_pd256(_mm512_shuffle_f64x2(h, h, 0x0D))));
+    } else if (n >= 8)
+        for (q = 0; q < g; q++) {
+            _mm512_storeu_pd(r, acc[q]);
+            res[q] = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        }
     if (i < n) {
-        _mm512_storeu_pd(r, margin_lanes(gv, vrow + i, sgn + i, beta, t,
-                                         obs + i, contig,
-                                         (__mmask8)((1u << (n - i)) - 1u)));
-        for (j = 0; j < n - i; j++)
-            res += r[j];
+        const __mmask8 m = (__mmask8)((1u << (n - i)) - 1u);
+        const __m512d v = _mm512_maskz_loadu_pd(m, vrow + i);
+        const __m512d s = _mm512_maskz_loadu_pd(m, sgn + i);
+        const __m512i idx = _mm512_maskz_loadu_epi64(m, obs + i);
+        for (q = 0; q < g; q++) {
+            _mm512_storeu_pd(r, margin_lanes(gv[q], beta[q], t[q], v, s,
+                                             contig, obs[i], idx, m));
+            for (j = 0; j < n - i; j++)
+                res[q] += r[j];
+        }
     }
-    return res;
+    for (q = 0; q < g; q++)
+        out[q] = res[q];
 }
 
+/* pw_sum's halving split above 128, over g keys (1 or MARGIN_GROUP), each
+ * key's sums added in the order pw_sum adds them. */
 __attribute__((target("avx512f")))
-static double margin_sum_svml(double gv, const double *vrow, const double *sgn,
-                              double beta, const double *t, const int64_t *obs,
-                              int contig, int64_t n)
+static void margin_pw(int g, const double *gv, const double *vrow,
+                      const double *sgn, const double *beta,
+                      const double *const *t, const int64_t *obs, int contig,
+                      int64_t n, double *out)
 {
-    double res = margin_pw_svml(gv, vrow, sgn, beta, t, obs, contig, n);
+    if (n > 128) {
+        double hi[MARGIN_GROUP];
+        int64_t n2 = n / 2;
+        int q;
+        n2 -= n2 % 8;
+        margin_pw(g, gv, vrow, sgn, beta, t, obs, contig, n2, out);
+        margin_pw(g, gv, vrow + n2, sgn + n2, beta, t, obs + n2, contig,
+                  n - n2, hi);
+        for (q = 0; q < g; q++)
+            out[q] += hi[q];
+    } else if (g == 1)
+        margin_run(1, gv, vrow, sgn, beta, t, obs, contig, n, out);
+    else
+        margin_run(MARGIN_GROUP, gv, vrow, sgn, beta, t, obs, contig, n, out);
+}
+
+/* g quantized scores of the node, each as node_score computes it. */
+__attribute__((target("avx512f")))
+static void margin_scores_svml(int g, const double *gv, const double *vrow,
+                               const double *sgn, const double *beta,
+                               const double *const *t, const int64_t *obs,
+                               int contig, int64_t n, double quantum,
+                               double *out)
+{
+    int q;
+    margin_pw(g, gv, vrow, sgn, beta, t, obs, contig, n, out);
+    for (q = 0; q < g; q++)
+        out[q] = rint(out[q] / quantum) * quantum;
     _mm256_zeroupper();
-    return res;
 }
 
 /* The eight rows of an 8 x 8 tile become its eight columns: pairs of rows
@@ -625,11 +707,16 @@ static void block_fill_svml(const double *uv, double beta, double *blk,
             const __mmask8 mc = (__mmask8)((1u << cols) - 1u);
             const __m512d vo = _mm512_maskz_loadu_pd(mc, uv + j0);
             __m512d t[8];
+            /* the rows' exp8 calls first, their log1p8 calls after: no
+             * call waits on the one just before it */
             for (r = 0; r < rows; r++) {
                 __m512d z = _mm512_mul_pd(
                     _mm512_sub_pd(_mm512_set1_pd(uv[i0 + r]), vo), vbeta);
-                t[r] = p_log1p8(p_exp8(_mm512_castsi512_pd(_mm512_or_si512(
-                    _mm512_castpd_si512(z), sbit)))); /* -|z| */
+                t[r] = p_exp8(_mm512_castsi512_pd(_mm512_or_si512(
+                    _mm512_castpd_si512(z), sbit))); /* -|z| */
+            }
+            for (r = 0; r < rows; r++) {
+                t[r] = p_log1p8(t[r]);
                 _mm512_mask_storeu_pd(blk + (i0 + r) * n + j0, mc, t[r]);
             }
             if (j0 == i0)
@@ -679,22 +766,26 @@ static void block_fill(const double *uv, double beta, double *blk, int64_t n)
                 log1p(exp(-fabs((uv[u] - uv[o]) * beta)));
 }
 
-/* pw_sum(where(z > 0, -t, z - t)) over the node's columns; the scalar
- * provider applies into the scratch `row` and sums it. */
-static double margin_sum(double gv, const double *vrow, const double *sgn,
-                         double beta, const double *t, const int64_t *obs,
-                         int contig, double *row, int64_t n)
+/* pw_sum(where(z > 0, -t, z - t)) over the node's columns, quantized; the
+ * scalar provider applies into the scratch `row` and sums it. */
+static double margin_score(double gv, const double *vrow, const double *sgn,
+                           double beta, const double *t, const int64_t *obs,
+                           int contig, double quantum, double *row, int64_t n)
 {
     int64_t i;
 #if REPRO_HAVE_AVX512
-    if (use_svml)
-        return margin_sum_svml(gv, vrow, sgn, beta, t, obs, contig, n);
+    if (use_svml) {
+        double res;
+        margin_scores_svml(1, &gv, vrow, sgn, &beta, &t, obs, contig, n,
+                           quantum, &res);
+        return res;
+    }
 #endif
     for (i = 0; i < n; i++) {
         double z = ((gv - vrow[i]) * sgn[i]) * beta;
         row[i] = (z > 0.0) ? -t[obs[i]] : z - t[obs[i]];
     }
-    return pw_sum(row, n);
+    return rint(pw_sum(row, n) / quantum) * quantum;
 }
 
 /* One tree node of a scoring batch.  Its candidate split l * n_obs + j is
@@ -744,6 +835,23 @@ typedef struct {
     int64_t hits, evaluations;
 } batch_ctx;
 
+/* The margin row log1p(exp(-|z|)) of the parent in hand at beta b for the
+ * value in universe column u, filled on first read unless its block was
+ * filled whole; every call is a row use. */
+static const double *margin_row(batch_ctx *c, int64_t u, int64_t b)
+{
+    const int64_t col = c->rep[c->ur[u]], key = b * c->n_u + col;
+    double *t = c->rows + key * c->n_u;
+    c->uses++;
+    if (!c->have[key]) {
+        if (!c->whole[b])
+            margin_fill(c->uv[col], c->uv, c->beta_grid[b], t, c->n_u);
+        c->have[key] = 1;
+        c->filled++;
+    }
+    return t;
+}
+
 /* One (group, beta) score of the node in hand, for the group whose value
  * sits in universe column u: z = ((gv - values_row[o]) * sign[o]) * beta,
  * stable log-sigmoid, pairwise row sum, round-half-even quantization.  A
@@ -755,39 +863,30 @@ static double node_score(batch_ctx *c, int64_t u, int64_t b)
 {
     const repro_node *nd = c->nd;
     const double gv = c->uv[u], beta = c->beta_grid[b];
-    int64_t col, key;
-    double *t;
     if (!c->rows || !nd->shared)
         return row_score(gv, c->vrow, nd->sign, beta, c->quantum, c->row,
                          nd->n_obs);
-    col = c->rep[c->ur[u]];
-    key = b * c->n_u + col;
-    t = c->rows + key * c->n_u;
-    c->uses++;
-    if (!c->have[key]) {
-        if (!c->whole[b])
-            margin_fill(c->uv[col], c->uv, beta, t, c->n_u);
-        c->have[key] = 1;
-        c->filled++;
-    }
-    return rint(margin_sum(gv, c->vrow, nd->sign, beta, t, nd->obs, c->contig,
-                           c->row, nd->n_obs) / c->quantum) * c->quantum;
+    return margin_score(gv, c->vrow, nd->sign, beta, margin_row(c, u, b),
+                        nd->obs, c->contig, c->quantum, c->row, nd->n_obs);
 }
 
 /* LazySplitKernel.scores for the k chain items act[0..k) at beta indices
  * bidx[0..k): hits are counted against the memo as it stood when the
  * lookup began (a duplicate key inside one lookup is a miss for every
  * holder, as in ~seen[flat]) and the distinct missing keys are evaluated
- * once each, in slot order: the key pass lists every slot and keeps the
- * missing ones (list[n] = j; n += !seen), so only they are visited.
- * missed[b] counts them per beta for this lookup of the node:
+ * once each: the key pass lists every slot and keeps the missing ones
+ * (list[n] = j; n += !seen), the miss pass keeps the first slot of each
+ * distinct key (in place, marking it seen), and only they are evaluated,
+ * MARGIN_GROUP keys at a time where the node reads shared margin rows
+ * through SVML (the rest one by one).  missed[b] counts them per beta for
+ * this lookup of the node:
  * groups never span parents, so summed over the node's parents it is what
  * one all-parents lookup would have missed at that beta — the count
  * _evaluate sizes its same-beta chunks by (peak_chunk_elements). */
 static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
                          const int64_t *bidx, int64_t *missed, double *score)
 {
-    int64_t j, x, n_miss = 0;
+    int64_t j, x = 0, n_miss = 0, n_new = 0;
     for (j = 0; j < k; j++) {
         int64_t key = c->mrow[act[j]] * c->n_beta + bidx[j];
         c->flat[j] = key;
@@ -795,16 +894,37 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
         n_miss += !c->seen[key];
     }
     c->hits += k - n_miss;
-    for (x = 0; x < n_miss; x++) {
-        int64_t key;
-        j = c->list[x];
-        key = c->flat[j];
-        if (c->seen[key]) /* a duplicate of this lookup, evaluated above */
-            continue;
-        c->cache[key] = node_score(c, c->ucol[act[j]], bidx[j]);
+    for (j = 0; j < n_miss; j++) {
+        const int64_t slot = c->list[j], key = c->flat[slot];
+        const int fresh = !c->seen[key]; /* else a duplicate of this lookup */
+        c->list[n_new] = slot;
+        n_new += fresh;
+        missed[bidx[slot]] += fresh;
         c->seen[key] = 1;
-        missed[bidx[j]]++;
-        c->evaluations++;
+    }
+    c->evaluations += n_new;
+#if REPRO_HAVE_AVX512
+    if (use_svml && c->rows && c->nd->shared)
+        for (; x + MARGIN_GROUP <= n_new; x += MARGIN_GROUP) {
+            double gv[MARGIN_GROUP], beta[MARGIN_GROUP], s[MARGIN_GROUP];
+            const double *t[MARGIN_GROUP];
+            int q;
+            for (q = 0; q < MARGIN_GROUP; q++) {
+                const int64_t slot = c->list[x + q], u = c->ucol[act[slot]];
+                gv[q] = c->uv[u];
+                beta[q] = c->beta_grid[bidx[slot]];
+                t[q] = margin_row(c, u, bidx[slot]);
+            }
+            margin_scores_svml(MARGIN_GROUP, gv, c->vrow, c->nd->sign, beta,
+                               t, c->nd->obs, c->contig, c->nd->n_obs,
+                               c->quantum, s);
+            for (q = 0; q < MARGIN_GROUP; q++)
+                c->cache[c->flat[c->list[x + q]]] = s[q];
+        }
+#endif
+    for (; x < n_new; x++) {
+        j = c->list[x];
+        c->cache[c->flat[j]] = node_score(c, c->ucol[act[j]], bidx[j]);
     }
     for (j = 0; j < k; j++)
         score[j] = c->cache[c->flat[j]];
@@ -819,6 +939,12 @@ typedef union {
     double w[3];
     uint64_t x[3];
 } seat;
+
+/* A double's bits, for the accept pass's mask blends. */
+typedef union {
+    double d;
+    int64_t i;
+} bits;
 
 /* SplitScorer._run_chain for a batch of tree nodes, parent-major: for each
  * candidate parent, each node's chain over its candidate splits of that
@@ -845,7 +971,8 @@ typedef union {
  * runs.  Rows are counted as filled when first read, however they got
  * there.  The chain step is branch-free but for the Philox refresh and the
  * evaluation of a missing key: the accept test, the best-so-far update
- * and the keep-or-drop decision are selects.
+ * and the keep-or-drop decision are integer-mask blends (as ?: selects,
+ * GCC compiled two of them into data-dependent branches).
  *
  * table_counters = {rows filled, row uses, Philox blocks computed}; each
  * node reports {hits, evaluations, peak_chunk_elements} as one all-parents
@@ -1031,23 +1158,27 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                              node_missed + (step + 1) * n_beta, prop_score);
                 apply_log(log_u, k);
                 for (j = 0; j < k; j++) {
-                    const double ps = prop_score[j];
-                    double *best;
-                    int acc, better;
-                    int64_t r;
+                    const int64_t p = prop[j];
+                    bits ps, cur, best;
+                    int64_t acc, better, r;
                     i = act[j];
-                    best = nd->best_score + k0 + i;
-                    acc = log_u[j] < ps - cur_score[i];
-                    better = acc & (ps > *best);
-                    r = acc ? 0 : rejects[i] + 1;
+                    ps.d = prop_score[j];
+                    cur.d = cur_score[i];
+                    best.d = nd->best_score[k0 + i];
+                    /* all-ones masks: accepted, and a new best */
+                    acc = -(int64_t)(log_u[j] < ps.d - cur.d);
+                    better = acc & -(int64_t)(ps.d > best.d);
+                    r = (rejects[i] + 1) & ~acc;
                     nd->steps[k0 + i]++;
-                    cur_idx[i] = acc ? prop[j] : cur_idx[i];
-                    cur_score[i] = acc ? ps : cur_score[i];
-                    best_idx[i] = better ? prop[j] : best_idx[i];
-                    *best = better ? ps : *best;
+                    cur_idx[i] = (p & acc) | (cur_idx[i] & ~acc);
+                    cur.i = (ps.i & acc) | (cur.i & ~acc);
+                    cur_score[i] = cur.d;
+                    best_idx[i] = (p & better) | (best_idx[i] & ~better);
+                    best.i = (ps.i & better) | (best.i & ~better);
+                    nd->best_score[k0 + i] = best.d;
                     rejects[i] = r;
                     act[kept] = i;
-                    kept += acc | (r < stop_repeats);
+                    kept += (acc & 1) | (r < stop_repeats);
                 }
                 k = kept;
             }

@@ -513,10 +513,12 @@ def run_chains(
     about half the ``exp``/``log1p`` — and only the sign select, the
     pairwise sum and the quantum are paid per ``(group, beta)``: one
     register pass over the node's columns (plain loads when they are one
-    run, a gather otherwise), the selected row never stored.  A lookup
-    visits only the keys it misses and the accept step is selects, not
-    branches (ALGORITHMS.md §10, §13).  Each chain item
-    computes the draws of its node's span through a cursor of its own:
+    run, a gather otherwise), the selected row never stored, four of a
+    lookup's distinct missing keys summed at once in interleaved registers.
+    The accept step is integer-mask blends, which compile without a branch
+    (ALGORITHMS.md §10, §13).  Each chain item
+    computes the draws of its node's span through a cursor of its own, an
+    inline read while its Philox block is in hand:
     consecutive Philox steps share a four-draw block, and an MRG item
     starts one matrix product on from the previous item's start
     (ALGORITHMS.md §13).  One parent's table is

@@ -22,6 +22,7 @@ from repro.core.output import network_to_json
 from repro.parallel.trace import WorkTrace
 from repro.rng.streams import IndexedStream, make_stream
 from repro.scoring import kernel as kernel_mod
+from repro.scoring import split_score as split_score_mod
 from repro.scoring.kernel import (
     ChainNode,
     LazySplitKernel,
@@ -508,6 +509,23 @@ class TestCertification:
         assert _native._certify(kernels) is None
         mismatch = _native._certify(Doctored())
         assert mismatch is not None and mismatch.startswith("score_batch mismatch")
+
+    def test_the_battery_agrees_unquantized(self, monkeypatch):
+        """With a quantum of 2**-60, quantizing leaves every score of
+        magnitude 2**-7 or more unchanged, so the battery's batch probes
+        compare the sums to the last bit: an addition order that differs
+        from NumPy's pairwise one only in rounding, which the real quantum
+        nearly always absorbs, shows here — in the groups of four keys the
+        SVML provider sums at once and in the one-key path."""
+        kernels = _native.load()
+        if kernels.provider != "svml":
+            pytest.skip("the libm provider's exp/log1p need not be NumPy's to the bit")
+        for module in (kernel_mod, split_score_mod):
+            monkeypatch.setattr(module, "SCORE_QUANTUM", 2.0**-60)
+        with np.errstate(all="ignore"):  # the probes overflow by design
+            for label, case in _native._batch_cases():
+                runs = [*_native._batch_runs(case), *_native._batch_runs(case, kernels)]
+                assert _native._runs_agree(runs), label
 
 
 @pytest.fixture
