@@ -1,43 +1,60 @@
-"""Table 1 — Lemon-Tree baseline vs optimized sequential implementation.
+"""Table 1 — interpreted vs compiled sequential implementation.
 
 Paper: the Java Lemon-Tree takes 3.6-3.8x longer than the authors' optimized
 C++ implementation across an (n, m) grid of yeast subsamples, producing
-exactly the same networks.  Here the pure-Python :class:`ReferenceLearner`
-plays the Java role against the NumPy :class:`LemonTreeLearner` on the
-scaled grid (see conftest), with output equality verified per cell.
+exactly the same networks.  Here the two kernel backends of
+:class:`LemonTreeLearner` play the two roles on the scaled grid (see
+conftest): ``numpy`` (the same algorithm with interpreted orchestration and
+NumPy inner loops) against ``native`` (the certified C kernels), with output
+equality verified per cell.  Skipped where the native kernel is unavailable.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
+
+import pytest
 
 from conftest import BENCH_SEED, CONFIG_TAG, GRID_M, TABLE1_N, bench_config, cached_json
+from repro import _native
 from repro.bench import PAPER, render_table, save_results
+from repro.core.config import ParallelConfig
 from repro.core.learner import LemonTreeLearner
-from repro.core.reference import ReferenceLearner
+
+BACKENDS = ("numpy", "native")
+
+
+def _learn(sub, backend):
+    config = replace(bench_config(), parallel=ParallelConfig(kernel_backend=backend))
+    return LemonTreeLearner(config).learn(sub, seed=BENCH_SEED)
 
 
 def _measure_cell(matrix, n, m):
     sub = matrix.subsample(n, m)
-    config = bench_config()
-
-    t0 = time.perf_counter()
-    optimized = LemonTreeLearner(config).learn(sub, seed=BENCH_SEED)
-    t_opt = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    reference = ReferenceLearner(config).learn(sub, seed=BENCH_SEED)
-    t_ref = time.perf_counter() - t0
-
-    identical = optimized.network == reference.network
-    return {"ref": t_ref, "opt": t_opt, "identical": identical}
+    cell, networks = {}, {}
+    for backend in BACKENDS:
+        t0 = time.perf_counter()
+        networks[backend] = _learn(sub, backend).network
+        cell[backend] = time.perf_counter() - t0
+    cell["identical"] = networks["numpy"] == networks["native"]
+    return cell
 
 
 def test_table1_sequential_comparison(benchmark, grid_base_matrix, capsys):
+    if _native.load() is None:
+        info = _native.availability()
+        pytest.skip(f"native backend unavailable ({info['status']}: {info['detail']})")
+    # The load above built and certified the kernel; one untimed run per
+    # backend on the smallest cell keeps first-call costs out of the table.
+    small = grid_base_matrix.subsample(TABLE1_N[0], GRID_M[0])
+    for backend in BACKENDS:
+        _learn(small, backend)
+
     cells = {}
     for n in TABLE1_N:
         for m in GRID_M:
-            key = f"table1_n{n}_m{m}_s{BENCH_SEED}_{CONFIG_TAG}"
+            key = f"table1_backends_n{n}_m{m}_s{BENCH_SEED}_{CONFIG_TAG}"
             cells[(n, m)] = cached_json(
                 key, lambda n=n, m=m: _measure_cell(grid_base_matrix, n, m)
             )
@@ -45,16 +62,16 @@ def test_table1_sequential_comparison(benchmark, grid_base_matrix, capsys):
     rows = []
     speedups = []
     for (n, m), cell in sorted(cells.items()):
-        speedup = cell["ref"] / cell["opt"]
+        speedup = cell["numpy"] / cell["native"]
         speedups.append(speedup)
         rows.append(
-            [n, m, f"{cell['ref']:.2f}", f"{cell['opt']:.2f}", f"{speedup:.1f}",
+            [n, m, f"{cell['numpy']:.3f}", f"{cell['native']:.3f}", f"{speedup:.1f}",
              "yes" if cell["identical"] else "NO"]
         )
 
     table = render_table(
-        "Table 1 — reference (Lemon-Tree role) vs optimized sequential run-time (s)",
-        ["n", "m", "reference", "optimized", "speedup", "identical network"],
+        "Table 1 — numpy (Lemon-Tree role) vs native sequential run-time (s)",
+        ["n", "m", "numpy", "native", "speedup", "identical network"],
         rows,
     )
     paper_range = (3.6, 3.8)
@@ -67,16 +84,12 @@ def test_table1_sequential_comparison(benchmark, grid_base_matrix, capsys):
         print(summary)
 
     assert all(cell["identical"] for cell in cells.values()), (
-        "reference and optimized learners must produce identical networks"
+        "numpy and native backends must produce identical networks"
     )
-    # Shape check: the interpreted implementation is uniformly slower (the
-    # paper's band is 3.6-3.8x; ours differs because Python/NumPy is not
-    # Java/C++, and the smallest cells sit near the vectorization
-    # crossover, so require a clear win everywhere and a strong win at
-    # scale).
-    assert min(speedups) > 1.3
-    big = cells[(max(TABLE1_N), max(GRID_M))]
-    assert big["ref"] / big["opt"] > 3.0
+    # Shape check: the interpreted side is slower in every cell (the
+    # paper's band is 3.6-3.8x; ours is wider because NumPy-orchestrated
+    # chains are not Java).
+    assert min(speedups) > 1.0, speedups
 
     save_results(
         "table1",
@@ -88,10 +101,5 @@ def test_table1_sequential_comparison(benchmark, grid_base_matrix, capsys):
         },
     )
 
-    # pytest-benchmark kernel: the optimized learner on the smallest cell.
-    small = grid_base_matrix.subsample(TABLE1_N[0], GRID_M[0])
-    benchmark.pedantic(
-        lambda: LemonTreeLearner(bench_config()).learn(small, seed=BENCH_SEED),
-        rounds=1,
-        iterations=1,
-    )
+    # pytest-benchmark kernel: the native learner on the smallest cell.
+    benchmark.pedantic(lambda: _learn(small, "native"), rounds=1, iterations=1)

@@ -39,7 +39,6 @@ _EXPORTS = {
     "ParallelConfig": "repro.core.config",
     "LemonTreeLearner": "repro.core.learner",
     "LearnResult": "repro.core.learner",
-    "ReferenceLearner": "repro.core.reference",
     "network_from_json": "repro.core.output",
     "network_to_json": "repro.core.output",
     "network_to_xml": "repro.core.output",
@@ -76,7 +75,6 @@ __all__ = [
     "LearnerConfig",
     "ParallelConfig",
     "LemonTreeLearner",
-    "ReferenceLearner",
     "LearnResult",
     "ExpressionMatrix",
     "Module",

@@ -838,7 +838,7 @@ def _batch_runs(case, kernels=None):
     if kernels is None:
         return [[part for *_node, want in probes for part in want]]
     nodes = [ChainNode(obs, sign, span) for obs, sign, span, _ in probes]
-    # an explicit table budget: the default would probe the machine
+    # explicit budget: `share` picks the shared table or the fused evaluator
     *flat, bounds, counters = run_chains(
         kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
         scorer.stop_repeats, max_chunk_elements=chunk,

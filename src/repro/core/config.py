@@ -7,7 +7,7 @@ from typing import Sequence
 
 from repro.scoring.kernel import KERNEL_BACKENDS
 from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior
-from repro.scoring.split_score import DEFAULT_BETA_GRID
+from repro.scoring.split_score import DEFAULT_BETA_GRID, check_beta_grid
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,9 @@ class LearnerConfig:
             raise ValueError("n_splits_per_node must be at least 1")
         if self.max_sampling_steps < 1:
             raise ValueError("max_sampling_steps must be at least 1")
+        if self.sampling_stop_repeats < 1:
+            raise ValueError("sampling_stop_repeats must be at least 1")
+        check_beta_grid(self.beta_grid)
         if not 0.0 <= self.consensus_threshold <= 1.0:
             raise ValueError("consensus_threshold must lie in [0, 1]")
         if self.rng_backend not in ("philox", "mrg"):

@@ -16,9 +16,9 @@ independent units (GaneSH runs, modules) carries no hidden coupling:
 * ``("splits", module_id)`` — the indexed stream addressing each candidate
   split's private sampling draws by its enumeration index.
 
-The pure-Python :class:`repro.core.reference.ReferenceLearner` and the SPMD
-:class:`repro.parallel.engine.ParallelLearner` consume the same streams in
-the same order, which is what makes all three produce identical networks
+The SPMD :class:`repro.parallel.engine.ParallelLearner` and the test
+suite's pure-Python oracle (``tests/reference.py``) consume the same streams
+in the same order, which is what makes all three produce identical networks
 (the paper's consistency requirement, Sections 3 and 4.2).
 """
 

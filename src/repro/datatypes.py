@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -371,14 +371,3 @@ class TaskTimes:
             "consensus": self.consensus / total,
             "modules": self.modules / total,
         }
-
-
-def compact_labels(labels: Iterable[int]) -> np.ndarray:
-    """Relabel cluster ids to 0..K-1 preserving order of first appearance."""
-    out = []
-    seen: dict[int, int] = {}
-    for label in labels:
-        if label not in seen:
-            seen[label] = len(seen)
-        out.append(seen[label])
-    return np.asarray(out, dtype=np.int64)

@@ -36,7 +36,7 @@ from repro.datatypes import ExpressionMatrix, Module, ModuleNetwork, Split
 from repro.ganesh.coclustering import SweepHooks, run_obs_only_ganesh
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marginal
-from repro.scoring.split_score import DEFAULT_BETA_GRID, SplitScorer
+from repro.scoring.split_score import DEFAULT_BETA_GRID, SplitScorer, check_beta_grid
 from repro.trees.hierarchy import build_tree_structure
 from repro.trees.parents import accumulate_parent_scores
 from repro.trees.splits import node_kernel
@@ -71,6 +71,7 @@ class GenomicaConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.tree_update_steps < 1:
             raise ValueError("tree_update_steps must be at least 1")
+        check_beta_grid(self.beta_grid)
         if not isinstance(self.parallel, ParallelConfig):
             raise ValueError("parallel must be a ParallelConfig")
         if self.parallel.n_nodes != 1:

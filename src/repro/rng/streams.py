@@ -31,7 +31,7 @@ Stream = Union[PhiloxStream, MRGStream]
 
 #: Decision quantum: log-scores are snapped to this grid before weighted
 #: sampling, so that independently-implemented scorers (vectorized NumPy vs
-#: the pure-Python reference, which accumulate in different orders) make
+#: the test suite's pure-Python oracle, which accumulate in different orders) make
 #: bit-identical random decisions.  This plays the role of the cross-language
 #: PRNG alignment the authors needed between Java Lemon-Tree and their C++
 #: code (Section 4.1).

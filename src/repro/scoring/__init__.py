@@ -30,7 +30,7 @@ from repro.scoring.kernel import (
     split_kernel_from_arrays,
 )
 from repro.scoring.normal_gamma import NormalGammaPrior, log_marginal
-from repro.scoring.split_score import SplitScorer, SplitScoreResult
+from repro.scoring.split_score import SplitScorer
 from repro.scoring.suffstats import SuffStats
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "log_marginal",
     "SuffStats",
     "SplitScorer",
-    "SplitScoreResult",
     "LazySplitKernel",
     "DenseScoreMemo",
     "split_kernel_from_arrays",

@@ -246,36 +246,3 @@ def gammaln_table(t_max: int, prior: NormalGammaPrior = DEFAULT_PRIOR, rows: int
     table = np.arange(t_max + 1.0)
     table *= rows / 2.0  # rows * t is exact and halving commutes with rounding
     return gammaln(np.add(table, prior.alpha0, out=table), out=table)
-
-
-def log_marginal_scalar(
-    count: float,
-    total: float,
-    sumsq: float,
-    prior: NormalGammaPrior = DEFAULT_PRIOR,
-) -> float:
-    """Pure-``math`` scalar twin of :func:`log_marginal`.
-
-    Used by the pure-Python reference implementation (the Lemon-Tree
-    stand-in) so that its inner loops contain no NumPy; results agree with
-    the vectorized version to floating-point noise, which the decision
-    quantum in :mod:`repro.rng.streams` absorbs.
-    """
-    if count <= 0:
-        return 0.0
-    xbar = total / count
-    ss = sumsq - count * xbar * xbar
-    if ss < 0.0:
-        ss = 0.0
-    lam_n = prior.lambda0 + count
-    alpha_n = prior.alpha0 + count / 2.0
-    diff = xbar - prior.mu0
-    beta_n = prior.beta0 + ss / 2.0 + prior.lambda0 * count * diff * diff / (2.0 * lam_n)
-    return (
-        math.lgamma(alpha_n)
-        - prior.lgamma_alpha0
-        + prior.alpha0 * prior.log_beta0
-        - alpha_n * math.log(beta_n)
-        + 0.5 * (prior.log_lambda0 - math.log(lam_n))
-        - (count / 2.0) * _LOG_2PI
-    )

@@ -29,7 +29,6 @@ are discarded ("zero posterior probability" in the paper).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,18 +48,19 @@ DEFAULT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 _LOG_HALF = math.log(0.5)
 
 
+def check_beta_grid(beta_grid) -> np.ndarray:
+    """``beta_grid`` as a float array, or a ``ValueError``: a chain needs
+    at least two points to move between, each a finite steepness > 0."""
+    grid = np.asarray(beta_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("beta_grid needs at least two points")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError("beta_grid points must be finite and > 0")
+    return grid
+
+
 def _quantize(value: float) -> float:
     return round(value / SCORE_QUANTUM) * SCORE_QUANTUM
-
-
-@dataclass(frozen=True)
-class SplitScoreResult:
-    """Outcome of scoring one candidate split."""
-
-    log_score: float  # score at the located beta mode (quantized)
-    steps: int  # sampling steps consumed, in [1, max_steps]
-    beta_index: int  # index into the beta grid of the located mode
-    accepted: bool  # beats the beta = 0 baseline -> retained
 
 
 class SplitScorer:
@@ -88,9 +88,7 @@ class SplitScorer:
             raise ValueError("max_steps must be at least 1")
         if stop_repeats < 1:
             raise ValueError("stop_repeats must be at least 1")
-        self.beta_grid = np.asarray(beta_grid, dtype=np.float64)
-        if self.beta_grid.size < 2:
-            raise ValueError("beta grid needs at least two points")
+        self.beta_grid = check_beta_grid(beta_grid)
         self.max_steps = int(max_steps)
         self.stop_repeats = int(stop_repeats)
         self.kernel_backend = kernel_backend
@@ -116,7 +114,8 @@ class SplitScorer:
         ``margins`` has shape ``(n_items, n_obs)``; ``uniforms`` has shape
         ``(n_items, 1 + 2 * max_steps)`` holding each item's private draws.
         Returns ``(log_scores, steps, beta_indices, accepted)`` arrays whose
-        entries are identical to item-by-item :meth:`score_one` calls.
+        entries are identical to scoring each item alone with plain
+        :mod:`math` (the test oracle, ``tests/reference.py``).
 
         Each ``(item, beta)`` score is evaluated at most once per batch (the
         chain revisits grid points constantly); the memo used is left on
@@ -284,52 +283,6 @@ class SplitScorer:
             best_idx[improved] = idx
         return best, best_idx, _beats_baseline(best, kernel.n_obs)
 
-    # -- scalar path (pure-Python reference) -----------------------------
-    def score_one(self, margins: list[float], uniforms: list[float]) -> SplitScoreResult:
-        """Scalar twin of :meth:`score_batch` for a single split.
-
-        Uses only ``math`` in its inner loop; decisions agree with the batch
-        path because both quantize scores before every comparison.
-        """
-        grid = self.beta_grid
-        n_beta = grid.size
-        n_obs = len(margins)
-
-        cur_idx = min(int(uniforms[0] * n_beta), n_beta - 1)
-        cur_score = self._score_scalar(margins, grid[cur_idx])
-        best_score, best_idx = cur_score, cur_idx
-        rejects = 0
-        steps = 0
-        for step in range(self.max_steps):
-            u_prop = uniforms[1 + 2 * step]
-            u_acc = uniforms[2 + 2 * step]
-            prop = _neighbor_scalar(cur_idx, u_prop, n_beta)
-            prop_score = self._score_scalar(margins, grid[prop])
-            steps += 1
-            if math.log(max(u_acc, 1e-300)) < prop_score - cur_score:
-                cur_idx, cur_score = prop, prop_score
-                rejects = 0
-                if cur_score > best_score:
-                    best_score, best_idx = cur_score, cur_idx
-            else:
-                rejects += 1
-                if rejects >= self.stop_repeats:
-                    break
-        best_score = _quantize(best_score)
-        baseline = _quantize(n_obs * _LOG_HALF)
-        accepted = best_score > baseline + SCORE_QUANTUM / 2
-        return SplitScoreResult(best_score, steps, best_idx, accepted)
-
-    def _score_scalar(self, margins: list[float], beta: float) -> float:
-        total = 0.0
-        for margin in margins:
-            z = beta * margin
-            if z > 0:
-                total += -math.log1p(math.exp(-z))
-            else:
-                total += z - math.log1p(math.exp(z))
-        return _quantize(total)
-
 
 def _beats_baseline(best_score: np.ndarray, n_obs: int) -> np.ndarray:
     """Which quantized scores beat the ``beta = 0`` coin-flip baseline."""
@@ -343,13 +296,4 @@ def _neighbor(cur: np.ndarray, u: np.ndarray, n_beta: int) -> np.ndarray:
     prop = cur + step
     prop = np.where(prop < 0, 1, prop)
     prop = np.where(prop >= n_beta, n_beta - 2, prop)
-    return prop
-
-
-def _neighbor_scalar(cur: int, u: float, n_beta: int) -> int:
-    prop = cur + (-1 if u < 0.5 else 1)
-    if prop < 0:
-        return 1
-    if prop >= n_beta:
-        return n_beta - 2
     return prop

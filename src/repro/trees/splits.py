@@ -75,8 +75,8 @@ def margins_from_arrays(
     Returns shape ``(P * n_obs, n_obs)``: row ``l * n_obs + j`` holds the
     margins of split ``(parents[l], data[parents[l], obs[j]])``; the margin
     of observation ``o`` is ``v - x_o`` if ``o`` is in the left child and
-    ``x_o - v`` otherwise.  Takes plain arrays so process-pool workers can
-    rebuild margins without shipping tree objects.
+    ``x_o - v`` otherwise.  The dense oracle the lazy kernel is tested
+    against; no learner path builds it.
     """
     obs = np.asarray(obs, dtype=np.int64)
     sign = split_sign(obs, left_obs)

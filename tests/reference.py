@@ -1,23 +1,20 @@
-"""Pure-Python reference learner — the *Lemon-Tree* baseline stand-in.
+"""Pure-Python reference learner — the test suite's differential oracle.
 
-The paper's Table 1 compares the Java Lemon-Tree against their optimized
-C++ implementation: the same algorithm, aligned PRNGs, bit-identical output
-networks, and a 3.6-3.8x constant-factor run-time gap from the
-interpreted-vs-compiled implementation difference (Section 4.1).
+An independent re-implementation of all three Lemon-Tree tasks against
+which :class:`repro.core.learner.LemonTreeLearner` is checked: every scoring
+inner loop is deliberately written with plain Python lists and :mod:`math`
+(no NumPy vectorisation), while consuming the *same* random streams in the
+*same* order, so that for any seed the learned network is identical to the
+optimized learner's (``tests/test_consistency.py``,
+``tests/test_parent_blocks.py``).  The scalar twins of the package's
+vectorised scorers live here too (:func:`score_one`,
+:func:`log_marginal_scalar`, :func:`compact_labels`).  Shared pieces are
+exactly the ones that define the random-stream contract or that are not
+scoring:
 
-This class plays the Java role against :class:`repro.core.learner.
-LemonTreeLearner`'s C++ role: every scoring inner loop is deliberately
-written with plain Python lists and :mod:`math` (no NumPy vectorisation),
-while consuming the *same* random streams in the *same* order, so that for
-any seed the learned network is identical to the optimized learner's
-(verified in ``tests/test_consistency.py``).  Shared pieces are exactly the
-ones whose run-time the paper shows to be negligible or that define the
-random-stream contract:
-
-* the RNG streams and sampling helpers (:mod:`repro.rng`) — the paper
-  likewise forced both implementations onto one PRNG via JNI;
+* the RNG streams and sampling helpers (:mod:`repro.rng`);
 * the consensus-clustering task (sequential in the paper, Section 3.2.2;
-  measured here at about 1% of a yeast-shaped ``learn()`` and a tenth of a
+  measured at about 1% of a yeast-shaped ``learn()`` and a tenth of a
   many-chain GaneSH one, ALGORITHMS.md §18), so its output is trivially
   identical;
 * decision quantization (:data:`repro.rng.streams.SCORE_QUANTUM`), which
@@ -28,7 +25,8 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +41,6 @@ from repro.datatypes import (
     Split,
     TaskTimes,
     TreeNode,
-    compact_labels,
 )
 from repro.rng.streams import (
     SCORE_QUANTUM,
@@ -51,7 +48,7 @@ from repro.rng.streams import (
     IndexedStream,
     make_stream,
 )
-from repro.scoring.normal_gamma import NormalGammaPrior, log_marginal_scalar
+from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior
 from repro.scoring.split_score import SplitScorer
 from repro.trees.parents import accumulate_parent_scores
 
@@ -60,6 +57,119 @@ _SQRT = math.isqrt
 
 def _q(value: float) -> float:
     return round(value / SCORE_QUANTUM) * SCORE_QUANTUM
+
+
+# ---------------------------------------------------------------------------
+# Scalar twins of the vectorised scorers
+# ---------------------------------------------------------------------------
+
+
+def compact_labels(labels: Iterable[int]) -> np.ndarray:
+    """Relabel cluster ids to 0..K-1 preserving order of first appearance."""
+    out = []
+    seen: dict[int, int] = {}
+    for label in labels:
+        if label not in seen:
+            seen[label] = len(seen)
+        out.append(seen[label])
+    return np.asarray(out, dtype=np.int64)
+
+
+def log_marginal_scalar(
+    count: float,
+    total: float,
+    sumsq: float,
+    prior: NormalGammaPrior = DEFAULT_PRIOR,
+) -> float:
+    """Pure-``math`` scalar twin of
+    :func:`repro.scoring.normal_gamma.log_marginal`; results agree with it
+    to floating-point noise, which the decision quantum absorbs."""
+    if count <= 0:
+        return 0.0
+    xbar = total / count
+    ss = sumsq - count * xbar * xbar
+    if ss < 0.0:
+        ss = 0.0
+    lam_n = prior.lambda0 + count
+    alpha_n = prior.alpha0 + count / 2.0
+    diff = xbar - prior.mu0
+    beta_n = prior.beta0 + ss / 2.0 + prior.lambda0 * count * diff * diff / (2.0 * lam_n)
+    return (
+        math.lgamma(alpha_n)
+        - prior.lgamma_alpha0
+        + prior.alpha0 * prior.log_beta0
+        - alpha_n * math.log(beta_n)
+        + 0.5 * (prior.log_lambda0 - math.log(lam_n))
+        - (count / 2.0) * math.log(2.0 * math.pi)
+    )
+
+
+@dataclass(frozen=True)
+class SplitScoreResult:
+    """Outcome of scoring one candidate split."""
+
+    log_score: float  # score at the located beta mode (quantized)
+    steps: int  # sampling steps consumed, in [1, max_steps]
+    beta_index: int  # index into the beta grid of the located mode
+    accepted: bool  # beats the beta = 0 baseline -> retained
+
+
+def score_one(
+    scorer: SplitScorer, margins: list[float], uniforms: list[float]
+) -> SplitScoreResult:
+    """Scalar twin of :meth:`SplitScorer.score_batch` for a single split.
+
+    Uses only ``math`` in its inner loop; decisions agree with the batch
+    path because both quantize scores before every comparison.
+    """
+    grid = scorer.beta_grid
+    n_beta = grid.size
+    n_obs = len(margins)
+
+    cur_idx = min(int(uniforms[0] * n_beta), n_beta - 1)
+    cur_score = _score_scalar(margins, grid[cur_idx])
+    best_score, best_idx = cur_score, cur_idx
+    rejects = 0
+    steps = 0
+    for step in range(scorer.max_steps):
+        u_prop = uniforms[1 + 2 * step]
+        u_acc = uniforms[2 + 2 * step]
+        prop = _neighbor_scalar(cur_idx, u_prop, n_beta)
+        prop_score = _score_scalar(margins, grid[prop])
+        steps += 1
+        if math.log(max(u_acc, 1e-300)) < prop_score - cur_score:
+            cur_idx, cur_score = prop, prop_score
+            rejects = 0
+            if cur_score > best_score:
+                best_score, best_idx = cur_score, cur_idx
+        else:
+            rejects += 1
+            if rejects >= scorer.stop_repeats:
+                break
+    best_score = _q(best_score)
+    baseline = _q(n_obs * math.log(0.5))
+    accepted = best_score > baseline + SCORE_QUANTUM / 2
+    return SplitScoreResult(best_score, steps, best_idx, accepted)
+
+
+def _score_scalar(margins: list[float], beta: float) -> float:
+    total = 0.0
+    for margin in margins:
+        z = beta * margin
+        if z > 0:
+            total += -math.log1p(math.exp(-z))
+        else:
+            total += z - math.log1p(math.exp(z))
+    return _q(total)
+
+
+def _neighbor_scalar(cur: int, u: float, n_beta: int) -> int:
+    prop = cur + (-1 if u < 0.5 else 1)
+    if prop < 0:
+        return 1
+    if prop >= n_beta:
+        return n_beta - 2
+    return prop
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +741,7 @@ class ReferenceLearner:
                 v = values[j]
                 margins = [signs[k] * (v - values[k]) for k in range(n_obs)]
                 uniforms = [float(u) for u in istream.item_uniforms(index)]
-                result = scorer.score_one(margins, uniforms)
+                result = score_one(scorer, margins, uniforms)
                 log_scores.append(result.log_score)
                 accepted.append(result.accepted)
                 index += 1

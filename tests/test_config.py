@@ -21,6 +21,11 @@ class TestValidation:
             ("consensus_threshold", 1.5),
             ("consensus_threshold", -0.1),
             ("rng_backend", "bad"),
+            ("beta_grid", (1.0,)),
+            ("beta_grid", (1.0, float("nan"))),
+            ("beta_grid", (-1.0, 2.0)),
+            ("beta_grid", (0.0, 1.0)),
+            ("sampling_stop_repeats", 0),
         ],
     )
     def test_rejects_invalid(self, field, value):

@@ -14,8 +14,8 @@ import pytest
 from repro.core.config import LearnerConfig
 from repro.core.learner import LemonTreeLearner
 from repro.core.output import network_from_json, network_to_json
-from repro.core.reference import ReferenceLearner
 from repro.parallel.engine import ParallelLearner
+from tests.reference import ReferenceLearner
 
 
 class TestOptimizedVsReference:

@@ -11,8 +11,8 @@ from repro.datatypes import (
     Split,
     TaskTimes,
     TreeNode,
-    compact_labels,
 )
+from tests.reference import compact_labels
 
 
 class TestExpressionMatrix:

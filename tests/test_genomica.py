@@ -31,7 +31,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n_modules", 0), ("max_iterations", 0), ("tree_update_steps", 0)],
+        [
+            ("n_modules", 0),
+            ("max_iterations", 0),
+            ("tree_update_steps", 0),
+            ("beta_grid", (1.0, float("nan"))),
+        ],
     )
     def test_rejects_invalid(self, field, value):
         with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from repro.scoring.normal_gamma import (
     NormalGammaPrior,
     gammaln,
     log_marginal,
-    log_marginal_scalar,
 )
+from tests.reference import log_marginal_scalar
 
 
 def _stats(values):

@@ -17,7 +17,6 @@ import pytest
 from repro import _native
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
-from repro.core.reference import ReferenceLearner
 from repro.data.synthetic import make_module_dataset
 from repro.datatypes import ExpressionMatrix
 from repro.genomica import GenomicaConfig, GenomicaLearner, ParallelGenomicaLearner
@@ -25,6 +24,7 @@ from repro.parallel import executor as executor_mod
 from repro.parallel.engine import ParallelLearner
 from repro.parallel.trace import WorkTrace
 from repro.validation.scenarios import get_scenario
+from tests.reference import ReferenceLearner
 
 NATIVE = _native.load() is not None
 BACKENDS = ["numpy"] + (["native"] if NATIVE else [])

@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rng.streams import IndexedStream, make_stream
-from repro.scoring.split_score import (
-    DEFAULT_BETA_GRID,
-    SplitScorer,
-    _neighbor_scalar,
-)
+from repro.scoring.split_score import DEFAULT_BETA_GRID, SplitScorer
+from tests.reference import _neighbor_scalar, score_one
 
 
 def _uniform_block(n_items, dpi, seed=0):
@@ -57,7 +54,7 @@ class TestBatchVsScalar:
         uniforms = _uniform_block(n_items, scorer.draws_per_item, seed)
         scores, steps, betas, accepted = scorer.score_batch(margins, uniforms)
         for i in range(n_items):
-            one = scorer.score_one(list(margins[i]), list(uniforms[i]))
+            one = score_one(scorer, list(margins[i]), list(uniforms[i]))
             assert one.log_score == scores[i]
             assert one.steps == steps[i]
             assert one.beta_index == betas[i]
@@ -164,7 +161,7 @@ class TestMemoizedBatchVsScalar:
         uniforms = _uniform_block(n_items, scorer.draws_per_item, seed)
         scores, steps, betas, accepted = scorer.score_batch(margins, uniforms)
         for i in range(n_items):
-            one = scorer.score_one(list(margins[i]), list(uniforms[i]))
+            one = score_one(scorer, list(margins[i]), list(uniforms[i]))
             assert one.log_score == scores[i]
             assert one.steps == steps[i]
             assert one.beta_index == betas[i]
