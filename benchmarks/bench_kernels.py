@@ -14,6 +14,7 @@ from repro.parallel.comm import run_spmd
 from repro.parallel.costmodel import max_block_sum
 from repro.parallel.primitives import segmented_scan
 from repro.rng.streams import make_stream
+from repro.scoring.kernel import LazySplitKernel
 from repro.scoring.normal_gamma import log_marginal
 from repro.scoring.split_score import SplitScorer
 from repro.scoring.suffstats import StatsArrays
@@ -47,13 +48,20 @@ def test_kernel_move_var_scores(benchmark):
 
 
 def test_kernel_split_chain_batch(benchmark):
+    """The NumPy chain over one node's lazy kernel: 32 parents x 64
+    observations, 2,048 candidates, a fresh memo every round."""
     rng = np.random.default_rng(3)
-    scorer = SplitScorer(max_steps=25, stop_repeats=2)
-    margins = rng.normal(size=(2000, 64))
-    uniforms = make_stream(4, "k").block(0, 2000 * scorer.draws_per_item)
-    uniforms = uniforms.reshape(2000, scorer.draws_per_item)
-    out = benchmark(lambda: scorer.score_batch(margins, uniforms))
-    assert out[0].shape == (2000,)
+    scorer = SplitScorer(max_steps=25, stop_repeats=2, kernel_backend="numpy")
+    values = rng.normal(size=(32, 64))
+    sign = np.where(rng.random(64) < 0.5, 1.0, -1.0)
+    uniforms = make_stream(4, "k").block(0, 2048 * scorer.draws_per_item)
+    uniforms = uniforms.reshape(2048, scorer.draws_per_item)
+    out = benchmark(
+        lambda: scorer.score_batch_kernel(
+            LazySplitKernel(values, sign, scorer.beta_grid), uniforms
+        )
+    )
+    assert out[0].shape == (2048,)
 
 
 def test_kernel_segmented_scan(benchmark):

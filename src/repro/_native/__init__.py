@@ -82,9 +82,9 @@ class Arg(NamedTuple):
     copied to it), one axis per ``shape`` entry — a size the call does not
     know yet is read off the array, one it knows must match — at least
     ``size`` entries, writable when C writes it, values in ``[0, below)``
-    when C indexes by them, NULL when ``when`` is false.  ``size``,
-    ``below`` and ``when`` are expressions over the call's sizes and
-    arrays; a refusal names the argument (``name``, else ``key``)."""
+    when C indexes by them.  ``size`` and ``below`` are expressions over
+    the call's sizes and arrays; a refusal names the argument (``name``,
+    else ``key``)."""
 
     key: str
     dtype: object
@@ -93,7 +93,6 @@ class Arg(NamedTuple):
     writable: bool = False
     below: str = ""
     refusal: str = ""
-    when: str = ""
     copy: bool = False
     name: str = ""
 
@@ -274,8 +273,6 @@ def _arg_check(arg: Arg) -> list[str]:
             f"if {dim} is None: {dim} = {key}.shape[{axis}]",
             f"elif {dim} != {key}.shape[{axis}]: _refuse({arg.refusal!r}, locals())",
         ]
-    if arg.when:
-        lines = [f"if {arg.when}:", *("    " + line for line in lines), f"else: {key} = None"]
     return lines
 
 
@@ -296,7 +293,7 @@ def _compile(row: tuple):
             buffers += _arg_check(item)
             if item.below:
                 values.append(
-                    f"if {item.key} is not None and {item.key}.size and not 0 <= "
+                    f"if {item.key}.size and not 0 <= "
                     f"{item.key}.min() <= {item.key}.max() < ({item.below}): "
                     f"_refuse({item.refusal!r}, locals())"
                 )

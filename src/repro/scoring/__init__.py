@@ -20,11 +20,8 @@
 
 from repro.scoring.kernel import (
     KERNEL_BACKENDS,
-    AllocationCapExceeded,
-    DenseScoreMemo,
     LazySplitKernel,
     active_kernel_backend,
-    allocation_cap,
     consume_kernel_totals,
     resolve_kernel_backend,
     split_kernel_from_arrays,
@@ -39,10 +36,7 @@ __all__ = [
     "SuffStats",
     "SplitScorer",
     "LazySplitKernel",
-    "DenseScoreMemo",
     "split_kernel_from_arrays",
-    "allocation_cap",
-    "AllocationCapExceeded",
     "KERNEL_BACKENDS",
     "resolve_kernel_backend",
     "active_kernel_backend",

@@ -1,18 +1,18 @@
 """Lazy-margin split-scoring kernel with beta-score memoization.
 
-Split scoring dominates sequential run-time (Section 2.2.3: more than 90%),
-and the seed implementation pays for it twice over: every node first
-materializes a dense ``(P * n_obs, n_obs)`` margins matrix — ``O(P * n_obs^2)``
-memory — and then re-evaluates full ``O(n_obs)`` rows for beta grid points the
-Metropolis chain has already visited.  This module removes both costs while
-keeping the scores **bit-identical**:
+Split scoring dominates sequential run-time (Section 2.2.3: more than 90%).
+Scored naively, every node would materialize a dense ``(P * n_obs, n_obs)``
+margins matrix — ``O(P * n_obs^2)`` memory — and re-evaluate full
+``O(n_obs)`` rows for beta grid points the Metropolis chain has already
+visited.  This module avoids both costs:
 
 * **Lazy margins** — a split ``(X_l, v)`` at a node is fully described by the
   ``(P, n_obs)`` parent-value slice ``values`` and the left/right sign vector,
   because ``score(l, j, beta) = sum_o logsigmoid(beta * sign_o *
   (values[l, j] - values[l, o]))``.  The kernel evaluates that broadcast over
-  one cached value row on demand, so the dense margins matrix is never built
-  and peak memory drops to ``O(P * n_obs)`` (plus a bounded evaluation chunk).
+  one cached value row on demand, so no margins matrix is ever built and
+  peak memory is ``O(P * n_obs)`` plus one evaluation chunk of at most
+  :data:`CHUNK_ELEMENTS` (``peak_chunk_elements`` counts the largest).
 * **Beta-score memoization** — a chain of at most ``max_steps`` steps over a
   ~7-point grid proposes previously-visited betas constantly; each
   ``(split, beta)`` score is computed once and served from a
@@ -26,17 +26,13 @@ keeping the scores **bit-identical**:
   the RNG-lockstep draw accounting — and therefore every backend's output —
   unchanged.
 
-Bit-identity holds because the kernel performs the exact same elementwise
-operations in the exact same order as the dense path (subtract, multiply by
-sign, multiply by beta, the stable log-sigmoid, a pairwise sum over one
-contiguous ``n_obs`` row, quantization); deduplicated candidates share equal
-float values, so their rows are equal by construction.
-
-The module also hosts the allocation guard used to *prove* the memory claim:
-``allocation_cap(n)`` caps the element count of any guarded temporary, the
-kernel sizes its evaluation chunks under the cap, and the dense
-``margins_from_arrays`` path calls :func:`guard_alloc` so a test can pick a
-node whose margins matrix is impossible to build while the kernel scores it.
+A score is computed in one fixed order — subtract, multiply by sign,
+multiply by beta, the stable log-sigmoid, a pairwise sum over one contiguous
+``n_obs`` row, quantization — which the native chunk evaluator and batch
+entry replay bit for bit.  Rows are evaluated independently, so neither the
+chunk size nor which candidates share a group can change a bit, and
+deduplicated candidates share equal float values, so their rows are equal by
+construction.
 """
 
 from __future__ import annotations
@@ -65,8 +61,6 @@ CHUNK_ELEMENTS = 1 << 17
 #: refilled ``n_u``-wide rows for ``n_obs``-wide reads and measured slower
 #: than not sharing (docs/ALGORITHMS.md §10, "The table budget").
 MARGIN_TABLE_ELEMENTS = 1 << 21
-
-_CAP: int | None = None
 
 #: the valid ``ParallelConfig.kernel_backend`` / CLI ``--kernel-backend``
 #: values: the pure-NumPy oracle, the native-compiled extension, or probe
@@ -194,102 +188,17 @@ def isolated_kernel_totals():
         _MARGIN_TOTALS.update(saved[2])
 
 
-class AllocationCapExceeded(MemoryError):
-    """A guarded temporary would exceed the active :func:`allocation_cap`."""
-
-
-@contextmanager
-def allocation_cap(max_elements: int):
-    """Cap guarded temporaries at ``max_elements`` float64 elements.
-
-    Used by tests to verify the kernel's O(P * n_obs) memory contract: under
-    a cap smaller than ``P * n_obs * n_obs`` the dense margins path raises
-    :class:`AllocationCapExceeded` while the lazy kernel, which chunks its
-    evaluations under the cap, scores the same node successfully.
-    """
-    global _CAP
-    prev = _CAP
-    _CAP = int(max_elements)
-    try:
-        yield
-    finally:
-        _CAP = prev
-
-
-def guard_alloc(n_elements: int, what: str = "temporary") -> int:
-    """Check one guarded allocation against the active cap (if any)."""
-    if _CAP is not None and n_elements > _CAP:
-        raise AllocationCapExceeded(
-            f"{what} needs {n_elements} float64 elements, "
-            f"allocation cap is {_CAP}"
-        )
-    return int(n_elements)
-
-
 def row_scores(z: np.ndarray) -> np.ndarray:
     """Quantized ``sum_o logsigmoid(z[:, o])`` for a batch of margin rows.
 
-    The per-element branch values equal the dense path's
-    ``where(z > 0, -log1p(exp(-|z|)), z - log1p(exp(-|z|)))`` exactly — the
-    shared ``log1p(exp(-|z|))`` term is simply computed once instead of once
-    per branch — and the row sum is ``np.sum`` over a contiguous float64 row
-    of the same length, so results are bit-identical to the seed kernel.
+    The stable log-sigmoid ``where(z > 0, -log1p(exp(-|z|)), z -
+    log1p(exp(-|z|)))`` with the shared term computed once, and the row
+    sum is ``np.sum``'s pairwise sum over a contiguous float64 row.
     """
     t = np.log1p(np.exp(-np.abs(z)))
     out = np.where(z > 0, -t, z - t)
     scores = out.sum(axis=1)
     return np.round(scores / SCORE_QUANTUM) * SCORE_QUANTUM
-
-
-class DenseScoreMemo:
-    """Per-(item, beta) score memo over a materialized margins matrix.
-
-    The memoized provider behind :meth:`SplitScorer.score_batch`: scores are
-    computed from the margins rows exactly as the seed did, but each
-    ``(item, beta)`` pair is evaluated at most once per batch.  ``hits``
-    counts lookups served from the cache, ``evaluations`` the rows actually
-    computed — the observable contract of the memoization tests.
-    """
-
-    def __init__(self, margins: np.ndarray, beta_grid: np.ndarray) -> None:
-        self.margins = np.asarray(margins, dtype=np.float64)
-        self.beta_grid = np.asarray(beta_grid, dtype=np.float64)
-        self.n_items, self.n_obs = self.margins.shape
-        self._n_beta = self.beta_grid.size
-        guard_alloc(self.n_items * self._n_beta, "dense beta-score cache")
-        self._cache = np.zeros(self.n_items * self._n_beta)
-        self._seen = np.zeros(self.n_items * self._n_beta, dtype=bool)
-        self.hits = 0
-        self.evaluations = 0
-
-    def scores(self, rows: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
-        flat = np.asarray(rows, dtype=np.int64) * self._n_beta + np.asarray(
-            beta_idx, dtype=np.int64
-        )
-        missing = ~self._seen[flat]
-        hits = int(flat.size - missing.sum())
-        self.hits += hits
-        _account_totals(hits=hits)
-        if missing.any():
-            keys = np.unique(flat[missing])
-            self._evaluate(keys)
-        return self._cache[flat]
-
-    def _evaluate(self, keys: np.ndarray) -> None:
-        beta = keys % self._n_beta
-        items = keys // self._n_beta
-        order = np.argsort(beta, kind="stable")
-        beta, items = beta[order], items[order]
-        bounds = np.flatnonzero(np.diff(beta)) + 1
-        for chunk_items, chunk_beta in zip(
-            np.split(items, bounds), np.split(beta, bounds)
-        ):
-            z = self.margins[chunk_items] * self.beta_grid[chunk_beta[0]]
-            idx = chunk_items * self._n_beta + chunk_beta[0]
-            self._cache[idx] = row_scores(z)
-            self._seen[idx] = True
-        self.evaluations += int(keys.size)
-        _account_totals(evaluations=int(keys.size), backend="numpy")
 
 
 def group_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,18 +242,18 @@ class LazySplitKernel:
     ``(parent row, split value)`` pair; ``item_groups[l * n_obs + j]`` maps
     candidate ``(parents[l], data[parents[l], obs[j]])`` to its group.  The
     score cache is keyed per ``(group, beta index)``, evaluations run in
-    chunks bounded by ``max_chunk_elements`` (and by any active
-    :func:`allocation_cap`), and ``peak_chunk_elements`` records the largest
-    temporary actually allocated.
+    chunks bounded by ``max_chunk_elements`` (at least one row), and
+    ``peak_chunk_elements`` records the largest temporary actually
+    allocated.
 
     ``native`` selects who evaluates a chunk: the certified native
     extension (a :class:`repro._native.NativeKernels` handle, normally the
     one a :class:`~repro.scoring.split_score.SplitScorer` resolved from its
     ``kernel_backend``) or, with ``None``, the NumPy expressions.  The
     native path replaces only the chunk evaluation body of :meth:`scores`;
-    grouping, chunk sizing and :func:`guard_alloc` stay in Python either
-    way, and scores, counters and the memo's end state are bit-identical by
-    the extension's load-time certification.  (The whole sampling chain
+    grouping and chunk sizing stay in Python either way, and scores,
+    counters and the memo's end state are bit-identical by the extension's
+    load-time certification.  (The whole sampling chain
     runs natively only through :func:`run_chains`, on whole nodes with the
     call's own memo.)  Cached scores are tracked by an explicit seen-bitmask,
     not a NaN sentinel, so a legitimately non-finite score (a row mixing
@@ -374,10 +283,8 @@ class LazySplitKernel:
         self.max_chunk_elements = int(max_chunk_elements or CHUNK_ELEMENTS)
         self._native = native
         self.backend = "numpy" if native is None else "native"
-        guard_alloc(self.n_items, "parent-value slice")
         self.item_groups, self.group_row, self.group_value = group_rows(self.values)
         self.n_groups = int(self.group_row.size)
-        guard_alloc(self.n_groups * self._n_beta, "beta-score cache")
         self._cache = np.zeros(self.n_groups * self._n_beta)
         self._seen = np.zeros(self.n_groups * self._n_beta, dtype=bool)
         self.hits = 0
@@ -408,7 +315,7 @@ class LazySplitKernel:
         return self._cache[flat]
 
     def _chunk_rows(self) -> int:
-        return max(1, _chunk_limit(self.max_chunk_elements) // max(1, self.n_obs))
+        return max(1, self.max_chunk_elements // max(1, self.n_obs))
 
     def _evaluate(self, keys: np.ndarray) -> None:
         beta = keys % self._n_beta
@@ -423,17 +330,15 @@ class LazySplitKernel:
             grid_beta = self.beta_grid[beta_vals[0]]
             for start in range(0, beta_groups.size, chunk_rows):
                 chunk = beta_groups[start : start + chunk_rows]
-                n_elements = guard_alloc(
-                    chunk.size * self.n_obs, "lazy-margin evaluation chunk"
+                self.peak_chunk_elements = max(
+                    self.peak_chunk_elements, chunk.size * self.n_obs
                 )
-                self.peak_chunk_elements = max(self.peak_chunk_elements, n_elements)
                 idx = chunk * self._n_beta + beta_vals[0]
                 if self._native is not None:
                     # The certified extension computes the exact chunk body
                     # below (same operation order, same libm entry points as
-                    # NumPy) with the GIL released; grouping, chunk sizing
-                    # and the cap guard above stay in Python, so allocation
-                    # semantics are shared with the NumPy path.
+                    # NumPy) with the GIL released; grouping and chunk
+                    # sizing stay in Python, so both paths allocate alike.
                     out = np.empty(chunk.size)
                     self._native.eval_chunk(
                         np.ascontiguousarray(self.group_value[chunk]),
@@ -446,10 +351,9 @@ class LazySplitKernel:
                     )
                     self._cache[idx] = out
                 else:
-                    # The dense path's exact operation order: subtract
-                    # values, multiply by sign, multiply by beta, stable
-                    # log-sigmoid row sum.  Each step is elementwise, so
-                    # laziness cannot change a single bit of the result.
+                    # Subtract values, multiply by sign, multiply by beta,
+                    # stable log-sigmoid row sum: each step is elementwise,
+                    # so chunking cannot change a single bit of the result.
                     diff = self.group_value[chunk][:, None] - self.values[self.group_row[chunk]]
                     margin = self.sign * diff
                     z = margin * grid_beta
@@ -461,12 +365,6 @@ class LazySplitKernel:
             peak=self.peak_chunk_elements,
             backend=self.backend,
         )
-
-
-def _chunk_limit(max_chunk_elements: int | None) -> int:
-    """Elements one evaluation temporary may hold, under any active cap."""
-    limit = int(max_chunk_elements or CHUNK_ELEMENTS)
-    return limit if _CAP is None else min(limit, _CAP)
 
 
 @dataclass
@@ -541,18 +439,11 @@ def run_chains(
     if urow is None:
         ranks, group_row, _values = group_rows(uvalues)
         urow = _ranks_per_row(ranks, group_row, uvalues.shape)
-    for node in nodes:
-        if node.obs.size:
-            # A chunk holds at least one row: a node the cap forbids fails
-            # here exactly when its first NumPy chunk would.
-            guard_alloc(node.obs.size, "lazy-margin evaluation chunk")
     budget = MARGIN_TABLE_ELEMENTS if table_elements is None else table_elements
-    if _CAP is not None:  # the table is optional: a cap it passes turns it off
-        budget = min(budget, _CAP)
     share = beta_grid.size * n_u * n_u <= budget
     *results, counters, table = native.score_batch(
         uvalues, np.ascontiguousarray(urow), beta_grid, nodes,
-        max_steps, stop_repeats, SCORE_QUANTUM, _chunk_limit(max_chunk_elements),
+        max_steps, stop_repeats, SCORE_QUANTUM, max_chunk_elements or CHUNK_ELEMENTS,
         share, want_idx,
     )
     for hits, evaluations, peak in counters:
@@ -579,13 +470,11 @@ def split_kernel_from_arrays(
     max_chunk_elements: int | None = None,
     native=None,
 ) -> LazySplitKernel:
-    """A node's lazy kernel from raw arrays (the worker-friendly twin of
-    :func:`repro.trees.splits.margins_from_arrays`).
+    """A node's lazy kernel from raw arrays.
 
-    ``obs`` are the node's observations, ``left_obs`` its left child's; the
-    candidate enumeration order (parent-major, observation-minor) matches the
-    dense margins layout row for row.  ``native`` is as for
-    :class:`LazySplitKernel`.
+    ``obs`` are the node's observations, ``left_obs`` its left child's;
+    candidate ``l * n_obs + j`` is ``(parents[l], data[parents[l],
+    obs[j]])``.  ``native`` is as for :class:`LazySplitKernel`.
     """
     obs = np.asarray(obs, dtype=np.int64)
     values = data[np.asarray(parents, dtype=np.int64)][:, obs]

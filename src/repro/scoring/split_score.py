@@ -35,12 +35,7 @@ import numpy as np
 
 from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM
-from repro.scoring.kernel import (
-    DenseScoreMemo,
-    LazySplitKernel,
-    resolve_kernel_backend,
-    run_chains,
-)
+from repro.scoring.kernel import LazySplitKernel, resolve_kernel_backend, run_chains
 
 #: Default discrete grid of sigmoid steepness values.
 DEFAULT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -105,42 +100,20 @@ class SplitScorer:
     def draws_per_item(self) -> int:
         return 1 + 2 * self.max_steps
 
-    # -- vectorized batch path (optimized learner) -----------------------
-    def score_batch(
-        self, margins: np.ndarray, uniforms: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Score ``n_items`` splits at once.
-
-        ``margins`` has shape ``(n_items, n_obs)``; ``uniforms`` has shape
-        ``(n_items, 1 + 2 * max_steps)`` holding each item's private draws.
-        Returns ``(log_scores, steps, beta_indices, accepted)`` arrays whose
-        entries are identical to scoring each item alone with plain
-        :mod:`math` (the test oracle, ``tests/reference.py``).
-
-        Each ``(item, beta)`` score is evaluated at most once per batch (the
-        chain revisits grid points constantly); the memo used is left on
-        ``self.last_memo`` so tests and benchmarks can inspect its
-        ``hits`` / ``evaluations`` counters.
-        """
-        margins = np.asarray(margins, dtype=np.float64)
-        n_items, n_obs = margins.shape
-        memo = DenseScoreMemo(margins, self.beta_grid)
-        self.last_memo = memo
-        return self._run_chain(n_items, n_obs, uniforms, memo.scores)
-
     def score_batch_kernel(
         self, kernel: LazySplitKernel, draws: np.ndarray | DrawSpan
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`score_batch` on a :class:`LazySplitKernel` — no margins
-        matrix is ever materialized, and equal-value duplicate candidates
-        share one cached score table.
+        """Score every candidate of ``kernel`` by its own sampling chain.
 
-        Row ``i`` of ``draws`` holds the private draws of the kernel's
-        candidate ``i`` — or ``draws`` is what
+        Row ``i`` of ``draws`` holds the ``draws_per_item`` private draws of
+        the kernel's candidate ``i`` — or ``draws`` is what
         :meth:`~repro.rng.streams.IndexedStream.items_span` returns for
         those rows: their :class:`~repro.rng.philox.DrawSpan`, materialised
-        here.  Results are bit-identical to the
-        dense path because the kernel replays its exact float operations.
+        here.  Any other number of draws is refused.  Returns
+        ``(log_scores, steps, beta_indices, accepted)`` per candidate; each
+        ``(group, beta)`` score is evaluated at most once, in the kernel's
+        memo, and every candidate still reads its own draws (one chain's
+        scalar definition is ``score_one`` in ``tests/reference.py``).
         This NumPy chain over :meth:`LazySplitKernel.scores` is the oracle
         the native batch entry (:meth:`score_chain_nodes`) is certified
         against; a kernel built with ``native`` evaluates its score chunks
@@ -152,6 +125,12 @@ class SplitScorer:
         def provider(rows: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
             return kernel.scores(groups[rows], beta_idx)
 
+        count = draws.count if isinstance(draws, DrawSpan) else np.size(draws)
+        if count != groups.size * self.draws_per_item:
+            raise ValueError(
+                f"span must cover exactly {self.draws_per_item} draws for each of "
+                f"{groups.size} items, got {count}"
+            )
         if isinstance(draws, DrawSpan):
             draws = draws.array()  # the items' rows, end to end
         uniforms = np.asarray(draws, dtype=np.float64).reshape(groups.size, -1)
@@ -177,12 +156,11 @@ class SplitScorer:
         return best_score, steps, accepted
 
     def _run_chain(self, n_items, n_obs, uniforms, provider):
-        """Shared Metropolis-chain driver over a score ``provider``.
+        """The Metropolis-chain driver over a score ``provider``.
 
         ``provider(rows, beta_idx)`` returns the quantized log-scores of the
         given batch rows at per-row beta grid indices; the chain logic is
-        the seed implementation verbatim, so any provider that matches the
-        dense scores bit-for-bit yields bit-identical results.
+        the seed implementation verbatim.
         """
         grid = self.beta_grid
         n_beta = grid.size
@@ -231,45 +209,18 @@ class SplitScorer:
         if not np.array_equal(kernel.beta_grid, self.beta_grid):
             raise ValueError("kernel was built for a different beta grid")
 
-    def _scores_at(self, margins: np.ndarray, beta_idx: np.ndarray) -> np.ndarray:
-        """Row-wise sigmoid log-likelihood at per-row beta grid indices."""
-        beta = self.beta_grid[beta_idx]
-        z = margins * beta[:, None]
-        # log sigmoid(z) = -log1p(exp(-z)), computed stably for large |z|.
-        out = np.where(z > 0, -np.log1p(np.exp(-np.abs(z))), z - np.log1p(np.exp(-np.abs(z))))
-        scores = out.sum(axis=1)
-        return np.round(scores / SCORE_QUANTUM) * SCORE_QUANTUM
-
-    def score_grid_best(self, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def score_grid_best_kernel(
+        self, kernel: LazySplitKernel
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Deterministic exhaustive variant: the best score over the whole
-        beta grid for every item (no sampling chain).
+        beta grid for every candidate of ``kernel`` (no sampling chain).
 
         Used by the GENOMICA-style learner (Segal et al.), whose split
         search is a deterministic maximization rather than Lemon-Tree's
         posterior sampling.  Returns ``(best_scores, best_beta_idx,
-        accepted)``; costs ``O(n_beta * n_obs)`` per item — the price the
-        sampling chain's early stopping avoids.
-        """
-        margins = np.asarray(margins, dtype=np.float64)
-        n_items, n_obs = margins.shape
-        best = np.full(n_items, -np.inf)
-        best_idx = np.zeros(n_items, dtype=np.int64)
-        for idx in range(self.beta_grid.size):
-            scores = self._scores_at(margins, np.full(n_items, idx, dtype=np.int64))
-            improved = scores > best
-            best[improved] = scores[improved]
-            best_idx[improved] = idx
-        return best, best_idx, _beats_baseline(best, n_obs)
-
-    def score_grid_best_kernel(
-        self, kernel: LazySplitKernel
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`score_grid_best` on a :class:`LazySplitKernel`.
-
-        The exhaustive variant benefits most from the kernel: every grid
-        point is evaluated for every *group* rather than every candidate,
-        so duplicate split values cost nothing extra and no margins matrix
-        is built.
+        accepted)``; costs ``O(n_beta * n_obs)`` per *group* — the price the
+        sampling chain's early stopping avoids — so duplicate split values
+        cost nothing extra.
         """
         self._check_kernel(kernel)
         groups = kernel.item_groups

@@ -22,7 +22,6 @@ from repro.rng.streams import GibbsRandom, IndexedStream
 from repro.scoring.kernel import (
     ChainNode,
     LazySplitKernel,
-    guard_alloc,
     split_kernel_from_arrays,
     split_sign,
 )
@@ -63,37 +62,6 @@ class NodeSplitScores:
         return self.steps.astype(np.float64) * self.n_obs
 
 
-def margins_from_arrays(
-    data: np.ndarray,
-    obs: np.ndarray,
-    left_obs: np.ndarray,
-    parents: np.ndarray,
-) -> np.ndarray:
-    """Sigmoid margins of the candidate splits of a node given raw arrays.
-
-    ``obs`` are the node's observations, ``left_obs`` its left child's.
-    Returns shape ``(P * n_obs, n_obs)``: row ``l * n_obs + j`` holds the
-    margins of split ``(parents[l], data[parents[l], obs[j]])``; the margin
-    of observation ``o`` is ``v - x_o`` if ``o`` is in the left child and
-    ``x_o - v`` otherwise.  The dense oracle the lazy kernel is tested
-    against; no learner path builds it.
-    """
-    obs = np.asarray(obs, dtype=np.int64)
-    sign = split_sign(obs, left_obs)
-    values = data[np.asarray(parents, dtype=np.int64)][:, obs]  # (P, n_obs)
-    n_parents, n_obs = values.shape
-    guard_alloc(n_parents * n_obs * n_obs, "dense margins matrix")
-    # margins[l, j, o] = sign[o] * (values[l, j] - values[l, o])
-    margins = sign[None, None, :] * (values[:, :, None] - values[:, None, :])
-    return margins.reshape(n_parents * n_obs, n_obs)
-
-
-def node_margins(data: np.ndarray, node: TreeNode, parents: np.ndarray) -> np.ndarray:
-    """Sigmoid margins of all candidate splits at ``node``."""
-    assert node.left is not None
-    return margins_from_arrays(data, node.observations, node.left.observations, parents)
-
-
 def node_kernel(
     data: np.ndarray,
     node: TreeNode,
@@ -101,12 +69,8 @@ def node_kernel(
     scorer: SplitScorer,
 ) -> LazySplitKernel:
     """Lazy split-scoring kernel over all candidate splits at ``node``, on
-    ``scorer``'s beta grid and backend.
-
-    The O(P * n_obs) replacement for :func:`node_margins`: the same
-    candidate enumeration, but margins are materialized row-chunk by
-    row-chunk during scoring instead of all at once.
-    """
+    ``scorer``'s beta grid and backend: ``O(P * n_obs)`` memory, margins
+    computed row-chunk by row-chunk during scoring."""
     assert node.left is not None
     return split_kernel_from_arrays(
         data, node.observations, node.left.observations, parents, scorer.beta_grid,
@@ -157,7 +121,6 @@ def score_nodes(
             parts.append((log_scores, steps, accepted))
         return tuple(np.concatenate(field) for field in zip(*parts))
     universe = np.unique(np.concatenate([obs for obs, *_rest in nodes]))
-    guard_alloc(parents.size * universe.size, "parent-value slice")
     return scorer.score_chain_nodes(
         data[np.ix_(parents, universe)],
         [

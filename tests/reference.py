@@ -8,6 +8,7 @@ inner loop is deliberately written with plain Python lists and :mod:`math`
 optimized learner's (``tests/test_consistency.py``,
 ``tests/test_parent_blocks.py``).  The scalar twins of the package's
 vectorised scorers live here too (:func:`score_one`,
+:func:`score_node_scalar`, :func:`grid_best_one`,
 :func:`log_marginal_scalar`, :func:`compact_labels`).  Shared pieces are
 exactly the ones that define the random-stream contract or that are not
 scoring:
@@ -114,10 +115,20 @@ class SplitScoreResult:
     accepted: bool  # beats the beta = 0 baseline -> retained
 
 
+def split_margins(
+    values: Sequence[float], signs: Sequence[float], v: float
+) -> list[float]:
+    """Sigmoid margins of split value ``v`` over a node's parent ``values``:
+    ``v - x`` for a left-child observation (sign +1), ``x - v`` for a right
+    one (sign -1)."""
+    return [signs[k] * (v - values[k]) for k in range(len(values))]
+
+
 def score_one(
     scorer: SplitScorer, margins: list[float], uniforms: list[float]
 ) -> SplitScoreResult:
-    """Scalar twin of :meth:`SplitScorer.score_batch` for a single split.
+    """Scalar twin of one candidate's chain in
+    :meth:`SplitScorer.score_batch_kernel`.
 
     Uses only ``math`` in its inner loop; decisions agree with the batch
     path because both quantize scores before every comparison.
@@ -150,6 +161,42 @@ def score_one(
     baseline = _q(n_obs * math.log(0.5))
     accepted = best_score > baseline + SCORE_QUANTUM / 2
     return SplitScoreResult(best_score, steps, best_idx, accepted)
+
+
+def score_node_scalar(
+    scorer: SplitScorer,
+    values: Sequence[Sequence[float]],
+    signs: Sequence[float],
+    uniforms: Sequence[Sequence[float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`score_one` over every candidate ``(l, values[l][j])`` of a node,
+    parent-major and observation-minor, candidate ``i`` reading
+    ``uniforms[i]``: the ``(log_scores, steps, beta_indices, accepted)``
+    :meth:`SplitScorer.score_batch_kernel` returns for the node's kernel."""
+    candidates = [(row, v) for row in values for v in row]
+    assert len(uniforms) == len(candidates)
+    results = [
+        score_one(scorer, split_margins(row, signs, v), [float(u) for u in draws])
+        for (row, v), draws in zip(candidates, uniforms)
+    ]
+    return (
+        np.array([r.log_score for r in results], dtype=np.float64),
+        np.array([r.steps for r in results], dtype=np.int64),
+        np.array([r.beta_index for r in results], dtype=np.int64),
+        np.array([r.accepted for r in results], dtype=bool),
+    )
+
+
+def grid_best_one(scorer: SplitScorer, margins: list[float]) -> tuple[float, int, bool]:
+    """Scalar twin of one candidate of :meth:`SplitScorer.score_grid_best_kernel`:
+    the best score over the whole beta grid, its grid index, and whether it
+    beats the coin-flip baseline."""
+    best, best_idx = -math.inf, 0
+    for idx, beta in enumerate(scorer.beta_grid):
+        score = _score_scalar(margins, beta)
+        if score > best:
+            best, best_idx = score, idx
+    return best, best_idx, best > _q(len(margins) * math.log(0.5)) + SCORE_QUANTUM / 2
 
 
 def _score_scalar(margins: list[float], beta: float) -> float:
@@ -732,20 +779,15 @@ class ReferenceLearner:
         signs = [1.0 if o in left else -1.0 for o in obs]
         n_obs = len(obs)
 
-        log_scores: list[float] = []
-        accepted: list[bool] = []
-        index = split_base
-        for parent in parents:
-            values = [data[parent][o] for o in obs]
-            for j in range(n_obs):
-                v = values[j]
-                margins = [signs[k] * (v - values[k]) for k in range(n_obs)]
-                uniforms = [float(u) for u in istream.item_uniforms(index)]
-                result = score_one(scorer, margins, uniforms)
-                log_scores.append(result.log_score)
-                accepted.append(result.accepted)
-                index += 1
-        n_splits = len(log_scores)
+        n_splits = len(parents) * n_obs
+        scored, _steps, _beta_idx, kept = score_node_scalar(
+            scorer,
+            [[data[parent][o] for o in obs] for parent in parents],
+            signs,
+            [istream.item_uniforms(split_base + i) for i in range(n_splits)],
+        )
+        log_scores: list[float] = scored.tolist()
+        accepted: list[bool] = kept.tolist()
 
         # posterior normalization over retained splits (mirrors
         # repro.trees.splits.node_posteriors)

@@ -10,17 +10,15 @@ Three contracts:
 * **bit identity** — the native chunk evaluator agrees with the NumPy
   oracle bit for bit, property-based
   over random shapes, duplicate-heavy rows,
-  both RNG stream backends, extreme magnitudes and an active
-  ``allocation_cap`` (which must raise the same
-  :class:`AllocationCapExceeded` wherever the NumPy path would);
+  both RNG stream backends, extreme magnitudes and an explicit chunk
+  bound;
 * **the fused chain** — the native batch entry runs a whole node's
   sampling chain in one call; results and counters equal the NumPy
-  chain's (and the dense seed path's) on random, tie-grid and
+  chain's (and results the scalar oracle's) on random, tie-grid and
   constant-row nodes, and through ``_score_chunk_run``'s parent blocks;
   a native kernel's memo ends as the NumPy kernel's, on a partly filled
-  memo and under an allocation cap.  These run on the NumPy backend
-  alone when the extension is absent, pinning the fallback to the dense
-  oracle;
+  memo too.  These run on the NumPy backend alone when the extension is
+  absent, pinning the fallback to the scalar oracle;
 * **grouping tables** — the one-pass ``_build_tables`` equals the per-row
   ``np.unique`` construction, signed zeros and duplicates included;
 * **seen-bitmask caching** — a legitimately non-finite score is cached
@@ -33,7 +31,9 @@ All native-vs-numpy tests skip cleanly when the extension cannot build
 run everywhere.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -45,11 +45,9 @@ from repro import _native
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.rng.streams import make_stream
 from repro.scoring.kernel import (
-    AllocationCapExceeded,
     KERNEL_BACKENDS,
     ChainNode,
     LazySplitKernel,
-    allocation_cap,
     consume_kernel_totals,
     resolve_kernel_backend,
     run_chains,
@@ -57,6 +55,7 @@ from repro.scoring.kernel import (
     split_sign,
 )
 from repro.scoring.split_score import SplitScorer
+from tests.reference import score_node_scalar
 
 NATIVE = _native.load() is not None
 needs_native = pytest.mark.skipif(
@@ -220,41 +219,6 @@ class TestSplitKernelBitIdentity:
         )
         self._compare(data, obs, left_obs, parents, scorer, uniforms)
 
-    def test_allocation_cap_parity(self):
-        """Under a cap that blocks the dense margins matrix, the native
-        kernel chunks its evaluations exactly like the NumPy kernel (the
-        guard lives in shared Python code) and still matches bit for bit;
-        a cap that blocks construction raises for both backends."""
-        from repro.trees.splits import margins_from_arrays
-
-        data, obs, left_obs, parents = _node_arrays(
-            23, n_vars=40, n_obs=30, n_parents=10
-        )
-        scorer = SplitScorer(max_steps=4, stop_repeats=2)
-        n_items = parents.size * obs.size
-        cap = n_items * scorer.beta_grid.size + 4 * n_items
-        assert cap < n_items * obs.size
-        uniforms = _uniform_block(n_items, scorer.draws_per_item, 23)
-        out = {}
-        with allocation_cap(cap):
-            with pytest.raises(AllocationCapExceeded):
-                margins_from_arrays(data, obs, left_obs, parents)
-            for backend in ("numpy", "native"):
-                kernel = split_kernel_from_arrays(
-                    data, obs, left_obs, parents, scorer.beta_grid,
-                    native=_native_of(backend),
-                )
-                out[backend] = scorer.score_batch_kernel(kernel, uniforms)
-                assert kernel.peak_chunk_elements <= cap
-        for got, want in zip(out["native"], out["numpy"]):
-            np.testing.assert_array_equal(got, want)
-        with allocation_cap(10):
-            for backend in ("numpy", "native"):
-                with pytest.raises(AllocationCapExceeded):
-                    LazySplitKernel(
-                        np.zeros((4, 4)), np.ones(4), (1.0, 2.0), native=_native_of(backend)
-                    )
-
     def test_explicit_chunk_bound_parity(self):
         data, obs, left_obs, parents = _node_arrays(29, n_obs=16, n_parents=8)
         scorer = SplitScorer(max_steps=3)
@@ -323,8 +287,9 @@ def _assert_same_memo(got, want):
 
 class TestFusedChain:
     """``score_batch_kernel`` on every available backend against two
-    oracles: the dense seed path (values) and the NumPy chain over
-    ``LazySplitKernel.scores`` (counters, memo end state)."""
+    oracles: the scalar chains of ``tests/reference.py`` (values) and the
+    NumPy chain over ``LazySplitKernel.scores`` (counters, memo end
+    state)."""
 
     @settings(
         max_examples=40,
@@ -341,21 +306,20 @@ class TestFusedChain:
         chunk_rows=st.sampled_from([1, 3, 1000]),
         rng_backend=st.sampled_from(["philox", "mrg"]),
     )
-    def test_property_matches_dense_and_numpy_chain(
+    def test_property_matches_scalar_and_numpy_chain(
         self, seed, kind, n_obs, n_parents, max_steps, stop_repeats, chunk_rows,
         rng_backend,
     ):
         """... whether the draws arrive as rows or as their span: a span's
         draws (Philox or MRG) are computed inside the native batch call, and
         the NumPy chain materialises it."""
-        from repro.trees.splits import margins_from_arrays
-
         data, obs, left_obs, parents = _kind_node(kind, seed, 8, n_obs, n_parents)
         scorer = SplitScorer(max_steps=max_steps, stop_repeats=stop_repeats)
         draws = (parents.size * n_obs, scorer.draws_per_item, seed, rng_backend)
         uniforms = _uniform_block(*draws)
-        dense = scorer.score_batch(
-            margins_from_arrays(data, obs, left_obs, parents), uniforms
+        scalar = score_node_scalar(
+            scorer, data[parents][:, obs].tolist(), split_sign(obs, left_obs).tolist(),
+            uniforms,
         )
 
         def make(backend):
@@ -375,14 +339,14 @@ class TestFusedChain:
                 kernel = make(backend)
                 assert kernel.backend == backend
                 chain = scorer.score_batch_kernel(kernel, source)
-                for got, want in zip(chain, dense):
+                for got, want in zip(chain, scalar):
                     np.testing.assert_array_equal(got, want)
                 _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
             if backend == "native":
                 chain, counted = _whole_node_chain(
                     scorer, data, obs, left_obs, parents, span, chunk_rows * n_obs
                 )
-                for got, want in zip(chain, dense):
+                for got, want in zip(chain, scalar):
                     np.testing.assert_array_equal(got, want)
                 assert counted == _memo_state(oracle)[:3]
 
@@ -398,7 +362,10 @@ class TestFusedChain:
             scorer.score_batch_kernel(
                 kernel, _uniform_block(kernel.n_items, scorer.draws_per_item)
             )
-            assert not hasattr(scorer, "last_memo")
+            pinned = weakref.ref(kernel)
+            del kernel
+            gc.collect()
+            assert pinned() is None
 
     @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -481,37 +448,61 @@ class TestFusedChain:
             _assert_same_memo(runs[backend][3], runs["numpy"][3])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cap_below_one_row_raises(self, backend):
-        """``n_obs > cap``: not even a one-row evaluation chunk fits, and
-        both chains refuse before evaluating anything."""
+    def test_a_chunk_bound_below_one_row_scores_row_by_row(self, backend):
+        """``n_obs > max_chunk_elements``: no chunk is refused; every chain
+        evaluates one row at a time, counts a peak of exactly one row, and
+        its results are the scalar oracle's."""
         data, obs, left_obs, parents = _node_arrays(41, n_obs=12, n_parents=3)
         scorer = SplitScorer(max_steps=3)
         kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
+            data, obs, left_obs, parents, scorer.beta_grid,
+            max_chunk_elements=obs.size - 1, native=_native_of(backend),
         )
         uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 41)
-        with allocation_cap(obs.size - 1):
-            with pytest.raises(AllocationCapExceeded, match="evaluation chunk"):
-                scorer.score_batch_kernel(kernel, uniforms)
-        assert kernel.evaluations == 0 and not kernel._seen.any()
+        scalar = score_node_scalar(
+            scorer, data[parents][:, obs].tolist(), split_sign(obs, left_obs).tolist(),
+            uniforms,
+        )
+        chain = scorer.score_batch_kernel(kernel, uniforms)
+        assert kernel.evaluations > 0 and kernel.peak_chunk_elements == obs.size
+        for got, want in zip(chain, scalar):
+            np.testing.assert_array_equal(got, want)
+        if backend == "native":
+            span = _uniform_span(kernel.n_items, scorer.draws_per_item, 41)
+            chain, counted = _whole_node_chain(
+                scorer, data, obs, left_obs, parents, span, obs.size - 1
+            )
+            for got, want in zip(chain, scalar):
+                np.testing.assert_array_equal(got, want)
+            assert counted == _memo_state(kernel)[:3]
 
-    @needs_native
     @pytest.mark.parametrize("generator", ["philox", "mrg"])
     def test_a_span_of_the_wrong_length_is_refused(self, generator):
-        """The batch entry refuses draws it cannot use before it scores
+        """Both chains refuse draws they cannot use before they score
         anything: a span holds whole rows of exactly draws_per_item, so one
-        item short, and one draw past the last item, are both refused by
-        count, and no counter moves."""
+        item short, one draw past the last item and one extra draw per item
+        (which a reshape would read shifted) are all refused by count, and
+        no counter moves."""
         data, obs, left_obs, parents = _node_arrays(43, n_obs=6, n_parents=2)
         scorer = SplitScorer(max_steps=2)
         node = (scorer, data, obs, left_obs, parents)
         consume_kernel_totals()
-        for n_draws in (11 * 5, 12 * 5 + 1):
-            short = make_stream(43, "u", backend=generator).span(0, n_draws)
-            with pytest.raises(
-                ValueError, match=rf"exactly 5 draws for each of 12 items, got {n_draws}"
-            ):
-                _whole_node_chain(*node, short)
+        for n_draws in (11 * 5, 12 * 5 + 1, 12 * 6):
+            wrong = make_stream(43, "u", backend=generator).span(0, n_draws)
+            message = rf"exactly 5 draws for each of 12 items, got {n_draws}"
+            for backend in BACKENDS:
+                kernel = split_kernel_from_arrays(
+                    data, obs, left_obs, parents, scorer.beta_grid,
+                    native=_native_of(backend),
+                )
+                with pytest.raises(ValueError, match=message):
+                    scorer.score_batch_kernel(kernel, wrong)
+                with pytest.raises(ValueError, match=message):
+                    scorer.score_batch_kernel(kernel, wrong.array())
+                assert kernel.evaluations == kernel.hits == 0
+            if NATIVE:
+                with pytest.raises(ValueError, match=message):
+                    _whole_node_chain(*node, wrong)
         assert consume_kernel_totals() is None
 
 

@@ -29,7 +29,7 @@ from repro.scoring.kernel import (
     consume_kernel_totals,
     run_chains,
 )
-from repro.scoring.split_score import SplitScorer
+from repro.scoring.split_score import DEFAULT_BETA_GRID, SplitScorer
 from repro.trees.splits import score_nodes
 
 pytestmark = pytest.mark.skipif(
@@ -40,13 +40,26 @@ pytestmark = pytest.mark.skipif(
 #: universe widths around the pairwise sum's regimes: sequential below 8,
 #: eight accumulators to 128, halving recursion above
 WIDTHS = [1, 7, 8, 9, 127, 128, 129, 192, 300]
-#: how a batch's nodes overlap in the universe
-LAYOUTS = ["shared", "nested", "disjoint", "unsorted"]
+#: those and every width to 17 and around 24 and 32 (partial eight-lane
+#: blocks and 8 x 8 tiles)
+EDGE_WIDTHS = st.one_of(st.integers(1, 17), st.sampled_from([23, 24, 25, 31, 32, 33, *WIDTHS]))
+#: how a batch's nodes overlap in the universe; ``remainders`` gives node
+#: sizes of every remainder mod MARGIN_GROUP (the keys the C entry sums four
+#: at a time), ``single`` one-observation nodes, ``threshold`` a node
+#: reading one row short of, or exactly, the whole-fill rule's row count
+LAYOUTS = ["shared", "nested", "disjoint", "unsorted", "remainders", "single", "threshold"]
 
 
 def _node_obs(layout, n_u, rng):
     """Two or three nodes' observations as universe columns."""
     everything = np.arange(n_u)
+    if layout == "remainders":
+        return [everything[: max(1, n_u - r)] for r in range(4)]
+    if layout == "single":
+        return [everything[:1], rng.integers(n_u, size=1)]
+    if layout == "threshold":  # 32 reads of each column: both betas see all
+        k = min(n_u, _whole_rows(n_u) - int(rng.integers(2)))
+        return [np.tile(rng.permutation(n_u)[:k], 32)]
     if layout == "shared":
         return [everything, everything.copy()]
     if layout == "nested":
@@ -63,6 +76,10 @@ def _universe(kind, n_parents, n_u, rng):
         values = np.round(values)
         zeros = values == 0.0
         values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    elif kind == "two-valued":  # every value of a row tied with half the row
+        values = np.where(values < 0.0, -0.5, 0.5)
+    elif kind == "constant":  # one value per row: one group per parent
+        values[:] = values[:, :1]
     return values
 
 
@@ -77,14 +94,14 @@ def _oracle(uvalues, obs, sign, scorer, chunk_elements, rows):
 
 class TestBatchEqualsPerNodeChain:
     @settings(
-        max_examples=60, deadline=None,
+        max_examples=100, deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     @given(
         seed=st.integers(0, 2**31 - 1),
-        n_u=st.sampled_from(WIDTHS),
+        n_u=EDGE_WIDTHS,
         layout=st.sampled_from(LAYOUTS),
-        kind=st.sampled_from(["random", "ties"]),
+        kind=st.sampled_from(["random", "ties", "two-valued", "constant"]),
         n_parents=st.integers(1, 3),
         max_steps=st.sampled_from([1, 3, 6]),
         chunk_elements=st.sampled_from([1, 40, None]),
@@ -95,7 +112,9 @@ class TestBatchEqualsPerNodeChain:
         rng_backend,
     ):
         """... over node sets with shared, nested, disjoint and unsorted
-        observations, Philox and MRG spans, one row
+        observations, nodes of one observation, of every size mod four and
+        at the whole-fill threshold; continuous, tied, two-valued and
+        constant parent rows; Philox and MRG spans, one row
         or many per evaluation chunk — and with a margin-table budget that
         holds one parent's rows (the default, and exactly), that is one
         element short and that is zero (no sharing: the fused evaluator),
@@ -110,7 +129,8 @@ def _assert_batch_equals_per_node_chains(
 ):
     rng = np.random.default_rng(seed)
     uvalues = _universe(kind, n_parents, n_u, rng)
-    scorer = SplitScorer(max_steps=max_steps, stop_repeats=2, kernel_backend="numpy")
+    grid = (0.5, 4.0) if layout == "threshold" else DEFAULT_BETA_GRID
+    scorer = SplitScorer(grid, max_steps=max_steps, stop_repeats=2, kernel_backend="numpy")
     specs = []
     for q, obs in enumerate(_node_obs(layout, n_u, rng)):
         sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
@@ -118,6 +138,10 @@ def _assert_batch_equals_per_node_chains(
             make_stream(seed, "batch", q, backend=rng_backend), scorer.draws_per_item
         ).items_span(0, n_parents * obs.size)
         specs.append((obs, sign, span))
+    if layout == "threshold" and kind == "random":  # k distinct values, each read at both betas
+        whole = _whole_blocks(uvalues, scorer.beta_grid, specs, max_steps)
+        k = np.unique(specs[0][0]).size
+        assert whole.all() if k >= _whole_rows(n_u) else not whole.any()
 
     consume_kernel_totals()
     oracles = [
@@ -158,6 +182,12 @@ def _assert_batch_equals_per_node_chains(
             np.testing.assert_array_equal(part, expected)
 
 
+def _whole_rows(n_u):
+    """The rows of a (parent, beta) block the batch's first lookups must
+    read for ``repro_score_batch`` to fill the block whole."""
+    return 4 * ((n_u + 7) // 8 + 1)
+
+
 def _whole_blocks(uvalues, beta_grid, specs, max_steps):
     """Which (parent, beta) blocks ``repro_score_batch`` fills whole before
     its chains run: those where the distinct (beta, value) rows the first
@@ -177,7 +207,7 @@ def _whole_blocks(uvalues, beta_grid, specs, max_steps):
                 beta = np.minimum((first * n_beta).astype(np.int64), n_beta - 1)
                 rows.update(zip(beta.tolist(), uvalues[l, obs].tolist()))
         for b in range(n_beta):
-            whole[l, b] = sum(row[0] == b for row in rows) >= 4 * ((n_u + 7) // 8 + 1)
+            whole[l, b] = sum(row[0] == b for row in rows) >= _whole_rows(n_u)
     return whole
 
 
@@ -468,24 +498,22 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="64-bit key, its draws in"):
             self._run(uvalues, scorer, nodes)
 
-    def test_an_allocation_cap_bounds_the_table(self):
-        """The table is optional: a cap one parent's rows would pass turns
-        sharing off (the fused evaluator, same output) instead of failing;
-        the evaluation chunks fail under a cap as the NumPy chain's do."""
+    def test_the_table_budget_bounds_sharing(self):
+        """The table is optional: a budget one parent's rows fit shares
+        them, one element less turns sharing off (the fused evaluator, same
+        output) instead of failing."""
         uvalues, scorer, nodes = _two_nodes()
         n_u = uvalues.shape[1]
         table = scorer.beta_grid.size * n_u * n_u
         *want, _bounds, _counters = self._run(uvalues, scorer, nodes)
         consume_kernel_totals()
-        for cap, shares in ((table, True), (table - 1, False)):
-            with kernel_mod.allocation_cap(cap):
-                *got, _bounds, _counters = self._run(uvalues, scorer, nodes)
+        for budget, shares in ((table, True), (table - 1, False)):
+            *got, _bounds, _counters = self._run(
+                uvalues, scorer, nodes, table_elements=budget
+            )
             assert ("margin_rows_filled" in consume_kernel_totals()) == shares
             for part, expected in zip(got, want):
                 np.testing.assert_array_equal(part, expected)
-        with kernel_mod.allocation_cap(n_u - 1):
-            with pytest.raises(kernel_mod.AllocationCapExceeded, match="evaluation chunk"):
-                self._run(uvalues, scorer, nodes)
 
 
 class TestCertification:

@@ -2,11 +2,12 @@
 
 The kernel's contract has three legs:
 
-* **bit identity** — chain and grid-best scores from the kernel equal the
-  dense materialized-margins path exactly, including duplicate-value nodes;
-* **memory** — scoring never materializes more than O(P * n_obs) at once,
-  proven by scoring a node whose dense margins matrix would blow a hard
-  allocation cap;
+* **scalar identity** — chain and grid-best scores from the kernel equal the
+  scalar oracle's (``tests/reference.py``) item for item, including
+  duplicate-value nodes;
+* **memory** — scoring never materializes more than one bounded chunk of
+  margins at once (``peak_chunk_elements``), never the ``(P * n_obs,
+  n_obs)`` margins matrix;
 * **dedup accounting** — duplicate candidate values share one cached score
   table but still consume their own private uniforms, so RNG-lockstep draw
   accounting is untouched;
@@ -17,6 +18,8 @@ The kernel's contract has three legs:
   ``CHUNK_ELEMENTS`` builds the same network with the same counts, only
   in smaller temporaries.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,16 +32,10 @@ from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.parallel.trace import WorkTrace
 from repro.scoring import kernel as kernel_mod
-from repro.scoring.kernel import (
-    AllocationCapExceeded,
-    DenseScoreMemo,
-    LazySplitKernel,
-    allocation_cap,
-    split_kernel_from_arrays,
-)
+from repro.scoring.kernel import split_kernel_from_arrays, split_sign
 from repro.scoring.split_score import SplitScorer
-from repro.trees.splits import margins_from_arrays
 from repro.validation.metrics import network_fingerprint
+from tests.reference import _score_scalar, grid_best_one, score_node_scalar, split_margins
 
 #: each available backend's kernels handle (``None``: NumPy)
 NATIVES = {"numpy": None, **({"native": _native.load()} if _native.load() else {})}
@@ -59,6 +56,24 @@ def _node_arrays(seed, n_vars=20, n_obs=14, n_parents=5, duplicates=False):
     left_obs = rng.choice(obs, size=n_obs // 2, replace=False)
     parents = rng.choice(n_vars, size=n_parents, replace=False).astype(np.int64)
     return data, obs, left_obs, parents
+
+
+def _scalar_chain(scorer, data, obs, left_obs, parents, uniforms):
+    """The node's chains by the scalar oracle."""
+    return score_node_scalar(
+        scorer, data[parents][:, obs].tolist(), split_sign(obs, left_obs).tolist(), uniforms
+    )
+
+
+def _candidate_margins(data, obs, left_obs, parents):
+    """Every candidate's margins, in the kernel's candidate order."""
+    sign = split_sign(obs, left_obs).tolist()
+    return [split_margins(row, sign, v) for row in data[parents][:, obs].tolist() for v in row]
+
+
+def _scalar_grid_best(scorer, data, obs, left_obs, parents):
+    best = [grid_best_one(scorer, m) for m in _candidate_margins(data, obs, left_obs, parents)]
+    return tuple(np.array(field) for field in zip(*best))
 
 
 class TestKernelConstruction:
@@ -98,35 +113,33 @@ class TestKernelConstruction:
 class TestBitIdentity:
     @pytest.mark.parametrize("duplicates", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_chain_matches_dense(self, seed, duplicates):
+    def test_chain_matches_scalar(self, seed, duplicates):
         data, obs, left_obs, parents = _node_arrays(seed, duplicates=duplicates)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
-        margins = margins_from_arrays(data, obs, left_obs, parents)
         kernel = split_kernel_from_arrays(
             data, obs, left_obs, parents, scorer.beta_grid
         )
-        uniforms = _uniform_block(margins.shape[0], scorer.draws_per_item, seed)
-        dense = scorer.score_batch(margins, uniforms)
+        uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, seed)
+        scalar = _scalar_chain(scorer, data, obs, left_obs, parents, uniforms)
         lazy = scorer.score_batch_kernel(kernel, uniforms)
-        for got, want in zip(lazy, dense):
+        for got, want in zip(lazy, scalar):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("duplicates", [False, True])
-    def test_grid_best_matches_dense(self, duplicates):
+    def test_grid_best_matches_scalar(self, duplicates):
         data, obs, left_obs, parents = _node_arrays(7, duplicates=duplicates)
         scorer = SplitScorer(max_steps=3)
-        margins = margins_from_arrays(data, obs, left_obs, parents)
         kernel = split_kernel_from_arrays(
             data, obs, left_obs, parents, scorer.beta_grid
         )
-        dense = scorer.score_grid_best(margins)
+        scalar = _scalar_grid_best(scorer, data, obs, left_obs, parents)
         lazy = scorer.score_grid_best_kernel(kernel)
-        for got, want in zip(lazy, dense):
+        for got, want in zip(lazy, scalar):
             np.testing.assert_array_equal(got, want)
 
     def test_chain_then_grid_best_share_cache(self):
         """score_grid_best_kernel on a chain-warmed kernel reuses cached
-        entries and still matches the dense exhaustive search."""
+        entries and still matches the scalar exhaustive search."""
         data, obs, left_obs, parents = _node_arrays(13)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
         kernel = split_kernel_from_arrays(
@@ -135,9 +148,9 @@ class TestBitIdentity:
         uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 13)
         scorer.score_batch_kernel(kernel, uniforms)
         evals_after_chain = kernel.evaluations
-        dense = scorer.score_grid_best(margins_from_arrays(data, obs, left_obs, parents))
+        scalar = _scalar_grid_best(scorer, data, obs, left_obs, parents)
         lazy = scorer.score_grid_best_kernel(kernel)
-        for got, want in zip(lazy, dense):
+        for got, want in zip(lazy, scalar):
             np.testing.assert_array_equal(got, want)
         # The exhaustive pass only filled in pairs the chain never visited.
         assert kernel.evaluations <= kernel.n_groups * scorer.beta_grid.size
@@ -147,7 +160,8 @@ class TestBitIdentity:
 class TestDedupAccounting:
     def test_duplicates_share_evaluations_not_draws(self):
         """Duplicate values are scored once per beta, but every item keeps
-        consuming its own private uniforms — identical results to dense."""
+        consuming its own private uniforms — identical results to the
+        scalar oracle, which shares nothing."""
         data, obs, left_obs, parents = _node_arrays(17, duplicates=True)
         scorer = SplitScorer(max_steps=8, stop_repeats=3)
         kernel = split_kernel_from_arrays(
@@ -160,10 +174,8 @@ class TestDedupAccounting:
         # chains (different uniforms): steps may differ even though their
         # score tables are shared.
         assert kernel.evaluations <= kernel.n_groups * scorer.beta_grid.size
-        dense = scorer.score_batch(
-            margins_from_arrays(data, obs, left_obs, parents), uniforms
-        )
-        for got, want in zip(lazy, dense):
+        scalar = _scalar_chain(scorer, data, obs, left_obs, parents, uniforms)
+        for got, want in zip(lazy, scalar):
             np.testing.assert_array_equal(got, want)
 
 
@@ -199,22 +211,21 @@ class TestMemoContract:
         assert kernel.hits + kernel.evaluations <= 4 * n_lookups
 
     @pytest.mark.parametrize("duplicates", [False, True])
-    def test_scores_equal_the_dense_memo(self, backend, duplicates):
-        """Every ``(group, beta)`` score equals the dense memo's score of
-        each candidate in the group, evaluated once per group."""
+    def test_scores_equal_the_scalar_scores(self, backend, duplicates):
+        """Every ``(group, beta)`` score equals the scalar score of each
+        candidate in the group, evaluated once per group."""
         data, obs, left_obs, parents = _node_arrays(3, duplicates=duplicates)
         kernel = split_kernel_from_arrays(
             data, obs, left_obs, parents, BETA_GRID, native=NATIVES[backend]
         )
-        dense = DenseScoreMemo(margins_from_arrays(data, obs, left_obs, parents), BETA_GRID)
-        items = np.arange(kernel.n_items, dtype=np.int64)
-        for b in range(len(BETA_GRID)):
-            beta = np.full(items.size, b, dtype=np.int64)
+        margins = _candidate_margins(data, obs, left_obs, parents)
+        for b, grid_beta in enumerate(BETA_GRID):
+            beta = np.full(kernel.n_items, b, dtype=np.int64)
             np.testing.assert_array_equal(
-                kernel.scores(kernel.item_groups, beta), dense.scores(items, beta)
+                kernel.scores(kernel.item_groups, beta),
+                [_score_scalar(m, grid_beta) for m in margins],
             )
         assert kernel.evaluations == kernel.n_groups * len(BETA_GRID)
-        assert dense.evaluations == kernel.n_items * len(BETA_GRID)
 
     def test_a_repeated_chain_evaluates_nothing(self, backend):
         """A second chain with the same draws reads every score it needs
@@ -255,40 +266,6 @@ class TestMemoContract:
 
 
 class TestMemoryContract:
-    def test_dense_margins_blocked_kernel_succeeds(self):
-        """Acceptance criterion: score a node whose dense margins matrix
-        would exceed a hard allocator cap — the kernel must finish under a
-        cap of a few times P * n_obs while the dense path raises."""
-        data, obs, left_obs, parents = _node_arrays(23, n_vars=40, n_obs=30, n_parents=10)
-        scorer = SplitScorer(max_steps=4, stop_repeats=2)
-        n_items = parents.size * obs.size  # 300 candidates
-        # Dense margins need n_items * n_obs = 9000 elements.  The kernel's
-        # largest guarded allocation is its (n_groups, n_beta) score cache —
-        # still linear in P * n_obs — so a cap just above it proves laziness.
-        cap = n_items * scorer.beta_grid.size + 4 * n_items
-        assert cap < n_items * obs.size
-        uniforms = _uniform_block(n_items, scorer.draws_per_item, 23)
-        with allocation_cap(cap):
-            with pytest.raises(AllocationCapExceeded):
-                margins_from_arrays(data, obs, left_obs, parents)
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid
-            )
-            lazy = scorer.score_batch_kernel(kernel, uniforms)
-            assert kernel.peak_chunk_elements <= cap
-        dense = scorer.score_batch(
-            margins_from_arrays(data, obs, left_obs, parents), uniforms
-        )
-        for got, want in zip(lazy, dense):
-            np.testing.assert_array_equal(got, want)
-
-    def test_cap_restored_on_exit(self):
-        with allocation_cap(10):
-            with pytest.raises(AllocationCapExceeded):
-                LazySplitKernel(np.zeros((4, 4)), np.ones(4), (1.0, 2.0))
-        # No cap outside the context manager.
-        LazySplitKernel(np.zeros((4, 4)), np.ones(4), (1.0, 2.0))
-
     def test_chunking_bounds_temporaries(self):
         data, obs, left_obs, parents = _node_arrays(29, n_obs=16, n_parents=8)
         scorer = SplitScorer(max_steps=3)
@@ -298,12 +275,55 @@ class TestMemoryContract:
         )
         uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 29)
         lazy = scorer.score_batch_kernel(kernel, uniforms)
-        assert kernel.peak_chunk_elements <= 5 * obs.size
-        dense = scorer.score_batch(
-            margins_from_arrays(data, obs, left_obs, parents), uniforms
-        )
-        for got, want in zip(lazy, dense):
+        # five rows of margins at a time, never the node's whole matrix
+        assert kernel.peak_chunk_elements <= 5 * obs.size < kernel.n_items * obs.size
+        scalar = _scalar_chain(scorer, data, obs, left_obs, parents, uniforms)
+        for got, want in zip(lazy, scalar):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_scoring_never_allocates_the_margins_matrix(self, backend):
+        """What ``peak_chunk_elements`` claims, measured: the traced peak of
+        a node's chain and exhaustive search stays far below its ``(P *
+        n_obs, n_obs)`` margins matrix, which is never built."""
+        data, obs, left_obs, parents = _node_arrays(23, n_vars=40, n_obs=300, n_parents=10)
+        scorer = SplitScorer(max_steps=4, stop_repeats=2)
+        n_items = parents.size * obs.size
+        uniforms = _uniform_block(n_items, scorer.draws_per_item, 23)
+        margins_bytes = n_items * obs.size * 8
+        tracemalloc.start()
+        try:
+            kernel = split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid,
+                max_chunk_elements=8 * obs.size, native=NATIVES[backend],
+            )
+            scorer.score_batch_kernel(kernel, uniforms)
+            scorer.score_grid_best_kernel(kernel)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel.evaluations == kernel.n_groups * scorer.beta_grid.size
+        assert peak < margins_bytes // 8
+
+    def test_the_chunk_bound_is_per_kernel(self):
+        """A kernel's bound is its own: kernels with different bounds
+        scored in turn in one process each chunk by theirs."""
+        data, obs, left_obs, parents = _node_arrays(31, n_obs=16, n_parents=8)
+        scorer = SplitScorer(max_steps=3)
+        uniforms = _uniform_block(parents.size * obs.size, scorer.draws_per_item, 31)
+        kernels = [
+            split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid, max_chunk_elements=bound
+            )
+            for bound in (obs.size, None, 3 * obs.size)
+        ]
+        results = [scorer.score_batch_kernel(kernel, uniforms) for kernel in kernels]
+        peaks = [kernel.peak_chunk_elements for kernel in kernels]
+        assert peaks[0] == obs.size and peaks[2] == 3 * obs.size < peaks[1]
+        assert kernels[1].max_chunk_elements == kernel_mod.CHUNK_ELEMENTS
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                np.testing.assert_array_equal(got, want)
 
 
 def _traced_learn(matrix):

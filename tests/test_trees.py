@@ -5,16 +5,17 @@ import pytest
 
 from repro.datatypes import Split, TreeNode
 from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
+from repro.scoring.kernel import split_sign
 from repro.scoring.split_score import SplitScorer
 from repro.trees.hierarchy import build_tree_structure, leaf_order
 from repro.trees.parents import accumulate_parent_scores
 from repro.trees.splits import (
-    margins_from_arrays,
-    node_margins,
+    node_kernel,
     node_posteriors,
     score_node_splits,
     select_node_splits,
 )
+from tests.reference import _score_scalar, score_node_scalar
 
 
 def _block_and_labels(seed=0, n=4, m=12, k=4):
@@ -112,12 +113,13 @@ def _scored_node(seed=0, n_vars=6, m=10):
     return data, nodes[0], scores
 
 
-class TestMargins:
+class TestNodeKernel:
     def test_shape(self):
         data, node, _ = _scored_node()
-        margins = node_margins(data, node, np.arange(6))
+        kernel = node_kernel(data, node, np.arange(6), SplitScorer())
         n_obs = node.observations.size
-        assert margins.shape == (6 * n_obs, n_obs)
+        assert kernel.values.shape == (6, n_obs)
+        assert kernel.n_items == 6 * n_obs
 
     def test_orientation(self):
         """Margin of observation o for split (l, v): positive when the
@@ -126,20 +128,30 @@ class TestMargins:
         left = TreeNode(0, np.array([0, 1]))
         right = TreeNode(1, np.array([2, 3]))
         node = TreeNode(2, np.array([0, 1, 2, 3]), left=left, right=right)
-        margins = node_margins(data, node, np.array([0]))
+        kernel = node_kernel(data, node, np.array([0]), SplitScorer(beta_grid=(1.0, 2.0)))
+        np.testing.assert_array_equal(kernel.sign, [1.0, 1.0, -1.0, -1.0])
         # Split value between children, e.g. v = data[0, 1] = 2.0:
-        row = margins[1]  # candidate value v = 2.0
         # left obs (values 1, 2): margin = v - x -> [1, 0]
         # right obs (values 3, 4): margin = x - v -> [1, 2]
-        np.testing.assert_allclose(row, [1.0, 0.0, 1.0, 2.0])
+        for b, beta in enumerate((1.0, 2.0)):
+            got = kernel.scores(kernel.item_groups[[1]], np.array([b]))
+            assert got[0] == _score_scalar([1.0, 0.0, 1.0, 2.0], beta)
 
-    def test_margins_from_arrays_matches_node(self):
-        data, node, _ = _scored_node(seed=1)
-        a = node_margins(data, node, np.arange(6))
-        b = margins_from_arrays(
-            data, node.observations, node.left.observations, np.arange(6)
+    def test_scores_match_the_scalar_oracle(self):
+        """A node's scored splits are the scalar chains over its candidates,
+        each reading its draws of the module's indexed stream."""
+        data, node, scores = _scored_node(seed=1)
+        scorer = SplitScorer(max_steps=5)
+        istream = IndexedStream(make_stream(1, "splits", 0), scorer.draws_per_item)
+        log_scores, steps, _beta_idx, accepted = score_node_scalar(
+            scorer,
+            data[:, node.observations].tolist(),
+            split_sign(node.observations, node.left.observations).tolist(),
+            [istream.item_uniforms(i) for i in range(scores.n_splits)],
         )
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(scores.log_scores, log_scores)
+        np.testing.assert_array_equal(scores.steps, steps)
+        np.testing.assert_array_equal(scores.accepted, accepted)
 
 
 class TestScoreNodeSplits:
