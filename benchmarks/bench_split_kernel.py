@@ -269,7 +269,6 @@ def test_native_vs_numpy_kernel(capsys):
     record lands in ``benchmarks/results/BENCH_kernel_native.json``.
     """
     from repro import _native
-    from repro.scoring.kernel import consume_kernel_totals
 
     if _native.load() is None:
         info = _native.availability()
@@ -287,14 +286,13 @@ def test_native_vs_numpy_kernel(capsys):
         best = scorer.score_grid_best_kernel(kernel)
         return kernel, chain, best
 
-    consume_kernel_totals()  # isolate this sweep's counter window
     t_numpy, (numpy_kernel, numpy_chain, numpy_best) = _best_of(
         REPEATS, lambda: run_backend("numpy")
     )
     t_native, (native_kernel, native_chain, native_best) = _best_of(
         REPEATS, lambda: run_backend("native")
     )
-    totals = consume_kernel_totals()
+    totals = scorer.drain_counters()  # the sweep's runs, both backends
 
     for name, got, want in zip(
         ("log_scores", "steps", "beta_idx", "accepted"), native_chain, numpy_chain

@@ -648,17 +648,9 @@ def _build_on_demand() -> str:
     os.makedirs(final_dir, exist_ok=True)
     tmpdir = tempfile.mkdtemp(prefix="build-", dir=final_dir)
     try:
+        # ``compile`` returns the absolute path of the built shared object
         built = _build.ffibuilder().compile(tmpdir=tmpdir, verbose=False)
-        # cffi nests the output under the dotted module path; find the .so.
-        so_path = built
-        if not os.path.isfile(so_path):  # pragma: no cover - cffi variants
-            for root, _dirs, files in os.walk(tmpdir):
-                for name in files:
-                    if name.endswith(
-                        (".so", ".dylib", ".pyd")
-                    ) and "_native_kernel" in name:
-                        so_path = os.path.join(root, name)
-        os.replace(so_path, final_path)  # atomic: concurrent builders race benignly
+        os.replace(built, final_path)  # atomic: concurrent builders race benignly
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
     return final_path
@@ -666,15 +658,14 @@ def _build_on_demand() -> str:
 
 class Cert(NamedTuple):
     """A row of the certification table.  ``cases()`` yields ``(label,
-    case)``; ``oracle(case)`` returns the NumPy runs (the first is the
-    reference) and ``native(kernels, case)`` the entry's runs; a run is
-    the sequence of compared output arrays."""
+    case)``; ``runs(case)`` returns the NumPy runs (the first is the
+    reference) and ``runs(case, kernels)`` the entry's runs; a run is the
+    sequence of compared output arrays."""
 
     name: str
     entries: tuple[str, ...]
     cases: Callable
-    oracle: Callable
-    native: Callable
+    runs: Callable
 
 
 def _certify(kernels: NativeKernels) -> str | None:
@@ -685,7 +676,7 @@ def _certify(kernels: NativeKernels) -> str | None:
     with np.errstate(all="ignore"):  # probe data overflows by design
         for cert in _CERTIFICATION:
             for label, case in cert.cases():
-                if not _runs_agree([*cert.oracle(case), *cert.native(kernels, case)]):
+                if not _runs_agree([*cert.runs(case), *cert.runs(case, kernels)]):
                     return f"{cert.name} mismatch at {label}"
     return None
 
@@ -716,17 +707,15 @@ def _eval_cases():
                 yield f"n_obs={n_obs}, beta={beta}", case
 
 
-def _eval_oracle(case):
+def _eval_runs(case, kernels=None):
+    if kernels is not None:
+        out = np.empty(case[0].size)
+        kernels.eval_chunk(*case, out)
+        return [(out,)]
     group_value, group_row, values, sign, beta, quantum = case
     z = (sign * (group_value[:, None] - values[group_row])) * beta
     t = np.log1p(np.exp(-np.abs(z)))
     return [(np.round(np.where(z > 0, -t, z - t).sum(axis=1) / quantum) * quantum,)]
-
-
-def _eval_native(kernels, case):
-    out = np.empty(case[0].size)
-    kernels.eval_chunk(*case, out)
-    return [(out,)]
 
 
 #: (key, offset, count) per generator: both key halves' bits, every word of
@@ -744,11 +733,14 @@ _DRAW_CASES = {
 }
 
 
-def _draws_oracle(case):
-    """The generator's definition, the stream's ``block`` (Philox: draw
-    ``i`` = word ``i % 4`` at counter ``i // 4 + 1``; MRG: the first word
-    of ``A^(i + 1) s0`` over ``M``), and for Philox NumPy's own ``advance``
-    followed by sequential reads that start inside a buffered block."""
+def _draws_runs(case, kernels=None):
+    """The entry's draws, or the generator's definition, the stream's
+    ``block`` (Philox: draw ``i`` = word ``i % 4`` at counter ``i // 4 +
+    1``; MRG: the first word of ``A^(i + 1) s0`` over ``M``), and for
+    Philox NumPy's own ``advance`` followed by sequential reads that start
+    inside a buffered block."""
+    if kernels is not None:
+        return [(kernels.uniforms(*case),)]
     from numpy.random import Generator, Philox
 
     generator, key, offset, count = case
@@ -780,50 +772,49 @@ def _batch_cases():
     NumPy kernel — runs once per probe, on the spans of a Philox stream or
     (every other probe) an MRG one, for two cases: sharing margin rows and
     not (the fused evaluator)."""
-    from repro.scoring.kernel import LazySplitKernel, isolated_kernel_totals
+    from repro.scoring.kernel import LazySplitKernel
     from repro.scoring.split_score import SplitScorer
 
     rng = np.random.default_rng(0xC4A1)
     grid, n_parents = np.array((0.25, 1.0, 4.0, 16.0)), 3
-    with isolated_kernel_totals():
-        for probe, (n_u, max_steps, stop_repeats) in enumerate((
-            (1, 1, 1), (7, 4, 1), (8, 6, 2), (9, 1, 3), (129, 5, 2), (16, 2, 2), (16, 2, 2),
-            (150, 2, 1),
-        )):
-            uvalues = rng.normal(size=(n_parents, n_u)) * 2.0
-            if n_u == 16:
-                uvalues[0, :2] = (0.0, -0.0)
-                uvalues[1, 9] = uvalues[1, 4]
-                uvalues[2, 5] = np.inf
-                runs = (np.array((3, 5, 5, 6, 7, 8, 9, 10, 11)), np.arange(3, 12))
-                layout = (np.tile(np.arange(n_u), 6), runs[probe % 2])
-            else:
-                uvalues = np.round(uvalues) / 2.0
-                layout = (np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])
-            if n_u in (8, 9):
-                uvalues[0, :2] = (0.0, -0.0)
-                uvalues[1, -2:] = (1e308, -1e308)  # -inf scores
-                uvalues[2, 0] = np.inf  # inf - inf margins: NaN scores
-            scorer = SplitScorer(
-                grid, max_steps=max_steps, stop_repeats=stop_repeats, kernel_backend="numpy"
-            )
-            chunk = 2 * layout[0].size  # two rows of the wide node
-            generator = _GENERATORS[probe % 2]
-            probes = []  # per node: obs, sign, span, its oracle's results and counters
-            for q, obs in enumerate(layout):
-                sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
-                span = IndexedStream(
-                    make_stream(0x5EED, "chain", n_u, q, backend=generator),
-                    scorer.draws_per_item,
-                ).items_span(0, n_parents * obs.size)
-                oracle = LazySplitKernel(uvalues[:, obs], sign, grid, max_chunk_elements=chunk)
-                want = scorer.score_batch_kernel(oracle, span)[:3]
-                counted = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
-                probes.append((obs, sign, span, [*want, counted]))
-            for share in (True, False):
-                rows = f"margin rows {'shared' if share else 'fused'}"
-                label = f"n_u={n_u}, max_steps={max_steps}, {generator} span, {rows}"
-                yield label, (uvalues, scorer, chunk, probes, share)
+    for probe, (n_u, max_steps, stop_repeats) in enumerate((
+        (1, 1, 1), (7, 4, 1), (8, 6, 2), (9, 1, 3), (129, 5, 2), (16, 2, 2), (16, 2, 2),
+        (150, 2, 1),
+    )):
+        uvalues = rng.normal(size=(n_parents, n_u)) * 2.0
+        if n_u == 16:
+            uvalues[0, :2] = (0.0, -0.0)
+            uvalues[1, 9] = uvalues[1, 4]
+            uvalues[2, 5] = np.inf
+            runs = (np.array((3, 5, 5, 6, 7, 8, 9, 10, 11)), np.arange(3, 12))
+            layout = (np.tile(np.arange(n_u), 6), runs[probe % 2])
+        else:
+            uvalues = np.round(uvalues) / 2.0
+            layout = (np.arange(n_u)[::-1].copy(), np.arange(0, n_u, 2)[:9])
+        if n_u in (8, 9):
+            uvalues[0, :2] = (0.0, -0.0)
+            uvalues[1, -2:] = (1e308, -1e308)  # -inf scores
+            uvalues[2, 0] = np.inf  # inf - inf margins: NaN scores
+        scorer = SplitScorer(
+            grid, max_steps=max_steps, stop_repeats=stop_repeats, kernel_backend="numpy"
+        )
+        chunk = 2 * layout[0].size  # two rows of the wide node
+        generator = _GENERATORS[probe % 2]
+        probes = []  # per node: obs, sign, span, its oracle's results and counters
+        for q, obs in enumerate(layout):
+            sign = np.where(rng.random(obs.size) < 0.5, 1.0, -1.0)
+            span = IndexedStream(
+                make_stream(0x5EED, "chain", n_u, q, backend=generator),
+                scorer.draws_per_item,
+            ).items_span(0, n_parents * obs.size)
+            oracle = LazySplitKernel(uvalues[:, obs], sign, grid, max_chunk_elements=chunk)
+            want = scorer.score_batch_kernel(oracle, span)[:3]
+            counted = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
+            probes.append((obs, sign, span, [*want, counted]))
+        for share in (True, False):
+            rows = f"margin rows {'shared' if share else 'fused'}"
+            label = f"n_u={n_u}, max_steps={max_steps}, {generator} span, {rows}"
+            yield label, (uvalues, scorer, chunk, probes, share)
 
 
 def _batch_runs(case, kernels=None):
@@ -836,7 +827,7 @@ def _batch_runs(case, kernels=None):
         return [[part for *_node, want in probes for part in want]]
     nodes = [ChainNode(obs, sign, span) for obs, sign, span, _ in probes]
     # explicit budget: `share` picks the shared table or the fused evaluator
-    *flat, bounds, counters = run_chains(
+    *flat, bounds, counters, _table = run_chains(
         kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
         scorer.stop_repeats, max_chunk_elements=chunk,
         table_elements=scorer.beta_grid.size * uvalues.shape[1] ** 2 * share,
@@ -962,27 +953,18 @@ def _var_runs(case, kernels=None):
 #: the certification table, run in order by :func:`_certify`: every probe
 #: case and seed is fixed, so a load certifies the same cases every time
 _CERTIFICATION = (
-    Cert("eval_chunk", ("repro_eval_chunk",), _eval_cases, _eval_oracle, _eval_native),
+    Cert("eval_chunk", ("repro_eval_chunk",), _eval_cases, _eval_runs),
     Cert(
         "draws", ("repro_uniforms",),
         lambda: (
             (f"{g} key={key:#x}, offset={offset}, count={count}", (g, key, offset, count))
             for g, cases in _DRAW_CASES.items() for key, offset, count in cases
         ),
-        _draws_oracle, lambda kernels, case: [(kernels.uniforms(*case),)],
+        _draws_runs,
     ),
-    Cert(
-        "score_batch", ("repro_score_batch",), _batch_cases, _batch_runs,
-        lambda kernels, case: _batch_runs(case, kernels),
-    ),
-    Cert(
-        "obs sweep", ("repro_obs_reassign_sweep", "repro_obs_merge_sweep"),
-        _obs_cases, _obs_runs, lambda kernels, case: _obs_runs(case, kernels),
-    ),
-    Cert(
-        "var sweep", ("repro_var_reassign_sweep", "repro_var_merge_sweep"),
-        _var_cases, _var_runs, lambda kernels, case: _var_runs(case, kernels),
-    ),
+    Cert("score_batch", ("repro_score_batch",), _batch_cases, _batch_runs),
+    Cert("obs sweep", ("repro_obs_reassign_sweep", "repro_obs_merge_sweep"), _obs_cases, _obs_runs),
+    Cert("var sweep", ("repro_var_reassign_sweep", "repro_var_merge_sweep"), _var_cases, _var_runs),
 )
 
 

@@ -388,7 +388,8 @@ typedef struct {
 
 static draws draws_from(int64_t gen, uint64_t key, uint64_t offset)
 {
-    draws d = {gen, key, offset, 0, ~0ULL};
+    draws d = {.gen = gen, .key = key, .offset = offset, .block = 0,
+               .at = ~0ULL};
     return d;
 }
 
@@ -436,6 +437,7 @@ void repro_uniforms(int64_t gen, uint64_t key, uint64_t offset,
 
 int repro_native_init(const char *umath_path, int want_svml)
 {
+    (void)umath_path; /* read by the AVX-512 build only */
     if (want_svml) {
 #if REPRO_HAVE_AVX512
         void *handle;
@@ -773,6 +775,7 @@ static double margin_score(double gv, const double *vrow, const double *sgn,
                            int contig, double quantum, double *row, int64_t n)
 {
     int64_t i;
+    (void)contig; /* read by the AVX-512 build only */
 #if REPRO_HAVE_AVX512
     if (use_svml) {
         double res;
@@ -1416,7 +1419,9 @@ int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
                              const double *prior, double quantum,
                              int64_t *k_trace)
 {
-    sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
+    sweep_ctx c = {.m = m, .k = *k_io, .labels = labels, .sizes = NULL,
+                   .count = count, .total = total, .sumsq = sumsq,
+                   .lm = lm, .lgam = lgam};
     draws d = draws_from(gen, key, offset);
     const double cn = (double)rows;
     int64_t it, r, cl;
@@ -1481,7 +1486,9 @@ int repro_obs_merge_sweep(int64_t rows, int64_t m, int64_t *labels,
                           const double *prior, double quantum,
                           int64_t *k_trace)
 {
-    sweep_ctx c = {m, *k_io, labels, NULL, count, total, sumsq, lm, lgam};
+    sweep_ctx c = {.m = m, .k = *k_io, .labels = labels, .sizes = NULL,
+                   .count = count, .total = total, .sumsq = sumsq,
+                   .lm = lm, .lgam = lgam};
     draws d = draws_from(gen, key, offset);
     int64_t it = 0, cid = 0, cl, j;
     int rc = sweep_begin(&c, rows);
@@ -1776,8 +1783,10 @@ int repro_var_reassign_sweep(const double *data, int64_t n, int64_t m,
                              int64_t *origin, int64_t *member_counts,
                              int64_t *moves)
 {
-    var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
-                 count, total, sumsq, lm, origin};
+    var_ctx c = {.n = n, .m = m, .k = 0, .k0 = *k_io, .n_slots = 0,
+                 .n_blocks = n_blocks, .data = data, .lgam = lgam,
+                 .prior = prior, .obs_labels = obs_labels, .count = count,
+                 .total = total, .sumsq = sumsq, .lm = lm, .slot_at = origin};
     draws d = draws_from(gen, key, offset);
     int64_t it, i, j;
     int rc = var_begin(&c, var_labels, member_order, offsets, n);
@@ -1882,8 +1891,10 @@ int repro_var_merge_sweep(const double *data, int64_t n, int64_t m,
                           int64_t *origin, int64_t *member_counts,
                           int64_t *moves)
 {
-    var_ctx c = {n, m, 0, *k_io, 0, n_blocks, data, lgam, prior, obs_labels,
-                 count, total, sumsq, lm, origin};
+    var_ctx c = {.n = n, .m = m, .k = 0, .k0 = *k_io, .n_slots = 0,
+                 .n_blocks = n_blocks, .data = data, .lgam = lgam,
+                 .prior = prior, .obs_labels = obs_labels, .count = count,
+                 .total = total, .sumsq = sumsq, .lm = lm, .slot_at = origin};
     draws d = draws_from(gen, key, offset);
     int64_t it = 0, cid = 0, i, j, v;
     int rc = var_begin(&c, var_labels, member_order, offsets, 0);

@@ -34,7 +34,6 @@ from repro.core.config import LearnerConfig
 from repro.datatypes import ExpressionMatrix, Module, ModuleNetwork, TaskTimes
 from repro.ganesh.coclustering import SweepHooks, run_obs_only_ganesh
 from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
-from repro.scoring.kernel import consume_kernel_totals
 from repro.scoring.split_score import SplitScorer
 from repro.trees.hierarchy import build_tree_structure
 from repro.trees.parents import accumulate_parent_scores
@@ -124,10 +123,6 @@ class LemonTreeLearner:
         owns_executor = executor is None
         if owns_executor:
             executor = self._open_executor(matrix, seed, checkpoint_dir)
-        if trace is not None:
-            # Discard counters accumulated by earlier un-traced runs in this
-            # process so the trace covers exactly this invocation.
-            consume_kernel_totals()
         try:
             t0 = time.perf_counter()
             samples = executor.sample_ganesh_runs(config.n_ganesh_runs, trace=trace)
@@ -209,8 +204,6 @@ class LemonTreeLearner:
                     raise ValueError(f"variable {var} appears in two modules")
                 seen.add(var)
         with self._open_executor(matrix, seed, checkpoint_dir) as executor:
-            if trace is not None:
-                consume_kernel_totals()  # discard earlier runs' counters
             t0 = time.perf_counter()
             modules = executor.learn_modules(modules_members, trace=trace)
             elapsed = time.perf_counter() - t0
@@ -223,9 +216,6 @@ def _learn_result(matrix, modules, times: TaskTimes, trace, executor) -> LearnRe
     if trace is not None:
         for task in ("ganesh", "consensus", "modules"):
             trace.mark_time(task, getattr(times, task))
-        # Kernels scored in *this* process accumulate in the process-global
-        # counters; pool workers ship their deltas with each task result.
-        trace.mark_kernel(consume_kernel_totals())
     stats = {
         "n_modules": len(modules),
         "module_sizes": [m.size for m in modules],
@@ -432,25 +422,6 @@ def learn_module_batch(
     if pending:
         score_and_select()
     return modules
-
-
-def learn_single_module(
-    data: np.ndarray,
-    module_id: int,
-    members: list[int],
-    parents: np.ndarray,
-    scorer: SplitScorer,
-    config: LearnerConfig,
-    seed: int,
-    trace=None,
-) -> Module:
-    """Learn one module end to end (obs clustering, trees, splits, parents):
-    a one-module :func:`learn_module_batch`."""
-    (module,) = learn_module_batch(
-        data, [(module_id, members)], parents, scorer, config, seed,
-        None if trace is None else {module_id: trace},
-    )
-    return module
 
 
 def _hooks_for(trace, run: int | None = None) -> SweepHooks:

@@ -115,18 +115,6 @@ class ObsClustering:
         new = self._pop_scored(key)[3]
         self.lm = self.stats.log_marginals(self.prior) if new is None else new.copy()
 
-    def rows_delta(self, rows: np.ndarray) -> float:
-        """Score change of adding a block of rows (used for cluster merges)."""
-        rows = np.atleast_2d(rows)
-        grouped = StatsArrays.grouped(rows, self.labels, self.n_clusters)
-        new = log_marginal(
-            self.stats.count + grouped.count,
-            self.stats.total + grouped.total,
-            self.stats.sumsq + grouped.sumsq,
-            self.prior,
-        )
-        return float((np.asarray(new) - self.lm).sum())
-
     # -- observation moves -------------------------------------------------
     def column_stats(self, column: np.ndarray) -> SuffStats:
         column = np.asarray(column, dtype=np.float64)

@@ -33,9 +33,6 @@ class MachineModel:
             return 0.0
         return count * (self.tau + self.mu * words) * math.log2(p)
 
-    def point_to_point(self, words: int) -> float:
-        return self.tau + self.mu * words
-
 
 #: the default model used by all benchmarks
 PHOENIX_LIKE = MachineModel()

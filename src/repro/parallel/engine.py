@@ -139,10 +139,6 @@ class ParallelLearner:
             stats={"p": p, "total_work": float(works.sum())},
         )
 
-    def learn_with_comm(self, comm, matrix: ExpressionMatrix, seed: int):
-        """SPMD entry point for an externally-managed communicator."""
-        return self._rank_main(comm, matrix, seed, self._scorer())
-
     def _scorer(self) -> SplitScorer:
         config = self.config
         return SplitScorer(

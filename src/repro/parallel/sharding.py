@@ -55,7 +55,6 @@ from repro.parallel.costmodel import calibrate_from_roundtrips
 from repro.parallel.executor import TaskScheduler
 from repro.parallel.tasks import _WORKER, TASK_RUNNERS
 from repro.parallel.transport import Transport, WorkerCrashedError, local_transport
-from repro.scoring import kernel as kernel_mod
 
 #: 8-byte big-endian frame length prefix
 _FRAME_HEADER = struct.Struct("!Q")
@@ -279,16 +278,14 @@ def _socket_node_main(port: int, node_id: int, token: str) -> None:
 
     A forked node must be the fresh interpreter a spawned one is.  Its copy
     of the listener and of every other live channel is already closed (the
-    ``register_after_fork`` hooks ran before this), and here it drops what
-    the driver accumulated at module scope — a worker context, kernel
-    counters — so none of it can surface in this node's completion
-    records.  The node leads its own process group: whoever has to kill
-    it takes its pool workers along.
+    ``register_after_fork`` hooks ran before this), and here it drops the
+    worker context the driver may hold at module scope, so none of it can
+    surface in this node's completion records.  The node leads its own
+    process group: whoever has to kill it takes its pool workers along.
     """
     if hasattr(os, "setpgid"):
         os.setpgid(0, 0)
     _WORKER.clear()
-    kernel_mod.consume_kernel_totals()
     sock = socket.create_connection(("127.0.0.1", port))
     channel = SocketChannel(sock, peer="driver")
     channel.send_msg(

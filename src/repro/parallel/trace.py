@@ -35,6 +35,7 @@ from repro.parallel.costmodel import (
     load_imbalance,
     max_block_sum,
 )
+from repro.scoring.kernel import merge_counters
 
 #: trace phases that are partitioned once as a flat list (bulk) rather than
 #: once per superstep ("split_search" is the GENOMICA extension's
@@ -139,28 +140,12 @@ class WorkTrace:
         ) + float(seconds)
 
     def mark_kernel(self, counters: dict | None) -> None:
-        """Merge one process's drained kernel-counter delta (see
-        :func:`repro.scoring.kernel.consume_kernel_totals`); ``None`` (the
-        task scored nothing) is accepted and ignored."""
-        if not counters:
-            return
-        agg = self.kernel_counters
-        agg["hits"] = agg.get("hits", 0) + int(counters.get("hits", 0))
-        agg["evaluations"] = agg.get("evaluations", 0) + int(
-            counters.get("evaluations", 0)
-        )
-        agg["peak_chunk_elements"] = max(
-            agg.get("peak_chunk_elements", 0),
-            int(counters.get("peak_chunk_elements", 0)),
-        )
-        agg["backends"] = sorted(
-            set(agg.get("backends", [])) | set(counters.get("backends", []))
-        )
-        # Margin-row traffic and draw blocks are only present when a process
-        # scored a node batch natively; merge without widening other traces.
-        for key in ("margin_rows_filled", "margin_row_uses", "philox_blocks"):
-            if key in counters or key in agg:
-                agg[key] = agg.get(key, 0) + int(counters.get(key, 0))
+        """Merge one completion record's kernel counters, a task scorer's
+        drain (:meth:`~repro.scoring.split_score.SplitScorer.drain_counters`),
+        by the scorer's own merge
+        (:func:`~repro.scoring.kernel.merge_counters`); ``None`` (the task
+        scored nothing) is accepted and ignored."""
+        merge_counters(self.kernel_counters, counters)
 
     # Constants since every tier pulls from one shared list: there is no
     # home queue to take work from.  Their only caller is

@@ -9,8 +9,9 @@ wherever they execute and brings back one **completion record** per item::
 ``index`` is the scheduler's item index (opaque here), ``node`` the shard
 node (``None`` on one host), ``worker`` the executing process's *stable*
 index (one process, one index, for the executor's lifetime), ``seconds``
-the task's wall time and ``kernel_totals`` the process's drained
-split-kernel counter delta.
+the task's wall time and ``kernel_totals`` the split-kernel counters the
+task context's scorer (``ctx["scorer"]``) drained after the task: the
+item's own scoring work, nothing else the process ran.
 
 Here: :class:`InProcessTransport` (one worker — this *is* the sequential
 learner) and :class:`PoolTransport` (one persistent pool over one
@@ -34,7 +35,6 @@ from repro.core.config import LearnerConfig
 from repro.parallel import poolutil
 from repro.parallel.tasks import _WORKER, build_ctx
 from repro.parallel.topology import probe_topology
-from repro.scoring import kernel as kernel_mod
 
 
 class WorkerCrashedError(RuntimeError):
@@ -65,7 +65,8 @@ class ExecutorStats:
 
 
 def _run_item(ctx, fn, index, item) -> tuple:
-    """Run ``fn(ctx, item)`` and build its completion record."""
+    """Run ``fn(ctx, item)`` and build its completion record, draining the
+    context's scorer into it."""
     t0 = time.perf_counter()
     result = fn(ctx, item)
     return (
@@ -74,7 +75,7 @@ def _run_item(ctx, fn, index, item) -> tuple:
         None,
         ctx["worker"],
         time.perf_counter() - t0,
-        kernel_mod.consume_kernel_totals(),
+        ctx["scorer"].drain_counters(),
     )
 
 
@@ -267,8 +268,6 @@ class PoolTransport(Transport):
         ctx = poolutil.pool_context(self._mp_context)
         self._shared = SharedMatrix(self.data)
         self._init_counter = ctx.Value("i", 0)
-        poolutil.note_pool_construction()
-        poolutil.note_matrix_transfer()
         self.stats.pools_constructed += 1
         self.stats.matrix_transfers += 1
         self._pool = ctx.Pool(

@@ -182,17 +182,6 @@ class IndexedStream:
         self.stream = stream
         self.draws_per_item = int(draws_per_item)
 
-    def item_uniforms(self, index: int, count: int | None = None) -> np.ndarray:
-        """The private uniforms for item ``index`` (at most draws_per_item)."""
-        count = self.draws_per_item if count is None else int(count)
-        if count > self.draws_per_item:
-            raise ValueError(
-                f"item requested {count} draws but owns {self.draws_per_item}"
-            )
-        return self.stream.block(
-            checked_index(index, "index") * self.draws_per_item, count
-        )
-
     def items_span(self, first: int, count: int) -> DrawSpan:
         """The private draws of items ``[first, first + count)`` (``count *
         draws_per_item`` draws, item after item), by address."""

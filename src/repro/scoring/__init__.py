@@ -22,7 +22,6 @@ from repro.scoring.kernel import (
     KERNEL_BACKENDS,
     LazySplitKernel,
     active_kernel_backend,
-    consume_kernel_totals,
     resolve_kernel_backend,
     split_kernel_from_arrays,
 )
@@ -40,5 +39,4 @@ __all__ = [
     "KERNEL_BACKENDS",
     "resolve_kernel_backend",
     "active_kernel_backend",
-    "consume_kernel_totals",
 ]

@@ -38,7 +38,6 @@ construction.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +67,10 @@ KERNEL_BACKENDS = ("auto", "numpy", "native")
 
 _WARNED_NATIVE_FALLBACK = False
 
-#: process-wide kernel counter accumulator (hits / evaluations /
-#: peak_chunk_elements / backends seen) drained by the executor and the
-#: learner into ``WorkTrace.kernel_counters``
-_TOTALS = {"hits": 0, "evaluations": 0, "peak_chunk_elements": 0}
-#: counters that surface only once touched: the native batch entry's
-#: margin-row table (rows filled with ``log1p(exp(-|z|))`` and reads of
-#: them) and the Philox blocks it computed for its chains' draws
-_MARGIN_TOTALS = {"margin_rows_filled": 0, "margin_row_uses": 0, "philox_blocks": 0}
-_TOTALS_BACKENDS: set[str] = set()
+#: split-kernel counters that surface only once nonzero: the native batch
+#: entry's margin-row table (rows filled with ``log1p(exp(-|z|))`` and reads
+#: of them) and the Philox blocks it computed for its chains' draws
+MARGIN_COUNTERS = ("margin_rows_filled", "margin_row_uses", "philox_blocks")
 
 
 def resolve_kernel_backend(name: str):
@@ -127,65 +121,47 @@ def active_kernel_backend() -> str:
     return resolve_kernel_backend("auto")[0]
 
 
-def _account_totals(
-    hits: int = 0, evaluations: int = 0, peak: int = 0, backend: str | None = None
-) -> None:
-    _TOTALS["hits"] += hits
-    _TOTALS["evaluations"] += evaluations
-    if peak > _TOTALS["peak_chunk_elements"]:
-        _TOTALS["peak_chunk_elements"] = peak
-    if backend is not None:
-        _TOTALS_BACKENDS.add(backend)
+def merge_counters(agg: dict, counters: dict | None) -> None:
+    """Add one delta of split-kernel counters to ``agg``, in place.
 
-
-def _account_margins(filled: int, uses: int, blocks: int) -> None:
-    """Accumulate one batch call's margin-table traffic and draw blocks."""
-    _MARGIN_TOTALS["margin_rows_filled"] += filled
-    _MARGIN_TOTALS["margin_row_uses"] += uses
-    _MARGIN_TOTALS["philox_blocks"] += blocks
-
-
-def consume_kernel_totals() -> dict | None:
-    """Drain the process-wide kernel counters (``None`` when untouched).
-
-    Pool workers ship the returned delta back with each task result and
-    the learner drains its own process at the end of a run, so
-    ``WorkTrace.kernel_counters`` aggregates cache behaviour across every
-    process that scored splits — whatever backend each one resolved.  The
-    ``margin_*`` keys appear only when the native batch entry shared
-    margin rows, and ``philox_blocks`` only when it computed Philox draws,
-    so runs that did neither keep the plain counter shape.
+    A delta holds ``hits`` / ``evaluations`` (cache behaviour),
+    ``peak_chunk_elements`` (largest evaluation temporary, merged by max),
+    ``backends`` (the backends that evaluated something, merged as a sorted
+    union) and any :data:`MARGIN_COUNTERS`.  A margin key enters ``agg``
+    only once some delta carries it nonzero, so runs that shared no margin
+    rows keep the plain shape.  ``None`` or an all-zero delta (scored
+    nothing) leaves ``agg`` as it is.  The one merge of every counter in
+    the package: a :class:`~repro.scoring.split_score.SplitScorer` adds
+    its kernels' deltas with it, and
+    :meth:`~repro.parallel.trace.WorkTrace.mark_kernel` its drains.
     """
-    if not (any(_TOTALS.values()) or _TOTALS_BACKENDS or any(_MARGIN_TOTALS.values())):
-        return None
-    out = dict(_TOTALS)
-    out["backends"] = sorted(_TOTALS_BACKENDS)
-    out.update((key, count) for key, count in _MARGIN_TOTALS.items() if count)
-    _TOTALS["hits"] = 0
-    _TOTALS["evaluations"] = 0
-    _TOTALS["peak_chunk_elements"] = 0
-    for key in _MARGIN_TOTALS:
-        _MARGIN_TOTALS[key] = 0
-    _TOTALS_BACKENDS.clear()
-    return out
+    if not counters or not any(counters.values()):
+        return
+    agg["hits"] = agg.get("hits", 0) + int(counters.get("hits", 0))
+    agg["evaluations"] = agg.get("evaluations", 0) + int(counters.get("evaluations", 0))
+    agg["peak_chunk_elements"] = max(
+        agg.get("peak_chunk_elements", 0), int(counters.get("peak_chunk_elements", 0))
+    )
+    agg["backends"] = sorted(set(agg.get("backends", ())) | set(counters.get("backends", ())))
+    for key in MARGIN_COUNTERS:
+        if counters.get(key) or key in agg:
+            agg[key] = agg.get(key, 0) + int(counters.get(key, 0))
 
 
-@contextmanager
-def isolated_kernel_totals():
-    """Keep a block's kernel traffic out of the process-wide counters.
-
-    The native loader certifies its chain entry against a NumPy kernel it
-    scores itself; that probe traffic is not the program's scoring work
-    and must not surface in the first run's ``WorkTrace.kernel_counters``.
-    """
-    saved = dict(_TOTALS), set(_TOTALS_BACKENDS), dict(_MARGIN_TOTALS)
-    try:
-        yield
-    finally:
-        _TOTALS.update(saved[0])
-        _TOTALS_BACKENDS.clear()
-        _TOTALS_BACKENDS.update(saved[1])
-        _MARGIN_TOTALS.update(saved[2])
+def chain_counters(counters, table) -> dict:
+    """One :func:`run_chains` call's counters as one delta for
+    :func:`merge_counters`: its nodes' ``(hits, evaluations,
+    peak_chunk_elements)`` — a node's peak and the ``"native"`` backend
+    only where it evaluated something, as its NumPy chain would count them
+    — and the call's ``table`` traffic, :data:`MARGIN_COUNTERS` in order."""
+    evaluated = [(evaluations, peak) for _hits, evaluations, peak in counters if evaluations]
+    return {
+        "hits": sum(hits for hits, _evaluations, _peak in counters),
+        "evaluations": sum(evaluations for evaluations, _peak in evaluated),
+        "peak_chunk_elements": max((peak for _evaluations, peak in evaluated), default=0),
+        "backends": ["native"] if evaluated else [],
+        **{key: count for key, count in zip(MARGIN_COUNTERS, table) if count},
+    }
 
 
 def row_scores(z: np.ndarray) -> np.ndarray:
@@ -306,9 +282,7 @@ class LazySplitKernel:
             beta_idx, dtype=np.int64
         )
         missing = ~self._seen[flat]
-        hits = int(flat.size - missing.sum())
-        self.hits += hits
-        _account_totals(hits=hits)
+        self.hits += int(flat.size - missing.sum())
         if missing.any():
             keys = np.unique(flat[missing])
             self._evaluate(keys)
@@ -360,11 +334,6 @@ class LazySplitKernel:
                     self._cache[idx] = row_scores(z)
                 self._seen[idx] = True
         self.evaluations += int(keys.size)
-        _account_totals(
-            evaluations=int(keys.size),
-            peak=self.peak_chunk_elements,
-            backend=self.backend,
-        )
 
 
 @dataclass
@@ -428,10 +397,11 @@ def run_chains(
 
     Returns the flat ``best_score`` / ``steps`` / ``best_idx`` (``None``
     unless ``want_idx``) of all chain items, node after node, the nodes'
-    ``bounds`` in them, and per node the
-    ``(hits, evaluations, peak_chunk_elements)`` its own NumPy chain would
-    have counted, which are accounted to the process totals here with the
-    call's margin rows filled and used and its Philox blocks computed.
+    ``bounds`` in them, per node the ``(hits, evaluations,
+    peak_chunk_elements)`` its own NumPy chain would have counted, and the
+    call's ``(margin_rows_filled, margin_row_uses, philox_blocks)``.  It
+    accounts nothing: the caller adds them where it counts
+    (:meth:`~repro.scoring.split_score.SplitScorer.score_chain_nodes`).
     """
     uvalues = np.ascontiguousarray(uvalues, dtype=np.float64)
     beta_grid = np.ascontiguousarray(beta_grid, dtype=np.float64)
@@ -441,17 +411,11 @@ def run_chains(
         urow = _ranks_per_row(ranks, group_row, uvalues.shape)
     budget = MARGIN_TABLE_ELEMENTS if table_elements is None else table_elements
     share = beta_grid.size * n_u * n_u <= budget
-    *results, counters, table = native.score_batch(
+    return native.score_batch(
         uvalues, np.ascontiguousarray(urow), beta_grid, nodes,
         max_steps, stop_repeats, SCORE_QUANTUM, max_chunk_elements or CHUNK_ELEMENTS,
         share, want_idx,
     )
-    for hits, evaluations, peak in counters:
-        _account_totals(hits=hits)
-        if evaluations:
-            _account_totals(evaluations=evaluations, peak=peak, backend="native")
-    _account_margins(*table)
-    return (*results, counters)
 
 
 def split_sign(obs: np.ndarray, left_obs: np.ndarray) -> np.ndarray:

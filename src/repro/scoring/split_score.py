@@ -35,7 +35,13 @@ import numpy as np
 
 from repro.rng.philox import DrawSpan
 from repro.rng.streams import SCORE_QUANTUM
-from repro.scoring.kernel import LazySplitKernel, resolve_kernel_backend, run_chains
+from repro.scoring.kernel import (
+    LazySplitKernel,
+    chain_counters,
+    merge_counters,
+    resolve_kernel_backend,
+    run_chains,
+)
 
 #: Default discrete grid of sigmoid steepness values.
 DEFAULT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -70,6 +76,11 @@ class SplitScorer:
 
     ``kernel_backend`` is the job's ``ParallelConfig.kernel_backend``, and
     every kernel built for this scorer evaluates with :attr:`native`.
+    What the scorer's runs cost its kernels accumulates in :attr:`counters`
+    (the shape :func:`~repro.scoring.kernel.merge_counters` keeps) until
+    :meth:`drain_counters`: a task context's scorer is drained into each
+    completion record, so a job's counts are its own work, whatever else
+    scored in the same process.
     """
 
     def __init__(
@@ -87,6 +98,8 @@ class SplitScorer:
         self.max_steps = int(max_steps)
         self.stop_repeats = int(stop_repeats)
         self.kernel_backend = kernel_backend
+        #: split-kernel counters of this scorer's runs since the last drain
+        self.counters: dict = {}
 
     @cached_property
     def native(self):
@@ -99,6 +112,23 @@ class SplitScorer:
     @property
     def draws_per_item(self) -> int:
         return 1 + 2 * self.max_steps
+
+    def drain_counters(self) -> dict | None:
+        """The counters accumulated since the last drain (``None``: this
+        scorer scored nothing since), and a fresh start."""
+        counters, self.counters = self.counters, {}
+        return counters or None
+
+    def _count(self, kernel: LazySplitKernel, before: tuple[int, int]) -> None:
+        """Add what a run cost ``kernel``: the hits and evaluations it made
+        since it held ``before``, and its peak temporary."""
+        evaluations = kernel.evaluations - before[1]
+        merge_counters(self.counters, {
+            "hits": kernel.hits - before[0],
+            "evaluations": evaluations,
+            "peak_chunk_elements": kernel.peak_chunk_elements if evaluations else 0,
+            "backends": [kernel.backend] if evaluations else [],
+        })
 
     def score_batch_kernel(
         self, kernel: LazySplitKernel, draws: np.ndarray | DrawSpan
@@ -113,7 +143,7 @@ class SplitScorer:
         ``(log_scores, steps, beta_indices, accepted)`` per candidate; each
         ``(group, beta)`` score is evaluated at most once, in the kernel's
         memo, and every candidate still reads its own draws (one chain's
-        scalar definition is ``score_one`` in ``tests/reference.py``).
+        scalar definition is in ``tests/reference.py``).
         This NumPy chain over :meth:`LazySplitKernel.scores` is the oracle
         the native batch entry (:meth:`score_chain_nodes`) is certified
         against; a kernel built with ``native`` evaluates its score chunks
@@ -134,7 +164,10 @@ class SplitScorer:
         if isinstance(draws, DrawSpan):
             draws = draws.array()  # the items' rows, end to end
         uniforms = np.asarray(draws, dtype=np.float64).reshape(groups.size, -1)
-        return self._run_chain(groups.size, kernel.n_obs, uniforms, provider)
+        before = kernel.hits, kernel.evaluations
+        result = self._run_chain(groups.size, kernel.n_obs, uniforms, provider)
+        self._count(kernel, before)
+        return result
 
     def score_chain_nodes(
         self, uvalues: np.ndarray, nodes
@@ -145,11 +178,14 @@ class SplitScorer:
         is the batch's universe of parent values, ``nodes`` its
         :class:`~repro.scoring.kernel.ChainNode` list).  Returns the flat
         ``(log_scores, steps, accepted)`` of the nodes' candidates, node
-        after node — per node what :meth:`score_batch_kernel` returns."""
-        best_score, steps, _best_idx, bounds, _counters = run_chains(
+        after node — per node what :meth:`score_batch_kernel` returns, and
+        per node what its NumPy chain would have counted, with the call's
+        margin-table traffic, added to :attr:`counters`."""
+        best_score, steps, _best_idx, bounds, counters, table = run_chains(
             self.native, uvalues, self.beta_grid, nodes, self.max_steps,
             self.stop_repeats, want_idx=False,
         )
+        merge_counters(self.counters, chain_counters(counters, table))
         accepted = np.empty(best_score.size, dtype=bool)
         for node, lo, hi in zip(nodes, bounds, bounds[1:]):
             accepted[lo:hi] = _beats_baseline(best_score[lo:hi], node.obs.size)
@@ -223,6 +259,7 @@ class SplitScorer:
         cost nothing extra.
         """
         self._check_kernel(kernel)
+        before = kernel.hits, kernel.evaluations
         groups = kernel.item_groups
         n_items = groups.size
         best = np.full(n_items, -np.inf)
@@ -232,6 +269,7 @@ class SplitScorer:
             improved = scores > best
             best[improved] = scores[improved]
             best_idx[improved] = idx
+        self._count(kernel, before)
         return best, best_idx, _beats_baseline(best, kernel.n_obs)
 
 

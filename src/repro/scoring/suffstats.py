@@ -64,9 +64,6 @@ class SuffStats:
     def log_marginal(self, prior: NormalGammaPrior = DEFAULT_PRIOR) -> float:
         return float(log_marginal(self.count, self.total, self.sumsq, prior))
 
-    def is_empty(self) -> bool:
-        return self.count <= 0
-
 
 class StatsArrays:
     """Column-parallel sufficient statistics for a set of blocks.

@@ -9,7 +9,9 @@ optimized learner's (``tests/test_consistency.py``,
 ``tests/test_parent_blocks.py``).  The scalar twins of the package's
 vectorised scorers live here too (:func:`score_one`,
 :func:`score_node_scalar`, :func:`grid_best_one`,
-:func:`log_marginal_scalar`, :func:`compact_labels`).  Shared pieces are
+:func:`log_marginal_scalar`, :func:`compact_labels`), and the oracles of
+the package's batched reads and incremental updates (:func:`item_uniforms`,
+:func:`rows_delta`).  Shared pieces are
 exactly the ones that define the random-stream contract or that are not
 scoring:
 
@@ -43,13 +45,15 @@ from repro.datatypes import (
     TaskTimes,
     TreeNode,
 )
+from repro.ganesh.state import ObsClustering
 from repro.rng.streams import (
     SCORE_QUANTUM,
     GibbsRandom,
     IndexedStream,
     make_stream,
 )
-from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior
+from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marginal
+from repro.scoring.suffstats import StatsArrays
 from repro.scoring.split_score import SplitScorer
 from repro.trees.parents import accumulate_parent_scores
 
@@ -217,6 +221,26 @@ def _neighbor_scalar(cur: int, u: float, n_beta: int) -> int:
     if prop >= n_beta:
         return n_beta - 2
     return prop
+
+
+def item_uniforms(istream: IndexedStream, index: int) -> np.ndarray:
+    """The private draws of item ``index``, read alone from the stream's
+    ``block``: the oracle of :meth:`~repro.rng.streams.IndexedStream.items_span`."""
+    return istream.stream.block(index * istream.draws_per_item, istream.draws_per_item)
+
+
+def rows_delta(oc: ObsClustering, rows: np.ndarray) -> float:
+    """Score change of adding a block of rows to ``oc``, scored from fresh
+    statistics: the oracle of :meth:`~repro.ganesh.state.ObsClustering.add_rows`'
+    incremental update."""
+    grouped = StatsArrays.grouped(np.atleast_2d(rows), oc.labels, oc.n_clusters)
+    new = log_marginal(
+        oc.stats.count + grouped.count,
+        oc.stats.total + grouped.total,
+        oc.stats.sumsq + grouped.sumsq,
+        oc.prior,
+    )
+    return float((np.asarray(new) - oc.lm).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +808,7 @@ class ReferenceLearner:
             scorer,
             [[data[parent][o] for o in obs] for parent in parents],
             signs,
-            [istream.item_uniforms(split_base + i) for i in range(n_splits)],
+            [item_uniforms(istream, split_base + i) for i in range(n_splits)],
         )
         log_scores: list[float] = scored.tolist()
         accepted: list[bool] = kept.tolist()

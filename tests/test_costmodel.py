@@ -44,8 +44,9 @@ class TestMachineModel:
         assert model.collective_time(1, p=2, count=0) == 0.0
 
     def test_point_to_point(self):
+        """A two-rank collective is one point-to-point transfer, tau + mu*words."""
         model = MachineModel(tau=2.0, mu=0.5)
-        assert model.point_to_point(4) == pytest.approx(4.0)
+        assert model.collective_time(4, p=2) == pytest.approx(4.0)
 
 
 class TestBlockBounds:

@@ -80,10 +80,11 @@ class TestWorkAccounting:
 
 class TestLearnWithComm:
     def test_serial_comm_path(self, tiny_matrix, fast_config):
+        """The rank body on a serial communicator is the sequential learner."""
         from repro.parallel.comm import SerialComm
 
         learner = ParallelLearner(fast_config)
-        network, units = learner.learn_with_comm(SerialComm(), tiny_matrix, seed=7)
+        network, units = learner._rank_main(SerialComm(), tiny_matrix, 7, learner._scorer())
         sequential = LemonTreeLearner(fast_config).learn(tiny_matrix, seed=7)
         assert network == sequential.network
         assert units > 0

@@ -9,7 +9,9 @@ The central contracts:
   uninterrupted network, with workers writing their own checkpoints;
 * the expression matrix is transferred to workers exactly once per
   ``learn_from_modules`` call (instrumented initializer) and no ``mp.Pool``
-  is constructed more than once per call.
+  is constructed more than once per call;
+* a traced run's kernel counters are that run's work alone, whatever
+  else scored in the same process.
 """
 
 from pathlib import Path
@@ -20,7 +22,6 @@ import pytest
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.datatypes import ModuleNetwork
-from repro.parallel import poolutil
 from repro.parallel.executor import (
     TaskPoolExecutor,
     TaskScheduler,
@@ -30,6 +31,9 @@ from repro.parallel.executor import (
 )
 from repro.parallel.tasks import tree_phase
 from repro.parallel.trace import WorkTrace
+from repro.rng.streams import IndexedStream, make_stream
+from repro.scoring.split_score import SplitScorer
+from repro.trees.splits import score_nodes
 from tests.conftest import MODE_INPUTS, TRANSPORTS
 
 
@@ -179,22 +183,46 @@ class TestSingleTransfer:
         per Task 3, one initializer run per worker — even across repeated
         scoring calls on the same executor."""
         matrix, config, members, reference = setup
-        poolutil.reset_counters()
         with open_executor(
             matrix.values, _with_workers(config, 2), 5
         ) as executor:
             first = executor.learn_modules(members)
             second = executor.learn_modules(members)  # pool is reused
             assert executor.worker_inits() == 2
-        counts = poolutil.counters()
-        assert counts["pool_constructions"] == 1
-        assert counts["matrix_transfers"] == 1
         assert executor.stats.pools_constructed == 1
         assert executor.stats.matrix_transfers == 1
         for mods in (first, second):
             assert (
                 ModuleNetwork(mods, matrix.var_names, matrix.n_obs) == reference
             )
+
+
+class TestCountersAreTheJobs:
+    def test_stray_scoring_leaves_a_traced_run_its_own_counts(self):
+        """A split-scoring call this process made outside the job (one
+        ``score_nodes`` on a scorer of its own) adds nothing to the job's
+        traced kernel counters: they equal the same traced run's without
+        the stray call, key for key."""
+        from repro.data.synthetic import make_module_dataset
+
+        matrix = make_module_dataset(40, 24, seed=7).matrix
+        config = LearnerConfig()
+        learner = LemonTreeLearner(config)
+        members = learner.consensus(learner.sample_clusterings(matrix, seed=5))
+
+        def traced_counters():
+            trace = WorkTrace()
+            with open_executor(matrix.values, config, 5) as executor:
+                executor.learn_modules(members, trace=trace)
+            return trace.kernel_counters
+
+        alone = traced_counters()
+        scorer = SplitScorer(kernel_backend=config.parallel.kernel_backend)
+        obs = np.arange(matrix.n_obs)
+        stream = IndexedStream(make_stream(1, "stray"), scorer.draws_per_item)
+        score_nodes(matrix.values, _parents(matrix, config), scorer, [(obs, obs[::2], stream, 0)])
+        assert alone["evaluations"] > 0
+        assert traced_counters() == alone
 
 
 @pytest.mark.parametrize("transport", sorted(TRANSPORTS))

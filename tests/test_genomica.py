@@ -180,14 +180,22 @@ class TestPooledGenomica:
         ).learn(easy_dataset.matrix, seed=2)
         assert pooled.network == sequential.network
 
-    def test_single_pool_construction(self, easy_dataset):
-        from repro.parallel import poolutil
+    def test_single_pool_construction(self, easy_dataset, monkeypatch):
+        """One pool (and with it one matrix transfer) per ``learn``: of
+        every ``PoolTransport.start`` call, one finds no pool and builds it."""
+        from repro.parallel.transport import PoolTransport
 
-        poolutil.reset_counters()
+        builds = []
+        start = PoolTransport.start
+
+        def counted(transport):
+            builds.append(transport._pool is None)
+            start(transport)
+
+        monkeypatch.setattr(PoolTransport, "start", counted)
         config = GenomicaConfig(n_modules=3, max_iterations=3, parallel=ParallelConfig(n_workers=2))
         GenomicaLearner(config).learn(easy_dataset.matrix, seed=5)
-        assert poolutil.counters()["pool_constructions"] == 1
-        assert poolutil.counters()["matrix_transfers"] == 1
+        assert sum(builds) == 1
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ from repro.genomica.parallel import ParallelGenomicaLearner
 from repro.parallel.engine import ParallelLearner
 from repro.parallel.executor import open_executor
 from repro.parallel.trace import WorkTrace
-from repro.scoring.kernel import consume_kernel_totals
+from repro.scoring.kernel import merge_counters
+from repro.scoring.split_score import SplitScorer
 from repro.service import InferenceService
 from tests.conftest import MODE_INPUTS
 
@@ -52,7 +53,28 @@ def no_native_entry(monkeypatch):
     assert {"eval_chunk", "score_batch", "obs_sweep", "var_sweep"} <= set(entries)
     for name in entries:
         monkeypatch.setattr(_native.NativeKernels, name, refuse(name))
-    consume_kernel_totals()
+
+
+@pytest.fixture
+def scorers(monkeypatch):
+    """Every ``SplitScorer`` this process builds during the test."""
+    built = []
+    init = SplitScorer.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SplitScorer, "__init__", recording)
+    return built
+
+
+def _backends(scorers) -> list[str]:
+    """The backends the given scorers' undrained counters name."""
+    merged: dict = {}
+    for scorer in scorers:
+        merge_counters(merged, scorer.counters)
+    return merged["backends"]
 
 
 class TestNumpyRunsNoNativeEntry:
@@ -73,18 +95,18 @@ class TestNumpyRunsNoNativeEntry:
         assert trace.kernel_counters["backends"] == ["numpy"]
 
     @pytest.mark.parametrize("n_workers", [1, 2], ids=["sequential", "pooled"])
-    def test_genomica(self, tiny_matrix, no_native_entry, n_workers):
+    def test_genomica(self, tiny_matrix, no_native_entry, scorers, n_workers):
         GenomicaLearner(_genomica(n_workers=n_workers)).learn(tiny_matrix, seed=5)
-        if n_workers == 1:  # pool workers' counters stay in the workers
-            assert consume_kernel_totals()["backends"] == ["numpy"]
+        if n_workers == 1:  # pool workers' scorers stay in the workers
+            assert _backends(scorers) == ["numpy"]
 
-    def test_spmd(self, tiny_matrix, no_native_entry):
+    def test_spmd(self, tiny_matrix, no_native_entry, scorers):
         ParallelLearner(_lemon()).learn(tiny_matrix, seed=5, p=2)
-        assert consume_kernel_totals()["backends"] == ["numpy"]
+        assert _backends(scorers) == ["numpy"]
 
-    def test_genomica_spmd(self, tiny_matrix, no_native_entry):
+    def test_genomica_spmd(self, tiny_matrix, no_native_entry, scorers):
         ParallelGenomicaLearner(_genomica()).learn_parallel(tiny_matrix, seed=5, p=2)
-        assert consume_kernel_totals()["backends"] == ["numpy"]
+        assert _backends(scorers) == ["numpy"]
 
     def test_daemon_job(self, tiny_matrix, no_native_entry, tmp_path):
         with InferenceService(tmp_path, max_inflight=1) as service:

@@ -48,7 +48,6 @@ from repro.scoring.kernel import (
     KERNEL_BACKENDS,
     ChainNode,
     LazySplitKernel,
-    consume_kernel_totals,
     resolve_kernel_backend,
     run_chains,
     split_kernel_from_arrays,
@@ -262,7 +261,7 @@ def _whole_node_chain(scorer, data, obs, left_obs, parents, uniforms, chunk_elem
     ``(best_score, steps, best_idx)`` and its ``(hits, evaluations,
     peak_chunk_elements)``."""
     node = ChainNode(np.arange(obs.size), split_sign(obs, left_obs), uniforms)
-    *chain, _bounds, (counted,) = run_chains(
+    *chain, _bounds, (counted,), _traffic = run_chains(
         _native.load(), data[np.ix_(parents, obs)], scorer.beta_grid, [node],
         scorer.max_steps, scorer.stop_repeats, max_chunk_elements=chunk_elements,
     )
@@ -486,7 +485,6 @@ class TestFusedChain:
         data, obs, left_obs, parents = _node_arrays(43, n_obs=6, n_parents=2)
         scorer = SplitScorer(max_steps=2)
         node = (scorer, data, obs, left_obs, parents)
-        consume_kernel_totals()
         for n_draws in (11 * 5, 12 * 5 + 1, 12 * 6):
             wrong = make_stream(43, "u", backend=generator).span(0, n_draws)
             message = rf"exactly 5 draws for each of 12 items, got {n_draws}"
@@ -503,7 +501,7 @@ class TestFusedChain:
             if NATIVE:
                 with pytest.raises(ValueError, match=message):
                     _whole_node_chain(*node, wrong)
-        assert consume_kernel_totals() is None
+        assert scorer.drain_counters() is None
 
 
 def _philox_reference(key, offset, count, m0=0xD2E7470EE14C6C93, bias=1):
@@ -797,25 +795,25 @@ class TestSeenBitmask:
 
 
 class TestKernelCounters:
-    def test_consume_returns_none_when_untouched(self):
-        consume_kernel_totals()  # drain whatever earlier tests left behind
-        assert consume_kernel_totals() is None
+    def test_drain_returns_none_when_untouched(self):
+        assert SplitScorer().drain_counters() is None
 
-    def test_consume_drains_and_resets(self):
-        consume_kernel_totals()
-        kernel = split_kernel_from_arrays(
-            *_node_arrays(3)[:4], (1.0, 2.0)
-        )
-        kernel.scores(
-            np.zeros(4, dtype=np.int64), np.array([0, 0, 1, 1], dtype=np.int64)
-        )
-        totals = consume_kernel_totals()
-        assert totals is not None
-        assert totals["evaluations"] == kernel.evaluations
-        assert totals["hits"] == kernel.hits
-        assert totals["peak_chunk_elements"] == kernel.peak_chunk_elements
-        assert totals["backends"] == ["numpy"]
-        assert consume_kernel_totals() is None
+    def test_drain_empties_and_resets(self):
+        """A scorer counts what its runs cost their kernels, a second run
+        of one kernel only its new hits, and a drain empties it."""
+        scorer = SplitScorer((1.0, 2.0), kernel_backend="numpy")
+        kernel = split_kernel_from_arrays(*_node_arrays(3)[:4], scorer.beta_grid)
+        scorer.score_grid_best_kernel(kernel)
+        scorer.score_grid_best_kernel(kernel)
+        totals = scorer.drain_counters()
+        assert totals == {
+            "hits": kernel.hits,
+            "evaluations": kernel.evaluations,
+            "peak_chunk_elements": kernel.peak_chunk_elements,
+            "backends": ["numpy"],
+        }
+        assert (kernel.hits, kernel.evaluations) == (kernel.n_items * 2, kernel.n_groups * 2)
+        assert scorer.drain_counters() is None
 
     def test_trace_merge_and_roundtrip(self, tmp_path):
         from repro.parallel.trace import WorkTrace, load_trace, save_trace

@@ -14,6 +14,7 @@ from repro.rng.streams import (
     make_stream,
     quantize_logs,
 )
+from tests.reference import item_uniforms
 
 
 def _rng(seed=1, backend="philox"):
@@ -190,11 +191,11 @@ class TestWeightedChoiceLinear:
 class TestIndexedStream:
     def test_item_blocks_are_disjoint_and_deterministic(self):
         istream = IndexedStream(make_stream(1, "idx"), draws_per_item=5)
-        a = istream.item_uniforms(3)
-        b = istream.item_uniforms(4)
+        a = istream.items_span(3, 1).array()
+        b = istream.items_span(4, 1).array()
         assert a.shape == (5,)
         assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, istream.item_uniforms(3))
+        np.testing.assert_array_equal(a, item_uniforms(istream, 3))
 
     def test_item_block_matches_flat_stream(self):
         """Item i owns draws [i*d, (i+1)*d) — ownership independent of the
@@ -202,18 +203,17 @@ class TestIndexedStream:
         istream = IndexedStream(make_stream(2, "idx"), draws_per_item=4)
         flat = make_stream(2, "idx").block(0, 40)
         for i in (0, 3, 9):
-            np.testing.assert_array_equal(istream.item_uniforms(i), flat[4 * i : 4 * i + 4])
+            np.testing.assert_array_equal(istream.items_span(i, 1).array(), flat[4 * i : 4 * i + 4])
 
     def test_partial_fetch(self):
+        """A span of several items is their blocks one after another, so its
+        first items are the span of those items alone."""
         istream = IndexedStream(make_stream(3, "idx"), draws_per_item=6)
+        span = istream.items_span(2, 3).array()
+        np.testing.assert_array_equal(span[:6], istream.items_span(2, 1).array())
         np.testing.assert_array_equal(
-            istream.item_uniforms(2, count=3), istream.item_uniforms(2)[:3]
+            span, np.concatenate([item_uniforms(istream, i) for i in (2, 3, 4)])
         )
-
-    def test_overfetch_rejected(self):
-        istream = IndexedStream(make_stream(1, "idx"), draws_per_item=2)
-        with pytest.raises(ValueError):
-            istream.item_uniforms(0, count=3)
 
     def test_invalid_draws_per_item(self):
         with pytest.raises(ValueError):
@@ -222,7 +222,7 @@ class TestIndexedStream:
     def test_spawn_creates_distinct_stream(self):
         istream = IndexedStream(make_stream(1, "idx"), draws_per_item=3)
         child = istream.spawn("module", 7)
-        assert not np.array_equal(child.item_uniforms(0), istream.item_uniforms(0))
+        assert not np.array_equal(child.items_span(0, 1).array(), istream.items_span(0, 1).array())
 
 
 class TestCrossBackendContract:

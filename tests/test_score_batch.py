@@ -26,7 +26,7 @@ from repro.scoring import split_score as split_score_mod
 from repro.scoring.kernel import (
     ChainNode,
     LazySplitKernel,
-    consume_kernel_totals,
+    chain_counters,
     run_chains,
 )
 from repro.scoring.split_score import DEFAULT_BETA_GRID, SplitScorer
@@ -143,7 +143,6 @@ def _assert_batch_equals_per_node_chains(
         k = np.unique(specs[0][0]).size
         assert whole.all() if k >= _whole_rows(n_u) else not whole.any()
 
-    consume_kernel_totals()
     oracles = [
         _oracle(
             uvalues, obs, sign, scorer, chunk_elements,
@@ -151,16 +150,16 @@ def _assert_batch_equals_per_node_chains(
         )
         for obs, sign, span in specs
     ]
-    want = consume_kernel_totals()
+    want = scorer.drain_counters()
     outputs = []
     table = scorer.beta_grid.size * n_u * n_u  # one parent's margin rows
     for table_elements in (None, table, table - 1, 0):
         nodes = [ChainNode(obs, sign, span) for obs, sign, span in specs]
-        *flat, bounds, counters = run_chains(
+        *flat, bounds, counters, traffic = run_chains(
             _native.load(), uvalues, scorer.beta_grid, nodes, max_steps, 2,
             max_chunk_elements=chunk_elements, table_elements=table_elements,
         )
-        got = consume_kernel_totals()
+        got = chain_counters(counters, traffic)
         for lo, hi, counted, (oracle, results) in zip(bounds, bounds[1:], counters, oracles):
             for part, expected in zip(flat, results):
                 np.testing.assert_array_equal(part[lo:hi], expected)
@@ -235,18 +234,17 @@ class TestWholeBlockFill:
 
     def _check(self, uvalues, specs, scorer, rng_backend):
         grid = scorer.beta_grid
-        consume_kernel_totals()
         oracles = [
             _oracle(uvalues, obs, sign, scorer, None,
                     span.array().reshape(-1, scorer.draws_per_item))
             for obs, sign, span in specs
         ]
-        want = consume_kernel_totals()
-        *flat, bounds, counters = run_chains(
+        want = scorer.drain_counters()
+        *flat, bounds, counters, traffic = run_chains(
             _native.load(), uvalues, grid, [ChainNode(*spec) for spec in specs],
             scorer.max_steps, scorer.stop_repeats,
         )
-        got = consume_kernel_totals()
+        got = chain_counters(counters, traffic)
         touched = 0
         for (obs, _sign, span), lo, hi, counted, (oracle, results) in zip(
             specs, bounds, bounds[1:], counters, oracles
@@ -396,12 +394,11 @@ class TestPhiloxBlocks:
     through a cursor of its own, so two consecutive steps share a block."""
 
     def _run(self, uvalues, scorer, nodes):
-        consume_kernel_totals()
-        *flat, bounds, _counters = run_chains(
+        *flat, bounds, counters, traffic = run_chains(
             _native.load(), uvalues, scorer.beta_grid, nodes,
             scorer.max_steps, scorer.stop_repeats,
         )
-        return flat, bounds, consume_kernel_totals()
+        return flat, bounds, chain_counters(counters, traffic)
 
     def test_mrg_draws_compute_none(self):
         uvalues, scorer, nodes = _two_nodes()
@@ -458,9 +455,8 @@ class TestPreconditions:
         batch mate still shares."""
         uvalues, scorer, nodes = _two_nodes()
         nodes[1].sign = nodes[1].sign * np.linspace(0.5, 2.0, nodes[1].sign.size)
-        consume_kernel_totals()
-        *flat, bounds, counters = self._run(uvalues, scorer, nodes)
-        totals = consume_kernel_totals()
+        *flat, bounds, counters, traffic = self._run(uvalues, scorer, nodes)
+        totals = chain_counters(counters, traffic)
         assert totals["margin_row_uses"] == counters[0][1]  # node 0's evaluations only
         for node, lo, hi, counted in zip(nodes, bounds, bounds[1:], counters):
             oracle, results = _oracle(
@@ -483,10 +479,12 @@ class TestPreconditions:
     def test_bad_node_is_refused_and_nothing_is_scored(self, damage, message):
         uvalues, scorer, nodes = _two_nodes()
         damage(nodes[1])
-        consume_kernel_totals()
+        native = SplitScorer(
+            scorer.beta_grid, scorer.max_steps, scorer.stop_repeats, kernel_backend="native"
+        )
         with pytest.raises(ValueError, match=message):
-            self._run(uvalues, scorer, nodes)
-        assert consume_kernel_totals() is None
+            native.score_chain_nodes(uvalues, nodes)
+        assert native.drain_counters() is None
 
     @pytest.mark.parametrize("generator", ["philox", "mrg"])
     def test_draw_addresses_go_through_the_one_validator(self, generator):
@@ -505,13 +503,12 @@ class TestPreconditions:
         uvalues, scorer, nodes = _two_nodes()
         n_u = uvalues.shape[1]
         table = scorer.beta_grid.size * n_u * n_u
-        *want, _bounds, _counters = self._run(uvalues, scorer, nodes)
-        consume_kernel_totals()
+        *want, _bounds, _counters, _traffic = self._run(uvalues, scorer, nodes)
         for budget, shares in ((table, True), (table - 1, False)):
-            *got, _bounds, _counters = self._run(
+            *got, _bounds, counters, traffic = self._run(
                 uvalues, scorer, nodes, table_elements=budget
             )
-            assert ("margin_rows_filled" in consume_kernel_totals()) == shares
+            assert ("margin_rows_filled" in chain_counters(counters, traffic)) == shares
             for part, expected in zip(got, want):
                 np.testing.assert_array_equal(part, expected)
 

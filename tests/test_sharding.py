@@ -36,7 +36,6 @@ from repro.parallel.sharding import (
 )
 from repro.parallel.tasks import TASK_RUNNERS
 from repro.parallel.trace import WorkTrace
-from repro.scoring.kernel import consume_kernel_totals
 from repro.validation.metrics import network_fingerprint
 from tests.conftest import MODE_INPUTS
 
@@ -392,9 +391,7 @@ class TestShardedIdentitySocket:
         )
         trace = WorkTrace()
         with self._open(matrix, numpy_config, 7) as executor:
-            consume_kernel_totals()  # earlier tests' leftovers
             executor.learn_modules(MODE_INPUTS["module"], trace=trace)
-            trace.mark_kernel(consume_kernel_totals())
         return trace.kernel_counters
 
     def test_kernel_counters_match_one_worker(self, tiny_matrix):
@@ -477,30 +474,35 @@ class TestShardedIdentitySocketSpawned(TestShardedIdentitySocket):
 
 
 def _probe_process_state(ctx, item):
-    """A runner reporting what its process holds at module scope."""
+    """A runner reporting what its process holds at module scope and what
+    its task scorer counted before the runner ran."""
     from repro.parallel import tasks
-    from repro.scoring import kernel
 
     return {
         "worker": dict(tasks._WORKER),
-        "kernel_totals": kernel.consume_kernel_totals(),
+        "kernel_totals": ctx["scorer"].drain_counters(),
     }
 
 
 @contextmanager
 def _dirty_driver():
-    """Leave in this process what a long-lived driver accumulates at module
-    scope: kernel counters and a worker context."""
+    """Leave in this process what a long-lived driver leaves behind: a
+    worker context at module scope, and split scoring done outside any
+    job."""
     from repro.parallel import tasks
-    from repro.scoring import kernel
+    from repro.rng.streams import IndexedStream, make_stream
+    from repro.scoring.split_score import SplitScorer
+    from repro.trees.splits import score_nodes
 
-    kernel._account_totals(hits=11, evaluations=13, peak=17, backend="numpy")
+    scorer = SplitScorer(max_steps=3, kernel_backend="numpy")
+    data = np.random.default_rng(0).normal(size=(4, 6))
+    stream = IndexedStream(make_stream(0, "stray"), scorer.draws_per_item)
+    score_nodes(data, np.arange(4), scorer, [(np.arange(6), np.arange(3), stream, 0)])
     tasks._WORKER.update(worker=99)
     try:
         yield
     finally:
         tasks._WORKER.clear()
-        kernel.consume_kernel_totals()
 
 
 _PLAIN_LEARN_SCRIPT = """
@@ -558,7 +560,6 @@ class TestForkedNodeIsFresh:
                 executor.learn_modules(members, trace=trace)
             return trace.kernel_counters
 
-        consume_kernel_totals()  # earlier tests' leftovers
         one_worker = counters(_sequential_config())
         with _dirty_driver():
             sharded = counters(_sharded_config(2))

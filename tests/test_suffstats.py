@@ -40,8 +40,10 @@ class TestSuffStats:
         assert combined.sumsq == pytest.approx(direct.sumsq)
 
     def test_is_empty(self):
-        assert SuffStats().is_empty()
-        assert not SuffStats.of(np.array([1.0])).is_empty()
+        """The default block holds no values and scores zero."""
+        assert SuffStats().count == 0
+        assert SuffStats().log_marginal() == 0.0
+        assert SuffStats.of(np.array([1.0])).count == 1
 
     def test_log_marginal_delegates(self):
         stats = SuffStats.of(np.array([0.1, -0.2, 0.4]))

@@ -15,7 +15,7 @@ from repro.trees.splits import (
     score_node_splits,
     select_node_splits,
 )
-from tests.reference import _score_scalar, score_node_scalar
+from tests.reference import _score_scalar, item_uniforms, score_node_scalar
 
 
 def _block_and_labels(seed=0, n=4, m=12, k=4):
@@ -147,7 +147,7 @@ class TestNodeKernel:
             scorer,
             data[:, node.observations].tolist(),
             split_sign(node.observations, node.left.observations).tolist(),
-            [istream.item_uniforms(i) for i in range(scores.n_splits)],
+            [item_uniforms(istream, i) for i in range(scores.n_splits)],
         )
         np.testing.assert_array_equal(scores.log_scores, log_scores)
         np.testing.assert_array_equal(scores.steps, steps)
