@@ -85,6 +85,9 @@ def test_extension_parallel_genomica(benchmark, capsys):
         "extension_genomica",
         {
             "t1": t1,
+            # the traced T_1's split-kernel work, the fit input of the
+            # extension's compute rate
+            "kernel_counters_t1": trace.kernel_counters,
             "speedups_genome_scale": {str(p): s for p, s in speedups.items()},
             "speedups_native": {str(p): s for p, s in native.items()},
             "prior_art": {"liu2005": LIU_2005, "jiang2006": JIANG_2006},

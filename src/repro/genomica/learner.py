@@ -32,11 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import LearnerConfig, ParallelConfig
+from repro.core.learner import _hooks_for, _require_complete
 from repro.datatypes import ExpressionMatrix, Module, ModuleNetwork, Split
-from repro.ganesh.coclustering import SweepHooks, run_obs_only_ganesh
+from repro.ganesh.coclustering import run_obs_only_ganesh
+from repro.parallel.executor import open_executor
+from repro.parallel.trace import WorkTrace
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marginal
-from repro.scoring.split_score import DEFAULT_BETA_GRID, SplitScorer, check_beta_grid
+from repro.scoring.split_score import DEFAULT_BETA_GRID, check_beta_grid
 from repro.trees.hierarchy import build_tree_structure
 from repro.trees.parents import accumulate_parent_scores
 from repro.trees.splits import node_kernel
@@ -57,11 +60,11 @@ class GenomicaConfig:
     beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     prior: NormalGammaPrior = field(default_factory=lambda: DEFAULT_PRIOR)
     rng_backend: str = "philox"
-    #: execution backend (``parallel.n_workers == 1`` is in-process; >1
-    #: runs the M-step chains and the final network build concurrently on
-    #: the persistent :class:`repro.parallel.executor.TaskPoolExecutor` —
-    #: bit-identical output because each task consumes only its own named
-    #: stream)
+    #: execution backend, read by :func:`repro.parallel.executor.open_executor`:
+    #: the M-step clusterings and the final module builds run in-process
+    #: at ``parallel.n_workers == 1`` and concurrently on one persistent
+    #: pool above, traced or not — bit-identical output because each unit
+    #: consumes only its own named stream (one host: ``n_nodes`` must be 1)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
     def __post_init__(self) -> None:
@@ -72,6 +75,8 @@ class GenomicaConfig:
         if self.tree_update_steps < 1:
             raise ValueError("tree_update_steps must be at least 1")
         check_beta_grid(self.beta_grid)
+        if self.rng_backend not in ("philox", "mrg"):
+            raise ValueError("rng_backend must be 'philox' or 'mrg'")
         if not isinstance(self.parallel, ParallelConfig):
             raise ValueError("parallel must be a ParallelConfig")
         if self.parallel.n_nodes != 1:
@@ -97,50 +102,57 @@ class GenomicaLearner:
         """Learn a module network; ``trace`` optionally records the
         parallelizable work (same WorkTrace protocol as the Lemon-Tree
         learner) for strong-scaling projection of the parallel GENOMICA
-        extension."""
+        extension.
+
+        Every M-step's clusterings and the final module builds run on one
+        executor from :func:`repro.parallel.executor.open_executor` —
+        in-process at one worker, one persistent pool above, traced or
+        not.  Each unit consumes only its own named stream and returns its
+        own trace steps, which are merged in module order, so the network
+        and the trace are the same for any worker count.
+        """
+        _require_complete(matrix)
         config = self.config
-        hooks = (
-            SweepHooks(record=lambda ph, costs, nc=2: trace.record(ph, costs, nc))
-            if trace is not None
-            else SweepHooks()
-        )
         data = matrix.values
         n, m = data.shape
         k = min(config.n_modules, n)
         rng = GibbsRandom(make_stream(seed, "genomica", backend=config.rng_backend))
-        scorer = SplitScorer(
-            beta_grid=config.beta_grid, max_steps=1,
-            kernel_backend=config.parallel.kernel_backend,
+        # The task context carries a LearnerConfig: bridge the GENOMICA
+        # parameters into the fields the runners below read.
+        bridge = LearnerConfig(
+            candidate_parents=config.candidate_parents,
+            beta_grid=config.beta_grid,
+            max_sampling_steps=1,
+            tree_update_steps=config.tree_update_steps,
+            prior=config.prior,
+            rng_backend=config.rng_backend,
+            parallel=config.parallel,
         )
-        parents = np.asarray(
-            LearnerConfig(candidate_parents=config.candidate_parents)
-            .resolve_candidate_parents(n),
-            dtype=np.int64,
-        )
+
+        def dispatch(executor, fn, items) -> list:
+            results = executor.submit_runs(
+                fn, [(item, trace is not None) for item in items], trace=trace
+            )
+            if trace is not None:
+                for _value, steps in results:
+                    trace.steps.extend(steps)
+            return [value for value, _steps in results]
 
         t0 = time.perf_counter()
         assignment = rng.random_labels(n, k)
         self._fill_empty_modules(assignment, k, rng)
 
-        # One persistent executor serves every pooled phase: all M-step
-        # iterations and the final network build (a single pool, a single
-        # shared-memory matrix transfer).  Per-superstep trace hooks only
-        # record in-process, so traced runs stay sequential.
-        executor = None
-        if config.parallel.n_workers != 1 and trace is None and k > 1:
-            executor = self._make_executor(data, parents, seed)
-
         history: list[float] = []
         converged = False
-        leaf_partitions: list[list[np.ndarray]] = []
         iterations = 0
-        try:
+        with open_executor(data, bridge, seed) as executor:
             for iteration in range(config.max_iterations):
                 iterations = iteration + 1
                 # M-step: per-module observation clustering -> leaf partition.
-                label_runs = self._m_step_labels(
-                    data, assignment, k, iteration, seed, hooks, executor
-                )
+                label_runs = dispatch(executor, _genomica_mstep_run, [
+                    (iteration, module_id, _members(assignment, module_id))
+                    for module_id in range(k)
+                ])
                 leaf_partitions = [
                     [
                         np.flatnonzero(labels == cid)
@@ -167,13 +179,10 @@ class GenomicaLearner:
                 assignment = new_assignment
                 self._fill_empty_modules(assignment, k, rng)
 
-            network = self._build_network(
-                matrix, assignment, k, parents, scorer, seed, hooks, trace,
-                executor=executor,
-            )
-        finally:
-            if executor is not None:
-                executor.close()
+            modules = dispatch(executor, _genomica_module_run, [
+                (module_id, _members(assignment, module_id)) for module_id in range(k)
+            ])
+        network = ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
         elapsed = time.perf_counter() - t0
         if trace is not None:
             trace.mark_time("modules", elapsed)
@@ -186,51 +195,6 @@ class GenomicaLearner:
         )
 
     # -- steps ------------------------------------------------------------
-    def _m_step_labels(
-        self,
-        data: np.ndarray,
-        assignment: np.ndarray,
-        k: int,
-        iteration: int,
-        seed: int,
-        hooks: SweepHooks,
-        executor,
-    ) -> list[np.ndarray]:
-        """One M-step's per-module observation clusterings.
-
-        With an executor, the K clustering chains of this iteration are
-        dispatched through ``submit_runs`` and run concurrently: each chain
-        consumes only its own ``("genomica-tree", iteration, id)`` stream
-        and the module memberships are computed driver-side beforehand, so
-        the labels are bit-identical to the sequential loop in any
-        dispatch order.
-        """
-        config = self.config
-        if executor is not None:
-            items = [
-                (iteration, module_id,
-                 [int(v) for v in np.flatnonzero(assignment == module_id)])
-                for module_id in range(k)
-            ]
-            return executor.submit_runs(_genomica_mstep_run, items)
-        label_runs: list[np.ndarray] = []
-        for module_id in range(k):
-            members = np.flatnonzero(assignment == module_id)
-            block = data[members]
-            mrng = GibbsRandom(
-                make_stream(
-                    seed, "genomica-tree", iteration, module_id,
-                    backend=config.rng_backend,
-                )
-            )
-            (labels,) = run_obs_only_ganesh(
-                block, mrng, n_update_steps=config.tree_update_steps,
-                burn_in=config.tree_update_steps - 1, prior=config.prior,
-                hooks=hooks, kernel_backend=config.parallel.kernel_backend,
-            )
-            label_runs.append(labels)
-        return label_runs
-
     def _fill_empty_modules(self, assignment: np.ndarray, k: int, rng: GibbsRandom) -> None:
         """Ensure no module is empty (GENOMICA keeps K fixed)."""
         counts = np.bincount(assignment, minlength=k)
@@ -309,65 +273,6 @@ class GenomicaLearner:
             total_score += best_score
         return new_assignment, total_score
 
-    # -- output -----------------------------------------------------------
-    def _build_network(
-        self,
-        matrix: ExpressionMatrix,
-        assignment: np.ndarray,
-        k: int,
-        parents: np.ndarray,
-        scorer: SplitScorer,
-        seed: int,
-        hooks: SweepHooks = SweepHooks(),
-        trace=None,
-        executor=None,
-    ) -> ModuleNetwork:
-        """Final trees with the deterministic best split per node.
-
-        With an executor (``config.parallel.n_workers > 1`` and no trace —
-        per-superstep hooks only record in-process) the K module builds run
-        concurrently on the persistent task-pool executor; each consumes
-        only its own ``("genomica-final", id)`` stream, so the network is
-        bit-identical to the sequential loop.
-        """
-        config = self.config
-        data = matrix.values
-        members_of = [
-            [int(v) for v in np.flatnonzero(assignment == module_id)]
-            for module_id in range(k)
-        ]
-        if executor is not None:
-            modules = executor.submit_runs(
-                _genomica_module_run, list(enumerate(members_of))
-            )
-        else:
-            modules = [
-                build_final_module(
-                    data, config, module_id, members, parents, scorer, seed,
-                    hooks=hooks, trace=trace,
-                )
-                for module_id, members in enumerate(members_of)
-            ]
-        return ModuleNetwork(modules, matrix.var_names, matrix.n_obs)
-
-    def _make_executor(self, data: np.ndarray, parents: np.ndarray, seed: int):
-        """A persistent task-pool executor carrying the GENOMICA bridge config."""
-        from repro.parallel.executor import TaskPoolExecutor
-
-        config = self.config
-        # The executor's worker context carries a LearnerConfig; bridge the
-        # GENOMICA parameters into the fields the worker entry points read.
-        bridge = LearnerConfig(
-            candidate_parents=config.candidate_parents,
-            beta_grid=config.beta_grid,
-            max_sampling_steps=1,
-            tree_update_steps=config.tree_update_steps,
-            prior=config.prior,
-            rng_backend=config.rng_backend,
-            parallel=config.parallel,
-        )
-        return TaskPoolExecutor(data, parents, bridge, seed)
-
 
 def select_best_split(
     data: np.ndarray,
@@ -381,8 +286,9 @@ def select_best_split(
     ``scores``/``accepted`` are the node's candidate rows in enumeration
     order (parent-major, observation-minor).  Returns ``None`` when no
     candidate was accepted; otherwise attaches the chosen split to the node
-    and returns it.  Shared by the sequential, pooled and SPMD builds so
-    the argmax and posterior-weight conventions cannot drift apart.
+    and returns it.  Shared by the module runner (every worker count) and
+    the SPMD build so the argmax and posterior-weight conventions cannot
+    drift apart.
     """
     if not accepted.any():
         return None
@@ -407,33 +313,61 @@ def select_best_split(
     return split
 
 
-def build_final_module(
-    data: np.ndarray,
-    config: GenomicaConfig,
-    module_id: int,
-    members: list[int],
-    parents: np.ndarray,
-    scorer: SplitScorer,
-    seed: int,
-    hooks: SweepHooks = SweepHooks(),
-    trace=None,
-) -> Module:
-    """One module of the final network (tree + deterministic best splits).
+def _members(assignment: np.ndarray, module_id: int) -> list[int]:
+    return [int(v) for v in np.flatnonzero(assignment == module_id)]
 
-    Self-contained: consumes only the module's ``("genomica-final", id)``
-    stream, so concurrent executions — in any order, on any worker —
-    produce the module the sequential loop would.
+
+def _genomica_mstep_run(ctx, item):
+    """Task runner: one M-step observation clustering.
+
+    ``item`` is ``((iteration, module_id, members), want_trace)``; the
+    member list is computed driver-side under the current assignment, so
+    the runner only replays the module's private ``("genomica-tree",
+    iteration, id)`` stream — the same labels on any worker, in any
+    dispatch order.  Returns ``(labels, trace steps)``.
     """
+    (iteration, module_id, members), want_trace = item
+    config = ctx["config"]
+    trace = WorkTrace() if want_trace else None
+    mrng = GibbsRandom(
+        make_stream(
+            ctx["seed"], "genomica-tree", iteration, module_id,
+            backend=config.rng_backend,
+        )
+    )
+    (labels,) = run_obs_only_ganesh(
+        ctx["data"][np.asarray(members, dtype=np.int64)], mrng,
+        n_update_steps=config.tree_update_steps,
+        burn_in=config.tree_update_steps - 1, prior=config.prior,
+        hooks=_hooks_for(trace), kernel_backend=config.parallel.kernel_backend,
+    )
+    return labels, (trace.steps if trace is not None else [])
+
+
+def _genomica_module_run(ctx, item):
+    """Task runner: one module of the final network (tree + deterministic
+    best splits).
+
+    ``item`` is ``((module_id, members), want_trace)``.  The module consumes
+    only its ``("genomica-final", id)`` stream and scores on the task
+    context's scorer, so its counters drain into the completion record.
+    Returns ``(module, trace steps)``.
+    """
+    (module_id, members), want_trace = item
     if not members:
-        return Module(module_id=module_id, members=[])
+        return Module(module_id=module_id, members=[]), []
+    config = ctx["config"]
+    data, parents, scorer = ctx["data"], ctx["parents"], ctx["scorer"]
+    trace = WorkTrace() if want_trace else None
+    hooks = _hooks_for(trace)
     block = data[members]
     mrng = GibbsRandom(
-        make_stream(seed, "genomica-final", module_id, backend=config.rng_backend)
+        make_stream(ctx["seed"], "genomica-final", module_id, backend=config.rng_backend)
     )
     (labels,) = run_obs_only_ganesh(
         block, mrng, n_update_steps=config.tree_update_steps,
         burn_in=config.tree_update_steps - 1, prior=config.prior,
-        hooks=hooks, kernel_backend=scorer.kernel_backend,
+        hooks=hooks, kernel_backend=config.parallel.kernel_backend,
     )
     tree = build_tree_structure(block, labels, module_id, config.prior, hooks)
     selected: list[Split] = []
@@ -454,53 +388,4 @@ def build_final_module(
             selected.append(split)
     module = Module(module_id=module_id, members=members, trees=[tree])
     module.weighted_parents = accumulate_parent_scores(selected)
-    return module
-
-
-def _genomica_mstep_run(ctx, item) -> np.ndarray:
-    """Task-pool entry point: one M-step observation clustering.
-
-    ``item`` is ``(iteration, module_id, members)``; the member list is
-    computed driver-side under the current assignment, so the worker only
-    replays the module's private ``("genomica-tree", iteration, id)``
-    stream against the shared-memory matrix — bit-identical to the
-    sequential loop regardless of dispatch order.
-    """
-    iteration, module_id, members = item
-    config = ctx["config"]
-    block = ctx["data"][np.asarray(members, dtype=np.int64)]
-    mrng = GibbsRandom(
-        make_stream(
-            ctx["seed"], "genomica-tree", iteration, module_id,
-            backend=config.rng_backend,
-        )
-    )
-    (labels,) = run_obs_only_ganesh(
-        block, mrng, n_update_steps=config.tree_update_steps,
-        burn_in=config.tree_update_steps - 1, prior=config.prior,
-        kernel_backend=config.parallel.kernel_backend,
-    )
-    return labels
-
-
-def _genomica_module_run(ctx, item) -> Module:
-    """Task-pool entry point: one final-network module from the worker ctx.
-
-    The worker context carries the bridge :class:`LearnerConfig` built by
-    :meth:`GenomicaLearner._make_executor`; reconstruct the
-    GENOMICA parameters it encodes and build the module against the
-    shared-memory matrix.
-    """
-    module_id, members = item
-    config = ctx["config"]
-    gconfig = GenomicaConfig(
-        tree_update_steps=config.tree_update_steps,
-        candidate_parents=config.candidate_parents,
-        beta_grid=config.beta_grid,
-        prior=config.prior,
-        rng_backend=config.rng_backend,
-    )
-    return build_final_module(
-        ctx["data"], gconfig, module_id, members, ctx["parents"],
-        ctx["scorer"], ctx["seed"],
-    )
+    return module, (trace.steps if trace is not None else [])

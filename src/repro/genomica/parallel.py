@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import LearnerConfig
+from repro.core.learner import _require_complete
 from repro.datatypes import ExpressionMatrix, Module, ModuleNetwork, Split
 from repro.ganesh.state import ObsClustering
 from repro.genomica.learner import GenomicaLearner, select_best_split
@@ -58,6 +59,7 @@ class ParallelGenomicaLearner(GenomicaLearner):
     def learn_parallel(
         self, matrix: ExpressionMatrix, seed: int, p: int
     ) -> ParallelGenomicaResult:
+        _require_complete(matrix)
         config = self.config
         scorer = SplitScorer(
             beta_grid=config.beta_grid, max_steps=1,
@@ -196,8 +198,8 @@ class ParallelGenomicaLearner(GenomicaLearner):
                 scores = comm.allgather_concat(local_scores)
                 accepted = comm.allgather_concat(local_acc.astype(np.int8)).astype(bool)
                 # Replicated choice from the gathered flat arrays — the same
-                # helper the sequential and pooled builds use, so every rank
-                # picks the identical split.
+                # helper the module runner uses, so every rank picks the
+                # identical split.
                 split = select_best_split(data, node, parents, scores, accepted)
                 if split is not None:
                     selected.append(split)

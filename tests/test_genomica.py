@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import module_recovery_score
 from repro.data.synthetic import make_module_dataset
+from repro.datatypes import ExpressionMatrix
 from repro.genomica import (
     GenomicaConfig,
     GenomicaLearner,
@@ -12,6 +13,7 @@ from repro.genomica import (
 )
 from repro.core.config import ParallelConfig
 from repro.parallel.trace import WorkTrace, project_time
+from repro.parallel.transport import PoolTransport
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,21 @@ def easy_result(easy_dataset):
     return GenomicaLearner(config).learn(easy_dataset.matrix, seed=5)
 
 
+@pytest.fixture
+def pool_builds(monkeypatch):
+    """One entry per ``PoolTransport.start`` call: whether it found no pool
+    and built one."""
+    builds = []
+    start = PoolTransport.start
+
+    def counted(transport):
+        builds.append(transport._pool is None)
+        start(transport)
+
+    monkeypatch.setattr(PoolTransport, "start", counted)
+    return builds
+
+
 class TestConfig:
     def test_defaults_valid(self):
         GenomicaConfig()
@@ -36,6 +53,7 @@ class TestConfig:
             ("max_iterations", 0),
             ("tree_update_steps", 0),
             ("beta_grid", (1.0, float("nan"))),
+            ("rng_backend", "bogus"),
         ],
     )
     def test_rejects_invalid(self, field, value):
@@ -180,22 +198,12 @@ class TestPooledGenomica:
         ).learn(easy_dataset.matrix, seed=2)
         assert pooled.network == sequential.network
 
-    def test_single_pool_construction(self, easy_dataset, monkeypatch):
+    def test_single_pool_construction(self, easy_dataset, pool_builds):
         """One pool (and with it one matrix transfer) per ``learn``: of
         every ``PoolTransport.start`` call, one finds no pool and builds it."""
-        from repro.parallel.transport import PoolTransport
-
-        builds = []
-        start = PoolTransport.start
-
-        def counted(transport):
-            builds.append(transport._pool is None)
-            start(transport)
-
-        monkeypatch.setattr(PoolTransport, "start", counted)
         config = GenomicaConfig(n_modules=3, max_iterations=3, parallel=ParallelConfig(n_workers=2))
         GenomicaLearner(config).learn(easy_dataset.matrix, seed=5)
-        assert sum(builds) == 1
+        assert sum(pool_builds) == 1
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
@@ -228,3 +236,54 @@ class TestGenomicaTrace:
         t1 = project_time(trace, 1).total
         assert t1 == pytest.approx(result.elapsed_seconds, rel=1e-6)
         assert project_time(trace, 16).total < t1
+
+    def test_traced_run_is_pooled_and_counted(self, easy_dataset, pool_builds):
+        """A traced run rides the same executor as an untraced one: at two
+        workers it builds one pool, its trace steps equal the one-worker
+        run's, and the task scorers' kernel counters reach the trace."""
+        traces = {}
+        for n_workers in (1, 2):
+            config = GenomicaConfig(
+                n_modules=3, max_iterations=3,
+                parallel=ParallelConfig(n_workers=n_workers),
+            )
+            traces[n_workers] = WorkTrace()
+            GenomicaLearner(config).learn(
+                easy_dataset.matrix, seed=5, trace=traces[n_workers]
+            )
+            assert sum(pool_builds) == n_workers - 1
+        one, two = traces[1], traces[2]
+        assert one.kernel_counters["evaluations"] > 0
+        assert two.kernel_counters == one.kernel_counters
+        assert len(two.steps) == len(one.steps)
+        for a, b in zip(one.steps, two.steps):
+            assert (a.phase, a.n_collectives, a.words) == (b.phase, b.n_collectives, b.words)
+            np.testing.assert_array_equal(a.costs, b.costs)
+
+
+class TestBoundaryChecks:
+    """Outside input is refused before any pool or rank starts."""
+
+    @pytest.mark.parametrize(
+        "n_workers,spmd", [(1, False), (2, False), (1, True)],
+        ids=["one-worker", "pool", "spmd"],
+    )
+    def test_missing_values_refused(
+        self, easy_dataset, pool_builds, monkeypatch, n_workers, spmd
+    ):
+        def no_ranks(*args, **kwargs):
+            raise AssertionError("SPMD ranks started on a NaN matrix")
+
+        monkeypatch.setattr("repro.genomica.parallel.run_spmd", no_ranks)
+        values = easy_dataset.matrix.values.copy()
+        values[4, 7] = np.nan
+        matrix = ExpressionMatrix(values, allow_missing=True)
+        config = GenomicaConfig(
+            n_modules=3, parallel=ParallelConfig(n_workers=n_workers)
+        )
+        with pytest.raises(ValueError, match=r"missing values \(NaN\)"):
+            if spmd:
+                ParallelGenomicaLearner(config).learn_parallel(matrix, seed=1, p=2)
+            else:
+                GenomicaLearner(config).learn(matrix, seed=1)
+        assert pool_builds == []

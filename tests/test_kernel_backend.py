@@ -95,10 +95,12 @@ class TestNumpyRunsNoNativeEntry:
         assert trace.kernel_counters["backends"] == ["numpy"]
 
     @pytest.mark.parametrize("n_workers", [1, 2], ids=["sequential", "pooled"])
-    def test_genomica(self, tiny_matrix, no_native_entry, scorers, n_workers):
-        GenomicaLearner(_genomica(n_workers=n_workers)).learn(tiny_matrix, seed=5)
-        if n_workers == 1:  # pool workers' scorers stay in the workers
-            assert _backends(scorers) == ["numpy"]
+    def test_genomica(self, tiny_matrix, no_native_entry, n_workers):
+        trace = WorkTrace()
+        GenomicaLearner(_genomica(n_workers=n_workers)).learn(
+            tiny_matrix, seed=5, trace=trace
+        )
+        assert trace.kernel_counters["backends"] == ["numpy"]
 
     def test_spmd(self, tiny_matrix, no_native_entry, scorers):
         ParallelLearner(_lemon()).learn(tiny_matrix, seed=5, p=2)
