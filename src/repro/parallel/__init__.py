@@ -5,7 +5,7 @@ MPI implementation is reproduced with three cooperating layers:
 
 * :mod:`repro.parallel.comm` — a thread-based message-passing communicator
   that really executes ``p`` SPMD ranks with barrier-synchronised
-  collectives (bcast, all-reduce, all-gather, scan, segmented scan).
+  collectives (all-reduce, all-gather, scan, segmented scan).
 * :mod:`repro.parallel.engine` — the SPMD parallel learner implementing
   Algorithms 1-6 against that communicator: replicated state, block-
   partitioned score computations, distributed sampling oracles.  Its output

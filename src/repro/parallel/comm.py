@@ -1,7 +1,7 @@
 """A thread-based message-passing communicator (simulated MPI).
 
 Implements the collective operations the paper's algorithms use — barrier,
-bcast, reduce/all-reduce, gather/all-gather, scan and segmented scan — over
+all-reduce, all-gather, scan and segmented scan — over
 ``p`` Python threads with barrier-synchronised shared slots.  The semantics
 mirror MPI: every collective is entered by all ranks of the communicator
 and returns consistent results on all of them; reductions are applied in
@@ -47,15 +47,6 @@ class ThreadComm:
     def barrier(self) -> None:
         self._ctx.barrier.wait()
 
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        ctx = self._ctx
-        if self.rank == root:
-            ctx.slots[root] = value
-        ctx.barrier.wait()
-        out = ctx.slots[root]
-        ctx.barrier.wait()
-        return out
-
     def allgather(self, value: Any) -> list[Any]:
         ctx = self._ctx
         ctx.slots[self.rank] = value
@@ -63,10 +54,6 @@ class ThreadComm:
         out = list(ctx.slots)
         ctx.barrier.wait()
         return out
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        out = self.allgather(value)
-        return out if self.rank == root else None
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """Reduce in rank order (deterministic); default op is ``+``."""
@@ -135,13 +122,7 @@ class SerialComm:
     def barrier(self) -> None:
         pass
 
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        return value
-
     def allgather(self, value: Any) -> list[Any]:
-        return [value]
-
-    def gather(self, value: Any, root: int = 0) -> list[Any]:
         return [value]
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:

@@ -386,7 +386,9 @@ class TaskScheduler:
 
 class TaskPoolExecutor(TaskScheduler):
     """The scheduler on this host: in-process at one worker (this *is* the
-    sequential learner), on the persistent shared-memory pool above."""
+    sequential learner), above that on persistent worker children over one
+    shared-memory matrix (:class:`~repro.parallel.transport.PoolTransport`),
+    launched by ``mp_context``'s start method."""
 
     def __init__(
         self,
@@ -397,13 +399,12 @@ class TaskPoolExecutor(TaskScheduler):
         *,
         checkpoint_dir=None,
         mp_context: str | None = None,
-        crash_poll_seconds: float | None = None,
     ) -> None:
         super().__init__(
             local_transport(
                 data, parents, config, seed,
                 CheckpointStore.open(checkpoint_dir, data, config, seed),
-                mp_context, crash_poll_seconds,
+                mp_context,
             )
         )
 
@@ -418,7 +419,6 @@ def open_executor(
     checkpoint_dir=None,
     *,
     mp_context: str | None = None,
-    crash_poll_seconds: float | None = None,
 ):
     """The executor ``config.parallel`` asks for — the one dispatch seam.
 
@@ -428,8 +428,11 @@ def open_executor(
     manager; the caller closes what it opens.  ``mp_context`` is the start
     method of every child process the executor launches, pool workers and
     shard nodes alike (:func:`repro.parallel.poolutil.pool_context`;
-    callers living in a multi-threaded process pass ``"spawn"``);
-    ``crash_poll_seconds`` reaches the local pool only.
+    callers living in a multi-threaded process pass ``"spawn"``).  Every
+    such child is a :class:`~repro.parallel.poolutil.ChildGroup` member
+    over a socketpair, so a dead one raises its tier's typed error
+    (:class:`WorkerCrashedError`, ``NodeCrashedError``) as soon as its
+    channel reaches EOF; there is nothing to tune.
 
     The job's kernel backend is resolved here, before any child starts: a
     forked worker or node inherits the loaded, certified native kernel
@@ -454,5 +457,4 @@ def open_executor(
         seed,
         checkpoint_dir=checkpoint_dir,
         mp_context=mp_context,
-        crash_poll_seconds=crash_poll_seconds,
     )

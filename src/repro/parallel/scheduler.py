@@ -119,9 +119,3 @@ def chunked_lpt_schedule(
         per_rank[np.argmin(per_rank)] += cost
     return ScheduleResult("chunked-lpt", p, per_rank)
 
-
-def imbalance_sweep(
-    split_costs: np.ndarray, processor_counts: list[int]
-) -> dict[int, float]:
-    """The Section 5.3.1 measurement: flat-scheme imbalance per ``p``."""
-    return {p: flat_schedule(split_costs, p).imbalance for p in processor_counts}

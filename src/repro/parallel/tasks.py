@@ -8,9 +8,9 @@ module holds everything on the *task* side of that seam:
 
 * the **task context** — one dict per executing process (matrix, candidate
   parents, config, seed, scorer, checkpoint store), built by
-  :func:`build_ctx`.  A pool worker keeps its context in :data:`_WORKER`
-  (installed once by the pool initializer, together with the worker's
-  stable index); an in-process transport keeps its own;
+  :func:`build_ctx` and kept by whoever executes items: a pool worker's
+  session (built once from its ``init`` frame, with the worker's stable
+  index), an in-process transport;
 * the **runners** ``fn(ctx, item)`` — one GaneSH chain
   (:func:`_ganesh_run`), one batch of whole modules
   (:func:`_module_batch_run`), one block of candidate parents of every
@@ -44,11 +44,6 @@ from repro.scoring.split_score import SplitScorer
 from repro.trees.splits import score_nodes
 
 # -- the task context --------------------------------------------------------
-
-#: a pool worker's task context plus its bookkeeping (``worker``, ``shm``);
-#: installed once per worker by the pool initializer so the matrix is
-#: attached a single time, never per task
-_WORKER: dict = {}
 
 
 def build_ctx(data, parents, config: LearnerConfig, seed: int,

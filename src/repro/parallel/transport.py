@@ -14,38 +14,26 @@ task context's scorer (``ctx["scorer"]``) drained after the task: the
 item's own scoring work, nothing else the process ran.
 
 Here: :class:`InProcessTransport` (one worker — this *is* the sequential
-learner) and :class:`PoolTransport` (one persistent pool over one
-shared-memory copy of the matrix; a dead worker surfaces as
-:class:`WorkerCrashedError`, never a hang).  Shard nodes, the third, live
-in :mod:`repro.parallel.sharding`.
+learner) and :class:`PoolTransport` (persistent worker children over one
+shared-memory copy of the matrix, driven by the tier's one child
+mechanism, :class:`repro.parallel.poolutil.ChildGroup`; a dead worker
+surfaces as :class:`WorkerCrashedError` at once, never a hang).  Shard
+nodes, the third, live in :mod:`repro.parallel.sharding`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import TimeoutError as _MpTimeoutError
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.core.config import LearnerConfig
-from repro.parallel import poolutil
-from repro.parallel.tasks import _WORKER, build_ctx
+from repro.parallel.poolutil import ChildGroup, WorkerCrashedError
+from repro.parallel.tasks import build_ctx
 from repro.parallel.topology import probe_topology
-
-
-class WorkerCrashedError(RuntimeError):
-    """A pool worker process died mid-task.
-
-    Raised by :meth:`PoolTransport.run` when the pool replaces a worker
-    that exited abnormally (detected via the instrumented initializer
-    re-running), instead of waiting forever for the dead worker's lost
-    task.  Checkpoints written before the crash remain valid; re-running
-    the same call executes only the missing units.
-    """
 
 
 @dataclass
@@ -193,203 +181,112 @@ def _attach_shared(spec) -> tuple[shared_memory.SharedMemory, np.ndarray]:
     return shm, np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
 
 
-# -- pool worker side --------------------------------------------------------
-
-
-def _executor_init(
-    matrix_spec,
-    parents,
-    config,
-    seed,
-    checkpoints,
-    counter,
-):
-    """Pool initializer: attach the matrix once, install the worker's task
-    context (:data:`repro.parallel.tasks._WORKER`).
-
-    ``counter`` is a shared ``mp.Value`` bumped once per initialized worker;
-    tests read it to assert the matrix was shipped exactly once per worker
-    (i.e. the initializer ran once, never per task), and the driver reads
-    it mid-run to detect dead workers — the pool re-runs the initializer
-    for every replacement it spawns.  The pre-increment value is this
-    worker's stable index (``mp.Pool`` hands every worker identical
-    initargs, so it must come from shared state): it labels the worker in
-    every completion record.  ``checkpoints`` is the driver's store: the
-    worker writes each unit it finishes before reporting it.
-    """
-    with counter.get_lock():
-        worker_index = int(counter.value)
-        counter.value += 1
-    shm, data = _attach_shared(matrix_spec)
-    _WORKER.update(
-        build_ctx(data, parents, config, seed, checkpoints),
-        worker=worker_index,
-        shm=shm,  # keep the mapping alive for the worker's lifetime
-    )
-
-
-def _pool_run(payload):
-    """Pool entry point: one chunk of ``(index, item)`` pairs."""
-    fn, pairs = payload
-    return [_run_item(_WORKER, fn, index, item) for index, item in pairs]
-
-
 # -- the pool transport ------------------------------------------------------
 
 
+class _WorkerSession:
+    """A pool child's state, built from its ``init`` frame: the attached
+    matrix and the task context, labelled with the worker index the frame
+    came with.  ``checkpoints`` is the driver's store: the worker writes
+    each unit it finishes before reporting it."""
+
+    def __init__(self, spec, index: int) -> None:
+        self._shm, data = _attach_shared(spec["matrix"])
+        self._ctx = dict(
+            build_ctx(
+                data, spec["parents"], spec["config"], spec["seed"],
+                spec["checkpoints"],
+            ),
+            worker=index,
+        )
+
+    def run(self, fn, pairs) -> list:
+        return [_run_item(self._ctx, fn, index, item) for index, item in pairs]
+
+    def close(self) -> None:
+        # The mapping itself goes with the process: a task's arrays may
+        # still view it, and unmapping under them is an error.
+        self._ctx = None
+
+
 class PoolTransport(Transport):
-    """A persistent worker pool over one shared-memory matrix, both created
-    on the first dispatch and alive until :meth:`close` — one ``learn``
-    invocation pays for one pool construction and one matrix transfer
-    total, across Tasks 1 and 3.
+    """Persistent worker children over one shared-memory matrix, both
+    created on the first dispatch and alive until :meth:`close` — one
+    ``learn`` invocation pays for one pool construction and one matrix
+    transfer total, across Tasks 1 and 3.
     """
 
     def __init__(
         self, data, parents, config, seed, checkpoints,
         mp_context: str | None = None,
-        crash_poll_seconds: float | None = None,
     ) -> None:
         super().__init__(
             data, parents, config, seed, checkpoints, config.resolve_n_workers()
         )
-        #: how often a blocked dispatch checks for dead workers
-        self.crash_poll_seconds = (
-            5.0 if crash_poll_seconds is None else float(crash_poll_seconds)
+        self._children = ChildGroup(
+            _WorkerSession, self.n_workers, label="worker",
+            error=WorkerCrashedError, mp_context=mp_context,
         )
-        self._mp_context = mp_context
-        self._pool = None
         self._shared: SharedMatrix | None = None
-        self._init_counter = None
 
     def start(self) -> None:
-        """Create the shared matrix and the pool once."""
-        if self._pool is not None:
+        """Create the shared matrix and the workers once."""
+        if self._shared is not None:
             return
-        ctx = poolutil.pool_context(self._mp_context)
         self._shared = SharedMatrix(self.data)
-        self._init_counter = ctx.Value("i", 0)
         self.stats.pools_constructed += 1
         self.stats.matrix_transfers += 1
-        self._pool = ctx.Pool(
-            self.n_workers,
-            initializer=_executor_init,
-            initargs=(
-                self._shared.spec,
-                self.parents,
-                self.config,
-                self.seed,
-                self.checkpoints,
-                self._init_counter,
-            ),
-        )
+        self._children.start({
+            "matrix": self._shared.spec,
+            "parents": self.parents,
+            "config": self.config,
+            "seed": self.seed,
+            "checkpoints": self.checkpoints,
+        })
 
     def close(self) -> None:
-        """Tear down the pool and unlink the shared-memory segment — always
-        the latter: a failure while terminating must not leak the matrix
-        into ``/dev/shm``; every learner entry point runs through here on
-        every exception path.  Nothing is dispatched to the workers: every
-        unit they reported is already checkpointed, so healthy or not they
-        go through :func:`_abandon_pool` — ``terminate()`` under a
-        deadline, then SIGKILL — and no close can wedge.
-        """
-        pool, self._pool = self._pool, None
+        """Close and reap the workers, then unlink the shared-memory
+        segment — always the latter: a failure while closing must not leak
+        the matrix into ``/dev/shm``; every learner entry point runs
+        through here on every exception path.  Nothing is dispatched:
+        every unit the workers reported is already checkpointed."""
         shared, self._shared = self._shared, None
         try:
-            if pool is not None:
-                _abandon_pool(pool)
+            self._children.close()
         finally:
             if shared is not None:
                 shared.close()
 
     def worker_inits(self) -> int:
-        """How many worker initializations ran (== workers when the matrix
-        was shipped exactly once per worker)."""
-        if self._init_counter is None:
-            return 0
-        return int(self._init_counter.value)
+        """How many workers answered their ``init`` (== workers when the
+        matrix was shipped exactly once per worker)."""
+        return self._children.inits
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the live pool worker processes (empty before the pool
-        is built).  Exposed so the service can report — and failure-
-        injection tests can target — the processes executing a job."""
-        pool = self._pool
-        if pool is None:
-            return []
-        return [proc.pid for proc in getattr(pool, "_pool", []) if proc.pid]
+        """PIDs of the pool workers (empty before the pool is built).
+        Exposed so the service can report — and failure-injection tests
+        can target — the processes executing a job."""
+        return list(self._children.pids) if self._shared is not None else []
 
     def run(self, fn, ordered_items, *, schedule, chunksize=None):
-        """Dispatch onto the pool and collect, crash-aware: ``dynamic``
-        pulls items one at a time from the shared queue, ``static`` maps
-        contiguous equal-count chunks."""
+        """List-schedule the pairs over the workers: ``dynamic`` hands out
+        one item at a time, ``static`` contiguous equal-count chunks."""
         self.start()
-        n = len(ordered_items)
         if not chunksize:
+            n = len(ordered_items)
             chunksize = math.ceil(n / self.n_workers) if schedule == "static" else 1
-        payloads = [
-            (fn, ordered_items[lo : lo + chunksize]) for lo in range(0, n, chunksize)
+        return [
+            record
+            for _worker, records in self._children.run(fn, ordered_items, chunksize)
+            for record in records
         ]
-        return self._collect(
-            self._pool.imap_unordered(_pool_run, payloads), len(payloads)
-        )
-
-    def _collect(self, it, n_chunks: int) -> list:
-        """Crash-aware collection of ``n_chunks`` chunks of records.
-
-        Each timeout polls the init counter, which only advances past
-        ``n_workers`` when ``mp.Pool`` re-ran the initializer for a
-        replacement — an original worker exited abnormally and its
-        in-flight task is lost for good.
-        """
-        out: list = []
-        while n_chunks:
-            try:
-                out.extend(it.next(timeout=self.crash_poll_seconds))
-                n_chunks -= 1
-            except _MpTimeoutError:
-                lost = self.worker_inits() - self.n_workers
-                if lost > 0:
-                    raise WorkerCrashedError(
-                        f"{lost} pool worker(s) died mid-run; completed "
-                        "checkpoints remain valid — re-run to resume from them"
-                    ) from None
-        return out
-
-
-def _abandon_pool(pool, grace: float = 2.0) -> None:
-    """Tear down a pool without trusting its queues.
-
-    ``mp.Pool`` guards its task and result pipes with plain semaphores.  A
-    worker killed while it held one (SIGKILLed mid result write, or idle
-    inside ``get``; on a healthy pool, ``terminate()``'s own SIGTERM landing
-    while a worker writes a result) leaves it locked for good: the
-    surviving workers and every replacement park on it, and ``terminate()``
-    — which takes the same locks to post its sentinels — never returns.  So
-    the cooperative ``terminate()`` runs on a thread this call is prepared
-    to abandon (its first act stops the pool respawning workers, wedged or
-    not); if it has not finished within ``grace`` seconds the worker
-    processes are SIGKILLed and reaped here.
-    """
-    reaper = threading.Thread(target=pool.terminate, name="pool-reaper", daemon=True)
-    reaper.start()
-    reaper.join(timeout=grace)
-    if not reaper.is_alive():
-        pool.join()
-        return
-    workers = list(pool._pool)
-    for proc in workers:
-        if proc.exitcode is None:
-            proc.kill()
-    for proc in workers:
-        proc.join(timeout=10.0)
 
 
 def local_transport(
     data, parents, config: LearnerConfig, seed: int, checkpoints=None,
-    mp_context: str | None = None, crash_poll_seconds: float | None = None,
+    mp_context: str | None = None,
 ) -> Transport:
     """This host's transport: in-process at one worker, the pool above."""
     if config.resolve_n_workers() <= 1:
         return InProcessTransport(data, parents, config, seed, checkpoints)
-    return PoolTransport(
-        data, parents, config, seed, checkpoints, mp_context, crash_poll_seconds
-    )
+    return PoolTransport(data, parents, config, seed, checkpoints, mp_context)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.datatypes import ExpressionMatrix
-from repro.parallel.sharding import NodeCrashedError, SocketChannel
+from repro.parallel.poolutil import NodeCrashedError, SocketChannel
 from repro.service.jobs import (
     DONE,
     FAILED,

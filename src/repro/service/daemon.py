@@ -1,10 +1,11 @@
 """Socket front-end of the inference service.
 
 :class:`ServiceDaemon` exposes an :class:`~repro.service.jobs.
-InferenceService` over the same localhost length-prefixed frame protocol
-the shard tier speaks (:class:`repro.parallel.sharding.SocketChannel`),
-so the wire format, crash semantics and size limits are shared with —
-and already battle-tested by — the multi-node executor.
+InferenceService` over a localhost TCP socket in the length-prefixed
+frame protocol every executor child speaks over its socketpair
+(:class:`repro.parallel.poolutil.SocketChannel`), so the wire format,
+crash semantics and size limits are shared with the executor tier.  This
+listener is the package's only open port.
 
 The conversation is one request per connection: the client connects,
 sends a single ``(verb, payload)`` frame carrying the daemon's
@@ -27,7 +28,7 @@ import socket
 import threading
 from pathlib import Path
 
-from repro.parallel.sharding import NodeCrashedError, SocketChannel
+from repro.parallel.poolutil import NodeCrashedError, SocketChannel
 from repro.service.jobs import InferenceService
 
 #: verbs a connection may open with

@@ -173,15 +173,14 @@ class ExecutorLease:
     old executor and builds the new job's.  :meth:`invalidate` is the
     crash-isolation hook — after a
     :class:`~repro.parallel.executor.WorkerCrashedError` the poisoned pool
-    is discarded so the next job starts on a fresh one.
+    is discarded so the next job starts on a fresh one.  A worker's death
+    reaches the job at once, as EOF on its socketpair channel; there is no
+    detection interval to set.
     """
 
-    def __init__(self, crash_poll_seconds: float | None = None) -> None:
+    def __init__(self) -> None:
         self._executor = None
         self._binding = None
-        #: None keeps the executor's default; tests shrink it so a killed
-        #: worker is detected in fractions of a second
-        self.crash_poll_seconds = crash_poll_seconds
         self.builds = 0
         self.reuses = 0
         self.invalidations = 0
@@ -209,7 +208,6 @@ class ExecutorLease:
             seed,
             checkpoint_dir,
             mp_context=THREADED_START_METHOD,
-            crash_poll_seconds=self.crash_poll_seconds,
         )
         self._binding = binding
         self.builds += 1
@@ -222,10 +220,9 @@ class ExecutorLease:
         return [] if executor is None else executor.worker_pids()
 
     def worker_inits(self) -> int:
-        """How many pool workers have completed their initializer (0
-        without a multi-worker pool).  Spawn-context workers take a
-        while to boot; until this reaches the worker count a listed pid
-        may belong to a process that has not picked up any work yet."""
+        """How many pool workers answered their ``init`` frame (0 without
+        a multi-worker pool).  A pool dispatches nothing before every
+        worker has answered, so a job that is running has them all."""
         executor = self._executor
         return 0 if executor is None else executor.worker_inits()
 
@@ -256,7 +253,9 @@ class InferenceService:
 
     ``autostart=False`` leaves the runner thread stopped until
     :meth:`start` — the deterministic admission/cancel test hook: jobs
-    submitted while stopped stay queued.
+    submitted while stopped stay queued.  A worker that dies under a job
+    fails that job with the executor's typed error as soon as its channel
+    reaches EOF (:class:`ExecutorLease`); nothing needs tuning for it.
     """
 
     def __init__(
@@ -265,14 +264,13 @@ class InferenceService:
         *,
         max_inflight: int = 4,
         autostart: bool = True,
-        crash_poll_seconds: float | None = None,
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_inflight = int(max_inflight)
-        self.lease = ExecutorLease(crash_poll_seconds=crash_poll_seconds)
+        self.lease = ExecutorLease()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._jobs: dict[str, JobRecord] = {}

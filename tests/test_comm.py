@@ -35,24 +35,9 @@ class TestRunSpmd:
 
 
 class TestCollectives:
-    def test_bcast(self):
-        def fn(comm):
-            value = f"from-{comm.rank}" if comm.rank == 1 else None
-            return comm.bcast(value, root=1)
-
-        assert run_spmd(3, fn) == ["from-1"] * 3
-
     def test_allgather(self):
         results = run_spmd(4, lambda comm: comm.allgather(comm.rank**2))
         assert all(r == [0, 1, 4, 9] for r in results)
-
-    def test_gather_root_only(self):
-        def fn(comm):
-            return comm.gather(comm.rank, root=2)
-
-        results = run_spmd(3, fn)
-        assert results[2] == [0, 1, 2]
-        assert results[0] is None and results[1] is None
 
     def test_allreduce_sum(self):
         results = run_spmd(4, lambda comm: comm.allreduce(comm.rank + 1))
@@ -125,7 +110,6 @@ class TestSplit:
 class TestSerialComm:
     def test_identities(self):
         comm = SerialComm()
-        assert comm.bcast(42) == 42
         assert comm.allgather("x") == ["x"]
         assert comm.allreduce(5) == 5
         assert comm.exscan(3) == 0

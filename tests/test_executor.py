@@ -329,6 +329,14 @@ def _raise_run(ctx, item):
     raise ValueError(f"injected for item {item}")
 
 
+def _unpicklable_error_run(ctx, item):
+    import threading
+
+    error = ValueError(f"injected for item {item}")
+    error.lock = threading.Lock()  # an attribute that does not pickle
+    raise error
+
+
 def _whoami_run(ctx, item):
     """submit_runs test task: sleep ``item`` seconds, report which process
     and which stable worker index ran it."""
@@ -363,6 +371,24 @@ class TestSubmitRuns:
         finally:
             TaskPoolExecutor.dispatch_order_hook = None
         assert results == [i * 10 for i in range(6)]
+
+    def test_frames_that_do_not_pickle_raise_in_the_caller(self, setup):
+        """A runner that cannot be shipped, or an exception that cannot be
+        shipped back, fails the dispatch in the caller — never a silently
+        empty result, never a dead worker — and the pool keeps serving."""
+        import pickle
+
+        matrix, config, _members, _reference = setup
+        parents = _parents(matrix, config)
+        with TaskPoolExecutor(
+            matrix.values, parents, _with_workers(config, 2), 5
+        ) as executor:
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                executor.submit_runs(lambda ctx, item: item, [1, 2, 3])
+            with pytest.raises(RuntimeError, match="does not pickle"):
+                executor.submit_runs(_unpicklable_error_run, [1, 2])
+            assert executor.submit_runs(_echo_run, [1, 2]) == [10, 20]
+            assert executor.worker_inits() == 2
 
     def test_empty_items(self, setup):
         matrix, config, _members, _reference = setup
@@ -428,16 +454,12 @@ class TestTeardown:
         assert _shm_names() == before
 
     def test_serial_close_clears_worker_state(self, setup):
-        """An in-process executor keeps its task context on itself (never
-        in the pool workers' module global) and drops it — and with it the
-        matrix reference — on close."""
-        from repro.parallel import tasks as tasks_mod
-
+        """An in-process executor keeps its task context on itself and
+        drops it — and with it the matrix reference — on close."""
         matrix, config, _members, _reference = setup
         with open_executor(matrix.values, config, 5) as executor:
             executor.submit_runs(_echo_run, [0, 1])
             assert executor.transport._ctx is not None  # installed in-process
-            assert tasks_mod._WORKER == {}
         assert executor.transport._ctx is None
 
     def test_close_is_idempotent(self, setup):
@@ -538,17 +560,18 @@ class TestOneSeam:
         with pytest.raises(ValueError, match="injected chain failure"):
             LemonTreeLearner(cfg).sample_clusterings(matrix, seed=5)
         (executor,) = opened
-        assert executor.transport._pool is None and executor.transport._shared is None
+        assert executor.transport._shared is None
+        assert executor.transport._children.channels is None
         assert _shm_names() == before
 
 
 def _released(transport) -> bool:
-    """Whichever transport it is, close() left no pool, segment, context,
-    channel or node process."""
+    """Whichever transport it is, close() left no segment, context, channel
+    or child process."""
+    children = getattr(transport, "_children", None)
     return all(
-        getattr(transport, name, None) is None
-        for name in ("_pool", "_shared", "_ctx", "_channels")
-    ) and not getattr(transport, "_procs", None)
+        getattr(transport, name, None) is None for name in ("_shared", "_ctx")
+    ) and (children is None or (children.channels is None and not children.procs))
 
 
 def _shm_names():

@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.datatypes import ExpressionMatrix
-from repro.parallel import sharding
+from repro.parallel import poolutil, sharding, transport
 from repro.parallel.comm import SpmdFailure, run_spmd
 from repro.parallel.engine import ParallelLearner
 from repro.parallel.executor import (
@@ -28,7 +28,7 @@ from repro.parallel.executor import (
 from repro.parallel.sharding import (
     NodeCrashedError,
     ShardedExecutor,
-    _socket_node_main,
+    _NodeSession,
 )
 
 
@@ -137,11 +137,28 @@ def _exit_mid_run(ctx, item):
     return item
 
 
+def _hold_unit(ctx, item):
+    """A unit that, given a path, records its worker's pid there and holds
+    on to the unit until it is killed; any other item returns at once."""
+    if item is not None:
+        staged = Path(item + ".tmp")
+        staged.write_text(str(os.getpid()))
+        staged.replace(item)
+        time.sleep(120)
+    return item
+
+
 def _die_on_ganesh_zero(ctx, item):
     """Checkpointed-crash test task: the worker running run 0 dies outright
-    (``os._exit`` skips all handling, like a kill -9 mid-dispatch)."""
+    (``os._exit`` skips all handling, like a kill -9 mid-dispatch) once
+    another run's checkpoint has landed, so there is a survivor to resume
+    from however fast the dead worker fails the dispatch."""
     g, want_trace = item
     if g == 0:
+        deadline = time.monotonic() + 60.0
+        while not list(Path(ctx["checkpoints"].directory).glob("ganesh_*.npz")):
+            assert time.monotonic() < deadline, "no other run checkpointed"
+            time.sleep(0.005)
         os._exit(13)
     return _ganesh_run(ctx, item)
 
@@ -149,56 +166,78 @@ def _die_on_ganesh_zero(ctx, item):
 class TestWorkerDeath:
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_dead_worker_detected_not_hung(self, tiny_matrix, schedule):
-        """mp.Pool silently respawns dead workers and would wait forever
-        for the lost task; the executor must surface the crash instead."""
+        """A worker that dies with a unit in hand is EOF on its channel:
+        the executor surfaces the crash instead of waiting for the lost
+        unit, and refuses further dispatches on the broken pool."""
         config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
-        with TaskPoolExecutor(
-            tiny_matrix.values, parents, config, 1, crash_poll_seconds=0.2,
-        ) as executor:
+        with TaskPoolExecutor(tiny_matrix.values, parents, config, 1) as executor:
             with pytest.raises(WorkerCrashedError):
                 executor.submit_runs(
                     _exit_mid_run, list(range(6)), schedule=schedule
                 )
-            # The replacement worker re-ran the initializer: visible proof
-            # of the death, and the mechanism the detector relies on.
-            assert executor.worker_inits() > 2
+            # Nothing respawns a dead worker: the inits stay at two.
+            assert executor.worker_inits() == 2
+            with pytest.raises(WorkerCrashedError, match="died earlier"):
+                executor.submit_runs(_exit_mid_run, [0, 1])
 
-    def test_poisoned_pool_is_torn_down_without_its_queues(self, tiny_matrix):
-        """A worker SIGKILLed inside its result write dies holding the
-        pool's result-pipe lock — a plain semaphore nobody will release.
-        The survivors park on it and so would ``Pool.terminate()``;
-        ``close()`` must come back anyway, with every worker dead and the
-        shared matrix unlinked (the module's leak fixture checks that)."""
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    def test_sigkilled_busy_worker_raises_at_once(self, tmp_path, tiny_matrix, mp_context):
+        """At default settings a SIGKILLed worker holding a unit fails the
+        dispatch within two seconds, under either start method, and leaves
+        no segment and no child behind (the module's leak fixture)."""
+        if mp_context not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {mp_context} start method here")
         config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
-        executor = TaskPoolExecutor(
-            tiny_matrix.values, parents, config, 1, crash_poll_seconds=0.2,
-        )
+        marker = tmp_path / "holding"
+        killed_at = []
+
+        def kill_the_holder():
+            deadline = time.monotonic() + 60.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            pid = int(marker.read_text())
+            killed_at.append(time.monotonic())
+            os.kill(pid, signal.SIGKILL)
+
+        with TaskPoolExecutor(
+            tiny_matrix.values, parents, config, 1, mp_context=mp_context
+        ) as executor:
+            executor.start()
+            killer = threading.Thread(target=kill_the_holder, daemon=True)
+            killer.start()
+            with pytest.raises(WorkerCrashedError):
+                executor.submit_runs(_hold_unit, [str(marker), None])
+            raised_at = time.monotonic()
+            killer.join(timeout=60.0)
+            assert killed_at
+            assert raised_at - killed_at[0] < 2.0
+
+    def test_crashed_pool_is_torn_down(self, tiny_matrix):
+        """After a worker died mid-dispatch, ``close()`` still ends the
+        survivors through the two-phase close and reaps every worker —
+        the dead one included — promptly (the module's leak fixture checks
+        that the shared matrix is unlinked too)."""
+        config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        executor = TaskPoolExecutor(tiny_matrix.values, parents, config, 1)
         try:
             with pytest.raises(WorkerCrashedError):
                 executor.submit_runs(_exit_mid_run, list(range(6)), schedule="dynamic")
-            executor.transport._pool._outqueue._wlock.acquire()
-            # Whoever reports next now parks on it, as the survivors of a
-            # real kill do.
-            executor.transport._pool.apply_async(os.getpid)
             workers = executor.worker_pids()
-            assert workers
+            assert len(workers) == 2
         finally:
             t0 = time.monotonic()
             executor.close()
-        assert time.monotonic() - t0 < 15.0
+        assert time.monotonic() - t0 < 5.0
         assert not any(_alive(pid) for pid in workers)
 
     @pytest.mark.parametrize("checkpoints", [False, True], ids=["no-dir", "dir"])
-    def test_healthy_pool_with_a_held_result_lock_is_torn_down(
-        self, tiny_matrix, tmp_path, checkpoints
-    ):
-        """``terminate()``'s own SIGTERM can catch a healthy worker holding
-        the result-pipe lock, and ``terminate()`` then waits on it for good.
-        A healthy close goes through the same deadline-and-SIGKILL teardown
-        as a crashed pool's: it comes back, with every worker dead — with a
-        checkpoint directory too, since close dispatches nothing."""
+    def test_healthy_pool_is_torn_down(self, tiny_matrix, tmp_path, checkpoints):
+        """A healthy pool's ``close()`` is answered, not enforced: every
+        worker says ``bye`` and exits with code 0 — nobody is signalled —
+        with a checkpoint directory too, since close dispatches nothing."""
         config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
         parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
         executor = TaskPoolExecutor(
@@ -207,15 +246,35 @@ class TestWorkerDeath:
         )
         try:
             assert executor.submit_runs(_exit_mid_run, [0, 1, 3]) == [0, 1, 3]
-            executor.transport._pool._outqueue._wlock.acquire()
-            executor.transport._pool.apply_async(os.getpid)
-            workers = executor.worker_pids()
-            assert workers
+            procs = list(executor.transport._children.procs)
+            assert len(procs) == 2
         finally:
             t0 = time.monotonic()
             executor.close()
-        assert time.monotonic() - t0 < 15.0
-        assert not any(_alive(pid) for pid in workers)
+        assert time.monotonic() - t0 < 5.0
+        assert [proc.exitcode for proc in procs] == [0, 0]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="forked workers inherit the patched module; spawned ones re-import it",
+    )
+    def test_worker_dead_before_init_reply(self, tiny_matrix, monkeypatch):
+        """A pool worker that dies before it answers ``init`` fails the
+        first dispatch with the pool tier's own crash type, at once, and
+        the pool refuses to run on afterwards."""
+        monkeypatch.setattr(transport, "_WorkerSession", _exit_before_init_reply)
+        config = LearnerConfig(max_sampling_steps=3, parallel=ParallelConfig(n_workers=2))
+        parents = np.asarray(range(tiny_matrix.n_vars), dtype=np.int64)
+        with TaskPoolExecutor(tiny_matrix.values, parents, config, 1) as executor:
+            t0 = time.monotonic()
+            with pytest.raises(
+                WorkerCrashedError, match=r"died before its init reply \(exit code 7\)"
+            ):
+                executor.submit_runs(_exit_mid_run, [0, 1])
+            assert time.monotonic() - t0 < 2.0
+            assert executor.worker_inits() == 0
+            with pytest.raises(WorkerCrashedError, match="died earlier"):
+                executor.submit_runs(_exit_mid_run, [0, 1])
 
     def test_resume_replays_only_unfinished_runs(self, tiny_matrix, tmp_path):
         """Kill a worker mid-dispatch with checkpointing on: the
@@ -233,7 +292,7 @@ class TestWorkerDeath:
 
         with TaskPoolExecutor(
             tiny_matrix.values, parents, config, 1,
-            checkpoint_dir=tmp_path, crash_poll_seconds=0.2,
+            checkpoint_dir=tmp_path,
         ) as executor:
             with pytest.raises(WorkerCrashedError):
                 executor.submit_runs(
@@ -585,15 +644,36 @@ class TestNestedWorkerDeathSpawned(TestNestedWorkerDeath):
     test_service_isolates_nested_crash = None
 
 
-def _exit_before_hello(port, node_id, token):
-    """A node that dies before it connects (import error, OOM kill)."""
+def _exit_before_init_reply(spec, node_id):
+    """A node that dies before it answers ``init`` (import error, OOM kill)."""
     os._exit(7)
 
 
-def _second_node_exits_before_hello(port, node_id, token):
+def _second_node_exits_before_init_reply(spec, node_id):
     if node_id == 1:
         os._exit(7)
-    _socket_node_main(port, node_id, token)
+    return _NodeSession(spec, node_id)
+
+
+def _garbled_child(reply: bytes):
+    """A node entry point that reads its ``init`` frame, answers with the
+    raw bytes ``reply`` and exits with code 7."""
+
+    def child_main(sock, index, open_session, nested):
+        poolutil.SocketChannel(sock, peer="driver").recv_msg()
+        sock.sendall(reply)
+        os._exit(7)
+
+    return child_main
+
+
+_half_header_child = _garbled_child(b"\0\0\0")
+_oversized_header_child = _garbled_child(
+    (poolutil.MAX_FRAME_BYTES + 1).to_bytes(8, "big")
+)
+_wrong_reply_child = _garbled_child(
+    poolutil.encode_frame(("hello", {"node_id": 0}))
+)
 
 
 def _failing_local_transport(*args, **kwargs):
@@ -605,9 +685,9 @@ def _failing_local_transport(*args, **kwargs):
     reason="forked nodes inherit the patched module; spawned ones re-import it",
 )
 class TestShardStartFailures:
-    """``start()`` fails fast, typed and clean: it never waits out the
-    handshake timeout for a node that is already dead, and whatever it had
-    launched by then is reaped before the error reaches the caller."""
+    """``start()`` fails fast, typed and clean: a node that is already dead
+    is EOF on its channel, and whatever it had launched by then is reaped
+    before the error reaches the caller."""
 
     def _executor(self, tiny_matrix):
         config = LearnerConfig(
@@ -619,23 +699,24 @@ class TestShardStartFailures:
 
     def _assert_start_fails(self, executor, match):
         t0 = time.monotonic()
-        with pytest.raises(NodeCrashedError, match=match):
+        with pytest.raises(NodeCrashedError, match=match) as failure:
             executor.start()
         assert time.monotonic() - t0 < 2.0
         # Reaped inside start(): close() has nothing left to wait for.
-        assert executor.transport._procs == []
+        assert executor.transport._children.procs == []
         assert not any(_alive(pid) for pid in executor.node_pids)
         t0 = time.monotonic()
         executor.close()
         assert time.monotonic() - t0 < 1.0
+        return failure.value
 
     @pytest.mark.parametrize(
-        "node_main", [_exit_before_hello, _second_node_exits_before_hello]
+        "open_node", [_exit_before_init_reply, _second_node_exits_before_init_reply]
     )
-    def test_node_dead_before_hello(self, tiny_matrix, monkeypatch, node_main):
-        monkeypatch.setattr(sharding, "_socket_node_main", node_main)
+    def test_node_dead_before_init_reply(self, tiny_matrix, monkeypatch, open_node):
+        monkeypatch.setattr(sharding, "_NodeSession", open_node)
         self._assert_start_fails(
-            self._executor(tiny_matrix), "exited with code 7 before its hello"
+            self._executor(tiny_matrix), r"died before its init reply \(exit code 7\)"
         )
 
     def test_failed_init_reaps_every_node(self, tiny_matrix, monkeypatch):
@@ -643,47 +724,51 @@ class TestShardStartFailures:
         self._assert_start_fails(self._executor(tiny_matrix), "node")
 
     @pytest.mark.parametrize(
-        "sends, match",
+        "child_main, match, cause",
         [
-            (b"", "timed out"),
-            (b"\0\0\0", "timed out"),
             (
-                sharding.encode_frame(("hello", {"node_id": 0, "token": "forged"})),
-                "unexpected connection",
+                _half_header_child,
+                r"died before its init reply \(exit code 7\)",
+                "closed the connection mid-protocol",
             ),
+            (
+                _oversized_header_child,
+                r"died before its init reply \(exit code 7\)",
+                "frame header announces",
+            ),
+            (_wrong_reply_child, "node 0 failed to initialize", None),
         ],
-        ids=["silent", "half-header", "wrong-token"],
+        ids=["half-header", "oversized-header", "wrong-reply"],
     )
-    def test_stray_connection_fails_the_handshake(
-        self, tiny_matrix, monkeypatch, sends, match
+    def test_garbled_init_reply_fails_the_start(
+        self, tiny_matrix, monkeypatch, child_main, match, cause
     ):
-        """A connection to the listener that is not a node cannot stall
-        ``start()``: one that goes quiet runs into the handshake deadline,
-        one with the wrong token is refused at once."""
-        monkeypatch.setattr(sharding, "HANDSHAKE_SECONDS", 0.5)
-        create_server = socket.create_server
-        strays = []
+        """A node whose channel carries anything but a well-formed ``ok``
+        in answer to ``init`` fails ``start()`` typed and clean: a frame
+        cut off by the node's death, a header announcing more than
+        :data:`poolutil.MAX_FRAME_BYTES` (refused before any payload is
+        awaited), or a reply of the wrong kind."""
+        monkeypatch.setattr(poolutil, "_child_main", child_main)
+        error = self._assert_start_fails(self._executor(tiny_matrix), match)
+        if cause is None:
+            assert error.__cause__ is None
+        else:
+            assert cause in str(error.__cause__)
 
-        def listening(address, **kwargs):
-            listener = create_server(address, **kwargs)
-            # Queued before any node exists, so accept() takes it first.
-            stray = socket.create_connection(listener.getsockname())
-            stray.sendall(sends)
-            strays.append(stray)
-            return listener
+    def test_no_listening_socket(self, tiny_matrix, monkeypatch):
+        """Nodes hang off socketpairs: with ``listen`` refusing to run,
+        a two-node ``learn()`` still equals the sequential network."""
 
-        monkeypatch.setattr(socket, "create_server", listening)
-        # Should the deadline not apply, end the wait with EOF (shutdown
-        # reaches the peer although the forked nodes hold copies of this
-        # socket) so the test fails on time instead of hanging.
-        backstop = threading.Timer(10.0, lambda: strays[0].shutdown(socket.SHUT_RDWR))
-        backstop.start()
-        try:
-            self._assert_start_fails(self._executor(tiny_matrix), match)
-        finally:
-            backstop.cancel()
-            for stray in strays:
-                stray.close()
+        def refused(sock, *args):
+            raise OSError("listen() is refused in this test")
+
+        monkeypatch.setattr(socket.socket, "listen", refused)
+        config = LearnerConfig(max_sampling_steps=3)
+        sequential = LemonTreeLearner(config).learn(tiny_matrix, seed=1).network
+        sharded = LemonTreeLearner(
+            config.with_updates(parallel=ParallelConfig(n_nodes=2))
+        ).learn(tiny_matrix, seed=1).network
+        assert sharded == sequential
 
 
 _TWO_TIERS_SCRIPT = """
@@ -725,9 +810,9 @@ def _socket_fds(pid: int) -> list[str]:
 
 class TestShardDriverDeath:
     """A node's only tie to the world is its own channel.  A forked node
-    must not keep the listener, a sibling's connection or another live
-    tier's channels open: each of those would hide the driver's death from
-    some node, which then never exits."""
+    must not keep a sibling's socketpair end or another live tier's
+    channels open: each of those would hide the driver's death from some
+    node, which then never exits."""
 
     @pytest.mark.parametrize("mp_context", ["", "spawn"], ids=["default", "spawn"])
     def test_sigkilled_driver_takes_every_node_of_both_tiers(
@@ -900,9 +985,19 @@ def _daemon_job_config(workers: int = 2) -> LearnerConfig:
 class TestDaemonCrashIsolation:
     @pytest.mark.slow
     def test_sigkilled_worker_fails_job_next_job_bit_identical(
-        self, tmp_path, readable_syscall
+        self, tmp_path, monkeypatch
     ):
+        """Kill a pool worker that provably holds a unit of a served job.
+
+        The job is held twice at known points: once when Task 1 is done
+        and every worker is idle (the test stops them all there, so none
+        can read a frame), and once right after the driver has handed the
+        first Task 3 unit to one of them.  That worker now holds a unit it
+        never read; the test kills it, lets the others go on and releases
+        the job, which must fail typed however fast the units are."""
         from repro.data.synthetic import make_module_dataset
+        from repro.parallel.executor import TaskScheduler
+        from repro.parallel.poolutil import SocketChannel
         from repro.service import InferenceService, JobFailed
         from repro.validation.metrics import network_fingerprint
 
@@ -913,31 +1008,44 @@ class TestDaemonCrashIsolation:
                 config.with_updates(parallel=ParallelConfig(n_workers=1))
             ).learn(matrix, seed=9).network
         )
-        with InferenceService(
-            tmp_path, max_inflight=4, crash_poll_seconds=0.2
-        ) as service:
+        at_task3, resume, release = (threading.Event() for _ in range(3))
+        handed: list[int] = []  # the worker index that got the first unit
+        handed_out = threading.Event()
+        learn_modules = TaskScheduler.learn_modules
+        send_msg = SocketChannel.send_msg
+
+        def held_learn_modules(executor, *args, **kwargs):
+            if not resume.is_set():
+                at_task3.set()
+                resume.wait(60)
+            return learn_modules(executor, *args, **kwargs)
+
+        def observed_send(channel, message):
+            send_msg(channel, message)
+            if (
+                message[0] == "run" and resume.is_set() and not handed_out.is_set()
+                and channel.peer.startswith("worker ")
+            ):
+                handed.append(int(channel.peer.split()[1]))
+                handed_out.set()
+                release.wait(60)
+
+        monkeypatch.setattr(TaskScheduler, "learn_modules", held_learn_modules)
+        monkeypatch.setattr(SocketChannel, "send_msg", observed_send)
+        with InferenceService(tmp_path, max_inflight=4) as service:
             job = service.submit(matrix, config, 9, use_checkpoints=False)
-            deadline = time.monotonic() + 60
-            pids: list[int] = []
-            while time.monotonic() < deadline:
-                row = service.status(job)
-                pids = row.get("worker_pids", [])
-                # Wait for every (spawn-context) worker to finish booting:
-                # killing one mid-import loses no task, the pool respawns
-                # it, and the job would legitimately succeed.
-                if (
-                    row["state"] == "running"
-                    and pids
-                    and row.get("worker_inits", 0) >= 2
-                ):
-                    break
-                if row["state"] in ("done", "failed"):
-                    break
-                time.sleep(0.01)
-            assert pids, "job never reached a running pool"
-            # ... and kill one while it provably holds a unit: a fixed
-            # delay outlasts the whole job on the native kernels.
-            _kill_busy_worker(lambda: pids, timeout=60.0)
+            assert at_task3.wait(120), "the job never reached Task 3"
+            pids = service.status(job)["worker_pids"]
+            assert len(pids) == 2
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            resume.set()
+            assert handed_out.wait(60), "no Task 3 unit was handed out"
+            os.kill(pids[handed[0]], signal.SIGKILL)
+            for pid in pids:
+                if pid != pids[handed[0]]:
+                    os.kill(pid, signal.SIGCONT)
+            release.set()
 
             with pytest.raises(JobFailed) as err:
                 service.wait(job, timeout=120)

@@ -35,7 +35,7 @@ def pool_builds(monkeypatch):
     start = PoolTransport.start
 
     def counted(transport):
-        builds.append(transport._pool is None)
+        builds.append(transport._shared is None)
         start(transport)
 
     monkeypatch.setattr(PoolTransport, "start", counted)

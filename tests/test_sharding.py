@@ -27,13 +27,13 @@ from repro.datatypes import ModuleNetwork
 from repro.parallel import poolutil
 from repro.parallel.costmodel import calibrate_from_roundtrips
 from repro.parallel.executor import open_executor
-from repro.parallel.sharding import (
+from repro.parallel.poolutil import (
     MAX_FRAME_BYTES,
     NodeCrashedError,
-    ShardedExecutor,
     decode_frame_length,
     encode_frame,
 )
+from repro.parallel.sharding import ShardedExecutor
 from repro.parallel.tasks import TASK_RUNNERS
 from repro.parallel.trace import WorkTrace
 from repro.validation.metrics import network_fingerprint
@@ -280,7 +280,7 @@ class TestOneSchedulerOverShards:
             tiny_matrix.values, parents, _sharded_config(2), 7
         ) as executor:
             executor.start()
-            for channel in executor.transport._channels:
+            for channel in executor.transport._children.channels:
                 def recording(message, channel=channel, send=channel.send_msg):
                     if message[0] == "run":
                         requests.append(
@@ -474,22 +474,14 @@ class TestShardedIdentitySocketSpawned(TestShardedIdentitySocket):
 
 
 def _probe_process_state(ctx, item):
-    """A runner reporting what its process holds at module scope and what
-    its task scorer counted before the runner ran."""
-    from repro.parallel import tasks
-
-    return {
-        "worker": dict(tasks._WORKER),
-        "kernel_totals": ctx["scorer"].drain_counters(),
-    }
+    """A runner reporting what its task scorer counted before it ran."""
+    return {"kernel_totals": ctx["scorer"].drain_counters()}
 
 
 @contextmanager
 def _dirty_driver():
-    """Leave in this process what a long-lived driver leaves behind: a
-    worker context at module scope, and split scoring done outside any
-    job."""
-    from repro.parallel import tasks
+    """Leave in this process what a long-lived driver leaves behind: split
+    scoring done outside any job."""
     from repro.rng.streams import IndexedStream, make_stream
     from repro.scoring.split_score import SplitScorer
     from repro.trees.splits import score_nodes
@@ -498,11 +490,7 @@ def _dirty_driver():
     data = np.random.default_rng(0).normal(size=(4, 6))
     stream = IndexedStream(make_stream(0, "stray"), scorer.draws_per_item)
     score_nodes(data, np.arange(4), scorer, [(np.arange(6), np.arange(3), stream, 0)])
-    tasks._WORKER.update(worker=99)
-    try:
-        yield
-    finally:
-        tasks._WORKER.clear()
+    yield
 
 
 _PLAIN_LEARN_SCRIPT = """
@@ -549,7 +537,7 @@ class TestForkedNodeIsFresh:
         ) as executor:
             states = executor.submit_runs(_probe_process_state, [0, 1])
         for state in states:
-            assert state == {"worker": {}, "kernel_totals": None}
+            assert state == {"kernel_totals": None}
 
     def test_traced_run_reports_the_one_worker_counters(self, tiny_matrix):
         members = MODE_INPUTS["module"]

@@ -16,6 +16,8 @@ applied to Task 1, plus the resume/failure semantics of the executor):
 """
 
 import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,11 +266,22 @@ class TestTransports:
 
 
 def _die_on_first_item(ctx, item):
-    """Test task: kill the worker process outright on item 0."""
+    """Test task: kill the worker process outright on item 0, once another
+    run's checkpoint has landed — a dead worker fails the dispatch at once,
+    so this is what makes the crash provably mid-dispatch, with a survivor
+    to resume from."""
     g, want_trace = item
     if g == 0:
+        _await_checkpoint(ctx["checkpoints"].directory)
         os._exit(13)
     return _ganesh_run(ctx, item)
+
+
+def _await_checkpoint(directory, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not list(Path(directory).glob("ganesh_*.npz")):
+        assert time.monotonic() < deadline, "no other run checkpointed"
+        time.sleep(0.005)
 
 
 class TestWorkerCrash:
@@ -279,7 +292,7 @@ class TestWorkerCrash:
         parents = _parents(matrix, config)
         with TaskPoolExecutor(
             matrix.values, parents, config.with_updates(parallel=ParallelConfig(n_workers=2)), SEED,
-            checkpoint_dir=tmp_path, crash_poll_seconds=0.2,
+            checkpoint_dir=tmp_path,
         ) as executor:
             with pytest.raises(WorkerCrashedError):
                 executor.submit_runs(
@@ -306,7 +319,7 @@ class TestWorkerCrash:
         parents = _parents(matrix, config)
         executor = TaskPoolExecutor(
             matrix.values, parents, config.with_updates(parallel=ParallelConfig(n_workers=2)), SEED,
-            checkpoint_dir=tmp_path, crash_poll_seconds=0.2,
+            checkpoint_dir=tmp_path,
         )
         try:
             with pytest.raises(WorkerCrashedError):

@@ -35,14 +35,10 @@ ALLOWED = {
     "repro.genomica.parallel:ParallelGenomicaLearner.learn_parallel": "the SPMD GENOMICA entry; benchmarks/bench_extension_genomica.py",
     "repro.inference.cpd:LeafPredictive.variance": "public API; tests/test_inference.py",
     "repro.inference.cpd:FittedNetwork.per_condition_log_likelihood": "public API; tests/test_inference.py",
-    "repro.parallel.comm:ThreadComm.bcast": "MPI-shaped communicator surface; tests/test_comm.py",
-    "repro.parallel.comm:ThreadComm.gather": "MPI-shaped communicator surface; tests/test_comm.py",
-    "repro.parallel.comm:SerialComm.bcast": "MPI-shaped communicator surface; tests/test_comm.py",
-    "repro.parallel.comm:SerialComm.gather": "MPI-shaped communicator surface; tests/test_comm.py",
+    "repro.parallel.scheduler:flat_schedule": "benchmarks/bench_ablation_partitioning.py",
     "repro.parallel.scheduler:grouped_schedule": "benchmarks/bench_ablation_partitioning.py",
     "repro.parallel.scheduler:lpt_schedule": "benchmarks/bench_ablation_partitioning.py",
     "repro.parallel.scheduler:chunked_lpt_schedule": "benchmarks/bench_ablation_partitioning.py",
-    "repro.parallel.scheduler:imbalance_sweep": "public API; tests/test_scheduler.py",
     "repro.parallel.topology:resolve_topology": "benchmarks/e2e/workload.py",
     "repro.parallel.trace:WorkTrace.total_steals": "benchmarks/e2e/probes.py (ROADMAP item 1(c))",
     "repro.parallel.trace:WorkTrace.total_node_steals": "benchmarks/e2e/probes.py (ROADMAP item 1(c))",
