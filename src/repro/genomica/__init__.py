@@ -19,12 +19,9 @@ run-time — the comparison the module-network literature (Joshi et al.
 """
 
 from repro.genomica.learner import GenomicaConfig, GenomicaLearner, GenomicaResult
-from repro.genomica.parallel import ParallelGenomicaLearner, ParallelGenomicaResult
 
 __all__ = [
     "GenomicaConfig",
     "GenomicaLearner",
     "GenomicaResult",
-    "ParallelGenomicaLearner",
-    "ParallelGenomicaResult",
 ]

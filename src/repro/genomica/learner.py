@@ -35,6 +35,7 @@ from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import _hooks_for, _require_complete
 from repro.datatypes import ExpressionMatrix, Module, ModuleNetwork, Split
 from repro.ganesh.coclustering import run_obs_only_ganesh
+from repro.parallel.costmodel import block_bounds
 from repro.parallel.executor import open_executor
 from repro.parallel.trace import WorkTrace
 from repro.rng.streams import GibbsRandom, make_stream
@@ -61,10 +62,12 @@ class GenomicaConfig:
     prior: NormalGammaPrior = field(default_factory=lambda: DEFAULT_PRIOR)
     rng_backend: str = "philox"
     #: execution backend, read by :func:`repro.parallel.executor.open_executor`:
-    #: the M-step clusterings and the final module builds run in-process
-    #: at ``parallel.n_workers == 1`` and concurrently on one persistent
-    #: pool above, traced or not — bit-identical output because each unit
-    #: consumes only its own named stream (one host: ``n_nodes`` must be 1)
+    #: the M-step clusterings, the E-step's variable blocks and the final
+    #: module builds run in-process at ``parallel.n_workers == 1`` and
+    #: concurrently on one persistent pool above, traced or not —
+    #: bit-identical output because each clustering or build consumes only
+    #: its own named stream and each E-step block reads only the old
+    #: assignment (one host: ``n_nodes`` must be 1)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
     def __post_init__(self) -> None:
@@ -104,12 +107,14 @@ class GenomicaLearner:
         learner) for strong-scaling projection of the parallel GENOMICA
         extension.
 
-        Every M-step's clusterings and the final module builds run on one
-        executor from :func:`repro.parallel.executor.open_executor` —
-        in-process at one worker, one persistent pool above, traced or
-        not.  Each unit consumes only its own named stream and returns its
-        own trace steps, which are merged in module order, so the network
-        and the trace are the same for any worker count.
+        Every M-step's clusterings, every E-step's variable blocks (one per
+        worker) and the final module builds run on one executor from
+        :func:`repro.parallel.executor.open_executor` — in-process at one
+        worker, one persistent pool above, traced or not.  Each clustering
+        or build consumes only its own named stream and returns its own
+        trace steps, which are merged in module order; E-step labels join
+        in block order and scores sum in variable order.  So the network,
+        the score history and the trace are the same for any worker count.
         """
         _require_complete(matrix)
         config = self.config
@@ -169,10 +174,15 @@ class GenomicaLearner:
                         np.full(n, per_var * m / max(1, k)),
                         n_collectives=2,  # assignment all-gather + score reduce
                     )
-                new_assignment, score = self._reassign(
-                    data, assignment, leaf_partitions
+                blocks = executor.submit_runs(_genomica_estep_run, [
+                    (lo, hi, assignment, leaf_partitions)
+                    for lo, hi in block_bounds(n, min(n, executor.n_workers))
+                ], trace=trace)
+                new_assignment = np.concatenate([labels for labels, _ in blocks])
+                # Left to right in variable order: the one-block sum, bit for bit.
+                history.append(
+                    float(np.cumsum(np.concatenate([best for _, best in blocks]))[-1])
                 )
-                history.append(score)
                 if np.array_equal(new_assignment, assignment):
                     converged = True
                     break
@@ -207,72 +217,6 @@ class GenomicaLearner:
             victim = int(candidates[rng.randint(candidates.size)])
             assignment[victim] = module_id
 
-    def _leaf_stats(self, data: np.ndarray, members: np.ndarray, leaves) -> list[tuple]:
-        stats = []
-        block = data[members]
-        for obs in leaves:
-            vals = block[:, obs]
-            stats.append((float(vals.size), float(vals.sum()), float((vals**2).sum())))
-        return stats
-
-    def _module_leaf_stats(self, data: np.ndarray, assignment: np.ndarray, leaf_partitions):
-        """Per-module leaf statistics under the current assignment."""
-        stats = []
-        for module_id in range(len(leaf_partitions)):
-            members = np.flatnonzero(assignment == module_id)
-            stats.append(self._leaf_stats(data, members, leaf_partitions[module_id]))
-        return stats
-
-    def _reassign(
-        self,
-        data: np.ndarray,
-        assignment: np.ndarray,
-        leaf_partitions,
-        var_range: tuple[int, int] | None = None,
-    ) -> tuple[np.ndarray, float]:
-        """One E-step pass.
-
-        Returns the new assignment for the variables in ``var_range``
-        (default: all) and their total score.  Each variable's decision
-        depends only on the *old* assignment (a synchronous update), which
-        is what makes the E-step block-parallelizable with identical
-        results (the GENOMICA parallelizations of Liu et al. / Jiang et
-        al. exploit the same structure).
-        """
-        prior = self.config.prior
-        n = data.shape[0]
-        k = len(leaf_partitions)
-        lo, hi = var_range if var_range is not None else (0, n)
-
-        module_stats = self._module_leaf_stats(data, assignment, leaf_partitions)
-
-        new_assignment = assignment[lo:hi].copy()
-        total_score = 0.0
-        for var in range(lo, hi):
-            row = data[var]
-            current = int(assignment[var])
-            best_score, best_module = -np.inf, current
-            for module_id in range(k):
-                leaves = leaf_partitions[module_id]
-                stats = module_stats[module_id]
-                score = 0.0
-                for (count, tot, sq), obs in zip(stats, leaves):
-                    r = row[obs]
-                    rc, rt, rq = float(r.size), float(r.sum()), float((r**2).sum())
-                    if module_id == current:
-                        # Held-out: remove the row's own contribution.
-                        base = log_marginal(count - rc, tot - rt, sq - rq, prior)
-                        with_row = log_marginal(count, tot, sq, prior)
-                    else:
-                        base = log_marginal(count, tot, sq, prior)
-                        with_row = log_marginal(count + rc, tot + rt, sq + rq, prior)
-                    score += float(with_row) - float(base)
-                if score > best_score:
-                    best_score, best_module = score, module_id
-            new_assignment[var - lo] = best_module
-            total_score += best_score
-        return new_assignment, total_score
-
 
 def select_best_split(
     data: np.ndarray,
@@ -286,9 +230,7 @@ def select_best_split(
     ``scores``/``accepted`` are the node's candidate rows in enumeration
     order (parent-major, observation-minor).  Returns ``None`` when no
     candidate was accepted; otherwise attaches the chosen split to the node
-    and returns it.  Shared by the module runner (every worker count) and
-    the SPMD build so the argmax and posterior-weight conventions cannot
-    drift apart.
+    and returns it.
     """
     if not accepted.any():
         return None
@@ -315,6 +257,70 @@ def select_best_split(
 
 def _members(assignment: np.ndarray, module_id: int) -> list[int]:
     return [int(v) for v in np.flatnonzero(assignment == module_id)]
+
+
+def _reassign(
+    data: np.ndarray,
+    assignment: np.ndarray,
+    leaf_partitions,
+    prior: NormalGammaPrior,
+    var_range: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One E-step pass over the variables ``[lo, hi)`` of ``var_range``.
+
+    Returns their new labels and their best (held-out predictive) scores.
+    Each variable's decision depends only on the *old* assignment (a
+    synchronous update), which is what makes the E-step block-parallel
+    with identical results (the GENOMICA parallelizations of Liu et al. /
+    Jiang et al. exploit the same structure).
+    """
+    lo, hi = var_range
+    module_stats = []
+    for module_id, leaves in enumerate(leaf_partitions):
+        block = data[np.flatnonzero(assignment == module_id)]
+        module_stats.append([
+            (float(vals.size), float(vals.sum()), float((vals**2).sum()))
+            for vals in (block[:, obs] for obs in leaves)
+        ])
+
+    new_labels = assignment[lo:hi].copy()
+    best_scores = np.empty(hi - lo)
+    for var in range(lo, hi):
+        row = data[var]
+        current = int(assignment[var])
+        best_score, best_module = -np.inf, current
+        for module_id, (leaves, stats) in enumerate(zip(leaf_partitions, module_stats)):
+            score = 0.0
+            for (count, tot, sq), obs in zip(stats, leaves):
+                r = row[obs]
+                rc, rt, rq = float(r.size), float(r.sum()), float((r**2).sum())
+                if module_id == current:
+                    # Held-out: remove the row's own contribution.
+                    base = log_marginal(count - rc, tot - rt, sq - rq, prior)
+                    with_row = log_marginal(count, tot, sq, prior)
+                else:
+                    base = log_marginal(count, tot, sq, prior)
+                    with_row = log_marginal(count + rc, tot + rt, sq + rq, prior)
+                score += float(with_row) - float(base)
+            if score > best_score:
+                best_score, best_module = score, module_id
+        new_labels[var - lo] = best_module
+        best_scores[var - lo] = best_score
+    return new_labels, best_scores
+
+
+def _genomica_estep_run(ctx, item):
+    """Task runner: one block of the synchronous E-step.
+
+    ``item`` is ``(lo, hi, assignment, leaf_partitions)``: the driver's
+    old assignment and this iteration's leaf partitions, so any block, on
+    any worker, decides its variables exactly as one whole pass would.
+    Returns the new labels and the best scores of variables ``[lo, hi)``.
+    """
+    lo, hi, assignment, leaf_partitions = item
+    return _reassign(
+        ctx["data"], assignment, leaf_partitions, ctx["config"].prior, (lo, hi)
+    )
 
 
 def _genomica_mstep_run(ctx, item):

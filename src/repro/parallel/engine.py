@@ -79,10 +79,10 @@ def p_reassign_obs_sweep(
 ) -> None:
     """Parallel observation reassignment (Algorithm 2, lines 1-11).
 
-    Shared by the parallel Lemon-Tree engine and the parallel GENOMICA
-    extension: every rank scores its block of candidate clusters, the
-    gather-based weighted oracle picks the move, all ranks apply it to
-    their replicated clustering.
+    Every rank scores its block of candidate clusters, the gather-based
+    weighted oracle picks the move, all ranks apply it to their replicated
+    clustering.  Run by Task 1's co-clustering and Task 3's tree
+    structures alike.
     """
     n_members, m = block.shape
     for _ in range(m):
@@ -211,8 +211,8 @@ class ParallelLearner:
                 if not cluster.members:
                     continue
                 block = data[cluster.members]
-                self._p_reassign_obs_sweep(comm, cluster.obs, block, rng, work)
-                self._p_merge_obs_sweep(comm, cluster.obs, rng, work)
+                p_reassign_obs_sweep(comm, cluster.obs, block, rng, work)
+                p_merge_obs_sweep(comm, cluster.obs, rng, work)
         return state.var_labels.copy()
 
     # -- parallel sweeps (Algorithms 1 and 2) -----------------------------------
@@ -242,14 +242,6 @@ class ParallelLearner:
                 cid += 1
             else:
                 state.merge_var(cid, choice)
-
-    def _p_reassign_obs_sweep(
-        self, comm, oc: ObsClustering, block: np.ndarray, rng, work
-    ) -> None:
-        p_reassign_obs_sweep(comm, oc, block, rng, work)
-
-    def _p_merge_obs_sweep(self, comm, oc: ObsClustering, rng, work) -> None:
-        p_merge_obs_sweep(comm, oc, rng, work)
 
     # -- task 3 -------------------------------------------------------------
     def _task_modules(
@@ -309,8 +301,8 @@ class ParallelLearner:
         oc = ObsClustering.from_block(block, labels, config.prior)
         samples: list[np.ndarray] = []
         for step in range(1, config.tree_update_steps + 1):
-            self._p_reassign_obs_sweep(comm, oc, block, mrng, work)
-            self._p_merge_obs_sweep(comm, oc, mrng, work)
+            p_reassign_obs_sweep(comm, oc, block, mrng, work)
+            p_merge_obs_sweep(comm, oc, mrng, work)
             if step > config.tree_burn_in or (
                 step == config.tree_update_steps and not samples
             ):

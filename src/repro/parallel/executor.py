@@ -107,8 +107,8 @@ class TaskScheduler:
     starts (a pool and its shared matrix, shard nodes) is created on the
     first dispatch and lives until :meth:`close` (or context exit), however
     many task phases ride it.  :meth:`submit_runs` is the generic dispatch
-    primitive under the task entry points; GENOMICA's M-step clusterings
-    and module builds use it directly.
+    primitive under the task entry points; GENOMICA's M-step clusterings,
+    E-step blocks and module builds use it directly.
     """
 
     #: test hook: a callable permuting the dispatch order of

@@ -43,6 +43,10 @@ MAX_FRAME_BYTES = 1 << 34
 #: the driver stops asking and kills it
 EXIT_SECONDS = 30.0
 
+#: how long a child may take to answer ``init`` before the start fails: a
+#: live child that never answers must not hold ``start()`` forever
+INIT_SECONDS = 120.0
+
 
 class WorkerCrashedError(RuntimeError):
     """A pool worker process died mid-task.
@@ -271,9 +275,10 @@ class ChildGroup:
 
     def start(self, spec) -> None:
         """Launch every child, then send each its ``init`` frame and wait
-        for every answer (idempotent).  A child that dies first fails the
-        start with :attr:`error`, and whatever was launched is reaped
-        before the error reaches the caller."""
+        for every answer (idempotent).  A child that dies first, or does
+        not answer within :data:`INIT_SECONDS`, fails the start with
+        :attr:`error`, and whatever was launched is reaped before the error
+        reaches the caller."""
         if self.channels is not None:
             return
         self.channels, self.pids = [], []
@@ -302,15 +307,23 @@ class ChildGroup:
             for channel in self.channels:
                 channel.send_msg(("init", spec))
             for index, channel in enumerate(self.channels):
+                channel.recv_timeout = INIT_SECONDS
                 try:
                     tag, body = channel.recv_msg()
                 except self.error as exc:
                     proc = self.procs[index]
-                    proc.join(timeout=1.0)
+                    if not isinstance(exc.__cause__, TimeoutError):
+                        proc.join(timeout=1.0)
+                    if proc.is_alive():
+                        raise self.error(
+                            f"{self.label} {index} (pid {proc.pid}) did not answer "
+                            f"its init within {INIT_SECONDS:g} s"
+                        ) from exc
                     raise self.error(
                         f"{self.label} {index} (pid {proc.pid}) died before its "
                         f"init reply (exit code {proc.exitcode})"
                     ) from exc
+                channel.recv_timeout = None
                 if tag != "ok":
                     raise self.error(
                         f"{self.label} {index} failed to initialize: {body!r}"

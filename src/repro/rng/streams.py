@@ -151,19 +151,6 @@ class GibbsRandom:
         """
         return self.choose(self.choice_table(log_weights))
 
-    def weighted_choice(self, weights: Sequence[float]) -> int:
-        """Sample an index with probability ∝ weights[i] (linear scale)."""
-        arr = np.asarray(weights, dtype=np.float64)
-        if arr.size == 0:
-            raise ValueError("weighted choice over an empty list")
-        total = arr.sum()
-        if total <= 0:
-            return self.randint(arr.size)
-        u = self.stream.next_uniform() * total
-        cum = np.cumsum(arr)
-        idx = int(np.searchsorted(cum, u, side="right"))
-        return min(idx, arr.size - 1)
-
 
 class IndexedStream:
     """Random access to per-item blocks of draws.

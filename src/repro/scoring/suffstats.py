@@ -204,11 +204,6 @@ class StatsArrays:
         self.total += other.total
         self.sumsq += other.sumsq
 
-    def pooled(self) -> SuffStats:
-        return SuffStats(
-            float(self.count.sum()), float(self.total.sum()), float(self.sumsq.sum())
-        )
-
     def drop(self, index: int) -> None:
         """Remove one block: an in-buffer shift, no reallocation."""
         s = self._size

@@ -655,6 +655,13 @@ def _second_node_exits_before_init_reply(spec, node_id):
     return _NodeSession(spec, node_id)
 
 
+def _node_silent_past_init_bound(spec, node_id):
+    """A node that stays alive but never answers ``init`` (a hung import,
+    a stuck mount)."""
+    time.sleep(60.0)
+    return _NodeSession(spec, node_id)
+
+
 def _garbled_child(reply: bytes):
     """A node entry point that reads its ``init`` frame, answers with the
     raw bytes ``reply`` and exits with code 7."""
@@ -718,6 +725,33 @@ class TestShardStartFailures:
         self._assert_start_fails(
             self._executor(tiny_matrix), r"died before its init reply \(exit code 7\)"
         )
+
+    def test_silent_node_fails_the_start_at_the_init_bound(self, tiny_matrix, monkeypatch):
+        """A live node that never answers ``init`` fails ``start()`` once
+        :data:`poolutil.INIT_SECONDS` has passed, saying so, and is reaped
+        with its sibling."""
+        monkeypatch.setattr(poolutil, "INIT_SECONDS", 0.5)
+        monkeypatch.setattr(sharding, "_NodeSession", _node_silent_past_init_bound)
+        t0 = time.monotonic()
+        self._assert_start_fails(
+            self._executor(tiny_matrix),
+            r"node 0 \(pid \d+\) did not answer its init within 0.5 s",
+        )
+        assert time.monotonic() - t0 >= 0.5
+
+    def test_started_nodes_wait_without_the_init_bound(self, tiny_matrix, monkeypatch):
+        """The bound covers the ``init`` reply alone: once started, every
+        channel waits for its replies without a deadline again, so a long
+        task is never cut at :data:`poolutil.INIT_SECONDS`."""
+        monkeypatch.setattr(poolutil, "INIT_SECONDS", 0.5)
+        executor = self._executor(tiny_matrix)
+        try:
+            executor.start()
+            channels = executor.transport._children.channels
+            assert len(channels) == 2
+            assert all(channel.recv_timeout is None for channel in channels)
+        finally:
+            executor.close()
 
     def test_failed_init_reaps_every_node(self, tiny_matrix, monkeypatch):
         monkeypatch.setattr(sharding, "local_transport", _failing_local_transport)

@@ -6,12 +6,10 @@ import pytest
 from repro.analysis import module_recovery_score
 from repro.data.synthetic import make_module_dataset
 from repro.datatypes import ExpressionMatrix
-from repro.genomica import (
-    GenomicaConfig,
-    GenomicaLearner,
-    ParallelGenomicaLearner,
-)
+from repro.genomica import GenomicaConfig, GenomicaLearner
+from repro.genomica.learner import _genomica_estep_run
 from repro.core.config import ParallelConfig
+from repro.parallel.executor import TaskScheduler, open_executor
 from repro.parallel.trace import WorkTrace, project_time
 from repro.parallel.transport import PoolTransport
 
@@ -40,6 +38,19 @@ def pool_builds(monkeypatch):
 
     monkeypatch.setattr(PoolTransport, "start", counted)
     return builds
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Every executor a GENOMICA ``learn`` opens during the test."""
+    opened = []
+
+    def recording(*args, **kwargs):
+        opened.append(open_executor(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr("repro.genomica.learner.open_executor", recording)
+    return opened
 
 
 class TestConfig:
@@ -133,59 +144,42 @@ class TestLearning:
         assert result.n_iterations == 1
 
 
-class TestParallelGenomica:
-    """The Section 6 future-work extension: GENOMICA on the paper's
-    parallel components, with the same consistency guarantee."""
-
-    @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_identical_to_sequential(self, easy_dataset, p):
-        config = GenomicaConfig(n_modules=3, max_iterations=3)
-        sequential = GenomicaLearner(config).learn(easy_dataset.matrix, seed=5)
-        parallel = ParallelGenomicaLearner(config).learn_parallel(
-            easy_dataset.matrix, seed=5, p=p
-        )
-        assert parallel.network == sequential.network
-        assert parallel.n_iterations == sequential.n_iterations
-        assert parallel.converged == sequential.converged
-
-    def test_score_history_matches_to_float_noise(self, easy_dataset):
-        config = GenomicaConfig(n_modules=3, max_iterations=3)
-        sequential = GenomicaLearner(config).learn(easy_dataset.matrix, seed=7)
-        parallel = ParallelGenomicaLearner(config).learn_parallel(
-            easy_dataset.matrix, seed=7, p=3
-        )
-        assert len(parallel.score_history) == len(sequential.score_history)
-        for a, b in zip(parallel.score_history, sequential.score_history):
-            assert a == pytest.approx(b, rel=1e-9)
-
-    def test_work_balanced_across_ranks(self, easy_dataset):
-        config = GenomicaConfig(n_modules=3, max_iterations=2)
-        result = ParallelGenomicaLearner(config).learn_parallel(
-            easy_dataset.matrix, seed=3, p=4
-        )
-        work = result.work_per_rank
-        assert work.shape == (4,)
-        assert work.max() < 1.5 * work.mean()
-
-    def test_mrg_backend(self, easy_dataset):
-        config = GenomicaConfig(n_modules=3, max_iterations=2, rng_backend="mrg")
-        sequential = GenomicaLearner(config).learn(easy_dataset.matrix, seed=2)
-        parallel = ParallelGenomicaLearner(config).learn_parallel(
-            easy_dataset.matrix, seed=2, p=2
-        )
-        assert parallel.network == sequential.network
-
-
 class TestPooledGenomica:
-    """The final network build on the persistent task-pool executor."""
+    """The Section 6 extension: every M-step clustering, E-step block and
+    final module build on the persistent task-pool executor, with the
+    paper's consistency guarantee at any worker count."""
 
-    @pytest.mark.parametrize("n_workers", [2, 4])
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_identical_to_sequential(self, easy_dataset, easy_result, n_workers):
         config = GenomicaConfig(n_modules=3, max_iterations=8, parallel=ParallelConfig(n_workers=n_workers))
         pooled = GenomicaLearner(config).learn(easy_dataset.matrix, seed=5)
         assert pooled.network == easy_result.network
         assert pooled.n_iterations == easy_result.n_iterations
+        assert pooled.converged == easy_result.converged
         assert pooled.score_history == easy_result.score_history
+
+    def test_reversed_dispatch_identical(self, easy_dataset, easy_result, monkeypatch):
+        """Blocks and modules dispatched last-first still join in item
+        order: the same network and the same scores, bit for bit."""
+        monkeypatch.setattr(
+            TaskScheduler, "dispatch_order_hook", staticmethod(lambda order: order[::-1])
+        )
+        config = GenomicaConfig(n_modules=3, max_iterations=8, parallel=ParallelConfig(n_workers=2))
+        pooled = GenomicaLearner(config).learn(easy_dataset.matrix, seed=5)
+        assert pooled.network == easy_result.network
+        assert pooled.score_history == easy_result.score_history
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_items_dispatched(self, easy_dataset, executors, n_workers):
+        """Each iteration dispatches k M-step clusterings and one E-step
+        block per worker; then come the k final module builds."""
+        config = GenomicaConfig(n_modules=3, max_iterations=3, parallel=ParallelConfig(n_workers=n_workers))
+        result = GenomicaLearner(config).learn(easy_dataset.matrix, seed=5)
+        (executor,) = executors
+        k, n = 3, easy_dataset.matrix.n_vars
+        assert executor.stats.tasks_dispatched == (
+            result.n_iterations * (k + min(n, n_workers)) + k
+        )
 
     def test_mrg_backend(self, easy_dataset):
         config = GenomicaConfig(n_modules=3, max_iterations=3, rng_backend="mrg")
@@ -197,6 +191,7 @@ class TestPooledGenomica:
             )
         ).learn(easy_dataset.matrix, seed=2)
         assert pooled.network == sequential.network
+        assert pooled.score_history == sequential.score_history
 
     def test_single_pool_construction(self, easy_dataset, pool_builds):
         """One pool (and with it one matrix transfer) per ``learn``: of
@@ -222,6 +217,35 @@ class TestPooledGenomica:
         # field is gone: the old spelling is now a hard error.
         with pytest.raises(TypeError):
             GenomicaConfig(n_workers=2)
+
+
+class TestEStepBlocks:
+    """The E-step runner on any block split decides every variable, and
+    scores it, exactly as one whole pass does."""
+
+    @pytest.mark.parametrize("n_blocks", [2, 3, 7, 36])
+    def test_blocks_join_to_one_pass(self, easy_dataset, n_blocks):
+        data = easy_dataset.matrix.values
+        n, m = data.shape
+        rng = np.random.default_rng(11)
+        assignment = rng.integers(0, 3, size=n)
+        leaf_partitions = [
+            [np.flatnonzero(labels == leaf) for leaf in range(2)]
+            for labels in (rng.integers(0, 2, size=m) for _ in range(3))
+        ]
+        before = assignment.copy()
+        ctx = {"data": data, "config": GenomicaConfig(n_modules=3)}
+        whole_labels, whole_scores = _genomica_estep_run(
+            ctx, (0, n, assignment, leaf_partitions)
+        )
+        bounds = np.linspace(0, n, n_blocks + 1).astype(int)
+        blocks = [
+            _genomica_estep_run(ctx, (int(lo), int(hi), assignment, leaf_partitions))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        assert np.array_equal(np.concatenate([l for l, _ in blocks]), whole_labels)
+        assert np.concatenate([s for _, s in blocks]).tobytes() == whole_scores.tobytes()
+        assert np.array_equal(assignment, before)  # a block never writes the old labels
 
 
 class TestGenomicaTrace:
@@ -262,19 +286,10 @@ class TestGenomicaTrace:
 
 
 class TestBoundaryChecks:
-    """Outside input is refused before any pool or rank starts."""
+    """Outside input is refused before any pool starts."""
 
-    @pytest.mark.parametrize(
-        "n_workers,spmd", [(1, False), (2, False), (1, True)],
-        ids=["one-worker", "pool", "spmd"],
-    )
-    def test_missing_values_refused(
-        self, easy_dataset, pool_builds, monkeypatch, n_workers, spmd
-    ):
-        def no_ranks(*args, **kwargs):
-            raise AssertionError("SPMD ranks started on a NaN matrix")
-
-        monkeypatch.setattr("repro.genomica.parallel.run_spmd", no_ranks)
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["one-worker", "pool"])
+    def test_missing_values_refused(self, easy_dataset, pool_builds, n_workers):
         values = easy_dataset.matrix.values.copy()
         values[4, 7] = np.nan
         matrix = ExpressionMatrix(values, allow_missing=True)
@@ -282,8 +297,5 @@ class TestBoundaryChecks:
             n_modules=3, parallel=ParallelConfig(n_workers=n_workers)
         )
         with pytest.raises(ValueError, match=r"missing values \(NaN\)"):
-            if spmd:
-                ParallelGenomicaLearner(config).learn_parallel(matrix, seed=1, p=2)
-            else:
-                GenomicaLearner(config).learn(matrix, seed=1)
+            GenomicaLearner(config).learn(matrix, seed=1)
         assert pool_builds == []

@@ -14,7 +14,6 @@ from repro import _native
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.genomica.learner import GenomicaConfig, GenomicaLearner
-from repro.genomica.parallel import ParallelGenomicaLearner
 from repro.parallel.engine import ParallelLearner
 from repro.parallel.executor import open_executor
 from repro.parallel.trace import WorkTrace
@@ -106,9 +105,11 @@ class TestNumpyRunsNoNativeEntry:
         ParallelLearner(_lemon()).learn(tiny_matrix, seed=5, p=2)
         assert _backends(scorers) == ["numpy"]
 
-    def test_genomica_spmd(self, tiny_matrix, no_native_entry, scorers):
-        ParallelGenomicaLearner(_genomica()).learn_parallel(tiny_matrix, seed=5, p=2)
-        assert _backends(scorers) == ["numpy"]
+    def test_genomica_pooled_untraced(self, tiny_matrix, no_native_entry):
+        """No trace to read the backend from: the forked workers inherit
+        ``no_native_entry``, so a native call fails the run."""
+        result = GenomicaLearner(_genomica(n_workers=2)).learn(tiny_matrix, seed=5)
+        assert result.network.n_modules == 3
 
     def test_daemon_job(self, tiny_matrix, no_native_entry, tmp_path):
         with InferenceService(tmp_path, max_inflight=1) as service:

@@ -55,7 +55,7 @@ def _valid_call(entry):
         values = rng.normal(size=(3, 4))
         return "eval_chunk", dict(
             group_value=rng.normal(size=5), group_row=rng.integers(0, 3, size=5),
-            values=values, sign=np.ones(4), beta=1.0, quantum=1e-9, out=np.empty(5),
+            values=values, sign=np.ones(4), beta=1.0, quantum=1e-9, out=np.zeros(5),
         )
     if entry == "repro_score_batch":
         n_parents, n_u, per_item = 2, 6, 5

@@ -1,14 +1,15 @@
 """Split scoring's one cut: a block of candidate parents of every node.
 
-Split mode (``TaskScheduler.score_splits``), the SPMD engine's split phase
-and GENOMICA's SPMD grid search give each worker or rank a contiguous
-block ``[l0, l1)`` of the candidate parents of every pending node, scored
-as one ``score_nodes`` batch.  The cut covers every (node, parent) pair
-once, at its offset in the flat list, never dispatches an empty block,
-fills each margin row once per pass and cannot change a bit of the
-network.  An empty candidate-parent list is refused where it is read.
+Split mode (``TaskScheduler.score_splits``) and the SPMD engine's split
+phase give each worker or rank a contiguous block ``[l0, l1)`` of the
+candidate parents of every pending node, scored as one ``score_nodes``
+batch.  The cut covers every (node, parent) pair once, at its offset in
+the flat list, never dispatches an empty block, fills each margin row
+once per pass and cannot change a bit of the network.  An empty
+candidate-parent list is refused where it is read.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.data.synthetic import make_module_dataset
 from repro.datatypes import ExpressionMatrix
-from repro.genomica import GenomicaConfig, GenomicaLearner, ParallelGenomicaLearner
+from repro.genomica import GenomicaConfig, GenomicaLearner
 from repro.parallel import executor as executor_mod
 from repro.parallel.engine import ParallelLearner
 from repro.parallel.trace import WorkTrace
@@ -147,10 +148,10 @@ class TestSplitModeCounts:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
-def test_spmd_learners_with_more_ranks_than_parents(tiny_matrix, backend, rng_backend):
-    """Three ranks over two candidate parents: one rank's block is empty
-    and scores nothing, and both SPMD learners still equal their
-    sequential networks."""
+def test_more_ranks_and_workers_than_parents(tiny_matrix, backend, rng_backend):
+    """Three SPMD ranks over two candidate parents: one rank's block is
+    empty and scores nothing, and the network still equals the sequential
+    one; so does GENOMICA's on two workers over the same two parents."""
     parallel = ParallelConfig(kernel_backend=backend)
     config = LearnerConfig(
         max_sampling_steps=3, candidate_parents=(0, 5), rng_backend=rng_backend,
@@ -164,8 +165,9 @@ def test_spmd_learners_with_more_ranks_than_parents(tiny_matrix, backend, rng_ba
         n_modules=3, max_iterations=2, candidate_parents=(0, 5), rng_backend=rng_backend,
         parallel=parallel,
     )
+    pooled = replace(genomica, parallel=ParallelConfig(n_workers=2, kernel_backend=backend))
     assert (
-        ParallelGenomicaLearner(genomica).learn_parallel(tiny_matrix, seed=3, p=3).network
+        GenomicaLearner(pooled).learn(tiny_matrix, seed=3).network
         == GenomicaLearner(genomica).learn(tiny_matrix, seed=3).network
     )
 
@@ -206,12 +208,11 @@ class TestEmptyCandidateParents:
             ReferenceLearner(self._config(backend)).learn(matrix, seed=1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_genomica(self, matrix, backend):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_genomica(self, matrix, backend, n_workers):
         config = GenomicaConfig(
             n_modules=2, max_iterations=1, candidate_parents=(),
-            parallel=ParallelConfig(kernel_backend=backend),
+            parallel=ParallelConfig(n_workers=n_workers, kernel_backend=backend),
         )
         with pytest.raises(ValueError, match="candidate_parents"):
             GenomicaLearner(config).learn(matrix, seed=1)
-        with pytest.raises(ValueError, match="candidate_parents"):
-            ParallelGenomicaLearner(config).learn_parallel(matrix, seed=1, p=2)

@@ -173,21 +173,6 @@ class TestChoiceTable:
         ]
 
 
-class TestWeightedChoiceLinear:
-    def test_zero_weights_fall_back(self):
-        idx = _rng(2).weighted_choice([0.0, 0.0, 0.0])
-        assert 0 <= idx < 3
-
-    def test_dominant_weight(self):
-        rng = _rng(4)
-        for _ in range(20):
-            assert rng.weighted_choice([0.0, 0.0, 1e9, 1.0]) == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            _rng().weighted_choice([])
-
-
 class TestIndexedStream:
     def test_item_blocks_are_disjoint_and_deterministic(self):
         istream = IndexedStream(make_stream(1, "idx"), draws_per_item=5)

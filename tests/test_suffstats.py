@@ -136,12 +136,6 @@ class TestStatsArraysMutation:
         assert len(stats) == 4
         assert stats.count[3] == 2
 
-    def test_pooled_equals_total(self):
-        stats = self._make()
-        pooled = stats.pooled()
-        assert pooled.count == 5
-        assert pooled.total == pytest.approx(15.0)
-
     def test_copy_is_independent(self):
         stats = self._make()
         clone = stats.copy()

@@ -32,7 +32,6 @@ ALLOWED = {
     "repro.datatypes:ExpressionMatrix.subsample": "benchmarks/conftest.py and bench_table1_sequential.py",
     "repro.datatypes:ExpressionMatrix.standardized": "public API; tests/test_datatypes.py",
     "repro.datatypes:TaskTimes.fractions": "public API; tests/test_learner.py",
-    "repro.genomica.parallel:ParallelGenomicaLearner.learn_parallel": "the SPMD GENOMICA entry; benchmarks/bench_extension_genomica.py",
     "repro.inference.cpd:LeafPredictive.variance": "public API; tests/test_inference.py",
     "repro.inference.cpd:FittedNetwork.per_condition_log_likelihood": "public API; tests/test_inference.py",
     "repro.parallel.scheduler:flat_schedule": "benchmarks/bench_ablation_partitioning.py",
@@ -47,8 +46,6 @@ ALLOWED = {
     "repro.parallel.trace:save_trace": "public API; benchmarks/conftest.py",
     "repro.parallel.trace:scaling_curve": "public API; examples/strong_scaling_study.py",
     "repro.rng.philox:KeyedStream.jump_to": "stream API; tests/test_rng_philox.py, test_rng_mrg.py",
-    "repro.rng.streams:GibbsRandom.weighted_choice": "public API; tests/test_rng_streams.py",
-    "repro.scoring.suffstats:StatsArrays.pooled": "public API; tests/test_suffstats.py",
 }
 
 
