@@ -654,11 +654,18 @@ class CoClusterState:
 
 
 def _compact(labels: np.ndarray) -> np.ndarray:
-    """Relabel to 0..K-1 by order of first appearance."""
-    _, first_idx = np.unique(labels, return_index=True)
-    order = labels[np.sort(first_idx)]
-    mapping = {int(old): new for new, old in enumerate(order)}
-    return np.asarray([mapping[int(v)] for v in labels], dtype=np.int64)
+    """Relabel non-negative labels to 0..K-1 by order of first appearance."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        return np.empty(0, dtype=np.int64)
+    # Each position's key is its label's first index; the new label of a
+    # key is how many first indices precede it.
+    first = np.full(int(labels.max()) + 1, labels.size, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(labels.size))
+    key = first[labels]
+    is_first = np.zeros(labels.size, dtype=bool)
+    is_first[key] = True
+    return (np.cumsum(is_first) - 1)[key]
 
 
 def init_sqrt_obs_labels(n_obs: int, rng, n_clusters: int | None = None) -> np.ndarray:

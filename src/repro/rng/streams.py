@@ -61,6 +61,8 @@ class ChoiceTable(NamedTuple):
     cum: np.ndarray | None
     total: float
     size: int
+    #: the indices ``cum`` runs over (``None``: all of ``range(size)``)
+    positions: np.ndarray | None = None
 
 
 class GibbsRandom:
@@ -112,15 +114,29 @@ class GibbsRandom:
 
     # -- weighted sampling ----------------------------------------------
     @staticmethod
-    def choice_table(log_weights: Sequence[float]) -> ChoiceTable:
+    def choice_table(
+        log_weights: Sequence[float],
+        positions: np.ndarray | None = None,
+        size: int | None = None,
+    ) -> ChoiceTable:
         """What :meth:`choose` samples from, built without a draw: the
         log-weights quantized (see :data:`SCORE_QUANTUM`), shifted by their
         finite peak and exponentiated, non-finite ones weighing 0, with
         their total and cumulative sum — or, when no weight is finite, the
-        uniform fallback."""
+        uniform fallback.
+
+        With ``positions`` (ascending indices into a choice over ``size``
+        options), ``log_weights`` weigh only those options and every other
+        one weighs exactly 0: the table holds the listed entries alone and
+        draws what the full-length table would.  Its running sum is the
+        full one's at the listed positions (every weight is >= +0.0, and
+        adding +0.0 is exact); its total is still summed over the
+        full-length vector, so NumPy's pairwise blocking, and hence the
+        scaled uniform, are unchanged."""
         logs = quantize_logs(log_weights)
         if logs.size == 0:
             raise ValueError("weighted choice over an empty list")
+        n_options = logs.size if positions is None else int(size)
         peak = logs.max()
         if math.isfinite(peak) and math.isfinite(logs.min()):
             # All finite (every Gibbs score vector): no masking needed.
@@ -129,19 +145,30 @@ class GibbsRandom:
             finite = np.isfinite(logs)
             if not finite.any():
                 # All options impossible: fall back to uniform (still one draw).
-                return ChoiceTable(None, 0.0, logs.size)
+                return ChoiceTable(None, 0.0, n_options)
             peak = logs[finite].max()
             weights = np.exp(np.where(finite, logs - peak, -np.inf))
             weights[~finite] = 0.0
-        return ChoiceTable(np.cumsum(weights), weights.sum(), logs.size)
+        if positions is None:
+            return ChoiceTable(np.cumsum(weights), weights.sum(), n_options)
+        full = np.zeros(n_options, dtype=np.float64)
+        full[positions] = weights
+        return ChoiceTable(np.cumsum(weights), full.sum(), n_options, positions)
 
     def choose(self, table: ChoiceTable) -> int:
-        """Sample an index of ``table``; exactly one uniform is consumed."""
+        """Sample an index of ``table``; exactly one uniform is consumed.
+
+        An index past the last cumulative weight (the total and the running
+        sum round apart) is the last option."""
         if table.cum is None:
             return self.randint(table.size)
         u = self.stream.next_uniform() * table.total
         idx = int(np.searchsorted(table.cum, u, side="right"))
-        return min(idx, table.size - 1)
+        if table.positions is None:
+            return min(idx, table.size - 1)
+        if idx < table.positions.size:
+            return int(table.positions[idx])
+        return table.size - 1
 
     def weighted_choice_logs(self, log_weights: Sequence[float]) -> int:
         """Sample an index with probability ∝ exp(log_weights[i]).

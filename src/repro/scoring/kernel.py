@@ -284,8 +284,9 @@ class LazySplitKernel:
         missing = ~self._seen[flat]
         self.hits += int(flat.size - missing.sum())
         if missing.any():
-            keys = np.unique(flat[missing])
-            self._evaluate(keys)
+            # Sorted distinct keys (``np.unique`` would import ``numpy.ma``).
+            keys = np.sort(flat[missing])
+            self._evaluate(keys[np.diff(keys, prepend=-1) != 0])
         return self._cache[flat]
 
     def _chunk_rows(self) -> int:

@@ -74,14 +74,17 @@ def build_tree_structure(
         stats.append(SuffStats.of(block[:, obs]))
         next_id += 1
 
+    # Each subtree's marginal and each adjacent pair's merged statistics,
+    # marginal and merge score are kept across rounds: a merge recomputes
+    # only the (at most two) pairs that touch the new subtree, with the same
+    # scalar ``log_marginal`` calls on the same statistics as a full rescan.
+    lms = [s.log_marginal(prior) for s in stats]
+    merged_stats = [stats[i].add(stats[i + 1]) for i in range(len(stats) - 1)]
+    merged_lms = [s.log_marginal(prior) for s in merged_stats]
+    merge_scores = [
+        merged_lms[i] - lms[i] - lms[i + 1] for i in range(len(merged_lms))
+    ]
     while len(subtrees) > 1:
-        lms = np.array([s.log_marginal(prior) for s in stats])
-        merge_scores = np.empty(len(subtrees) - 1, dtype=np.float64)
-        merged_stats = []
-        for i in range(len(subtrees) - 1):
-            combined = stats[i].add(stats[i + 1])
-            merged_stats.append(combined)
-            merge_scores[i] = combined.log_marginal(prior) - lms[i] - lms[i + 1]
         if hooks is not None and getattr(hooks, "record", None) is not None:
             hooks.emit(
                 "modules.tree_merge",
@@ -90,7 +93,7 @@ def build_tree_structure(
             )
         # Quantized argmax: tie-robust across implementations; first maximum
         # wins, matching the deterministic all-reduce max of Algorithm 4.
-        quantized = np.round(merge_scores / SCORE_QUANTUM) * SCORE_QUANTUM
+        quantized = np.round(np.array(merge_scores) / SCORE_QUANTUM) * SCORE_QUANTUM
         best = int(np.argmax(quantized))
         left, right = subtrees[best], subtrees[best + 1]
         parent = TreeNode(
@@ -104,5 +107,14 @@ def build_tree_structure(
         next_id += 1
         subtrees[best : best + 2] = [parent]
         stats[best : best + 2] = [merged_stats[best]]
+        lms[best : best + 2] = [merged_lms[best]]
+        del merged_stats[best], merged_lms[best], merge_scores[best]
+        # The pairs on either side of the new subtree: (best - 1, best) and
+        # (best, best + 1) in the shortened list.
+        for i in (best - 1, best):
+            if 0 <= i < len(merge_scores):
+                merged_stats[i] = stats[i].add(stats[i + 1])
+                merged_lms[i] = merged_stats[i].log_marginal(prior)
+                merge_scores[i] = merged_lms[i] - lms[i] - lms[i + 1]
 
     return RegressionTree(module_id=module_id, root=subtrees[0])

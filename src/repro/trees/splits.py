@@ -120,7 +120,10 @@ def score_nodes(
             log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(kernel, span)
             parts.append((log_scores, steps, accepted))
         return tuple(np.concatenate(field) for field in zip(*parts))
-    universe = np.unique(np.concatenate([obs for obs, *_rest in nodes]))
+    in_batch = np.zeros(data.shape[1], dtype=bool)
+    for obs, *_rest in nodes:
+        in_batch[obs] = True
+    universe = np.flatnonzero(in_batch)
     return scorer.score_chain_nodes(
         data[np.ix_(parents, universe)],
         [
@@ -185,22 +188,21 @@ def score_node_splits(
     )
 
 
-def node_posteriors(scores: NodeSplitScores) -> np.ndarray:
-    """Normalized posterior probability of each retained split at the node.
+def node_posteriors(scores: NodeSplitScores) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized posterior probability of the retained splits at the node.
 
-    Softmax over the retained (non-zero-posterior) splits; discarded splits
-    get exactly 0.  This is the weight used both for the weighted selection
-    and for the parent-score aggregation.
+    Returns ``(retained, post)``: the ascending local indices of the
+    splits that beat the coin-flip baseline and their softmax weights over
+    one another; every discarded split's posterior is exactly 0.  This is
+    the weight used both for the weighted selection and for the
+    parent-score aggregation.
     """
-    post = np.zeros(scores.n_splits, dtype=np.float64)
     retained = np.flatnonzero(scores.accepted)
     if retained.size == 0:
-        return post
+        return retained, np.empty(0, dtype=np.float64)
     logs = scores.log_scores[retained]
-    peak = logs.max()
-    weights = np.exp(logs - peak)
-    post[retained] = weights / weights.sum()
-    return post
+    weights = np.exp(logs - logs.max())
+    return retained, weights / weights.sum()
 
 
 def select_node_splits(
@@ -217,24 +219,30 @@ def select_node_splits(
     ``n_select`` uniformly at random over all candidates (the paper's random
     control set).  Exactly one replicated-stream draw is consumed per
     selected split, keeping all implementations in RNG lockstep; the
-    weighted draws share one choice table, built once per node.
+    weighted draws share one choice table, built once per node over the
+    retained splits only (a discarded split weighs 0 and is never drawn,
+    so the table draws what one over all ``n_splits`` would).
     """
-    posteriors = node_posteriors(scores)
+    retained, post = node_posteriors(scores)
     weighted: list[Split] = []
     uniform: list[Split] = []
     n_obs = scores.n_obs
     table = None
-    if scores.accepted.any():
+    if retained.size:
         table = rng.choice_table(
-            np.where(posteriors > 0, np.log(np.maximum(posteriors, 1e-300)), -np.inf)
+            np.where(post > 0, np.log(np.maximum(post, 1e-300)), -np.inf),
+            positions=retained,
+            size=scores.n_splits,
         )
 
     def make_split(local_index: int) -> Split:
+        k = int(np.searchsorted(retained, local_index))
+        kept = k < retained.size and retained[k] == local_index
         return Split(
             parent=scores.split_parent(local_index),
             value=scores.split_value(data, local_index),
             node_id=scores.node.node_id,
-            posterior=float(posteriors[local_index]),
+            posterior=float(post[k]) if kept else 0.0,
             n_obs=n_obs,
         )
 

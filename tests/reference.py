@@ -11,7 +11,8 @@ vectorised scorers live here too (:func:`score_one`,
 :func:`score_node_scalar`, :func:`grid_best_one`,
 :func:`log_marginal_scalar`, :func:`compact_labels`), and the oracles of
 the package's batched reads and incremental updates (:func:`item_uniforms`,
-:func:`rows_delta`).  Shared pieces are
+:func:`rows_delta`, :func:`select_splits_full_table`,
+:func:`build_tree_all_pairs`).  Shared pieces are
 exactly the ones that define the random-stream contract or that are not
 scoring:
 
@@ -241,6 +242,84 @@ def rows_delta(oc: ObsClustering, rows: np.ndarray) -> float:
         oc.prior,
     )
     return float((np.asarray(new) - oc.lm).sum())
+
+
+def select_splits_full_table(data, scores, rng: GibbsRandom, n_select: int):
+    """The oracle of :func:`repro.trees.splits.select_node_splits`: the
+    posterior as a full-length vector (0 for every discarded split) and one
+    weighted-choice table over all ``n_splits`` entries, drawn with
+    :meth:`~repro.rng.streams.GibbsRandom.choose`."""
+    post = np.zeros(scores.n_splits, dtype=np.float64)
+    retained = np.flatnonzero(scores.accepted)
+    if retained.size:
+        logs = scores.log_scores[retained]
+        weights = np.exp(logs - logs.max())
+        post[retained] = weights / weights.sum()
+    table = None
+    if retained.size:
+        table = rng.choice_table(
+            np.where(post > 0, np.log(np.maximum(post, 1e-300)), -np.inf)
+        )
+
+    def make_split(local: int) -> Split:
+        return Split(
+            parent=scores.split_parent(local),
+            value=scores.split_value(data, local),
+            node_id=scores.node.node_id,
+            posterior=float(post[local]),
+            n_obs=scores.n_obs,
+        )
+
+    weighted: list[Split] = []
+    uniform: list[Split] = []
+    for _ in range(n_select):
+        if table is not None:
+            weighted.append(make_split(rng.choose(table)))
+        uniform.append(make_split(rng.randint(scores.n_splits)))
+    return weighted, uniform
+
+
+def build_tree_all_pairs(block, obs_labels, module_id: int, prior, hooks=None):
+    """The oracle of :func:`repro.trees.hierarchy.build_tree_structure`:
+    every round recomputes every subtree's marginal and every adjacent
+    pair's merged statistics and merge score from scratch."""
+    from repro.scoring.suffstats import SuffStats
+    from repro.trees.hierarchy import leaf_order
+
+    block = np.atleast_2d(np.asarray(block, dtype=np.float64))
+    subtrees: list[TreeNode] = []
+    stats: list = []
+    for next_id, obs in enumerate(leaf_order(block, obs_labels)):
+        subtrees.append(TreeNode(node_id=next_id, observations=np.sort(obs)))
+        stats.append(SuffStats.of(block[:, obs]))
+    next_id = len(subtrees)
+    while len(subtrees) > 1:
+        lms = np.array([s.log_marginal(prior) for s in stats])
+        merge_scores = np.empty(len(subtrees) - 1, dtype=np.float64)
+        merged_stats = []
+        for i in range(len(subtrees) - 1):
+            combined = stats[i].add(stats[i + 1])
+            merged_stats.append(combined)
+            merge_scores[i] = combined.log_marginal(prior) - lms[i] - lms[i + 1]
+        if hooks is not None:
+            hooks.emit(
+                "modules.tree_merge",
+                np.ones(len(merge_scores), dtype=np.float64),
+                n_collectives=2,
+            )
+        quantized = np.round(merge_scores / SCORE_QUANTUM) * SCORE_QUANTUM
+        best = int(np.argmax(quantized))
+        left, right = subtrees[best], subtrees[best + 1]
+        parent = TreeNode(
+            node_id=next_id,
+            observations=np.sort(np.concatenate([left.observations, right.observations])),
+            left=left,
+            right=right,
+        )
+        next_id += 1
+        subtrees[best : best + 2] = [parent]
+        stats[best : best + 2] = [merged_stats[best]]
+    return RegressionTree(module_id=module_id, root=subtrees[0])
 
 
 # ---------------------------------------------------------------------------

@@ -425,10 +425,17 @@ class TestShardNodeDeath:
                 executor.sample_ganesh_runs(4)
 
     @pytest.mark.slow
-    def test_sigkill_mid_run_resumes_bit_identical(self, tmp_path):
+    def test_sigkill_mid_run_resumes_bit_identical(self, tmp_path, monkeypatch):
         """SIGKILL one shard node while chains are in flight on the
         tie-heavy workload; the survivors' checkpoints must carry a
-        restarted run to exactly the uninterrupted ensemble."""
+        restarted run to exactly the uninterrupted ensemble.
+
+        The dispatch is held at known points in the driver: node 0's first
+        chain goes out only once node 1 has taken a chain of its own, and
+        that chain is not sent before node 0 has checkpointed one; node 1
+        is killed there.  Its chain can then never land, and node 0 stops
+        after the chain it holds, so the run fails mid-flight however
+        fast the chains are."""
         config, matrix = _tie_heavy_setup()
         reference = LemonTreeLearner(config).sample_clusterings(
             matrix, seed=5
@@ -443,28 +450,29 @@ class TestShardNodeDeath:
             5, checkpoint_dir=tmp_path, mp_context=self.mp_context,
         )
         killed = []
+        node1_holds_a_chain = threading.Event()
+        send_msg = poolutil.SocketChannel.send_msg
 
-        def _kill_after_first_checkpoint():
-            # Kill as soon as the first checkpoint lands — the run is
-            # then provably mid-flight with most chains still pending.
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if list(tmp_path.glob("ganesh_*.npz")):
-                    break
-                time.sleep(0.005)
-            pid = executor.node_pids[1]
-            os.kill(pid, signal.SIGKILL)
-            killed.append(pid)
+        def held_send(channel, message):
+            if message[0] == "run" and not killed:
+                if channel.peer == "node 0":
+                    assert node1_holds_a_chain.wait(60), "node 1 took no chain"
+                elif channel.peer == "node 1":
+                    node1_holds_a_chain.set()
+                    deadline = time.monotonic() + 60.0
+                    while not list(tmp_path.glob("ganesh_*.npz")):
+                        assert time.monotonic() < deadline, "node 0 checkpointed nothing"
+                        time.sleep(0.005)
+                    pid = executor.node_pids[1]
+                    os.kill(pid, signal.SIGKILL)
+                    killed.append(pid)
+            send_msg(channel, message)
 
         try:
             executor.start()
-            watcher = threading.Thread(
-                target=_kill_after_first_checkpoint, daemon=True
-            )
-            watcher.start()
+            monkeypatch.setattr(poolutil.SocketChannel, "send_msg", held_send)
             with pytest.raises(NodeCrashedError):
                 executor.sample_ganesh_runs(config.n_ganesh_runs)
-            watcher.join(timeout=60.0)
         finally:
             executor.close()
         assert killed

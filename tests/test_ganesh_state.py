@@ -16,7 +16,7 @@ from repro.parallel.costmodel import block_range
 from repro.rng.streams import GibbsRandom, make_stream
 from repro.scoring.normal_gamma import log_marginal
 from repro.scoring.suffstats import StatsArrays
-from tests.reference import rows_delta
+from tests.reference import compact_labels, rows_delta
 
 
 def _random_state(n=12, m=8, k=3, seed=0):
@@ -51,6 +51,22 @@ class TestCompact:
     def test_already_compact_unchanged(self):
         labels = np.array([0, 1, 2, 1, 0])
         np.testing.assert_array_equal(_compact(labels), labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 5), max_size=64),  # few, repeated labels
+            st.lists(st.integers(0, 10**6), max_size=32),  # sparse values
+            st.integers(0, 128).map(lambda n: list(range(n))[::-1]),  # singletons
+            st.tuples(st.integers(0, 10**4), st.integers(1, 64)).map(
+                lambda vn: [vn[0]] * vn[1]  # one cluster
+            ),
+        )
+    )
+    def test_matches_reference(self, labels):
+        got = _compact(np.asarray(labels, dtype=np.int64))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, compact_labels(labels))
 
 
 class TestInitSqrtObsLabels:

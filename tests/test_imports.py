@@ -50,15 +50,16 @@ def test_unknown_attribute_is_an_attribute_error():
 
 _COLD_LEARN = """
 import sys
-from repro.core.config import LearnerConfig
+from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.data.synthetic import make_module_dataset
 
-LemonTreeLearner(LearnerConfig()).learn(make_module_dataset(24, 16, seed=7).matrix, 3)
+config = LearnerConfig(parallel=ParallelConfig(kernel_backend="{backend}"))
+LemonTreeLearner(config).learn(make_module_dataset(24, 16, seed=7).matrix, 3)
 from repro import _native
 assert _native.availability()["status"] == "native", _native.availability()
 unused = [m for m, module in sys.modules.items() if module is not None  # None: blocked
-          and (m.split(".")[0] in ("scipy", "pycparser") or m == "cffi.cparser")]
+          and (m.split(".")[0] in ("scipy", "pycparser") or m in ("cffi.cparser", "numpy.ma"))]
 assert not unused, unused
 """
 
@@ -91,9 +92,18 @@ def _warm_native_cache():
 
 def test_cold_learn_loads_neither_scipy_nor_the_c_parser():
     """A cache hit loads the extension without cffi's parser, and nothing
-    the runtime does (``gammaln`` included) needs SciPy."""
+    the runtime does (``gammaln`` included) needs SciPy or ``numpy.ma``
+    (which a bare ``np.unique`` imports)."""
     _warm_native_cache()
-    done = _run_cold(_COLD_LEARN)
+    done = _run_cold(_COLD_LEARN.format(backend="auto"))
+    assert done.returncode == 0, done.stderr
+
+
+def test_cold_numpy_backend_learn_loads_no_numpy_ma():
+    """The NumPy split scorer and the load-time certification oracle find
+    their missing memo keys without importing ``numpy.ma`` either."""
+    _warm_native_cache()
+    done = _run_cold(_COLD_LEARN.format(backend="numpy"))
     assert done.returncode == 0, done.stderr
 
 
@@ -135,7 +145,9 @@ def test_cold_learn_runs_without_scipy():
     """With every ``import scipy`` made to fail, a cold ``learn()`` still
     runs and certifies the native kernel."""
     _warm_native_cache()
-    done = _run_cold('import sys\nsys.modules["scipy"] = None\n' + _COLD_LEARN)
+    done = _run_cold(
+        'import sys\nsys.modules["scipy"] = None\n' + _COLD_LEARN.format(backend="auto")
+    )
     assert done.returncode == 0, done.stderr
 
 

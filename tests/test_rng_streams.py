@@ -173,6 +173,57 @@ class TestChoiceTable:
         ]
 
 
+def _positioned(seed: int, size: int):
+    """Random log-weights at a random ascending subset of ``size`` options
+    (``-inf`` at about one in ten of them), and the full-length vector
+    they stand for (``-inf`` everywhere else)."""
+    gen = np.random.default_rng(seed)
+    positions = np.flatnonzero(gen.random(size) < 0.4)
+    if positions.size == 0:
+        positions = np.array([gen.integers(size)])
+    logs = gen.normal(scale=3.0, size=positions.size)
+    logs[gen.random(positions.size) < 0.1] = -np.inf
+    full = np.full(size, -np.inf)
+    full[positions] = logs
+    return logs, positions, full
+
+
+class TestChoiceTablePositions:
+    """A table over listed positions only is the full-length table: its
+    running sum at the listed positions and its total are bit-identical,
+    so every draw picks alike."""
+
+    @pytest.mark.parametrize("size", [1, 7, 64, 300, 5000])
+    def test_same_sums_and_choices(self, size):
+        naive_total_differs = False
+        for seed in range(40):
+            logs, positions, full = _positioned(seed, size)
+            table = GibbsRandom.choice_table(logs, positions=positions, size=size)
+            whole = GibbsRandom.choice_table(full)
+            assert table.size == whole.size == size
+            if whole.cum is None:
+                assert table.cum is None
+                continue
+            np.testing.assert_array_equal(table.cum, whole.cum[positions])
+            assert table.total == whole.total
+            q = quantize_logs(logs)
+            listed = np.exp(q - q[np.isfinite(q)].max())  # -inf weighs 0
+            naive_total_differs |= listed.sum() != whole.total
+            rng, again = _rng(seed), _rng(seed)
+            assert [rng.choose(table) for _ in range(25)] == [
+                again.choose(whole) for _ in range(25)
+            ]
+        if size >= 300:
+            # Summing the listed weights alone would move the total.
+            assert naive_total_differs
+
+    def test_all_listed_impossible_is_the_uniform_fallback_over_size(self):
+        table = GibbsRandom.choice_table(
+            [-np.inf, -np.inf], positions=np.array([1, 4]), size=6
+        )
+        assert table.cum is None and table.size == 6
+
+
 class TestIndexedStream:
     def test_item_blocks_are_disjoint_and_deterministic(self):
         istream = IndexedStream(make_stream(1, "idx"), draws_per_item=5)

@@ -2,20 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datatypes import Split, TreeNode
+from repro.ganesh.coclustering import SweepHooks
 from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
 from repro.scoring.kernel import split_sign
+from repro.scoring.normal_gamma import DEFAULT_PRIOR
 from repro.scoring.split_score import SplitScorer
 from repro.trees.hierarchy import build_tree_structure, leaf_order
 from repro.trees.parents import accumulate_parent_scores
 from repro.trees.splits import (
+    NodeSplitScores,
     node_kernel,
     node_posteriors,
     score_node_splits,
     select_node_splits,
 )
-from tests.reference import _score_scalar, item_uniforms, score_node_scalar
+from tests.reference import (
+    _score_scalar,
+    build_tree_all_pairs,
+    item_uniforms,
+    score_node_scalar,
+    select_splits_full_table,
+)
 
 
 def _block_and_labels(seed=0, n=4, m=12, k=4):
@@ -95,6 +106,59 @@ class TestBuildTree:
             n.node_id for n in tree.root.leaves()
         ]
         assert len(ids) == len(set(ids))
+
+
+def _tree_signature(node: TreeNode):
+    if node.is_leaf:
+        return (node.node_id, tuple(node.observations.tolist()))
+    return (
+        node.node_id,
+        tuple(node.observations.tolist()),
+        _tree_signature(node.left),
+        _tree_signature(node.right),
+    )
+
+
+class TestIncrementalMerges:
+    """Keeping marginals and adjacent merge scores across rounds builds the
+    tree an all-pairs rescan builds, records included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        m=st.integers(1, 24),
+        k=st.integers(1, 12),
+        levels=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_equals_all_pairs_rescan(self, seed, n, m, k, levels):
+        """``levels`` draws the block from that many integer values (one:
+        every merge score ties); ``None`` from a normal."""
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            block = rng.normal(size=(n, m))
+        else:
+            block = rng.integers(0, levels, size=(n, m)).astype(np.float64)
+        labels = rng.integers(0, k, size=m)
+        records = {"incremental": [], "all_pairs": []}
+
+        def hooks(name):
+            return SweepHooks(
+                record=lambda phase, costs, nc: records[name].append(
+                    (phase, costs.tolist(), nc)
+                )
+            )
+
+        got = build_tree_structure(
+            block, labels, 5, DEFAULT_PRIOR, hooks=hooks("incremental")
+        )
+        want = build_tree_all_pairs(
+            block, labels, 5, DEFAULT_PRIOR, hooks=hooks("all_pairs")
+        )
+        assert got.module_id == want.module_id
+        assert _tree_signature(got.root) == _tree_signature(want.root)
+        assert records["incremental"] == records["all_pairs"]
+        assert len(records["incremental"]) == len(set(labels.tolist())) - 1
 
 
 def _scored_node(seed=0, n_vars=6, m=10):
@@ -185,12 +249,11 @@ class TestScoreNodeSplits:
 class TestPosteriorsAndSelection:
     def test_posteriors_normalize_over_retained(self):
         _, _, scores = _scored_node(seed=5)
-        post = node_posteriors(scores)
+        retained, post = node_posteriors(scores)
+        np.testing.assert_array_equal(retained, np.flatnonzero(scores.accepted))
+        assert post.shape == retained.shape
         if scores.accepted.any():
             assert post.sum() == pytest.approx(1.0)
-            assert (post[~scores.accepted] == 0).all()
-        else:
-            assert (post == 0).all()
 
     def test_selection_counts(self):
         data, _, scores = _scored_node(seed=6)
@@ -216,7 +279,9 @@ class TestPosteriorsAndSelection:
         data, _, scores = _scored_node(seed=seed)
 
         def per_draw_tables(rng):  # the loop as it was: a table per draw
-            posteriors = node_posteriors(scores)
+            retained, post = node_posteriors(scores)
+            posteriors = np.zeros(scores.n_splits)
+            posteriors[retained] = post
             weighted, uniform = [], []
 
             def make_split(local_index):
@@ -243,7 +308,7 @@ class TestPosteriorsAndSelection:
 
     def test_weighted_selection_prefers_high_posterior(self):
         data, _, scores = _scored_node(seed=8)
-        post = node_posteriors(scores)
+        _, post = node_posteriors(scores)
         if not scores.accepted.any():
             pytest.skip("no retained splits for this seed")
         rng = GibbsRandom(make_stream(3, "sel"))
@@ -252,6 +317,125 @@ class TestPosteriorsAndSelection:
             weighted, _ = select_node_splits(data, scores, rng, n_select=1)
             picks.append(weighted[0].posterior)
         assert np.mean(picks) >= post[post > 0].mean() * 0.5
+
+
+class _GivenUniforms:
+    """A replicated stream that hands out the given uniforms, in a cycle."""
+
+    def __init__(self, values) -> None:
+        self.values = list(values)
+        self.offset = 0
+
+    def next_uniform(self) -> float:
+        value = self.values[self.offset % len(self.values)]
+        self.offset += 1
+        return value
+
+
+def _synthetic_scores(log_scores, accepted, n_obs: int, seed: int):
+    """A scored node with the given flat log-scores and acceptance."""
+    rng = np.random.default_rng(seed)
+    n_parents = log_scores.size // n_obs
+    data = rng.normal(size=(n_parents + 1, 2 * n_obs))
+    node = TreeNode(node_id=7, observations=np.arange(n_obs) * 2 + 1)
+    scores = NodeSplitScores(
+        module_id=0,
+        tree_index=0,
+        node=node,
+        parents=np.arange(n_parents, dtype=np.int64)[::-1] + 1,
+        base_index=0,
+        log_scores=np.asarray(log_scores, dtype=np.float64),
+        steps=np.ones(log_scores.size, dtype=np.int64),
+        accepted=np.asarray(accepted, dtype=bool),
+    )
+    return data, scores
+
+
+@st.composite
+def _node_scores(draw):
+    """Log-scores and acceptance of one node: any mix, none, all or one
+    accepted, spreads past ``exp``'s range (retained posteriors that
+    underflow to 0) and quantization ties."""
+    n_obs = draw(st.integers(1, 12))
+    n = n_obs * draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spread = draw(st.sampled_from(["normal", "underflow", "ties"]))
+    if spread == "normal":
+        logs = rng.normal(scale=5.0, size=n)
+    elif spread == "underflow":  # log-score spread > 745
+        logs = rng.uniform(-3000.0, 0.0, size=n)
+    else:  # a third of the decision quantum apart: one grid point, tied
+        logs = rng.choice([-1.0, -1.0 + 3e-10, -1.0 - 3e-10, -2.0], size=n)
+    accept = draw(st.sampled_from(["mixed", "none", "all", "one"]))
+    if accept == "mixed":
+        accepted = rng.random(n) < 0.3
+    elif accept == "one":
+        accepted = np.zeros(n, dtype=bool)
+        accepted[rng.integers(n)] = True
+    else:
+        accepted = np.full(n, accept == "all")
+    return _synthetic_scores(logs, accepted, n_obs, seed)
+
+
+class TestRetainedOnlySelection:
+    """Selection over the retained splits draws what one full-length table
+    over every candidate drew (``tests/reference.py``'s oracle): the same
+    splits, posteriors and stream offset."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(node=_node_scores(), n_select=st.integers(1, 4), seed=st.integers(0, 1000))
+    def test_equals_full_table(self, node, n_select, seed):
+        data, scores = node
+        rng, oracle = (GibbsRandom(make_stream(seed, "sel")) for _ in range(2))
+        got = select_node_splits(data, scores, rng, n_select)
+        assert got == select_splits_full_table(data, scores, oracle, n_select)
+        assert rng.offset == oracle.offset
+        if scores.accepted.any():
+            assert len(got[0]) == n_select
+        else:
+            assert got[0] == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(node=_node_scores(), k=st.integers(0, 10**6))
+    def test_uniform_on_or_past_the_last_cumulative_weight(self, node, k):
+        """Uniforms that scale onto a cumulative weight (``searchsorted``'s
+        right side), onto the total and past it: both tables pick alike,
+        the last option when the draw falls off the end."""
+        data, scores = node
+        retained, post = node_posteriors(scores)
+        uniforms = [0.0, 1.0, np.nextafter(1.0, 0.0)]
+        if retained.size:
+            full = np.zeros(scores.n_splits)
+            full[retained] = post
+            table = GibbsRandom.choice_table(
+                np.where(full > 0, np.log(np.maximum(full, 1e-300)), -np.inf)
+            )
+            on = table.cum[k % table.cum.size]
+            x = on / table.total
+            for _ in range(4):  # walk onto a uniform with x * total == on
+                if x * table.total == on:
+                    uniforms.append(x)
+                    break
+                x = np.nextafter(x, np.inf if x * table.total < on else -np.inf)
+        rng = GibbsRandom(_GivenUniforms(uniforms))
+        oracle = GibbsRandom(_GivenUniforms(uniforms))
+        n_select = len(uniforms)
+        got = select_node_splits(data, scores, rng, n_select)
+        assert got == select_splits_full_table(data, scores, oracle, n_select)
+        assert rng.offset == oracle.offset
+
+    def test_past_the_end_picks_the_last_option(self):
+        """Force ``u * total`` past the running sum: the pick is
+        ``n_splits - 1``, as the full table's ``min(idx, size - 1)``."""
+        logs = np.zeros(12)
+        accepted = np.zeros(12, dtype=bool)
+        accepted[[2, 5]] = True
+        data, scores = _synthetic_scores(logs, accepted, 3, seed=0)
+        rng = GibbsRandom(_GivenUniforms([2.0]))  # u = 2 * total
+        weighted, _ = select_node_splits(data, scores, rng, 1)
+        assert weighted[0].parent == scores.split_parent(11)
+        assert weighted[0].posterior == 0.0
 
 
 class TestParentScores:
