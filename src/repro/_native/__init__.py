@@ -415,7 +415,7 @@ class NativeKernels:
     def score_batch(
         self, uvalues: np.ndarray, urow: np.ndarray, beta_grid: np.ndarray, nodes,
         max_steps: int, stop_repeats: int, quantum: float, chunk_elements: int,
-        share: bool, want_idx: bool = True,
+        share: bool, want_idx: bool = True, want_steps: bool = True,
     ):
         """``SplitScorer._run_chain`` for a batch of tree nodes in one call.
 
@@ -431,8 +431,9 @@ class NativeKernels:
         filled on first use; without, and for a node with any other sign,
         the fused row evaluator runs and nothing is shared.
 
-        Returns the items' quantized ``best_score``, ``steps`` and (with
-        ``want_idx``; else ``None``) ``best_idx``, node after node, and the
+        Returns the items' quantized ``best_score``, ``steps`` (with
+        ``want_steps``) and ``best_idx`` (with ``want_idx``; each ``None``
+        when not wanted: C keeps it in its own scratch), node after node, the
         nodes' ``bounds`` in them; per node the ``(hits, evaluations,
         peak_chunk_elements)`` its NumPy chain would have counted with
         evaluation chunks of ``chunk_elements`` elements; the table's ``(rows
@@ -461,11 +462,12 @@ class NativeKernels:
             c.shared = bool((np.abs(node.sign) == 1.0).all())
             bounds[q + 1] = bounds[q] + v["n_items"]
         best_score = np.empty(bounds[-1])
-        steps = np.empty(bounds[-1], dtype=np.int64)
+        steps = np.empty(bounds[-1], dtype=np.int64) if want_steps else None
         best_idx = np.empty(bounds[-1], dtype=np.int64) if want_idx else None
         for c, lo, hi in zip(c_nodes, bounds, bounds[1:]):
             c.best_score = pointer(best_score[lo:hi])
-            c.steps = pointer(steps[lo:hi])
+            if want_steps:  # else NULL, as ffi.new leaves it
+                c.steps = pointer(steps[lo:hi])
             if want_idx:
                 c.best_idx = pointer(best_idx[lo:hi])
         table = np.zeros(3, dtype=np.int64)
@@ -811,30 +813,30 @@ def _batch_cases():
             want = scorer.score_batch_kernel(oracle, span)[:3]
             counted = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
             probes.append((obs, sign, span, [*want, counted]))
-        for share in (True, False):
-            rows = f"margin rows {'shared' if share else 'fused'}"
+        for share, steps in ((True, True), (False, True), *[(True, False)] * (n_u == 150)):
+            rows = f"margin rows {'shared' if share else 'fused'}{'' if steps else ', no steps'}"
             label = f"n_u={n_u}, max_steps={max_steps}, {generator} span, {rows}"
-            yield label, (uvalues, scorer, chunk, probes, share)
+            yield label, (uvalues, scorer, chunk, probes, share, steps)
 
 
 def _batch_runs(case, kernels=None):
-    """Per node: scores, steps, beta indices and the memo counters — of the
-    NumPy chain, or of one batch call."""
+    """Per node: scores, steps (where the case asks for them), beta indices
+    and the memo counters — of the NumPy chain, or of one batch call."""
     from repro.scoring.kernel import ChainNode, run_chains
 
-    uvalues, scorer, chunk, probes, share = case
+    uvalues, scorer, chunk, probes, share, steps = case
     if kernels is None:
-        return [[part for *_node, want in probes for part in want]]
+        return [[part for *_node, want in probes for part in want if steps or part is not want[1]]]
     nodes = [ChainNode(obs, sign, span) for obs, sign, span, _ in probes]
     # explicit budget: `share` picks the shared table or the fused evaluator
     *flat, bounds, counters, _table = run_chains(
         kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
-        scorer.stop_repeats, max_chunk_elements=chunk,
+        scorer.stop_repeats, max_chunk_elements=chunk, want_steps=steps,
         table_elements=scorer.beta_grid.size * uvalues.shape[1] ** 2 * share,
     )
     return [[
         part for lo, hi, counted in zip(bounds, bounds[1:], counters)
-        for part in (*(out[lo:hi] for out in flat), counted)
+        for part in (*(out[lo:hi] for out in flat if out is not None), counted)
     ]]
 
 

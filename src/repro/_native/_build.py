@@ -794,7 +794,8 @@ static double margin_score(double gv, const double *vrow, const double *sgn,
 /* One tree node of a scoring batch.  Its candidate split l * n_obs + j is
  * (candidate parent l, the parent's value at the node's j-th observation),
  * and the chain runs over every one of them: chain item i writes
- * best_score/steps/best_idx[i] (best_idx may be NULL: not wanted);
+ * best_score/steps/best_idx[i] (steps and best_idx may be NULL: not
+ * wanted);
  * hits/evaluations/peak are written once per call.  `obs` are the node's
  * observations as columns of the batch's universe and `sign` its
  * left/right vector (`shared`: every entry is exactly +-1, the
@@ -933,14 +934,14 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
         score[j] = c->cache[c->flat[j]];
 }
 
-/* A chain item's first draw cursor, kept from the pre-pass that seats it
- * to the start of its chain: the words its first Philox block holds after
- * draw 0 (words 1..3; the block's word 0 is at most draw 0 itself) or the
- * MRG state after draw 0: 24 bytes an item, for the items of the parent
- * in hand. */
-typedef union {
-    double w[3];
+/* A chain item's first beta index and first draw cursor, kept from the
+ * pre-pass that seats it to the start of its chain: the words its first
+ * Philox block holds after draw 0 (words 1..3, copied bit for bit; the
+ * block's word 0 is at most draw 0 itself) or the MRG state after draw 0:
+ * 32 bytes an item, for the items of the parent in hand. */
+typedef struct {
     uint64_t x[3];
+    int64_t beta;
 } seat;
 
 /* A double's bits, for the accept pass's mask blends. */
@@ -964,18 +965,20 @@ typedef union {
  * multiply-mods, not a matrix power; one power per node seats the first).
  *
  * Per parent, a pre-pass seats every item of every node first: its draw 0
- * gives its first beta (left in its steps slot until its chain starts) and
- * its cursor is kept (seat).  The first lookups read every distinct
- * (beta, value) row their shared nodes' items start at; where at one beta
- * that is at least whole_rows rows, lazy fills were certain to cost at
- * least what filling the block whole costs (block_fill: ceil(n_u / 8)
- * (ceil(n_u / 8) + 1) / 2 tiles of 64 lanes, against ceil(n_u / 8) blocks
- * of 8 lanes per lazy row), and the block is filled whole before any chain
- * runs.  Rows are counted as filled when first read, however they got
+ * gives its first beta, kept with its cursor (seat).  The first lookups
+ * read every distinct (beta, value) row their shared nodes' items start
+ * at; where at one beta that is at least whole_rows rows, lazy fills were
+ * certain to cost at least what filling the block whole costs
+ * (block_fill: ceil(n_u / 8) (ceil(n_u / 8) + 1) / 2 tiles of 64 lanes,
+ * against ceil(n_u / 8) blocks of 8 lanes per lazy row), and the block is
+ * filled whole before any chain runs.  Rows are counted as filled when first read, however they got
  * there.  The chain step is branch-free but for the Philox refresh and the
  * evaluation of a missing key: the accept test, the best-so-far update
  * and the keep-or-drop decision are integer-mask blends (as ?: selects,
  * GCC compiled two of them into data-dependent branches).
+ *
+ * A chain's working state is the call's own scratch: a node's steps and
+ * best_idx are written only where they are wanted (not NULL).
  *
  * table_counters = {rows filled, row uses, Philox blocks computed}; each
  * node reports {hits, evaluations, peak_chunk_elements} as one all-parents
@@ -987,7 +990,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                       int64_t share, int64_t *table_counters)
 {
     batch_ctx c;
-    int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *missed;
+    int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *n_steps, *missed;
     int64_t *rep, *first_rows;
     double *dbuf, *cur_score, *prop_score, *log_u, *vbuf;
     uint8_t *bbuf, *contig;
@@ -1006,7 +1009,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
         n_items += nodes[q].n_obs;
     }
     n = (size_t)max_obs;
-    ibuf = (int64_t *)calloc(9 * n + (size_t)(n_u + n_beta)
+    ibuf = (int64_t *)calloc(10 * n + (size_t)(n_u + n_beta)
                                  + (size_t)(n_nodes * n_lookups * n_beta),
                              sizeof(int64_t));
     dbuf = (double *)malloc(
@@ -1039,7 +1042,8 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     c.ucol = ibuf + 6 * n;
     best_idx = ibuf + 7 * n;
     c.list = ibuf + 8 * n;
-    c.rep = rep = ibuf + 9 * n;
+    n_steps = ibuf + 9 * n;
+    c.rep = rep = ibuf + 10 * n;
     first_rows = rep + n_u;
     missed = first_rows + n_beta;
     cur_score = dbuf;
@@ -1090,11 +1094,11 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                 /* min((u * n_beta).astype(int64), n_beta - 1) */
                 idx = (int64_t)(draw(&di, 0) * (double)n_beta);
                 idx = idx > n_beta - 1 ? n_beta - 1 : idx;
-                nd->steps[k0 + i] = idx;
+                seats[s].beta = idx;
                 if (nd->gen == MRG)
                     memcpy(seats[s].x, di.x, sizeof seats[s].x);
                 else
-                    memcpy(seats[s].w, di.kept + 1, sizeof seats[s].w);
+                    memcpy(seats[s].x, di.kept + 1, sizeof seats[s].x);
                 blocks += di.blocks;
                 key = c.ur[nd->obs[i]] * n_beta + idx;
                 first_rows[idx] += nd->shared && !c.seen[key];
@@ -1130,15 +1134,15 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                     memcpy(d[i].x, seats[s].x, sizeof d[i].x);
                     d[i].at = d[i].offset + 1;
                 } else {
-                    memcpy(d[i].kept + 1, seats[s].w, sizeof seats[s].w);
+                    memcpy(d[i].kept + 1, seats[s].x, sizeof seats[s].x);
                     d[i].block = d[i].offset / 4 + 1;
                 }
                 c.ucol[i] = nd->obs[i];
                 c.mrow[i] = c.ur[c.ucol[i]];
-                cur_idx[i] = nd->steps[k0 + i];
+                cur_idx[i] = seats[s].beta;
                 rejects[i] = 0;
                 act[i] = i;
-                nd->steps[k0 + i] = 0;
+                n_steps[i] = 0;
             }
             chain_lookup(&c, act, k, cur_idx, node_missed, cur_score);
             for (i = 0; i < k; i++) {
@@ -1172,7 +1176,8 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                     acc = -(int64_t)(log_u[j] < ps.d - cur.d);
                     better = acc & -(int64_t)(ps.d > best.d);
                     r = (rejects[i] + 1) & ~acc;
-                    nd->steps[k0 + i]++;
+                    /* active items only leave: it has taken every step */
+                    n_steps[i] = step + 1;
                     cur_idx[i] = (p & acc) | (cur_idx[i] & ~acc);
                     cur.i = (ps.i & acc) | (cur.i & ~acc);
                     cur_score[i] = cur.d;
@@ -1189,6 +1194,9 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                 nd->best_score[i] = rint(nd->best_score[i] / quantum) * quantum;
                 blocks += d[i - k0].blocks;
             }
+            if (nd->steps)
+                memcpy(nd->steps + k0, n_steps,
+                       (size_t)(k1 - k0) * sizeof(int64_t));
             if (nd->best_idx)
                 memcpy(nd->best_idx + k0, best_idx,
                        (size_t)(k1 - k0) * sizeof(int64_t));

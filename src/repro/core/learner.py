@@ -234,15 +234,19 @@ def _learn_result(matrix, modules, times: TaskTimes, trace, executor) -> LearnRe
     return LearnResult(network=network, task_times=times, trace=trace, stats=stats)
 
 
-#: bytes one candidate split holds in the flat score arrays (float64 log
-#: score, int64 steps, bool accepted)
+#: bytes one candidate split holds in the flat score arrays of a traced
+#: run (float64 log score, int64 steps, bool accepted); an untraced one
+#: counts no steps and holds 9.  Batching charges 17 either way, so traced
+#: and untraced runs cut the same batches and a trace's margin-row
+#: counters describe the untraced run (a batch boundary moves them).
 _SPLIT_BYTES = 17
 
-#: bytes of flat score arrays one scoring batch may hold; a batch of modules
-#: whose trees pass it is scored in several calls.  128 MiB is ~500 root
-#: nodes of the benchmark's `bench` shape (120 parents x 128 observations)
-#: — far above one `learn()` there — while a root node of the paper's shape
-#: (5,716 x 2,577: 250 MB) is always a call of its own.
+#: bytes of flat score arrays one scoring batch may hold, at
+#: :data:`_SPLIT_BYTES` a split; a batch of modules whose trees pass it is
+#: scored in several calls.  128 MiB is ~500 root nodes of the benchmark's
+#: `bench` shape (120 parents x 128 observations) — far above one `learn()`
+#: there — while a root node of the paper's shape (5,716 x 2,577: 250 MB
+#: traced, 133 MB untraced) is always a call of its own.
 SCORE_BATCH_BYTES = 1 << 27
 
 
@@ -304,7 +308,8 @@ def select_phase(
     """Steps 2-3 of one module from pre-computed flat score arrays.
 
     ``offset`` is the module's first row in the flat arrays; the new offset
-    (one past the module's last split) is returned.  Consumes exactly the
+    (one past the module's last split) is returned.  ``steps`` is read only
+    for ``trace`` (``None`` without one).  Consumes exactly the
     same ``mrng`` draws whoever scored the splits, in the same order.
     """
     module = Module(module_id=module_id, members=list(members), trees=trees)
@@ -320,7 +325,7 @@ def select_phase(
             parents=parents,
             base_index=split_base,
             log_scores=log_scores[offset : offset + n_splits],
-            steps=steps[offset : offset + n_splits],
+            steps=None if steps is None else steps[offset : offset + n_splits],
             accepted=accepted[offset : offset + n_splits],
         )
         offset += n_splits
@@ -387,7 +392,9 @@ def learn_module_batch(
     pending_nodes: list[tuple] = []  # ... and their nodes, for score_nodes
 
     def score_and_select() -> None:
-        log_scores, steps, accepted = score_nodes(data, parents, scorer, pending_nodes)
+        log_scores, steps, accepted = score_nodes(
+            data, parents, scorer, pending_nodes, want_steps=traces is not None
+        )
         offset = 0
         for module_id, members, trees, nodes, mrng in pending:
             module, offset = select_phase(

@@ -8,7 +8,6 @@ by the tests and examples.
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
 from typing import Any
 
 import numpy as np
@@ -122,6 +121,37 @@ def network_from_json(document: str) -> ModuleNetwork:
 
 def network_to_xml(network: ModuleNetwork) -> str:
     """Serialize to a Lemon-Tree-style XML document."""
+    import xml.etree.ElementTree as ET  # only a caller that writes XML loads it
+
+    def append_node(parent_el: ET.Element, node: TreeNode) -> None:
+        node_el = ET.SubElement(
+            parent_el,
+            "Node",
+            attrib={
+                "id": str(node.node_id),
+                "leaf": "true" if node.is_leaf else "false",
+                "observations": ",".join(str(int(o)) for o in node.observations),
+            },
+        )
+        for kind, splits in (
+            ("weighted", node.weighted_splits),
+            ("uniform", node.uniform_splits),
+        ):
+            for split in splits:
+                ET.SubElement(
+                    node_el,
+                    "Split",
+                    attrib={
+                        "parent": str(split.parent),
+                        "value": f"{split.value:.9f}",
+                        "posterior": f"{split.posterior:.9f}",
+                        "selection": kind,
+                    },
+                )
+        if node.left is not None and node.right is not None:
+            append_node(node_el, node.left)
+            append_node(node_el, node.right)
+
     root = ET.Element(
         "ModuleNetwork",
         attrib={
@@ -167,36 +197,6 @@ def network_to_xml(network: ModuleNetwork) -> str:
         trees_el = ET.SubElement(mod_el, "RegressionTrees")
         for tree in module.trees:
             tree_el = ET.SubElement(trees_el, "Tree")
-            _append_node_xml(tree_el, tree.root)
+            append_node(tree_el, tree.root)
     ET.indent(root)
     return ET.tostring(root, encoding="unicode")
-
-
-def _append_node_xml(parent_el: ET.Element, node: TreeNode) -> None:
-    node_el = ET.SubElement(
-        parent_el,
-        "Node",
-        attrib={
-            "id": str(node.node_id),
-            "leaf": "true" if node.is_leaf else "false",
-            "observations": ",".join(str(int(o)) for o in node.observations),
-        },
-    )
-    for kind, splits in (
-        ("weighted", node.weighted_splits),
-        ("uniform", node.uniform_splits),
-    ):
-        for split in splits:
-            ET.SubElement(
-                node_el,
-                "Split",
-                attrib={
-                    "parent": str(split.parent),
-                    "value": f"{split.value:.9f}",
-                    "posterior": f"{split.posterior:.9f}",
-                    "selection": kind,
-                },
-            )
-    if node.left is not None and node.right is not None:
-        _append_node_xml(node_el, node.left)
-        _append_node_xml(node_el, node.right)

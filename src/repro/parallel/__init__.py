@@ -35,36 +35,8 @@ MPI implementation is reproduced with three cooperating layers:
 * :mod:`repro.parallel.topology` — the machine probe: cores and NUMA
   domains read from sysfs (flat single-domain fallback), reported in
   traces and benchmark machine blocks, never used to schedule or size.
+
+The package imports none of them: a process loads the layers it runs (an
+in-process ``learn()`` neither the SPMD engine nor ``multiprocessing``),
+and ``repro``'s own lazy exports name the public classes.
 """
-
-from repro.parallel.comm import SerialComm, ThreadComm, run_spmd
-from repro.parallel.costmodel import MachineModel
-from repro.parallel.engine import ParallelLearner
-from repro.parallel.topology import MachineTopology, flat_topology, probe_topology
-from repro.parallel.trace import WorkTrace, project_time
-
-__all__ = [
-    "ThreadComm",
-    "SerialComm",
-    "run_spmd",
-    "MachineModel",
-    "MachineTopology",
-    "flat_topology",
-    "probe_topology",
-    "WorkTrace",
-    "project_time",
-    "ParallelLearner",
-    "TaskPoolExecutor",
-    "WorkerCrashedError",
-    "open_executor",
-]
-
-
-def __getattr__(name: str):
-    # Imported lazily: executor pulls in core.learner, which would make
-    # ``import repro.parallel`` eagerly import most of the package.
-    if name in ("TaskPoolExecutor", "WorkerCrashedError", "open_executor"):
-        from repro.parallel import executor
-
-        return getattr(executor, name)
-    raise AttributeError(name)

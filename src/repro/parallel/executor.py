@@ -258,14 +258,15 @@ class TaskScheduler:
         paper's Section 6 ablation), never more blocks than parents.
         Returns flat ``(log_scores, steps, accepted)`` arrays, bit-identical
         to in-process scoring however the parents are cut: each split's
-        draws are addressed by its index.
+        draws are addressed by its index.  ``steps`` is counted only for
+        ``trace`` (``None`` without one).
         """
         n_parents = len(self.parents)
         per_worker = 1 if self.schedule == "static" else 4
         blocks = block_bounds(n_parents, min(n_parents, per_worker * self.n_workers))
         results = self.submit_runs(
             _score_chunk_run,
-            [(l0, l1, node_records) for l0, l1 in blocks],
+            [(l0, l1, node_records, trace is not None) for l0, l1 in blocks],
             chunksize=1,
             trace=trace,
         )

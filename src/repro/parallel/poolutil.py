@@ -17,7 +17,6 @@ ever opened.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
 import signal
@@ -25,7 +24,6 @@ import socket
 import struct
 import threading
 import time
-from multiprocessing.util import register_after_fork
 
 #: what a caller living in a multi-threaded process (the service daemon)
 #: passes as ``method``: a fork there can copy a lock another thread holds
@@ -67,14 +65,17 @@ class NodeCrashedError(RuntimeError):
     """
 
 
-def pool_context(method: str | None = None) -> mp.context.BaseContext:
-    """The multiprocessing context every child is launched from.
+def pool_context(method: str | None = None):
+    """The multiprocessing context every child is launched from (imported
+    here: a process that starts no child never loads ``multiprocessing``).
 
     ``fork`` is preferred (children inherit the parent's address space —
     loaded modules, the certified native kernel — so a child costs a fork,
     not an interpreter); where it is unavailable the ``spawn`` method is
     used.  Pass ``method`` to force a specific start method.
     """
+    import multiprocessing as mp
+
     if method is None:
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     return mp.get_context(method)
@@ -126,6 +127,8 @@ class SocketChannel:
         # A process forked while this channel is live (a sibling child,
         # another transport's) drops its copy of the connection at once:
         # the peer must see EOF the moment *this* process goes away.
+        from multiprocessing.util import register_after_fork
+
         register_after_fork(self, SocketChannel.close)
 
     @property

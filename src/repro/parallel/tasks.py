@@ -126,8 +126,10 @@ def _score_chunk_run(ctx, item):
     ``[l0, l1)`` of every node record ``(module_id, obs, left_obs,
     module_obs_base)``, scored as one :func:`score_nodes` batch; a node's
     draws start at its module's split index ``module_obs_base * P + l0 *
-    n_obs``.  Returns the batch's flat ``(log_scores, steps, accepted)``."""
-    l0, l1, records = item
+    n_obs``.  Returns the batch's flat ``(log_scores, steps, accepted)``,
+    ``steps`` ``None`` unless ``want_steps`` (only a traced run reads them,
+    so an untraced worker ships 8 bytes a split less)."""
+    l0, l1, records, want_steps = item
     parents = ctx["parents"]
     scorer: SplitScorer = ctx["scorer"]
     streams: dict = ctx["streams"]
@@ -142,7 +144,7 @@ def _score_chunk_run(ctx, item):
             )
         base = module_obs_base * parents.size + l0 * len(obs)
         nodes.append((obs, left_obs, streams[module_id], base))
-    return score_nodes(ctx["data"], parents[l0:l1], scorer, nodes)
+    return score_nodes(ctx["data"], parents[l0:l1], scorer, nodes, want_steps)
 
 
 #: every runner the scheduler dispatches, by wire name — the frame protocol

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -149,6 +148,8 @@ class SharedMatrix:
     """
 
     def __init__(self, data: np.ndarray) -> None:
+        from multiprocessing import shared_memory  # only a pool needs it
+
         data = np.ascontiguousarray(data, dtype=np.float64)
         self._shm = shared_memory.SharedMemory(create=True, size=data.nbytes)
         self.array = np.ndarray(data.shape, dtype=data.dtype, buffer=self._shm.buf)
@@ -170,8 +171,11 @@ class SharedMatrix:
                 pass
 
 
-def _attach_shared(spec) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-    """Attach to a :class:`SharedMatrix` segment from a worker process."""
+def _attach_shared(spec) -> tuple:
+    """Attach to a :class:`SharedMatrix` segment from a worker process:
+    ``(segment, array)``."""
+    from multiprocessing import shared_memory
+
     name, shape, dtype = spec
     shm = shared_memory.SharedMemory(name=name)
     # Workers and driver share one resource-tracker process (the tracker fd

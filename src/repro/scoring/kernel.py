@@ -362,6 +362,7 @@ def run_chains(
     max_chunk_elements: int | None = None,
     table_elements: int | None = None,
     want_idx: bool = True,
+    want_steps: bool = True,
 ):
     """The scorer's sampling chains of a batch of tree nodes, in one call.
 
@@ -396,8 +397,10 @@ def run_chains(
     key, so the budget cannot change a bit of the output.  ``urow`` ranks
     each universe row's distinct values from 0 (computed when not given).
 
-    Returns the flat ``best_score`` / ``steps`` / ``best_idx`` (``None``
-    unless ``want_idx``) of all chain items, node after node, the nodes'
+    Returns the flat ``best_score`` / ``steps`` (``None`` unless
+    ``want_steps``) / ``best_idx`` (``None`` unless ``want_idx``) of all
+    chain items, node after node — a count or index not wanted stays in the
+    call's scratch and costs the caller no array — the nodes'
     ``bounds`` in them, per node the ``(hits, evaluations,
     peak_chunk_elements)`` its own NumPy chain would have counted, and the
     call's ``(margin_rows_filled, margin_row_uses, philox_blocks)``.  It
@@ -415,14 +418,24 @@ def run_chains(
     return native.score_batch(
         uvalues, np.ascontiguousarray(urow), beta_grid, nodes,
         max_steps, stop_repeats, SCORE_QUANTUM, max_chunk_elements or CHUNK_ELEMENTS,
-        share, want_idx,
+        share, want_idx, want_steps,
     )
 
 
 def split_sign(obs: np.ndarray, left_obs: np.ndarray) -> np.ndarray:
     """A node's left/right vector: +1.0 where an observation belongs to the
-    left child, -1.0 elsewhere."""
-    return np.where(np.isin(obs, left_obs), 1.0, -1.0)
+    left child, -1.0 elsewhere.  ``obs`` is ascending and ``left_obs`` a
+    subset of it, as a tree node's and its left child's observations are
+    (:func:`repro.trees.hierarchy.build_tree_structure`), so each left
+    observation's position is a binary search away; a search that lands
+    anywhere else (unsorted ``obs``, a stray left observation) is refused
+    rather than answered with a wrong vector."""
+    at = np.searchsorted(obs, left_obs)
+    if not np.array_equal(np.take(obs, at, mode="clip"), left_obs):
+        raise ValueError("split_sign needs ascending obs that hold every left observation")
+    sign = np.full(len(obs), -1.0)
+    sign[at] = 1.0
+    return sign
 
 
 def split_kernel_from_arrays(

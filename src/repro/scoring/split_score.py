@@ -170,20 +170,21 @@ class SplitScorer:
         return result
 
     def score_chain_nodes(
-        self, uvalues: np.ndarray, nodes
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, uvalues: np.ndarray, nodes, want_steps: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """The chain over every candidate of a batch of tree nodes, in one
         call of this scorer's native kernels
         (:func:`repro.scoring.kernel.run_chains`; ``uvalues``
         is the batch's universe of parent values, ``nodes`` its
         :class:`~repro.scoring.kernel.ChainNode` list).  Returns the flat
         ``(log_scores, steps, accepted)`` of the nodes' candidates, node
-        after node — per node what :meth:`score_batch_kernel` returns, and
-        per node what its NumPy chain would have counted, with the call's
-        margin-table traffic, added to :attr:`counters`."""
+        after node — per node what :meth:`score_batch_kernel` returns,
+        ``steps`` ``None`` unless ``want_steps`` — and adds per node what
+        its NumPy chain would have counted, with the call's margin-table
+        traffic, to :attr:`counters` (the same with or without steps)."""
         best_score, steps, _best_idx, bounds, counters, table = run_chains(
             self.native, uvalues, self.beta_grid, nodes, self.max_steps,
-            self.stop_repeats, want_idx=False,
+            self.stop_repeats, want_idx=False, want_steps=want_steps,
         )
         merge_counters(self.counters, chain_counters(counters, table))
         accepted = np.empty(best_score.size, dtype=bool)

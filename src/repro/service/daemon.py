@@ -31,6 +31,11 @@ from pathlib import Path
 from repro.parallel.poolutil import NodeCrashedError, SocketChannel
 from repro.service.jobs import InferenceService
 
+#: how long one read or write of a request connection may wait on its
+#: client before the daemon closes it: a client that connects and then
+#: falls silent must not hold a handler thread forever
+IDLE_SECONDS = 30.0
+
 #: verbs a connection may open with
 _VERBS = (
     "ping",
@@ -137,6 +142,7 @@ class ServiceDaemon:
 
     def _handle(self, conn: socket.socket) -> None:
         channel = SocketChannel(conn, peer="client")
+        channel.recv_timeout = IDLE_SECONDS
         try:
             verb, payload = channel.recv_msg()
             if not isinstance(payload, dict) or payload.get("token") != self.token:
@@ -151,7 +157,7 @@ class ServiceDaemon:
             if verb == "shutdown":
                 self.request_shutdown()
         except NodeCrashedError:
-            pass  # client went away mid-request; nothing to answer
+            pass  # client went away or fell silent mid-request; nothing to answer
         except Exception as exc:
             try:
                 channel.send_msg(

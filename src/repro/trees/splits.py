@@ -38,7 +38,7 @@ class NodeSplitScores:
     parents: np.ndarray  # candidate parent variable indices, shape (P,)
     base_index: int  # global index of this node's first candidate split
     log_scores: np.ndarray  # shape (P * n_obs,), quantized log-scores
-    steps: np.ndarray  # sampling steps consumed per split (work driver)
+    steps: np.ndarray | None  # sampling steps per split (work driver); None: not counted
     accepted: np.ndarray  # bool, beats the coin-flip baseline
 
     @property
@@ -83,19 +83,23 @@ def score_nodes(
     parents: np.ndarray,
     scorer: SplitScorer,
     nodes,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    want_steps: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Score every candidate split of a batch of internal nodes.
 
     ``parents`` may be a block ``[l0, l1)`` of a node list's candidate
     parents (split mode's cut, and the SPMD engine's).  ``nodes`` lists
-    ``(obs, left_obs, istream, base_index)``: a node's observations, its
-    left child's, the indexed stream of its module and the split index in
-    it of the node's first candidate *of these parents* — the node's
+    ``(obs, left_obs, istream, base_index)``: a node's observations
+    (ascending), its left child's, the indexed stream of its module and
+    the split index in it of the node's first candidate *of these
+    parents* — the node's
     splits here occupy the contiguous range ``[base_index, base_index + P
     * n_obs)``, so their private draws are one span of the stream (for a
     block, ``base_index`` is the node's first split plus ``l0 * n_obs``).
     Returns flat ``(log_scores, steps, accepted)`` arrays, node after node
-    in the canonical parent-major, observation-minor order.
+    in the canonical parent-major, observation-minor order; ``steps`` (8
+    bytes a split, read only by a traced run's work units) is ``None``
+    unless ``want_steps``.
 
     On ``scorer``'s native backend the batch is one call of
     :func:`repro.scoring.kernel.run_chains`, whichever generator the
@@ -108,7 +112,8 @@ def score_nodes(
     """
     parents = np.asarray(parents, dtype=np.int64)
     if not nodes:
-        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        steps = np.empty(0, dtype=np.int64) if want_steps else None
+        return np.empty(0), steps, np.empty(0, dtype=bool)
     spans = [
         istream.items_span(base_index, parents.size * len(obs))
         for obs, _left_obs, istream, base_index in nodes
@@ -118,8 +123,8 @@ def score_nodes(
         for (obs, left_obs, _istream, _base), span in zip(nodes, spans):
             kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
             log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(kernel, span)
-            parts.append((log_scores, steps, accepted))
-        return tuple(np.concatenate(field) for field in zip(*parts))
+            parts.append((log_scores, steps if want_steps else None, accepted))
+        return _join_fields(parts)
     in_batch = np.zeros(data.shape[1], dtype=bool)
     for obs, *_rest in nodes:
         in_batch[obs] = True
@@ -130,6 +135,7 @@ def score_nodes(
             ChainNode(np.searchsorted(universe, obs), split_sign(obs, left_obs), span)
             for (obs, left_obs, _istream, _base), span in zip(nodes, spans)
         ],
+        want_steps,
     )
 
 
@@ -139,7 +145,8 @@ def gather_parent_blocks(n_obs, n_parents: int, blocks, parts) -> tuple:
     parent blocks ``blocks`` (``[l0, l1)`` each, covering ``[0,
     n_parents)``).  ``n_obs`` lists the nodes' observation counts; a block's
     result holds node after node ``(l1 - l0) * n_obs`` entries, which go
-    to the node's offset plus ``l0 * n_obs``."""
+    to the node's offset plus ``l0 * n_obs``.  Steps the blocks did not
+    count (``None``) stay ``None``."""
     offsets = np.cumsum([0, *(n_parents * n for n in n_obs)])
     order = np.concatenate([
         np.empty(0, dtype=np.int64),
@@ -150,12 +157,21 @@ def gather_parent_blocks(n_obs, n_parents: int, blocks, parts) -> tuple:
         ),
     ])
     out = []
-    for field in zip(*parts):
-        values = np.concatenate(field)
-        flat = np.empty(offsets[-1], dtype=values.dtype)
-        flat[order] = values
-        out.append(flat)
+    for values in _join_fields(parts):
+        if values is not None:
+            flat = np.empty(offsets[-1], dtype=values.dtype)
+            flat[order] = values
+            values = flat
+        out.append(values)
     return tuple(out)
+
+
+def _join_fields(parts) -> tuple:
+    """``(log_scores, steps, accepted)`` parts joined field by field; a field
+    no part holds (``None``: steps not counted) stays ``None``."""
+    return tuple(
+        None if field[0] is None else np.concatenate(field) for field in zip(*parts)
+    )
 
 
 def score_node_splits(

@@ -104,12 +104,12 @@ class TestEquivalence:
             matrix.values, 0, list(members[0]), config, seed=5
         )
         with open_executor(matrix.values, config, 5) as executor:
-            serial = executor.score_splits(records)
+            serial = executor.score_splits(records, trace=WorkTrace())
         with open_executor(
             matrix.values, _with_workers(config, 2), 5, mp_context="spawn"
         ) as executor:
-            spawned = executor.score_splits(records)
-        for a, b in zip(serial, spawned):
+            spawned = executor.score_splits(records, trace=WorkTrace())
+        for a, b in zip(serial, spawned):  # steps too: a traced run counts them
             np.testing.assert_array_equal(a, b)
 
     def test_mode_is_not_an_option(self, setup):

@@ -59,7 +59,9 @@ LemonTreeLearner(config).learn(make_module_dataset(24, 16, seed=7).matrix, 3)
 from repro import _native
 assert _native.availability()["status"] == "native", _native.availability()
 unused = [m for m, module in sys.modules.items() if module is not None  # None: blocked
-          and (m.split(".")[0] in ("scipy", "pycparser") or m in ("cffi.cparser", "numpy.ma"))]
+          and (m.split(".")[0] in ("scipy", "pycparser", "multiprocessing")
+               or m.startswith("xml.etree") or m in ("cffi.cparser", "numpy.ma")
+               or m in ("repro.parallel.engine", "repro.parallel.comm", "repro.parallel.primitives"))]
 assert not unused, unused
 """
 
@@ -93,7 +95,9 @@ def _warm_native_cache():
 def test_cold_learn_loads_neither_scipy_nor_the_c_parser():
     """A cache hit loads the extension without cffi's parser, and nothing
     the runtime does (``gammaln`` included) needs SciPy or ``numpy.ma``
-    (which a bare ``np.unique`` imports)."""
+    (which a bare ``np.unique`` imports).  An in-process learn starts no
+    child and writes no XML, so it loads neither ``multiprocessing`` nor
+    ``xml.etree``, nor the SPMD engine and its communicator."""
     _warm_native_cache()
     done = _run_cold(_COLD_LEARN.format(backend="auto"))
     assert done.returncode == 0, done.stderr

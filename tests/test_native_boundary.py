@@ -261,6 +261,29 @@ def test_a_group_row_outside_the_values_is_refused():
         trapped.eval_chunk(**{**kwargs, "group_row": np.array([0, 1, 2, 3, 0])})
 
 
+@needs_native
+def test_a_batch_without_steps_hands_c_a_null_steps(monkeypatch):
+    """``want_steps=False`` passes the spec and reaches C with every node's
+    ``steps`` NULL (C counts in its own scratch) and its scores set; the
+    real call then answers no steps and the same scores."""
+    kernels = _native.load()
+    kwargs = _valid_call("repro_score_batch")[1]
+    reached = []
+
+    def call(self, entry, env, *args):
+        reached.append([
+            (c.steps == self._ffi.NULL, c.best_score == self._ffi.NULL) for c in args[6]
+        ])
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_native.NativeKernels, "_call", call)
+        kernels.score_batch(**kwargs, want_steps=False)
+    assert reached == [[(True, False)]]
+    best_score, steps, *_rest = kernels.score_batch(**kwargs, want_steps=False)
+    assert steps is None
+    assert best_score.tobytes() == kernels.score_batch(**kwargs)[0].tobytes()
+
+
 #: how many entries ``log_marginal_core`` (``_build.py``) scores at a time
 _LOG_MARGINAL_BLOCK = 512
 

@@ -409,7 +409,7 @@ class TestFusedChain:
             for node, (*_rest, base) in zip(nodes, records)
         ]
         for l0, l1 in [(0, parents.size), (0, 1), (1, 4), (4, parents.size), (5, 6)]:
-            scores, steps, accepted = _score_chunk_run(ctx, (l0, l1, records))
+            scores, steps, accepted = _score_chunk_run(ctx, (l0, l1, records, True))
             at = 0
             for whole in wholes:
                 rows, size = slice(l0 * whole.n_obs, l1 * whole.n_obs), (l1 - l0) * whole.n_obs

@@ -72,7 +72,8 @@ class TestParentBlockCover:
         def submit_runs(fn, items, **_kwargs):
             assert fn is executor_mod._score_chunk_run
             results = []
-            for l0, l1, records in items:
+            for l0, l1, records, want_steps in items:
+                assert not want_steps  # untraced: only a trace reads steps
                 dispatched.append((l0, l1))
                 flat = np.concatenate([
                     offsets[q] + np.arange(l0 * obs.size, l1 * obs.size)
@@ -144,6 +145,44 @@ class TestSplitModeCounts:
         )
         assert one == two
         assert (split["hits"], split["evaluations"]) == (alone["hits"], alone["evaluations"])
+
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_untraced_split_mode_pool_ships_no_steps(self, monkeypatch, backend):
+        """Two pool workers score one module's parent blocks: untraced, no
+        block comes back with steps and selection is handed none; traced,
+        every block counts them.  Both learn the one-worker network."""
+        blocks, selected = [], []
+        gather, select = executor_mod.gather_parent_blocks, executor_mod.select_phase
+
+        def gathering(n_obs, n_parents, cut, parts):
+            blocks.extend(part[1] for part in parts)
+            return gather(n_obs, n_parents, cut, parts)
+
+        def selecting(*args):
+            selected.append(args[9])  # the flat steps
+            return select(*args)
+
+        monkeypatch.setattr(executor_mod, "gather_parent_blocks", gathering)
+        monkeypatch.setattr(executor_mod, "select_phase", selecting)
+        matrix = make_module_dataset(24, 16, seed=7).matrix
+        config = LearnerConfig(
+            max_sampling_steps=5,
+            parallel=ParallelConfig(n_workers=2, kernel_backend=backend),
+        )
+        members = [list(range(matrix.n_vars))]
+        for trace in (None, WorkTrace()):
+            del blocks[:], selected[:]
+            result = LemonTreeLearner(config).learn_from_modules(
+                matrix, members, seed=5, trace=trace
+            )
+            assert result.stats["executor"]["n_workers"] == 2
+            assert len(blocks) == 8 and len(selected) == 1  # 4 blocks a worker, 1 module
+            counted = [steps is not None for steps in blocks + selected]
+            assert counted == [trace is not None] * 9
+        one = LearnerConfig(max_sampling_steps=5, parallel=ParallelConfig(kernel_backend=backend))
+        alone = LemonTreeLearner(one).learn_from_modules(matrix, members, seed=5)
+        assert result.network == alone.network
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

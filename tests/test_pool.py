@@ -8,18 +8,20 @@ import pytest
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.parallel.executor import open_executor
+from repro.parallel.trace import WorkTrace
 from repro.rng.streams import IndexedStream, make_stream
 from repro.scoring.split_score import SplitScorer
 from repro.trees.splits import score_node_splits
 
 
 def _score_splits(data, records, config, seed, n_workers, schedule="dynamic"):
-    """The flat split list scored through the one executor seam."""
+    """The flat split list scored through the one executor seam, traced:
+    only a traced run counts each split's steps."""
     cfg = config.with_updates(
         parallel=ParallelConfig(n_workers=n_workers, schedule=schedule)
     )
     with open_executor(data, cfg, seed) as executor:
-        return executor.score_splits(records)
+        return executor.score_splits(records, trace=WorkTrace())
 
 
 def _node_records_and_reference(matrix, config, seed):

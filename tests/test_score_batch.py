@@ -19,6 +19,7 @@ from repro import _native
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.core.output import network_to_json
+from repro.data.synthetic import make_module_dataset
 from repro.parallel.trace import WorkTrace
 from repro.rng.streams import IndexedStream, make_stream
 from repro.scoring import kernel as kernel_mod
@@ -181,6 +182,119 @@ def _assert_batch_equals_per_node_chains(
             np.testing.assert_array_equal(part, expected)
 
 
+class TestStepsOnRequest:
+    """Step counts are an output a caller asks for, as ``best_idx`` is:
+    without them C counts in its own scratch and no array is made."""
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_u=EDGE_WIDTHS,
+        layout=st.sampled_from([layout for layout in LAYOUTS if layout != "threshold"]),
+        kind=st.sampled_from(["random", "ties", "constant"]),
+        n_parents=st.integers(1, 3),
+        max_steps=st.sampled_from([1, 3, 6]),
+        rng_backend=st.sampled_from(["philox", "mrg"]),
+        shared=st.booleans(),
+    )
+    def test_property_steps_change_nothing_else(
+        self, seed, n_u, layout, kind, n_parents, max_steps, rng_backend, shared
+    ):
+        """A multi-node batch with and without steps, on Philox and MRG
+        spans, sharing one margin table or none (``table_elements=0``):
+        the same ``best_score`` bytes, beta indices, per-node counters and
+        table counters, and ``steps`` is ``None`` only when not asked for."""
+        rng = np.random.default_rng(seed)
+        uvalues = _universe(kind, n_parents, n_u, rng)
+        scorer = SplitScorer(max_steps=max_steps, stop_repeats=2, kernel_backend="numpy")
+        nodes = []
+        for q, obs in enumerate(_node_obs(layout, n_u, rng)):
+            span = IndexedStream(
+                make_stream(seed, "steps", q, backend=rng_backend), scorer.draws_per_item
+            ).items_span(0, n_parents * obs.size)
+            nodes.append(ChainNode(obs, np.where(rng.random(obs.size) < 0.5, 1.0, -1.0), span))
+        assert len(nodes) >= 2
+        with_steps, without = (
+            run_chains(
+                _native.load(), uvalues, scorer.beta_grid, nodes, max_steps, 2,
+                table_elements=None if shared else 0, want_steps=want_steps,
+            )
+            for want_steps in (True, False)
+        )
+        score, steps, idx, bounds, counters, table = with_steps
+        assert steps.shape == score.shape and steps.min() >= 1
+        assert without[1] is None
+        assert without[0].tobytes() == score.tobytes()
+        np.testing.assert_array_equal(without[2], idx)
+        np.testing.assert_array_equal(without[3], bounds)
+        assert without[4] == counters and without[5] == table
+        assert (table[1] > 0) == shared
+
+    @staticmethod
+    def _steps_selected(monkeypatch, backend):
+        """Run an untraced and a traced one-worker ``learn()``; per run, the
+        ``steps`` every ``select_phase`` call was handed and every native
+        batch returned, and the traced run's trace."""
+        from repro.core import learner as learner_mod
+
+        seen = {"select": [], "batch": []}
+        select, batch = learner_mod.select_phase, _native.NativeKernels.score_batch
+
+        def selecting(*args, **kwargs):
+            seen["select"].append(args[9])  # the flat steps
+            return select(*args, **kwargs)
+
+        def batching(*args, **kwargs):
+            out = batch(*args, **kwargs)
+            seen["batch"].append(out[1])
+            return out
+
+        monkeypatch.setattr(learner_mod, "select_phase", selecting)
+        monkeypatch.setattr(_native.NativeKernels, "score_batch", batching)
+        config = LearnerConfig(
+            max_sampling_steps=5, parallel=ParallelConfig(kernel_backend=backend)
+        )
+        matrix = make_module_dataset(24, 16, seed=7).matrix
+        runs = []
+        for trace in (None, WorkTrace()):
+            LemonTreeLearner(config).learn(matrix, 3, trace=trace)
+            runs.append(({key: list(found) for key, found in seen.items()}, trace))
+            for found in seen.values():
+                found.clear()
+        return runs
+
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_an_untraced_learn_builds_no_step_array(self, monkeypatch, backend):
+        """Selection is handed no steps and the native batch returns none
+        unless the learn is traced."""
+        (untraced, _), (traced, _) = self._steps_selected(monkeypatch, backend)
+        assert untraced["select"] and all(steps is None for steps in untraced["select"])
+        assert all(steps is None for steps in untraced["batch"])
+        assert traced["select"] and all(steps.size for steps in traced["select"])
+        assert (len(traced["batch"]) > 0) == (backend == "native")
+        assert all(steps is not None for steps in traced["batch"])
+
+    def test_a_traced_learn_steps_as_the_numpy_backend(self, monkeypatch):
+        """The steps a traced native learn records are the NumPy chain's,
+        work unit for work unit, as are its kernel counters."""
+        numpy_trace, native_trace = (
+            self._steps_selected(monkeypatch, backend)[1][1] for backend in ("numpy", "native")
+        )
+        assert len(numpy_trace.steps) == len(native_trace.steps) > 0
+        for want, got in zip(numpy_trace.steps, native_trace.steps):
+            assert (want.phase, want.n_collectives, want.words, want.run) == (
+                got.phase, got.n_collectives, got.words, got.run
+            )
+            np.testing.assert_array_equal(got.costs, want.costs)
+        split_costs = [s.costs for s in native_trace.steps if s.phase == "modules.split_scoring"]
+        assert split_costs and all(c.size and c.min() > 0 for c in split_costs)
+        for key in ("hits", "evaluations"):
+            assert native_trace.kernel_counters[key] == numpy_trace.kernel_counters[key]
+
+
 def _whole_rows(n_u):
     """The rows of a (parent, beta) block the batch's first lookups must
     read for ``repro_score_batch`` to fill the block whole."""
@@ -323,13 +437,27 @@ class TestWholeBlockFill:
         sides = set()
         with np.errstate(all="ignore"):  # the probes overflow by design
             cases = list(_native._batch_cases())
-        for _label, (uvalues, scorer, _chunk, probes, share) in cases:
+        for _label, (uvalues, scorer, _chunk, probes, share, _steps) in cases:
             if share:
                 whole = _whole_blocks(
                     uvalues, scorer.beta_grid, [p[:3] for p in probes], scorer.max_steps
                 )
                 sides.add(bool(whole.any()))
         assert sides == {True, False}
+
+    def test_the_certification_battery_runs_a_batch_without_steps(self):
+        """One load-time batch case asks for no step counts, so a kernel
+        whose scores or counters depend on writing them fails to load; the
+        NumPy oracle's run then compares everything but its steps."""
+        with np.errstate(all="ignore"):
+            cases = dict(_native._batch_cases())
+        stepless = [label for label, case in cases.items() if not case[-1]]
+        assert len(stepless) == 1 and stepless[0].endswith("no steps")
+        oracle, native = (
+            _native._batch_runs(cases[stepless[0]], kernels)[0]
+            for kernels in (None, _native.load())
+        )
+        assert len(oracle) == len(native) == 3 * len(cases[stepless[0]][3])
 
 
 @pytest.fixture
@@ -682,7 +810,7 @@ class TestOneNativeCallPerModuleBatch:
         rng = np.random.default_rng(2)
         nodes, base = [], 0
         for size in (data.shape[1], 5, 3):
-            obs = rng.permutation(data.shape[1])[:size]
+            obs = np.sort(rng.permutation(data.shape[1])[:size])  # as a tree node's are
             nodes.append((obs, obs[: size // 2], istream, base))
             base += parents.size * size
         together = score_nodes(data, parents, scorer, nodes)

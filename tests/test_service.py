@@ -327,6 +327,45 @@ class TestDaemonProtocol:
             with pytest.raises(AuthError):
                 client.ping()
 
+    @pytest.mark.parametrize("sent", [b"", b"\x00\x00\x00"], ids=["silent", "half-header"])
+    def test_a_silent_client_is_closed_and_its_thread_exits(self, tmp_path, monkeypatch, sent):
+        """A raw connection that sends nothing, or half a frame header, and
+        then falls silent is closed once it has been silent for
+        :data:`~repro.service.daemon.IDLE_SECONDS`, and its handler thread
+        ends; the daemon still answers a ``ping``."""
+        import socket
+        import time
+
+        from repro.service import daemon as daemon_mod
+
+        monkeypatch.setattr(daemon_mod, "IDLE_SECONDS", 0.2)
+        handled = []
+        handle = ServiceDaemon._handle
+
+        def handling(self, conn):
+            try:
+                handle(self, conn)
+            finally:
+                handled.append(threading.current_thread())
+
+        monkeypatch.setattr(ServiceDaemon, "_handle", handling)
+        with ServiceDaemon(tmp_path, max_inflight=1) as daemon:
+            with socket.create_connection((daemon.host, daemon.port), timeout=5.0) as raw:
+                raw.sendall(sent)
+                t0 = time.monotonic()
+                try:
+                    closed = raw.recv(1) == b""
+                except ConnectionResetError:
+                    closed = True
+                assert closed and time.monotonic() - t0 < 1.0
+            deadline = time.monotonic() + 1.0
+            while not handled and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(handled) == 1
+            handled[0].join(timeout=1.0)
+            assert not handled[0].is_alive()
+            assert ServiceClient.from_dir(tmp_path).ping()["pid"] > 0
+
     def test_shutdown_verb_stops_daemon(self, tmp_path):
         daemon = ServiceDaemon(tmp_path, max_inflight=1)
         daemon.start()

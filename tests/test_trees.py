@@ -218,6 +218,48 @@ class TestNodeKernel:
         np.testing.assert_array_equal(scores.accepted, accepted)
 
 
+class TestSplitSign:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        universe=st.lists(st.integers(0, 300), max_size=40, unique=True),
+        data=st.data(),
+    )
+    def test_equals_the_membership_form(self, universe, data):
+        """A node's observations ascending and its left child's an
+        ascending subset of them, as tree building leaves them — empty,
+        all of them or any in between: +1.0 exactly where ``np.isin``
+        finds an observation among the left child's, -1.0 elsewhere."""
+        obs = np.array(sorted(universe), dtype=np.int64)
+        keep = data.draw(
+            st.one_of(
+                st.just([False] * obs.size),
+                st.just([True] * obs.size),
+                st.lists(st.booleans(), min_size=obs.size, max_size=obs.size),
+            )
+        )
+        left_obs = obs[np.array(keep, dtype=bool)]
+        got = split_sign(obs, left_obs)
+        assert got.dtype == np.float64 and got.shape == obs.shape
+        np.testing.assert_array_equal(got, np.where(np.isin(obs, left_obs), 1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "obs, left_obs", [([3, 1, 2], [1]), ([1, 2, 3], [5]), ([1, 2, 3], [0])],
+        ids=["unsorted", "stray-past-the-end", "stray-inside"],
+    )
+    def test_refuses_what_its_search_cannot_place(self, obs, left_obs):
+        with pytest.raises(ValueError, match="ascending obs"):
+            split_sign(np.array(obs), np.array(left_obs))
+
+    def test_on_every_node_of_a_built_tree(self):
+        block, labels = _block_and_labels(seed=3, m=30, k=6)
+        tree = build_tree_structure(block, labels, 0, DEFAULT_PRIOR)
+        for node in tree.internal_nodes():
+            obs, left_obs = node.observations, node.left.observations
+            np.testing.assert_array_equal(
+                split_sign(obs, left_obs), np.where(np.isin(obs, left_obs), 1.0, -1.0)
+            )
+
+
 class TestScoreNodeSplits:
     def test_output_shapes(self):
         _, node, scores = _scored_node()
