@@ -259,74 +259,79 @@ def test_kernel_vs_materialized(capsys):
 
 
 def test_native_vs_numpy_kernel(capsys):
-    """Backend sweep: the native-compiled chunk evaluator against the NumPy
-    oracle on the same lazy kernel, chain + grid-best.
+    """Backend sweep: the native batch entry (one node's chain, then its
+    grid-best search, one ``run_chains`` call each) against the NumPy
+    oracle (a lazy kernel per search) on the same node and draws.
 
-    Bit-identity is the unconditional gate — every score, step count, beta
-    index, acceptance flag and the entire memo cache must match the NumPy
-    backend exactly (the extension already certified itself against NumPy
-    at load, this asserts it end to end through the chain driver).  The
-    record lands in ``benchmarks/results/BENCH_kernel_native.json``.
+    Bit-identity is the unconditional gate — every score, step count and
+    beta index, and each search's hits, evaluations and peak temporary,
+    must match the NumPy backend exactly (the extension already certified
+    itself against NumPy at load, this asserts it end to end at a bench
+    shape).  The record lands in
+    ``benchmarks/results/BENCH_kernel_native.json``.
     """
     from repro import _native
+    from repro.rng.streams import IndexedStream, make_stream
+    from repro.scoring.kernel import ChainNode, run_chains, split_sign
 
-    if _native.load() is None:
+    native = _native.load()
+    if native is None:
         info = _native.availability()
         pytest.skip(f"native backend unavailable ({info['status']}: {info['detail']})")
 
-    data, obs, left_obs, parents, scorer, uniforms = _node_scenario()
+    data, obs, left_obs, parents, scorer, _uniforms = _node_scenario()
     grid = scorer.beta_grid
+    span = IndexedStream(
+        make_stream(BENCH_SEED, "bench-kernel"), scorer.draws_per_item
+    ).items_span(0, parents.size * obs.size)
+    uniforms = span.array().reshape(-1, scorer.draws_per_item)
 
-    def run_backend(backend):
-        kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, grid,
-            native=_native.load() if backend == "native" else None,
+    def run_numpy():
+        chain_kernel, grid_kernel = (
+            split_kernel_from_arrays(data, obs, left_obs, parents, grid) for _ in range(2)
         )
-        chain = scorer.score_batch_kernel(kernel, uniforms)
-        best = scorer.score_grid_best_kernel(kernel)
-        return kernel, chain, best
+        chain = scorer.score_batch_kernel(chain_kernel, uniforms)[:3]
+        best = scorer.score_grid_best_kernel(grid_kernel)[:2]
+        counted = [
+            (k.hits, k.evaluations, k.peak_chunk_elements) for k in (chain_kernel, grid_kernel)
+        ]
+        return chain, best, counted
 
-    t_numpy, (numpy_kernel, numpy_chain, numpy_best) = _best_of(
-        REPEATS, lambda: run_backend("numpy")
-    )
-    t_native, (native_kernel, native_chain, native_best) = _best_of(
-        REPEATS, lambda: run_backend("native")
-    )
-    totals = scorer.drain_counters()  # the sweep's runs, both backends
+    def run_native():
+        uvalues, sign = data[np.ix_(parents, obs)], split_sign(obs, left_obs)
+        out, counted = [], []
+        for node_span in (span, None):
+            *flat, _bounds, (node_counted,), _traffic = run_chains(
+                native, uvalues, grid, [ChainNode(np.arange(obs.size), sign, node_span)],
+                scorer.max_steps, scorer.stop_repeats, grid=node_span is None,
+            )
+            out.append([part for part in flat if part is not None])
+            counted.append(node_counted)
+        return out[0], out[1], counted
 
-    for name, got, want in zip(
-        ("log_scores", "steps", "beta_idx", "accepted"), native_chain, numpy_chain
-    ):
+    t_numpy, (numpy_chain, numpy_best, numpy_counted) = _best_of(REPEATS, run_numpy)
+    t_native, (native_chain, native_best, native_counted) = _best_of(REPEATS, run_native)
+    totals = scorer.drain_counters()  # the NumPy sweep's runs
+
+    for name, got, want in zip(("log_scores", "steps", "beta_idx"), native_chain, numpy_chain):
         np.testing.assert_array_equal(
             got, want, err_msg=f"chain {name} diverged between backends"
         )
-    for name, got, want in zip(
-        ("log_scores", "beta_idx", "accepted"), native_best, numpy_best
-    ):
+    for name, got, want in zip(("log_scores", "beta_idx"), native_best, numpy_best):
         np.testing.assert_array_equal(
             got, want, err_msg=f"grid-best {name} diverged between backends"
         )
-    # The whole memo cache — every (group, beta) score either backend
-    # evaluated — must agree bit for bit, and so must the accounting.
-    np.testing.assert_array_equal(native_kernel._seen, numpy_kernel._seen)
-    np.testing.assert_array_equal(
-        native_kernel._cache[native_kernel._seen],
-        numpy_kernel._cache[numpy_kernel._seen],
-        err_msg="memo caches diverged between backends",
-    )
-    assert native_kernel.hits == numpy_kernel.hits
-    assert native_kernel.evaluations == numpy_kernel.evaluations
-    assert native_kernel.peak_chunk_elements == numpy_kernel.peak_chunk_elements
+    # (hits, evaluations, peak_chunk_elements) of each search
+    assert native_counted == numpy_counted
 
     speedup = t_numpy / t_native
     rows = [
         ["numpy (oracle)", f"{t_numpy * 1e3:.1f}", "1.00x"],
-        [f"native ({native_kernel._native.provider})", f"{t_native * 1e3:.1f}",
-         f"{speedup:.2f}x"],
+        [f"native ({native.provider})", f"{t_native * 1e3:.1f}", f"{speedup:.2f}x"],
     ]
     table = render_table(
         f"Split-kernel backends: P={N_PARENTS}, n_obs={N_OBS}, "
-        f"{native_kernel.n_items} candidates (chain + grid-best, bit-identical)",
+        f"{parents.size * obs.size} candidates (chain + grid-best, bit-identical)",
         ["backend", "time (ms)", "speedup"],
         rows,
     )
@@ -338,17 +343,16 @@ def test_native_vs_numpy_kernel(capsys):
         {
             "n_parents": N_PARENTS,
             "n_obs": N_OBS,
-            "n_items": native_kernel.n_items,
-            "n_groups": native_kernel.n_groups,
+            "n_items": parents.size * obs.size,
             "max_steps": MAX_STEPS,
             "stop_repeats": STOP_REPEATS,
             "time_numpy_s": t_numpy,
             "time_native_s": t_native,
             "speedup": speedup,
-            "provider": native_kernel._native.provider,
-            "memo_hits": native_kernel.hits,
-            "memo_evaluations": native_kernel.evaluations,
-            "peak_chunk_elements": native_kernel.peak_chunk_elements,
+            "provider": native.provider,
+            "memo_hits": sum(hits for hits, _evaluations, _peak in native_counted),
+            "memo_evaluations": sum(evals for _hits, evals, _peak in native_counted),
+            "peak_chunk_elements": max(peak for _hits, _evaluations, peak in native_counted),
             "kernel_totals": totals,
             "max_chunk_elements": CHUNK_ELEMENTS,
             "bit_identical": True,

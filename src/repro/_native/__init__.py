@@ -22,8 +22,8 @@ Acquisition order:
    scalar libm — and **self-certifies**: every row of the certification
    table (:data:`_CERTIFICATION`) runs its probe cases through the entry
    and through an independent NumPy oracle and compares the outputs bit
-   for bit — the evaluator, the in-kernel Philox and MRG generators, the
-   fused sampling chain (results and counters), the GaneSH observation and
+   for bit — the in-kernel Philox and MRG generators, the batch entry's
+   sampling chain and grid search (results and counters), the GaneSH observation and
    variable sweeps (end state, draws consumed, recorded costs; the chain
    and the sweeps computing the draws of either generator).  A provider
    that fails certification is rejected; if none survives, the backend
@@ -47,6 +47,7 @@ from __future__ import annotations
 import ast
 import builtins
 import hashlib
+import itertools
 import math
 import os
 import shutil
@@ -165,16 +166,6 @@ def _var_sweep(n_draws: str, n_slots: str) -> tuple:
 #: then every value range and rule in row order.
 _SPEC = {
     "repro_uniforms": (_ADDRESS,),  # also the draw check of every span
-    "repro_eval_chunk": (
-        Arg("values", F64, ("n_parents", "n_obs")),
-        Arg("group_value", F64, ("n_rows",)),
-        Arg(
-            "group_row", I64, ("n_rows",), "n_rows", below="n_parents",
-            refusal="group row must name a row of values, in [0, {n_parents}), per group value",
-        ),
-        Arg("sign", F64, size="n_obs"),
-        Arg("out", F64, size="n_rows", writable=True),
-    ),
     "repro_score_batch": (
         Arg("uvalues", F64, ("n_parents", "n_u"), name="universe values"),
         Arg(
@@ -195,7 +186,8 @@ _SPEC = {
     "repro_var_merge_sweep": _var_sweep("k", "n_blocks"),
 }
 
-#: ``repro_score_batch``'s per-node row: one ``repro_node`` struct's arrays
+#: ``repro_score_batch``'s per-node row: one ``repro_node`` struct's arrays,
+#: a chain node's with the span of its items' draws
 _NODE = (
     Arg(
         "obs", I64, ("n_obs",), below="n_u",
@@ -209,6 +201,11 @@ _NODE = (
         "span must cover exactly {per_item} draws for each of {n_items} items, "
         "got {span.count}",
     ),
+)
+#: a grid batch's node: the same arrays, and no span (it draws nothing)
+_GRID_NODE = (
+    *_NODE[:3],
+    Rule("span is None", "span must be None in a grid batch, got {span!r}"),
 )
 
 
@@ -317,7 +314,7 @@ _SCOPE = {
 }
 #: the spec table's rows, each compiled into its check
 _CHECKS = {entry: _compile(row) for entry, row in _SPEC.items()}
-_NODE_CHECK = _compile(_NODE)
+_NODE_CHECK, _GRID_NODE_CHECK = _compile(_NODE), _compile(_GRID_NODE)
 
 
 _SCRATCH = (MemoryError, "native sweep scratch allocation failed")
@@ -344,7 +341,6 @@ _VAR_RC = {
 #: the return-code table: per entry, what each nonzero code raises, its
 #: message formatted with the call's sizes
 _RC = {
-    "repro_eval_chunk": {-1: (MemoryError, "native evaluation chunk allocation failed")},
     "repro_score_batch": {-1: (MemoryError, "native chain scratch allocation failed")},
     "repro_obs_reassign_sweep": _OBS_RC,
     "repro_obs_merge_sweep": _OBS_RC,
@@ -398,26 +394,14 @@ class NativeKernels:
         )
         return out
 
-    def eval_chunk(
-        self, group_value: np.ndarray, group_row: np.ndarray, values: np.ndarray,
-        sign: np.ndarray, beta: float, quantum: float, out: np.ndarray,
-    ) -> None:
-        """Quantized log-sigmoid row scores for one same-beta chunk."""
-        env = _CHECKS["repro_eval_chunk"](
-            group_value=group_value, group_row=group_row, values=values, sign=sign, out=out
-        )
-        b = self._buffer
-        self._call(
-            "repro_eval_chunk", env, b(group_value), b(group_row), env["n_rows"], b(values),
-            env["n_obs"], b(sign), float(beta), float(quantum), b(out),
-        )
-
     def score_batch(
         self, uvalues: np.ndarray, urow: np.ndarray, beta_grid: np.ndarray, nodes,
         max_steps: int, stop_repeats: int, quantum: float, chunk_elements: int,
-        share: bool, want_idx: bool = True, want_steps: bool = True,
+        share: bool, want_idx: bool = True, want_steps: bool = True, grid: bool = False,
     ):
-        """``SplitScorer._run_chain`` for a batch of tree nodes in one call.
+        """``SplitScorer._run_chain`` for a batch of tree nodes in one call
+        (with ``grid``, ``SplitScorer.score_grid_best_kernel``: nodes carry
+        no span, nothing is drawn and ``steps`` is ``None``).
 
         ``uvalues`` is the batch's universe (a row of values per candidate
         parent), ``urow`` the rank of each value among its row's distinct
@@ -442,6 +426,8 @@ class NativeKernels:
         first (the batch's and every node's spec rows).
         """
         env = _CHECKS["repro_score_batch"](uvalues=uvalues, urow=urow, beta_grid=beta_grid)
+        check = _GRID_NODE_CHECK if grid else _NODE_CHECK
+        want_steps = want_steps and not grid
         per_item = 1 + 2 * int(max_steps)
         c_nodes = self._ffi.new("repro_node[]", len(nodes))
         bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
@@ -452,12 +438,13 @@ class NativeKernels:
             return held[-1]
 
         for q, (node, c) in enumerate(zip(nodes, c_nodes)):
-            v = _NODE_CHECK(
+            v = check(
                 n_parents=env["n_parents"], n_u=env["n_u"], per_item=per_item,
                 obs=node.obs, sign=node.sign, span=node.span,
             )
-            c.obs, c.sign = pointer(v["obs"]), pointer(v["sign"])
-            c.gen, c.key, c.offset, c.n_obs = v["generator"], v["key"], v["offset"], v["n_obs"]
+            c.obs, c.sign, c.n_obs = pointer(v["obs"]), pointer(v["sign"]), v["n_obs"]
+            if not grid:  # else no span: gen, key and offset stay 0
+                c.gen, c.key, c.offset = v["generator"], v["key"], v["offset"]
             c.chunk_rows = max(1, int(chunk_elements) // max(1, c.n_obs))
             c.shared = bool((np.abs(node.sign) == 1.0).all())
             bounds[q + 1] = bounds[q] + v["n_items"]
@@ -475,7 +462,7 @@ class NativeKernels:
             "repro_score_batch", env, pointer(env["uvalues"]), pointer(env["urow"]),
             env["n_parents"], env["n_u"], pointer(env["beta_grid"]), env["n_beta"], c_nodes,
             len(nodes), int(max_steps), int(stop_repeats), float(quantum), bool(share),
-            pointer(table),
+            bool(grid), pointer(table),
         )
         counters = [(c.hits, c.evaluations, c.peak) for c in c_nodes]
         return best_score, steps, best_idx, bounds, counters, tuple(table.tolist())
@@ -692,34 +679,6 @@ def _runs_agree(runs: list) -> bool:
     )
 
 
-def _eval_cases():
-    rng = np.random.default_rng(0x5EED)
-    for n_obs in (1, 2, 3, 7, 8, 9, 16, 17, 129, 150):
-        for scale in (1.0, 40.0):
-            values = rng.normal(scale=scale, size=(3, n_obs))
-            if n_obs >= 8:  # duplicate-heavy + special values
-                values[0, :4] = (0.0, -0.0, values[0, 4], values[0, 4])
-                values[1, -2:] = (1e308, -1e308)
-                values[2, 0] = 5e-324
-            sign = np.where(rng.random(n_obs) < 0.5, 1.0, -1.0)
-            group_row = rng.integers(0, 3, size=5)
-            group_value = values[group_row, rng.integers(0, n_obs, size=5)]
-            for beta in (0.25, 1.0, 16.0):
-                case = group_value, group_row, values, sign, beta, 1e-9
-                yield f"n_obs={n_obs}, beta={beta}", case
-
-
-def _eval_runs(case, kernels=None):
-    if kernels is not None:
-        out = np.empty(case[0].size)
-        kernels.eval_chunk(*case, out)
-        return [(out,)]
-    group_value, group_row, values, sign, beta, quantum = case
-    z = (sign * (group_value[:, None] - values[group_row])) * beta
-    t = np.log1p(np.exp(-np.abs(z)))
-    return [(np.round(np.where(z > 0, -t, z - t).sum(axis=1) / quantum) * quantum,)]
-
-
 #: (key, offset, count) per generator: both key halves' bits, every word of
 #: a Philox block as the first draw, offsets past 2**32 and 2**61, empty,
 #: single and multi-block runs
@@ -816,28 +775,63 @@ def _batch_cases():
         for share, steps in ((True, True), (False, True), *[(True, False)] * (n_u == 150)):
             rows = f"margin rows {'shared' if share else 'fused'}{'' if steps else ', no steps'}"
             label = f"n_u={n_u}, max_steps={max_steps}, {generator} span, {rows}"
-            yield label, (uvalues, scorer, chunk, probes, share, steps)
+            yield label, (uvalues, scorer, chunk, probes, share, steps, False)
+
+
+def _grid_cases():
+    """Grid batches over two universes of three parents, 17 and 150
+    columns wide (the wide one tie-heavy), holding ±0, a duplicated value,
+    ±1e308 (-inf scores), a subnormal and an infinity (NaN scores, which
+    never improve): nodes of 1, 2, 3, 7, 8, 9, 16 and 17 columns, then of
+    129 and 150 (every pairwise-sum regime and SIMD tail), runs of columns
+    and gathered ones, on a shared table (a parent's blocks filled whole
+    where it has enough distinct values, else row by row) and on the fused
+    evaluator.  The oracle is each node's
+    ``SplitScorer.score_grid_best_kernel``."""
+    from repro.scoring.kernel import LazySplitKernel
+    from repro.scoring.split_score import SplitScorer
+
+    rng = np.random.default_rng(0x5EED)
+    scorer = SplitScorer((0.25, 16.0), kernel_backend="numpy")
+    for n_u, widths in ((17, (1, 2, 3, 7, 8, 9, 16, 17)), (150, (129, 150))):
+        uvalues = rng.normal(size=(3, n_u)) * np.array([[1.0], [40.0], [1.0]])
+        if n_u > 17:  # tie-heavy: wide rows, few groups
+            uvalues = np.round(uvalues[[0, 0, 2]]) / 2.0
+        uvalues[0, :4] = (0.0, -0.0, uvalues[0, 4], uvalues[0, 4])
+        uvalues[1, -2:] = (1e308, -1e308)
+        uvalues[2, :2] = (5e-324, np.inf)
+        chunk, probes = 64 * n_u, []
+        for q, width in enumerate(widths):
+            obs = rng.permutation(n_u)[:width] if q % 2 else np.arange(n_u - width, n_u)
+            sign = np.where(rng.random(width) < 0.5, 1.0, -1.0)
+            oracle = LazySplitKernel(uvalues[:, obs], sign, scorer.beta_grid, max_chunk_elements=chunk)
+            best, idx, _accepted = scorer.score_grid_best_kernel(oracle)
+            counted = (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
+            probes.append((obs, sign, None, [best, None, idx, counted]))
+        for share in (True, False):
+            label = f"n_u={n_u}, grid, margin rows {'shared' if share else 'fused'}"
+            yield label, (uvalues, scorer, chunk, probes, share, False, True)
 
 
 def _batch_runs(case, kernels=None):
-    """Per node: scores, steps (where the case asks for them), beta indices
-    and the memo counters — of the NumPy chain, or of one batch call."""
+    """Every node's scores, steps (where the case asks for them) and beta
+    indices, node after node, and per node the memo counters — of the NumPy
+    chain or grid search, or of one batch call."""
     from repro.scoring.kernel import ChainNode, run_chains
 
-    uvalues, scorer, chunk, probes, share, steps = case
+    uvalues, scorer, chunk, probes, share, steps, grid = case
     if kernels is None:
-        return [[part for *_node, want in probes for part in want if steps or part is not want[1]]]
+        scores, chain_steps, idx, counted = zip(*(want for *_node, want in probes))
+        kept = (scores, chain_steps, idx) if steps else (scores, idx)
+        return [[*map(np.concatenate, kept), np.array(counted)]]
     nodes = [ChainNode(obs, sign, span) for obs, sign, span, _ in probes]
     # explicit budget: `share` picks the shared table or the fused evaluator
-    *flat, bounds, counters, _table = run_chains(
+    *flat, _bounds, counters, _table = run_chains(
         kernels, uvalues, scorer.beta_grid, nodes, scorer.max_steps,
-        scorer.stop_repeats, max_chunk_elements=chunk, want_steps=steps,
+        scorer.stop_repeats, max_chunk_elements=chunk, want_steps=steps, grid=grid,
         table_elements=scorer.beta_grid.size * uvalues.shape[1] ** 2 * share,
     )
-    return [[
-        part for lo, hi, counted in zip(bounds, bounds[1:], counters)
-        for part in (*(out[lo:hi] for out in flat if out is not None), counted)
-    ]]
+    return [[*(out for out in flat if out is not None), np.array(counters)]]
 
 
 def _flavoured(data: np.ndarray, flavour: str) -> np.ndarray:
@@ -955,7 +949,6 @@ def _var_runs(case, kernels=None):
 #: the certification table, run in order by :func:`_certify`: every probe
 #: case and seed is fixed, so a load certifies the same cases every time
 _CERTIFICATION = (
-    Cert("eval_chunk", ("repro_eval_chunk",), _eval_cases, _eval_runs),
     Cert(
         "draws", ("repro_uniforms",),
         lambda: (
@@ -964,7 +957,10 @@ _CERTIFICATION = (
         ),
         _draws_runs,
     ),
-    Cert("score_batch", ("repro_score_batch",), _batch_cases, _batch_runs),
+    Cert(
+        "score_batch", ("repro_score_batch",),
+        lambda: itertools.chain(_batch_cases(), _grid_cases()), _batch_runs,
+    ),
     Cert("obs sweep", ("repro_obs_reassign_sweep", "repro_obs_merge_sweep"), _obs_cases, _obs_runs),
     Cert("var sweep", ("repro_var_reassign_sweep", "repro_var_merge_sweep"), _var_cases, _var_runs),
 )

@@ -23,8 +23,9 @@ that its results are bit-identical (see ``docs/ALGORITHMS.md`` §13):
 * negation and absolute value are sign-bit flips/masks, matching
   ``np.negative`` / ``np.abs`` on signed zeros (or ``-0.0 - t``, which is
   ``-t`` for every ``t >= +0``);
-* ``repro_score_batch`` replays ``SplitScorer._run_chain`` over
-  ``LazySplitKernel.scores`` for a batch of tree nodes, parent by parent —
+* ``repro_score_batch`` replays ``SplitScorer._run_chain`` (or, for
+  GENOMICA, ``score_grid_best_kernel``) over ``LazySplitKernel.scores``
+  for a batch of tree nodes, parent by parent —
   same lookups, same memo updates, same accept test (``np.log`` through the
   provider above) — so the hit / evaluation / peak counters come out equal
   too; a lookup evaluates only the distinct keys it misses, and the accept
@@ -81,10 +82,6 @@ int repro_native_init(const char *umath_path, int want_svml);
 int repro_native_provider(void);
 void repro_uniforms(int64_t gen, uint64_t key, uint64_t offset,
                     int64_t count, double *out);
-int repro_eval_chunk(const double *group_value, const int64_t *group_row,
-                     int64_t n_rows, const double *values, int64_t n_obs,
-                     const double *sign, double beta, double quantum,
-                     double *out);
 typedef struct {
     const int64_t *obs;
     const double *sign;
@@ -99,7 +96,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                       int64_t n_parents, int64_t n_u, const double *beta_grid,
                       int64_t n_beta, repro_node *nodes, int64_t n_nodes,
                       int64_t max_steps, int64_t stop_repeats, double quantum,
-                      int64_t share, int64_t *table_counters);
+                      int64_t share, int64_t grid, int64_t *table_counters);
 int repro_obs_reassign_sweep(const double *block, int64_t rows, int64_t m,
                              int64_t *labels, double *count, double *total,
                              double *sumsq, double *lm, int64_t *k_io,
@@ -167,29 +164,16 @@ static void row_fill_svml(double gv, const double *vrow, const double *sgn,
     const __m512d vbeta = _mm512_set1_pd(beta);
     const __m512d zero = _mm512_setzero_pd();
     const __m512i sbit = _mm512_set1_epi64((int64_t)0x8000000000000000ULL);
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512d v = _mm512_loadu_pd(vrow + i);
-        __m512d s = _mm512_loadu_pd(sgn + i);
-        __m512d z = _mm512_mul_pd(_mm512_mul_pd(_mm512_sub_pd(vgv, v), s),
-                                  vbeta);
-        __m512d naz = _mm512_castsi512_pd(
-            _mm512_or_si512(_mm512_castpd_si512(z), sbit)); /* -|z| */
-        __m512d t = p_log1p8(p_exp8(naz));
-        __mmask8 pos = _mm512_cmp_pd_mask(z, zero, _CMP_GT_OQ);
-        __m512d neg_t = _mm512_castsi512_pd(
-            _mm512_xor_si512(_mm512_castpd_si512(t), sbit));
-        __m512d res = _mm512_mask_blend_pd(pos, _mm512_sub_pd(z, t), neg_t);
-        _mm512_storeu_pd(row + i, res);
-    }
-    if (i < n) {
-        __mmask8 m = (__mmask8)((1u << (n - i)) - 1u);
+    int64_t i;
+    for (i = 0; i < n; i += 8) {
+        __mmask8 m = n - i >= 8 ? (__mmask8)0xFF
+                                : (__mmask8)((1u << (n - i)) - 1u);
         __m512d v = _mm512_maskz_loadu_pd(m, vrow + i);
         __m512d s = _mm512_maskz_loadu_pd(m, sgn + i);
         __m512d z = _mm512_mul_pd(_mm512_mul_pd(_mm512_sub_pd(vgv, v), s),
                                   vbeta);
         __m512d naz = _mm512_castsi512_pd(
-            _mm512_or_si512(_mm512_castpd_si512(z), sbit));
+            _mm512_or_si512(_mm512_castpd_si512(z), sbit)); /* -|z| */
         __m512d t = p_log1p8(p_exp8(naz));
         __mmask8 pos = _mm512_cmp_pd_mask(z, zero, _CMP_GT_OQ);
         __m512d neg_t = _mm512_castsi512_pd(
@@ -480,24 +464,6 @@ static double row_score(double gv, const double *vrow, const double *sgn,
 #endif
         row_fill_scalar(gv, vrow, sgn, beta, row, n);
     return rint(pw_sum(row, n) / quantum) * quantum;
-}
-
-/* The LazySplitKernel._evaluate chunk body for one same-beta chunk. */
-int repro_eval_chunk(const double *group_value, const int64_t *group_row,
-                     int64_t n_rows, const double *values, int64_t n_obs,
-                     const double *sign, double beta, double quantum,
-                     double *out)
-{
-    double *row;
-    int64_t r;
-    row = (double *)malloc((size_t)(n_obs > 0 ? n_obs : 1) * sizeof(double));
-    if (!row)
-        return -1;
-    for (r = 0; r < n_rows; r++)
-        out[r] = row_score(group_value[r], values + group_row[r] * n_obs,
-                           sign, beta, quantum, row, n_obs);
-    free(row);
-    return 0;
 }
 
 /* The sign-free half of a margin, t = log1p(exp(-|(gv - x) * beta|)), over
@@ -934,6 +900,33 @@ static void chain_lookup(batch_ctx *c, const int64_t *act, int64_t k,
         score[j] = c->cache[c->flat[j]];
 }
 
+/* score_grid_best_kernel for the node in hand over the parent in hand: per
+ * beta in grid order one lookup of all its items, each keeping the first
+ * strictly greater score from -inf at index 0 (NaN never improves). */
+static void grid_best(batch_ctx *c, int64_t *act, int64_t *bidx,
+                      int64_t *missed, double *score, double *best,
+                      int64_t *idx)
+{
+    int64_t b, i, k = c->nd->n_obs;
+    for (i = 0; i < k; i++) {
+        c->ucol[i] = c->nd->obs[i];
+        c->mrow[i] = c->ur[c->ucol[i]];
+        act[i] = i;
+        best[i] = -INFINITY;
+        idx[i] = 0;
+    }
+    for (b = 0; b < c->n_beta; b++) {
+        for (i = 0; i < k; i++)
+            bidx[i] = b;
+        chain_lookup(c, act, k, bidx, missed, score);
+        for (i = 0; i < k; i++)
+            if (score[i] > best[i]) {
+                best[i] = score[i];
+                idx[i] = b;
+            }
+    }
+}
+
 /* A chain item's first beta index and first draw cursor, kept from the
  * pre-pass that seats it to the start of its chain: the words its first
  * Philox block holds after draw 0 (words 1..3, copied bit for bit; the
@@ -971,13 +964,13 @@ typedef union {
  * certain to cost at least what filling the block whole costs
  * (block_fill: ceil(n_u / 8) (ceil(n_u / 8) + 1) / 2 tiles of 64 lanes,
  * against ceil(n_u / 8) blocks of 8 lanes per lazy row), and the block is
- * filled whole before any chain runs.  Rows are counted as filled when first read, however they got
- * there.  The chain step is branch-free but for the Philox refresh and the
- * evaluation of a missing key: the accept test, the best-so-far update
- * and the keep-or-drop decision are integer-mask blends (as ?: selects,
- * GCC compiled two of them into data-dependent branches).
- *
- * A chain's working state is the call's own scratch: a node's steps and
+ * filled whole before any chain runs; rows count as filled when first
+ * read.  With `grid`, grid_best runs where the chain would: nothing is
+ * drawn and every item reads its value's rows at every beta.  The chain
+ * step is branch-free but for the Philox refresh and the evaluation of a
+ * missing key: the accept test, the best-so-far update and the
+ * keep-or-drop decision are integer-mask blends (as ?: selects, GCC
+ * compiled two of them into data-dependent branches).  A node's steps and
  * best_idx are written only where they are wanted (not NULL).
  *
  * table_counters = {rows filled, row uses, Philox blocks computed}; each
@@ -987,7 +980,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                       int64_t n_parents, int64_t n_u, const double *beta_grid,
                       int64_t n_beta, repro_node *nodes, int64_t n_nodes,
                       int64_t max_steps, int64_t stop_repeats, double quantum,
-                      int64_t share, int64_t *table_counters)
+                      int64_t share, int64_t grid, int64_t *table_counters)
 {
     batch_ctx c;
     int64_t *ibuf, *act, *cur_idx, *rejects, *prop, *best_idx, *n_steps, *missed;
@@ -1016,18 +1009,18 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
         (3 * n + 2 * (size_t)max_obs + (size_t)(n_memo + n_rows * n_u))
         * sizeof(double));
     bbuf = (uint8_t *)malloc((size_t)(n_memo + n_rows + n_beta + n_nodes));
-    d = (draws *)malloc(n * sizeof(draws));
-    seats = (seat *)malloc((size_t)n_items * sizeof(seat));
-    item_x = (uint64_t *)malloc((3 * (size_t)n_nodes + 1) * sizeof(uint64_t));
-    if (!ibuf || !dbuf || !bbuf || !d || !seats || !item_x) {
+    /* the cursors, then the seats and the nodes' MRG states behind them */
+    d = (draws *)malloc(n * sizeof(draws) + (size_t)n_items * sizeof(seat)
+                        + (3 * (size_t)n_nodes + 1) * sizeof(uint64_t));
+    if (!ibuf || !dbuf || !bbuf || !d) {
         free(ibuf);
         free(dbuf);
         free(bbuf);
         free(d);
-        free(seats);
-        free(item_x);
         return -1;
     }
+    seats = (seat *)(d + n);
+    item_x = (uint64_t *)(seats + n_items);
     /* per node, the MRG state before its next chain item's draws */
     mrg_ahead((uint64_t)per_item, ahead, 3);
     for (q = 0; q < n_nodes; q++)
@@ -1091,8 +1084,9 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                     di.at = di.offset;
                     mrg_mul(ahead, item_x + 3 * q, 1, item_x + 3 * q);
                 }
-                /* min((u * n_beta).astype(int64), n_beta - 1) */
-                idx = (int64_t)(draw(&di, 0) * (double)n_beta);
+                /* min((u * n_beta).astype(int64), n_beta - 1); a grid item
+                 * draws nothing and reads every beta, counted at beta 0 */
+                idx = grid ? 0 : (int64_t)(draw(&di, 0) * (double)n_beta);
                 idx = idx > n_beta - 1 ? n_beta - 1 : idx;
                 seats[s].beta = idx;
                 if (nd->gen == MRG)
@@ -1106,7 +1100,7 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
             }
         }
         for (j = 0; j < n_beta; j++) {
-            c.whole[j] = c.rows && first_rows[j] >= whole_rows;
+            c.whole[j] = c.rows && first_rows[grid ? 0 : j] >= whole_rows;
             if (c.whole[j])
                 block_fill(c.uv, beta_grid[j], c.rows + j * n_u * n_u, n_u);
         }
@@ -1127,6 +1121,14 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
                 c.vrow = vbuf;
             }
             memset(c.seen, 0, (size_t)n_memo);
+            if (grid) {
+                grid_best(&c, act, prop, node_missed, prop_score,
+                          nd->best_score + k0,
+                          nd->best_idx ? nd->best_idx + k0 : best_idx);
+                nd->hits += c.hits;
+                nd->evaluations += c.evaluations;
+                continue;
+            }
             for (i = 0; i < k; i++, s++) {
                 d[i] = draws_from(nd->gen, nd->key,
                                   nd->offset + (uint64_t)((k0 + i) * per_item));
@@ -1221,8 +1223,6 @@ int repro_score_batch(const double *uvalues, const int64_t *urow,
     free(dbuf);
     free(bbuf);
     free(d);
-    free(seats);
-    free(item_x);
     return 0;
 }
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.output import _node_from_dict, _node_to_dict
-from repro.datatypes import Module, RegressionTree
+from repro.core.output import _module_from_dict, _module_to_dict
+from repro.datatypes import Module
 
 
 def matrix_digest(values) -> str:
@@ -126,6 +126,10 @@ class CheckpointStore:
         )
 
     # -- Task 3: modules ---------------------------------------------------
+    # A module file is the network document's module dict
+    # (``output._module_to_dict``) plus its fingerprint.  The module id is
+    # taken from the file's name: files written before the two shared one
+    # layout carry none.
     def load_module(self, module_id: int, members) -> Module | None:
         members = [int(v) for v in members]
 
@@ -133,29 +137,10 @@ class CheckpointStore:
             payload = json.load(fh)
             if payload["fingerprint"] != self.task3 or payload["members"] != members:
                 return None
-            return Module(
-                module_id=module_id,
-                members=members,
-                trees=[
-                    RegressionTree(module_id=module_id, root=_node_from_dict(tree))
-                    for tree in payload["trees"]
-                ],
-                weighted_parents={
-                    int(k): float(v) for k, v in payload["weighted_parents"].items()
-                },
-                uniform_parents={
-                    int(k): float(v) for k, v in payload["uniform_parents"].items()
-                },
-            )
+            return _module_from_dict({**payload, "module_id": module_id})
 
         return self._read(f"module_{module_id}.json", parse)
 
     def store_module(self, module: Module) -> None:
-        text = json.dumps({
-            "fingerprint": self.task3,
-            "members": [int(v) for v in module.members],
-            "trees": [_node_to_dict(tree.root) for tree in module.trees],
-            "weighted_parents": {str(k): v for k, v in module.weighted_parents.items()},
-            "uniform_parents": {str(k): v for k, v in module.uniform_parents.items()},
-        })
+        text = json.dumps({"fingerprint": self.task3, **_module_to_dict(module)})
         self._write(f"module_{module.module_id}.json", lambda fh: fh.write(text.encode()))

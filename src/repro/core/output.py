@@ -66,25 +66,40 @@ def _split_from_dict(payload: dict[str, Any]) -> Split:
     )
 
 
+def _module_to_dict(module: Module) -> dict[str, Any]:
+    """One module as the network document and the module checkpoint files
+    (:mod:`repro.core.checkpoints`) both hold it.  Parents keep the
+    module's order, so a module loaded from a checkpoint iterates them as
+    the run that stored it did; the document sorts its keys itself."""
+    return {
+        "module_id": module.module_id,
+        "members": [int(v) for v in module.members],
+        "trees": [_node_to_dict(tree.root) for tree in module.trees],
+        "weighted_parents": {str(k): v for k, v in module.weighted_parents.items()},
+        "uniform_parents": {str(k): v for k, v in module.uniform_parents.items()},
+    }
+
+
+def _module_from_dict(payload: dict[str, Any]) -> Module:
+    module_id = int(payload["module_id"])
+    return Module(
+        module_id=module_id,
+        members=[int(v) for v in payload["members"]],
+        trees=[
+            RegressionTree(module_id=module_id, root=_node_from_dict(tree))
+            for tree in payload["trees"]
+        ],
+        weighted_parents={int(k): float(v) for k, v in payload["weighted_parents"].items()},
+        uniform_parents={int(k): float(v) for k, v in payload["uniform_parents"].items()},
+    )
+
+
 def network_to_json(network: ModuleNetwork) -> str:
     """Serialize a network to a JSON document (round-trippable)."""
     payload = {
         "var_names": network.var_names,
         "n_obs": network.n_obs,
-        "modules": [
-            {
-                "module_id": module.module_id,
-                "members": module.members,
-                "trees": [_node_to_dict(tree.root) for tree in module.trees],
-                "weighted_parents": {
-                    str(k): v for k, v in sorted(module.weighted_parents.items())
-                },
-                "uniform_parents": {
-                    str(k): v for k, v in sorted(module.uniform_parents.items())
-                },
-            }
-            for module in network.modules
-        ],
+        "modules": [_module_to_dict(module) for module in network.modules],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -92,25 +107,7 @@ def network_to_json(network: ModuleNetwork) -> str:
 def network_from_json(document: str) -> ModuleNetwork:
     """Reconstruct a network from :func:`network_to_json` output."""
     payload = json.loads(document)
-    modules = []
-    for mod in payload["modules"]:
-        module = Module(
-            module_id=int(mod["module_id"]),
-            members=[int(v) for v in mod["members"]],
-            trees=[
-                RegressionTree(
-                    module_id=int(mod["module_id"]), root=_node_from_dict(tree)
-                )
-                for tree in mod["trees"]
-            ],
-            weighted_parents={
-                int(k): float(v) for k, v in mod["weighted_parents"].items()
-            },
-            uniform_parents={
-                int(k): float(v) for k, v in mod["uniform_parents"].items()
-            },
-        )
-        modules.append(module)
+    modules = [_module_from_dict(mod) for mod in payload["modules"]]
     return ModuleNetwork(modules, payload["var_names"], int(payload["n_obs"]))
 
 

@@ -43,7 +43,7 @@ from repro.scoring.normal_gamma import DEFAULT_PRIOR, NormalGammaPrior, log_marg
 from repro.scoring.split_score import DEFAULT_BETA_GRID, check_beta_grid
 from repro.trees.hierarchy import build_tree_structure
 from repro.trees.parents import accumulate_parent_scores
-from repro.trees.splits import node_kernel
+from repro.trees.splits import score_nodes
 
 
 @dataclass(frozen=True)
@@ -356,7 +356,9 @@ def _genomica_module_run(ctx, item):
 
     ``item`` is ``((module_id, members), want_trace)``.  The module consumes
     only its ``("genomica-final", id)`` stream and scores on the task
-    context's scorer, so its counters drain into the completion record.
+    context's scorer, so its counters drain into the completion record:
+    the tree's internal nodes are one grid batch (:func:`score_nodes`), on
+    the native backend one call that fills each margin row once per tree.
     Returns ``(module, trace steps)``.
     """
     (module_id, members), want_trace = item
@@ -376,20 +378,23 @@ def _genomica_module_run(ctx, item):
         hooks=hooks, kernel_backend=config.parallel.kernel_backend,
     )
     tree = build_tree_structure(block, labels, module_id, config.prior, hooks)
-    selected: list[Split] = []
-    for node in tree.internal_nodes():
-        kernel = node_kernel(data, node, parents, scorer)
-        if trace is not None:
+    nodes = tree.internal_nodes()
+    sizes = [node.observations.size for node in nodes]
+    if trace is not None:
+        for n_obs in sizes:
             trace.record(
                 "modules.split_search",
-                np.full(
-                    kernel.n_items,
-                    float(scorer.beta_grid.size * kernel.n_obs),
-                ),
+                np.full(len(parents) * n_obs, float(scorer.beta_grid.size * n_obs)),
                 n_collectives=1,
             )
-        scores, _beta, accepted = scorer.score_grid_best_kernel(kernel)
-        split = select_best_split(data, node, parents, scores, accepted)
+    scores, _steps, accepted = score_nodes(
+        data, parents, scorer,
+        [(node.observations, node.left.observations) for node in nodes], grid=True,
+    )
+    offsets = np.cumsum([0, *(len(parents) * n_obs for n_obs in sizes)])
+    selected: list[Split] = []
+    for node, lo, hi in zip(nodes, offsets, offsets[1:]):
+        split = select_best_split(data, node, parents, scores[lo:hi], accepted[lo:hi])
         if split is not None:
             selected.append(split)
     module = Module(module_id=module_id, members=members, trees=[tree])

@@ -12,10 +12,10 @@
   variance drives the load imbalance studied in Section 5.3.1.
 * :mod:`repro.scoring.kernel` — the lazy-margin split-scoring kernel:
   memoized, deduplicated beta-grid scores straight from the ``(P, n_obs)``
-  parent-value slice, never materializing the dense margins matrix.  Chunk
-  evaluation runs on a selectable backend (``kernel_backend``): the NumPy
-  oracle, or the native-compiled extension in :mod:`repro._native` that is
-  certified bit-identical to it at load time.
+  parent-value slice, never materializing the dense margins matrix: the
+  NumPy backend (``kernel_backend``) and the oracle of the native batch
+  entry in :mod:`repro._native`, certified bit-identical to it at load
+  time.
 """
 
 from repro.scoring.kernel import (

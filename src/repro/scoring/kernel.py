@@ -28,11 +28,10 @@ visited.  This module avoids both costs:
 
 A score is computed in one fixed order — subtract, multiply by sign,
 multiply by beta, the stable log-sigmoid, a pairwise sum over one contiguous
-``n_obs`` row, quantization — which the native chunk evaluator and batch
-entry replay bit for bit.  Rows are evaluated independently, so neither the
-chunk size nor which candidates share a group can change a bit, and
-deduplicated candidates share equal float values, so their rows are equal by
-construction.
+``n_obs`` row, quantization — which the native batch entry replays bit for
+bit.  Rows are evaluated independently, so neither the chunk size nor which
+candidates share a group can change a bit, and deduplicated candidates share
+equal float values, so their rows are equal by construction.
 """
 
 from __future__ import annotations
@@ -222,19 +221,12 @@ class LazySplitKernel:
     ``peak_chunk_elements`` records the largest temporary actually
     allocated.
 
-    ``native`` selects who evaluates a chunk: the certified native
-    extension (a :class:`repro._native.NativeKernels` handle, normally the
-    one a :class:`~repro.scoring.split_score.SplitScorer` resolved from its
-    ``kernel_backend``) or, with ``None``, the NumPy expressions.  The
-    native path replaces only the chunk evaluation body of :meth:`scores`;
-    grouping and chunk sizing stay in Python either way, and scores,
-    counters and the memo's end state are bit-identical by the extension's
-    load-time certification.  (The whole sampling chain
-    runs natively only through :func:`run_chains`, on whole nodes with the
-    call's own memo.)  Cached scores are tracked by an explicit seen-bitmask,
-    not a NaN sentinel, so a legitimately non-finite score (a row mixing
-    ``+inf`` and ``-inf`` margins sums to NaN) is cached like any other
-    value instead of re-evaluating on every lookup.
+    It is the NumPy backend's kernel and the oracle, scores and counters,
+    of the native batch entry (:func:`run_chains`: whole nodes, chain or
+    grid, against the call's own memo).  Cached scores are tracked by an
+    explicit seen-bitmask, not a NaN sentinel, so a legitimately non-finite
+    score (a row mixing ``+inf`` and ``-inf`` margins sums to NaN) is cached
+    like any other value instead of re-evaluating on every lookup.
     """
 
     def __init__(
@@ -244,7 +236,6 @@ class LazySplitKernel:
         beta_grid,
         *,
         max_chunk_elements: int | None = None,
-        native=None,
     ) -> None:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         if self.values.ndim != 2:
@@ -257,8 +248,6 @@ class LazySplitKernel:
         self.n_items = self.n_parents * self.n_obs
         self._n_beta = self.beta_grid.size
         self.max_chunk_elements = int(max_chunk_elements or CHUNK_ELEMENTS)
-        self._native = native
-        self.backend = "numpy" if native is None else "native"
         self.item_groups, self.group_row, self.group_value = group_rows(self.values)
         self.n_groups = int(self.group_row.size)
         self._cache = np.zeros(self.n_groups * self._n_beta)
@@ -309,30 +298,13 @@ class LazySplitKernel:
                     self.peak_chunk_elements, chunk.size * self.n_obs
                 )
                 idx = chunk * self._n_beta + beta_vals[0]
-                if self._native is not None:
-                    # The certified extension computes the exact chunk body
-                    # below (same operation order, same libm entry points as
-                    # NumPy) with the GIL released; grouping and chunk
-                    # sizing stay in Python, so both paths allocate alike.
-                    out = np.empty(chunk.size)
-                    self._native.eval_chunk(
-                        np.ascontiguousarray(self.group_value[chunk]),
-                        np.ascontiguousarray(self.group_row[chunk]),
-                        self.values,
-                        self.sign,
-                        float(grid_beta),
-                        SCORE_QUANTUM,
-                        out,
-                    )
-                    self._cache[idx] = out
-                else:
-                    # Subtract values, multiply by sign, multiply by beta,
-                    # stable log-sigmoid row sum: each step is elementwise,
-                    # so chunking cannot change a single bit of the result.
-                    diff = self.group_value[chunk][:, None] - self.values[self.group_row[chunk]]
-                    margin = self.sign * diff
-                    z = margin * grid_beta
-                    self._cache[idx] = row_scores(z)
+                # Subtract values, multiply by sign, multiply by beta, stable
+                # log-sigmoid row sum: each step is elementwise, so chunking
+                # cannot change a single bit of the result.
+                diff = self.group_value[chunk][:, None] - self.values[self.group_row[chunk]]
+                margin = self.sign * diff
+                z = margin * grid_beta
+                self._cache[idx] = row_scores(z)
                 self._seen[idx] = True
         self.evaluations += int(keys.size)
 
@@ -346,8 +318,8 @@ class ChainNode:
     #: +1.0 for the left child's observations, -1.0 for the right's
     sign: np.ndarray
     #: the ``DrawSpan`` of the private draws of the node's candidates ``l *
-    #: n_obs + j``, every one of them in order
-    span: DrawSpan
+    #: n_obs + j``, every one of them in order (``None`` in a grid batch)
+    span: DrawSpan | None = None
 
 
 def run_chains(
@@ -363,8 +335,15 @@ def run_chains(
     table_elements: int | None = None,
     want_idx: bool = True,
     want_steps: bool = True,
+    grid: bool = False,
 ):
-    """The scorer's sampling chains of a batch of tree nodes, in one call.
+    """The scorer's sampling chains of a batch of tree nodes, in one call —
+    or, with ``grid``, its exhaustive search
+    (:meth:`~repro.scoring.split_score.SplitScorer.score_grid_best_kernel`):
+    each candidate's first strictly best score over the whole beta grid,
+    from one lookup of all of a ``(node, parent)``'s candidates per beta in
+    grid order, against the same memo and margin table; its nodes carry no
+    span and it returns no steps.
 
     ``uvalues`` is the batch's universe — row ``l`` holds candidate parent
     ``l``'s values at every observation some node of the batch has — and a
@@ -418,7 +397,7 @@ def run_chains(
     return native.score_batch(
         uvalues, np.ascontiguousarray(urow), beta_grid, nodes,
         max_steps, stop_repeats, SCORE_QUANTUM, max_chunk_elements or CHUNK_ELEMENTS,
-        share, want_idx, want_steps,
+        share, want_idx, want_steps, grid,
     )
 
 
@@ -446,17 +425,15 @@ def split_kernel_from_arrays(
     beta_grid,
     *,
     max_chunk_elements: int | None = None,
-    native=None,
 ) -> LazySplitKernel:
     """A node's lazy kernel from raw arrays.
 
     ``obs`` are the node's observations, ``left_obs`` its left child's;
     candidate ``l * n_obs + j`` is ``(parents[l], data[parents[l],
-    obs[j]])``.  ``native`` is as for :class:`LazySplitKernel`.
+    obs[j]])``.
     """
     obs = np.asarray(obs, dtype=np.int64)
     values = data[np.asarray(parents, dtype=np.int64)][:, obs]
     return LazySplitKernel(
-        values, split_sign(obs, left_obs), beta_grid, max_chunk_elements=max_chunk_elements,
-        native=native,
+        values, split_sign(obs, left_obs), beta_grid, max_chunk_elements=max_chunk_elements
     )

@@ -74,8 +74,10 @@ class SplitScorer:
     exactly two uniforms; one more seeds the start, so every split owns
     ``1 + 2 * max_steps`` draws of its indexed stream.
 
-    ``kernel_backend`` is the job's ``ParallelConfig.kernel_backend``, and
-    every kernel built for this scorer evaluates with :attr:`native`.
+    ``kernel_backend`` is the job's ``ParallelConfig.kernel_backend``: on
+    its native kernels (:attr:`native`) a batch of nodes is scored in one
+    call (:meth:`score_chain_nodes`), on NumPy node by node over a
+    :class:`~repro.scoring.kernel.LazySplitKernel`.
     What the scorer's runs cost its kernels accumulates in :attr:`counters`
     (the shape :func:`~repro.scoring.kernel.merge_counters` keeps) until
     :meth:`drain_counters`: a task context's scorer is drained into each
@@ -120,14 +122,15 @@ class SplitScorer:
         return counters or None
 
     def _count(self, kernel: LazySplitKernel, before: tuple[int, int]) -> None:
-        """Add what a run cost ``kernel``: the hits and evaluations it made
-        since it held ``before``, and its peak temporary."""
+        """Add what a run cost the NumPy ``kernel``: the hits and
+        evaluations it made since it held ``before``, and its peak
+        temporary."""
         evaluations = kernel.evaluations - before[1]
         merge_counters(self.counters, {
             "hits": kernel.hits - before[0],
             "evaluations": evaluations,
             "peak_chunk_elements": kernel.peak_chunk_elements if evaluations else 0,
-            "backends": [kernel.backend] if evaluations else [],
+            "backends": ["numpy"] if evaluations else [],
         })
 
     def score_batch_kernel(
@@ -146,8 +149,7 @@ class SplitScorer:
         scalar definition is in ``tests/reference.py``).
         This NumPy chain over :meth:`LazySplitKernel.scores` is the oracle
         the native batch entry (:meth:`score_chain_nodes`) is certified
-        against; a kernel built with ``native`` evaluates its score chunks
-        there.
+        against.
         """
         self._check_kernel(kernel)
         groups = kernel.item_groups
@@ -170,7 +172,7 @@ class SplitScorer:
         return result
 
     def score_chain_nodes(
-        self, uvalues: np.ndarray, nodes, want_steps: bool = True
+        self, uvalues: np.ndarray, nodes, want_steps: bool = True, grid: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """The chain over every candidate of a batch of tree nodes, in one
         call of this scorer's native kernels
@@ -181,10 +183,12 @@ class SplitScorer:
         after node — per node what :meth:`score_batch_kernel` returns,
         ``steps`` ``None`` unless ``want_steps`` — and adds per node what
         its NumPy chain would have counted, with the call's margin-table
-        traffic, to :attr:`counters` (the same with or without steps)."""
+        traffic, to :attr:`counters` (the same with or without steps).
+        With ``grid`` it is :meth:`score_grid_best_kernel`'s search instead
+        (spanless nodes, no steps)."""
         best_score, steps, _best_idx, bounds, counters, table = run_chains(
             self.native, uvalues, self.beta_grid, nodes, self.max_steps,
-            self.stop_repeats, want_idx=False, want_steps=want_steps,
+            self.stop_repeats, want_idx=False, want_steps=want_steps, grid=grid,
         )
         merge_counters(self.counters, chain_counters(counters, table))
         accepted = np.empty(best_score.size, dtype=bool)
@@ -257,7 +261,8 @@ class SplitScorer:
         posterior sampling.  Returns ``(best_scores, best_beta_idx,
         accepted)``; costs ``O(n_beta * n_obs)`` per *group* — the price the
         sampling chain's early stopping avoids — so duplicate split values
-        cost nothing extra.
+        cost nothing extra.  The oracle of the native grid batch
+        (:meth:`score_chain_nodes` with ``grid``).
         """
         self._check_kernel(kernel)
         before = kernel.hits, kernel.evaluations

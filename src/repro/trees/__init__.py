@@ -13,7 +13,6 @@ from repro.trees.hierarchy import build_tree_structure
 from repro.trees.parents import accumulate_parent_scores
 from repro.trees.splits import (
     NodeSplitScores,
-    node_kernel,
     score_node_splits,
     score_nodes,
     select_node_splits,
@@ -22,7 +21,6 @@ from repro.trees.splits import (
 __all__ = [
     "build_tree_structure",
     "NodeSplitScores",
-    "node_kernel",
     "score_node_splits",
     "score_nodes",
     "select_node_splits",

@@ -19,12 +19,7 @@ import numpy as np
 
 from repro.datatypes import Split, TreeNode
 from repro.rng.streams import GibbsRandom, IndexedStream
-from repro.scoring.kernel import (
-    ChainNode,
-    LazySplitKernel,
-    split_kernel_from_arrays,
-    split_sign,
-)
+from repro.scoring.kernel import ChainNode, split_kernel_from_arrays, split_sign
 from repro.scoring.split_score import SplitScorer
 
 
@@ -62,28 +57,13 @@ class NodeSplitScores:
         return self.steps.astype(np.float64) * self.n_obs
 
 
-def node_kernel(
-    data: np.ndarray,
-    node: TreeNode,
-    parents: np.ndarray,
-    scorer: SplitScorer,
-) -> LazySplitKernel:
-    """Lazy split-scoring kernel over all candidate splits at ``node``, on
-    ``scorer``'s beta grid and backend: ``O(P * n_obs)`` memory, margins
-    computed row-chunk by row-chunk during scoring."""
-    assert node.left is not None
-    return split_kernel_from_arrays(
-        data, node.observations, node.left.observations, parents, scorer.beta_grid,
-        native=scorer.native,
-    )
-
-
 def score_nodes(
     data: np.ndarray,
     parents: np.ndarray,
     scorer: SplitScorer,
     nodes,
     want_steps: bool = True,
+    grid: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Score every candidate split of a batch of internal nodes.
 
@@ -109,20 +89,31 @@ def score_nodes(
     them.  On the NumPy backend the nodes are scored one by one through
     :func:`~repro.scoring.kernel.split_kernel_from_arrays`, the oracle the
     batch is certified against, bit for bit.
+
+    With ``grid`` every candidate gets GENOMICA's deterministic best score
+    over the beta grid instead of a chain
+    (:meth:`~repro.scoring.split_score.SplitScorer.score_grid_best_kernel`):
+    a node is ``(obs, left_obs)`` (it draws nothing) and ``steps`` is
+    ``None``.
     """
     parents = np.asarray(parents, dtype=np.int64)
+    want_steps = want_steps and not grid
     if not nodes:
         steps = np.empty(0, dtype=np.int64) if want_steps else None
         return np.empty(0), steps, np.empty(0, dtype=bool)
-    spans = [
-        istream.items_span(base_index, parents.size * len(obs))
-        for obs, _left_obs, istream, base_index in nodes
+    spans = [  # a chain node's address: (istream, base_index)
+        None if grid else address[0].items_span(address[1], parents.size * len(obs))
+        for obs, _left_obs, *address in nodes
     ]
     if scorer.native is None:
         parts = []
-        for (obs, left_obs, _istream, _base), span in zip(nodes, spans):
+        for (obs, left_obs, *_address), span in zip(nodes, spans):
             kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
-            log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(kernel, span)
+            if grid:
+                log_scores, _beta_idx, accepted = scorer.score_grid_best_kernel(kernel)
+                steps = None
+            else:
+                log_scores, steps, _beta_idx, accepted = scorer.score_batch_kernel(kernel, span)
             parts.append((log_scores, steps if want_steps else None, accepted))
         return _join_fields(parts)
     in_batch = np.zeros(data.shape[1], dtype=bool)
@@ -133,9 +124,10 @@ def score_nodes(
         data[np.ix_(parents, universe)],
         [
             ChainNode(np.searchsorted(universe, obs), split_sign(obs, left_obs), span)
-            for (obs, left_obs, _istream, _base), span in zip(nodes, spans)
+            for (obs, left_obs, *_address), span in zip(nodes, spans)
         ],
         want_steps,
+        grid,
     )
 
 

@@ -184,3 +184,49 @@ class TestUnreadableCheckpoints:
             np.testing.assert_array_equal(got, want)
         with np.load(path) as payload:
             np.testing.assert_array_equal(payload["labels"], fresh[0])
+
+
+class TestModuleLayout:
+    """A module file holds the network document's module dict and its
+    fingerprint; files written before it did still load."""
+
+    def test_a_module_file_is_the_documents_module(self, tmp_path):
+        from repro.core.output import network_to_json
+
+        matrix = _dataset(7)
+        learner = LemonTreeLearner(LearnerConfig(max_sampling_steps=5))
+        network = learner.learn_from_modules(
+            matrix, HALVES, seed=3, checkpoint_dir=tmp_path
+        ).network
+        document = json.loads(network_to_json(network))["modules"]
+        for module in document:
+            payload = json.loads((tmp_path / f"module_{module['module_id']}.json").read_text())
+            assert set(payload) == {"fingerprint", *module}
+            assert {key: payload[key] for key in module} == module
+
+    def test_a_module_file_in_the_earlier_layout_loads(self, tmp_path):
+        """A file with no ``module_id`` and its parents in insertion order,
+        as module files were written before, loads as the module it holds,
+        and a resumed run takes it as it is."""
+        from repro.core.checkpoints import CheckpointStore
+        from repro.core.output import _module_to_dict, _node_to_dict
+
+        matrix = _dataset(7)
+        config = LearnerConfig(max_sampling_steps=5)
+        learner = LemonTreeLearner(config)
+        fresh = learner.learn_from_modules(matrix, HALVES, seed=3, checkpoint_dir=tmp_path)
+        store = CheckpointStore.open(tmp_path, matrix.values, config, 3)
+        for module in fresh.network.modules:
+            (tmp_path / f"module_{module.module_id}.json").write_text(json.dumps({
+                "fingerprint": store.task3,
+                "members": [int(v) for v in module.members],
+                "trees": [_node_to_dict(tree.root) for tree in module.trees],
+                "weighted_parents": {str(k): v for k, v in module.weighted_parents.items()},
+                "uniform_parents": {str(k): v for k, v in module.uniform_parents.items()},
+            }))
+            loaded = store.load_module(module.module_id, module.members)
+            assert _module_to_dict(loaded) == _module_to_dict(module)
+        stamps = _stamps(tmp_path, "module_*.json")
+        resumed = learner.learn_from_modules(matrix, HALVES, seed=3, checkpoint_dir=tmp_path)
+        assert resumed.network == fresh.network
+        assert _stamps(tmp_path, "module_*.json") == stamps

@@ -49,7 +49,7 @@ def no_native_entry(monkeypatch):
         return entered
 
     entries = [name for name in vars(_native.NativeKernels) if not name.startswith("_")]
-    assert {"eval_chunk", "score_batch", "obs_sweep", "var_sweep"} <= set(entries)
+    assert {"uniforms", "score_batch", "obs_sweep", "var_sweep"} <= set(entries)
     for name in entries:
         monkeypatch.setattr(_native.NativeKernels, name, refuse(name))
 

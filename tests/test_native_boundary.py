@@ -8,7 +8,8 @@
   than its row allows, read-only where C writes it or holding a negative
   index where C indexes by its values, is refused with a ``ValueError``
   that names it, before any C entry is reached — and every span, handed
-  over as an array or covering one draw too few;
+  over as an array or covering one draw too few; a grid batch's node
+  carrying a span and a chain batch's node carrying none are refused too;
 * **the certification table** — every row fails certification by name when
   its entry's output is moved one ulp, and a variable sweep wrong only past
   the first 512 stacked blocks fails the probe that stacks that many.
@@ -47,28 +48,27 @@ _STATS = ("count", "total", "sumsq")
 _NODE_FIELDS = ("obs", "sign", "span")
 
 
+#: the batch entry's grid search, spanless nodes: a row of its own here
+_GRID = "repro_score_batch (grid)"
+
+
 def _valid_call(entry):
     """A call of the ``NativeKernels`` method behind ``entry`` that passes
     the spec table: ``(method name, keyword arguments)``."""
     rng = np.random.default_rng(7)
-    if entry == "repro_eval_chunk":
-        values = rng.normal(size=(3, 4))
-        return "eval_chunk", dict(
-            group_value=rng.normal(size=5), group_row=rng.integers(0, 3, size=5),
-            values=values, sign=np.ones(4), beta=1.0, quantum=1e-9, out=np.zeros(5),
-        )
-    if entry == "repro_score_batch":
+    if entry in ("repro_score_batch", _GRID):
         n_parents, n_u, per_item = 2, 6, 5
         n_items = n_parents * n_u
+        grid = entry == _GRID
         node = ChainNode(
             np.arange(n_u), np.where(np.arange(n_u) % 2, 1.0, -1.0),
-            IndexedStream(make_stream(1, "u"), per_item).items_span(0, n_items),
+            None if grid else IndexedStream(make_stream(1, "u"), per_item).items_span(0, n_items),
         )
         return "score_batch", dict(
             uvalues=rng.normal(size=(n_parents, n_u)),
             urow=np.tile(np.arange(n_u), (n_parents, 1)), beta_grid=np.arange(1.0, 5.0),
             nodes=[node], max_steps=2, stop_repeats=1, quantum=1e-9, chunk_elements=64,
-            share=True,
+            share=True, grid=grid,
         )
     if entry in ("repro_obs_reassign_sweep", "repro_obs_merge_sweep"):
         m, k, rows = 6, 3, 4
@@ -86,6 +86,8 @@ def _valid_call(entry):
         rng.normal(size=(5, 4)), np.arange(5) % 2, [np.arange(4) % 2, np.arange(4) % 3]
     )
     pack = state.var_sweep_pack(merge)
+    for buffer in (*pack["stats"], pack["lm"]):  # uninitialised reserved slots
+        buffer[pack["n_blocks"]:] = 0.0  # would make _variants' float32 cast warn
     pack["span"] = GibbsRandom(make_stream(1, "u", backend="mrg")).span(2 if merge else 10)
     return "var_sweep", pack
 
@@ -142,7 +144,9 @@ def _variants(arg, valid, need):
 
 _ARGS = [
     (entry, arg)
-    for entry, row in [*_native._SPEC.items(), ("repro_score_batch", _native._NODE)]
+    for entry, row in [
+        *_native._SPEC.items(), ("repro_score_batch", _native._NODE), (_GRID, _native._GRID_NODE),
+    ]
     for arg in row
     if isinstance(arg, _native.Arg)
 ]
@@ -172,7 +176,8 @@ def test_spec_refuses_every_bad_buffer_before_c(entry, arg, monkeypatch):
 
     for name, check in _native._CHECKS.items():
         monkeypatch.setitem(_native._CHECKS, name, recording(check))
-    monkeypatch.setattr(_native, "_NODE_CHECK", recording(_native._NODE_CHECK))
+    for name in ("_NODE_CHECK", "_GRID_NODE_CHECK"):
+        monkeypatch.setattr(_native, name, recording(getattr(_native, name)))
     monkeypatch.setattr(_native.NativeKernels, "_call", lambda self, name, env, *args: 0)
     getattr(kernels, method)(**kwargs)
     monkeypatch.undo()
@@ -197,10 +202,6 @@ def _doctors(kernels):
     """Per certification row, the entry's wrapper with one output element
     moved one ulp."""
 
-    def eval_chunk(*args):
-        kernels.eval_chunk(*args)
-        _nudged(args[-1])
-
     def uniforms(*args):
         out = kernels.uniforms(*args)
         if out.size:
@@ -224,7 +225,6 @@ def _doctors(kernels):
         return origin, sizes, moves
 
     return {
-        "eval_chunk": {"eval_chunk": eval_chunk},
         "draws": {"uniforms": uniforms},
         "score_batch": {"score_batch": score_batch},
         "obs sweep": {"obs_sweep": obs_sweep},
@@ -251,14 +251,43 @@ def test_an_entry_one_ulp_off_fails_certification_by_name(row):
 
 
 @needs_native
-def test_a_group_row_outside_the_values_is_refused():
-    """A row index C would read past the values with: ``group_row`` 3 of
-    3 rows, refused before C."""
+@pytest.mark.parametrize("entry", ["repro_score_batch", _GRID])
+def test_a_span_is_refused_where_the_batch_kind_does_not_take_one(entry):
+    """A chain batch's node needs the span of its draws and a grid batch's
+    node draws nothing: each given the other kind's ``span`` is refused,
+    by name, before C."""
     kernels = _native.load()
-    kwargs = _valid_call("repro_eval_chunk")[1]
+    _method, kwargs = _valid_call(entry)
+    swapped = _valid_call("repro_score_batch" if entry == _GRID else _GRID)[1]["nodes"]
     trapped = _native.NativeKernels(kernels._ffi, _Trap(), kernels.provider)
-    with pytest.raises(ValueError, match="group row must name a row"):
-        trapped.eval_chunk(**{**kwargs, "group_row": np.array([0, 1, 2, 3, 0])})
+    refusal = "span must be None in a grid batch" if entry == _GRID else (
+        "span must be a DrawSpan, got NoneType"
+    )
+    with pytest.raises(ValueError, match=refusal):
+        trapped.score_batch(**{**kwargs, "nodes": [kwargs["nodes"][0], *swapped]})
+
+
+@needs_native
+def test_a_grid_batch_hands_c_no_span_and_no_steps(monkeypatch):
+    """A grid batch reaches C with every node's generator, key and offset
+    0 and its ``steps`` NULL, whatever ``want_steps`` says; the real call
+    answers no steps and a beta index per candidate."""
+    kernels = _native.load()
+    kwargs = _valid_call(_GRID)[1]
+    reached = []
+
+    def call(self, entry, env, *args):
+        reached.append([
+            (c.gen, c.key, c.offset, c.steps == self._ffi.NULL) for c in args[6]
+        ] + [args[-2]])
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_native.NativeKernels, "_call", call)
+        kernels.score_batch(**kwargs, want_steps=True)
+    assert reached == [[(0, 0, 0, True), True]]
+    best_score, steps, best_idx, bounds, *_rest = kernels.score_batch(**kwargs)
+    assert steps is None and best_score.shape == best_idx.shape == (bounds[-1],)
+    assert 0 <= best_idx.min() <= best_idx.max() < kwargs["beta_grid"].size
 
 
 @needs_native

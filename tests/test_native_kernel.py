@@ -7,17 +7,16 @@ Three contracts:
   extension is unavailable while ``"auto"`` silently falls back to NumPy
   for *expected* absence (disabled, no cffi, no compiler) and warns once
   only for genuine failures;
-* **bit identity** — the native chunk evaluator agrees with the NumPy
-  oracle bit for bit, property-based
-  over random shapes, duplicate-heavy rows,
-  both RNG stream backends, extreme magnitudes and an explicit chunk
-  bound;
+* **bit identity** — the native batch entry's chain and grid-best search
+  over one node agree with the NumPy kernel's bit for bit, results and
+  counters, property-based over random shapes, duplicate-heavy rows, both
+  RNG stream backends, extreme magnitudes and an explicit chunk bound;
 * **the fused chain** — the native batch entry runs a whole node's
   sampling chain in one call; results and counters equal the NumPy
   chain's (and results the scalar oracle's) on random, tie-grid and
   constant-row nodes, and through ``_score_chunk_run``'s parent blocks;
-  a native kernel's memo ends as the NumPy kernel's, on a partly filled
-  memo too.  These run on the NumPy backend alone when the extension is
+  a chain on a partly filled NumPy memo returns what a fresh one and the
+  batch do.  These run on the NumPy backend alone when the extension is
   absent, pinning the fallback to the scalar oracle;
 * **grouping tables** — the one-pass ``_build_tables`` equals the per-row
   ``np.unique`` construction, signed zeros and duplicates included;
@@ -62,11 +61,6 @@ needs_native = pytest.mark.skipif(
     reason=f"native backend unavailable ({_native.availability()['status']})",
 )
 BACKENDS = ["numpy"] + (["native"] if NATIVE else [])
-
-
-def _native_of(backend):
-    """The kernels' handle for a backend name (``None``: NumPy)."""
-    return resolve_kernel_backend(backend)[1]
 
 
 def _uniform_span(n_items, dpi, seed=0, backend="philox"):
@@ -167,28 +161,30 @@ class TestAutoFallback:
 
 @needs_native
 class TestSplitKernelBitIdentity:
-    def _compare(self, data, obs, left_obs, parents, scorer, uniforms):
-        results = {}
-        for backend in ("numpy", "native"):
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
+    def _compare(self, data, obs, left_obs, parents, scorer, span, chunk_elements=None):
+        """The NumPy chain and grid search (a kernel each) against one
+        batch call each: results and ``(hits, evaluations, peak)``."""
+
+        def kernel():
+            return split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid,
+                max_chunk_elements=chunk_elements,
             )
-            chain = scorer.score_batch_kernel(kernel, uniforms)
-            best = scorer.score_grid_best_kernel(kernel)
-            results[backend] = (kernel, chain, best)
-        numpy_kernel, numpy_chain, numpy_best = results["numpy"]
-        native_kernel, native_chain, native_best = results["native"]
-        for got, want in zip(native_chain, numpy_chain):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(native_best, numpy_best):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(native_kernel._seen, numpy_kernel._seen)
-        np.testing.assert_array_equal(
-            native_kernel._cache[native_kernel._seen],
-            numpy_kernel._cache[numpy_kernel._seen],
+
+        chain_kernel, grid_kernel = kernel(), kernel()
+        numpy_chain = scorer.score_batch_kernel(chain_kernel, span)[:3]
+        numpy_best = scorer.score_grid_best_kernel(grid_kernel)[:2]
+        chain, counted = _whole_node_chain(
+            scorer, data, obs, left_obs, parents, span, chunk_elements
         )
-        assert native_kernel.evaluations == numpy_kernel.evaluations
-        assert native_kernel.hits == numpy_kernel.hits
+        for got, want in zip(chain, numpy_chain):
+            np.testing.assert_array_equal(got, want)
+        assert counted == _memo_state(chain_kernel)[:3]
+        best, counted = _whole_node_grid(scorer, data, obs, left_obs, parents, chunk_elements)
+        for got, want in zip(best, numpy_best):
+            np.testing.assert_array_equal(got, want)
+        assert counted == _memo_state(grid_kernel)[:3]
+        return counted
 
     @settings(
         max_examples=30,
@@ -213,27 +209,17 @@ class TestSplitKernelBitIdentity:
             duplicates=duplicates, scale=scale,
         )
         scorer = SplitScorer(max_steps=5, stop_repeats=2)
-        uniforms = _uniform_block(
-            parents.size * obs.size, scorer.draws_per_item, seed, rng_backend
-        )
-        self._compare(data, obs, left_obs, parents, scorer, uniforms)
+        span = _uniform_span(parents.size * obs.size, scorer.draws_per_item, seed, rng_backend)
+        self._compare(data, obs, left_obs, parents, scorer, span)
 
     def test_explicit_chunk_bound_parity(self):
         data, obs, left_obs, parents = _node_arrays(29, n_obs=16, n_parents=8)
         scorer = SplitScorer(max_steps=3)
-        out = {}
-        uniforms = _uniform_block(
-            parents.size * obs.size, scorer.draws_per_item, 29
+        span = _uniform_span(parents.size * obs.size, scorer.draws_per_item, 29)
+        _hits, _evaluations, peak = self._compare(
+            data, obs, left_obs, parents, scorer, span, 5 * obs.size
         )
-        for backend in ("numpy", "native"):
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid,
-                max_chunk_elements=5 * obs.size, native=_native_of(backend),
-            )
-            out[backend] = scorer.score_batch_kernel(kernel, uniforms)
-            assert kernel.peak_chunk_elements <= 5 * obs.size
-        for got, want in zip(out["native"], out["numpy"]):
-            np.testing.assert_array_equal(got, want)
+        assert peak == 5 * obs.size
 
 
 # -- the fused chain ----------------------------------------------------------
@@ -266,6 +252,17 @@ def _whole_node_chain(scorer, data, obs, left_obs, parents, uniforms, chunk_elem
         scorer.max_steps, scorer.stop_repeats, max_chunk_elements=chunk_elements,
     )
     return chain, counted
+
+
+def _whole_node_grid(scorer, data, obs, left_obs, parents, chunk_elements=None):
+    """One node's grid-best search in one native batch call: ``(best_score,
+    best_idx)`` and its ``(hits, evaluations, peak_chunk_elements)``."""
+    node = ChainNode(np.arange(obs.size), split_sign(obs, left_obs))
+    best, _steps, idx, _bounds, (counted,), _traffic = run_chains(
+        _native.load(), data[np.ix_(parents, obs)], scorer.beta_grid, [node],
+        scorer.max_steps, scorer.stop_repeats, max_chunk_elements=chunk_elements, grid=True,
+    )
+    return (best, idx), counted
 
 
 def _memo_state(kernel):
@@ -321,50 +318,44 @@ class TestFusedChain:
             uniforms,
         )
 
-        def make(backend):
+        def make():
             return split_kernel_from_arrays(
                 data, obs, left_obs, parents, scorer.beta_grid,
-                max_chunk_elements=chunk_rows * n_obs, native=_native_of(backend),
+                max_chunk_elements=chunk_rows * n_obs,
             )
 
-        oracle = make("numpy")
+        oracle = make()
         scorer._run_chain(
             oracle.n_items, n_obs, uniforms,
             lambda rows, beta_idx: oracle.scores(oracle.item_groups[rows], beta_idx),
         )
         span = _uniform_span(*draws)
-        for backend in BACKENDS:
-            for source in (uniforms, span):
-                kernel = make(backend)
-                assert kernel.backend == backend
-                chain = scorer.score_batch_kernel(kernel, source)
-                for got, want in zip(chain, scalar):
-                    np.testing.assert_array_equal(got, want)
-                _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
-            if backend == "native":
-                chain, counted = _whole_node_chain(
-                    scorer, data, obs, left_obs, parents, span, chunk_rows * n_obs
-                )
-                for got, want in zip(chain, scalar):
-                    np.testing.assert_array_equal(got, want)
-                assert counted == _memo_state(oracle)[:3]
+        for source in (uniforms, span):
+            kernel = make()
+            chain = scorer.score_batch_kernel(kernel, source)
+            for got, want in zip(chain, scalar):
+                np.testing.assert_array_equal(got, want)
+            _assert_same_memo(_memo_state(kernel), _memo_state(oracle))
+        if NATIVE:
+            chain, counted = _whole_node_chain(
+                scorer, data, obs, left_obs, parents, span, chunk_rows * n_obs
+            )
+            for got, want in zip(chain, scalar):
+                np.testing.assert_array_equal(got, want)
+            assert counted == _memo_state(oracle)[:3]
 
     def test_scorer_does_not_pin_the_kernel(self):
         """The scorer outlives nodes (and, under the daemon's lease, jobs);
         it must not keep the last node's value slice and memo alive."""
         data, obs, left_obs, parents = _node_arrays(5)
         scorer = SplitScorer(max_steps=3)
-        for backend in BACKENDS:
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
-            )
-            scorer.score_batch_kernel(
-                kernel, _uniform_block(kernel.n_items, scorer.draws_per_item)
-            )
-            pinned = weakref.ref(kernel)
-            del kernel
-            gc.collect()
-            assert pinned() is None
+        kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
+        scorer.score_batch_kernel(kernel, _uniform_block(kernel.n_items, scorer.draws_per_item))
+        scorer.score_grid_best_kernel(kernel)
+        pinned = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert pinned() is None
 
     @pytest.mark.parametrize("rng_backend", ["philox", "mrg"])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -421,30 +412,32 @@ class TestFusedChain:
 
     def test_chain_on_a_partly_filled_memo(self):
         """A second chain on the same kernel runs against the memo the
-        first one left partly filled, and every backend reports the results
-        and counters of the NumPy chain."""
+        first one left partly filled: it hits where a fresh kernel
+        evaluates, and returns the results of a fresh kernel and of the
+        native batch, whose memo is always its own."""
         data, obs, left_obs, parents = _kind_node("ties", 31, 10, 13, 4)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
         n_items = parents.size * obs.size
         first = _uniform_block(n_items, scorer.draws_per_item, 31)
-        second = _uniform_block(n_items, scorer.draws_per_item, 32)
-        runs = {}
-        for backend in BACKENDS:
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid, native=_native_of(backend)
-            )
-            a = scorer.score_batch_kernel(kernel, first)
-            after_first = _memo_state(kernel)
-            hits = kernel.hits
-            b = scorer.score_batch_kernel(kernel, second)
-            assert kernel.hits > hits
-            runs[backend] = (a, b, after_first, _memo_state(kernel))
-        for backend in BACKENDS[1:]:
-            for got, want in zip(runs[backend][0] + runs[backend][1],
-                                 runs["numpy"][0] + runs["numpy"][1]):
-                np.testing.assert_array_equal(got, want)
-            _assert_same_memo(runs[backend][2], runs["numpy"][2])
-            _assert_same_memo(runs[backend][3], runs["numpy"][3])
+        second = _uniform_span(n_items, scorer.draws_per_item, 32)
+
+        def kernel():
+            return split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
+
+        filled, fresh = kernel(), kernel()
+        scorer.score_batch_kernel(filled, first)
+        hits, evaluations = filled.hits, filled.evaluations
+        got = scorer.score_batch_kernel(filled, second)
+        want = scorer.score_batch_kernel(fresh, second)
+        assert filled.hits - hits > fresh.hits
+        assert filled.evaluations - evaluations < fresh.evaluations
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        if NATIVE:
+            chain, counted = _whole_node_chain(scorer, data, obs, left_obs, parents, second)
+            for a, b in zip(chain, want):
+                np.testing.assert_array_equal(a, b)
+            assert counted == _memo_state(fresh)[:3]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_chunk_bound_below_one_row_scores_row_by_row(self, backend):
@@ -453,27 +446,34 @@ class TestFusedChain:
         its results are the scalar oracle's."""
         data, obs, left_obs, parents = _node_arrays(41, n_obs=12, n_parents=3)
         scorer = SplitScorer(max_steps=3)
-        kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, scorer.beta_grid,
-            max_chunk_elements=obs.size - 1, native=_native_of(backend),
-        )
-        uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 41)
+
+        def kernel():
+            return split_kernel_from_arrays(
+                data, obs, left_obs, parents, scorer.beta_grid, max_chunk_elements=obs.size - 1
+            )
+
+        chain_kernel, grid_kernel = kernel(), kernel()
+        uniforms = _uniform_block(chain_kernel.n_items, scorer.draws_per_item, 41)
         scalar = score_node_scalar(
             scorer, data[parents][:, obs].tolist(), split_sign(obs, left_obs).tolist(),
             uniforms,
         )
-        chain = scorer.score_batch_kernel(kernel, uniforms)
-        assert kernel.evaluations > 0 and kernel.peak_chunk_elements == obs.size
-        for got, want in zip(chain, scalar):
-            np.testing.assert_array_equal(got, want)
-        if backend == "native":
-            span = _uniform_span(kernel.n_items, scorer.draws_per_item, 41)
+        chain = scorer.score_batch_kernel(chain_kernel, uniforms)
+        best = scorer.score_grid_best_kernel(grid_kernel)[:2]
+        for k in (chain_kernel, grid_kernel):
+            assert k.evaluations > 0 and k.peak_chunk_elements == obs.size
+        if backend == "native":  # the batch's chain and grid search
+            span = _uniform_span(chain_kernel.n_items, scorer.draws_per_item, 41)
             chain, counted = _whole_node_chain(
                 scorer, data, obs, left_obs, parents, span, obs.size - 1
             )
-            for got, want in zip(chain, scalar):
-                np.testing.assert_array_equal(got, want)
-            assert counted == _memo_state(kernel)[:3]
+            assert counted == _memo_state(chain_kernel)[:3]
+            got, counted = _whole_node_grid(scorer, data, obs, left_obs, parents, obs.size - 1)
+            assert counted == _memo_state(grid_kernel)[:3]
+            for a, b in zip(got, best):
+                np.testing.assert_array_equal(a, b)
+        for got, want in zip(chain, scalar):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("generator", ["philox", "mrg"])
     def test_a_span_of_the_wrong_length_is_refused(self, generator):
@@ -488,16 +488,12 @@ class TestFusedChain:
         for n_draws in (11 * 5, 12 * 5 + 1, 12 * 6):
             wrong = make_stream(43, "u", backend=generator).span(0, n_draws)
             message = rf"exactly 5 draws for each of 12 items, got {n_draws}"
-            for backend in BACKENDS:
-                kernel = split_kernel_from_arrays(
-                    data, obs, left_obs, parents, scorer.beta_grid,
-                    native=_native_of(backend),
-                )
-                with pytest.raises(ValueError, match=message):
-                    scorer.score_batch_kernel(kernel, wrong)
-                with pytest.raises(ValueError, match=message):
-                    scorer.score_batch_kernel(kernel, wrong.array())
-                assert kernel.evaluations == kernel.hits == 0
+            kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
+            with pytest.raises(ValueError, match=message):
+                scorer.score_batch_kernel(kernel, wrong)
+            with pytest.raises(ValueError, match=message):
+                scorer.score_batch_kernel(kernel, wrong.array())
+            assert kernel.evaluations == kernel.hits == 0
             if NATIVE:
                 with pytest.raises(ValueError, match=message):
                     _whole_node_chain(*node, wrong)
@@ -765,8 +761,11 @@ class TestSeenBitmask:
         sentinel it re-evaluated on every call."""
         values = np.array([[np.inf, -np.inf, 0.0, 1.0]])
         sign = np.array([1.0, -1.0, 1.0, -1.0])
+        if backend == "native":
+            self._batch_caches_non_finite(np.tile(values, 2), np.tile(sign, 2))
+            return
         with np.errstate(all="ignore"):
-            kernel = LazySplitKernel(values, sign, (1.0,), native=_native_of(backend))
+            kernel = LazySplitKernel(values, sign, (1.0,))
             # The group holding the +inf candidate value scores NaN.
             inf_group = kernel.item_groups[0]
             g = np.array([inf_group], dtype=np.int64)
@@ -778,6 +777,33 @@ class TestSeenBitmask:
         assert np.isnan(first[0]) and np.isnan(second[0])
         assert kernel.evaluations == evals  # no re-evaluation
         assert kernel.hits == hits + 1
+
+    @staticmethod
+    def _batch_caches_non_finite(values, sign):
+        """The batch's memo, every value twice: its chain re-looks NaN keys
+        up as hits and its grid search evaluates each once per beta, as
+        the NumPy kernel counts them, with the same results (a NaN never
+        beats the grid search's -inf start)."""
+        scorer = SplitScorer((1.0, 2.0), max_steps=6, stop_repeats=3, kernel_backend="numpy")
+        span = _uniform_span(values.size, scorer.draws_per_item, 3)
+        with np.errstate(all="ignore"):
+            for node_span in (span, None):
+                oracle = LazySplitKernel(values, sign, scorer.beta_grid)
+                if node_span is None:
+                    want = scorer.score_grid_best_kernel(oracle)[:2]
+                    assert oracle.evaluations == 2 * oracle.n_groups < 2 * oracle.n_items
+                else:
+                    want = scorer.score_batch_kernel(oracle, span)[:3]
+                    assert np.isnan(want[0]).any() and oracle.hits > 0
+                *got, _bounds, (counted,), _traffic = run_chains(
+                    _native.load(), values, scorer.beta_grid,
+                    [ChainNode(np.arange(sign.size), sign, node_span)],
+                    scorer.max_steps, scorer.stop_repeats, grid=node_span is None,
+                )
+                got = [part for part in got if part is not None]
+                assert counted == (oracle.hits, oracle.evaluations, oracle.peak_chunk_elements)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
 
     def test_zero_score_cached(self):
         """A legitimate exactly-0.0 score must not read as a miss (the

@@ -4,10 +4,12 @@
 table of ``log1p(exp(-|z|))`` rows.  Everything it returns — scores, steps,
 beta indices, the three memo counters — must equal
 what each node's own NumPy chain produces, whatever the nodes share, however
-small the table, and wherever the draws come from.
+small the table, and wherever the draws come from; a grid batch's must equal
+each node's ``score_grid_best_kernel``.
 """
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -87,8 +89,7 @@ def _universe(kind, n_parents, n_u, rng):
 def _oracle(uvalues, obs, sign, scorer, chunk_elements, rows):
     """The node's own NumPy chain: the kernel (counters, memo) and results."""
     oracle = LazySplitKernel(
-        uvalues[:, obs], sign, scorer.beta_grid, max_chunk_elements=chunk_elements,
-        native=None,
+        uvalues[:, obs], sign, scorer.beta_grid, max_chunk_elements=chunk_elements
     )
     return oracle, scorer.score_batch_kernel(oracle, rows)
 
@@ -180,6 +181,127 @@ def _assert_batch_equals_per_node_chains(
     for other in outputs[1:]:
         for part, expected in zip(other, outputs[0]):
             np.testing.assert_array_equal(part, expected)
+
+
+class TestGridBatch:
+    """``run_chains(..., grid=True)``: GENOMICA's exhaustive search over the
+    beta grid, every candidate of every node, in one call."""
+
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_u=EDGE_WIDTHS,
+        layout=st.sampled_from(LAYOUTS),
+        kind=st.sampled_from(["random", "ties", "two-valued", "constant"]),
+        n_parents=st.integers(1, 3),
+        n_beta=st.sampled_from([2, 3, 7]),
+        chunk_elements=st.sampled_from([1, 40, None]),
+        special=st.booleans(),
+    )
+    def test_property_equals_grid_best_per_node(
+        self, seed, n_u, layout, kind, n_parents, n_beta, chunk_elements, special
+    ):
+        """... over the chain property's node sets and parent rows, with
+        ±0, ±1e308 and an infinity in the universe or not (NaN and -inf
+        scores), on grids of two to seven points, sharing one margin table
+        (filled whole or row by row), exactly one parent's rows or none:
+        node by node the scores and beta indices of its NumPy kernel's
+        ``score_grid_best_kernel`` and its hits, evaluations and peak; a
+        shared table fills each (parent, beta, value) row its nodes read
+        once, at every beta, and no draw is computed."""
+        rng = np.random.default_rng(seed)
+        uvalues = _universe(kind, n_parents, n_u, rng)
+        if special:
+            uvalues.flat[rng.permutation(uvalues.size)[:3]] = (-0.0, 1e308, np.inf)
+            uvalues.flat[rng.integers(uvalues.size)] = -1e308
+        grid = np.geomspace(0.25, 16.0, n_beta)
+        scorer = SplitScorer(grid, kernel_backend="numpy")
+        specs = [
+            (obs, np.where(rng.random(obs.size) < 0.5, 1.0, -1.0))
+            for obs in _node_obs(layout, n_u, rng)
+        ]
+        with np.errstate(all="ignore"):
+            oracles = []
+            for obs, sign in specs:
+                oracle = LazySplitKernel(
+                    uvalues[:, obs], sign, grid, max_chunk_elements=chunk_elements
+                )
+                oracles.append((oracle, scorer.score_grid_best_kernel(oracle)[:2]))
+            want = scorer.drain_counters()
+            table = n_beta * n_u * n_u
+            read = n_beta * sum(
+                len(set(uvalues[l, np.concatenate([obs for obs, _ in specs])].tolist()))
+                for l in range(n_parents)
+            )
+            for table_elements in (None, table, 0):
+                best, steps, idx, bounds, counters, traffic = run_chains(
+                    _native.load(), uvalues, grid, [ChainNode(*spec) for spec in specs],
+                    1, 1, max_chunk_elements=chunk_elements, table_elements=table_elements,
+                    grid=True,
+                )
+                assert steps is None
+                for lo, hi, counted, (oracle, (want_best, want_idx)) in zip(
+                    bounds, bounds[1:], counters, oracles
+                ):
+                    np.testing.assert_array_equal(best[lo:hi], want_best)
+                    np.testing.assert_array_equal(idx[lo:hi], want_idx)
+                    assert counted == (
+                        oracle.hits, oracle.evaluations, oracle.peak_chunk_elements
+                    )
+                got = chain_counters(counters, traffic)
+                for key in ("hits", "evaluations", "peak_chunk_elements"):
+                    assert got[key] == want[key]
+                shared = table_elements != 0
+                assert traffic == (read * shared, want["evaluations"] * shared, 0)
+
+    def test_a_tree_is_one_call_and_one_fill_per_row(self, tiny_matrix, monkeypatch):
+        """GENOMICA's module build scores all of a tree's internal nodes as
+        one grid batch: on the native backend one ``score_batch`` call per
+        tree, no ``LazySplitKernel``, and each margin row filled once for
+        the whole tree (``margin_rows_filled < margin_row_uses``) — with
+        the NumPy backend's network and counters."""
+        from repro.genomica import GenomicaConfig, GenomicaLearner
+
+        calls = {"batch": [], "kernels": 0}
+        batch, init = _native.NativeKernels.score_batch, LazySplitKernel.__init__
+
+        def batching(self, *args, **kwargs):
+            call = inspect.signature(batch).bind(self, *args, **kwargs)
+            calls["batch"].append(call.arguments.get("grid", False))
+            return batch(self, *args, **kwargs)
+
+        def building(self, *args, **kwargs):
+            calls["kernels"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_native.NativeKernels, "score_batch", batching)
+        monkeypatch.setattr(LazySplitKernel, "__init__", building)
+        runs = {}
+        for backend in ("numpy", "native"):
+            config = GenomicaConfig(
+                n_modules=3, max_iterations=2, parallel=ParallelConfig(kernel_backend=backend)
+            )
+            trace = WorkTrace()
+            result = GenomicaLearner(config).learn(tiny_matrix, seed=5, trace=trace)
+            runs[backend] = (result, trace, dict(calls, batch=list(calls["batch"])))
+            calls.update(batch=[], kernels=0)
+        (numpy_result, numpy_trace, numpy_calls), (result, trace, native_calls) = (
+            runs["numpy"], runs["native"]
+        )
+        trees = [m for m in result.network.modules if m.trees and m.trees[0].internal_nodes()]
+        n_nodes = sum(len(m.trees[0].internal_nodes()) for m in trees)
+        assert native_calls == {"batch": [True] * len(trees), "kernels": 0}
+        assert numpy_calls == {"batch": [], "kernels": n_nodes}
+        assert result.network == numpy_result.network
+        assert result.score_history == numpy_result.score_history
+        counters = trace.kernel_counters
+        for key in ("hits", "evaluations", "peak_chunk_elements"):
+            assert counters[key] == numpy_trace.kernel_counters[key]
+        assert counters["margin_rows_filled"] < counters["margin_row_uses"]
+        assert counters["margin_row_uses"] == counters["evaluations"]
 
 
 class TestStepsOnRequest:
@@ -437,7 +559,7 @@ class TestWholeBlockFill:
         sides = set()
         with np.errstate(all="ignore"):  # the probes overflow by design
             cases = list(_native._batch_cases())
-        for _label, (uvalues, scorer, _chunk, probes, share, _steps) in cases:
+        for _label, (uvalues, scorer, _chunk, probes, share, *_kind) in cases:
             if share:
                 whole = _whole_blocks(
                     uvalues, scorer.beta_grid, [p[:3] for p in probes], scorer.max_steps
@@ -451,13 +573,14 @@ class TestWholeBlockFill:
         NumPy oracle's run then compares everything but its steps."""
         with np.errstate(all="ignore"):
             cases = dict(_native._batch_cases())
-        stepless = [label for label, case in cases.items() if not case[-1]]
+        stepless = [label for label, case in cases.items() if not case[5]]
         assert len(stepless) == 1 and stepless[0].endswith("no steps")
         oracle, native = (
             _native._batch_runs(cases[stepless[0]], kernels)[0]
             for kernels in (None, _native.load())
         )
-        assert len(oracle) == len(native) == 3 * len(cases[stepless[0]][3])
+        assert len(oracle) == len(native) == 3  # scores, beta indices, counters
+        assert _native._runs_agree([oracle, native])
 
 
 @pytest.fixture
@@ -676,7 +799,7 @@ class TestCertification:
         for module in (kernel_mod, split_score_mod):
             monkeypatch.setattr(module, "SCORE_QUANTUM", 2.0**-60)
         with np.errstate(all="ignore"):  # the probes overflow by design
-            for label, case in _native._batch_cases():
+            for label, case in [*_native._batch_cases(), *_native._grid_cases()]:
                 runs = [*_native._batch_runs(case), *_native._batch_runs(case, kernels)]
                 assert _native._runs_agree(runs), label
 

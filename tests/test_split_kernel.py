@@ -13,7 +13,9 @@ The kernel's contract has three legs:
   accounting is untouched;
 * **one memo per kernel** — every lookup is a hit or an evaluation, a
   repeated lookup or chain evaluates nothing, and a second kernel over
-  the same node starts from an empty memo of its own;
+  the same node starts from an empty memo of its own; the native batch
+  entry, whose memo is each call's own, counts what the NumPy kernel
+  does, one call like the next;
 * **chunk size is not a result** — a ``learn()`` under any
   ``CHUNK_ELEMENTS`` builds the same network with the same counts, only
   in smaller temporaries.
@@ -27,19 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _native
-from repro.rng.streams import make_stream
+from repro.rng.streams import IndexedStream, make_stream
 from repro.core.config import LearnerConfig, ParallelConfig
 from repro.core.learner import LemonTreeLearner
 from repro.parallel.trace import WorkTrace
 from repro.scoring import kernel as kernel_mod
-from repro.scoring.kernel import split_kernel_from_arrays, split_sign
+from repro.scoring.kernel import ChainNode, run_chains, split_kernel_from_arrays, split_sign
 from repro.scoring.split_score import SplitScorer
 from repro.validation.metrics import network_fingerprint
 from tests.reference import _score_scalar, grid_best_one, score_node_scalar, split_margins
 
-#: each available backend's kernels handle (``None``: NumPy)
-NATIVES = {"numpy": None, **({"native": _native.load()} if _native.load() else {})}
-BACKENDS = list(NATIVES)
+#: the available backends: NumPy's lazy kernel, the native batch entry
+BACKENDS = ["numpy"] + (["native"] if _native.load() else [])
 
 
 def _uniform_block(n_items, dpi, seed=0):
@@ -182,6 +183,39 @@ class TestDedupAccounting:
 BETA_GRID = (1.0, 5.0, 20.0)
 
 
+def _batch(node, scorer, span=None, chunk_elements=None, beta_grid=None):
+    """One node as one native batch call — its chain with ``span``, its
+    grid-best search without, on ``scorer``'s beta grid unless given one:
+    results (``None`` where not computed) and ``(hits, evaluations,
+    peak_chunk_elements)``."""
+    data, obs, left_obs, parents = node
+    *results, _bounds, (counted,), _traffic = run_chains(
+        _native.load(), data[np.ix_(parents, obs)],
+        scorer.beta_grid if beta_grid is None else np.array(beta_grid),
+        [ChainNode(np.arange(obs.size), split_sign(obs, left_obs), span)],
+        scorer.max_steps, scorer.stop_repeats, max_chunk_elements=chunk_elements,
+        grid=span is None,
+    )
+    return results, counted
+
+
+def _assert_batches_count_as_kernels(node, scorer, span):
+    """A chain and a grid batch on ``node`` return and count what a fresh
+    NumPy kernel each does, and again on a second call: nothing one
+    call memoises reaches the next."""
+    for node_span in (span, None):
+        kernel = split_kernel_from_arrays(*node, scorer.beta_grid)
+        want = (
+            scorer.score_grid_best_kernel(kernel)[:2] if node_span is None
+            else scorer.score_batch_kernel(kernel, node_span)[:3]
+        )
+        for _call in range(2):
+            got, counted = _batch(node, scorer, node_span)
+            assert counted == (kernel.hits, kernel.evaluations, kernel.peak_chunk_elements)
+            for a, b in zip([part for part in got if part is not None], want):
+                np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestMemoContract:
     @given(st.integers(0, 2**16), st.integers(1, 40))
@@ -192,9 +226,14 @@ class TestMemoContract:
         hits."""
         rng = np.random.default_rng(seed)
         data, obs, left_obs, parents = _node_arrays(seed % 7, duplicates=bool(seed % 2))
-        kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, BETA_GRID, native=NATIVES[backend]
-        )
+        if backend == "native":
+            scorer = SplitScorer(BETA_GRID, max_steps=1 + n_lookups % 8, stop_repeats=2)
+            span = IndexedStream(make_stream(seed, "u"), scorer.draws_per_item).items_span(
+                0, parents.size * obs.size
+            )
+            _assert_batches_count_as_kernels((data, obs, left_obs, parents), scorer, span)
+            return
+        kernel = split_kernel_from_arrays(data, obs, left_obs, parents, BETA_GRID)
         seen: set[int] = set()
         for _batch in range(2):
             groups = rng.integers(0, kernel.n_groups, size=n_lookups)
@@ -214,27 +253,33 @@ class TestMemoContract:
     def test_scores_equal_the_scalar_scores(self, backend, duplicates):
         """Every ``(group, beta)`` score equals the scalar score of each
         candidate in the group, evaluated once per group."""
-        data, obs, left_obs, parents = _node_arrays(3, duplicates=duplicates)
-        kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, BETA_GRID, native=NATIVES[backend]
-        )
+        node = data, obs, left_obs, parents = _node_arrays(3, duplicates=duplicates)
+        kernel = split_kernel_from_arrays(data, obs, left_obs, parents, BETA_GRID)
         margins = _candidate_margins(data, obs, left_obs, parents)
         for b, grid_beta in enumerate(BETA_GRID):
+            want = [_score_scalar(m, grid_beta) for m in margins]
+            if backend == "native":  # a grid of one point twice: its score, at index 0
+                (best, _steps, idx), counted = _batch(
+                    node, SplitScorer(), beta_grid=(grid_beta, grid_beta)
+                )
+                np.testing.assert_array_equal(best, want)
+                assert not idx.any() and counted[:2] == (0, 2 * kernel.n_groups)
+                continue
             beta = np.full(kernel.n_items, b, dtype=np.int64)
-            np.testing.assert_array_equal(
-                kernel.scores(kernel.item_groups, beta),
-                [_score_scalar(m, grid_beta) for m in margins],
-            )
-        assert kernel.evaluations == kernel.n_groups * len(BETA_GRID)
+            np.testing.assert_array_equal(kernel.scores(kernel.item_groups, beta), want)
+        if backend == "numpy":
+            assert kernel.evaluations == kernel.n_groups * len(BETA_GRID)
 
     def test_a_repeated_chain_evaluates_nothing(self, backend):
         """A second chain with the same draws reads every score it needs
         from the memo the first one filled."""
         data, obs, left_obs, parents = _node_arrays(19, duplicates=True)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
-        kernel = split_kernel_from_arrays(
-            data, obs, left_obs, parents, scorer.beta_grid, native=NATIVES[backend]
-        )
+        kernel = split_kernel_from_arrays(data, obs, left_obs, parents, scorer.beta_grid)
+        if backend == "native":  # each batch call evaluates into its own memo
+            span = make_stream(19, "u").span(0, kernel.n_items * scorer.draws_per_item)
+            _assert_batches_count_as_kernels((data, obs, left_obs, parents), scorer, span)
+            return
         uniforms = _uniform_block(kernel.n_items, scorer.draws_per_item, 19)
         first = scorer.score_batch_kernel(kernel, uniforms)
         hits, evaluations = kernel.hits, kernel.evaluations
@@ -250,10 +295,14 @@ class TestMemoContract:
         what the first did and ends in the same state."""
         node = _node_arrays(23, duplicates=True)
         scorer = SplitScorer(max_steps=6, stop_repeats=2)
-        first = split_kernel_from_arrays(*node, scorer.beta_grid, native=NATIVES[backend])
+        first = split_kernel_from_arrays(*node, scorer.beta_grid)
+        if backend == "native":  # a batch call starts from an empty memo of its own
+            span = make_stream(23, "u").span(0, first.n_items * scorer.draws_per_item)
+            _assert_batches_count_as_kernels(node, scorer, span)
+            return
         uniforms = _uniform_block(first.n_items, scorer.draws_per_item, 23)
         want = scorer.score_batch_kernel(first, uniforms)
-        second = split_kernel_from_arrays(*node, scorer.beta_grid, native=NATIVES[backend])
+        second = split_kernel_from_arrays(*node, scorer.beta_grid)
         assert not second._seen.any()
         assert not np.shares_memory(second._cache, first._cache)
         assert not np.shares_memory(second._seen, first._seen)
@@ -291,18 +340,28 @@ class TestMemoryContract:
         n_items = parents.size * obs.size
         uniforms = _uniform_block(n_items, scorer.draws_per_item, 23)
         margins_bytes = n_items * obs.size * 8
+        node = data, obs, left_obs, parents
+        span = make_stream(23, "u").span(0, n_items * scorer.draws_per_item)
         tracemalloc.start()
         try:
-            kernel = split_kernel_from_arrays(
-                data, obs, left_obs, parents, scorer.beta_grid,
-                max_chunk_elements=8 * obs.size, native=NATIVES[backend],
-            )
-            scorer.score_batch_kernel(kernel, uniforms)
-            scorer.score_grid_best_kernel(kernel)
+            if backend == "native":  # the batch's chain, then its grid search
+                _batch(node, scorer, span, 8 * obs.size)
+                _results, (_hits, evaluations, chunk_peak) = _batch(
+                    node, scorer, None, 8 * obs.size
+                )
+            else:
+                kernel = split_kernel_from_arrays(
+                    *node, scorer.beta_grid, max_chunk_elements=8 * obs.size
+                )
+                scorer.score_batch_kernel(kernel, uniforms)
+                scorer.score_grid_best_kernel(kernel)
+                evaluations, chunk_peak = kernel.evaluations, kernel.peak_chunk_elements
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kernel.evaluations == kernel.n_groups * scorer.beta_grid.size
+        n_groups = split_kernel_from_arrays(*node, scorer.beta_grid).n_groups
+        assert evaluations == n_groups * scorer.beta_grid.size
+        assert chunk_peak == 8 * obs.size
         assert peak < margins_bytes // 8
 
     def test_the_chunk_bound_is_per_kernel(self):

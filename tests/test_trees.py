@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from repro.datatypes import Split, TreeNode
 from repro.ganesh.coclustering import SweepHooks
 from repro.rng.streams import GibbsRandom, IndexedStream, make_stream
-from repro.scoring.kernel import split_sign
+from repro.scoring.kernel import split_kernel_from_arrays, split_sign
 from repro.scoring.normal_gamma import DEFAULT_PRIOR
 from repro.scoring.split_score import SplitScorer
 from repro.trees.hierarchy import build_tree_structure, leaf_order
 from repro.trees.parents import accumulate_parent_scores
 from repro.trees.splits import (
     NodeSplitScores,
-    node_kernel,
     node_posteriors,
     score_node_splits,
     select_node_splits,
@@ -177,10 +176,17 @@ def _scored_node(seed=0, n_vars=6, m=10):
     return data, nodes[0], scores
 
 
+def _node_kernel(data, node, parents, scorer):
+    """The NumPy kernel over every candidate split at ``node``."""
+    return split_kernel_from_arrays(
+        data, node.observations, node.left.observations, parents, scorer.beta_grid
+    )
+
+
 class TestNodeKernel:
     def test_shape(self):
         data, node, _ = _scored_node()
-        kernel = node_kernel(data, node, np.arange(6), SplitScorer())
+        kernel = _node_kernel(data, node, np.arange(6), SplitScorer())
         n_obs = node.observations.size
         assert kernel.values.shape == (6, n_obs)
         assert kernel.n_items == 6 * n_obs
@@ -192,7 +198,7 @@ class TestNodeKernel:
         left = TreeNode(0, np.array([0, 1]))
         right = TreeNode(1, np.array([2, 3]))
         node = TreeNode(2, np.array([0, 1, 2, 3]), left=left, right=right)
-        kernel = node_kernel(data, node, np.array([0]), SplitScorer(beta_grid=(1.0, 2.0)))
+        kernel = _node_kernel(data, node, np.array([0]), SplitScorer(beta_grid=(1.0, 2.0)))
         np.testing.assert_array_equal(kernel.sign, [1.0, 1.0, -1.0, -1.0])
         # Split value between children, e.g. v = data[0, 1] = 2.0:
         # left obs (values 1, 2): margin = v - x -> [1, 0]
